@@ -4,9 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ripples_comm::{Communicator, ThreadWorld};
-use ripples_core::dist::{imm_distributed_full, DistRngMode, DistSelectMode};
+use ripples_core::dist::{imm_distributed_with_storage, DistRngMode, DistSelectMode};
 use ripples_core::ImmParams;
-use ripples_diffusion::DiffusionModel;
+use ripples_diffusion::{DiffusionModel, StorageConfig};
 use ripples_graph::generators::standin;
 use ripples_graph::WeightModel;
 
@@ -16,14 +16,16 @@ fn bench_comm_modes(c: &mut Criterion) {
     let params = ImmParams::new(20, 0.5, DiffusionModel::IndependentCascade, 4);
     let world = ThreadWorld::new(2);
 
+    let rng = DistRngMode::IndexedStreams;
+    let flat = StorageConfig::default();
+
     for (label, mode) in [
         ("dense", DistSelectMode::DenseAllReduce),
         ("sparse", DistSelectMode::SparseAllGather),
     ] {
         let bytes = world
             .run(|comm| {
-                let _ =
-                    imm_distributed_full(comm, &graph, &params, DistRngMode::IndexedStreams, mode);
+                let _ = imm_distributed_with_storage(comm, &graph, &params, rng, mode, flat);
                 comm.stats().bytes_moved
             })
             .into_iter()
@@ -41,8 +43,7 @@ fn bench_comm_modes(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(label), &mode, |b, &mode| {
             b.iter(|| {
                 world.run(|comm| {
-                    imm_distributed_full(comm, &graph, &params, DistRngMode::IndexedStreams, mode)
-                        .theta
+                    imm_distributed_with_storage(comm, &graph, &params, rng, mode, flat).theta
                 })
             });
         });

@@ -7,7 +7,7 @@
 //! Validates each argument with the RFC 8259 parser from `ripples-trace`
 //! (the same one the tracer's own tests use) and exits non-zero if any
 //! file is unreadable or not well-formed JSON. Used by CI to check that
-//! `--trace`, `--report json`, and `perf_snapshot` outputs all parse
+//! `--trace`, `--report json`, and `--metrics` outputs all parse
 //! without pulling in an external JSON tool.
 
 fn main() {

@@ -83,9 +83,9 @@ use ripples_core::obs::trace;
 use ripples_core::{
     celf::celf_greedy,
     community::community_imm,
-    dist::{imm_distributed, imm_distributed_with_storage, DistRngMode, DistSelectMode},
-    dist_partitioned::{imm_partitioned, imm_partitioned_with_storage},
-    dist_sharded::{imm_sharded, imm_sharded_with_storage},
+    dist::{imm_distributed_with_storage, DistRngMode, DistSelectMode},
+    dist_partitioned::imm_partitioned_with_storage,
+    dist_sharded::imm_sharded_with_storage,
     heuristics::degree_discount_ic,
     mt::imm_multithreaded_with_storage,
     seq::{imm_baseline, immopt_sequential, immopt_sequential_with_storage},
@@ -328,12 +328,15 @@ fn main() {
         );
     }
 
-    let chaos: Option<FaultPlan> = args.get("chaos-seed").map(|s| {
-        let chaos_seed: u64 = s.parse().expect("--chaos-seed takes a u64");
-        let rate: f64 = args.parse_or("chaos-rate", 0.02);
-        FaultPlan::chaos(chaos_seed, rate)
+    // Without --chaos-seed the plan is fault-free, and a `FaultComm` over a
+    // fault-free plan is bitwise transparent.
+    let chaos_seed: Option<u64> = args
+        .get("chaos-seed")
+        .map(|s| s.parse().expect("--chaos-seed takes a u64"));
+    let plan = chaos_seed.map_or_else(FaultPlan::none, |seed| {
+        FaultPlan::chaos(seed, args.parse_or("chaos-rate", 0.02))
     });
-    if chaos.is_some() && !matches!(engine.as_str(), "dist" | "partitioned" | "sharded") {
+    if chaos_seed.is_some() && !matches!(engine.as_str(), "dist" | "partitioned" | "sharded") {
         eprintln!(
             "warning: --chaos-seed only affects the dist/partitioned/sharded engines; ignoring"
         );
@@ -410,32 +413,16 @@ fn main() {
         "dist" => {
             let ranks: u32 = args.parse_or("ranks", 2);
             let world = ThreadWorld::new(ranks);
-            let mut results = match &chaos {
-                Some(plan) => world.run(|comm| {
-                    let faulty = FaultComm::new(comm, plan.clone());
-                    imm_distributed_with_storage(
-                        &faulty,
-                        &graph,
-                        &params,
-                        DistRngMode::IndexedStreams,
-                        DistSelectMode::DenseAllReduce,
-                        storage,
-                    )
-                }),
-                None if storage.kind == RrrStoreKind::Flat => {
-                    world.run(|comm| imm_distributed(comm, &graph, &params))
-                }
-                None => world.run(|comm| {
-                    imm_distributed_with_storage(
-                        comm,
-                        &graph,
-                        &params,
-                        DistRngMode::IndexedStreams,
-                        DistSelectMode::DenseAllReduce,
-                        storage,
-                    )
-                }),
-            };
+            let mut results = world.run(|comm| {
+                imm_distributed_with_storage(
+                    &FaultComm::new(comm, plan.clone()),
+                    &graph,
+                    &params,
+                    DistRngMode::IndexedStreams,
+                    DistSelectMode::DenseAllReduce,
+                    storage,
+                )
+            });
             let r = results.pop().expect("at least one rank");
             let detail = format!("ranks={ranks} theta={} phases=[{}]", r.theta, r.timers);
             (r.seeds, detail, Some(r.report))
@@ -454,18 +441,10 @@ fn main() {
         "partitioned" => {
             let ranks: u32 = args.parse_or("ranks", 2);
             let world = ThreadWorld::new(ranks);
-            let mut results = match &chaos {
-                Some(plan) => world.run(|comm| {
-                    let faulty = FaultComm::new(comm, plan.clone());
-                    imm_partitioned_with_storage(&faulty, &graph, &params, storage)
-                }),
-                None if storage.kind == RrrStoreKind::Flat => {
-                    world.run(|comm| imm_partitioned(comm, &graph, &params))
-                }
-                None => {
-                    world.run(|comm| imm_partitioned_with_storage(comm, &graph, &params, storage))
-                }
-            };
+            let mut results = world.run(|comm| {
+                let faulty = FaultComm::new(comm, plan.clone());
+                imm_partitioned_with_storage(&faulty, &graph, &params, storage)
+            });
             let r = results.pop().expect("at least one rank");
             let detail = format!(
                 "ranks={ranks} theta={} per-rank-graph={}B phases=[{}]",
@@ -476,16 +455,10 @@ fn main() {
         "sharded" => {
             let ranks: u32 = args.parse_or("ranks", 2);
             let world = ThreadWorld::new(ranks);
-            let mut results = match &chaos {
-                Some(plan) => world.run(|comm| {
-                    let faulty = FaultComm::new(comm, plan.clone());
-                    imm_sharded_with_storage(&faulty, &graph, &params, storage)
-                }),
-                None if storage.kind == RrrStoreKind::Flat => {
-                    world.run(|comm| imm_sharded(comm, &graph, &params))
-                }
-                None => world.run(|comm| imm_sharded_with_storage(comm, &graph, &params, storage)),
-            };
+            let mut results = world.run(|comm| {
+                let faulty = FaultComm::new(comm, plan.clone());
+                imm_sharded_with_storage(&faulty, &graph, &params, storage)
+            });
             let r = results.pop().expect("at least one rank");
             let detail = format!(
                 "ranks={ranks} theta={} per-rank-graph={}B frontier-exchanges={} \
@@ -574,13 +547,10 @@ fn main() {
     }
     eprintln!("engine={engine} model={model} k={k} epsilon={epsilon}: {detail}");
     eprintln!("time: {:.3}s", elapsed.as_secs_f64());
-    if let (Some(plan), Some(rep)) = (&chaos, &report) {
+    if let (Some(seed), Some(rep)) = (chaos_seed, &report) {
         eprintln!(
-            "chaos: seed={} retries={} dropped_ops={} degraded_ranks={}",
-            plan.seed(),
-            rep.counters.retries,
-            rep.counters.dropped_ops,
-            rep.counters.degraded_ranks
+            "chaos: seed={seed} retries={} dropped_ops={} degraded_ranks={}",
+            rep.counters.retries, rep.counters.dropped_ops, rep.counters.degraded_ranks
         );
     }
 

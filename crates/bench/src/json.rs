@@ -2,9 +2,9 @@
 //!
 //! The workspace already has a dependency-free JSON *validator*
 //! (`ripples_trace::validate_json`); this module adds the matching
-//! *reader* so tools like `bench_diff` can consume the snapshots the
-//! harness writes. It is deliberately small: full RFC 8259 grammar,
-//! numbers surfaced as `f64`, object keys kept in file order. It is not
+//! *reader* so tools like the `serve` bin can consume the NDJSON frames
+//! and files the harness exchanges. It is deliberately small: full RFC 8259
+//! grammar, numbers surfaced as `f64`, object keys kept in file order. It is not
 //! a general-purpose library — inputs are our own machine-written files,
 //! so errors carry byte offsets and no recovery.
 

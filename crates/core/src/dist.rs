@@ -15,21 +15,26 @@
 //! * Sample indices are global, so the union of all ranks' samples is
 //!   *identical* to a sequential run's collection, and therefore so is the
 //!   seed set — the cross-implementation equivalence the test suite checks.
+//!
+//! Everything the three communicator engines share lives here as
+//! `RankEngine`: the per-rank store, the distributed selection protocol
+//! and the report's cross-rank reductions. An engine supplies only a
+//! `RankSampler` — how one rank produces its share of a batch.
 
+use crate::driver::{record_store_counters, run_imm, Engine};
 use crate::memory::MemoryStats;
 use crate::obs::{CommCounters, Histogram, RunReport};
 use crate::params::ImmParams;
 use crate::result::ImmResult;
-use crate::select::{fused_is_profitable, fused_is_profitable_store, SelectStats};
-use crate::theta::ThetaSchedule;
-use ripples_comm::{Communicator, RetryComm};
+use crate::select::{argmax, fused_is_profitable, SelectStats, Selection};
+use ripples_comm::{CommStats, Communicator, RetryComm};
 use ripples_diffusion::rrr::{generate_rrr, RrrScratch};
 use ripples_diffusion::{
-    DiffusionModel, DynRrrStore, IncrementalSampleIndex, RrrCollection, RrrStore, SampleIndex,
-    StorageConfig,
+    DiffusionModel, DynRrrStore, IncrementalSampleIndex, RrrStore, SampleIndex, StorageConfig,
 };
 use ripples_graph::{Graph, Vertex};
 use ripples_rng::{RankStream, StreamFactory};
+use std::time::Instant;
 
 /// Global sample indices owned by `rank` within `[0, total)`: the strided
 /// (round-robin) partition `{ i : i ≡ rank (mod size) }`.
@@ -61,10 +66,53 @@ pub enum DistSelectMode {
     SparseAllGather,
 }
 
-/// Distributed greedy seed selection over each rank's local samples.
+/// The vertex → local-sample-ids lookup the purge step walks instead of
+/// probing every alive sample: [`SampleIndex`] over flat storage, the
+/// store's cached [`IncrementalSampleIndex`] otherwise.
+trait SampleLookup {
+    /// Number of local samples containing `v`.
+    fn degree(&self, v: Vertex) -> u64;
+    /// Streams the ascending local sample ids containing `v` to `f`.
+    fn for_each_sample(&self, v: Vertex, f: impl FnMut(usize));
+}
+
+impl SampleLookup for SampleIndex {
+    fn degree(&self, v: Vertex) -> u64 {
+        SampleIndex::degree(self, v)
+    }
+
+    fn for_each_sample(&self, v: Vertex, mut f: impl FnMut(usize)) {
+        for &sid in self.samples_containing(v) {
+            f(sid as usize);
+        }
+    }
+}
+
+impl SampleLookup for IncrementalSampleIndex {
+    fn degree(&self, v: Vertex) -> u64 {
+        u64::from(IncrementalSampleIndex::degree(self, v))
+    }
+
+    fn for_each_sample(&self, v: Vertex, f: impl FnMut(usize)) {
+        IncrementalSampleIndex::for_each_sample(self, v, f);
+    }
+}
+
+fn nanos_since(t0: Instant) -> u64 {
+    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Distributed greedy seed selection over each rank's local samples: local
+/// counting → All-Reduce → local argmax → purge → dense or sparse decrement
+/// aggregation → coverage reduce.
 ///
-/// Returns `(seeds, covered_global, fraction, stats)`; everything but the
-/// per-rank `stats` is identical on every rank.
+/// The seeds and coverage of the returned [`Selection`] are identical on
+/// every rank; the [`SelectStats`] are this rank's. A per-rank inverted
+/// index drives the purge step when the cost model says its O(E)
+/// construction amortizes over the `k` purge passes; the decrement sums are
+/// identical either way, so ranks may disagree on the choice (the model
+/// reads per-rank sizes) without diverging — the collective sequence does
+/// not depend on it.
 pub(crate) fn select_seeds_distributed<C: Communicator, S: RrrStore>(
     comm: &C,
     local: &S,
@@ -72,297 +120,124 @@ pub(crate) fn select_seeds_distributed<C: Communicator, S: RrrStore>(
     n: u32,
     k: u32,
     select_mode: DistSelectMode,
-) -> (Vec<Vertex>, usize, f64, SelectStats) {
-    if let Some(flat) = local.as_flat() {
-        select_seeds_distributed_flat(comm, flat, theta_global, n, k, select_mode)
-    } else {
-        select_seeds_distributed_store(comm, local, theta_global, n, k, select_mode)
-    }
-}
-
-/// The flat-storage distributed selection: binary-searched slices, serial
-/// [`SampleIndex`] when profitable. Bitwise the pre-storage-backend code
-/// path.
-fn select_seeds_distributed_flat<C: Communicator>(
-    comm: &C,
-    local: &RrrCollection,
-    theta_global: usize,
-    n: u32,
-    k: u32,
-    select_mode: DistSelectMode,
-) -> (Vec<Vertex>, usize, f64, SelectStats) {
-    let n_us = n as usize;
+) -> (Selection, SelectStats) {
     let k = k.min(n);
-
-    // Per-call serial inverted index over this rank's local samples: the
-    // purge step for a chosen seed walks exactly the samples containing it
-    // instead of binary-searching every alive local sample per iteration.
-    // Only built when the cost model says its O(E) construction amortizes
-    // over the k purge passes; the decrement sums are identical either way,
-    // so ranks may even disagree on the choice without diverging.
-    let index = if fused_is_profitable(local, k) {
-        let t0 = std::time::Instant::now();
-        let index = SampleIndex::build(local, n, 1);
+    let indexed = fused_is_profitable(local, k);
+    let t0 = Instant::now();
+    // What building the index cost, once it exists.
+    let built = |index_bytes: usize| {
         if crate::obs::trace::enabled() {
             crate::obs::trace::complete(
                 crate::obs::trace::TraceName::IndexBuild,
                 t0,
-                index.total_entries() as u64,
+                local.total_entries(),
                 1,
             );
         }
-        Some((index, t0.elapsed()))
-    } else {
-        None
-    };
-    let mut stats = match &index {
-        Some((index, build)) => SelectStats {
-            index_build_nanos: u64::try_from(build.as_nanos()).unwrap_or(u64::MAX),
-            index_bytes: index.resident_bytes(),
+        SelectStats {
+            index_build_nanos: nanos_since(t0),
+            index_bytes,
             ..SelectStats::default()
-        },
-        None => SelectStats::default(),
-    };
-
-    // Local counting pass (the index's vertex degrees, or one direct sweep
-    // over the local samples), then one All-Reduce for the global counts.
-    let mut counters: Vec<u64> = match &index {
-        Some((index, _)) => (0..n).map(|v| index.degree(v)).collect(),
-        None => {
-            let mut counts = vec![0u64; n_us];
-            for set in local.iter() {
-                for &u in set {
-                    counts[u as usize] += 1;
-                }
-            }
-            counts
         }
     };
-    comm.all_reduce_sum_u64(&mut counters);
-
-    let mut covered = vec![false; local.len()];
-    let mut selected = vec![false; n_us];
-    let mut seeds = Vec::with_capacity(k as usize);
-    let mut covered_local = 0usize;
-    let mut decrements = vec![0u64; n_us];
-    for _ in 0..k {
-        // Global argmax is a local operation: all ranks hold the counts and
-        // the tie-break (lowest id) is deterministic.
-        let mut best: Option<(u64, Vertex)> = None;
-        for (v, (&c, &s)) in counters.iter().zip(&selected).enumerate() {
-            if s {
-                continue;
-            }
-            match best {
-                Some((bc, _)) if bc >= c => {}
-                _ => best = Some((c, v as Vertex)),
-            }
+    let rounds = GreedyRounds {
+        comm,
+        theta_global,
+        n,
+        k,
+        select_mode,
+    };
+    match local.as_flat() {
+        // Flat storage: binary-searched slices, serial `SampleIndex`.
+        Some(flat) if indexed => {
+            let index = SampleIndex::build(flat, n, 1);
+            rounds.run(flat, Some(&index), built(index.resident_bytes()))
         }
-        let Some((gain, v)) = best else { break };
-        selected[v as usize] = true;
-        if crate::obs::trace::enabled() {
-            crate::obs::trace::mark(crate::obs::trace::TraceName::SelectStep, u64::from(v), gain);
-        }
-        seeds.push(v);
-
-        // Purge local samples containing v; accumulate counter decrements.
-        decrements.fill(0);
-        match &index {
-            Some((index, _)) => {
-                for &sid in index.samples_containing(v) {
-                    let j = sid as usize;
-                    if covered[j] {
-                        continue;
-                    }
-                    covered[j] = true;
-                    covered_local += 1;
-                    let set = local.get(j);
-                    stats.entries_touched += set.len() as u64;
-                    for &u in set {
-                        decrements[u as usize] += 1;
-                    }
-                }
-            }
-            None => {
-                for (j, cov) in covered.iter_mut().enumerate() {
-                    if *cov {
-                        continue;
-                    }
-                    let set = local.get(j);
-                    if set.binary_search(&v).is_ok() {
-                        *cov = true;
-                        covered_local += 1;
-                        for &u in set {
-                            decrements[u as usize] += 1;
-                        }
-                    }
-                }
-            }
-        }
-        match select_mode {
-            DistSelectMode::DenseAllReduce => {
-                // The O(k·n·lg p) step: one All-Reduce per greedy iteration.
-                comm.all_reduce_sum_u64(&mut decrements);
-                for (c, &d) in counters.iter_mut().zip(&decrements) {
-                    *c -= d;
-                }
-            }
-            DistSelectMode::SparseAllGather => {
-                // Encode only nonzero decrements as (vertex << 32 | count).
-                let sparse: Vec<u64> = decrements
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &d)| d > 0)
-                    .map(|(u, &d)| {
-                        debug_assert!(d < (1 << 32), "decrement overflow");
-                        ((u as u64) << 32) | d
-                    })
-                    .collect();
-                for rank_list in comm.all_gather_u64_list(&sparse) {
-                    for enc in rank_list {
-                        let u = (enc >> 32) as usize;
-                        let d = enc & 0xFFFF_FFFF;
-                        counters[u] -= d;
-                    }
-                }
-            }
-        }
+        Some(flat) => rounds.run::<_, SampleIndex>(flat, None, SelectStats::default()),
+        // Compressed storage: decode-on-touch, the index cached across θ
+        // rounds by `DynRrrStore`.
+        None if indexed => local.with_sample_index(n, |index| {
+            rounds.run(local, Some(index), built(index.resident_bytes()))
+        }),
+        None => rounds.run::<_, IncrementalSampleIndex>(local, None, SelectStats::default()),
     }
-    let covered_global = comm.all_reduce_sum_u64_scalar(covered_local as u64) as usize;
-    // Degraded runs: dead ranks' samples are gone from every collective, so
-    // coverage must be judged against the samples the surviving ranks
-    // actually hold, not the nominal θ. The dead-rank set is identical on
-    // every rank (lockstep fault decisions), so this extra collective is
-    // taken — or skipped — uniformly; the fault-free path is unchanged.
-    let theta_eff = if comm.dead_ranks().is_empty() {
-        theta_global
-    } else {
-        comm.all_reduce_sum_u64_scalar(local.len() as u64) as usize
-    };
-    let fraction = if theta_eff == 0 {
-        0.0
-    } else {
-        covered_global as f64 / theta_eff as f64
-    };
-    (seeds, covered_global, fraction, stats)
 }
 
-/// Distributed selection over a compressed local [`RrrStore`]: the same
-/// greedy protocol (local counting → All-Reduce → local argmax → purge →
-/// decrement aggregation) with decode-on-touch access — a per-rank
-/// inverted index ([`RrrStore::with_sample_index`], cached across θ rounds
-/// by `DynRrrStore`) when the cost model says it amortizes, direct
-/// `contains`/`for_each_vertex` sweeps otherwise. Decrement sums are
-/// identical to the flat path's, so the aggregated counters — and the
-/// seeds — match the flat run bit for bit.
-fn select_seeds_distributed_store<C: Communicator, S: RrrStore>(
-    comm: &C,
-    local: &S,
+/// The collectively identical inputs of one distributed selection pass.
+struct GreedyRounds<'a, C> {
+    comm: &'a C,
     theta_global: usize,
     n: u32,
     k: u32,
     select_mode: DistSelectMode,
-) -> (Vec<Vertex>, usize, f64, SelectStats) {
-    let k = k.min(n);
-    let mut stats = SelectStats::default();
-    let (seeds, covered_global, fraction) = if fused_is_profitable_store(local, k) {
-        let t0 = std::time::Instant::now();
-        local.with_sample_index(n, |index| {
-            stats.index_build_nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            stats.index_bytes = index.resident_bytes();
-            if crate::obs::trace::enabled() {
-                crate::obs::trace::complete(
-                    crate::obs::trace::TraceName::IndexBuild,
-                    t0,
-                    local.total_entries(),
-                    1,
-                );
-            }
-            distributed_store_rounds(
-                comm,
-                local,
-                theta_global,
-                n,
-                k,
-                select_mode,
-                Some(index),
-                &mut stats,
-            )
-        })
-    } else {
-        distributed_store_rounds(
+}
+
+impl<C: Communicator> GreedyRounds<'_, C> {
+    /// The collective greedy rounds of [`select_seeds_distributed`], one
+    /// body for both storage sides and both purge strategies. `stats`
+    /// carries the index build cost in; decode time is charged only on
+    /// compressed stores (flat slices need no decoding).
+    fn run<S: RrrStore, I: SampleLookup>(
+        &self,
+        local: &S,
+        index: Option<&I>,
+        mut stats: SelectStats,
+    ) -> (Selection, SelectStats) {
+        let GreedyRounds {
             comm,
-            local,
             theta_global,
             n,
             k,
             select_mode,
-            None,
-            &mut stats,
-        )
-    };
-    (seeds, covered_global, fraction, stats)
-}
+        } = *self;
+        let n_us = n as usize;
+        let mut decode_nanos = 0u64;
 
-/// The collective greedy rounds of [`select_seeds_distributed_store`],
-/// shared by the indexed and direct access strategies. Must be called
-/// collectively with the same `index`-present/absent decision on every
-/// rank (the cost model inputs are collective-identical, so it is).
-#[allow(clippy::too_many_arguments)]
-fn distributed_store_rounds<C: Communicator, S: RrrStore>(
-    comm: &C,
-    local: &S,
-    theta_global: usize,
-    n: u32,
-    k: u32,
-    select_mode: DistSelectMode,
-    index: Option<&IncrementalSampleIndex>,
-    stats: &mut SelectStats,
-) -> (Vec<Vertex>, usize, f64) {
-    let n_us = n as usize;
-
-    let mut counters: Vec<u64> = match &index {
-        Some(index) => (0..n).map(|v| u64::from(index.degree(v))).collect(),
-        None => {
-            let t0 = std::time::Instant::now();
-            let mut counts = vec![0u64; n_us];
-            for j in 0..local.len() {
-                local.for_each_vertex(j, |u| counts[u as usize] += 1);
+        // Local counting pass (the index's vertex degrees, or one direct sweep
+        // over the local samples), then one All-Reduce for the global counts.
+        let mut counters: Vec<u64> = match index {
+            Some(index) => (0..n).map(|v| index.degree(v)).collect(),
+            None => {
+                let t0 = Instant::now();
+                let mut counts = vec![0u64; n_us];
+                for j in 0..local.len() {
+                    local.for_each_vertex(j, |u| counts[u as usize] += 1);
+                }
+                decode_nanos += nanos_since(t0);
+                counts
             }
-            stats.decode_nanos += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            counts
-        }
-    };
-    comm.all_reduce_sum_u64(&mut counters);
+        };
+        comm.all_reduce_sum_u64(&mut counters);
 
-    let mut covered = vec![false; local.len()];
-    let mut selected = vec![false; n_us];
-    let mut seeds = Vec::with_capacity(k as usize);
-    let mut covered_local = 0usize;
-    let mut decrements = vec![0u64; n_us];
-    for _ in 0..k {
-        let mut best: Option<(u64, Vertex)> = None;
-        for (v, (&c, &s)) in counters.iter().zip(&selected).enumerate() {
-            if s {
-                continue;
+        let mut covered = vec![false; local.len()];
+        let mut selected = vec![false; n_us];
+        let mut seeds = Vec::with_capacity(k as usize);
+        let mut gains = Vec::with_capacity(k as usize);
+        let mut covered_local = 0usize;
+        let mut decrements = vec![0u64; n_us];
+        for _ in 0..k {
+            // Global argmax is a local operation: all ranks hold the counts and
+            // the tie-break (lowest id) is deterministic.
+            let Some(v) = argmax(&counters, &selected) else {
+                break;
+            };
+            let gain = counters[v as usize];
+            selected[v as usize] = true;
+            if crate::obs::trace::enabled() {
+                crate::obs::trace::mark(
+                    crate::obs::trace::TraceName::SelectStep,
+                    u64::from(v),
+                    gain,
+                );
             }
-            match best {
-                Some((bc, _)) if bc >= c => {}
-                _ => best = Some((c, v as Vertex)),
-            }
-        }
-        let Some((gain, v)) = best else { break };
-        selected[v as usize] = true;
-        if crate::obs::trace::enabled() {
-            crate::obs::trace::mark(crate::obs::trace::TraceName::SelectStep, u64::from(v), gain);
-        }
-        seeds.push(v);
+            seeds.push(v);
+            gains.push(gain);
 
-        decrements.fill(0);
-        let t0 = std::time::Instant::now();
-        match &index {
-            Some(index) => {
-                index.for_each_sample(v, |j| {
+            // Purge local samples containing v; accumulate counter decrements.
+            decrements.fill(0);
+            let t0 = Instant::now();
+            match index {
+                Some(index) => index.for_each_sample(v, |j| {
                     if covered[j] {
                         return;
                     }
@@ -370,80 +245,73 @@ fn distributed_store_rounds<C: Communicator, S: RrrStore>(
                     covered_local += 1;
                     stats.entries_touched += local.sample_len(j) as u64;
                     local.for_each_vertex(j, |u| decrements[u as usize] += 1);
-                });
-            }
-            None => {
-                for (j, cov) in covered.iter_mut().enumerate() {
-                    if *cov {
-                        continue;
+                }),
+                None => {
+                    for (j, cov) in covered.iter_mut().enumerate() {
+                        if !*cov && local.contains(j, v) {
+                            *cov = true;
+                            covered_local += 1;
+                            local.for_each_vertex(j, |u| decrements[u as usize] += 1);
+                        }
                     }
-                    if local.contains(j, v) {
-                        *cov = true;
-                        covered_local += 1;
-                        local.for_each_vertex(j, |u| decrements[u as usize] += 1);
+                }
+            }
+            decode_nanos += nanos_since(t0);
+            match select_mode {
+                DistSelectMode::DenseAllReduce => {
+                    // The O(k·n·lg p) step: one All-Reduce per greedy iteration.
+                    comm.all_reduce_sum_u64(&mut decrements);
+                    for (c, &d) in counters.iter_mut().zip(&decrements) {
+                        *c -= d;
+                    }
+                }
+                DistSelectMode::SparseAllGather => {
+                    // Encode only nonzero decrements as (vertex << 32 | count).
+                    let sparse: Vec<u64> = decrements
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, &d)| d > 0)
+                        .map(|(u, &d)| {
+                            debug_assert!(d < (1 << 32), "decrement overflow");
+                            ((u as u64) << 32) | d
+                        })
+                        .collect();
+                    for rank_list in comm.all_gather_u64_list(&sparse) {
+                        for enc in rank_list {
+                            let u = (enc >> 32) as usize;
+                            let d = enc & 0xFFFF_FFFF;
+                            counters[u] -= d;
+                        }
                     }
                 }
             }
         }
-        stats.decode_nanos += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        match select_mode {
-            DistSelectMode::DenseAllReduce => {
-                comm.all_reduce_sum_u64(&mut decrements);
-                for (c, &d) in counters.iter_mut().zip(&decrements) {
-                    *c -= d;
-                }
-            }
-            DistSelectMode::SparseAllGather => {
-                let sparse: Vec<u64> = decrements
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &d)| d > 0)
-                    .map(|(u, &d)| {
-                        debug_assert!(d < (1 << 32), "decrement overflow");
-                        ((u as u64) << 32) | d
-                    })
-                    .collect();
-                for rank_list in comm.all_gather_u64_list(&sparse) {
-                    for enc in rank_list {
-                        let u = (enc >> 32) as usize;
-                        let d = enc & 0xFFFF_FFFF;
-                        counters[u] -= d;
-                    }
-                }
-            }
+        if local.as_flat().is_none() {
+            stats.decode_nanos += decode_nanos;
         }
+        let covered_global = all_reduce_sum_scalar(comm, covered_local as u64) as usize;
+        // Degraded runs: dead ranks' samples are gone from every collective, so
+        // coverage must be judged against the samples the surviving ranks
+        // actually hold, not the nominal θ. The dead-rank set is identical on
+        // every rank (lockstep fault decisions), so this extra collective is
+        // taken — or skipped — uniformly; the fault-free path is unchanged.
+        let theta_eff = if comm.dead_ranks().is_empty() {
+            theta_global
+        } else {
+            all_reduce_sum_scalar(comm, local.len() as u64) as usize
+        };
+        (
+            Selection::finish(seeds, gains, covered_global, theta_eff),
+            stats,
+        )
     }
-    let covered_global = comm.all_reduce_sum_u64_scalar(covered_local as u64) as usize;
-    let theta_eff = if comm.dead_ranks().is_empty() {
-        theta_global
-    } else {
-        comm.all_reduce_sum_u64_scalar(local.len() as u64) as usize
-    };
-    let fraction = if theta_eff == 0 {
-        0.0
-    } else {
-        covered_global as f64 / theta_eff as f64
-    };
-    (seeds, covered_global, fraction)
 }
 
-/// Crate-internal entry used by the partitioned engine: the paper's dense
-/// All-Reduce selection.
-pub(crate) fn select_seeds_distributed_public<C: Communicator, S: RrrStore>(
-    comm: &C,
-    local: &S,
-    theta_global: usize,
-    n: u32,
-    k: u32,
-) -> (Vec<Vertex>, usize, f64, SelectStats) {
-    select_seeds_distributed(
-        comm,
-        local,
-        theta_global,
-        n,
-        k,
-        DistSelectMode::DenseAllReduce,
-    )
+/// Scalar convenience over the slice All-Reduce.
+fn all_reduce_sum_scalar<C: Communicator>(comm: &C, x: u64) -> u64 {
+    let mut buf = [x];
+    comm.all_reduce_sum_u64(&mut buf);
+    buf[0]
 }
 
 /// Merges one rank's local histogram into the identical global histogram on
@@ -493,17 +361,129 @@ pub(crate) fn globalize_health<C: Communicator>(comm: &C, report: &mut RunReport
         .max(0.0) as u64;
 }
 
-/// Scalar convenience over the slice All-Reduce.
-trait ScalarReduce {
-    fn all_reduce_sum_u64_scalar(&self, x: u64) -> u64;
+/// How one rank of a communicator engine produces its share of a batch.
+pub(crate) trait RankSampler {
+    /// Generates global samples `first .. first + count` together with the
+    /// other ranks, appends this rank's share to `out` in index order and
+    /// extends the work trace; returns the edges examined locally.
+    fn sample<C: Communicator>(
+        &mut self,
+        comm: &C,
+        first: u64,
+        count: usize,
+        out: &mut DynRrrStore,
+        sample_work: &mut Vec<u64>,
+    ) -> u64;
+
+    /// Resident bytes of the graph (or graph share) this rank samples from.
+    fn graph_bytes(&self) -> usize;
+
+    /// Engine-specific report counters; a collective, called on every rank
+    /// after the shared reductions.
+    fn finish<C: Communicator>(&self, _comm: &C, _report: &mut RunReport) {}
 }
 
-impl<C: Communicator> ScalarReduce for C {
-    fn all_reduce_sum_u64_scalar(&self, x: u64) -> u64 {
-        let mut buf = [x];
-        self.all_reduce_sum_u64(&mut buf);
-        buf[0]
+/// One rank of a communicator engine: its share of the population in a
+/// [`DynRrrStore`], [`select_seeds_distributed`] over it, and the report's
+/// cross-rank reductions.
+struct RankEngine<'a, C: Communicator, P> {
+    comm: &'a C,
+    sampler: P,
+    store: DynRrrStore,
+    /// Global population size (the sum of every rank's share).
+    held: usize,
+    n: u32,
+    select_mode: DistSelectMode,
+    comm_before: CommStats,
+}
+
+impl<C: Communicator, P: RankSampler> Engine for RankEngine<'_, C, P> {
+    fn grow_to(&mut self, total: usize, report: &mut RunReport, sample_work: &mut Vec<u64>) {
+        let old_len = self.store.len();
+        let work = self.sampler.sample(
+            self.comm,
+            self.held as u64,
+            total - self.held,
+            &mut self.store,
+            sample_work,
+        );
+        self.held = total;
+        // Local counters; `finish` globalizes them once at the end.
+        let new_samples = (self.store.len() - old_len) as u64;
+        report.counters.samples_generated += new_samples;
+        report.counters.edges_examined += work;
+        for slot in old_len..self.store.len() {
+            report.rrr_sizes.record(self.store.sample_len(slot) as u64);
+        }
+        // One "worker" per rank: the batch lands wholly on this rank.
+        report.thread_samples.record(new_samples);
     }
+
+    fn resident_bytes(&self) -> usize {
+        self.store.resident_bytes()
+    }
+
+    fn select(&self, k: u32) -> (Selection, SelectStats) {
+        select_seeds_distributed(
+            self.comm,
+            &self.store,
+            self.held,
+            self.n,
+            k,
+            self.select_mode,
+        )
+    }
+
+    fn finish(&mut self, report: &mut RunReport) {
+        record_store_counters(report, &self.store);
+        globalize_counters(self.comm, report);
+        globalize_health(self.comm, report);
+        self.sampler.finish(self.comm, report);
+        report.comm = Some(CommCounters::delta(&self.comm_before, &self.comm.stats()));
+        if crate::obs::trace::enabled() {
+            // Collective: every rank contributes its timeline and every rank
+            // receives the same rank-tagged merge.
+            report.trace = Some(crate::obs::trace::gather_trace(self.comm));
+        }
+    }
+}
+
+/// Runs IMM on this rank of a communicator engine; must be called
+/// collectively with identical `graph`, `params` and `storage`.
+pub(crate) fn run_imm_ranked<C: Communicator, P: RankSampler>(
+    label: &str,
+    comm: &C,
+    graph: &Graph,
+    params: &ImmParams,
+    storage: StorageConfig,
+    select_mode: DistSelectMode,
+    sampler: P,
+) -> ImmResult {
+    // All collectives run through the retry/rank-death layer: on a
+    // reliable backend every attempt succeeds first try and the wrapper is
+    // free; on a fault-injecting stack transient faults are retried in
+    // lockstep and persistent ones degrade the run instead of crashing it.
+    let comm = &RetryComm::with_defaults(comm);
+    // Tag this rank thread's event ring so the merged trace shows one
+    // process track per rank.
+    crate::obs::trace::set_thread_rank(comm.rank());
+    let n = graph.num_vertices();
+    let footprint = MemoryStats {
+        counter_bytes: 2 * n as usize * std::mem::size_of::<u64>(),
+        // The honest headline: per-rank graph bytes are the sampler's share.
+        graph_bytes: sampler.graph_bytes(),
+        ..MemoryStats::default()
+    };
+    let mut engine = RankEngine {
+        comm,
+        sampler,
+        store: DynRrrStore::new(storage, n),
+        held: 0,
+        n,
+        select_mode,
+        comm_before: comm.stats(),
+    };
+    run_imm(label, graph, params, footprint, &mut engine)
 }
 
 /// How the distributed ranks draw their randomness.
@@ -521,62 +501,83 @@ pub enum DistRngMode {
     LeapFrog,
 }
 
+/// The replicated-graph sampler: this rank's stride of every batch, one
+/// sample at a time through `generate_rrr`.
+struct ReplicatedSampler<'a> {
+    graph: &'a Graph,
+    model: DiffusionModel,
+    factory: StreamFactory,
+    scratch: RrrScratch,
+    rng_mode: DistRngMode,
+    /// Persistent per-rank leap-frog stream (used only in LeapFrog mode).
+    rank_stream: RankStream,
+}
+
+impl RankSampler for ReplicatedSampler<'_> {
+    fn sample<C: Communicator>(
+        &mut self,
+        comm: &C,
+        first: u64,
+        count: usize,
+        out: &mut DynRrrStore,
+        sample_work: &mut Vec<u64>,
+    ) -> u64 {
+        let n = u64::from(self.graph.num_vertices());
+        let mut work = 0u64;
+        for index in strided_indices(first as usize + count, comm.rank(), comm.size())
+            .skip_while(|&i| i < first)
+        {
+            let s = match self.rng_mode {
+                DistRngMode::IndexedStreams => {
+                    let mut rng = self.factory.sample_stream(index);
+                    let root = rng.bounded_u64(n) as Vertex;
+                    generate_rrr(self.graph, self.model, root, &mut rng, &mut self.scratch)
+                }
+                DistRngMode::LeapFrog => {
+                    let rng = &mut self.rank_stream;
+                    let root = rng.bounded_u64(n) as Vertex;
+                    generate_rrr(self.graph, self.model, root, rng, &mut self.scratch)
+                }
+            };
+            work += s.edges_examined;
+            out.push(&s.vertices);
+            sample_work.push(s.edges_examined);
+        }
+        work
+    }
+
+    fn graph_bytes(&self) -> usize {
+        self.graph.resident_bytes()
+    }
+}
+
 /// Runs distributed IMM on this rank. Must be called collectively by every
 /// rank of `comm` with identical `graph` and `params`.
 ///
-/// Uses [`DistRngMode::IndexedStreams`]; see
-/// [`imm_distributed_with_rng`] for the paper-faithful leap-frog mode.
+/// Uses [`DistRngMode::IndexedStreams`], the paper's dense All-Reduce
+/// selection and flat storage; see [`imm_distributed_with_storage`] for the
+/// paper-faithful leap-frog mode and the other knobs.
 ///
 /// Returns the (identical) result on every rank; `sample_work` contains only
 /// this rank's local sampling work.
 #[must_use]
 pub fn imm_distributed<C: Communicator>(comm: &C, graph: &Graph, params: &ImmParams) -> ImmResult {
-    imm_distributed_with_rng(comm, graph, params, DistRngMode::IndexedStreams)
-}
-
-/// [`imm_distributed`] with an explicit RNG distribution strategy.
-#[must_use]
-pub fn imm_distributed_with_rng<C: Communicator>(
-    comm: &C,
-    graph: &Graph,
-    params: &ImmParams,
-    rng_mode: DistRngMode,
-) -> ImmResult {
-    imm_distributed_full(
+    imm_distributed_with_storage(
         comm,
         graph,
         params,
-        rng_mode,
+        DistRngMode::IndexedStreams,
         DistSelectMode::DenseAllReduce,
+        StorageConfig::default(),
     )
 }
 
 /// The fully-parameterized distributed entry point: RNG strategy ×
-/// counter-aggregation strategy.
-#[must_use]
-pub fn imm_distributed_full<C: Communicator>(
-    comm: &C,
-    graph: &Graph,
-    params: &ImmParams,
-    rng_mode: DistRngMode,
-    select_mode: DistSelectMode,
-) -> ImmResult {
-    imm_distributed_impl(
-        comm,
-        graph,
-        params,
-        rng_mode,
-        select_mode,
-        RrrCollection::new(),
-    )
-}
-
-/// [`imm_distributed_full`] with an explicit per-rank RRR storage backend
-/// (CLI `--rrr-store` / `--rrr-budget`). Each rank holds its local sample
+/// counter-aggregation strategy × per-rank RRR storage backend (CLI
+/// `--rrr-store` / `--rrr-budget`). Each rank holds its local sample
 /// stride in the chosen backend; the selection protocol's decrement sums
 /// are storage-independent, so seeds match the flat run at every world
-/// size. The flat backend takes exactly the [`imm_distributed_full`] code
-/// paths.
+/// size.
 #[must_use]
 pub fn imm_distributed_with_storage<C: Communicator>(
     comm: &C,
@@ -586,217 +587,15 @@ pub fn imm_distributed_with_storage<C: Communicator>(
     select_mode: DistSelectMode,
     storage: StorageConfig,
 ) -> ImmResult {
-    if storage.kind == ripples_diffusion::RrrStoreKind::Flat {
-        return imm_distributed_full(comm, graph, params, rng_mode, select_mode);
-    }
-    let store = DynRrrStore::new(storage, graph.num_vertices());
-    imm_distributed_impl(comm, graph, params, rng_mode, select_mode, store)
-}
-
-fn imm_distributed_impl<C: Communicator, S: RrrStore>(
-    comm: &C,
-    graph: &Graph,
-    params: &ImmParams,
-    rng_mode: DistRngMode,
-    select_mode: DistSelectMode,
-    store: S,
-) -> ImmResult {
-    // All collectives below run through the retry/rank-death layer: on a
-    // reliable backend every attempt succeeds first try and the wrapper is
-    // free; on a fault-injecting stack transient faults are retried in
-    // lockstep and persistent ones degrade the run instead of crashing it.
-    let comm = &RetryComm::with_defaults(comm);
-    let n = graph.num_vertices();
-    if n < 2 {
-        // Degenerate inputs take the sequential path; keep ranks aligned.
-        comm.barrier();
-        return crate::seq::immopt_sequential(graph, params);
-    }
-    let k = params.effective_k(n);
-    let sizing_k = params.sizing_k(n);
-    let schedule = ThetaSchedule::new(
-        u64::from(n),
-        u64::from(sizing_k),
-        params.epsilon,
-        params.ell,
-    );
-    let factory = StreamFactory::new(params.seed);
-    let model: DiffusionModel = params.model;
-    // This engine samples through `generate_rrr` directly, bypassing the
-    // batch samplers' entry validation — re-assert the LT normalization
-    // contract here so un-normalized input fails fast in every profile.
-    if model == DiffusionModel::LinearThreshold {
-        ripples_diffusion::ensure_lt_normalized(graph);
-    }
-    let rank = comm.rank();
-    let size = comm.size();
-    // Tag this rank thread's event ring so the merged trace shows one
-    // process track per rank.
-    crate::obs::trace::set_thread_rank(rank);
-
-    let mut report = RunReport::new("dist");
-    let comm_before = comm.stats();
-    let mut memory = MemoryStats {
-        counter_bytes: 2 * n as usize * std::mem::size_of::<u64>(),
-        graph_bytes: graph.resident_bytes(),
-        ..MemoryStats::default()
+    let sampler = ReplicatedSampler {
+        graph,
+        model: params.model,
+        factory: StreamFactory::new(params.seed),
+        scratch: RrrScratch::new(graph.num_vertices()),
+        rng_mode,
+        rank_stream: RankStream::new(params.seed, comm.rank(), comm.size()),
     };
-    let mut local = store;
-    let mut scratch = RrrScratch::new(n);
-    let mut sample_work: Vec<u64> = Vec::new();
-    let mut theta_global: usize = 0;
-    let mut select_stats = SelectStats::default();
-    // Persistent per-rank leap-frog stream (used only in LeapFrog mode).
-    let mut rank_stream = RankStream::new(params.seed, rank, size);
-
-    // Append this rank's stride of the newly added global range
-    // [current_total, new_total). Counters record *local* work here; they
-    // are globalized once at the end of the run.
-    let mut grow_to = |new_total: usize,
-                       local: &mut S,
-                       scratch: &mut RrrScratch,
-                       sample_work: &mut Vec<u64>,
-                       report: &mut RunReport,
-                       current_total: usize| {
-        debug_assert!(new_total >= current_total);
-        let mut batch_samples = 0u64;
-        for index in
-            strided_indices(new_total, rank, size).skip_while(|&i| i < current_total as u64)
-        {
-            let s = match rng_mode {
-                DistRngMode::IndexedStreams => {
-                    let mut rng = factory.sample_stream(index);
-                    let root = rng.bounded_u64(u64::from(n)) as Vertex;
-                    generate_rrr(graph, model, root, &mut rng, scratch)
-                }
-                DistRngMode::LeapFrog => {
-                    let root = rank_stream.bounded_u64(u64::from(n)) as Vertex;
-                    generate_rrr(graph, model, root, &mut rank_stream, scratch)
-                }
-            };
-            report.counters.edges_examined += s.edges_examined;
-            report.rrr_sizes.record(s.vertices.len() as u64);
-            local.push(&s.vertices);
-            sample_work.push(s.edges_examined);
-            batch_samples += 1;
-        }
-        report.counters.samples_generated += batch_samples;
-        // One "worker" per rank: the batch lands wholly on this rank.
-        report.thread_samples.record(batch_samples);
-    };
-
-    // --- EstimateTheta -----------------------------------------------------
-    let mut lb: Option<f64> = None;
-    {
-        let local_ref = &mut local;
-        let scratch_ref = &mut scratch;
-        let work_ref = &mut sample_work;
-        let theta_ref = &mut theta_global;
-        let memory = &mut memory;
-        let lb = &mut lb;
-        let select_stats = &mut select_stats;
-        report.span("EstimateTheta", |report| {
-            for x in 1..=schedule.max_rounds() {
-                let budget = schedule.round_budget(x);
-                if crate::obs::metrics::enabled() {
-                    crate::obs::metrics::set(
-                        crate::obs::metrics::Metric::ThetaTarget,
-                        budget as u64,
-                    );
-                }
-                let stop = report.span(&format!("round-{x}"), |report| {
-                    if budget > *theta_ref {
-                        report.span("sample", |report| {
-                            grow_to(budget, local_ref, scratch_ref, work_ref, report, *theta_ref);
-                        });
-                        *theta_ref = budget;
-                    }
-                    memory.observe_rrr(local_ref.resident_bytes());
-                    let (sel_seeds, _, fraction, sstats) = report.span("select", |_| {
-                        select_seeds_distributed(
-                            comm,
-                            local_ref,
-                            *theta_ref,
-                            n,
-                            sizing_k,
-                            select_mode,
-                        )
-                    });
-                    select_stats.absorb(sstats);
-                    report.counters.theta_rounds += 1;
-                    report.counters.select_iterations += sel_seeds.len() as u64;
-                    report.counters.round_budgets.push(budget as u64);
-                    report.counters.round_coverage.push(fraction);
-                    if schedule.round_succeeds(x, fraction) {
-                        *lb = Some(schedule.lower_bound(fraction));
-                        true
-                    } else {
-                        false
-                    }
-                });
-                if stop {
-                    break;
-                }
-            }
-        });
-    }
-    let theta = match lb {
-        Some(bound) => schedule.final_theta(bound),
-        None => schedule.fallback_theta(u64::from(sizing_k)),
-    };
-    if crate::obs::metrics::enabled() {
-        crate::obs::metrics::set(crate::obs::metrics::Metric::ThetaTarget, theta as u64);
-    }
-
-    // --- Sample top-up -------------------------------------------------
-    if theta > theta_global {
-        let local_ref = &mut local;
-        let scratch_ref = &mut scratch;
-        let work_ref = &mut sample_work;
-        let current = theta_global;
-        report.span("Sample", |report| {
-            grow_to(theta, local_ref, scratch_ref, work_ref, report, current);
-        });
-        theta_global = theta;
-    }
-    memory.observe_rrr(local.resident_bytes());
-
-    // --- SelectSeeds ------------------------------------------------------
-    let (seeds, _, fraction, final_stats) = report.span("SelectSeeds", |_| {
-        select_seeds_distributed(comm, &local, theta_global, n, k, select_mode)
-    });
-    select_stats.absorb(final_stats);
-    report.counters.select_iterations += seeds.len() as u64;
-
-    memory.observe_index(select_stats.index_bytes);
-    report.counters.rrr_entries = local.total_entries();
-    report.counters.rrr_bytes_peak = memory.peak_rrr_bytes as u64;
-    report.counters.theta_final = theta_global as u64;
-    report.counters.unsorted_pushes = local.unsorted_pushes();
-    report.counters.select_entries_touched = select_stats.entries_touched;
-    report.counters.index_build_nanos = select_stats.index_build_nanos;
-    report.counters.index_bytes_peak = select_stats.index_bytes as u64;
-    report.counters.decode_nanos = select_stats.decode_nanos;
-    report.counters.spill_bytes_written = local.spill_bytes_written();
-    globalize_counters(comm, &mut report);
-    globalize_health(comm, &mut report);
-    report.comm = Some(CommCounters::delta(&comm_before, &comm.stats()));
-    if crate::obs::trace::enabled() {
-        // Collective: every rank contributes its timeline and every rank
-        // receives the same rank-tagged merge.
-        report.trace = Some(crate::obs::trace::gather_trace(comm));
-    }
-
-    ImmResult {
-        seeds,
-        theta: theta_global,
-        coverage_fraction: fraction,
-        opt_lower_bound: lb,
-        timers: report.phase_timers(),
-        memory,
-        sample_work,
-        report,
-    }
+    run_imm_ranked("dist", comm, graph, params, storage, select_mode, sampler)
 }
 
 #[cfg(test)]
@@ -909,21 +708,23 @@ mod sparse_select_tests {
         for size in [1u32, 2, 4] {
             let world = ThreadWorld::new(size);
             let dense = world.run(|comm| {
-                imm_distributed_full(
+                imm_distributed_with_storage(
                     comm,
                     &g,
                     &p,
                     DistRngMode::IndexedStreams,
                     DistSelectMode::DenseAllReduce,
+                    StorageConfig::default(),
                 )
             });
             let sparse = world.run(|comm| {
-                imm_distributed_full(
+                imm_distributed_with_storage(
                     comm,
                     &g,
                     &p,
                     DistRngMode::IndexedStreams,
                     DistSelectMode::SparseAllGather,
+                    StorageConfig::default(),
                 )
             });
             for (d, s) in dense.iter().zip(&sparse) {
@@ -947,12 +748,13 @@ mod sparse_select_tests {
         let world = ThreadWorld::new(2);
         let dense_bytes = world
             .run(|comm| {
-                let _ = imm_distributed_full(
+                let _ = imm_distributed_with_storage(
                     comm,
                     &g,
                     &p,
                     DistRngMode::IndexedStreams,
                     DistSelectMode::DenseAllReduce,
+                    StorageConfig::default(),
                 );
                 comm.stats().bytes_moved
             })
@@ -961,12 +763,13 @@ mod sparse_select_tests {
             .unwrap();
         let sparse_bytes = world
             .run(|comm| {
-                let _ = imm_distributed_full(
+                let _ = imm_distributed_with_storage(
                     comm,
                     &g,
                     &p,
                     DistRngMode::IndexedStreams,
                     DistSelectMode::SparseAllGather,
+                    StorageConfig::default(),
                 );
                 comm.stats().bytes_moved
             })
@@ -988,6 +791,17 @@ mod leapfrog_mode_tests {
     use ripples_graph::WeightModel;
     use ripples_rng::StreamFactory;
 
+    /// Dense All-Reduce selection over flat storage, `rng_mode` explicit.
+    fn with_rng<C: Communicator>(
+        comm: &C,
+        g: &Graph,
+        p: &ImmParams,
+        rng_mode: DistRngMode,
+    ) -> ImmResult {
+        let select_mode = DistSelectMode::DenseAllReduce;
+        imm_distributed_with_storage(comm, g, p, rng_mode, select_mode, StorageConfig::default())
+    }
+
     #[test]
     fn leapfrog_mode_quality_parity() {
         // Leap-frog sample content depends on world size (as in the paper's
@@ -1004,11 +818,11 @@ mod leapfrog_mode_tests {
         let p = ImmParams::new(5, 0.5, model, 31);
         let world = ripples_comm::ThreadWorld::new(3);
         let lf = world
-            .run(|comm| imm_distributed_with_rng(comm, &g, &p, DistRngMode::LeapFrog))
+            .run(|comm| with_rng(comm, &g, &p, DistRngMode::LeapFrog))
             .pop()
             .unwrap();
         let idx = world
-            .run(|comm| imm_distributed_with_rng(comm, &g, &p, DistRngMode::IndexedStreams))
+            .run(|comm| with_rng(comm, &g, &p, DistRngMode::IndexedStreams))
             .pop()
             .unwrap();
         assert_eq!(lf.seeds.len(), idx.seeds.len());
@@ -1028,8 +842,7 @@ mod leapfrog_mode_tests {
         let g = erdos_renyi(200, 1500, WeightModel::UniformRandom { seed: 3 }, false, 66);
         let p = ImmParams::new(4, 0.5, DiffusionModel::IndependentCascade, 9);
         let world = ripples_comm::ThreadWorld::new(4);
-        let results =
-            world.run(|comm| imm_distributed_with_rng(comm, &g, &p, DistRngMode::LeapFrog));
+        let results = world.run(|comm| with_rng(comm, &g, &p, DistRngMode::LeapFrog));
         for r in &results[1..] {
             assert_eq!(r.seeds, results[0].seeds);
             assert_eq!(r.theta, results[0].theta);

@@ -24,17 +24,12 @@
 //! [`ripples_diffusion::partitioned::vertex_keyed_rrr`] reference, and so is
 //! the seed set (tested below).
 
-use crate::memory::MemoryStats;
-use crate::obs::{CommCounters, RunReport};
+use crate::dist::{run_imm_ranked, DistSelectMode, RankSampler};
 use crate::params::ImmParams;
 use crate::result::ImmResult;
-use crate::theta::ThetaSchedule;
-use ripples_comm::{Communicator, RetryComm};
+use ripples_comm::Communicator;
 use ripples_diffusion::partitioned::{sample_root, sample_stream_seed};
-use ripples_diffusion::{
-    DiffusionModel, DynRrrStore, GraphPartition, RrrCollection, RrrStore, RrrStoreKind,
-    StorageConfig,
-};
+use ripples_diffusion::{DiffusionModel, DynRrrStore, GraphPartition, RrrStore, StorageConfig};
 use ripples_graph::{Graph, Vertex};
 use ripples_rng::StreamFactory;
 use std::collections::HashSet;
@@ -156,6 +151,41 @@ pub fn sample_batch_cooperative<C: Communicator, S: RrrStore>(
     local_work
 }
 
+/// The interval-partitioned sampler: [`sample_batch_cooperative`] over this
+/// rank's [`GraphPartition`].
+struct CooperativeSampler {
+    partition: GraphPartition,
+    model: DiffusionModel,
+    factory: StreamFactory,
+}
+
+impl RankSampler for CooperativeSampler {
+    fn sample<C: Communicator>(
+        &mut self,
+        comm: &C,
+        first: u64,
+        count: usize,
+        out: &mut DynRrrStore,
+        sample_work: &mut Vec<u64>,
+    ) -> u64 {
+        let work = sample_batch_cooperative(
+            comm,
+            &self.partition,
+            self.model,
+            &self.factory,
+            first,
+            count,
+            out,
+        );
+        sample_work.push(work);
+        work
+    }
+
+    fn graph_bytes(&self) -> usize {
+        self.partition.resident_bytes()
+    }
+}
+
 /// Full IMM over a partitioned graph: cooperative sampling + the standard
 /// distributed (dense All-Reduce) seed selection over home samples.
 ///
@@ -165,12 +195,11 @@ pub fn sample_batch_cooperative<C: Communicator, S: RrrStore>(
 /// shards).
 #[must_use]
 pub fn imm_partitioned<C: Communicator>(comm: &C, graph: &Graph, params: &ImmParams) -> ImmResult {
-    imm_partitioned_impl(comm, graph, params, RrrCollection::new())
+    imm_partitioned_with_storage(comm, graph, params, StorageConfig::default())
 }
 
 /// [`imm_partitioned`] over an explicit RRR storage backend (CLI
-/// `--rrr-store` / `--rrr-budget`). The flat backend takes exactly the
-/// [`imm_partitioned`] code paths; compressed backends store each rank's
+/// `--rrr-store` / `--rrr-budget`). Compressed backends store each rank's
 /// home samples gap-encoded (or spilled) and select through the
 /// decode-on-touch distributed path, so the seed set is identical at every
 /// rank count and for every backend.
@@ -181,202 +210,20 @@ pub fn imm_partitioned_with_storage<C: Communicator>(
     params: &ImmParams,
     storage: StorageConfig,
 ) -> ImmResult {
-    if storage.kind == RrrStoreKind::Flat {
-        return imm_partitioned(comm, graph, params);
-    }
-    imm_partitioned_impl(
+    let sampler = CooperativeSampler {
+        partition: GraphPartition::extract(graph, comm.rank(), comm.size()),
+        model: params.model,
+        factory: StreamFactory::new(params.seed),
+    };
+    run_imm_ranked(
+        "partitioned",
         comm,
         graph,
         params,
-        DynRrrStore::new(storage, graph.num_vertices()),
+        storage,
+        DistSelectMode::DenseAllReduce,
+        sampler,
     )
-}
-
-fn imm_partitioned_impl<C: Communicator, S: RrrStore>(
-    comm: &C,
-    graph: &Graph,
-    params: &ImmParams,
-    store: S,
-) -> ImmResult {
-    // Same retry/rank-death shield as `imm_distributed_full`; free on a
-    // reliable backend.
-    let comm = &RetryComm::with_defaults(comm);
-    let n = graph.num_vertices();
-    if n < 2 {
-        comm.barrier();
-        return crate::seq::immopt_sequential(graph, params);
-    }
-    let k = params.effective_k(n);
-    let sizing_k = params.sizing_k(n);
-    let schedule = ThetaSchedule::new(
-        u64::from(n),
-        u64::from(sizing_k),
-        params.epsilon,
-        params.ell,
-    );
-    let factory = StreamFactory::new(params.seed);
-    let model = params.model;
-    // The cooperative sampler expands through partition-local edge lists,
-    // bypassing the batch samplers' entry validation — re-assert the LT
-    // normalization contract on the full graph (every rank holds it here)
-    // so un-normalized input fails fast in every profile.
-    if model == DiffusionModel::LinearThreshold {
-        ripples_diffusion::ensure_lt_normalized(graph);
-    }
-    let partition = GraphPartition::extract(graph, comm.rank(), comm.size());
-    // Tag this rank thread's event ring so the merged trace shows one
-    // process track per rank.
-    crate::obs::trace::set_thread_rank(comm.rank());
-
-    let mut report = RunReport::new("partitioned");
-    let comm_before = comm.stats();
-    let mut memory = MemoryStats {
-        counter_bytes: 2 * n as usize * std::mem::size_of::<u64>(),
-        // The honest headline: per-rank graph bytes are the partition's.
-        graph_bytes: partition.resident_bytes(),
-        ..MemoryStats::default()
-    };
-    let mut local = store;
-    let mut sample_work: Vec<u64> = Vec::new();
-    let mut theta_global: usize = 0;
-    let mut select_stats = crate::select::SelectStats::default();
-
-    // Records local counters for one cooperative batch: the home samples
-    // this rank kept plus the expansion work it performed. Globalized once
-    // at the end of the run.
-    let record_batch = |report: &mut RunReport, local: &S, old_len: usize, local_work: u64| {
-        let new_samples = (local.len() - old_len) as u64;
-        report.counters.samples_generated += new_samples;
-        report.counters.edges_examined += local_work;
-        for slot in old_len..local.len() {
-            report.rrr_sizes.record(local.sample_len(slot) as u64);
-        }
-        report.thread_samples.record(new_samples);
-    };
-
-    let mut lb: Option<f64> = None;
-    {
-        let local_ref = &mut local;
-        let work_ref = &mut sample_work;
-        let theta_ref = &mut theta_global;
-        let memory = &mut memory;
-        let lb = &mut lb;
-        let select_stats = &mut select_stats;
-        report.span("EstimateTheta", |report| {
-            for x in 1..=schedule.max_rounds() {
-                let budget = schedule.round_budget(x);
-                if crate::obs::metrics::enabled() {
-                    crate::obs::metrics::set(
-                        crate::obs::metrics::Metric::ThetaTarget,
-                        budget as u64,
-                    );
-                }
-                let stop = report.span(&format!("round-{x}"), |report| {
-                    if budget > *theta_ref {
-                        let old_len = local_ref.len();
-                        let work = report.span("sample", |_| {
-                            sample_batch_cooperative(
-                                comm,
-                                &partition,
-                                model,
-                                &factory,
-                                *theta_ref as u64,
-                                budget - *theta_ref,
-                                local_ref,
-                            )
-                        });
-                        work_ref.push(work);
-                        record_batch(report, local_ref, old_len, work);
-                        *theta_ref = budget;
-                    }
-                    memory.observe_rrr(local_ref.resident_bytes());
-                    let (sel_seeds, _, fraction, sstats) = report.span("select", |_| {
-                        crate::dist::select_seeds_distributed_public(
-                            comm, local_ref, *theta_ref, n, sizing_k,
-                        )
-                    });
-                    select_stats.absorb(sstats);
-                    report.counters.theta_rounds += 1;
-                    report.counters.select_iterations += sel_seeds.len() as u64;
-                    report.counters.round_budgets.push(budget as u64);
-                    report.counters.round_coverage.push(fraction);
-                    if schedule.round_succeeds(x, fraction) {
-                        *lb = Some(schedule.lower_bound(fraction));
-                        true
-                    } else {
-                        false
-                    }
-                });
-                if stop {
-                    break;
-                }
-            }
-        });
-    }
-    let theta = match lb {
-        Some(bound) => schedule.final_theta(bound),
-        None => schedule.fallback_theta(u64::from(sizing_k)),
-    };
-    if crate::obs::metrics::enabled() {
-        crate::obs::metrics::set(crate::obs::metrics::Metric::ThetaTarget, theta as u64);
-    }
-    if theta > theta_global {
-        let local_ref = &mut local;
-        let work_ref = &mut sample_work;
-        let current = theta_global;
-        report.span("Sample", |report| {
-            let old_len = local_ref.len();
-            let work = sample_batch_cooperative(
-                comm,
-                &partition,
-                model,
-                &factory,
-                current as u64,
-                theta - current,
-                local_ref,
-            );
-            work_ref.push(work);
-            record_batch(report, local_ref, old_len, work);
-        });
-        theta_global = theta;
-    }
-    memory.observe_rrr(local.resident_bytes());
-
-    let (seeds, _, fraction, final_stats) = report.span("SelectSeeds", |_| {
-        crate::dist::select_seeds_distributed_public(comm, &local, theta_global, n, k)
-    });
-    select_stats.absorb(final_stats);
-    report.counters.select_iterations += seeds.len() as u64;
-
-    memory.observe_index(select_stats.index_bytes);
-    report.counters.rrr_entries = local.total_entries();
-    report.counters.rrr_bytes_peak = memory.peak_rrr_bytes as u64;
-    report.counters.theta_final = theta_global as u64;
-    report.counters.unsorted_pushes = local.unsorted_pushes();
-    report.counters.select_entries_touched = select_stats.entries_touched;
-    report.counters.index_build_nanos = select_stats.index_build_nanos;
-    report.counters.index_bytes_peak = select_stats.index_bytes as u64;
-    report.counters.decode_nanos = select_stats.decode_nanos;
-    report.counters.spill_bytes_written = local.spill_bytes_written();
-    crate::dist::globalize_counters(comm, &mut report);
-    crate::dist::globalize_health(comm, &mut report);
-    report.comm = Some(CommCounters::delta(&comm_before, &comm.stats()));
-    if crate::obs::trace::enabled() {
-        // Collective: every rank contributes its timeline and every rank
-        // receives the same rank-tagged merge.
-        report.trace = Some(crate::obs::trace::gather_trace(comm));
-    }
-
-    ImmResult {
-        seeds,
-        theta: theta_global,
-        coverage_fraction: fraction,
-        opt_lower_bound: lb,
-        timers: report.phase_timers(),
-        memory,
-        sample_work,
-        report,
-    }
 }
 
 #[cfg(test)]
@@ -385,6 +232,7 @@ mod tests {
     use ripples_comm::{SelfComm, ThreadWorld};
     use ripples_diffusion::partitioned::vertex_keyed_rrr;
     use ripples_diffusion::rrr::RrrScratch;
+    use ripples_diffusion::{RrrCollection, RrrStoreKind};
     use ripples_graph::generators::erdos_renyi;
     use ripples_graph::WeightModel;
 

@@ -1,0 +1,211 @@
+//! The martingale driver: the paper's Algorithm 1, written once.
+//!
+//! ```text
+//! ⟨R, θ⟩ ← EstimateTheta(G, k, ε)      // Algorithm 2, martingale rounds
+//! R ← Sample(G, θ − |R|, R)            // top up to θ samples
+//! S ← SelectSeeds(G, k, R)             // Algorithm 4 (greedy max cover)
+//! ```
+//!
+//! IMM, IMMOPT, IMMmt and IMMdist (and the partitioned/sharded extensions)
+//! differ only in how a batch of RRR sets is produced, where it is stored
+//! and how the `n` cover counters are reduced. Each of them is an
+//! [`Engine`]: a small value that owns its sample store and answers four
+//! questions. [`run_imm`] owns everything else.
+//!
+//! What the driver guarantees to every engine, and to every reader of an
+//! [`ImmResult`]:
+//!
+//! * **Span tree.** `EstimateTheta/round-x/{sample,select}`, then `Sample`
+//!   (only when the final θ exceeds the estimation population), then
+//!   `SelectSeeds` — the same names and nesting for every engine.
+//! * **Counter set.** `theta_rounds`, `round_budgets`, `round_coverage`,
+//!   `select_iterations`, `theta_final`, `rrr_bytes_peak` and the four
+//!   [`SelectStats`] totals are filled here. The engine's `grow_to` adds
+//!   the sampling counters, its `finish` the store-derived ones.
+//! * **θ semantics.** Estimation rounds and θ are sized by
+//!   [`ImmParams::sizing_k`]; only the final selection returns
+//!   [`ImmParams::effective_k`] seeds. `theta` in the result is the global
+//!   population the final selection ran over.
+//! * **Degenerate graphs** (`n < 2`) skip the estimation math and return
+//!   the engine's own label with whatever its `finish` reports.
+//! * **LT input** is checked for normalized in-weights before any sample
+//!   is drawn.
+
+use crate::memory::MemoryStats;
+use crate::obs::RunReport;
+use crate::params::ImmParams;
+use crate::result::ImmResult;
+use crate::select::{SelectStats, Selection};
+use crate::theta::ThetaSchedule;
+use ripples_diffusion::{DiffusionModel, RrrStore};
+use ripples_graph::Graph;
+
+/// What an IMM implementation supplies to [`run_imm`].
+pub(crate) trait Engine {
+    /// Grows the *global* sample population to `total` samples (a
+    /// distributed engine appends only its rank's share), recording the
+    /// sampling counters, histograms and work trace of the new samples.
+    fn grow_to(&mut self, total: usize, report: &mut RunReport, sample_work: &mut Vec<u64>);
+
+    /// Resident bytes of this engine's sample store right now.
+    fn resident_bytes(&self) -> usize;
+
+    /// One greedy max-cover pass for `k` seeds over the current population.
+    /// The seeds and coverage fraction are global (identical on every rank
+    /// of a distributed engine); the stats are this rank's.
+    fn select(&self, k: u32) -> (Selection, SelectStats);
+
+    /// Completes the report once the driver's own counters are in place:
+    /// store-derived counters, and for communicator engines the cross-rank
+    /// reductions, the comm section and the gathered trace.
+    fn finish(&mut self, report: &mut RunReport);
+
+    /// Called once θ is fixed. An engine that regenerates the whole
+    /// population instead of topping it up (Tang et al.'s released code)
+    /// drops its samples here and returns true.
+    fn discard_estimation_samples(&mut self) -> bool {
+        false
+    }
+}
+
+/// The counters read straight off a filled store.
+pub(crate) fn record_store_counters<S: RrrStore>(report: &mut RunReport, store: &S) {
+    report.counters.rrr_entries = store.total_entries();
+    report.counters.unsorted_pushes = store.unsorted_pushes();
+    report.counters.spill_bytes_written = store.spill_bytes_written();
+}
+
+/// The counters accumulated over a run's selection passes (`decode_nanos`
+/// adds to whatever decode time the caller has already charged).
+pub(crate) fn record_select_counters(
+    report: &mut RunReport,
+    memory: &mut MemoryStats,
+    stats: SelectStats,
+) {
+    memory.observe_index(stats.index_bytes);
+    report.counters.rrr_bytes_peak = memory.peak_rrr_bytes as u64;
+    report.counters.select_entries_touched = stats.entries_touched;
+    report.counters.index_build_nanos = stats.index_build_nanos;
+    report.counters.index_bytes_peak = stats.index_bytes as u64;
+    report.counters.decode_nanos += stats.decode_nanos;
+}
+
+fn publish_theta_target(target: usize) {
+    if crate::obs::metrics::enabled() {
+        crate::obs::metrics::set(crate::obs::metrics::Metric::ThetaTarget, target as u64);
+    }
+}
+
+/// Runs Algorithm 1 over `engine`. `footprint` carries the engine's fixed
+/// bytes (graph share and counter arrays); the driver adds the RRR and
+/// index peaks.
+pub(crate) fn run_imm<E: Engine>(
+    label: &str,
+    graph: &Graph,
+    params: &ImmParams,
+    footprint: MemoryStats,
+    engine: &mut E,
+) -> ImmResult {
+    let n = graph.num_vertices();
+    let k = params.effective_k(n);
+    let mut report = RunReport::new(label);
+    let mut memory = footprint;
+    let mut sample_work: Vec<u64> = Vec::new();
+    if n < 2 {
+        engine.finish(&mut report);
+        return ImmResult {
+            seeds: (0..k).collect(),
+            theta: 0,
+            coverage_fraction: if n > 0 { 1.0 } else { 0.0 },
+            opt_lower_bound: None,
+            timers: report.phase_timers(),
+            memory,
+            sample_work,
+            report,
+        };
+    }
+    // Not every engine samples through the batch samplers' entry
+    // validation, so the LT contract is asserted here for all of them:
+    // un-normalized input fails fast in every profile.
+    if params.model == DiffusionModel::LinearThreshold {
+        ripples_diffusion::ensure_lt_normalized(graph);
+    }
+    // The θ schedule and the estimation-round selections size the sketch;
+    // only the final selection returns `k` seeds. `sizing_k == k` unless
+    // the caller set `k_max` (serve mode).
+    let sizing_k = params.sizing_k(n);
+    let schedule = ThetaSchedule::new(
+        u64::from(n),
+        u64::from(sizing_k),
+        params.epsilon,
+        params.ell,
+    );
+    let mut held = 0usize;
+    let mut select_stats = SelectStats::default();
+
+    // --- EstimateTheta (Algorithm 2) -----------------------------------
+    let mut lb: Option<f64> = None;
+    report.span("EstimateTheta", |report| {
+        for x in 1..=schedule.max_rounds() {
+            let budget = schedule.round_budget(x);
+            publish_theta_target(budget);
+            let fraction = report.span(&format!("round-{x}"), |report| {
+                if budget > held {
+                    report.span("sample", |report| {
+                        engine.grow_to(budget, report, &mut sample_work);
+                    });
+                    held = budget;
+                }
+                memory.observe_rrr(engine.resident_bytes());
+                let (sel, stats) = report.span("select", |_| engine.select(sizing_k));
+                select_stats.absorb(stats);
+                report.counters.theta_rounds += 1;
+                report.counters.select_iterations += sel.seeds.len() as u64;
+                report.counters.round_budgets.push(budget as u64);
+                report.counters.round_coverage.push(sel.fraction);
+                sel.fraction
+            });
+            if schedule.round_succeeds(x, fraction) {
+                lb = Some(schedule.lower_bound(fraction));
+                break;
+            }
+        }
+    });
+    let theta = match lb {
+        Some(bound) => schedule.final_theta(bound),
+        None => schedule.fallback_theta(u64::from(sizing_k)),
+    };
+    publish_theta_target(theta);
+
+    // --- Sample top-up (Algorithm 3 from the skeleton) ------------------
+    if engine.discard_estimation_samples() {
+        held = 0;
+        sample_work.clear();
+    }
+    if theta > held {
+        report.span("Sample", |report| {
+            engine.grow_to(theta, report, &mut sample_work);
+        });
+        held = theta;
+    }
+    memory.observe_rrr(engine.resident_bytes());
+
+    // --- SelectSeeds (Algorithm 4) ---------------------------------------
+    let (sel, stats) = report.span("SelectSeeds", |_| engine.select(k));
+    select_stats.absorb(stats);
+    report.counters.select_iterations += sel.seeds.len() as u64;
+
+    report.counters.theta_final = held as u64;
+    record_select_counters(&mut report, &mut memory, select_stats);
+    engine.finish(&mut report);
+    ImmResult {
+        seeds: sel.seeds,
+        theta: held,
+        coverage_fraction: sel.fraction,
+        opt_lower_bound: lb,
+        timers: report.phase_timers(),
+        memory,
+        sample_work,
+        report,
+    }
+}

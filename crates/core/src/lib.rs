@@ -27,6 +27,27 @@
 //! the strong-scaling replay model ([`scaling`]) that substitutes for the
 //! clusters this reproduction does not have (see DESIGN.md).
 //!
+//! # The driver and its engine hooks
+//!
+//! All of the IMM entry points above run one martingale loop, the private
+//! `driver` module's `run_imm` (`EstimateTheta → Sample → SelectSeeds`,
+//! Algorithm 1). An engine is a small value that owns its sample store and
+//! supplies four hooks: *grow the global population to `total` samples*
+//! (recording the sampling counters and histograms of the new samples),
+//! *how many bytes are resident*, *one greedy pass for `k` seeds*, and
+//! *finish the report* (store-derived counters; for the communicator
+//! engines also the cross-rank reductions, the `comm` section and the
+//! gathered trace). In return the driver guarantees, for every engine:
+//! the span names (`EstimateTheta/round-x/{sample,select}`, `Sample`,
+//! `SelectSeeds`); the counter set (`theta_rounds`, `round_budgets`,
+//! `round_coverage`, `select_iterations`, `theta_final`, `rrr_bytes_peak`
+//! and the [`SelectStats`] totals); the θ semantics (rounds sized by
+//! [`ImmParams::sizing_k`], `theta` is the global population of the final
+//! pass); the `n < 2` result under the engine's own label; and the LT
+//! in-weight check. [`seq`] holds the shared-memory and Tang engines,
+//! [`dist`] the per-rank engine the three communicator engines specialise
+//! with their batch sampler. See DESIGN.md §3.1.
+//!
 //! # Quickstart
 //!
 //! ```
@@ -48,6 +69,7 @@ pub mod community;
 pub mod dist;
 pub mod dist_partitioned;
 pub mod dist_sharded;
+mod driver;
 pub mod heuristics;
 pub mod memory;
 pub mod mt;
@@ -71,7 +93,7 @@ pub use phases::{Phase, PhaseTimers};
 pub use result::ImmResult;
 pub use sample::{fused_sampling_is_profitable, SampleEngine, SamplerDispatch};
 pub use select::{
-    coverage_of, fused_is_profitable, fused_is_profitable_store, select_seeds_store_banned,
-    select_with_engine_store, SelectEngine, SelectStats,
+    coverage_of, fused_is_profitable, select_seeds_store_banned, select_with_engine_store,
+    SelectEngine, SelectStats,
 };
 pub use sketch::{build_resident_sketch, coverage_of_store, ResidentSketchBuild};

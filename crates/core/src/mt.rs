@@ -16,11 +16,11 @@
 
 use crate::params::ImmParams;
 use crate::result::ImmResult;
-use crate::sample::{SampleEngine, SamplerDispatch};
-use crate::select::{select_with_engine, SelectEngine};
-use crate::seq::run_imm_compact;
+use crate::sample::SampleEngine;
+use crate::select::SelectEngine;
+use crate::seq::run_compact;
+use ripples_diffusion::StorageConfig;
 use ripples_graph::Graph;
-use ripples_rng::StreamFactory;
 
 /// Runs IMM with `threads` worker threads (0 = rayon default), selecting
 /// seeds with the cost-model dispatch ([`SelectEngine::Auto`]): the fused
@@ -34,64 +34,24 @@ use ripples_rng::StreamFactory;
 /// deterministic tie-break.
 #[must_use]
 pub fn imm_multithreaded(graph: &Graph, params: &ImmParams, threads: usize) -> ImmResult {
-    imm_multithreaded_with_select(graph, params, threads, SelectEngine::Auto)
+    imm_multithreaded_with_storage(
+        graph,
+        params,
+        threads,
+        SelectEngine::Auto,
+        SampleEngine::Reference,
+        StorageConfig::default(),
+    )
 }
 
-/// [`imm_multithreaded`] with an explicit selection engine (CLI
-/// `--select`); `Partitioned` recovers the previous default.
-#[must_use]
-pub fn imm_multithreaded_with_select(
-    graph: &Graph,
-    params: &ImmParams,
-    threads: usize,
-    select: SelectEngine,
-) -> ImmResult {
-    imm_multithreaded_with_engines(graph, params, threads, select, SampleEngine::Reference)
-}
-
-/// [`imm_multithreaded`] with explicit selection *and* sampling engines
-/// (CLI `--select` / `--sample`). With [`SampleEngine::Reference`] this is
-/// bitwise [`imm_multithreaded_with_select`]; the fused sampler draws a
+/// [`imm_multithreaded`] with explicit selection and sampling engines and
+/// RRR storage backend (CLI `--select` / `--sample` / `--rrr-store` /
+/// `--rrr-budget`). Every backend fills through the same arena-merge
+/// samplers and every selection engine shares the greedy tie-break, so the
+/// seed set is identical at every thread count; the fused sampler draws a
 /// different RNG schedule, so its output is statistically (not bitwise)
 /// equivalent — see the `sampler-equivalence` oracle check. Every sampling
 /// kernel's layout stays deterministic across thread counts.
-#[must_use]
-pub fn imm_multithreaded_with_engines(
-    graph: &Graph,
-    params: &ImmParams,
-    threads: usize,
-    select: SelectEngine,
-    sample: SampleEngine,
-) -> ImmResult {
-    let factory = StreamFactory::new(params.seed);
-    let run = || {
-        let effective_threads = rayon::current_num_threads();
-        let mut dispatch = SamplerDispatch::new(graph, params.model, &factory, sample, true);
-        run_imm_compact(
-            "mt",
-            graph,
-            params,
-            |first, count, out| dispatch.sample_batch(first, count, out),
-            |collection, n, k| select_with_engine(select, collection, n, k, effective_threads),
-        )
-    };
-    if threads == 0 {
-        run()
-    } else {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("failed to build rayon pool");
-        pool.install(run)
-    }
-}
-
-/// [`imm_multithreaded_with_engines`] over an explicit RRR storage backend
-/// (CLI `--rrr-store` / `--rrr-budget`). The flat backend takes exactly the
-/// [`imm_multithreaded_with_engines`] code paths; compressed backends fill
-/// through the same arena-merge samplers and select through the
-/// decode-on-touch engines, so the seed set is identical at every thread
-/// count and for every backend.
 #[must_use]
 pub fn imm_multithreaded_with_storage(
     graph: &Graph,
@@ -99,27 +59,9 @@ pub fn imm_multithreaded_with_storage(
     threads: usize,
     select: SelectEngine,
     sample: SampleEngine,
-    storage: ripples_diffusion::StorageConfig,
+    storage: StorageConfig,
 ) -> ImmResult {
-    if storage.kind == ripples_diffusion::RrrStoreKind::Flat {
-        return imm_multithreaded_with_engines(graph, params, threads, select, sample);
-    }
-    let factory = StreamFactory::new(params.seed);
-    let run = || {
-        let effective_threads = rayon::current_num_threads();
-        let mut dispatch = SamplerDispatch::new(graph, params.model, &factory, sample, true);
-        let store = ripples_diffusion::DynRrrStore::new(storage, graph.num_vertices());
-        crate::seq::run_imm_compact_store(
-            "mt",
-            graph,
-            params,
-            store,
-            |first, count, out| dispatch.sample_batch(first, count, out),
-            |collection, n, k| {
-                crate::select::select_with_engine_store(select, collection, n, k, effective_threads)
-            },
-        )
-    };
+    let run = || run_compact("mt", graph, params, select, sample, storage, true).0;
     if threads == 0 {
         run()
     } else {
@@ -148,6 +90,18 @@ mod tests {
     fn graph_for(model: DiffusionModel) -> Graph {
         let lt = model == DiffusionModel::LinearThreshold;
         erdos_renyi(300, 2400, WeightModel::UniformRandom { seed: 8 }, lt, 21)
+    }
+
+    /// Two workers, the reference sampler, flat storage, `select` explicit.
+    fn with_select(g: &Graph, p: &ImmParams, select: SelectEngine) -> ImmResult {
+        imm_multithreaded_with_storage(
+            g,
+            p,
+            2,
+            select,
+            SampleEngine::Reference,
+            StorageConfig::default(),
+        )
     }
 
     #[test]
@@ -198,7 +152,7 @@ mod tests {
             SelectEngine::Hypergraph,
             SelectEngine::Fused,
         ] {
-            let r = imm_multithreaded_with_select(&g, &p, 2, engine);
+            let r = with_select(&g, &p, engine);
             assert_eq!(r.seeds, default.seeds, "{engine:?}");
             assert_eq!(r.theta, default.theta, "{engine:?}");
         }
@@ -206,7 +160,7 @@ mod tests {
 
     #[test]
     fn storage_backends_match_flat_seeds() {
-        use ripples_diffusion::{RrrStoreKind, StorageConfig};
+        use ripples_diffusion::RrrStoreKind;
         let g = test_graph();
         let p = ImmParams::new(5, 0.5, DiffusionModel::IndependentCascade, 7);
         let flat = imm_multithreaded(&g, &p, 2);
@@ -256,7 +210,7 @@ mod tests {
     fn fused_engine_populates_index_stats() {
         let g = test_graph();
         let p = ImmParams::new(5, 0.5, DiffusionModel::IndependentCascade, 7);
-        let r = imm_multithreaded_with_select(&g, &p, 2, SelectEngine::Fused);
+        let r = with_select(&g, &p, SelectEngine::Fused);
         let c = &r.report.counters;
         assert!(c.select_entries_touched > 0, "no touched entries recorded");
         assert!(c.index_bytes_peak > 0, "no index bytes recorded");

@@ -91,7 +91,7 @@ pub fn fused_sampling_is_profitable(n: u32, mean_set_size: f64) -> bool {
     n > 0 && FUSED_LANES as f64 * mean_set_size >= 4.0 * f64::from(n)
 }
 
-/// A stateful sampler the engines hand to [`crate::seq::run_imm_compact`]:
+/// The stateful sampler behind the shared-memory engines' `grow_to` hook:
 /// routes each batch to the reference or fused kernel according to the
 /// requested [`SampleEngine`], resolving `Auto` once from a measured probe.
 ///

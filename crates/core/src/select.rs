@@ -40,7 +40,12 @@ pub struct Selection {
 }
 
 impl Selection {
-    fn finish(seeds: Vec<Vertex>, marginal_gains: Vec<u64>, covered: usize, total: usize) -> Self {
+    pub(crate) fn finish(
+        seeds: Vec<Vertex>,
+        marginal_gains: Vec<u64>,
+        covered: usize,
+        total: usize,
+    ) -> Self {
         Selection {
             seeds,
             covered,
@@ -57,7 +62,7 @@ impl Selection {
 /// Picks the argmax with deterministic tie-breaking (lowest id wins ties),
 /// skipping already-selected vertices. Returns `None` when every vertex is
 /// selected.
-fn argmax(counters: &[u64], selected: &[bool]) -> Option<Vertex> {
+pub(crate) fn argmax(counters: &[u64], selected: &[bool]) -> Option<Vertex> {
     let mut best: Option<(u64, Vertex)> = None;
     for (v, (&c, &s)) in counters.iter().zip(selected).enumerate() {
         if s {
@@ -601,13 +606,16 @@ pub fn coverage_of(collection: &RrrCollection, seeds: &[Vertex]) -> usize {
 /// itself when `k·(log₂s̄+1) ≥ 2·s̄`: always for the small sets realistic
 /// cascades produce (s̄ ≲ 50), only at very large `k` for dense synthetic
 /// graphs whose samples span a large fraction of the vertex set.
+///
+/// Evaluated on any [`RrrStore`]: a store exposes `len` and `total_entries`
+/// without decoding.
 #[must_use]
-pub fn fused_is_profitable(collection: &RrrCollection, k: u32) -> bool {
-    let theta = collection.len() as u64;
+pub fn fused_is_profitable<S: RrrStore>(store: &S, k: u32) -> bool {
+    let theta = store.len() as u64;
     if theta == 0 {
         return false;
     }
-    let sbar = (collection.total_entries() as u64 / theta).max(1);
+    let sbar = (store.total_entries() / theta).max(1);
     u64::from(k) * u64::from(sbar.ilog2() + 1) >= 2 * sbar
 }
 
@@ -709,18 +717,6 @@ pub fn select_with_engine(
     }
 }
 
-/// Cost model of [`fused_is_profitable`] evaluated on any [`RrrStore`]
-/// (the store exposes `len` and `total_entries` without decoding).
-#[must_use]
-pub fn fused_is_profitable_store<S: RrrStore>(store: &S, k: u32) -> bool {
-    let theta = store.len() as u64;
-    if theta == 0 {
-        return false;
-    }
-    let sbar = (store.total_entries() / theta).max(1);
-    u64::from(k) * u64::from(sbar.ilog2() + 1) >= 2 * sbar
-}
-
 /// Greedy max-cover directly over a compressed [`RrrStore`]: a streaming
 /// counting pass, then per-seed sweeps that probe each alive sample with
 /// [`RrrStore::contains`] (early-exit on the sorted order) and decode only
@@ -734,61 +730,7 @@ pub fn select_seeds_store_direct<S: RrrStore>(
     n: u32,
     k: u32,
 ) -> (Selection, SelectStats) {
-    let n_us = n as usize;
-    let k = k.min(n);
-    let mut stats = SelectStats::default();
-    let mut counters = vec![0u64; n_us];
-    let t0 = std::time::Instant::now();
-    for j in 0..store.len() {
-        store.for_each_vertex(j, |v| counters[v as usize] += 1);
-    }
-    stats.decode_nanos += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let mut covered = vec![false; store.len()];
-    let mut selected = vec![false; n_us];
-    let mut seeds = Vec::with_capacity(k as usize);
-    let mut gains = Vec::with_capacity(k as usize);
-    let mut covered_count = 0usize;
-    for _ in 0..k {
-        let Some(v) = argmax(&counters, &selected) else {
-            break;
-        };
-        selected[v as usize] = true;
-        if crate::obs::trace::enabled() {
-            crate::obs::trace::mark(
-                crate::obs::trace::TraceName::SelectStep,
-                u64::from(v),
-                counters[v as usize],
-            );
-        }
-        if crate::obs::metrics::enabled() {
-            crate::obs::metrics::add(crate::obs::metrics::Metric::SelectSteps, 1);
-            crate::obs::metrics::add(crate::obs::metrics::Metric::SeedsSelected, 1);
-        }
-        gains.push(counters[v as usize]);
-        seeds.push(v);
-        let t0 = std::time::Instant::now();
-        let mut touched = 0u64;
-        for (j, cov) in covered.iter_mut().enumerate() {
-            if *cov {
-                continue;
-            }
-            if store.contains(j, v) {
-                *cov = true;
-                covered_count += 1;
-                touched += store.sample_len(j) as u64;
-                store.for_each_vertex(j, |u| counters[u as usize] -= 1);
-            }
-        }
-        stats.decode_nanos += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        stats.entries_touched += touched;
-        if crate::obs::metrics::enabled() {
-            crate::obs::metrics::add(crate::obs::metrics::Metric::SelectEntriesTouched, touched);
-        }
-    }
-    (
-        Selection::finish(seeds, gains, covered_count, store.len()),
-        stats,
-    )
+    select_seeds_store_banned(store, n, k, &vec![false; n as usize])
 }
 
 /// [`select_seeds_store_direct`] with a pre-banned vertex set: banned
@@ -970,7 +912,7 @@ pub fn select_seeds_store_indexed<S: RrrStore>(
 /// [`select_with_engine`] path (same code, same bitwise guarantees); a
 /// compressed store maps each engine onto its decode-on-touch equivalent —
 /// index-driven for the index engines (`fused`/`hypergraph`, and `auto`
-/// when the [`fused_is_profitable_store`] cost model says the index pays
+/// when the [`fused_is_profitable`] cost model says the index pays
 /// for itself), direct sweeps otherwise. Every eager engine returns the
 /// same [`Selection`] for the same samples regardless of the backend; the
 /// lazy engine maps to the direct strategy on compressed stores (eager
@@ -990,7 +932,7 @@ pub fn select_with_engine_store<S: RrrStore>(
     match engine {
         SelectEngine::Fused | SelectEngine::Hypergraph => select_seeds_store_indexed(store, n, k),
         SelectEngine::Auto => {
-            if fused_is_profitable_store(store, k) {
+            if fused_is_profitable(store, k) {
                 select_seeds_store_indexed(store, n, k)
             } else {
                 select_seeds_store_direct(store, n, k)

@@ -1,48 +1,23 @@
 //! Sequential IMM implementations: the Tang-style hypergraph baseline
 //! ("IMM" in Table 2) and the paper's optimized serial version ("IMMOPT").
 //!
-//! Both follow Algorithm 1 exactly:
-//!
-//! ```text
-//! ⟨R, θ⟩ ← EstimateTheta(G, k, ε)      // Algorithm 2, martingale rounds
-//! R ← Sample(G, θ − |R|, R)            // top up to θ samples
-//! S ← SelectSeeds(G, k, R)             // Algorithm 4 (greedy max cover)
-//! ```
-//!
-//! They differ only in how `R` is stored and how `SelectSeeds` walks it —
-//! which is exactly the delta Table 2 measures.
+//! Both run Algorithm 1 through the crate's one `driver::run_imm`; they
+//! differ only in how `R` is stored and how `SelectSeeds` walks it — which
+//! is exactly the delta Table 2 measures. `CompactEngine` (compact
+//! one-direction storage, batch samplers, the [`SelectEngine`] dispatch) is
+//! also what the multithreaded engine and the resident-sketch build run.
 
+use crate::driver::{record_store_counters, run_imm, Engine};
 use crate::memory::MemoryStats;
 use crate::obs::RunReport;
 use crate::params::ImmParams;
 use crate::result::ImmResult;
 use crate::sample::{SampleEngine, SamplerDispatch};
-use crate::select::{select_with_engine, SelectEngine, SelectStats, Selection};
-use crate::theta::ThetaSchedule;
+use crate::select::{select_with_engine_store, SelectEngine, SelectStats, Selection};
 use ripples_diffusion::rrr::{generate_rrr, RrrScratch};
-use ripples_diffusion::{BatchOutcome, RrrCollection, RrrStore};
+use ripples_diffusion::{BatchOutcome, DiffusionModel, DynRrrStore, RrrStore, StorageConfig};
 use ripples_graph::{Graph, Vertex};
 use ripples_rng::StreamFactory;
-
-/// Trivial result for graphs too small for the estimation math (`n < 2`).
-fn degenerate_result(engine: &str, graph: &Graph, params: &ImmParams) -> ImmResult {
-    let n = graph.num_vertices();
-    let k = params.effective_k(n);
-    let report = RunReport::new(engine);
-    ImmResult {
-        seeds: (0..k).collect(),
-        theta: 0,
-        coverage_fraction: if n > 0 { 1.0 } else { 0.0 },
-        opt_lower_bound: None,
-        timers: report.phase_timers(),
-        memory: MemoryStats {
-            graph_bytes: graph.resident_bytes(),
-            ..MemoryStats::default()
-        },
-        sample_work: Vec::new(),
-        report,
-    }
-}
 
 /// Records one sampling batch's outcome into `report`: sample/edge counters,
 /// per-worker load-balance observations, and the sizes of the samples
@@ -90,185 +65,77 @@ pub(crate) fn record_batch<S: RrrStore>(
     }
 }
 
-/// Shared Algorithm 1 skeleton over the compact one-direction storage.
-///
-/// `sampler(first_index, count, &mut R)` appends samples with global indices
-/// `first_index..first_index+count`; `selector(&R, n, k)` runs a greedy
-/// max-cover pass and reports the pass's [`SelectStats`] (index-free engines
-/// return the zero default). The sequential and multithreaded entry points
-/// supply different engines for the two hooks.
-pub(crate) fn run_imm_compact(
-    engine: &str,
-    graph: &Graph,
-    params: &ImmParams,
-    sampler: impl FnMut(u64, usize, &mut RrrCollection) -> BatchOutcome,
-    selector: impl FnMut(&RrrCollection, u32, u32) -> (Selection, SelectStats),
-) -> ImmResult {
-    run_imm_compact_store(
-        engine,
-        graph,
-        params,
-        RrrCollection::new(),
-        sampler,
-        selector,
-    )
+/// The shared-memory engine: samples land in a [`DynRrrStore`] through the
+/// [`SamplerDispatch`] batch kernels, and selection runs the requested
+/// [`SelectEngine`] over it with `partitions` interval owners.
+struct CompactEngine<'a> {
+    store: DynRrrStore,
+    dispatch: SamplerDispatch<'a>,
+    select: SelectEngine,
+    partitions: usize,
+    n: u32,
 }
 
-/// [`run_imm_compact`] generalized over the RRR storage backend: the caller
-/// supplies the (empty) store, and the sampler/selector hooks operate on it
-/// through the [`RrrStore`] trait. The flat store takes exactly the old
-/// code paths; compressed stores additionally report their decode time and
-/// spill traffic through the run counters.
-pub(crate) fn run_imm_compact_store<S: RrrStore>(
-    engine: &str,
-    graph: &Graph,
-    params: &ImmParams,
-    store: S,
-    sampler: impl FnMut(u64, usize, &mut S) -> BatchOutcome,
-    selector: impl FnMut(&S, u32, u32) -> (Selection, SelectStats),
-) -> ImmResult {
-    run_imm_compact_store_keep(engine, graph, params, store, sampler, selector).0
-}
-
-/// [`run_imm_compact_store`] that hands the *filled, sealed* store back to
-/// the caller instead of dropping it — the entry point of the resident
-/// serve mode, which keeps the sketch alive to answer further top-k
-/// queries. θ sizing uses [`ImmParams::sizing_k`] (`= effective_k` unless
-/// `k_max` is set), so a sketch built here at `k_max` is the same
-/// collection a fresh batch run with the same `k_max` would sample.
-pub(crate) fn run_imm_compact_store_keep<S: RrrStore>(
-    engine: &str,
-    graph: &Graph,
-    params: &ImmParams,
-    store: S,
-    mut sampler: impl FnMut(u64, usize, &mut S) -> BatchOutcome,
-    mut selector: impl FnMut(&S, u32, u32) -> (Selection, SelectStats),
-) -> (ImmResult, S) {
-    let n = graph.num_vertices();
-    if n < 2 {
-        return (degenerate_result(engine, graph, params), store);
+impl Engine for CompactEngine<'_> {
+    fn grow_to(&mut self, total: usize, report: &mut RunReport, sample_work: &mut Vec<u64>) {
+        let old_len = self.store.len();
+        let outcome = self
+            .dispatch
+            .sample_batch(old_len as u64, total - old_len, &mut self.store);
+        sample_work.extend_from_slice(&outcome.work_per_sample);
+        record_batch(report, &self.store, old_len, &outcome);
     }
-    let k = params.effective_k(n);
-    // The θ schedule and the estimation-round selections size the sketch;
-    // only the final selection returns `k` seeds. `sizing_k == k` unless
-    // the caller set `k_max` (serve mode).
-    let sizing_k = params.sizing_k(n);
-    let schedule = ThetaSchedule::new(
-        u64::from(n),
-        u64::from(sizing_k),
-        params.epsilon,
-        params.ell,
-    );
 
-    let mut report = RunReport::new(engine);
-    let mut memory = MemoryStats {
+    fn resident_bytes(&self) -> usize {
+        self.store.resident_bytes()
+    }
+
+    fn select(&self, k: u32) -> (Selection, SelectStats) {
+        select_with_engine_store(self.select, &self.store, self.n, k, self.partitions)
+    }
+
+    fn finish(&mut self, report: &mut RunReport) {
+        record_store_counters(report, &self.store);
+        if crate::obs::trace::enabled() {
+            report.trace = Some(crate::obs::trace::collect_all());
+        }
+    }
+}
+
+/// Runs IMM over compact storage and hands the *filled, sealed* store back
+/// alongside the result — the serve mode keeps it resident, the batch entry
+/// points drop it. `parallel` runs the rayon reference sampler and one
+/// selection interval owner per worker of the caller's pool; otherwise both
+/// are strictly sequential.
+pub(crate) fn run_compact(
+    label: &str,
+    graph: &Graph,
+    params: &ImmParams,
+    select: SelectEngine,
+    sample: SampleEngine,
+    storage: StorageConfig,
+    parallel: bool,
+) -> (ImmResult, DynRrrStore) {
+    let n = graph.num_vertices();
+    let factory = StreamFactory::new(params.seed);
+    let mut engine = CompactEngine {
+        store: DynRrrStore::new(storage, n),
+        dispatch: SamplerDispatch::new(graph, params.model, &factory, sample, parallel),
+        select,
+        partitions: if parallel {
+            rayon::current_num_threads()
+        } else {
+            1
+        },
+        n,
+    };
+    let footprint = MemoryStats {
         counter_bytes: n as usize * std::mem::size_of::<u64>(),
         graph_bytes: graph.resident_bytes(),
         ..MemoryStats::default()
     };
-    let mut collection = store;
-    let mut sample_work: Vec<u64> = Vec::new();
-    let mut next_index: u64 = 0;
-    let mut select_stats = SelectStats::default();
-
-    // --- EstimateTheta (Algorithm 2) -----------------------------------
-    let mut lb: Option<f64> = None;
-    {
-        let collection = &mut collection;
-        let sample_work = &mut sample_work;
-        let next_index = &mut next_index;
-        let memory = &mut memory;
-        let lb = &mut lb;
-        let select_stats = &mut select_stats;
-        report.span("EstimateTheta", |report| {
-            for x in 1..=schedule.max_rounds() {
-                let budget = schedule.round_budget(x);
-                if crate::obs::metrics::enabled() {
-                    crate::obs::metrics::set(
-                        crate::obs::metrics::Metric::ThetaTarget,
-                        budget as u64,
-                    );
-                }
-                let stop = report.span(&format!("round-{x}"), |report| {
-                    if budget > collection.len() {
-                        let need = budget - collection.len();
-                        let old_len = collection.len();
-                        let outcome =
-                            report.span("sample", |_| sampler(*next_index, need, collection));
-                        *next_index += need as u64;
-                        sample_work.extend_from_slice(&outcome.work_per_sample);
-                        record_batch(report, collection, old_len, &outcome);
-                    }
-                    memory.observe_rrr(collection.resident_bytes());
-                    let (sel, sstats) =
-                        report.span("select", |_| selector(collection, n, sizing_k));
-                    select_stats.absorb(sstats);
-                    report.counters.theta_rounds += 1;
-                    report.counters.select_iterations += sel.seeds.len() as u64;
-                    report.counters.round_budgets.push(budget as u64);
-                    report.counters.round_coverage.push(sel.fraction);
-                    if schedule.round_succeeds(x, sel.fraction) {
-                        *lb = Some(schedule.lower_bound(sel.fraction));
-                        true
-                    } else {
-                        false
-                    }
-                });
-                if stop {
-                    break;
-                }
-            }
-        });
-    }
-    let theta = match lb {
-        Some(bound) => schedule.final_theta(bound),
-        None => schedule.fallback_theta(u64::from(sizing_k)),
-    };
-    if crate::obs::metrics::enabled() {
-        crate::obs::metrics::set(crate::obs::metrics::Metric::ThetaTarget, theta as u64);
-    }
-
-    // --- Sample top-up (Algorithm 3 from the skeleton) ------------------
-    if theta > collection.len() {
-        let need = theta - collection.len();
-        let old_len = collection.len();
-        let collection_ref = &mut collection;
-        let next = next_index;
-        let outcome = report.span("Sample", |_| sampler(next, need, collection_ref));
-        sample_work.extend_from_slice(&outcome.work_per_sample);
-        record_batch(&mut report, &collection, old_len, &outcome);
-    }
-    memory.observe_rrr(collection.resident_bytes());
-
-    // --- SelectSeeds (Algorithm 4) ---------------------------------------
-    let (final_sel, final_stats) = report.span("SelectSeeds", |_| selector(&collection, n, k));
-    select_stats.absorb(final_stats);
-    report.counters.select_iterations += final_sel.seeds.len() as u64;
-
-    memory.observe_index(select_stats.index_bytes);
-    report.counters.rrr_entries = collection.total_entries();
-    report.counters.rrr_bytes_peak = memory.peak_rrr_bytes as u64;
-    report.counters.theta_final = collection.len() as u64;
-    report.counters.unsorted_pushes = collection.unsorted_pushes();
-    report.counters.select_entries_touched = select_stats.entries_touched;
-    report.counters.index_build_nanos = select_stats.index_build_nanos;
-    report.counters.index_bytes_peak = select_stats.index_bytes as u64;
-    report.counters.decode_nanos = select_stats.decode_nanos;
-    report.counters.spill_bytes_written = collection.spill_bytes_written();
-    if crate::obs::trace::enabled() {
-        report.trace = Some(crate::obs::trace::collect_all());
-    }
-    let result = ImmResult {
-        seeds: final_sel.seeds,
-        theta: collection.len(),
-        coverage_fraction: final_sel.fraction,
-        opt_lower_bound: lb,
-        timers: report.phase_timers(),
-        memory,
-        sample_work,
-        report,
-    };
-    (result, collection)
+    let result = run_imm(label, graph, params, footprint, &mut engine);
+    (result, engine.store)
 }
 
 /// Seed-set sizes from which [`immopt_sequential`] hands selection to the
@@ -284,74 +151,35 @@ const SEQ_FUSED_K_THRESHOLD: u32 = 16;
 /// [`SEQ_FUSED_K_THRESHOLD`]). The seed set is identical either way.
 #[must_use]
 pub fn immopt_sequential(graph: &Graph, params: &ImmParams) -> ImmResult {
-    let engine = if params.effective_k(graph.num_vertices()) >= SEQ_FUSED_K_THRESHOLD {
+    let select = if params.effective_k(graph.num_vertices()) >= SEQ_FUSED_K_THRESHOLD {
         SelectEngine::Auto
     } else {
         SelectEngine::Sequential
     };
-    immopt_sequential_with_select(graph, params, engine)
-}
-
-/// [`immopt_sequential`] with an explicit selection engine (CLI `--select`).
-#[must_use]
-pub fn immopt_sequential_with_select(
-    graph: &Graph,
-    params: &ImmParams,
-    select: SelectEngine,
-) -> ImmResult {
-    immopt_sequential_with_engines(graph, params, select, SampleEngine::Reference)
-}
-
-/// [`immopt_sequential`] with explicit selection *and* sampling engines
-/// (CLI `--select` / `--sample`). With [`SampleEngine::Reference`] this is
-/// bitwise [`immopt_sequential_with_select`]; the fused sampler draws a
-/// different RNG schedule, so its seed sets are statistically (not bitwise)
-/// equivalent — see the `sampler-equivalence` oracle check.
-#[must_use]
-pub fn immopt_sequential_with_engines(
-    graph: &Graph,
-    params: &ImmParams,
-    select: SelectEngine,
-    sample: SampleEngine,
-) -> ImmResult {
-    let factory = StreamFactory::new(params.seed);
-    let mut dispatch = SamplerDispatch::new(graph, params.model, &factory, sample, false);
-    run_imm_compact(
-        "immopt",
+    immopt_sequential_with_storage(
         graph,
         params,
-        |first, count, out| dispatch.sample_batch(first, count, out),
-        |collection, n, k| select_with_engine(select, collection, n, k, 1),
+        select,
+        SampleEngine::Reference,
+        StorageConfig::default(),
     )
 }
 
-/// [`immopt_sequential_with_engines`] over an explicit RRR storage backend
-/// (CLI `--rrr-store` / `--rrr-budget`). The flat backend takes exactly the
-/// [`immopt_sequential_with_engines`] code paths; compressed backends fill
-/// through the same samplers and select through the decode-on-touch
-/// engines, returning the same seeds for the same parameters.
+/// [`immopt_sequential`] with explicit selection and sampling engines and
+/// RRR storage backend (CLI `--select` / `--sample` / `--rrr-store` /
+/// `--rrr-budget`). Every selection engine and every backend returns the
+/// same seeds for the same parameters; the fused sampler draws a different
+/// RNG schedule, so its seed sets are statistically (not bitwise)
+/// equivalent — see the `sampler-equivalence` oracle check.
 #[must_use]
 pub fn immopt_sequential_with_storage(
     graph: &Graph,
     params: &ImmParams,
     select: SelectEngine,
     sample: SampleEngine,
-    storage: ripples_diffusion::StorageConfig,
+    storage: StorageConfig,
 ) -> ImmResult {
-    if storage.kind == ripples_diffusion::RrrStoreKind::Flat {
-        return immopt_sequential_with_engines(graph, params, select, sample);
-    }
-    let factory = StreamFactory::new(params.seed);
-    let mut dispatch = SamplerDispatch::new(graph, params.model, &factory, sample, false);
-    let store = ripples_diffusion::DynRrrStore::new(storage, graph.num_vertices());
-    run_imm_compact_store(
-        "immopt",
-        graph,
-        params,
-        store,
-        |first, count, out| dispatch.sample_batch(first, count, out),
-        |collection, n, k| crate::select::select_with_engine_store(select, collection, n, k, 1),
-    )
+    run_compact("immopt", graph, params, select, sample, storage, false).0
 }
 
 // ---------------------------------------------------------------------------
@@ -459,6 +287,63 @@ impl TangStorage {
     }
 }
 
+/// The Tang-style engine: one sample at a time through `generate_rrr` into
+/// [`TangStorage`], selection over its inverted index.
+struct TangEngine<'a> {
+    graph: &'a Graph,
+    model: DiffusionModel,
+    factory: StreamFactory,
+    storage: TangStorage,
+    scratch: RrrScratch,
+    /// Next global sample index; runs ahead of `storage.len()` once the
+    /// fresh-resampling mode has dropped the estimation samples.
+    next_index: u64,
+    resample_final: bool,
+}
+
+impl Engine for TangEngine<'_> {
+    fn grow_to(&mut self, total: usize, report: &mut RunReport, sample_work: &mut Vec<u64>) {
+        let n = self.graph.num_vertices();
+        let count = (total - self.storage.len()) as u64;
+        for index in self.next_index..self.next_index + count {
+            let mut rng = self.factory.sample_stream(index);
+            let root = rng.bounded_u64(u64::from(n)) as Vertex;
+            let s = generate_rrr(self.graph, self.model, root, &mut rng, &mut self.scratch);
+            sample_work.push(s.edges_examined);
+            report.counters.samples_generated += 1;
+            report.counters.edges_examined += s.edges_examined;
+            report.rrr_sizes.record(s.vertices.len() as u64);
+            self.storage.push(s.vertices);
+        }
+        self.next_index += count;
+        // Single-threaded engine: the whole batch lands on one worker.
+        report.thread_samples.record(count);
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.storage.resident_bytes()
+    }
+
+    fn select(&self, k: u32) -> (Selection, SelectStats) {
+        let n = self.graph.num_vertices();
+        (self.storage.select(n, k), SelectStats::default())
+    }
+
+    fn finish(&mut self, report: &mut RunReport) {
+        report.counters.rrr_entries = self.storage.sets.iter().map(|s| s.len() as u64).sum();
+        if crate::obs::trace::enabled() {
+            report.trace = Some(crate::obs::trace::collect_all());
+        }
+    }
+
+    fn discard_estimation_samples(&mut self) -> bool {
+        if self.resample_final {
+            self.storage = TangStorage::new(self.graph.num_vertices());
+        }
+        self.resample_final
+    }
+}
+
 /// The sequential baseline mirroring Tang et al.'s implementation ("IMM"):
 /// identical algorithm and RRR kernel, but samples stored in both directions
 /// with per-entity vectors.
@@ -488,160 +373,27 @@ pub fn imm_baseline_with_options(
     resample_final: bool,
 ) -> ImmResult {
     let n = graph.num_vertices();
-    if n < 2 {
-        return degenerate_result("baseline", graph, params);
-    }
-    let k = params.effective_k(n);
-    let sizing_k = params.sizing_k(n);
-    let schedule = ThetaSchedule::new(
-        u64::from(n),
-        u64::from(sizing_k),
-        params.epsilon,
-        params.ell,
-    );
-    let factory = StreamFactory::new(params.seed);
-    let model = params.model;
-    // This engine samples through `generate_rrr` directly, bypassing the
-    // batch samplers' entry validation — re-assert the LT normalization
-    // contract here so un-normalized input fails fast in every profile.
-    if model == ripples_diffusion::DiffusionModel::LinearThreshold {
-        ripples_diffusion::ensure_lt_normalized(graph);
-    }
-
-    let mut report = RunReport::new("baseline");
-    let mut memory = MemoryStats {
+    let mut engine = TangEngine {
+        graph,
+        model: params.model,
+        factory: StreamFactory::new(params.seed),
+        storage: TangStorage::new(n),
+        scratch: RrrScratch::new(n),
+        next_index: 0,
+        resample_final,
+    };
+    let footprint = MemoryStats {
         counter_bytes: n as usize * std::mem::size_of::<u64>(),
         graph_bytes: graph.resident_bytes(),
         ..MemoryStats::default()
     };
-    let mut storage = TangStorage::new(n);
-    let mut scratch = RrrScratch::new(n);
-    let mut sample_work: Vec<u64> = Vec::new();
-    let mut next_index: u64 = 0;
-
-    let sample_into = |storage: &mut TangStorage,
-                       scratch: &mut RrrScratch,
-                       work: &mut Vec<u64>,
-                       report: &mut RunReport,
-                       first: u64,
-                       count: usize| {
-        for offset in 0..count as u64 {
-            let index = first + offset;
-            let mut rng = factory.sample_stream(index);
-            let root = rng.bounded_u64(u64::from(n)) as Vertex;
-            let s = generate_rrr(graph, model, root, &mut rng, scratch);
-            work.push(s.edges_examined);
-            report.counters.samples_generated += 1;
-            report.counters.edges_examined += s.edges_examined;
-            report.rrr_sizes.record(s.vertices.len() as u64);
-            storage.push(s.vertices);
-        }
-        // Single-threaded engine: the whole batch lands on one worker.
-        report.thread_samples.record(count as u64);
-    };
-
-    // EstimateTheta.
-    let mut lb: Option<f64> = None;
-    {
-        let storage = &mut storage;
-        let scratch = &mut scratch;
-        let sample_work = &mut sample_work;
-        let next_index = &mut next_index;
-        let memory = &mut memory;
-        let lb = &mut lb;
-        report.span("EstimateTheta", |report| {
-            for x in 1..=schedule.max_rounds() {
-                let budget = schedule.round_budget(x);
-                if crate::obs::metrics::enabled() {
-                    crate::obs::metrics::set(
-                        crate::obs::metrics::Metric::ThetaTarget,
-                        budget as u64,
-                    );
-                }
-                let stop = report.span(&format!("round-{x}"), |report| {
-                    if budget > storage.len() {
-                        let need = budget - storage.len();
-                        report.span("sample", |report| {
-                            sample_into(storage, scratch, sample_work, report, *next_index, need);
-                        });
-                        *next_index += need as u64;
-                    }
-                    memory.observe_rrr(storage.resident_bytes());
-                    let sel = report.span("select", |_| storage.select(n, sizing_k));
-                    report.counters.theta_rounds += 1;
-                    report.counters.select_iterations += sel.seeds.len() as u64;
-                    report.counters.round_budgets.push(budget as u64);
-                    report.counters.round_coverage.push(sel.fraction);
-                    if schedule.round_succeeds(x, sel.fraction) {
-                        *lb = Some(schedule.lower_bound(sel.fraction));
-                        true
-                    } else {
-                        false
-                    }
-                });
-                if stop {
-                    break;
-                }
-            }
-        });
-    }
-    let theta = match lb {
-        Some(bound) => schedule.final_theta(bound),
-        None => schedule.fallback_theta(u64::from(sizing_k)),
-    };
-    if crate::obs::metrics::enabled() {
-        crate::obs::metrics::set(crate::obs::metrics::Metric::ThetaTarget, theta as u64);
-    }
-
-    // Top-up — or, in Tang-faithful mode, full regeneration.
-    if resample_final {
-        storage = TangStorage::new(n);
-        sample_work.clear();
-        let storage_ref = &mut storage;
-        let scratch_ref = &mut scratch;
-        let work_ref = &mut sample_work;
-        let next = next_index;
-        report.span("Sample", |report| {
-            sample_into(storage_ref, scratch_ref, work_ref, report, next, theta);
-        });
-    } else if theta > storage.len() {
-        let need = theta - storage.len();
-        let storage_ref = &mut storage;
-        let scratch_ref = &mut scratch;
-        let work_ref = &mut sample_work;
-        let next = next_index;
-        report.span("Sample", |report| {
-            sample_into(storage_ref, scratch_ref, work_ref, report, next, need);
-        });
-    }
-    memory.observe_rrr(storage.resident_bytes());
-
-    // Final selection.
-    let final_sel = report.span("SelectSeeds", |_| storage.select(n, k));
-    report.counters.select_iterations += final_sel.seeds.len() as u64;
-
-    report.counters.rrr_entries = storage.sets.iter().map(|s| s.len() as u64).sum();
-    report.counters.rrr_bytes_peak = memory.peak_rrr_bytes as u64;
-    report.counters.theta_final = storage.len() as u64;
-    if crate::obs::trace::enabled() {
-        report.trace = Some(crate::obs::trace::collect_all());
-    }
-    ImmResult {
-        seeds: final_sel.seeds,
-        theta: storage.len(),
-        coverage_fraction: final_sel.fraction,
-        opt_lower_bound: lb,
-        timers: report.phase_timers(),
-        memory,
-        sample_work,
-        report,
-    }
+    run_imm("baseline", graph, params, footprint, &mut engine)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ripples_diffusion::DiffusionModel;
+    use ripples_diffusion::RrrCollection;
     use ripples_graph::generators::erdos_renyi;
     use ripples_graph::WeightModel;
 

@@ -18,11 +18,10 @@
 
 use crate::params::ImmParams;
 use crate::result::ImmResult;
-use crate::sample::{SampleEngine, SamplerDispatch};
+use crate::sample::SampleEngine;
 use crate::select::SelectEngine;
 use ripples_diffusion::{DynRrrStore, RrrStore, StorageConfig};
 use ripples_graph::{Graph, Vertex};
-use ripples_rng::StreamFactory;
 
 /// A freshly built resident sketch: the sealed store plus the build run's
 /// full [`ImmResult`] (θ, seeds at the build `k`, report, memory).
@@ -48,17 +47,8 @@ pub fn build_resident_sketch(
     sample: SampleEngine,
     storage: StorageConfig,
 ) -> ResidentSketchBuild {
-    let factory = StreamFactory::new(params.seed);
-    let mut dispatch = SamplerDispatch::new(graph, params.model, &factory, sample, false);
-    let store = DynRrrStore::new(storage, graph.num_vertices());
-    let (result, store) = crate::seq::run_imm_compact_store_keep(
-        "sketch",
-        graph,
-        params,
-        store,
-        |first, count, out| dispatch.sample_batch(first, count, out),
-        |collection, n, k| crate::select::select_with_engine_store(select, collection, n, k, 1),
-    );
+    let (result, store) =
+        crate::seq::run_compact("sketch", graph, params, select, sample, storage, false);
     ResidentSketchBuild { store, result }
 }
 

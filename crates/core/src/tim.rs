@@ -21,6 +21,7 @@
 //!    `λ = (8 + 2ε)·n·(ℓ·ln n + ln C(n,k) + ln 2)/ε²`, then run the
 //!    standard greedy max-cover.
 
+use crate::driver::{record_select_counters, record_store_counters};
 use crate::memory::MemoryStats;
 use crate::obs::RunReport;
 use crate::params::ImmParams;
@@ -28,7 +29,7 @@ use crate::result::ImmResult;
 use crate::sample::{SampleEngine, SamplerDispatch};
 use crate::select::{select_with_engine_store, SelectEngine};
 use crate::theta::log_binomial;
-use ripples_diffusion::{DynRrrStore, RrrCollection, RrrStore, RrrStoreKind, StorageConfig};
+use ripples_diffusion::{DynRrrStore, RrrStore, StorageConfig};
 use ripples_graph::Graph;
 use ripples_rng::StreamFactory;
 
@@ -46,46 +47,26 @@ fn width<S: RrrStore>(graph: &Graph, store: &S, i: usize) -> u64 {
 /// [`ImmResult`] is directly comparable with the IMM engines' output.
 #[must_use]
 pub fn tim_plus(graph: &Graph, params: &ImmParams) -> ImmResult {
-    tim_plus_with_sample(graph, params, SampleEngine::Reference)
+    tim_plus_with_storage(
+        graph,
+        params,
+        SampleEngine::Reference,
+        StorageConfig::default(),
+    )
 }
 
-/// [`tim_plus`] with an explicit sampling engine (CLI `--sample`). With
-/// [`SampleEngine::Reference`] this is bitwise [`tim_plus`]; the fused
-/// sampler draws a different RNG schedule, so its output is statistically
-/// (not bitwise) equivalent.
-#[must_use]
-pub fn tim_plus_with_sample(graph: &Graph, params: &ImmParams, sample: SampleEngine) -> ImmResult {
-    tim_plus_impl(graph, params, sample, RrrCollection::new())
-}
-
-/// [`tim_plus_with_sample`] over an explicit RRR storage backend (CLI
-/// `--rrr-store` / `--rrr-budget`). The flat backend takes exactly the
-/// [`tim_plus_with_sample`] code paths; compressed backends stream widths
-/// and greedy cover through decode-on-touch, so the seed set and θ are
-/// identical for every backend.
+/// [`tim_plus`] with an explicit sampling engine and RRR storage backend
+/// (CLI `--sample` / `--rrr-store` / `--rrr-budget`). The fused sampler
+/// draws a different RNG schedule, so its output is statistically (not
+/// bitwise) equivalent; compressed backends stream widths and greedy cover
+/// through decode-on-touch, so the seed set and θ are identical for every
+/// backend.
 #[must_use]
 pub fn tim_plus_with_storage(
     graph: &Graph,
     params: &ImmParams,
     sample: SampleEngine,
     storage: StorageConfig,
-) -> ImmResult {
-    if storage.kind == RrrStoreKind::Flat {
-        return tim_plus_with_sample(graph, params, sample);
-    }
-    tim_plus_impl(
-        graph,
-        params,
-        sample,
-        DynRrrStore::new(storage, graph.num_vertices()),
-    )
-}
-
-fn tim_plus_impl<S: RrrStore>(
-    graph: &Graph,
-    params: &ImmParams,
-    sample: SampleEngine,
-    store: S,
 ) -> ImmResult {
     let n = graph.num_vertices();
     if n < 2 {
@@ -107,7 +88,7 @@ fn tim_plus_impl<S: RrrStore>(
         graph_bytes: graph.resident_bytes(),
         ..MemoryStats::default()
     };
-    let mut collection = store;
+    let mut collection = DynRrrStore::new(storage, n);
     let mut sample_work: Vec<u64> = Vec::new();
     let mut next_index: u64 = 0;
 
@@ -199,16 +180,9 @@ fn tim_plus_impl<S: RrrStore>(
         select_with_engine_store(SelectEngine::Fused, &collection, n, k, 1)
     });
     report.counters.select_iterations += final_sel.seeds.len() as u64;
-    memory.observe_index(select_stats.index_bytes);
-    report.counters.rrr_entries = collection.total_entries();
-    report.counters.rrr_bytes_peak = memory.peak_rrr_bytes as u64;
     report.counters.theta_final = collection.len() as u64;
-    report.counters.unsorted_pushes = collection.unsorted_pushes();
-    report.counters.select_entries_touched = select_stats.entries_touched;
-    report.counters.index_build_nanos = select_stats.index_build_nanos;
-    report.counters.index_bytes_peak = select_stats.index_bytes as u64;
-    report.counters.decode_nanos += select_stats.decode_nanos;
-    report.counters.spill_bytes_written = collection.spill_bytes_written();
+    record_select_counters(&mut report, &mut memory, select_stats);
+    record_store_counters(&mut report, &collection);
     if crate::obs::trace::enabled() {
         report.trace = Some(crate::obs::trace::collect_all());
     }
@@ -229,7 +203,7 @@ fn tim_plus_impl<S: RrrStore>(
 mod tests {
     use super::*;
     use crate::seq::immopt_sequential;
-    use ripples_diffusion::{estimate_spread, DiffusionModel};
+    use ripples_diffusion::{estimate_spread, DiffusionModel, RrrStoreKind};
     use ripples_graph::generators::erdos_renyi;
     use ripples_graph::WeightModel;
 

@@ -70,12 +70,17 @@ fn unnormalized_lt_rejected_in_every_profile() {
         let comm = ripples_comm::SelfComm::new();
         let _ = ripples_core::dist_partitioned::imm_partitioned(&comm, &g, &p);
     });
+    assert_rejected("sharded", || {
+        let comm = ripples_comm::SelfComm::new();
+        let _ = ripples_core::dist_sharded::imm_sharded(&comm, &g, &p);
+    });
     assert_rejected("immopt --sample fused", || {
-        let _ = ripples_core::seq::immopt_sequential_with_engines(
+        let _ = ripples_core::seq::immopt_sequential_with_storage(
             &g,
             &p,
             SelectEngine::Sequential,
             SampleEngine::Fused,
+            ripples_diffusion::StorageConfig::default(),
         );
     });
 }
@@ -100,6 +105,12 @@ fn normalized_lt_accepted_in_every_profile() {
     );
     assert_eq!(
         ripples_core::dist_partitioned::imm_partitioned(&comm, &g, &p)
+            .seeds
+            .len(),
+        4
+    );
+    assert_eq!(
+        ripples_core::dist_sharded::imm_sharded(&comm, &g, &p)
             .seeds
             .len(),
         4

@@ -1,20 +1,81 @@
-//! Acceptance test for the run-report observability layer: all four IMM
-//! entry points (sequential, multithreaded, distributed-replicated,
-//! distributed-partitioned) must return populated [`RunReport`]s, and the
-//! deterministic counters — samples generated, total RRR entries, θ
-//! estimation rounds — must be *identical* across thread counts and rank
-//! counts for the same seed. That invariance is what makes the counters
-//! trustworthy for cross-configuration regression comparisons.
+//! Acceptance test for the run-report observability layer: all six IMM
+//! entry points (Tang baseline, sequential, multithreaded,
+//! distributed-replicated, distributed-partitioned, distributed-sharded)
+//! must return populated [`RunReport`]s, and the deterministic counters —
+//! samples generated, total RRR entries, θ estimation rounds — must be
+//! *identical* across thread counts and rank counts for the same seed.
+//! That invariance is what makes the counters trustworthy for
+//! cross-configuration regression comparisons. All six run the one
+//! martingale driver, so they must also agree on the report's *shape*.
 
-use ripples_comm::{SelfComm, ThreadWorld};
+use ripples_comm::{Communicator, SelfComm, ThreadWorld};
 use ripples_core::dist::imm_distributed;
 use ripples_core::dist_partitioned::imm_partitioned;
+use ripples_core::dist_sharded::imm_sharded;
 use ripples_core::mt::imm_multithreaded;
-use ripples_core::seq::immopt_sequential;
+use ripples_core::obs::SpanNode;
+use ripples_core::seq::{imm_baseline, immopt_sequential};
 use ripples_core::{ImmParams, ImmResult, RunReport};
 use ripples_diffusion::DiffusionModel;
 use ripples_graph::generators::erdos_renyi;
-use ripples_graph::{Graph, WeightModel};
+use ripples_graph::{Graph, GraphBuilder, WeightModel};
+
+/// The six IMM engines behind one call, for the table-driven tests.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Engine {
+    Baseline,
+    Opt,
+    Mt,
+    Dist,
+    Partitioned,
+    Sharded,
+}
+
+impl Engine {
+    const ALL: [Engine; 6] = [
+        Engine::Baseline,
+        Engine::Opt,
+        Engine::Mt,
+        Engine::Dist,
+        Engine::Partitioned,
+        Engine::Sharded,
+    ];
+
+    /// The `engine` label the run report must carry.
+    fn label(self) -> &'static str {
+        match self {
+            Engine::Baseline => "baseline",
+            Engine::Opt => "immopt",
+            Engine::Mt => "mt",
+            Engine::Dist => "dist",
+            Engine::Partitioned => "partitioned",
+            Engine::Sharded => "sharded",
+        }
+    }
+
+    fn uses_comm(self) -> bool {
+        matches!(self, Engine::Dist | Engine::Partitioned | Engine::Sharded)
+    }
+
+    /// The partitioned and sharded engines key coin flips by
+    /// `(sample, vertex)`, so they draw a different (equally valid) sample
+    /// population than the index-keyed engines.
+    fn vertex_keyed(self) -> bool {
+        matches!(self, Engine::Partitioned | Engine::Sharded)
+    }
+
+    /// Runs on this rank of `comm`; the shared-memory engines ignore it.
+    fn run<C: Communicator>(self, comm: &C, g: &Graph, p: &ImmParams) -> ImmResult {
+        match self {
+            Engine::Baseline => imm_baseline(g, p),
+            Engine::Opt => immopt_sequential(g, p),
+            Engine::Mt => imm_multithreaded(g, p, 2),
+            Engine::Dist => imm_distributed(comm, g, p),
+            Engine::Partitioned => imm_partitioned(comm, g, p),
+            Engine::Sharded => imm_sharded(comm, g, p),
+        }
+    }
+}
 
 fn graph() -> Graph {
     erdos_renyi(
@@ -118,30 +179,104 @@ fn partitioned_counters_invariant_across_world_sizes() {
     let g = graph();
     let p = params();
 
-    // The partitioned engine samples cooperatively (coin flips keyed by
-    // (sample, vertex)), so its edge counts differ from the replicated
-    // engines' BFS — but they must still be invariant across world sizes.
-    let single = imm_partitioned(&SelfComm::new(), &g, &p);
-    assert_populated(&single.report, "partitioned");
-    let expect = deterministic_counters(&single);
-    let expect_edges = single.report.counters.edges_examined;
+    // The partitioned and sharded engines sample cooperatively (coin flips
+    // keyed by (sample, vertex)), so their edge counts differ from the
+    // replicated engines' BFS — but they must still be invariant across
+    // world sizes, and equal to each other.
+    let anchor = imm_partitioned(&SelfComm::new(), &g, &p);
+    let expect = deterministic_counters(&anchor);
+    let expect_edges = anchor.report.counters.edges_examined;
     assert!(expect_edges > 0);
 
-    for size in [2u32, 3] {
-        let world = ThreadWorld::new(size);
-        let results = world.run(|comm| imm_partitioned(comm, &g, &p));
-        for (rank, r) in results.iter().enumerate() {
-            assert_populated(&r.report, "partitioned");
-            assert_eq!(
-                deterministic_counters(r),
-                expect,
-                "partitioned rank {rank} of {size} diverged"
-            );
-            assert_eq!(
-                r.report.counters.edges_examined, expect_edges,
-                "partitioned rank {rank} of {size}: edge work diverged"
-            );
-            assert!(r.report.comm.is_some());
+    for engine in [Engine::Partitioned, Engine::Sharded] {
+        let label = engine.label();
+        for size in [1u32, 2, 3] {
+            let world = ThreadWorld::new(size);
+            let results = world.run(|comm| engine.run(comm, &g, &p));
+            for (rank, r) in results.iter().enumerate() {
+                assert_populated(&r.report, label);
+                assert_eq!(
+                    deterministic_counters(r),
+                    expect,
+                    "{label} rank {rank} of {size} diverged"
+                );
+                assert_eq!(
+                    r.report.counters.edges_examined, expect_edges,
+                    "{label} rank {rank} of {size}: edge work diverged"
+                );
+                assert!(r.report.comm.is_some());
+            }
+        }
+    }
+}
+
+/// Span names and nesting, without the timings.
+fn span_shape(spans: &[SpanNode]) -> String {
+    spans
+        .iter()
+        .map(|s| format!("{}[{}]", s.name, span_shape(&s.children)))
+        .collect::<Vec<_>>()
+        .join(",")
+}
+
+#[test]
+fn every_engine_reports_the_one_drivers_shape() {
+    let g = graph();
+    let p = params();
+    let reference = immopt_sequential(&g, &p);
+    let shape = span_shape(reference.report.spans());
+    assert!(shape.starts_with("EstimateTheta[round-1[sample[],select[]]"));
+    assert!(shape.ends_with("SelectSeeds[]"));
+    let vertex_keyed = imm_partitioned(&SelfComm::new(), &g, &p);
+
+    for engine in Engine::ALL {
+        let label = engine.label();
+        let world = ThreadWorld::new(2);
+        for r in world.run(|comm| engine.run(comm, &g, &p)) {
+            let c = &r.report.counters;
+            let expect = &reference.report.counters;
+            assert_eq!(r.report.engine, label);
+            assert_eq!(span_shape(r.report.spans()), shape, "{label}: span tree");
+            assert_eq!(c.round_budgets, expect.round_budgets, "{label}");
+            assert_eq!(c.theta_rounds, expect.theta_rounds, "{label}");
+            assert_eq!(c.select_iterations, expect.select_iterations, "{label}");
+            // θ follows the coverage of the sampled population, which the
+            // vertex-keyed engines draw from a different RNG schedule.
+            let theta = if engine.vertex_keyed() {
+                vertex_keyed.theta
+            } else {
+                reference.theta
+            };
+            assert_eq!(c.theta_final, theta as u64, "{label}");
+            assert_eq!(r.theta, theta, "{label}");
+            assert_eq!(r.report.rrr_sizes.count(), c.samples_generated, "{label}");
+            assert_eq!(r.report.comm.is_some(), engine.uses_comm(), "{label}");
+        }
+    }
+}
+
+#[test]
+fn degenerate_graphs_keep_each_engines_label_and_comm_section() {
+    let p = params();
+    for n in [0u32, 1] {
+        let g = GraphBuilder::new(n).build().unwrap();
+        let seeds: Vec<u32> = (0..n).collect();
+        for engine in Engine::ALL {
+            let label = engine.label();
+            let mut results = vec![engine.run(&SelfComm::new(), &g, &p)];
+            results.extend(ThreadWorld::new(2).run(|comm| engine.run(comm, &g, &p)));
+            for r in results {
+                assert_eq!(r.report.engine, label, "n = {n}");
+                assert_eq!(r.seeds, seeds, "{label}, n = {n}");
+                assert_eq!(r.theta, 0, "{label}, n = {n}");
+                assert!(r.report.spans().is_empty(), "{label}, n = {n}");
+                assert_eq!(
+                    r.report.comm.is_some(),
+                    engine.uses_comm(),
+                    "{label}, n = {n}: comm section"
+                );
+                assert_eq!(r.report.counters.degraded_ranks, 0, "{label}, n = {n}");
+            }
         }
     }
 }
