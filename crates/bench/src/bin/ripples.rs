@@ -10,7 +10,7 @@
 //!         [--threads T | --ranks R] [--simulate TRIALS]
 //!         [--select auto|sequential|partitioned|lazy|hypergraph|fused]
 //!         [--sample auto|reference|fused]
-//!         [--rrr-store flat|varint|bitpack|spill] [--rrr-budget BYTES]
+//!         [--rrr-store flat|varint|spill] [--rrr-budget BYTES]
 //!         [--report pretty|json] [--report-out FILE]
 //!         [--trace FILE] [--trace-buffer EVENTS]
 //!         [--metrics FILE] [--metrics-interval DUR] [--metrics-prom FILE]
@@ -34,12 +34,12 @@
 //! EXPERIMENTS.md § "Choosing a sampling engine".
 //!
 //! `--rrr-store` picks the RRR storage backend for the `opt`, `mt`, `dist`,
-//! `partitioned`, `sharded`, and `tim` engines (default `flat`). `varint`
-//! gap-encodes
-//! each sorted set with LEB128 varints, `bitpack` stores ids at
-//! `⌈log₂ n⌉` bits, and `spill` seals varint blocks and writes them to a
-//! temporary file once resident bytes exceed `--rrr-budget` (default 1 GiB),
-//! streaming them back per selection round. Every backend returns the same
+//! `partitioned`, `sharded`, and `tim` engines (default `flat`: sorted
+//! lists, with any set spanning more than n/32 vertices held as an n-bit
+//! bitmap). `varint` gap-encodes each sorted set with LEB128 varints, and
+//! `spill` seals varint blocks and writes them to a temporary file once
+//! resident bytes exceed `--rrr-budget` (default 1 GiB), streaming them
+//! back per selection round. Every backend returns the same
 //! seed set as `flat` at the same `--seed` — see EXPERIMENTS.md
 //! § "Choosing an RRR storage backend".
 //!
@@ -77,7 +77,7 @@
 //! always reproduces the same faults. Other engines ignore the flags with a
 //! warning.
 
-use ripples_bench::Args;
+use ripples_bench::{parse_rrr_store, Args};
 use ripples_comm::{FaultComm, FaultPlan, ThreadWorld};
 use ripples_core::obs::trace;
 use ripples_core::{
@@ -98,13 +98,34 @@ use ripples_graph::io::{read_edge_list_file, EdgeListOptions, VertexIds};
 use ripples_graph::{Graph, GraphStats, WeightModel};
 use ripples_rng::StreamFactory;
 
+const USAGE: &str = "usage: ripples (--input FILE | --standin NAME | --gen ba:N:M|er:N:M) \
+     [--weights uniform|wc|const:P|tri] [--model ic|lt] [--engine ENGINE] [--k K] \
+     [--epsilon E] [--seed S] [--threads T | --ranks R] [--select ENGINE] [--sample ENGINE] \
+     [--rrr-store flat|varint|spill] [--rrr-budget BYTES] [--report pretty|json] \
+     (every flag is described at the top of crates/bench/src/bin/ripples.rs)";
+
+/// A flag the user got wrong: `error: …`, the usage line, exit status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// `--name` parsed as `T`, `default` when absent; a value that does not
+/// parse is a usage error, not a panic.
+fn flag_or<T: std::str::FromStr>(args: &Args, name: &str, default: T) -> T {
+    args.try_parse(name)
+        .unwrap_or_else(|message| usage_error(&message))
+        .unwrap_or(default)
+}
+
 fn load_graph(args: &Args, model: DiffusionModel) -> Graph {
     let weights = match args.get("weights").unwrap_or("uniform") {
         "wc" => WeightModel::WeightedCascade,
         "tri" => WeightModel::Trivalency { seed: 7 },
         w if w.starts_with("const:") => {
-            let p: f32 = w[6..].parse().expect("--weights const:P needs a number");
-            WeightModel::Constant(p)
+            WeightModel::Constant(w[6..].parse().unwrap_or_else(|_| {
+                usage_error(&format!("--weights const:P needs a number, got `{w}`"))
+            }))
         }
         _ => WeightModel::UniformRandom { seed: 7 },
     };
@@ -137,13 +158,13 @@ fn load_graph(args: &Args, model: DiffusionModel) -> Graph {
             eprintln!("error: unknown stand-in `{name}`; see ripples-graph's catalog");
             std::process::exit(1);
         });
-        let divisor = args.parse_or("scale-div", spec.default_divisor);
+        let divisor = flag_or(args, "scale-div", spec.default_divisor);
         spec.build(divisor, weights, lt_normalize)
     } else if let Some(spec) = args.get("gen") {
         // Synthetic graphs straight from the generators, for smoke tests
         // that want a known topology: `ba:N:M` (Barabási–Albert, M edges
         // per new vertex) or `er:N:M` (G(n, m) Erdős–Rényi).
-        let seed: u64 = args.parse_or("gen-seed", 42);
+        let seed: u64 = flag_or(args, "gen-seed", 42);
         let parts: Vec<&str> = spec.split(':').collect();
         let parse = |s: &str| -> u64 {
             s.parse().unwrap_or_else(|e| {
@@ -262,7 +283,7 @@ fn progress_observer() -> ripples_metrics::ProgressFn {
 fn main() {
     let args = Args::from_env();
     let model = DiffusionModel::from_tag(args.get("model").unwrap_or("ic"))
-        .expect("--model must be ic or lt");
+        .unwrap_or_else(|| usage_error("--model must be ic or lt"));
     let graph = load_graph(&args, model);
     let stats = GraphStats::of(&graph);
     eprintln!(
@@ -270,9 +291,12 @@ fn main() {
         stats.nodes, stats.edges, stats.avg_degree, stats.max_out_degree
     );
 
-    let k: u32 = args.parse_or("k", 50);
-    let epsilon: f64 = args.parse_or("epsilon", 0.5);
-    let seed: u64 = args.parse_or("seed", 0);
+    let k: u32 = flag_or(&args, "k", 50);
+    let epsilon: f64 = flag_or(&args, "epsilon", 0.5);
+    let seed: u64 = flag_or(&args, "seed", 0);
+    let simulate: Option<u32> = args
+        .try_parse("simulate")
+        .unwrap_or_else(|message| usage_error(&message));
     let params = ImmParams::new(k, epsilon, model, seed);
     let engine = args.get("engine").unwrap_or("mt").to_string();
     let select = args.get("select").map(|tag| {
@@ -299,19 +323,11 @@ fn main() {
     let storage = {
         let kind = args
             .get("rrr-store")
-            .map(|tag| {
-                RrrStoreKind::from_tag(tag).unwrap_or_else(|| {
-                    eprintln!("error: unknown --rrr-store `{tag}` (try flat|varint|bitpack|spill)");
-                    std::process::exit(1);
-                })
-            })
+            .map(|tag| parse_rrr_store(tag).unwrap_or_else(|message| usage_error(&message)))
             .unwrap_or(RrrStoreKind::Flat);
-        let budget = args.get("rrr-budget").map(|s| {
-            s.parse::<usize>().unwrap_or_else(|_| {
-                eprintln!("error: --rrr-budget takes a byte count, got `{s}`");
-                std::process::exit(1);
-            })
-        });
+        let budget: Option<usize> = args
+            .try_parse("rrr-budget")
+            .unwrap_or_else(|message| usage_error(&message));
         if budget.is_some() && kind != RrrStoreKind::Spill {
             eprintln!("warning: --rrr-budget only affects --rrr-store spill; ignoring");
         }
@@ -331,10 +347,10 @@ fn main() {
     // Without --chaos-seed the plan is fault-free, and a `FaultComm` over a
     // fault-free plan is bitwise transparent.
     let chaos_seed: Option<u64> = args
-        .get("chaos-seed")
-        .map(|s| s.parse().expect("--chaos-seed takes a u64"));
+        .try_parse("chaos-seed")
+        .unwrap_or_else(|message| usage_error(&message));
     let plan = chaos_seed.map_or_else(FaultPlan::none, |seed| {
-        FaultPlan::chaos(seed, args.parse_or("chaos-rate", 0.02))
+        FaultPlan::chaos(seed, flag_or(&args, "chaos-rate", 0.02))
     });
     if chaos_seed.is_some() && !matches!(engine.as_str(), "dist" | "partitioned" | "sharded") {
         eprintln!(
@@ -373,8 +389,8 @@ fn main() {
 
     if trace_path.is_some() {
         let capacity = args
-            .get("trace-buffer")
-            .map(|s| s.parse().expect("--trace-buffer takes an event count"));
+            .try_parse("trace-buffer")
+            .unwrap_or_else(|message| usage_error(&message));
         trace::start(capacity);
     }
 
@@ -411,7 +427,7 @@ fn main() {
             (r.seeds, detail, Some(r.report))
         }
         "dist" => {
-            let ranks: u32 = args.parse_or("ranks", 2);
+            let ranks: u32 = flag_or(&args, "ranks", 2);
             let world = ThreadWorld::new(ranks);
             let mut results = world.run(|comm| {
                 imm_distributed_with_storage(
@@ -439,7 +455,7 @@ fn main() {
             )
         }
         "partitioned" => {
-            let ranks: u32 = args.parse_or("ranks", 2);
+            let ranks: u32 = flag_or(&args, "ranks", 2);
             let world = ThreadWorld::new(ranks);
             let mut results = world.run(|comm| {
                 let faulty = FaultComm::new(comm, plan.clone());
@@ -453,7 +469,7 @@ fn main() {
             (r.seeds, detail, Some(r.report))
         }
         "sharded" => {
-            let ranks: u32 = args.parse_or("ranks", 2);
+            let ranks: u32 = flag_or(&args, "ranks", 2);
             let world = ThreadWorld::new(ranks);
             let mut results = world.run(|comm| {
                 let faulty = FaultComm::new(comm, plan.clone());
@@ -477,7 +493,7 @@ fn main() {
             (r.seeds, detail, Some(r.report))
         }
         "degdiscount" => {
-            let p: f64 = args.parse_or("prob", 0.1);
+            let p: f64 = flag_or(&args, "prob", 0.1);
             let seeds = degree_discount_ic(&graph, k, p);
             (
                 seeds,
@@ -486,12 +502,12 @@ fn main() {
             )
         }
         "celf" => {
-            let trials: u32 = args.parse_or("trials", 200);
+            let trials: u32 = flag_or(&args, "trials", 200);
             let r = celf_greedy(&graph, model, k, trials, seed);
             (r.seeds, format!("evaluations={}", r.evaluations), None)
         }
         _ => {
-            let threads: usize = args.parse_or("threads", 0);
+            let threads: usize = flag_or(&args, "threads", 0);
             let r = imm_multithreaded_with_storage(
                 &graph,
                 &params,
@@ -601,8 +617,7 @@ fn main() {
         }
     }
 
-    if let Some(trials) = args.get("simulate") {
-        let trials: u32 = trials.parse().expect("--simulate takes a trial count");
+    if let Some(trials) = simulate {
         let factory = StreamFactory::new(seed ^ 0x51);
         let spread = estimate_spread(&graph, model, &seeds, trials, &factory);
         eprintln!(

@@ -10,7 +10,7 @@
 //!       [--seed S] [--model ic|lt]
 //!       [--select auto|sequential|partitioned|lazy|hypergraph|fused]
 //!       [--sample auto|reference|fused]
-//!       [--rrr-store flat|varint|bitpack|spill] [--rrr-budget BYTES]
+//!       [--rrr-store flat|varint|spill] [--rrr-budget BYTES]
 //!       [--snapshot-out FILE] [--snapshot-in FILE]
 //!       [--queries FILE] [--tcp ADDR] [--read-timeout-ms MS]
 //!       [--metrics FILE] [--no-timing]
@@ -339,9 +339,9 @@ fn main() {
     let storage = StorageConfig {
         kind: match args.get("rrr-store") {
             None => RrrStoreKind::Flat,
-            Some(tag) => RrrStoreKind::from_tag(tag).unwrap_or_else(|| {
-                eprintln!("error: unknown --rrr-store `{tag}` (try flat|varint|bitpack|spill)");
-                std::process::exit(1);
+            Some(tag) => ripples_bench::parse_rrr_store(tag).unwrap_or_else(|message| {
+                eprintln!("error: {message}");
+                std::process::exit(2);
             }),
         },
         budget: args.get("rrr-budget").map(|s| {

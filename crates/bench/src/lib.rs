@@ -11,7 +11,7 @@
 
 pub mod json;
 
-use ripples_diffusion::DiffusionModel;
+use ripples_diffusion::{DiffusionModel, RrrStoreKind};
 use ripples_graph::generators::{standin_catalog, StandinSpec};
 use ripples_graph::{Graph, WeightModel};
 use std::time::{Duration, Instant};
@@ -118,6 +118,20 @@ impl Args {
             .collect()
     }
 
+    /// Parses `--name` as `T`: `Ok(None)` when the flag is absent.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the flag and the value that failed to parse.
+    pub fn try_parse<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.get(name)
+            .map(|raw| {
+                raw.parse()
+                    .map_err(|_| format!("invalid value `{raw}` for --{name}"))
+            })
+            .transpose()
+    }
+
     /// Parses `--name` as `T`, falling back to `default`.
     ///
     /// # Panics
@@ -127,13 +141,26 @@ impl Args {
     /// configuration.
     #[must_use]
     pub fn parse_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        match self.get(name) {
-            None => default,
-            Some(raw) => raw
-                .parse()
-                .unwrap_or_else(|_| panic!("invalid value `{raw}` for --{name}")),
+        match self.try_parse(name) {
+            Ok(value) => value.unwrap_or(default),
+            Err(message) => panic!("{message}"),
         }
     }
+}
+
+/// Parses a `--rrr-store` tag for the `ripples` and `serve` binaries.
+///
+/// # Errors
+///
+/// The message to print for an unknown tag, or for a backend that no
+/// longer exists.
+pub fn parse_rrr_store(tag: &str) -> Result<RrrStoreKind, String> {
+    RrrStoreKind::from_tag(tag).ok_or_else(|| match tag {
+        "bitpack" => "--rrr-store bitpack was removed in PR 16: use flat (dense sets are \
+                      stored as bitmaps) or varint"
+            .to_string(),
+        _ => format!("unknown --rrr-store `{tag}` (try flat|varint|spill)"),
+    })
 }
 
 /// An aligned plain-text table printer for experiment output.

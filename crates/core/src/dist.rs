@@ -325,8 +325,8 @@ pub(crate) fn globalize_histogram<C: Communicator>(comm: &C, hist: &mut Histogra
 }
 
 /// Replaces this rank's local deterministic counters (samples, edges, RRR
-/// entries, unsorted pushes, selection entries touched) with their global
-/// sums, and merges the RRR-size histogram, so every rank — at every world
+/// entries, bitmap sets and bytes, unsorted pushes, selection entries
+/// touched) with their global sums, and merges the RRR-size histogram, so every rank — at every world
 /// size — reports the same values. Must be called collectively.
 pub(crate) fn globalize_counters<C: Communicator>(comm: &C, report: &mut RunReport) {
     let mut buf = [
@@ -335,6 +335,8 @@ pub(crate) fn globalize_counters<C: Communicator>(comm: &C, report: &mut RunRepo
         report.counters.rrr_entries,
         report.counters.unsorted_pushes,
         report.counters.select_entries_touched,
+        report.counters.rrr_sets_bitmap,
+        report.counters.rrr_bitmap_bytes,
     ];
     comm.all_reduce_sum_u64(&mut buf);
     report.counters.samples_generated = buf[0];
@@ -342,6 +344,8 @@ pub(crate) fn globalize_counters<C: Communicator>(comm: &C, report: &mut RunRepo
     report.counters.rrr_entries = buf[2];
     report.counters.unsorted_pushes = buf[3];
     report.counters.select_entries_touched = buf[4];
+    report.counters.rrr_sets_bitmap = buf[5];
+    report.counters.rrr_bitmap_bytes = buf[6];
     globalize_histogram(comm, &mut report.rrr_sizes);
 }
 

@@ -302,11 +302,7 @@ mod tests {
         let g = graph();
         let p = ImmParams::new(5, 0.5, DiffusionModel::IndependentCascade, 23);
         let flat = imm_partitioned(&SelfComm::new(), &g, &p);
-        for kind in [
-            RrrStoreKind::Varint,
-            RrrStoreKind::Bitpack,
-            RrrStoreKind::Spill,
-        ] {
+        for kind in [RrrStoreKind::Varint, RrrStoreKind::Spill] {
             let budget = (kind == RrrStoreKind::Spill).then_some(4096);
             let storage = StorageConfig { kind, budget };
             let single = imm_partitioned_with_storage(&SelfComm::new(), &g, &p, storage);

@@ -73,6 +73,11 @@ pub(crate) fn record_store_counters<S: RrrStore>(report: &mut RunReport, store: 
     report.counters.rrr_entries = store.total_entries();
     report.counters.unsorted_pushes = store.unsorted_pushes();
     report.counters.spill_bytes_written = store.spill_bytes_written();
+    report.counters.spill_write_failures = store.spill_write_failures();
+    if let Some(mixed) = store.as_mixed() {
+        report.counters.rrr_sets_bitmap = mixed.bitmap_sets();
+        report.counters.rrr_bitmap_bytes = mixed.bitmap_bytes();
+    }
 }
 
 /// The counters accumulated over a run's selection passes (`decode_nanos`

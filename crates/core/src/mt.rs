@@ -161,47 +161,47 @@ mod tests {
     #[test]
     fn storage_backends_match_flat_seeds() {
         use ripples_diffusion::RrrStoreKind;
-        let g = test_graph();
-        let p = ImmParams::new(5, 0.5, DiffusionModel::IndependentCascade, 7);
-        let flat = imm_multithreaded(&g, &p, 2);
-        for kind in [
-            RrrStoreKind::Varint,
-            RrrStoreKind::Bitpack,
-            RrrStoreKind::Spill,
-        ] {
-            let budget = (kind == RrrStoreKind::Spill).then_some(4096);
-            let r = imm_multithreaded_with_storage(
-                &g,
-                &p,
-                2,
-                SelectEngine::Auto,
-                SampleEngine::Reference,
-                StorageConfig { kind, budget },
-            );
-            assert_eq!(r.seeds, flat.seeds, "{kind:?}");
-            assert_eq!(r.theta, flat.theta, "{kind:?}");
-            assert!(
-                (r.coverage_fraction - flat.coverage_fraction).abs() < 1e-12,
-                "{kind:?}"
-            );
-            if kind == RrrStoreKind::Spill {
-                assert!(
-                    r.report.counters.spill_bytes_written > 0,
-                    "tiny budget must spill"
+        // Uniform probabilities: cascades span the graph and the flat store
+        // holds them as bitmaps, smaller than any coding of the lists.
+        // Weighted cascade: mostly small sets, where flat means lists and
+        // the compressed backends are the smaller ones.
+        let dense = test_graph();
+        let sparse = erdos_renyi(300, 2400, WeightModel::WeightedCascade, false, 21);
+        for (g, is_dense) in [(&dense, true), (&sparse, false)] {
+            let p = ImmParams::new(5, 0.5, DiffusionModel::IndependentCascade, 7);
+            let flat = imm_multithreaded(g, &p, 2);
+            assert!(!is_dense || flat.report.counters.rrr_sets_bitmap > 0);
+            for kind in [RrrStoreKind::Varint, RrrStoreKind::Spill] {
+                let budget = (kind == RrrStoreKind::Spill).then_some(4096);
+                let r = imm_multithreaded_with_storage(
+                    g,
+                    &p,
+                    2,
+                    SelectEngine::Auto,
+                    SampleEngine::Reference,
+                    StorageConfig { kind, budget },
                 );
+                assert_eq!(r.seeds, flat.seeds, "{kind:?}");
+                assert_eq!(r.theta, flat.theta, "{kind:?}");
                 assert!(
-                    r.report.counters.rrr_bytes_peak < flat.report.counters.rrr_bytes_peak,
-                    "spill peak {} not below flat peak {}",
-                    r.report.counters.rrr_bytes_peak,
-                    flat.report.counters.rrr_bytes_peak
+                    (r.coverage_fraction - flat.coverage_fraction).abs() < 1e-12,
+                    "{kind:?}"
                 );
-            } else {
-                assert!(
-                    r.report.counters.rrr_bytes_peak < flat.report.counters.rrr_bytes_peak,
-                    "{kind:?} peak {} not below flat peak {}",
-                    r.report.counters.rrr_bytes_peak,
-                    flat.report.counters.rrr_bytes_peak
-                );
+                assert_eq!(r.report.counters.rrr_sets_bitmap, 0, "{kind:?}");
+                if kind == RrrStoreKind::Spill {
+                    assert!(
+                        r.report.counters.spill_bytes_written > 0,
+                        "tiny budget must spill"
+                    );
+                }
+                if !is_dense {
+                    assert!(
+                        r.report.counters.rrr_bytes_peak < flat.report.counters.rrr_bytes_peak,
+                        "{kind:?} peak {} not below flat peak {}",
+                        r.report.counters.rrr_bytes_peak,
+                        flat.report.counters.rrr_bytes_peak
+                    );
+                }
             }
         }
     }

@@ -39,6 +39,7 @@ const HISTOGRAM_BUCKETS: usize = 33;
 /// Monotonic counters describing the work an IMM run performed.
 ///
 /// For a fixed `(graph, params)` pair, `samples_generated`, `rrr_entries`,
+/// `rrr_sets_bitmap`, `rrr_bitmap_bytes`,
 /// `theta_rounds`, `theta_final`, `round_budgets`, and `round_coverage` are
 /// *deterministic*: identical across thread counts and (for the
 /// indexed-stream RNG mode) across rank counts. The byte/peak fields are
@@ -53,6 +54,13 @@ pub struct Counters {
     /// Total vertex entries stored across all RRR sets (globally, for the
     /// distributed engines).
     pub rrr_entries: u64,
+    /// RRR sets the flat store holds as bitmaps rather than sorted lists —
+    /// the sets spanning more than n/32 vertices (globally, for the
+    /// distributed engines; 0 for the varint and spill stores).
+    pub rrr_sets_bitmap: u64,
+    /// Payload bytes of those bitmaps, ⌈n/64⌉ words each (globally, for the
+    /// distributed engines).
+    pub rrr_bitmap_bytes: u64,
     /// Peak resident bytes of the RRR storage on this process.
     pub rrr_bytes_peak: u64,
     /// Number of EstimateTheta martingale rounds executed.
@@ -90,6 +98,9 @@ pub struct Counters {
     /// Bytes written to the RRR spill file over the run on this process
     /// (0 for RAM-only storage backends).
     pub spill_bytes_written: u64,
+    /// Spill-file creations or writes that failed on this process; the
+    /// store then keeps its sets resident beyond `--rrr-budget`.
+    pub spill_write_failures: u64,
     /// Per-round sample budgets `θ_x` requested by the schedule.
     pub round_budgets: Vec<u64>,
     /// Per-round coverage fraction achieved by the greedy selection.
@@ -470,7 +481,9 @@ impl RunReport {
              \"select_entries_touched\":{},\"index_build_nanos\":{},\
              \"index_bytes_peak\":{},\"arena_bytes_peak\":{},\
              \"fused_passes\":{},\"mask_bytes_peak\":{},\
-             \"decode_nanos\":{},\"spill_bytes_written\":{}",
+             \"decode_nanos\":{},\"spill_bytes_written\":{},\
+             \"rrr_sets_bitmap\":{},\"rrr_bitmap_bytes\":{},\
+             \"spill_write_failures\":{}",
             c.samples_generated,
             c.edges_examined,
             c.rrr_entries,
@@ -486,7 +499,10 @@ impl RunReport {
             c.fused_passes,
             c.mask_bytes_peak,
             c.decode_nanos,
-            c.spill_bytes_written
+            c.spill_bytes_written,
+            c.rrr_sets_bitmap,
+            c.rrr_bitmap_bytes,
+            c.spill_write_failures
         );
         out.push_str(",\"round_budgets\":[");
         for (i, b) in c.round_budgets.iter().enumerate() {
@@ -581,6 +597,8 @@ impl RunReport {
         let _ = writeln!(out, "  samples generated   {}", c.samples_generated);
         let _ = writeln!(out, "  edges examined      {}", c.edges_examined);
         let _ = writeln!(out, "  rrr entries         {}", c.rrr_entries);
+        let _ = writeln!(out, "  rrr sets as bitmaps {}", c.rrr_sets_bitmap);
+        let _ = writeln!(out, "  rrr bitmap bytes    {}", c.rrr_bitmap_bytes);
         let _ = writeln!(out, "  rrr bytes (peak)    {}", c.rrr_bytes_peak);
         let _ = writeln!(out, "  theta rounds        {}", c.theta_rounds);
         let _ = writeln!(out, "  theta (final)       {}", c.theta_final);
@@ -594,6 +612,7 @@ impl RunReport {
         let _ = writeln!(out, "  mask bytes (peak)   {}", c.mask_bytes_peak);
         let _ = writeln!(out, "  decode time (ns)    {}", c.decode_nanos);
         let _ = writeln!(out, "  spill bytes written {}", c.spill_bytes_written);
+        let _ = writeln!(out, "  spill write fails   {}", c.spill_write_failures);
         let _ = writeln!(out, "  comm retries        {}", c.retries);
         let _ = writeln!(out, "  comm dropped ops    {}", c.dropped_ops);
         let _ = writeln!(out, "  degraded ranks      {}", c.degraded_ranks);

@@ -22,7 +22,7 @@
 //! identical collections — a property the cross-implementation tests rely
 //! on.
 
-use ripples_diffusion::{HyperGraph, RrrCollection, RrrStore, SampleIndex};
+use ripples_diffusion::{HyperGraph, MixedRrrCollection, RrrCollection, RrrStore, SampleIndex};
 use ripples_graph::Vertex;
 
 /// Result of a seed-selection pass.
@@ -127,6 +127,56 @@ pub fn select_seeds_sequential(collection: &RrrCollection, n: u32, k: u32) -> Se
     Selection::finish(seeds, gains, covered_count, collection.len())
 }
 
+/// What Algorithm 4 asks of a sample collection: membership, and a walk
+/// over the part of a sample that falls into one owner's vertex interval.
+trait IntervalSets: Sync {
+    /// Owners' interval bounds are multiples of this many vertices.
+    const ALIGN: usize;
+
+    fn len(&self) -> usize;
+
+    fn contains(&self, j: usize, v: Vertex) -> bool;
+
+    /// Streams the vertices of sample `j` in `[vl, vh)` (`vl` a multiple of
+    /// [`Self::ALIGN`]) to `f`.
+    fn for_each_in(&self, j: usize, vl: Vertex, vh: Vertex, f: impl FnMut(Vertex));
+}
+
+/// Sorted lists: "vl and vh can be efficiently found using binary search".
+impl IntervalSets for RrrCollection {
+    const ALIGN: usize = 1;
+
+    fn len(&self) -> usize {
+        RrrCollection::len(self)
+    }
+
+    fn contains(&self, j: usize, v: Vertex) -> bool {
+        self.get(j).binary_search(&v).is_ok()
+    }
+
+    fn for_each_in(&self, j: usize, vl: Vertex, vh: Vertex, f: impl FnMut(Vertex)) {
+        self.partition_slice(j, vl, vh).iter().copied().for_each(f);
+    }
+}
+
+/// Lists or bitmaps: an owner's interval is one word range of every bitmap,
+/// so membership is a bit test and the walk a word scan.
+impl IntervalSets for MixedRrrCollection {
+    const ALIGN: usize = 64;
+
+    fn len(&self) -> usize {
+        MixedRrrCollection::len(self)
+    }
+
+    fn contains(&self, j: usize, v: Vertex) -> bool {
+        self.set(j).contains(v)
+    }
+
+    fn for_each_in(&self, j: usize, vl: Vertex, vh: Vertex, f: impl FnMut(Vertex)) {
+        self.set(j).for_each_in(vl, vh, f);
+    }
+}
+
 /// The multithreaded engine of Algorithm 4.
 ///
 /// The vertex space is split into `p` intervals `[vl, vh)`; each interval is
@@ -142,44 +192,65 @@ pub fn select_seeds_partitioned(
     k: u32,
     partitions: usize,
 ) -> Selection {
+    select_partitioned(collection, n, k, partitions)
+}
+
+/// [`select_seeds_partitioned`] over a store that holds its dense sets as
+/// bitmaps: the same owners, counters and tie-break, with every interval
+/// aligned to 64 vertices so that an owner counts and purges its share of a
+/// bitmap set by scanning one word range, and tests membership with one
+/// bit. Returns bitwise the same [`Selection`] as
+/// [`select_seeds_sequential`] over the expanded lists.
+#[must_use]
+pub fn select_seeds_partitioned_mixed(
+    store: &MixedRrrCollection,
+    n: u32,
+    k: u32,
+    partitions: usize,
+) -> Selection {
+    select_partitioned(store, n, k, partitions)
+}
+
+/// Hands out the disjoint counter slices of the interval owners.
+fn owner_slices<'a>(counters: &'a mut [u64], bounds: &[(Vertex, Vertex)]) -> Vec<&'a mut [u64]> {
+    let mut rest = counters;
+    bounds
+        .iter()
+        .map(|&(vl, vh)| {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut((vh - vl) as usize);
+            rest = tail;
+            head
+        })
+        .collect()
+}
+
+fn select_partitioned<S: IntervalSets>(sets: &S, n: u32, k: u32, partitions: usize) -> Selection {
     let n_us = n as usize;
     let k = k.min(n);
-    let p = partitions.clamp(1, n_us.max(1));
-    // Interval bounds: vl = n·t/p, vh = n·(t+1)/p (Algorithm 4).
-    let bounds: Vec<(Vertex, Vertex)> = (0..p)
-        .map(|t| (((n_us * t) / p) as Vertex, ((n_us * (t + 1)) / p) as Vertex))
-        .collect();
+    // Interval bounds: vl = n·t/p, vh = n·(t+1)/p (Algorithm 4), in units
+    // of `S::ALIGN` vertices.
+    let units = n_us.div_ceil(S::ALIGN);
+    let p = partitions.clamp(1, units.max(1));
+    let bound = |t: usize| (S::ALIGN * (units * t / p)).min(n_us) as Vertex;
+    let bounds: Vec<(Vertex, Vertex)> = (0..p).map(|t| (bound(t), bound(t + 1))).collect();
 
     let mut counters = vec![0u64; n_us];
-    // Disjoint mutable counter slices, one per interval owner.
-    let mut slices: Vec<&mut [u64]> = Vec::with_capacity(p);
-    {
-        let mut rest: &mut [u64] = &mut counters;
-        for (t, &(vl, vh)) in bounds.iter().enumerate() {
-            let len = (vh - vl) as usize;
-            let (head, tail) = rest.split_at_mut(len);
-            slices.push(head);
-            rest = tail;
-            let _ = t;
-        }
-    }
-
     // Counting pass: each owner counts its interval across all samples,
-    // walking only the binary-searched sub-range of each sorted sample.
+    // walking only its own sub-range of each sample.
     rayon::scope(|s| {
-        for (slice, &(vl, vh)) in slices.iter_mut().zip(&bounds) {
-            let collection = &collection;
+        for (slice, &(vl, vh)) in owner_slices(&mut counters, &bounds)
+            .into_iter()
+            .zip(&bounds)
+        {
             s.spawn(move |_| {
-                for j in 0..collection.len() {
-                    for &u in collection.partition_slice(j, vl, vh) {
-                        slice[(u - vl) as usize] += 1;
-                    }
+                for j in 0..sets.len() {
+                    sets.for_each_in(j, vl, vh, |u| slice[(u - vl) as usize] += 1);
                 }
             });
         }
     });
 
-    let mut covered = vec![false; collection.len()];
+    let mut covered = vec![false; sets.len()];
     let mut selected = vec![false; n_us];
     let mut seeds = Vec::with_capacity(k as usize);
     let mut gains = Vec::with_capacity(k as usize);
@@ -204,34 +275,19 @@ pub fn select_seeds_partitioned(
         gains.push(counters[v as usize]);
         seeds.push(v);
 
-        // Re-derive the disjoint slices for the decrement pass.
-        let mut slices: Vec<&mut [u64]> = Vec::with_capacity(p);
-        {
-            let mut rest: &mut [u64] = &mut counters;
-            for &(vl, vh) in &bounds {
-                let len = (vh - vl) as usize;
-                let (head, tail) = rest.split_at_mut(len);
-                slices.push(head);
-                rest = tail;
-            }
-        }
         // Each owner independently identifies the samples containing v
-        // (binary search per alive sample) and decrements its interval.
-        // Owner 0 additionally reports which samples became covered.
+        // (one membership test per alive sample) and decrements its
+        // interval. Owner 0 additionally reports which samples became
+        // covered.
         let covered_ref = &covered;
+        let mut slices = owner_slices(&mut counters, &bounds);
         let newly: Vec<usize> = rayon::scope(|s| {
-            let (first_slice, rest_slices) = slices.split_first_mut().expect("p >= 1");
-            for (slice, &(vl, vh)) in rest_slices.iter_mut().zip(&bounds[1..]) {
-                let collection = &collection;
+            let first_slice = slices.remove(0);
+            for (slice, &(vl, vh)) in slices.into_iter().zip(&bounds[1..]) {
                 s.spawn(move |_| {
                     for (j, &cov) in covered_ref.iter().enumerate() {
-                        if cov {
-                            continue;
-                        }
-                        if collection.get(j).binary_search(&v).is_ok() {
-                            for &u in collection.partition_slice(j, vl, vh) {
-                                slice[(u - vl) as usize] -= 1;
-                            }
+                        if !cov && sets.contains(j, v) {
+                            sets.for_each_in(j, vl, vh, |u| slice[(u - vl) as usize] -= 1);
                         }
                     }
                 });
@@ -239,14 +295,9 @@ pub fn select_seeds_partitioned(
             let (vl, vh) = bounds[0];
             let mut newly = Vec::new();
             for (j, &cov) in covered_ref.iter().enumerate() {
-                if cov {
-                    continue;
-                }
-                if collection.get(j).binary_search(&v).is_ok() {
+                if !cov && sets.contains(j, v) {
                     newly.push(j);
-                    for &u in collection.partition_slice(j, vl, vh) {
-                        first_slice[(u - vl) as usize] -= 1;
-                    }
+                    sets.for_each_in(j, vl, vh, |u| first_slice[(u - vl) as usize] -= 1);
                 }
             }
             newly
@@ -256,7 +307,7 @@ pub fn select_seeds_partitioned(
             covered[j] = true;
         }
     }
-    Selection::finish(seeds, gains, covered_count, collection.len())
+    Selection::finish(seeds, gains, covered_count, sets.len())
 }
 
 /// CELF-style lazy greedy on the cover counters.
@@ -908,16 +959,18 @@ pub fn select_seeds_store_indexed<S: RrrStore>(
     })
 }
 
-/// Storage-aware engine dispatch. A flat store takes the exact
-/// [`select_with_engine`] path (same code, same bitwise guarantees); a
-/// compressed store maps each engine onto its decode-on-touch equivalent —
-/// index-driven for the index engines (`fused`/`hypergraph`, and `auto`
-/// when the [`fused_is_profitable`] cost model says the index pays
-/// for itself), direct sweeps otherwise. Every eager engine returns the
-/// same [`Selection`] for the same samples regardless of the backend; the
-/// lazy engine maps to the direct strategy on compressed stores (eager
-/// greedy — same seeds as the other eager engines, which on ties may
-/// differ from flat `lazy`'s reordering).
+/// Storage-aware engine dispatch. A flat store holding only lists takes
+/// the exact [`select_with_engine`] path (same code, same bitwise
+/// guarantees). Any other store maps each engine onto its equivalent over
+/// the [`RrrStore`] read interface — index-driven for the index engines
+/// (`fused`/`hypergraph`, and `auto` when the [`fused_is_profitable`] cost
+/// model says the index pays for itself), a scan otherwise: Algorithm 4
+/// over word ranges when the store is a flat one with bitmap sets
+/// ([`select_seeds_partitioned_mixed`]), decode-on-touch sweeps over a
+/// compressed one. Every eager engine returns the same [`Selection`] for
+/// the same samples regardless of the backend; the lazy engine maps to the
+/// scan on these stores (eager greedy — same seeds as the other eager
+/// engines, which on ties may differ from flat `lazy`'s reordering).
 #[must_use]
 pub fn select_with_engine_store<S: RrrStore>(
     engine: SelectEngine,
@@ -929,18 +982,22 @@ pub fn select_with_engine_store<S: RrrStore>(
     if let Some(flat) = store.as_flat() {
         return select_with_engine(engine, flat, n, k, partitions);
     }
-    match engine {
-        SelectEngine::Fused | SelectEngine::Hypergraph => select_seeds_store_indexed(store, n, k),
-        SelectEngine::Auto => {
-            if fused_is_profitable(store, k) {
-                select_seeds_store_indexed(store, n, k)
-            } else {
-                select_seeds_store_direct(store, n, k)
-            }
-        }
-        SelectEngine::Sequential | SelectEngine::Partitioned | SelectEngine::Lazy => {
-            select_seeds_store_direct(store, n, k)
-        }
+    let indexed = match engine {
+        SelectEngine::Fused | SelectEngine::Hypergraph => true,
+        SelectEngine::Auto => fused_is_profitable(store, k),
+        SelectEngine::Sequential | SelectEngine::Partitioned | SelectEngine::Lazy => false,
+    };
+    if indexed {
+        select_seeds_store_indexed(store, n, k)
+    } else if let Some(mixed) = store.as_mixed() {
+        // Like the list-only scan engines, reports no index and no entries
+        // touched.
+        (
+            select_seeds_partitioned_mixed(mixed, n, k, partitions),
+            SelectStats::default(),
+        )
+    } else {
+        select_seeds_store_direct(store, n, k)
     }
 }
 
@@ -1192,7 +1249,6 @@ mod tests {
         for kind in [
             RrrStoreKind::Flat,
             RrrStoreKind::Varint,
-            RrrStoreKind::Bitpack,
             RrrStoreKind::Spill,
         ] {
             let mut store = DynRrrStore::new(

@@ -24,8 +24,67 @@ fn collection_strategy() -> impl Strategy<Value = (u32, RrrCollection)> {
     })
 }
 
+/// Collections over several bitmap words that mix sets below the flat
+/// store's density rule (kept as lists) with sets far above it (kept as
+/// bitmaps).
+fn mixed_density_strategy() -> impl Strategy<Value = (u32, RrrCollection)> {
+    (65u32..400).prop_flat_map(|n| {
+        let sparse = prop::collection::btree_set(0..n, 0..(n / 32) as usize + 1);
+        let dense = prop::collection::btree_set(0..n, (n / 4) as usize..n as usize);
+        let sets = prop::collection::vec((sparse, dense, any::<bool>()), 1..24);
+        (Just(n), sets).prop_map(|(n, sets)| {
+            let mut c = RrrCollection::new();
+            for (sparse, dense, pick_dense) in sets {
+                let set = if pick_dense { dense } else { sparse };
+                c.push(&set.into_iter().collect::<Vec<u32>>());
+            }
+            (n, c)
+        })
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Selection over a flat store that holds some sets as bitmaps — by
+    /// word scan, by index, at any owner count — is the sequential greedy
+    /// over the expanded lists, for every engine.
+    #[test]
+    fn mixed_store_selects_like_the_expanded_lists(
+        (n, c) in mixed_density_strategy(),
+        k in 1u32..8,
+    ) {
+        use ripples_core::{select_with_engine_store, SelectEngine};
+        use ripples_diffusion::{DynRrrStore, RrrStore, StorageConfig};
+        let reference = select_seeds_sequential(&c, n, k);
+        let mut store = DynRrrStore::new(StorageConfig::default(), n);
+        for s in c.iter() {
+            store.push(s);
+        }
+        let dense = c.iter().filter(|s| 32 * s.len() as u64 > u64::from(n)).count() as u64;
+        prop_assert_eq!(store.as_mixed().map(|m| m.bitmap_sets()), Some(dense));
+        prop_assert_eq!(store.as_flat().is_some(), dense == 0);
+        for engine in [
+            SelectEngine::Auto,
+            SelectEngine::Sequential,
+            SelectEngine::Partitioned,
+            SelectEngine::Lazy,
+            SelectEngine::Hypergraph,
+            SelectEngine::Fused,
+        ] {
+            // Lazy over plain lists may reorder ties; it is exact otherwise.
+            if engine == SelectEngine::Lazy && dense == 0 {
+                continue;
+            }
+            for partitions in [1usize, 2, 3, 64] {
+                let (sel, _) = select_with_engine_store(engine, &store, n, k, partitions);
+                prop_assert_eq!(
+                    &sel, &reference,
+                    "engine {:?} with {} owners diverged", engine, partitions
+                );
+            }
+        }
+    }
 
     /// All selection engines agree on the greedy outcome for any collection.
     #[test]
@@ -78,7 +137,7 @@ proptest! {
         use ripples_core::{select_with_engine_store, SelectEngine};
         use ripples_diffusion::{DynRrrStore, RrrStore, RrrStoreKind, StorageConfig};
         let reference = select_seeds_sequential(&c, n, k);
-        for kind in [RrrStoreKind::Flat, RrrStoreKind::Varint, RrrStoreKind::Bitpack, RrrStoreKind::Spill] {
+        for kind in [RrrStoreKind::Flat, RrrStoreKind::Varint, RrrStoreKind::Spill] {
             let budget = (kind == RrrStoreKind::Spill).then_some(2048);
             let mut store = DynRrrStore::new(StorageConfig { kind, budget }, n);
             for s in c.iter() {

@@ -17,7 +17,8 @@
 //! decode-on-touch over compressed blocks without ever materializing the
 //! flat layout.
 
-use crate::rrr::{RrrCollection, SampleArena};
+use crate::mixed::{BitmapIter, RrrSetRef, SampleArena};
+use crate::rrr::RrrCollection;
 use crate::store::RrrStore;
 use ripples_graph::Vertex;
 
@@ -81,31 +82,50 @@ pub(crate) fn varint_len(x: u32) -> usize {
     }
 }
 
-/// Exact encoded byte length of a sorted, deduplicated sample under the
+/// Exact encoded byte length of a strictly ascending sample under the
 /// delta-varint block layout of [`encode_sample`].
 #[inline]
-pub(crate) fn encoded_len(vertices: &[Vertex]) -> usize {
+fn encoded_len(vertices: impl Iterator<Item = Vertex>) -> usize {
     let mut len = 0;
     let mut prev: Vertex = 0;
-    for (idx, &v) in vertices.iter().enumerate() {
+    for (idx, v) in vertices.enumerate() {
         len += varint_len(if idx == 0 { v } else { v - prev - 1 });
         prev = v;
     }
     len
 }
 
-/// Appends a sorted, deduplicated sample as one delta-varint block (first
+/// Appends a strictly ascending sample as one delta-varint block (first
 /// id absolute, then gap-1 deltas) — shared by every compressed backend.
 #[inline]
-pub(crate) fn encode_sample(data: &mut Vec<u8>, vertices: &[Vertex]) {
+pub(crate) fn encode_sample(data: &mut Vec<u8>, vertices: impl Iterator<Item = Vertex>) {
     let mut prev: Vertex = 0;
-    for (idx, &v) in vertices.iter().enumerate() {
+    for (idx, v) in vertices.enumerate() {
         if idx == 0 {
             push_varint(data, v);
         } else {
             push_varint(data, v - prev - 1);
         }
         prev = v;
+    }
+}
+
+/// [`encode_sample`] of an arena set in either form: a list encodes from
+/// its slice, a bitmap straight from the word scan.
+#[inline]
+pub(crate) fn encode_set(data: &mut Vec<u8>, set: RrrSetRef<'_>) {
+    match set {
+        RrrSetRef::List(list) => encode_sample(data, list.iter().copied()),
+        RrrSetRef::Bitmap { words, .. } => encode_sample(data, BitmapIter::new(words)),
+    }
+}
+
+/// [`encoded_len`] of an arena set in either form.
+#[inline]
+fn encoded_set_len(set: RrrSetRef<'_>) -> usize {
+    match set {
+        RrrSetRef::List(list) => encoded_len(list.iter().copied()),
+        RrrSetRef::Bitmap { words, .. } => encoded_len(BitmapIter::new(words)),
     }
 }
 
@@ -165,14 +185,14 @@ impl CompressedRrrCollection {
     /// layout stays bitwise-convertible to the flat reference.
     pub fn push(&mut self, vertices: &[Vertex]) {
         if vertices.windows(2).all(|w| w[0] < w[1]) {
-            encode_sample(&mut self.data, vertices);
+            encode_sample(&mut self.data, vertices.iter().copied());
             self.counts.push(vertices.len() as u32);
         } else {
             self.unsorted_pushes += 1;
             let mut repaired = vertices.to_vec();
             repaired.sort_unstable();
             repaired.dedup();
-            encode_sample(&mut self.data, &repaired);
+            encode_sample(&mut self.data, repaired.iter().copied());
             self.counts.push(repaired.len() as u32);
         }
         self.offsets.push(self.data.len());
@@ -183,7 +203,8 @@ impl CompressedRrrCollection {
     /// store filled through the parallel sampling path decodes bitwise
     /// identical to the flat reference. Arena content is already validated
     /// sorted by [`SampleArena::append_with`]; repairs that happened inside
-    /// the arenas carry over into `unsorted_pushes`.
+    /// the arenas carry over into `unsorted_pushes`. A set the arena holds
+    /// as a bitmap is encoded from the word scan, never through a list.
     pub fn append_arenas(&mut self, arenas: &[SampleArena]) {
         let new_samples: usize = arenas.iter().map(SampleArena::len).sum();
         // A measuring pre-pass buys exact `reserve_exact` calls: amortized
@@ -192,19 +213,18 @@ impl CompressedRrrCollection {
         // here would show up as phantom peak bytes.
         let new_bytes: usize = arenas
             .iter()
-            .flat_map(|a| (0..a.len()).map(|i| encoded_len(a.get(i))))
+            .flat_map(|a| a.iter().map(encoded_set_len))
             .sum();
         self.counts.reserve_exact(new_samples);
         self.offsets.reserve_exact(new_samples);
         self.data.reserve_exact(new_bytes);
         for arena in arenas {
-            for i in 0..arena.len() {
-                let set = arena.get(i);
-                encode_sample(&mut self.data, set);
+            for set in arena.iter() {
+                encode_set(&mut self.data, set);
                 self.counts.push(set.len() as u32);
                 self.offsets.push(self.data.len());
             }
-            self.unsorted_pushes += arena.unsorted_repairs();
+            self.unsorted_pushes += arena.unsorted_pushes();
         }
     }
 
@@ -808,7 +828,7 @@ mod tests {
 
     #[test]
     fn append_arenas_matches_pushes() {
-        let mut a0 = SampleArena::with_capacity(2);
+        let mut a0 = SampleArena::with_capacity(1000, 2);
         a0.append_with(|buf| {
             buf.extend_from_slice(&[1, 3, 5]);
             0
@@ -817,7 +837,7 @@ mod tests {
             buf.extend_from_slice(&[2]);
             0
         });
-        let mut a1 = SampleArena::default();
+        let mut a1 = SampleArena::new(1000);
         a1.append_with(|_| 0);
         a1.append_with(|buf| {
             buf.extend_from_slice(&[0, 4]);

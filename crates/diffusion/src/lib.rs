@@ -16,7 +16,10 @@
 //! Storage of the sample collection comes in the two layouts Table 2
 //! compares: the compact one-direction [`rrr::RrrCollection`] (the paper's
 //! IMMOPT) and the two-direction inverted-index [`hypergraph::HyperGraph`]
-//! (Tang et al.'s original layout, kept as the measured baseline).
+//! (Tang et al.'s original layout, kept as the measured baseline). The
+//! engines hold it behind [`store::RrrStore`]; the default backend
+//! ([`mixed::MixedRrrCollection`]) is the compact layout with sets above
+//! n/32 vertices kept as bitmaps.
 
 #![warn(missing_docs)]
 
@@ -24,6 +27,7 @@ pub mod compressed;
 pub mod forward;
 pub mod fused;
 pub mod hypergraph;
+pub mod mixed;
 pub mod model;
 pub mod partitioned;
 pub mod rrr;
@@ -35,13 +39,12 @@ pub use compressed::{CompressedRrrCollection, CompressedSampleIndex, Incremental
 pub use forward::{estimate_spread, simulate_cascade, spread_samples, CascadeOutcome};
 pub use fused::{sample_batch_fused, FUSED_LANES};
 pub use hypergraph::{HyperGraph, SampleIndex};
+pub use mixed::{MixedRrrCollection, RrrSetRef, SampleArena};
 pub use model::DiffusionModel;
 pub use partitioned::GraphPartition;
-pub use rrr::{generate_rrr, generate_rrr_into, RrrCollection, RrrScratch, SampleArena};
+pub use rrr::{generate_rrr, generate_rrr_into, RrrCollection, RrrScratch};
 pub use sampler::{
     ensure_lt_normalized, sample_batch, sample_batch_sequential, sample_root_of, BatchOutcome,
 };
 pub use sketches::ReachabilitySketches;
-pub use store::{
-    BitpackedRrrCollection, DynRrrStore, RrrStore, RrrStoreKind, SpillRrrStore, StorageConfig,
-};
+pub use store::{DynRrrStore, RrrStore, RrrStoreKind, SpillRrrStore, StorageConfig};

@@ -1,6 +1,7 @@
 //! Random reverse-reachable (RRR) set generation — Algorithm 3's
 //! `GenerateRR` — and the compact one-direction sample collection.
 
+use crate::mixed::SampleArena;
 use crate::model::DiffusionModel;
 use ripples_graph::{Graph, Vertex};
 use ripples_rng::RandomSource;
@@ -156,100 +157,6 @@ pub fn generate_rrr_into<R: RandomSource>(
     edges_examined
 }
 
-/// A worker-local flat `(data, offsets)` sample arena filled during one
-/// parallel sampling chunk and merged into an [`RrrCollection`] afterwards
-/// by [`RrrCollection::append_arenas`]. Appending a sample costs amortized
-/// O(len) with zero per-sample heap allocations.
-#[derive(Clone, Debug)]
-pub struct SampleArena {
-    data: Vec<Vertex>,
-    /// Per-sample end offsets into `data` (`offsets[0] == 0`).
-    offsets: Vec<usize>,
-    unsorted: u64,
-}
-
-impl Default for SampleArena {
-    fn default() -> Self {
-        Self::with_capacity(0)
-    }
-}
-
-impl SampleArena {
-    /// Creates an empty arena with room for `samples` offset slots.
-    #[must_use]
-    pub fn with_capacity(samples: usize) -> Self {
-        let mut offsets = Vec::with_capacity(samples + 1);
-        offsets.push(0);
-        Self {
-            data: Vec::new(),
-            offsets,
-            unsorted: 0,
-        }
-    }
-
-    /// Appends one sample produced by `fill`, which writes the sample's
-    /// vertices onto the arena tail (e.g. [`generate_rrr_into`]) and returns
-    /// its work count. Enforces the same sorted/deduped contract as
-    /// [`RrrCollection::push`]: the appended range is validated, repaired if
-    /// violating, and counted.
-    pub fn append_with<F>(&mut self, fill: F) -> u64
-    where
-        F: FnOnce(&mut Vec<Vertex>) -> u64,
-    {
-        let start = self.data.len();
-        let work = fill(&mut self.data);
-        let tail = &mut self.data[start..];
-        if !tail.windows(2).all(|w| w[0] < w[1]) {
-            self.unsorted += 1;
-            tail.sort_unstable();
-            let mut repaired = self.data.split_off(start);
-            repaired.dedup();
-            self.data.append(&mut repaired);
-        }
-        self.offsets.push(self.data.len());
-        work
-    }
-
-    /// Number of samples in the arena.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// True when no samples are stored.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total vertex entries across all samples.
-    #[must_use]
-    pub fn total_entries(&self) -> usize {
-        self.data.len()
-    }
-
-    /// The `i`-th sample's sorted vertex list.
-    #[must_use]
-    pub fn get(&self, i: usize) -> &[Vertex] {
-        &self.data[self.offsets[i]..self.offsets[i + 1]]
-    }
-
-    /// Reserved bytes of the arena's backing buffers.
-    #[must_use]
-    pub fn reserved_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.offsets.capacity() * size_of::<usize>() + self.data.capacity() * size_of::<Vertex>()
-    }
-
-    /// Samples that arrived unsorted and were repaired by
-    /// [`SampleArena::append_with`] — merged into the destination store's
-    /// `unsorted_pushes` diagnostic when arenas are appended.
-    #[must_use]
-    pub fn unsorted_repairs(&self) -> u64 {
-        self.unsorted
-    }
-}
-
 /// The compact one-direction RRR storage of the paper's optimized serial
 /// implementation (IMMOPT): a flattened arena of sorted vertex lists.
 ///
@@ -278,8 +185,16 @@ impl RrrCollection {
     /// Creates an empty collection.
     #[must_use]
     pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// Creates an empty collection with room for `samples` offset slots.
+    #[must_use]
+    pub fn with_capacity(samples: usize) -> Self {
+        let mut offsets = Vec::with_capacity(samples + 1);
+        offsets.push(0);
         Self {
-            offsets: vec![0],
+            offsets,
             data: Vec::new(),
             unsorted_pushes: 0,
         }
@@ -323,6 +238,46 @@ impl RrrCollection {
             self.data.extend_from_slice(&repaired);
         }
         self.offsets.push(self.data.len());
+    }
+
+    /// Appends one sample produced by `fill`, which writes the sample's
+    /// vertices onto the arena tail (e.g. [`generate_rrr_into`]) and returns
+    /// its work count — [`RrrCollection::push`] without the intermediate
+    /// slice. Enforces the same contract: the appended range is validated,
+    /// repaired if violating, and counted.
+    pub(crate) fn append_with<F>(&mut self, fill: F) -> u64
+    where
+        F: FnOnce(&mut Vec<Vertex>) -> u64,
+    {
+        let start = self.data.len();
+        let work = fill(&mut self.data);
+        let tail = &mut self.data[start..];
+        if !tail.windows(2).all(|w| w[0] < w[1]) {
+            self.unsorted_pushes += 1;
+            tail.sort_unstable();
+            let mut repaired = self.data.split_off(start);
+            repaired.dedup();
+            self.data.append(&mut repaired);
+        }
+        self.offsets.push(self.data.len());
+        work
+    }
+
+    /// Removes the newest sample; its arena space is reused by the next.
+    pub(crate) fn truncate_last(&mut self) {
+        self.offsets.pop();
+        self.data
+            .truncate(*self.offsets.last().expect("offsets never empty"));
+    }
+
+    /// Appends every sample of `other` (a serial copy; the parallel path is
+    /// [`RrrCollection::append_arenas`]).
+    pub(crate) fn extend_from(&mut self, other: &RrrCollection) {
+        let base = self.data.len();
+        self.data.extend_from_slice(&other.data);
+        self.offsets
+            .extend(other.offsets[1..].iter().map(|&end| base + end));
+        self.unsorted_pushes += other.unsorted_pushes;
     }
 
     /// Number of pushed samples that violated the sorted/deduped contract
@@ -415,18 +370,20 @@ impl RrrCollection {
     /// [`RrrCollection::push`]ing every sample in the same order would:
     /// callers partition a batch into per-worker arenas in index order, so
     /// the merged collection stays bitwise identical to sequential
-    /// generation.
+    /// generation. This is the list-only type, so a set an arena holds as a
+    /// bitmap is expanded to its sorted list here.
     pub fn append_arenas(&mut self, arenas: &[SampleArena]) {
         let base_data = self.data.len();
         let base_offset_slots = self.offsets.len();
-        let new_entries: usize = arenas.iter().map(SampleArena::total_entries).sum();
+        let entries = |a: &SampleArena| a.total_entries() as usize;
+        let new_entries: usize = arenas.iter().map(entries).sum();
         let new_samples: usize = arenas.iter().map(SampleArena::len).sum();
         // Destination start of each arena's data block.
         let data_starts: Vec<usize> = arenas
             .iter()
             .scan(base_data, |acc, a| {
                 let start = *acc;
-                *acc += a.total_entries();
+                *acc += entries(a);
                 Some(start)
             })
             .collect();
@@ -439,19 +396,14 @@ impl RrrCollection {
         let mut offsets_rest = &mut self.offsets[base_offset_slots..];
         rayon::scope(|s| {
             for (arena, &data_start) in arenas.iter().zip(&data_starts) {
-                let (data_dst, dr) = data_rest.split_at_mut(arena.total_entries());
+                let (data_dst, dr) = data_rest.split_at_mut(entries(arena));
                 data_rest = dr;
                 let (offsets_dst, or) = offsets_rest.split_at_mut(arena.len());
                 offsets_rest = or;
-                s.spawn(move |_| {
-                    data_dst.copy_from_slice(&arena.data);
-                    for (slot, &end) in offsets_dst.iter_mut().zip(&arena.offsets[1..]) {
-                        *slot = data_start + end;
-                    }
-                });
+                s.spawn(move |_| arena.expand_into(data_dst, offsets_dst, data_start));
             }
         });
-        self.unsorted_pushes += arenas.iter().map(|a| a.unsorted).sum::<u64>();
+        self.unsorted_pushes += arenas.iter().map(SampleArena::unsorted_pushes).sum::<u64>();
     }
 
     /// The slice of sample `i` restricted to the vertex interval
@@ -460,11 +412,16 @@ impl RrrCollection {
     /// search").
     #[must_use]
     pub fn partition_slice(&self, i: usize, vl: Vertex, vh: Vertex) -> &[Vertex] {
-        let set = self.get(i);
-        let lo = set.partition_point(|&x| x < vl);
-        let hi = set.partition_point(|&x| x < vh);
-        &set[lo..hi]
+        interval_of(self.get(i), vl, vh)
     }
+}
+
+/// The part of a sorted set inside the vertex interval `[vl, vh)`.
+#[inline]
+pub(crate) fn interval_of(set: &[Vertex], vl: Vertex, vh: Vertex) -> &[Vertex] {
+    let lo = set.partition_point(|&x| x < vl);
+    let hi = set.partition_point(|&x| x < vh);
+    &set[lo..hi]
 }
 
 impl FromIterator<Vec<Vertex>> for RrrCollection {
@@ -480,6 +437,7 @@ impl FromIterator<Vec<Vertex>> for RrrCollection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mixed::RrrSetRef;
     use ripples_graph::GraphBuilder;
     use ripples_rng::SplitMix64;
 
@@ -750,7 +708,7 @@ mod tests {
 
     #[test]
     fn arena_merge_matches_pushes() {
-        let mut a0 = SampleArena::with_capacity(2);
+        let mut a0 = SampleArena::with_capacity(1000, 2);
         a0.append_with(|buf| {
             buf.extend_from_slice(&[1, 3, 5]);
             7
@@ -759,7 +717,7 @@ mod tests {
             buf.extend_from_slice(&[2]);
             1
         });
-        let mut a1 = SampleArena::default();
+        let mut a1 = SampleArena::new(1000);
         a1.append_with(|_| 0); // empty sample
         a1.append_with(|buf| {
             buf.extend_from_slice(&[0, 4]);
@@ -767,9 +725,9 @@ mod tests {
         });
         assert_eq!(a0.len(), 2);
         assert_eq!(a0.total_entries(), 4);
-        assert_eq!(a0.get(0), &[1, 3, 5]);
-        assert!(a1.get(0).is_empty());
-        assert!(a0.reserved_bytes() > 0);
+        assert!(matches!(a0.set(0), RrrSetRef::List([1, 3, 5])));
+        assert!(a1.set(0).is_empty());
+        assert!(a0.resident_bytes() > 0);
 
         let mut merged = RrrCollection::new();
         merged.push(&[9]); // pre-existing content must survive the merge
@@ -784,12 +742,12 @@ mod tests {
 
     #[test]
     fn arena_repairs_and_counts_unsorted_samples() {
-        let mut a = SampleArena::default();
+        let mut a = SampleArena::new(1000);
         a.append_with(|buf| {
             buf.extend_from_slice(&[5, 1, 3, 3]);
             0
         });
-        assert_eq!(a.get(0), &[1, 3, 5]);
+        assert!(matches!(a.set(0), RrrSetRef::List([1, 3, 5])));
         let mut c = RrrCollection::new();
         c.append_arenas(&[a]);
         assert_eq!(c.unsorted_pushes(), 1);

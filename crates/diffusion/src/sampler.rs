@@ -6,8 +6,9 @@
 //! identical across thread counts, rank counts, and partitions, which is
 //! what lets the test suite assert sequential ≡ multithreaded ≡ distributed.
 
+use crate::mixed::SampleArena;
 use crate::model::DiffusionModel;
-use crate::rrr::{generate_rrr, generate_rrr_into, RrrScratch, SampleArena};
+use crate::rrr::{generate_rrr, generate_rrr_into, RrrScratch};
 use crate::store::RrrStore;
 use rayon::prelude::*;
 use ripples_graph::{Graph, Vertex};
@@ -169,7 +170,7 @@ pub fn sample_batch<S: RrrStore>(
                 let lo = count * chunk / nchunks;
                 let hi = count * (chunk + 1) / nchunks;
                 let t0 = (hi > lo && ripples_trace::enabled()).then(std::time::Instant::now);
-                let mut arena = SampleArena::with_capacity(hi - lo);
+                let mut arena = SampleArena::with_capacity(graph.num_vertices(), hi - lo);
                 let mut works = Vec::with_capacity(hi - lo);
                 for offset in lo..hi {
                     let index = first_index + offset as u64;
@@ -191,7 +192,7 @@ pub fn sample_batch<S: RrrStore>(
             },
         )
         .collect();
-    let arena_bytes: usize = chunks.iter().map(|(a, _)| a.reserved_bytes()).sum();
+    let arena_bytes: usize = chunks.iter().map(|(a, _)| a.resident_bytes()).sum();
     if ripples_metrics::enabled() {
         ripples_metrics::set_max(ripples_metrics::Metric::ArenaBytes, arena_bytes as u64);
     }

@@ -6,29 +6,29 @@
 //! sketches are delta-coded. This module makes the storage layout a
 //! first-class choice:
 //!
-//! * [`RrrCollection`] — the flat reference layout (`--rrr-store flat`).
-//!   Selection engines binary-search its slices directly; bitwise baseline
-//!   for every other backend.
+//! * [`MixedRrrCollection`] — `--rrr-store flat`: uncompressed and directly
+//!   addressable. Each set is a sorted `u32` list, or an n-bit bitmap once
+//!   it spans more than n/32 vertices ([`crate::mixed::bitmap_is_smaller`]).
+//!   While no set is that dense the store is exactly the paper's
+//!   [`RrrCollection`] and the slice selection engines binary-search it
+//!   directly; the bitwise baseline for every other backend.
 //! * [`CompressedRrrCollection`] — LEB128 delta-varint blocks
-//!   (`--rrr-store varint`), typically 2–4× smaller.
-//! * [`BitpackedRrrCollection`] — fixed-width bitpacking at
-//!   `⌈log₂ n⌉` bits per id (`--rrr-store bitpack`); wins when ids are
-//!   uniform over a small universe where varint's byte granularity wastes
-//!   bits.
+//!   (`--rrr-store varint`), typically 2–4× smaller on sparse sets.
 //! * [`SpillRrrStore`] — varint blocks sealed into chunks, with sealed
 //!   chunks beyond a `--rrr-budget` byte cap written to a temp spill file
 //!   and streamed back on touch (`--rrr-store spill`), so θ beyond RAM
 //!   completes instead of OOMing.
 //!
-//! All backends fill through the same two paths the flat collection uses —
-//! per-sample [`RrrStore::push`] and the [`SampleArena`] merge of the
-//! parallel samplers — in the same sample order, so every backend decodes
-//! bitwise identical to the flat reference and the cross-engine equality
+//! All backends fill through the same two paths — per-sample
+//! [`RrrStore::push`] and the [`SampleArena`] merge of the parallel
+//! samplers — in the same sample order, so every backend decodes bitwise
+//! identical to the list reference and the cross-engine equality
 //! invariants (PR 3/5) extend across storage layouts. The differential
 //! oracle's `storage-equivalence` check enforces exactly that.
 
-use crate::compressed::{decode_sample, encode_sample, read_varint, IncrementalSampleIndex};
-use crate::rrr::{RrrCollection, SampleArena};
+use crate::compressed::{decode_sample, encode_set, read_varint, IncrementalSampleIndex};
+use crate::mixed::{MixedRrrCollection, RrrSetRef, SampleArena};
+use crate::rrr::RrrCollection;
 use crate::CompressedRrrCollection;
 use ripples_graph::Vertex;
 use std::cell::RefCell;
@@ -86,14 +86,28 @@ pub trait RrrStore {
 
     /// The flat reference collection, when this store is one — selection
     /// dispatch uses it to keep the slice-based engines (and their bitwise
-    /// guarantees) on the fast path.
+    /// guarantees) on the fast path. A flat-kind store answers `Some` only
+    /// while it holds no bitmap set.
     fn as_flat(&self) -> Option<&RrrCollection> {
+        None
+    }
+
+    /// The list-or-bitmap collection behind a flat-kind store, whether or
+    /// not it currently holds a bitmap — what the word-scan selection
+    /// engine and the bitmap counters read.
+    fn as_mixed(&self) -> Option<&MixedRrrCollection> {
         None
     }
 
     /// Total bytes written to a spill file over the store's lifetime
     /// (0 for RAM-only backends).
     fn spill_bytes_written(&self) -> u64 {
+        0
+    }
+
+    /// Spill-file creations or writes that failed; the store kept the data
+    /// resident instead (0 for RAM-only backends).
+    fn spill_write_failures(&self) -> u64 {
         0
     }
 
@@ -125,25 +139,23 @@ pub trait RrrStore {
 /// The available storage backends (`--rrr-store`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RrrStoreKind {
-    /// Flat reference layout ([`RrrCollection`]).
+    /// Uncompressed, directly addressable: sorted lists, or bitmaps for
+    /// sets above n/32 vertices ([`MixedRrrCollection`]).
     Flat,
     /// Delta-varint blocks ([`CompressedRrrCollection`]).
     Varint,
-    /// Fixed-width bitpacking ([`BitpackedRrrCollection`]).
-    Bitpack,
     /// Varint chunks with spill-to-disk beyond a byte budget
     /// ([`SpillRrrStore`]).
     Spill,
 }
 
 impl RrrStoreKind {
-    /// Parses a CLI tag (`--rrr-store flat|varint|bitpack|spill`).
+    /// Parses a CLI tag (`--rrr-store flat|varint|spill`).
     #[must_use]
     pub fn from_tag(tag: &str) -> Option<Self> {
         match tag {
             "flat" => Some(Self::Flat),
             "varint" => Some(Self::Varint),
-            "bitpack" => Some(Self::Bitpack),
             "spill" => Some(Self::Spill),
             _ => None,
         }
@@ -155,7 +167,6 @@ impl RrrStoreKind {
         match self {
             Self::Flat => "flat",
             Self::Varint => "varint",
-            Self::Bitpack => "bitpack",
             Self::Spill => "spill",
         }
     }
@@ -287,200 +298,61 @@ impl RrrStore for CompressedRrrCollection {
     }
 }
 
-/// Fixed-width bitpacked RRR storage: every vertex id occupies exactly
-/// `⌈log₂ n⌉` bits. Compared to varint's byte granularity this wins on
-/// small universes with near-uniform ids (where most gaps still need a
-/// whole byte) and loses on skewed, clustered sets (where gap-1 deltas fit
-/// a few bits' worth of byte). Random access per sample stays O(1) to the
-/// sample start; decoding is a linear bit-read.
-#[derive(Clone, Debug)]
-pub struct BitpackedRrrCollection {
-    /// Bits per stored id; `1..=32`.
-    width: u32,
-    /// Per-sample end offsets in *ids* (`offsets[0] == 0`).
-    offsets: Vec<u64>,
-    /// The packed bit buffer.
-    words: Vec<u64>,
-    unsorted_pushes: u64,
-}
-
-impl BitpackedRrrCollection {
-    /// Creates an empty collection for vertex ids `< num_vertices`.
-    #[must_use]
-    pub fn new(num_vertices: u32) -> Self {
-        let width = match num_vertices {
-            0 | 1 => 1,
-            n => 32 - (n - 1).leading_zeros(),
-        };
-        Self {
-            width,
-            offsets: vec![0],
-            words: Vec::new(),
-            unsorted_pushes: 0,
-        }
-    }
-
-    /// Bits per stored vertex id.
-    #[must_use]
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
-    #[inline]
-    fn mask(&self) -> u64 {
-        if self.width == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.width) - 1
-        }
-    }
-
-    #[inline]
-    fn write_id(&mut self, slot: u64, v: u32) {
-        let bit = slot * u64::from(self.width);
-        let word = (bit / 64) as usize;
-        let shift = bit % 64;
-        let need_words = (bit + u64::from(self.width)).div_ceil(64) as usize;
-        if self.words.len() < need_words {
-            self.words.resize(need_words, 0);
-        }
-        self.words[word] |= u64::from(v) << shift;
-        if shift + u64::from(self.width) > 64 {
-            self.words[word + 1] |= u64::from(v) >> (64 - shift);
-        }
-    }
-
-    #[inline]
-    fn read_id(&self, slot: u64) -> u32 {
-        let bit = slot * u64::from(self.width);
-        let word = (bit / 64) as usize;
-        let shift = bit % 64;
-        let mut v = self.words[word] >> shift;
-        if shift + u64::from(self.width) > 64 {
-            v |= self.words[word + 1] << (64 - shift);
-        }
-        (v & self.mask()) as u32
-    }
-
-    fn push_sorted(&mut self, vertices: &[Vertex]) {
-        let start = *self.offsets.last().expect("offsets never empty");
-        for (i, &v) in vertices.iter().enumerate() {
-            debug_assert!(
-                u64::from(v) <= self.mask(),
-                "vertex {v} exceeds the {}-bit universe",
-                self.width
-            );
-            self.write_id(start + i as u64, v);
-        }
-        self.offsets.push(start + vertices.len() as u64);
-    }
-
-    /// Appends a sample under the always-on sorted/repair contract.
-    pub fn push(&mut self, vertices: &[Vertex]) {
-        if vertices.windows(2).all(|w| w[0] < w[1]) {
-            self.push_sorted(vertices);
-        } else {
-            self.unsorted_pushes += 1;
-            let mut repaired = vertices.to_vec();
-            repaired.sort_unstable();
-            repaired.dedup();
-            self.push_sorted(&repaired);
-        }
-    }
-
-    /// Number of samples stored.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// True when empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Vertex count of sample `i`.
-    #[must_use]
-    pub fn sample_len(&self, i: usize) -> usize {
-        (self.offsets[i + 1] - self.offsets[i]) as usize
-    }
-}
-
-impl RrrStore for BitpackedRrrCollection {
+impl RrrStore for MixedRrrCollection {
     fn push(&mut self, vertices: &[Vertex]) {
-        BitpackedRrrCollection::push(self, vertices);
+        MixedRrrCollection::push(self, vertices);
     }
 
     fn append_arenas(&mut self, arenas: &[SampleArena]) {
-        let new_samples: usize = arenas.iter().map(SampleArena::len).sum();
-        let new_entries: usize = arenas.iter().map(SampleArena::total_entries).sum();
-        // `reserve_exact`: these sizes are exact, and `resident_bytes`
-        // reports capacity — amortized doubling would inflate the peak.
-        self.offsets.reserve_exact(new_samples);
-        let end_ids = *self.offsets.last().expect("offsets never empty") + new_entries as u64;
-        self.words.reserve_exact(
-            (end_ids * u64::from(self.width)).div_ceil(64) as usize - self.words.len(),
-        );
-        for arena in arenas {
-            for i in 0..arena.len() {
-                // Arena content is validated sorted by append_with.
-                self.push_sorted(arena.get(i));
-            }
-            self.unsorted_pushes += arena.unsorted_repairs();
-        }
+        MixedRrrCollection::append_arenas(self, arenas);
     }
 
     fn len(&self) -> usize {
-        BitpackedRrrCollection::len(self)
+        MixedRrrCollection::len(self)
     }
 
     fn total_entries(&self) -> u64 {
-        *self.offsets.last().expect("offsets never empty")
+        MixedRrrCollection::total_entries(self)
     }
 
     fn sample_len(&self, i: usize) -> usize {
-        BitpackedRrrCollection::sample_len(self, i)
+        self.set(i).len()
     }
 
     fn decode_into(&self, i: usize, out: &mut Vec<Vertex>) {
         out.clear();
-        for slot in self.offsets[i]..self.offsets[i + 1] {
-            out.push(self.read_id(slot));
+        match self.set(i) {
+            RrrSetRef::List(list) => out.extend_from_slice(list),
+            set => set.for_each(|v| out.push(v)),
         }
     }
 
-    fn for_each_vertex<F: FnMut(Vertex)>(&self, i: usize, mut f: F) {
-        for slot in self.offsets[i]..self.offsets[i + 1] {
-            f(self.read_id(slot));
-        }
+    fn for_each_vertex<F: FnMut(Vertex)>(&self, i: usize, f: F) {
+        self.set(i).for_each(f);
     }
 
     fn contains(&self, i: usize, v: Vertex) -> bool {
-        // Ids are sorted, so binary search over the fixed-width slots.
-        let (mut lo, mut hi) = (self.offsets[i], self.offsets[i + 1]);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match self.read_id(mid).cmp(&v) {
-                std::cmp::Ordering::Equal => return true,
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-            }
-        }
-        false
+        self.set(i).contains(v)
     }
 
     fn resident_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.offsets.capacity() * size_of::<u64>() + self.words.capacity() * size_of::<u64>()
+        MixedRrrCollection::resident_bytes(self)
     }
 
     fn unsorted_pushes(&self) -> u64 {
-        self.unsorted_pushes
+        MixedRrrCollection::unsorted_pushes(self)
+    }
+
+    fn as_flat(&self) -> Option<&RrrCollection> {
+        self.as_lists()
+    }
+
+    fn as_mixed(&self) -> Option<&MixedRrrCollection> {
+        Some(self)
     }
 
     fn kind(&self) -> RrrStoreKind {
-        RrrStoreKind::Bitpack
+        RrrStoreKind::Flat
     }
 }
 
@@ -526,6 +398,14 @@ impl Chunk {
 /// per-seed touches in ascending sample order — load each spilled chunk a
 /// bounded number of times per pass, so a budget-bound run completes with
 /// streaming reads instead of OOMing.
+///
+/// A spill file that cannot be created or written (`TMPDIR` missing,
+/// read-only or full) degrades the store instead of ending the run: the
+/// chunk stays resident, spilling stops, one warning goes to stderr and
+/// [`RrrStore::spill_write_failures`] counts it — the run completes over
+/// budget with the same samples. Reading a chunk back is different: once
+/// the only copy of a chunk is on disk, a vanished or truncated spill file
+/// is not recoverable, and that read panics naming the file.
 #[derive(Debug)]
 pub struct SpillRrrStore {
     budget: usize,
@@ -541,6 +421,8 @@ pub struct SpillRrrStore {
     path: PathBuf,
     file_len: u64,
     spill_bytes_written: u64,
+    /// Failed spill-file creations or writes; nonzero stops spilling.
+    spill_write_failures: u64,
     total_entries: u64,
     unsorted_pushes: u64,
     /// `(chunk index, payload)` of the most recently loaded spilled chunk.
@@ -572,6 +454,7 @@ impl SpillRrrStore {
             path,
             file_len: 0,
             spill_bytes_written: 0,
+            spill_write_failures: 0,
             total_entries: 0,
             unsorted_pushes: 0,
             cache: RefCell::new(None),
@@ -593,11 +476,12 @@ impl SpillRrrStore {
             .count()
     }
 
-    fn push_sorted(&mut self, vertices: &[Vertex]) {
-        encode_sample(&mut self.open_data, vertices);
-        self.open_counts.push(vertices.len() as u32);
+    /// Appends one strictly ascending set, in either arena form.
+    fn push_set(&mut self, set: RrrSetRef<'_>) {
+        encode_set(&mut self.open_data, set);
+        self.open_counts.push(set.len() as u32);
         self.open_ends.push(self.open_data.len() as u32);
-        self.total_entries += vertices.len() as u64;
+        self.total_entries += set.len() as u64;
         if self.open_data.len() >= self.chunk_target {
             self.seal_open();
         }
@@ -619,7 +503,7 @@ impl SpillRrrStore {
     }
 
     fn enforce_budget(&mut self) {
-        if RrrStore::resident_bytes(self) <= self.budget {
+        if self.spill_write_failures > 0 || RrrStore::resident_bytes(self) <= self.budget {
             return;
         }
         // Oldest sealed RAM chunks spill first: selection touches samples
@@ -629,34 +513,24 @@ impl SpillRrrStore {
             if RrrStore::resident_bytes(self) <= self.budget {
                 break;
             }
-            if !matches!(self.chunks[idx].payload, ChunkPayload::Ram(_)) {
+            let ChunkPayload::Ram(bytes) = &self.chunks[idx].payload else {
                 continue;
+            };
+            let (offset, len) = (self.file_len, bytes.len());
+            if let Err(e) = write_chunk(&mut self.file, &self.path, offset, bytes) {
+                // The chunk is still resident, and nothing refers to what a
+                // partial write may have left past `file_len`.
+                self.spill_write_failures += 1;
+                eprintln!(
+                    "warning: cannot write spill file {:?}: {e}; \
+                     keeping RRR sets resident beyond --rrr-budget",
+                    self.path
+                );
+                return;
             }
-            let ChunkPayload::Ram(bytes) = std::mem::replace(
-                &mut self.chunks[idx].payload,
-                ChunkPayload::Disk { offset: 0, len: 0 },
-            ) else {
-                unreachable!()
-            };
-            let offset = self.file_len;
-            let file = self.file.get_or_insert_with(|| {
-                std::fs::OpenOptions::new()
-                    .create(true)
-                    .truncate(true)
-                    .read(true)
-                    .write(true)
-                    .open(&self.path)
-                    .unwrap_or_else(|e| panic!("cannot create spill file {:?}: {e}", self.path))
-            });
-            file.seek(SeekFrom::Start(offset))
-                .and_then(|_| file.write_all(&bytes))
-                .unwrap_or_else(|e| panic!("cannot write spill file {:?}: {e}", self.path));
-            self.file_len += bytes.len() as u64;
-            self.spill_bytes_written += bytes.len() as u64;
-            self.chunks[idx].payload = ChunkPayload::Disk {
-                offset,
-                len: bytes.len(),
-            };
+            self.file_len += len as u64;
+            self.spill_bytes_written += len as u64;
+            self.chunks[idx].payload = ChunkPayload::Disk { offset, len };
         }
     }
 
@@ -721,6 +595,29 @@ impl SpillRrrStore {
     }
 }
 
+/// Writes `bytes` at `offset` of the spill file at `path`, creating it on
+/// first use.
+fn write_chunk(
+    file: &mut Option<File>,
+    path: &std::path::Path,
+    offset: u64,
+    bytes: &[u8],
+) -> std::io::Result<()> {
+    if file.is_none() {
+        *file = Some(
+            std::fs::OpenOptions::new()
+                .create(true)
+                .truncate(true)
+                .read(true)
+                .write(true)
+                .open(path)?,
+        );
+    }
+    let file = file.as_mut().expect("spill file just opened");
+    file.seek(SeekFrom::Start(offset))?;
+    file.write_all(bytes)
+}
+
 impl Drop for SpillRrrStore {
     fn drop(&mut self) {
         if self.file.take().is_some() {
@@ -732,22 +629,22 @@ impl Drop for SpillRrrStore {
 impl RrrStore for SpillRrrStore {
     fn push(&mut self, vertices: &[Vertex]) {
         if vertices.windows(2).all(|w| w[0] < w[1]) {
-            self.push_sorted(vertices);
+            self.push_set(RrrSetRef::List(vertices));
         } else {
             self.unsorted_pushes += 1;
             let mut repaired = vertices.to_vec();
             repaired.sort_unstable();
             repaired.dedup();
-            self.push_sorted(&repaired);
+            self.push_set(RrrSetRef::List(&repaired));
         }
     }
 
     fn append_arenas(&mut self, arenas: &[SampleArena]) {
         for arena in arenas {
-            for i in 0..arena.len() {
-                self.push_sorted(arena.get(i));
+            for set in arena.iter() {
+                self.push_set(set);
             }
-            self.unsorted_pushes += arena.unsorted_repairs();
+            self.unsorted_pushes += arena.unsorted_pushes();
         }
     }
 
@@ -837,6 +734,10 @@ impl RrrStore for SpillRrrStore {
         self.spill_bytes_written
     }
 
+    fn spill_write_failures(&self) -> u64 {
+        self.spill_write_failures
+    }
+
     fn kind(&self) -> RrrStoreKind {
         RrrStoreKind::Spill
     }
@@ -845,18 +746,16 @@ impl RrrStore for SpillRrrStore {
 /// The concrete layout behind a [`DynRrrStore`].
 #[derive(Debug)]
 enum DynStoreInner {
-    /// Flat reference layout.
-    Flat(RrrCollection),
+    /// Sorted lists, or bitmaps for dense sets.
+    Flat(MixedRrrCollection),
     /// Delta-varint blocks.
     Varint(CompressedRrrCollection),
-    /// Fixed-width bitpacking.
-    Bitpack(BitpackedRrrCollection),
     /// Varint chunks with spill-to-disk.
     Spill(SpillRrrStore),
 }
 
 /// A runtime-chosen storage backend (`--rrr-store`), dispatching the
-/// [`RrrStore`] trait over the four concrete layouts.
+/// [`RrrStore`] trait over the three concrete layouts.
 ///
 /// Carries the cross-round [`IncrementalSampleIndex`] cache behind
 /// [`RrrStore::with_sample_index`]: IMM selects over the same (append-only)
@@ -876,11 +775,8 @@ impl DynRrrStore {
     #[must_use]
     pub fn new(config: StorageConfig, num_vertices: u32) -> Self {
         let inner = match config.kind {
-            RrrStoreKind::Flat => DynStoreInner::Flat(RrrCollection::new()),
+            RrrStoreKind::Flat => DynStoreInner::Flat(MixedRrrCollection::new(num_vertices)),
             RrrStoreKind::Varint => DynStoreInner::Varint(CompressedRrrCollection::new()),
-            RrrStoreKind::Bitpack => {
-                DynStoreInner::Bitpack(BitpackedRrrCollection::new(num_vertices))
-            }
             RrrStoreKind::Spill => DynStoreInner::Spill(SpillRrrStore::new(
                 config.budget.unwrap_or(SpillRrrStore::DEFAULT_BUDGET),
             )),
@@ -891,13 +787,14 @@ impl DynRrrStore {
         }
     }
 
-    /// Wraps a restored flat collection (snapshot-restore path): the store
-    /// behaves exactly as if the collection had been filled in place, flat
-    /// fast paths included.
+    /// Wraps a restored list collection over a graph of `num_vertices`
+    /// (snapshot-restore path): the store behaves exactly as if the samples
+    /// had been pushed in place — flat fast paths included when no set is
+    /// dense, bitmaps for the dense ones otherwise.
     #[must_use]
-    pub fn from_flat(collection: RrrCollection) -> Self {
+    pub fn from_flat(collection: RrrCollection, num_vertices: u32) -> Self {
         Self {
-            inner: DynStoreInner::Flat(collection),
+            inner: DynStoreInner::Flat(MixedRrrCollection::from_lists(num_vertices, collection)),
             index_cache: RefCell::new(None),
         }
     }
@@ -927,7 +824,6 @@ macro_rules! dyn_delegate {
         match $self {
             DynStoreInner::Flat($store) => $body,
             DynStoreInner::Varint($store) => $body,
-            DynStoreInner::Bitpack($store) => $body,
             DynStoreInner::Spill($store) => $body,
         }
     };
@@ -975,14 +871,19 @@ impl RrrStore for DynStoreInner {
     }
 
     fn as_flat(&self) -> Option<&RrrCollection> {
-        match self {
-            DynStoreInner::Flat(c) => Some(c),
-            _ => None,
-        }
+        dyn_delegate!(self, s => RrrStore::as_flat(s))
+    }
+
+    fn as_mixed(&self) -> Option<&MixedRrrCollection> {
+        dyn_delegate!(self, s => RrrStore::as_mixed(s))
     }
 
     fn spill_bytes_written(&self) -> u64 {
         dyn_delegate!(self, s => RrrStore::spill_bytes_written(s))
+    }
+
+    fn spill_write_failures(&self) -> u64 {
+        dyn_delegate!(self, s => RrrStore::spill_write_failures(s))
     }
 
     fn kind(&self) -> RrrStoreKind {
@@ -1035,8 +936,16 @@ impl RrrStore for DynRrrStore {
         self.inner.as_flat()
     }
 
+    fn as_mixed(&self) -> Option<&MixedRrrCollection> {
+        self.inner.as_mixed()
+    }
+
     fn spill_bytes_written(&self) -> u64 {
         self.inner.spill_bytes_written()
+    }
+
+    fn spill_write_failures(&self) -> u64 {
+        self.inner.spill_write_failures()
     }
 
     fn with_sample_index<R>(
@@ -1087,7 +996,6 @@ mod tests {
         vec![
             DynRrrStore::new(StorageConfig::of(RrrStoreKind::Flat), n),
             DynRrrStore::new(StorageConfig::of(RrrStoreKind::Varint), n),
-            DynRrrStore::new(StorageConfig::of(RrrStoreKind::Bitpack), n),
             DynRrrStore::new(
                 StorageConfig {
                     kind: RrrStoreKind::Spill,
@@ -1146,7 +1054,7 @@ mod tests {
     fn arena_fill_matches_push_fill() {
         let n = 200;
         let samples = synth_samples(n, 64);
-        let mut arenas = vec![SampleArena::default(), SampleArena::default()];
+        let mut arenas = vec![SampleArena::new(n), SampleArena::new(n)];
         for (i, s) in samples.iter().enumerate() {
             arenas[i / 32].append_with(|buf| {
                 buf.extend_from_slice(s);
@@ -1173,58 +1081,90 @@ mod tests {
     #[test]
     fn compressed_backends_shrink_storage() {
         // Clustered sorted ids: the flat layout pays 4 bytes per entry,
-        // varint gaps mostly 1 byte, bitpack ⌈log2 n⌉ bits.
+        // varint gaps mostly 1 byte.
         let n = 1 << 14;
-        let mut flat = RrrCollection::new();
+        let mut flat = MixedRrrCollection::new(n);
         let mut varint = CompressedRrrCollection::new();
-        let mut bitpack = BitpackedRrrCollection::new(n);
         for base in 0..400u32 {
-            let set: Vec<Vertex> = (0..48).map(|i| (base * 7 + i * 3) % n).collect();
-            let mut set = set;
+            let mut set: Vec<Vertex> = (0..48).map(|i| (base * 7 + i * 3) % n).collect();
             set.sort_unstable();
             set.dedup();
             RrrStore::push(&mut flat, &set);
             RrrStore::push(&mut varint, &set);
-            RrrStore::push(&mut bitpack, &set);
         }
+        assert!(flat.as_flat().is_some(), "48 of 16384 is a list");
         let f = RrrStore::resident_bytes(&flat);
         assert!(
             RrrStore::resident_bytes(&varint) * 2 < f,
             "varint {} not ≪ flat {f}",
             RrrStore::resident_bytes(&varint)
         );
-        assert!(
-            RrrStore::resident_bytes(&bitpack) < f,
-            "bitpack {} not < flat {f}",
-            RrrStore::resident_bytes(&bitpack)
-        );
     }
 
     #[test]
-    fn bitpack_handles_full_u32_universe() {
-        let mut c = BitpackedRrrCollection::new(u32::MAX);
-        assert_eq!(c.width(), 32);
-        let s = vec![0u32, 1, u32::MAX - 2, u32::MAX - 1];
-        RrrStore::push(&mut c, &s);
-        let mut out = Vec::new();
-        RrrStore::decode_into(&c, 0, &mut out);
-        assert_eq!(out, s);
-        assert!(RrrStore::contains(&c, 0, u32::MAX - 1));
-        assert!(!RrrStore::contains(&c, 0, 17));
-    }
-
-    #[test]
-    fn bitpack_tiny_universe() {
-        let mut c = BitpackedRrrCollection::new(2);
-        assert_eq!(c.width(), 1);
+    fn bitmap_tiny_universe() {
+        // n = 2: any non-empty set is denser than n/32, so it is a bitmap
+        // of one word.
+        let mut c = MixedRrrCollection::new(2);
         RrrStore::push(&mut c, &[0, 1]);
         RrrStore::push(&mut c, &[1]);
         RrrStore::push(&mut c, &[]);
+        assert_eq!(c.bitmap_sets(), 2);
+        assert!(c.as_flat().is_none());
         let mut out = Vec::new();
         RrrStore::decode_into(&c, 0, &mut out);
         assert_eq!(out, vec![0, 1]);
+        RrrStore::decode_into(&c, 1, &mut out);
+        assert_eq!(out, vec![1]);
+        assert!(RrrStore::contains(&c, 1, 1) && !RrrStore::contains(&c, 1, 0));
         RrrStore::decode_into(&c, 2, &mut out);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn dense_sets_round_trip_identically_through_every_backend() {
+        let n = 640;
+        let mut samples = synth_samples(n, 40);
+        for (i, s) in samples.iter_mut().enumerate() {
+            if i.is_multiple_of(3) {
+                *s = (0..n)
+                    .filter(|v| !(v + i as u32).is_multiple_of(5))
+                    .collect();
+            }
+        }
+        let mut arena = SampleArena::new(n);
+        for s in &samples {
+            arena.append_with(|tail| {
+                tail.extend_from_slice(s);
+                0
+            });
+        }
+        assert!(arena.bitmap_sets() > 0);
+        for (mut pushed, mut merged) in all_backends(n, 2048).into_iter().zip(all_backends(n, 2048))
+        {
+            for s in &samples {
+                pushed.push(s);
+            }
+            merged.append_arenas(std::slice::from_ref(&arena));
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            for (i, s) in samples.iter().enumerate() {
+                pushed.decode_into(i, &mut a);
+                merged.decode_into(i, &mut b);
+                assert_eq!(&a, s, "{:?} pushed sample {i}", pushed.kind());
+                assert_eq!(&b, s, "{:?} merged sample {i}", merged.kind());
+                assert_eq!(merged.sample_len(i), s.len());
+                assert_eq!(merged.contains(i, 7), s.binary_search(&7).is_ok());
+            }
+            assert_eq!(pushed.total_entries(), merged.total_entries());
+            assert_eq!(pushed.resident_bytes() > 0, merged.resident_bytes() > 0);
+            let bitmaps =
+                |store: &DynRrrStore| store.as_mixed().map(MixedRrrCollection::bitmap_sets);
+            assert_eq!(bitmaps(&pushed), bitmaps(&merged));
+            if pushed.kind() == RrrStoreKind::Flat {
+                assert_eq!(bitmaps(&pushed), Some(arena.bitmap_sets()));
+                assert!(pushed.as_flat().is_none());
+            }
+        }
     }
 
     #[test]
@@ -1303,7 +1243,6 @@ mod tests {
         for kind in [
             RrrStoreKind::Flat,
             RrrStoreKind::Varint,
-            RrrStoreKind::Bitpack,
             RrrStoreKind::Spill,
         ] {
             assert_eq!(RrrStoreKind::from_tag(kind.tag()), Some(kind));

@@ -1,18 +1,22 @@
 //! Property-based tests for the RRR storage backends: any sorted set of
 //! vertex ids must survive the flat → compressed → decode round trip
-//! bit-for-bit, through every backend and through the arena merge path.
+//! bit-for-bit, through every backend and through the arena merge path —
+//! including the sets on either side of the flat store's list/bitmap rule.
 
 use proptest::prelude::*;
-use ripples_diffusion::SampleArena;
 use ripples_diffusion::{
-    BitpackedRrrCollection, CompressedRrrCollection, RrrCollection, RrrStore, SpillRrrStore,
+    sample_batch_fused, CompressedRrrCollection, DiffusionModel, DynRrrStore, RrrCollection,
+    RrrStore, RrrStoreKind, SampleArena, SpillRrrStore, StorageConfig,
 };
+use ripples_graph::generators::erdos_renyi;
+use ripples_graph::WeightModel;
+use ripples_rng::StreamFactory;
 
 /// Arbitrary *sorted, deduplicated* RRR sets — the invariant every sampler
 /// upholds. Includes the empty set, singletons, and ids up to `u32::MAX`.
 fn sorted_sets() -> impl Strategy<Value = Vec<Vec<u32>>> {
     // Mostly small ids, with the extremes (0, near-u32::MAX) mixed in so
-    // varint continuation bytes and the 32-bit bitpack width get exercised.
+    // varint continuation bytes get exercised.
     let id = (0u32..520).prop_map(|v| if v >= 512 { u32::MAX - (v - 512) } else { v });
     let set =
         prop::collection::btree_set(id, 0..24).prop_map(|s| s.into_iter().collect::<Vec<u32>>());
@@ -47,8 +51,101 @@ fn assert_round_trip<S: RrrStore>(store: &S, sets: &[Vec<u32>]) {
     }
 }
 
+/// Universe sizes around the bitmap word width.
+const UNIVERSES: [u32; 5] = [1, 63, 64, 65, 2000];
+
+/// `(n, raw sample lists)` whose lengths sit on both sides of the flat
+/// store's rule (a bitmap from `n/32 + 1` vertices up): empty, `n/32`,
+/// `n/32 + 1`, all `n`, and arbitrary lengths, some handed over reversed
+/// and with a duplicate so that they must be repaired and counted.
+fn boundary_samples() -> impl Strategy<Value = (u32, Vec<Vec<u32>>)> {
+    (
+        0usize..UNIVERSES.len(),
+        prop::collection::vec((0u8..7, any::<u64>()), 0..14),
+    )
+        .prop_map(|(universe, specs)| {
+            let n = UNIVERSES[universe];
+            let sets = specs
+                .into_iter()
+                .map(|(shape, seed)| {
+                    let len = match shape {
+                        0 => 0,
+                        1 => n / 32,
+                        2 => n / 32 + 1,
+                        3 => n,
+                        _ => (seed % (u64::from(n) + 1)) as u32,
+                    }
+                    .min(n);
+                    // 11 is coprime to every universe, so these are distinct.
+                    let step = if seed & 1 == 0 { 1 } else { 11 };
+                    let offset = seed >> 1;
+                    let mut ids: Vec<u32> = (0..u64::from(len))
+                        .map(|i| ((offset + i * step) % u64::from(n)) as u32)
+                        .collect();
+                    ids.sort_unstable();
+                    if shape >= 5 && ids.len() >= 2 {
+                        ids.reverse();
+                        ids.push(ids[0]);
+                    }
+                    ids
+                })
+                .collect();
+            (n, sets)
+        })
+}
+
+fn store_of(kind: RrrStoreKind, n: u32) -> DynRrrStore {
+    let budget = (kind == RrrStoreKind::Spill).then_some(2048);
+    DynRrrStore::new(StorageConfig { kind, budget }, n)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Samples on both sides of the representation boundary decode
+    /// identically from every backend, filled by `push` or through arenas
+    /// that already hold the dense ones as bitmaps; repairs are counted
+    /// once either way, and the flat store keeps as bitmaps exactly the
+    /// repaired sets with `32·len > n`.
+    #[test]
+    fn boundary_sets_round_trip_by_push_and_by_arena((n, raw) in boundary_samples()) {
+        let expect: Vec<Vec<u32>> = raw
+            .iter()
+            .map(|s| {
+                let mut s = s.clone();
+                s.sort_unstable();
+                s.dedup();
+                s
+            })
+            .collect();
+        let repaired = raw.iter().zip(&expect).filter(|(r, e)| r != e).count() as u64;
+        let dense = expect.iter().filter(|s| 32 * s.len() as u64 > u64::from(n)).count() as u64;
+        let mut arenas = [SampleArena::new(n), SampleArena::new(n)];
+        for (i, s) in raw.iter().enumerate() {
+            arenas[usize::from(i >= raw.len() / 2)].append_with(|tail| {
+                tail.extend_from_slice(s);
+                0
+            });
+        }
+        for kind in [RrrStoreKind::Flat, RrrStoreKind::Varint, RrrStoreKind::Spill] {
+            let mut pushed = store_of(kind, n);
+            for s in &raw {
+                pushed.push(s);
+            }
+            let mut merged = store_of(kind, n);
+            merged.append_arenas(&arenas);
+            for store in [&pushed, &merged] {
+                assert_round_trip(store, &expect);
+                prop_assert_eq!(store.unsorted_pushes(), repaired, "{:?}", kind);
+                let bitmaps = store.as_mixed().map(|m| m.bitmap_sets());
+                prop_assert_eq!(bitmaps, (kind == RrrStoreKind::Flat).then_some(dense));
+                prop_assert_eq!(store.as_flat().is_some(), kind == RrrStoreKind::Flat && dense == 0);
+            }
+        }
+        let mut bare = RrrCollection::new();
+        bare.append_arenas(&arenas);
+        assert_round_trip(&bare, &expect);
+    }
 
     /// flat → varint → decode is the identity for arbitrary sorted sets.
     #[test]
@@ -70,12 +167,10 @@ proptest! {
         assert_round_trip(&flat, &sets);
 
         let mut varint = CompressedRrrCollection::new();
-        let mut bitpack = BitpackedRrrCollection::new(u32::MAX);
         let mut spill = SpillRrrStore::new(2048);
-        let mut arena = SampleArena::with_capacity(sets.len());
+        let mut arena = SampleArena::with_capacity(u32::MAX, sets.len());
         for s in &sets {
             RrrStore::push(&mut varint, s);
-            RrrStore::push(&mut bitpack, s);
             RrrStore::push(&mut spill, s);
             arena.append_with(|data| {
                 data.extend_from_slice(s);
@@ -83,7 +178,6 @@ proptest! {
             });
         }
         assert_round_trip(&varint, &sets);
-        assert_round_trip(&bitpack, &sets);
         assert_round_trip(&spill, &sets);
 
         let mut from_arena = CompressedRrrCollection::new();
@@ -93,5 +187,67 @@ proptest! {
             from_arena == varint,
             "arena fill and push fill must encode identically"
         );
+    }
+}
+
+/// While it holds no dense set, the flat store is the list collection and
+/// nothing more: the same bytes by the same formula, whichever way it was
+/// filled.
+#[test]
+fn all_list_flat_store_costs_what_the_list_collection_costs() {
+    let n = 100_000;
+    let sets: Vec<Vec<u32>> = (0..500u32)
+        .map(|i| (0..(i % 40)).map(|j| i * 13 + j * 97).collect())
+        .collect();
+    let mut arena = SampleArena::with_capacity(n, sets.len());
+    let mut pushed = (store_of(RrrStoreKind::Flat, n), RrrCollection::new());
+    for s in &sets {
+        pushed.0.push(s);
+        pushed.1.push(s);
+        arena.append_with(|tail| {
+            tail.extend_from_slice(s);
+            0
+        });
+    }
+    let arenas = [arena];
+    let mut merged = (store_of(RrrStoreKind::Flat, n), RrrCollection::new());
+    merged.0.append_arenas(&arenas);
+    merged.1.append_arenas(&arenas);
+    for (store, lists) in [&pushed, &merged] {
+        assert_eq!(store.as_flat(), Some(lists));
+        assert_eq!(store.resident_bytes(), lists.resident_bytes());
+    }
+}
+
+/// The fused kernel hands graph-spanning cascades over as transposed
+/// bitmaps. What the flat store then holds decodes bitwise equal to the
+/// same emission expanded into the list-only collection, at every thread
+/// count, for a batch that starts and ends inside a 64-lane block.
+#[test]
+fn fused_emission_into_flat_store_equals_list_emission_at_any_thread_count() {
+    let graph = erdos_renyi(333, 4000, WeightModel::Constant(0.6), false, 7);
+    let factory = StreamFactory::new(2024);
+    let model = DiffusionModel::IndependentCascade;
+    let mut lists = RrrCollection::new();
+    let reference = sample_batch_fused(&graph, model, &factory, 5, 700, &mut lists);
+    for threads in [1usize, 2, 3, 8] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool");
+        let (store, outcome) = pool.install(|| {
+            let mut store = store_of(RrrStoreKind::Flat, graph.num_vertices());
+            let outcome = sample_batch_fused(&graph, model, &factory, 5, 700, &mut store);
+            (store, outcome)
+        });
+        let held = store.as_mixed().expect("flat kind");
+        assert!(held.bitmap_sets() > 600, "cascades were meant to span");
+        assert_eq!(outcome.work_per_sample, reference.work_per_sample);
+        assert_eq!(store.total_entries(), lists.total_entries() as u64);
+        let mut out = Vec::new();
+        for i in 0..lists.len() {
+            store.decode_into(i, &mut out);
+            assert_eq!(out, lists.get(i), "sample {i} at {threads} threads");
+        }
     }
 }

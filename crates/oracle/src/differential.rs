@@ -36,10 +36,11 @@ use ripples_core::{
     coverage_of, select_with_engine_store, ImmParams, ImmResult, SampleEngine, SelectEngine,
 };
 use ripples_diffusion::{
-    sample_batch_fused, sample_batch_sequential, sample_root_of, spread_samples, DynRrrStore,
-    RrrCollection, RrrStore, RrrStoreKind, StorageConfig,
+    sample_batch_fused, sample_batch_sequential, sample_root_of, spread_samples, DiffusionModel,
+    DynRrrStore, MixedRrrCollection, RrrCollection, RrrStore, RrrStoreKind, StorageConfig,
 };
-use ripples_graph::Graph;
+use ripples_graph::generators::erdos_renyi;
+use ripples_graph::{Graph, WeightModel};
 use ripples_rng::StreamFactory;
 use ripples_serve::SketchService;
 
@@ -202,11 +203,7 @@ fn compare_runs(report: &mut OracleReport, subject: &str, r: &ImmResult, referen
 /// The compressed storage backends the equivalence check exercises against
 /// the flat reference. Spill runs with a deliberately tiny budget so it
 /// seals, writes, and re-reads chunks even on oracle-sized inputs.
-const COMPRESSED_STORES: [RrrStoreKind; 3] = [
-    RrrStoreKind::Varint,
-    RrrStoreKind::Bitpack,
-    RrrStoreKind::Spill,
-];
+const COMPRESSED_STORES: [RrrStoreKind; 2] = [RrrStoreKind::Varint, RrrStoreKind::Spill];
 
 fn storage_of(kind: RrrStoreKind) -> StorageConfig {
     StorageConfig {
@@ -215,11 +212,28 @@ fn storage_of(kind: RrrStoreKind) -> StorageConfig {
     }
 }
 
+/// A small graph whose RRR sets pass the flat store's density rule
+/// (`32·len > n`), so that store holds them as bitmaps: under IC at p = 0.3
+/// a reverse cascade spans most of the 96 vertices, and an LT walk over
+/// normalized weights only ends by closing a cycle.
+fn dense_graph(params: &ImmParams) -> Graph {
+    erdos_renyi(
+        96,
+        1200,
+        WeightModel::Constant(0.3),
+        params.model == DiffusionModel::LinearThreshold,
+        params.seed,
+    )
+}
+
 /// Layer 2b: `--rrr-store` equivalence. Every compressed backend must
 /// return the identical seeds, θ, and coverage as the flat reference —
 /// end-to-end through the sequential pipeline, through a distributed run,
 /// and at the selection layer across every eager engine on the reference
-/// collection.
+/// collection. The flat store itself changes representation on dense
+/// sets, so a second, dense graph holds it (and the other two, fed from
+/// bitmaps) to a reference that never touches a store: the Tang-layout
+/// baseline and the tie-order greedy over plain lists.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn check_storage_equivalence(
     report: &mut OracleReport,
@@ -231,92 +245,150 @@ pub(crate) fn check_storage_equivalence(
     k: u32,
     cfg: &OracleConfig,
 ) {
-    let kind = CheckKind::StorageEquivalence;
     for store_kind in COMPRESSED_STORES {
-        let storage = storage_of(store_kind);
-        let tag = store_kind.tag();
-
-        // Full sequential pipeline.
-        let r = immopt_sequential_with_storage(
-            graph,
-            params,
-            SelectEngine::Auto,
-            SampleEngine::Reference,
-            storage,
+        check_store(
+            report, "", store_kind, graph, params, reference, collection, n, k, cfg,
         );
-        let subject = format!("opt({tag})");
-        report.check(kind, &subject, r.seeds == reference.seeds, || {
-            format!("seed sets differ: {:?} vs {:?}", r.seeds, reference.seeds)
-        });
-        report.check(kind, &subject, r.theta == reference.theta, || {
-            format!("theta differs: {} vs {}", r.theta, reference.theta)
-        });
+    }
+
+    let dense = dense_graph(params);
+    let n = dense.num_vertices();
+    let k = params.effective_k(n);
+    let reference = imm_baseline(&dense, params);
+    let mut collection = RrrCollection::new();
+    sample_batch_sequential(
+        &dense,
+        params.model,
+        &StreamFactory::new(params.seed),
+        0,
+        reference.theta,
+        &mut collection,
+    );
+    let mut flat = DynRrrStore::new(StorageConfig::default(), n);
+    for s in collection.iter() {
+        RrrStore::push(&mut flat, s);
+    }
+    let bitmaps = flat.as_mixed().map_or(0, MixedRrrCollection::bitmap_sets);
+    report.check(
+        CheckKind::StorageEquivalence,
+        "dense:flat",
+        bitmaps > 0 && flat.as_flat().is_none(),
+        || format!("the dense case is vacuous: {bitmaps} bitmap sets in the flat store"),
+    );
+    for store_kind in [RrrStoreKind::Flat].into_iter().chain(COMPRESSED_STORES) {
+        check_store(
+            report,
+            "dense:",
+            store_kind,
+            &dense,
+            params,
+            &reference,
+            &collection,
+            n,
+            k,
+            cfg,
+        );
+    }
+}
+
+/// One backend against one reference run and its sample collection.
+#[allow(clippy::too_many_arguments)]
+fn check_store(
+    report: &mut OracleReport,
+    case: &str,
+    store_kind: RrrStoreKind,
+    graph: &Graph,
+    params: &ImmParams,
+    reference: &ImmResult,
+    collection: &RrrCollection,
+    n: u32,
+    k: u32,
+    cfg: &OracleConfig,
+) {
+    let kind = CheckKind::StorageEquivalence;
+    let storage = storage_of(store_kind);
+    let tag = format!("{case}{}", store_kind.tag());
+
+    // Full sequential pipeline.
+    let r = immopt_sequential_with_storage(
+        graph,
+        params,
+        SelectEngine::Auto,
+        SampleEngine::Reference,
+        storage,
+    );
+    let subject = format!("opt({tag})");
+    report.check(kind, &subject, r.seeds == reference.seeds, || {
+        format!("seed sets differ: {:?} vs {:?}", r.seeds, reference.seeds)
+    });
+    report.check(kind, &subject, r.theta == reference.theta, || {
+        format!("theta differs: {} vs {}", r.theta, reference.theta)
+    });
+    report.check(
+        kind,
+        &subject,
+        (r.coverage_fraction - reference.coverage_fraction).abs() < 1e-12,
+        || {
+            format!(
+                "coverage differs: {} vs {}",
+                r.coverage_fraction, reference.coverage_fraction
+            )
+        },
+    );
+    if store_kind == RrrStoreKind::Spill {
         report.check(
             kind,
             &subject,
-            (r.coverage_fraction - reference.coverage_fraction).abs() < 1e-12,
-            || {
-                format!(
-                    "coverage differs: {} vs {}",
-                    r.coverage_fraction, reference.coverage_fraction
-                )
-            },
+            r.report.counters.spill_bytes_written > 0,
+            || "tiny-budget spill run never wrote its spill file".to_owned(),
         );
-        if store_kind == RrrStoreKind::Spill {
+    }
+
+    // One distributed run per backend: the decrement aggregation path.
+    if let Some(&world) = cfg.world_sizes.first() {
+        let results = ThreadWorld::new(world).run(|comm| {
+            imm_distributed_with_storage(
+                comm,
+                graph,
+                params,
+                DistRngMode::IndexedStreams,
+                DistSelectMode::DenseAllReduce,
+                storage,
+            )
+        });
+        for (rank, r) in results.iter().enumerate() {
+            let subject = format!("dist({tag},world={world},rank={rank})");
             report.check(
                 kind,
                 &subject,
-                r.report.counters.spill_bytes_written > 0,
-                || "tiny-budget spill run never wrote its spill file".to_owned(),
+                r.seeds == reference.seeds && r.theta == reference.theta,
+                || {
+                    format!(
+                        "distributed run diverged: seeds {:?} θ {} vs {:?} θ {}",
+                        r.seeds, r.theta, reference.seeds, reference.theta
+                    )
+                },
             );
         }
+    }
 
-        // One distributed run per backend: the decrement aggregation path.
-        if let Some(&world) = cfg.world_sizes.first() {
-            let results = ThreadWorld::new(world).run(|comm| {
-                imm_distributed_with_storage(
-                    comm,
-                    graph,
-                    params,
-                    DistRngMode::IndexedStreams,
-                    DistSelectMode::DenseAllReduce,
-                    storage,
-                )
-            });
-            for (rank, r) in results.iter().enumerate() {
-                let subject = format!("dist({tag},world={world},rank={rank})");
-                report.check(
-                    kind,
-                    &subject,
-                    r.seeds == reference.seeds && r.theta == reference.theta,
-                    || {
-                        format!(
-                            "distributed run diverged: seeds {:?} θ {} vs {:?} θ {}",
-                            r.seeds, r.theta, reference.seeds, reference.theta
-                        )
-                    },
-                );
-            }
-        }
-
-        // Selection layer: refill the backend from the reference collection
-        // and run every eager engine over the compressed blocks.
-        let mut store = DynRrrStore::new(storage, n);
-        for s in collection.iter() {
-            RrrStore::push(&mut store, s);
-        }
-        let anchor = greedy_with_tie_order(collection, n, k, u64::from);
-        for engine in EAGER_ENGINES {
-            let (sel, _) = select_with_engine_store(engine, &store, n, k, 2);
-            let subject = format!("select({tag},{})", engine.tag());
-            report.check(kind, &subject, sel == anchor, || {
-                format!(
-                    "selection over {tag} diverged: {:?} vs {:?}",
-                    brief(&sel),
-                    brief(&anchor)
-                )
-            });
-        }
+    // Selection layer: refill the backend from the reference collection
+    // and run every eager engine over the compressed blocks.
+    let mut store = DynRrrStore::new(storage, n);
+    for s in collection.iter() {
+        RrrStore::push(&mut store, s);
+    }
+    let anchor = greedy_with_tie_order(collection, n, k, u64::from);
+    for engine in EAGER_ENGINES {
+        let (sel, _) = select_with_engine_store(engine, &store, n, k, 2);
+        let subject = format!("select({tag},{})", engine.tag());
+        report.check(kind, &subject, sel == anchor, || {
+            format!(
+                "selection over {tag} diverged: {:?} vs {:?}",
+                brief(&sel),
+                brief(&anchor)
+            )
+        });
     }
 }
 

@@ -29,10 +29,10 @@ pub enum CheckKind {
     KPrefixMonotonicity,
     /// Greedy marginal gains are non-increasing.
     Submodularity,
-    /// Every `--rrr-store` backend (varint, bitpack, spill at a tiny
-    /// budget) returns the identical seeds, θ, and coverage as the flat
-    /// reference, across the sequential/mt/dist pipelines and every eager
-    /// select engine.
+    /// Every `--rrr-store` backend (varint, spill at a tiny budget, and
+    /// flat itself once dense sets make it hold bitmaps) returns the
+    /// identical seeds, θ, and coverage as a list-only reference, across
+    /// the sequential/dist pipelines and every eager select engine.
     StorageEquivalence,
     /// A resident serve-mode sketch (built once, sized for `k_max`)
     /// answers every `topk(k ≤ k_max)` bitwise-identically to fresh

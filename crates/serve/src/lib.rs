@@ -380,7 +380,7 @@ impl SketchService {
     /// # Errors
     ///
     /// [`SnapshotError`] on I/O failure or an unsupported store layout
-    /// (flat and varint snapshot; bitpack and spill do not).
+    /// (flat and varint snapshot; spill does not).
     pub fn snapshot_to(&self, path: &std::path::Path) -> Result<(), SnapshotError> {
         snapshot::write_snapshot(path, self)
     }

@@ -23,7 +23,10 @@
 //! ```
 //!
 //! Flat payload: `u64` offsets length, offsets as `u64` each, `u64` data
-//! length, vertex ids as `u32` each. Varint payload: `u64` offsets length,
+//! length, vertex ids as `u32` each — the *logical* content, every set as
+//! its sorted list whether the store holds it as a list or as a bitmap; a
+//! restore re-encodes each set by the store's own density rule. Varint
+//! payload: `u64` offsets length,
 //! offsets as `u64` each, `u64` counts length, counts as `u32` each, `u64`
 //! byte-stream length, the raw delta-varint bytes.
 //!
@@ -42,9 +45,9 @@
 //! random corruptions). Restored sketches answer queries
 //! bitwise-identically to the service that wrote them.
 //!
-//! Only the flat and varint layouts snapshot; the bitpack and spill
-//! backends keep state (per-vertex widths, on-disk chunks) that the v1
-//! format does not carry, and report [`SnapshotError::UnsupportedStore`].
+//! Only the flat and varint layouts snapshot; the spill backend keeps
+//! state (on-disk chunks) that the v1 format does not carry, and reports
+//! [`SnapshotError::UnsupportedStore`].
 
 use std::fs;
 use std::path::Path;
@@ -84,8 +87,8 @@ pub enum SnapshotError {
         /// The version actually found.
         found: u32,
     },
-    /// The store layout cannot snapshot (bitpack/spill on write, or an
-    /// unknown kind byte on read).
+    /// The store layout cannot snapshot (spill on write, or an unknown
+    /// kind byte on read).
     UnsupportedStore {
         /// The layout's CLI tag, or `"kind byte N"` for an unknown byte.
         kind: String,
@@ -231,7 +234,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 ///
 /// # Errors
 ///
-/// [`SnapshotError::UnsupportedStore`] for bitpack/spill layouts,
+/// [`SnapshotError::UnsupportedStore`] for the spill layout,
 /// [`SnapshotError::Io`] on filesystem failure.
 pub fn write_snapshot(path: &Path, service: &SketchService) -> Result<(), SnapshotError> {
     let bytes = encode_snapshot(service)?;
@@ -246,7 +249,7 @@ pub fn write_snapshot(path: &Path, service: &SketchService) -> Result<(), Snapsh
 ///
 /// # Errors
 ///
-/// [`SnapshotError::UnsupportedStore`] for bitpack/spill layouts.
+/// [`SnapshotError::UnsupportedStore`] for the spill layout.
 pub fn encode_snapshot(service: &SketchService) -> Result<Vec<u8>, SnapshotError> {
     let store = service.store();
     let kind_byte: u8 = match store.kind() {
@@ -259,7 +262,11 @@ pub fn encode_snapshot(service: &SketchService) -> Result<Vec<u8>, SnapshotError
         }
     };
     let params = service.params();
-    let mut out = Vec::with_capacity(80 + store.resident_bytes());
+    let payload_bytes = match store.kind() {
+        RrrStoreKind::Flat => 8 * (store.len() + 3) + 4 * store.total_entries() as usize,
+        _ => store.resident_bytes(),
+    };
+    let mut out = Vec::with_capacity(80 + payload_bytes);
     out.extend_from_slice(&SNAPSHOT_MAGIC);
     push_u32(&mut out, SNAPSHOT_VERSION);
     push_u64(&mut out, 0); // checksum placeholder, patched below
@@ -276,14 +283,16 @@ pub fn encode_snapshot(service: &SketchService) -> Result<Vec<u8>, SnapshotError
     push_u64(&mut out, service.theta() as u64);
     match store.kind() {
         RrrStoreKind::Flat => {
-            let flat = store.as_flat().expect("flat kind has flat layout");
-            push_u64(&mut out, flat.raw_offsets().len() as u64);
-            for &o in flat.raw_offsets() {
-                push_u64(&mut out, o as u64);
+            push_u64(&mut out, store.len() as u64 + 1);
+            let mut end = 0u64;
+            push_u64(&mut out, end);
+            for i in 0..store.len() {
+                end += store.sample_len(i) as u64;
+                push_u64(&mut out, end);
             }
-            push_u64(&mut out, flat.raw_data().len() as u64);
-            for &v in flat.raw_data() {
-                push_u32(&mut out, v);
+            push_u64(&mut out, end);
+            for i in 0..store.len() {
+                store.for_each_vertex(i, |v| push_u32(&mut out, v));
             }
         }
         RrrStoreKind::Varint => {
@@ -482,7 +491,7 @@ pub fn decode_snapshot(bytes: &[u8], graph: &Graph) -> Result<RestoredSketch, Sn
     }
 
     let store = match kind_byte {
-        0 => decode_flat_payload(&mut r)?,
+        0 => decode_flat_payload(&mut r, graph.num_vertices())?,
         1 => decode_varint_payload(&mut r)?,
         other => {
             return Err(SnapshotError::UnsupportedStore {
@@ -541,7 +550,10 @@ pub fn decode_snapshot(bytes: &[u8], graph: &Graph) -> Result<RestoredSketch, Sn
     })
 }
 
-fn decode_flat_payload(r: &mut Reader<'_>) -> Result<DynRrrStore, SnapshotError> {
+fn decode_flat_payload(
+    r: &mut Reader<'_>,
+    num_vertices: u32,
+) -> Result<DynRrrStore, SnapshotError> {
     let payload_offset = r.pos;
     let offsets_len = r.len("flat offsets length", 8)?;
     let mut offsets = Vec::with_capacity(offsets_len);
@@ -565,7 +577,7 @@ fn decode_flat_payload(r: &mut Reader<'_>) -> Result<DynRrrStore, SnapshotError>
             offset: payload_offset,
             detail,
         })?;
-    Ok(DynRrrStore::from_flat(collection))
+    Ok(DynRrrStore::from_flat(collection, num_vertices))
 }
 
 fn decode_varint_payload(r: &mut Reader<'_>) -> Result<DynRrrStore, SnapshotError> {

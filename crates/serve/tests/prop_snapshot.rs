@@ -221,17 +221,76 @@ fn error_shapes_name_offset_and_field() {
     assert!(msg.contains("theta") && msg.contains("64"), "{msg}");
 }
 
-/// Bitpack and spill stores refuse to snapshot with a structured error
-/// instead of writing a file they could not restore.
+/// The spill store refuses to snapshot with a structured error instead of
+/// writing a file it could not restore.
 #[test]
 fn unsupported_store_kinds_refuse_to_encode() {
-    for kind in [RrrStoreKind::Bitpack, RrrStoreKind::Spill] {
-        let svc = build_service(7, 2, kind);
-        match encode_snapshot(&svc).unwrap_err() {
-            SnapshotError::UnsupportedStore { kind: tag } => {
-                assert_eq!(tag, kind.tag());
-            }
-            other => panic!("expected UnsupportedStore, got {other:?}"),
+    let kind = RrrStoreKind::Spill;
+    let svc = build_service(7, 2, kind);
+    match encode_snapshot(&svc).unwrap_err() {
+        SnapshotError::UnsupportedStore { kind: tag } => {
+            assert_eq!(tag, kind.tag());
         }
+        other => panic!("expected UnsupportedStore, got {other:?}"),
+    }
+}
+
+/// A flat store that holds its sets as bitmaps (`--gen ba:2000:8 --weights
+/// uniform`, fused sampler) snapshots its logical content — at the parent
+/// commit this was a panic — and the restore, which re-encodes every set by
+/// the density rule, holds the same bitmaps and answers every query kind
+/// identically.
+#[test]
+fn dense_sketch_round_trips_through_its_logical_content() {
+    use ripples_graph::generators::barabasi_albert;
+    use ripples_graph::WeightModel;
+    let graph = barabasi_albert(2000, 8, WeightModel::UniformRandom { seed: 7 }, false, 42);
+    for seed in [3u64, 11] {
+        let params = ImmParams::new(1, 0.5, DiffusionModel::IndependentCascade, seed).with_k_max(6);
+        let mut svc = SketchService::build(
+            &graph,
+            params,
+            SelectEngine::Auto,
+            SampleEngine::Fused,
+            StorageConfig::default(),
+        );
+        let held = svc.store().as_mixed().expect("flat kind");
+        assert!(svc.store().as_flat().is_none() && held.bitmap_sets() > 0);
+        let bitmap_sets = held.bitmap_sets();
+
+        let bytes = encode_snapshot(&svc).unwrap();
+        assert_eq!(
+            bytes.len() as u64,
+            72 + 8 * (svc.theta() as u64 + 3) + 4 * svc.store().total_entries(),
+            "the v1 flat payload, one u32 per vertex entry"
+        );
+        let restored = decode_snapshot(&bytes, &graph).unwrap();
+        assert_eq!(
+            restored.store.as_mixed().map(|m| m.bitmap_sets()),
+            Some(bitmap_sets)
+        );
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for i in 0..svc.theta() {
+            svc.store().decode_into(i, &mut a);
+            restored.store.decode_into(i, &mut b);
+            assert_eq!(a, b, "sample {i} differs after restore");
+        }
+
+        let path = std::env::temp_dir().join(format!(
+            "ripples-prop-snapshot-dense-{}-{seed}.snap",
+            std::process::id()
+        ));
+        svc.snapshot_to(&path).unwrap();
+        let mut back = SketchService::restore_from(&path, &graph, SelectEngine::Auto).unwrap();
+        std::fs::remove_file(&path).ok();
+        let (top, _) = svc.topk(6).unwrap();
+        assert_eq!(back.topk(6).unwrap().0, top);
+        assert_eq!(
+            back.topk_excluding(4, &top[..2]).unwrap().0,
+            svc.topk_excluding(4, &top[..2]).unwrap().0
+        );
+        let (e1, _) = svc.spread_estimate(&top).unwrap();
+        let (e2, _) = back.spread_estimate(&top).unwrap();
+        assert!((e1 - e2).abs() < 1e-12);
     }
 }

@@ -190,3 +190,53 @@ fn weight_models_survive_extreme_graphs() {
     let r = immopt_sequential(&g, &p);
     assert_eq!(r.seeds.len(), 3);
 }
+
+/// A flag the user got wrong is `error: …` plus the usage line and exit
+/// status 2 — never a panic — and the `--rrr-store` value removed in PR 16
+/// says what replaced it, in both binaries.
+#[test]
+fn cli_usage_errors_exit_2_and_never_panic() {
+    let run = |exe: &str, flags: &[&str]| {
+        let out = std::process::Command::new(exe)
+            .args(["--gen", "er:60:240"])
+            .args(flags)
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("spawn the binary");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let ripples = env!("CARGO_BIN_EXE_ripples");
+    for flags in [
+        &["--weights", "const:x"][..],
+        &["--k", "many"],
+        &["--epsilon", "small"],
+        &["--seed", "-1"],
+        &["--threads", "two"],
+        &["--rrr-budget", "1GiB"],
+        &["--chaos-seed", "q"],
+        &["--model", "sir"],
+        &["--simulate", "z"],
+        &["--rrr-store", "nope"],
+    ] {
+        let (code, stderr) = run(ripples, flags);
+        assert_eq!(code, Some(2), "{flags:?}: {stderr}");
+        assert!(
+            stderr.contains("error: ") && stderr.contains("usage: ripples"),
+            "{flags:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{flags:?}: {stderr}");
+    }
+    for exe in [ripples, env!("CARGO_BIN_EXE_serve")] {
+        let (code, stderr) = run(exe, &["--rrr-store", "bitpack"]);
+        assert_eq!(code, Some(2), "{exe}: {stderr}");
+        assert!(
+            stderr.contains(
+                "removed in PR 16: use flat (dense sets are stored as bitmaps) or varint"
+            ),
+            "{exe}: {stderr}"
+        );
+    }
+}

@@ -92,12 +92,16 @@ fn params() -> ImmParams {
 }
 
 /// The counters that must not depend on how the run was parallelized.
-fn deterministic_counters(r: &ImmResult) -> (u64, u64, u64, u64) {
+/// Which sets the flat store holds as bitmaps is a function of the samples
+/// alone, so the two bitmap counters belong here.
+fn deterministic_counters(r: &ImmResult) -> (u64, u64, u64, u64, u64, u64) {
     (
         r.report.counters.samples_generated,
         r.report.counters.rrr_entries,
         r.report.counters.theta_rounds,
         r.report.counters.theta_final,
+        r.report.counters.rrr_sets_bitmap,
+        r.report.counters.rrr_bitmap_bytes,
     )
 }
 
@@ -144,6 +148,14 @@ fn all_entry_points_agree_on_deterministic_counters() {
     let expect = deterministic_counters(&seq);
     assert_eq!(seq.report.counters.theta_final, seq.theta as u64);
     assert_eq!(seq.report.rrr_sizes.count(), seq.theta as u64);
+    // Uniform probabilities on 300 vertices: most cascades span more than
+    // n/32 of them, and each of those costs ⌈300/64⌉ = 5 words.
+    let bitmaps = seq.report.counters.rrr_sets_bitmap;
+    assert!(bitmaps > 0 && bitmaps <= seq.theta as u64);
+    assert_eq!(seq.report.counters.rrr_bitmap_bytes, bitmaps * 5 * 8);
+    let json = seq.report.to_json();
+    assert!(json.contains(&format!("\"rrr_sets_bitmap\":{bitmaps},")));
+    assert!(seq.report.render_pretty().contains("rrr sets as bitmaps"));
 
     // Multithreaded: identical counters at every thread count.
     for threads in [1usize, 2, 4] {

@@ -2,7 +2,8 @@
 //! `k_max`) answers `topk(k)` **bitwise-identically** to a fresh batch run
 //! at the same master seed and `k_max` — across every select engine ×
 //! `--rrr-store` backend combination, on Table 2 stand-in graphs, for
-//! k ∈ {1, 10, k_max}.
+//! k ∈ {1, 10, k_max}; and, per select engine, on a dense graph whose
+//! fused-sampled sketch the flat store holds as bitmaps.
 //!
 //! Also covered here:
 //!
@@ -20,7 +21,7 @@
 use ripples_core::seq::immopt_sequential_with_storage;
 use ripples_core::{ImmParams, SampleEngine, SelectEngine};
 use ripples_diffusion::{DiffusionModel, RrrCollection, RrrStore, RrrStoreKind, StorageConfig};
-use ripples_graph::generators::standin;
+use ripples_graph::generators::{barabasi_albert, standin};
 use ripples_graph::{Graph, Vertex, WeightModel};
 use ripples_serve::SketchService;
 
@@ -35,6 +36,12 @@ fn standin_graph(name: &str, divisor: u32) -> Graph {
     spec.build(divisor, WeightModel::UniformRandom { seed: 7 }, false)
 }
 
+/// `ripples --gen ba:2000:8 --weights uniform`: reverse cascades span
+/// almost every vertex, far above the flat store's n/32 density rule.
+fn dense_graph() -> Graph {
+    barabasi_albert(2000, 8, WeightModel::UniformRandom { seed: 7 }, false, 42)
+}
+
 fn sized_params() -> ImmParams {
     ImmParams::new(1, 0.5, DiffusionModel::IndependentCascade, MASTER_SEED).with_k_max(K_MAX)
 }
@@ -42,15 +49,14 @@ fn sized_params() -> ImmParams {
 /// The core contract: build one resident sketch, serve the three query
 /// sizes, and check each answer (and θ) bitwise against a fresh batch
 /// pipeline run configured identically.
-fn assert_serve_matches_batch(graph: &Graph, select: SelectEngine, kind: RrrStoreKind) {
+fn assert_serve_matches_batch(
+    graph: &Graph,
+    select: SelectEngine,
+    sample: SampleEngine,
+    kind: RrrStoreKind,
+) -> SketchService {
     let params = sized_params();
-    let mut svc = SketchService::build(
-        graph,
-        params,
-        select,
-        SampleEngine::Reference,
-        StorageConfig::of(kind),
-    );
+    let mut svc = SketchService::build(graph, params, select, sample, StorageConfig::of(kind));
     for k in QUERY_KS {
         let (served, report) = svc.topk(k).expect("query within k_max");
         assert_eq!(served.len(), k as usize);
@@ -58,13 +64,8 @@ fn assert_serve_matches_batch(graph: &Graph, select: SelectEngine, kind: RrrStor
 
         let mut p = params;
         p.k = k;
-        let batch = immopt_sequential_with_storage(
-            graph,
-            &p,
-            select,
-            SampleEngine::Reference,
-            StorageConfig::of(kind),
-        );
+        let batch =
+            immopt_sequential_with_storage(graph, &p, select, sample, StorageConfig::of(kind));
         assert_eq!(
             served,
             batch.seeds,
@@ -80,6 +81,7 @@ fn assert_serve_matches_batch(graph: &Graph, select: SelectEngine, kind: RrrStor
             kind.tag()
         );
     }
+    svc
 }
 
 macro_rules! serve_grid {
@@ -91,8 +93,29 @@ macro_rules! serve_grid {
                 assert_serve_matches_batch(
                     &graph,
                     SelectEngine::$select,
+                    SampleEngine::Reference,
                     RrrStoreKind::$store,
                 );
+            }
+        )*
+    };
+}
+
+/// The flat store with its dense sets held as bitmaps, fed by the fused
+/// sampler's transposed lane masks.
+macro_rules! serve_grid_dense {
+    ($($test:ident: $select:ident,)*) => {
+        $(
+            #[test]
+            fn $test() {
+                let svc = assert_serve_matches_batch(
+                    &dense_graph(),
+                    SelectEngine::$select,
+                    SampleEngine::Fused,
+                    RrrStoreKind::Flat,
+                );
+                let store = svc.store().as_mixed().expect("flat kind");
+                assert!(store.bitmap_sets() > 0 && svc.store().as_flat().is_none());
             }
         )*
     };
@@ -101,24 +124,27 @@ macro_rules! serve_grid {
 serve_grid! {
     sequential_flat: (Sequential, Flat),
     sequential_varint: (Sequential, Varint),
-    sequential_bitpack: (Sequential, Bitpack),
     sequential_spill: (Sequential, Spill),
     partitioned_flat: (Partitioned, Flat),
     partitioned_varint: (Partitioned, Varint),
-    partitioned_bitpack: (Partitioned, Bitpack),
     partitioned_spill: (Partitioned, Spill),
     hypergraph_flat: (Hypergraph, Flat),
     hypergraph_varint: (Hypergraph, Varint),
-    hypergraph_bitpack: (Hypergraph, Bitpack),
     hypergraph_spill: (Hypergraph, Spill),
     fused_flat: (Fused, Flat),
     fused_varint: (Fused, Varint),
-    fused_bitpack: (Fused, Bitpack),
     fused_spill: (Fused, Spill),
     auto_flat: (Auto, Flat),
     auto_varint: (Auto, Varint),
-    auto_bitpack: (Auto, Bitpack),
     auto_spill: (Auto, Spill),
+}
+
+serve_grid_dense! {
+    sequential_flat_dense: Sequential,
+    partitioned_flat_dense: Partitioned,
+    hypergraph_flat_dense: Hypergraph,
+    fused_flat_dense: Fused,
+    auto_flat_dense: Auto,
 }
 
 /// Second stand-in graph: one spot check per store family so the contract
@@ -126,8 +152,14 @@ serve_grid! {
 #[test]
 fn epinions_sequential_flat_and_varint() {
     let graph = standin_graph("soc-Epinions1", 256);
-    assert_serve_matches_batch(&graph, SelectEngine::Sequential, RrrStoreKind::Flat);
-    assert_serve_matches_batch(&graph, SelectEngine::Sequential, RrrStoreKind::Varint);
+    for kind in [RrrStoreKind::Flat, RrrStoreKind::Varint] {
+        assert_serve_matches_batch(
+            &graph,
+            SelectEngine::Sequential,
+            SampleEngine::Reference,
+            kind,
+        );
+    }
 }
 
 /// The fused *sampling* kernel feeds the same resident sketch: serve and
@@ -252,54 +284,74 @@ fn lazy_engine_is_mapped_to_sequential() {
 
 /// Snapshot → restore: the restored service answers every query size
 /// bitwise-identically to the writer and to fresh batch runs, without
-/// re-running sampling (its store is byte-restored, θ included).
+/// re-running sampling (its store is byte-restored, θ included). The dense
+/// case snapshots a flat store that holds bitmaps: the file carries the
+/// sets' logical content and the restore re-encodes them.
 #[test]
 fn snapshot_restore_serves_bitwise_identically() {
-    let graph = standin_graph("cit-HepTh", 96);
+    let standin = standin_graph("cit-HepTh", 96);
+    let dense = dense_graph();
     let params = sized_params();
-    for kind in [RrrStoreKind::Flat, RrrStoreKind::Varint] {
+    for (case, graph, kind, sample) in [
+        (
+            "flat",
+            &standin,
+            RrrStoreKind::Flat,
+            SampleEngine::Reference,
+        ),
+        (
+            "varint",
+            &standin,
+            RrrStoreKind::Varint,
+            SampleEngine::Reference,
+        ),
+        ("dense", &dense, RrrStoreKind::Flat, SampleEngine::Fused),
+    ] {
         let mut original = SketchService::build(
-            &graph,
+            graph,
             params,
             SelectEngine::Sequential,
-            SampleEngine::Reference,
+            sample,
             StorageConfig::of(kind),
         );
         let path = std::env::temp_dir().join(format!(
-            "ripples-serve-test-{}-{}.snap",
+            "ripples-serve-test-{}-{case}.snap",
             std::process::id(),
-            kind.tag()
         ));
         original.snapshot_to(&path).expect("snapshot writes");
-        let mut restored = SketchService::restore_from(&path, &graph, SelectEngine::Sequential)
+        let mut restored = SketchService::restore_from(&path, graph, SelectEngine::Sequential)
             .expect("snapshot restores");
         std::fs::remove_file(&path).ok();
 
         assert_eq!(restored.theta(), original.theta());
         assert_eq!(restored.params(), original.params());
+        let bitmaps = |svc: &SketchService| svc.store().as_mixed().map(|m| m.bitmap_sets());
+        assert_eq!(bitmaps(&restored), bitmaps(&original), "{case}");
+        assert!(case != "dense" || bitmaps(&original).is_some_and(|b| b > 0));
         for k in QUERY_KS {
             let (a, _) = original.topk(k).unwrap();
             let (b, _) = restored.topk(k).unwrap();
-            assert_eq!(a, b, "restored sketch diverged at k={k} ({})", kind.tag());
+            assert_eq!(a, b, "restored sketch diverged at k={k} ({case})");
 
             let mut p = params;
             p.k = k;
             let batch = immopt_sequential_with_storage(
-                &graph,
+                graph,
                 &p,
                 SelectEngine::Sequential,
-                SampleEngine::Reference,
+                sample,
                 StorageConfig::of(kind),
             );
             assert_eq!(
-                b,
-                batch.seeds,
-                "restored sketch diverged from batch at k={k} ({})",
-                kind.tag()
+                b, batch.seeds,
+                "restored sketch diverged from batch at k={k} ({case})"
             );
         }
-        // Spread estimates come off the identical samples.
+        // Exclusions and spread estimates come off the identical samples.
         let (seeds, _) = restored.topk(4).unwrap();
+        let (x1, _) = original.topk_excluding(4, &seeds[..2]).unwrap();
+        let (x2, _) = restored.topk_excluding(4, &seeds[..2]).unwrap();
+        assert_eq!(x1, x2, "{case}");
         let (e1, _) = original.spread_estimate(&seeds).unwrap();
         let (e2, _) = restored.spread_estimate(&seeds).unwrap();
         assert!((e1 - e2).abs() < 1e-12);
