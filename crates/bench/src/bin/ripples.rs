@@ -137,22 +137,14 @@ fn load_graph(args: &Args, model: DiffusionModel) -> Graph {
             default_prob: 1.0,
             weights: Some(weights),
         };
-        // LT normalization for loaded graphs happens through the builder in
-        // io; re-normalize by rebuilding when requested.
-        let g = read_edge_list_file(path, options).unwrap_or_else(|e| {
+        let mut g = read_edge_list_file(path, options).unwrap_or_else(|e| {
             eprintln!("error: cannot load {path}: {e}");
             std::process::exit(1);
         });
         if lt_normalize {
-            // Rebuild with normalization through a weighted builder.
-            let mut b = ripples_graph::GraphBuilder::new(g.num_vertices()).assign_weights(weights);
-            for (u, v, _) in g.edges() {
-                b.add_arc(u, v).expect("edge in range");
-            }
-            b.normalize_for_lt().build().expect("rebuild")
-        } else {
-            g
+            g.normalize_for_lt();
         }
+        g
     } else if let Some(name) = args.get("standin") {
         let spec = standin(name).unwrap_or_else(|| {
             eprintln!("error: unknown stand-in `{name}`; see ripples-graph's catalog");

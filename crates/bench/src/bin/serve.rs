@@ -73,10 +73,14 @@ fn load_graph(args: &Args, model: DiffusionModel) -> Graph {
             default_prob: 1.0,
             weights: Some(weights),
         };
-        read_edge_list_file(path, options).unwrap_or_else(|e| {
+        let mut g = read_edge_list_file(path, options).unwrap_or_else(|e| {
             eprintln!("error: cannot load {path}: {e}");
             std::process::exit(1);
-        })
+        });
+        if lt_normalize {
+            g.normalize_for_lt();
+        }
+        g
     } else if let Some(name) = args.get("standin") {
         let spec = standin(name).unwrap_or_else(|| {
             eprintln!("error: unknown stand-in `{name}`; see ripples-graph's catalog");

@@ -18,6 +18,13 @@
 //! * **Span tree.** `EstimateTheta/round-x/{sample,select}`, then `Sample`
 //!   (only when the final θ exceeds the estimation population), then
 //!   `SelectSeeds` — the same names and nesting for every engine.
+//! * **No selection runs twice.** When the final θ needs no sample beyond
+//!   those the last estimation round selected over, none were discarded and
+//!   that round selected `k` seeds (`sizing_k == k`), `SelectSeeds` would
+//!   repeat that round's computation on the identical store, so it returns
+//!   the round's [`Selection`] instead. Every term of the condition is the
+//!   same on every rank, so the ranks of a distributed engine skip the same
+//!   collectives.
 //! * **Counter set.** `theta_rounds`, `round_budgets`, `round_coverage`,
 //!   `select_iterations`, `theta_final`, `rrr_bytes_peak` and the four
 //!   [`SelectStats`] totals are filled here. The engine's `grow_to` adds
@@ -147,6 +154,8 @@ pub(crate) fn run_imm<E: Engine>(
     );
     let mut held = 0usize;
     let mut select_stats = SelectStats::default();
+    // The latest estimation round's selection, over `held` samples.
+    let mut last_round: Option<Selection> = None;
 
     // --- EstimateTheta (Algorithm 2) -----------------------------------
     let mut lb: Option<f64> = None;
@@ -168,7 +177,9 @@ pub(crate) fn run_imm<E: Engine>(
                 report.counters.select_iterations += sel.seeds.len() as u64;
                 report.counters.round_budgets.push(budget as u64);
                 report.counters.round_coverage.push(sel.fraction);
-                sel.fraction
+                let fraction = sel.fraction;
+                last_round = Some(sel);
+                fraction
             });
             if schedule.round_succeeds(x, fraction) {
                 lb = Some(schedule.lower_bound(fraction));
@@ -187,6 +198,9 @@ pub(crate) fn run_imm<E: Engine>(
         held = 0;
         sample_work.clear();
     }
+    // Whether `SelectSeeds` would repeat the last round's selection: the
+    // same samples (kept, and θ asks for no more) and the same `k`.
+    let unchanged = theta <= held && sizing_k == k;
     if theta > held {
         report.span("Sample", |report| {
             engine.grow_to(theta, report, &mut sample_work);
@@ -196,9 +210,17 @@ pub(crate) fn run_imm<E: Engine>(
     memory.observe_rrr(engine.resident_bytes());
 
     // --- SelectSeeds (Algorithm 4) ---------------------------------------
-    let (sel, stats) = report.span("SelectSeeds", |_| engine.select(k));
-    select_stats.absorb(stats);
-    report.counters.select_iterations += sel.seeds.len() as u64;
+    let sel = report.span("SelectSeeds", |report| {
+        match last_round.filter(|_| unchanged) {
+            Some(sel) => sel,
+            None => {
+                let (sel, stats) = engine.select(k);
+                select_stats.absorb(stats);
+                report.counters.select_iterations += sel.seeds.len() as u64;
+                sel
+            }
+        }
+    });
 
     report.counters.theta_final = held as u64;
     record_select_counters(&mut report, &mut memory, select_stats);
@@ -212,5 +234,141 @@ pub(crate) fn run_imm<E: Engine>(
         memory,
         sample_work,
         report,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ripples_graph::GraphBuilder;
+    use std::cell::Cell;
+
+    /// Covers the same scripted fraction in every selection, and marks each
+    /// [`Selection`] with the population it was made over.
+    struct Scripted {
+        fraction: f64,
+        held: usize,
+        selects: Cell<u32>,
+        discards: bool,
+    }
+
+    impl Engine for Scripted {
+        fn grow_to(&mut self, total: usize, _: &mut RunReport, _: &mut Vec<u64>) {
+            self.held = total;
+        }
+
+        fn resident_bytes(&self) -> usize {
+            0
+        }
+
+        fn select(&self, k: u32) -> (Selection, SelectStats) {
+            self.selects.set(self.selects.get() + 1);
+            let selection = Selection {
+                seeds: (0..k).collect(),
+                covered: self.held,
+                fraction: self.fraction,
+                marginal_gains: Vec::new(),
+            };
+            (selection, SelectStats::default())
+        }
+
+        fn finish(&mut self, _: &mut RunReport) {}
+
+        fn discard_estimation_samples(&mut self) -> bool {
+            self.discards
+        }
+    }
+
+    const N: u32 = 1000;
+    const K: u32 = 50;
+    const EPSILON: f64 = 0.1;
+
+    fn run(fraction: f64, params: &ImmParams, discards: bool) -> (ImmResult, u32) {
+        let graph = GraphBuilder::new(N).build().unwrap();
+        let mut engine = Scripted {
+            fraction,
+            held: 0,
+            selects: Cell::new(0),
+            discards,
+        };
+        let result = run_imm(
+            "scripted",
+            &graph,
+            params,
+            MemoryStats::default(),
+            &mut engine,
+        );
+        (result, engine.selects.get())
+    }
+
+    fn params() -> ImmParams {
+        ImmParams::new(
+            K,
+            EPSILON,
+            ripples_diffusion::DiffusionModel::IndependentCascade,
+            1,
+        )
+    }
+
+    fn top_level_spans(result: &ImmResult) -> Vec<&str> {
+        let spans = result.report.spans();
+        spans.iter().map(|s| s.name.as_str()).collect()
+    }
+
+    #[test]
+    fn final_selection_reuses_the_last_round_when_nothing_changed() {
+        // Full coverage certifies round 1, and θ stays within its budget.
+        let schedule = ThetaSchedule::new(u64::from(N), u64::from(K), EPSILON, 1.0);
+        let budget = schedule.round_budget(1);
+        assert!(schedule.round_succeeds(1, 1.0));
+        assert!(schedule.final_theta(schedule.lower_bound(1.0)) <= budget);
+
+        let (result, selects) = run(1.0, &params(), false);
+        assert_eq!(
+            selects, 1,
+            "round 1 selected; SelectSeeds must not repeat it"
+        );
+        assert_eq!(result.theta, budget);
+        assert_eq!(result.seeds, (0..K).collect::<Vec<_>>());
+        assert_eq!(result.report.counters.theta_rounds, 1);
+        assert_eq!(result.report.counters.select_iterations, u64::from(K));
+        assert_eq!(top_level_spans(&result), ["EstimateTheta", "SelectSeeds"]);
+    }
+
+    #[test]
+    fn final_selection_runs_when_theta_tops_up_the_population() {
+        // 0.3 fails round 1, barely certifies round 2, and the resulting
+        // bound asks for more samples than round 2 held.
+        let schedule = ThetaSchedule::new(u64::from(N), u64::from(K), EPSILON, 1.0);
+        assert!(!schedule.round_succeeds(1, 0.3) && schedule.round_succeeds(2, 0.3));
+        let theta = schedule.final_theta(schedule.lower_bound(0.3));
+        assert!(theta > schedule.round_budget(2));
+
+        let (result, selects) = run(0.3, &params(), false);
+        assert_eq!(selects, 3, "two rounds and SelectSeeds");
+        assert_eq!(result.theta, theta);
+        assert_eq!(result.report.counters.select_iterations, 3 * u64::from(K));
+        assert_eq!(
+            top_level_spans(&result),
+            ["EstimateTheta", "Sample", "SelectSeeds"]
+        );
+    }
+
+    #[test]
+    fn final_selection_runs_for_a_different_k_or_a_fresh_population() {
+        // Serve mode sizes the sketch for k_max and returns k seeds.
+        let sized = ImmParams::new(5, EPSILON, params().model, 1).with_k_max(K);
+        let (result, selects) = run(1.0, &sized, false);
+        assert_eq!(selects, 2);
+        assert_eq!(result.seeds, (0..5).collect::<Vec<_>>());
+        assert!(!top_level_spans(&result).contains(&"Sample"));
+
+        // Tang's resampling mode selects over samples no round has seen.
+        let (result, selects) = run(1.0, &params(), true);
+        assert_eq!(selects, 2);
+        assert_eq!(
+            top_level_spans(&result),
+            ["EstimateTheta", "Sample", "SelectSeeds"]
+        );
     }
 }

@@ -12,7 +12,7 @@ pub enum DiffusionModel {
     /// Linear Threshold: each vertex draws a uniform threshold once; it
     /// activates when the summed weight of its active in-neighbors reaches
     /// the threshold. Requires in-weights summing to at most 1 (see
-    /// `GraphBuilder::normalize_for_lt` / `WeightModel::WeightedCascade`).
+    /// `Graph::normalize_for_lt` / `WeightModel::WeightedCascade`).
     LinearThreshold,
 }
 

@@ -81,7 +81,7 @@ impl BatchOutcome {
 /// runs in every build profile and fails fast instead.
 ///
 /// The tolerance absorbs f32 rounding of weights that were normalized in
-/// f64 by [`ripples_graph::GraphBuilder::normalize_for_lt`].
+/// f64 by [`ripples_graph::Graph::normalize_for_lt`].
 ///
 /// # Panics
 ///
@@ -93,9 +93,9 @@ pub fn ensure_lt_normalized(graph: &Graph) {
         assert!(
             sum <= 1.0 + 1e-4,
             "Linear Threshold sampling requires in-weights summing to <= 1, \
-             but vertex {v} has in-weight sum {sum:.6}; build the graph with \
-             GraphBuilder::normalize_for_lt() (CLI graph builders pass \
-             lt_normalize=true for --model lt)"
+             but vertex {v} has in-weight sum {sum:.6}; call \
+             Graph::normalize_for_lt() on a loaded graph, or build it with \
+             WeightedBuilder::normalize_for_lt() (the CLI does so for --model lt)"
         );
     }
 }

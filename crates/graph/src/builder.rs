@@ -1,4 +1,28 @@
-//! Edge-list accumulation and CSR construction.
+//! Edge accumulation and CSR construction.
+//!
+//! Pending edges live in parallel `sources` / `targets` vectors (4 + 4 bytes
+//! an edge) plus a `probs` vector (4 more) only while the probabilities
+//! will be kept: [`GraphBuilder::assign_weights`] drops it, because a
+//! [`WeightModel`] overwrites every value.
+//!
+//! `build` never sorts the whole list. It is a counting sort with a per-row
+//! clean-up, O(m + n + Σ d·log d) for rows of d edges:
+//!
+//! 1. count the sources and prefix-sum them into the forward offsets;
+//! 2. scatter targets (and kept probabilities) into the forward arrays in
+//!    insertion order, then drop the input;
+//! 3. stable-sort each row by target and fold duplicates into the first
+//!    occurrence, compacting the arrays in place;
+//! 4. let the weight model, if any, fill the probabilities in forward order
+//!    (source, then target — the order a sorted edge list would have);
+//! 5. counting-sort by target into the reverse arrays; sources come out
+//!    ascending within a destination because rows are visited in order.
+//!
+//! The high-water mark is step 2 (input plus forward arrays: 12 bytes an
+//! edge, 20 when probabilities are kept) or the finished graph (16 bytes an
+//! edge plus 16 a vertex), whichever is larger; nothing of size m or n is
+//! allocated beyond the six arrays the [`Graph`] keeps. The steps are the
+//! same whether or not the edges arrive sorted.
 
 use crate::csr::Graph;
 use crate::types::{GraphError, Vertex};
@@ -7,19 +31,34 @@ use crate::weights::WeightModel;
 /// What to do when the same `(source, target)` pair is added twice.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum DuplicatePolicy {
-    /// Keep the first occurrence (default; matches SNAP loader behaviour).
+    /// Keep the occurrence that was *added first* (default; matches SNAP
+    /// loader behaviour). Rows are sorted stably, so this is the first one
+    /// inserted also among duplicates of differing probability.
     #[default]
     KeepFirst,
     /// Keep the occurrence with the largest probability.
     KeepMax,
-    /// Combine as independent chances: `1 − (1−p₁)(1−p₂)`.
+    /// Combine as independent chances: `1 − (1−p₁)(1−p₂)`, folded in the
+    /// order the duplicates were added.
     NoisyOr,
+}
+
+impl DuplicatePolicy {
+    fn combine(self, kept: f32, next: f32) -> f32 {
+        match self {
+            DuplicatePolicy::KeepFirst => kept,
+            DuplicatePolicy::KeepMax => kept.max(next),
+            DuplicatePolicy::NoisyOr => 1.0 - (1.0 - kept) * (1.0 - next),
+        }
+    }
 }
 
 /// Accumulates edges and produces a validated [`Graph`].
 ///
-/// Construction is O(m log m) (one sort) plus two counting passes; peak
-/// transient memory is one `(u32, u32, f32)` triple per edge.
+/// Construction is O(m + n + Σ d·log d) over rows of d edges (no sort of
+/// the whole list) and its transient memory stays below the finished graph
+/// unless probabilities are kept, where it peaks 4 bytes an edge above it;
+/// see the module documentation.
 ///
 /// ```
 /// use ripples_graph::GraphBuilder;
@@ -35,9 +74,22 @@ pub enum DuplicatePolicy {
 #[derive(Clone, Debug)]
 pub struct GraphBuilder {
     num_vertices: u32,
-    edges: Vec<(Vertex, Vertex, f32)>,
+    sources: Vec<Vertex>,
+    targets: Vec<Vertex>,
+    /// Aligned with `sources` while probabilities are kept; `None` once a
+    /// weight model is going to overwrite them.
+    probs: Option<Vec<f32>>,
     duplicate_policy: DuplicatePolicy,
     drop_self_loops: bool,
+}
+
+/// `Ok` for a finite probability in `[0, 1]`.
+pub(crate) fn check_probability(prob: f32) -> Result<(), GraphError> {
+    if prob.is_finite() && (0.0..=1.0).contains(&prob) {
+        Ok(())
+    } else {
+        Err(GraphError::InvalidProbability { value: prob })
+    }
 }
 
 impl GraphBuilder {
@@ -46,7 +98,9 @@ impl GraphBuilder {
     pub fn new(num_vertices: u32) -> Self {
         Self {
             num_vertices,
-            edges: Vec::new(),
+            sources: Vec::new(),
+            targets: Vec::new(),
+            probs: Some(Vec::new()),
             duplicate_policy: DuplicatePolicy::default(),
             drop_self_loops: true,
         }
@@ -54,7 +108,11 @@ impl GraphBuilder {
 
     /// Pre-allocates room for `additional` more edges.
     pub fn reserve(&mut self, additional: usize) {
-        self.edges.reserve(additional);
+        self.sources.reserve(additional);
+        self.targets.reserve(additional);
+        if let Some(probs) = &mut self.probs {
+            probs.reserve(additional);
+        }
     }
 
     /// Sets the duplicate-edge policy (default: keep first).
@@ -76,7 +134,7 @@ impl GraphBuilder {
     /// Number of edges currently buffered (before dedup).
     #[must_use]
     pub fn pending_edges(&self) -> usize {
-        self.edges.len()
+        self.sources.len()
     }
 
     /// Adds a directed edge with an explicit activation probability.
@@ -86,26 +144,42 @@ impl GraphBuilder {
         target: Vertex,
         prob: f32,
     ) -> Result<(), GraphError> {
-        if source >= self.num_vertices {
-            return Err(GraphError::VertexOutOfRange {
-                vertex: source,
-                num_vertices: self.num_vertices,
-            });
+        for vertex in [source, target] {
+            if vertex >= self.num_vertices {
+                return Err(GraphError::VertexOutOfRange {
+                    vertex,
+                    num_vertices: self.num_vertices,
+                });
+            }
         }
-        if target >= self.num_vertices {
-            return Err(GraphError::VertexOutOfRange {
-                vertex: target,
-                num_vertices: self.num_vertices,
-            });
-        }
-        if !prob.is_finite() || !(0.0..=1.0).contains(&prob) {
-            return Err(GraphError::InvalidProbability { value: prob });
-        }
-        if self.drop_self_loops && source == target {
-            return Ok(());
-        }
-        self.edges.push((source, target, prob));
+        check_probability(prob)?;
+        self.push(source, target, prob);
         Ok(())
+    }
+
+    /// [`GraphBuilder::add_edge`] for a caller that has made its checks
+    /// already: the edge-list reader, which learns the vertex count only at
+    /// the end of the file and then calls [`GraphBuilder::set_num_vertices`].
+    pub(crate) fn push(&mut self, source: Vertex, target: Vertex, prob: f32) {
+        if self.drop_self_loops && source == target {
+            return;
+        }
+        self.sources.push(source);
+        self.targets.push(target);
+        if let Some(probs) = &mut self.probs {
+            probs.push(prob);
+        }
+    }
+
+    /// Declares the vertex count after the fact; it must exceed every
+    /// endpoint pushed.
+    pub(crate) fn set_num_vertices(&mut self, num_vertices: u32) {
+        self.num_vertices = num_vertices;
+    }
+
+    /// Stops storing probabilities: a weight model will assign them.
+    pub(crate) fn discard_probs(&mut self) {
+        self.probs = None;
     }
 
     /// Adds a directed edge with a placeholder probability of 1.0, to be
@@ -123,16 +197,14 @@ impl GraphBuilder {
     /// Overwrites every buffered probability according to `model`.
     ///
     /// Weight assignment is deterministic given the model (and its seed) and
-    /// the *final sorted edge order*, so identical edge sets produce
-    /// identical weights regardless of insertion order; it therefore runs on
-    /// the deduplicated, sorted list inside [`GraphBuilder::build`]. Calling
-    /// this method records the model to apply.
+    /// the *forward CSR order* of the deduplicated edges (source, then
+    /// target), so identical edge sets produce identical weights regardless
+    /// of insertion order; it therefore runs inside
+    /// [`WeightedBuilder::build`]. Calling this method records the model to
+    /// apply and frees the probabilities buffered so far.
     #[must_use]
     pub fn assign_weights(mut self, model: WeightModel) -> WeightedBuilder {
-        // Probabilities buffered so far become irrelevant.
-        for e in &mut self.edges {
-            e.2 = 1.0;
-        }
+        self.discard_probs();
         WeightedBuilder {
             inner: self,
             model,
@@ -140,24 +212,168 @@ impl GraphBuilder {
         }
     }
 
-    /// Sorts, deduplicates, and freezes the edge list into CSR form.
+    /// Deduplicates and freezes the edges into CSR form.
     pub fn build(self) -> Result<Graph, GraphError> {
-        let Self {
-            num_vertices,
-            mut edges,
-            duplicate_policy,
-            ..
-        } = self;
-        if edges.len() >= u32::MAX as usize {
+        self.freeze(None)
+    }
+
+    /// The one build path; `model` is `Some` exactly when the probabilities
+    /// were discarded for it. The steps are those of the module
+    /// documentation.
+    fn freeze(self, model: Option<WeightModel>) -> Result<Graph, GraphError> {
+        if self.sources.len() >= u32::MAX as usize {
             return Err(GraphError::TooLarge(format!(
                 "{} edges exceeds the u32 edge-count limit",
-                edges.len()
+                self.sources.len()
             )));
         }
-        edges.sort_unstable_by_key(|&(u, v, _)| (u, v));
-        dedup_edges(&mut edges, duplicate_policy);
-        Ok(build_csr(num_vertices, &edges))
+        let num_vertices = self.num_vertices;
+        let n = num_vertices as usize;
+        let mut rows = Rows::scatter(n, self.sources, self.targets, self.probs);
+        rows.sort_and_fold(self.duplicate_policy);
+        let Rows {
+            offsets: out_offsets,
+            targets: out_targets,
+            probs: kept_probs,
+        } = rows;
+        let out_probs = match model {
+            Some(model) => model.assign(num_vertices, &out_targets),
+            None => kept_probs.expect("probabilities are kept until a weight model replaces them"),
+        };
+
+        // Step 5: rows are visited in order, so the sources of a
+        // destination come out ascending.
+        let mut in_offsets = offsets_by_key(n, &out_targets);
+        let mut in_sources = vec![0 as Vertex; out_targets.len()];
+        let mut in_probs = vec![0.0f32; out_targets.len()];
+        for u in 0..n {
+            for e in out_offsets[u]..out_offsets[u + 1] {
+                let slot = &mut in_offsets[out_targets[e] as usize];
+                in_sources[*slot] = u as Vertex;
+                in_probs[*slot] = out_probs[e];
+                *slot += 1;
+            }
+        }
+        rewind_offsets(&mut in_offsets);
+
+        Ok(Graph {
+            num_vertices,
+            out_offsets,
+            out_targets,
+            out_probs,
+            in_offsets,
+            in_sources,
+            in_probs,
+        })
     }
+}
+
+/// The forward arrays while they are being made: row `u` is
+/// `targets[offsets[u]..offsets[u + 1]]`, with `probs` aligned to it while
+/// probabilities are kept.
+struct Rows {
+    offsets: Vec<usize>,
+    targets: Vec<Vertex>,
+    probs: Option<Vec<f32>>,
+}
+
+impl Rows {
+    /// Steps 1 and 2: a counting sort by source that keeps each row in
+    /// insertion order, and the end of the input vectors.
+    fn scatter(
+        n: usize,
+        sources: Vec<Vertex>,
+        targets: Vec<Vertex>,
+        probs: Option<Vec<f32>>,
+    ) -> Self {
+        let mut rows = Rows {
+            offsets: offsets_by_key(n, &sources),
+            targets: vec![0; targets.len()],
+            probs: probs.as_ref().map(|probs| vec![0.0; probs.len()]),
+        };
+        for (i, (&u, &v)) in sources.iter().zip(&targets).enumerate() {
+            let slot = &mut rows.offsets[u as usize];
+            rows.targets[*slot] = v;
+            if let (Some(row_probs), Some(probs)) = (&mut rows.probs, &probs) {
+                row_probs[*slot] = probs[i];
+            }
+            *slot += 1;
+        }
+        rewind_offsets(&mut rows.offsets);
+        rows
+    }
+
+    /// Step 3: sorts every row by target and folds its duplicates into the
+    /// first one added, closing the gaps. `write` trails `read`, so a row is
+    /// compacted over space that has been read already.
+    fn sort_and_fold(&mut self, policy: DuplicatePolicy) {
+        let n = self.offsets.len() - 1;
+        let targets = &mut self.targets;
+        let (mut read, mut write) = (0usize, 0usize);
+        let mut row: Vec<(Vertex, f32)> = Vec::new();
+        for u in 0..n {
+            let (end, row_start) = (self.offsets[u + 1], write);
+            self.offsets[u] = row_start;
+            match &mut self.probs {
+                None => {
+                    targets[read..end].sort_unstable();
+                    for i in read..end {
+                        let v = targets[i];
+                        if write == row_start || targets[write - 1] != v {
+                            targets[write] = v;
+                            write += 1;
+                        }
+                    }
+                }
+                Some(probs) => {
+                    row.clear();
+                    let row_probs = probs[read..end].iter().copied();
+                    row.extend(targets[read..end].iter().copied().zip(row_probs));
+                    // Stable: duplicates stay in the order they were added.
+                    row.sort_by_key(|&(v, _)| v);
+                    for &(v, p) in &row {
+                        if write > row_start && targets[write - 1] == v {
+                            probs[write - 1] = policy.combine(probs[write - 1], p);
+                        } else {
+                            targets[write] = v;
+                            probs[write] = p;
+                            write += 1;
+                        }
+                    }
+                }
+            }
+            read = end;
+        }
+        self.offsets[n] = write;
+        targets.truncate(write);
+        targets.shrink_to_fit();
+        if let Some(probs) = &mut self.probs {
+            probs.truncate(write);
+            probs.shrink_to_fit();
+        }
+    }
+}
+
+/// Where each key's group starts once the elements are sorted by key:
+/// `offsets[k]` for key `k < n`, and the element count at `offsets[n]`.
+fn offsets_by_key(n: usize, keys: &[Vertex]) -> Vec<usize> {
+    let mut offsets = vec![0usize; n + 1];
+    for &k in keys {
+        offsets[k as usize + 1] += 1;
+    }
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
+    }
+    offsets
+}
+
+/// Undoes a scatter that used `offsets[k]` as key `k`'s write cursor: every
+/// entry now holds the start of the next group, so they move up by one.
+/// This is what saves a second n-length cursor array.
+fn rewind_offsets(offsets: &mut [usize]) {
+    let n = offsets.len() - 1;
+    offsets.copy_within(0..n, 1);
+    offsets[0] = 0;
 }
 
 /// A [`GraphBuilder`] with a recorded weight model; see
@@ -174,10 +390,17 @@ impl WeightedBuilder {
     /// model assigns raw weights, each vertex's incoming weights are scaled
     /// so they sum to at most one (weights already summing below one are
     /// left untouched, preserving a nonzero "no activation" probability).
+    /// The finished graph is what [`Graph::normalize_for_lt`] makes of the
+    /// un-normalized one.
     #[must_use]
     pub fn normalize_for_lt(mut self) -> Self {
         self.lt_normalize = true;
         self
+    }
+
+    /// Pre-allocates room for `additional` more arcs.
+    pub fn reserve(&mut self, additional: usize) {
+        self.inner.reserve(additional);
     }
 
     /// Adds a directed arc (probability comes from the model).
@@ -191,126 +414,13 @@ impl WeightedBuilder {
         self.inner.add_arc(b, a)
     }
 
-    /// Sorts, deduplicates, weights, optionally LT-normalizes, and freezes.
+    /// Deduplicates, weights, optionally LT-normalizes, and freezes.
     pub fn build(self) -> Result<Graph, GraphError> {
-        let WeightedBuilder {
-            inner,
-            model,
-            lt_normalize,
-        } = self;
-        let GraphBuilder {
-            num_vertices,
-            mut edges,
-            duplicate_policy,
-            ..
-        } = inner;
-        if edges.len() >= u32::MAX as usize {
-            return Err(GraphError::TooLarge(format!(
-                "{} edges exceeds the u32 edge-count limit",
-                edges.len()
-            )));
+        let mut graph = self.inner.freeze(Some(self.model))?;
+        if self.lt_normalize {
+            graph.normalize_for_lt();
         }
-        edges.sort_unstable_by_key(|&(u, v, _)| (u, v));
-        dedup_edges(&mut edges, duplicate_policy);
-        model.apply(num_vertices, &mut edges);
-        if lt_normalize {
-            normalize_in_weights(num_vertices, &mut edges);
-        }
-        Ok(build_csr(num_vertices, &edges))
-    }
-}
-
-fn dedup_edges(edges: &mut Vec<(Vertex, Vertex, f32)>, policy: DuplicatePolicy) {
-    match policy {
-        DuplicatePolicy::KeepFirst => {
-            edges.dedup_by_key(|&mut (u, v, _)| (u, v));
-        }
-        DuplicatePolicy::KeepMax => {
-            edges.dedup_by(|next, kept| {
-                if (next.0, next.1) == (kept.0, kept.1) {
-                    kept.2 = kept.2.max(next.2);
-                    true
-                } else {
-                    false
-                }
-            });
-        }
-        DuplicatePolicy::NoisyOr => {
-            edges.dedup_by(|next, kept| {
-                if (next.0, next.1) == (kept.0, kept.1) {
-                    kept.2 = 1.0 - (1.0 - kept.2) * (1.0 - next.2);
-                    true
-                } else {
-                    false
-                }
-            });
-        }
-    }
-}
-
-/// Scales each destination's incoming weights to sum to ≤ 1 (Kempe-style LT
-/// readjustment). Operates on the sorted edge list so both CSR directions
-/// observe the same normalized values.
-fn normalize_in_weights(num_vertices: u32, edges: &mut [(Vertex, Vertex, f32)]) {
-    let mut sums = vec![0.0f64; num_vertices as usize];
-    for &(_, v, p) in edges.iter() {
-        sums[v as usize] += f64::from(p);
-    }
-    for e in edges.iter_mut() {
-        let s = sums[e.1 as usize];
-        if s > 1.0 {
-            e.2 = (f64::from(e.2) / s) as f32;
-        }
-    }
-}
-
-/// Builds both CSR directions from a sorted, deduplicated edge list.
-fn build_csr(num_vertices: u32, edges: &[(Vertex, Vertex, f32)]) -> Graph {
-    let n = num_vertices as usize;
-    let m = edges.len();
-
-    // Forward: the list is already sorted by (source, target).
-    let mut out_offsets = vec![0usize; n + 1];
-    for &(u, _, _) in edges {
-        out_offsets[u as usize + 1] += 1;
-    }
-    for i in 0..n {
-        out_offsets[i + 1] += out_offsets[i];
-    }
-    let mut out_targets = Vec::with_capacity(m);
-    let mut out_probs = Vec::with_capacity(m);
-    for &(_, v, p) in edges {
-        out_targets.push(v);
-        out_probs.push(p);
-    }
-
-    // Reverse: counting sort by destination; sources within a destination
-    // come out sorted because the input is sorted by source first.
-    let mut in_offsets = vec![0usize; n + 1];
-    for &(_, v, _) in edges {
-        in_offsets[v as usize + 1] += 1;
-    }
-    for i in 0..n {
-        in_offsets[i + 1] += in_offsets[i];
-    }
-    let mut cursor = in_offsets.clone();
-    let mut in_sources = vec![0 as Vertex; m];
-    let mut in_probs = vec![0.0f32; m];
-    for &(u, v, p) in edges {
-        let slot = cursor[v as usize];
-        in_sources[slot] = u;
-        in_probs[slot] = p;
-        cursor[v as usize] += 1;
-    }
-
-    Graph {
-        num_vertices,
-        out_offsets,
-        out_targets,
-        out_probs,
-        in_offsets,
-        in_sources,
-        in_probs,
+        Ok(graph)
     }
 }
 

@@ -1,13 +1,16 @@
 //! Immutable bidirectional CSR graph storage.
 
+use crate::builder::check_probability;
 use crate::types::Vertex;
 
 /// A directed graph with per-edge activation probabilities, stored as two
 /// compressed-sparse-row structures: one over out-edges (forward diffusion)
 /// and one over in-edges (reverse-reachability sampling).
 ///
-/// The structure is immutable after construction; build instances through
-/// [`crate::GraphBuilder`] or the generators. Probabilities are stored twice
+/// The topology is immutable after construction (the one in-place operation,
+/// [`Graph::normalize_for_lt`], rescales probabilities); build instances
+/// through [`crate::GraphBuilder`], the generators or [`crate::io`].
+/// Probabilities are stored twice
 /// (once per direction) so both traversal directions stream contiguously —
 /// the reverse BFS in `ripples-diffusion` is the hottest loop in the whole
 /// system and must not chase an edge-id indirection per neighbor.
@@ -180,29 +183,67 @@ impl Graph {
         h
     }
 
+    /// The paper's linear-threshold readjustment, in place: the incoming
+    /// probabilities of every vertex whose in-weight exceeds one are divided
+    /// by that sum, in both directions' arrays; the others are left alone,
+    /// keeping their nonzero chance of no activation.
+    ///
+    /// A vertex's sum is [`Graph::in_weight_sum`]: f64, over its in-edges
+    /// by ascending source, the order a pass over the forward arrays meets
+    /// them in, so the result does not depend on when in a graph's
+    /// construction this runs:
+    /// [`crate::builder::WeightedBuilder::normalize_for_lt`] is this call on
+    /// the freshly built graph.
+    pub fn normalize_for_lt(&mut self) {
+        let sums: Vec<f64> = (0..self.num_vertices)
+            .map(|v| self.in_weight_sum(v))
+            .collect();
+        let readjust = |prob: &mut f32, sum: f64| {
+            if sum > 1.0 {
+                *prob = (f64::from(*prob) / sum) as f32;
+            }
+        };
+        for (v, &sum) in sums.iter().enumerate() {
+            for prob in &mut self.in_probs[self.in_offsets[v]..self.in_offsets[v + 1]] {
+                readjust(prob, sum);
+            }
+        }
+        for (&v, prob) in self.out_targets.iter().zip(&mut self.out_probs) {
+            readjust(prob, sums[v as usize]);
+        }
+    }
+
     /// Checks the internal invariants; used by tests and after IO.
     ///
-    /// Invariants: offset arrays are monotone and span the edge arrays; both
-    /// directions contain the same edge multiset; adjacency lists are sorted;
-    /// probabilities are finite and in `[0, 1]`.
+    /// Invariants: offset arrays are monotone and span the edge arrays;
+    /// every endpoint is below `n`; adjacency lists are strictly sorted;
+    /// probabilities are finite and in `[0, 1]`; both directions contain
+    /// the same edge multiset with the same probability bits. O(m + n) time
+    /// and one n-length cursor array.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.num_vertices as usize;
+        let m = self.out_targets.len();
         if self.out_offsets.len() != n + 1 || self.in_offsets.len() != n + 1 {
             return Err("offset arrays must have n+1 entries".into());
         }
+        if self.out_probs.len() != m || self.in_sources.len() != m || self.in_probs.len() != m {
+            return Err("edge arrays must have equal lengths".into());
+        }
         for w in [&self.out_offsets, &self.in_offsets] {
-            if w[0] != 0 || *w.last().unwrap() != self.out_targets.len() {
+            if w[0] != 0 || w[n] != m {
                 return Err("offsets must start at 0 and end at m".into());
             }
             if w.windows(2).any(|p| p[0] > p[1]) {
                 return Err("offsets must be monotone".into());
             }
         }
-        if self.out_targets.len() != self.out_probs.len()
-            || self.in_sources.len() != self.in_probs.len()
-            || self.out_targets.len() != self.in_sources.len()
+        if self
+            .out_targets
+            .iter()
+            .chain(&self.in_sources)
+            .any(|&v| v >= self.num_vertices)
         {
-            return Err("edge arrays must have equal lengths".into());
+            return Err("edge endpoints must be below n".into());
         }
         for v in 0..self.num_vertices {
             if self.out_neighbors(v).windows(2).any(|w| w[0] >= w[1]) {
@@ -215,22 +256,31 @@ impl Graph {
         if self
             .out_probs
             .iter()
-            .chain(self.in_probs.iter())
-            .any(|p| !p.is_finite() || !(0.0..=1.0).contains(p))
+            .chain(&self.in_probs)
+            .any(|&p| check_probability(p).is_err())
         {
             return Err("probabilities must be finite in [0,1]".into());
         }
-        // Directions agree: every out-edge appears as an in-edge with the
-        // same probability.
-        let mut fwd: Vec<(Vertex, Vertex, u32)> =
-            self.edges().map(|(u, v, p)| (u, v, p.to_bits())).collect();
-        let mut rev: Vec<(Vertex, Vertex, u32)> = (0..self.num_vertices)
-            .flat_map(|v| self.in_edges(v).map(move |(u, p)| (u, v, p.to_bits())))
-            .collect();
-        fwd.sort_unstable();
-        rev.sort_unstable();
-        if fwd != rev {
-            return Err("forward and reverse CSR disagree".into());
+        // Directions agree. Out-edges are walked by ascending source, and a
+        // source meets each target at most once (rows are strictly sorted),
+        // so the sources arriving at one target strictly ascend — as its
+        // in-list, strictly sorted, does. Each out-edge must therefore be
+        // the next unread entry of its target's in-list; both sides hold m
+        // edges, so when every out-edge has matched, every in-edge has been
+        // read exactly once.
+        let mut next_in = self.in_offsets[..n].to_vec();
+        for u in 0..n {
+            for e in self.out_offsets[u]..self.out_offsets[u + 1] {
+                let v = self.out_targets[e] as usize;
+                let slot = next_in[v];
+                if slot == self.in_offsets[v + 1]
+                    || self.in_sources[slot] as usize != u
+                    || self.in_probs[slot].to_bits() != self.out_probs[e].to_bits()
+                {
+                    return Err("forward and reverse CSR disagree".into());
+                }
+                next_in[v] = slot + 1;
+            }
         }
         Ok(())
     }

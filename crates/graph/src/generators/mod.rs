@@ -36,9 +36,8 @@ pub(crate) fn arcs_to_graph(
     model: WeightModel,
     lt_normalize: bool,
 ) -> Graph {
-    let mut builder = GraphBuilder::new(num_vertices);
-    builder.reserve(arcs.len());
-    let mut wb = builder.assign_weights(model);
+    let mut wb = GraphBuilder::new(num_vertices).assign_weights(model);
+    wb.reserve(arcs.len());
     for &(u, v) in arcs {
         // Generators only emit in-range endpoints; treat failure as a bug.
         wb.add_arc(u, v).expect("generator produced invalid arc");

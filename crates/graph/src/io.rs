@@ -6,7 +6,7 @@
 //! `read_edge_list` is given `VertexIds::Remap` (SNAP files have gaps), or
 //! taken literally with `VertexIds::Literal`.
 
-use crate::builder::GraphBuilder;
+use crate::builder::{check_probability, GraphBuilder};
 use crate::csr::Graph;
 use crate::types::{GraphError, Vertex};
 use crate::weights::WeightModel;
@@ -49,114 +49,179 @@ impl Default for EdgeListOptions {
 }
 
 /// Reads an edge list from any reader.
+///
+/// Lines are read into one reused byte buffer and tokenised as bytes; an
+/// edge goes into the [`GraphBuilder`]'s id vectors on the line where it
+/// appears, with its ids already narrowed ([`VertexIds::Literal`]) or
+/// assigned ([`VertexIds::Remap`]), and its third column is checked but not
+/// stored when `options.weights` will overwrite it. Nothing else of the
+/// file's size is held, so the load peaks where [`GraphBuilder::build`]
+/// does.
+///
+/// Errors are reported in this order: the first line that does not parse
+/// (or is not UTF-8), then an id space past `u32`, then the first
+/// probability outside `[0, 1]`.
 pub fn read_edge_list<R: Read>(reader: R, options: EdgeListOptions) -> Result<Graph, GraphError> {
-    let reader = BufReader::new(reader);
-    let mut raw_edges: Vec<(u64, u64, f32)> = Vec::new();
-    let mut max_id = 0u64;
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line?;
-        let line_no = idx + 1;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
-            continue;
-        }
-        let mut parts = trimmed.split_whitespace();
-        let u: u64 = parse_field(parts.next(), line_no, "source")?;
-        let v: u64 = parse_field(parts.next(), line_no, "target")?;
-        let p: f32 = match parts.next() {
-            Some(tok) => tok.parse().map_err(|_| GraphError::Parse {
-                line: line_no,
-                message: format!("invalid probability `{tok}`"),
-            })?,
-            None => options.default_prob,
-        };
-        if parts.next().is_some() {
-            return Err(GraphError::Parse {
-                line: line_no,
-                message: "too many fields (expected 2 or 3)".into(),
-            });
-        }
-        max_id = max_id.max(u).max(v);
-        raw_edges.push((u, v, p));
+    let mut reader = BufReader::with_capacity(1 << 16, reader);
+    let mut builder = GraphBuilder::new(0);
+    if options.weights.is_some() {
+        builder.discard_probs();
     }
-
-    let (num_vertices, edges) = match options.vertex_ids {
-        VertexIds::Literal => {
-            if !raw_edges.is_empty() && max_id >= u64::from(u32::MAX) {
-                return Err(GraphError::TooLarge(format!(
-                    "literal vertex id {max_id} exceeds u32 range"
-                )));
-            }
-            let n = if raw_edges.is_empty() {
-                0
-            } else {
-                (max_id + 1) as u32
-            };
-            let edges: Vec<(Vertex, Vertex, f32)> = raw_edges
-                .into_iter()
-                .map(|(u, v, p)| (u as Vertex, v as Vertex, p))
-                .collect();
-            (n, edges)
+    let mut ids = IdSpace::new(options.vertex_ids);
+    let mut bad_probability = None;
+    let mut line = Vec::new();
+    let mut line_no = 0usize;
+    loop {
+        line.clear();
+        if reader.read_until(b'\n', &mut line)? == 0 {
+            break;
         }
-        VertexIds::Remap => {
-            let mut map: HashMap<u64, Vertex> = HashMap::new();
-            let mut next: Vertex = 0;
-            let mut edges = Vec::with_capacity(raw_edges.len());
-            for (u, v, p) in raw_edges {
-                let mut id_of = |x: u64| -> Result<Vertex, GraphError> {
-                    if let Some(&id) = map.get(&x) {
-                        return Ok(id);
-                    }
-                    if next == u32::MAX {
-                        return Err(GraphError::TooLarge(
-                            "more than u32::MAX distinct vertices".into(),
-                        ));
-                    }
-                    let id = next;
-                    map.insert(x, id);
-                    next += 1;
-                    Ok(id)
-                };
-                let iu = id_of(u)?;
-                let iv = id_of(v)?;
-                edges.push((iu, iv, p));
-            }
-            (next, edges)
+        line_no += 1;
+        let Some((u, v, p)) = parse_line(&line, line_no)? else {
+            continue;
+        };
+        let (u, v) = (ids.id_of(u)?, ids.id_of(v)?);
+        let p = p.unwrap_or(options.default_prob);
+        if options.weights.is_none() && bad_probability.is_none() {
+            bad_probability = check_probability(p).err();
         }
-    };
-
-    let mut builder = GraphBuilder::new(num_vertices);
-    builder.reserve(edges.len() * if options.undirected { 2 } else { 1 });
-    if let Some(model) = options.weights {
-        let mut wb = builder.assign_weights(model);
-        for (u, v, _) in edges {
-            if options.undirected {
-                wb.add_undirected(u, v)?;
-            } else {
-                wb.add_arc(u, v)?;
-            }
+        builder.push(u, v, p);
+        if options.undirected {
+            builder.push(v, u, p);
         }
-        wb.build()
-    } else {
-        for (u, v, p) in edges {
-            if options.undirected {
-                builder.add_undirected(u, v, p)?;
-            } else {
-                builder.add_edge(u, v, p)?;
-            }
-        }
-        builder.build()
+    }
+    builder.set_num_vertices(ids.num_vertices()?);
+    if let Some(error) = bad_probability {
+        return Err(error);
+    }
+    match options.weights {
+        Some(model) => builder.assign_weights(model).build(),
+        None => builder.build(),
     }
 }
 
-fn parse_field(tok: Option<&str>, line: usize, what: &str) -> Result<u64, GraphError> {
+/// The internal ids handed out so far.
+enum IdSpace {
+    /// The largest id seen, if any; ids are kept as they are.
+    Literal(Option<u64>),
+    /// File id → dense id, in order of first appearance.
+    Remap(HashMap<u64, Vertex>),
+}
+
+impl IdSpace {
+    fn new(vertex_ids: VertexIds) -> Self {
+        match vertex_ids {
+            VertexIds::Literal => IdSpace::Literal(None),
+            VertexIds::Remap => IdSpace::Remap(HashMap::new()),
+        }
+    }
+
+    fn id_of(&mut self, raw: u64) -> Result<Vertex, GraphError> {
+        match self {
+            IdSpace::Literal(max) => {
+                *max = Some(max.map_or(raw, |m| m.max(raw)));
+                // An id past `u32` is cut short here and refused by
+                // `num_vertices`, after any parse error further down.
+                Ok(raw as Vertex)
+            }
+            IdSpace::Remap(map) => {
+                let next = map.len() as u64;
+                if let Some(&id) = map.get(&raw) {
+                    return Ok(id);
+                }
+                if next >= u64::from(u32::MAX) {
+                    return Err(GraphError::TooLarge(
+                        "more than u32::MAX distinct vertices".into(),
+                    ));
+                }
+                map.insert(raw, next as Vertex);
+                Ok(next as Vertex)
+            }
+        }
+    }
+
+    fn num_vertices(&self) -> Result<u32, GraphError> {
+        match self {
+            IdSpace::Literal(None) => Ok(0),
+            IdSpace::Literal(Some(max)) if *max >= u64::from(u32::MAX) => Err(
+                GraphError::TooLarge(format!("literal vertex id {max} exceeds u32 range")),
+            ),
+            IdSpace::Literal(Some(max)) => Ok(*max as u32 + 1),
+            IdSpace::Remap(map) => Ok(map.len() as u32),
+        }
+    }
+}
+
+/// What `char::is_whitespace` accepts below 0x80 (`u8::is_ascii_whitespace`
+/// leaves out the vertical tab).
+fn is_space(byte: u8) -> bool {
+    matches!(byte, b'\t'..=b'\r' | b' ')
+}
+
+/// One line, its terminator included: `None` for a blank or comment line,
+/// else source, target and the third column if there is one.
+fn parse_line(line: &[u8], line_no: usize) -> Result<Option<(u64, u64, Option<f32>)>, GraphError> {
+    if line.is_ascii() {
+        let tokens = line.split(|&b| is_space(b)).filter(|t| !t.is_empty());
+        return parse_fields(tokens, line_no);
+    }
+    // Beyond ASCII the separators are Unicode's, and a line that is not
+    // UTF-8 is an I/O error, worded as `BufRead::lines` words it.
+    let text = std::str::from_utf8(line)
+        .map_err(|_| GraphError::Io("stream did not contain valid UTF-8".into()))?;
+    parse_fields(text.split_whitespace().map(str::as_bytes), line_no)
+}
+
+fn parse_fields<'a>(
+    mut tokens: impl Iterator<Item = &'a [u8]>,
+    line: usize,
+) -> Result<Option<(u64, u64, Option<f32>)>, GraphError> {
+    let source = match tokens.next() {
+        None => return Ok(None),
+        Some(tok) if tok[0] == b'#' || tok[0] == b'%' => return Ok(None),
+        Some(tok) => parse_id(Some(tok), line, "source")?,
+    };
+    let target = parse_id(tokens.next(), line, "target")?;
+    let prob = match tokens.next() {
+        Some(tok) => Some(parse_number(tok).ok_or_else(|| GraphError::Parse {
+            line,
+            message: format!("invalid probability `{}`", String::from_utf8_lossy(tok)),
+        })?),
+        None => None,
+    };
+    if tokens.next().is_some() {
+        return Err(GraphError::Parse {
+            line,
+            message: "too many fields (expected 2 or 3)".into(),
+        });
+    }
+    Ok(Some((source, target, prob)))
+}
+
+/// `str::parse` on a token of a line already known to be UTF-8.
+fn parse_number<T: std::str::FromStr>(tok: &[u8]) -> Option<T> {
+    std::str::from_utf8(tok).ok()?.parse().ok()
+}
+
+fn parse_id(tok: Option<&[u8]>, line: usize, what: &str) -> Result<u64, GraphError> {
     let tok = tok.ok_or_else(|| GraphError::Parse {
         line,
         message: format!("missing {what} field"),
     })?;
-    tok.parse().map_err(|_| GraphError::Parse {
+    // Up to 19 digits cannot overflow a u64. A sign, a 20th digit or any
+    // other byte is `str::parse`'s to accept or refuse.
+    if tok.len() <= 19 {
+        let digits = tok.iter().try_fold(0u64, |id, &byte| {
+            let digit = byte.wrapping_sub(b'0');
+            (digit <= 9).then(|| id * 10 + u64::from(digit))
+        });
+        if let Some(id) = digits {
+            return Ok(id);
+        }
+    }
+    parse_number(tok).ok_or_else(|| GraphError::Parse {
         line,
-        message: format!("invalid {what} `{tok}`"),
+        message: format!("invalid {what} `{}`", String::from_utf8_lossy(tok)),
     })
 }
 
@@ -224,7 +289,9 @@ pub fn read_binary<R: Read>(reader: R) -> Result<Graph, GraphError> {
         return Err(GraphError::Corrupt("edge count exceeds u32 limit".into()));
     }
     let mut builder = GraphBuilder::new(n);
-    builder.reserve(m as usize);
+    // `m` is a claim until the edges have been read: room for a bounded
+    // number up front, the rest grows as they arrive.
+    builder.reserve(m.min(1 << 20) as usize);
     for i in 0..m {
         let mut edge = [0u8; 12];
         r.read_exact(&mut edge)

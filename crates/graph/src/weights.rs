@@ -37,40 +37,36 @@ pub enum WeightModel {
 }
 
 impl WeightModel {
-    /// Assigns probabilities to a sorted, deduplicated edge list in place.
+    /// The probabilities of the deduplicated edges whose targets are
+    /// `targets`, in forward CSR order (by source, then by target).
     ///
-    /// Randomized models key each edge's draw on its *position in the sorted
-    /// list*, so the assignment is a pure function of (model, edge set) —
+    /// Randomized models key each edge's draw on its *position in that
+    /// order*, so the assignment is a pure function of (model, edge set) —
     /// independent of the order edges were inserted in.
-    pub(crate) fn apply(self, num_vertices: u32, edges: &mut [(Vertex, Vertex, f32)]) {
+    pub(crate) fn assign(self, num_vertices: u32, targets: &[Vertex]) -> Vec<f32> {
         match self {
             WeightModel::UniformRandom { seed } => {
                 let mut rng = SplitMix64::for_stream(seed, 0x57_45_49_47);
-                for e in edges.iter_mut() {
-                    e.2 = rng.unit_f64() as f32;
-                }
+                targets.iter().map(|_| rng.unit_f64() as f32).collect()
             }
-            WeightModel::Constant(p) => {
-                let p = p.clamp(0.0, 1.0);
-                for e in edges.iter_mut() {
-                    e.2 = p;
-                }
-            }
+            WeightModel::Constant(p) => vec![p.clamp(0.0, 1.0); targets.len()],
             WeightModel::WeightedCascade => {
                 let mut in_deg = vec![0u32; num_vertices as usize];
-                for &(_, v, _) in edges.iter() {
+                for &v in targets {
                     in_deg[v as usize] += 1;
                 }
-                for e in edges.iter_mut() {
-                    e.2 = 1.0 / in_deg[e.1 as usize] as f32;
-                }
+                targets
+                    .iter()
+                    .map(|&v| 1.0 / in_deg[v as usize] as f32)
+                    .collect()
             }
             WeightModel::Trivalency { seed } => {
                 const LEVELS: [f32; 3] = [0.1, 0.01, 0.001];
                 let mut rng = SplitMix64::for_stream(seed, 0x54_52_49_56);
-                for e in edges.iter_mut() {
-                    e.2 = LEVELS[rng.bounded_u64(3) as usize];
-                }
+                targets
+                    .iter()
+                    .map(|_| LEVELS[rng.bounded_u64(3) as usize])
+                    .collect()
             }
         }
     }

@@ -33,6 +33,18 @@ fn corrupt_binary_is_rejected() {
         read_binary(&b"RIPGRPH1\x01"[..]),
         Err(GraphError::Io(_)) | Err(GraphError::Corrupt(_))
     ));
+    // A 20-byte file claiming four billion edges: the count is a claim until
+    // the edges arrive, so nothing is sized from it (it used to abort the
+    // process on a 48 GB allocation).
+    let mut header = b"RIPGRPH1".to_vec();
+    header.extend_from_slice(&10u32.to_le_bytes());
+    header.extend_from_slice(&4_000_000_000u64.to_le_bytes());
+    assert_eq!(
+        read_binary(header.as_slice()),
+        Err(GraphError::Corrupt(
+            "truncated at edge 0 of 4000000000".into()
+        ))
+    );
 }
 
 #[test]
