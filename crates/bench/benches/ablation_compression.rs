@@ -42,7 +42,7 @@ fn bench_compression(c: &mut Criterion) {
         b.iter(|| select_seeds_sequential(&plain, n, 20));
     });
     group.bench_function("select_compressed", |b| {
-        b.iter(|| compressed.select_greedy(n, 20));
+        b.iter(|| select_seeds_sequential(&compressed, n, 20));
     });
     group.finish();
 }

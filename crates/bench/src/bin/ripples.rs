@@ -8,7 +8,7 @@
 //!         [--engine opt|baseline|mt|dist|partitioned|sharded|community|celf|tim|degdiscount]
 //!         [--model ic|lt] [--k K] [--epsilon E] [--seed S]
 //!         [--threads T | --ranks R] [--simulate TRIALS]
-//!         [--select auto|sequential|partitioned|lazy|hypergraph|fused]
+//!         [--select auto|sequential|partitioned|fused]
 //!         [--sample auto|reference|fused]
 //!         [--rrr-store flat|varint|spill] [--rrr-budget BYTES]
 //!         [--report pretty|json] [--report-out FILE]
@@ -22,8 +22,9 @@
 //!
 //! `--select` picks the greedy max-cover engine for the `opt` and `mt`
 //! engines (default `auto`, a cost-model dispatch between `fused` and
-//! `partitioned`; every choice returns the same seed set — see
-//! EXPERIMENTS.md for the memory/speed trade-offs).
+//! `partitioned` — one engine body with and without an inverted index;
+//! every choice returns the same seed set — see EXPERIMENTS.md
+//! § "Selection engines").
 //!
 //! `--sample` picks the RRR sampling kernel for the `opt`, `mt`, and `tim`
 //! engines (default `reference`). `fused` advances 64 cascades per frontier
@@ -43,7 +44,7 @@
 //! seed set as `flat` at the same `--seed` — see EXPERIMENTS.md
 //! § "Choosing an RRR storage backend".
 //!
-//! `--report` prints the engine's full [`RunReport`] (phase span tree, work
+//! `--report` prints the engine's full [`ripples_core::RunReport`] (phase span tree, work
 //! counters, RRR size histogram, communication accounting) to stderr —
 //! `pretty` (alias `text`) for humans, `json` for one machine-readable
 //! line; `--report-out FILE` writes it to a file instead. Seeds stay on
@@ -77,7 +78,7 @@
 //! always reproduces the same faults. Other engines ignore the flags with a
 //! warning.
 
-use ripples_bench::{parse_rrr_store, Args};
+use ripples_bench::{parse_rrr_store, parse_sample, parse_select, Args};
 use ripples_comm::{FaultComm, FaultPlan, ThreadWorld};
 use ripples_core::obs::trace;
 use ripples_core::{
@@ -276,6 +277,14 @@ fn main() {
     let args = Args::from_env();
     let model = DiffusionModel::from_tag(args.get("model").unwrap_or("ic"))
         .unwrap_or_else(|| usage_error("--model must be ic or lt"));
+    // Engine tags are checked before the graph is loaded: a typo should not
+    // cost a load.
+    let select = args
+        .get("select")
+        .map(|tag| parse_select(tag).unwrap_or_else(|message| usage_error(&message)));
+    let sample = args.get("sample").map_or(SampleEngine::Reference, |tag| {
+        parse_sample(tag).unwrap_or_else(|message| usage_error(&message))
+    });
     let graph = load_graph(&args, model);
     let stats = GraphStats::of(&graph);
     eprintln!(
@@ -291,24 +300,6 @@ fn main() {
         .unwrap_or_else(|message| usage_error(&message));
     let params = ImmParams::new(k, epsilon, model, seed);
     let engine = args.get("engine").unwrap_or("mt").to_string();
-    let select = args.get("select").map(|tag| {
-        SelectEngine::from_tag(tag).unwrap_or_else(|| {
-            eprintln!(
-                "error: unknown --select `{tag}` \
-                 (try auto|sequential|partitioned|lazy|hypergraph|fused)"
-            );
-            std::process::exit(1);
-        })
-    });
-    let sample = args
-        .get("sample")
-        .map(|tag| {
-            SampleEngine::from_tag(tag).unwrap_or_else(|| {
-                eprintln!("error: unknown --sample `{tag}` (try auto|reference|fused)");
-                std::process::exit(1);
-            })
-        })
-        .unwrap_or(SampleEngine::Reference);
     if args.get("sample").is_some() && !matches!(engine.as_str(), "opt" | "mt" | "tim") {
         eprintln!("warning: --sample only affects the opt/mt/tim engines; ignoring");
     }

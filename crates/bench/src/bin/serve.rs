@@ -8,7 +8,7 @@
 //! ```text
 //! serve --standin cit-HepTh --scale-div 96 --k-max 16 [--epsilon E]
 //!       [--seed S] [--model ic|lt]
-//!       [--select auto|sequential|partitioned|lazy|hypergraph|fused]
+//!       [--select auto|sequential|partitioned|fused]
 //!       [--sample auto|reference|fused]
 //!       [--rrr-store flat|varint|spill] [--rrr-budget BYTES]
 //!       [--snapshot-out FILE] [--snapshot-in FILE]
@@ -54,7 +54,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
 
 use ripples_bench::json::{parse, Value};
-use ripples_bench::Args;
+use ripples_bench::{parse_rrr_store, parse_sample, parse_select, Args};
 use ripples_core::{ImmParams, SampleEngine, SelectEngine};
 use ripples_diffusion::{DiffusionModel, RrrStoreKind, StorageConfig};
 use ripples_graph::generators::{barabasi_albert, erdos_renyi, standin};
@@ -62,6 +62,19 @@ use ripples_graph::io::{read_edge_list_file, EdgeListOptions, VertexIds};
 use ripples_graph::{Graph, Vertex, WeightModel};
 use ripples_serve::{QueryReport, SketchService};
 use ripples_trace::validate_json;
+
+const USAGE: &str = "usage: serve (--input FILE | --standin NAME | --gen ba:N:M|er:N:M) \
+     [--k-max K] [--epsilon E] [--seed S] [--model ic|lt] \
+     [--select auto|sequential|partitioned|fused] [--sample auto|reference|fused] \
+     [--rrr-store flat|varint|spill] [--rrr-budget BYTES] [--snapshot-out FILE] \
+     [--snapshot-in FILE] [--queries FILE] [--tcp ADDR] \
+     (every flag is described at the top of crates/bench/src/bin/serve.rs)";
+
+/// A flag the user got wrong: `error: …`, the usage line, exit status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}\n{USAGE}");
+    std::process::exit(2);
+}
 
 fn load_graph(args: &Args, model: DiffusionModel) -> Graph {
     let weights = WeightModel::UniformRandom { seed: 7 };
@@ -323,31 +336,16 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let select = match args.get("select") {
-        None => SelectEngine::Auto,
-        Some(tag) => SelectEngine::from_tag(tag).unwrap_or_else(|| {
-            eprintln!(
-                "error: unknown --select `{tag}` \
-                 (try auto|sequential|partitioned|lazy|hypergraph|fused)"
-            );
-            std::process::exit(1);
-        }),
-    };
-    let sample = match args.get("sample") {
-        None => SampleEngine::Reference,
-        Some(tag) => SampleEngine::from_tag(tag).unwrap_or_else(|| {
-            eprintln!("error: unknown --sample `{tag}` (try auto|reference|fused)");
-            std::process::exit(1);
-        }),
-    };
+    let select = args.get("select").map_or(SelectEngine::Auto, |tag| {
+        parse_select(tag).unwrap_or_else(|message| usage_error(&message))
+    });
+    let sample = args.get("sample").map_or(SampleEngine::Reference, |tag| {
+        parse_sample(tag).unwrap_or_else(|message| usage_error(&message))
+    });
     let storage = StorageConfig {
-        kind: match args.get("rrr-store") {
-            None => RrrStoreKind::Flat,
-            Some(tag) => ripples_bench::parse_rrr_store(tag).unwrap_or_else(|message| {
-                eprintln!("error: {message}");
-                std::process::exit(2);
-            }),
-        },
+        kind: args.get("rrr-store").map_or(RrrStoreKind::Flat, |tag| {
+            parse_rrr_store(tag).unwrap_or_else(|message| usage_error(&message))
+        }),
         budget: args.get("rrr-budget").map(|s| {
             s.parse().unwrap_or_else(|_| {
                 eprintln!("error: --rrr-budget takes a byte count, got `{s}`");

@@ -11,6 +11,7 @@
 
 pub mod json;
 
+use ripples_core::{SampleEngine, SelectEngine};
 use ripples_diffusion::{DiffusionModel, RrrStoreKind};
 use ripples_graph::generators::{standin_catalog, StandinSpec};
 use ripples_graph::{Graph, WeightModel};
@@ -161,6 +162,26 @@ pub fn parse_rrr_store(tag: &str) -> Result<RrrStoreKind, String> {
             .to_string(),
         _ => format!("unknown --rrr-store `{tag}` (try flat|varint|spill)"),
     })
+}
+
+/// Parses a `--select` tag for the `ripples` and `serve` binaries.
+///
+/// # Errors
+///
+/// The message to print for an unknown tag.
+pub fn parse_select(tag: &str) -> Result<SelectEngine, String> {
+    SelectEngine::from_tag(tag)
+        .ok_or_else(|| format!("unknown --select `{tag}` (try auto|sequential|partitioned|fused)"))
+}
+
+/// Parses a `--sample` tag for the `ripples` and `serve` binaries.
+///
+/// # Errors
+///
+/// The message to print for an unknown tag.
+pub fn parse_sample(tag: &str) -> Result<SampleEngine, String> {
+    SampleEngine::from_tag(tag)
+        .ok_or_else(|| format!("unknown --sample `{tag}` (try auto|reference|fused)"))
 }
 
 /// An aligned plain-text table printer for experiment output.

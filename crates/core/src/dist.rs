@@ -26,7 +26,10 @@ use crate::memory::MemoryStats;
 use crate::obs::{CommCounters, Histogram, RunReport};
 use crate::params::ImmParams;
 use crate::result::ImmResult;
-use crate::select::{argmax, fused_is_profitable, SelectStats, Selection};
+use crate::select::{
+    argmax, index_built, nanos_since, uses_index, SampleLookup, SelectEngine, SelectStats,
+    Selection,
+};
 use ripples_comm::{CommStats, Communicator, RetryComm};
 use ripples_diffusion::rrr::{generate_rrr, RrrScratch};
 use ripples_diffusion::{
@@ -66,42 +69,6 @@ pub enum DistSelectMode {
     SparseAllGather,
 }
 
-/// The vertex → local-sample-ids lookup the purge step walks instead of
-/// probing every alive sample: [`SampleIndex`] over flat storage, the
-/// store's cached [`IncrementalSampleIndex`] otherwise.
-trait SampleLookup {
-    /// Number of local samples containing `v`.
-    fn degree(&self, v: Vertex) -> u64;
-    /// Streams the ascending local sample ids containing `v` to `f`.
-    fn for_each_sample(&self, v: Vertex, f: impl FnMut(usize));
-}
-
-impl SampleLookup for SampleIndex {
-    fn degree(&self, v: Vertex) -> u64 {
-        SampleIndex::degree(self, v)
-    }
-
-    fn for_each_sample(&self, v: Vertex, mut f: impl FnMut(usize)) {
-        for &sid in self.samples_containing(v) {
-            f(sid as usize);
-        }
-    }
-}
-
-impl SampleLookup for IncrementalSampleIndex {
-    fn degree(&self, v: Vertex) -> u64 {
-        u64::from(IncrementalSampleIndex::degree(self, v))
-    }
-
-    fn for_each_sample(&self, v: Vertex, f: impl FnMut(usize)) {
-        IncrementalSampleIndex::for_each_sample(self, v, f);
-    }
-}
-
-fn nanos_since(t0: Instant) -> u64 {
-    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
 /// Distributed greedy seed selection over each rank's local samples: local
 /// counting → All-Reduce → local argmax → purge → dense or sparse decrement
 /// aggregation → coverage reduce.
@@ -122,24 +89,9 @@ pub(crate) fn select_seeds_distributed<C: Communicator, S: RrrStore>(
     select_mode: DistSelectMode,
 ) -> (Selection, SelectStats) {
     let k = k.min(n);
-    let indexed = fused_is_profitable(local, k);
+    let indexed = uses_index(SelectEngine::Auto, local, k);
     let t0 = Instant::now();
-    // What building the index cost, once it exists.
-    let built = |index_bytes: usize| {
-        if crate::obs::trace::enabled() {
-            crate::obs::trace::complete(
-                crate::obs::trace::TraceName::IndexBuild,
-                t0,
-                local.total_entries(),
-                1,
-            );
-        }
-        SelectStats {
-            index_build_nanos: nanos_since(t0),
-            index_bytes,
-            ..SelectStats::default()
-        }
-    };
+    let built = |index_bytes| index_built(t0, index_bytes, local.total_entries(), 1);
     let rounds = GreedyRounds {
         comm,
         theta_global,

@@ -93,7 +93,7 @@ pub use phases::{Phase, PhaseTimers};
 pub use result::ImmResult;
 pub use sample::{fused_sampling_is_profitable, SampleEngine, SamplerDispatch};
 pub use select::{
-    coverage_of, fused_is_profitable, select_seeds_store_banned, select_with_engine_store,
+    coverage_of, fused_is_profitable, select_with_engine_banned, select_with_engine_store,
     SelectEngine, SelectStats,
 };
-pub use sketch::{build_resident_sketch, coverage_of_store, ResidentSketchBuild};
+pub use sketch::{build_resident_sketch, ResidentSketchBuild};

@@ -12,9 +12,10 @@ pub struct MemoryStats {
     /// Peak bytes of RRR-set storage (both directions for the hypergraph
     /// baseline, one direction for IMMOPT and the parallel versions).
     pub peak_rrr_bytes: usize,
-    /// Peak bytes of the selection inverted index (the fused engine's
-    /// u32-CSR [`ripples_diffusion::SampleIndex`], or the hypergraph
-    /// engine's second direction); 0 for scan-based selection.
+    /// Peak bytes of the selection inverted index (the transient u32-CSR
+    /// [`ripples_diffusion::SampleIndex`], or a store's cached
+    /// [`ripples_diffusion::IncrementalSampleIndex`]); 0 for index-free
+    /// selection.
     pub peak_index_bytes: usize,
     /// Bytes of the per-vertex counter array used in seed selection.
     pub counter_bytes: usize,

@@ -8,8 +8,8 @@
 //!   per-thread scratch reuse).
 //! * **Seed selection**: the vertex space is partitioned into per-thread
 //!   intervals so counter updates need no synchronization, and sorted
-//!   samples are navigated by binary search
-//!   (`crate::select::select_seeds_partitioned`).
+//!   samples are navigated by binary search (the one engine body of
+//!   `crate::select`).
 //!
 //! The thread count is explicit so the strong-scaling sweep (Figures 5–6)
 //! can pin it; pass 0 to use all available parallelism.
@@ -149,7 +149,6 @@ mod tests {
             SelectEngine::Auto,
             SelectEngine::Sequential,
             SelectEngine::Partitioned,
-            SelectEngine::Hypergraph,
             SelectEngine::Fused,
         ] {
             let r = with_select(&g, &p, engine);

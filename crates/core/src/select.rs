@@ -1,29 +1,42 @@
 //! Seed selection (Algorithm 4): greedy maximum coverage over the RRR
-//! collection, in five interchangeable engines.
+//! collection — count, argmax, purge.
 //!
-//! * [`select_seeds_sequential`] — reference implementation.
-//! * [`select_seeds_partitioned`] — the paper's multithreaded engine:
-//!   vertex-interval-partitioned counters so no thread ever needs an atomic
-//!   update, with binary-searched partition navigation inside each sorted
-//!   sample.
-//! * [`select_seeds_lazy`] — CELF-style lazy greedy over the counters
-//!   (ablation: the paper's related-work trades; coverage is submodular so
-//!   stale upper bounds are valid).
-//! * [`select_seeds_hypergraph`] — inverted-index-driven selection, the
-//!   strategy of Tang et al.'s original code (fast selection, 2× memory).
-//! * [`select_seeds_fused`] — the default engine: a borrowed u32-CSR
-//!   inverted index fuses the hypergraph engine's O(touched entries) cover
-//!   step with the partitioned engine's synchronization-free interval
-//!   counters, plus an incrementally maintained per-interval argmax so each
-//!   round's winner is a p-way reduction rather than an O(n) scan.
+//! The crate holds five copies of that loop, each for a reason:
 //!
-//! All engines use the same deterministic tie-break (highest count, then
-//! lowest vertex id), so the greedy engines return *identical* seed sets on
-//! identical collections — a property the cross-implementation tests rely
-//! on.
+//! * [`select_seeds_sequential`] — the reference: one counter array, an
+//!   O(n) argmax and one membership probe per alive sample and seed, over
+//!   any [`RrrStore`]. Every test compares against it, and it is what
+//!   [`SelectEngine::Sequential`] runs.
+//! * `greedy_cover` — the one production body, behind
+//!   [`select_with_engine_store`]. Its three parameters are the collection
+//!   view (`IntervalSets`: sorted lists, lists-or-bitmaps, or any store
+//!   streamed by one owner), an optional inverted index (`SampleLookup`:
+//!   with it the cover step walks the seed's row, without it it probes
+//!   every alive sample, which is Algorithm 4 as the paper states it) and
+//!   the initial `selected` mask (the serve mode's banned vertices).
+//!   Counters are owned by vertex interval, so no owner ever needs an
+//!   atomic update, and each owner keeps its interval's argmax
+//!   incrementally, so a round's winner is a p-way reduction rather than
+//!   an O(n) scan. [`SelectEngine::Partitioned`] and
+//!   [`SelectEngine::Fused`] are this body without and with the index;
+//!   [`SelectEngine::Auto`] picks between them by [`fused_is_profitable`].
+//! * `dist::GreedyRounds::run` — the distributed protocol: its counters
+//!   are global and its decrements travel through a collective, so it
+//!   shares `SampleLookup` and `argmax` with this module but not a body.
+//! * `seq::TangStorage::select` — the Table 2/3 baseline over Tang et
+//!   al.'s two-direction layout, slow on purpose.
+//! * `ripples-oracle`'s `reference.rs` — the oracle's own greedy, which
+//!   shares no code with this crate.
+//!
+//! All of them use the same deterministic tie-break (highest count, then
+//! lowest vertex id), so they return *identical* seed sets on identical
+//! collections — a property the cross-implementation tests rely on.
 
-use ripples_diffusion::{HyperGraph, MixedRrrCollection, RrrCollection, RrrStore, SampleIndex};
+use ripples_diffusion::{
+    IncrementalSampleIndex, MixedRrrCollection, RrrCollection, RrrStore, RrrStoreKind, SampleIndex,
+};
 use ripples_graph::Vertex;
+use std::time::Instant;
 
 /// Result of a seed-selection pass.
 #[derive(Clone, Debug, PartialEq)]
@@ -59,383 +72,20 @@ impl Selection {
     }
 }
 
-/// Picks the argmax with deterministic tie-breaking (lowest id wins ties),
-/// skipping already-selected vertices. Returns `None` when every vertex is
-/// selected.
-pub(crate) fn argmax(counters: &[u64], selected: &[bool]) -> Option<Vertex> {
-    let mut best: Option<(u64, Vertex)> = None;
-    for (v, (&c, &s)) in counters.iter().zip(selected).enumerate() {
-        if s {
-            continue;
-        }
-        match best {
-            Some((bc, _)) if bc >= c => {}
-            _ => best = Some((c, v as Vertex)),
-        }
-    }
-    best.map(|(_, v)| v)
-}
-
-/// Reference sequential greedy max-cover.
-#[must_use]
-pub fn select_seeds_sequential(collection: &RrrCollection, n: u32, k: u32) -> Selection {
-    let n_us = n as usize;
-    let k = k.min(n);
-    let mut counters = vec![0u64; n_us];
-    for set in collection.iter() {
-        for &v in set {
-            counters[v as usize] += 1;
-        }
-    }
-    let mut covered = vec![false; collection.len()];
-    let mut selected = vec![false; n_us];
-    let mut seeds = Vec::with_capacity(k as usize);
-    let mut gains = Vec::with_capacity(k as usize);
-    let mut covered_count = 0usize;
-    for _ in 0..k {
-        let Some(v) = argmax(&counters, &selected) else {
-            break;
-        };
-        selected[v as usize] = true;
-        if crate::obs::trace::enabled() {
-            crate::obs::trace::mark(
-                crate::obs::trace::TraceName::SelectStep,
-                u64::from(v),
-                counters[v as usize],
-            );
-        }
-        if crate::obs::metrics::enabled() {
-            crate::obs::metrics::add(crate::obs::metrics::Metric::SelectSteps, 1);
-            crate::obs::metrics::add(crate::obs::metrics::Metric::SeedsSelected, 1);
-        }
-        gains.push(counters[v as usize]);
-        seeds.push(v);
-        for (j, cov) in covered.iter_mut().enumerate() {
-            if *cov {
-                continue;
-            }
-            let set = collection.get(j);
-            if set.binary_search(&v).is_ok() {
-                *cov = true;
-                covered_count += 1;
-                for &u in set {
-                    counters[u as usize] -= 1;
-                }
-            }
-        }
-    }
-    Selection::finish(seeds, gains, covered_count, collection.len())
-}
-
-/// What Algorithm 4 asks of a sample collection: membership, and a walk
-/// over the part of a sample that falls into one owner's vertex interval.
-trait IntervalSets: Sync {
-    /// Owners' interval bounds are multiples of this many vertices.
-    const ALIGN: usize;
-
-    fn len(&self) -> usize;
-
-    fn contains(&self, j: usize, v: Vertex) -> bool;
-
-    /// Streams the vertices of sample `j` in `[vl, vh)` (`vl` a multiple of
-    /// [`Self::ALIGN`]) to `f`.
-    fn for_each_in(&self, j: usize, vl: Vertex, vh: Vertex, f: impl FnMut(Vertex));
-}
-
-/// Sorted lists: "vl and vh can be efficiently found using binary search".
-impl IntervalSets for RrrCollection {
-    const ALIGN: usize = 1;
-
-    fn len(&self) -> usize {
-        RrrCollection::len(self)
-    }
-
-    fn contains(&self, j: usize, v: Vertex) -> bool {
-        self.get(j).binary_search(&v).is_ok()
-    }
-
-    fn for_each_in(&self, j: usize, vl: Vertex, vh: Vertex, f: impl FnMut(Vertex)) {
-        self.partition_slice(j, vl, vh).iter().copied().for_each(f);
-    }
-}
-
-/// Lists or bitmaps: an owner's interval is one word range of every bitmap,
-/// so membership is a bit test and the walk a word scan.
-impl IntervalSets for MixedRrrCollection {
-    const ALIGN: usize = 64;
-
-    fn len(&self) -> usize {
-        MixedRrrCollection::len(self)
-    }
-
-    fn contains(&self, j: usize, v: Vertex) -> bool {
-        self.set(j).contains(v)
-    }
-
-    fn for_each_in(&self, j: usize, vl: Vertex, vh: Vertex, f: impl FnMut(Vertex)) {
-        self.set(j).for_each_in(vl, vh, f);
-    }
-}
-
-/// The multithreaded engine of Algorithm 4.
-///
-/// The vertex space is split into `p` intervals `[vl, vh)`; each interval is
-/// owned by exactly one rayon task, which updates only its own counter
-/// slice — the paper's synchronization-free design ("the alternative would
-/// have necessitated atomic updates"). Within each sample, a task locates
-/// its interval with binary search instead of scanning the whole sorted
-/// list.
-#[must_use]
-pub fn select_seeds_partitioned(
-    collection: &RrrCollection,
-    n: u32,
-    k: u32,
-    partitions: usize,
-) -> Selection {
-    select_partitioned(collection, n, k, partitions)
-}
-
-/// [`select_seeds_partitioned`] over a store that holds its dense sets as
-/// bitmaps: the same owners, counters and tie-break, with every interval
-/// aligned to 64 vertices so that an owner counts and purges its share of a
-/// bitmap set by scanning one word range, and tests membership with one
-/// bit. Returns bitwise the same [`Selection`] as
-/// [`select_seeds_sequential`] over the expanded lists.
-#[must_use]
-pub fn select_seeds_partitioned_mixed(
-    store: &MixedRrrCollection,
-    n: u32,
-    k: u32,
-    partitions: usize,
-) -> Selection {
-    select_partitioned(store, n, k, partitions)
-}
-
-/// Hands out the disjoint counter slices of the interval owners.
-fn owner_slices<'a>(counters: &'a mut [u64], bounds: &[(Vertex, Vertex)]) -> Vec<&'a mut [u64]> {
-    let mut rest = counters;
-    bounds
-        .iter()
-        .map(|&(vl, vh)| {
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut((vh - vl) as usize);
-            rest = tail;
-            head
-        })
-        .collect()
-}
-
-fn select_partitioned<S: IntervalSets>(sets: &S, n: u32, k: u32, partitions: usize) -> Selection {
-    let n_us = n as usize;
-    let k = k.min(n);
-    // Interval bounds: vl = n·t/p, vh = n·(t+1)/p (Algorithm 4), in units
-    // of `S::ALIGN` vertices.
-    let units = n_us.div_ceil(S::ALIGN);
-    let p = partitions.clamp(1, units.max(1));
-    let bound = |t: usize| (S::ALIGN * (units * t / p)).min(n_us) as Vertex;
-    let bounds: Vec<(Vertex, Vertex)> = (0..p).map(|t| (bound(t), bound(t + 1))).collect();
-
-    let mut counters = vec![0u64; n_us];
-    // Counting pass: each owner counts its interval across all samples,
-    // walking only its own sub-range of each sample.
-    rayon::scope(|s| {
-        for (slice, &(vl, vh)) in owner_slices(&mut counters, &bounds)
-            .into_iter()
-            .zip(&bounds)
-        {
-            s.spawn(move |_| {
-                for j in 0..sets.len() {
-                    sets.for_each_in(j, vl, vh, |u| slice[(u - vl) as usize] += 1);
-                }
-            });
-        }
-    });
-
-    let mut covered = vec![false; sets.len()];
-    let mut selected = vec![false; n_us];
-    let mut seeds = Vec::with_capacity(k as usize);
-    let mut gains = Vec::with_capacity(k as usize);
-    let mut covered_count = 0usize;
-
-    for _ in 0..k {
-        let Some(v) = argmax(&counters, &selected) else {
-            break;
-        };
-        selected[v as usize] = true;
-        if crate::obs::trace::enabled() {
-            crate::obs::trace::mark(
-                crate::obs::trace::TraceName::SelectStep,
-                u64::from(v),
-                counters[v as usize],
-            );
-        }
-        if crate::obs::metrics::enabled() {
-            crate::obs::metrics::add(crate::obs::metrics::Metric::SelectSteps, 1);
-            crate::obs::metrics::add(crate::obs::metrics::Metric::SeedsSelected, 1);
-        }
-        gains.push(counters[v as usize]);
-        seeds.push(v);
-
-        // Each owner independently identifies the samples containing v
-        // (one membership test per alive sample) and decrements its
-        // interval. Owner 0 additionally reports which samples became
-        // covered.
-        let covered_ref = &covered;
-        let mut slices = owner_slices(&mut counters, &bounds);
-        let newly: Vec<usize> = rayon::scope(|s| {
-            let first_slice = slices.remove(0);
-            for (slice, &(vl, vh)) in slices.into_iter().zip(&bounds[1..]) {
-                s.spawn(move |_| {
-                    for (j, &cov) in covered_ref.iter().enumerate() {
-                        if !cov && sets.contains(j, v) {
-                            sets.for_each_in(j, vl, vh, |u| slice[(u - vl) as usize] -= 1);
-                        }
-                    }
-                });
-            }
-            let (vl, vh) = bounds[0];
-            let mut newly = Vec::new();
-            for (j, &cov) in covered_ref.iter().enumerate() {
-                if !cov && sets.contains(j, v) {
-                    newly.push(j);
-                    sets.for_each_in(j, vl, vh, |u| first_slice[(u - vl) as usize] -= 1);
-                }
-            }
-            newly
-        });
-        covered_count += newly.len();
-        for j in newly {
-            covered[j] = true;
-        }
-    }
-    Selection::finish(seeds, gains, covered_count, sets.len())
-}
-
-/// CELF-style lazy greedy on the cover counters.
-///
-/// Coverage is submodular, so a vertex's stale counter is an upper bound on
-/// its current marginal gain; the lazy queue only recomputes the head.
-/// Returns the same *coverage quality* as the eager engines (exact greedy),
-/// though tie order may differ.
-#[must_use]
-pub fn select_seeds_lazy(collection: &RrrCollection, n: u32, k: u32) -> Selection {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let n_us = n as usize;
-    let k = k.min(n);
-    let mut counters = vec![0u64; n_us];
-    for set in collection.iter() {
-        for &v in set {
-            counters[v as usize] += 1;
-        }
-    }
-    let mut covered = vec![false; collection.len()];
-    // Heap of (count, Reverse(id), round_validated).
-    let mut heap: BinaryHeap<(u64, Reverse<Vertex>, u32)> = (0..n)
-        .map(|v| (counters[v as usize], Reverse(v), 0u32))
-        .collect();
-    let mut seeds = Vec::with_capacity(k as usize);
-    let mut gains = Vec::with_capacity(k as usize);
-    let mut covered_count = 0usize;
-    let mut round = 0u32;
-    while seeds.len() < k as usize {
-        let Some((count, Reverse(v), validated)) = heap.pop() else {
-            break;
-        };
-        if validated < round {
-            // Stale: recompute v's true marginal gain and reinsert.
-            let fresh = collection
-                .iter()
-                .enumerate()
-                .filter(|(j, set)| !covered[*j] && set.binary_search(&v).is_ok())
-                .count() as u64;
-            heap.push((fresh, Reverse(v), round));
-            continue;
-        }
-        // Fresh entry at the top: greedy-optimal pick.
-        if crate::obs::trace::enabled() {
-            crate::obs::trace::mark(
-                crate::obs::trace::TraceName::SelectStep,
-                u64::from(v),
-                count,
-            );
-        }
-        if crate::obs::metrics::enabled() {
-            crate::obs::metrics::add(crate::obs::metrics::Metric::SelectSteps, 1);
-            crate::obs::metrics::add(crate::obs::metrics::Metric::SeedsSelected, 1);
-        }
-        seeds.push(v);
-        gains.push(count);
-        round += 1;
-        for (j, set) in collection.iter().enumerate() {
-            if !covered[j] && set.binary_search(&v).is_ok() {
-                covered[j] = true;
-                covered_count += 1;
-            }
-        }
-    }
-    Selection::finish(seeds, gains, covered_count, collection.len())
-}
-
-/// Inverted-index selection over the two-direction hypergraph layout (the
-/// Tang-style baseline): covering a seed's samples and decrementing their
-/// member counters costs O(touched entries) instead of a scan over all
-/// samples.
-#[must_use]
-pub fn select_seeds_hypergraph(hyper: &HyperGraph, n: u32, k: u32) -> Selection {
-    let n_us = n as usize;
-    let k = k.min(n);
-    let mut counters: Vec<u64> = (0..n).map(|v| hyper.degree(v) as u64).collect();
-    let mut covered = vec![false; hyper.len()];
-    let mut selected = vec![false; n_us];
-    let mut seeds = Vec::with_capacity(k as usize);
-    let mut gains = Vec::with_capacity(k as usize);
-    let mut covered_count = 0usize;
-    for _ in 0..k {
-        let Some(v) = argmax(&counters, &selected) else {
-            break;
-        };
-        selected[v as usize] = true;
-        if crate::obs::trace::enabled() {
-            crate::obs::trace::mark(
-                crate::obs::trace::TraceName::SelectStep,
-                u64::from(v),
-                counters[v as usize],
-            );
-        }
-        if crate::obs::metrics::enabled() {
-            crate::obs::metrics::add(crate::obs::metrics::Metric::SelectSteps, 1);
-            crate::obs::metrics::add(crate::obs::metrics::Metric::SeedsSelected, 1);
-        }
-        gains.push(counters[v as usize]);
-        seeds.push(v);
-        for &sid in hyper.samples_containing(v) {
-            let j = sid as usize;
-            if covered[j] {
-                continue;
-            }
-            covered[j] = true;
-            covered_count += 1;
-            for &u in hyper.sets().get(j) {
-                counters[u as usize] -= 1;
-            }
-        }
-    }
-    Selection::finish(seeds, gains, covered_count, hyper.len())
-}
-
-/// Per-pass statistics of an index-driven selection engine, reported
-/// separately from [`Selection`] so the cross-engine equality tests keep
-/// comparing pure selection results.
+/// Per-pass statistics of a selection engine, reported separately from
+/// [`Selection`] so the cross-engine equality tests keep comparing pure
+/// selection results.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SelectStats {
     /// Wall time spent building the inverted index, nanoseconds.
     pub index_build_nanos: u64,
     /// Reserved bytes of the inverted index.
     pub index_bytes: usize,
-    /// Index/collection entries touched across all cover+decrement steps.
+    /// Entries of the samples covered across all greedy steps — what the
+    /// decrement walks, with or without an index.
     pub entries_touched: u64,
-    /// Wall time spent decoding compressed RRR blocks during selection,
-    /// nanoseconds (0 on the flat store, whose slices need no decoding).
+    /// Wall time spent walking RRR blocks during selection, nanoseconds
+    /// (0 on the flat store, whose lists and bitmaps need no decoding).
     pub decode_nanos: u64,
 }
 
@@ -450,9 +100,20 @@ impl SelectStats {
     }
 }
 
-/// Rescans one interval's counter slice for its champion: the unselected
-/// vertex with the highest count, lowest id on ties (`selected` is indexed
-/// absolutely; the slice covers vertices `vl..vl + slice.len()`).
+pub(crate) fn nanos_since(t0: Instant) -> u64 {
+    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Picks the argmax with deterministic tie-breaking (lowest id wins ties),
+/// skipping already-selected vertices. Returns `None` when every vertex is
+/// selected.
+pub(crate) fn argmax(counters: &[u64], selected: &[bool]) -> Option<Vertex> {
+    slice_champion(counters, selected, 0).map(|(_, v)| v)
+}
+
+/// One interval's champion: the unselected vertex with the highest count,
+/// lowest id on ties (`selected` is indexed absolutely; the slice covers
+/// vertices `vl..vl + slice.len()`).
 fn slice_champion(slice: &[u64], selected: &[bool], vl: Vertex) -> Option<(u64, Vertex)> {
     let mut best: Option<(u64, Vertex)> = None;
     for (i, &c) in slice.iter().enumerate() {
@@ -467,196 +128,382 @@ fn slice_champion(slice: &[u64], selected: &[bool], vl: Vertex) -> Option<(u64, 
     best
 }
 
-/// The fused selection engine — the crate's default for shared-memory runs.
-///
-/// Fuses the two fast strategies that were previously mutually exclusive:
-///
-/// * **O(touched entries) cover step** from the hypergraph engine, driven
-///   by a borrowed [`SampleIndex`] (u32-CSR, built here by a parallel
-///   counting sort) instead of the 2×-memory [`HyperGraph`] copy;
-/// * **interval-partitioned counter ownership** from the partitioned
-///   engine — each of `partitions` owners decrements only its own slice,
-///   so there are no atomics;
-///
-/// and adds an incrementally maintained per-interval argmax: an owner
-/// rescans its interval only when its champion was selected or decremented
-/// (counters never increase, so an untouched champion stays optimal), which
-/// makes each round's winner a p-way reduction instead of an O(n) scan.
-///
-/// Returns bitwise the same [`Selection`] as [`select_seeds_sequential`].
-#[must_use]
-pub fn select_seeds_fused(
-    collection: &RrrCollection,
-    n: u32,
-    k: u32,
-    partitions: usize,
-) -> Selection {
-    select_seeds_fused_with_stats(collection, n, k, partitions).0
+/// Publishes one greedy step — seed `v`, its marginal `gain`, and the
+/// `touched` entries of the samples it covered — to the trace and the
+/// live metrics.
+fn publish_step(v: Vertex, gain: u64, touched: u64) {
+    use crate::obs::metrics::{self, Metric};
+    use crate::obs::trace::{self, TraceName};
+    if trace::enabled() {
+        trace::mark(TraceName::SelectStep, u64::from(v), gain);
+        trace::mark(TraceName::SelectTouched, touched, u64::from(v));
+    }
+    if metrics::enabled() {
+        metrics::add(Metric::SelectSteps, 1);
+        metrics::add(Metric::SeedsSelected, 1);
+        metrics::add(Metric::SelectEntriesTouched, touched);
+    }
 }
 
-/// [`select_seeds_fused`] plus its [`SelectStats`].
+/// Reference sequential greedy max-cover, over any store.
 #[must_use]
-pub fn select_seeds_fused_with_stats(
-    collection: &RrrCollection,
+pub fn select_seeds_sequential<S: RrrStore>(store: &S, n: u32, k: u32) -> Selection {
+    sequential_greedy(store, n, k, vec![false; n as usize]).0
+}
+
+/// [`select_seeds_sequential`] from an initial `selected` mask.
+fn sequential_greedy<S: RrrStore>(
+    store: &S,
     n: u32,
     k: u32,
-    partitions: usize,
+    mut selected: Vec<bool>,
 ) -> (Selection, SelectStats) {
-    let n_us = n as usize;
     let k = k.min(n);
-    let p = partitions.clamp(1, n_us.max(1));
-
-    let t0 = std::time::Instant::now();
-    let index = SampleIndex::build(collection, n, p);
-    let mut stats = SelectStats {
-        index_build_nanos: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        index_bytes: index.resident_bytes(),
-        ..SelectStats::default()
-    };
-    if crate::obs::trace::enabled() {
-        crate::obs::trace::complete(
-            crate::obs::trace::TraceName::IndexBuild,
-            t0,
-            index.total_entries() as u64,
-            p as u64,
-        );
+    let mut stats = SelectStats::default();
+    let mut counters = vec![0u64; n as usize];
+    let t0 = Instant::now();
+    for j in 0..store.len() {
+        store.for_each_vertex(j, |v| counters[v as usize] += 1);
     }
-
-    let bounds: Vec<(Vertex, Vertex)> = (0..p)
-        .map(|t| (((n_us * t) / p) as Vertex, ((n_us * (t + 1)) / p) as Vertex))
-        .collect();
-    let mut counters: Vec<u64> = (0..n).map(|v| index.degree(v)).collect();
-    let mut selected = vec![false; n_us];
-    let mut covered = vec![false; collection.len()];
-    // Invariant: each interval's champion carries its *current* count and
-    // beats every other unselected vertex of the interval on
-    // (count, lowest id).
-    let mut champions: Vec<Option<(u64, Vertex)>> = {
-        let mut rest: &[u64] = &counters;
-        bounds
-            .iter()
-            .map(|&(vl, vh)| {
-                let (slice, tail) = rest.split_at((vh - vl) as usize);
-                rest = tail;
-                slice_champion(slice, &selected, vl)
-            })
-            .collect()
-    };
-
+    stats.decode_nanos += nanos_since(t0);
+    let mut covered = vec![false; store.len()];
     let mut seeds = Vec::with_capacity(k as usize);
     let mut gains = Vec::with_capacity(k as usize);
     let mut covered_count = 0usize;
     for _ in 0..k {
-        // p-way reduction over interval champions; ascending interval order
-        // plus the strict comparison reproduces argmax's lowest-id
-        // tie-break globally.
-        let mut best: Option<(u64, Vertex)> = None;
-        for &ch in &champions {
-            let Some((c, v)) = ch else { continue };
-            match best {
-                Some((bc, bv)) if bc > c || (bc == c && bv < v) => {}
-                _ => best = Some((c, v)),
-            }
-        }
-        let Some((gain, v)) = best else {
+        let Some(v) = argmax(&counters, &selected) else {
             break;
         };
+        let gain = counters[v as usize];
         selected[v as usize] = true;
-        if crate::obs::trace::enabled() {
-            crate::obs::trace::mark(crate::obs::trace::TraceName::SelectStep, u64::from(v), gain);
-        }
-        if crate::obs::metrics::enabled() {
-            crate::obs::metrics::add(crate::obs::metrics::Metric::SelectSteps, 1);
-            crate::obs::metrics::add(crate::obs::metrics::Metric::SeedsSelected, 1);
-        }
-        seeds.push(v);
         gains.push(gain);
-
-        // Cover step: walk only the samples containing v.
-        let mut newly: Vec<u32> = Vec::new();
+        seeds.push(v);
+        let t0 = Instant::now();
         let mut touched = 0u64;
-        for &sid in index.samples_containing(v) {
-            let j = sid as usize;
-            if covered[j] {
-                continue;
+        for (j, cov) in covered.iter_mut().enumerate() {
+            if !*cov && store.contains(j, v) {
+                *cov = true;
+                covered_count += 1;
+                touched += store.sample_len(j) as u64;
+                store.for_each_vertex(j, |u| counters[u as usize] -= 1);
             }
-            covered[j] = true;
-            newly.push(sid);
-            touched += collection.get(j).len() as u64;
         }
-        debug_assert_eq!(gain as usize, newly.len(), "stale champion count");
-        covered_count += newly.len();
+        stats.decode_nanos += nanos_since(t0);
         stats.entries_touched += touched;
-        if crate::obs::metrics::enabled() {
-            crate::obs::metrics::add(crate::obs::metrics::Metric::SelectEntriesTouched, touched);
-        }
-        if crate::obs::trace::enabled() {
-            crate::obs::trace::mark(
-                crate::obs::trace::TraceName::SelectTouched,
-                touched,
-                u64::from(v),
-            );
-        }
-
-        // Decrement step: each owner updates its interval over the newly
-        // covered samples and rescans its champion only when invalidated
-        // (champion selected or decremented). Counters never increase, so
-        // an untouched champion cannot be overtaken.
-        let decrement_one =
-            |champ: &mut Option<(u64, Vertex)>, slice: &mut [u64], vl: Vertex, vh: Vertex| {
-                let mut dirty = matches!(*champ, Some((_, cv)) if cv == v);
-                for &sid in &newly {
-                    for &u in collection.partition_slice(sid as usize, vl, vh) {
-                        slice[(u - vl) as usize] -= 1;
-                        if matches!(*champ, Some((_, cv)) if cv == u) {
-                            dirty = true;
-                        }
-                    }
-                }
-                if dirty {
-                    *champ = slice_champion(slice, &selected, vl);
-                }
-            };
-        if p == 1 {
-            let (vl, vh) = bounds[0];
-            decrement_one(&mut champions[0], &mut counters, vl, vh);
-        } else {
-            let mut rest: &mut [u64] = &mut counters;
-            rayon::scope(|s| {
-                for (champ, &(vl, vh)) in champions.iter_mut().zip(&bounds) {
-                    let (slice, tail) = rest.split_at_mut((vh - vl) as usize);
-                    rest = tail;
-                    let decrement_one = &decrement_one;
-                    s.spawn(move |_| decrement_one(champ, slice, vl, vh));
-                }
-            });
-        }
+        publish_step(v, gain, touched);
     }
     (
-        Selection::finish(seeds, gains, covered_count, collection.len()),
+        Selection::finish(seeds, gains, covered_count, store.len()),
         stats,
     )
 }
 
-/// Number of RRR sets in `collection` covered by `seeds` (sets containing at
+/// The vertex → sample-ids lookup that lets a cover step walk one row
+/// instead of probing every alive sample: the transient [`SampleIndex`]
+/// over sorted lists, a store's cached [`IncrementalSampleIndex`]
+/// otherwise.
+pub(crate) trait SampleLookup {
+    /// Number of samples containing `v`.
+    fn degree(&self, v: Vertex) -> u64;
+    /// Streams the ascending sample ids containing `v` to `f`.
+    fn for_each_sample(&self, v: Vertex, f: impl FnMut(usize));
+}
+
+impl SampleLookup for SampleIndex {
+    fn degree(&self, v: Vertex) -> u64 {
+        SampleIndex::degree(self, v)
+    }
+
+    fn for_each_sample(&self, v: Vertex, mut f: impl FnMut(usize)) {
+        for &sid in self.samples_containing(v) {
+            f(sid as usize);
+        }
+    }
+}
+
+impl SampleLookup for IncrementalSampleIndex {
+    fn degree(&self, v: Vertex) -> u64 {
+        u64::from(IncrementalSampleIndex::degree(self, v))
+    }
+
+    fn for_each_sample(&self, v: Vertex, f: impl FnMut(usize)) {
+        IncrementalSampleIndex::for_each_sample(self, v, f);
+    }
+}
+
+/// What Algorithm 4's interval owners ask of a sample collection, beyond
+/// what any store answers: a walk over the part of a sample that falls into
+/// one owner's vertex interval, and a way to run the owners.
+trait IntervalSets {
+    /// Owners' interval bounds are multiples of this many vertices.
+    const ALIGN: usize;
+    /// The most owners the collection can serve.
+    const MAX_OWNERS: usize = usize::MAX;
+    type Store: RrrStore;
+
+    /// The samples themselves: their number, sizes and membership.
+    fn store(&self) -> &Self::Store;
+
+    /// Streams the vertices of sample `j` in `[vl, vh)` (`vl` a multiple of
+    /// [`Self::ALIGN`]) to `f`.
+    fn for_each_in(&self, j: usize, vl: Vertex, vh: Vertex, f: impl FnMut(Vertex));
+
+    /// Runs `f` once per owner. `f` is handed the collection rather than
+    /// capturing it, so only a collection that runs its owners on other
+    /// threads has to be `Sync`.
+    fn for_each_owner<O: Send>(&self, owners: &mut [O], f: impl Fn(&Self, &mut O) + Sync);
+}
+
+/// The first owner on the calling thread, one task for each of the others.
+fn fork_owners<S: Sync, O: Send>(sets: &S, owners: &mut [O], f: impl Fn(&S, &mut O) + Sync) {
+    let Some((first, others)) = owners.split_first_mut() else {
+        return;
+    };
+    let f = &f;
+    rayon::scope(|s| {
+        for owner in others {
+            s.spawn(move |_| f(sets, owner));
+        }
+        f(sets, first);
+    });
+}
+
+/// Sorted lists: "vl and vh can be efficiently found using binary search".
+impl IntervalSets for RrrCollection {
+    const ALIGN: usize = 1;
+    type Store = Self;
+
+    fn store(&self) -> &Self {
+        self
+    }
+
+    fn for_each_in(&self, j: usize, vl: Vertex, vh: Vertex, f: impl FnMut(Vertex)) {
+        self.partition_slice(j, vl, vh).iter().copied().for_each(f);
+    }
+
+    fn for_each_owner<O: Send>(&self, owners: &mut [O], f: impl Fn(&Self, &mut O) + Sync) {
+        fork_owners(self, owners, f);
+    }
+}
+
+/// Lists or bitmaps: an owner's interval is one word range of every bitmap,
+/// so membership is a bit test and the walk a word scan.
+impl IntervalSets for MixedRrrCollection {
+    const ALIGN: usize = 64;
+    type Store = Self;
+
+    fn store(&self) -> &Self {
+        self
+    }
+
+    fn for_each_in(&self, j: usize, vl: Vertex, vh: Vertex, f: impl FnMut(Vertex)) {
+        self.set(j).for_each_in(vl, vh, f);
+    }
+
+    fn for_each_owner<O: Send>(&self, owners: &mut [O], f: impl Fn(&Self, &mut O) + Sync) {
+        fork_owners(self, owners, f);
+    }
+}
+
+/// Any store, streamed: a varint or spill block decodes front to back, so
+/// there is no sub-range to hand a second owner, and the stores' read
+/// caches are not `Sync`.
+struct Streamed<'a, S>(&'a S);
+
+impl<S: RrrStore> IntervalSets for Streamed<'_, S> {
+    const ALIGN: usize = 1;
+    const MAX_OWNERS: usize = 1;
+    type Store = S;
+
+    fn store(&self) -> &S {
+        self.0
+    }
+
+    /// The one owner's interval is every vertex.
+    fn for_each_in(&self, j: usize, _vl: Vertex, _vh: Vertex, f: impl FnMut(Vertex)) {
+        self.0.for_each_vertex(j, f);
+    }
+
+    fn for_each_owner<O: Send>(&self, owners: &mut [O], f: impl Fn(&Self, &mut O) + Sync) {
+        for owner in owners {
+            f(self, owner);
+        }
+    }
+}
+
+/// One interval owner: the counters of vertices `vl..vh`, and their argmax.
+struct Owner<'a> {
+    vl: Vertex,
+    vh: Vertex,
+    counters: &'a mut [u64],
+    /// The interval's [`slice_champion`] and the count it had when found.
+    /// Counters never increase, so it stays the champion until it is
+    /// selected or that count no longer matches its counter.
+    champion: Option<(u64, Vertex)>,
+}
+
+impl Owner<'_> {
+    /// Applies `step` to the counter of every vertex of sample `j` that
+    /// falls into the interval.
+    fn walk<S: IntervalSets>(&mut self, sets: &S, j: usize, step: impl Fn(&mut u64)) {
+        let (vl, counters) = (self.vl, &mut *self.counters);
+        sets.for_each_in(j, vl, self.vh, |u| step(&mut counters[(u - vl) as usize]));
+    }
+}
+
+/// The production greedy max-cover (Algorithm 4).
+///
+/// The vertex space is split into intervals `[vl, vh)`, each owned by one
+/// task that updates only its own counter slice — the paper's
+/// synchronization-free design ("the alternative would have necessitated
+/// atomic updates") — and keeps its interval's champion, so the round's
+/// winner is a reduction over the owners. With an `index` the counters
+/// start from its degrees and a cover step walks the seed's row; without
+/// one the owners count their intervals across all samples and a cover
+/// step probes every alive sample. Vertices set in `selected` are never
+/// candidates and never cover a sample, so the result is the plain selection
+/// on the sketch with those vertices deleted (from every set, and from the
+/// vertex universe).
+///
+/// `stats` carries the index's cost in. Returns bitwise the [`Selection`]
+/// of [`select_seeds_sequential`].
+fn greedy_cover<S: IntervalSets, I: SampleLookup>(
+    sets: &S,
+    index: Option<&I>,
+    n: u32,
+    k: u32,
+    partitions: usize,
+    mut selected: Vec<bool>,
+    mut stats: SelectStats,
+) -> (Selection, SelectStats) {
+    let n_us = n as usize;
+    let k = k.min(n);
+    // Interval bounds: vl = n·t/p, vh = n·(t+1)/p (Algorithm 4), in units
+    // of `S::ALIGN` vertices.
+    let units = n_us.div_ceil(S::ALIGN);
+    let p = partitions.clamp(1, units.max(1)).min(S::MAX_OWNERS);
+    let bound = |t: usize| (S::ALIGN * (units * t / p)).min(n_us) as Vertex;
+
+    let mut counters: Vec<u64> = match index {
+        Some(index) => (0..n).map(|v| index.degree(v)).collect(),
+        None => vec![0; n_us],
+    };
+    let mut rest = counters.as_mut_slice();
+    let mut owners: Vec<Owner<'_>> = (0..p)
+        .map(|t| {
+            let (vl, vh) = (bound(t), bound(t + 1));
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut((vh - vl) as usize);
+            rest = tail;
+            Owner {
+                vl,
+                vh,
+                counters: head,
+                champion: None,
+            }
+        })
+        .collect();
+
+    // Counting pass, where no index has counted already: each owner counts
+    // its interval across all samples, walking only its own sub-range of
+    // each. Then every owner's first champion. (The owners' closure may
+    // capture `count`, not `index`: an index need not be `Sync`.)
+    let count = index.is_none();
+    let t0 = Instant::now();
+    sets.for_each_owner(&mut owners, |sets, owner| {
+        if count {
+            for j in 0..sets.store().len() {
+                owner.walk(sets, j, |c| *c += 1);
+            }
+        }
+        owner.champion = slice_champion(owner.counters, &selected, owner.vl);
+    });
+    stats.decode_nanos += nanos_since(t0);
+
+    let store = sets.store();
+    let mut covered = vec![false; store.len()];
+    let mut seeds = Vec::with_capacity(k as usize);
+    let mut gains = Vec::with_capacity(k as usize);
+    let mut covered_count = 0usize;
+    let mut newly: Vec<usize> = Vec::new();
+    for _ in 0..k {
+        // Ascending interval order plus the strict comparison reproduces
+        // argmax's lowest-id tie-break globally.
+        let best = owners
+            .iter()
+            .filter_map(|owner| owner.champion)
+            .reduce(|best, champion| if champion.0 > best.0 { champion } else { best });
+        let Some((gain, v)) = best else {
+            break;
+        };
+        selected[v as usize] = true;
+        seeds.push(v);
+        gains.push(gain);
+
+        // Cover step: the alive samples containing v.
+        let t0 = Instant::now();
+        newly.clear();
+        match index {
+            Some(index) => index.for_each_sample(v, |j| {
+                if !covered[j] {
+                    newly.push(j);
+                }
+            }),
+            None => newly.extend((0..store.len()).filter(|&j| !covered[j] && store.contains(j, v))),
+        }
+        debug_assert_eq!(gain as usize, newly.len(), "stale champion count");
+        let mut touched = 0u64;
+        for &j in &newly {
+            covered[j] = true;
+            touched += store.sample_len(j) as u64;
+        }
+        covered_count += newly.len();
+        stats.entries_touched += touched;
+        publish_step(v, gain, touched);
+
+        // Decrement step: each owner updates its interval over the newly
+        // covered samples, then looks for a new champion if its own was
+        // selected or lost count.
+        let (newly, selected) = (&newly, &selected);
+        sets.for_each_owner(&mut owners, |sets, owner| {
+            for &j in newly {
+                owner.walk(sets, j, |c| *c -= 1);
+            }
+            let stale = |(count, u): (u64, Vertex)| {
+                selected[u as usize] || owner.counters[(u - owner.vl) as usize] != count
+            };
+            if owner.champion.is_some_and(stale) {
+                owner.champion = slice_champion(owner.counters, selected, owner.vl);
+            }
+        });
+        stats.decode_nanos += nanos_since(t0);
+    }
+    (
+        Selection::finish(seeds, gains, covered_count, store.len()),
+        stats,
+    )
+}
+
+/// Number of samples in `store` covered by `seeds` (samples containing at
 /// least one seed). Engine-independent by construction, so the correctness
 /// oracle uses it to score any engine's seed set on any (possibly relabeled)
-/// collection without trusting that engine's own bookkeeping.
+/// collection without trusting that engine's own bookkeeping; and
+/// `n · covered / len` is the standard RRR estimate of the seed set's
+/// expected influence, which the serve mode's `spread_estimate` query
+/// returns without touching the graph.
 #[must_use]
-pub fn coverage_of(collection: &RrrCollection, seeds: &[Vertex]) -> usize {
-    collection
-        .iter()
-        .filter(|set| seeds.iter().any(|s| set.binary_search(s).is_ok()))
+pub fn coverage_of<S: RrrStore>(store: &S, seeds: &[Vertex]) -> usize {
+    (0..store.len())
+        .filter(|&j| seeds.iter().any(|&s| store.contains(j, s)))
         .count()
 }
 
-/// Cost-model check for the fused engine: building and walking the u32-CSR
-/// index costs O(E) (E = total RRR entries), while the partitioned engine's
-/// per-seed purge scans cost O(k·θ·(log₂s̄+1)) binary-search steps
-/// (s̄ = E/θ, the mean set size). Dividing both by θ, the index pays for
-/// itself when `k·(log₂s̄+1) ≥ 2·s̄`: always for the small sets realistic
-/// cascades produce (s̄ ≲ 50), only at very large `k` for dense synthetic
-/// graphs whose samples span a large fraction of the vertex set.
+/// Cost-model check for the inverted index: building and walking it costs
+/// O(E) (E = total RRR entries), while the index-free cover steps cost
+/// O(k·θ·(log₂s̄+1)) binary-search steps (s̄ = E/θ, the mean set size).
+/// Dividing both by θ, the index pays for itself when
+/// `k·(log₂s̄+1) ≥ 2·s̄`: always for the small sets realistic cascades
+/// produce (s̄ ≲ 50), only at very large `k` for dense synthetic graphs
+/// whose samples span a large fraction of the vertex set.
 ///
 /// Evaluated on any [`RrrStore`]: a store exposes `len` and `total_entries`
 /// without decoding.
@@ -670,9 +517,13 @@ pub fn fused_is_profitable<S: RrrStore>(store: &S, k: u32) -> bool {
     u64::from(k) * u64::from(sbar.ilog2() + 1) >= 2 * sbar
 }
 
-/// Which greedy max-cover engine a run uses for its selection passes.
-/// All variants except `Lazy` return identical [`Selection`]s; `Lazy` may
-/// reorder tied seeds but preserves coverage and marginal gains.
+/// Which greedy max-cover engine a run uses for its selection passes. All
+/// variants return identical [`Selection`]s.
+///
+/// Both inverted indexes address samples and entries with `u32`s. A store
+/// with 2³² − 1 or more samples or entries is therefore selected over
+/// without an index whatever the variant: `Auto` silently, `Fused` with one
+/// note on stderr. The index-free route has no 32-bit limit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SelectEngine {
     /// Cost-model dispatch (the default): [`SelectEngine::Fused`] when
@@ -680,15 +531,11 @@ pub enum SelectEngine {
     Auto,
     /// [`select_seeds_sequential`] — the O(k·θ) reference scan.
     Sequential,
-    /// [`select_seeds_partitioned`] — interval counters, full purge scans.
+    /// The production body without an inverted index: interval owners
+    /// count, and every cover step probes the alive samples.
     Partitioned,
-    /// [`select_seeds_lazy`] — CELF lazy greedy.
-    Lazy,
-    /// [`select_seeds_hypergraph`] — Tang-style two-direction layout
-    /// (copies the collection to build the [`HyperGraph`]).
-    Hypergraph,
-    /// [`select_seeds_fused`] — u32-CSR index + interval counters +
-    /// incremental argmax.
+    /// The production body with an inverted index: counters start from its
+    /// degrees, and a cover step walks the seed's row.
     Fused,
 }
 
@@ -700,8 +547,6 @@ impl SelectEngine {
             "auto" => Some(SelectEngine::Auto),
             "sequential" | "seq" => Some(SelectEngine::Sequential),
             "partitioned" | "part" => Some(SelectEngine::Partitioned),
-            "lazy" | "celf" => Some(SelectEngine::Lazy),
-            "hypergraph" | "hyper" => Some(SelectEngine::Hypergraph),
             "fused" => Some(SelectEngine::Fused),
             _ => None,
         }
@@ -714,18 +559,58 @@ impl SelectEngine {
             SelectEngine::Auto => "auto",
             SelectEngine::Sequential => "sequential",
             SelectEngine::Partitioned => "partitioned",
-            SelectEngine::Lazy => "lazy",
-            SelectEngine::Hypergraph => "hypergraph",
             SelectEngine::Fused => "fused",
         }
     }
 }
 
-/// Runs one selection pass with `engine`. `partitions` is consumed by the
-/// partitioned and fused engines and ignored by the serial ones. Engines
-/// without an index report default (zero) [`SelectStats`]; the hypergraph
-/// engine charges its two-direction build to the stats so CLI comparisons
-/// see its true cost.
+/// Whether a selection pass of `engine` over `store` runs with an inverted
+/// index — the one place the engines' and the indexes' limits are weighed.
+pub(crate) fn uses_index<S: RrrStore>(engine: SelectEngine, store: &S, k: u32) -> bool {
+    let fits = store.len() < u32::MAX as usize && store.total_entries() < u64::from(u32::MAX);
+    match engine {
+        SelectEngine::Sequential | SelectEngine::Partitioned => false,
+        SelectEngine::Auto => fits && fused_is_profitable(store, k),
+        SelectEngine::Fused => {
+            if !fits {
+                static NOTE: std::sync::Once = std::sync::Once::new();
+                NOTE.call_once(|| {
+                    eprintln!(
+                        "note: {} samples with {} entries are past the inverted index's \
+                         32-bit ids; --select fused runs without the index",
+                        store.len(),
+                        store.total_entries()
+                    );
+                });
+            }
+            fits
+        }
+    }
+}
+
+/// What building an index cost, once it exists.
+pub(crate) fn index_built(
+    t0: Instant,
+    index_bytes: usize,
+    entries: u64,
+    builders: usize,
+) -> SelectStats {
+    if crate::obs::trace::enabled() {
+        crate::obs::trace::complete(
+            crate::obs::trace::TraceName::IndexBuild,
+            t0,
+            entries,
+            builders as u64,
+        );
+    }
+    SelectStats {
+        index_build_nanos: nanos_since(t0),
+        index_bytes,
+        ..SelectStats::default()
+    }
+}
+
+/// [`select_with_engine_store`] over a plain list collection.
 #[must_use]
 pub fn select_with_engine(
     engine: SelectEngine,
@@ -734,243 +619,12 @@ pub fn select_with_engine(
     k: u32,
     partitions: usize,
 ) -> (Selection, SelectStats) {
-    match engine {
-        SelectEngine::Auto => {
-            let resolved = if fused_is_profitable(collection, k) {
-                SelectEngine::Fused
-            } else {
-                SelectEngine::Partitioned
-            };
-            select_with_engine(resolved, collection, n, k, partitions)
-        }
-        SelectEngine::Sequential => (
-            select_seeds_sequential(collection, n, k),
-            SelectStats::default(),
-        ),
-        SelectEngine::Partitioned => (
-            select_seeds_partitioned(collection, n, k, partitions),
-            SelectStats::default(),
-        ),
-        SelectEngine::Lazy => (select_seeds_lazy(collection, n, k), SelectStats::default()),
-        SelectEngine::Hypergraph => {
-            let t0 = std::time::Instant::now();
-            let hyper = HyperGraph::build(collection.clone(), n);
-            let stats = SelectStats {
-                index_build_nanos: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                index_bytes: hyper
-                    .resident_bytes()
-                    .saturating_sub(collection.resident_bytes()),
-                ..SelectStats::default()
-            };
-            (select_seeds_hypergraph(&hyper, n, k), stats)
-        }
-        SelectEngine::Fused => select_seeds_fused_with_stats(collection, n, k, partitions),
-    }
+    select_with_engine_store(engine, collection, n, k, partitions)
 }
 
-/// Greedy max-cover directly over a compressed [`RrrStore`]: a streaming
-/// counting pass, then per-seed sweeps that probe each alive sample with
-/// [`RrrStore::contains`] (early-exit on the sorted order) and decode only
-/// the samples the seed actually covers. The strategy of
-/// [`select_seeds_sequential`] with decode-on-touch instead of slices —
-/// the same counters and the same `(count, lowest id)` tie-break, so the
-/// returned [`Selection`] is bitwise identical to the flat reference.
-#[must_use]
-pub fn select_seeds_store_direct<S: RrrStore>(
-    store: &S,
-    n: u32,
-    k: u32,
-) -> (Selection, SelectStats) {
-    select_seeds_store_banned(store, n, k, &vec![false; n as usize])
-}
-
-/// [`select_seeds_store_direct`] with a pre-banned vertex set: banned
-/// vertices are marked selected before the first greedy round, so they are
-/// never candidates and never cover a sample. Because banned vertices also
-/// never have their samples purged *through them* (only a chosen seed
-/// covers samples), the greedy trajectory over the non-banned vertices is
-/// exactly the trajectory of a plain selection on the vertex-filtered
-/// sketch (every banned id deleted from every RRR set) — the
-/// `topk_excluding` query primitive of the resident serve mode. Returned
-/// `seeds` never contain a banned vertex, so fewer than `k` seeds come
-/// back when bans exhaust the vertex set.
-///
-/// # Panics
-///
-/// Panics if `banned.len() != n as usize`.
-#[must_use]
-pub fn select_seeds_store_banned<S: RrrStore>(
-    store: &S,
-    n: u32,
-    k: u32,
-    banned: &[bool],
-) -> (Selection, SelectStats) {
-    let n_us = n as usize;
-    assert_eq!(banned.len(), n_us, "banned mask must cover all vertices");
-    let k = k.min(n);
-    let mut stats = SelectStats::default();
-    let mut counters = vec![0u64; n_us];
-    let t0 = std::time::Instant::now();
-    for j in 0..store.len() {
-        store.for_each_vertex(j, |v| counters[v as usize] += 1);
-    }
-    stats.decode_nanos += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let mut covered = vec![false; store.len()];
-    let mut selected = banned.to_vec();
-    let mut seeds = Vec::with_capacity(k as usize);
-    let mut gains = Vec::with_capacity(k as usize);
-    let mut covered_count = 0usize;
-    for _ in 0..k {
-        let Some(v) = argmax(&counters, &selected) else {
-            break;
-        };
-        selected[v as usize] = true;
-        if crate::obs::trace::enabled() {
-            crate::obs::trace::mark(
-                crate::obs::trace::TraceName::SelectStep,
-                u64::from(v),
-                counters[v as usize],
-            );
-        }
-        if crate::obs::metrics::enabled() {
-            crate::obs::metrics::add(crate::obs::metrics::Metric::SelectSteps, 1);
-            crate::obs::metrics::add(crate::obs::metrics::Metric::SeedsSelected, 1);
-        }
-        gains.push(counters[v as usize]);
-        seeds.push(v);
-        let t0 = std::time::Instant::now();
-        let mut touched = 0u64;
-        for (j, cov) in covered.iter_mut().enumerate() {
-            if *cov {
-                continue;
-            }
-            if store.contains(j, v) {
-                *cov = true;
-                covered_count += 1;
-                touched += store.sample_len(j) as u64;
-                store.for_each_vertex(j, |u| counters[u as usize] -= 1);
-            }
-        }
-        stats.decode_nanos += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        stats.entries_touched += touched;
-        if crate::obs::metrics::enabled() {
-            crate::obs::metrics::add(crate::obs::metrics::Metric::SelectEntriesTouched, touched);
-        }
-    }
-    (
-        Selection::finish(seeds, gains, covered_count, store.len()),
-        stats,
-    )
-}
-
-/// Index-driven greedy max-cover over a compressed [`RrrStore`]: streams
-/// the store through [`RrrStore::with_sample_index`] (a gap-varint
-/// inverted index; [`DynRrrStore`] caches it across rounds so only samples
-/// new since the last selection are absorbed), takes initial counters from
-/// its degrees, covers each seed's samples by streaming the index list,
-/// and decodes each newly covered sample exactly once for the counter
-/// decrements — the hypergraph/fused engines' O(touched entries) strategy
-/// without ever materializing the flat collection. Same tie-break,
-/// bitwise-identical [`Selection`].
-///
-/// [`DynRrrStore`]: ripples_diffusion::DynRrrStore
-#[must_use]
-pub fn select_seeds_store_indexed<S: RrrStore>(
-    store: &S,
-    n: u32,
-    k: u32,
-) -> (Selection, SelectStats) {
-    let n_us = n as usize;
-    let k = k.min(n);
-    let t0 = std::time::Instant::now();
-    store.with_sample_index(n, |index| {
-        let mut stats = SelectStats {
-            index_build_nanos: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            index_bytes: index.resident_bytes(),
-            ..SelectStats::default()
-        };
-        if crate::obs::trace::enabled() {
-            crate::obs::trace::complete(
-                crate::obs::trace::TraceName::IndexBuild,
-                t0,
-                store.total_entries(),
-                1,
-            );
-        }
-        let mut counters: Vec<u64> = (0..n).map(|v| u64::from(index.degree(v))).collect();
-        let mut covered = vec![false; store.len()];
-        let mut selected = vec![false; n_us];
-        let mut seeds = Vec::with_capacity(k as usize);
-        let mut gains = Vec::with_capacity(k as usize);
-        let mut covered_count = 0usize;
-        for _ in 0..k {
-            let Some(v) = argmax(&counters, &selected) else {
-                break;
-            };
-            selected[v as usize] = true;
-            if crate::obs::trace::enabled() {
-                crate::obs::trace::mark(
-                    crate::obs::trace::TraceName::SelectStep,
-                    u64::from(v),
-                    counters[v as usize],
-                );
-            }
-            if crate::obs::metrics::enabled() {
-                crate::obs::metrics::add(crate::obs::metrics::Metric::SelectSteps, 1);
-                crate::obs::metrics::add(crate::obs::metrics::Metric::SeedsSelected, 1);
-            }
-            gains.push(counters[v as usize]);
-            seeds.push(v);
-            // Cover step over the seed's index list; decode-on-touch decrement.
-            let t0 = std::time::Instant::now();
-            let mut newly: Vec<usize> = Vec::new();
-            index.for_each_sample(v, |j| {
-                if !covered[j] {
-                    covered[j] = true;
-                    newly.push(j);
-                }
-            });
-            let mut touched = 0u64;
-            for &j in &newly {
-                touched += store.sample_len(j) as u64;
-                store.for_each_vertex(j, |u| counters[u as usize] -= 1);
-            }
-            stats.decode_nanos += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            covered_count += newly.len();
-            stats.entries_touched += touched;
-            if crate::obs::metrics::enabled() {
-                crate::obs::metrics::add(
-                    crate::obs::metrics::Metric::SelectEntriesTouched,
-                    touched,
-                );
-            }
-            if crate::obs::trace::enabled() {
-                crate::obs::trace::mark(
-                    crate::obs::trace::TraceName::SelectTouched,
-                    touched,
-                    u64::from(v),
-                );
-            }
-        }
-        (
-            Selection::finish(seeds, gains, covered_count, store.len()),
-            stats,
-        )
-    })
-}
-
-/// Storage-aware engine dispatch. A flat store holding only lists takes
-/// the exact [`select_with_engine`] path (same code, same bitwise
-/// guarantees). Any other store maps each engine onto its equivalent over
-/// the [`RrrStore`] read interface — index-driven for the index engines
-/// (`fused`/`hypergraph`, and `auto` when the [`fused_is_profitable`] cost
-/// model says the index pays for itself), a scan otherwise: Algorithm 4
-/// over word ranges when the store is a flat one with bitmap sets
-/// ([`select_seeds_partitioned_mixed`]), decode-on-touch sweeps over a
-/// compressed one. Every eager engine returns the same [`Selection`] for
-/// the same samples regardless of the backend; the lazy engine maps to the
-/// scan on these stores (eager greedy — same seeds as the other eager
-/// engines, which on ties may differ from flat `lazy`'s reordering).
+/// Runs one selection pass with `engine` over any store. `partitions` is
+/// the number of interval owners of the production body; the sequential
+/// reference ignores it.
 #[must_use]
 pub fn select_with_engine_store<S: RrrStore>(
     engine: SelectEngine,
@@ -979,31 +633,106 @@ pub fn select_with_engine_store<S: RrrStore>(
     k: u32,
     partitions: usize,
 ) -> (Selection, SelectStats) {
-    if let Some(flat) = store.as_flat() {
-        return select_with_engine(engine, flat, n, k, partitions);
-    }
-    let indexed = match engine {
-        SelectEngine::Fused | SelectEngine::Hypergraph => true,
-        SelectEngine::Auto => fused_is_profitable(store, k),
-        SelectEngine::Sequential | SelectEngine::Partitioned | SelectEngine::Lazy => false,
-    };
-    if indexed {
-        select_seeds_store_indexed(store, n, k)
-    } else if let Some(mixed) = store.as_mixed() {
-        // Like the list-only scan engines, reports no index and no entries
-        // touched.
-        (
-            select_seeds_partitioned_mixed(mixed, n, k, partitions),
-            SelectStats::default(),
-        )
+    select_with_engine_banned(engine, store, n, k, partitions, vec![false; n as usize])
+}
+
+/// [`select_with_engine_store`] with a pre-banned vertex set — the
+/// `topk_excluding` query primitive of the resident serve mode. Banned
+/// vertices are marked selected before the first greedy round, so the
+/// result is the selection on the sketch without them (every banned id
+/// deleted from every RRR set and from the vertex universe); fewer than `k`
+/// seeds come back when bans exhaust the vertex set.
+///
+/// How each store is read, and which index it gets when the engine asks
+/// for one:
+///
+/// | store | collection view | index | owners |
+/// |---|---|---|---|
+/// | flat, lists only | sorted lists | transient [`SampleIndex`], built by the owners | `partitions` |
+/// | flat with bitmaps | lists or bitmaps, 64-aligned intervals | the store's cached [`IncrementalSampleIndex`] | `partitions` |
+/// | varint, spill | streamed | the store's cached [`IncrementalSampleIndex`] | 1 |
+///
+/// # Panics
+///
+/// Panics if `banned.len() != n as usize`.
+#[must_use]
+pub fn select_with_engine_banned<S: RrrStore>(
+    engine: SelectEngine,
+    store: &S,
+    n: u32,
+    k: u32,
+    partitions: usize,
+    banned: Vec<bool>,
+) -> (Selection, SelectStats) {
+    assert_eq!(
+        banned.len(),
+        n as usize,
+        "banned mask must cover all vertices"
+    );
+    let (selection, mut stats) = if engine == SelectEngine::Sequential {
+        match store.as_flat() {
+            Some(lists) => sequential_greedy(lists, n, k, banned),
+            None => sequential_greedy(store, n, k, banned),
+        }
     } else {
-        select_seeds_store_direct(store, n, k)
+        let indexed = uses_index(engine, store, k);
+        if let Some(lists) = store.as_flat() {
+            let t0 = Instant::now();
+            let index = indexed.then(|| SampleIndex::build(lists, n, partitions));
+            let stats = index.as_ref().map_or_else(SelectStats::default, |index| {
+                index_built(
+                    t0,
+                    index.resident_bytes(),
+                    store.total_entries(),
+                    partitions,
+                )
+            });
+            greedy_cover(lists, index.as_ref(), n, k, partitions, banned, stats)
+        } else if let Some(mixed) = store.as_mixed() {
+            cover_with_cached_index(mixed, store, indexed, n, k, partitions, banned)
+        } else {
+            cover_with_cached_index(&Streamed(store), store, indexed, n, k, partitions, banned)
+        }
+    };
+    if store.kind() == RrrStoreKind::Flat {
+        stats.decode_nanos = 0;
     }
+    (selection, stats)
+}
+
+/// [`greedy_cover`] over `sets`, a view of `store`, with the index the
+/// store caches across passes when `indexed`.
+fn cover_with_cached_index<C: IntervalSets, S: RrrStore>(
+    sets: &C,
+    store: &S,
+    indexed: bool,
+    n: u32,
+    k: u32,
+    partitions: usize,
+    banned: Vec<bool>,
+) -> (Selection, SelectStats) {
+    if !indexed {
+        let stats = SelectStats::default();
+        return greedy_cover(sets, None::<&SampleIndex>, n, k, partitions, banned, stats);
+    }
+    let t0 = Instant::now();
+    store.with_sample_index(n, |index| {
+        let stats = index_built(t0, index.resident_bytes(), store.total_entries(), 1);
+        greedy_cover(sets, Some(index), n, k, partitions, banned, stats)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ripples_diffusion::{CompressedRrrCollection, DynRrrStore, SampleArena, StorageConfig};
+
+    const ENGINES: [SelectEngine; 4] = [
+        SelectEngine::Auto,
+        SelectEngine::Sequential,
+        SelectEngine::Partitioned,
+        SelectEngine::Fused,
+    ];
 
     fn collection(sets: &[&[Vertex]]) -> RrrCollection {
         let mut c = RrrCollection::new();
@@ -1059,21 +788,15 @@ mod tests {
         let k = 4;
         let seq = select_seeds_sequential(&c, n, k);
         for p in [1, 2, 3, 5, 8] {
-            let par = select_seeds_partitioned(&c, n, k, p);
-            assert_eq!(par, seq, "partitioned(p={p}) diverged");
-        }
-        let hyper = HyperGraph::build(c.clone(), n);
-        let hg = select_seeds_hypergraph(&hyper, n, k);
-        assert_eq!(hg, seq, "hypergraph engine diverged");
-        for p in [1, 2, 3, 5, 8] {
-            let (fused, stats) = select_seeds_fused_with_stats(&c, n, k, p);
-            assert_eq!(fused, seq, "fused(p={p}) diverged");
+            let (scan, scan_stats) = select_with_engine(SelectEngine::Partitioned, &c, n, k, p);
+            assert_eq!(scan, seq, "partitioned(p={p}) diverged");
+            let (indexed, stats) = select_with_engine(SelectEngine::Fused, &c, n, k, p);
+            assert_eq!(indexed, seq, "fused(p={p}) diverged");
             assert!(stats.index_bytes > 0);
             assert!(stats.entries_touched > 0);
+            assert_eq!(scan_stats.index_bytes, 0);
+            assert_eq!(scan_stats.entries_touched, stats.entries_touched);
         }
-        let lazy = select_seeds_lazy(&c, n, k);
-        assert_eq!(lazy.covered, seq.covered, "lazy engine lost coverage");
-        assert_eq!(lazy.marginal_gains, seq.marginal_gains);
     }
 
     #[test]
@@ -1081,7 +804,7 @@ mod tests {
         let c = RrrCollection::new();
         let seq = select_seeds_sequential(&c, 5, 2);
         for p in [1, 3] {
-            assert_eq!(select_seeds_fused(&c, 5, 2, p), seq);
+            assert_eq!(select_with_engine(SelectEngine::Fused, &c, 5, 2, p).0, seq);
         }
     }
 
@@ -1089,7 +812,16 @@ mod tests {
     fn fused_with_more_partitions_than_vertices() {
         let c = collection(&[&[0], &[1], &[0, 1]]);
         assert_eq!(
-            select_seeds_fused(&c, 2, 2, 64),
+            select_with_engine(SelectEngine::Fused, &c, 2, 2, 64).0,
+            select_seeds_sequential(&c, 2, 2)
+        );
+    }
+
+    #[test]
+    fn partitioned_with_more_partitions_than_vertices() {
+        let c = collection(&[&[0], &[1], &[0, 1]]);
+        assert_eq!(
+            select_with_engine(SelectEngine::Partitioned, &c, 2, 2, 64).0,
             select_seeds_sequential(&c, 2, 2)
         );
     }
@@ -1097,19 +829,18 @@ mod tests {
     #[test]
     fn engine_dispatch_is_consistent() {
         let c = collection(&[&[0, 1, 2], &[1, 2, 3], &[2, 3, 4], &[4, 5], &[0, 5]]);
-        let (seq, seq_stats) = select_with_engine(SelectEngine::Sequential, &c, 6, 3, 4);
-        for engine in [
-            SelectEngine::Auto,
-            SelectEngine::Partitioned,
-            SelectEngine::Hypergraph,
-            SelectEngine::Fused,
-        ] {
-            let (sel, _) = select_with_engine(engine, &c, 6, 3, 4);
+        let seq = select_seeds_sequential(&c, 6, 3);
+        for engine in ENGINES {
+            let (sel, stats) = select_with_engine(engine, &c, 6, 3, 4);
             assert_eq!(sel, seq, "{} diverged", engine.tag());
+            // Lists need no decoding, and `auto` alone may choose to index.
+            assert_eq!(stats.decode_nanos, 0, "{}", engine.tag());
+            match engine {
+                SelectEngine::Fused => assert!(stats.index_bytes > 0),
+                SelectEngine::Auto => {}
+                _ => assert_eq!(stats.index_bytes, 0, "{}", engine.tag()),
+            }
         }
-        assert_eq!(seq_stats, SelectStats::default());
-        let (lazy, _) = select_with_engine(SelectEngine::Lazy, &c, 6, 3, 4);
-        assert_eq!(lazy.marginal_gains, seq.marginal_gains);
     }
 
     #[test]
@@ -1128,20 +859,97 @@ mod tests {
         assert!(fused_is_profitable(&dense, 200));
     }
 
+    /// A store that *reports* a size without holding it: the index decision
+    /// reads `len` and `total_entries` and nothing else.
+    struct Reported {
+        len: usize,
+        total_entries: u64,
+    }
+
+    impl RrrStore for Reported {
+        fn len(&self) -> usize {
+            self.len
+        }
+        fn total_entries(&self) -> u64 {
+            self.total_entries
+        }
+        fn kind(&self) -> RrrStoreKind {
+            RrrStoreKind::Varint
+        }
+        fn push(&mut self, _: &[Vertex]) {
+            unreachable!()
+        }
+        fn append_arenas(&mut self, _: &[SampleArena]) {
+            unreachable!()
+        }
+        fn sample_len(&self, _: usize) -> usize {
+            unreachable!()
+        }
+        fn decode_into(&self, _: usize, _: &mut Vec<Vertex>) {
+            unreachable!()
+        }
+        fn for_each_vertex<F: FnMut(Vertex)>(&self, _: usize, _: F) {
+            unreachable!()
+        }
+        fn contains(&self, _: usize, _: Vertex) -> bool {
+            unreachable!()
+        }
+        fn resident_bytes(&self) -> usize {
+            unreachable!()
+        }
+        fn unsorted_pushes(&self) -> u64 {
+            unreachable!()
+        }
+    }
+
+    #[test]
+    fn stores_past_the_u32_index_limits_take_the_index_free_route() {
+        // Small sets and a large k: the cost model wants the index.
+        let k = 1000;
+        let fits = Reported {
+            len: 1 << 20,
+            total_entries: 1 << 24,
+        };
+        let too_many_entries = Reported {
+            len: 1 << 28,
+            total_entries: 1 << 32,
+        };
+        let too_many_samples = Reported {
+            len: 1 << 32,
+            total_entries: 1 << 34,
+        };
+        for engine in [SelectEngine::Auto, SelectEngine::Fused] {
+            assert!(uses_index(engine, &fits, k), "{}", engine.tag());
+            assert!(fused_is_profitable(&too_many_entries, k));
+            assert!(
+                !uses_index(engine, &too_many_entries, k),
+                "{}",
+                engine.tag()
+            );
+            assert!(fused_is_profitable(&too_many_samples, k));
+            assert!(
+                !uses_index(engine, &too_many_samples, k),
+                "{}",
+                engine.tag()
+            );
+        }
+        for engine in [SelectEngine::Sequential, SelectEngine::Partitioned] {
+            assert!(!uses_index(engine, &fits, k), "{}", engine.tag());
+        }
+    }
+
     #[test]
     fn engine_tags_round_trip() {
-        for engine in [
-            SelectEngine::Auto,
-            SelectEngine::Sequential,
-            SelectEngine::Partitioned,
-            SelectEngine::Lazy,
-            SelectEngine::Hypergraph,
-            SelectEngine::Fused,
-        ] {
+        for engine in ENGINES {
             assert_eq!(SelectEngine::from_tag(engine.tag()), Some(engine));
         }
-        assert_eq!(SelectEngine::from_tag("celf"), Some(SelectEngine::Lazy));
-        assert!(SelectEngine::from_tag("bogus").is_none());
+        assert_eq!(
+            SelectEngine::from_tag("part"),
+            Some(SelectEngine::Partitioned)
+        );
+        for removed in ["bogus", "lazy", "celf", "hypergraph", "hyper"] {
+            assert!(SelectEngine::from_tag(removed).is_none(), "{removed}");
+        }
     }
 
     #[test]
@@ -1169,8 +977,13 @@ mod tests {
         let c = collection(&[&[0, 1, 2], &[1, 2, 3], &[2, 3, 4], &[4, 5], &[0, 5]]);
         let sel = select_seeds_sequential(&c, 6, 3);
         assert_eq!(coverage_of(&c, &sel.seeds), sel.covered);
+        assert_eq!(coverage_of(&c, &[4, 0]), 4);
         assert_eq!(coverage_of(&c, &[]), 0);
         assert_eq!(coverage_of(&RrrCollection::new(), &[1, 2]), 0);
+        // Any store scores like the lists it encodes.
+        let varint = CompressedRrrCollection::from(&c);
+        assert_eq!(coverage_of(&varint, &sel.seeds), sel.covered);
+        assert_eq!(coverage_of(&varint, &[4, 0]), 4);
     }
 
     #[test]
@@ -1202,11 +1015,7 @@ mod tests {
         let mut best = 0usize;
         for a in 0..n {
             for b in (a + 1)..n {
-                let covered = c
-                    .iter()
-                    .filter(|s| s.binary_search(&a).is_ok() || s.binary_search(&b).is_ok())
-                    .count();
-                best = best.max(covered);
+                best = best.max(coverage_of(&c, &[a, b]));
             }
         }
         assert!(
@@ -1217,16 +1026,7 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_with_more_partitions_than_vertices() {
-        let c = collection(&[&[0], &[1], &[0, 1]]);
-        let sel = select_seeds_partitioned(&c, 2, 2, 64);
-        let seq = select_seeds_sequential(&c, 2, 2);
-        assert_eq!(sel, seq);
-    }
-
-    #[test]
     fn store_engines_match_flat_reference() {
-        use ripples_diffusion::{DynRrrStore, RrrStoreKind, StorageConfig};
         let sets: Vec<Vec<Vertex>> = vec![
             vec![0, 1, 2],
             vec![1, 2, 3],
@@ -1241,11 +1041,7 @@ mod tests {
         ];
         let n = 8u32;
         let k = 4u32;
-        let mut flat = RrrCollection::new();
-        for s in &sets {
-            flat.push(s);
-        }
-        let seq = select_seeds_sequential(&flat, n, k);
+        let seq = select_seeds_sequential(&sets.iter().cloned().collect::<RrrCollection>(), n, k);
         for kind in [
             RrrStoreKind::Flat,
             RrrStoreKind::Varint,
@@ -1261,22 +1057,22 @@ mod tests {
             for s in &sets {
                 store.push(s);
             }
-            for engine in [
-                SelectEngine::Auto,
-                SelectEngine::Sequential,
-                SelectEngine::Partitioned,
-                SelectEngine::Hypergraph,
-                SelectEngine::Fused,
-            ] {
-                let (sel, _) = select_with_engine_store(engine, &store, n, k, 3);
+            for engine in ENGINES {
+                let (sel, stats) = select_with_engine_store(engine, &store, n, k, 3);
                 assert_eq!(sel, seq, "{:?}/{} diverged", kind, engine.tag());
+                assert_eq!(
+                    stats.decode_nanos > 0,
+                    kind != RrrStoreKind::Flat,
+                    "{:?}/{}",
+                    kind,
+                    engine.tag()
+                );
             }
         }
     }
 
     #[test]
     fn store_direct_and_indexed_agree_and_report_stats() {
-        use ripples_diffusion::CompressedRrrCollection;
         let mut c = CompressedRrrCollection::new();
         for base in 0..50u32 {
             let mut s: Vec<Vertex> = (0..6).map(|i| (base * 13 + i * 7) % 40).collect();
@@ -1284,12 +1080,14 @@ mod tests {
             s.dedup();
             c.push(&s);
         }
-        let (direct, dstats) = select_seeds_store_direct(&c, 40, 5);
-        let (indexed, istats) = select_seeds_store_indexed(&c, 40, 5);
+        let (direct, dstats) = select_with_engine_store(SelectEngine::Partitioned, &c, 40, 5, 2);
+        let (indexed, istats) = select_with_engine_store(SelectEngine::Fused, &c, 40, 5, 2);
         assert_eq!(direct, indexed);
         assert_eq!(dstats.index_bytes, 0);
         assert!(istats.index_bytes > 0);
         assert_eq!(dstats.entries_touched, istats.entries_touched);
+        let (_, sstats) = select_with_engine_store(SelectEngine::Sequential, &c, 40, 5, 2);
+        assert_eq!(sstats.entries_touched, istats.entries_touched);
     }
 
     #[test]
@@ -1305,40 +1103,32 @@ mod tests {
         ];
         let n = 7u32;
         let k = 3u32;
-        let mut full = RrrCollection::new();
-        for s in &sets {
-            full.push(s);
-        }
+        let full: RrrCollection = sets.iter().cloned().collect();
         let mut banned = vec![false; n as usize];
         banned[2] = true;
         banned[5] = true;
-        let (masked, _) = select_seeds_store_banned(&full, n, k, &banned);
         // Reference: delete banned ids from every set, select normally.
-        let mut filtered = RrrCollection::new();
-        for s in &sets {
-            let kept: Vec<Vertex> = s.iter().copied().filter(|&v| !banned[v as usize]).collect();
-            filtered.push(&kept);
-        }
+        let filtered: RrrCollection = sets
+            .iter()
+            .map(|s| s.iter().copied().filter(|&v| !banned[v as usize]).collect())
+            .collect();
         let plain = select_seeds_sequential(&filtered, n, k);
-        assert_eq!(masked.seeds, plain.seeds);
-        assert_eq!(masked.marginal_gains, plain.marginal_gains);
-        assert_eq!(masked.covered, plain.covered);
-        assert!(masked.seeds.iter().all(|&v| !banned[v as usize]));
+        for engine in ENGINES {
+            let (masked, _) = select_with_engine_banned(engine, &full, n, k, 2, banned.clone());
+            assert_eq!(masked.seeds, plain.seeds, "{}", engine.tag());
+            assert_eq!(masked.marginal_gains, plain.marginal_gains);
+            assert_eq!(masked.covered, plain.covered);
+            assert!(masked.seeds.iter().all(|&v| !banned[v as usize]));
+        }
     }
 
     #[test]
     fn banned_everything_returns_no_seeds() {
         let c = collection(&[&[0, 1], &[1, 2]]);
-        let (sel, _) = select_seeds_store_banned(&c, 3, 2, &[true, true, true]);
-        assert!(sel.seeds.is_empty());
-        assert_eq!(sel.covered, 0);
-    }
-
-    #[test]
-    fn lazy_on_empty_heap() {
-        let c = RrrCollection::new();
-        let sel = select_seeds_lazy(&c, 3, 2);
-        assert_eq!(sel.seeds.len(), 2);
-        assert_eq!(sel.covered, 0);
+        for engine in ENGINES {
+            let (sel, _) = select_with_engine_banned(engine, &c, 3, 2, 2, vec![true; 3]);
+            assert!(sel.seeds.is_empty(), "{}", engine.tag());
+            assert_eq!(sel.covered, 0);
+        }
     }
 }

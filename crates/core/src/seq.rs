@@ -147,8 +147,8 @@ const SEQ_FUSED_K_THRESHOLD: u32 = 16;
 
 /// The paper's optimized serial implementation (IMMOPT): compact sorted
 /// one-direction storage + sequential Algorithm 4, auto-switching to the
-/// cost-model selection dispatch for large `k` (see
-/// [`SEQ_FUSED_K_THRESHOLD`]). The seed set is identical either way.
+/// cost-model selection dispatch from `k` = 16. The seed set is identical
+/// either way.
 #[must_use]
 pub fn immopt_sequential(graph: &Graph, params: &ImmParams) -> ImmResult {
     let select = if params.effective_k(graph.num_vertices()) >= SEQ_FUSED_K_THRESHOLD {

@@ -6,8 +6,7 @@
 //! answer — and keeps the sealed store resident to answer any number of
 //! top-k queries by re-running selection only. This module provides the
 //! build entry point that hands the filled store back instead of dropping
-//! it, plus the store-generic coverage scorer the `spread_estimate` query
-//! uses.
+//! it.
 //!
 //! Bitwise equivalence contract: a sketch built here with `k_max = K` holds
 //! exactly the samples a fresh batch run with the same master seed and the
@@ -20,8 +19,8 @@ use crate::params::ImmParams;
 use crate::result::ImmResult;
 use crate::sample::SampleEngine;
 use crate::select::SelectEngine;
-use ripples_diffusion::{DynRrrStore, RrrStore, StorageConfig};
-use ripples_graph::{Graph, Vertex};
+use ripples_diffusion::{DynRrrStore, StorageConfig};
+use ripples_graph::Graph;
 
 /// A freshly built resident sketch: the sealed store plus the build run's
 /// full [`ImmResult`] (θ, seeds at the build `k`, report, memory).
@@ -52,27 +51,11 @@ pub fn build_resident_sketch(
     ResidentSketchBuild { store, result }
 }
 
-/// Number of samples in `store` covered by `seeds` (samples containing at
-/// least one seed) — [`coverage_of`](crate::select::coverage_of) over any
-/// [`RrrStore`]. `n · covered / len` is the standard RRR estimate of the
-/// seed set's expected influence, which the serve mode's `spread_estimate`
-/// query returns without touching the graph.
-#[must_use]
-pub fn coverage_of_store<S: RrrStore>(store: &S, seeds: &[Vertex]) -> usize {
-    let mut covered = 0usize;
-    for j in 0..store.len() {
-        if seeds.iter().any(|&s| store.contains(j, s)) {
-            covered += 1;
-        }
-    }
-    covered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::seq::immopt_sequential_with_storage;
-    use ripples_diffusion::{DiffusionModel, RrrStoreKind};
+    use ripples_diffusion::{DiffusionModel, RrrStore, RrrStoreKind};
     use ripples_graph::generators::erdos_renyi;
     use ripples_graph::WeightModel;
 
@@ -102,21 +85,5 @@ mod tests {
         );
         assert_eq!(built.result.seeds, batch.seeds);
         assert_eq!(built.result.theta, batch.theta);
-    }
-
-    #[test]
-    fn coverage_of_store_matches_flat_coverage() {
-        use ripples_diffusion::RrrCollection;
-        let mut c = RrrCollection::new();
-        c.push(&[0, 1, 2]);
-        c.push(&[2, 3]);
-        c.push(&[4]);
-        assert_eq!(coverage_of_store(&c, &[2]), 2);
-        assert_eq!(coverage_of_store(&c, &[4, 0]), 2);
-        assert_eq!(coverage_of_store(&c, &[]), 0);
-        assert_eq!(
-            coverage_of_store(&c, &[2]),
-            crate::select::coverage_of(&c, &[2])
-        );
     }
 }

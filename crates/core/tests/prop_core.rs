@@ -1,12 +1,20 @@
 //! Property-based tests for the core algorithm components.
 
 use proptest::prelude::*;
-use ripples_core::select::{
-    select_seeds_fused_with_stats, select_seeds_hypergraph, select_seeds_lazy,
-    select_seeds_partitioned, select_seeds_sequential,
-};
+use ripples_core::select::{select_seeds_sequential, select_with_engine};
 use ripples_core::theta::{log_binomial, ThetaSchedule};
-use ripples_diffusion::{HyperGraph, RrrCollection};
+use ripples_core::{select_with_engine_banned, SelectEngine};
+use ripples_diffusion::{
+    DynRrrStore, IncrementalSampleIndex, RrrCollection, RrrStore, RrrStoreKind, SampleIndex,
+    StorageConfig,
+};
+
+const ENGINES: [SelectEngine; 4] = [
+    SelectEngine::Auto,
+    SelectEngine::Sequential,
+    SelectEngine::Partitioned,
+    SelectEngine::Fused,
+];
 
 /// Random RRR collections over a small vertex universe.
 fn collection_strategy() -> impl Strategy<Value = (u32, RrrCollection)> {
@@ -43,20 +51,90 @@ fn mixed_density_strategy() -> impl Strategy<Value = (u32, RrrCollection)> {
     })
 }
 
+/// The one selection property: over every store kind, every engine, at any
+/// owner count and from any ban mask, returns the `Selection` the
+/// sequential reference returns on the sketch with the banned vertices
+/// deleted — from every set and from the vertex universe, the survivors
+/// renumbered in order; and all of them report the entries of the samples
+/// the seeds covered, with or without an index.
+fn assert_every_route_agrees(
+    n: u32,
+    c: &RrrCollection,
+    k: u32,
+    ban_bits: u64,
+) -> Result<(), TestCaseError> {
+    let random: Vec<bool> = (0..n).map(|v| ban_bits >> (v % 64) & 1 == 1).collect();
+    for banned in [vec![false; n as usize], random, vec![true; n as usize]] {
+        let kept: Vec<u32> = (0..n).filter(|&v| !banned[v as usize]).collect();
+        let renumbered: RrrCollection = c
+            .iter()
+            .map(|s| {
+                s.iter()
+                    .filter_map(|v| kept.binary_search(v).ok().map(|i| i as u32))
+                    .collect()
+            })
+            .collect();
+        let mut reference = select_seeds_sequential(&renumbered, kept.len() as u32, k);
+        for seed in &mut reference.seeds {
+            *seed = kept[*seed as usize];
+        }
+        let touched: u64 = (0..c.len())
+            .filter(|&j| reference.seeds.iter().any(|s| c.get(j).contains(s)))
+            .map(|j| c.get(j).len() as u64)
+            .sum();
+        for kind in [
+            RrrStoreKind::Flat,
+            RrrStoreKind::Varint,
+            RrrStoreKind::Spill,
+        ] {
+            let budget = (kind == RrrStoreKind::Spill).then_some(2048);
+            let mut store = DynRrrStore::new(StorageConfig { kind, budget }, n);
+            for s in c.iter() {
+                store.push(s);
+            }
+            for engine in ENGINES {
+                for owners in [1usize, 2, 3, 64] {
+                    let (sel, stats) =
+                        select_with_engine_banned(engine, &store, n, k, owners, banned.clone());
+                    prop_assert_eq!(
+                        &sel,
+                        &reference,
+                        "{:?} store, engine {:?}, {} owners diverged",
+                        kind,
+                        engine,
+                        owners
+                    );
+                    prop_assert_eq!(
+                        stats.entries_touched,
+                        touched,
+                        "{:?} store, engine {:?}, {} owners",
+                        kind,
+                        engine,
+                        owners
+                    );
+                    match engine {
+                        SelectEngine::Fused => prop_assert!(stats.index_bytes > 0),
+                        SelectEngine::Auto => {}
+                        _ => prop_assert_eq!(stats.index_bytes, 0, "{:?} indexed", engine),
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Selection over a flat store that holds some sets as bitmaps — by
-    /// word scan, by index, at any owner count — is the sequential greedy
-    /// over the expanded lists, for every engine.
+    /// [`assert_every_route_agrees`] where the flat store holds some sets
+    /// as bitmaps, over several bitmap words.
     #[test]
     fn mixed_store_selects_like_the_expanded_lists(
         (n, c) in mixed_density_strategy(),
         k in 1u32..8,
+        ban_bits in any::<u64>(),
     ) {
-        use ripples_core::{select_with_engine_store, SelectEngine};
-        use ripples_diffusion::{DynRrrStore, RrrStore, StorageConfig};
-        let reference = select_seeds_sequential(&c, n, k);
         let mut store = DynRrrStore::new(StorageConfig::default(), n);
         for s in c.iter() {
             store.push(s);
@@ -64,51 +142,36 @@ proptest! {
         let dense = c.iter().filter(|s| 32 * s.len() as u64 > u64::from(n)).count() as u64;
         prop_assert_eq!(store.as_mixed().map(|m| m.bitmap_sets()), Some(dense));
         prop_assert_eq!(store.as_flat().is_some(), dense == 0);
-        for engine in [
-            SelectEngine::Auto,
-            SelectEngine::Sequential,
-            SelectEngine::Partitioned,
-            SelectEngine::Lazy,
-            SelectEngine::Hypergraph,
-            SelectEngine::Fused,
-        ] {
-            // Lazy over plain lists may reorder ties; it is exact otherwise.
-            if engine == SelectEngine::Lazy && dense == 0 {
-                continue;
-            }
-            for partitions in [1usize, 2, 3, 64] {
-                let (sel, _) = select_with_engine_store(engine, &store, n, k, partitions);
-                prop_assert_eq!(
-                    &sel, &reference,
-                    "engine {:?} with {} owners diverged", engine, partitions
-                );
-            }
-        }
+        assert_every_route_agrees(n, &c, k, ban_bits)?;
     }
 
-    /// All selection engines agree on the greedy outcome for any collection.
+    /// [`assert_every_route_agrees`] on small sparse collections, where
+    /// ties and exhausted vertex sets are common.
+    #[test]
+    fn storage_backends_select_identically(
+        (n, c) in collection_strategy(),
+        k in 1u32..10,
+        ban_bits in any::<u64>(),
+    ) {
+        assert_every_route_agrees(n, &c, k, ban_bits)?;
+    }
+
+    /// Over a plain list collection every engine agrees at any owner count,
+    /// and the index it builds does not depend on that count.
     #[test]
     fn selection_engines_equivalent((n, c) in collection_strategy(), k in 1u32..10) {
         let seq = select_seeds_sequential(&c, n, k);
-        for p in [1usize, 2, 3, 7] {
-            let par = select_seeds_partitioned(&c, n, k, p);
-            prop_assert_eq!(&par, &seq, "partitioned({}) diverged", p);
+        let index_bytes = select_with_engine(SelectEngine::Fused, &c, n, k, 1).1.index_bytes;
+        for engine in ENGINES {
+            for p in [1usize, 2, 3, 5, 7, 64] {
+                let (sel, stats) = select_with_engine(engine, &c, n, k, p);
+                prop_assert_eq!(&sel, &seq, "{:?}({}) diverged", engine, p);
+                prop_assert!(
+                    stats.index_bytes == 0 || stats.index_bytes == index_bytes,
+                    "index size must not depend on the partition count"
+                );
+            }
         }
-        let hyper = HyperGraph::build(c.clone(), n);
-        let hg = select_seeds_hypergraph(&hyper, n, k);
-        prop_assert_eq!(&hg, &seq, "hypergraph engine diverged");
-        for p in [1usize, 2, 3, 5, 64] {
-            let (fused, stats) = select_seeds_fused_with_stats(&c, n, k, p);
-            prop_assert_eq!(&fused, &seq, "fused({}) diverged", p);
-            prop_assert_eq!(
-                stats.index_bytes,
-                select_seeds_fused_with_stats(&c, n, k, 1).1.index_bytes,
-                "index size must not depend on the partition count"
-            );
-        }
-        let lazy = select_seeds_lazy(&c, n, k);
-        prop_assert_eq!(lazy.covered, seq.covered, "lazy engine lost coverage");
-        prop_assert_eq!(lazy.marginal_gains, seq.marginal_gains);
     }
 
     /// Greedy bookkeeping invariants: distinct seeds, non-increasing
@@ -128,47 +191,24 @@ proptest! {
         prop_assert!(sel.covered <= c.len());
     }
 
-    /// Every RRR storage backend yields the bitwise-identical greedy
-    /// `Selection` as the flat reference, under every eager select engine
-    /// (`Lazy` is excluded: on compressed stores it maps to the eager
-    /// direct engine, which matches coverage but not CELF's skip order).
-    #[test]
-    fn storage_backends_select_identically((n, c) in collection_strategy(), k in 1u32..8) {
-        use ripples_core::{select_with_engine_store, SelectEngine};
-        use ripples_diffusion::{DynRrrStore, RrrStore, RrrStoreKind, StorageConfig};
-        let reference = select_seeds_sequential(&c, n, k);
-        for kind in [RrrStoreKind::Flat, RrrStoreKind::Varint, RrrStoreKind::Spill] {
-            let budget = (kind == RrrStoreKind::Spill).then_some(2048);
-            let mut store = DynRrrStore::new(StorageConfig { kind, budget }, n);
-            for s in c.iter() {
-                RrrStore::push(&mut store, s);
-            }
-            for engine in [
-                SelectEngine::Auto,
-                SelectEngine::Sequential,
-                SelectEngine::Partitioned,
-                SelectEngine::Hypergraph,
-                SelectEngine::Fused,
-            ] {
-                let (sel, _) = select_with_engine_store(engine, &store, n, k, 3);
-                prop_assert_eq!(
-                    &sel, &reference,
-                    "store {:?} engine {:?} diverged", kind, engine
-                );
-            }
-        }
-    }
-
-    /// Hypergraph degree equals the number of samples containing the vertex.
+    /// The vertex → samples direction of the paper's "hypergraph", in both
+    /// surviving forms: a row holds exactly the samples containing the
+    /// vertex, ascending, and the degree is the row's length.
     #[test]
     fn hypergraph_index_consistent((n, c) in collection_strategy()) {
-        let hyper = HyperGraph::build(c.clone(), n);
+        let batch = SampleIndex::build(&c, n, 3);
+        let mut incremental = IncrementalSampleIndex::new(n);
+        incremental.absorb(&c);
         for v in 0..n {
-            let expect = c.iter().filter(|s| s.binary_search(&v).is_ok()).count();
-            prop_assert_eq!(hyper.degree(v), expect, "degree mismatch at {}", v);
-            for &sid in hyper.samples_containing(v) {
-                prop_assert!(c.get(sid as usize).binary_search(&v).is_ok());
-            }
+            let expect: Vec<u32> = (0..c.len() as u32)
+                .filter(|&j| c.get(j as usize).binary_search(&v).is_ok())
+                .collect();
+            prop_assert_eq!(batch.samples_containing(v), &expect[..], "row of {}", v);
+            prop_assert_eq!(batch.degree(v), expect.len() as u64, "degree of {}", v);
+            let mut streamed = Vec::new();
+            incremental.for_each_sample(v, |j| streamed.push(j as u32));
+            prop_assert_eq!(&streamed, &expect, "incremental row of {}", v);
+            prop_assert_eq!(incremental.degree(v) as usize, expect.len());
         }
     }
 

@@ -1,4 +1,4 @@
-//! Delta-varint compressed RRR storage and its compressed inverted index.
+//! Delta-varint compressed RRR storage and its incremental inverted index.
 //!
 //! §3.1's storage discussion is all about the memory wall: θ grows
 //! super-linearly in accuracy, and the paper's Table 2 runs ran out of
@@ -11,9 +11,9 @@
 //! [`crate::RrrCollection`].
 //!
 //! [`CompressedRrrCollection`] is the `varint` backend of the
-//! [`crate::store::RrrStore`] family; [`CompressedSampleIndex`] is the
+//! [`crate::store::RrrStore`] family; [`IncrementalSampleIndex`] is the
 //! matching gap-varint inverted index (vertex → ascending sample ids) that
-//! lets the fused selection engine and the distributed per-rank purge run
+//! lets the selection engine and the distributed per-rank purge run
 //! decode-on-touch over compressed blocks without ever materializing the
 //! flat layout.
 
@@ -395,45 +395,6 @@ impl CompressedRrrCollection {
             + self.counts.capacity() * size_of::<u32>()
             + self.data.capacity()
     }
-
-    /// Greedy max-cover seed selection over the compressed samples —
-    /// identical semantics to `ripples-core`'s engines, streaming decodes
-    /// instead of binary searches.
-    #[must_use]
-    pub fn select_greedy(&self, n: u32, k: u32) -> Vec<Vertex> {
-        let n_us = n as usize;
-        let k = k.min(n);
-        let mut counters = vec![0u64; n_us];
-        for i in 0..self.len() {
-            self.for_each_vertex(i, |v| counters[v as usize] += 1);
-        }
-        let mut covered = vec![false; self.len()];
-        let mut selected = vec![false; n_us];
-        let mut seeds = Vec::with_capacity(k as usize);
-        for _ in 0..k {
-            let mut best: Option<(u64, Vertex)> = None;
-            for (v, (&c, &s)) in counters.iter().zip(&selected).enumerate() {
-                if s {
-                    continue;
-                }
-                match best {
-                    Some((bc, _)) if bc >= c => {}
-                    _ => best = Some((c, v as Vertex)),
-                }
-            }
-            let Some((_, v)) = best else { break };
-            selected[v as usize] = true;
-            seeds.push(v);
-            for (i, cov) in covered.iter_mut().enumerate() {
-                if *cov || !self.contains(i, v) {
-                    continue;
-                }
-                *cov = true;
-                self.for_each_vertex(i, |u| counters[u as usize] -= 1);
-            }
-        }
-        seeds
-    }
 }
 
 impl From<&RrrCollection> for CompressedRrrCollection {
@@ -446,141 +407,9 @@ impl From<&RrrCollection> for CompressedRrrCollection {
     }
 }
 
-/// A compressed u32-CSR inverted index: vertex → the ascending sample ids
-/// containing it, gap-varint coded exactly like the sample payloads (first
+/// An *incremental* gap-varint inverted index: vertex → the ascending
+/// sample ids containing it, coded exactly like the sample payloads (first
 /// id absolute, then gap-1 deltas).
-///
-/// This is the compressed twin of [`crate::SampleIndex`]: per-vertex degrees
-/// initialize the greedy counters, and `for_each_sample` drives the
-/// cover/decrement steps of the fused selection engine and the per-rank
-/// distributed purge — streaming straight over compressed blocks, so
-/// neither the index nor the collection is ever materialized flat.
-#[derive(Clone, Debug)]
-pub struct CompressedSampleIndex {
-    /// Per-vertex end byte offsets into `data` (`offsets[0] == 0`,
-    /// length `n + 1`).
-    offsets: Vec<usize>,
-    /// Per-vertex sample counts.
-    degrees: Vec<u32>,
-    data: Vec<u8>,
-}
-
-impl CompressedSampleIndex {
-    /// Builds the index by streaming `store` twice: one pass to size each
-    /// vertex's byte run exactly, one pass to fill — no intermediate
-    /// per-vertex `Vec`s, so peak transient memory is the finished index
-    /// itself plus two small cursor arrays.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the store holds more than `u32::MAX` samples (the u32-CSR
-    /// contract shared with [`crate::SampleIndex`]).
-    #[must_use]
-    pub fn build<S: RrrStore + ?Sized>(store: &S, num_vertices: u32) -> Self {
-        let n = num_vertices as usize;
-        assert!(
-            u32::try_from(store.len()).is_ok(),
-            "sample count exceeds the u32 index contract"
-        );
-        // Pass 1: per-vertex degree and exact encoded byte length. Sample
-        // ids arrive in ascending order per vertex (samples are streamed in
-        // id order), so the gap coding matches the fill pass bit for bit.
-        let mut degrees = vec![0u32; n];
-        let mut byte_lens = vec![0usize; n];
-        let mut last = vec![0u32; n];
-        for i in 0..store.len() {
-            let id = i as u32;
-            store.for_each_vertex(i, |v| {
-                let v = v as usize;
-                byte_lens[v] += if degrees[v] == 0 {
-                    varint_len(id)
-                } else {
-                    varint_len(id - last[v] - 1)
-                };
-                degrees[v] += 1;
-                last[v] = id;
-            });
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        let mut acc = 0usize;
-        for &b in &byte_lens {
-            acc += b;
-            offsets.push(acc);
-        }
-        // Pass 2: fill each vertex's run through a moving cursor.
-        let mut data = vec![0u8; acc];
-        let mut cursors: Vec<usize> = offsets[..n].to_vec();
-        let mut seen = vec![0u32; n];
-        last.fill(0);
-        for i in 0..store.len() {
-            let id = i as u32;
-            store.for_each_vertex(i, |v| {
-                let v = v as usize;
-                let gap = if seen[v] == 0 { id } else { id - last[v] - 1 };
-                let mut x = gap;
-                loop {
-                    let byte = (x & 0x7F) as u8;
-                    x >>= 7;
-                    if x == 0 {
-                        data[cursors[v]] = byte;
-                        cursors[v] += 1;
-                        break;
-                    }
-                    data[cursors[v]] = byte | 0x80;
-                    cursors[v] += 1;
-                }
-                seen[v] += 1;
-                last[v] = id;
-            });
-        }
-        debug_assert!(cursors.iter().zip(&offsets[1..]).all(|(c, o)| c == o));
-        Self {
-            offsets,
-            degrees,
-            data,
-        }
-    }
-
-    /// Number of vertices the index covers.
-    #[must_use]
-    pub fn num_vertices(&self) -> usize {
-        self.degrees.len()
-    }
-
-    /// Number of samples containing vertex `v`.
-    #[must_use]
-    pub fn degree(&self, v: Vertex) -> u32 {
-        self.degrees[v as usize]
-    }
-
-    /// Streams the ascending sample ids containing `v` to `f`.
-    pub fn for_each_sample(&self, v: Vertex, mut f: impl FnMut(usize)) {
-        let v = v as usize;
-        let mut pos = self.offsets[v];
-        let mut prev = 0u32;
-        for idx in 0..self.degrees[v] {
-            let raw = read_varint(&self.data, &mut pos);
-            let id = if idx == 0 { raw } else { prev + raw + 1 };
-            f(id as usize);
-            prev = id;
-        }
-        debug_assert_eq!(pos, self.offsets[v + 1]);
-    }
-
-    /// Resident bytes of the index (capacity-based, like every storage
-    /// footprint in the pipeline).
-    #[must_use]
-    pub fn resident_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.offsets.capacity() * size_of::<usize>()
-            + self.degrees.capacity() * size_of::<u32>()
-            + self.data.capacity()
-    }
-}
-
-/// An *incremental* gap-varint inverted index (vertex → ascending sample
-/// ids), the append-friendly sibling of [`CompressedSampleIndex`].
 ///
 /// IMM's θ-doubling loop selects over the same store every round while the
 /// store only ever grows at the tail. Rebuilding a CSR index per round
@@ -591,9 +420,9 @@ impl CompressedSampleIndex {
 /// across all rounds is a single pass over the final store.
 ///
 /// Because sample ids arrive in ascending order, appending preserves the
-/// exact gap coding ([`CompressedSampleIndex`]'s layout per vertex), and
-/// `for_each_sample` streams identical id sequences — selection results
-/// stay bitwise identical regardless of which index form drives them.
+/// gap coding, and `for_each_sample` streams the id sequence a batch-built
+/// [`crate::SampleIndex`] row holds — selection results stay bitwise
+/// identical regardless of which index form drives them.
 ///
 /// [`absorb`]: IncrementalSampleIndex::absorb
 #[derive(Clone, Debug)]
@@ -628,7 +457,8 @@ impl IncrementalSampleIndex {
     /// # Panics
     ///
     /// Panics if the store holds more than `u32::MAX` samples (the u32
-    /// index contract shared with [`CompressedSampleIndex`]).
+    /// index contract shared with [`crate::SampleIndex`]; selection
+    /// dispatch sends such a store down the index-free route instead).
     pub fn absorb<S: RrrStore + ?Sized>(&mut self, store: &S) {
         assert!(
             u32::try_from(store.len()).is_ok(),
@@ -855,42 +685,18 @@ mod tests {
     }
 
     #[test]
-    fn greedy_selection_matches_plain_engine() {
-        // Build a deterministic pseudo-random collection.
-        let mut plain = RrrCollection::new();
-        let mut x = 12345u32;
-        for _ in 0..80 {
-            let mut set: Vec<Vertex> = (0..6)
-                .map(|_| {
-                    x = x.wrapping_mul(1103515245).wrapping_add(12345);
-                    (x >> 16) % 50
-                })
-                .collect();
-            set.sort_unstable();
-            set.dedup();
-            plain.push(&set);
-        }
-        let compressed = CompressedRrrCollection::from(&plain);
-        let seeds = compressed.select_greedy(50, 5);
-        assert_eq!(seeds.len(), 5);
-        // Cross-check against the core engine through the plain layout is
-        // done in ripples-core's integration tests; here verify coverage
-        // consistency directly.
-        let covered = (0..plain.len())
-            .filter(|&i| {
-                seeds
-                    .iter()
-                    .any(|&s| plain.get(i).binary_search(&s).is_ok())
-            })
-            .count();
-        assert!(covered > 0);
-    }
-
-    #[test]
     fn empty_collection() {
         let c = CompressedRrrCollection::new();
         assert!(c.is_empty());
-        assert_eq!(c.select_greedy(10, 3).len(), 3);
+        assert_eq!(c.len(), 0);
+        assert_eq!(c.total_entries(), 0);
+    }
+
+    /// The index of everything `c` holds.
+    fn index_of(c: &CompressedRrrCollection, n: u32) -> IncrementalSampleIndex {
+        let mut idx = IncrementalSampleIndex::new(n);
+        idx.absorb(c);
+        idx
     }
 
     #[test]
@@ -900,7 +706,7 @@ mod tests {
         c.push(&[1, 2]);
         c.push(&[]);
         c.push(&[2, 4]);
-        let idx = CompressedSampleIndex::build(&c, 5);
+        let idx = index_of(&c, 5);
         assert_eq!(idx.num_vertices(), 5);
         assert_eq!(idx.degree(0), 1);
         assert_eq!(idx.degree(2), 3);
@@ -925,7 +731,7 @@ mod tests {
                 c.push(&[1000]);
             }
         }
-        let idx = CompressedSampleIndex::build(&c, 1001);
+        let idx = index_of(&c, 1001);
         assert_eq!(idx.degree(1000), 300);
         assert_eq!(idx.degree(7), 100);
         let mut ids = Vec::new();
@@ -936,6 +742,7 @@ mod tests {
     #[test]
     fn incremental_index_matches_batch_build_across_absorbs() {
         let mut c = CompressedRrrCollection::new();
+        let mut flat = RrrCollection::new();
         let mut inc = IncrementalSampleIndex::new(6);
         // Grow the store in three uneven rounds, absorbing between them —
         // the θ-doubling access pattern the cache exists for.
@@ -947,16 +754,16 @@ mod tests {
         for round in rounds {
             for s in round {
                 c.push(s);
+                flat.push(s);
             }
             inc.absorb(&c);
             assert_eq!(inc.absorbed_samples(), c.len());
-            let batch = CompressedSampleIndex::build(&c, 6);
+            let batch = crate::SampleIndex::build(&flat, 6, 1);
             for v in 0..6u32 {
-                assert_eq!(inc.degree(v), batch.degree(v), "vertex {v}");
-                let (mut a, mut b) = (Vec::new(), Vec::new());
-                inc.for_each_sample(v, |i| a.push(i));
-                batch.for_each_sample(v, |i| b.push(i));
-                assert_eq!(a, b, "vertex {v}");
+                assert_eq!(u64::from(inc.degree(v)), batch.degree(v), "vertex {v}");
+                let mut row = Vec::new();
+                inc.for_each_sample(v, |i| row.push(i as u32));
+                assert_eq!(row, batch.samples_containing(v), "vertex {v}");
             }
         }
         // Absorbing with no new samples is a no-op.

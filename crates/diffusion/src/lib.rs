@@ -13,36 +13,37 @@
 //!   paper's §3.1 layout decision that enables binary-searched partition
 //!   scans during seed selection).
 //!
-//! Storage of the sample collection comes in the two layouts Table 2
-//! compares: the compact one-direction [`rrr::RrrCollection`] (the paper's
-//! IMMOPT) and the two-direction inverted-index [`hypergraph::HyperGraph`]
-//! (Tang et al.'s original layout, kept as the measured baseline). The
-//! engines hold it behind [`store::RrrStore`]; the default backend
-//! ([`mixed::MixedRrrCollection`]) is the compact layout with sets above
-//! n/32 vertices kept as bitmaps.
+//! The sample collection is stored in the compact one-direction layout of
+//! §3.1, [`rrr::RrrCollection`] (the paper's IMMOPT; Tang et al.'s
+//! two-direction layout, the other side of Table 2, lives with its engine
+//! in `ripples-core`). The engines hold it behind [`store::RrrStore`]; the
+//! default backend ([`mixed::MixedRrrCollection`]) is the compact layout
+//! with sets above n/32 vertices kept as bitmaps. Selection may build an
+//! inverted index over it for the length of a pass
+//! ([`sample_index::SampleIndex`], [`compressed::IncrementalSampleIndex`]).
 
 #![warn(missing_docs)]
 
 pub mod compressed;
 pub mod forward;
 pub mod fused;
-pub mod hypergraph;
 pub mod mixed;
 pub mod model;
 pub mod partitioned;
 pub mod rrr;
+pub mod sample_index;
 pub mod sampler;
 pub mod sketches;
 pub mod store;
 
-pub use compressed::{CompressedRrrCollection, CompressedSampleIndex, IncrementalSampleIndex};
+pub use compressed::{CompressedRrrCollection, IncrementalSampleIndex};
 pub use forward::{estimate_spread, simulate_cascade, spread_samples, CascadeOutcome};
 pub use fused::{sample_batch_fused, FUSED_LANES};
-pub use hypergraph::{HyperGraph, SampleIndex};
 pub use mixed::{MixedRrrCollection, RrrSetRef, SampleArena};
 pub use model::DiffusionModel;
 pub use partitioned::GraphPartition;
 pub use rrr::{generate_rrr, generate_rrr_into, RrrCollection, RrrScratch};
+pub use sample_index::SampleIndex;
 pub use sampler::{
     ensure_lt_normalized, sample_batch, sample_batch_sequential, sample_root_of, BatchOutcome,
 };

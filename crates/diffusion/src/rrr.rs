@@ -162,7 +162,8 @@ pub fn generate_rrr_into<R: RandomSource>(
 ///
 /// *"We only store the information in one direction, where each sample in R
 /// is stored as a list of vertices in the corresponding RRR set — sorted by
-/// the vertex ids."* (§3.1). Contrast with [`crate::HyperGraph`].
+/// the vertex ids."* (§3.1). Each association is stored once; an inverted
+/// index ([`crate::SampleIndex`]) exists only while a selection pass runs.
 #[derive(Clone, Debug, Default)]
 pub struct RrrCollection {
     offsets: Vec<usize>,

@@ -1,5 +1,5 @@
-//! The two-direction "hypergraph" sample storage of Tang et al.'s original
-//! IMM implementation — the measured baseline of Table 2.
+//! The inverted index (vertex → the samples containing it) that lets seed
+//! selection walk one row per chosen seed instead of probing every sample.
 //!
 //! *"Previous implementations store this information in two directions using
 //! the notion of a hypergraph, where each RRR set (or sample) is a hyperedge
@@ -9,119 +9,21 @@
 //! While this information aids in faster selection of seed set later, the
 //! memory footprint can become a limitation."* (§3.1)
 //!
-//! This struct materializes exactly that layout: the sample→vertex arena
-//! plus the inverted vertex→sample index, so the Table 2 experiment can
-//! measure the memory gap and the seed-selection speed trade the paper
-//! describes.
+//! [`SampleIndex`] keeps the fast selection and drops most of the cost: it
+//! is built over the compact one-direction [`RrrCollection`] only for the
+//! duration of a selection pass, borrows the samples instead of copying
+//! them, and stores each association as one `u32`. (The two-direction
+//! layout itself, kept as the measured baseline of Tables 2 and 3, is
+//! `TangStorage` in `ripples-core`.)
 
 use crate::rrr::RrrCollection;
 use ripples_graph::Vertex;
 
-/// Two-direction RRR storage: samples by id *and* an inverted index from
-/// vertex to the samples containing it.
-#[derive(Clone, Debug)]
-pub struct HyperGraph {
-    sets: RrrCollection,
-    /// CSR offsets into `vertex_to_sets`, one slot per vertex.
-    index_offsets: Vec<usize>,
-    /// Sample ids, grouped by vertex.
-    vertex_to_sets: Vec<u32>,
-}
-
-impl HyperGraph {
-    /// Builds the inverted index over an existing sample collection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a sample references a vertex ≥ `num_vertices` or if there
-    /// are ≥ 2³² samples.
-    #[must_use]
-    pub fn build(sets: RrrCollection, num_vertices: u32) -> Self {
-        assert!(
-            sets.len() < u32::MAX as usize,
-            "too many samples for u32 ids"
-        );
-        let n = num_vertices as usize;
-        let mut counts = vec![0usize; n + 1];
-        for set in sets.iter() {
-            for &v in set {
-                assert!((v as usize) < n, "sample vertex {v} out of range");
-                counts[v as usize + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let index_offsets = counts;
-        let mut cursor = index_offsets.clone();
-        let mut vertex_to_sets = vec![0u32; sets.total_entries()];
-        for (sid, set) in sets.iter().enumerate() {
-            for &v in set {
-                let slot = cursor[v as usize];
-                vertex_to_sets[slot] = sid as u32;
-                cursor[v as usize] += 1;
-            }
-        }
-        Self {
-            sets,
-            index_offsets,
-            vertex_to_sets,
-        }
-    }
-
-    /// Number of samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.sets.len()
-    }
-
-    /// True when no samples are stored.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.sets.is_empty()
-    }
-
-    /// The sample collection (sample → vertices direction).
-    #[must_use]
-    pub fn sets(&self) -> &RrrCollection {
-        &self.sets
-    }
-
-    /// Sample ids containing `v` (vertex → samples direction), ascending.
-    #[must_use]
-    pub fn samples_containing(&self, v: Vertex) -> &[u32] {
-        let v = v as usize;
-        &self.vertex_to_sets[self.index_offsets[v]..self.index_offsets[v + 1]]
-    }
-
-    /// Occurrence count of `v` across samples — the initial greedy counter.
-    #[must_use]
-    pub fn degree(&self, v: Vertex) -> usize {
-        self.samples_containing(v).len()
-    }
-
-    /// Resident bytes of *both* directions — the "IMM" memory columns of
-    /// Table 2. Reports reserved capacity (real allocated memory), matching
-    /// [`RrrCollection::resident_bytes`].
-    #[must_use]
-    pub fn resident_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.sets.resident_bytes()
-            + self.index_offsets.capacity() * size_of::<usize>()
-            + self.vertex_to_sets.capacity() * size_of::<u32>()
-    }
-}
-
-/// Compact one-direction-plus-index storage for the fused selection engine:
-/// a u32-offset CSR inverted index (vertex → containing samples) built
-/// *over* an existing [`RrrCollection`] without copying the samples.
-///
-/// Compared with [`HyperGraph`] — which owns a second full copy of every
-/// association plus `usize` offsets — this index borrows the collection and
-/// stores each association once as a `u32` sample id with `u32` offsets:
-/// ~⅓ of the hypergraph's index bytes on 64-bit targets, which is what
-/// makes "fast selection" affordable within the paper's compact-layout
-/// memory budget (§3.1's 2×-memory caveat).
+/// A u32-offset CSR inverted index (vertex → containing samples) built
+/// *over* an existing [`RrrCollection`] without copying the samples: each
+/// association is stored once as a `u32` sample id with `u32` offsets,
+/// which is what makes "fast selection" affordable within the paper's
+/// compact-layout memory budget (§3.1's 2×-memory caveat).
 ///
 /// The build is a parallel counting sort with the same vertex-interval
 /// ownership as Algorithm 4's partitioned counters: each of `p` owners
@@ -286,64 +188,20 @@ mod tests {
     }
 
     #[test]
-    fn inverted_index_contents() {
-        let h = HyperGraph::build(sample_sets(), 5);
-        assert_eq!(h.samples_containing(2), &[0, 1, 2]);
-        assert_eq!(h.samples_containing(0), &[0]);
-        assert_eq!(h.samples_containing(4), &[0]);
-        assert_eq!(h.samples_containing(1), &[2]);
-        assert_eq!(h.degree(2), 3);
-        assert_eq!(h.degree(3), 1);
-    }
-
-    #[test]
-    fn isolated_vertex_has_no_samples() {
-        let mut c = RrrCollection::new();
-        c.push(&[0]);
-        let h = HyperGraph::build(c, 3);
-        assert!(h.samples_containing(2).is_empty());
-    }
-
-    #[test]
-    fn memory_exceeds_one_direction() {
+    fn sample_index_matches_the_definition_at_any_partition_count() {
         let sets = sample_sets();
-        let one_direction = sets.resident_bytes();
-        let h = HyperGraph::build(sets, 5);
-        assert!(
-            h.resident_bytes() > one_direction,
-            "hypergraph must store strictly more than the compact layout"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn rejects_out_of_range_vertex() {
-        let mut c = RrrCollection::new();
-        c.push(&[7]);
-        let _ = HyperGraph::build(c, 3);
-    }
-
-    #[test]
-    fn empty_collection_ok() {
-        let h = HyperGraph::build(RrrCollection::new(), 4);
-        assert!(h.is_empty());
-        assert_eq!(h.degree(0), 0);
-    }
-
-    #[test]
-    fn sample_index_matches_hypergraph_at_any_partition_count() {
-        let sets = sample_sets();
-        let h = HyperGraph::build(sets.clone(), 5);
+        // 5 is in no sample.
+        let rows: [&[u32]; 6] = [&[0], &[2], &[0, 1, 2], &[2], &[0], &[]];
         for p in [1, 2, 3, 5, 16] {
-            let idx = SampleIndex::build(&sets, 5, p);
+            let idx = SampleIndex::build(&sets, 6, p);
             assert_eq!(idx.total_entries(), sets.total_entries());
-            for v in 0..5 {
+            for (v, row) in rows.iter().enumerate() {
                 assert_eq!(
-                    idx.samples_containing(v),
-                    h.samples_containing(v),
+                    idx.samples_containing(v as Vertex),
+                    *row,
                     "vertex {v} at p={p}"
                 );
-                assert_eq!(idx.degree(v), h.degree(v) as u64);
+                assert_eq!(idx.degree(v as Vertex), row.len() as u64);
             }
         }
     }
@@ -363,23 +221,6 @@ mod tests {
         let row: Vec<u32> = idx.samples_containing(0).to_vec();
         assert_eq!(row, (0..20).collect::<Vec<u32>>());
         assert!(idx.samples_containing(1).windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn sample_index_is_leaner_than_hypergraph_index() {
-        let mut c = RrrCollection::new();
-        for j in 0..200u32 {
-            c.push(&[j % 50, 50 + j % 50, 100 + j % 7]);
-        }
-        let compact = c.resident_bytes();
-        let idx = SampleIndex::build(&c, 107, 4);
-        let h = HyperGraph::build(c, 107);
-        assert!(
-            compact + idx.resident_bytes() < h.resident_bytes(),
-            "u32 CSR index ({}) must undercut the two-direction layout ({})",
-            compact + idx.resident_bytes(),
-            h.resident_bytes()
-        );
     }
 
     #[test]

@@ -85,16 +85,15 @@ pub trait RrrStore {
     fn unsorted_pushes(&self) -> u64;
 
     /// The flat reference collection, when this store is one — selection
-    /// dispatch uses it to keep the slice-based engines (and their bitwise
-    /// guarantees) on the fast path. A flat-kind store answers `Some` only
-    /// while it holds no bitmap set.
+    /// dispatch uses it to hand the engine plain sorted slices. A flat-kind
+    /// store answers `Some` only while it holds no bitmap set.
     fn as_flat(&self) -> Option<&RrrCollection> {
         None
     }
 
     /// The list-or-bitmap collection behind a flat-kind store, whether or
-    /// not it currently holds a bitmap — what the word-scan selection
-    /// engine and the bitmap counters read.
+    /// not it currently holds a bitmap — what selection reads by word scan
+    /// once a bitmap is held, and where the bitmap counters come from.
     fn as_mixed(&self) -> Option<&MixedRrrCollection> {
         None
     }
@@ -829,123 +828,61 @@ macro_rules! dyn_delegate {
     };
 }
 
-impl RrrStore for DynStoreInner {
-    fn push(&mut self, vertices: &[Vertex]) {
-        dyn_delegate!(self, s => RrrStore::push(s, vertices));
-    }
-
-    fn append_arenas(&mut self, arenas: &[SampleArena]) {
-        dyn_delegate!(self, s => RrrStore::append_arenas(s, arenas));
-    }
-
-    fn len(&self) -> usize {
-        dyn_delegate!(self, s => RrrStore::len(s))
-    }
-
-    fn total_entries(&self) -> u64 {
-        dyn_delegate!(self, s => RrrStore::total_entries(s))
-    }
-
-    fn sample_len(&self, i: usize) -> usize {
-        dyn_delegate!(self, s => RrrStore::sample_len(s, i))
-    }
-
-    fn decode_into(&self, i: usize, out: &mut Vec<Vertex>) {
-        dyn_delegate!(self, s => RrrStore::decode_into(s, i, out));
-    }
-
-    fn for_each_vertex<F: FnMut(Vertex)>(&self, i: usize, f: F) {
-        dyn_delegate!(self, s => RrrStore::for_each_vertex(s, i, f));
-    }
-
-    fn contains(&self, i: usize, v: Vertex) -> bool {
-        dyn_delegate!(self, s => RrrStore::contains(s, i, v))
-    }
-
-    fn resident_bytes(&self) -> usize {
-        dyn_delegate!(self, s => RrrStore::resident_bytes(s))
-    }
-
-    fn unsorted_pushes(&self) -> u64 {
-        dyn_delegate!(self, s => RrrStore::unsorted_pushes(s))
-    }
-
-    fn as_flat(&self) -> Option<&RrrCollection> {
-        dyn_delegate!(self, s => RrrStore::as_flat(s))
-    }
-
-    fn as_mixed(&self) -> Option<&MixedRrrCollection> {
-        dyn_delegate!(self, s => RrrStore::as_mixed(s))
-    }
-
-    fn spill_bytes_written(&self) -> u64 {
-        dyn_delegate!(self, s => RrrStore::spill_bytes_written(s))
-    }
-
-    fn spill_write_failures(&self) -> u64 {
-        dyn_delegate!(self, s => RrrStore::spill_write_failures(s))
-    }
-
-    fn kind(&self) -> RrrStoreKind {
-        dyn_delegate!(self, s => RrrStore::kind(s))
-    }
-}
-
 impl RrrStore for DynRrrStore {
     fn push(&mut self, vertices: &[Vertex]) {
-        self.inner.push(vertices);
+        dyn_delegate!(&mut self.inner, s => RrrStore::push(s, vertices));
     }
 
     fn append_arenas(&mut self, arenas: &[SampleArena]) {
-        self.inner.append_arenas(arenas);
+        dyn_delegate!(&mut self.inner, s => RrrStore::append_arenas(s, arenas));
     }
 
     fn len(&self) -> usize {
-        self.inner.len()
+        dyn_delegate!(&self.inner, s => RrrStore::len(s))
     }
 
     fn total_entries(&self) -> u64 {
-        self.inner.total_entries()
+        dyn_delegate!(&self.inner, s => RrrStore::total_entries(s))
     }
 
     fn sample_len(&self, i: usize) -> usize {
-        self.inner.sample_len(i)
+        dyn_delegate!(&self.inner, s => RrrStore::sample_len(s, i))
     }
 
     fn decode_into(&self, i: usize, out: &mut Vec<Vertex>) {
-        self.inner.decode_into(i, out);
+        dyn_delegate!(&self.inner, s => RrrStore::decode_into(s, i, out));
     }
 
     fn for_each_vertex<F: FnMut(Vertex)>(&self, i: usize, f: F) {
-        self.inner.for_each_vertex(i, f);
+        dyn_delegate!(&self.inner, s => RrrStore::for_each_vertex(s, i, f));
     }
 
     fn contains(&self, i: usize, v: Vertex) -> bool {
-        self.inner.contains(i, v)
+        dyn_delegate!(&self.inner, s => RrrStore::contains(s, i, v))
     }
 
     fn resident_bytes(&self) -> usize {
-        self.inner.resident_bytes()
+        dyn_delegate!(&self.inner, s => RrrStore::resident_bytes(s))
     }
 
     fn unsorted_pushes(&self) -> u64 {
-        self.inner.unsorted_pushes()
+        dyn_delegate!(&self.inner, s => RrrStore::unsorted_pushes(s))
     }
 
     fn as_flat(&self) -> Option<&RrrCollection> {
-        self.inner.as_flat()
+        dyn_delegate!(&self.inner, s => RrrStore::as_flat(s))
     }
 
     fn as_mixed(&self) -> Option<&MixedRrrCollection> {
-        self.inner.as_mixed()
+        dyn_delegate!(&self.inner, s => RrrStore::as_mixed(s))
     }
 
     fn spill_bytes_written(&self) -> u64 {
-        self.inner.spill_bytes_written()
+        dyn_delegate!(&self.inner, s => RrrStore::spill_bytes_written(s))
     }
 
     fn spill_write_failures(&self) -> u64 {
-        self.inner.spill_write_failures()
+        dyn_delegate!(&self.inner, s => RrrStore::spill_write_failures(s))
     }
 
     fn with_sample_index<R>(
@@ -960,12 +897,12 @@ impl RrrStore for DynRrrStore {
             num_vertices as usize,
             "index cache reused across different vertex universes"
         );
-        index.absorb(&self.inner);
+        index.absorb(self);
         f(index)
     }
 
     fn kind(&self) -> RrrStoreKind {
-        self.inner.kind()
+        dyn_delegate!(&self.inner, s => RrrStore::kind(s))
     }
 }
 

@@ -92,7 +92,7 @@ pub enum Metric {
     SamplesGenerated,
     /// Edges examined while growing RRR sets (world total).
     EdgesExamined,
-    /// Greedy selection steps taken (lazy pops + seed commits).
+    /// Greedy selection steps taken (one per committed seed).
     SelectSteps,
     /// RRR-index entries touched during selection.
     SelectEntriesTouched,
@@ -227,7 +227,7 @@ impl Metric {
             Metric::GraphBytes => "Per-rank resident graph footprint in bytes (peak across ranks)",
             Metric::SamplesGenerated => "RRR sets generated across all ranks",
             Metric::EdgesExamined => "Edges examined while growing RRR sets",
-            Metric::SelectSteps => "Greedy selection steps (lazy pops and seed commits)",
+            Metric::SelectSteps => "Greedy selection steps (one per committed seed)",
             Metric::SelectEntriesTouched => "RRR-index entries touched during selection",
             Metric::SeedsSelected => "Seeds committed by the selector",
             Metric::FusedPasses => "Fused-kernel CSR passes completed",

@@ -208,7 +208,7 @@ impl Drop for SamplerHandle {
 }
 
 /// Starts a sampler thread ticking every `interval`, retaining at most
-/// [`DEFAULT_SAMPLE_CAP`] samples.
+/// `DEFAULT_SAMPLE_CAP` samples.
 #[must_use]
 pub fn start_sampler(interval: Duration, observer: Option<ProgressFn>) -> SamplerHandle {
     start_sampler_with_cap(interval, DEFAULT_SAMPLE_CAP, observer)

@@ -4,10 +4,8 @@
 //! Three layers, matching the repo's redundancy:
 //!
 //! 1. **Select engines** — every [`SelectEngine`] on the same
-//!    [`RrrCollection`] returns the identical [`Selection`] (the lazy
-//!    engine may reorder tied seeds, so it is held to identical coverage
-//!    and marginal gains instead, with its bookkeeping re-scored from
-//!    scratch by [`coverage_of`]).
+//!    [`RrrCollection`] returns the [`Selection`] of the oracle's own
+//!    reference greedy.
 //! 2. **Pipelines** — the paper's four implementations (IMMOPT, the Tang
 //!    baseline, IMMmt across thread counts, IMMdist across world sizes)
 //!    return the identical seed set, θ, and coverage at a fixed master
@@ -44,12 +42,11 @@ use ripples_graph::{Graph, WeightModel};
 use ripples_rng::StreamFactory;
 use ripples_serve::SketchService;
 
-/// The engines that promise bitwise-identical [`Selection`]s.
-pub(crate) const EAGER_ENGINES: [SelectEngine; 5] = [
+/// Every engine; all promise bitwise-identical [`Selection`]s.
+pub(crate) const ENGINES: [SelectEngine; 4] = [
     SelectEngine::Auto,
     SelectEngine::Sequential,
     SelectEngine::Partitioned,
-    SelectEngine::Hypergraph,
     SelectEngine::Fused,
 ];
 
@@ -63,7 +60,7 @@ pub(crate) fn check_select_engines(
 ) {
     let kind = CheckKind::SelectEngineAgreement;
     let reference = greedy_with_tie_order(collection, n, k, u64::from);
-    for engine in EAGER_ENGINES {
+    for engine in ENGINES {
         for &parts in &cfg.partitions {
             let (sel, _) = select_with_engine(engine, collection, n, k, parts);
             let subject = format!("{}(p={parts})", engine.tag());
@@ -74,40 +71,12 @@ pub(crate) fn check_select_engines(
                     brief(&reference)
                 )
             });
-            // The serial engines ignore `parts`; one pass is enough.
-            if !matches!(
-                engine,
-                SelectEngine::Auto | SelectEngine::Partitioned | SelectEngine::Fused
-            ) {
+            // The sequential reference ignores `parts`; one pass is enough.
+            if engine == SelectEngine::Sequential {
                 break;
             }
         }
     }
-    let (lazy, _) = select_with_engine(SelectEngine::Lazy, collection, n, k, 1);
-    report.check(
-        kind,
-        "lazy",
-        lazy.covered == reference.covered && lazy.marginal_gains == reference.marginal_gains,
-        || {
-            format!(
-                "lazy coverage/gains diverged: {:?} vs {:?}",
-                brief(&lazy),
-                brief(&reference)
-            )
-        },
-    );
-    report.check(
-        kind,
-        "lazy",
-        coverage_of(collection, &lazy.seeds) == lazy.covered,
-        || {
-            format!(
-                "lazy bookkeeping lies: claims {} covered, rescore says {}",
-                lazy.covered,
-                coverage_of(collection, &lazy.seeds)
-            )
-        },
-    );
 }
 
 fn brief(sel: &Selection) -> (Vec<u32>, usize, Vec<u64>) {
@@ -379,7 +348,7 @@ fn check_store(
         RrrStore::push(&mut store, s);
     }
     let anchor = greedy_with_tie_order(collection, n, k, u64::from);
-    for engine in EAGER_ENGINES {
+    for engine in ENGINES {
         let (sel, _) = select_with_engine_store(engine, &store, n, k, 2);
         let subject = format!("select({tag},{})", engine.tag());
         report.check(kind, &subject, sel == anchor, || {

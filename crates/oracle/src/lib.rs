@@ -1,16 +1,16 @@
 //! Differential + metamorphic correctness oracle for the IMM engines.
 //!
-//! The reproduction's strongest asset is redundancy: five seed-selection
-//! engines, four pipeline implementations, and two influence estimators
-//! that must all agree. This crate turns that redundancy into a single
-//! callable oracle — [`check_all`] — that takes a graph and a parameter
-//! set, runs every implementation, and reports each broken invariant as a
-//! [`Violation`] carrying the failing seed and engine pair.
+//! The reproduction's strongest asset is redundancy: five independent
+//! greedy max-cover loops, four pipeline implementations, and two influence
+//! estimators that must all agree. This crate turns that redundancy into a
+//! single callable oracle — [`check_all`] — that takes a graph and a
+//! parameter set, runs every implementation, and reports each broken
+//! invariant as a [`Violation`] carrying the failing seed and engine pair.
 //!
 //! Two families of checks:
 //!
 //! * **Differential** ([`differential`]): independent implementations of
-//!   the same function must agree — all [`SelectEngine`]s on one
+//!   the same function must agree — all [`ripples_core::SelectEngine`]s on one
 //!   collection, all pipelines (IMMOPT / baseline / IMMmt across thread
 //!   counts / IMMdist and the partitioned-graph engine across world sizes)
 //!   at one master seed, and forward Monte-Carlo vs RRR coverage influence
@@ -18,7 +18,7 @@
 //! * **Metamorphic** ([`metamorphic`]): known input transformations with
 //!   predictable effects — vertex-relabeling equivariance (exact at the
 //!   selection layer via a tie-break-conjugated reference greedy, see
-//!   [`reference`]), IC edge-probability monotonicity, k-prefix
+//!   [`mod@reference`]), IC edge-probability monotonicity, k-prefix
 //!   monotonicity, and submodular (non-increasing) marginal gains.
 //!
 //! Intended use: after any refactor of the sampling, selection, or

@@ -16,11 +16,11 @@
 //!   collection are non-increasing. Exact.
 
 use crate::config::OracleConfig;
-use crate::differential::EAGER_ENGINES;
+use crate::differential::ENGINES;
 use crate::reference::greedy_with_tie_order;
 use crate::report::{CheckKind, OracleReport};
 use ripples_core::select::select_with_engine;
-use ripples_core::{coverage_of, ImmParams, SelectEngine};
+use ripples_core::ImmParams;
 use ripples_diffusion::{spread_samples, RrrCollection};
 use ripples_graph::{permute_graph, Graph, GraphBuilder, Permutation, Vertex};
 use ripples_rng::StreamFactory;
@@ -39,7 +39,7 @@ fn permute_collection(collection: &RrrCollection, perm: &Permutation) -> RrrColl
     out
 }
 
-/// Relabeling equivariance, exact half: for every eager engine,
+/// Relabeling equivariance, exact half: for every engine,
 /// `engine(π(R)) == π(greedy_ref(R, tie order conjugated by π))`.
 pub(crate) fn check_relabeling_selection(
     report: &mut OracleReport,
@@ -53,7 +53,7 @@ pub(crate) fn check_relabeling_selection(
     let relabeled = permute_collection(collection, &perm);
     let reference = greedy_with_tie_order(collection, n, k, |v| u64::from(perm.apply(v)));
     let expected_seeds = perm.apply_all(&reference.seeds);
-    for engine in EAGER_ENGINES {
+    for engine in ENGINES {
         let (sel, _) = select_with_engine(engine, &relabeled, n, k, cfg.partitions[0]);
         report.check(
             kind,
@@ -70,22 +70,6 @@ pub(crate) fn check_relabeling_selection(
             },
         );
     }
-    // The lazy engine may pick different tied vertices, but coverage and
-    // gains are label-free quantities and must survive relabeling.
-    let (lazy, _) = select_with_engine(SelectEngine::Lazy, &relabeled, n, k, 1);
-    report.check(
-        kind,
-        "lazy(π(R))",
-        lazy.covered == reference.covered
-            && lazy.marginal_gains == reference.marginal_gains
-            && coverage_of(&relabeled, &lazy.seeds) == lazy.covered,
-        || {
-            format!(
-                "lazy coverage/gains not relabeling-invariant: {} / {:?} vs {} / {:?}",
-                lazy.covered, lazy.marginal_gains, reference.covered, reference.marginal_gains
-            )
-        },
-    );
 }
 
 /// Relabeling equivariance, statistical half: spread of `S` on `G` and of
@@ -169,8 +153,7 @@ pub(crate) fn check_k_prefix(
     cfg: &OracleConfig,
 ) {
     let kind = CheckKind::KPrefixMonotonicity;
-    let engines = EAGER_ENGINES.iter().copied().chain([SelectEngine::Lazy]);
-    for engine in engines {
+    for engine in ENGINES {
         let (small, _) = select_with_engine(engine, collection, n, k, cfg.partitions[0]);
         let (large, _) = select_with_engine(engine, collection, n, k + 1, cfg.partitions[0]);
         let len = small.seeds.len();
@@ -195,8 +178,7 @@ pub(crate) fn check_submodularity(
     cfg: &OracleConfig,
 ) {
     let kind = CheckKind::Submodularity;
-    let engines = EAGER_ENGINES.iter().copied().chain([SelectEngine::Lazy]);
-    for engine in engines {
+    for engine in ENGINES {
         let (sel, _) = select_with_engine(engine, collection, n, k, cfg.partitions[0]);
         let sorted = sel.marginal_gains.windows(2).all(|w| w[0] >= w[1]);
         report.check(kind, engine.tag(), sorted, || {

@@ -178,7 +178,7 @@ mod tests {
         let mut r = OracleReport::new(7, DiffusionModel::IndependentCascade);
         r.check(CheckKind::Submodularity, "seq", true, || unreachable!());
         r.check(CheckKind::Submodularity, "seq", true, || unreachable!());
-        r.check(CheckKind::KPrefixMonotonicity, "lazy", false, || {
+        r.check(CheckKind::KPrefixMonotonicity, "fused", false, || {
             "gains [3, 5]".to_owned()
         });
         assert!(!r.is_ok());

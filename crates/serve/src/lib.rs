@@ -24,19 +24,6 @@
 //! [`SketchService::snapshot_to`] / [`SketchService::restore_from`] (see
 //! [`snapshot`]): a restart restores in O(bytes) and skips sampling
 //! entirely, and restored sketches answer queries bitwise-identically.
-//!
-//! # Engine mapping
-//!
-//! All selection engines except CELF (`Lazy`) produce identical seed sets
-//! for a given sketch, and the eager engines pick each seed with a
-//! `k`-independent argmax, so `topk(k₁)` is a prefix of `topk(k₂)` for
-//! `k₁ ≤ k₂`. CELF's lazy queue may *reorder tied seeds* depending on `k`,
-//! which would break both the prefix property and serve-vs-batch bitwise
-//! equality on tie-heavy sketches. The service therefore maps
-//! `SelectEngine::Lazy` to `SelectEngine::Sequential` at query time (same
-//! seeds whenever CELF breaks ties canonically, and a deterministic answer
-//! when it would not). `tests/serve.rs` carries a regression test for the
-//! prefix property.
 
 pub mod snapshot;
 
@@ -44,8 +31,8 @@ use std::time::Instant;
 
 use ripples_core::obs::Histogram;
 use ripples_core::{
-    build_resident_sketch, coverage_of_store, select_seeds_store_banned, select_with_engine_store,
-    ImmParams, ImmResult, SampleEngine, SelectEngine,
+    build_resident_sketch, coverage_of, select_with_engine_banned, ImmParams, ImmResult,
+    SampleEngine, SelectEngine,
 };
 use ripples_diffusion::{DynRrrStore, RrrStore, RrrStoreKind, StorageConfig};
 use ripples_graph::{Graph, Vertex};
@@ -96,8 +83,7 @@ impl SketchService {
     /// sized for `params.sizing_k` (set [`ImmParams::with_k_max`] to the
     /// largest `k` the service must answer; queries beyond it are rejected).
     ///
-    /// `select` chooses the engine used for every query's greedy pass
-    /// (CELF is mapped to the sequential scan, see the module docs);
+    /// `select` chooses the engine used for every query's greedy pass;
     /// `sample` and `storage` pick the sampling kernel and store layout
     /// exactly as in batch mode.
     #[must_use]
@@ -117,7 +103,7 @@ impl SketchService {
             n: graph.num_vertices(),
             graph_fingerprint: graph.fingerprint(),
             params,
-            select: Self::query_engine(select),
+            select,
             sample,
             theta,
             build_result: Some(built.result),
@@ -145,7 +131,7 @@ impl SketchService {
             params,
             n,
             graph_fingerprint,
-            select: Self::query_engine(select),
+            select,
             sample,
             theta,
             build_result: None,
@@ -155,15 +141,6 @@ impl SketchService {
         };
         svc.publish_resident_gauges();
         svc
-    }
-
-    /// CELF may reorder tied seeds per `k`; serve answers must be
-    /// `k`-stable, so Lazy degrades to the sequential reference scan.
-    fn query_engine(select: SelectEngine) -> SelectEngine {
-        match select {
-            SelectEngine::Lazy => SelectEngine::Sequential,
-            e => e,
-        }
     }
 
     fn publish_resident_gauges(&self) {
@@ -209,7 +186,7 @@ impl SketchService {
         self.sample
     }
 
-    /// The engine answering queries (post CELF mapping).
+    /// The engine answering queries.
     #[must_use]
     pub fn select_engine(&self) -> SelectEngine {
         self.select
@@ -280,6 +257,25 @@ impl SketchService {
         wall_nanos
     }
 
+    /// One greedy pass for `k` seeds from the `banned` mask, through the
+    /// engine the service was built with.
+    fn select_seeds(&mut self, k: u32, banned: Vec<bool>) -> (Vec<Vertex>, QueryReport) {
+        ripples_trace::mark(TraceName::QueryBegin, u64::from(k), 0);
+        let start = Instant::now();
+        let (selection, stats) =
+            select_with_engine_banned(self.select, &self.store, self.n, k, 1, banned);
+        let wall_nanos = self.finish_query(start, k, stats.entries_touched);
+        (
+            selection.seeds,
+            QueryReport {
+                wall_nanos,
+                entries_touched: stats.entries_touched,
+                covered: selection.covered,
+                coverage_fraction: selection.fraction,
+            },
+        )
+    }
+
     /// Answers a top-`k` query: greedy max-cover over the resident sketch,
     /// bitwise identical to the selection a fresh batch run (same master
     /// seed, same `k_max`) would return for this `k`.
@@ -290,19 +286,7 @@ impl SketchService {
     /// exceeds the sketch's sizing `k`.
     pub fn topk(&mut self, k: u32) -> Result<(Vec<Vertex>, QueryReport), QueryError> {
         self.check_k(k)?;
-        ripples_trace::mark(TraceName::QueryBegin, u64::from(k), 0);
-        let start = Instant::now();
-        let (selection, stats) = select_with_engine_store(self.select, &self.store, self.n, k, 1);
-        let wall_nanos = self.finish_query(start, k, stats.entries_touched);
-        Ok((
-            selection.seeds,
-            QueryReport {
-                wall_nanos,
-                entries_touched: stats.entries_touched,
-                covered: selection.covered,
-                coverage_fraction: selection.fraction,
-            },
-        ))
+        Ok(self.select_seeds(k, vec![false; self.n as usize]))
     }
 
     /// Answers a top-`k` query with a banned-vertex set: equivalent to
@@ -326,19 +310,7 @@ impl SketchService {
                 .get_mut(v as usize)
                 .ok_or(QueryError::BannedOutOfRange { vertex: v })? = true;
         }
-        ripples_trace::mark(TraceName::QueryBegin, u64::from(k), 0);
-        let start = Instant::now();
-        let (selection, stats) = select_seeds_store_banned(&self.store, self.n, k, &banned);
-        let wall_nanos = self.finish_query(start, k, stats.entries_touched);
-        Ok((
-            selection.seeds,
-            QueryReport {
-                wall_nanos,
-                entries_touched: stats.entries_touched,
-                covered: selection.covered,
-                coverage_fraction: selection.fraction,
-            },
-        ))
+        Ok(self.select_seeds(k, banned))
     }
 
     /// Estimates the expected influence of an arbitrary seed set as
@@ -356,7 +328,7 @@ impl SketchService {
         let k = u32::try_from(seeds.len()).unwrap_or(u32::MAX);
         ripples_trace::mark(TraceName::QueryBegin, u64::from(k), 0);
         let start = Instant::now();
-        let covered = coverage_of_store(&self.store, seeds);
+        let covered = coverage_of(&self.store, seeds);
         let fraction = if self.theta == 0 {
             0.0
         } else {
@@ -555,20 +527,6 @@ mod tests {
             svc.spread_estimate(&[1000]).unwrap_err(),
             QueryError::BannedOutOfRange { vertex: 1000 }
         );
-    }
-
-    #[test]
-    fn lazy_maps_to_sequential() {
-        let graph = test_graph();
-        let params = ImmParams::new(1, 0.5, DiffusionModel::IndependentCascade, 7).with_k_max(4);
-        let svc = SketchService::build(
-            &graph,
-            params,
-            SelectEngine::Lazy,
-            SampleEngine::Reference,
-            StorageConfig::default(),
-        );
-        assert_eq!(svc.select_engine(), SelectEngine::Sequential);
     }
 
     #[test]

@@ -241,6 +241,35 @@ fn cli_usage_errors_exit_2_and_never_panic() {
         );
         assert!(!stderr.contains("panicked"), "{flags:?}: {stderr}");
     }
+    // A mistyped or removed engine tag is reported before the graph is
+    // loaded (`ripples` prints the graph's statistics right after loading),
+    // with the values that exist.
+    for exe in [ripples, env!("CARGO_BIN_EXE_serve")] {
+        for flags in [
+            &["--select", "bogus"][..],
+            &["--select", "lazy"],
+            &["--select", "celf"],
+            &["--select", "hypergraph"],
+            &["--select", "hyper"],
+            &["--sample", "bogus"],
+        ] {
+            let (code, stderr) = run(exe, flags);
+            assert_eq!(code, Some(2), "{exe} {flags:?}: {stderr}");
+            assert!(
+                stderr.contains(&format!("error: unknown {} `{}`", flags[0], flags[1]))
+                    && stderr.contains("usage: "),
+                "{exe} {flags:?}: {stderr}"
+            );
+            assert!(
+                flags[0] != "--select" || stderr.contains("auto|sequential|partitioned|fused)"),
+                "{exe} {flags:?}: {stderr}"
+            );
+            assert!(
+                !stderr.contains("graph: ") && !stderr.contains("serve: built"),
+                "{exe} {flags:?} loaded the graph first: {stderr}"
+            );
+        }
+    }
     for exe in [ripples, env!("CARGO_BIN_EXE_serve")] {
         let (code, stderr) = run(exe, &["--rrr-store", "bitpack"]);
         assert_eq!(code, Some(2), "{exe}: {stderr}");

@@ -4,7 +4,7 @@
 
 use ripples_core::seq::{imm_baseline, immopt_sequential};
 use ripples_core::ImmParams;
-use ripples_diffusion::{DiffusionModel, HyperGraph, RrrCollection};
+use ripples_diffusion::DiffusionModel;
 use ripples_graph::generators::standin;
 use ripples_graph::WeightModel;
 
@@ -36,31 +36,10 @@ fn immopt_saves_memory_on_standins() {
 }
 
 #[test]
-fn hypergraph_layout_roughly_doubles_association_storage() {
-    // Direct structural check, independent of the full algorithm: the
-    // inverted index stores every (sample, vertex) association a second
-    // time.
-    let mut c = RrrCollection::new();
-    for i in 0..1000u32 {
-        let base = (i * 37) % 4000;
-        c.push(&[base, base + 1, base + 2, base + 3]);
-    }
-    let compact = c.resident_bytes();
-    let hyper = HyperGraph::build(c, 5000);
-    let two_dir = hyper.resident_bytes();
-    assert!(
-        two_dir as f64 > 1.5 * compact as f64,
-        "two-direction {two_dir} not ≫ one-direction {compact}"
-    );
-}
-
-#[test]
 fn selection_engines_trade_memory_for_speed_consistently() {
     // The hypergraph's raison d'être (Tang): selection via the inverted
     // index touches only the covered samples. Verify the outputs stay
-    // identical while the index-driven engine performs strictly less
-    // scanning (proxied here by wall-clock being finite and outputs equal;
-    // the detailed perf comparison lives in benches/ablation_storage.rs).
+    // identical while the two-direction layout pays for it in memory.
     let spec = standin("cit-HepTh").unwrap();
     let g = spec.build(64, WeightModel::UniformRandom { seed: 5 }, false);
     let p = ImmParams::new(8, 0.5, DiffusionModel::IndependentCascade, 4);

@@ -177,11 +177,10 @@ use ripples_core::select::{select_seeds_sequential, select_with_engine};
 use ripples_core::{fused_is_profitable, SelectEngine};
 use ripples_diffusion::RrrCollection;
 
-const EAGER_ENGINES: [SelectEngine; 5] = [
+const ENGINES: [SelectEngine; 4] = [
     SelectEngine::Auto,
     SelectEngine::Sequential,
     SelectEngine::Partitioned,
-    SelectEngine::Hypergraph,
     SelectEngine::Fused,
 ];
 
@@ -217,7 +216,7 @@ proptest! {
         let _ = fused_is_profitable(&collection, k);
         let reference = select_seeds_sequential(&collection, n, k);
         prop_assert!(reference.seeds.len() as u32 <= n.min(k));
-        for engine in EAGER_ENGINES {
+        for engine in ENGINES {
             let (sel, _) = select_with_engine(engine, &collection, n, k, partitions);
             prop_assert_eq!(
                 &sel, &reference,
@@ -225,10 +224,6 @@ proptest! {
                 engine.tag(), collection.len(), n, k
             );
         }
-        let (lazy, _) = select_with_engine(SelectEngine::Lazy, &collection, n, k, partitions);
-        prop_assert_eq!(lazy.covered, reference.covered);
-        prop_assert_eq!(&lazy.marginal_gains, &reference.marginal_gains);
-        prop_assert_eq!(lazy.seeds.len(), reference.seeds.len());
     }
 }
 
@@ -236,7 +231,7 @@ proptest! {
 fn theta_zero_collection_selects_zero_gain_seeds() {
     let empty = RrrCollection::new();
     assert!(!fused_is_profitable(&empty, 3));
-    for engine in EAGER_ENGINES {
+    for engine in ENGINES {
         let (sel, _) = select_with_engine(engine, &empty, 5, 3, 2);
         assert_eq!(sel.seeds, vec![0, 1, 2], "{}", engine.tag());
         assert_eq!(sel.marginal_gains, vec![0, 0, 0], "{}", engine.tag());
@@ -255,7 +250,7 @@ fn all_empty_rrr_sets_cover_nothing() {
     let reference = select_seeds_sequential(&c, 4, 2);
     assert_eq!(reference.covered, 0);
     assert_eq!(reference.fraction, 0.0);
-    for engine in EAGER_ENGINES {
+    for engine in ENGINES {
         let (sel, _) = select_with_engine(engine, &c, 4, 2, 3);
         assert_eq!(sel, reference, "{}", engine.tag());
     }
@@ -273,7 +268,7 @@ fn k_at_least_n_selects_every_vertex() {
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2]);
         assert_eq!(reference.covered, 2);
-        for engine in EAGER_ENGINES {
+        for engine in ENGINES {
             let (sel, _) = select_with_engine(engine, &c, 3, k, 2);
             assert_eq!(sel, reference, "{} at k={k}", engine.tag());
         }

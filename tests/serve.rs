@@ -11,9 +11,7 @@
 //!   the banned vertices filtered out of every sample (independent naive
 //!   reference built in this file).
 //! - the monotone-k prefix regression: `topk(k_small)` is a prefix of
-//!   `topk(k_max)` (the latent assumption the serve mode depends on; CELF
-//!   can violate it on ties, which is why the service maps `Lazy` to
-//!   `Sequential` — asserted below).
+//!   `topk(k_max)` (the latent assumption the serve mode depends on).
 //! - snapshot → restore answers every query bitwise-identically to the
 //!   service that wrote the snapshot *and* to fresh batch runs, without
 //!   re-sampling.
@@ -128,9 +126,6 @@ serve_grid! {
     partitioned_flat: (Partitioned, Flat),
     partitioned_varint: (Partitioned, Varint),
     partitioned_spill: (Partitioned, Spill),
-    hypergraph_flat: (Hypergraph, Flat),
-    hypergraph_varint: (Hypergraph, Varint),
-    hypergraph_spill: (Hypergraph, Spill),
     fused_flat: (Fused, Flat),
     fused_varint: (Fused, Varint),
     fused_spill: (Fused, Spill),
@@ -142,7 +137,6 @@ serve_grid! {
 serve_grid_dense! {
     sequential_flat_dense: Sequential,
     partitioned_flat_dense: Partitioned,
-    hypergraph_flat_dense: Hypergraph,
     fused_flat_dense: Fused,
     auto_flat_dense: Auto,
 }
@@ -210,30 +204,54 @@ fn filtered_reference(svc: &SketchService, n: u32, k: u32, banned: &[Vertex]) ->
     sel.seeds
 }
 
-/// `topk_excluding` ≡ batch selection on the vertex-filtered sketch.
+/// `topk_excluding` ≡ batch selection on the vertex-filtered sketch, through
+/// whichever engine the service was built with, and at the cost of that
+/// engine's `topk`: both queries touch the entries of the samples their
+/// seeds cover.
 #[test]
 fn excluding_equals_filtered_sketch_selection() {
     let graph = standin_graph("cit-HepTh", 96);
-    let mut svc = SketchService::build(
-        &graph,
-        sized_params(),
+    for engine in [
         SelectEngine::Sequential,
-        SampleEngine::Reference,
-        StorageConfig::default(),
-    );
-    // Ban the unconstrained winners — the most adversarial exclusion set.
-    let (top, _) = svc.topk(3).unwrap();
-    for k in [1u32, 4, 8] {
-        let (served, _) = svc.topk_excluding(k, &top).unwrap();
-        let reference = filtered_reference(&svc, graph.num_vertices(), k, &top);
-        assert_eq!(served, reference, "excluding divergence at k={k}");
-        for b in &top {
-            assert!(!served.contains(b), "banned vertex {b} served at k={k}");
+        SelectEngine::Partitioned,
+        SelectEngine::Fused,
+        SelectEngine::Auto,
+    ] {
+        let mut svc = SketchService::build(
+            &graph,
+            sized_params(),
+            engine,
+            SampleEngine::Reference,
+            StorageConfig::default(),
+        );
+        // Ban the unconstrained winners — the most adversarial exclusion set.
+        let (top, _) = svc.topk(3).unwrap();
+        for k in [1u32, 4, 8] {
+            let (served, report) = svc.topk_excluding(k, &top).unwrap();
+            let reference = filtered_reference(&svc, graph.num_vertices(), k, &top);
+            assert_eq!(
+                served,
+                reference,
+                "{}: excluding divergence at k={k}",
+                engine.tag()
+            );
+            for b in &top {
+                assert!(!served.contains(b), "banned vertex {b} served at k={k}");
+            }
+            assert!(report.entries_touched > 0, "{}", engine.tag());
         }
+        let (_, unbanned) = svc.topk_excluding(4, &[]).unwrap();
+        let (_, plain) = svc.topk(4).unwrap();
+        assert_eq!(
+            unbanned.entries_touched,
+            plain.entries_touched,
+            "{}",
+            engine.tag()
+        );
     }
 }
 
-/// The monotone-k regression: every eager engine picks seed `i` with a
+/// The monotone-k regression: every engine picks seed `i` with a
 /// `k`-independent argmax, so `topk(k₁)` must be a prefix of `topk(k₂)`
 /// for `k₁ ≤ k₂`. This is the property that lets ONE resident sketch
 /// answer all k ≤ k_max consistently.
@@ -243,7 +261,6 @@ fn topk_small_is_prefix_of_topk_max() {
     for engine in [
         SelectEngine::Sequential,
         SelectEngine::Partitioned,
-        SelectEngine::Hypergraph,
         SelectEngine::Fused,
         SelectEngine::Auto,
     ] {
@@ -265,21 +282,6 @@ fn topk_small_is_prefix_of_topk_max() {
             );
         }
     }
-}
-
-/// CELF (`Lazy`) may reorder tied seeds per k, breaking the prefix
-/// property — the service documents this by mapping it to `Sequential`.
-#[test]
-fn lazy_engine_is_mapped_to_sequential() {
-    let graph = standin_graph("cit-HepTh", 96);
-    let svc = SketchService::build(
-        &graph,
-        sized_params(),
-        SelectEngine::Lazy,
-        SampleEngine::Reference,
-        StorageConfig::default(),
-    );
-    assert_eq!(svc.select_engine(), SelectEngine::Sequential);
 }
 
 /// Snapshot → restore: the restored service answers every query size
