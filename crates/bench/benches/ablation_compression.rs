@@ -5,11 +5,20 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ripples_core::select::select_seeds_sequential;
 use ripples_diffusion::{
-    sample_batch_sequential, CompressedRrrCollection, DiffusionModel, RrrCollection,
+    sample_batch_sequential, DiffusionModel, RrrCollection, RrrStore, SpillRrrStore,
 };
 use ripples_graph::generators::standin;
 use ripples_graph::WeightModel;
 use ripples_rng::StreamFactory;
+
+/// `plain` re-encoded into the delta-varint store, all of it resident.
+fn compress(plain: &RrrCollection) -> SpillRrrStore {
+    let mut store = SpillRrrStore::new(SpillRrrStore::DEFAULT_BUDGET);
+    for set in plain.iter() {
+        store.push(set);
+    }
+    store
+}
 
 fn bench_compression(c: &mut Criterion) {
     let spec = standin("cit-HepTh").unwrap();
@@ -24,7 +33,7 @@ fn bench_compression(c: &mut Criterion) {
         3_000,
         &mut plain,
     );
-    let compressed = CompressedRrrCollection::from(&plain);
+    let compressed = compress(&plain);
     let n = graph.num_vertices();
     eprintln!(
         "storage: plain {} bytes, compressed {} bytes ({:.2}x smaller)",
@@ -36,7 +45,7 @@ fn bench_compression(c: &mut Criterion) {
     let mut group = c.benchmark_group("rrr_compression");
     group.sample_size(10);
     group.bench_function("encode", |b| {
-        b.iter(|| CompressedRrrCollection::from(&plain));
+        b.iter(|| compress(&plain));
     });
     group.bench_function("select_plain", |b| {
         b.iter(|| select_seeds_sequential(&plain, n, 20));

@@ -74,19 +74,13 @@ fn main() {
             for r in &results {
                 sample_work.extend_from_slice(&r.sample_work);
             }
-            let entries: u64 = results
-                .iter()
-                .map(|r| {
-                    let offsets = (r.sample_work.len() + 1) * std::mem::size_of::<usize>();
-                    (r.memory.peak_rrr_bytes.saturating_sub(offsets) / 4) as u64
-                })
-                .sum();
             let trace = WorkTrace {
                 n: graph.num_vertices(),
                 k,
                 theta: first.theta,
                 sample_work,
-                rrr_entries: entries,
+                // Globalized over ranks by the engine.
+                rrr_entries: first.report.counters.rrr_entries,
                 allreduce_calls: u64::from(k + 1) * 4,
             };
             for cluster in &clusters {

@@ -10,7 +10,7 @@
 //!         [--threads T | --ranks R] [--simulate TRIALS]
 //!         [--select auto|sequential|partitioned|fused]
 //!         [--sample auto|reference|fused]
-//!         [--rrr-store flat|varint|spill] [--rrr-budget BYTES]
+//!         [--rrr-store flat|spill] [--rrr-budget BYTES]
 //!         [--report pretty|json] [--report-out FILE]
 //!         [--trace FILE] [--trace-buffer EVENTS]
 //!         [--metrics FILE] [--metrics-interval DUR] [--metrics-prom FILE]
@@ -37,12 +37,12 @@
 //! `--rrr-store` picks the RRR storage backend for the `opt`, `mt`, `dist`,
 //! `partitioned`, `sharded`, and `tim` engines (default `flat`: sorted
 //! lists, with any set spanning more than n/32 vertices held as an n-bit
-//! bitmap). `varint` gap-encodes each sorted set with LEB128 varints, and
-//! `spill` seals varint blocks and writes them to a temporary file once
+//! bitmap). `spill` gap-encodes each sorted set with LEB128 varints, seals
+//! the blocks into chunks, and writes sealed chunks to a temporary file once
 //! resident bytes exceed `--rrr-budget` (default 1 GiB), streaming them
-//! back per selection round. Every backend returns the same
-//! seed set as `flat` at the same `--seed` — see EXPERIMENTS.md
-//! § "Choosing an RRR storage backend".
+//! back per selection round; below the budget nothing touches the disk.
+//! Either backend returns the same seed set at the same `--seed` — see
+//! EXPERIMENTS.md § "Choosing an RRR storage backend".
 //!
 //! `--report` prints the engine's full [`ripples_core::RunReport`] (phase span tree, work
 //! counters, RRR size histogram, communication accounting) to stderr —
@@ -78,7 +78,7 @@
 //! always reproduces the same faults. Other engines ignore the flags with a
 //! warning.
 
-use ripples_bench::{parse_rrr_store, parse_sample, parse_select, Args};
+use ripples_bench::{parse_sample, parse_select, parse_storage, Args};
 use ripples_comm::{FaultComm, FaultPlan, ThreadWorld};
 use ripples_core::obs::trace;
 use ripples_core::{
@@ -93,7 +93,7 @@ use ripples_core::{
     tim::tim_plus_with_storage,
     ImmParams, SampleEngine, SelectEngine,
 };
-use ripples_diffusion::{estimate_spread, DiffusionModel, RrrStoreKind, StorageConfig};
+use ripples_diffusion::{estimate_spread, DiffusionModel, RrrStoreKind};
 use ripples_graph::generators::{barabasi_albert, erdos_renyi, standin};
 use ripples_graph::io::{read_edge_list_file, EdgeListOptions, VertexIds};
 use ripples_graph::{Graph, GraphStats, WeightModel};
@@ -102,7 +102,7 @@ use ripples_rng::StreamFactory;
 const USAGE: &str = "usage: ripples (--input FILE | --standin NAME | --gen ba:N:M|er:N:M) \
      [--weights uniform|wc|const:P|tri] [--model ic|lt] [--engine ENGINE] [--k K] \
      [--epsilon E] [--seed S] [--threads T | --ranks R] [--select ENGINE] [--sample ENGINE] \
-     [--rrr-store flat|varint|spill] [--rrr-budget BYTES] [--report pretty|json] \
+     [--rrr-store flat|spill] [--rrr-budget BYTES] [--report pretty|json] \
      (every flag is described at the top of crates/bench/src/bin/ripples.rs)";
 
 /// A flag the user got wrong: `error: …`, the usage line, exit status 2.
@@ -285,6 +285,7 @@ fn main() {
     let sample = args.get("sample").map_or(SampleEngine::Reference, |tag| {
         parse_sample(tag).unwrap_or_else(|message| usage_error(&message))
     });
+    let storage = parse_storage(&args).unwrap_or_else(|message| usage_error(&message));
     let graph = load_graph(&args, model);
     let stats = GraphStats::of(&graph);
     eprintln!(
@@ -303,19 +304,9 @@ fn main() {
     if args.get("sample").is_some() && !matches!(engine.as_str(), "opt" | "mt" | "tim") {
         eprintln!("warning: --sample only affects the opt/mt/tim engines; ignoring");
     }
-    let storage = {
-        let kind = args
-            .get("rrr-store")
-            .map(|tag| parse_rrr_store(tag).unwrap_or_else(|message| usage_error(&message)))
-            .unwrap_or(RrrStoreKind::Flat);
-        let budget: Option<usize> = args
-            .try_parse("rrr-budget")
-            .unwrap_or_else(|message| usage_error(&message));
-        if budget.is_some() && kind != RrrStoreKind::Spill {
-            eprintln!("warning: --rrr-budget only affects --rrr-store spill; ignoring");
-        }
-        StorageConfig { kind, budget }
-    };
+    if storage.budget.is_some() && storage.kind != RrrStoreKind::Spill {
+        eprintln!("warning: --rrr-budget only affects --rrr-store spill; ignoring");
+    }
     if storage.kind != RrrStoreKind::Flat
         && !matches!(
             engine.as_str(),

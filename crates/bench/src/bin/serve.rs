@@ -10,7 +10,7 @@
 //!       [--seed S] [--model ic|lt]
 //!       [--select auto|sequential|partitioned|fused]
 //!       [--sample auto|reference|fused]
-//!       [--rrr-store flat|varint|spill] [--rrr-budget BYTES]
+//!       [--rrr-store flat|spill] [--rrr-budget BYTES]
 //!       [--snapshot-out FILE] [--snapshot-in FILE]
 //!       [--queries FILE] [--tcp ADDR] [--read-timeout-ms MS]
 //!       [--metrics FILE] [--no-timing]
@@ -47,16 +47,17 @@
 //! graph fingerprint + RNG provenance, whole-file checksum) after the
 //! build; `--snapshot-in FILE` restores it and **skips sampling
 //! entirely** — the restored service answers bitwise-identically to the
-//! one that wrote the file. Restore refuses (with a structured error) on
-//! corrupt bytes or a fingerprint mismatch with the loaded graph.
+//! one that wrote the file. Both `--rrr-store` layouts snapshot, a `spill`
+//! store with chunks on disk included. Restore refuses (with a structured
+//! error) on corrupt bytes or a fingerprint mismatch with the loaded graph.
 
 use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
 
 use ripples_bench::json::{parse, Value};
-use ripples_bench::{parse_rrr_store, parse_sample, parse_select, Args};
+use ripples_bench::{parse_sample, parse_select, parse_storage, Args};
 use ripples_core::{ImmParams, SampleEngine, SelectEngine};
-use ripples_diffusion::{DiffusionModel, RrrStoreKind, StorageConfig};
+use ripples_diffusion::DiffusionModel;
 use ripples_graph::generators::{barabasi_albert, erdos_renyi, standin};
 use ripples_graph::io::{read_edge_list_file, EdgeListOptions, VertexIds};
 use ripples_graph::{Graph, Vertex, WeightModel};
@@ -66,7 +67,7 @@ use ripples_trace::validate_json;
 const USAGE: &str = "usage: serve (--input FILE | --standin NAME | --gen ba:N:M|er:N:M) \
      [--k-max K] [--epsilon E] [--seed S] [--model ic|lt] \
      [--select auto|sequential|partitioned|fused] [--sample auto|reference|fused] \
-     [--rrr-store flat|varint|spill] [--rrr-budget BYTES] [--snapshot-out FILE] \
+     [--rrr-store flat|spill] [--rrr-budget BYTES] [--snapshot-out FILE] \
      [--snapshot-in FILE] [--queries FILE] [--tcp ADDR] \
      (every flag is described at the top of crates/bench/src/bin/serve.rs)";
 
@@ -342,17 +343,7 @@ fn main() {
     let sample = args.get("sample").map_or(SampleEngine::Reference, |tag| {
         parse_sample(tag).unwrap_or_else(|message| usage_error(&message))
     });
-    let storage = StorageConfig {
-        kind: args.get("rrr-store").map_or(RrrStoreKind::Flat, |tag| {
-            parse_rrr_store(tag).unwrap_or_else(|message| usage_error(&message))
-        }),
-        budget: args.get("rrr-budget").map(|s| {
-            s.parse().unwrap_or_else(|_| {
-                eprintln!("error: --rrr-budget takes a byte count, got `{s}`");
-                std::process::exit(1);
-            })
-        }),
-    };
+    let storage = parse_storage(&args).unwrap_or_else(|message| usage_error(&message));
 
     NO_TIMING.store(args.flag("no-timing"), std::sync::atomic::Ordering::Relaxed);
 

@@ -64,19 +64,13 @@ fn main() {
         for r in &dist_results {
             sample_work.extend_from_slice(&r.sample_work);
         }
-        let entries: u64 = dist_results
-            .iter()
-            .map(|r| {
-                let offsets = (r.sample_work.len() + 1) * std::mem::size_of::<usize>();
-                (r.memory.peak_rrr_bytes.saturating_sub(offsets) / 4) as u64
-            })
-            .sum();
         let trace = WorkTrace {
             n: graph.num_vertices(),
             k: 2 * k,
             theta: dist_results[0].theta,
             sample_work,
-            rrr_entries: entries,
+            // Globalized over ranks by the engine.
+            rrr_entries: dist_results[0].report.counters.rrr_entries,
             allreduce_calls: u64::from(2 * k + 1) * 4,
         };
         let projected = predict_distributed(&trace, &ClusterSpec::edison(), &[1024])[0];

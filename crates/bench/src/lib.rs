@@ -12,7 +12,7 @@
 pub mod json;
 
 use ripples_core::{SampleEngine, SelectEngine};
-use ripples_diffusion::{DiffusionModel, RrrStoreKind};
+use ripples_diffusion::{DiffusionModel, RrrStoreKind, StorageConfig};
 use ripples_graph::generators::{standin_catalog, StandinSpec};
 use ripples_graph::{Graph, WeightModel};
 use std::time::{Duration, Instant};
@@ -149,18 +149,32 @@ impl Args {
     }
 }
 
-/// Parses a `--rrr-store` tag for the `ripples` and `serve` binaries.
+/// Parses a `--rrr-store` tag: the kind, or the message to print for an
+/// unknown tag or a backend that no longer exists.
+fn parse_rrr_store(tag: &str) -> Result<RrrStoreKind, String> {
+    RrrStoreKind::from_tag(tag).ok_or_else(|| match tag {
+        "bitpack" => "--rrr-store bitpack was removed in PR 16: use flat (dense sets are \
+                      stored as bitmaps) or spill"
+            .to_string(),
+        "varint" => "--rrr-store varint was removed in PR 21: use spill, the same \
+                     delta-varint store, which stays in RAM below --rrr-budget (default 1 GiB)"
+            .to_string(),
+        _ => format!("unknown --rrr-store `{tag}` (try flat|spill)"),
+    })
+}
+
+/// Parses `--rrr-store` and `--rrr-budget` for the `ripples` and `serve`
+/// binaries, which call it before they load a graph.
 ///
 /// # Errors
 ///
-/// The message to print for an unknown tag, or for a backend that no
-/// longer exists.
-pub fn parse_rrr_store(tag: &str) -> Result<RrrStoreKind, String> {
-    RrrStoreKind::from_tag(tag).ok_or_else(|| match tag {
-        "bitpack" => "--rrr-store bitpack was removed in PR 16: use flat (dense sets are \
-                      stored as bitmaps) or varint"
-            .to_string(),
-        _ => format!("unknown --rrr-store `{tag}` (try flat|varint|spill)"),
+/// The message to print for a bad value of either flag.
+pub fn parse_storage(args: &Args) -> Result<StorageConfig, String> {
+    Ok(StorageConfig {
+        kind: args
+            .get("rrr-store")
+            .map_or(Ok(RrrStoreKind::Flat), parse_rrr_store)?,
+        budget: args.try_parse("rrr-budget")?,
     })
 }
 

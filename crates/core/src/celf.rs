@@ -10,8 +10,8 @@
 //!
 //! Complexity makes this baseline unusable beyond toy sizes (the paper: the
 //! Kempe-era flow "could be run only on small networks"), which is itself
-//! one of the reproduction's observable claims — see
-//! `benches/end_to_end_imm.rs`.
+//! one of the reproduction's observable claims (`ripples --engine celf`
+//! against `--engine opt` on the same input).
 
 use crate::phases::PhaseTimers;
 use ripples_diffusion::{estimate_spread, DiffusionModel};

@@ -10,8 +10,7 @@
 //! This module implements that heuristic so the claim is *measurable*: on
 //! modular graphs the heuristic is competitive and cheap; as inter-community
 //! coupling grows, exact IMM pulls ahead (see
-//! `examples`/`tests/quality.rs` and the `community` rows of
-//! `benches/end_to_end_imm.rs`).
+//! `examples`/`tests/quality.rs`).
 
 use crate::params::ImmParams;
 use crate::phases::PhaseTimers;

@@ -203,6 +203,7 @@ impl<C: Communicator> GreedyRounds<'_, C> {
                         if !*cov && local.contains(j, v) {
                             *cov = true;
                             covered_local += 1;
+                            stats.entries_touched += local.sample_len(j) as u64;
                             local.for_each_vertex(j, |u| decrements[u as usize] += 1);
                         }
                     }
@@ -559,6 +560,7 @@ mod tests {
     use super::*;
     use crate::seq::immopt_sequential;
     use ripples_comm::{SelfComm, ThreadWorld};
+    use ripples_diffusion::RrrCollection;
     use ripples_graph::generators::erdos_renyi;
     use ripples_graph::WeightModel;
 
@@ -632,6 +634,31 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn purge_counts_entries_touched_with_and_without_an_index() {
+        // Σ |covered sample| either way: ranks may disagree on `uses_index`.
+        let mut local = RrrCollection::new();
+        for base in 0..60u32 {
+            let set: Vec<Vertex> = (0..5).map(|i| (base * 11 + i * 7) % 40).collect();
+            local.push(&set);
+        }
+        let comm = SelfComm::new();
+        let rounds = GreedyRounds {
+            comm: &comm,
+            theta_global: local.len(),
+            n: 40,
+            k: 6,
+            select_mode: DistSelectMode::DenseAllReduce,
+        };
+        let index = SampleIndex::build(&local, 40, 1);
+        let (with_index, indexed) = rounds.run(&local, Some(&index), SelectStats::default());
+        let (index_free, scanned) =
+            rounds.run::<_, SampleIndex>(&local, None, SelectStats::default());
+        assert_eq!(with_index, index_free);
+        assert!(indexed.entries_touched > 0);
+        assert_eq!(indexed.entries_touched, scanned.entries_touched);
     }
 
     #[test]

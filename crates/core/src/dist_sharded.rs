@@ -493,16 +493,19 @@ mod tests {
         let g = graph();
         let p = ImmParams::new(5, 0.5, DiffusionModel::IndependentCascade, 23);
         let flat = imm_sharded(&SelfComm::new(), &g, &p);
-        for kind in [RrrStoreKind::Varint, RrrStoreKind::Spill] {
-            let budget = (kind == RrrStoreKind::Spill).then_some(4096);
-            let storage = StorageConfig { kind, budget };
+        // The one compressed store, resident and forced to disk.
+        for budget in [None, Some(4096)] {
+            let storage = StorageConfig {
+                kind: RrrStoreKind::Spill,
+                budget,
+            };
             let single = imm_sharded_with_storage(&SelfComm::new(), &g, &p, storage);
-            assert_eq!(single.seeds, flat.seeds, "{kind:?} single rank");
+            assert_eq!(single.seeds, flat.seeds, "{budget:?} single rank");
             let world = ThreadWorld::new(2);
             let results = world.run(|comm| imm_sharded_with_storage(comm, &g, &p, storage));
             for r in &results {
-                assert_eq!(r.seeds, flat.seeds, "{kind:?} world 2");
-                assert_eq!(r.theta, flat.theta, "{kind:?} world 2");
+                assert_eq!(r.seeds, flat.seeds, "{budget:?} world 2");
+                assert_eq!(r.theta, flat.theta, "{budget:?} world 2");
             }
         }
     }

@@ -163,40 +163,42 @@ mod tests {
         // Uniform probabilities: cascades span the graph and the flat store
         // holds them as bitmaps, smaller than any coding of the lists.
         // Weighted cascade: mostly small sets, where flat means lists and
-        // the compressed backends are the smaller ones.
+        // the compressed backend is the smaller one.
         let dense = test_graph();
         let sparse = erdos_renyi(300, 2400, WeightModel::WeightedCascade, false, 21);
         for (g, is_dense) in [(&dense, true), (&sparse, false)] {
             let p = ImmParams::new(5, 0.5, DiffusionModel::IndependentCascade, 7);
             let flat = imm_multithreaded(g, &p, 2);
             assert!(!is_dense || flat.report.counters.rrr_sets_bitmap > 0);
-            for kind in [RrrStoreKind::Varint, RrrStoreKind::Spill] {
-                let budget = (kind == RrrStoreKind::Spill).then_some(4096);
+            // The one compressed store, resident and forced to disk.
+            for budget in [None, Some(4096)] {
                 let r = imm_multithreaded_with_storage(
                     g,
                     &p,
                     2,
                     SelectEngine::Auto,
                     SampleEngine::Reference,
-                    StorageConfig { kind, budget },
+                    StorageConfig {
+                        kind: RrrStoreKind::Spill,
+                        budget,
+                    },
                 );
-                assert_eq!(r.seeds, flat.seeds, "{kind:?}");
-                assert_eq!(r.theta, flat.theta, "{kind:?}");
+                assert_eq!(r.seeds, flat.seeds, "{budget:?}");
+                assert_eq!(r.theta, flat.theta, "{budget:?}");
                 assert!(
                     (r.coverage_fraction - flat.coverage_fraction).abs() < 1e-12,
-                    "{kind:?}"
+                    "{budget:?}"
                 );
-                assert_eq!(r.report.counters.rrr_sets_bitmap, 0, "{kind:?}");
-                if kind == RrrStoreKind::Spill {
-                    assert!(
-                        r.report.counters.spill_bytes_written > 0,
-                        "tiny budget must spill"
-                    );
-                }
+                assert_eq!(r.report.counters.rrr_sets_bitmap, 0, "{budget:?}");
+                assert_eq!(
+                    r.report.counters.spill_bytes_written > 0,
+                    budget.is_some(),
+                    "only the tiny budget spills"
+                );
                 if !is_dense {
                     assert!(
                         r.report.counters.rrr_bytes_peak < flat.report.counters.rrr_bytes_peak,
-                        "{kind:?} peak {} not below flat peak {}",
+                        "{budget:?} peak {} not below flat peak {}",
                         r.report.counters.rrr_bytes_peak,
                         flat.report.counters.rrr_bytes_peak
                     );

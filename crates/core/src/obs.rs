@@ -56,7 +56,7 @@ pub struct Counters {
     pub rrr_entries: u64,
     /// RRR sets the flat store holds as bitmaps rather than sorted lists —
     /// the sets spanning more than n/32 vertices (globally, for the
-    /// distributed engines; 0 for the varint and spill stores).
+    /// distributed engines; 0 for the spill store).
     pub rrr_sets_bitmap: u64,
     /// Payload bytes of those bitmaps, ⌈n/64⌉ words each (globally, for the
     /// distributed engines).

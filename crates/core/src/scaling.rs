@@ -52,16 +52,12 @@ impl WorkTrace {
     /// communication volume scales with it.
     #[must_use]
     pub fn from_result(result: &crate::ImmResult, n: u32, k: u32, selection_passes: u32) -> Self {
-        // Entries are not carried on the result; reconstruct from the
-        // compact layout's exact byte formula: offsets (θ+1)·8 + entries·4.
-        let offset_bytes = (result.theta + 1) * std::mem::size_of::<usize>();
-        let entry_bytes = result.memory.peak_rrr_bytes.saturating_sub(offset_bytes);
         WorkTrace {
             n,
             k,
             theta: result.theta,
             sample_work: result.sample_work.clone(),
-            rrr_entries: (entry_bytes / std::mem::size_of::<u32>()) as u64,
+            rrr_entries: result.report.counters.rrr_entries,
             allreduce_calls: u64::from(selection_passes) * (u64::from(k) + 1),
         }
     }
@@ -216,6 +212,43 @@ mod tests {
             rrr_entries: sample_work.iter().sum::<u64>() / 2,
             sample_work,
             allreduce_calls: 102,
+        }
+    }
+
+    #[test]
+    fn trace_entries_are_the_reports_counter_under_every_layout() {
+        use crate::mt::imm_multithreaded_with_storage;
+        use crate::{ImmParams, SampleEngine, SelectEngine};
+        use ripples_diffusion::{DiffusionModel, RrrStoreKind, StorageConfig};
+        use ripples_graph::{generators::erdos_renyi, WeightModel};
+        // Lists, bitmaps (uniform probabilities, fused sampler) and varint
+        // chunks: entries are what the store counted, never a guess from
+        // one layout's byte size.
+        let sparse = erdos_renyi(300, 2400, WeightModel::WeightedCascade, false, 21);
+        let dense = erdos_renyi(300, 2400, WeightModel::UniformRandom { seed: 3 }, false, 21);
+        let cases = [
+            (&sparse, SampleEngine::Reference, RrrStoreKind::Flat),
+            (&dense, SampleEngine::Fused, RrrStoreKind::Flat),
+            (&sparse, SampleEngine::Reference, RrrStoreKind::Spill),
+        ];
+        for (graph, sample, kind) in cases {
+            let params = ImmParams::new(5, 0.5, DiffusionModel::IndependentCascade, 7);
+            let result = imm_multithreaded_with_storage(
+                graph,
+                &params,
+                2,
+                SelectEngine::Auto,
+                sample,
+                StorageConfig::of(kind),
+            );
+            let counters = &result.report.counters;
+            assert!(counters.rrr_sets_bitmap > 0 || sample != SampleEngine::Fused);
+            assert!(counters.rrr_entries > 0);
+            let trace = WorkTrace::from_result(&result, graph.num_vertices(), 5, 4);
+            assert_eq!(
+                trace.rrr_entries, counters.rrr_entries,
+                "{kind:?}/{sample:?}"
+            );
         }
     }
 

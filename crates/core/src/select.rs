@@ -305,9 +305,9 @@ impl IntervalSets for MixedRrrCollection {
     }
 }
 
-/// Any store, streamed: a varint or spill block decodes front to back, so
-/// there is no sub-range to hand a second owner, and the stores' read
-/// caches are not `Sync`.
+/// Any store, streamed: a delta-varint block decodes front to back, so
+/// there is no sub-range to hand a second owner, and the spill store's read
+/// cache is not `Sync`.
 struct Streamed<'a, S>(&'a S);
 
 impl<S: RrrStore> IntervalSets for Streamed<'_, S> {
@@ -650,7 +650,7 @@ pub fn select_with_engine_store<S: RrrStore>(
 /// |---|---|---|---|
 /// | flat, lists only | sorted lists | transient [`SampleIndex`], built by the owners | `partitions` |
 /// | flat with bitmaps | lists or bitmaps, 64-aligned intervals | the store's cached [`IncrementalSampleIndex`] | `partitions` |
-/// | varint, spill | streamed | the store's cached [`IncrementalSampleIndex`] | 1 |
+/// | spill | streamed | the store's cached [`IncrementalSampleIndex`] | 1 |
 ///
 /// # Panics
 ///
@@ -725,7 +725,7 @@ fn cover_with_cached_index<C: IntervalSets, S: RrrStore>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ripples_diffusion::{CompressedRrrCollection, DynRrrStore, SampleArena, StorageConfig};
+    use ripples_diffusion::{DynRrrStore, SampleArena, SpillRrrStore, StorageConfig};
 
     const ENGINES: [SelectEngine; 4] = [
         SelectEngine::Auto,
@@ -874,7 +874,7 @@ mod tests {
             self.total_entries
         }
         fn kind(&self) -> RrrStoreKind {
-            RrrStoreKind::Varint
+            RrrStoreKind::Spill
         }
         fn push(&mut self, _: &[Vertex]) {
             unreachable!()
@@ -981,7 +981,10 @@ mod tests {
         assert_eq!(coverage_of(&c, &[]), 0);
         assert_eq!(coverage_of(&RrrCollection::new(), &[1, 2]), 0);
         // Any store scores like the lists it encodes.
-        let varint = CompressedRrrCollection::from(&c);
+        let mut varint = SpillRrrStore::new(0);
+        for set in c.iter() {
+            varint.push(set);
+        }
         assert_eq!(coverage_of(&varint, &sel.seeds), sel.covered);
         assert_eq!(coverage_of(&varint, &[4, 0]), 4);
     }
@@ -1042,38 +1045,28 @@ mod tests {
         let n = 8u32;
         let k = 4u32;
         let seq = select_seeds_sequential(&sets.iter().cloned().collect::<RrrCollection>(), n, k);
-        for kind in [
-            RrrStoreKind::Flat,
-            RrrStoreKind::Varint,
-            RrrStoreKind::Spill,
+        // Flat, and the compressed store resident and forced to disk.
+        for (kind, budget) in [
+            (RrrStoreKind::Flat, None),
+            (RrrStoreKind::Spill, None),
+            (RrrStoreKind::Spill, Some(16)),
         ] {
-            let mut store = DynRrrStore::new(
-                StorageConfig {
-                    kind,
-                    budget: Some(16),
-                },
-                n,
-            );
+            let mut store = DynRrrStore::new(StorageConfig { kind, budget }, n);
             for s in &sets {
                 store.push(s);
             }
             for engine in ENGINES {
                 let (sel, stats) = select_with_engine_store(engine, &store, n, k, 3);
-                assert_eq!(sel, seq, "{:?}/{} diverged", kind, engine.tag());
-                assert_eq!(
-                    stats.decode_nanos > 0,
-                    kind != RrrStoreKind::Flat,
-                    "{:?}/{}",
-                    kind,
-                    engine.tag()
-                );
+                let case = format!("{kind:?}/{budget:?}/{}", engine.tag());
+                assert_eq!(sel, seq, "{case} diverged");
+                assert_eq!(stats.decode_nanos > 0, kind != RrrStoreKind::Flat, "{case}");
             }
         }
     }
 
     #[test]
     fn store_direct_and_indexed_agree_and_report_stats() {
-        let mut c = CompressedRrrCollection::new();
+        let mut c = SpillRrrStore::new(SpillRrrStore::DEFAULT_BUDGET);
         for base in 0..50u32 {
             let mut s: Vec<Vertex> = (0..6).map(|i| (base * 13 + i * 7) % 40).collect();
             s.sort_unstable();

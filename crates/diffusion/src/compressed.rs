@@ -1,4 +1,5 @@
-//! Delta-varint compressed RRR storage and its incremental inverted index.
+//! The delta-varint codec for sorted RRR sets, and the incremental inverted
+//! index coded the same way.
 //!
 //! §3.1's storage discussion is all about the memory wall: θ grows
 //! super-linearly in accuracy, and the paper's Table 2 runs ran out of
@@ -10,39 +11,16 @@
 //! `benches/ablation_compression.rs` quantifies the trade against
 //! [`crate::RrrCollection`].
 //!
-//! [`CompressedRrrCollection`] is the `varint` backend of the
-//! [`crate::store::RrrStore`] family; [`IncrementalSampleIndex`] is the
-//! matching gap-varint inverted index (vertex → ascending sample ids) that
-//! lets the selection engine and the distributed per-rank purge run
-//! decode-on-touch over compressed blocks without ever materializing the
-//! flat layout.
+//! The codec has one container, the chunked [`crate::SpillRrrStore`]
+//! (`--rrr-store spill`), which also spills sealed chunks to disk past a
+//! byte budget. [`IncrementalSampleIndex`] is the matching gap-varint
+//! inverted index (vertex → ascending sample ids) that lets the selection
+//! engine and the distributed per-rank purge run decode-on-touch over
+//! compressed blocks without ever materializing the flat layout.
 
-use crate::mixed::{BitmapIter, RrrSetRef, SampleArena};
-use crate::rrr::RrrCollection;
+use crate::mixed::{BitmapIter, RrrSetRef};
 use crate::store::RrrStore;
 use ripples_graph::Vertex;
-
-/// A compressed, append-only collection of sorted RRR sets.
-#[derive(Clone, Debug, Default)]
-pub struct CompressedRrrCollection {
-    offsets: Vec<usize>,
-    /// Per-sample vertex counts (decode hint; also enables `len` queries
-    /// without decoding).
-    counts: Vec<u32>,
-    data: Vec<u8>,
-    /// Samples that arrived unsorted and were repaired on insert — same
-    /// contract as [`RrrCollection::push`]. Diagnostic only; excluded from
-    /// equality.
-    unsorted_pushes: u64,
-}
-
-impl PartialEq for CompressedRrrCollection {
-    fn eq(&self, other: &Self) -> bool {
-        self.offsets == other.offsets && self.counts == other.counts && self.data == other.data
-    }
-}
-
-impl Eq for CompressedRrrCollection {}
 
 #[inline]
 pub(crate) fn push_varint(data: &mut Vec<u8>, mut x: u32) {
@@ -72,29 +50,6 @@ pub(crate) fn read_varint(data: &[u8], pos: &mut usize) -> u32 {
     }
 }
 
-/// Encoded byte length of `x` under LEB128 (1–5 bytes for a `u32`).
-#[inline]
-pub(crate) fn varint_len(x: u32) -> usize {
-    if x == 0 {
-        1
-    } else {
-        (38 - x.leading_zeros() as usize) / 7
-    }
-}
-
-/// Exact encoded byte length of a strictly ascending sample under the
-/// delta-varint block layout of [`encode_sample`].
-#[inline]
-fn encoded_len(vertices: impl Iterator<Item = Vertex>) -> usize {
-    let mut len = 0;
-    let mut prev: Vertex = 0;
-    for (idx, v) in vertices.enumerate() {
-        len += varint_len(if idx == 0 { v } else { v - prev - 1 });
-        prev = v;
-    }
-    len
-}
-
 /// Appends a strictly ascending sample as one delta-varint block (first
 /// id absolute, then gap-1 deltas) — shared by every compressed backend.
 #[inline]
@@ -120,15 +75,6 @@ pub(crate) fn encode_set(data: &mut Vec<u8>, set: RrrSetRef<'_>) {
     }
 }
 
-/// [`encoded_len`] of an arena set in either form.
-#[inline]
-fn encoded_set_len(set: RrrSetRef<'_>) -> usize {
-    match set {
-        RrrSetRef::List(list) => encoded_len(list.iter().copied()),
-        RrrSetRef::Bitmap { words, .. } => encoded_len(BitmapIter::new(words)),
-    }
-}
-
 /// Decodes one delta-varint block of `count` ids starting at `*pos`,
 /// streaming each vertex to `f`.
 #[inline]
@@ -142,269 +88,67 @@ pub(crate) fn decode_sample(data: &[u8], pos: &mut usize, count: u32, mut f: imp
     }
 }
 
-impl CompressedRrrCollection {
-    /// Creates an empty collection.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            offsets: vec![0],
-            counts: Vec::new(),
-            data: Vec::new(),
-            unsorted_pushes: 0,
+/// Membership test on one delta-varint block of `count` ids by sequential
+/// decode (terminates early thanks to the sorted order).
+#[inline]
+pub(crate) fn block_contains(data: &[u8], count: u32, target: Vertex) -> bool {
+    let mut pos = 0usize;
+    let mut prev: Vertex = 0;
+    for idx in 0..count {
+        let raw = read_varint(data, &mut pos);
+        let v = if idx == 0 { raw } else { prev + raw + 1 };
+        if v >= target {
+            return v == target;
         }
+        prev = v;
     }
-
-    /// Number of samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// True when empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-
-    /// Vertex count of sample `i` (no decoding needed).
-    #[must_use]
-    pub fn sample_len(&self, i: usize) -> usize {
-        self.counts[i] as usize
-    }
-
-    /// Total vertex entries across all samples.
-    #[must_use]
-    pub fn total_entries(&self) -> u64 {
-        self.counts.iter().map(|&c| u64::from(c)).sum()
-    }
-
-    /// Appends a sample. Enforces the same always-on sorted/deduped
-    /// contract as [`RrrCollection::push`]: a violating sample is repaired
-    /// (sorted + deduplicated) and counted in
-    /// [`CompressedRrrCollection::unsorted_pushes`], so the compressed
-    /// layout stays bitwise-convertible to the flat reference.
-    pub fn push(&mut self, vertices: &[Vertex]) {
-        if vertices.windows(2).all(|w| w[0] < w[1]) {
-            encode_sample(&mut self.data, vertices.iter().copied());
-            self.counts.push(vertices.len() as u32);
-        } else {
-            self.unsorted_pushes += 1;
-            let mut repaired = vertices.to_vec();
-            repaired.sort_unstable();
-            repaired.dedup();
-            encode_sample(&mut self.data, repaired.iter().copied());
-            self.counts.push(repaired.len() as u32);
-        }
-        self.offsets.push(self.data.len());
-    }
-
-    /// Appends the samples of `arenas` in arena order — the same sample
-    /// order [`RrrCollection::append_arenas`] produces, so a compressed
-    /// store filled through the parallel sampling path decodes bitwise
-    /// identical to the flat reference. Arena content is already validated
-    /// sorted by [`SampleArena::append_with`]; repairs that happened inside
-    /// the arenas carry over into `unsorted_pushes`. A set the arena holds
-    /// as a bitmap is encoded from the word scan, never through a list.
-    pub fn append_arenas(&mut self, arenas: &[SampleArena]) {
-        let new_samples: usize = arenas.iter().map(SampleArena::len).sum();
-        // A measuring pre-pass buys exact `reserve_exact` calls: amortized
-        // `reserve` doubles capacity, and `resident_bytes` (the peak-memory
-        // metric compression exists to shrink) reports capacity, so slack
-        // here would show up as phantom peak bytes.
-        let new_bytes: usize = arenas
-            .iter()
-            .flat_map(|a| a.iter().map(encoded_set_len))
-            .sum();
-        self.counts.reserve_exact(new_samples);
-        self.offsets.reserve_exact(new_samples);
-        self.data.reserve_exact(new_bytes);
-        for arena in arenas {
-            for set in arena.iter() {
-                encode_set(&mut self.data, set);
-                self.counts.push(set.len() as u32);
-                self.offsets.push(self.data.len());
-            }
-            self.unsorted_pushes += arena.unsorted_pushes();
-        }
-    }
-
-    /// Number of pushed samples that violated the sorted/deduped contract
-    /// and were repaired on insert.
-    #[must_use]
-    pub fn unsorted_pushes(&self) -> u64 {
-        self.unsorted_pushes
-    }
-
-    /// The raw block-offset array: `len() + 1` entries bounding each
-    /// sample's varint block in [`CompressedRrrCollection::raw_bytes`].
-    /// Snapshot serialization surface (`ripples-serve`).
-    #[must_use]
-    pub fn raw_offsets(&self) -> &[usize] {
-        &self.offsets
-    }
-
-    /// Per-sample vertex counts. Snapshot serialization surface.
-    #[must_use]
-    pub fn raw_counts(&self) -> &[u32] {
-        &self.counts
-    }
-
-    /// The delta-varint byte arena. Snapshot serialization surface.
-    #[must_use]
-    pub fn raw_bytes(&self) -> &[u8] {
-        &self.data
-    }
-
-    /// Rebuilds a collection from deserialized raw parts, re-validating
-    /// every invariant a push sequence would have established: offsets
-    /// start at 0, stay monotone, and end at `data.len()`; every block is
-    /// a well-formed LEB128 stream that decodes exactly `counts[i]`
-    /// strictly-ascending vertices in exactly its offset span. Truncated or
-    /// bit-flipped blocks are reported by sample index and byte offset —
-    /// the snapshot-restore path turns these into structured errors rather
-    /// than panicking inside the unchecked hot-path decoder.
-    ///
-    /// # Errors
-    ///
-    /// Any violated invariant, as human-readable text naming the field.
-    pub fn from_raw_parts(
-        offsets: Vec<usize>,
-        counts: Vec<u32>,
-        data: Vec<u8>,
-    ) -> Result<Self, String> {
-        if offsets.len() != counts.len() + 1 {
-            return Err(format!(
-                "offsets length {} != counts length {} + 1",
-                offsets.len(),
-                counts.len()
-            ));
-        }
-        if offsets.first() != Some(&0) {
-            return Err("offsets[0] must be 0".to_string());
-        }
-        if let Some(i) = offsets.windows(2).position(|w| w[0] > w[1]) {
-            return Err(format!("offsets[{}] > offsets[{}]", i, i + 1));
-        }
-        if *offsets.last().expect("non-empty checked above") != data.len() {
-            return Err(format!(
-                "offsets[{}] = {} != data length {}",
-                offsets.len() - 1,
-                offsets.last().expect("non-empty"),
-                data.len()
-            ));
-        }
-        // Checked decode of every block: the hot-path decoder assumes
-        // well-formed input, so corruption must be rejected here.
-        for (i, &count) in counts.iter().enumerate() {
-            let block = &data[offsets[i]..offsets[i + 1]];
-            let mut pos = 0usize;
-            let mut prev: Vertex = 0;
-            for idx in 0..count {
-                let mut x = 0u32;
-                let mut shift = 0u32;
-                loop {
-                    let Some(&byte) = block.get(pos) else {
-                        return Err(format!("sample {i}: varint truncated at block byte {pos}"));
-                    };
-                    pos += 1;
-                    if shift >= 32 || (shift == 28 && byte & 0x7F > 0x0F) {
-                        return Err(format!(
-                            "sample {i}: varint overflows u32 at block byte {}",
-                            pos - 1
-                        ));
-                    }
-                    x |= u32::from(byte & 0x7F) << shift;
-                    if byte & 0x80 == 0 {
-                        break;
-                    }
-                    shift += 7;
-                }
-                let v = if idx == 0 {
-                    x
-                } else {
-                    match prev.checked_add(x).and_then(|s| s.checked_add(1)) {
-                        Some(v) => v,
-                        None => {
-                            return Err(format!(
-                                "sample {i}: delta overflows vertex id at entry {idx}"
-                            ));
-                        }
-                    }
-                };
-                prev = v;
-            }
-            if pos != block.len() {
-                return Err(format!(
-                    "sample {i}: block decodes in {pos} bytes but spans {}",
-                    block.len()
-                ));
-            }
-        }
-        Ok(Self {
-            offsets,
-            counts,
-            data,
-            unsorted_pushes: 0,
-        })
-    }
-
-    /// Decodes sample `i` into `out` (cleared first).
-    pub fn decode_into(&self, i: usize, out: &mut Vec<Vertex>) {
-        out.clear();
-        let mut pos = self.offsets[i];
-        decode_sample(&self.data, &mut pos, self.counts[i], |v| out.push(v));
-        debug_assert_eq!(pos, self.offsets[i + 1]);
-    }
-
-    /// Streams the vertices of sample `i` to `f` without allocating.
-    pub fn for_each_vertex(&self, i: usize, f: impl FnMut(Vertex)) {
-        let mut pos = self.offsets[i];
-        decode_sample(&self.data, &mut pos, self.counts[i], f);
-    }
-
-    /// Membership test by sequential decode (terminates early thanks to the
-    /// sorted order).
-    #[must_use]
-    pub fn contains(&self, i: usize, target: Vertex) -> bool {
-        let mut pos = self.offsets[i];
-        let count = self.counts[i];
-        let mut prev: Vertex = 0;
-        for idx in 0..count {
-            let raw = read_varint(&self.data, &mut pos);
-            let v = if idx == 0 { raw } else { prev + raw + 1 };
-            if v == target {
-                return true;
-            }
-            if v > target {
-                return false;
-            }
-            prev = v;
-        }
-        false
-    }
-
-    /// Resident bytes of the compressed arena (the Table 2 comparison
-    /// quantity). Reports *reserved capacity*, not just initialized length,
-    /// matching [`RrrCollection::resident_bytes`]: a `Vec`'s growth slack is
-    /// real allocated memory, and `rrr_bytes_peak` comparisons across
-    /// backends would be dishonest if the compressed store ignored it.
-    #[must_use]
-    pub fn resident_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.offsets.capacity() * size_of::<usize>()
-            + self.counts.capacity() * size_of::<u32>()
-            + self.data.capacity()
-    }
+    false
 }
 
-impl From<&RrrCollection> for CompressedRrrCollection {
-    fn from(plain: &RrrCollection) -> Self {
-        let mut c = Self::new();
-        for set in plain.iter() {
-            c.push(set);
+/// Checked decode of one deserialized block: a well-formed LEB128 stream
+/// that decodes exactly `count` strictly ascending vertex ids in exactly
+/// `block.len()` bytes. The hot-path decoders above assume well-formed
+/// input, so bytes that come off a disk are rejected here first — truncated
+/// or bit-flipped blocks are reported by byte offset, never by a panic.
+///
+/// # Errors
+///
+/// What is wrong with the block, as human-readable text.
+pub(crate) fn check_block(block: &[u8], count: u32) -> Result<(), String> {
+    let mut pos = 0usize;
+    let mut prev: Vertex = 0;
+    for idx in 0..count {
+        let mut x = 0u32;
+        let mut shift = 0u32;
+        loop {
+            let Some(&byte) = block.get(pos) else {
+                return Err(format!("varint truncated at block byte {pos}"));
+            };
+            pos += 1;
+            if shift >= 32 || (shift == 28 && byte & 0x7F > 0x0F) {
+                return Err(format!("varint overflows u32 at block byte {}", pos - 1));
+            }
+            x |= u32::from(byte & 0x7F) << shift;
+            if byte & 0x80 == 0 {
+                break;
+            }
+            shift += 7;
         }
-        c
+        prev = if idx == 0 {
+            x
+        } else {
+            prev.checked_add(x)
+                .and_then(|s| s.checked_add(1))
+                .ok_or_else(|| format!("delta overflows vertex id at entry {idx}"))?
+        };
     }
+    if pos != block.len() {
+        return Err(format!(
+            "block decodes in {pos} bytes but spans {}",
+            block.len()
+        ));
+    }
+    Ok(())
 }
 
 /// An *incremental* gap-varint inverted index: vertex → the ascending
@@ -525,10 +269,11 @@ impl IncrementalSampleIndex {
             + self.last.capacity() * size_of::<u32>()
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mixed::SampleArena;
+    use crate::rrr::RrrCollection;
 
     #[test]
     fn varint_roundtrip() {
@@ -544,156 +289,112 @@ mod tests {
         assert_eq!(pos, data.len());
     }
 
-    #[test]
-    fn varint_len_matches_encoding() {
-        for v in [0u32, 1, 127, 128, 16383, 16384, 1 << 21, u32::MAX] {
-            let mut data = Vec::new();
-            push_varint(&mut data, v);
-            assert_eq!(varint_len(v), data.len(), "value {v}");
-        }
+    /// One block per sample, back to back: `(end offset, count)` per block.
+    fn encode_all(samples: &[Vec<Vertex>]) -> (Vec<u8>, Vec<(usize, u32)>) {
+        let mut data = Vec::new();
+        let blocks = samples
+            .iter()
+            .map(|s| {
+                encode_sample(&mut data, s.iter().copied());
+                (data.len(), s.len() as u32)
+            })
+            .collect();
+        (data, blocks)
     }
 
     #[test]
     fn push_decode_roundtrip() {
-        let mut c = CompressedRrrCollection::new();
         let samples: Vec<Vec<Vertex>> = vec![
             vec![5],
             vec![0, 1, 2, 3],
             vec![],
             vec![100, 5_000, 1_000_000],
+            vec![u32::MAX - 1, u32::MAX],
         ];
-        for s in &samples {
-            c.push(s);
-        }
-        assert_eq!(c.len(), 4);
-        assert_eq!(c.total_entries(), 8);
-        let mut out = Vec::new();
-        for (i, s) in samples.iter().enumerate() {
-            c.decode_into(i, &mut out);
-            assert_eq!(&out, s, "sample {i}");
-            assert_eq!(c.sample_len(i), s.len());
+        let (data, blocks) = encode_all(&samples);
+        let mut pos = 0usize;
+        for (s, &(end, count)) in samples.iter().zip(&blocks) {
+            assert_eq!(check_block(&data[pos..end], count), Ok(()));
+            let mut out = Vec::new();
+            decode_sample(&data, &mut pos, count, |v| out.push(v));
+            assert_eq!(&out, s);
+            assert_eq!(pos, end);
         }
     }
 
     #[test]
     fn contains_matches_decode() {
-        let mut c = CompressedRrrCollection::new();
-        c.push(&[2, 7, 9, 30]);
+        let mut data = Vec::new();
+        encode_sample(&mut data, [2, 7, 9, 30].into_iter());
         for v in 0..40 {
             let expect = [2, 7, 9, 30].contains(&v);
-            assert_eq!(c.contains(0, v), expect, "vertex {v}");
+            assert_eq!(block_contains(&data, 4, v), expect, "vertex {v}");
         }
+        assert!(!block_contains(&[], 0, 0));
     }
 
     #[test]
-    fn unsorted_push_is_repaired_and_counted() {
-        // Same always-on repair contract as the flat collection: an
-        // unsorted sample must never corrupt the delta coding (a negative
-        // gap would wrap) even in release builds.
-        let mut c = CompressedRrrCollection::new();
-        c.push(&[5, 1, 3, 3]);
-        assert_eq!(c.unsorted_pushes(), 1);
-        let mut out = Vec::new();
-        c.decode_into(0, &mut out);
-        assert_eq!(out, vec![1, 3, 5]);
-        let mut clean = CompressedRrrCollection::new();
-        clean.push(&[1, 3, 5]);
-        assert_eq!(clean.unsorted_pushes(), 0);
-        assert_eq!(c, clean, "repair must normalize to the sorted encoding");
-    }
-
-    #[test]
-    fn resident_bytes_reports_reserved_capacity() {
-        // Regression (ISSUE 8 satellite): resident_bytes used to sum
-        // `len()`s, under-reporting the growth slack a Vec actually holds.
-        // Capacity-based accounting must dominate the len-based figure and
-        // track reserve() even before any data lands.
-        let mut c = CompressedRrrCollection::new();
-        for base in 0..64u32 {
-            c.push(&[base, base + 2, base + 300]);
-        }
-        use std::mem::size_of;
-        let len_based =
-            c.offsets.len() * size_of::<usize>() + c.counts.len() * size_of::<u32>() + c.data.len();
-        assert!(
-            c.resident_bytes() >= len_based,
-            "capacity accounting {} must dominate len accounting {len_based}",
-            c.resident_bytes()
-        );
-        let before = c.resident_bytes();
-        c.data.reserve(1 << 16);
-        assert!(
-            c.resident_bytes() >= before + (1 << 16),
-            "reserved-but-unused capacity must be visible: {} vs {before}",
-            c.resident_bytes()
-        );
-        assert_eq!(
-            len_based,
-            c.offsets.len() * size_of::<usize>() + c.counts.len() * size_of::<u32>() + c.data.len(),
-            "reserve must not change the len-based figure"
-        );
+    fn check_block_rejects_what_the_unchecked_decoder_would_misread() {
+        let mut good = Vec::new();
+        encode_sample(&mut good, [3, 4, 900].into_iter());
+        assert_eq!(check_block(&good, 3), Ok(()));
+        // A count that lies in either direction.
+        assert!(check_block(&good, 4).unwrap_err().contains("truncated"));
+        assert!(check_block(&good, 2).unwrap_err().contains("spans"));
+        // A continuation bit on the last byte runs off the block.
+        let mut cut = good.clone();
+        *cut.last_mut().unwrap() |= 0x80;
+        assert!(check_block(&cut, 3).unwrap_err().contains("truncated"));
+        // Six continuation bytes cannot be a u32.
+        assert!(check_block(&[0xFF; 6], 1)
+            .unwrap_err()
+            .contains("overflows u32"));
+        // u32::MAX followed by any gap leaves the id space.
+        let mut wrap = Vec::new();
+        push_varint(&mut wrap, u32::MAX);
+        push_varint(&mut wrap, 0);
+        assert!(check_block(&wrap, 2)
+            .unwrap_err()
+            .contains("overflows vertex id"));
     }
 
     #[test]
     fn compression_beats_plain_on_dense_sorted_sets() {
-        let mut plain = RrrCollection::new();
-        for base in 0..200u32 {
-            let set: Vec<Vertex> = (0..64).map(|i| base + 3 * i).collect();
-            plain.push(&set);
-        }
-        let compressed = CompressedRrrCollection::from(&plain);
+        let samples: Vec<Vec<Vertex>> = (0..200u32)
+            .map(|base| (0..64).map(|i| base + 3 * i).collect())
+            .collect();
+        let (data, _) = encode_all(&samples);
+        let plain_bytes = 4 * 64 * samples.len();
         assert!(
-            compressed.resident_bytes() * 2 < plain.resident_bytes(),
-            "compressed {} not ≪ plain {}",
-            compressed.resident_bytes(),
-            plain.resident_bytes()
+            data.len() * 2 < plain_bytes,
+            "compressed {} not ≪ plain {plain_bytes}",
+            data.len()
         );
-        // Contents identical.
-        let mut out = Vec::new();
-        for i in 0..plain.len() {
-            compressed.decode_into(i, &mut out);
-            assert_eq!(out.as_slice(), plain.get(i));
-        }
     }
 
     #[test]
     fn append_arenas_matches_pushes() {
-        let mut a0 = SampleArena::with_capacity(1000, 2);
-        a0.append_with(|buf| {
-            buf.extend_from_slice(&[1, 3, 5]);
-            0
-        });
-        a0.append_with(|buf| {
-            buf.extend_from_slice(&[2]);
-            0
-        });
-        let mut a1 = SampleArena::new(1000);
-        a1.append_with(|_| 0);
-        a1.append_with(|buf| {
-            buf.extend_from_slice(&[0, 4]);
-            0
-        });
-        let mut merged = CompressedRrrCollection::new();
-        merged.push(&[9]);
-        merged.append_arenas(&[a0, a1]);
-        let mut reference = CompressedRrrCollection::new();
-        for s in [&[9][..], &[1, 3, 5], &[2], &[], &[0, 4]] {
-            reference.push(s);
+        // An arena set encodes the same block whether it is held as a list
+        // or — dense enough, n = 64 — as a bitmap read by word scan.
+        let sets: [&[Vertex]; 4] = [&[1, 3, 5], &[2], &[], &[0, 4, 7, 9, 33, 63]];
+        let mut arena = SampleArena::new(64);
+        for s in sets {
+            arena.append_with(|buf| {
+                buf.extend_from_slice(s);
+                0
+            });
         }
-        assert_eq!(merged, reference);
-        assert_eq!(merged.unsorted_pushes(), 0);
-    }
-
-    #[test]
-    fn empty_collection() {
-        let c = CompressedRrrCollection::new();
-        assert!(c.is_empty());
-        assert_eq!(c.len(), 0);
-        assert_eq!(c.total_entries(), 0);
+        assert!(arena.bitmap_sets() > 0);
+        let (mut merged, mut pushed) = (Vec::new(), Vec::new());
+        for (set, s) in arena.iter().zip(sets) {
+            encode_set(&mut merged, set);
+            encode_sample(&mut pushed, s.iter().copied());
+        }
+        assert_eq!(merged, pushed);
     }
 
     /// The index of everything `c` holds.
-    fn index_of(c: &CompressedRrrCollection, n: u32) -> IncrementalSampleIndex {
+    fn index_of(c: &RrrCollection, n: u32) -> IncrementalSampleIndex {
         let mut idx = IncrementalSampleIndex::new(n);
         idx.absorb(c);
         idx
@@ -701,7 +402,7 @@ mod tests {
 
     #[test]
     fn index_degrees_and_streams_match_flat_index() {
-        let mut c = CompressedRrrCollection::new();
+        let mut c = RrrCollection::new();
         c.push(&[0, 2, 4]);
         c.push(&[1, 2]);
         c.push(&[]);
@@ -722,7 +423,7 @@ mod tests {
 
     #[test]
     fn index_handles_large_sparse_ids() {
-        let mut c = CompressedRrrCollection::new();
+        let mut c = RrrCollection::new();
         for i in 0..300usize {
             // Vertex 7 appears in every 3rd sample; vertex 1000 in all.
             if i % 3 == 0 {
@@ -741,7 +442,7 @@ mod tests {
 
     #[test]
     fn incremental_index_matches_batch_build_across_absorbs() {
-        let mut c = CompressedRrrCollection::new();
+        let mut c = crate::SpillRrrStore::new(0);
         let mut flat = RrrCollection::new();
         let mut inc = IncrementalSampleIndex::new(6);
         // Grow the store in three uneven rounds, absorbing between them —
@@ -753,11 +454,11 @@ mod tests {
         ];
         for round in rounds {
             for s in round {
-                c.push(s);
+                RrrStore::push(&mut c, s);
                 flat.push(s);
             }
             inc.absorb(&c);
-            assert_eq!(inc.absorbed_samples(), c.len());
+            assert_eq!(inc.absorbed_samples(), RrrStore::len(&c));
             let batch = crate::SampleIndex::build(&flat, 6, 1);
             for v in 0..6u32 {
                 assert_eq!(u64::from(inc.degree(v)), batch.degree(v), "vertex {v}");

@@ -33,10 +33,9 @@ pub mod partitioned;
 pub mod rrr;
 pub mod sample_index;
 pub mod sampler;
-pub mod sketches;
 pub mod store;
 
-pub use compressed::{CompressedRrrCollection, IncrementalSampleIndex};
+pub use compressed::IncrementalSampleIndex;
 pub use forward::{estimate_spread, simulate_cascade, spread_samples, CascadeOutcome};
 pub use fused::{sample_batch_fused, FUSED_LANES};
 pub use mixed::{MixedRrrCollection, RrrSetRef, SampleArena};
@@ -47,5 +46,4 @@ pub use sample_index::SampleIndex;
 pub use sampler::{
     ensure_lt_normalized, sample_batch, sample_batch_sequential, sample_root_of, BatchOutcome,
 };
-pub use sketches::ReachabilitySketches;
 pub use store::{DynRrrStore, RrrStore, RrrStoreKind, SpillRrrStore, StorageConfig};

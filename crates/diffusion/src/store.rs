@@ -12,12 +12,12 @@
 //!   While no set is that dense the store is exactly the paper's
 //!   [`RrrCollection`] and the slice selection engines binary-search it
 //!   directly; the bitwise baseline for every other backend.
-//! * [`CompressedRrrCollection`] — LEB128 delta-varint blocks
-//!   (`--rrr-store varint`), typically 2–4× smaller on sparse sets.
-//! * [`SpillRrrStore`] — varint blocks sealed into chunks, with sealed
-//!   chunks beyond a `--rrr-budget` byte cap written to a temp spill file
-//!   and streamed back on touch (`--rrr-store spill`), so θ beyond RAM
-//!   completes instead of OOMing.
+//! * [`SpillRrrStore`] — `--rrr-store spill`: LEB128 delta-varint blocks
+//!   (the codec of [`crate::compressed`]) sealed into chunks, typically
+//!   2–4× smaller on sparse sets. Sealed chunks beyond a `--rrr-budget`
+//!   byte cap are written to a temp spill file and streamed back on touch,
+//!   so θ beyond RAM completes instead of OOMing; below the cap nothing
+//!   touches the disk.
 //!
 //! All backends fill through the same two paths — per-sample
 //! [`RrrStore::push`] and the [`SampleArena`] merge of the parallel
@@ -26,10 +26,11 @@
 //! invariants (PR 3/5) extend across storage layouts. The differential
 //! oracle's `storage-equivalence` check enforces exactly that.
 
-use crate::compressed::{decode_sample, encode_set, read_varint, IncrementalSampleIndex};
+use crate::compressed::{
+    block_contains, check_block, decode_sample, encode_set, IncrementalSampleIndex,
+};
 use crate::mixed::{MixedRrrCollection, RrrSetRef, SampleArena};
 use crate::rrr::RrrCollection;
-use crate::CompressedRrrCollection;
 use ripples_graph::Vertex;
 use std::cell::RefCell;
 use std::fs::File;
@@ -141,20 +142,17 @@ pub enum RrrStoreKind {
     /// Uncompressed, directly addressable: sorted lists, or bitmaps for
     /// sets above n/32 vertices ([`MixedRrrCollection`]).
     Flat,
-    /// Delta-varint blocks ([`CompressedRrrCollection`]).
-    Varint,
-    /// Varint chunks with spill-to-disk beyond a byte budget
+    /// Delta-varint chunks, spilled to disk beyond a byte budget
     /// ([`SpillRrrStore`]).
     Spill,
 }
 
 impl RrrStoreKind {
-    /// Parses a CLI tag (`--rrr-store flat|varint|spill`).
+    /// Parses a CLI tag (`--rrr-store flat|spill`).
     #[must_use]
     pub fn from_tag(tag: &str) -> Option<Self> {
         match tag {
             "flat" => Some(Self::Flat),
-            "varint" => Some(Self::Varint),
             "spill" => Some(Self::Spill),
             _ => None,
         }
@@ -165,7 +163,6 @@ impl RrrStoreKind {
     pub fn tag(self) -> &'static str {
         match self {
             Self::Flat => "flat",
-            Self::Varint => "varint",
             Self::Spill => "spill",
         }
     }
@@ -177,7 +174,7 @@ pub struct StorageConfig {
     /// The backend kind.
     pub kind: RrrStoreKind,
     /// Resident-byte cap for the spill backend (`--rrr-budget`); ignored by
-    /// the RAM-only backends. `None` uses [`SpillRrrStore::DEFAULT_BUDGET`].
+    /// the flat backend. `None` uses [`SpillRrrStore::DEFAULT_BUDGET`].
     pub budget: Option<usize>,
 }
 
@@ -248,52 +245,6 @@ impl RrrStore for RrrCollection {
 
     fn kind(&self) -> RrrStoreKind {
         RrrStoreKind::Flat
-    }
-}
-
-impl RrrStore for CompressedRrrCollection {
-    fn push(&mut self, vertices: &[Vertex]) {
-        CompressedRrrCollection::push(self, vertices);
-    }
-
-    fn append_arenas(&mut self, arenas: &[SampleArena]) {
-        CompressedRrrCollection::append_arenas(self, arenas);
-    }
-
-    fn len(&self) -> usize {
-        CompressedRrrCollection::len(self)
-    }
-
-    fn total_entries(&self) -> u64 {
-        CompressedRrrCollection::total_entries(self)
-    }
-
-    fn sample_len(&self, i: usize) -> usize {
-        CompressedRrrCollection::sample_len(self, i)
-    }
-
-    fn decode_into(&self, i: usize, out: &mut Vec<Vertex>) {
-        CompressedRrrCollection::decode_into(self, i, out);
-    }
-
-    fn for_each_vertex<F: FnMut(Vertex)>(&self, i: usize, f: F) {
-        CompressedRrrCollection::for_each_vertex(self, i, f);
-    }
-
-    fn contains(&self, i: usize, v: Vertex) -> bool {
-        CompressedRrrCollection::contains(self, i, v)
-    }
-
-    fn resident_bytes(&self) -> usize {
-        CompressedRrrCollection::resident_bytes(self)
-    }
-
-    fn unsorted_pushes(&self) -> u64 {
-        CompressedRrrCollection::unsorted_pushes(self)
-    }
-
-    fn kind(&self) -> RrrStoreKind {
-        RrrStoreKind::Varint
     }
 }
 
@@ -386,12 +337,21 @@ impl Chunk {
     }
 }
 
-/// Chunked spill-to-disk RRR storage: delta-varint blocks sealed into
-/// chunks; once resident bytes exceed the budget, sealed chunk payloads are
-/// appended to a temp spill file and read back on touch through a one-chunk
-/// cache. Per-sample counts and offsets stay resident (8 bytes per sample),
-/// so `sample_len`/`len` never touch the disk and access within a loaded
-/// chunk is O(1).
+/// Payload byte range of a chunk's `j`-th block.
+fn block_range(ends: &[u32], j: usize) -> std::ops::Range<usize> {
+    let start = if j == 0 { 0 } else { ends[j - 1] as usize };
+    start..ends[j] as usize
+}
+
+/// The delta-varint RRR store: blocks sealed into chunks; once resident
+/// bytes exceed the budget, sealed chunk payloads are appended to a temp
+/// spill file and read back on touch through a one-chunk cache. Per-sample
+/// counts and offsets stay resident (8 bytes per sample), so
+/// `sample_len`/`len` never touch the disk and access within a loaded chunk
+/// is O(1). Under its budget the store never opens a file and is simply the
+/// compressed in-RAM layout: a sealed chunk gives its growth slack back, and
+/// so does the open chunk at the end of an arena merge, so what it reports
+/// resident is 8 bytes per sample plus the encoded bytes.
 ///
 /// The access patterns of selection — a sequential counting sweep, then
 /// per-seed touches in ascending sample order — load each spilled chunk a
@@ -460,6 +420,56 @@ impl SpillRrrStore {
         }
     }
 
+    /// Adopts a deserialized block stream — `offsets` bounds each sample's
+    /// block in `data`, `counts` holds the per-sample vertex counts — and
+    /// cuts it into chunks under `budget`, re-validating every invariant a
+    /// push sequence would have established: offsets start at 0, stay
+    /// monotone, and end at `data.len()`; every block passes the codec's
+    /// checked decode. The snapshot-restore path turns the message into a
+    /// structured error instead of panicking inside the unchecked hot-path
+    /// decoder.
+    ///
+    /// # Errors
+    ///
+    /// Any violated invariant, as human-readable text naming the field.
+    fn from_blocks(
+        offsets: &[usize],
+        counts: &[u32],
+        data: &[u8],
+        budget: usize,
+    ) -> Result<Self, String> {
+        if offsets.len() != counts.len() + 1 {
+            return Err(format!(
+                "offsets length {} != counts length {} + 1",
+                offsets.len(),
+                counts.len()
+            ));
+        }
+        if offsets[0] != 0 {
+            return Err("offsets[0] must be 0".to_string());
+        }
+        if let Some(i) = offsets.windows(2).position(|w| w[0] > w[1]) {
+            return Err(format!("offsets[{}] > offsets[{}]", i, i + 1));
+        }
+        if offsets[counts.len()] != data.len() {
+            return Err(format!(
+                "offsets[{}] = {} != data length {}",
+                counts.len(),
+                offsets[counts.len()],
+                data.len()
+            ));
+        }
+        let mut store = Self::new(budget);
+        for (i, &count) in counts.iter().enumerate() {
+            let block = &data[offsets[i]..offsets[i + 1]];
+            check_block(block, count).map_err(|e| format!("sample {i}: {e}"))?;
+            store.open_data.extend_from_slice(block);
+            store.finish_block(count);
+        }
+        store.shrink_open();
+        Ok(store)
+    }
+
     /// The configured resident budget in bytes.
     #[must_use]
     pub fn budget(&self) -> usize {
@@ -475,22 +485,49 @@ impl SpillRrrStore {
             .count()
     }
 
+    /// Visits the chunks in sample order — sealed ones, read back from the
+    /// spill file where that is where they live, then the open one — as
+    /// `(counts, end offsets within the payload, payload)`.
+    pub fn for_each_chunk(&self, mut f: impl FnMut(&[u32], &[u32], &[u8])) {
+        for (idx, chunk) in self.chunks.iter().enumerate() {
+            self.with_chunk_payload(idx, |bytes| f(&chunk.counts, &chunk.ends, bytes));
+        }
+        if !self.open_counts.is_empty() {
+            f(&self.open_counts, &self.open_ends, &self.open_data);
+        }
+    }
+
     /// Appends one strictly ascending set, in either arena form.
     fn push_set(&mut self, set: RrrSetRef<'_>) {
         encode_set(&mut self.open_data, set);
-        self.open_counts.push(set.len() as u32);
+        self.finish_block(set.len() as u32);
+    }
+
+    /// Closes the `count`-vertex block just written at the open chunk's tail.
+    fn finish_block(&mut self, count: u32) {
+        self.open_counts.push(count);
         self.open_ends.push(self.open_data.len() as u32);
-        self.total_entries += set.len() as u64;
+        self.total_entries += u64::from(count);
         if self.open_data.len() >= self.chunk_target {
             self.seal_open();
         }
         self.enforce_budget();
     }
 
+    /// Gives the open chunk's `Vec` growth slack back: `resident_bytes`
+    /// reports capacity, and slack that outlives the fill would show up as
+    /// phantom peak bytes.
+    fn shrink_open(&mut self) {
+        self.open_counts.shrink_to_fit();
+        self.open_ends.shrink_to_fit();
+        self.open_data.shrink_to_fit();
+    }
+
     fn seal_open(&mut self) {
         if self.open_counts.is_empty() {
             return;
         }
+        self.shrink_open();
         let samples = self.open_counts.len();
         self.chunks.push(Chunk {
             first_sample: self.open_first,
@@ -546,49 +583,44 @@ impl SpillRrrStore {
         Some(idx)
     }
 
-    /// Runs `f` over the payload byte range of sample `i`, loading the
-    /// owning chunk from disk (into the one-chunk cache) when spilled.
+    /// Runs `f` over the payload of sealed chunk `idx`, loading it from
+    /// disk (into the one-chunk cache) when spilled.
+    fn with_chunk_payload<T>(&self, idx: usize, f: impl FnOnce(&[u8]) -> T) -> T {
+        match &self.chunks[idx].payload {
+            ChunkPayload::Ram(bytes) => f(bytes),
+            ChunkPayload::Disk { offset, len } => {
+                let mut cache = self.cache.borrow_mut();
+                let hit = matches!(&*cache, Some((c, _)) if *c == idx);
+                if !hit {
+                    let mut bytes = vec![0u8; *len];
+                    let mut file = self.file.as_ref().expect("spilled chunk without a file");
+                    file.seek(SeekFrom::Start(*offset))
+                        .and_then(|_| file.read_exact(&mut bytes))
+                        .unwrap_or_else(|e| panic!("cannot read spill file {:?}: {e}", self.path));
+                    *cache = Some((idx, bytes));
+                }
+                let (_, bytes) = cache.as_ref().expect("cache just filled");
+                f(bytes)
+            }
+        }
+    }
+
+    /// Runs `f` over the block of sample `i` and its vertex count.
     fn with_sample_bytes<T>(&self, i: usize, f: impl FnOnce(&[u8], u32) -> T) -> T {
         match self.chunk_of(i) {
             None => {
                 let j = i - self.open_first;
-                let start = if j == 0 {
-                    0
-                } else {
-                    self.open_ends[j - 1] as usize
-                };
-                let end = self.open_ends[j] as usize;
-                f(&self.open_data[start..end], self.open_counts[j])
+                f(
+                    &self.open_data[block_range(&self.open_ends, j)],
+                    self.open_counts[j],
+                )
             }
             Some(idx) => {
                 let chunk = &self.chunks[idx];
                 let j = i - chunk.first_sample;
-                let start = if j == 0 {
-                    0
-                } else {
-                    chunk.ends[j - 1] as usize
-                };
-                let end = chunk.ends[j] as usize;
-                match &chunk.payload {
-                    ChunkPayload::Ram(bytes) => f(&bytes[start..end], chunk.counts[j]),
-                    ChunkPayload::Disk { offset, len } => {
-                        let mut cache = self.cache.borrow_mut();
-                        let hit = matches!(&*cache, Some((c, _)) if *c == idx);
-                        if !hit {
-                            let mut bytes = vec![0u8; *len];
-                            let mut file =
-                                self.file.as_ref().expect("spilled chunk without a file");
-                            file.seek(SeekFrom::Start(*offset))
-                                .and_then(|_| file.read_exact(&mut bytes))
-                                .unwrap_or_else(|e| {
-                                    panic!("cannot read spill file {:?}: {e}", self.path)
-                                });
-                            *cache = Some((idx, bytes));
-                        }
-                        let (_, bytes) = cache.as_ref().expect("cache just filled");
-                        f(&bytes[start..end], chunk.counts[j])
-                    }
-                }
+                self.with_chunk_payload(idx, |bytes| {
+                    f(&bytes[block_range(&chunk.ends, j)], chunk.counts[j])
+                })
             }
         }
     }
@@ -638,6 +670,10 @@ impl RrrStore for SpillRrrStore {
         }
     }
 
+    /// Arena content is already validated sorted; repairs that happened
+    /// inside the arenas carry over into `unsorted_pushes`. A set the arena
+    /// holds as a bitmap is encoded from the word scan, never through a
+    /// list.
     fn append_arenas(&mut self, arenas: &[SampleArena]) {
         for arena in arenas {
             for set in arena.iter() {
@@ -645,6 +681,7 @@ impl RrrStore for SpillRrrStore {
             }
             self.unsorted_pushes += arena.unsorted_pushes();
         }
+        self.shrink_open();
     }
 
     fn len(&self) -> usize {
@@ -667,37 +704,19 @@ impl RrrStore for SpillRrrStore {
 
     fn decode_into(&self, i: usize, out: &mut Vec<Vertex>) {
         out.clear();
-        self.with_sample_bytes(i, |bytes, count| {
-            let mut pos = 0usize;
-            decode_sample(bytes, &mut pos, count, |v| out.push(v));
-            debug_assert_eq!(pos, bytes.len());
-        });
+        self.for_each_vertex(i, |v| out.push(v));
     }
 
     fn for_each_vertex<F: FnMut(Vertex)>(&self, i: usize, f: F) {
         self.with_sample_bytes(i, |bytes, count| {
             let mut pos = 0usize;
             decode_sample(bytes, &mut pos, count, f);
+            debug_assert_eq!(pos, bytes.len());
         });
     }
 
     fn contains(&self, i: usize, target: Vertex) -> bool {
-        self.with_sample_bytes(i, |bytes, count| {
-            let mut pos = 0usize;
-            let mut prev: Vertex = 0;
-            for idx in 0..count {
-                let raw = read_varint(bytes, &mut pos);
-                let v = if idx == 0 { raw } else { prev + raw + 1 };
-                if v == target {
-                    return true;
-                }
-                if v > target {
-                    return false;
-                }
-                prev = v;
-            }
-            false
-        })
+        self.with_sample_bytes(i, |bytes, count| block_contains(bytes, count, target))
     }
 
     fn resident_bytes(&self) -> usize {
@@ -747,14 +766,12 @@ impl RrrStore for SpillRrrStore {
 enum DynStoreInner {
     /// Sorted lists, or bitmaps for dense sets.
     Flat(MixedRrrCollection),
-    /// Delta-varint blocks.
-    Varint(CompressedRrrCollection),
-    /// Varint chunks with spill-to-disk.
+    /// Delta-varint chunks with spill-to-disk.
     Spill(SpillRrrStore),
 }
 
 /// A runtime-chosen storage backend (`--rrr-store`), dispatching the
-/// [`RrrStore`] trait over the three concrete layouts.
+/// [`RrrStore`] trait over the two concrete layouts.
 ///
 /// Carries the cross-round [`IncrementalSampleIndex`] cache behind
 /// [`RrrStore::with_sample_index`]: IMM selects over the same (append-only)
@@ -775,7 +792,6 @@ impl DynRrrStore {
     pub fn new(config: StorageConfig, num_vertices: u32) -> Self {
         let inner = match config.kind {
             RrrStoreKind::Flat => DynStoreInner::Flat(MixedRrrCollection::new(num_vertices)),
-            RrrStoreKind::Varint => DynStoreInner::Varint(CompressedRrrCollection::new()),
             RrrStoreKind::Spill => DynStoreInner::Spill(SpillRrrStore::new(
                 config.budget.unwrap_or(SpillRrrStore::DEFAULT_BUDGET),
             )),
@@ -798,22 +814,28 @@ impl DynRrrStore {
         }
     }
 
-    /// Wraps a restored varint collection (snapshot-restore path).
-    #[must_use]
-    pub fn from_varint(collection: CompressedRrrCollection) -> Self {
-        Self {
-            inner: DynStoreInner::Varint(collection),
+    /// Adopts a restored delta-varint block stream as a spill-kind store
+    /// under the default budget (snapshot-restore path): `offsets` bounds
+    /// each sample's block in `data`, `counts` holds the per-sample vertex
+    /// counts, and nothing about them is trusted.
+    ///
+    /// # Errors
+    ///
+    /// The violated invariant, as human-readable text naming the field.
+    pub fn from_blocks(offsets: &[usize], counts: &[u32], data: &[u8]) -> Result<Self, String> {
+        let store =
+            SpillRrrStore::from_blocks(offsets, counts, data, SpillRrrStore::DEFAULT_BUDGET)?;
+        Ok(Self {
+            inner: DynStoreInner::Spill(store),
             index_cache: RefCell::new(None),
-        }
+        })
     }
 
-    /// Borrows the underlying varint collection, if that is the layout
-    /// (snapshot-serialize path, the mirror of [`Self::from_varint`]).
-    #[must_use]
-    pub fn as_varint(&self) -> Option<&CompressedRrrCollection> {
-        match &self.inner {
-            DynStoreInner::Varint(c) => Some(c),
-            _ => None,
+    /// Visits a spill-kind store's chunks in sample order (snapshot-write
+    /// path, see [`SpillRrrStore::for_each_chunk`]); a flat store has none.
+    pub fn for_each_chunk(&self, f: impl FnMut(&[u32], &[u32], &[u8])) {
+        if let DynStoreInner::Spill(store) = &self.inner {
+            store.for_each_chunk(f);
         }
     }
 }
@@ -822,7 +844,6 @@ macro_rules! dyn_delegate {
     ($self:expr, $store:ident => $body:expr) => {
         match $self {
             DynStoreInner::Flat($store) => $body,
-            DynStoreInner::Varint($store) => $body,
             DynStoreInner::Spill($store) => $body,
         }
     };
@@ -929,10 +950,12 @@ mod tests {
             .collect()
     }
 
+    /// The flat store, and the spill store resident (default budget) and
+    /// forced to disk by `budget`.
     fn all_backends(n: u32, budget: usize) -> Vec<DynRrrStore> {
         vec![
             DynRrrStore::new(StorageConfig::of(RrrStoreKind::Flat), n),
-            DynRrrStore::new(StorageConfig::of(RrrStoreKind::Varint), n),
+            DynRrrStore::new(StorageConfig::of(RrrStoreKind::Spill), n),
             DynRrrStore::new(
                 StorageConfig {
                     kind: RrrStoreKind::Spill,
@@ -1021,7 +1044,7 @@ mod tests {
         // varint gaps mostly 1 byte.
         let n = 1 << 14;
         let mut flat = MixedRrrCollection::new(n);
-        let mut varint = CompressedRrrCollection::new();
+        let mut varint = SpillRrrStore::new(SpillRrrStore::DEFAULT_BUDGET);
         for base in 0..400u32 {
             let mut set: Vec<Vertex> = (0..48).map(|i| (base * 7 + i * 3) % n).collect();
             set.sort_unstable();
@@ -1153,6 +1176,74 @@ mod tests {
     }
 
     #[test]
+    fn unspilled_arena_merge_holds_no_growth_slack() {
+        // 8 bytes of metadata per sample plus the encoded bytes: what the
+        // retired in-RAM varint container reported. Before sealed chunks
+        // and the merged open chunk gave their `Vec` slack back, this fill
+        // (two sealed 2 MiB chunks and an open one) reported twice the
+        // payload and spilled.
+        let n = 1 << 14;
+        let mut arenas = vec![SampleArena::new(n), SampleArena::new(n)];
+        let mut x = 0x2545_F491u32;
+        for i in 0..74_000usize {
+            let mut set: Vec<Vertex> = (0..32)
+                .map(|_| {
+                    x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+                    (x >> 8) % n
+                })
+                .collect();
+            set.sort_unstable();
+            set.dedup();
+            arenas[i % 2].append_with(|tail| {
+                tail.extend_from_slice(&set);
+                0
+            });
+        }
+        let mut store = SpillRrrStore::new(8 << 20);
+        RrrStore::append_arenas(&mut store, &arenas);
+        assert_eq!(store.spill_bytes_written(), 0);
+        assert!(store.chunks.len() >= 2 && !store.open_counts.is_empty());
+        let mut payload = 0usize;
+        store.for_each_chunk(|_, _, bytes| payload += bytes.len());
+        let resident = RrrStore::resident_bytes(&store);
+        assert!(resident >= 8 * RrrStore::len(&store) + payload);
+        assert!(
+            resident <= 8 * RrrStore::len(&store) + payload + store.chunk_target,
+            "resident {resident} for {} samples and {payload} payload bytes",
+            RrrStore::len(&store)
+        );
+    }
+
+    /// What the blocks lie about is `prop_snapshot`'s hostile-payload test.
+    #[test]
+    fn adopted_blocks_decode_like_pushed_ones_resident_or_on_disk() {
+        let samples = synth_samples(1000, 3000);
+        let mut pushed = SpillRrrStore::new(SpillRrrStore::DEFAULT_BUDGET);
+        for s in &samples {
+            RrrStore::push(&mut pushed, s);
+        }
+        // The global layout a snapshot carries, from the store's chunks.
+        let (mut offsets, mut counts, mut data) = (vec![0usize], Vec::new(), Vec::new());
+        pushed.for_each_chunk(|c, ends, bytes| {
+            offsets.extend(ends.iter().map(|&e| data.len() + e as usize));
+            counts.extend_from_slice(c);
+            data.extend_from_slice(bytes);
+        });
+        // Resident or forced to disk, the adopted store decodes the same.
+        for budget in [SpillRrrStore::DEFAULT_BUDGET, 0] {
+            let adopted = SpillRrrStore::from_blocks(&offsets, &counts, &data, budget).unwrap();
+            assert_eq!(adopted.spilled_chunks() > 0, budget == 0);
+            assert_eq!(adopted.total_entries, pushed.total_entries);
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            for i in 0..samples.len() {
+                RrrStore::decode_into(&adopted, i, &mut a);
+                RrrStore::decode_into(&pushed, i, &mut b);
+                assert_eq!(a, b, "budget {budget} sample {i}");
+            }
+        }
+    }
+
+    #[test]
     fn spill_resident_bytes_stay_near_budget() {
         let n = 1000;
         let samples = synth_samples(n, 4000);
@@ -1177,14 +1268,12 @@ mod tests {
 
     #[test]
     fn store_kind_tags_round_trip() {
-        for kind in [
-            RrrStoreKind::Flat,
-            RrrStoreKind::Varint,
-            RrrStoreKind::Spill,
-        ] {
+        for kind in [RrrStoreKind::Flat, RrrStoreKind::Spill] {
             assert_eq!(RrrStoreKind::from_tag(kind.tag()), Some(kind));
         }
-        assert_eq!(RrrStoreKind::from_tag("nope"), None);
+        for retired in ["nope", "varint", "bitpack"] {
+            assert_eq!(RrrStoreKind::from_tag(retired), None, "{retired}");
+        }
         let store = DynRrrStore::new(StorageConfig::default(), 10);
         assert_eq!(store.kind(), RrrStoreKind::Flat);
         assert!(store.as_flat().is_some());

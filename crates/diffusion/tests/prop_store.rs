@@ -1,12 +1,13 @@
 //! Property-based tests for the RRR storage backends: any sorted set of
 //! vertex ids must survive the flat → compressed → decode round trip
-//! bit-for-bit, through every backend and through the arena merge path —
-//! including the sets on either side of the flat store's list/bitmap rule.
+//! bit-for-bit, through every backend — the compressed one resident and
+//! forced to disk — and through the arena merge path, including the sets on
+//! either side of the flat store's list/bitmap rule.
 
 use proptest::prelude::*;
 use ripples_diffusion::{
-    sample_batch_fused, CompressedRrrCollection, DiffusionModel, DynRrrStore, RrrCollection,
-    RrrStore, RrrStoreKind, SampleArena, SpillRrrStore, StorageConfig,
+    sample_batch_fused, DiffusionModel, DynRrrStore, RrrCollection, RrrStore, RrrStoreKind,
+    SampleArena, SpillRrrStore, StorageConfig,
 };
 use ripples_graph::generators::erdos_renyi;
 use ripples_graph::WeightModel;
@@ -94,9 +95,25 @@ fn boundary_samples() -> impl Strategy<Value = (u32, Vec<Vec<u32>>)> {
         })
 }
 
-fn store_of(kind: RrrStoreKind, n: u32) -> DynRrrStore {
-    let budget = (kind == RrrStoreKind::Spill).then_some(2048);
-    DynRrrStore::new(StorageConfig { kind, budget }, n)
+/// The flat store, and the spill store resident (default budget) and
+/// forced to disk.
+const BACKENDS: [StorageConfig; 3] = [
+    StorageConfig {
+        kind: RrrStoreKind::Flat,
+        budget: None,
+    },
+    StorageConfig {
+        kind: RrrStoreKind::Spill,
+        budget: None,
+    },
+    StorageConfig {
+        kind: RrrStoreKind::Spill,
+        budget: Some(2048),
+    },
+];
+
+fn flat_store(n: u32) -> DynRrrStore {
+    DynRrrStore::new(BACKENDS[0], n)
 }
 
 proptest! {
@@ -127,19 +144,20 @@ proptest! {
                 0
             });
         }
-        for kind in [RrrStoreKind::Flat, RrrStoreKind::Varint, RrrStoreKind::Spill] {
-            let mut pushed = store_of(kind, n);
+        for config in BACKENDS {
+            let flat = config.kind == RrrStoreKind::Flat;
+            let mut pushed = DynRrrStore::new(config, n);
             for s in &raw {
                 pushed.push(s);
             }
-            let mut merged = store_of(kind, n);
+            let mut merged = DynRrrStore::new(config, n);
             merged.append_arenas(&arenas);
             for store in [&pushed, &merged] {
                 assert_round_trip(store, &expect);
-                prop_assert_eq!(store.unsorted_pushes(), repaired, "{:?}", kind);
+                prop_assert_eq!(store.unsorted_pushes(), repaired, "{:?}", config);
                 let bitmaps = store.as_mixed().map(|m| m.bitmap_sets());
-                prop_assert_eq!(bitmaps, (kind == RrrStoreKind::Flat).then_some(dense));
-                prop_assert_eq!(store.as_flat().is_some(), kind == RrrStoreKind::Flat && dense == 0);
+                prop_assert_eq!(bitmaps, flat.then_some(dense));
+                prop_assert_eq!(store.as_flat().is_some(), flat && dense == 0);
             }
         }
         let mut bare = RrrCollection::new();
@@ -147,46 +165,46 @@ proptest! {
         assert_round_trip(&bare, &expect);
     }
 
-    /// flat → varint → decode is the identity for arbitrary sorted sets.
+    /// The list collection and the chunked varint store at any budget —
+    /// budget 0, where every sealed chunk is on disk, included — round-trip
+    /// arbitrary sorted sets, and the store holds the same blocks in the
+    /// same chunks whether filled by `push` or through the `SampleArena`
+    /// merge path the parallel samplers use.
     #[test]
-    fn varint_round_trip_is_identity(sets in sorted_sets()) {
-        let flat = flat_of(&sets);
-        let varint = CompressedRrrCollection::from(&flat);
-        assert_round_trip(&varint, &sets);
-        prop_assert!(
-            CompressedRrrCollection::from(&flat) == varint,
-            "re-encoding must be deterministic"
-        );
-    }
+    fn all_backends_round_trip(sets in sorted_sets(), budget in 0usize..8192) {
+        assert_round_trip(&flat_of(&sets), &sets);
 
-    /// Every backend round-trips identically, whether filled by `push` or
-    /// through the `SampleArena` merge path the parallel samplers use.
-    #[test]
-    fn all_backends_round_trip(sets in sorted_sets()) {
-        let flat = flat_of(&sets);
-        assert_round_trip(&flat, &sets);
-
-        let mut varint = CompressedRrrCollection::new();
-        let mut spill = SpillRrrStore::new(2048);
         let mut arena = SampleArena::with_capacity(u32::MAX, sets.len());
         for s in &sets {
-            RrrStore::push(&mut varint, s);
-            RrrStore::push(&mut spill, s);
             arena.append_with(|data| {
                 data.extend_from_slice(s);
                 0
             });
         }
-        assert_round_trip(&varint, &sets);
-        assert_round_trip(&spill, &sets);
-
-        let mut from_arena = CompressedRrrCollection::new();
-        RrrStore::append_arenas(&mut from_arena, &[arena]);
-        assert_round_trip(&from_arena, &sets);
-        prop_assert!(
-            from_arena == varint,
-            "arena fill and push fill must encode identically"
-        );
+        let arenas = [arena];
+        for budget in [0, budget, SpillRrrStore::DEFAULT_BUDGET] {
+            let mut pushed = SpillRrrStore::new(budget);
+            for s in &sets {
+                pushed.push(s);
+            }
+            let mut merged = SpillRrrStore::new(budget);
+            merged.append_arenas(&arenas);
+            assert_round_trip(&pushed, &sets);
+            assert_round_trip(&merged, &sets);
+            let chunks_of = |store: &SpillRrrStore| {
+                let mut chunks = Vec::new();
+                store.for_each_chunk(|counts, ends, payload| {
+                    chunks.push((counts.to_vec(), ends.to_vec(), payload.to_vec()));
+                });
+                chunks
+            };
+            prop_assert!(
+                chunks_of(&pushed) == chunks_of(&merged),
+                "arena fill and push fill must encode identically at budget {}",
+                budget
+            );
+            prop_assert_eq!(pushed.spill_bytes_written(), merged.spill_bytes_written());
+        }
     }
 }
 
@@ -200,7 +218,7 @@ fn all_list_flat_store_costs_what_the_list_collection_costs() {
         .map(|i| (0..(i % 40)).map(|j| i * 13 + j * 97).collect())
         .collect();
     let mut arena = SampleArena::with_capacity(n, sets.len());
-    let mut pushed = (store_of(RrrStoreKind::Flat, n), RrrCollection::new());
+    let mut pushed = (flat_store(n), RrrCollection::new());
     for s in &sets {
         pushed.0.push(s);
         pushed.1.push(s);
@@ -210,7 +228,7 @@ fn all_list_flat_store_costs_what_the_list_collection_costs() {
         });
     }
     let arenas = [arena];
-    let mut merged = (store_of(RrrStoreKind::Flat, n), RrrCollection::new());
+    let mut merged = (flat_store(n), RrrCollection::new());
     merged.0.append_arenas(&arenas);
     merged.1.append_arenas(&arenas);
     for (store, lists) in [&pushed, &merged] {
@@ -236,7 +254,7 @@ fn fused_emission_into_flat_store_equals_list_emission_at_any_thread_count() {
             .build()
             .expect("pool");
         let (store, outcome) = pool.install(|| {
-            let mut store = store_of(RrrStoreKind::Flat, graph.num_vertices());
+            let mut store = flat_store(graph.num_vertices());
             let outcome = sample_batch_fused(&graph, model, &factory, 5, 700, &mut store);
             (store, outcome)
         });

@@ -169,17 +169,20 @@ fn compare_runs(report: &mut OracleReport, subject: &str, r: &ImmResult, referen
     }
 }
 
-/// The compressed storage backends the equivalence check exercises against
-/// the flat reference. Spill runs with a deliberately tiny budget so it
+/// The compressed store the equivalence check exercises against the flat
+/// reference, at two budgets so both payload locations are covered:
+/// resident under the default budget, and a deliberately tiny one so it
 /// seals, writes, and re-reads chunks even on oracle-sized inputs.
-const COMPRESSED_STORES: [RrrStoreKind; 2] = [RrrStoreKind::Varint, RrrStoreKind::Spill];
-
-fn storage_of(kind: RrrStoreKind) -> StorageConfig {
+const COMPRESSED_STORES: [StorageConfig; 2] = [
     StorageConfig {
-        kind,
-        budget: (kind == RrrStoreKind::Spill).then_some(4096),
-    }
-}
+        kind: RrrStoreKind::Spill,
+        budget: None,
+    },
+    StorageConfig {
+        kind: RrrStoreKind::Spill,
+        budget: Some(4096),
+    },
+];
 
 /// A small graph whose RRR sets pass the flat store's density rule
 /// (`32·len > n`), so that store holds them as bitmaps: under IC at p = 0.3
@@ -195,13 +198,14 @@ fn dense_graph(params: &ImmParams) -> Graph {
     )
 }
 
-/// Layer 2b: `--rrr-store` equivalence. Every compressed backend must
-/// return the identical seeds, θ, and coverage as the flat reference —
+/// Layer 2b: `--rrr-store` equivalence. The compressed backend, resident
+/// and spilled, must return the identical seeds, θ, and coverage as the flat
+/// reference —
 /// end-to-end through the sequential pipeline, through a distributed run,
 /// and at the selection layer across every eager engine on the reference
 /// collection. The flat store itself changes representation on dense
-/// sets, so a second, dense graph holds it (and the other two, fed from
-/// bitmaps) to a reference that never touches a store: the Tang-layout
+/// sets, so a second, dense graph holds it (and the compressed one, fed
+/// from bitmaps) to a reference that never touches a store: the Tang-layout
 /// baseline and the tie-order greedy over plain lists.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn check_storage_equivalence(
@@ -214,9 +218,9 @@ pub(crate) fn check_storage_equivalence(
     k: u32,
     cfg: &OracleConfig,
 ) {
-    for store_kind in COMPRESSED_STORES {
+    for storage in COMPRESSED_STORES {
         check_store(
-            report, "", store_kind, graph, params, reference, collection, n, k, cfg,
+            report, "", storage, graph, params, reference, collection, n, k, cfg,
         );
     }
 
@@ -244,11 +248,14 @@ pub(crate) fn check_storage_equivalence(
         bitmaps > 0 && flat.as_flat().is_none(),
         || format!("the dense case is vacuous: {bitmaps} bitmap sets in the flat store"),
     );
-    for store_kind in [RrrStoreKind::Flat].into_iter().chain(COMPRESSED_STORES) {
+    for storage in [StorageConfig::default()]
+        .into_iter()
+        .chain(COMPRESSED_STORES)
+    {
         check_store(
             report,
             "dense:",
-            store_kind,
+            storage,
             &dense,
             params,
             &reference,
@@ -265,7 +272,7 @@ pub(crate) fn check_storage_equivalence(
 fn check_store(
     report: &mut OracleReport,
     case: &str,
-    store_kind: RrrStoreKind,
+    storage: StorageConfig,
     graph: &Graph,
     params: &ImmParams,
     reference: &ImmResult,
@@ -275,8 +282,10 @@ fn check_store(
     cfg: &OracleConfig,
 ) {
     let kind = CheckKind::StorageEquivalence;
-    let storage = storage_of(store_kind);
-    let tag = format!("{case}{}", store_kind.tag());
+    let tag = match storage.budget {
+        None => format!("{case}{}", storage.kind.tag()),
+        Some(budget) => format!("{case}{}@{budget}", storage.kind.tag()),
+    };
 
     // Full sequential pipeline.
     let r = immopt_sequential_with_storage(
@@ -304,7 +313,7 @@ fn check_store(
             )
         },
     );
-    if store_kind == RrrStoreKind::Spill {
+    if storage.budget.is_some() {
         report.check(
             kind,
             &subject,

@@ -351,8 +351,8 @@ impl SketchService {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError`] on I/O failure or an unsupported store layout
-    /// (flat and varint snapshot; spill does not).
+    /// [`SnapshotError::Io`] on filesystem failure; every store layout
+    /// snapshots.
     pub fn snapshot_to(&self, path: &std::path::Path) -> Result<(), SnapshotError> {
         snapshot::write_snapshot(path, self)
     }

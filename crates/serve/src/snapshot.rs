@@ -8,7 +8,7 @@
 //!      0     8  magic "RIPLSNAP"
 //!      8     4  version (u32) = 1
 //!     12     8  checksum (u64, FNV-1a over every byte from offset 20 to EOF)
-//!     20     1  store kind (0 = flat, 1 = varint)
+//!     20     1  store kind (0 = flat, 1 = spill: delta-varint blocks)
 //!     21     1  diffusion model (0 = ic, 1 = lt)
 //!     22     1  sample engine (0 = auto, 1 = reference, 2 = fused)
 //!     23     1  reserved, must be 0
@@ -25,10 +25,16 @@
 //! Flat payload: `u64` offsets length, offsets as `u64` each, `u64` data
 //! length, vertex ids as `u32` each — the *logical* content, every set as
 //! its sorted list whether the store holds it as a list or as a bitmap; a
-//! restore re-encodes each set by the store's own density rule. Varint
-//! payload: `u64` offsets length,
-//! offsets as `u64` each, `u64` counts length, counts as `u32` each, `u64`
-//! byte-stream length, the raw delta-varint bytes.
+//! restore re-encodes each set by the store's own density rule. Kind-1
+//! payload: `u64` offsets length (θ + 1), the global byte offset bounding
+//! each sample's block as `u64` each, `u64` counts length (θ), per-sample
+//! vertex counts as `u32` each, `u64` byte-stream length, the delta-varint
+//! blocks back to back (first id as an LEB128 varint, then gap − 1 per
+//! further id). The chunked spill store writes this from its chunks,
+//! resident and spilled alike, and a restore cuts the stream back into
+//! chunks, so the layout is independent of chunking and budget — it is the
+//! one the retired `--rrr-store varint` container wrote, and its files
+//! still restore.
 //!
 //! The provenance header pins everything that determined the sampled
 //! collection: the graph (by fingerprint), the master seed, the sampling
@@ -45,17 +51,14 @@
 //! random corruptions). Restored sketches answer queries
 //! bitwise-identically to the service that wrote them.
 //!
-//! Only the flat and varint layouts snapshot; the spill backend keeps
-//! state (on-disk chunks) that the v1 format does not carry, and reports
-//! [`SnapshotError::UnsupportedStore`].
+//! Every store layout snapshots; [`SnapshotError::UnsupportedStore`] is an
+//! unknown kind byte on read.
 
 use std::fs;
 use std::path::Path;
 
 use ripples_core::{ImmParams, SampleEngine};
-use ripples_diffusion::{
-    CompressedRrrCollection, DiffusionModel, DynRrrStore, RrrCollection, RrrStore, RrrStoreKind,
-};
+use ripples_diffusion::{DiffusionModel, DynRrrStore, RrrCollection, RrrStore, RrrStoreKind};
 use ripples_graph::Graph;
 
 use crate::SketchService;
@@ -87,10 +90,9 @@ pub enum SnapshotError {
         /// The version actually found.
         found: u32,
     },
-    /// The store layout cannot snapshot (spill on write, or an unknown
-    /// kind byte on read).
+    /// The file's store-kind byte is not one this build reads.
     UnsupportedStore {
-        /// The layout's CLI tag, or `"kind byte N"` for an unknown byte.
+        /// `"kind byte N"`.
         kind: String,
     },
     /// The file ends before `field` is complete.
@@ -143,7 +145,7 @@ impl std::fmt::Display for SnapshotError {
                 "snapshot version {found} is not supported (this build reads v{SNAPSHOT_VERSION})"
             ),
             SnapshotError::UnsupportedStore { kind } => {
-                write!(f, "store layout {kind} does not support snapshots")
+                write!(f, "snapshot store layout {kind} is not supported")
             }
             SnapshotError::Truncated { field, offset } => {
                 write!(
@@ -210,6 +212,11 @@ fn push_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Overwrites the eight bytes at `at` with `v`.
+fn put_u64(out: &mut [u8], at: usize, v: u64) {
+    out[at..at + 8].copy_from_slice(&v.to_le_bytes());
+}
+
 /// Byte offset of the checksum field; the checksum covers everything
 /// *after* it (offset [`CHECKSUM_COVERS_FROM`] to EOF).
 const CHECKSUM_OFFSET: usize = 12;
@@ -234,10 +241,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 ///
 /// # Errors
 ///
-/// [`SnapshotError::UnsupportedStore`] for the spill layout,
 /// [`SnapshotError::Io`] on filesystem failure.
 pub fn write_snapshot(path: &Path, service: &SketchService) -> Result<(), SnapshotError> {
-    let bytes = encode_snapshot(service)?;
+    let bytes = encode_snapshot(service);
     fs::write(path, bytes).map_err(|e| SnapshotError::Io {
         action: "writing the snapshot file",
         detail: e.to_string(),
@@ -246,31 +252,20 @@ pub fn write_snapshot(path: &Path, service: &SketchService) -> Result<(), Snapsh
 
 /// Serializes `service`'s sealed sketch into a byte buffer (the body of
 /// [`write_snapshot`], separated for tests).
-///
-/// # Errors
-///
-/// [`SnapshotError::UnsupportedStore`] for the spill layout.
-pub fn encode_snapshot(service: &SketchService) -> Result<Vec<u8>, SnapshotError> {
+#[must_use]
+pub fn encode_snapshot(service: &SketchService) -> Vec<u8> {
     let store = service.store();
-    let kind_byte: u8 = match store.kind() {
-        RrrStoreKind::Flat => 0,
-        RrrStoreKind::Varint => 1,
-        other => {
-            return Err(SnapshotError::UnsupportedStore {
-                kind: other.tag().to_string(),
-            })
-        }
-    };
     let params = service.params();
-    let payload_bytes = match store.kind() {
-        RrrStoreKind::Flat => 8 * (store.len() + 3) + 4 * store.total_entries() as usize,
-        _ => store.resident_bytes(),
-    };
+    // Exact for the flat payload; a spill store's byte stream grows it.
+    let payload_bytes = 8 * (store.len() + 3) + 4 * store.total_entries() as usize;
     let mut out = Vec::with_capacity(80 + payload_bytes);
     out.extend_from_slice(&SNAPSHOT_MAGIC);
     push_u32(&mut out, SNAPSHOT_VERSION);
     push_u64(&mut out, 0); // checksum placeholder, patched below
-    out.push(kind_byte);
+    out.push(match store.kind() {
+        RrrStoreKind::Flat => 0,
+        RrrStoreKind::Spill => 1,
+    });
     out.push(model_byte(params.model));
     out.push(sample_byte(service.sample_engine()));
     out.push(0); // reserved
@@ -295,24 +290,34 @@ pub fn encode_snapshot(service: &SketchService) -> Result<Vec<u8>, SnapshotError
                 store.for_each_vertex(i, |v| push_u32(&mut out, v));
             }
         }
-        RrrStoreKind::Varint => {
-            let varint = store.as_varint().expect("varint kind has varint layout");
-            push_u64(&mut out, varint.raw_offsets().len() as u64);
-            for &o in varint.raw_offsets() {
-                push_u64(&mut out, o as u64);
-            }
-            push_u64(&mut out, varint.raw_counts().len() as u64);
-            for &c in varint.raw_counts() {
-                push_u32(&mut out, c);
-            }
-            push_u64(&mut out, varint.raw_bytes().len() as u64);
-            out.extend_from_slice(varint.raw_bytes());
+        RrrStoreKind::Spill => {
+            // One pass over the chunks, so a spilled chunk is read back
+            // once: the offset and count sections have known sizes and are
+            // filled in place while the byte stream is appended behind them.
+            let theta = store.len();
+            push_u64(&mut out, theta as u64 + 1);
+            let mut offset_at = out.len() + 8; // offsets[0] = 0 stays zeroed
+            let mut count_at = offset_at + 8 * theta + 8;
+            let stream_len_at = count_at + 4 * theta;
+            out.resize(stream_len_at + 8, 0);
+            put_u64(&mut out, count_at - 8, theta as u64);
+            let mut stream_len = 0u64;
+            store.for_each_chunk(|counts, ends, payload| {
+                for (&count, &end) in counts.iter().zip(ends) {
+                    put_u64(&mut out, offset_at, stream_len + u64::from(end));
+                    out[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+                    offset_at += 8;
+                    count_at += 4;
+                }
+                stream_len += payload.len() as u64;
+                out.extend_from_slice(payload);
+            });
+            put_u64(&mut out, stream_len_at, stream_len);
         }
-        _ => unreachable!("rejected above"),
     }
     let checksum = fnv1a(&out[CHECKSUM_COVERS_FROM..]);
-    out[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].copy_from_slice(&checksum.to_le_bytes());
-    Ok(out)
+    put_u64(&mut out, CHECKSUM_OFFSET, checksum);
+    out
 }
 
 /// A bounds-checked little-endian reader that tracks the file offset, so
@@ -373,6 +378,41 @@ impl<'a> Reader<'a> {
             });
         }
         Ok(len)
+    }
+
+    /// A length-prefixed array of `u64` offsets, each of which must fit in
+    /// memory.
+    fn offsets(
+        &mut self,
+        len_field: &'static str,
+        field: &'static str,
+    ) -> Result<Vec<usize>, SnapshotError> {
+        let len = self.len(len_field, 8)?;
+        let mut offsets = Vec::with_capacity(len);
+        for _ in 0..len {
+            let offset = self.pos;
+            let raw = self.u64(field)?;
+            offsets.push(usize::try_from(raw).map_err(|_| SnapshotError::Corrupt {
+                field,
+                offset,
+                detail: format!("offset {raw} does not fit in memory"),
+            })?);
+        }
+        Ok(offsets)
+    }
+
+    /// A length-prefixed array of `u32`s.
+    fn u32s(
+        &mut self,
+        len_field: &'static str,
+        field: &'static str,
+    ) -> Result<Vec<u32>, SnapshotError> {
+        let len = self.len(len_field, 4)?;
+        let mut values = Vec::with_capacity(len);
+        for _ in 0..len {
+            values.push(self.u32(field)?);
+        }
+        Ok(values)
     }
 }
 
@@ -492,7 +532,7 @@ pub fn decode_snapshot(bytes: &[u8], graph: &Graph) -> Result<RestoredSketch, Sn
 
     let store = match kind_byte {
         0 => decode_flat_payload(&mut r, graph.num_vertices())?,
-        1 => decode_varint_payload(&mut r)?,
+        1 => decode_spill_payload(&mut r)?,
         other => {
             return Err(SnapshotError::UnsupportedStore {
                 kind: format!("kind byte {other}"),
@@ -555,22 +595,8 @@ fn decode_flat_payload(
     num_vertices: u32,
 ) -> Result<DynRrrStore, SnapshotError> {
     let payload_offset = r.pos;
-    let offsets_len = r.len("flat offsets length", 8)?;
-    let mut offsets = Vec::with_capacity(offsets_len);
-    for _ in 0..offsets_len {
-        let off_pos = r.pos;
-        let raw = r.u64("flat offset")?;
-        offsets.push(usize::try_from(raw).map_err(|_| SnapshotError::Corrupt {
-            field: "flat offset",
-            offset: off_pos,
-            detail: format!("offset {raw} does not fit in memory"),
-        })?);
-    }
-    let data_len = r.len("flat data length", 4)?;
-    let mut data = Vec::with_capacity(data_len);
-    for _ in 0..data_len {
-        data.push(r.u32("flat vertex id")?);
-    }
+    let offsets = r.offsets("flat offsets length", "flat offset")?;
+    let data = r.u32s("flat data length", "flat vertex id")?;
     let collection =
         RrrCollection::from_raw_parts(offsets, data).map_err(|detail| SnapshotError::Corrupt {
             field: "flat payload",
@@ -580,35 +606,17 @@ fn decode_flat_payload(
     Ok(DynRrrStore::from_flat(collection, num_vertices))
 }
 
-fn decode_varint_payload(r: &mut Reader<'_>) -> Result<DynRrrStore, SnapshotError> {
+fn decode_spill_payload(r: &mut Reader<'_>) -> Result<DynRrrStore, SnapshotError> {
     let payload_offset = r.pos;
-    let offsets_len = r.len("varint offsets length", 8)?;
-    let mut offsets = Vec::with_capacity(offsets_len);
-    for _ in 0..offsets_len {
-        let off_pos = r.pos;
-        let raw = r.u64("varint offset")?;
-        offsets.push(usize::try_from(raw).map_err(|_| SnapshotError::Corrupt {
-            field: "varint offset",
-            offset: off_pos,
-            detail: format!("offset {raw} does not fit in memory"),
-        })?);
-    }
-    let counts_len = r.len("varint counts length", 4)?;
-    let mut counts = Vec::with_capacity(counts_len);
-    for _ in 0..counts_len {
-        counts.push(r.u32("varint count")?);
-    }
+    let offsets = r.offsets("varint offsets length", "varint offset")?;
+    let counts = r.u32s("varint counts length", "varint count")?;
     let bytes_len = r.len("varint byte-stream length", 1)?;
-    let data = r.take(bytes_len, "varint byte stream")?.to_vec();
-    let collection =
-        CompressedRrrCollection::from_raw_parts(offsets, counts, data).map_err(|detail| {
-            SnapshotError::Corrupt {
-                field: "varint payload",
-                offset: payload_offset,
-                detail,
-            }
-        })?;
-    Ok(DynRrrStore::from_varint(collection))
+    let data = r.take(bytes_len, "varint byte stream")?;
+    DynRrrStore::from_blocks(&offsets, &counts, data).map_err(|detail| SnapshotError::Corrupt {
+        field: "varint payload",
+        offset: payload_offset,
+        detail,
+    })
 }
 
 /// Largest vertex id appearing in any sample, for range validation

@@ -48,26 +48,37 @@ fn other_graph() -> Graph {
     b.build().unwrap()
 }
 
-fn build_service(seed: u64, k_max: u32, kind: RrrStoreKind) -> SketchService {
+/// ε = 0.2 draws about a thousand samples, some 4 KiB of varint blocks:
+/// enough for [`SPILL_ON_DISK`] to seal and spill several chunks.
+fn build_service(seed: u64, k_max: u32, storage: StorageConfig) -> SketchService {
     let graph = test_graph();
-    let params = ImmParams::new(1, 0.5, DiffusionModel::IndependentCascade, seed).with_k_max(k_max);
+    let params = ImmParams::new(1, 0.2, DiffusionModel::IndependentCascade, seed).with_k_max(k_max);
     SketchService::build(
         &graph,
         params,
         SelectEngine::Sequential,
         SampleEngine::Reference,
-        StorageConfig::of(kind),
+        storage,
     )
 }
 
-fn store_kinds() -> impl Strategy<Value = RrrStoreKind> {
-    (0u8..2).prop_map(|b| {
-        if b == 0 {
-            RrrStoreKind::Flat
-        } else {
-            RrrStoreKind::Varint
-        }
-    })
+const FLAT: StorageConfig = StorageConfig {
+    kind: RrrStoreKind::Flat,
+    budget: None,
+};
+/// The spill store under its default budget: nothing touches the disk.
+const SPILL_RESIDENT: StorageConfig = StorageConfig {
+    kind: RrrStoreKind::Spill,
+    budget: None,
+};
+/// The spill store with every sealed chunk forced to disk.
+const SPILL_ON_DISK: StorageConfig = StorageConfig {
+    kind: RrrStoreKind::Spill,
+    budget: Some(0),
+};
+
+fn store_kinds() -> impl Strategy<Value = StorageConfig> {
+    (0usize..3).prop_map(|i| [FLAT, SPILL_RESIDENT, SPILL_ON_DISK][i])
 }
 
 proptest! {
@@ -80,8 +91,11 @@ proptest! {
     fn round_trip_is_identity(seed in 0u64..1_000, k_max in 1u32..5, kind in store_kinds()) {
         let graph = test_graph();
         let svc = build_service(seed, k_max, kind);
-        let bytes = encode_snapshot(&svc).unwrap();
+        let bytes = encode_snapshot(&svc);
         let restored = decode_snapshot(&bytes, &graph).unwrap();
+        prop_assert_eq!(restored.store.kind(), kind.kind);
+        let spilled = svc.build_result().unwrap().report.counters.spill_bytes_written;
+        prop_assert_eq!(spilled > 0, kind == SPILL_ON_DISK);
 
         // Sample-level identity.
         prop_assert_eq!(restored.store.len(), svc.theta());
@@ -104,7 +118,7 @@ proptest! {
             restored.params,
             SelectEngine::Sequential,
             SampleEngine::Reference,
-            StorageConfig::of(kind),
+            kind,
         );
         for k in 1..=k_max {
             let (s1, _) = orig.topk(k).unwrap();
@@ -118,8 +132,8 @@ proptest! {
     #[test]
     fn truncation_is_a_structured_error(seed in 0u64..200, cut in 0.0f64..1.0) {
         let graph = test_graph();
-        let svc = build_service(seed, 3, RrrStoreKind::Flat);
-        let bytes = encode_snapshot(&svc).unwrap();
+        let svc = build_service(seed, 3, FLAT);
+        let bytes = encode_snapshot(&svc);
         let len = ((bytes.len() as f64) * cut) as usize;
         prop_assume!(len < bytes.len());
         let err = decode_snapshot(&bytes[..len], &graph).unwrap_err();
@@ -145,7 +159,7 @@ proptest! {
     ) {
         let graph = test_graph();
         let svc = build_service(seed, 3, kind);
-        let mut bytes = encode_snapshot(&svc).unwrap();
+        let mut bytes = encode_snapshot(&svc);
         let pos = (((bytes.len() - 1) as f64) * pos_frac) as usize;
         bytes[pos] ^= flip;
         let result = decode_snapshot(&bytes, &graph);
@@ -156,8 +170,8 @@ proptest! {
     /// mismatch naming both fingerprints, not a silently wrong sketch.
     #[test]
     fn wrong_graph_is_a_fingerprint_mismatch(seed in 0u64..200) {
-        let svc = build_service(seed, 2, RrrStoreKind::Flat);
-        let bytes = encode_snapshot(&svc).unwrap();
+        let svc = build_service(seed, 2, FLAT);
+        let bytes = encode_snapshot(&svc);
         let wrong = other_graph();
         match decode_snapshot(&bytes, &wrong).unwrap_err() {
             SnapshotError::FingerprintMismatch { expected, found } => {
@@ -174,8 +188,8 @@ proptest! {
 #[test]
 fn error_shapes_name_offset_and_field() {
     let graph = test_graph();
-    let svc = build_service(7, 2, RrrStoreKind::Flat);
-    let good = encode_snapshot(&svc).unwrap();
+    let svc = build_service(7, 2, FLAT);
+    let good = encode_snapshot(&svc);
 
     // Bad magic.
     let mut bad = good.clone();
@@ -221,17 +235,219 @@ fn error_shapes_name_offset_and_field() {
     assert!(msg.contains("theta") && msg.contains("64"), "{msg}");
 }
 
-/// The spill store refuses to snapshot with a structured error instead of
-/// writing a file it could not restore.
+/// A spill store whose chunks are on disk snapshots like any other: the
+/// file is byte for byte the one the resident store writes (the payload does
+/// not depend on chunking or budget), and file → service → file is the
+/// identity.
 #[test]
-fn unsupported_store_kinds_refuse_to_encode() {
-    let kind = RrrStoreKind::Spill;
-    let svc = build_service(7, 2, kind);
-    match encode_snapshot(&svc).unwrap_err() {
-        SnapshotError::UnsupportedStore { kind: tag } => {
-            assert_eq!(tag, kind.tag());
+fn spill_store_on_disk_round_trips_bitwise() {
+    let graph = test_graph();
+    let on_disk = build_service(7, 4, SPILL_ON_DISK);
+    let spilled = on_disk
+        .build_result()
+        .unwrap()
+        .report
+        .counters
+        .spill_bytes_written;
+    assert!(spilled > 0, "budget 0 must put sealed chunks on disk");
+    let bytes = encode_snapshot(&on_disk);
+    assert_eq!(bytes, encode_snapshot(&build_service(7, 4, SPILL_RESIDENT)));
+
+    let dir = std::env::temp_dir();
+    let first = dir.join(format!(
+        "ripples-prop-snapshot-spill-{}-a.snap",
+        std::process::id()
+    ));
+    let second = dir.join(format!(
+        "ripples-prop-snapshot-spill-{}-b.snap",
+        std::process::id()
+    ));
+    on_disk.snapshot_to(&first).unwrap();
+    let mut back = SketchService::restore_from(&first, &graph, SelectEngine::Sequential).unwrap();
+    back.snapshot_to(&second).unwrap();
+    let (written, rewritten) = (
+        std::fs::read(&first).unwrap(),
+        std::fs::read(&second).unwrap(),
+    );
+    std::fs::remove_file(&first).ok();
+    std::fs::remove_file(&second).ok();
+    assert_eq!(written, bytes);
+    assert_eq!(rewritten, bytes);
+
+    // And it answers as the flat service on the same sketch does.
+    let mut flat = build_service(7, 4, FLAT);
+    let (top, _) = flat.topk(4).unwrap();
+    assert_eq!(back.topk(4).unwrap().0, top);
+    assert_eq!(
+        back.topk_excluding(3, &top[..1]).unwrap().0,
+        flat.topk_excluding(3, &top[..1]).unwrap().0
+    );
+    assert_eq!(
+        back.spread_estimate(&top).unwrap().0.to_bits(),
+        flat.spread_estimate(&top).unwrap().0.to_bits()
+    );
+}
+
+/// The three sections of a kind-1 payload, as a test may tamper with them.
+struct Kind1 {
+    offsets: Vec<u64>,
+    counts: Vec<u32>,
+    stream: Vec<u8>,
+    /// The `offsets length` field (θ + 1 in an honest file).
+    offsets_len: u64,
+    /// The header's θ.
+    theta: u64,
+}
+
+/// A v1 kind-1 file over [`test_graph`], assembled from the layout the
+/// `snapshot` module documents with nothing of the store's: its own LEB128,
+/// its own FNV-1a. `tamper` edits the sections before they are laid out, and
+/// the checksum is computed last, so every file this returns is
+/// checksum-valid.
+fn kind1_file(samples: &[Vec<Vertex>], tamper: impl FnOnce(&mut Kind1)) -> Vec<u8> {
+    fn leb128(out: &mut Vec<u8>, mut x: u32) {
+        while x >= 0x80 {
+            out.push(x as u8 | 0x80);
+            x >>= 7;
         }
-        other => panic!("expected UnsupportedStore, got {other:?}"),
+        out.push(x as u8);
+    }
+    let mut parts = Kind1 {
+        offsets: vec![0],
+        counts: Vec::new(),
+        stream: Vec::new(),
+        offsets_len: samples.len() as u64 + 1,
+        theta: samples.len() as u64,
+    };
+    for sample in samples {
+        for (i, &v) in sample.iter().enumerate() {
+            let coded = if i == 0 { v } else { v - sample[i - 1] - 1 };
+            leb128(&mut parts.stream, coded);
+        }
+        parts.counts.push(sample.len() as u32);
+        parts.offsets.push(parts.stream.len() as u64);
+    }
+    tamper(&mut parts);
+
+    let mut file = b"RIPLSNAP".to_vec();
+    file.extend_from_slice(&1u32.to_le_bytes()); // version
+    file.extend_from_slice(&[0; 8]); // checksum, patched below
+    file.extend_from_slice(&[1, 0, 1, 0]); // kind 1, ic, reference sampler, reserved
+    file.extend_from_slice(&test_graph().fingerprint().to_le_bytes());
+    file.extend_from_slice(&9u64.to_le_bytes()); // master seed
+    file.extend_from_slice(&2u32.to_le_bytes()); // k
+    file.extend_from_slice(&3u32.to_le_bytes()); // k_max
+    file.extend_from_slice(&0.25f64.to_bits().to_le_bytes()); // epsilon
+    file.extend_from_slice(&1.0f64.to_bits().to_le_bytes()); // ell
+    file.extend_from_slice(&parts.theta.to_le_bytes());
+    file.extend_from_slice(&parts.offsets_len.to_le_bytes());
+    for o in &parts.offsets {
+        file.extend_from_slice(&o.to_le_bytes());
+    }
+    file.extend_from_slice(&(parts.counts.len() as u64).to_le_bytes());
+    for c in &parts.counts {
+        file.extend_from_slice(&c.to_le_bytes());
+    }
+    file.extend_from_slice(&(parts.stream.len() as u64).to_le_bytes());
+    file.extend_from_slice(&parts.stream);
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &b in &file[20..] {
+        hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    file[12..20].copy_from_slice(&hash.to_le_bytes());
+    file
+}
+
+fn kind1_samples() -> Vec<Vec<Vertex>> {
+    vec![
+        vec![0, 1, 2, 3],
+        vec![],
+        vec![11],
+        vec![2, 8, 9],
+        vec![0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11],
+        vec![5, 6],
+    ]
+}
+
+/// The format is what the module doc says it is: a file written by an
+/// encoder that shares no code with the store restores to exactly the
+/// samples and provenance that went in — which is also why a file the
+/// retired `--rrr-store varint` container wrote still restores.
+#[test]
+fn hand_assembled_kind1_file_restores() {
+    let graph = test_graph();
+    let samples = kind1_samples();
+    let restored = decode_snapshot(&kind1_file(&samples, |_| {}), &graph).unwrap();
+    assert_eq!(restored.store.kind(), RrrStoreKind::Spill);
+    assert_eq!(restored.store.len(), samples.len());
+    let mut out = Vec::new();
+    for (i, sample) in samples.iter().enumerate() {
+        restored.store.decode_into(i, &mut out);
+        assert_eq!(&out, sample, "sample {i}");
+    }
+    let params = ImmParams::new(2, 0.25, DiffusionModel::IndependentCascade, 9).with_k_max(3);
+    assert_eq!(restored.params, params);
+    assert_eq!(restored.sample, SampleEngine::Reference);
+}
+
+/// A correct checksum proves nothing about the payload: sections that lie
+/// about each other are structured errors out of the adopt path — never a
+/// panic in the unchecked decoder, never a sketch.
+#[test]
+fn checksum_valid_hostile_kind1_payloads_are_rejected() {
+    let graph = test_graph();
+    let samples = kind1_samples();
+    let corrupt = |what: &str, tamper: &dyn Fn(&mut Kind1)| match decode_snapshot(
+        &kind1_file(&samples, tamper),
+        &graph,
+    ) {
+        Err(SnapshotError::Corrupt { detail, .. }) => detail,
+        other => panic!("{what}: expected Corrupt, got {other:?}"),
+    };
+    // Offsets that lie.
+    let d = corrupt("first offset", &|p| p.offsets[0] = 1);
+    assert!(d.contains("offsets[0]"), "{d}");
+    let d = corrupt("non-monotone offsets", &|p| p.offsets.swap(3, 4));
+    assert!(d.contains("> offsets["), "{d}");
+    let d = corrupt("last offset short of the stream", &|p| {
+        *p.offsets.last_mut().unwrap() -= 1
+    });
+    assert!(d.contains("data length"), "{d}");
+    let d = corrupt("a boundary moved into a neighbour", &|p| p.offsets[1] -= 1);
+    assert!(d.contains("sample 0"), "{d}");
+    let d = corrupt("one offset too few", &|p| {
+        p.offsets.pop();
+    });
+    assert!(d.contains("offsets length"), "{d}");
+    let d = corrupt("an offsets length no file could hold", &|p| {
+        p.offsets_len = u64::MAX / 16
+    });
+    assert!(d.contains("exceeds"), "{d}");
+    // Counts that lie.
+    let d = corrupt("count too high", &|p| p.counts[3] += 1);
+    assert!(d.contains("sample 3") && d.contains("truncated"), "{d}");
+    let d = corrupt("count too low", &|p| p.counts[3] -= 1);
+    assert!(d.contains("sample 3") && d.contains("spans"), "{d}");
+    let d = corrupt("a count above n", &|p| p.counts[1] = 4_000_000);
+    assert!(d.contains("sample 1") && d.contains("truncated"), "{d}");
+    // A block longer than its span says it is.
+    let d = corrupt("a trailing byte inside the last block", &|p| {
+        p.stream.push(0);
+        *p.offsets.last_mut().unwrap() += 1;
+    });
+    assert!(d.contains("sample 5") && d.contains("spans"), "{d}");
+    let d = corrupt("an unterminated varint", &|p| {
+        *p.stream.last_mut().unwrap() |= 0x80
+    });
+    assert!(d.contains("sample 5") && d.contains("truncated"), "{d}");
+    // Well-formed blocks that are not this graph's, or not θ of them.
+    let d = corrupt("a header θ the payload does not hold", &|p| p.theta += 1);
+    assert!(d.contains("samples"), "{d}");
+    let thirteen: Vec<Vertex> = (0..13).collect();
+    let out_of_range = [kind1_samples(), vec![thirteen]].concat();
+    match decode_snapshot(&kind1_file(&out_of_range, |_| {}), &graph) {
+        Err(SnapshotError::Corrupt { detail, .. }) => assert!(detail.contains("out of range")),
+        other => panic!("13 ids on 12 vertices: expected Corrupt, got {other:?}"),
     }
 }
 
@@ -258,7 +474,7 @@ fn dense_sketch_round_trips_through_its_logical_content() {
         assert!(svc.store().as_flat().is_none() && held.bitmap_sets() > 0);
         let bitmap_sets = held.bitmap_sets();
 
-        let bytes = encode_snapshot(&svc).unwrap();
+        let bytes = encode_snapshot(&svc);
         assert_eq!(
             bytes.len() as u64,
             72 + 8 * (svc.theta() as u64 + 3) + 4 * svc.store().total_entries(),

@@ -204,8 +204,8 @@ fn weight_models_survive_extreme_graphs() {
 }
 
 /// A flag the user got wrong is `error: …` plus the usage line and exit
-/// status 2 — never a panic — and the `--rrr-store` value removed in PR 16
-/// says what replaced it, in both binaries.
+/// status 2 — never a panic — and a `--rrr-store` value that was removed
+/// (PR 16, PR 21) says what replaced it, in both binaries.
 #[test]
 fn cli_usage_errors_exit_2_and_never_panic() {
     let run = |exe: &str, flags: &[&str]| {
@@ -270,14 +270,31 @@ fn cli_usage_errors_exit_2_and_never_panic() {
             );
         }
     }
+    // Storage flags go through one parser in both binaries, before the
+    // graph is loaded; a retired backend names its replacement.
     for exe in [ripples, env!("CARGO_BIN_EXE_serve")] {
-        let (code, stderr) = run(exe, &["--rrr-store", "bitpack"]);
-        assert_eq!(code, Some(2), "{exe}: {stderr}");
-        assert!(
-            stderr.contains(
-                "removed in PR 16: use flat (dense sets are stored as bitmaps) or varint"
+        for (flags, message) in [
+            (
+                &["--rrr-store", "bitpack"][..],
+                "removed in PR 16: use flat (dense sets are stored as bitmaps) or spill",
             ),
-            "{exe}: {stderr}"
-        );
+            (
+                &["--rrr-store", "varint"],
+                "--rrr-store varint was removed in PR 21: use spill",
+            ),
+            (&["--rrr-store", "nope"], "(try flat|spill)"),
+            (&["--rrr-budget", "x"], "invalid value `x` for --rrr-budget"),
+        ] {
+            let (code, stderr) = run(exe, flags);
+            assert_eq!(code, Some(2), "{exe} {flags:?}: {stderr}");
+            assert!(
+                stderr.contains(message) && stderr.contains("usage: "),
+                "{exe} {flags:?}: {stderr}"
+            );
+            assert!(
+                !stderr.contains("graph: ") && !stderr.contains("serve: built"),
+                "{exe} {flags:?} loaded the graph first: {stderr}"
+            );
+        }
     }
 }

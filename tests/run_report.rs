@@ -199,6 +199,10 @@ fn partitioned_counters_invariant_across_world_sizes() {
     let expect = deterministic_counters(&anchor);
     let expect_edges = anchor.report.counters.edges_examined;
     assert!(expect_edges > 0);
+    // Σ |covered sample|, whichever ranks purged through an index: ranks
+    // decide `uses_index` from their own share of the samples.
+    let expect_touched = anchor.report.counters.select_entries_touched;
+    assert!(expect_touched > 0);
 
     for engine in [Engine::Partitioned, Engine::Sharded] {
         let label = engine.label();
@@ -215,6 +219,10 @@ fn partitioned_counters_invariant_across_world_sizes() {
                 assert_eq!(
                     r.report.counters.edges_examined, expect_edges,
                     "{label} rank {rank} of {size}: edge work diverged"
+                );
+                assert_eq!(
+                    r.report.counters.select_entries_touched, expect_touched,
+                    "{label} rank {rank} of {size}: purge work diverged"
                 );
                 assert!(r.report.comm.is_some());
             }

@@ -121,16 +121,12 @@ macro_rules! serve_grid_dense {
 
 serve_grid! {
     sequential_flat: (Sequential, Flat),
-    sequential_varint: (Sequential, Varint),
     sequential_spill: (Sequential, Spill),
     partitioned_flat: (Partitioned, Flat),
-    partitioned_varint: (Partitioned, Varint),
     partitioned_spill: (Partitioned, Spill),
     fused_flat: (Fused, Flat),
-    fused_varint: (Fused, Varint),
     fused_spill: (Fused, Spill),
     auto_flat: (Auto, Flat),
-    auto_varint: (Auto, Varint),
     auto_spill: (Auto, Spill),
 }
 
@@ -144,9 +140,9 @@ serve_grid_dense! {
 /// Second stand-in graph: one spot check per store family so the contract
 /// is not a cit-HepTh artifact.
 #[test]
-fn epinions_sequential_flat_and_varint() {
+fn epinions_sequential_flat_and_spill() {
     let graph = standin_graph("soc-Epinions1", 256);
-    for kind in [RrrStoreKind::Flat, RrrStoreKind::Varint] {
+    for kind in [RrrStoreKind::Flat, RrrStoreKind::Spill] {
         assert_serve_matches_batch(
             &graph,
             SelectEngine::Sequential,
@@ -288,34 +284,33 @@ fn topk_small_is_prefix_of_topk_max() {
 /// bitwise-identically to the writer and to fresh batch runs, without
 /// re-running sampling (its store is byte-restored, θ included). The dense
 /// case snapshots a flat store that holds bitmaps: the file carries the
-/// sets' logical content and the restore re-encodes them.
+/// sets' logical content and the restore re-encodes them. The spill case
+/// snapshots a store whose sealed chunks were forced to disk.
 #[test]
 fn snapshot_restore_serves_bitwise_identically() {
     let standin = standin_graph("cit-HepTh", 96);
     let dense = dense_graph();
     let params = sized_params();
-    for (case, graph, kind, sample) in [
-        (
-            "flat",
-            &standin,
-            RrrStoreKind::Flat,
-            SampleEngine::Reference,
-        ),
-        (
-            "varint",
-            &standin,
-            RrrStoreKind::Varint,
-            SampleEngine::Reference,
-        ),
-        ("dense", &dense, RrrStoreKind::Flat, SampleEngine::Fused),
+    let flat = StorageConfig::default();
+    // Every sealed chunk of the spill store is on disk when it snapshots.
+    let spilled = StorageConfig {
+        kind: RrrStoreKind::Spill,
+        budget: Some(4096),
+    };
+    for (case, graph, storage, sample) in [
+        ("flat", &standin, flat, SampleEngine::Reference),
+        ("spill", &standin, spilled, SampleEngine::Reference),
+        ("dense", &dense, flat, SampleEngine::Fused),
     ] {
-        let mut original = SketchService::build(
-            graph,
-            params,
-            SelectEngine::Sequential,
-            sample,
-            StorageConfig::of(kind),
-        );
+        let mut original =
+            SketchService::build(graph, params, SelectEngine::Sequential, sample, storage);
+        let written = original
+            .build_result()
+            .unwrap()
+            .report
+            .counters
+            .spill_bytes_written;
+        assert_eq!(written > 0, case == "spill", "{case}");
         let path = std::env::temp_dir().join(format!(
             "ripples-serve-test-{}-{case}.snap",
             std::process::id(),
@@ -342,7 +337,7 @@ fn snapshot_restore_serves_bitwise_identically() {
                 &p,
                 SelectEngine::Sequential,
                 sample,
-                StorageConfig::of(kind),
+                storage,
             );
             assert_eq!(
                 b, batch.seeds,
