@@ -23,8 +23,8 @@ fn main() {
                 eprintln!("{path}: cannot read: {e}");
                 failed = true;
             }
-            Ok(text) => match ripples_trace::validate_json(&text) {
-                Ok(()) => println!("{path}: ok"),
+            Ok(text) => match ripples_trace::json::parse(&text) {
+                Ok(_) => println!("{path}: ok"),
                 Err(e) => {
                     eprintln!("{path}: invalid JSON: {e}");
                     failed = true;

@@ -59,7 +59,7 @@
 //! counted, never blocking the run.
 //!
 //! `--metrics FILE` enables the live metrics registry for the run and
-//! writes a schema-versioned JSON time series (`ripples-metrics-v1`) of
+//! writes a schema-versioned JSON time series (`ripples-metrics-v2`) of
 //! every counter and gauge, sampled on a background thread every
 //! `--metrics-interval` (default 250ms; accepts `50ms`, `1s`, or a plain
 //! millisecond count). `--metrics-prom FILE` writes the final registry
@@ -229,10 +229,10 @@ fn progress_observer() -> ripples_metrics::ProgressFn {
         };
         last = Some((s.t_ms, samples));
         let phase_v = s.value(Metric::Phase);
-        let live_mb = (s.value(Metric::RrrBytes)
-            + s.value(Metric::IndexBytes)
-            + s.value(Metric::ArenaBytes)
-            + s.value(Metric::MaskBytes)) as f64
+        let live_mb = (s.value(Metric::RrrBytesPeak)
+            + s.value(Metric::IndexBytesPeak)
+            + s.value(Metric::ArenaBytesPeak)
+            + s.value(Metric::MaskBytesPeak)) as f64
             / (1024.0 * 1024.0);
         let mut line = format!(
             "[metrics] {:6.2}s {}",
@@ -262,7 +262,7 @@ fn progress_observer() -> ripples_metrics::ProgressFn {
                 let _ = write!(
                     line,
                     ": {} select steps, {} entries touched",
-                    s.value(Metric::SelectSteps),
+                    s.value(Metric::SelectIterations),
                     s.value(Metric::SelectEntriesTouched)
                 );
             }
@@ -500,7 +500,7 @@ fn main() {
         ripples_metrics::disable();
         if let Some(path) = &metrics_path {
             let json = series.to_json();
-            if let Err(e) = trace::validate_json(&json) {
+            if let Err(e) = trace::json::parse(&json) {
                 eprintln!("error: metrics series is not valid JSON: {e}");
                 std::process::exit(1);
             }

@@ -62,7 +62,6 @@ use ripples_graph::generators::{barabasi_albert, erdos_renyi, standin};
 use ripples_graph::io::{read_edge_list_file, EdgeListOptions, VertexIds};
 use ripples_graph::{Graph, Vertex, WeightModel};
 use ripples_serve::{QueryReport, SketchService};
-use ripples_trace::validate_json;
 
 const USAGE: &str = "usage: serve (--input FILE | --standin NAME | --gen ba:N:M|er:N:M) \
      [--k-max K] [--epsilon E] [--seed S] [--model ic|lt] \
@@ -311,7 +310,7 @@ fn session<R: BufRead, W: Write>(svc: &mut SketchService, reader: R, mut writer:
         }
         let (frame, quit) = handle_line(svc, &line);
         debug_assert!(
-            validate_json(&frame).is_ok(),
+            parse(&frame).is_ok(),
             "serve produced invalid JSON: {frame}"
         );
         if writeln!(writer, "{frame}")
@@ -467,7 +466,7 @@ fn main() {
             samples: vec![ripples_metrics::snapshot()],
         };
         let json = series.to_json();
-        if let Err(e) = validate_json(&json) {
+        if let Err(e) = parse(&json) {
             eprintln!("error: metrics snapshot is not valid JSON: {e}");
             std::process::exit(1);
         }

@@ -9,7 +9,7 @@
 
 #![warn(missing_docs)]
 
-pub mod json;
+pub use ripples_trace::json;
 
 use ripples_core::{SampleEngine, SelectEngine};
 use ripples_diffusion::{DiffusionModel, RrrStoreKind, StorageConfig};

@@ -323,7 +323,7 @@ impl<C: Communicator> FaultComm<C> {
         match failure {
             Some(e) => {
                 self.dropped_ops.set(self.dropped_ops.get() + 1);
-                ripples_metrics::add(ripples_metrics::Metric::CommDroppedOps, 1);
+                ripples_metrics::add(ripples_metrics::Metric::DroppedOps, 1);
                 Err(e)
             }
             None => Ok(()),

@@ -140,7 +140,7 @@ impl<C: Communicator> RetryComm<C> {
                 }
                 Err(e) => {
                     self.retries.set(self.retries.get() + 1);
-                    ripples_metrics::add(ripples_metrics::Metric::CommRetries, 1);
+                    ripples_metrics::add(ripples_metrics::Metric::Retries, 1);
                     ripples_trace::mark(TraceName::CommRetry, e.op_index(), u64::from(attempt));
                     self.inner.advance_clock(self.policy.backoff_ticks(attempt));
                     attempt += 1;

@@ -23,6 +23,7 @@
 
 use crate::driver::{record_store_counters, run_imm, Engine};
 use crate::memory::MemoryStats;
+use crate::obs::metrics::{Metric, Reduce};
 use crate::obs::{CommCounters, Histogram, RunReport};
 use crate::params::ImmParams;
 use crate::result::ImmResult;
@@ -277,45 +278,50 @@ pub(crate) fn globalize_histogram<C: Communicator>(comm: &C, hist: &mut Histogra
     hist.set_from_flat(&flat, max);
 }
 
-/// Replaces this rank's local deterministic counters (samples, edges, RRR
-/// entries, bitmap sets and bytes, unsorted pushes, selection entries
-/// touched) with their global sums, and merges the RRR-size histogram, so every rank — at every world
-/// size — reports the same values. Must be called collectively.
+/// Replaces this rank's local value of every report row the catalog
+/// declares `Reduce::Sum` with the global sum — one All-Reduce, the rows in
+/// table order — and merges the RRR-size histogram, so every rank, at every
+/// world size, reports the same values. Must be called collectively.
 pub(crate) fn globalize_counters<C: Communicator>(comm: &C, report: &mut RunReport) {
-    let mut buf = [
-        report.counters.samples_generated,
-        report.counters.edges_examined,
-        report.counters.rrr_entries,
-        report.counters.unsorted_pushes,
-        report.counters.select_entries_touched,
-        report.counters.rrr_sets_bitmap,
-        report.counters.rrr_bitmap_bytes,
-    ];
+    let summed = || {
+        Metric::ALL
+            .into_iter()
+            .filter(|m| m.row().reduce == Reduce::Sum)
+    };
+    let mut buf: Vec<u64> = summed().filter_map(|m| report.counters.get(m)).collect();
     comm.all_reduce_sum_u64(&mut buf);
-    report.counters.samples_generated = buf[0];
-    report.counters.edges_examined = buf[1];
-    report.counters.rrr_entries = buf[2];
-    report.counters.unsorted_pushes = buf[3];
-    report.counters.select_entries_touched = buf[4];
-    report.counters.rrr_sets_bitmap = buf[5];
-    report.counters.rrr_bitmap_bytes = buf[6];
+    for (metric, total) in summed().zip(buf) {
+        *report.counters.get_mut(metric).expect("a report row") = total;
+    }
     globalize_histogram(comm, &mut report.rrr_sizes);
 }
 
+/// Max-reduces `local` over the ranks into the report's `metric`, a row the
+/// catalog declares `Reduce::Max`: a value that lockstep makes identical on
+/// every live rank, or a true per-rank maximum. Either way the reduction
+/// agrees across ranks and neutralizes zombie (dead-rank) contributions,
+/// which arrive as `NEG_INFINITY`. Must be called collectively.
+pub(crate) fn globalize_max<C: Communicator>(
+    comm: &C,
+    report: &mut RunReport,
+    metric: Metric,
+    local: u64,
+) {
+    debug_assert_eq!(metric.row().reduce, Reduce::Max, "{}", metric.name());
+    *report.counters.get_mut(metric).expect("a report row") =
+        comm.all_reduce_max_f64(local as f64).max(0.0) as u64;
+}
+
 /// Publishes the comm stack's fault/retry health into the report's global
-/// counters. Lockstep retries mean every live rank holds identical health
-/// values, so a max-reduce both agrees across ranks and neutralizes zombie
-/// (dead-rank) contributions, which arrive as `NEG_INFINITY`. Must be called
-/// collectively — including on reliable fabrics, where it reduces zeros —
-/// so every engine issues the same collective sequence at every fault rate.
+/// counters. Must be called collectively — including on reliable fabrics,
+/// where it reduces zeros — so every engine issues the same collective
+/// sequence at every fault rate.
 pub(crate) fn globalize_health<C: Communicator>(comm: &C, report: &mut RunReport) {
     let health = comm.health();
-    report.counters.retries = comm.all_reduce_max_f64(health.retries as f64).max(0.0) as u64;
-    report.counters.dropped_ops =
-        comm.all_reduce_max_f64(health.dropped_ops as f64).max(0.0) as u64;
-    report.counters.degraded_ranks = comm
-        .all_reduce_max_f64(health.dead_ranks.len() as f64)
-        .max(0.0) as u64;
+    let mut max = |metric, local| globalize_max(comm, report, metric, local);
+    max(Metric::Retries, health.retries);
+    max(Metric::DroppedOps, health.dropped_ops);
+    max(Metric::DegradedRanks, health.dead_ranks.len() as u64);
 }
 
 /// How one rank of a communicator engine produces its share of a batch.

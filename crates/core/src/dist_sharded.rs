@@ -32,7 +32,8 @@
 //! identical** to [`crate::dist_partitioned::imm_partitioned`] and the
 //! sequential vertex-keyed reference at every rank count (tested below).
 
-use crate::dist::{run_imm_ranked, DistSelectMode, RankSampler};
+use crate::dist::{globalize_max, run_imm_ranked, DistSelectMode, RankSampler};
+use crate::obs::metrics::Metric;
 use crate::obs::RunReport;
 use crate::params::ImmParams;
 use crate::result::ImmResult;
@@ -321,10 +322,10 @@ impl RankSampler for ShardedSampler {
     /// Sharding headline counters: max-reduce both agrees across ranks
     /// (the exchange sequence is lockstep) and neutralizes zombie ranks.
     fn finish<C: Communicator>(&self, comm: &C, report: &mut RunReport) {
-        let max = |x: u64| comm.all_reduce_max_f64(x as f64).max(0.0) as u64;
-        report.counters.graph_bytes_peak = max(self.shard.resident_bytes() as u64);
-        report.counters.frontier_exchanges = max(self.stats.frontier_exchanges);
-        report.counters.overlap_nanos = max(self.stats.overlap_nanos);
+        let mut max = |metric, local| globalize_max(comm, report, metric, local);
+        max(Metric::GraphBytesPeak, self.shard.resident_bytes() as u64);
+        max(Metric::FrontierExchanges, self.stats.frontier_exchanges);
+        max(Metric::OverlapNanos, self.stats.overlap_nanos);
     }
 }
 
@@ -353,7 +354,7 @@ pub fn imm_sharded_with_storage<C: Communicator>(
     let shard = VertexCutShard::extract(graph, comm.rank(), comm.size());
     if crate::obs::metrics::enabled() {
         crate::obs::metrics::set(
-            crate::obs::metrics::Metric::GraphBytes,
+            crate::obs::metrics::Metric::GraphBytesPeak,
             shard.resident_bytes() as u64,
         );
     }

@@ -39,8 +39,9 @@
 //!   is drawn.
 
 use crate::memory::MemoryStats;
-use crate::obs::RunReport;
+use crate::obs::{RunReport, SpanKind};
 use crate::params::ImmParams;
+use crate::phases::Phase;
 use crate::result::ImmResult;
 use crate::select::{SelectStats, Selection};
 use crate::theta::ThetaSchedule;
@@ -159,19 +160,19 @@ pub(crate) fn run_imm<E: Engine>(
 
     // --- EstimateTheta (Algorithm 2) -----------------------------------
     let mut lb: Option<f64> = None;
-    report.span("EstimateTheta", |report| {
+    report.span(Phase::EstimateTheta, |report| {
         for x in 1..=schedule.max_rounds() {
             let budget = schedule.round_budget(x);
             publish_theta_target(budget);
-            let fraction = report.span(&format!("round-{x}"), |report| {
+            let fraction = report.span(SpanKind::Round(x), |report| {
                 if budget > held {
-                    report.span("sample", |report| {
+                    report.span(SpanKind::Sample, |report| {
                         engine.grow_to(budget, report, &mut sample_work);
                     });
                     held = budget;
                 }
                 memory.observe_rrr(engine.resident_bytes());
-                let (sel, stats) = report.span("select", |_| engine.select(sizing_k));
+                let (sel, stats) = report.span(SpanKind::Select, |_| engine.select(sizing_k));
                 select_stats.absorb(stats);
                 report.counters.theta_rounds += 1;
                 report.counters.select_iterations += sel.seeds.len() as u64;
@@ -202,7 +203,7 @@ pub(crate) fn run_imm<E: Engine>(
     // same samples (kept, and θ asks for no more) and the same `k`.
     let unchanged = theta <= held && sizing_k == k;
     if theta > held {
-        report.span("Sample", |report| {
+        report.span(Phase::Sample, |report| {
             engine.grow_to(theta, report, &mut sample_work);
         });
         held = theta;
@@ -210,7 +211,7 @@ pub(crate) fn run_imm<E: Engine>(
     memory.observe_rrr(engine.resident_bytes());
 
     // --- SelectSeeds (Algorithm 4) ---------------------------------------
-    let sel = report.span("SelectSeeds", |report| {
+    let sel = report.span(Phase::SelectSeeds, |report| {
         match last_round.filter(|_| unchanged) {
             Some(sel) => sel,
             None => {

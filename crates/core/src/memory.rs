@@ -39,7 +39,7 @@ impl MemoryStats {
             crate::obs::trace::counter(crate::obs::trace::TraceName::RrrBytes, bytes as u64);
         }
         if crate::obs::metrics::enabled() {
-            crate::obs::metrics::set_max(crate::obs::metrics::Metric::RrrBytes, bytes as u64);
+            crate::obs::metrics::set_max(crate::obs::metrics::Metric::RrrBytesPeak, bytes as u64);
         }
     }
 
@@ -47,7 +47,7 @@ impl MemoryStats {
     pub fn observe_index(&mut self, bytes: usize) {
         self.peak_index_bytes = self.peak_index_bytes.max(bytes);
         if crate::obs::metrics::enabled() {
-            crate::obs::metrics::set_max(crate::obs::metrics::Metric::IndexBytes, bytes as u64);
+            crate::obs::metrics::set_max(crate::obs::metrics::Metric::IndexBytesPeak, bytes as u64);
         }
     }
 

@@ -9,6 +9,12 @@
 //! distributed engines additionally attach the communicator's collective
 //! call/byte accounting as [`CommCounters`].
 //!
+//! [`Counters`] and [`Histogram`] are declared in `ripples-metrics`, beside
+//! the catalog every counter is a row of; this module's exporters loop over
+//! that table rather than naming a counter. Spans are opened with a typed
+//! [`SpanKind`], which is also where the live phase gauges and the trace
+//! event of a span come from.
+//!
 //! The legacy flat [`PhaseTimers`] view is *derived* from the span tree
 //! ([`RunReport::phase_timers`]) so [`crate::ImmResult`] stays
 //! source-compatible with code that only reads `result.timers`.
@@ -26,269 +32,14 @@
 pub mod metrics;
 pub mod trace;
 
+pub use ripples_metrics::{Counters, Histogram};
+
 use crate::phases::{Phase, PhaseTimers};
+use metrics::{phase, Metric};
 use ripples_comm::CommStats;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
-
-/// Number of histogram buckets: bucket 0 holds the value 0, bucket `i ≥ 1`
-/// holds values in `[2^(i-1), 2^i)`, and the last bucket absorbs everything
-/// beyond `2^31`.
-const HISTOGRAM_BUCKETS: usize = 33;
-
-/// Monotonic counters describing the work an IMM run performed.
-///
-/// For a fixed `(graph, params)` pair, `samples_generated`, `rrr_entries`,
-/// `rrr_sets_bitmap`, `rrr_bitmap_bytes`,
-/// `theta_rounds`, `theta_final`, `round_budgets`, and `round_coverage` are
-/// *deterministic*: identical across thread counts and (for the
-/// indexed-stream RNG mode) across rank counts. The byte/peak fields are
-/// per-process observations.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Counters {
-    /// RRR samples generated (globally, for the distributed engines).
-    pub samples_generated: u64,
-    /// In-edges examined while generating those samples (globally, for the
-    /// distributed engines).
-    pub edges_examined: u64,
-    /// Total vertex entries stored across all RRR sets (globally, for the
-    /// distributed engines).
-    pub rrr_entries: u64,
-    /// RRR sets the flat store holds as bitmaps rather than sorted lists —
-    /// the sets spanning more than n/32 vertices (globally, for the
-    /// distributed engines; 0 for the spill store).
-    pub rrr_sets_bitmap: u64,
-    /// Payload bytes of those bitmaps, ⌈n/64⌉ words each (globally, for the
-    /// distributed engines).
-    pub rrr_bitmap_bytes: u64,
-    /// Peak resident bytes of the RRR storage on this process.
-    pub rrr_bytes_peak: u64,
-    /// Number of EstimateTheta martingale rounds executed.
-    pub theta_rounds: u64,
-    /// The final sample count θ.
-    pub theta_final: u64,
-    /// Greedy seed-selection iterations executed, summed over every
-    /// selection pass (estimation rounds + the final SelectSeeds).
-    pub select_iterations: u64,
-    /// Out-of-contract (unsorted) `RrrCollection::push` calls that were
-    /// repaired by sorting; always 0 for the in-tree samplers.
-    pub unsorted_pushes: u64,
-    /// Collection entries walked by index-driven selection engines across
-    /// all cover+decrement steps (globally, for the distributed engines);
-    /// 0 for engines that scan rather than index.
-    pub select_entries_touched: u64,
-    /// Wall time spent building selection inverted indexes, nanoseconds,
-    /// summed over every selection pass on this process.
-    pub index_build_nanos: u64,
-    /// Peak resident bytes of a selection inverted index on this process.
-    pub index_bytes_peak: u64,
-    /// Peak transient bytes of the sampler's worker-local arenas on this
-    /// process (0 for the sequential sampler, which has no arenas).
-    pub arena_bytes_peak: u64,
-    /// Frontier passes executed by the fused multi-cascade sampler (0 for
-    /// the reference sampler, which walks one cascade at a time).
-    pub fused_passes: u64,
-    /// Peak transient bytes of the fused sampler's per-vertex activation
-    /// masks on this process (0 for the reference sampler).
-    pub mask_bytes_peak: u64,
-    /// Wall time spent decoding compressed RRR blocks during selection,
-    /// nanoseconds, summed over every selection pass on this process (0 for
-    /// the flat store, whose slices need no decoding).
-    pub decode_nanos: u64,
-    /// Bytes written to the RRR spill file over the run on this process
-    /// (0 for RAM-only storage backends).
-    pub spill_bytes_written: u64,
-    /// Spill-file creations or writes that failed on this process; the
-    /// store then keeps its sets resident beyond `--rrr-budget`.
-    pub spill_write_failures: u64,
-    /// Per-round sample budgets `θ_x` requested by the schedule.
-    pub round_budgets: Vec<u64>,
-    /// Per-round coverage fraction achieved by the greedy selection.
-    pub round_coverage: Vec<f64>,
-    /// Collective attempts retried by the comm retry layer (globally, for
-    /// the distributed engines); 0 on a reliable fabric.
-    pub retries: u64,
-    /// Collective attempts the fault layer failed before they reached the
-    /// backend (globally, for the distributed engines).
-    pub dropped_ops: u64,
-    /// Ranks declared dead and excluded from the run's collectives
-    /// (globally, for the distributed engines).
-    pub degraded_ranks: u64,
-    /// Peak resident bytes of this process's share of the graph: the full
-    /// CSR for replicated engines, the vertex-cut shard for `imm_sharded`
-    /// (max over ranks for the distributed engines).
-    pub graph_bytes_peak: u64,
-    /// Batched frontier exchanges (`alltoallv`) issued by the sharded
-    /// engine; 0 for replicated engines.
-    pub frontier_exchanges: u64,
-    /// Nanoseconds of frontier-exchange latency hidden behind local
-    /// sampling (post-to-wait gaps, summed; max over ranks). 0 for
-    /// replicated engines.
-    pub overlap_nanos: u64,
-}
-
-/// A fixed-size power-of-two histogram of `u64` observations.
-///
-/// Bucket 0 counts zeros; bucket `i ≥ 1` counts values in `[2^(i-1), 2^i)`;
-/// the final bucket absorbs the tail. Cheap enough to update per sample and
-/// mergeable across ranks with one All-Reduce (see
-/// [`Histogram::to_flat`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct Histogram {
-    buckets: [u64; HISTOGRAM_BUCKETS],
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            buckets: [0; HISTOGRAM_BUCKETS],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-
-    /// Bucket index for `value`.
-    #[inline]
-    fn bucket_of(value: u64) -> usize {
-        if value == 0 {
-            0
-        } else {
-            ((64 - value.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
-        }
-    }
-
-    /// Records one observation.
-    #[inline]
-    pub fn record(&mut self, value: u64) {
-        self.buckets[Self::bucket_of(value)] += 1;
-        self.count += 1;
-        self.sum += value;
-        self.max = self.max.max(value);
-    }
-
-    /// Records `times` observations of the same `value` at once — the bulk
-    /// form used to fold pre-aggregated counts (e.g. the fused sampler's
-    /// lane-width tallies) into a histogram.
-    #[inline]
-    pub fn record_n(&mut self, value: u64, times: u64) {
-        if times == 0 {
-            return;
-        }
-        self.buckets[Self::bucket_of(value)] += times;
-        self.count += times;
-        self.sum += value * times;
-        self.max = self.max.max(value);
-    }
-
-    /// Number of observations.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all observations.
-    #[must_use]
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Largest observation (0 when empty).
-    #[must_use]
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean observation (0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// The raw bucket counts.
-    #[must_use]
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Upper-bound estimate of the `q`-quantile (`q ∈ [0, 1]`): walks the
-    /// buckets to the smallest one whose cumulative count reaches
-    /// `ceil(q · count)` and returns that bucket's exclusive upper bound,
-    /// clamped to the observed `max` — a bucket bound can exceed every value
-    /// actually recorded (a histogram holding only the value 3 would
-    /// otherwise report quantile 4), and no quantile of real observations
-    /// can be larger than the largest of them. Returns 0 on an empty
-    /// histogram. This is the p50/p99 estimator the serve mode exports for
-    /// query latencies.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return if i == HISTOGRAM_BUCKETS - 1 {
-                    self.max
-                } else {
-                    Self::bucket_bounds(i).1.min(self.max)
-                };
-            }
-        }
-        self.max
-    }
-
-    /// Inclusive-exclusive value bounds of bucket `i`.
-    #[must_use]
-    pub fn bucket_bounds(i: usize) -> (u64, u64) {
-        if i == 0 {
-            (0, 1)
-        } else {
-            (1u64 << (i - 1), 1u64 << i)
-        }
-    }
-
-    /// Flattens the summable state (buckets, count, sum — *not* max) into a
-    /// `Vec<u64>` suitable for an element-wise All-Reduce across ranks.
-    #[must_use]
-    pub fn to_flat(&self) -> Vec<u64> {
-        let mut flat = self.buckets.to_vec();
-        flat.push(self.count);
-        flat.push(self.sum);
-        flat
-    }
-
-    /// Restores state from a reduced [`Histogram::to_flat`] buffer plus a
-    /// separately max-reduced `max`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `flat` does not have the [`Histogram::to_flat`] length.
-    pub fn set_from_flat(&mut self, flat: &[u64], max: u64) {
-        assert_eq!(flat.len(), HISTOGRAM_BUCKETS + 2, "flat buffer length");
-        self.buckets.copy_from_slice(&flat[..HISTOGRAM_BUCKETS]);
-        self.count = flat[HISTOGRAM_BUCKETS];
-        self.sum = flat[HISTOGRAM_BUCKETS + 1];
-        self.max = max;
-    }
-}
+use trace::TraceName;
 
 /// Communication collective calls and modeled bytes moved by one rank over
 /// the span of a run (a delta of two [`CommStats`] snapshots).
@@ -342,10 +93,80 @@ pub struct SpanNode {
     pub children: Vec<SpanNode>,
 }
 
+/// What a [`RunReport`] span is: the one place a span's label, its live
+/// phase-gauge value, its trace catalog entry and its [`Phase`] of the
+/// paper's flat decomposition are tied together.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SpanKind {
+    /// One of the paper's top-level phases, labelled by [`Phase::label`].
+    Phase(Phase),
+    /// Martingale estimation round `x` (1-based), labelled `round-x`.
+    Round(u32),
+    /// A sampling batch inside an estimation round (`sample`).
+    Sample,
+    /// A greedy selection pass inside an estimation round (`select`).
+    Select,
+    /// Anything else, under its own label.
+    Other(&'static str),
+}
+
+impl From<Phase> for SpanKind {
+    fn from(phase: Phase) -> Self {
+        SpanKind::Phase(phase)
+    }
+}
+
+impl SpanKind {
+    /// The span's name in the report tree.
+    #[must_use]
+    pub fn label(self) -> String {
+        match self {
+            SpanKind::Phase(p) => p.label().to_string(),
+            SpanKind::Round(x) => format!("round-{x}"),
+            SpanKind::Sample => "sample".to_string(),
+            SpanKind::Select => "select".to_string(),
+            SpanKind::Other(label) => label.to_string(),
+        }
+    }
+
+    /// The [`Metric::Phase`] gauge value while this span is the innermost
+    /// open one that has any (rounds refine `ESTIMATE_THETA` through
+    /// [`Metric::Round`] instead).
+    fn gauge(self) -> Option<u64> {
+        match self {
+            SpanKind::Phase(Phase::EstimateTheta) => Some(phase::ESTIMATE_THETA),
+            SpanKind::Phase(Phase::Sample) | SpanKind::Sample => Some(phase::SAMPLE),
+            SpanKind::Phase(Phase::SelectSeeds) | SpanKind::Select => Some(phase::SELECT),
+            SpanKind::Phase(Phase::Other) | SpanKind::Round(_) | SpanKind::Other(_) => None,
+        }
+    }
+
+    /// The trace catalog entry of this span's completion event.
+    fn trace_name(self) -> TraceName {
+        match self {
+            SpanKind::Phase(Phase::EstimateTheta) => TraceName::EstimateTheta,
+            SpanKind::Phase(Phase::Sample) | SpanKind::Sample => TraceName::SampleBatch,
+            SpanKind::Phase(Phase::SelectSeeds) => TraceName::SelectSeeds,
+            SpanKind::Select => TraceName::Select,
+            SpanKind::Round(_) => TraceName::Round,
+            SpanKind::Phase(Phase::Other) | SpanKind::Other(_) => TraceName::Generic,
+        }
+    }
+
+    /// The round index of a [`SpanKind::Round`]: the [`Metric::Round`] gauge
+    /// value and the `arg0` of its trace event.
+    fn round(self) -> Option<u64> {
+        match self {
+            SpanKind::Round(x) => Some(u64::from(x)),
+            _ => None,
+        }
+    }
+}
+
 /// A span that has been entered but not yet exited.
 #[derive(Clone, Debug)]
 struct OpenSpan {
-    name: String,
+    kind: SpanKind,
     start: Instant,
     children: Vec<SpanNode>,
 }
@@ -378,6 +199,8 @@ pub struct RunReport {
     pub trace: Option<trace::Trace>,
     spans: Vec<SpanNode>,
     open: Vec<OpenSpan>,
+    /// Top-level span time by [`Phase`], accumulated as spans close.
+    timers: PhaseTimers,
 }
 
 impl RunReport {
@@ -394,20 +217,19 @@ impl RunReport {
             trace: None,
             spans: Vec::new(),
             open: Vec::new(),
+            timers: PhaseTimers::new(),
         }
     }
 
-    /// Opens a span named `name`; pair with [`RunReport::exit`]. Prefer
+    /// Opens a span of `kind`; pair with [`RunReport::exit`]. Prefer
     /// [`RunReport::span`], which cannot be left unbalanced.
-    pub fn enter(&mut self, name: &str) {
-        if metrics::enabled() {
-            metrics::on_enter(name);
-        }
+    pub fn enter(&mut self, kind: impl Into<SpanKind>) {
         self.open.push(OpenSpan {
-            name: name.to_string(),
+            kind: kind.into(),
             start: Instant::now(),
             children: Vec::new(),
         });
+        self.publish_gauges();
     }
 
     /// Closes the innermost open span, attaching it to its parent (or to
@@ -415,26 +237,46 @@ impl RunReport {
     pub fn exit(&mut self) {
         let Some(open) = self.open.pop() else { return };
         if trace::enabled() {
-            let (name, arg0) = trace::span_trace_name(&open.name);
-            trace::complete(name, open.start, arg0, 0);
+            let round = open.kind.round().unwrap_or(0);
+            trace::complete(open.kind.trace_name(), open.start, round, 0);
         }
-        if metrics::enabled() {
-            metrics::on_exit(self.open.iter().rev().map(|o| o.name.as_str()));
-        }
+        self.publish_gauges();
         let node = SpanNode {
-            name: open.name,
+            name: open.kind.label(),
             nanos: open.start.elapsed().as_nanos(),
             children: open.children,
         };
         match self.open.last_mut() {
             Some(parent) => parent.children.push(node),
-            None => self.spans.push(node),
+            None => {
+                let phase = match open.kind {
+                    SpanKind::Phase(phase) => phase,
+                    _ => Phase::Other,
+                };
+                self.timers.add(phase, nanos_to_duration(node.nanos));
+                self.spans.push(node);
+            }
         }
     }
 
-    /// Runs `f` inside a span named `name`, timing it.
-    pub fn span<T>(&mut self, name: &str, f: impl FnOnce(&mut Self) -> T) -> T {
-        self.enter(name);
+    /// Sets the live phase and round gauges from the open spans — the
+    /// innermost one that implies a value wins, none means idle — and pulses
+    /// the sampler so the boundary lands a snapshot even at coarse cadences.
+    fn publish_gauges(&self) {
+        if !metrics::enabled() {
+            return;
+        }
+        let open = || self.open.iter().rev().map(|o| o.kind);
+        let phase_now = open().find_map(SpanKind::gauge);
+        let round_now = open().find_map(SpanKind::round);
+        metrics::set(Metric::Phase, phase_now.unwrap_or(phase::IDLE));
+        metrics::set(Metric::Round, round_now.unwrap_or(0));
+        metrics::pulse();
+    }
+
+    /// Runs `f` inside a span of `kind`, timing it.
+    pub fn span<T>(&mut self, kind: impl Into<SpanKind>, f: impl FnOnce(&mut Self) -> T) -> T {
+        self.enter(kind);
         let out = f(self);
         self.exit();
         out
@@ -446,22 +288,12 @@ impl RunReport {
         &self.spans
     }
 
-    /// Derives the paper's flat four-phase timer view from the span tree:
-    /// top-level spans named after a [`Phase`] label map to that phase,
-    /// everything else to [`Phase::Other`].
+    /// The paper's flat four-phase timer view of the span tree: a finished
+    /// top-level [`SpanKind::Phase`] span counts towards its phase,
+    /// every other top-level span towards [`Phase::Other`].
     #[must_use]
     pub fn phase_timers(&self) -> PhaseTimers {
-        let mut timers = PhaseTimers::new();
-        for span in &self.spans {
-            let phase = match span.name.as_str() {
-                "EstimateTheta" => Phase::EstimateTheta,
-                "Sample" => Phase::Sample,
-                "SelectSeeds" => Phase::SelectSeeds,
-                _ => Phase::Other,
-            };
-            timers.add(phase, nanos_to_duration(span.nanos));
-        }
-        timers
+        self.timers
     }
 
     /// Serializes the report as one JSON object (no external dependencies;
@@ -473,38 +305,10 @@ impl RunReport {
         let _ = write!(out, "\"engine\":{}", json_string(&self.engine));
         out.push_str(",\"counters\":{");
         let c = &self.counters;
-        let _ = write!(
-            out,
-            "\"samples_generated\":{},\"edges_examined\":{},\"rrr_entries\":{},\
-             \"rrr_bytes_peak\":{},\"theta_rounds\":{},\"theta_final\":{},\
-             \"select_iterations\":{},\"unsorted_pushes\":{},\
-             \"select_entries_touched\":{},\"index_build_nanos\":{},\
-             \"index_bytes_peak\":{},\"arena_bytes_peak\":{},\
-             \"fused_passes\":{},\"mask_bytes_peak\":{},\
-             \"decode_nanos\":{},\"spill_bytes_written\":{},\
-             \"rrr_sets_bitmap\":{},\"rrr_bitmap_bytes\":{},\
-             \"spill_write_failures\":{}",
-            c.samples_generated,
-            c.edges_examined,
-            c.rrr_entries,
-            c.rrr_bytes_peak,
-            c.theta_rounds,
-            c.theta_final,
-            c.select_iterations,
-            c.unsorted_pushes,
-            c.select_entries_touched,
-            c.index_build_nanos,
-            c.index_bytes_peak,
-            c.arena_bytes_peak,
-            c.fused_passes,
-            c.mask_bytes_peak,
-            c.decode_nanos,
-            c.spill_bytes_written,
-            c.rrr_sets_bitmap,
-            c.rrr_bitmap_bytes,
-            c.spill_write_failures
-        );
-        out.push_str(",\"round_budgets\":[");
+        for (metric, value) in c.rows() {
+            let _ = write!(out, "\"{}\":{value},", metric.name());
+        }
+        out.push_str("\"round_budgets\":[");
         for (i, b) in c.round_budgets.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -518,19 +322,7 @@ impl RunReport {
             }
             let _ = write!(out, "{}", json_f64(*f));
         }
-        out.push(']');
-        let _ = write!(
-            out,
-            ",\"retries\":{},\"dropped_ops\":{},\"degraded_ranks\":{},\
-             \"graph_bytes_peak\":{},\"frontier_exchanges\":{},\"overlap_nanos\":{}",
-            c.retries,
-            c.dropped_ops,
-            c.degraded_ranks,
-            c.graph_bytes_peak,
-            c.frontier_exchanges,
-            c.overlap_nanos
-        );
-        out.push('}');
+        out.push_str("]}");
         out.push_str(",\"rrr_sizes\":");
         json_histogram(&mut out, &self.rrr_sizes);
         out.push_str(",\"thread_samples\":");
@@ -594,31 +386,11 @@ impl RunReport {
         }
         let c = &self.counters;
         out.push_str("counters:\n");
-        let _ = writeln!(out, "  samples generated   {}", c.samples_generated);
-        let _ = writeln!(out, "  edges examined      {}", c.edges_examined);
-        let _ = writeln!(out, "  rrr entries         {}", c.rrr_entries);
-        let _ = writeln!(out, "  rrr sets as bitmaps {}", c.rrr_sets_bitmap);
-        let _ = writeln!(out, "  rrr bitmap bytes    {}", c.rrr_bitmap_bytes);
-        let _ = writeln!(out, "  rrr bytes (peak)    {}", c.rrr_bytes_peak);
-        let _ = writeln!(out, "  theta rounds        {}", c.theta_rounds);
-        let _ = writeln!(out, "  theta (final)       {}", c.theta_final);
-        let _ = writeln!(out, "  select iterations   {}", c.select_iterations);
-        let _ = writeln!(out, "  unsorted pushes     {}", c.unsorted_pushes);
-        let _ = writeln!(out, "  select touched      {}", c.select_entries_touched);
-        let _ = writeln!(out, "  index build (ns)    {}", c.index_build_nanos);
-        let _ = writeln!(out, "  index bytes (peak)  {}", c.index_bytes_peak);
-        let _ = writeln!(out, "  arena bytes (peak)  {}", c.arena_bytes_peak);
-        let _ = writeln!(out, "  fused passes        {}", c.fused_passes);
-        let _ = writeln!(out, "  mask bytes (peak)   {}", c.mask_bytes_peak);
-        let _ = writeln!(out, "  decode time (ns)    {}", c.decode_nanos);
-        let _ = writeln!(out, "  spill bytes written {}", c.spill_bytes_written);
-        let _ = writeln!(out, "  spill write fails   {}", c.spill_write_failures);
-        let _ = writeln!(out, "  comm retries        {}", c.retries);
-        let _ = writeln!(out, "  comm dropped ops    {}", c.dropped_ops);
-        let _ = writeln!(out, "  degraded ranks      {}", c.degraded_ranks);
-        let _ = writeln!(out, "  graph bytes (peak)  {}", c.graph_bytes_peak);
-        let _ = writeln!(out, "  frontier exchanges  {}", c.frontier_exchanges);
-        let _ = writeln!(out, "  overlap (ns)        {}", c.overlap_nanos);
+        for (metric, value) in c.rows() {
+            let unit = metric.row().unit;
+            let gap = if unit.is_empty() { "" } else { " " };
+            let _ = writeln!(out, "  {:<23} {value}{gap}{unit}", metric.name());
+        }
         for (i, (b, f)) in c.round_budgets.iter().zip(&c.round_coverage).enumerate() {
             let _ = writeln!(
                 out,
@@ -776,16 +548,17 @@ mod tests {
     #[test]
     fn span_tree_nests_and_orders() {
         let mut r = RunReport::new("test");
-        r.span("EstimateTheta", |r| {
-            r.span("round-1", |_| {});
-            r.span("round-2", |r| {
-                r.span("sample", |_| {});
+        r.span(Phase::EstimateTheta, |r| {
+            r.span(SpanKind::Round(1), |_| {});
+            r.span(SpanKind::Round(2), |r| {
+                r.span(SpanKind::Sample, |_| {});
             });
         });
-        r.span("SelectSeeds", |_| {});
+        r.span(Phase::SelectSeeds, |_| {});
         assert_eq!(r.spans().len(), 2);
         assert_eq!(r.spans()[0].name, "EstimateTheta");
         assert_eq!(r.spans()[0].children.len(), 2);
+        assert_eq!(r.spans()[0].children[1].name, "round-2");
         assert_eq!(r.spans()[0].children[1].children[0].name, "sample");
         assert_eq!(r.spans()[1].name, "SelectSeeds");
     }
@@ -793,7 +566,9 @@ mod tests {
     #[test]
     fn span_returns_closure_value() {
         let mut r = RunReport::new("test");
-        let v = r.span("outer", |r| r.span("inner", |_| 7));
+        let v = r.span(SpanKind::Other("outer"), |r| {
+            r.span(SpanKind::Select, |_| 7)
+        });
         assert_eq!(v, 7);
     }
 
@@ -807,15 +582,19 @@ mod tests {
     #[test]
     fn phase_timers_derived_from_top_level_spans() {
         let mut r = RunReport::new("test");
-        r.span("EstimateTheta", |_| {
-            std::thread::sleep(Duration::from_millis(2))
+        r.span(Phase::EstimateTheta, |r| {
+            // Only top-level spans count: this nested batch is EstimateTheta's.
+            r.span(SpanKind::Sample, |_| {
+                std::thread::sleep(Duration::from_millis(2))
+            })
         });
-        r.span("Sample", |_| {});
-        r.span("warmup", |_| {});
+        r.span(Phase::Sample, |_| {});
+        r.span(SpanKind::Other("warmup"), |_| {});
         let t = r.phase_timers();
         assert!(t.get(Phase::EstimateTheta) >= Duration::from_millis(2));
         assert_eq!(t.get(Phase::SelectSeeds), Duration::ZERO);
-        assert!(t.total() >= Duration::from_millis(2));
+        let span_nanos: u128 = r.spans().iter().map(|s| s.nanos).sum();
+        assert_eq!(t.total().as_nanos(), span_nanos);
     }
 
     #[test]
@@ -840,7 +619,7 @@ mod tests {
     fn histogram_tail_bucket_absorbs_huge_values() {
         let mut h = Histogram::new();
         h.record(u64::MAX);
-        assert_eq!(h.buckets()[HISTOGRAM_BUCKETS - 1], 1);
+        assert_eq!(h.buckets()[metrics::HIST_BUCKETS - 1], 1);
         assert_eq!(h.max(), u64::MAX);
     }
 
@@ -916,37 +695,10 @@ mod tests {
         assert_eq!(d.bytes_moved, 350);
     }
 
-    fn assert_balanced_json(s: &str) {
-        let mut depth: i64 = 0;
-        let mut in_string = false;
-        let mut escaped = false;
-        for c in s.chars() {
-            if in_string {
-                if escaped {
-                    escaped = false;
-                } else if c == '\\' {
-                    escaped = true;
-                } else if c == '"' {
-                    in_string = false;
-                }
-                continue;
-            }
-            match c {
-                '"' => in_string = true,
-                '{' | '[' => depth += 1,
-                '}' | ']' => depth -= 1,
-                _ => {}
-            }
-            assert!(depth >= 0, "unbalanced JSON: {s}");
-        }
-        assert_eq!(depth, 0, "unbalanced JSON: {s}");
-        assert!(!in_string, "unterminated string: {s}");
-    }
-
     #[test]
     fn json_export_is_balanced_and_keyed() {
         let mut r = RunReport::new("mt \"quoted\"\n");
-        r.span("EstimateTheta", |r| r.span("round-1", |_| {}));
+        r.span(Phase::EstimateTheta, |r| r.span(SpanKind::Round(1), |_| {}));
         r.counters.samples_generated = 42;
         r.counters.round_budgets.push(10);
         r.counters.round_coverage.push(0.5);
@@ -956,7 +708,7 @@ mod tests {
             ..CommCounters::default()
         });
         let j = r.to_json();
-        assert_balanced_json(&j);
+        trace::json::parse(&j).expect("report must be valid JSON");
         for key in [
             "\"engine\"",
             "\"counters\"",
@@ -977,7 +729,7 @@ mod tests {
     #[test]
     fn pretty_render_mentions_key_sections() {
         let mut r = RunReport::new("dist");
-        r.span("SelectSeeds", |_| {});
+        r.span(Phase::SelectSeeds, |_| {});
         r.rrr_sizes.record(3);
         r.comm = Some(CommCounters::default());
         let p = r.render_pretty();

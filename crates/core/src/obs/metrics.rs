@@ -1,88 +1,15 @@
 //! Live metrics for IMM runs.
 //!
 //! Re-exports the [`ripples_metrics`] registry (see that crate for the
-//! lock-free cell design, the background sampler, and the JSON/Prometheus
-//! exports) and adds the engine-side glue: mapping [`super::RunReport`]
-//! span labels to the [`Metric::Phase`] / [`Metric::Round`] gauges, so
-//! every engine that narrates itself through the span tree gets live
-//! phase telemetry for free — the same single-hook-point trick
-//! `obs::trace` uses for span events.
+//! catalog, the lock-free cell design, the background sampler, and the
+//! JSON/Prometheus exports). The engine-side glue is
+//! [`super::RunReport::enter`] / [`super::RunReport::exit`]: every span
+//! sets the [`Metric::Phase`] / [`Metric::Round`] gauges from its
+//! [`super::SpanKind`], so an engine that narrates itself through the span
+//! tree gets live phase telemetry for free.
 
 pub use ripples_metrics::{
     add, disable, enable, enabled, get, observe_rrr_size, phase, prometheus_text, pulse, set,
-    set_max, snapshot, start_sampler, start_sampler_with_cap, Kind, Metric, ProgressFn, Sample,
-    SamplerHandle, TimeSeries, HIST_BUCKETS, SCHEMA,
+    set_max, snapshot, start_sampler, start_sampler_with_cap, Kind, Metric, ProgressFn, Reduce,
+    Sample, SamplerHandle, TimeSeries, HIST_BUCKETS, SCHEMA,
 };
-
-/// The phase gauge value a span label implies, if any (`round-N` spans
-/// imply none — they refine [`phase::ESTIMATE_THETA`] via the round
-/// gauge instead).
-#[must_use]
-pub fn phase_of_label(label: &str) -> Option<u64> {
-    match label {
-        "EstimateTheta" => Some(phase::ESTIMATE_THETA),
-        "Sample" | "sample" => Some(phase::SAMPLE),
-        "SelectSeeds" | "select" => Some(phase::SELECT),
-        "Simulate" | "simulate" => Some(phase::SIMULATE),
-        _ => None,
-    }
-}
-
-/// The martingale round a `round-N` span label names, if any.
-#[must_use]
-pub fn round_of_label(label: &str) -> Option<u64> {
-    label
-        .strip_prefix("round-")
-        .map(|idx| idx.parse().unwrap_or(0))
-}
-
-/// Updates the phase/round gauges on span entry and pulses the sampler
-/// so the boundary lands a snapshot even at coarse cadences.
-pub fn on_enter(label: &str) {
-    let mut changed = false;
-    if let Some(p) = phase_of_label(label) {
-        set(Metric::Phase, p);
-        changed = true;
-    }
-    if let Some(r) = round_of_label(label) {
-        set(Metric::Round, r);
-        changed = true;
-    }
-    if changed {
-        pulse();
-    }
-}
-
-/// Re-derives the phase/round gauges from the still-open span labels
-/// after an exit, innermost first — the innermost phase-mapped span wins,
-/// and leaving the last one resets the gauges to idle.
-pub fn on_exit<'a>(open_innermost_first: impl Iterator<Item = &'a str> + Clone) {
-    let phase_now = open_innermost_first
-        .clone()
-        .find_map(phase_of_label)
-        .unwrap_or(phase::IDLE);
-    let round_now = open_innermost_first
-        .into_iter()
-        .find_map(round_of_label)
-        .unwrap_or(0);
-    set(Metric::Phase, phase_now);
-    set(Metric::Round, round_now);
-    pulse();
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn labels_map_to_phases() {
-        assert_eq!(phase_of_label("EstimateTheta"), Some(phase::ESTIMATE_THETA));
-        assert_eq!(phase_of_label("sample"), Some(phase::SAMPLE));
-        assert_eq!(phase_of_label("Sample"), Some(phase::SAMPLE));
-        assert_eq!(phase_of_label("select"), Some(phase::SELECT));
-        assert_eq!(phase_of_label("SelectSeeds"), Some(phase::SELECT));
-        assert_eq!(phase_of_label("round-3"), None);
-        assert_eq!(round_of_label("round-3"), Some(3));
-        assert_eq!(round_of_label("sample"), None);
-    }
-}

@@ -20,9 +20,9 @@
 //! 4. The harness calls [`stop`] and exports with [`Trace::to_chrome_json`].
 
 pub use ripples_trace::{
-    collect_all, complete, counter, enabled, encode_thread_events, mark, ns_since_epoch,
-    set_thread_rank, start, stop, validate_json, EventKind, Trace, TraceEvent, TraceName,
-    TraceRecord, CAPACITY_ENV, DEFAULT_CAPACITY,
+    collect_all, complete, counter, enabled, encode_thread_events, json, mark, ns_since_epoch,
+    set_thread_rank, start, stop, EventKind, Trace, TraceEvent, TraceName, TraceRecord,
+    CAPACITY_ENV, DEFAULT_CAPACITY,
 };
 
 use ripples_comm::Communicator;
@@ -40,41 +40,4 @@ pub fn gather_trace<C: Communicator + ?Sized>(comm: &C) -> Trace {
     let mine = encode_thread_events();
     let buffers = comm.all_gather_u64_list(&mine);
     Trace::from_rank_buffers(&buffers)
-}
-
-/// Maps a [`super::RunReport`] span label to its trace catalog entry plus a
-/// numeric argument (the round index for `round-N` spans, else 0).
-#[must_use]
-pub fn span_trace_name(label: &str) -> (TraceName, u64) {
-    if let Some(idx) = label.strip_prefix("round-") {
-        return (TraceName::Round, idx.parse().unwrap_or(0));
-    }
-    let name = match label {
-        "EstimateTheta" => TraceName::EstimateTheta,
-        "Sample" | "sample" => TraceName::SampleBatch,
-        "SelectSeeds" => TraceName::SelectSeeds,
-        "select" => TraceName::Select,
-        _ => TraceName::Generic,
-    };
-    (name, 0)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn span_labels_map_to_catalog() {
-        assert_eq!(
-            span_trace_name("EstimateTheta"),
-            (TraceName::EstimateTheta, 0)
-        );
-        assert_eq!(span_trace_name("round-7"), (TraceName::Round, 7));
-        assert_eq!(span_trace_name("round-x"), (TraceName::Round, 0));
-        assert_eq!(span_trace_name("sample"), (TraceName::SampleBatch, 0));
-        assert_eq!(span_trace_name("Sample"), (TraceName::SampleBatch, 0));
-        assert_eq!(span_trace_name("select"), (TraceName::Select, 0));
-        assert_eq!(span_trace_name("SelectSeeds"), (TraceName::SelectSeeds, 0));
-        assert_eq!(span_trace_name("warmup"), (TraceName::Generic, 0));
-    }
 }

@@ -139,8 +139,7 @@ fn publish_step(v: Vertex, gain: u64, touched: u64) {
         trace::mark(TraceName::SelectTouched, touched, u64::from(v));
     }
     if metrics::enabled() {
-        metrics::add(Metric::SelectSteps, 1);
-        metrics::add(Metric::SeedsSelected, 1);
+        metrics::add(Metric::SelectIterations, 1);
         metrics::add(Metric::SelectEntriesTouched, touched);
     }
 }

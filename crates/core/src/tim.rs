@@ -23,8 +23,9 @@
 
 use crate::driver::{record_select_counters, record_store_counters};
 use crate::memory::MemoryStats;
-use crate::obs::RunReport;
+use crate::obs::{RunReport, SpanKind};
 use crate::params::ImmParams;
+use crate::phases::Phase;
 use crate::result::ImmResult;
 use crate::sample::{SampleEngine, SamplerDispatch};
 use crate::select::{select_with_engine_store, SelectEngine};
@@ -101,16 +102,16 @@ pub fn tim_plus_with_storage(
         let memory = &mut memory;
         let kpt = &mut kpt;
         let sampler = &mut sampler;
-        report.span("EstimateTheta", |report| {
+        report.span(Phase::EstimateTheta, |report| {
             let c_base = 6.0 * ell * ln_n + 6.0 * log2_n.ln().max(0.0);
             let max_i = (log2_n.floor() as u32).saturating_sub(1).max(1);
             for i in 1..=max_i {
                 let budget = (c_base * 2f64.powi(i as i32)).ceil() as usize;
-                let stop = report.span(&format!("round-{i}"), |report| {
+                let stop = report.span(SpanKind::Round(i), |report| {
                     if budget > collection.len() {
                         let need = budget - collection.len();
                         let old_len = collection.len();
-                        let outcome = report.span("sample", |_| {
+                        let outcome = report.span(SpanKind::Sample, |_| {
                             sampler.sample_batch(*next_index, need, collection)
                         });
                         *next_index += need as u64;
@@ -143,7 +144,7 @@ pub fn tim_plus_with_storage(
             // TIM⁺ refinement: greedy coverage on the phase-1 samples gives
             // an alternative lower bound on OPT.
             if !collection.is_empty() {
-                let (sel, refine_stats) = report.span("refine", |_| {
+                let (sel, refine_stats) = report.span(SpanKind::Other("refine"), |_| {
                     select_with_engine_store(SelectEngine::Sequential, &*collection, n, k, 1)
                 });
                 report.counters.select_iterations += sel.seeds.len() as u64;
@@ -166,7 +167,7 @@ pub fn tim_plus_with_storage(
         let need = theta - collection.len();
         let old_len = collection.len();
         let collection_ref = &mut collection;
-        let outcome = report.span("Sample", |_| {
+        let outcome = report.span(Phase::Sample, |_| {
             sampler.sample_batch(next_index, need, collection_ref)
         });
         sample_work.extend_from_slice(&outcome.work_per_sample);
@@ -176,7 +177,7 @@ pub fn tim_plus_with_storage(
 
     // TIM's θ is the largest of any engine here, so its one final greedy
     // pass is exactly where the fused index pays for itself.
-    let (final_sel, select_stats) = report.span("SelectSeeds", |_| {
+    let (final_sel, select_stats) = report.span(Phase::SelectSeeds, |_| {
         select_with_engine_store(SelectEngine::Fused, &collection, n, k, 1)
     });
     report.counters.select_iterations += final_sel.seeds.len() as u64;

@@ -194,7 +194,7 @@ pub fn sample_batch<S: RrrStore>(
         .collect();
     let arena_bytes: usize = chunks.iter().map(|(a, _)| a.resident_bytes()).sum();
     if ripples_metrics::enabled() {
-        ripples_metrics::set_max(ripples_metrics::Metric::ArenaBytes, arena_bytes as u64);
+        ripples_metrics::set_max(ripples_metrics::Metric::ArenaBytesPeak, arena_bytes as u64);
     }
     // The per-worker load partition is derived from the chunks actually
     // generated, not re-computed from a formula: the generation loop

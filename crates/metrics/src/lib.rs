@@ -19,7 +19,12 @@
 //!
 //! The catalog is a fixed enum ([`Metric`]) rather than a string-keyed map
 //! for the same reason the tracer uses [`TraceName`]: hot paths index an
-//! array, and the export layer owns the names.
+//! array, and the export layer owns the names. It is declared once, in
+//! `catalog.rs`, together with the run report's [`Counters`]: a live metric
+//! that mirrors a report counter *is* that counter's row, so the two carry
+//! one name. [`Histogram`] lives beside it so the registry's atomic RRR-size
+//! histogram, the report and the serve mode's latencies share one bucket
+//! layout.
 //!
 //! **Rank policy.** The in-process [`ThreadWorld`] runs every rank as a
 //! thread of one process, so all ranks share this registry: counters are
@@ -31,7 +36,7 @@
 //! Exports:
 //!
 //! - [`TimeSeries::to_json`] — schema-versioned JSON
-//!   (`ripples-metrics-v1`), one row per sampler tick.
+//!   (`ripples-metrics-v2`), one row per sampler tick.
 //! - [`prometheus_text`] — Prometheus text exposition of one snapshot,
 //!   the format a future serve mode's `/metrics` endpoint would return.
 //!
@@ -39,8 +44,12 @@
 //! [`TraceName`]: ../ripples_trace/enum.TraceName.html
 //! [`ThreadWorld`]: ../ripples_comm/struct.ThreadWorld.html
 
+mod catalog;
+mod histogram;
 mod sampler;
 
+pub use catalog::{Counters, Kind, Metric, Reduce, Row};
+pub use histogram::{Histogram, HIST_BUCKETS};
 pub use sampler::{
     pulse, start_sampler, start_sampler_with_cap, ProgressFn, Sample, SamplerHandle, TimeSeries,
 };
@@ -50,196 +59,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 /// Schema tag written into every exported JSON time series.
-pub const SCHEMA: &str = "ripples-metrics-v1";
-
-/// Every metric the registry knows about. The discriminant is the cell
-/// index; the export layer maps it to a stable snake_case name.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Metric {
-    // --- gauges -----------------------------------------------------------
-    /// Current engine phase (see [`phase`]).
-    Phase = 0,
-    /// Current martingale round (1-based; 0 outside estimation).
-    Round,
-    /// RRR samples the current phase is working towards (round budget
-    /// during estimation, final θ during the top-up).
-    ThetaTarget,
-    /// Live RRR storage footprint, bytes (peak across ranks).
-    RrrBytes,
-    /// Live inverted-index footprint, bytes (peak across ranks).
-    IndexBytes,
-    /// Live per-worker arena footprint, bytes (peak across ranks).
-    ArenaBytes,
-    /// Live fused-lane mask footprint, bytes (peak across ranks).
-    MaskBytes,
-    /// Ranks the comm layer has declared dead so far.
-    DegradedRanks,
-    /// Resident sketch footprint of the serve mode, bytes.
-    SketchBytes,
-    /// p50 query latency of the serve mode, nanoseconds (power-of-two
-    /// histogram upper bound).
-    QueryP50Nanos,
-    /// p99 query latency of the serve mode, nanoseconds (power-of-two
-    /// histogram upper bound).
-    QueryP99Nanos,
-    /// Per-rank resident graph footprint, bytes (peak across ranks; the
-    /// replicated engines report the full graph, the sharded engine its
-    /// vertex-cut shard).
-    GraphBytes,
-    // --- counters ---------------------------------------------------------
-    /// RRR sets generated (world total).
-    SamplesGenerated,
-    /// Edges examined while growing RRR sets (world total).
-    EdgesExamined,
-    /// Greedy selection steps taken (one per committed seed).
-    SelectSteps,
-    /// RRR-index entries touched during selection.
-    SelectEntriesTouched,
-    /// Seeds committed by the selector.
-    SeedsSelected,
-    /// Fused-kernel CSR passes completed.
-    FusedPasses,
-    /// Collective operations issued (world total).
-    CommOps,
-    /// Payload bytes moved by collectives (world total).
-    CommBytes,
-    /// Comm attempts retried after injected faults.
-    CommRetries,
-    /// Comm ops dropped by fault injection.
-    CommDroppedOps,
-    /// Queries answered by the resident serve mode.
-    QueriesServed,
-    /// Batched frontier exchanges completed by the graph-sharded engine.
-    FrontierExchanges,
-}
-
-/// Metric kinds, mirroring the Prometheus data model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Kind {
-    /// Monotonically increasing while enabled; exported with a `_total`
-    /// suffix.
-    Counter,
-    /// Point-in-time level (phase ids, live byte footprints).
-    Gauge,
-}
-
-impl Metric {
-    /// Number of registered metrics (cells in the registry).
-    pub const COUNT: usize = 24;
-
-    /// Every metric, in cell order — the column order of exported series.
-    pub const ALL: [Metric; Self::COUNT] = [
-        Metric::Phase,
-        Metric::Round,
-        Metric::ThetaTarget,
-        Metric::RrrBytes,
-        Metric::IndexBytes,
-        Metric::ArenaBytes,
-        Metric::MaskBytes,
-        Metric::DegradedRanks,
-        Metric::SketchBytes,
-        Metric::QueryP50Nanos,
-        Metric::QueryP99Nanos,
-        Metric::GraphBytes,
-        Metric::SamplesGenerated,
-        Metric::EdgesExamined,
-        Metric::SelectSteps,
-        Metric::SelectEntriesTouched,
-        Metric::SeedsSelected,
-        Metric::FusedPasses,
-        Metric::CommOps,
-        Metric::CommBytes,
-        Metric::CommRetries,
-        Metric::CommDroppedOps,
-        Metric::QueriesServed,
-        Metric::FrontierExchanges,
-    ];
-
-    /// Stable export name (snake_case, no namespace prefix).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Metric::Phase => "phase",
-            Metric::Round => "round",
-            Metric::ThetaTarget => "theta_target",
-            Metric::RrrBytes => "rrr_bytes",
-            Metric::IndexBytes => "index_bytes",
-            Metric::ArenaBytes => "arena_bytes",
-            Metric::MaskBytes => "mask_bytes",
-            Metric::DegradedRanks => "degraded_ranks",
-            Metric::SketchBytes => "sketch_bytes",
-            Metric::QueryP50Nanos => "query_p50_nanos",
-            Metric::QueryP99Nanos => "query_p99_nanos",
-            Metric::GraphBytes => "graph_bytes",
-            Metric::SamplesGenerated => "samples_generated",
-            Metric::EdgesExamined => "edges_examined",
-            Metric::SelectSteps => "select_steps",
-            Metric::SelectEntriesTouched => "select_entries_touched",
-            Metric::SeedsSelected => "seeds_selected",
-            Metric::FusedPasses => "fused_passes",
-            Metric::CommOps => "comm_ops",
-            Metric::CommBytes => "comm_bytes",
-            Metric::CommRetries => "comm_retries",
-            Metric::CommDroppedOps => "comm_dropped_ops",
-            Metric::QueriesServed => "queries_served",
-            Metric::FrontierExchanges => "frontier_exchanges",
-        }
-    }
-
-    /// Counter or gauge.
-    #[must_use]
-    pub fn kind(self) -> Kind {
-        match self {
-            Metric::Phase
-            | Metric::Round
-            | Metric::ThetaTarget
-            | Metric::RrrBytes
-            | Metric::IndexBytes
-            | Metric::ArenaBytes
-            | Metric::MaskBytes
-            | Metric::DegradedRanks
-            | Metric::SketchBytes
-            | Metric::QueryP50Nanos
-            | Metric::QueryP99Nanos
-            | Metric::GraphBytes => Kind::Gauge,
-            _ => Kind::Counter,
-        }
-    }
-
-    /// One-line help string for the Prometheus exposition.
-    #[must_use]
-    pub fn help(self) -> &'static str {
-        match self {
-            Metric::Phase => {
-                "Current engine phase (0 idle, 1 estimate-theta, 2 sample, 3 select, 4 simulate)"
-            }
-            Metric::Round => "Current martingale estimation round (1-based, 0 outside estimation)",
-            Metric::ThetaTarget => "RRR samples the current phase is working towards",
-            Metric::RrrBytes => "Live RRR storage footprint in bytes (peak across ranks)",
-            Metric::IndexBytes => "Live inverted-index footprint in bytes (peak across ranks)",
-            Metric::ArenaBytes => "Live per-worker arena footprint in bytes (peak across ranks)",
-            Metric::MaskBytes => "Live fused-lane mask footprint in bytes (peak across ranks)",
-            Metric::DegradedRanks => "Ranks declared dead by the comm layer",
-            Metric::SketchBytes => "Resident sketch footprint held by the serve mode in bytes",
-            Metric::QueryP50Nanos => "Median serve-query latency in nanoseconds",
-            Metric::QueryP99Nanos => "99th-percentile serve-query latency in nanoseconds",
-            Metric::GraphBytes => "Per-rank resident graph footprint in bytes (peak across ranks)",
-            Metric::SamplesGenerated => "RRR sets generated across all ranks",
-            Metric::EdgesExamined => "Edges examined while growing RRR sets",
-            Metric::SelectSteps => "Greedy selection steps (one per committed seed)",
-            Metric::SelectEntriesTouched => "RRR-index entries touched during selection",
-            Metric::SeedsSelected => "Seeds committed by the selector",
-            Metric::FusedPasses => "Fused-kernel CSR passes completed",
-            Metric::CommOps => "Collective operations issued across all ranks",
-            Metric::CommBytes => "Payload bytes moved by collectives",
-            Metric::CommRetries => "Communication attempts retried after faults",
-            Metric::CommDroppedOps => "Communication operations dropped by fault injection",
-            Metric::QueriesServed => "Queries answered by the resident serve mode",
-            Metric::FrontierExchanges => "Batched frontier exchanges by the graph-sharded engine",
-        }
-    }
-}
+pub const SCHEMA: &str = "ripples-metrics-v2";
 
 /// Engine-phase gauge values, the domain of [`Metric::Phase`].
 pub mod phase {
@@ -266,12 +86,6 @@ pub mod phase {
         }
     }
 }
-
-/// Histogram bucket count: bucket `i` holds observations whose value needs
-/// `i` significant bits (`0 → 0`, `i → (2^(i-1), 2^i]`), bucket 32 is the
-/// overflow — the same power-of-two layout as the `RunReport` histogram so
-/// the two are comparable.
-pub const HIST_BUCKETS: usize = 33;
 
 // Registry storage. `const` item so the array initializer is allowed.
 #[allow(clippy::declare_interior_mutable_const)]
@@ -357,12 +171,7 @@ pub fn observe_rrr_size(len: u64) {
     if !enabled() {
         return;
     }
-    let bucket = if len == 0 {
-        0
-    } else {
-        (64 - u64::leading_zeros(len) as usize).min(HIST_BUCKETS - 1)
-    };
-    HIST[bucket].fetch_add(1, Ordering::Relaxed);
+    HIST[Histogram::bucket_of(len)].fetch_add(1, Ordering::Relaxed);
     HIST_COUNT.fetch_add(1, Ordering::Relaxed);
     HIST_SUM.fetch_add(len, Ordering::Relaxed);
 }
@@ -398,31 +207,25 @@ pub fn snapshot() -> Sample {
     }
 }
 
-/// Prometheus text exposition (version 0.0.4) of one snapshot. Counters
-/// get the conventional `_total` suffix, the RRR-size histogram becomes a
-/// cumulative `le`-bucketed histogram, and everything is namespaced
-/// `ripples_`.
+/// Prometheus text exposition (version 0.0.4) of one snapshot: every live
+/// catalog row (counters with the conventional `_total` suffix), then the
+/// RRR-size histogram as a cumulative `le`-bucketed histogram — bucket `i`
+/// holds `[2^(i-1), 2^i)`, so its inclusive bound is `2^i − 1`. Everything
+/// is namespaced `ripples_`.
 #[must_use]
 pub fn prometheus_text(sample: &Sample) -> String {
     use std::fmt::Write as _;
     let mut out = String::with_capacity(4096);
-    for metric in Metric::ALL {
-        let suffix = match metric.kind() {
-            Kind::Counter => "_total",
-            Kind::Gauge => "",
-        };
+    for metric in Metric::live() {
         let name = metric.name();
-        let kind = match metric.kind() {
-            Kind::Counter => "counter",
-            Kind::Gauge => "gauge",
+        let Row { kind, help, .. } = metric.row();
+        let suffix = match kind {
+            Kind::Counter => "_total",
+            Kind::Peak | Kind::Level => "",
         };
-        let _ = writeln!(out, "# HELP ripples_{name}{suffix} {}", metric.help());
-        let _ = writeln!(out, "# TYPE ripples_{name}{suffix} {kind}");
-        let _ = writeln!(
-            out,
-            "ripples_{name}{suffix} {}",
-            sample.values[metric as usize]
-        );
+        let _ = writeln!(out, "# HELP ripples_{name}{suffix} {help}");
+        let _ = writeln!(out, "# TYPE ripples_{name}{suffix} {}", kind.exposition());
+        let _ = writeln!(out, "ripples_{name}{suffix} {}", sample.value(metric));
     }
     let _ = writeln!(
         out,
@@ -430,14 +233,10 @@ pub fn prometheus_text(sample: &Sample) -> String {
     );
     let _ = writeln!(out, "# TYPE ripples_rrr_size histogram");
     let mut cumulative = 0u64;
-    for (i, count) in sample.hist.iter().enumerate() {
+    for (i, count) in sample.hist[..HIST_BUCKETS - 1].iter().enumerate() {
         cumulative += count;
-        if i + 1 < HIST_BUCKETS {
-            // Bucket i covers sizes <= 2^i - except bucket 0, which is
-            // exactly 0 ... 1; the le bound 2^i is still cumulative-true.
-            let le = 1u64 << i;
-            let _ = writeln!(out, "ripples_rrr_size_bucket{{le=\"{le}\"}} {cumulative}");
-        }
+        let le = Histogram::bucket_bounds(i).1 - 1;
+        let _ = writeln!(out, "ripples_rrr_size_bucket{{le=\"{le}\"}} {cumulative}");
     }
     let _ = writeln!(
         out,
@@ -469,7 +268,7 @@ mod tests {
         let before = get(Metric::SamplesGenerated);
         add(Metric::SamplesGenerated, 17);
         set(Metric::Phase, 3);
-        set_max(Metric::RrrBytes, 1 << 30);
+        set_max(Metric::RrrBytesPeak, 1 << 30);
         observe_rrr_size(8);
         assert_eq!(get(Metric::SamplesGenerated), before);
     }
@@ -481,14 +280,14 @@ mod tests {
         assert_eq!(get(Metric::SamplesGenerated), 0);
         add(Metric::SamplesGenerated, 3);
         set(Metric::Phase, phase::SAMPLE);
-        set_max(Metric::RrrBytes, 100);
-        set_max(Metric::RrrBytes, 50);
+        set_max(Metric::RrrBytesPeak, 100);
+        set_max(Metric::RrrBytesPeak, 50);
         observe_rrr_size(5);
         observe_rrr_size(0);
         let s = snapshot();
         assert_eq!(s.values[Metric::SamplesGenerated as usize], 3);
         assert_eq!(s.values[Metric::Phase as usize], phase::SAMPLE);
-        assert_eq!(s.values[Metric::RrrBytes as usize], 100);
+        assert_eq!(s.values[Metric::RrrBytesPeak as usize], 100);
         assert_eq!(s.hist_count, 2);
         assert_eq!(s.hist_sum, 5);
         assert_eq!(s.hist[0], 1); // the 0-size observation
@@ -497,28 +296,26 @@ mod tests {
     }
 
     #[test]
-    fn catalog_is_consistent() {
-        for (i, metric) in Metric::ALL.iter().enumerate() {
-            assert_eq!(*metric as usize, i, "ALL order must match discriminants");
-        }
-        let mut names: Vec<&str> = Metric::ALL.iter().map(|m| m.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), Metric::COUNT, "metric names must be unique");
-    }
-
-    #[test]
     fn prometheus_shape() {
         let _g = lock();
         enable();
         add(Metric::CommBytes, 1024);
-        observe_rrr_size(7);
+        for len in [0, 1, 2, 4] {
+            observe_rrr_size(len);
+        }
         let text = prometheus_text(&snapshot());
         disable();
         assert!(text.contains("# TYPE ripples_comm_bytes_total counter"));
         assert!(text.contains("ripples_comm_bytes_total 1024"));
         assert!(text.contains("# TYPE ripples_phase gauge"));
-        assert!(text.contains("ripples_rrr_size_bucket{le=\"+Inf\"} 1"));
+        // `le` is inclusive: bucket `[2^(i-1), 2^i)` ends at `2^i − 1`, so a
+        // size-1 set counts under `le="1"` and the exact power of two 2
+        // under `le="3"`, not one bucket late.
+        assert!(text.contains("ripples_rrr_size_bucket{le=\"0\"} 1\n"));
+        assert!(text.contains("ripples_rrr_size_bucket{le=\"1\"} 2\n"));
+        assert!(text.contains("ripples_rrr_size_bucket{le=\"3\"} 3\n"));
+        assert!(text.contains("ripples_rrr_size_bucket{le=\"7\"} 4\n"));
+        assert!(text.contains("ripples_rrr_size_bucket{le=\"+Inf\"} 4"));
         assert!(text.contains("ripples_rrr_size_sum 7"));
     }
 }

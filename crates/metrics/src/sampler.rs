@@ -66,10 +66,10 @@ pub struct TimeSeries {
 
 impl TimeSeries {
     /// Serializes the series as schema-versioned JSON
-    /// (`ripples-metrics-v1`). Rows are columnar-compact: `"v"` holds the
-    /// cell values in the order given by the top-level `"metrics"`
-    /// catalog, so the file is self-describing without repeating names
-    /// per row.
+    /// (`ripples-metrics-v2`). Rows are columnar-compact: `"v"` holds the
+    /// values of the live catalog rows in the order given by the top-level
+    /// `"metrics"` header, so the file is self-describing without repeating
+    /// names per row.
     #[must_use]
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
@@ -79,16 +79,14 @@ impl TimeSeries {
             "{{\n  \"schema\": \"{SCHEMA}\",\n  \"rank_policy\": \"reduced\",\n  \"interval_ms\": {},\n  \"downsample_halvings\": {},\n  \"metrics\": [",
             self.interval_ms, self.downsample_halvings
         );
-        for (i, metric) in Metric::ALL.iter().enumerate() {
-            let kind = match metric.kind() {
-                crate::Kind::Counter => "counter",
-                crate::Kind::Gauge => "gauge",
-            };
+        for (i, metric) in Metric::live().enumerate() {
             let _ = write!(
                 out,
-                "{}\n    {{\"name\": \"{}\", \"kind\": \"{kind}\"}}",
+                "{}\n    {{\"name\": \"{}\", \"kind\": \"{}\", \"unit\": \"{}\"}}",
                 if i == 0 { "" } else { "," },
-                metric.name()
+                metric.name(),
+                metric.row().kind.exposition(),
+                metric.row().unit
             );
         }
         out.push_str("\n  ],\n  \"rrr_size_hist\": {\"buckets\": \"pow2\", \"len\": ");
@@ -101,8 +99,8 @@ impl TimeSeries {
                 if i == 0 { "" } else { "," },
                 s.t_ms
             );
-            for (j, v) in s.values.iter().enumerate() {
-                let _ = write!(out, "{}{v}", if j == 0 { "" } else { "," });
+            for (j, metric) in Metric::live().enumerate() {
+                let _ = write!(out, "{}{}", if j == 0 { "" } else { "," }, s.value(metric));
             }
             let _ = write!(
                 out,
@@ -391,8 +389,8 @@ mod tests {
         let series = handle.finalize();
         crate::disable();
         let json = series.to_json();
-        ripples_trace::validate_json(&json).expect("series must be valid JSON");
-        assert!(json.contains("\"schema\": \"ripples-metrics-v1\""));
+        ripples_trace::json::parse(&json).expect("series must be valid JSON");
+        assert!(json.contains("\"schema\": \"ripples-metrics-v2\""));
         assert!(json.contains("\"rank_policy\": \"reduced\""));
         assert!(json.contains("\"samples_generated\""));
     }

@@ -250,9 +250,11 @@ impl SketchService {
         let wall_nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.latency.record(wall_nanos);
         self.queries_served += 1;
-        ripples_metrics::add(Metric::QueriesServed, 1);
-        ripples_metrics::set(Metric::QueryP50Nanos, self.latency.quantile(0.50));
-        ripples_metrics::set(Metric::QueryP99Nanos, self.latency.quantile(0.99));
+        if ripples_metrics::enabled() {
+            ripples_metrics::add(Metric::QueriesServed, 1);
+            ripples_metrics::set(Metric::QueryP50Nanos, self.latency.quantile(0.50));
+            ripples_metrics::set(Metric::QueryP99Nanos, self.latency.quantile(0.99));
+        }
         ripples_trace::mark(TraceName::QueryEnd, u64::from(k), entries);
         wall_nanos
     }

@@ -33,10 +33,8 @@
 
 #![warn(missing_docs)]
 
-mod json;
+pub mod json;
 mod ring;
-
-pub use json::validate_json;
 
 use ring::WorkerRing;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -72,154 +70,104 @@ impl EventKind {
     }
 }
 
-/// The fixed catalog of event names.
-///
-/// Events are fixed-size, so names are ids into this catalog rather than
-/// strings; the catalog covers the phase structure of the IMM engines, the
-/// sampler, the selection loop, and the communicator collectives.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
-pub enum TraceName {
-    /// Algorithm 2 (martingale θ-estimation), whole phase.
-    EstimateTheta = 0,
-    /// One estimation round; `arg0` = round index (1-based).
-    Round = 1,
-    /// A sampling call (estimation-round batch or the final top-up).
-    SampleBatch = 2,
-    /// One worker's contiguous chunk of a parallel sampling batch;
-    /// `arg0` = first global sample index, `arg1` = sample count.
-    SampleChunk = 3,
-    /// A greedy selection pass inside an estimation round.
-    Select = 4,
-    /// The final SelectSeeds pass (Algorithm 4).
-    SelectSeeds = 5,
-    /// One greedy selection step; `arg0` = chosen vertex,
-    /// `arg1` = marginal gain.
-    SelectStep = 6,
-    /// `all_reduce_*` collective; `arg0` = modeled payload bytes.
-    CommAllReduce = 7,
-    /// `all_gather_*` collective; `arg0` = modeled payload bytes.
-    CommAllGather = 8,
-    /// `broadcast_*` collective; `arg0` = modeled payload bytes.
-    CommBroadcast = 9,
-    /// `barrier` collective.
-    CommBarrier = 10,
-    /// RRR-storage resident bytes high-water sample; `arg0` = bytes.
-    RrrBytes = 11,
-    /// A span whose label is outside the fixed catalog.
-    Generic = 12,
-    /// Building the vertex→samples inverted index for fused selection;
-    /// `arg0` = index entries.
-    IndexBuild = 13,
-    /// Index entries touched while covering one seed's samples;
-    /// `arg0` = entries, `arg1` = chosen vertex.
-    SelectTouched = 14,
-    /// Worker-arena reserved bytes for one sampling batch; `arg0` = bytes.
-    ArenaBytes = 15,
-    /// A collective attempt failed and is being retried;
-    /// `arg0` = op index, `arg1` = attempt number (0-based).
-    CommRetry = 16,
-    /// A rank was declared dead after exhausted retries;
-    /// `arg0` = rank, `arg1` = op index.
-    RankDead = 17,
-    /// One worker's contiguous chunk of a fused multi-cascade sampling
-    /// batch; `arg0` = first global sample index, `arg1` = sample count.
-    FusedChunk = 18,
-    /// Peak per-vertex activation-mask scratch bytes of the fused sampler;
-    /// `arg0` = bytes.
-    MaskBytes = 19,
-    /// A serve-mode query starts; `arg0` = requested seed count `k`.
-    QueryBegin = 20,
-    /// A serve-mode query finishes; `arg0` = requested seed count `k`,
-    /// `arg1` = RRR-index entries touched while answering.
-    QueryEnd = 21,
-    /// `alltoallv_u64` / posted frontier exchange; `arg0` = payload bytes.
-    CommExchange = 22,
+macro_rules! trace_names {
+    ($($(#[$doc:meta])* $name:ident = $id:literal, $label:literal, ($k0:expr, $k1:expr);)*) => {
+        /// The fixed catalog of event names.
+        ///
+        /// Events are fixed-size, so names are ids into this catalog rather
+        /// than strings; the catalog covers the phase structure of the IMM
+        /// engines, the sampler, the selection loop, and the communicator
+        /// collectives. The id is the wire encoding of
+        /// [`encode_thread_events`] and never changes for a given name.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum TraceName {
+            $($(#[$doc])* $name = $id,)*
+        }
+
+        impl TraceName {
+            /// Display label used in the Chrome export.
+            #[must_use]
+            pub const fn label(self) -> &'static str {
+                match self {
+                    $(TraceName::$name => $label,)*
+                }
+            }
+
+            /// Chrome `args` keys for `(arg0, arg1)`; `None` suppresses the key.
+            const fn arg_keys(self) -> (Option<&'static str>, Option<&'static str>) {
+                match self {
+                    $(TraceName::$name => ($k0, $k1),)*
+                }
+            }
+
+            fn from_u8(x: u8) -> Option<Self> {
+                match x {
+                    $($id => Some(TraceName::$name),)*
+                    _ => None,
+                }
+            }
+        }
+    };
 }
 
-impl TraceName {
-    /// Display label used in the Chrome export.
-    #[must_use]
-    pub const fn label(self) -> &'static str {
-        match self {
-            TraceName::EstimateTheta => "EstimateTheta",
-            TraceName::Round => "round",
-            TraceName::SampleBatch => "sample",
-            TraceName::SampleChunk => "sample-chunk",
-            TraceName::Select => "select",
-            TraceName::SelectSeeds => "SelectSeeds",
-            TraceName::SelectStep => "select-step",
-            TraceName::CommAllReduce => "allreduce",
-            TraceName::CommAllGather => "allgather",
-            TraceName::CommBroadcast => "broadcast",
-            TraceName::CommBarrier => "barrier",
-            TraceName::RrrBytes => "rrr-bytes",
-            TraceName::Generic => "span",
-            TraceName::IndexBuild => "index-build",
-            TraceName::SelectTouched => "select-touched",
-            TraceName::ArenaBytes => "arena-bytes",
-            TraceName::CommRetry => "comm-retry",
-            TraceName::RankDead => "rank-dead",
-            TraceName::FusedChunk => "fused-chunk",
-            TraceName::MaskBytes => "mask-bytes",
-            TraceName::QueryBegin => "query-begin",
-            TraceName::QueryEnd => "query-end",
-            TraceName::CommExchange => "exchange",
-        }
-    }
-
-    /// Chrome `args` keys for `(arg0, arg1)`; `None` suppresses the key.
-    const fn arg_keys(self) -> (Option<&'static str>, Option<&'static str>) {
-        match self {
-            TraceName::Round => (Some("round"), None),
-            TraceName::SampleChunk | TraceName::FusedChunk => (Some("first"), Some("count")),
-            TraceName::SelectStep => (Some("vertex"), Some("gain")),
-            TraceName::CommAllReduce
-            | TraceName::CommAllGather
-            | TraceName::CommBroadcast
-            | TraceName::CommExchange => (Some("bytes"), None),
-            TraceName::RrrBytes | TraceName::ArenaBytes | TraceName::MaskBytes => {
-                (Some("bytes"), None)
-            }
-            TraceName::IndexBuild => (Some("entries"), None),
-            TraceName::SelectTouched => (Some("entries"), Some("vertex")),
-            TraceName::QueryBegin => (Some("k"), None),
-            TraceName::QueryEnd => (Some("k"), Some("entries")),
-            TraceName::CommRetry => (Some("op"), Some("attempt")),
-            TraceName::RankDead => (Some("rank"), Some("op")),
-            _ => (None, None),
-        }
-    }
-
-    fn from_u8(x: u8) -> Option<Self> {
-        use TraceName::*;
-        match x {
-            0 => Some(EstimateTheta),
-            1 => Some(Round),
-            2 => Some(SampleBatch),
-            3 => Some(SampleChunk),
-            4 => Some(Select),
-            5 => Some(SelectSeeds),
-            6 => Some(SelectStep),
-            7 => Some(CommAllReduce),
-            8 => Some(CommAllGather),
-            9 => Some(CommBroadcast),
-            10 => Some(CommBarrier),
-            11 => Some(RrrBytes),
-            12 => Some(Generic),
-            13 => Some(IndexBuild),
-            14 => Some(SelectTouched),
-            15 => Some(ArenaBytes),
-            16 => Some(CommRetry),
-            17 => Some(RankDead),
-            18 => Some(FusedChunk),
-            19 => Some(MaskBytes),
-            20 => Some(QueryBegin),
-            21 => Some(QueryEnd),
-            22 => Some(CommExchange),
-            _ => None,
-        }
-    }
+// doc, name = wire id, Chrome label, (arg0 key, arg1 key)
+trace_names! {
+    /// Algorithm 2 (martingale θ-estimation), whole phase.
+    EstimateTheta = 0, "EstimateTheta", (None, None);
+    /// One estimation round; `arg0` = round index (1-based).
+    Round = 1, "round", (Some("round"), None);
+    /// A sampling call (estimation-round batch or the final top-up).
+    SampleBatch = 2, "sample", (None, None);
+    /// One worker's contiguous chunk of a parallel sampling batch;
+    /// `arg0` = first global sample index, `arg1` = sample count.
+    SampleChunk = 3, "sample-chunk", (Some("first"), Some("count"));
+    /// A greedy selection pass inside an estimation round.
+    Select = 4, "select", (None, None);
+    /// The final SelectSeeds pass (Algorithm 4).
+    SelectSeeds = 5, "SelectSeeds", (None, None);
+    /// One greedy selection step; `arg0` = chosen vertex,
+    /// `arg1` = marginal gain.
+    SelectStep = 6, "select-step", (Some("vertex"), Some("gain"));
+    /// `all_reduce_*` collective; `arg0` = modeled payload bytes.
+    CommAllReduce = 7, "allreduce", (Some("bytes"), None);
+    /// `all_gather_*` collective; `arg0` = modeled payload bytes.
+    CommAllGather = 8, "allgather", (Some("bytes"), None);
+    /// `broadcast_*` collective; `arg0` = modeled payload bytes.
+    CommBroadcast = 9, "broadcast", (Some("bytes"), None);
+    /// `barrier` collective.
+    CommBarrier = 10, "barrier", (None, None);
+    /// RRR-storage resident bytes high-water sample; `arg0` = bytes.
+    RrrBytes = 11, "rrr-bytes", (Some("bytes"), None);
+    /// A span whose label is outside the fixed catalog.
+    Generic = 12, "span", (None, None);
+    /// Building the vertex→samples inverted index for fused selection;
+    /// `arg0` = index entries.
+    IndexBuild = 13, "index-build", (Some("entries"), None);
+    /// Index entries touched while covering one seed's samples;
+    /// `arg0` = entries, `arg1` = chosen vertex.
+    SelectTouched = 14, "select-touched", (Some("entries"), Some("vertex"));
+    /// Worker-arena reserved bytes for one sampling batch; `arg0` = bytes.
+    ArenaBytes = 15, "arena-bytes", (Some("bytes"), None);
+    /// A collective attempt failed and is being retried;
+    /// `arg0` = op index, `arg1` = attempt number (0-based).
+    CommRetry = 16, "comm-retry", (Some("op"), Some("attempt"));
+    /// A rank was declared dead after exhausted retries;
+    /// `arg0` = rank, `arg1` = op index.
+    RankDead = 17, "rank-dead", (Some("rank"), Some("op"));
+    /// One worker's contiguous chunk of a fused multi-cascade sampling
+    /// batch; `arg0` = first global sample index, `arg1` = sample count.
+    FusedChunk = 18, "fused-chunk", (Some("first"), Some("count"));
+    /// Peak per-vertex activation-mask scratch bytes of the fused sampler;
+    /// `arg0` = bytes.
+    MaskBytes = 19, "mask-bytes", (Some("bytes"), None);
+    /// A serve-mode query starts; `arg0` = requested seed count `k`.
+    QueryBegin = 20, "query-begin", (Some("k"), None);
+    /// A serve-mode query finishes; `arg0` = requested seed count `k`,
+    /// `arg1` = RRR-index entries touched while answering.
+    QueryEnd = 21, "query-end", (Some("k"), Some("entries"));
+    /// `alltoallv_u64` / posted frontier exchange; `arg0` = payload bytes.
+    CommExchange = 22, "exchange", (Some("bytes"), None);
 }
 
 /// One fixed-size trace record. Timestamps are nanoseconds since the trace
@@ -867,7 +815,7 @@ mod tests {
             }],
         };
         let j = t.to_chrome_json();
-        validate_json(&j).expect("chrome export must be valid JSON");
+        json::parse(&j).expect("chrome export must be valid JSON");
         for needle in [
             "\"traceEvents\":[",
             "\"ph\":\"X\"",
@@ -887,7 +835,7 @@ mod tests {
     #[test]
     fn empty_trace_exports_valid_json() {
         let j = Trace::default().to_chrome_json();
-        validate_json(&j).unwrap();
+        json::parse(&j).unwrap();
         assert!(j.contains("\"traceEvents\":[]"));
     }
 
@@ -900,12 +848,15 @@ mod tests {
 
     #[test]
     fn name_catalog_round_trips() {
-        for x in 0..=22u8 {
-            let name = TraceName::from_u8(x).expect("catalog entry");
-            assert_eq!(name as u8, x);
-            assert!(!name.label().is_empty());
+        let all: Vec<(u8, TraceName)> = (0..=u8::MAX)
+            .filter_map(|id| TraceName::from_u8(id).map(|name| (id, name)))
+            .collect();
+        assert_eq!(all.len(), 23);
+        for &(id, name) in &all {
+            assert_eq!(name as u8, id);
+            let same_label = all.iter().filter(|(_, n)| n.label() == name.label());
+            assert_eq!(same_label.count(), 1, "label {:?} repeats", name.label());
         }
-        assert!(TraceName::from_u8(23).is_none());
         assert!(EventKind::from_u8(3).is_none());
     }
 }

@@ -8,11 +8,11 @@
 use ripples_comm::ThreadWorld;
 use ripples_core::dist::imm_distributed;
 use ripples_core::mt::imm_multithreaded;
-use ripples_core::{ImmParams, ImmResult};
+use ripples_core::{ImmParams, ImmResult, RunReport};
 use ripples_diffusion::DiffusionModel;
 use ripples_graph::generators::erdos_renyi;
 use ripples_graph::{Graph, WeightModel};
-use ripples_metrics::{phase, Metric};
+use ripples_metrics::{phase, Kind, Metric};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -60,7 +60,7 @@ fn disabled_registry_records_nothing() {
     let before = ripples_metrics::snapshot();
     ripples_metrics::add(Metric::SamplesGenerated, 1_000);
     ripples_metrics::set(Metric::Phase, phase::SAMPLE);
-    ripples_metrics::set_max(Metric::RrrBytes, u64::MAX);
+    ripples_metrics::set_max(Metric::RrrBytesPeak, u64::MAX);
     ripples_metrics::observe_rrr_size(64);
     let after = ripples_metrics::snapshot();
     assert_eq!(
@@ -109,6 +109,10 @@ fn sampler_observes_a_real_run_and_finalizes_cleanly() {
         .collect();
     assert!(phases.contains(&phase::SAMPLE), "sampling phase observed");
     assert!(phases.contains(&phase::SELECT), "selection phase observed");
+    // So do round boundaries, and the round gauge resets with the phase.
+    let rounds = series.samples.iter().map(|s| s.value(Metric::Round));
+    assert_eq!(rounds.max(), Some(result.report.counters.theta_rounds));
+    assert_eq!(last.value(Metric::Round), 0);
     assert!(
         last.hist_count > 0,
         "RRR size histogram must have observations"
@@ -187,4 +191,63 @@ fn dist_world_sizes_reduce_consistently() {
         assert_eq!(theta, theta1, "world={world}: theta must match world=1");
         assert_eq!(seeds, seeds1, "world={world}: seeds must match world=1");
     }
+}
+
+#[test]
+fn catalog_reaches_every_export() {
+    let _g = gate();
+    // A distinct value per row, so a row wired to the wrong field shows.
+    let value = |m: Metric| 1000 + m as u64;
+    let mut report = RunReport::new("catalog");
+    ripples_metrics::enable();
+    for m in Metric::ALL {
+        if let Some(field) = report.counters.get_mut(m) {
+            *field = value(m);
+        }
+        ripples_metrics::set(m, value(m));
+    }
+    let sample = ripples_metrics::snapshot();
+    ripples_metrics::disable();
+
+    let json = report.to_json();
+    let pretty = report.render_pretty();
+    let prom = ripples_metrics::prometheus_text(&sample);
+    let series = ripples_metrics::TimeSeries {
+        interval_ms: 0,
+        downsample_halvings: 0,
+        samples: vec![sample],
+    }
+    .to_json();
+    let series = ripples_trace::json::parse(&series).expect("series is JSON");
+    let header = series.get("metrics").and_then(|h| h.as_array()).unwrap();
+    let cells = series.get("samples").and_then(|s| s.as_array()).unwrap()[0]
+        .get("v")
+        .and_then(|v| v.as_array())
+        .unwrap();
+    assert_eq!(series.str("schema"), Some("ripples-metrics-v2"));
+
+    let mut column = 0;
+    for m in Metric::ALL {
+        let (name, row) = (m.name(), m.row());
+        assert!(row.in_report || row.live, "{name}: exported nowhere");
+        let keyed = format!("\"{name}\":{},", value(m));
+        assert_eq!(json.contains(&keyed), row.in_report, "{name} in to_json");
+        let gap = if row.unit.is_empty() { "" } else { " " };
+        let line = format!("  {name:<23} {}{gap}{}\n", value(m), row.unit);
+        assert_eq!(pretty.contains(&line), row.in_report, "{name} in pretty");
+        let total = if row.kind == Kind::Counter {
+            "_total"
+        } else {
+            ""
+        };
+        let exposed = format!("\nripples_{name}{total} {}\n", value(m));
+        assert_eq!(prom.contains(&exposed), row.live, "{name} in prometheus");
+        if row.live {
+            assert_eq!(header[column].str("name"), Some(name), "column {column}");
+            assert_eq!(cells[column].as_f64(), Some(value(m) as f64), "{name}");
+            column += 1;
+        }
+    }
+    assert_eq!(column, header.len());
+    assert_eq!(column, cells.len());
 }

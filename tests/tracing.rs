@@ -78,6 +78,17 @@ fn mt_run_exports_valid_chrome_trace() {
     assert!(names.contains(&trace::TraceName::SelectSeeds));
     assert!(names.contains(&trace::TraceName::SelectStep));
     assert!(names.contains(&trace::TraceName::SampleChunk));
+    // Every report span lands as the event its kind names: one `round`
+    // event per estimation round carrying its 1-based index, each with a
+    // `sample` batch and a `select` pass inside.
+    let rounds: Vec<u64> = (t.events.iter())
+        .filter(|e| e.event.name == trace::TraceName::Round)
+        .map(|e| e.event.arg0)
+        .collect();
+    let expect: Vec<u64> = (1..=r.report.counters.theta_rounds).collect();
+    assert_eq!(rounds, expect);
+    assert!(names.contains(&trace::TraceName::SampleBatch));
+    assert!(names.contains(&trace::TraceName::Select));
 
     // The run pins a two-thread pool, so the sampler splits batches across
     // the calling thread and one spawned worker: two tracks, regardless of
@@ -91,7 +102,7 @@ fn mt_run_exports_valid_chrome_trace() {
     );
 
     let json = t.to_chrome_json();
-    trace::validate_json(&json).expect("chrome export must be valid JSON");
+    trace::json::parse(&json).expect("chrome export must be valid JSON");
     assert!(json.starts_with("{\"traceEvents\":["));
     assert!(json.contains("\"ph\":\"X\""), "no complete (span) events");
     assert!(json.contains("\"ph\":\"i\""), "no instant (mark) events");
@@ -121,7 +132,7 @@ fn tiny_ring_drops_events_but_still_exports() {
     assert_eq!(attributed, t.dropped, "per-worker drops must sum to total");
 
     let json = t.to_chrome_json();
-    trace::validate_json(&json).expect("overflowed trace still exports valid JSON");
+    trace::json::parse(&json).expect("overflowed trace still exports valid JSON");
     assert!(json.contains(&format!("\"dropped\":{}", t.dropped)));
     assert!(
         json.contains("\"dropped_by_worker\":[{\"rank\":"),
@@ -172,7 +183,7 @@ fn distributed_run_merges_rank_tagged_tracks() {
         .any(|e| e.event.name == trace::TraceName::CommAllReduce && e.event.arg0 > 0));
 
     let json = traces[0].to_chrome_json();
-    trace::validate_json(&json).expect("distributed export must be valid JSON");
+    trace::json::parse(&json).expect("distributed export must be valid JSON");
     assert!(json.contains("\"name\":\"rank 0\""));
     assert!(json.contains("\"name\":\"rank 1\""));
 }
