@@ -111,6 +111,50 @@ fn usage_error(message: &str) -> ! {
     std::process::exit(2);
 }
 
+/// The pipelines `--engine` names.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Engine {
+    Opt,
+    Baseline,
+    Mt,
+    Dist,
+    Community,
+    Partitioned,
+    Sharded,
+    Tim,
+    DegDiscount,
+    Celf,
+}
+
+const ENGINES: [(&str, Engine); 10] = [
+    ("opt", Engine::Opt),
+    ("baseline", Engine::Baseline),
+    ("mt", Engine::Mt),
+    ("dist", Engine::Dist),
+    ("community", Engine::Community),
+    ("partitioned", Engine::Partitioned),
+    ("sharded", Engine::Sharded),
+    ("tim", Engine::Tim),
+    ("degdiscount", Engine::DegDiscount),
+    ("celf", Engine::Celf),
+];
+
+/// `--engine TAG`, `mt` when absent; any other tag is a usage error that
+/// lists the ones that exist.
+fn parse_engine(args: &Args) -> (&'static str, Engine) {
+    let tag = args.get("engine").unwrap_or("mt");
+    ENGINES
+        .into_iter()
+        .find(|(name, _)| *name == tag)
+        .unwrap_or_else(|| {
+            let tags: Vec<&str> = ENGINES.iter().map(|(name, _)| *name).collect();
+            usage_error(&format!(
+                "unknown --engine `{tag}` (expected {})",
+                tags.join("|")
+            ))
+        })
+}
+
 /// `--name` parsed as `T`, `default` when absent; a value that does not
 /// parse is a usage error, not a panic.
 fn flag_or<T: std::str::FromStr>(args: &Args, name: &str, default: T) -> T {
@@ -195,7 +239,7 @@ fn load_graph(args: &Args, model: DiffusionModel) -> Graph {
 }
 
 /// Parses a `--metrics-interval` value: `50ms`, `2s`, or a plain
-/// millisecond count. Floored at 1ms.
+/// millisecond count. Floored at 1ms. Anything else is a usage error.
 fn parse_interval(s: &str) -> std::time::Duration {
     let (num, to_ms) = match s.strip_suffix("ms") {
         Some(n) => (n, 1.0),
@@ -205,8 +249,9 @@ fn parse_interval(s: &str) -> std::time::Duration {
         },
     };
     let v: f64 = num.trim().parse().unwrap_or_else(|_| {
-        eprintln!("error: --metrics-interval takes e.g. 50ms or 1s, got `{s}`");
-        std::process::exit(1);
+        usage_error(&format!(
+            "--metrics-interval takes e.g. 50ms or 1s, got `{s}`"
+        ))
     });
     std::time::Duration::from_micros(((v * to_ms * 1000.0) as u64).max(1000))
 }
@@ -277,8 +322,9 @@ fn main() {
     let args = Args::from_env();
     let model = DiffusionModel::from_tag(args.get("model").unwrap_or("ic"))
         .unwrap_or_else(|| usage_error("--model must be ic or lt"));
-    // Engine tags are checked before the graph is loaded: a typo should not
-    // cost a load.
+    // Every flag value is checked before the graph is loaded: a typo should
+    // not cost a load.
+    let (engine_tag, engine) = parse_engine(&args);
     let select = args
         .get("select")
         .map(|tag| parse_select(tag).unwrap_or_else(|message| usage_error(&message)));
@@ -286,33 +332,30 @@ fn main() {
         parse_sample(tag).unwrap_or_else(|message| usage_error(&message))
     });
     let storage = parse_storage(&args).unwrap_or_else(|message| usage_error(&message));
-    let graph = load_graph(&args, model);
-    let stats = GraphStats::of(&graph);
-    eprintln!(
-        "graph: {} vertices, {} edges, avg degree {:.2}, max degree {}",
-        stats.nodes, stats.edges, stats.avg_degree, stats.max_out_degree
-    );
-
     let k: u32 = flag_or(&args, "k", 50);
     let epsilon: f64 = flag_or(&args, "epsilon", 0.5);
     let seed: u64 = flag_or(&args, "seed", 0);
     let simulate: Option<u32> = args
         .try_parse("simulate")
         .unwrap_or_else(|message| usage_error(&message));
+    let threads: usize = flag_or(&args, "threads", 0);
+    let ranks: u32 = flag_or(&args, "ranks", 2);
+    let trials: u32 = flag_or(&args, "trials", 200);
+    let prob: f64 = flag_or(&args, "prob", 0.1);
+    let trace_buffer = args
+        .try_parse("trace-buffer")
+        .unwrap_or_else(|message| usage_error(&message));
+    let interval = parse_interval(args.get("metrics-interval").unwrap_or("250ms"));
     let params = ImmParams::new(k, epsilon, model, seed);
-    let engine = args.get("engine").unwrap_or("mt").to_string();
-    if args.get("sample").is_some() && !matches!(engine.as_str(), "opt" | "mt" | "tim") {
+    let samples_rrr = matches!(engine, Engine::Opt | Engine::Mt | Engine::Tim);
+    let over_comm = matches!(engine, Engine::Dist | Engine::Partitioned | Engine::Sharded);
+    if args.get("sample").is_some() && !samples_rrr {
         eprintln!("warning: --sample only affects the opt/mt/tim engines; ignoring");
     }
     if storage.budget.is_some() && storage.kind != RrrStoreKind::Spill {
         eprintln!("warning: --rrr-budget only affects --rrr-store spill; ignoring");
     }
-    if storage.kind != RrrStoreKind::Flat
-        && !matches!(
-            engine.as_str(),
-            "opt" | "mt" | "dist" | "partitioned" | "sharded" | "tim"
-        )
-    {
+    if storage.kind != RrrStoreKind::Flat && !(samples_rrr || over_comm) {
         eprintln!(
             "warning: --rrr-store only affects the opt/mt/dist/partitioned/sharded/tim engines; ignoring"
         );
@@ -323,10 +366,9 @@ fn main() {
     let chaos_seed: Option<u64> = args
         .try_parse("chaos-seed")
         .unwrap_or_else(|message| usage_error(&message));
-    let plan = chaos_seed.map_or_else(FaultPlan::none, |seed| {
-        FaultPlan::chaos(seed, flag_or(&args, "chaos-rate", 0.02))
-    });
-    if chaos_seed.is_some() && !matches!(engine.as_str(), "dist" | "partitioned" | "sharded") {
+    let chaos_rate: f64 = flag_or(&args, "chaos-rate", 0.02);
+    let plan = chaos_seed.map_or_else(FaultPlan::none, |seed| FaultPlan::chaos(seed, chaos_rate));
+    if chaos_seed.is_some() && !over_comm {
         eprintln!(
             "warning: --chaos-seed only affects the dist/partitioned/sharded engines; ignoring"
         );
@@ -352,25 +394,27 @@ fn main() {
     for (i, (flag_a, path_a)) in outputs.iter().enumerate() {
         for (flag_b, path_b) in &outputs[i + 1..] {
             if path_a == path_b {
-                eprintln!(
-                    "error: {flag_a} and {flag_b} both write to `{path_a}`; \
+                usage_error(&format!(
+                    "{flag_a} and {flag_b} both write to `{path_a}`; \
                      give each exporter its own file"
-                );
-                std::process::exit(1);
+                ));
             }
         }
     }
 
+    let graph = load_graph(&args, model);
+    let stats = GraphStats::of(&graph);
+    eprintln!(
+        "graph: {} vertices, {} edges, avg degree {:.2}, max degree {}",
+        stats.nodes, stats.edges, stats.avg_degree, stats.max_out_degree
+    );
+
     if trace_path.is_some() {
-        let capacity = args
-            .try_parse("trace-buffer")
-            .unwrap_or_else(|message| usage_error(&message));
-        trace::start(capacity);
+        trace::start(trace_buffer);
     }
 
     let sampler = if metrics_path.is_some() || metrics_prom_path.is_some() || progress {
         ripples_metrics::enable();
-        let interval = parse_interval(args.get("metrics-interval").unwrap_or("250ms"));
         let observer = progress.then(progress_observer);
         Some(ripples_metrics::start_sampler(interval, observer))
     } else {
@@ -378,8 +422,8 @@ fn main() {
     };
 
     let start = std::time::Instant::now();
-    let (seeds, detail, report) = match engine.as_str() {
-        "opt" => {
+    let (seeds, detail, report) = match engine {
+        Engine::Opt => {
             let r = match (select, sample, storage.kind) {
                 (None, SampleEngine::Reference, RrrStoreKind::Flat) => {
                     immopt_sequential(&graph, &params)
@@ -395,13 +439,12 @@ fn main() {
             let detail = format!("theta={} phases=[{}]", r.theta, r.timers);
             (r.seeds, detail, Some(r.report))
         }
-        "baseline" => {
+        Engine::Baseline => {
             let r = imm_baseline(&graph, &params);
             let detail = format!("theta={} phases=[{}]", r.theta, r.timers);
             (r.seeds, detail, Some(r.report))
         }
-        "dist" => {
-            let ranks: u32 = flag_or(&args, "ranks", 2);
+        Engine::Dist => {
             let world = ThreadWorld::new(ranks);
             let mut results = world.run(|comm| {
                 imm_distributed_with_storage(
@@ -417,7 +460,7 @@ fn main() {
             let detail = format!("ranks={ranks} theta={} phases=[{}]", r.theta, r.timers);
             (r.seeds, detail, Some(r.report))
         }
-        "community" => {
+        Engine::Community => {
             let r = community_imm(&graph, &params);
             (
                 r.seeds,
@@ -428,8 +471,7 @@ fn main() {
                 None,
             )
         }
-        "partitioned" => {
-            let ranks: u32 = flag_or(&args, "ranks", 2);
+        Engine::Partitioned => {
             let world = ThreadWorld::new(ranks);
             let mut results = world.run(|comm| {
                 let faulty = FaultComm::new(comm, plan.clone());
@@ -442,8 +484,7 @@ fn main() {
             );
             (r.seeds, detail, Some(r.report))
         }
-        "sharded" => {
-            let ranks: u32 = flag_or(&args, "ranks", 2);
+        Engine::Sharded => {
             let world = ThreadWorld::new(ranks);
             let mut results = world.run(|comm| {
                 let faulty = FaultComm::new(comm, plan.clone());
@@ -461,27 +502,24 @@ fn main() {
             );
             (r.seeds, detail, Some(r.report))
         }
-        "tim" => {
+        Engine::Tim => {
             let r = tim_plus_with_storage(&graph, &params, sample, storage);
             let detail = format!("theta={} phases=[{}]", r.theta, r.timers);
             (r.seeds, detail, Some(r.report))
         }
-        "degdiscount" => {
-            let p: f64 = flag_or(&args, "prob", 0.1);
-            let seeds = degree_discount_ic(&graph, k, p);
+        Engine::DegDiscount => {
+            let seeds = degree_discount_ic(&graph, k, prob);
             (
                 seeds,
-                format!("degree-discount p={p} (no approximation guarantee)"),
+                format!("degree-discount p={prob} (no approximation guarantee)"),
                 None,
             )
         }
-        "celf" => {
-            let trials: u32 = flag_or(&args, "trials", 200);
+        Engine::Celf => {
             let r = celf_greedy(&graph, model, k, trials, seed);
             (r.seeds, format!("evaluations={}", r.evaluations), None)
         }
-        _ => {
-            let threads: usize = flag_or(&args, "threads", 0);
+        Engine::Mt => {
             let r = imm_multithreaded_with_storage(
                 &graph,
                 &params,
@@ -535,7 +573,7 @@ fn main() {
             eprintln!("metrics: Prometheus exposition written to {path}");
         }
     }
-    eprintln!("engine={engine} model={model} k={k} epsilon={epsilon}: {detail}");
+    eprintln!("engine={engine_tag} model={model} k={k} epsilon={epsilon}: {detail}");
     eprintln!("time: {:.3}s", elapsed.as_secs_f64());
     if let (Some(seed), Some(rep)) = (chaos_seed, &report) {
         eprintln!(
@@ -574,7 +612,7 @@ fn main() {
                 Some(rep.render_pretty())
             }
             (None, _) => {
-                eprintln!("engine `{engine}` does not produce a run report");
+                eprintln!("engine `{engine_tag}` does not produce a run report");
                 None
             }
         };

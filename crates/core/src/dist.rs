@@ -28,14 +28,11 @@ use crate::obs::{CommCounters, Histogram, RunReport};
 use crate::params::ImmParams;
 use crate::result::ImmResult;
 use crate::select::{
-    argmax, index_built, nanos_since, uses_index, SampleLookup, SelectEngine, SelectStats,
-    Selection,
+    argmax, nanos_since, uses_index, with_index_if, SelectEngine, SelectStats, Selection,
 };
 use ripples_comm::{CommStats, Communicator, RetryComm};
 use ripples_diffusion::rrr::{generate_rrr, RrrScratch};
-use ripples_diffusion::{
-    DiffusionModel, DynRrrStore, IncrementalSampleIndex, RrrStore, SampleIndex, StorageConfig,
-};
+use ripples_diffusion::{DiffusionModel, DynRrrStore, RrrStore, SampleIndex, StorageConfig};
 use ripples_graph::{Graph, Vertex};
 use ripples_rng::{RankStream, StreamFactory};
 use std::time::Instant;
@@ -91,8 +88,6 @@ pub(crate) fn select_seeds_distributed<C: Communicator, S: RrrStore>(
 ) -> (Selection, SelectStats) {
     let k = k.min(n);
     let indexed = uses_index(SelectEngine::Auto, local, k);
-    let t0 = Instant::now();
-    let built = |index_bytes| index_built(t0, index_bytes, local.total_entries(), 1);
     let rounds = GreedyRounds {
         comm,
         theta_global,
@@ -100,20 +95,10 @@ pub(crate) fn select_seeds_distributed<C: Communicator, S: RrrStore>(
         k,
         select_mode,
     };
-    match local.as_flat() {
-        // Flat storage: binary-searched slices, serial `SampleIndex`.
-        Some(flat) if indexed => {
-            let index = SampleIndex::build(flat, n, 1);
-            rounds.run(flat, Some(&index), built(index.resident_bytes()))
-        }
-        Some(flat) => rounds.run::<_, SampleIndex>(flat, None, SelectStats::default()),
-        // Compressed storage: decode-on-touch, the index cached across θ
-        // rounds by `DynRrrStore`.
-        None if indexed => local.with_sample_index(n, |index| {
-            rounds.run(local, Some(index), built(index.resident_bytes()))
-        }),
-        None => rounds.run::<_, IncrementalSampleIndex>(local, None, SelectStats::default()),
-    }
+    // `DynRrrStore` keeps the index across θ rounds, whatever its layout.
+    with_index_if(indexed, local, n, 1, |index, stats| {
+        rounds.run(local, index, stats)
+    })
 }
 
 /// The collectively identical inputs of one distributed selection pass.
@@ -130,10 +115,10 @@ impl<C: Communicator> GreedyRounds<'_, C> {
     /// body for both storage sides and both purge strategies. `stats`
     /// carries the index build cost in; decode time is charged only on
     /// compressed stores (flat slices need no decoding).
-    fn run<S: RrrStore, I: SampleLookup>(
+    fn run<S: RrrStore>(
         &self,
         local: &S,
-        index: Option<&I>,
+        index: Option<&SampleIndex>,
         mut stats: SelectStats,
     ) -> (Selection, SelectStats) {
         let GreedyRounds {
@@ -149,7 +134,7 @@ impl<C: Communicator> GreedyRounds<'_, C> {
         // Local counting pass (the index's vertex degrees, or one direct sweep
         // over the local samples), then one All-Reduce for the global counts.
         let mut counters: Vec<u64> = match index {
-            Some(index) => (0..n).map(|v| index.degree(v)).collect(),
+            Some(index) => (0..n).map(|v| u64::from(index.degree(v))).collect(),
             None => {
                 let t0 = Instant::now();
                 let mut counts = vec![0u64; n_us];
@@ -658,10 +643,10 @@ mod tests {
             k: 6,
             select_mode: DistSelectMode::DenseAllReduce,
         };
-        let index = SampleIndex::build(&local, 40, 1);
-        let (with_index, indexed) = rounds.run(&local, Some(&index), SelectStats::default());
-        let (index_free, scanned) =
-            rounds.run::<_, SampleIndex>(&local, None, SelectStats::default());
+        let (with_index, indexed) = local.with_sample_index(40, 1, |index| {
+            rounds.run(&local, Some(index), SelectStats::default())
+        });
+        let (index_free, scanned) = rounds.run(&local, None, SelectStats::default());
         assert_eq!(with_index, index_free);
         assert!(indexed.entries_touched > 0);
         assert_eq!(indexed.entries_touched, scanned.entries_touched);

@@ -12,10 +12,9 @@ pub struct MemoryStats {
     /// Peak bytes of RRR-set storage (both directions for the hypergraph
     /// baseline, one direction for IMMOPT and the parallel versions).
     pub peak_rrr_bytes: usize,
-    /// Peak bytes of the selection inverted index (the transient u32-CSR
-    /// [`ripples_diffusion::SampleIndex`], or a store's cached
-    /// [`ripples_diffusion::IncrementalSampleIndex`]); 0 for index-free
-    /// selection.
+    /// Peak bytes of the selection inverted index (the store's
+    /// [`ripples_diffusion::SampleIndex`]: per segment a `4·(n + 1)`-byte
+    /// table plus 1–2 bytes per RRR entry); 0 for index-free selection.
     pub peak_index_bytes: usize,
     /// Bytes of the per-vertex counter array used in seed selection.
     pub counter_bytes: usize,

@@ -10,10 +10,10 @@
 //! * `greedy_cover` — the one production body, behind
 //!   [`select_with_engine_store`]. Its three parameters are the collection
 //!   view (`IntervalSets`: sorted lists, lists-or-bitmaps, or any store
-//!   streamed by one owner), an optional inverted index (`SampleLookup`:
-//!   with it the cover step walks the seed's row, without it it probes
-//!   every alive sample, which is Algorithm 4 as the paper states it) and
-//!   the initial `selected` mask (the serve mode's banned vertices).
+//!   streamed by one owner), the store's inverted index or none (with it
+//!   the cover step walks the seed's row, without it it probes every alive
+//!   sample, which is Algorithm 4 as the paper states it) and the initial
+//!   `selected` mask (the serve mode's banned vertices).
 //!   Counters are owned by vertex interval, so no owner ever needs an
 //!   atomic update, and each owner keeps its interval's argmax
 //!   incrementally, so a round's winner is a p-way reduction rather than
@@ -22,7 +22,7 @@
 //!   [`SelectEngine::Auto`] picks between them by [`fused_is_profitable`].
 //! * `dist::GreedyRounds::run` — the distributed protocol: its counters
 //!   are global and its decrements travel through a collective, so it
-//!   shares `SampleLookup` and `argmax` with this module but not a body.
+//!   shares the index and `argmax` with this module but not a body.
 //! * `seq::TangStorage::select` — the Table 2/3 baseline over Tang et
 //!   al.'s two-direction layout, slow on purpose.
 //! * `ripples-oracle`'s `reference.rs` — the oracle's own greedy, which
@@ -33,7 +33,7 @@
 //! collections — a property the cross-implementation tests rely on.
 
 use ripples_diffusion::{
-    IncrementalSampleIndex, MixedRrrCollection, RrrCollection, RrrStore, RrrStoreKind, SampleIndex,
+    IntervalSets, RrrCollection, RrrStore, RrrStoreKind, SampleIndex, Streamed,
 };
 use ripples_graph::Vertex;
 use std::time::Instant;
@@ -197,139 +197,6 @@ fn sequential_greedy<S: RrrStore>(
     )
 }
 
-/// The vertex → sample-ids lookup that lets a cover step walk one row
-/// instead of probing every alive sample: the transient [`SampleIndex`]
-/// over sorted lists, a store's cached [`IncrementalSampleIndex`]
-/// otherwise.
-pub(crate) trait SampleLookup {
-    /// Number of samples containing `v`.
-    fn degree(&self, v: Vertex) -> u64;
-    /// Streams the ascending sample ids containing `v` to `f`.
-    fn for_each_sample(&self, v: Vertex, f: impl FnMut(usize));
-}
-
-impl SampleLookup for SampleIndex {
-    fn degree(&self, v: Vertex) -> u64 {
-        SampleIndex::degree(self, v)
-    }
-
-    fn for_each_sample(&self, v: Vertex, mut f: impl FnMut(usize)) {
-        for &sid in self.samples_containing(v) {
-            f(sid as usize);
-        }
-    }
-}
-
-impl SampleLookup for IncrementalSampleIndex {
-    fn degree(&self, v: Vertex) -> u64 {
-        u64::from(IncrementalSampleIndex::degree(self, v))
-    }
-
-    fn for_each_sample(&self, v: Vertex, f: impl FnMut(usize)) {
-        IncrementalSampleIndex::for_each_sample(self, v, f);
-    }
-}
-
-/// What Algorithm 4's interval owners ask of a sample collection, beyond
-/// what any store answers: a walk over the part of a sample that falls into
-/// one owner's vertex interval, and a way to run the owners.
-trait IntervalSets {
-    /// Owners' interval bounds are multiples of this many vertices.
-    const ALIGN: usize;
-    /// The most owners the collection can serve.
-    const MAX_OWNERS: usize = usize::MAX;
-    type Store: RrrStore;
-
-    /// The samples themselves: their number, sizes and membership.
-    fn store(&self) -> &Self::Store;
-
-    /// Streams the vertices of sample `j` in `[vl, vh)` (`vl` a multiple of
-    /// [`Self::ALIGN`]) to `f`.
-    fn for_each_in(&self, j: usize, vl: Vertex, vh: Vertex, f: impl FnMut(Vertex));
-
-    /// Runs `f` once per owner. `f` is handed the collection rather than
-    /// capturing it, so only a collection that runs its owners on other
-    /// threads has to be `Sync`.
-    fn for_each_owner<O: Send>(&self, owners: &mut [O], f: impl Fn(&Self, &mut O) + Sync);
-}
-
-/// The first owner on the calling thread, one task for each of the others.
-fn fork_owners<S: Sync, O: Send>(sets: &S, owners: &mut [O], f: impl Fn(&S, &mut O) + Sync) {
-    let Some((first, others)) = owners.split_first_mut() else {
-        return;
-    };
-    let f = &f;
-    rayon::scope(|s| {
-        for owner in others {
-            s.spawn(move |_| f(sets, owner));
-        }
-        f(sets, first);
-    });
-}
-
-/// Sorted lists: "vl and vh can be efficiently found using binary search".
-impl IntervalSets for RrrCollection {
-    const ALIGN: usize = 1;
-    type Store = Self;
-
-    fn store(&self) -> &Self {
-        self
-    }
-
-    fn for_each_in(&self, j: usize, vl: Vertex, vh: Vertex, f: impl FnMut(Vertex)) {
-        self.partition_slice(j, vl, vh).iter().copied().for_each(f);
-    }
-
-    fn for_each_owner<O: Send>(&self, owners: &mut [O], f: impl Fn(&Self, &mut O) + Sync) {
-        fork_owners(self, owners, f);
-    }
-}
-
-/// Lists or bitmaps: an owner's interval is one word range of every bitmap,
-/// so membership is a bit test and the walk a word scan.
-impl IntervalSets for MixedRrrCollection {
-    const ALIGN: usize = 64;
-    type Store = Self;
-
-    fn store(&self) -> &Self {
-        self
-    }
-
-    fn for_each_in(&self, j: usize, vl: Vertex, vh: Vertex, f: impl FnMut(Vertex)) {
-        self.set(j).for_each_in(vl, vh, f);
-    }
-
-    fn for_each_owner<O: Send>(&self, owners: &mut [O], f: impl Fn(&Self, &mut O) + Sync) {
-        fork_owners(self, owners, f);
-    }
-}
-
-/// Any store, streamed: a delta-varint block decodes front to back, so
-/// there is no sub-range to hand a second owner, and the spill store's read
-/// cache is not `Sync`.
-struct Streamed<'a, S>(&'a S);
-
-impl<S: RrrStore> IntervalSets for Streamed<'_, S> {
-    const ALIGN: usize = 1;
-    const MAX_OWNERS: usize = 1;
-    type Store = S;
-
-    fn store(&self) -> &S {
-        self.0
-    }
-
-    /// The one owner's interval is every vertex.
-    fn for_each_in(&self, j: usize, _vl: Vertex, _vh: Vertex, f: impl FnMut(Vertex)) {
-        self.0.for_each_vertex(j, f);
-    }
-
-    fn for_each_owner<O: Send>(&self, owners: &mut [O], f: impl Fn(&Self, &mut O) + Sync) {
-        for owner in owners {
-            f(self, owner);
-        }
-    }
-}
-
 /// One interval owner: the counters of vertices `vl..vh`, and their argmax.
 struct Owner<'a> {
     vl: Vertex,
@@ -366,9 +233,9 @@ impl Owner<'_> {
 ///
 /// `stats` carries the index's cost in. Returns bitwise the [`Selection`]
 /// of [`select_seeds_sequential`].
-fn greedy_cover<S: IntervalSets, I: SampleLookup>(
+fn greedy_cover<S: IntervalSets>(
     sets: &S,
-    index: Option<&I>,
+    index: Option<&SampleIndex>,
     n: u32,
     k: u32,
     partitions: usize,
@@ -377,20 +244,14 @@ fn greedy_cover<S: IntervalSets, I: SampleLookup>(
 ) -> (Selection, SelectStats) {
     let n_us = n as usize;
     let k = k.min(n);
-    // Interval bounds: vl = n·t/p, vh = n·(t+1)/p (Algorithm 4), in units
-    // of `S::ALIGN` vertices.
-    let units = n_us.div_ceil(S::ALIGN);
-    let p = partitions.clamp(1, units.max(1)).min(S::MAX_OWNERS);
-    let bound = |t: usize| (S::ALIGN * (units * t / p)).min(n_us) as Vertex;
-
     let mut counters: Vec<u64> = match index {
-        Some(index) => (0..n).map(|v| index.degree(v)).collect(),
+        Some(index) => (0..n).map(|v| u64::from(index.degree(v))).collect(),
         None => vec![0; n_us],
     };
     let mut rest = counters.as_mut_slice();
-    let mut owners: Vec<Owner<'_>> = (0..p)
-        .map(|t| {
-            let (vl, vh) = (bound(t), bound(t + 1));
+    let mut owners: Vec<Owner<'_>> = S::intervals(n, partitions)
+        .into_iter()
+        .map(|(vl, vh)| {
             let (head, tail) = std::mem::take(&mut rest).split_at_mut((vh - vl) as usize);
             rest = tail;
             Owner {
@@ -404,12 +265,10 @@ fn greedy_cover<S: IntervalSets, I: SampleLookup>(
 
     // Counting pass, where no index has counted already: each owner counts
     // its interval across all samples, walking only its own sub-range of
-    // each. Then every owner's first champion. (The owners' closure may
-    // capture `count`, not `index`: an index need not be `Sync`.)
-    let count = index.is_none();
+    // each. Then every owner's first champion.
     let t0 = Instant::now();
     sets.for_each_owner(&mut owners, |sets, owner| {
-        if count {
+        if index.is_none() {
             for j in 0..sets.store().len() {
                 owner.walk(sets, j, |c| *c += 1);
             }
@@ -519,10 +378,12 @@ pub fn fused_is_profitable<S: RrrStore>(store: &S, k: u32) -> bool {
 /// Which greedy max-cover engine a run uses for its selection passes. All
 /// variants return identical [`Selection`]s.
 ///
-/// Both inverted indexes address samples and entries with `u32`s. A store
-/// with 2³² − 1 or more samples or entries is therefore selected over
-/// without an index whatever the variant: `Auto` silently, `Fused` with one
-/// note on stderr. The index-free route has no 32-bit limit.
+/// The inverted index names samples with `u32` ids, its only global 32-bit
+/// quantity (a segment of it addresses its own bytes with `u32`s, and a
+/// batch is cut into more segments before one could outgrow them). A store
+/// with 2³² − 1 or more samples is therefore selected over without an index
+/// whatever the variant: `Auto` silently, `Fused` with one note on stderr.
+/// The index-free route has no 32-bit limit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SelectEngine {
     /// Cost-model dispatch (the default): [`SelectEngine::Fused`] when
@@ -563,10 +424,12 @@ impl SelectEngine {
     }
 }
 
-/// Whether a selection pass of `engine` over `store` runs with an inverted
-/// index — the one place the engines' and the indexes' limits are weighed.
+/// Whether a selection pass of `engine` over `store` runs with the inverted
+/// index — the one place the engines' and the index's limits are weighed.
+/// The index's one limit is its `u32` sample ids; entries have none, because
+/// every segment of it is cut to fit its own `u32` byte offsets.
 pub(crate) fn uses_index<S: RrrStore>(engine: SelectEngine, store: &S, k: u32) -> bool {
-    let fits = store.len() < u32::MAX as usize && store.total_entries() < u64::from(u32::MAX);
+    let fits = store.len() < u32::MAX as usize;
     match engine {
         SelectEngine::Sequential | SelectEngine::Partitioned => false,
         SelectEngine::Auto => fits && fused_is_profitable(store, k),
@@ -575,10 +438,9 @@ pub(crate) fn uses_index<S: RrrStore>(engine: SelectEngine, store: &S, k: u32) -
                 static NOTE: std::sync::Once = std::sync::Once::new();
                 NOTE.call_once(|| {
                     eprintln!(
-                        "note: {} samples with {} entries are past the inverted index's \
-                         32-bit ids; --select fused runs without the index",
-                        store.len(),
-                        store.total_entries()
+                        "note: {} samples are past the inverted index's 32-bit sample \
+                         ids; --select fused runs without the index",
+                        store.len()
                     );
                 });
             }
@@ -587,26 +449,32 @@ pub(crate) fn uses_index<S: RrrStore>(engine: SelectEngine, store: &S, k: u32) -
     }
 }
 
-/// What building an index cost, once it exists.
-pub(crate) fn index_built(
-    t0: Instant,
-    index_bytes: usize,
-    entries: u64,
-    builders: usize,
-) -> SelectStats {
-    if crate::obs::trace::enabled() {
-        crate::obs::trace::complete(
-            crate::obs::trace::TraceName::IndexBuild,
-            t0,
-            entries,
-            builders as u64,
-        );
+/// Runs `f` with `store`'s inverted index, brought up to date, and what that
+/// cost — or, for a pass that is not `indexed`, with neither.
+pub(crate) fn with_index_if<S: RrrStore, R>(
+    indexed: bool,
+    store: &S,
+    n: u32,
+    owners: usize,
+    f: impl FnOnce(Option<&SampleIndex>, SelectStats) -> R,
+) -> R {
+    if !indexed {
+        return f(None, SelectStats::default());
     }
-    SelectStats {
-        index_build_nanos: nanos_since(t0),
-        index_bytes,
-        ..SelectStats::default()
-    }
+    let t0 = Instant::now();
+    store.with_sample_index(n, owners, |index| {
+        use crate::obs::trace;
+        if trace::enabled() {
+            let entries = store.total_entries();
+            trace::complete(trace::TraceName::IndexBuild, t0, entries, owners as u64);
+        }
+        let stats = SelectStats {
+            index_build_nanos: nanos_since(t0),
+            index_bytes: index.resident_bytes(),
+            ..SelectStats::default()
+        };
+        f(Some(index), stats)
+    })
 }
 
 /// [`select_with_engine_store`] over a plain list collection.
@@ -642,14 +510,14 @@ pub fn select_with_engine_store<S: RrrStore>(
 /// deleted from every RRR set and from the vertex universe); fewer than `k`
 /// seeds come back when bans exhaust the vertex set.
 ///
-/// How each store is read, and which index it gets when the engine asks
-/// for one:
+/// How each store is read; when the engine asks for the index, every one
+/// of them hands over its own ([`RrrStore::with_sample_index`]):
 ///
-/// | store | collection view | index | owners |
-/// |---|---|---|---|
-/// | flat, lists only | sorted lists | transient [`SampleIndex`], built by the owners | `partitions` |
-/// | flat with bitmaps | lists or bitmaps, 64-aligned intervals | the store's cached [`IncrementalSampleIndex`] | `partitions` |
-/// | spill | streamed | the store's cached [`IncrementalSampleIndex`] | 1 |
+/// | store | collection view | owners |
+/// |---|---|---|
+/// | flat, lists only | sorted lists | `partitions` |
+/// | flat with bitmaps | lists or bitmaps, 64-aligned intervals | `partitions` |
+/// | spill | streamed | 1 |
 ///
 /// # Panics
 ///
@@ -676,17 +544,7 @@ pub fn select_with_engine_banned<S: RrrStore>(
     } else {
         let indexed = uses_index(engine, store, k);
         if let Some(lists) = store.as_flat() {
-            let t0 = Instant::now();
-            let index = indexed.then(|| SampleIndex::build(lists, n, partitions));
-            let stats = index.as_ref().map_or_else(SelectStats::default, |index| {
-                index_built(
-                    t0,
-                    index.resident_bytes(),
-                    store.total_entries(),
-                    partitions,
-                )
-            });
-            greedy_cover(lists, index.as_ref(), n, k, partitions, banned, stats)
+            cover_with_cached_index(lists, store, indexed, n, k, partitions, banned)
         } else if let Some(mixed) = store.as_mixed() {
             cover_with_cached_index(mixed, store, indexed, n, k, partitions, banned)
         } else {
@@ -710,14 +568,8 @@ fn cover_with_cached_index<C: IntervalSets, S: RrrStore>(
     partitions: usize,
     banned: Vec<bool>,
 ) -> (Selection, SelectStats) {
-    if !indexed {
-        let stats = SelectStats::default();
-        return greedy_cover(sets, None::<&SampleIndex>, n, k, partitions, banned, stats);
-    }
-    let t0 = Instant::now();
-    store.with_sample_index(n, |index| {
-        let stats = index_built(t0, index.resident_bytes(), store.total_entries(), 1);
-        greedy_cover(sets, Some(index), n, k, partitions, banned, stats)
+    with_index_if(indexed, store, n, partitions, |index, stats| {
+        greedy_cover(sets, index, n, k, partitions, banned, stats)
     })
 }
 
@@ -909,9 +761,10 @@ mod tests {
             len: 1 << 20,
             total_entries: 1 << 24,
         };
-        let too_many_entries = Reported {
+        // Entries have no limit of their own: segments are cut to fit.
+        let many_entries = Reported {
             len: 1 << 28,
-            total_entries: 1 << 32,
+            total_entries: 1 << 34,
         };
         let too_many_samples = Reported {
             len: 1 << 32,
@@ -919,12 +772,7 @@ mod tests {
         };
         for engine in [SelectEngine::Auto, SelectEngine::Fused] {
             assert!(uses_index(engine, &fits, k), "{}", engine.tag());
-            assert!(fused_is_profitable(&too_many_entries, k));
-            assert!(
-                !uses_index(engine, &too_many_entries, k),
-                "{}",
-                engine.tag()
-            );
+            assert!(uses_index(engine, &many_entries, k), "{}", engine.tag());
             assert!(fused_is_profitable(&too_many_samples, k));
             assert!(
                 !uses_index(engine, &too_many_samples, k),

@@ -5,8 +5,7 @@ use ripples_core::select::{select_seeds_sequential, select_with_engine};
 use ripples_core::theta::{log_binomial, ThetaSchedule};
 use ripples_core::{select_with_engine_banned, SelectEngine};
 use ripples_diffusion::{
-    DynRrrStore, IncrementalSampleIndex, RrrCollection, RrrStore, RrrStoreKind, SampleIndex,
-    StorageConfig,
+    DynRrrStore, RrrCollection, RrrStore, RrrStoreKind, SampleIndex, StorageConfig,
 };
 
 const ENGINES: [SelectEngine; 4] = [
@@ -49,6 +48,58 @@ fn mixed_density_strategy() -> impl Strategy<Value = (u32, RrrCollection)> {
             (n, c)
         })
     })
+}
+
+/// Collections for the index property: the whole vertex set first (a bitmap
+/// in the flat store), then up to a few hundred sparse sets — past 127
+/// samples a gap can take two bytes, past a kibibyte of entries the spill
+/// store seals a chunk.
+fn index_collection_strategy() -> impl Strategy<Value = (u32, RrrCollection)> {
+    (4u32..48).prop_flat_map(|n| {
+        let sets = prop::collection::vec(prop::collection::btree_set(0..n, 0..9), 0..420);
+        (Just(n), sets).prop_map(|(n, sets)| {
+            let mut c = RrrCollection::new();
+            c.push(&(0..n).collect::<Vec<u32>>());
+            for s in sets {
+                c.push(&s.into_iter().collect::<Vec<u32>>());
+            }
+            (n, c)
+        })
+    })
+}
+
+/// Checks `index`, which has absorbed the first `cut` samples of `c`,
+/// against the definition, and its size against what the fold rule allows.
+fn assert_index_matches_brute_force(
+    index: &SampleIndex,
+    n: u32,
+    c: &RrrCollection,
+    cut: usize,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(index.absorbed_samples(), cut);
+    for v in 0..n {
+        let expect: Vec<usize> = (0..cut)
+            .filter(|&j| c.get(j).binary_search(&v).is_ok())
+            .collect();
+        let mut row = Vec::new();
+        index.for_each_sample(v, |j| row.push(j));
+        prop_assert_eq!(&row, &expect, "row of {} after {} samples", v, cut);
+        prop_assert_eq!(index.degree(v) as usize, expect.len(), "degree of {}", v);
+    }
+    // No gap code exceeds the id it stands for. Every segment but the last
+    // holds at least a table's worth of rows; 512 covers the segment
+    // headers of six absorbs.
+    let rows: usize = (0..cut)
+        .map(|j| c.get(j).len() * if j < 128 { 1 } else { 2 })
+        .sum();
+    let (table, degrees) = (4 * (n as usize + 1), 4 * n as usize);
+    prop_assert!(
+        index.resident_bytes() <= 2 * rows + table + degrees + 512,
+        "{} bytes over {} row bytes",
+        index.resident_bytes(),
+        rows
+    );
+    Ok(())
 }
 
 /// The one selection property: over every store kind, every engine, at any
@@ -193,24 +244,45 @@ proptest! {
         prop_assert!(sel.covered <= c.len());
     }
 
-    /// The vertex → samples direction of the paper's "hypergraph", in both
-    /// surviving forms: a row holds exactly the samples containing the
-    /// vertex, ascending, and the degree is the row's length.
+    /// The vertex → samples direction of the paper's "hypergraph": however
+    /// the samples reach whichever store, and however many `absorb` calls
+    /// read them (an empty one, ones small enough to be folded into the
+    /// next), a row holds exactly the samples containing the vertex,
+    /// ascending, the degree is the row's length, and the index stays
+    /// within twice its rows plus one table and the degrees.
     #[test]
-    fn hypergraph_index_consistent((n, c) in collection_strategy()) {
-        let batch = SampleIndex::build(&c, n, 3);
-        let mut incremental = IncrementalSampleIndex::new(n);
-        incremental.absorb(&c);
-        for v in 0..n {
-            let expect: Vec<u32> = (0..c.len() as u32)
-                .filter(|&j| c.get(j as usize).binary_search(&v).is_ok())
-                .collect();
-            prop_assert_eq!(batch.samples_containing(v), &expect[..], "row of {}", v);
-            prop_assert_eq!(batch.degree(v), expect.len() as u64, "degree of {}", v);
-            let mut streamed = Vec::new();
-            incremental.for_each_sample(v, |j| streamed.push(j as u32));
-            prop_assert_eq!(&streamed, &expect, "incremental row of {}", v);
-            prop_assert_eq!(incremental.degree(v) as usize, expect.len());
+    fn hypergraph_index_consistent(
+        (n, c) in index_collection_strategy(),
+        cuts in prop::collection::vec(any::<u64>(), 0..6),
+    ) {
+        let mut cuts: Vec<usize> = cuts.iter().map(|cut| (cut % (c.len() as u64 + 1)) as usize).collect();
+        cuts.sort_unstable();
+        cuts.push(c.len());
+        // Plain lists, an index of the test's own, a different owner count
+        // each round.
+        let (mut lists, mut index) = (RrrCollection::new(), SampleIndex::new(n));
+        for (round, &cut) in cuts.iter().enumerate() {
+            (lists.len()..cut).for_each(|j| lists.push(c.get(j)));
+            index.absorb(&lists, 1 + round % 3);
+            assert_index_matches_brute_force(&index, n, &c, cut)?;
+        }
+        // The index each `DynRrrStore` keeps: bitmaps read by word range
+        // under two owners, spilled blocks streamed under one.
+        let spilling = StorageConfig { kind: RrrStoreKind::Spill, budget: Some(0) };
+        for config in [StorageConfig::default(), spilling] {
+            let mut store = DynRrrStore::new(config, n);
+            for &cut in &cuts {
+                (store.len()..cut).for_each(|j| store.push(c.get(j)));
+                store.with_sample_index(n, 2, |index| {
+                    assert_index_matches_brute_force(index, n, &c, cut)
+                })?;
+                prop_assert_eq!(store.indexed_samples(), cut);
+            }
+            match store.as_mixed() {
+                Some(flat) => prop_assert!(flat.bitmap_sets() > 0),
+                // A byte or more per entry: a kibibyte of them seals a chunk.
+                None => prop_assert!(store.spill_bytes_written() > 0 || c.total_entries() < 1024),
+            }
         }
     }
 

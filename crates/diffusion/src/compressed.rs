@@ -1,5 +1,4 @@
-//! The delta-varint codec for sorted RRR sets, and the incremental inverted
-//! index coded the same way.
+//! The delta-varint codec for sorted RRR sets.
 //!
 //! §3.1's storage discussion is all about the memory wall: θ grows
 //! super-linearly in accuracy, and the paper's Table 2 runs ran out of
@@ -13,13 +12,10 @@
 //!
 //! The codec has one container, the chunked [`crate::SpillRrrStore`]
 //! (`--rrr-store spill`), which also spills sealed chunks to disk past a
-//! byte budget. [`IncrementalSampleIndex`] is the matching gap-varint
-//! inverted index (vertex → ascending sample ids) that lets the selection
-//! engine and the distributed per-rank purge run decode-on-touch over
-//! compressed blocks without ever materializing the flat layout.
+//! byte budget. The inverted index ([`crate::SampleIndex`]) codes its rows
+//! with the same varints.
 
 use crate::mixed::{BitmapIter, RrrSetRef};
-use crate::store::RrrStore;
 use ripples_graph::Vertex;
 
 #[inline]
@@ -47,6 +43,28 @@ pub(crate) fn read_varint(data: &[u8], pos: &mut usize) -> u32 {
             return x;
         }
         shift += 7;
+    }
+}
+
+/// Bytes [`push_varint`] and [`write_varint`] spend on `x`: 1 to 5.
+#[inline]
+pub(crate) fn varint_len(x: u32) -> u32 {
+    (32 - (x | 1).leading_zeros()).div_ceil(7)
+}
+
+/// [`push_varint`] at the front of a buffer sized beforehand; returns the
+/// bytes written.
+#[inline]
+pub(crate) fn write_varint(buf: &mut [u8], mut x: u32) -> u32 {
+    let mut at = 0;
+    loop {
+        let byte = (x & 0x7F) as u8;
+        x >>= 7;
+        buf[at] = if x == 0 { byte } else { byte | 0x80 };
+        at += 1;
+        if x == 0 {
+            return at as u32;
+        }
     }
 }
 
@@ -151,129 +169,10 @@ pub(crate) fn check_block(block: &[u8], count: u32) -> Result<(), String> {
     Ok(())
 }
 
-/// An *incremental* gap-varint inverted index: vertex → the ascending
-/// sample ids containing it, coded exactly like the sample payloads (first
-/// id absolute, then gap-1 deltas).
-///
-/// IMM's θ-doubling loop selects over the same store every round while the
-/// store only ever grows at the tail. Rebuilding a CSR index per round
-/// costs two full-store streaming decodes each time — the dominant
-/// selection overhead of the compressed backends. This structure instead
-/// keeps one growable gap-varint run per vertex and [`absorb`]s only the
-/// samples appended since the last call, so the total index-build work
-/// across all rounds is a single pass over the final store.
-///
-/// Because sample ids arrive in ascending order, appending preserves the
-/// gap coding, and `for_each_sample` streams the id sequence a batch-built
-/// [`crate::SampleIndex`] row holds — selection results stay bitwise
-/// identical regardless of which index form drives them.
-///
-/// [`absorb`]: IncrementalSampleIndex::absorb
-#[derive(Clone, Debug)]
-pub struct IncrementalSampleIndex {
-    /// Per-vertex gap-varint run of ascending sample ids.
-    bufs: Vec<Vec<u8>>,
-    /// Per-vertex sample counts.
-    degrees: Vec<u32>,
-    /// Per-vertex last absorbed sample id (gap-coding state).
-    last: Vec<u32>,
-    /// Samples consumed from the store so far; `absorb` resumes here.
-    absorbed: usize,
-}
-
-impl IncrementalSampleIndex {
-    /// Creates an empty index over `num_vertices` vertices.
-    #[must_use]
-    pub fn new(num_vertices: u32) -> Self {
-        let n = num_vertices as usize;
-        Self {
-            bufs: vec![Vec::new(); n],
-            degrees: vec![0; n],
-            last: vec![0; n],
-            absorbed: 0,
-        }
-    }
-
-    /// Appends every sample `store` gained since the previous `absorb` (all
-    /// of them on the first call). The store must be the same append-only
-    /// store across calls — samples already absorbed are never re-read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the store holds more than `u32::MAX` samples (the u32
-    /// index contract shared with [`crate::SampleIndex`]; selection
-    /// dispatch sends such a store down the index-free route instead).
-    pub fn absorb<S: RrrStore + ?Sized>(&mut self, store: &S) {
-        assert!(
-            u32::try_from(store.len()).is_ok(),
-            "sample count exceeds the u32 index contract"
-        );
-        for i in self.absorbed..store.len() {
-            let id = i as u32;
-            store.for_each_vertex(i, |v| {
-                let v = v as usize;
-                let gap = if self.degrees[v] == 0 {
-                    id
-                } else {
-                    id - self.last[v] - 1
-                };
-                push_varint(&mut self.bufs[v], gap);
-                self.degrees[v] += 1;
-                self.last[v] = id;
-            });
-        }
-        self.absorbed = store.len();
-    }
-
-    /// Number of samples absorbed so far.
-    #[must_use]
-    pub fn absorbed_samples(&self) -> usize {
-        self.absorbed
-    }
-
-    /// Number of vertices the index covers.
-    #[must_use]
-    pub fn num_vertices(&self) -> usize {
-        self.degrees.len()
-    }
-
-    /// Number of absorbed samples containing vertex `v`.
-    #[must_use]
-    pub fn degree(&self, v: Vertex) -> u32 {
-        self.degrees[v as usize]
-    }
-
-    /// Streams the ascending sample ids containing `v` to `f`.
-    pub fn for_each_sample(&self, v: Vertex, mut f: impl FnMut(usize)) {
-        let v = v as usize;
-        let data = &self.bufs[v];
-        let mut pos = 0usize;
-        let mut prev = 0u32;
-        for idx in 0..self.degrees[v] {
-            let raw = read_varint(data, &mut pos);
-            let id = if idx == 0 { raw } else { prev + raw + 1 };
-            f(id as usize);
-            prev = id;
-        }
-        debug_assert_eq!(pos, data.len());
-    }
-
-    /// Resident bytes of the index (capacity-based): the per-vertex runs
-    /// plus the `Vec` headers and cursor arrays.
-    #[must_use]
-    pub fn resident_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.bufs.iter().map(Vec::capacity).sum::<usize>()
-            + self.bufs.capacity() * size_of::<Vec<u8>>()
-            + self.degrees.capacity() * size_of::<u32>()
-            + self.last.capacity() * size_of::<u32>()
-    }
-}
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mixed::SampleArena;
-    use crate::rrr::RrrCollection;
 
     #[test]
     fn varint_roundtrip() {
@@ -287,6 +186,13 @@ mod tests {
             assert_eq!(read_varint(&data, &mut pos), v);
         }
         assert_eq!(pos, data.len());
+        // The sized-beforehand writer spends the same bytes.
+        let total: u32 = values.iter().map(|&v| varint_len(v)).sum();
+        let (mut written, mut at) = (vec![0u8; total as usize], 0usize);
+        for &v in &values {
+            at += write_varint(&mut written[at..], v) as usize;
+        }
+        assert_eq!(written, data);
     }
 
     /// One block per sample, back to back: `(end offset, count)` per block.
@@ -391,86 +297,5 @@ mod tests {
             encode_sample(&mut pushed, s.iter().copied());
         }
         assert_eq!(merged, pushed);
-    }
-
-    /// The index of everything `c` holds.
-    fn index_of(c: &RrrCollection, n: u32) -> IncrementalSampleIndex {
-        let mut idx = IncrementalSampleIndex::new(n);
-        idx.absorb(c);
-        idx
-    }
-
-    #[test]
-    fn index_degrees_and_streams_match_flat_index() {
-        let mut c = RrrCollection::new();
-        c.push(&[0, 2, 4]);
-        c.push(&[1, 2]);
-        c.push(&[]);
-        c.push(&[2, 4]);
-        let idx = index_of(&c, 5);
-        assert_eq!(idx.num_vertices(), 5);
-        assert_eq!(idx.degree(0), 1);
-        assert_eq!(idx.degree(2), 3);
-        assert_eq!(idx.degree(3), 0);
-        let mut got = Vec::new();
-        idx.for_each_sample(2, |i| got.push(i));
-        assert_eq!(got, vec![0, 1, 3], "sample ids must stream ascending");
-        got.clear();
-        idx.for_each_sample(3, |i| got.push(i));
-        assert!(got.is_empty());
-        assert!(idx.resident_bytes() > 0);
-    }
-
-    #[test]
-    fn index_handles_large_sparse_ids() {
-        let mut c = RrrCollection::new();
-        for i in 0..300usize {
-            // Vertex 7 appears in every 3rd sample; vertex 1000 in all.
-            if i % 3 == 0 {
-                c.push(&[7, 1000]);
-            } else {
-                c.push(&[1000]);
-            }
-        }
-        let idx = index_of(&c, 1001);
-        assert_eq!(idx.degree(1000), 300);
-        assert_eq!(idx.degree(7), 100);
-        let mut ids = Vec::new();
-        idx.for_each_sample(7, |i| ids.push(i));
-        assert_eq!(ids, (0..300).step_by(3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn incremental_index_matches_batch_build_across_absorbs() {
-        let mut c = crate::SpillRrrStore::new(0);
-        let mut flat = RrrCollection::new();
-        let mut inc = IncrementalSampleIndex::new(6);
-        // Grow the store in three uneven rounds, absorbing between them —
-        // the θ-doubling access pattern the cache exists for.
-        let rounds: [&[&[Vertex]]; 3] = [
-            &[&[0, 2, 4], &[1, 2]],
-            &[&[], &[2, 4], &[5]],
-            &[&[0, 1, 2, 3, 4, 5], &[2]],
-        ];
-        for round in rounds {
-            for s in round {
-                RrrStore::push(&mut c, s);
-                flat.push(s);
-            }
-            inc.absorb(&c);
-            assert_eq!(inc.absorbed_samples(), RrrStore::len(&c));
-            let batch = crate::SampleIndex::build(&flat, 6, 1);
-            for v in 0..6u32 {
-                assert_eq!(u64::from(inc.degree(v)), batch.degree(v), "vertex {v}");
-                let mut row = Vec::new();
-                inc.for_each_sample(v, |i| row.push(i as u32));
-                assert_eq!(row, batch.samples_containing(v), "vertex {v}");
-            }
-        }
-        // Absorbing with no new samples is a no-op.
-        let before = inc.resident_bytes();
-        inc.absorb(&c);
-        assert_eq!(inc.resident_bytes(), before);
-        assert!(inc.num_vertices() == 6);
     }
 }

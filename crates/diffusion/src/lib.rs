@@ -18,15 +18,18 @@
 //! two-direction layout, the other side of Table 2, lives with its engine
 //! in `ripples-core`). The engines hold it behind [`store::RrrStore`]; the
 //! default backend ([`mixed::MixedRrrCollection`]) is the compact layout
-//! with sets above n/32 vertices kept as bitmaps. Selection may build an
-//! inverted index over it for the length of a pass
-//! ([`sample_index::SampleIndex`], [`compressed::IncrementalSampleIndex`]).
+//! with sets above n/32 vertices kept as bitmaps. Selection may ask the
+//! store for the one inverted index ([`sample_index::SampleIndex`]:
+//! gap-varint rows, 1–2 bytes per association), which
+//! [`store::DynRrrStore`] keeps across passes and grows by the samples
+//! added since.
 
 #![warn(missing_docs)]
 
 pub mod compressed;
 pub mod forward;
 pub mod fused;
+pub mod intervals;
 pub mod mixed;
 pub mod model;
 pub mod partitioned;
@@ -35,9 +38,9 @@ pub mod sample_index;
 pub mod sampler;
 pub mod store;
 
-pub use compressed::IncrementalSampleIndex;
 pub use forward::{estimate_spread, simulate_cascade, spread_samples, CascadeOutcome};
 pub use fused::{sample_batch_fused, FUSED_LANES};
+pub use intervals::{IntervalSets, Streamed};
 pub use mixed::{MixedRrrCollection, RrrSetRef, SampleArena};
 pub use model::DiffusionModel;
 pub use partitioned::GraphPartition;

@@ -162,8 +162,9 @@ pub fn generate_rrr_into<R: RandomSource>(
 ///
 /// *"We only store the information in one direction, where each sample in R
 /// is stored as a list of vertices in the corresponding RRR set — sorted by
-/// the vertex ids."* (§3.1). Each association is stored once; an inverted
-/// index ([`crate::SampleIndex`]) exists only while a selection pass runs.
+/// the vertex ids."* (§3.1). Each association is stored once; the inverted
+/// index ([`crate::SampleIndex`]) is selection working memory kept beside
+/// the store, 1–2 bytes per association.
 #[derive(Clone, Debug, Default)]
 pub struct RrrCollection {
     offsets: Vec<usize>,

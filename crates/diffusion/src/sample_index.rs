@@ -9,241 +9,441 @@
 //! While this information aids in faster selection of seed set later, the
 //! memory footprint can become a limitation."* (§3.1)
 //!
-//! [`SampleIndex`] keeps the fast selection and drops most of the cost: it
-//! is built over the compact one-direction [`RrrCollection`] only for the
-//! duration of a selection pass, borrows the samples instead of copying
-//! them, and stores each association as one `u32`. (The two-direction
-//! layout itself, kept as the measured baseline of Tables 2 and 3, is
-//! `TangStorage` in `ripples-core`.)
+//! [`SampleIndex`] keeps the fast selection and drops most of the cost: the
+//! second direction is gap-varint coded, 1–2 bytes per association. (The
+//! two-direction layout itself, kept as the measured baseline of Tables 2
+//! and 3, is `TangStorage` in `ripples-core`.)
 
-use crate::rrr::RrrCollection;
+use crate::compressed::{read_varint, varint_len, write_varint};
+use crate::intervals::IntervalSets;
+use crate::store::RrrStore;
 use ripples_graph::Vertex;
 
-/// A u32-offset CSR inverted index (vertex → containing samples) built
-/// *over* an existing [`RrrCollection`] without copying the samples: each
-/// association is stored once as a `u32` sample id with `u32` offsets,
-/// which is what makes "fast selection" affordable within the paper's
-/// compact-layout memory budget (§3.1's 2×-memory caveat).
+/// The rows of one run of consecutive samples.
+#[derive(Clone, Debug)]
+struct Segment {
+    /// Id of the run's first sample.
+    first: u32,
+    /// Byte bounds of each vertex's row in `rows`, plus a sentinel.
+    offsets: Vec<u32>,
+    /// Each vertex's ascending sample ids within the run, every id coded as
+    /// the varint of its distance past the previous one, minus one; a row's
+    /// first id is coded as if `first - 1` preceded it.
+    rows: Vec<u8>,
+}
+
+impl Segment {
+    fn row(&self, v: usize) -> &[u8] {
+        &self.rows[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+    }
+}
+
+/// Streams the ids of `row`, coded from `prev` on; returns the last one
+/// (`prev` itself for an empty row).
+#[inline]
+fn decode_row(row: &[u8], mut prev: u32, mut f: impl FnMut(u32)) -> u32 {
+    let mut pos = 0usize;
+    while pos < row.len() {
+        prev = prev
+            .wrapping_add(read_varint(row, &mut pos))
+            .wrapping_add(1);
+        f(prev);
+    }
+    prev
+}
+
+/// One interval owner's share of the segment being built.
+struct Share<'a> {
+    vl: Vertex,
+    vh: Vertex,
+    /// Per vertex of the interval, the id its row's next gap is coded from.
+    tails: &'a mut [u32],
+    /// Per vertex, its row's byte length in the counting pass and its write
+    /// cursor into the segment's rows in the fill pass.
+    at: &'a mut [u32],
+    degrees: &'a mut [u32],
+    /// The interval's rows (none yet in the counting pass), which begin
+    /// `base` bytes into the segment's.
+    rows: &'a mut [u8],
+    base: u32,
+}
+
+impl<'a> Share<'a> {
+    /// Cuts the per-vertex arrays at the `intervals` and `rows` at the
+    /// intervals' `(base, bytes)` regions.
+    fn split(
+        intervals: &[(Vertex, Vertex)],
+        regions: &[(u32, usize)],
+        mut tails: &'a mut [u32],
+        mut at: &'a mut [u32],
+        mut degrees: &'a mut [u32],
+        mut rows: &'a mut [u8],
+    ) -> Vec<Self> {
+        fn take<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+            let (head, tail) = std::mem::take(rest).split_at_mut(len);
+            *rest = tail;
+            head
+        }
+        let share = |(&(vl, vh), &(base, bytes)): (&(Vertex, Vertex), &(u32, usize))| {
+            let width = (vh - vl) as usize;
+            Share {
+                vl,
+                vh,
+                tails: take(&mut tails, width),
+                at: take(&mut at, width),
+                degrees: take(&mut degrees, width),
+                rows: take(&mut rows, bytes),
+                base,
+            }
+        };
+        let mut shares: Vec<Self> = intervals.iter().zip(regions).map(share).collect();
+        // The last owner also meets any vertex past its interval, and fails
+        // on it, rather than leave it out of the index.
+        shares.last_mut().expect("an owner").vh = Vertex::MAX;
+        shares
+    }
+
+    /// One pass of every owner over what the segment will hold of its
+    /// interval: `keep` is handed each row of the segment `folded` into it,
+    /// `code` each gap the samples `new` add to a row (rows start coding
+    /// from the id `before`), in row order.
+    fn pass<V: IntervalSets>(
+        sets: &V,
+        shares: &mut [Self],
+        (folded, new, before): (Option<&Segment>, std::ops::Range<usize>, u32),
+        keep: impl Fn(&mut Self, usize, &[u8]) + Sync,
+        code: impl Fn(&mut Self, usize, u32) + Sync,
+    ) {
+        sets.for_each_owner(shares, |sets, share| {
+            for j in 0..share.tails.len() {
+                let kept = folded.map_or(&[][..], |prev| prev.row(share.vl as usize + j));
+                keep(share, j, kept);
+                share.tails[j] = decode_row(kept, before, |_| ());
+            }
+            for i in new.clone() {
+                let id = i as u32;
+                sets.for_each_in(i, share.vl, share.vh, |v| {
+                    let j = (v - share.vl) as usize;
+                    code(share, j, id.wrapping_sub(share.tails[j]).wrapping_sub(1));
+                    share.tails[j] = id;
+                });
+            }
+        });
+    }
+}
+
+/// The one inverted index: vertex → the ascending ids of the samples
+/// containing it, over an append-only [`RrrStore`].
 ///
-/// The build is a parallel counting sort with the same vertex-interval
-/// ownership as Algorithm 4's partitioned counters: each of `p` owners
-/// counts and then fills only its interval's rows, navigating each sorted
-/// sample by binary search — disjoint writes, no atomics.
+/// IMM's θ-doubling loop selects over the same store every round while the
+/// store only grows at the tail, and a serve process selects over a sealed
+/// one for every query. [`absorb`] therefore reads only the samples
+/// appended since the last call and adds them as one *segment*: a `u32`
+/// offsets table and one byte buffer holding every vertex's gap-varint row
+/// for those samples, built by a counting sort (row byte lengths → prefix
+/// sum → fill) whose two passes run under Algorithm 4's vertex-interval
+/// owners: disjoint writes, no atomics. A segment whose rows are smaller than its own table is
+/// folded into the next one instead of staying, so the tables of all
+/// segments together never outweigh the rows by more than one table, and a
+/// doubling θ schedule does not pay `4·(n + 1)` bytes per tiny early round.
+/// [`for_each_sample`] walks the segments in order, which keeps ids
+/// ascending: selection over the index is bitwise what a scan of the store
+/// gives.
+///
+/// Sample ids are the index's only global `u32`. A segment addresses its
+/// rows with `u32` byte offsets, and a batch is cut into further segments
+/// before one's bytes could pass that.
+///
+/// [`absorb`]: SampleIndex::absorb
+/// [`for_each_sample`]: SampleIndex::for_each_sample
 #[derive(Clone, Debug)]
 pub struct SampleIndex {
-    /// CSR offsets into `samples`, one slot per vertex plus a sentinel.
-    offsets: Vec<u32>,
-    /// Sample ids, grouped by vertex, ascending within each vertex.
-    samples: Vec<u32>,
+    segments: Vec<Segment>,
+    /// Per-vertex sample counts.
+    degrees: Vec<u32>,
+    /// Samples consumed from the store so far; `absorb` resumes here.
+    absorbed: usize,
+    /// The most bytes a segment's rows may be planned to hold.
+    segment_cap: u32,
 }
 
 impl SampleIndex {
-    /// Builds the index with `partitions` parallel interval owners
-    /// (clamped to `[1, num_vertices]`; 1 runs serially with no task
-    /// spawns, which the per-rank distributed selection path relies on).
+    /// Creates an empty index over `num_vertices` vertices.
+    #[must_use]
+    pub fn new(num_vertices: u32) -> Self {
+        Self::with_segment_cap(num_vertices, u32::MAX)
+    }
+
+    /// [`SampleIndex::new`] with the per-segment byte cap lowered, at least
+    /// `num_vertices` so that any one sample fits a segment of its own.
+    pub(crate) fn with_segment_cap(num_vertices: u32, segment_cap: u32) -> Self {
+        assert!(segment_cap >= num_vertices);
+        Self {
+            segments: Vec::new(),
+            degrees: vec![0; num_vertices as usize],
+            absorbed: 0,
+            segment_cap,
+        }
+    }
+
+    /// Appends every sample the store behind `sets` gained since the
+    /// previous `absorb` (all of them on the first call), with up to
+    /// `owners` vertex-interval owners; with nothing new it returns
+    /// untouched. It must be the same append-only store across calls —
+    /// samples already absorbed are never re-read.
     ///
     /// # Panics
     ///
-    /// Panics if a sample references a vertex ≥ `num_vertices`, or if the
-    /// sample count or total entry count overflows `u32`.
-    #[must_use]
-    pub fn build(sets: &RrrCollection, num_vertices: u32, partitions: usize) -> Self {
-        let n = num_vertices as usize;
-        assert!(
-            sets.len() < u32::MAX as usize,
-            "too many samples for u32 ids"
+    /// Panics if the store holds `u32::MAX` samples or more (selection
+    /// dispatch sends such a store down the index-free route instead), or
+    /// if a sample references a vertex the index does not cover.
+    pub fn absorb<V: IntervalSets>(&mut self, sets: &V, owners: usize) {
+        let len = sets.store().len();
+        assert!(len < u32::MAX as usize, "sample ids must fit a u32");
+        let intervals = V::intervals(self.degrees.len() as u32, owners);
+        while self.absorbed < len {
+            self.push_segment(sets, &intervals, len);
+        }
+    }
+
+    /// Adds one segment holding the samples from `absorbed` up to `len`, or
+    /// up to where the segment's bytes could pass the cap.
+    fn push_segment<V: IntervalSets>(
+        &mut self,
+        sets: &V,
+        intervals: &[(Vertex, Vertex)],
+        len: usize,
+    ) {
+        let n = self.degrees.len();
+        let start = self.absorbed;
+        // No gap code of sample `i` exceeds `i - first`, whatever the rows
+        // held before it.
+        let bound = |first: u32, i: usize| {
+            sets.store().sample_len(i) as u64 * u64::from(varint_len(i as u32 - first))
+        };
+        let cap = u64::from(self.segment_cap);
+        let fold = self.segments.last().is_some_and(|prev| {
+            prev.rows.len() < 4 * (n + 1)
+                && prev.rows.len() as u64 + bound(prev.first, start) <= cap
+        });
+        let folded = if fold { self.segments.pop() } else { None };
+        let first = folded.as_ref().map_or(start as u32, |prev| prev.first);
+        let mut room = cap - folded.as_ref().map_or(0, |prev| prev.rows.len() as u64);
+        let mut end = start;
+        while end < len {
+            let bytes = bound(first, end);
+            if bytes > room {
+                break;
+            }
+            room -= bytes;
+            end += 1;
+        }
+        // Alone in a segment a sample costs one byte per vertex it holds.
+        assert!(end > start, "one sample's row bytes exceed the segment cap");
+        let content = || (folded.as_ref(), start..end, first.wrapping_sub(1));
+
+        // Counting pass: `offsets[v + 1]` gathers row `v`'s byte length.
+        let mut offsets = vec![0u32; n + 1];
+        let mut tails = vec![0u32; n];
+        let mut shares = Share::split(
+            intervals,
+            &vec![(0, 0); intervals.len()],
+            &mut tails,
+            &mut offsets[1..],
+            &mut self.degrees,
+            &mut [],
         );
-        assert!(
-            sets.total_entries() < u32::MAX as usize,
-            "too many associations for u32 offsets"
+        Share::pass(
+            sets,
+            &mut shares,
+            content(),
+            |share, j, kept| share.at[j] = kept.len() as u32,
+            |share, j, gap| {
+                share.at[j] += varint_len(gap);
+                share.degrees[j] += 1;
+            },
         );
-        let p = partitions.clamp(1, n.max(1));
-        let bounds: Vec<(Vertex, Vertex)> = (0..p)
-            .map(|t| (((n * t) / p) as Vertex, ((n * (t + 1)) / p) as Vertex))
+        let mut total = 0u32;
+        for slot in &mut offsets[1..] {
+            total = total
+                .checked_add(*slot)
+                .expect("the planned bound keeps a segment's rows within u32 offsets");
+            *slot = total;
+        }
+
+        // Fill pass: `offsets[v]` is row `v`'s write cursor, so it ends as
+        // the row's end bound, one slot early.
+        let mut rows = vec![0u8; total as usize];
+        let regions: Vec<(u32, usize)> = intervals
+            .iter()
+            .map(|&(vl, vh)| (offsets[vl as usize], offsets[vh as usize]))
+            .map(|(lo, hi)| (lo, (hi - lo) as usize))
             .collect();
-
-        // Counting pass: occurrences per vertex, each interval owner
-        // writing only its disjoint slice.
-        let mut counts = vec![0u32; n];
-        if p == 1 {
-            for set in sets.iter() {
-                for &v in set {
-                    assert!((v as usize) < n, "sample vertex {v} out of range");
-                    counts[v as usize] += 1;
-                }
-            }
-        } else {
-            let mut rest: &mut [u32] = &mut counts;
-            rayon::scope(|s| {
-                for &(vl, vh) in &bounds {
-                    let (slice, tail) = rest.split_at_mut((vh - vl) as usize);
-                    rest = tail;
-                    s.spawn(move |_| {
-                        for j in 0..sets.len() {
-                            for &u in sets.partition_slice(j, vl, vh) {
-                                slice[(u - vl) as usize] += 1;
-                            }
-                        }
-                    });
-                }
-            });
-        }
-
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0u32;
-        offsets.push(0);
-        for &c in &counts {
-            acc += c;
-            offsets.push(acc);
-        }
-        // In the parallel pass an out-of-range vertex lands in no interval
-        // and is silently skipped; the totals check catches it here.
-        assert_eq!(
-            acc as usize,
-            sets.total_entries(),
-            "sample vertex out of range"
+        let mut shares = Share::split(
+            intervals,
+            &regions,
+            &mut tails,
+            &mut offsets[..n],
+            &mut self.degrees,
+            &mut rows,
         );
+        Share::pass(
+            sets,
+            &mut shares,
+            content(),
+            |share, j, kept| {
+                let cursor = (share.at[j] - share.base) as usize;
+                share.rows[cursor..][..kept.len()].copy_from_slice(kept);
+                share.at[j] += kept.len() as u32;
+            },
+            |share, j, gap| {
+                let cursor = (share.at[j] - share.base) as usize;
+                share.at[j] += write_varint(&mut share.rows[cursor..], gap);
+            },
+        );
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
+        self.segments.push(Segment {
+            first,
+            offsets,
+            rows,
+        });
+        self.absorbed = end;
+    }
 
-        // Fill pass: vertex `v`'s row occupies `offsets[v]..offsets[v+1]`,
-        // so an owner's rows form one contiguous region — again disjoint.
-        // Iterating samples in ascending id keeps every row sorted.
-        let mut samples = vec![0u32; sets.total_entries()];
-        if p == 1 {
-            let mut cursor: Vec<u32> = offsets[..n].to_vec();
-            for (j, set) in sets.iter().enumerate() {
-                for &v in set {
-                    let c = &mut cursor[v as usize];
-                    samples[*c as usize] = j as u32;
-                    *c += 1;
-                }
-            }
-        } else {
-            let offsets_ref = &offsets;
-            let mut rest: &mut [u32] = &mut samples;
-            rayon::scope(|s| {
-                for &(vl, vh) in &bounds {
-                    let base = offsets_ref[vl as usize];
-                    let len = (offsets_ref[vh as usize] - base) as usize;
-                    let (region, tail) = rest.split_at_mut(len);
-                    rest = tail;
-                    s.spawn(move |_| {
-                        let mut cursor: Vec<u32> = offsets_ref[vl as usize..vh as usize]
-                            .iter()
-                            .map(|&o| o - base)
-                            .collect();
-                        for j in 0..sets.len() {
-                            for &u in sets.partition_slice(j, vl, vh) {
-                                let c = &mut cursor[(u - vl) as usize];
-                                region[*c as usize] = j as u32;
-                                *c += 1;
-                            }
-                        }
-                    });
-                }
-            });
+    /// Number of samples absorbed so far.
+    #[must_use]
+    pub fn absorbed_samples(&self) -> usize {
+        self.absorbed
+    }
+
+    /// Number of vertices the index covers.
+    #[must_use]
+    pub fn num_vertices(&self) -> usize {
+        self.degrees.len()
+    }
+
+    /// Number of absorbed samples containing vertex `v` — the initial
+    /// greedy counter.
+    #[inline]
+    #[must_use]
+    pub fn degree(&self, v: Vertex) -> u32 {
+        self.degrees[v as usize]
+    }
+
+    /// Streams the ascending sample ids containing `v` to `f`.
+    pub fn for_each_sample(&self, v: Vertex, mut f: impl FnMut(usize)) {
+        for segment in &self.segments {
+            let before = segment.first.wrapping_sub(1);
+            decode_row(segment.row(v as usize), before, |id| f(id as usize));
         }
-        Self { offsets, samples }
     }
 
-    /// Sample ids containing `v`, ascending.
-    #[inline]
-    #[must_use]
-    pub fn samples_containing(&self, v: Vertex) -> &[u32] {
-        let v = v as usize;
-        &self.samples[self.offsets[v] as usize..self.offsets[v + 1] as usize]
-    }
-
-    /// Occurrence count of `v` across samples — the initial greedy counter.
-    #[inline]
-    #[must_use]
-    pub fn degree(&self, v: Vertex) -> u64 {
-        u64::from(self.offsets[v as usize + 1] - self.offsets[v as usize])
-    }
-
-    /// Total associations stored (equals the collection's entry count).
-    #[must_use]
-    pub fn total_entries(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Reserved bytes of the index alone (the collection is borrowed, not
-    /// copied — add [`RrrCollection::resident_bytes`] for the full pair).
+    /// Reserved bytes of the index: every segment's table and rows, and the
+    /// degrees.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
-        (self.offsets.capacity() + self.samples.capacity()) * size_of::<u32>()
+        let segments: usize = self
+            .segments
+            .iter()
+            .map(|s| s.offsets.capacity() * size_of::<u32>() + s.rows.capacity())
+            .sum();
+        segments
+            + self.segments.capacity() * size_of::<Segment>()
+            + self.degrees.capacity() * size_of::<u32>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rrr::RrrCollection;
 
-    fn sample_sets() -> RrrCollection {
-        let mut c = RrrCollection::new();
-        c.push(&[0, 2, 4]);
-        c.push(&[2]);
-        c.push(&[1, 2, 3]);
-        c
+    /// Asserts every row of `index` is the list of the samples of `c` that
+    /// contain the vertex, and every degree its length.
+    fn assert_matches_the_definition(index: &SampleIndex, c: &RrrCollection) {
+        assert_eq!(index.absorbed_samples(), c.len());
+        for v in 0..index.num_vertices() as Vertex {
+            let expect: Vec<usize> = (0..c.len())
+                .filter(|&j| c.get(j).binary_search(&v).is_ok())
+                .collect();
+            let mut row = Vec::new();
+            index.for_each_sample(v, |j| row.push(j));
+            assert_eq!(row, expect, "row of {v}");
+            assert_eq!(index.degree(v) as usize, expect.len(), "degree of {v}");
+        }
     }
 
     #[test]
-    fn sample_index_matches_the_definition_at_any_partition_count() {
-        let sets = sample_sets();
-        // 5 is in no sample.
-        let rows: [&[u32]; 6] = [&[0], &[2], &[0, 1, 2], &[2], &[0], &[]];
-        for p in [1, 2, 3, 5, 16] {
-            let idx = SampleIndex::build(&sets, 6, p);
-            assert_eq!(idx.total_entries(), sets.total_entries());
-            for (v, row) in rows.iter().enumerate() {
-                assert_eq!(
-                    idx.samples_containing(v as Vertex),
-                    *row,
-                    "vertex {v} at p={p}"
-                );
-                assert_eq!(idx.degree(v as Vertex), row.len() as u64);
+    fn sample_index_matches_the_definition_across_folded_and_kept_segments() {
+        // n = 3: a table is 16 bytes, so the two-sample round folds into
+        // the next and the twenty-sample round stays a segment of its own.
+        let mut c = RrrCollection::new();
+        let mut index = SampleIndex::new(3);
+        for (round, samples) in [2usize, 20, 0, 5].into_iter().enumerate() {
+            for j in 0..samples {
+                c.push(if (j + round) % 2 == 0 { &[0, 2] } else { &[2] });
             }
+            index.absorb(&c, 1 + round);
+            assert_matches_the_definition(&index, &c);
         }
+        assert_eq!(index.segments.len(), 2);
     }
 
     #[test]
     fn sample_index_rows_are_sorted() {
+        // Vertex 1000 is in every sample, vertex 7 in every third: past
+        // sample 127 the gaps of both rows take a second byte.
         let mut c = RrrCollection::new();
-        for j in 0..20u32 {
-            // Vertex 0 appears in every sample, vertex 1 in every other.
-            if j % 2 == 0 {
-                c.push(&[0, 1]);
-            } else {
-                c.push(&[0]);
+        let mut index = SampleIndex::new(1001);
+        for j in 0..300usize {
+            c.push(if j % 3 == 0 { &[7, 1000] } else { &[1000] });
+            if j % 100 == 99 {
+                index.absorb(&c, 3);
             }
         }
-        let idx = SampleIndex::build(&c, 2, 3);
-        let row: Vec<u32> = idx.samples_containing(0).to_vec();
-        assert_eq!(row, (0..20).collect::<Vec<u32>>());
-        assert!(idx.samples_containing(1).windows(2).all(|w| w[0] < w[1]));
+        assert_matches_the_definition(&index, &c);
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
+    fn a_batch_is_cut_before_a_segment_outgrows_its_cap() {
+        // A few hundred samples against a 64-byte cap instead of 4 GiB.
+        let n = 40u32;
+        let mut c = RrrCollection::new();
+        for j in 0..300u32 {
+            let set: Vec<Vertex> = (0..n).filter(|v| (v * 7 + j) % 5 < 2).collect();
+            c.push(&set);
+        }
+        let mut index = SampleIndex::with_segment_cap(n, 64);
+        index.absorb(&c, 2);
+        assert!(index.segments.len() > 1);
+        assert!(index.segments.iter().all(|s| s.rows.len() <= 64));
+        assert_matches_the_definition(&index, &c);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
     fn sample_index_rejects_out_of_range_vertex_serial() {
         let mut c = RrrCollection::new();
         c.push(&[7]);
-        let _ = SampleIndex::build(&c, 3, 1);
+        SampleIndex::new(3).absorb(&c, 1);
     }
 
+    /// The last of two owners meets the vertex on its own thread.
     #[test]
-    #[should_panic(expected = "out of range")]
+    #[should_panic(expected = "a scoped thread panicked")]
     fn sample_index_rejects_out_of_range_vertex_parallel() {
         let mut c = RrrCollection::new();
         c.push(&[7]);
-        let _ = SampleIndex::build(&c, 3, 2);
+        SampleIndex::new(3).absorb(&c, 2);
     }
 
     #[test]
     fn sample_index_empty_collection() {
-        let idx = SampleIndex::build(&RrrCollection::new(), 4, 2);
-        assert_eq!(idx.total_entries(), 0);
-        assert_eq!(idx.degree(0), 0);
-        assert!(idx.samples_containing(3).is_empty());
+        let mut index = SampleIndex::new(4);
+        index.absorb(&RrrCollection::new(), 2);
+        assert!(index.segments.is_empty());
+        assert_matches_the_definition(&index, &RrrCollection::new());
     }
 }

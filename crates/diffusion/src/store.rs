@@ -26,11 +26,11 @@
 //! invariants (PR 3/5) extend across storage layouts. The differential
 //! oracle's `storage-equivalence` check enforces exactly that.
 
-use crate::compressed::{
-    block_contains, check_block, decode_sample, encode_set, IncrementalSampleIndex,
-};
+use crate::compressed::{block_contains, check_block, decode_sample, encode_set};
+use crate::intervals::Streamed;
 use crate::mixed::{MixedRrrCollection, RrrSetRef, SampleArena};
 use crate::rrr::RrrCollection;
+use crate::sample_index::SampleIndex;
 use ripples_graph::Vertex;
 use std::cell::RefCell;
 use std::fs::File;
@@ -111,24 +111,25 @@ pub trait RrrStore {
         0
     }
 
-    /// Runs `f` over an inverted sample index of the store's current
-    /// contents. The default builds a transient
-    /// [`IncrementalSampleIndex`] from scratch on every call; stores that
-    /// carry an index cache ([`DynRrrStore`] — the type every engine entry
-    /// point actually runs) override this to absorb only the samples
-    /// appended since the previous call, making the per-round index cost
-    /// of IMM's θ-doubling loop proportional to *new* samples instead of
-    /// the whole store.
+    /// Runs `f` over the inverted index of the store's current contents.
+    /// The default builds a [`SampleIndex`] from scratch on every call,
+    /// streaming the samples; [`DynRrrStore`] — the type every engine entry
+    /// point and the serve mode actually run — keeps one and absorbs only
+    /// the samples appended since the previous call, with up to `owners`
+    /// vertex-interval owners where its layout can serve them, so a
+    /// θ-doubling round pays for its *new* samples and a query over a sealed
+    /// sketch pays nothing.
     fn with_sample_index<R>(
         &self,
         num_vertices: u32,
-        f: impl FnOnce(&IncrementalSampleIndex) -> R,
+        owners: usize,
+        f: impl FnOnce(&SampleIndex) -> R,
     ) -> R
     where
         Self: Sized,
     {
-        let mut index = IncrementalSampleIndex::new(num_vertices);
-        index.absorb(self);
+        let mut index = SampleIndex::new(num_vertices);
+        index.absorb(&Streamed(self), owners);
         f(&index)
     }
 
@@ -773,17 +774,18 @@ enum DynStoreInner {
 /// A runtime-chosen storage backend (`--rrr-store`), dispatching the
 /// [`RrrStore`] trait over the two concrete layouts.
 ///
-/// Carries the cross-round [`IncrementalSampleIndex`] cache behind
-/// [`RrrStore::with_sample_index`]: IMM selects over the same (append-only)
-/// store every θ round, so the cache turns per-round index rebuilds into
-/// incremental absorbs of just the new samples. The cache is excluded from
-/// [`RrrStore::resident_bytes`] — it is selection working memory, reported
-/// through `SelectStats::index_bytes` exactly like the flat engines'
-/// transient indexes.
+/// Owns the [`SampleIndex`] behind [`RrrStore::with_sample_index`], whatever
+/// the layout: IMM selects over the same (append-only) store every θ round
+/// and the serve mode over a sealed one for every query, so the first
+/// indexed pass builds it and each later one absorbs just the samples added
+/// since. The index is excluded from [`RrrStore::resident_bytes`] (and so
+/// from `--rrr-budget`) — it is selection working memory, reported through
+/// `SelectStats::index_bytes` — and is not part of a snapshot: a restored
+/// service builds it on its first indexed query.
 #[derive(Debug)]
 pub struct DynRrrStore {
     inner: DynStoreInner,
-    index_cache: RefCell<Option<IncrementalSampleIndex>>,
+    index_cache: RefCell<Option<SampleIndex>>,
 }
 
 impl DynRrrStore {
@@ -829,6 +831,16 @@ impl DynRrrStore {
             inner: DynStoreInner::Spill(store),
             index_cache: RefCell::new(None),
         })
+    }
+
+    /// Samples the cached inverted index has absorbed: 0 until the first
+    /// indexed selection pass, the store's length right after one.
+    #[must_use]
+    pub fn indexed_samples(&self) -> usize {
+        self.index_cache
+            .borrow()
+            .as_ref()
+            .map_or(0, SampleIndex::absorbed_samples)
     }
 
     /// Visits a spill-kind store's chunks in sample order (snapshot-write
@@ -909,16 +921,20 @@ impl RrrStore for DynRrrStore {
     fn with_sample_index<R>(
         &self,
         num_vertices: u32,
-        f: impl FnOnce(&IncrementalSampleIndex) -> R,
+        owners: usize,
+        f: impl FnOnce(&SampleIndex) -> R,
     ) -> R {
         let mut cache = self.index_cache.borrow_mut();
-        let index = cache.get_or_insert_with(|| IncrementalSampleIndex::new(num_vertices));
+        let index = cache.get_or_insert_with(|| SampleIndex::new(num_vertices));
         debug_assert_eq!(
             index.num_vertices(),
             num_vertices as usize,
             "index cache reused across different vertex universes"
         );
-        index.absorb(self);
+        match &self.inner {
+            DynStoreInner::Flat(sets) => index.absorb(sets, owners),
+            DynStoreInner::Spill(store) => index.absorb(&Streamed(store), owners),
+        }
         f(index)
     }
 
@@ -1264,6 +1280,32 @@ mod tests {
             RrrStore::resident_bytes(&store)
         );
         assert!(RrrStore::resident_bytes(&store) < flat.resident_bytes());
+    }
+
+    #[test]
+    fn cached_index_is_left_alone_while_the_store_is_unchanged() {
+        let n = 300;
+        let samples = synth_samples(n, 200);
+        for mut store in all_backends(n, 2048) {
+            assert_eq!(store.indexed_samples(), 0);
+            let (half, rest) = samples.split_at(120);
+            for s in half {
+                store.push(s);
+            }
+            let observe = |store: &DynRrrStore| {
+                store.with_sample_index(n, 2, |index| {
+                    (index.absorbed_samples(), index.resident_bytes())
+                })
+            };
+            let first = observe(&store);
+            assert_eq!(first.0, 120);
+            assert_eq!(observe(&store), first, "{:?}", store.kind());
+            assert_eq!(store.indexed_samples(), 120);
+            for s in rest {
+                store.push(s);
+            }
+            assert_eq!(observe(&store).0, 200, "{:?}", store.kind());
+        }
     }
 
     #[test]

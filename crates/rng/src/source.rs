@@ -2,8 +2,8 @@
 //!
 //! Keeping the kernels generic over this trait lets the same probabilistic
 //! BFS run off per-sample SplitMix64 streams (the reproducibility-preserving
-//! default) or the paper's leap-frogged LCG ranks — the two modes compared
-//! in `benches/ablation_rng.rs`.
+//! default) or the paper's leap-frogged LCG ranks (`dist::DistRngMode` in
+//! `ripples-core` switches between them).
 
 /// A stream of uniform random numbers.
 pub trait RandomSource {

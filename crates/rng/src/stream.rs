@@ -96,8 +96,8 @@ impl StreamFactory {
 ///
 /// Rank `r` of `p` sees draws `x_r, x_{r+p}, …` of the base sequence seeded
 /// by the master seed. Used by the distributed implementation when running
-/// in `RngMode::LeapFrog` (see `ripples-core`), and compared against the
-/// per-sample SplitMix derivation in `benches/ablation_rng.rs`.
+/// in `RngMode::LeapFrog` (see `ripples-core`), the alternative to the
+/// per-sample SplitMix derivation.
 #[derive(Clone, Debug)]
 pub struct RankStream {
     lf: LeapFrog,

@@ -232,6 +232,9 @@ fn cli_usage_errors_exit_2_and_never_panic() {
         &["--model", "sir"],
         &["--simulate", "z"],
         &["--rrr-store", "nope"],
+        &["--engine", "shraded"],
+        &["--metrics-interval", "soon"],
+        &["--trace", "same.json", "--metrics", "same.json"],
     ] {
         let (code, stderr) = run(ripples, flags);
         assert_eq!(code, Some(2), "{flags:?}: {stderr}");
@@ -240,6 +243,15 @@ fn cli_usage_errors_exit_2_and_never_panic() {
             "{flags:?}: {stderr}"
         );
         assert!(!stderr.contains("panicked"), "{flags:?}: {stderr}");
+        assert!(
+            !stderr.contains("graph: "),
+            "{flags:?} loaded the graph first: {stderr}"
+        );
+        let engines = "opt|baseline|mt|dist|community|partitioned|sharded|tim|degdiscount|celf";
+        assert!(
+            flags[0] != "--engine" || stderr.contains(engines),
+            "{flags:?}: {stderr}"
+        );
     }
     // A mistyped or removed engine tag is reported before the graph is
     // loaded (`ripples` prints the graph's statistics right after loading),

@@ -355,6 +355,47 @@ fn snapshot_restore_serves_bitwise_identically() {
     }
 }
 
+/// A query over an unchanged sketch absorbs no sample and builds no index:
+/// the first indexed selection brings the store's one index up to θ — during
+/// the build, or on a restored service's first query, a snapshot carrying
+/// none — and every later `topk` / `topk_excluding` finds it there, while
+/// the answers stay the batch run's.
+#[test]
+fn queries_leave_the_cached_index_as_the_first_left_it() {
+    let graph = standin_graph("cit-HepTh", 96);
+    let (select, sample, storage) = (
+        SelectEngine::Fused,
+        SampleEngine::Reference,
+        StorageConfig::default(),
+    );
+    let mut built = SketchService::build(&graph, sized_params(), select, sample, storage);
+    let path = std::env::temp_dir().join(format!(
+        "ripples-serve-test-{}-index.snap",
+        std::process::id()
+    ));
+    built.snapshot_to(&path).expect("snapshot writes");
+    let mut restored = SketchService::restore_from(&path, &graph, select).expect("restores");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(restored.store().indexed_samples(), 0);
+
+    let mut params = sized_params();
+    params.k = K_MAX;
+    let batch = immopt_sequential_with_storage(&graph, &params, select, sample, storage).seeds;
+    for (case, svc) in [("built", &mut built), ("restored", &mut restored)] {
+        let (first, _) = svc.topk(K_MAX).unwrap();
+        assert_eq!(first, batch, "{case}");
+        assert_eq!(svc.store().indexed_samples(), svc.theta(), "{case}");
+        for k in QUERY_KS {
+            let (top, _) = svc.topk(k).unwrap();
+            assert_eq!(top, batch[..k as usize], "{case} topk({k})");
+            let (excluding, _) = svc.topk_excluding(k, &batch[..2]).unwrap();
+            let reference = filtered_reference(svc, graph.num_vertices(), k, &batch[..2]);
+            assert_eq!(excluding, reference, "{case} topk_excluding({k})");
+            assert_eq!(svc.store().indexed_samples(), svc.theta(), "{case}");
+        }
+    }
+}
+
 /// Kills the serve child process even when the test panics.
 struct ChildGuard(std::process::Child);
 
