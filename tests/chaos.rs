@@ -19,7 +19,7 @@
 //! Every schedule is a pure function of its seed, so each case reproduces
 //! from the constants in this file alone.
 
-use ripples_comm::{FaultComm, FaultPlan, ThreadWorld};
+use ripples_comm::{CommHealth, Communicator, FaultComm, FaultPlan, ThreadWorld};
 use ripples_core::dist::imm_distributed;
 use ripples_core::dist_partitioned::imm_partitioned;
 use ripples_core::dist_sharded::imm_sharded;
@@ -280,4 +280,98 @@ fn rank_kill_in_sharded_engine_completes() {
     );
     assert_eq!(degraded.report.counters.degraded_ranks, 1);
     assert_eq!(degraded.seeds.len(), 5);
+}
+
+/// Runs `engine` at 3 ranks under `plan` and returns rank 0's result with
+/// the decorator's own health, read after the engine returns; every rank
+/// must report the same health (fault decisions are lockstep).
+fn run_with_health(engine: &str, plan: &FaultPlan) -> (ripples_core::ImmResult, CommHealth) {
+    let model = DiffusionModel::IndependentCascade;
+    let g = graph(model);
+    let p = params(model);
+    let mut results = ThreadWorld::new(3).run(|comm| {
+        let faulty = FaultComm::new(comm, plan.clone());
+        let result = match engine {
+            "dist" => imm_distributed(&faulty, &g, &p),
+            "sharded" => imm_sharded(&faulty, &g, &p),
+            _ => imm_partitioned(&faulty, &g, &p),
+        };
+        (result, faulty.health())
+    });
+    let first = results.swap_remove(0);
+    for (_, health) in &results {
+        assert_eq!(health.dropped_ops, first.1.dropped_ops, "{engine}");
+        assert_eq!(health.ticks, first.1.ticks, "{engine}");
+        assert_eq!(health.dead_ranks, first.1.dead_ranks, "{engine}");
+    }
+    first
+}
+
+/// The fault schedule is a contract: the same plan yields the same op-index,
+/// tick, retry and death sequence however the comm stack is layered. Rows
+/// are `(engine, plan, seeds, θ, report retries, report dropped_ops,
+/// decorator dropped_ops, decorator ticks, dead ranks)`, recorded from the
+/// two-layer stack at `ba95d27` (a retry decorator over the fault
+/// injector, one fallible twin per collective between them); the decorator's
+/// counts run past the report's because the report's own reductions and the
+/// trace gather are collectives too.
+#[test]
+fn chaos_health_is_frozen() {
+    let plans = [
+        ("chaos", FaultPlan::chaos(42, 0.05)),
+        (
+            "mixed",
+            FaultPlan::new(909)
+                .with_drop_rate(0.04)
+                .with_delay_rate(0.08)
+                .with_truncate_rate(0.03),
+        ),
+        ("kill", FaultPlan::new(404).with_stall(2, 10)),
+    ];
+    type Row = (
+        &'static str,
+        &'static str,
+        [u32; 5],
+        usize,
+        u64,
+        u64,
+        u64,
+        u64,
+        &'static [u32],
+    );
+    #[rustfmt::skip]
+    let frozen: [Row; 9] = [
+        ("dist", "chaos", [2, 9, 98, 101, 144], 491, 3, 3, 4, 34, &[]),
+        ("dist", "mixed", [2, 9, 98, 101, 144], 491, 3, 3, 4, 52, &[]),
+        ("dist", "kill", [2, 9, 98, 101, 143], 491, 8, 8, 8, 220, &[2]),
+        ("partitioned", "chaos", [2, 242, 63, 70, 129], 494, 6, 6, 7, 77, &[]),
+        ("partitioned", "mixed", [2, 242, 63, 70, 129], 494, 17, 17, 18, 131, &[]),
+        ("partitioned", "kill", [2, 23, 30, 42, 63], 496, 8, 8, 8, 250, &[2]),
+        ("sharded", "chaos", [2, 242, 63, 70, 129], 494, 10, 10, 12, 118, &[]),
+        ("sharded", "mixed", [2, 242, 63, 70, 129], 494, 22, 22, 24, 173, &[]),
+        ("sharded", "kill", [175, 237, 168, 206, 248], 521, 8, 8, 8, 266, &[2]),
+    ];
+    for (engine, name, seeds, theta, retries, dropped, dec_dropped, ticks, dead) in frozen {
+        let plan = &plans.iter().find(|(n, _)| *n == name).expect("a plan").1;
+        let (r, h) = run_with_health(engine, plan);
+        let got = (
+            r.seeds.as_slice(),
+            r.theta,
+            r.report.counters.retries,
+            r.report.counters.dropped_ops,
+            h.dropped_ops,
+            h.ticks,
+            h.dead_ranks.as_slice(),
+        );
+        let want = (
+            &seeds[..],
+            theta,
+            retries,
+            dropped,
+            dec_dropped,
+            ticks,
+            dead,
+        );
+        assert_eq!(got, want, "{engine} under the {name} plan");
+    }
 }
