@@ -73,12 +73,15 @@
 //! and truncated collectives) into the `dist`/`partitioned`/`sharded`
 //! engines'
 //! communicator; `--chaos-rate R` sets the per-op fault probability (default
-//! 0.02). The run completes through the retry/degradation layer and prints a
-//! robustness summary (retries, dropped ops, degraded ranks); the same seed
+//! 0.02). The same decorator (`FaultComm`) retries the failed attempts and
+//! degrades past a dead rank, so the run completes and prints a robustness
+//! summary (retries, dropped ops, degraded ranks); the same seed
 //! always reproduces the same faults. Other engines ignore the flags with a
 //! warning.
 
-use ripples_bench::{parse_sample, parse_select, parse_storage, Args};
+use ripples_bench::{
+    load_graph, parse_sample, parse_select, parse_storage, Args, GraphSourceError,
+};
 use ripples_comm::{FaultComm, FaultPlan, ThreadWorld};
 use ripples_core::obs::trace;
 use ripples_core::{
@@ -94,9 +97,7 @@ use ripples_core::{
     ImmParams, SampleEngine, SelectEngine,
 };
 use ripples_diffusion::{estimate_spread, DiffusionModel, RrrStoreKind};
-use ripples_graph::generators::{barabasi_albert, erdos_renyi, standin};
-use ripples_graph::io::{read_edge_list_file, EdgeListOptions, VertexIds};
-use ripples_graph::{Graph, GraphStats, WeightModel};
+use ripples_graph::{GraphStats, WeightModel};
 use ripples_rng::StreamFactory;
 
 const USAGE: &str = "usage: ripples (--input FILE | --standin NAME | --gen ba:N:M|er:N:M) \
@@ -163,8 +164,9 @@ fn flag_or<T: std::str::FromStr>(args: &Args, name: &str, default: T) -> T {
         .unwrap_or(default)
 }
 
-fn load_graph(args: &Args, model: DiffusionModel) -> Graph {
-    let weights = match args.get("weights").unwrap_or("uniform") {
+/// `--weights uniform|wc|tri|const:P`, `uniform` when absent.
+fn parse_weights(args: &Args) -> WeightModel {
+    match args.get("weights").unwrap_or("uniform") {
         "wc" => WeightModel::WeightedCascade,
         "tri" => WeightModel::Trivalency { seed: 7 },
         w if w.starts_with("const:") => {
@@ -173,68 +175,6 @@ fn load_graph(args: &Args, model: DiffusionModel) -> Graph {
             }))
         }
         _ => WeightModel::UniformRandom { seed: 7 },
-    };
-    let lt_normalize = model == DiffusionModel::LinearThreshold;
-    if let Some(path) = args.get("input") {
-        let options = EdgeListOptions {
-            vertex_ids: VertexIds::Remap,
-            undirected: args.flag("undirected"),
-            default_prob: 1.0,
-            weights: Some(weights),
-        };
-        let mut g = read_edge_list_file(path, options).unwrap_or_else(|e| {
-            eprintln!("error: cannot load {path}: {e}");
-            std::process::exit(1);
-        });
-        if lt_normalize {
-            g.normalize_for_lt();
-        }
-        g
-    } else if let Some(name) = args.get("standin") {
-        let spec = standin(name).unwrap_or_else(|| {
-            eprintln!("error: unknown stand-in `{name}`; see ripples-graph's catalog");
-            std::process::exit(1);
-        });
-        let divisor = flag_or(args, "scale-div", spec.default_divisor);
-        spec.build(divisor, weights, lt_normalize)
-    } else if let Some(spec) = args.get("gen") {
-        // Synthetic graphs straight from the generators, for smoke tests
-        // that want a known topology: `ba:N:M` (Barabási–Albert, M edges
-        // per new vertex) or `er:N:M` (G(n, m) Erdős–Rényi).
-        let seed: u64 = flag_or(args, "gen-seed", 42);
-        let parts: Vec<&str> = spec.split(':').collect();
-        let parse = |s: &str| -> u64 {
-            s.parse().unwrap_or_else(|e| {
-                eprintln!("error: bad --gen number `{s}`: {e}");
-                std::process::exit(1);
-            })
-        };
-        match parts.as_slice() {
-            ["ba", n, m] => barabasi_albert(
-                parse(n) as u32,
-                parse(m) as u32,
-                weights,
-                lt_normalize,
-                seed,
-            ),
-            ["er", n, m] => erdos_renyi(
-                parse(n) as u32,
-                parse(m) as usize,
-                weights,
-                lt_normalize,
-                seed,
-            ),
-            _ => {
-                eprintln!("error: --gen takes `ba:N:M` or `er:N:M`, got `{spec}`");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        eprintln!(
-            "error: pass --input FILE, --standin NAME (e.g. --standin cit-HepTh), \
-             or --gen ba:N:M|er:N:M"
-        );
-        std::process::exit(1);
     }
 }
 
@@ -402,7 +342,14 @@ fn main() {
         }
     }
 
-    let graph = load_graph(&args, model);
+    let lt_normalize = model == DiffusionModel::LinearThreshold;
+    let graph = load_graph(&args, parse_weights(&args), lt_normalize).unwrap_or_else(|e| match e {
+        GraphSourceError::Usage(message) => usage_error(&message),
+        GraphSourceError::Load(message) => {
+            eprintln!("error: {message}");
+            std::process::exit(1);
+        }
+    });
     let stats = GraphStats::of(&graph);
     eprintln!(
         "graph: {} vertices, {} edges, avg degree {:.2}, max degree {}",

@@ -55,12 +55,12 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
 
 use ripples_bench::json::{parse, Value};
-use ripples_bench::{parse_sample, parse_select, parse_storage, Args};
+use ripples_bench::{
+    load_graph, parse_sample, parse_select, parse_storage, Args, GraphSourceError,
+};
 use ripples_core::{ImmParams, SampleEngine, SelectEngine};
 use ripples_diffusion::DiffusionModel;
-use ripples_graph::generators::{barabasi_albert, erdos_renyi, standin};
-use ripples_graph::io::{read_edge_list_file, EdgeListOptions, VertexIds};
-use ripples_graph::{Graph, Vertex, WeightModel};
+use ripples_graph::{Vertex, WeightModel};
 use ripples_serve::{QueryReport, SketchService};
 
 const USAGE: &str = "usage: serve (--input FILE | --standin NAME | --gen ba:N:M|er:N:M) \
@@ -74,69 +74,6 @@ const USAGE: &str = "usage: serve (--input FILE | --standin NAME | --gen ba:N:M|
 fn usage_error(message: &str) -> ! {
     eprintln!("error: {message}\n{USAGE}");
     std::process::exit(2);
-}
-
-fn load_graph(args: &Args, model: DiffusionModel) -> Graph {
-    let weights = WeightModel::UniformRandom { seed: 7 };
-    let lt_normalize = model == DiffusionModel::LinearThreshold;
-    if let Some(path) = args.get("input") {
-        let options = EdgeListOptions {
-            vertex_ids: VertexIds::Remap,
-            undirected: args.flag("undirected"),
-            default_prob: 1.0,
-            weights: Some(weights),
-        };
-        let mut g = read_edge_list_file(path, options).unwrap_or_else(|e| {
-            eprintln!("error: cannot load {path}: {e}");
-            std::process::exit(1);
-        });
-        if lt_normalize {
-            g.normalize_for_lt();
-        }
-        g
-    } else if let Some(name) = args.get("standin") {
-        let spec = standin(name).unwrap_or_else(|| {
-            eprintln!("error: unknown stand-in `{name}`; see ripples-graph's catalog");
-            std::process::exit(1);
-        });
-        let divisor = args.parse_or("scale-div", spec.default_divisor);
-        spec.build(divisor, weights, lt_normalize)
-    } else if let Some(spec) = args.get("gen") {
-        let seed: u64 = args.parse_or("gen-seed", 42);
-        let parts: Vec<&str> = spec.split(':').collect();
-        let parse_num = |s: &str| -> u64 {
-            s.parse().unwrap_or_else(|e| {
-                eprintln!("error: bad --gen number `{s}`: {e}");
-                std::process::exit(1);
-            })
-        };
-        match parts.as_slice() {
-            ["ba", n, m] => barabasi_albert(
-                parse_num(n) as u32,
-                parse_num(m) as u32,
-                weights,
-                lt_normalize,
-                seed,
-            ),
-            ["er", n, m] => erdos_renyi(
-                parse_num(n) as u32,
-                parse_num(m) as usize,
-                weights,
-                lt_normalize,
-                seed,
-            ),
-            _ => {
-                eprintln!("error: --gen takes `ba:N:M` or `er:N:M`, got `{spec}`");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        eprintln!(
-            "error: pass --input FILE, --standin NAME (e.g. --standin cit-HepTh), \
-             or --gen ba:N:M|er:N:M"
-        );
-        std::process::exit(1);
-    }
 }
 
 fn render_seeds(seeds: &[Vertex]) -> String {
@@ -351,7 +288,15 @@ fn main() {
         ripples_metrics::enable();
     }
 
-    let graph = load_graph(&args, model);
+    let lt_normalize = model == DiffusionModel::LinearThreshold;
+    let weights = WeightModel::UniformRandom { seed: 7 };
+    let graph = load_graph(&args, weights, lt_normalize).unwrap_or_else(|e| match e {
+        GraphSourceError::Usage(message) => usage_error(&message),
+        GraphSourceError::Load(message) => {
+            eprintln!("error: {message}");
+            std::process::exit(1);
+        }
+    });
 
     let mut svc = if let Some(snap) = args.get("snapshot-in") {
         // Restore path: the sketch comes off disk, sampling is skipped

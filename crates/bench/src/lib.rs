@@ -13,7 +13,10 @@ pub use ripples_trace::json;
 
 use ripples_core::{SampleEngine, SelectEngine};
 use ripples_diffusion::{DiffusionModel, RrrStoreKind, StorageConfig};
-use ripples_graph::generators::{standin_catalog, StandinSpec};
+use ripples_graph::generators::{
+    barabasi_albert, erdos_renyi, standin, standin_catalog, StandinSpec,
+};
+use ripples_graph::io::{read_edge_list_file, EdgeListOptions, VertexIds};
 use ripples_graph::{Graph, WeightModel};
 use std::time::{Duration, Instant};
 
@@ -146,6 +149,96 @@ impl Args {
             Ok(value) => value.unwrap_or(default),
             Err(message) => panic!("{message}"),
         }
+    }
+}
+
+/// Why [`load_graph`] produced no graph.
+#[derive(Debug)]
+pub enum GraphSourceError {
+    /// A flag value the user got wrong (exit status 2, with the usage
+    /// line); nothing was read or generated.
+    Usage(String),
+    /// The `--input` file could not be read or parsed (exit status 1).
+    Load(String),
+}
+
+/// The graph the `ripples` and `serve` binaries run on: `--input FILE
+/// [--undirected]` (a SNAP-style edge list, ids remapped), `--standin NAME
+/// [--scale-div D]` (the catalogue's stand-in for a paper input) or `--gen
+/// ba:N:M|er:N:M [--gen-seed S]` (Barabási–Albert with `M` edges per new
+/// vertex, or `G(n, m)` Erdős–Rényi), in that order of precedence, with
+/// edge probabilities from `weights`.
+///
+/// # Errors
+///
+/// Every flag value is checked before anything is generated, so a bad one
+/// is a [`GraphSourceError::Usage`] that cost no work.
+pub fn load_graph(
+    args: &Args,
+    weights: WeightModel,
+    lt_normalize: bool,
+) -> Result<Graph, GraphSourceError> {
+    use GraphSourceError::{Load, Usage};
+    if let Some(path) = args.get("input") {
+        let options = EdgeListOptions {
+            vertex_ids: VertexIds::Remap,
+            undirected: args.flag("undirected"),
+            default_prob: 1.0,
+            weights: Some(weights),
+        };
+        let mut g = read_edge_list_file(path, options)
+            .map_err(|e| Load(format!("cannot load {path}: {e}")))?;
+        if lt_normalize {
+            g.normalize_for_lt();
+        }
+        Ok(g)
+    } else if let Some(name) = args.get("standin") {
+        let spec = standin(name).ok_or_else(|| {
+            Usage(format!(
+                "unknown --standin `{name}`; see ripples-graph's catalog"
+            ))
+        })?;
+        let divisor = args.try_parse("scale-div").map_err(Usage)?;
+        Ok(spec.build(
+            divisor.unwrap_or(spec.default_divisor),
+            weights,
+            lt_normalize,
+        ))
+    } else if let Some(spec) = args.get("gen") {
+        let seed = args.try_parse("gen-seed").map_err(Usage)?.unwrap_or(42);
+        // Parsed at the width the generator takes: a count that does not
+        // fit is rejected here, never narrowed.
+        fn count<T: std::str::FromStr>(spec: &str, s: &str) -> Result<T, GraphSourceError> {
+            s.parse().map_err(|_| {
+                Usage(format!(
+                    "--gen `{spec}`: `{s}` is not a count this generator can take"
+                ))
+            })
+        }
+        match spec.split(':').collect::<Vec<_>>().as_slice() {
+            ["ba", n, m] => Ok(barabasi_albert(
+                count(spec, n)?,
+                count(spec, m)?,
+                weights,
+                lt_normalize,
+                seed,
+            )),
+            ["er", n, m] => Ok(erdos_renyi(
+                count(spec, n)?,
+                count(spec, m)?,
+                weights,
+                lt_normalize,
+                seed,
+            )),
+            _ => Err(Usage(format!(
+                "--gen takes `ba:N:M` or `er:N:M`, got `{spec}`"
+            ))),
+        }
+    } else {
+        Err(Usage(
+            "pass --input FILE, --standin NAME (e.g. --standin cit-HepTh), or --gen ba:N:M|er:N:M"
+                .to_string(),
+        ))
     }
 }
 

@@ -1,4 +1,4 @@
-//! Community detection by synchronous label propagation, plus modularity.
+//! Community detection by synchronous label propagation.
 //!
 //! The paper's related work (§2) discusses a line of influence-maximization
 //! accelerations that mine communities first — including the authors' own
@@ -108,34 +108,6 @@ pub fn label_propagation(graph: &Graph, max_rounds: u32, seed: u64) -> Communiti
     Communities { labels, count }
 }
 
-/// Newman modularity of a label assignment over the undirected view
-/// (each directed arc counted once as half an undirected edge).
-#[must_use]
-pub fn modularity(graph: &Graph, labels: &[u32]) -> f64 {
-    assert_eq!(labels.len(), graph.num_vertices() as usize);
-    let m2 = graph.num_edges() as f64; // Σ undirected degrees = 2m = arc count for symmetric graphs
-    if m2 == 0.0 {
-        return 0.0;
-    }
-    let classes = labels.iter().copied().max().map_or(0, |x| x + 1) as usize;
-    let mut internal = vec![0.0f64; classes];
-    let mut degree_sum = vec![0.0f64; classes];
-    for v in 0..graph.num_vertices() {
-        let c = labels[v as usize] as usize;
-        degree_sum[c] += (graph.out_degree(v) + graph.in_degree(v)) as f64 / 2.0;
-        for &u in graph.out_neighbors(v) {
-            if labels[u as usize] as usize == c {
-                // Each undirected internal edge appears as two arcs, giving
-                // internal[c] = 2·L_c; divided by m2 = 2m below → L_c/m.
-                internal[c] += 1.0;
-            }
-        }
-    }
-    (0..classes)
-        .map(|c| internal[c] / m2 - (degree_sum[c] / m2).powi(2))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,17 +151,6 @@ mod tests {
         let sizes = c.sizes();
         assert_eq!(sizes.iter().sum::<usize>(), 12);
         assert!(sizes.iter().all(|&s| s > 0));
-    }
-
-    #[test]
-    fn good_split_has_high_modularity() {
-        let g = two_cliques();
-        let split = [0u32, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1];
-        let all_one = [0u32; 12];
-        let q_split = modularity(&g, &split);
-        let q_one = modularity(&g, &all_one);
-        assert!(q_split > 0.3, "q_split = {q_split}");
-        assert!(q_split > q_one);
     }
 
     #[test]

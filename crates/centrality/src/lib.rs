@@ -9,9 +9,6 @@
 //! * [`betweenness`] — Brandes' exact algorithm (parallel over sources) and
 //!   a pivot-sampled approximation for larger graphs.
 //! * [`closeness`] — BFS-based closeness centrality.
-//! * [`kcore`] — k-core decomposition (peeling), the structure used by the
-//!   parallel seed-selection heuristic of Wu et al. discussed in related
-//!   work.
 //! * [`rbo`] — rank-biased overlap (Webber et al.), the measure the paper
 //!   uses to validate IMMOPT against the reference implementation.
 //! * [`overlap`] — plain top-k intersection/Jaccard helpers.
@@ -22,16 +19,14 @@ pub mod betweenness;
 pub mod closeness;
 pub mod community;
 pub mod degree;
-pub mod kcore;
 pub mod overlap;
 pub mod pagerank;
 pub mod rbo;
 
 pub use betweenness::{betweenness_centrality, betweenness_centrality_sampled};
 pub use closeness::closeness_centrality;
-pub use community::{label_propagation, modularity, Communities};
+pub use community::{label_propagation, Communities};
 pub use degree::{degree_ranking, DegreeKind};
-pub use kcore::kcore_decomposition;
 pub use overlap::{jaccard_top_k, top_k_overlap};
 pub use pagerank::pagerank;
 pub use rbo::rank_biased_overlap;

@@ -1,8 +1,6 @@
-//! The communicator trait, its call/byte accounting, and the fault surface
-//! ([`CommError`] + the fallible `try_*` collective variants).
+//! The communicator trait and its call/byte accounting.
 
 use std::cell::Cell;
-use std::fmt;
 
 /// Counters describing the communication a rank has performed.
 ///
@@ -14,11 +12,7 @@ use std::fmt;
 pub struct CommStats {
     /// Number of `all_reduce_*` calls.
     pub allreduce_calls: u64,
-    /// Number of `barrier` calls.
-    pub barrier_calls: u64,
-    /// Number of `broadcast_*` calls.
-    pub broadcast_calls: u64,
-    /// Number of `all_gather_*` calls.
+    /// Number of `all_gather_u64_list` calls.
     pub allgather_calls: u64,
     /// Number of logical `alltoallv_u64` exchanges (a posted exchange
     /// counts once, at the attempt that reaches the transport).
@@ -32,8 +26,6 @@ pub struct CommStats {
 #[derive(Debug, Default)]
 pub(crate) struct StatsCell {
     pub allreduce_calls: Cell<u64>,
-    pub barrier_calls: Cell<u64>,
-    pub broadcast_calls: Cell<u64>,
     pub allgather_calls: Cell<u64>,
     pub exchange_calls: Cell<u64>,
     pub bytes_moved: Cell<u64>,
@@ -43,8 +35,6 @@ impl StatsCell {
     pub(crate) fn snapshot(&self) -> CommStats {
         CommStats {
             allreduce_calls: self.allreduce_calls.get(),
-            barrier_calls: self.barrier_calls.get(),
-            broadcast_calls: self.broadcast_calls.get(),
             allgather_calls: self.allgather_calls.get(),
             exchange_calls: self.exchange_calls.get(),
             bytes_moved: self.bytes_moved.get(),
@@ -94,179 +84,6 @@ pub(crate) fn traced<T>(
     }
 }
 
-/// Which collective operation an error refers to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CollectiveOp {
-    /// `barrier`.
-    Barrier,
-    /// `all_reduce_sum_u64` / `all_reduce_sum_f64` / `all_reduce_max_f64`.
-    AllReduce,
-    /// `broadcast_u64`.
-    Broadcast,
-    /// `all_gather_u64` / `all_gather_u64_list`.
-    AllGather,
-    /// `alltoallv_u64` / a posted frontier exchange.
-    Exchange,
-}
-
-impl fmt::Display for CollectiveOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            CollectiveOp::Barrier => "barrier",
-            CollectiveOp::AllReduce => "allreduce",
-            CollectiveOp::Broadcast => "broadcast",
-            CollectiveOp::AllGather => "allgather",
-            CollectiveOp::Exchange => "exchange",
-        })
-    }
-}
-
-/// A failed collective attempt, as surfaced by a fault-injecting (or, one
-/// day, a real network) backend. Every variant names the op, the rank at
-/// fault, and the decorator's op index so failures are attributable and —
-/// with a seeded [`crate::FaultPlan`] — exactly reproducible.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CommError {
-    /// The attempt was dropped by `rank` before completing.
-    Dropped {
-        /// The collective that failed.
-        op: CollectiveOp,
-        /// The rank whose message was lost.
-        rank: u32,
-        /// The fault decorator's op index for this attempt.
-        op_index: u64,
-    },
-    /// `rank`'s payload arrived short; the collective result is unusable.
-    Truncated {
-        /// The collective that failed.
-        op: CollectiveOp,
-        /// The rank whose payload was cut short.
-        rank: u32,
-        /// The fault decorator's op index for this attempt.
-        op_index: u64,
-        /// Payload bytes the op required.
-        expected_bytes: u64,
-        /// Payload bytes that actually arrived.
-        got_bytes: u64,
-    },
-    /// `rank` answered, but slower than the per-op tick budget.
-    TimedOut {
-        /// The collective that failed.
-        op: CollectiveOp,
-        /// The slowest rank.
-        rank: u32,
-        /// The fault decorator's op index for this attempt.
-        op_index: u64,
-        /// Virtual ticks the attempt took.
-        delay_ticks: u64,
-        /// The budget it exceeded.
-        budget_ticks: u64,
-    },
-    /// `rank` is unresponsive (and will stay so until declared dead).
-    Stalled {
-        /// The collective that failed.
-        op: CollectiveOp,
-        /// The unresponsive rank.
-        rank: u32,
-        /// The fault decorator's op index for this attempt.
-        op_index: u64,
-    },
-    /// A broadcast was requested from a root that is already dead. Not
-    /// retryable: no retry schedule can resurrect the only data source.
-    DeadRoot {
-        /// The collective that failed.
-        op: CollectiveOp,
-        /// The dead root rank.
-        rank: u32,
-        /// The fault decorator's op index for this attempt.
-        op_index: u64,
-    },
-}
-
-impl CommError {
-    /// The failed collective.
-    #[must_use]
-    pub fn op(&self) -> CollectiveOp {
-        match self {
-            CommError::Dropped { op, .. }
-            | CommError::Truncated { op, .. }
-            | CommError::TimedOut { op, .. }
-            | CommError::Stalled { op, .. }
-            | CommError::DeadRoot { op, .. } => *op,
-        }
-    }
-
-    /// The rank at fault.
-    #[must_use]
-    pub fn rank(&self) -> u32 {
-        match self {
-            CommError::Dropped { rank, .. }
-            | CommError::Truncated { rank, .. }
-            | CommError::TimedOut { rank, .. }
-            | CommError::Stalled { rank, .. }
-            | CommError::DeadRoot { rank, .. } => *rank,
-        }
-    }
-
-    /// The fault decorator's op index of the failed attempt.
-    #[must_use]
-    pub fn op_index(&self) -> u64 {
-        match self {
-            CommError::Dropped { op_index, .. }
-            | CommError::Truncated { op_index, .. }
-            | CommError::TimedOut { op_index, .. }
-            | CommError::Stalled { op_index, .. }
-            | CommError::DeadRoot { op_index, .. } => *op_index,
-        }
-    }
-
-    /// Whether retrying the attempt can ever succeed.
-    #[must_use]
-    pub fn is_retryable(&self) -> bool {
-        !matches!(self, CommError::DeadRoot { .. })
-    }
-}
-
-impl fmt::Display for CommError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CommError::Dropped { op, rank, op_index } => {
-                write!(f, "{op} dropped by rank {rank} at op {op_index}")
-            }
-            CommError::Truncated {
-                op,
-                rank,
-                op_index,
-                expected_bytes,
-                got_bytes,
-            } => write!(
-                f,
-                "{op} payload truncated by rank {rank} at op {op_index} \
-                 ({got_bytes} of {expected_bytes} bytes arrived)"
-            ),
-            CommError::TimedOut {
-                op,
-                rank,
-                op_index,
-                delay_ticks,
-                budget_ticks,
-            } => write!(
-                f,
-                "{op} timed out waiting for rank {rank} at op {op_index} \
-                 ({delay_ticks} ticks > budget {budget_ticks})"
-            ),
-            CommError::Stalled { op, rank, op_index } => {
-                write!(f, "{op} stalled: rank {rank} unresponsive at op {op_index}")
-            }
-            CommError::DeadRoot { op, rank, op_index } => {
-                write!(f, "{op} root rank {rank} is dead at op {op_index}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CommError {}
-
 /// An in-flight nonblocking exchange, returned by
 /// [`Communicator::post_exchange_u64`] and consumed by
 /// [`Communicator::wait_exchange`].
@@ -277,9 +94,9 @@ impl std::error::Error for CommError {}
 /// * `Ready` — the result was computed eagerly at post time (the default
 ///   trait implementation, and `SelfComm`). Wait is free.
 /// * `Deferred` — the *sends* are parked and the transport runs at wait
-///   time. Fault-injecting decorators use this so a posted exchange's fault
-///   roll happens at the wait — where the caller (or `RetryComm`) can retry
-///   it — and never at the post, which must stay infallible.
+///   time. [`crate::FaultComm`] uses this under a non-empty plan so a posted
+///   exchange's fault rolls — and the op indices they consume — happen at
+///   the wait, in the order the waits are issued.
 /// * `Staged` — the sends were deposited into the backend's shared staging
 ///   area under the given exchange generation; the posting rank is free to
 ///   compute while peers deposit theirs. `ThreadComm` implements true
@@ -311,7 +128,8 @@ pub struct CommHealth {
     pub dead_ranks: Vec<u32>,
 }
 
-/// The message-passing interface the distributed IMM algorithm requires.
+/// The message-passing interface the distributed IMM engines are written
+/// against: exactly the collectives they call.
 ///
 /// Implementations must guarantee MPI collective semantics: every rank of
 /// the world calls the same collectives in the same order, and a collective
@@ -323,24 +141,12 @@ pub trait Communicator {
     /// The number of ranks in the world.
     fn size(&self) -> u32;
 
-    /// Blocks until every rank has entered the barrier.
-    fn barrier(&self);
-
     /// Element-wise global sum of `buf` across ranks; every rank's `buf`
     /// holds the result on return (`MPI_Allreduce(SUM)`).
     fn all_reduce_sum_u64(&self, buf: &mut [u64]);
 
-    /// Global sum of a single `f64`.
-    fn all_reduce_sum_f64(&self, value: f64) -> f64;
-
     /// Global maximum of a single `f64`.
     fn all_reduce_max_f64(&self, value: f64) -> f64;
-
-    /// Broadcast `value` from `root` to every rank.
-    fn broadcast_u64(&self, root: u32, value: u64) -> u64;
-
-    /// Gathers one value per rank, returned in rank order on every rank.
-    fn all_gather_u64(&self, value: u64) -> Vec<u64>;
 
     /// Gathers a variable-length `u64` list from every rank, returned in
     /// rank order on every rank (`MPI_Allgatherv`). The backbone of sparse
@@ -352,43 +158,10 @@ pub trait Communicator {
     /// rank sent to *this* rank, in sender-rank order. The backbone of the
     /// vertex-cut engine's frontier exchange.
     ///
-    /// The default implementation routes through
-    /// [`Communicator::all_gather_u64_list`] over a `[len, payload…]*`
-    /// flattening — correct for any backend, with allgather (not exchange)
-    /// accounting; real backends override with direct routing.
-    ///
     /// # Panics
     ///
     /// Panics if `sends.len() != size()`.
-    fn alltoallv_u64(&self, sends: &[Vec<u64>]) -> Vec<Vec<u64>> {
-        assert_eq!(
-            sends.len(),
-            self.size() as usize,
-            "alltoallv needs one send list per rank"
-        );
-        let mut flat = Vec::with_capacity(sends.iter().map(|s| s.len() + 1).sum());
-        for list in sends {
-            flat.push(list.len() as u64);
-            flat.extend_from_slice(list);
-        }
-        let gathered = self.all_gather_u64_list(&flat);
-        let me = self.rank() as usize;
-        gathered
-            .iter()
-            .map(|row| {
-                let mut idx = 0usize;
-                for dest in 0..self.size() as usize {
-                    let len = row.get(idx).copied().unwrap_or(0) as usize;
-                    idx += 1;
-                    if dest == me {
-                        return row[idx..idx + len].to_vec();
-                    }
-                    idx += len;
-                }
-                Vec::new()
-            })
-            .collect()
-    }
+    fn alltoallv_u64(&self, sends: &[Vec<u64>]) -> Vec<Vec<u64>>;
 
     /// Posts a nonblocking [`Communicator::alltoallv_u64`]; the caller may
     /// compute between the post and the matching
@@ -419,115 +192,8 @@ pub trait Communicator {
     /// Communication counters recorded so far on this rank.
     fn stats(&self) -> CommStats;
 
-    // --- Fallible variants -------------------------------------------------
-    //
-    // Reliable backends (SelfComm, ThreadWorld) keep the default
-    // implementations, which simply cannot fail; fault-injecting decorators
-    // override these, and the infallible methods above stay as wrappers so
-    // existing call sites don't churn.
-
-    /// Fallible [`Communicator::barrier`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the injected [`CommError`] on a fault-injecting backend; the
-    /// default implementation never fails.
-    fn try_barrier(&self) -> Result<(), CommError> {
-        self.barrier();
-        Ok(())
-    }
-
-    /// Fallible [`Communicator::all_reduce_sum_u64`]. On `Err`, `buf` is
-    /// untouched and the attempt performed no communication.
-    ///
-    /// # Errors
-    ///
-    /// Returns the injected [`CommError`] on a fault-injecting backend.
-    fn try_all_reduce_sum_u64(&self, buf: &mut [u64]) -> Result<(), CommError> {
-        self.all_reduce_sum_u64(buf);
-        Ok(())
-    }
-
-    /// Fallible [`Communicator::all_reduce_sum_f64`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the injected [`CommError`] on a fault-injecting backend.
-    fn try_all_reduce_sum_f64(&self, value: f64) -> Result<f64, CommError> {
-        Ok(self.all_reduce_sum_f64(value))
-    }
-
-    /// Fallible [`Communicator::all_reduce_max_f64`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the injected [`CommError`] on a fault-injecting backend.
-    fn try_all_reduce_max_f64(&self, value: f64) -> Result<f64, CommError> {
-        Ok(self.all_reduce_max_f64(value))
-    }
-
-    /// Fallible [`Communicator::broadcast_u64`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the injected [`CommError`] on a fault-injecting backend;
-    /// notably [`CommError::DeadRoot`] (non-retryable) when `root` has been
-    /// declared dead.
-    fn try_broadcast_u64(&self, root: u32, value: u64) -> Result<u64, CommError> {
-        Ok(self.broadcast_u64(root, value))
-    }
-
-    /// Fallible [`Communicator::all_gather_u64`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the injected [`CommError`] on a fault-injecting backend.
-    fn try_all_gather_u64(&self, value: u64) -> Result<Vec<u64>, CommError> {
-        Ok(self.all_gather_u64(value))
-    }
-
-    /// Fallible [`Communicator::all_gather_u64_list`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the injected [`CommError`] on a fault-injecting backend.
-    fn try_all_gather_u64_list(&self, items: &[u64]) -> Result<Vec<Vec<u64>>, CommError> {
-        Ok(self.all_gather_u64_list(items))
-    }
-
-    /// Fallible [`Communicator::alltoallv_u64`]. On `Err` the attempt
-    /// performed no communication.
-    ///
-    /// # Errors
-    ///
-    /// Returns the injected [`CommError`] on a fault-injecting backend.
-    fn try_alltoallv_u64(&self, sends: &[Vec<u64>]) -> Result<Vec<Vec<u64>>, CommError> {
-        Ok(self.alltoallv_u64(sends))
-    }
-
-    // --- Degradation hooks -------------------------------------------------
-
-    /// Ranks declared dead so far, ascending; empty on reliable backends.
-    fn dead_ranks(&self) -> Vec<u32> {
-        Vec::new()
-    }
-
-    /// Declares `rank` dead: its future payload contributions are
-    /// neutralized and it no longer generates faults. A no-op on reliable
-    /// backends.
-    fn declare_dead(&self, _rank: u32) {}
-
-    /// The deterministic virtual clock (ticks consumed by ops, injected
-    /// delays, and retry backoff). Always 0 on reliable backends.
-    fn clock_ticks(&self) -> u64 {
-        0
-    }
-
-    /// Advances the virtual clock (retry layers charge their backoff here).
-    /// A no-op on reliable backends.
-    fn advance_clock(&self, _ticks: u64) {}
-
-    /// Robustness counters accumulated by this communicator stack.
+    /// Robustness counters accumulated by this communicator stack; all
+    /// zero, with no dead ranks, on a backend that cannot fail.
     fn health(&self) -> CommHealth {
         CommHealth::default()
     }
@@ -544,28 +210,12 @@ impl<C: Communicator + ?Sized> Communicator for &C {
         (**self).size()
     }
 
-    fn barrier(&self) {
-        (**self).barrier();
-    }
-
     fn all_reduce_sum_u64(&self, buf: &mut [u64]) {
         (**self).all_reduce_sum_u64(buf);
     }
 
-    fn all_reduce_sum_f64(&self, value: f64) -> f64 {
-        (**self).all_reduce_sum_f64(value)
-    }
-
     fn all_reduce_max_f64(&self, value: f64) -> f64 {
         (**self).all_reduce_max_f64(value)
-    }
-
-    fn broadcast_u64(&self, root: u32, value: u64) -> u64 {
-        (**self).broadcast_u64(root, value)
-    }
-
-    fn all_gather_u64(&self, value: u64) -> Vec<u64> {
-        (**self).all_gather_u64(value)
     }
 
     fn all_gather_u64_list(&self, items: &[u64]) -> Vec<Vec<u64>> {
@@ -586,54 +236,6 @@ impl<C: Communicator + ?Sized> Communicator for &C {
 
     fn stats(&self) -> CommStats {
         (**self).stats()
-    }
-
-    fn try_barrier(&self) -> Result<(), CommError> {
-        (**self).try_barrier()
-    }
-
-    fn try_all_reduce_sum_u64(&self, buf: &mut [u64]) -> Result<(), CommError> {
-        (**self).try_all_reduce_sum_u64(buf)
-    }
-
-    fn try_all_reduce_sum_f64(&self, value: f64) -> Result<f64, CommError> {
-        (**self).try_all_reduce_sum_f64(value)
-    }
-
-    fn try_all_reduce_max_f64(&self, value: f64) -> Result<f64, CommError> {
-        (**self).try_all_reduce_max_f64(value)
-    }
-
-    fn try_broadcast_u64(&self, root: u32, value: u64) -> Result<u64, CommError> {
-        (**self).try_broadcast_u64(root, value)
-    }
-
-    fn try_all_gather_u64(&self, value: u64) -> Result<Vec<u64>, CommError> {
-        (**self).try_all_gather_u64(value)
-    }
-
-    fn try_all_gather_u64_list(&self, items: &[u64]) -> Result<Vec<Vec<u64>>, CommError> {
-        (**self).try_all_gather_u64_list(items)
-    }
-
-    fn try_alltoallv_u64(&self, sends: &[Vec<u64>]) -> Result<Vec<Vec<u64>>, CommError> {
-        (**self).try_alltoallv_u64(sends)
-    }
-
-    fn dead_ranks(&self) -> Vec<u32> {
-        (**self).dead_ranks()
-    }
-
-    fn declare_dead(&self, rank: u32) {
-        (**self).declare_dead(rank);
-    }
-
-    fn clock_ticks(&self) -> u64 {
-        (**self).clock_ticks()
-    }
-
-    fn advance_clock(&self, ticks: u64) {
-        (**self).advance_clock(ticks);
     }
 
     fn health(&self) -> CommHealth {

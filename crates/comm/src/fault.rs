@@ -1,4 +1,5 @@
-//! Deterministic fault injection for any [`Communicator`] backend.
+//! Deterministic fault injection, retry and rank-death escalation for any
+//! [`Communicator`] backend — one decorator.
 //!
 //! [`FaultComm`] wraps a backend and applies a [`FaultPlan`]: a seeded
 //! schedule of per-op drops, delays, payload truncations, and rank stalls.
@@ -10,37 +11,45 @@
 //!
 //! That global computability is the design's load-bearing wall: when any
 //! live rank is scheduled to fail attempt `t`, **all** ranks skip the
-//! backend call for that attempt and surface the same [`CommError`], so the
-//! backend never sees a half-participated collective (which would deadlock a
-//! real MPI, and does deadlock [`crate::ThreadWorld`]). Retrying in lockstep
-//! (see [`crate::retry::RetryComm`]) then keeps the per-rank op counters
-//! aligned forever, and each *logical* op reaches the backend exactly once —
-//! which is why a zero-fault `FaultComm` is bitwise transparent, backend
+//! backend call for that attempt, so the backend never sees a
+//! half-participated collective (which would deadlock a real MPI, and does
+//! deadlock [`crate::ThreadWorld`]). It is also why the retry loop can be
+//! local: every rank fails, backs off and — when an op exhausts its attempt
+//! or tick budget — declares the same rank dead at the same attempt, with no
+//! message exchanged about any of it. The per-rank op counters stay aligned
+//! forever, and each *logical* op reaches the backend exactly once — which
+//! is why a zero-fault `FaultComm` is bitwise transparent, backend
 //! [`CommStats`] included.
 //!
 //! Time is a deterministic virtual clock: each attempt costs one tick plus
-//! any injected delay, and a delay beyond the plan's timeout budget surfaces
-//! as [`CommError::TimedOut`] *instead of* performing the op (so a retry
-//! never double-applies an in-place all-reduce).
+//! any injected delay, a failed attempt is followed by a capped exponential
+//! backoff charged to the same clock (no sleeping), and a delay beyond the
+//! plan's timeout budget fails the attempt *instead of* performing the op
+//! (so a retry never double-applies an in-place all-reduce).
 //!
 //! Dead ranks become **zombies**: in an in-process world the rank's thread
 //! doubles as the transport, so it keeps calling collectives to keep the
 //! world in lockstep, but `FaultComm` neutralizes its payloads (zeros for
-//! sums, `-∞` for max, an empty list for gathers). A broadcast rooted at a
-//! dead rank is the one unrecoverable case: [`CommError::DeadRoot`].
+//! sums, `-∞` for max, an empty list for gathers and exchanges) and it no
+//! longer generates faults; the engines then degrade gracefully (see
+//! `dist.rs`'s θ re-globalization) instead of crashing.
+//!
+//! Retries and deaths are visible on the tracer as `comm-retry` and
+//! `rank-dead` marks, and in the live metrics as `retries`, `dropped_ops`
+//! and `degraded_ranks`.
 
-use crate::communicator::{
-    CollectiveOp, CommError, CommHealth, CommStats, Communicator, ExchangeHandle,
-};
+use crate::communicator::{CommHealth, CommStats, Communicator, ExchangeHandle};
+use ripples_metrics::Metric;
 use ripples_rng::SplitMix64;
+use ripples_trace::TraceName;
 use std::cell::{Cell, RefCell};
 
 /// Domain separator mixed into the plan seed so fault draws never collide
 /// with the engines' sampling streams, even under the same master seed.
 const FAULT_DOMAIN: u64 = 0xFA17_C0DE_5EED_0001;
 
-/// A rank that stops responding from a given op index onward (until the
-/// retry layer declares it dead).
+/// A rank that stops responding from a given op index onward (until it is
+/// declared dead).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Stall {
     /// The rank that stalls.
@@ -140,7 +149,7 @@ impl FaultPlan {
     }
 
     /// Sets the per-op timeout budget: an attempt whose injected delay
-    /// exceeds this many ticks fails as [`CommError::TimedOut`].
+    /// exceeds this many ticks fails, and is retried, as timed out.
     #[must_use]
     pub fn with_timeout_ticks(mut self, ticks: u64) -> Self {
         self.timeout_ticks = ticks;
@@ -202,19 +211,34 @@ impl FaultPlan {
     }
 }
 
-/// A fault-injecting decorator over any [`Communicator`] backend.
+/// Failed attempts per op before the blamed rank is declared dead.
+const MAX_ATTEMPTS: u32 = 8;
+
+/// Total virtual ticks one op may consume before the blamed rank is
+/// declared dead.
+const OP_TIMEOUT_TICKS: u64 = 4096;
+
+/// The backoff charged after failed attempt number `attempt` (0-based):
+/// `2^attempt` virtual ticks, capped at 64.
+fn backoff_ticks(attempt: u32) -> u64 {
+    1 << attempt.min(6)
+}
+
+/// A fault-injecting, self-healing decorator over any [`Communicator`]
+/// backend.
 ///
-/// The infallible [`Communicator`] methods panic if the plan injects a fault
-/// for that attempt — wrap the stack in a [`crate::retry::RetryComm`] (the
-/// distributed engines do this at entry) so faults are retried instead. With
-/// an empty plan every call delegates straight through, making the decorator
-/// bitwise transparent.
+/// Each collective is first *admitted*: the plan is rolled for the next op
+/// index, a failed attempt is retried after a deterministic backoff, and an
+/// op that exhausts its budget kills the rank its last failure blames. Only
+/// then does the op reach the backend — once. With an empty plan every call
+/// delegates straight through, making the decorator bitwise transparent.
 pub struct FaultComm<C> {
     inner: C,
     plan: FaultPlan,
     op_index: Cell<u64>,
     ticks: Cell<u64>,
-    dropped_ops: Cell<u64>,
+    /// Attempts the plan failed; every one of them was retried.
+    failed_attempts: Cell<u64>,
     dead: RefCell<Vec<u32>>,
 }
 
@@ -226,7 +250,7 @@ impl<C: Communicator> FaultComm<C> {
             plan,
             op_index: Cell::new(0),
             ticks: Cell::new(0),
-            dropped_ops: Cell::new(0),
+            failed_attempts: Cell::new(0),
             dead: RefCell::new(Vec::new()),
         }
     }
@@ -248,92 +272,80 @@ impl<C: Communicator> FaultComm<C> {
         self.op_index.get()
     }
 
-    fn self_dead(&self) -> bool {
-        self.dead.borrow().contains(&self.inner.rank())
-    }
-
-    /// Advances the op counter and virtual clock, and decides — identically
-    /// on every rank — whether this attempt fails. On `Err` the backend is
-    /// *not* called, on any rank.
-    fn check(&self, op: CollectiveOp, payload_bytes: u64) -> Result<(), CommError> {
+    /// Consumes one op index and its clock ticks, and decides — identically
+    /// on every rank — whether that attempt fails; returns the rank to blame
+    /// if it does.
+    fn roll(&self) -> Option<u32> {
         let t = self.op_index.get();
         self.op_index.set(t + 1);
-        if self.plan.is_empty() {
-            self.ticks.set(self.ticks.get() + 1);
-            return Ok(());
-        }
         let dead = self.dead.borrow();
-        let mut stalled: Option<u32> = None;
-        let mut first_fail: Option<CommError> = None;
+        let mut stalled = None;
+        let mut lossy = None;
         let mut delay = 0u64;
         let mut slowest = 0u32;
-        for r in 0..self.inner.size() {
-            if dead.contains(&r) {
-                continue;
-            }
+        for r in (0..self.inner.size()).filter(|r| !dead.contains(r)) {
             match self.plan.fault_for(r, t) {
-                Some(FaultKind::Stall) if stalled.is_none() => stalled = Some(r),
-                Some(FaultKind::Stall) => {}
-                Some(FaultKind::Drop) => {
-                    first_fail.get_or_insert(CommError::Dropped {
-                        op,
-                        rank: r,
-                        op_index: t,
-                    });
-                }
-                Some(FaultKind::Truncate) => {
-                    first_fail.get_or_insert(CommError::Truncated {
-                        op,
-                        rank: r,
-                        op_index: t,
-                        expected_bytes: payload_bytes,
-                        got_bytes: payload_bytes / 2,
-                    });
-                }
+                Some(FaultKind::Stall) => stalled = stalled.or(Some(r)),
+                Some(FaultKind::Drop | FaultKind::Truncate) => lossy = lossy.or(Some(r)),
                 Some(FaultKind::Delay(d)) if d > delay => {
                     delay = d;
                     slowest = r;
                 }
-                Some(FaultKind::Delay(_)) => {}
-                None => {}
+                Some(FaultKind::Delay(_)) | None => {}
             }
         }
-        drop(dead);
         self.ticks.set(self.ticks.get() + 1 + delay);
         // Stalls outrank transient faults so escalation blames the rank that
         // will actually never recover.
-        let failure = match stalled {
-            Some(rank) => Some(CommError::Stalled {
-                op,
-                rank,
-                op_index: t,
-            }),
-            None => first_fail.or(if delay > self.plan.timeout_ticks {
-                Some(CommError::TimedOut {
-                    op,
-                    rank: slowest,
-                    op_index: t,
-                    delay_ticks: delay,
-                    budget_ticks: self.plan.timeout_ticks,
-                })
-            } else {
-                None
-            }),
-        };
-        match failure {
-            Some(e) => {
-                self.dropped_ops.set(self.dropped_ops.get() + 1);
-                ripples_metrics::add(ripples_metrics::Metric::DroppedOps, 1);
-                Err(e)
+        stalled
+            .or(lossy)
+            .or((delay > self.plan.timeout_ticks).then_some(slowest))
+    }
+
+    /// Drives one logical op up to the point where the backend may be
+    /// called: retries failed attempts after a backoff and escalates a
+    /// persistent fault to the death of the rank it blames. Every rank runs
+    /// the identical loop, so all of them fail, back off and declare the
+    /// same deaths at the same attempts. Returns whether this rank is a
+    /// zombie, whose payload the caller must neutralize.
+    fn admit(&self) -> bool {
+        let mut attempt: u32 = 0;
+        let mut op_start = self.ticks.get();
+        loop {
+            let op_index = self.op_index.get();
+            let Some(blamed) = self.roll() else {
+                return self.dead.borrow().contains(&self.inner.rank());
+            };
+            self.failed_attempts.set(self.failed_attempts.get() + 1);
+            ripples_metrics::add(Metric::DroppedOps, 1);
+            ripples_metrics::add(Metric::Retries, 1);
+            ripples_trace::mark(TraceName::CommRetry, op_index, u64::from(attempt));
+            self.ticks.set(self.ticks.get() + backoff_ticks(attempt));
+            attempt += 1;
+            if attempt >= MAX_ATTEMPTS || self.ticks.get() - op_start > OP_TIMEOUT_TICKS {
+                self.mark_dead(blamed);
+                ripples_trace::mark(TraceName::RankDead, u64::from(blamed), op_index);
+                attempt = 0;
+                op_start = self.ticks.get();
             }
-            None => Ok(()),
         }
     }
-}
 
-/// Panic message for an unhandled injected fault on the infallible surface.
-fn unhandled(e: &CommError) -> ! {
-    panic!("unhandled comm fault (wrap the stack in RetryComm): {e}")
+    /// Declares `rank` dead: its future payload contributions are
+    /// neutralized and it no longer generates faults.
+    fn mark_dead(&self, rank: u32) {
+        let mut dead = self.dead.borrow_mut();
+        assert!(
+            dead.len() as u32 + 2 <= self.inner.size(),
+            "cannot declare rank {rank} dead: it is the last live rank"
+        );
+        dead.push(rank);
+        dead.sort_unstable();
+        // Every rank declares the same deaths in lockstep, so the gauge is
+        // a cross-rank max of each stack's dead-set size, not a sum of
+        // declarations.
+        ripples_metrics::set_max(Metric::DegradedRanks, dead.len() as u64);
+    }
 }
 
 impl<C: Communicator> Communicator for FaultComm<C> {
@@ -345,60 +357,54 @@ impl<C: Communicator> Communicator for FaultComm<C> {
         self.inner.size()
     }
 
-    fn barrier(&self) {
-        self.try_barrier().unwrap_or_else(|e| unhandled(&e));
-    }
-
     fn all_reduce_sum_u64(&self, buf: &mut [u64]) {
-        self.try_all_reduce_sum_u64(buf)
-            .unwrap_or_else(|e| unhandled(&e));
-    }
-
-    fn all_reduce_sum_f64(&self, value: f64) -> f64 {
-        self.try_all_reduce_sum_f64(value)
-            .unwrap_or_else(|e| unhandled(&e))
+        if self.admit() {
+            buf.fill(0);
+        }
+        self.inner.all_reduce_sum_u64(buf);
     }
 
     fn all_reduce_max_f64(&self, value: f64) -> f64 {
-        self.try_all_reduce_max_f64(value)
-            .unwrap_or_else(|e| unhandled(&e))
-    }
-
-    fn broadcast_u64(&self, root: u32, value: u64) -> u64 {
-        self.try_broadcast_u64(root, value)
-            .unwrap_or_else(|e| unhandled(&e))
-    }
-
-    fn all_gather_u64(&self, value: u64) -> Vec<u64> {
-        self.try_all_gather_u64(value)
-            .unwrap_or_else(|e| unhandled(&e))
+        let value = if self.admit() {
+            f64::NEG_INFINITY
+        } else {
+            value
+        };
+        self.inner.all_reduce_max_f64(value)
     }
 
     fn all_gather_u64_list(&self, items: &[u64]) -> Vec<Vec<u64>> {
-        self.try_all_gather_u64_list(items)
-            .unwrap_or_else(|e| unhandled(&e))
+        let items = if self.admit() { &[] } else { items };
+        self.inner.all_gather_u64_list(items)
     }
 
     fn alltoallv_u64(&self, sends: &[Vec<u64>]) -> Vec<Vec<u64>> {
-        self.try_alltoallv_u64(sends)
-            .unwrap_or_else(|e| unhandled(&e))
+        if self.admit() {
+            // Zombie: keep the backend in lockstep but send nothing.
+            self.inner.alltoallv_u64(&vec![Vec::new(); sends.len()])
+        } else {
+            self.inner.alltoallv_u64(sends)
+        }
     }
 
     fn post_exchange_u64(&self, sends: &[Vec<u64>]) -> ExchangeHandle {
-        // Defer the transport (and the fault roll) to the wait: the post
-        // must stay infallible, and deciding the fault here would burn an
-        // op index at a point the retry layer cannot replay. The overlap is
-        // lost under fault injection — correctness over concurrency.
+        if self.plan.is_empty() {
+            // Nothing can fail, so the backend is free to overlap.
+            self.admit();
+            return self.inner.post_exchange_u64(sends);
+        }
+        // Defer the transport, and the fault rolls with it, to the wait:
+        // rolling here would consume op indices in post order, and the
+        // schedule is defined over the order in which ops complete. The
+        // overlap is lost under fault injection — correctness over
+        // concurrency.
         ExchangeHandle::Deferred(sends.to_vec())
     }
 
     fn wait_exchange(&self, handle: ExchangeHandle) -> Vec<Vec<u64>> {
         match handle {
-            ExchangeHandle::Ready(result) => result,
             ExchangeHandle::Deferred(sends) => self.alltoallv_u64(&sends),
-            // Not produced by this decorator's post, but a caller may hand
-            // us a handle staged directly on the backend.
-            ExchangeHandle::Staged(_) => self.inner.wait_exchange(handle),
+            posted_on_backend => self.inner.wait_exchange(posted_on_backend),
         }
     }
 
@@ -406,107 +412,10 @@ impl<C: Communicator> Communicator for FaultComm<C> {
         self.inner.stats()
     }
 
-    fn try_barrier(&self) -> Result<(), CommError> {
-        self.check(CollectiveOp::Barrier, 0)?;
-        self.inner.barrier();
-        Ok(())
-    }
-
-    fn try_all_reduce_sum_u64(&self, buf: &mut [u64]) -> Result<(), CommError> {
-        self.check(CollectiveOp::AllReduce, 8 * buf.len() as u64)?;
-        if self.self_dead() {
-            buf.fill(0);
-        }
-        self.inner.all_reduce_sum_u64(buf);
-        Ok(())
-    }
-
-    fn try_all_reduce_sum_f64(&self, value: f64) -> Result<f64, CommError> {
-        self.check(CollectiveOp::AllReduce, 8)?;
-        let value = if self.self_dead() { 0.0 } else { value };
-        Ok(self.inner.all_reduce_sum_f64(value))
-    }
-
-    fn try_all_reduce_max_f64(&self, value: f64) -> Result<f64, CommError> {
-        self.check(CollectiveOp::AllReduce, 8)?;
-        let value = if self.self_dead() {
-            f64::NEG_INFINITY
-        } else {
-            value
-        };
-        Ok(self.inner.all_reduce_max_f64(value))
-    }
-
-    fn try_broadcast_u64(&self, root: u32, value: u64) -> Result<u64, CommError> {
-        let attempt = self.op_index.get();
-        self.check(CollectiveOp::Broadcast, 8)?;
-        if self.dead.borrow().contains(&root) {
-            return Err(CommError::DeadRoot {
-                op: CollectiveOp::Broadcast,
-                rank: root,
-                op_index: attempt,
-            });
-        }
-        Ok(self.inner.broadcast_u64(root, value))
-    }
-
-    fn try_all_gather_u64(&self, value: u64) -> Result<Vec<u64>, CommError> {
-        self.check(CollectiveOp::AllGather, 8)?;
-        let value = if self.self_dead() { 0 } else { value };
-        Ok(self.inner.all_gather_u64(value))
-    }
-
-    fn try_all_gather_u64_list(&self, items: &[u64]) -> Result<Vec<Vec<u64>>, CommError> {
-        self.check(CollectiveOp::AllGather, 8 * items.len() as u64)?;
-        if self.self_dead() {
-            Ok(self.inner.all_gather_u64_list(&[]))
-        } else {
-            Ok(self.inner.all_gather_u64_list(items))
-        }
-    }
-
-    fn try_alltoallv_u64(&self, sends: &[Vec<u64>]) -> Result<Vec<Vec<u64>>, CommError> {
-        let payload = 8 * sends.iter().map(|s| s.len() as u64).sum::<u64>();
-        self.check(CollectiveOp::Exchange, payload)?;
-        if self.self_dead() {
-            // Zombie: keep the backend in lockstep but send nothing.
-            let empty = vec![Vec::new(); sends.len()];
-            Ok(self.inner.alltoallv_u64(&empty))
-        } else {
-            Ok(self.inner.alltoallv_u64(sends))
-        }
-    }
-
-    fn dead_ranks(&self) -> Vec<u32> {
-        self.dead.borrow().clone()
-    }
-
-    fn declare_dead(&self, rank: u32) {
-        assert!(rank < self.inner.size(), "rank {rank} out of range");
-        let mut dead = self.dead.borrow_mut();
-        if dead.contains(&rank) {
-            return;
-        }
-        assert!(
-            dead.len() as u32 + 2 <= self.inner.size(),
-            "cannot declare rank {rank} dead: it is the last live rank"
-        );
-        dead.push(rank);
-        dead.sort_unstable();
-    }
-
-    fn clock_ticks(&self) -> u64 {
-        self.ticks.get()
-    }
-
-    fn advance_clock(&self, ticks: u64) {
-        self.ticks.set(self.ticks.get() + ticks);
-    }
-
     fn health(&self) -> CommHealth {
         CommHealth {
-            retries: 0,
-            dropped_ops: self.dropped_ops.get(),
+            retries: self.failed_attempts.get(),
+            dropped_ops: self.failed_attempts.get(),
             ticks: self.ticks.get(),
             dead_ranks: self.dead.borrow().clone(),
         }
@@ -525,12 +434,19 @@ mod tests {
         let mut buf = vec![2u64, 4];
         comm.all_reduce_sum_u64(&mut buf);
         assert_eq!(buf, vec![2, 4]);
-        assert_eq!(comm.all_gather_u64(7), vec![7]);
-        assert_eq!(comm.broadcast_u64(0, 3), 3);
-        comm.barrier();
+        assert_eq!(comm.all_gather_u64_list(&[7]), vec![vec![7]]);
+        assert_eq!(comm.all_reduce_max_f64(3.0), 3.0);
+        let handle = comm.post_exchange_u64(&[vec![1, 2]]);
+        assert_eq!(comm.wait_exchange(handle), vec![vec![1, 2]]);
         assert_eq!(comm.stats(), comm.inner().stats());
-        assert!(comm.dead_ranks().is_empty());
-        assert_eq!(comm.health().dropped_ops, 0);
+        assert_eq!(comm.op_index(), 4, "one op index per logical op");
+        assert_eq!(
+            comm.health(),
+            CommHealth {
+                ticks: 4,
+                ..CommHealth::default()
+            }
+        );
     }
 
     #[test]
@@ -547,6 +463,14 @@ mod tests {
     }
 
     #[test]
+    fn backoff_grows_and_caps() {
+        assert_eq!(backoff_ticks(0), 1);
+        assert_eq!(backoff_ticks(1), 2);
+        assert_eq!(backoff_ticks(5), 32);
+        assert_eq!(backoff_ticks(40), 64);
+    }
+
+    #[test]
     fn stall_persists_until_rank_declared_dead() {
         let plan = FaultPlan::new(1).with_stall(0, 3);
         assert_eq!(plan.fault_for(0, 2), None);
@@ -557,89 +481,133 @@ mod tests {
         let world = ThreadWorld::new(2);
         let results = world.run(|c| {
             let comm = FaultComm::new(c, plan.clone());
-            comm.barrier(); // ops 0..3 are clean
-            comm.barrier();
-            comm.barrier();
-            let e = comm.try_barrier().expect_err("op 3 must stall");
-            assert!(comm.try_barrier().is_err(), "stall must persist");
-            comm.declare_dead(0);
-            comm.try_barrier().expect("dead rank no longer faults");
-            e
+            for _ in 0..3 {
+                comm.all_reduce_max_f64(0.0); // ops 0..3 are clean
+            }
+            let clean = comm.health();
+            comm.all_reduce_max_f64(0.0); // op 3 stalls until rank 0 dies
+            let escalated = (comm.op_index(), comm.health());
+            comm.all_reduce_max_f64(0.0); // a dead rank no longer faults
+            (clean, escalated, comm.op_index())
         });
-        for e in results {
-            assert!(matches!(e, CommError::Stalled { rank: 0, .. }));
-            assert_eq!(e.op_index(), 3);
+        for (clean, (op_index, health), after) in results {
+            assert_eq!((clean.retries, clean.ticks), (0, 3));
+            assert_eq!(health.retries, u64::from(MAX_ATTEMPTS));
+            assert_eq!(health.dead_ranks, vec![0]);
+            // Eight failed attempts, then the one that reaches the backend.
+            assert_eq!(op_index, 3 + 8 + 1);
+            // One tick per attempt plus backoffs 1 + 2 + … + 64 + 64.
+            assert_eq!(health.ticks, 12 + 191);
+            assert_eq!(after, op_index + 1);
+        }
+    }
+
+    #[test]
+    fn persistent_stall_escalates_to_rank_death() {
+        let world = ThreadWorld::new(2);
+        let results = world.run(|c| {
+            let comm = FaultComm::new(c, FaultPlan::new(5).with_stall(1, 0));
+            let mut buf = vec![u64::from(comm.rank()) + 1];
+            comm.all_reduce_sum_u64(&mut buf);
+            (buf[0], comm.health())
+        });
+        for (sum, health) in results {
+            // Rank 1 was declared dead mid-op; its contribution is zeroed.
+            assert_eq!(sum, 1);
+            assert_eq!(health.dead_ranks, vec![1]);
+            assert_eq!(health.retries, u64::from(MAX_ATTEMPTS));
+        }
+    }
+
+    #[test]
+    fn transient_drops_are_retried_to_success() {
+        // Moderate drop rate: the op must eventually succeed because every
+        // retry re-rolls a fresh op index. (Kept well below the level where
+        // MAX_ATTEMPTS consecutive failures — and thus a rank death — get
+        // likely across 3 ranks × 20 ops.)
+        let world = ThreadWorld::new(3);
+        let results = world.run(|c| {
+            let comm = FaultComm::new(c, FaultPlan::new(7).with_drop_rate(0.15));
+            let mut buf = vec![u64::from(comm.rank())];
+            for _ in 0..20 {
+                comm.all_reduce_sum_u64(&mut buf);
+            }
+            (buf[0], comm.op_index(), comm.health(), comm.stats())
+        });
+        let expect = results[0].0;
+        for (sum, op_index, health, stats) in results {
+            assert_eq!(sum, expect);
+            assert!(health.retries > 0, "0.15 drop rate over 20 ops must retry");
+            assert_eq!(health.dropped_ops, health.retries);
+            assert!(health.dead_ranks.is_empty());
+            // Failed attempts never touch the backend — this is what keeps
+            // the ranks aligned: it saw each logical op exactly once.
+            assert_eq!(stats.allreduce_calls, 20);
+            assert_eq!(op_index, 20 + health.retries);
         }
     }
 
     #[test]
     fn failed_attempts_never_touch_the_backend() {
-        // Drop rate 1: every attempt fails, so the inner backend must see
-        // zero collective calls — this is what keeps ranks aligned.
-        let comm = FaultComm::new(SelfComm::new(), FaultPlan::new(9).with_drop_rate(1.0));
-        for _ in 0..5 {
-            assert!(comm.try_barrier().is_err());
-        }
-        assert_eq!(comm.inner().stats().barrier_calls, 0);
-        assert_eq!(comm.health().dropped_ops, 5);
+        // Rank 0 stalls from the first op: all eight attempts before its
+        // death must leave the inner backend untouched on both ranks.
+        let world = ThreadWorld::new(2);
+        let calls = world.run(|c| {
+            let comm = FaultComm::new(c, FaultPlan::new(9).with_stall(0, 0));
+            comm.all_gather_u64_list(&[1]);
+            (comm.health().dropped_ops, c.stats().allgather_calls)
+        });
+        assert_eq!(calls, vec![(8, 1); 2]);
     }
 
     #[test]
     fn delays_beyond_timeout_surface_as_timed_out() {
-        let plan = FaultPlan::new(3)
-            .with_delay_rate(1.0)
-            .with_max_delay_ticks(10)
-            .with_timeout_ticks(0);
-        let comm = FaultComm::new(SelfComm::new(), plan);
-        let e = comm.try_barrier().expect_err("every op delayed past 0");
-        assert!(matches!(e, CommError::TimedOut { .. }));
-        assert!(comm.clock_ticks() > 1, "delay must charge the clock");
-    }
-
-    #[test]
-    fn dead_root_broadcast_is_not_retryable() {
-        let world = ThreadWorld::new(2);
-        let errs = world.run(|c| {
-            let comm = FaultComm::new(c, FaultPlan::none());
-            comm.declare_dead(1);
-            comm.try_broadcast_u64(1, 5).expect_err("dead root")
-        });
-        for e in errs {
-            assert!(matches!(e, CommError::DeadRoot { rank: 1, .. }));
-            assert!(!e.is_retryable());
-        }
+        let delayed = FaultPlan::new(3)
+            .with_delay_rate(0.5)
+            .with_max_delay_ticks(10);
+        let run = |plan: FaultPlan| {
+            let comm = FaultComm::new(SelfComm::new(), plan);
+            for _ in 0..10 {
+                comm.all_reduce_max_f64(1.0);
+            }
+            comm.health()
+        };
+        let within = run(delayed.clone().with_timeout_ticks(10));
+        assert_eq!(within.dropped_ops, 0, "a delay inside the budget succeeds");
+        assert!(within.ticks > 10, "delay must charge the clock");
+        let beyond = run(delayed.with_timeout_ticks(0));
+        assert!(
+            beyond.dropped_ops > 0,
+            "every delay is past a 0-tick budget"
+        );
+        assert!(beyond.dead_ranks.is_empty());
     }
 
     #[test]
     fn zombie_contributions_are_neutralized() {
         let world = ThreadWorld::new(2);
         let results = world.run(|c| {
-            let comm = FaultComm::new(c, FaultPlan::none());
-            comm.declare_dead(1);
+            // Rank 1 never answers: the first op declares it dead.
+            let comm = FaultComm::new(c, FaultPlan::new(1).with_stall(1, 0));
             let mut buf = vec![10u64];
             comm.all_reduce_sum_u64(&mut buf);
             let mx = comm.all_reduce_max_f64(f64::from(comm.rank()));
             let lists = comm.all_gather_u64_list(&[u64::from(comm.rank()); 2]);
-            (buf[0], mx, lists)
+            let handle = comm.post_exchange_u64(&[vec![7], vec![8]]);
+            (buf[0], mx, lists, comm.wait_exchange(handle))
         });
-        for (sum, mx, lists) in results {
+        for (rank, (sum, mx, lists, received)) in results.into_iter().enumerate() {
             assert_eq!(sum, 10, "dead rank's 10 must not be summed");
             assert_eq!(mx, 0.0, "dead rank's 1.0 must not win the max");
             assert_eq!(lists, vec![vec![0, 0], vec![]]);
+            assert_eq!(received, vec![vec![7 + rank as u64], vec![]]);
         }
     }
 
     #[test]
     #[should_panic(expected = "last live rank")]
     fn killing_the_last_rank_panics() {
-        let comm = FaultComm::new(SelfComm::new(), FaultPlan::none());
-        comm.declare_dead(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "unhandled comm fault")]
-    fn infallible_surface_panics_on_fault() {
-        let comm = FaultComm::new(SelfComm::new(), FaultPlan::new(2).with_drop_rate(1.0));
-        comm.barrier();
+        let comm = FaultComm::new(SelfComm::new(), FaultPlan::new(1).with_stall(0, 0));
+        comm.all_reduce_max_f64(0.0);
     }
 }

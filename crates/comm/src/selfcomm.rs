@@ -29,13 +29,6 @@ impl Communicator for SelfComm {
         1
     }
 
-    fn barrier(&self) {
-        self.stats
-            .barrier_calls
-            .set(self.stats.barrier_calls.get() + 1);
-        traced(TraceName::CommBarrier, 0, || {});
-    }
-
     fn all_reduce_sum_u64(&self, _buf: &mut [u64]) {
         self.stats
             .allreduce_calls
@@ -44,33 +37,11 @@ impl Communicator for SelfComm {
         traced(TraceName::CommAllReduce, 0, || {});
     }
 
-    fn all_reduce_sum_f64(&self, value: f64) -> f64 {
-        self.stats
-            .allreduce_calls
-            .set(self.stats.allreduce_calls.get() + 1);
-        traced(TraceName::CommAllReduce, 0, || value)
-    }
-
     fn all_reduce_max_f64(&self, value: f64) -> f64 {
         self.stats
             .allreduce_calls
             .set(self.stats.allreduce_calls.get() + 1);
         traced(TraceName::CommAllReduce, 0, || value)
-    }
-
-    fn broadcast_u64(&self, root: u32, value: u64) -> u64 {
-        assert_eq!(root, 0, "root {root} out of range for single-rank world");
-        self.stats
-            .broadcast_calls
-            .set(self.stats.broadcast_calls.get() + 1);
-        traced(TraceName::CommBroadcast, 0, || value)
-    }
-
-    fn all_gather_u64(&self, value: u64) -> Vec<u64> {
-        self.stats
-            .allgather_calls
-            .set(self.stats.allgather_calls.get() + 1);
-        traced(TraceName::CommAllGather, 0, || vec![value])
     }
 
     fn all_gather_u64_list(&self, items: &[u64]) -> Vec<Vec<u64>> {
@@ -104,23 +75,11 @@ mod tests {
         let mut buf = vec![3u64, 5];
         c.all_reduce_sum_u64(&mut buf);
         assert_eq!(buf, vec![3, 5]);
-        assert_eq!(c.all_reduce_sum_f64(2.5), 2.5);
         assert_eq!(c.all_reduce_max_f64(-1.0), -1.0);
-        assert_eq!(c.broadcast_u64(0, 9), 9);
-        assert_eq!(c.all_gather_u64(4), vec![4]);
-        c.barrier();
+        assert_eq!(c.all_gather_u64_list(&[4]), vec![vec![4]]);
         let s = c.stats();
-        assert_eq!(s.allreduce_calls, 3);
-        assert_eq!(s.barrier_calls, 1);
-        assert_eq!(s.broadcast_calls, 1);
+        assert_eq!(s.allreduce_calls, 2);
         assert_eq!(s.allgather_calls, 1);
         assert_eq!(s.bytes_moved, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bad_root_panics() {
-        let c = SelfComm::new();
-        let _ = c.broadcast_u64(2, 1);
     }
 }

@@ -165,13 +165,6 @@ impl Communicator for ThreadComm {
         self.shared.size
     }
 
-    fn barrier(&self) {
-        self.stats
-            .barrier_calls
-            .set(self.stats.barrier_calls.get() + 1);
-        traced(TraceName::CommBarrier, 0, || self.shared.barrier_wait());
-    }
-
     fn all_reduce_sum_u64(&self, buf: &mut [u64]) {
         self.stats
             .allreduce_calls
@@ -203,67 +196,27 @@ impl Communicator for ThreadComm {
         });
     }
 
-    fn all_reduce_sum_f64(&self, value: f64) -> f64 {
-        self.reduce_f64(value, |acc, x| acc + x, 0.0)
-    }
-
     fn all_reduce_max_f64(&self, value: f64) -> f64 {
-        self.reduce_f64(value, f64::max, f64::NEG_INFINITY)
-    }
-
-    fn broadcast_u64(&self, root: u32, value: u64) -> u64 {
-        assert!(root < self.shared.size, "root {root} out of range");
         self.stats
-            .broadcast_calls
-            .set(self.stats.broadcast_calls.get() + 1);
+            .allreduce_calls
+            .set(self.stats.allreduce_calls.get() + 1);
         self.stats.charge_log_rounds(8, self.shared.size);
-        traced(TraceName::CommBroadcast, 8, || {
+        traced(TraceName::CommAllReduce, 8, || {
             if self.shared.size == 1 {
                 return value;
             }
-            if self.rank == root {
-                let mut slots = self.shared.u64_slots.lock();
-                slots[root as usize].clear();
-                slots[root as usize].push(value);
+            {
+                let mut slots = self.shared.f64_slots.lock();
+                slots[self.rank as usize] = value;
             }
             self.shared.barrier_wait();
             let result = {
-                let slots = self.shared.u64_slots.lock();
-                slots[root as usize][0]
+                let slots = self.shared.f64_slots.lock();
+                slots.iter().copied().fold(f64::NEG_INFINITY, f64::max)
             };
             self.shared.barrier_wait();
             result
         })
-    }
-
-    fn all_gather_u64(&self, value: u64) -> Vec<u64> {
-        self.stats
-            .allgather_calls
-            .set(self.stats.allgather_calls.get() + 1);
-        self.stats
-            .charge_log_rounds(8 * u64::from(self.shared.size), self.shared.size);
-        traced(
-            TraceName::CommAllGather,
-            8 * u64::from(self.shared.size),
-            || {
-                if self.shared.size == 1 {
-                    return vec![value];
-                }
-                {
-                    let mut slots = self.shared.u64_slots.lock();
-                    let slot = &mut slots[self.rank as usize];
-                    slot.clear();
-                    slot.push(value);
-                }
-                self.shared.barrier_wait();
-                let result: Vec<u64> = {
-                    let slots = self.shared.u64_slots.lock();
-                    slots.iter().map(|s| s[0]).collect()
-                };
-                self.shared.barrier_wait();
-                result
-            },
-        )
     }
 
     fn all_gather_u64_list(&self, items: &[u64]) -> Vec<Vec<u64>> {
@@ -359,31 +312,6 @@ impl Communicator for ThreadComm {
     }
 }
 
-impl ThreadComm {
-    fn reduce_f64(&self, value: f64, op: impl Fn(f64, f64) -> f64, identity: f64) -> f64 {
-        self.stats
-            .allreduce_calls
-            .set(self.stats.allreduce_calls.get() + 1);
-        self.stats.charge_log_rounds(8, self.shared.size);
-        traced(TraceName::CommAllReduce, 8, || {
-            if self.shared.size == 1 {
-                return value;
-            }
-            {
-                let mut slots = self.shared.f64_slots.lock();
-                slots[self.rank as usize] = value;
-            }
-            self.shared.barrier_wait();
-            let result = {
-                let slots = self.shared.f64_slots.lock();
-                slots.iter().copied().fold(identity, op)
-            };
-            self.shared.barrier_wait();
-            result
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,33 +358,10 @@ mod tests {
     }
 
     #[test]
-    fn f64_sum_and_max() {
+    fn f64_max() {
         let world = ThreadWorld::new(4);
-        let results = world.run(|c| {
-            let s = c.all_reduce_sum_f64(f64::from(c.rank()) + 0.5);
-            let m = c.all_reduce_max_f64(f64::from(c.rank()));
-            (s, m)
-        });
-        for (s, m) in results {
-            assert!((s - 8.0).abs() < 1e-12); // 0.5+1.5+2.5+3.5
-            assert_eq!(m, 3.0);
-        }
-    }
-
-    #[test]
-    fn broadcast_from_each_root() {
-        let world = ThreadWorld::new(3);
-        let results = world.run(|c| {
-            let mut got = Vec::new();
-            for root in 0..3 {
-                let v = c.broadcast_u64(root, u64::from(c.rank()) * 10 + 7);
-                got.push(v);
-            }
-            got
-        });
-        for r in results {
-            assert_eq!(r, vec![7, 17, 27]);
-        }
+        let results = world.run(|c| c.all_reduce_max_f64(f64::from(c.rank()) - 5.0));
+        assert_eq!(results, vec![-2.0; 4]);
     }
 
     #[test]
@@ -486,9 +391,10 @@ mod tests {
     #[test]
     fn all_gather_in_rank_order() {
         let world = ThreadWorld::new(4);
-        let results = world.run(|c| c.all_gather_u64(u64::from(c.rank()) * u64::from(c.rank())));
+        let results =
+            world.run(|c| c.all_gather_u64_list(&[u64::from(c.rank()) * u64::from(c.rank())]));
         for r in results {
-            assert_eq!(r, vec![0, 1, 4, 9]);
+            assert_eq!(r, vec![vec![0], vec![1], vec![4], vec![9]]);
         }
     }
 
@@ -562,14 +468,10 @@ mod tests {
         let stats = world.run(|c| {
             let mut buf = vec![0u64; 16];
             c.all_reduce_sum_u64(&mut buf);
-            c.barrier();
             c.stats()
         });
         for s in stats {
             assert_eq!(s.allreduce_calls, 1);
-            // barrier() once explicitly; collectives' internal barriers are
-            // not user-visible calls.
-            assert_eq!(s.barrier_calls, 1);
             // 16 u64 = 128 bytes, log2(4) = 2 rounds.
             assert_eq!(s.bytes_moved, 256);
         }
@@ -581,9 +483,13 @@ mod tests {
         let results = world.run(|c| {
             let mut buf = vec![42u64];
             c.all_reduce_sum_u64(&mut buf);
-            (buf[0], c.all_gather_u64(5), c.broadcast_u64(0, 3))
+            (
+                buf[0],
+                c.all_gather_u64_list(&[5]),
+                c.all_reduce_max_f64(3.0),
+            )
         });
-        assert_eq!(results[0], (42, vec![5], 3));
+        assert_eq!(results[0], (42, vec![vec![5]], 3.0));
     }
 
     #[test]

@@ -65,29 +65,18 @@ proptest! {
         }
     }
 
-    /// f64 max-reduce equals the serial max; broadcast delivers the root's
-    /// value to everyone.
+    /// f64 max-reduce equals the serial max.
     #[test]
-    fn scalar_collectives(size in 1u32..6, values in prop::collection::vec(-1e9f64..1e9, 6), root_pick in 0u32..6) {
+    fn scalar_collectives(size in 1u32..6, values in prop::collection::vec(-1e9f64..1e9, 6)) {
         let world = ThreadWorld::new(size);
-        let root = root_pick % size;
         let vals = &values;
-        let results = world.run(|comm| {
-            let mine = vals[comm.rank() as usize];
-            let mx = comm.all_reduce_max_f64(mine);
-            let sum = comm.all_reduce_sum_f64(mine);
-            let bc = comm.broadcast_u64(root, mine.to_bits());
-            (mx, sum, bc)
-        });
+        let results = world.run(|comm| comm.all_reduce_max_f64(vals[comm.rank() as usize]));
         let expect_max = values[..size as usize]
             .iter()
             .copied()
             .fold(f64::NEG_INFINITY, f64::max);
-        let expect_sum: f64 = values[..size as usize].iter().sum();
-        for (mx, sum, bc) in results {
+        for mx in results {
             prop_assert_eq!(mx, expect_max);
-            prop_assert!((sum - expect_sum).abs() < 1e-6 * expect_sum.abs().max(1.0));
-            prop_assert_eq!(bc, values[root as usize].to_bits());
         }
     }
 
@@ -113,18 +102,20 @@ proptest! {
                         .collect();
                     c.all_reduce_sum_u64(&mut buf);
                     let mx = c.all_reduce_max_f64(f64::from(c.rank()));
-                    let bc = c.broadcast_u64(0, 99);
-                    let gathered = c.all_gather_u64(u64::from(c.rank()) + 7);
                     let lists = c.all_gather_u64_list(&buf[..buf.len().min(3)]);
-                    c.barrier();
-                    (buf, mx, bc, gathered, lists, c.stats())
+                    let sends: Vec<Vec<u64>> =
+                        (0..c.size()).map(|d| vec![u64::from(d) + 7; d as usize]).collect();
+                    let routed = c.alltoallv_u64(&sends);
+                    let handle = c.post_exchange_u64(&sends);
+                    let posted = c.wait_exchange(handle);
+                    (buf, mx, lists, routed, posted, c.stats())
                 };
                 if wrap {
                     let faulty = FaultComm::new(comm, FaultPlan::new(plan_seed));
                     let out = exercise(&faulty);
                     // Transparency extends to the health surface.
                     assert_eq!(faulty.health().dropped_ops, 0);
-                    assert!(faulty.dead_ranks().is_empty());
+                    assert!(faulty.health().dead_ranks.is_empty());
                     out
                 } else {
                     exercise(comm)
@@ -137,9 +128,9 @@ proptest! {
         for (b, w) in bare.iter().zip(&wrapped) {
             prop_assert_eq!(&b.0, &w.0, "all_reduce_sum_u64 diverged");
             prop_assert_eq!(b.1, w.1, "all_reduce_max_f64 diverged");
-            prop_assert_eq!(b.2, w.2, "broadcast_u64 diverged");
-            prop_assert_eq!(&b.3, &w.3, "all_gather_u64 diverged");
-            prop_assert_eq!(&b.4, &w.4, "all_gather_u64_list diverged");
+            prop_assert_eq!(&b.2, &w.2, "all_gather_u64_list diverged");
+            prop_assert_eq!(&b.3, &w.3, "alltoallv_u64 diverged");
+            prop_assert_eq!(&b.4, &w.4, "posted exchange diverged");
             prop_assert_eq!(&b.5, &w.5, "backend CommStats diverged");
         }
     }

@@ -20,6 +20,13 @@
 //! `RankEngine`: the per-rank store, the distributed selection protocol
 //! and the report's cross-rank reductions. An engine supplies only a
 //! `RankSampler` — how one rank produces its share of a batch.
+//!
+//! The engines call their collectives on the communicator they are handed
+//! and wrap nothing around it. Robustness is the caller's choice of
+//! communicator: over a [`ripples_comm::FaultComm`] a transient fault is
+//! retried before the collective returns, and a rank declared dead shows up
+//! here only as [`ripples_comm::CommHealth::dead_ranks`], which selection
+//! reads to judge coverage against the samples the survivors hold.
 
 use crate::driver::{record_store_counters, run_imm, Engine};
 use crate::memory::MemoryStats;
@@ -30,7 +37,7 @@ use crate::result::ImmResult;
 use crate::select::{
     argmax, nanos_since, uses_index, with_index_if, SelectEngine, SelectStats, Selection,
 };
-use ripples_comm::{CommStats, Communicator, RetryComm};
+use ripples_comm::{CommStats, Communicator};
 use ripples_diffusion::rrr::{generate_rrr, RrrScratch};
 use ripples_diffusion::{DiffusionModel, DynRrrStore, RrrStore, SampleIndex, StorageConfig};
 use ripples_graph::{Graph, Vertex};
@@ -234,7 +241,7 @@ impl<C: Communicator> GreedyRounds<'_, C> {
         // actually hold, not the nominal θ. The dead-rank set is identical on
         // every rank (lockstep fault decisions), so this extra collective is
         // taken — or skipped — uniformly; the fault-free path is unchanged.
-        let theta_eff = if comm.dead_ranks().is_empty() {
+        let theta_eff = if comm.health().dead_ranks.is_empty() {
             theta_global
         } else {
             all_reduce_sum_scalar(comm, local.len() as u64) as usize
@@ -407,11 +414,6 @@ pub(crate) fn run_imm_ranked<C: Communicator, P: RankSampler>(
     select_mode: DistSelectMode,
     sampler: P,
 ) -> ImmResult {
-    // All collectives run through the retry/rank-death layer: on a
-    // reliable backend every attempt succeeds first try and the wrapper is
-    // free; on a fault-injecting stack transient faults are retried in
-    // lockstep and persistent ones degrade the run instead of crashing it.
-    let comm = &RetryComm::with_defaults(comm);
     // Tag this rank thread's event ring so the merged trace shows one
     // process track per rank.
     crate::obs::trace::set_thread_rank(comm.rank());

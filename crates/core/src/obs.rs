@@ -47,11 +47,7 @@ use trace::TraceName;
 pub struct CommCounters {
     /// `all_reduce_*` calls.
     pub allreduce_calls: u64,
-    /// `barrier` calls.
-    pub barrier_calls: u64,
-    /// `broadcast_*` calls.
-    pub broadcast_calls: u64,
-    /// `all_gather_*` calls.
+    /// `all_gather_u64_list` calls.
     pub allgather_calls: u64,
     /// `alltoallv_u64` / posted-exchange calls.
     pub exchange_calls: u64,
@@ -67,8 +63,6 @@ impl CommCounters {
     pub fn delta(before: &CommStats, after: &CommStats) -> Self {
         Self {
             allreduce_calls: after.allreduce_calls - before.allreduce_calls,
-            barrier_calls: after.barrier_calls - before.barrier_calls,
-            broadcast_calls: after.broadcast_calls - before.broadcast_calls,
             allgather_calls: after.allgather_calls - before.allgather_calls,
             exchange_calls: after.exchange_calls - before.exchange_calls,
             bytes_moved: after.bytes_moved - before.bytes_moved,
@@ -335,14 +329,9 @@ impl RunReport {
             Some(cc) => {
                 let _ = write!(
                     out,
-                    "{{\"allreduce_calls\":{},\"barrier_calls\":{},\"broadcast_calls\":{},\
-                     \"allgather_calls\":{},\"exchange_calls\":{},\"bytes_moved\":{}}}",
-                    cc.allreduce_calls,
-                    cc.barrier_calls,
-                    cc.broadcast_calls,
-                    cc.allgather_calls,
-                    cc.exchange_calls,
-                    cc.bytes_moved
+                    "{{\"allreduce_calls\":{},\"allgather_calls\":{},\
+                     \"exchange_calls\":{},\"bytes_moved\":{}}}",
+                    cc.allreduce_calls, cc.allgather_calls, cc.exchange_calls, cc.bytes_moved
                 );
             }
         }
@@ -412,13 +401,8 @@ impl RunReport {
             out.push_str("comm:\n");
             let _ = writeln!(
                 out,
-                "  allreduce {}  allgather {}  broadcast {}  barrier {}  exchange {}  bytes {}",
-                cc.allreduce_calls,
-                cc.allgather_calls,
-                cc.broadcast_calls,
-                cc.barrier_calls,
-                cc.exchange_calls,
-                cc.bytes_moved
+                "  allreduce {}  allgather {}  exchange {}  bytes {}",
+                cc.allreduce_calls, cc.allgather_calls, cc.exchange_calls, cc.bytes_moved
             );
         }
         if let Some(t) = &self.trace {
@@ -672,24 +656,18 @@ mod tests {
     fn comm_counters_delta() {
         let before = CommStats {
             allreduce_calls: 2,
-            barrier_calls: 1,
-            broadcast_calls: 0,
             allgather_calls: 3,
             exchange_calls: 1,
             bytes_moved: 100,
         };
         let after = CommStats {
             allreduce_calls: 7,
-            barrier_calls: 1,
-            broadcast_calls: 2,
             allgather_calls: 4,
             exchange_calls: 9,
             bytes_moved: 450,
         };
         let d = CommCounters::delta(&before, &after);
         assert_eq!(d.allreduce_calls, 5);
-        assert_eq!(d.barrier_calls, 0);
-        assert_eq!(d.broadcast_calls, 2);
         assert_eq!(d.allgather_calls, 1);
         assert_eq!(d.exchange_calls, 8);
         assert_eq!(d.bytes_moved, 350);

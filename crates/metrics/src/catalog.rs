@@ -202,9 +202,9 @@ catalog! {
         spill_write_failures SpillWriteFailures: Counter PerRank VARIES FINAL ""
             "Spill-file creations or writes that failed on this process; the store then keeps its sets resident beyond `--rrr-budget`";
         retries Retries: Counter Max VARIES LIVE ""
-            "Collective attempts retried by the comm retry layer; 0 on a reliable fabric";
+            "Collective attempts `FaultComm` retried after a fault; 0 on a reliable fabric";
         dropped_ops DroppedOps: Counter Max VARIES LIVE ""
-            "Collective attempts the fault layer failed before they reached the backend";
+            "Collective attempts the fault plan failed before they reached the backend (every one is retried)";
         degraded_ranks DegradedRanks: Level Max VARIES LIVE ""
             "Ranks declared dead and excluded from the run's collectives";
         graph_bytes_peak GraphBytesPeak: Peak Max VARIES LIVE "bytes"

@@ -131,12 +131,8 @@ trace_names! {
     SelectStep = 6, "select-step", (Some("vertex"), Some("gain"));
     /// `all_reduce_*` collective; `arg0` = modeled payload bytes.
     CommAllReduce = 7, "allreduce", (Some("bytes"), None);
-    /// `all_gather_*` collective; `arg0` = modeled payload bytes.
+    /// `all_gather_u64_list` collective; `arg0` = modeled payload bytes.
     CommAllGather = 8, "allgather", (Some("bytes"), None);
-    /// `broadcast_*` collective; `arg0` = modeled payload bytes.
-    CommBroadcast = 9, "broadcast", (Some("bytes"), None);
-    /// `barrier` collective.
-    CommBarrier = 10, "barrier", (None, None);
     /// RRR-storage resident bytes high-water sample; `arg0` = bytes.
     RrrBytes = 11, "rrr-bytes", (Some("bytes"), None);
     /// A span whose label is outside the fixed catalog.
@@ -851,7 +847,7 @@ mod tests {
         let all: Vec<(u8, TraceName)> = (0..=u8::MAX)
             .filter_map(|id| TraceName::from_u8(id).map(|name| (id, name)))
             .collect();
-        assert_eq!(all.len(), 23);
+        assert_eq!(all.len(), 21);
         for &(id, name) in &all {
             assert_eq!(name as u8, id);
             let same_label = all.iter().filter(|(_, n)| n.label() == name.label());

@@ -19,7 +19,7 @@
 //! Every schedule is a pure function of its seed, so each case reproduces
 //! from the constants in this file alone.
 
-use ripples_comm::{CommHealth, Communicator, FaultComm, FaultPlan, ThreadWorld};
+use ripples_comm::{CommHealth, Communicator, ExchangeHandle, FaultComm, FaultPlan, ThreadWorld};
 use ripples_core::dist::imm_distributed;
 use ripples_core::dist_partitioned::imm_partitioned;
 use ripples_core::dist_sharded::imm_sharded;
@@ -374,4 +374,84 @@ fn chaos_health_is_frozen() {
         );
         assert_eq!(got, want, "{engine} under the {name} plan");
     }
+}
+
+/// Forwards to a backend and logs, per logical op in the order a lossy
+/// [`FaultComm`] above it would hand out op indices, whether the op is the
+/// wait of a posted exchange (a post consumes no index; its wait does).
+struct WaitLog<'a, C> {
+    inner: &'a C,
+    is_wait: std::cell::RefCell<Vec<bool>>,
+}
+
+impl<C: Communicator> Communicator for WaitLog<'_, C> {
+    fn rank(&self) -> u32 {
+        self.inner.rank()
+    }
+    fn size(&self) -> u32 {
+        self.inner.size()
+    }
+    fn all_reduce_sum_u64(&self, buf: &mut [u64]) {
+        self.is_wait.borrow_mut().push(false);
+        self.inner.all_reduce_sum_u64(buf);
+    }
+    fn all_reduce_max_f64(&self, value: f64) -> f64 {
+        self.is_wait.borrow_mut().push(false);
+        self.inner.all_reduce_max_f64(value)
+    }
+    fn all_gather_u64_list(&self, items: &[u64]) -> Vec<Vec<u64>> {
+        self.is_wait.borrow_mut().push(false);
+        self.inner.all_gather_u64_list(items)
+    }
+    fn alltoallv_u64(&self, sends: &[Vec<u64>]) -> Vec<Vec<u64>> {
+        self.is_wait.borrow_mut().push(false);
+        self.inner.alltoallv_u64(sends)
+    }
+    fn post_exchange_u64(&self, sends: &[Vec<u64>]) -> ExchangeHandle {
+        self.inner.post_exchange_u64(sends)
+    }
+    fn wait_exchange(&self, handle: ExchangeHandle) -> Vec<Vec<u64>> {
+        self.is_wait.borrow_mut().push(true);
+        self.inner.wait_exchange(handle)
+    }
+    fn stats(&self) -> ripples_comm::CommStats {
+        self.inner.stats()
+    }
+}
+
+#[test]
+fn a_fault_on_a_posted_exchanges_wait_is_retried_there() {
+    // ROADMAP 8(e): the sharded engine posts each block's member routing
+    // and waits for it one block later; the plan below is clean up to the
+    // first such wait and drops that very attempt.
+    let model = DiffusionModel::IndependentCascade;
+    let (g, p) = (graph(model), params(model));
+    let mut logged = ThreadWorld::new(3).run(|comm| {
+        let log = WaitLog {
+            inner: comm,
+            is_wait: Default::default(),
+        };
+        let result = imm_sharded(&log, &g, &p);
+        (result, log.is_wait.into_inner())
+    });
+    let (clean, ops) = logged.swap_remove(0);
+    let first_wait = ops.iter().position(|&w| w).expect("sharded posts") as u64;
+    let hit = |plan: &FaultPlan, op| (0..3).any(|r| plan.fault_for(r, op).is_some());
+    let plan = (0u64..)
+        .map(|seed| FaultPlan::new(seed).with_drop_rate(0.02))
+        .find(|plan| hit(plan, first_wait) && !(0..first_wait).any(|op| hit(plan, op)))
+        .expect("some seed drops the first wait and nothing before it");
+
+    let (noisy, health) = run_with_health("sharded", &plan);
+    assert_eq!(clean.seeds, noisy.seeds, "chaos seed {}", plan.seed());
+    assert_eq!(clean.theta, noisy.theta);
+    assert!(noisy.report.counters.retries > 0, "the wait was retried");
+    assert!(health.dead_ranks.is_empty());
+    // The overlap window is still measured (post → wait), even though the
+    // transport itself was deferred to the wait.
+    assert!(noisy.report.counters.overlap_nanos > 0);
+    assert_eq!(
+        clean.report.counters.frontier_exchanges,
+        noisy.report.counters.frontier_exchanges
+    );
 }
