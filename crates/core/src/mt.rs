@@ -4,8 +4,10 @@
 //! Parallelism enters in the two places §3.1 identifies:
 //!
 //! * **Sampling**: each RRR set is generated independently
-//!   (`ripples_diffusion::sample_batch`, a rayon parallel map with
-//!   per-thread scratch reuse).
+//!   (`ripples_diffusion::sample_batch`: workers claim blocks of sample
+//!   indices from an atomic cursor and reuse their scratch and arenas; the
+//!   calling thread appends finished blocks to the store in index order
+//!   while the others keep sampling).
 //! * **Seed selection**: the vertex space is partitioned into per-thread
 //!   intervals so counter updates need no synchronization, and sorted
 //!   samples are navigated by binary search (the one engine body of
@@ -46,7 +48,7 @@ pub fn imm_multithreaded(graph: &Graph, params: &ImmParams, threads: usize) -> I
 
 /// [`imm_multithreaded`] with explicit selection and sampling engines and
 /// RRR storage backend (CLI `--select` / `--sample` / `--rrr-store` /
-/// `--rrr-budget`). Every backend fills through the same arena-merge
+/// `--rrr-budget`). Every backend fills through the same streamed
 /// samplers and every selection engine shares the greedy tie-break, so the
 /// seed set is identical at every thread count; the fused sampler draws a
 /// different RNG schedule, so its output is statistically (not bitwise)

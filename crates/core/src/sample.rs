@@ -104,9 +104,9 @@ pub struct SamplerDispatch<'a> {
     graph: &'a Graph,
     model: DiffusionModel,
     factory: &'a StreamFactory,
-    /// Reference batches run the rayon parallel sampler when true, the
-    /// strictly sequential one when false (the fused kernel parallelizes
-    /// internally either way, with a thread-count-invariant layout).
+    /// Reference batches run the streamed parallel sampler when true, the
+    /// strictly sequential one when false (the fused kernel runs on the
+    /// streamed block scheduler either way, with a thread-count-invariant layout).
     parallel: bool,
     /// `Some(true)` = fused, `Some(false)` = reference, `None` = `Auto`
     /// not yet resolved.

@@ -1,6 +1,6 @@
 //! Strong-scaling replay model.
 //!
-//! This reproduction runs on a single-core host, so Figures 5–8 (20-thread
+//! This reproduction's build host has two cores, so Figures 5–8 (20-thread
 //! and 16/1024-node strong scaling) cannot be *timed* directly. Instead,
 //! every IMM run records an exact [`WorkTrace`] — per-sample work units and
 //! selection volume — and this module replays that trace under a parallel
@@ -10,7 +10,11 @@
 //!   parallel runtime is the LPT (longest-processing-time) makespan of the
 //!   per-sample work over `p` workers. This captures both the ideal `W/p`
 //!   regime and the straggler regime where one giant RRR set bounds the
-//!   runtime — the effect that caps LT scaling in Figure 8.
+//!   runtime — the effect that caps LT scaling in Figure 8. The code
+//!   schedules the same way: `ripples_diffusion::sample_batch` hands blocks
+//!   of up to 4 096 consecutive samples to whichever worker is free, from an
+//!   atomic cursor — list scheduling at block granularity, of which the
+//!   model's per-sample LPT is the fine-grained limit.
 //! * **Selection** follows Algorithm 4's cost structure: a counting scan of
 //!   all sample entries (splits perfectly), plus `k` greedy rounds in which
 //!   every thread binary-searches every (local) sample — the non-scaling

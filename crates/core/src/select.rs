@@ -730,7 +730,10 @@ mod tests {
         fn push(&mut self, _: &[Vertex]) {
             unreachable!()
         }
-        fn append_arenas(&mut self, _: &[SampleArena]) {
+        fn append_arena(&mut self, _: &SampleArena) {
+            unreachable!()
+        }
+        fn finish_batch(&mut self) {
             unreachable!()
         }
         fn sample_len(&self, _: usize) -> usize {

@@ -20,8 +20,10 @@ use ripples_graph::{Graph, Vertex};
 use ripples_rng::StreamFactory;
 
 /// Records one sampling batch's outcome into `report`: sample/edge counters,
-/// per-worker load-balance observations, and the sizes of the samples
-/// appended to `collection` since `old_len`.
+/// per-worker load-balance observations (how many samples each worker
+/// generated — the schedule decides, so they vary between runs), the peak
+/// of the block arenas in flight, and the sizes of the samples appended to
+/// `collection` since `old_len`.
 pub(crate) fn record_batch<S: RrrStore>(
     report: &mut RunReport,
     collection: &S,
@@ -104,7 +106,7 @@ impl Engine for CompactEngine<'_> {
 
 /// Runs IMM over compact storage and hands the *filled, sealed* store back
 /// alongside the result — the serve mode keeps it resident, the batch entry
-/// points drop it. `parallel` runs the rayon reference sampler and one
+/// points drop it. `parallel` runs the streamed reference sampler and one
 /// selection interval owner per worker of the caller's pool; otherwise both
 /// are strictly sequential.
 pub(crate) fn run_compact(

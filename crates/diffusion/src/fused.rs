@@ -23,27 +23,30 @@
 //!   equivalent rather than bitwise equal. The oracle's
 //!   `sampler-equivalence` check pins that equivalence.
 //!
-//! Emission goes through the [`SampleArena`] →
-//! [`crate::RrrStore::append_arenas`] merge path in global index order, so
-//! the collection layout is a pure function of `(graph, model, factory,
-//! range)` — identical across thread counts, like the reference path. The
-//! per-vertex lane masks *are* the block's 64 RRR sets, as a transposed
-//! bitmap: a block in which some lane passes the [`bitmap_is_smaller`]
-//! rule is emitted by transposing the masks 64 vertices at a time straight
-//! into 64 lane bitmaps, which the arena keeps as bitmaps — the sorted
-//! lists of a graph-spanning cascade are never built. A block of sparse
-//! cascades builds its 64 sorted lists in one vertex-ordered pass.
+//! Emission goes through the streamed block scheduler the reference
+//! sampler runs on ([`crate::sampler`]): workers claim runs of whole lane
+//! blocks, fill a [`crate::SampleArena`] per run, and the runs reach the
+//! store in global index order, so the collection layout is a pure function of `(graph,
+//! model, factory, range)` — identical across thread counts, like the
+//! reference path. The per-vertex lane masks *are* the block's 64 RRR sets,
+//! as a transposed bitmap: a block in which some lane passes the
+//! [`bitmap_is_smaller`] rule is emitted by transposing the masks 64
+//! vertices at a time straight into 64 lane bitmaps, which the arena keeps
+//! as bitmaps — the sorted lists of a graph-spanning cascade are never
+//! built. A block of sparse cascades builds its 64 sorted lists in one
+//! vertex-ordered pass.
 //!
 //! The kernel wins when cascades are wide (dense masks amortize the
 //! full-width draws); the `SampleEngine::Auto` dispatch in `ripples-core`
 //! gates it on measured mean RRR size.
 
-use crate::mixed::{bitmap_is_smaller, bitmap_words, SampleArena};
+use crate::mixed::{bitmap_is_smaller, bitmap_words};
 use crate::model::DiffusionModel;
-use crate::sampler::BatchOutcome;
-use rayon::prelude::*;
+use crate::sampler::{stream_blocks, BatchOutcome, Block};
 use ripples_graph::{Graph, Vertex};
 use ripples_rng::{SplitMix64, StreamFactory};
+use ripples_trace::TraceName;
+use std::ops::Range;
 
 /// Cascades advanced per frontier pass: one bit of a machine word each.
 pub const FUSED_LANES: usize = 64;
@@ -391,136 +394,87 @@ pub fn sample_batch_fused<S: crate::store::RrrStore>(
         "cannot sample from an empty graph"
     );
     crate::sampler::validate_model_weights(graph, model);
-    if count == 0 {
-        return BatchOutcome::default();
-    }
+    let n = graph.num_vertices();
+    let words = bitmap_words(n);
     let lanes = FUSED_LANES as u64;
-    let end_index = first_index + count as u64;
-    // Blocks are keyed by absolute sample index (see the module docs), so
-    // a batch spans the blocks overlapping [first_index, end_index).
-    let first_block = first_index / lanes;
-    let nblocks = ((end_index - 1) / lanes - first_block + 1) as usize;
-    let workers = rayon::current_num_threads().max(1);
-    let nchunks = workers.min(nblocks);
-    struct Chunk {
-        arena: SampleArena,
-        works: Vec<u64>,
-        passes: u64,
-        lane_width_counts: Vec<u64>,
-        mask_bytes: usize,
-    }
-    let chunks: Vec<Chunk> = (0..nchunks as u64)
-        .into_par_iter()
-        .map_init(
-            || FusedScratch::new(graph.num_vertices()),
-            |scratch, chunk| {
-                let chunk = chunk as usize;
-                let block_lo = nblocks * chunk / nchunks;
-                let block_hi = nblocks * (chunk + 1) / nchunks;
-                // The chunk's emitted sample range: block overlap clipped
-                // to the batch.
-                let lo = ((first_block + block_lo as u64) * lanes).max(first_index);
-                let hi = ((first_block + block_hi as u64) * lanes).min(end_index);
-                let emitted = (hi - lo) as usize;
-                let t0 = (hi > lo && ripples_trace::enabled()).then(std::time::Instant::now);
-                let mut arena = SampleArena::with_capacity(graph.num_vertices(), emitted);
-                let mut works = Vec::with_capacity(emitted);
-                let mut passes = 0u64;
-                let mut lane_width_counts = vec![0u64; FUSED_LANES + 1];
-                let words = bitmap_words(graph.num_vertices());
-                for block in block_lo..block_hi {
-                    let base = (first_block + block as u64) * lanes;
-                    let block_passes =
-                        run_block(graph, model, factory, base, scratch, &mut lane_width_counts);
-                    passes += block_passes;
-                    if ripples_metrics::enabled() {
-                        ripples_metrics::add(ripples_metrics::Metric::FusedPasses, block_passes);
-                    }
-                    // Emit only the lanes inside the batch (a boundary
-                    // block may overhang it on either side).
-                    let emit_lo = first_index.saturating_sub(base).min(lanes) as usize;
-                    let emit_hi = (end_index - base).min(lanes) as usize;
-                    for l in emit_lo..emit_hi {
-                        let w = scratch.works[l];
-                        let size = if scratch.emit_bitmaps {
-                            let bitmap = &scratch.lane_bits[l * words..(l + 1) * words];
-                            let len = bitmap.iter().map(|word| word.count_ones()).sum();
-                            arena.append_bitmap(bitmap, len);
-                            len as usize
-                        } else {
-                            let set = &scratch.lane_sets[l];
-                            arena.append_with(|buf| {
-                                buf.extend_from_slice(set);
-                                w
-                            });
-                            set.len()
-                        };
-                        works.push(w);
-                        if ripples_metrics::enabled() {
-                            ripples_metrics::add(ripples_metrics::Metric::SamplesGenerated, 1);
-                            ripples_metrics::add(ripples_metrics::Metric::EdgesExamined, w);
-                            ripples_metrics::observe_rrr_size(size as u64);
-                        }
-                    }
-                }
-                if ripples_metrics::enabled() {
-                    ripples_metrics::set_max(
-                        ripples_metrics::Metric::MaskBytesPeak,
-                        scratch.mask_bytes() as u64,
-                    );
-                }
-                if let Some(t0) = t0 {
-                    ripples_trace::complete(
-                        ripples_trace::TraceName::FusedChunk,
-                        t0,
-                        lo,
-                        emitted as u64,
-                    );
-                }
-                Chunk {
-                    arena,
-                    works,
-                    passes,
-                    lane_width_counts,
-                    mask_bytes: scratch.mask_bytes(),
-                }
-            },
-        )
-        .collect();
-    let mut outcome = BatchOutcome {
-        work_per_sample: Vec::with_capacity(count),
-        per_worker_samples: chunks
-            .iter()
-            .map(|c| c.arena.len() as u64)
-            .filter(|&c| c > 0)
-            .collect(),
-        arena_bytes: {
-            let bytes: usize = chunks.iter().map(|c| c.arena.resident_bytes()).sum();
-            if ripples_metrics::enabled() {
-                ripples_metrics::set_max(ripples_metrics::Metric::ArenaBytesPeak, bytes as u64);
-            }
-            bytes
-        },
-        fused_passes: chunks.iter().map(|c| c.passes).sum(),
-        mask_bytes: chunks.iter().map(|c| c.mask_bytes).sum(),
+    let init = || FusedWorker {
+        scratch: FusedScratch::new(n),
+        passes: 0,
         lane_width_counts: vec![0; FUSED_LANES + 1],
     };
-    let arenas: Vec<SampleArena> = chunks
-        .into_iter()
-        .map(|c| {
-            outcome.work_per_sample.extend_from_slice(&c.works);
-            for (slot, add) in outcome
-                .lane_width_counts
-                .iter_mut()
-                .zip(&c.lane_width_counts)
-            {
-                *slot += add;
+    // A scheduled block is a run of whole lane blocks except at the batch's
+    // ends, where a lane block that overhangs the batch is run in full and
+    // only its in-range lanes are emitted.
+    let fill = |worker: &mut FusedWorker, range: Range<u64>, block: &mut Block| {
+        let mut base = range.start / lanes * lanes;
+        while base < range.end {
+            let passes = run_block(
+                graph,
+                model,
+                factory,
+                base,
+                &mut worker.scratch,
+                &mut worker.lane_width_counts,
+            );
+            worker.passes += passes;
+            if ripples_metrics::enabled() {
+                ripples_metrics::add(ripples_metrics::Metric::FusedPasses, passes);
             }
-            c.arena
-        })
-        .collect();
-    out.append_arenas(&arenas);
+            let scratch = &worker.scratch;
+            let emit_lo = range.start.saturating_sub(base) as usize;
+            let emit_hi = (range.end - base).min(lanes) as usize;
+            for l in emit_lo..emit_hi {
+                let work = scratch.works[l];
+                let size = if scratch.emit_bitmaps {
+                    let bitmap = &scratch.lane_bits[l * words..(l + 1) * words];
+                    let len = bitmap.iter().map(|word| word.count_ones()).sum();
+                    block.arena.append_bitmap(bitmap, len);
+                    len as usize
+                } else {
+                    let set = &scratch.lane_sets[l];
+                    block.arena.append_with(|buf| {
+                        buf.extend_from_slice(set);
+                        work
+                    });
+                    set.len()
+                };
+                block.works.push(work);
+                if ripples_metrics::enabled() {
+                    ripples_metrics::add(ripples_metrics::Metric::SamplesGenerated, 1);
+                    ripples_metrics::add(ripples_metrics::Metric::EdgesExamined, work);
+                    ripples_metrics::observe_rrr_size(size as u64);
+                }
+            }
+            base += lanes;
+        }
+    };
+    let span = TraceName::FusedChunk;
+    let (mut outcome, workers) =
+        stream_blocks(n, first_index, count, FUSED_LANES, span, out, init, fill);
+    for worker in workers {
+        let mask_bytes = worker.scratch.mask_bytes();
+        if ripples_metrics::enabled() {
+            ripples_metrics::set_max(ripples_metrics::Metric::MaskBytesPeak, mask_bytes as u64);
+        }
+        outcome.mask_bytes += mask_bytes;
+        outcome.fused_passes += worker.passes;
+        outcome.lane_width_counts.resize(FUSED_LANES + 1, 0);
+        for (slot, c) in outcome
+            .lane_width_counts
+            .iter_mut()
+            .zip(&worker.lane_width_counts)
+        {
+            *slot += c;
+        }
+    }
     outcome
+}
+
+/// One worker's state across the blocks it claims.
+struct FusedWorker {
+    scratch: FusedScratch,
+    passes: u64,
+    lane_width_counts: Vec<u64>,
 }
 
 #[cfg(test)]

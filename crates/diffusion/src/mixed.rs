@@ -167,10 +167,10 @@ pub struct MixedRrrCollection {
     bitmap_lens: Vec<u32>,
 }
 
-/// A worker-local sample arena filled during one parallel sampling chunk
-/// and merged into a store afterwards by [`crate::RrrStore::append_arenas`]:
-/// the same type the flat store is, so a dense set is a bitmap from the
-/// moment the kernel emits it.
+/// A worker's sample arena, filled with one block of a parallel sampling
+/// batch and merged into a store by [`crate::RrrStore::append_arena`]: the
+/// same type the flat store is, so a dense set is a bitmap from the moment
+/// the kernel emits it.
 pub type SampleArena = MixedRrrCollection;
 
 const BITMAP_SLOT: usize = 1;
@@ -371,72 +371,52 @@ impl MixedRrrCollection {
         }
     }
 
-    /// Appends the sets of `arenas` in arena order — the merge step of the
-    /// parallel samplers. While neither side holds a bitmap this is
-    /// [`RrrCollection::append_arenas`]'s parallel bulk copy and nothing
-    /// else.
-    pub fn append_arenas(&mut self, arenas: &[SampleArena]) {
-        if self.slots.is_empty() && arenas.iter().all(|a| a.slots.is_empty()) {
-            self.lists.append_arenas(arenas);
+    /// Appends the sets of `arena` in order — the merge step of the
+    /// streamed samplers. While neither side holds a bitmap this is a copy
+    /// of the arena's lists and nothing else.
+    pub(crate) fn append_arena(&mut self, arena: &SampleArena) {
+        debug_assert_eq!(arena.num_vertices, self.num_vertices);
+        if self.slots.is_empty() && arena.slots.is_empty() {
+            self.lists.extend_from(&arena.lists);
             return;
         }
         self.materialize_slots();
-        // Exact reservations: `resident_bytes` reports capacity, and the
-        // bitmap arena is what this layout exists to keep small.
-        self.slots.reserve_exact(arenas.iter().map(Self::len).sum());
-        self.bits
-            .reserve_exact(arenas.iter().map(|a| a.bits.len()).sum());
-        self.bitmap_lens
-            .reserve_exact(arenas.iter().map(|a| a.bitmap_lens.len()).sum());
-        for arena in arenas {
-            debug_assert_eq!(arena.num_vertices, self.num_vertices);
-            let list_base = self.lists.len() << 1;
-            let bitmap_base = self.bitmap_lens.len() << 1;
-            if arena.slots.is_empty() {
-                self.slots
-                    .extend((0..arena.lists.len()).map(|rank| list_base + (rank << 1)));
-            } else {
-                self.slots.extend(arena.slots.iter().map(|&slot| {
-                    slot + if slot & BITMAP_SLOT == 0 {
-                        list_base
-                    } else {
-                        bitmap_base
-                    }
-                }));
-            }
-            // What is left in list form is the sparse minority: a serial
-            // copy of it is noise beside the sampling that produced it.
-            self.lists.extend_from(&arena.lists);
-            self.bits.extend_from_slice(&arena.bits);
-            self.bitmap_lens.extend_from_slice(&arena.bitmap_lens);
+        let list_base = self.lists.len() << 1;
+        let bitmap_base = self.bitmap_lens.len() << 1;
+        if arena.slots.is_empty() {
+            self.slots
+                .extend((0..arena.lists.len()).map(|rank| list_base + (rank << 1)));
+        } else {
+            self.slots.extend(arena.slots.iter().map(|&slot| {
+                slot + if slot & BITMAP_SLOT == 0 {
+                    list_base
+                } else {
+                    bitmap_base
+                }
+            }));
         }
+        self.lists.extend_from(&arena.lists);
+        self.bits.extend_from_slice(&arena.bits);
+        self.bitmap_lens.extend_from_slice(&arena.bitmap_lens);
     }
 
-    /// Writes every set as a sorted list into `data` and its end offset
-    /// (shifted by `data_start`) into `ends` — one worker's share of
-    /// [`RrrCollection::append_arenas`]. `data` holds exactly
-    /// [`Self::total_entries`] slots, `ends` exactly [`Self::len`].
-    pub(crate) fn expand_into(&self, data: &mut [Vertex], ends: &mut [usize], data_start: usize) {
-        if let Some(lists) = self.as_lists() {
-            data.copy_from_slice(lists.raw_data());
-            for (slot, &end) in ends.iter_mut().zip(&lists.raw_offsets()[1..]) {
-                *slot = data_start + end;
-            }
-            return;
-        }
-        let mut at = 0usize;
-        for (set, end) in self.iter().zip(ends) {
-            match set {
-                RrrSetRef::List(list) => data[at..at + list.len()].copy_from_slice(list),
-                RrrSetRef::Bitmap { words, .. } => {
-                    for (slot, v) in data[at..].iter_mut().zip(BitmapIter::new(words)) {
-                        *slot = v;
-                    }
-                }
-            }
-            at += set.len();
-            *end = data_start + at;
-        }
+    /// Gives the `Vec` growth slack of a batch of appends back:
+    /// `resident_bytes` reports capacity, and the bitmap arena is what this
+    /// layout exists to keep small.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.lists.shrink_to_fit();
+        self.slots.shrink_to_fit();
+        self.bits.shrink_to_fit();
+        self.bitmap_lens.shrink_to_fit();
+    }
+
+    /// Empties the collection, keeping its buffers for the next fill — a
+    /// sampling worker's arena, reused block after block.
+    pub(crate) fn clear(&mut self) {
+        self.lists.clear();
+        self.slots.clear();
+        self.bits.clear();
+        self.bitmap_lens.clear();
     }
 
     /// Appends one zeroed bitmap to `bits`. Grows by a quarter at a time:
@@ -476,6 +456,7 @@ impl MixedRrrCollection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RrrStore;
 
     fn decoded(c: &MixedRrrCollection) -> Vec<Vec<Vertex>> {
         c.iter()

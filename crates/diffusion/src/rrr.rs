@@ -1,7 +1,7 @@
 //! Random reverse-reachable (RRR) set generation — Algorithm 3's
 //! `GenerateRR` — and the compact one-direction sample collection.
 
-use crate::mixed::SampleArena;
+use crate::mixed::{BitmapIter, RrrSetRef, SampleArena};
 use crate::model::DiffusionModel;
 use ripples_graph::{Graph, Vertex};
 use ripples_rng::RandomSource;
@@ -247,11 +247,20 @@ impl RrrCollection {
     /// its work count — [`RrrCollection::push`] without the intermediate
     /// slice. Enforces the same contract: the appended range is validated,
     /// repaired if violating, and counted.
+    ///
+    /// The arena grows by a quarter at a time ahead of the fill, as the
+    /// bitmap words do: a sampling worker refills one arena block after
+    /// block, and doubling would leave it reserving up to twice the largest
+    /// block it ever held.
     pub(crate) fn append_with<F>(&mut self, fill: F) -> u64
     where
         F: FnOnce(&mut Vec<Vertex>) -> u64,
     {
+        const MIN_GROWTH: usize = 1024;
         let start = self.data.len();
+        if self.data.capacity() - start < MIN_GROWTH {
+            self.data.reserve_exact(MIN_GROWTH.max(start / 4));
+        }
         let work = fill(&mut self.data);
         let tail = &mut self.data[start..];
         if !tail.windows(2).all(|w| w[0] < w[1]) {
@@ -272,8 +281,7 @@ impl RrrCollection {
             .truncate(*self.offsets.last().expect("offsets never empty"));
     }
 
-    /// Appends every sample of `other` (a serial copy; the parallel path is
-    /// [`RrrCollection::append_arenas`]).
+    /// Appends every sample of `other`.
     pub(crate) fn extend_from(&mut self, other: &RrrCollection) {
         let base = self.data.len();
         self.data.extend_from_slice(&other.data);
@@ -366,46 +374,37 @@ impl RrrCollection {
         })
     }
 
-    /// Appends the samples of `arenas`, in arena order, by parallel bulk
-    /// copy at precomputed offsets — the merge step of arena-backed
-    /// [`crate::sampler::sample_batch`]. Produces the exact layout that
-    /// [`RrrCollection::push`]ing every sample in the same order would:
-    /// callers partition a batch into per-worker arenas in index order, so
-    /// the merged collection stays bitwise identical to sequential
-    /// generation. This is the list-only type, so a set an arena holds as a
-    /// bitmap is expanded to its sorted list here.
-    pub fn append_arenas(&mut self, arenas: &[SampleArena]) {
-        let base_data = self.data.len();
-        let base_offset_slots = self.offsets.len();
-        let entries = |a: &SampleArena| a.total_entries() as usize;
-        let new_entries: usize = arenas.iter().map(entries).sum();
-        let new_samples: usize = arenas.iter().map(SampleArena::len).sum();
-        // Destination start of each arena's data block.
-        let data_starts: Vec<usize> = arenas
-            .iter()
-            .scan(base_data, |acc, a| {
-                let start = *acc;
-                *acc += entries(a);
-                Some(start)
-            })
-            .collect();
-        self.data.resize(base_data + new_entries, 0);
-        self.offsets.resize(base_offset_slots + new_samples, 0);
-        // Carve disjoint destination windows (one per arena) and fill them
-        // concurrently; the vendored rayon has no mutable parallel
-        // iterators, so ownership is handed out via split_at_mut.
-        let mut data_rest = &mut self.data[base_data..];
-        let mut offsets_rest = &mut self.offsets[base_offset_slots..];
-        rayon::scope(|s| {
-            for (arena, &data_start) in arenas.iter().zip(&data_starts) {
-                let (data_dst, dr) = data_rest.split_at_mut(entries(arena));
-                data_rest = dr;
-                let (offsets_dst, or) = offsets_rest.split_at_mut(arena.len());
-                offsets_rest = or;
-                s.spawn(move |_| arena.expand_into(data_dst, offsets_dst, data_start));
+    /// Appends the samples of one arena in order — the merge step of the
+    /// streamed samplers ([`crate::sampler::sample_batch`]). Produces the
+    /// exact layout that [`RrrCollection::push`]ing every sample would. This
+    /// is the list-only type, so a set the arena holds as a bitmap is
+    /// expanded to its sorted list here.
+    pub(crate) fn append_arena(&mut self, arena: &SampleArena) {
+        if let Some(lists) = arena.as_lists() {
+            self.extend_from(lists);
+            return;
+        }
+        for set in arena.iter() {
+            match set {
+                RrrSetRef::List(list) => self.data.extend_from_slice(list),
+                RrrSetRef::Bitmap { words, .. } => self.data.extend(BitmapIter::new(words)),
             }
-        });
-        self.unsorted_pushes += arenas.iter().map(SampleArena::unsorted_pushes).sum::<u64>();
+            self.offsets.push(self.data.len());
+        }
+        self.unsorted_pushes += arena.unsorted_pushes();
+    }
+
+    /// Gives the `Vec` growth slack of a batch of appends back.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.offsets.shrink_to_fit();
+        self.data.shrink_to_fit();
+    }
+
+    /// Empties the collection, keeping its buffers for the next fill.
+    pub(crate) fn clear(&mut self) {
+        self.offsets.truncate(1);
+        self.data.clear();
+        self.unsorted_pushes = 0;
     }
 
     /// The slice of sample `i` restricted to the vertex interval
@@ -439,7 +438,7 @@ impl FromIterator<Vec<Vertex>> for RrrCollection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mixed::RrrSetRef;
+    use crate::RrrStore;
     use ripples_graph::GraphBuilder;
     use ripples_rng::SplitMix64;
 

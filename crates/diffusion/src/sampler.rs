@@ -5,14 +5,27 @@
 //! the collection is a pure function of `(graph, model, factory, range)` —
 //! identical across thread counts, rank counts, and partitions, which is
 //! what lets the test suite assert sequential ≡ multithreaded ≡ distributed.
+//!
+//! Both parallel kernels — the reference one here and the fused one in
+//! [`crate::fused`] — run on one streamed block scheduler, `stream_blocks`: workers
+//! claim fixed-size blocks of global indices from an atomic cursor (the
+//! paper's dynamic schedule), fill a reused [`SampleArena`] per block, and
+//! the calling thread appends finished blocks to the store in index order
+//! while the others keep sampling. A worker that gets a window of blocks
+//! ahead of that merge parks, so transient sampling memory is a few blocks
+//! per worker however large the batch.
 
 use crate::mixed::SampleArena;
 use crate::model::DiffusionModel;
 use crate::rrr::{generate_rrr, generate_rrr_into, RrrScratch};
 use crate::store::RrrStore;
-use rayon::prelude::*;
 use ripples_graph::{Graph, Vertex};
 use ripples_rng::StreamFactory;
+use ripples_trace::TraceName;
+use std::collections::VecDeque;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Statistics of one sampling batch.
 #[derive(Clone, Debug, Default)]
@@ -20,13 +33,15 @@ pub struct BatchOutcome {
     /// Per-sample in-edges examined, aligned with the batch's samples; the
     /// work units consumed by the strong-scaling replay model.
     pub work_per_sample: Vec<u64>,
-    /// Sample counts per worker under the contiguous block partition used
-    /// for generation (one entry per worker that received at least one
-    /// sample). Sequential paths report the whole batch as one worker.
+    /// Samples each worker generated (one entry per worker that filled at
+    /// least one block). Workers claim blocks as they free up, so the split
+    /// depends on the schedule and varies from run to run; it always sums
+    /// to the batch. Sequential paths report the whole batch as one worker.
     pub per_worker_samples: Vec<u64>,
-    /// Reserved bytes summed over the worker-local sample arenas of this
-    /// batch — transient sampling memory beyond the merged collection.
-    /// Sequential paths, which push straight into the collection, report 0.
+    /// Reserved bytes of the block arenas the batch had in flight — at most
+    /// about three blocks per worker, whatever the batch size: transient
+    /// sampling memory beyond the store. Sequential paths, which push
+    /// straight into the store, report 0.
     pub arena_bytes: usize,
     /// Frontier passes executed by the fused multi-cascade kernel (0 for
     /// the reference sampler; see [`crate::fused::sample_batch_fused`]).
@@ -133,7 +148,8 @@ pub fn sample_root_of(graph: &Graph, factory: &StreamFactory, index: u64) -> Ver
 }
 
 /// Generates samples `first_index .. first_index + count` in parallel and
-/// appends them to `out` in index order.
+/// appends them to `out` in index order, on the streamed block scheduler
+/// the module docs describe.
 ///
 /// # Panics
 ///
@@ -151,75 +167,317 @@ pub fn sample_batch<S: RrrStore>(
         "cannot sample from an empty graph"
     );
     validate_model_weights(graph, model);
-    // Parallel generation over a contiguous block partition, one block per
-    // worker. Each worker appends its samples into a local flat arena (no
-    // per-sample Vec), and the arenas are merged into `out` by parallel
-    // bulk copy in index order, so the collection layout is deterministic;
-    // each sample's content depends only on its global index, so the
-    // result is identical for any worker count. Each non-empty block emits
-    // one `sample-chunk` trace span, giving the timeline a per-worker view
-    // of batch load imbalance.
-    let workers = rayon::current_num_threads().max(1);
-    let nchunks = workers.min(count.max(1));
-    let chunks: Vec<(SampleArena, Vec<u64>)> = (0..nchunks as u64)
-        .into_par_iter()
-        .map_init(
-            || RrrScratch::new(graph.num_vertices()),
-            |scratch, chunk| {
-                let chunk = chunk as usize;
-                let lo = count * chunk / nchunks;
-                let hi = count * (chunk + 1) / nchunks;
-                let t0 = (hi > lo && ripples_trace::enabled()).then(std::time::Instant::now);
-                let mut arena = SampleArena::with_capacity(graph.num_vertices(), hi - lo);
-                let mut works = Vec::with_capacity(hi - lo);
-                for offset in lo..hi {
-                    let index = first_index + offset as u64;
-                    let (root, mut rng) = sample_root(graph, factory, index);
-                    let work = arena.append_with(|buf| {
-                        generate_rrr_into(graph, model, root, &mut rng, scratch, buf)
-                    });
-                    works.push(work);
-                }
-                if let Some(t0) = t0 {
-                    ripples_trace::complete(
-                        ripples_trace::TraceName::SampleChunk,
-                        t0,
-                        first_index + lo as u64,
-                        (hi - lo) as u64,
-                    );
-                }
-                (arena, works)
-            },
-        )
-        .collect();
-    let arena_bytes: usize = chunks.iter().map(|(a, _)| a.resident_bytes()).sum();
-    if ripples_metrics::enabled() {
-        ripples_metrics::set_max(ripples_metrics::Metric::ArenaBytesPeak, arena_bytes as u64);
+    let n = graph.num_vertices();
+    let fill = |scratch: &mut RrrScratch, range: Range<u64>, block: &mut Block| {
+        for index in range {
+            let (root, mut rng) = sample_root(graph, factory, index);
+            let work = block
+                .arena
+                .append_with(|buf| generate_rrr_into(graph, model, root, &mut rng, scratch, buf));
+            block.works.push(work);
+        }
+    };
+    let init = || RrrScratch::new(n);
+    let span = TraceName::SampleChunk;
+    stream_blocks(n, first_index, count, 1, span, out, init, fill).0
+}
+
+/// Blocks per worker a claim may run ahead of the merge before the
+/// claiming worker parks: at most `2·workers` blocks are ever finished but
+/// not merged.
+const BLOCKS_AHEAD_PER_WORKER: usize = 2;
+
+/// Samples per block for a batch of `count` over `workers`, for a kernel
+/// that generates samples `lanes` at a time: about eight blocks per worker
+/// so the last ones even out the load, 4 096 at most so in-flight memory
+/// does not grow with the batch, and a multiple of `lanes` so that every
+/// block boundary inside a batch is a boundary of the kernel's own blocks
+/// (64 for the fused kernel, 1 for the reference one — whose 64-sample
+/// `Auto` probe of graph-spanning cascades still spreads over every core).
+fn block_len(count: usize, workers: usize, lanes: usize) -> u64 {
+    ((count / (8 * workers)).clamp(lanes, 4096) / lanes * lanes) as u64
+}
+
+/// One block of a streamed batch: its samples and the work of each.
+pub(crate) struct Block {
+    pub(crate) arena: SampleArena,
+    pub(crate) works: Vec<u64>,
+}
+
+/// What the workers and the merging thread share.
+struct Pending {
+    /// Slot `j` holds block `merged + j` once it is finished.
+    ahead: VecDeque<Option<Block>>,
+    /// Blocks appended to the store so far.
+    merged: usize,
+    /// Merged blocks, emptied on their next use.
+    spare: Vec<Block>,
+    /// A thread unwound: nobody will finish or merge its block.
+    abandoned: bool,
+}
+
+/// The block schedule of one streamed batch.
+struct Stream {
+    nblocks: usize,
+    /// How far past the merge a block may be claimed without parking.
+    window: usize,
+    /// The next block to claim. `Relaxed` suffices: it hands out indices
+    /// and publishes nothing; blocks travel under `pending`'s lock.
+    cursor: AtomicUsize,
+    pending: Mutex<Pending>,
+    /// Signalled when a block is finished; the merging thread waits on it.
+    finished: Condvar,
+    /// Signalled when the merge advances; parked workers wait on it.
+    advanced: Condvar,
+}
+
+impl Stream {
+    /// Every update under the lock is one step that leaves `Pending` valid,
+    /// and the unwind guard must not panic, so a poisoned lock is taken as
+    /// it is.
+    fn pending(&self) -> MutexGuard<'_, Pending> {
+        self.pending.lock().unwrap_or_else(PoisonError::into_inner)
     }
-    // The per-worker load partition is derived from the chunks actually
-    // generated, not re-computed from a formula: the generation loop
-    // partitions over `nchunks` (≤ workers), and an independent formula
-    // over `workers` can disagree with the real chunk bounds — the
-    // strong-scaling replay model must see the true partition.
+
+    /// Claims the next block, parking while it is a window or more ahead of
+    /// the merge; `None` once every block is claimed. Hands back a spare
+    /// block buffer when there is one.
+    fn claim(&self) -> Option<(usize, Option<Block>)> {
+        let b = self.cursor.fetch_add(1, Ordering::Relaxed);
+        if b >= self.nblocks {
+            return None;
+        }
+        let mut p = self.pending();
+        while b >= p.merged + self.window && !p.abandoned {
+            p = self
+                .advanced
+                .wait(p)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        (!p.abandoned).then(|| (b, p.spare.pop()))
+    }
+
+    /// Hands finished block `b` to the merge.
+    fn finish(&self, b: usize, block: Block) {
+        let mut p = self.pending();
+        let slot = b - p.merged;
+        p.ahead[slot] = Some(block);
+        self.finished.notify_one();
+    }
+
+    /// The next block in index order, waiting until it is finished; `None`
+    /// without waiting when `wait` is false and it is not.
+    fn take_next(&self, wait: bool) -> Option<Block> {
+        let mut p = self.pending();
+        loop {
+            assert!(!p.abandoned, "a sampling worker panicked");
+            if let Some(block) = p.ahead.front_mut().and_then(Option::take) {
+                p.ahead.rotate_left(1);
+                p.merged += 1;
+                self.advanced.notify_all();
+                return Some(block);
+            }
+            if !wait {
+                return None;
+            }
+            p = self
+                .finished
+                .wait(p)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Appends the next block in index order to `out` and its work to
+    /// `works`, waiting until it is finished when `wait`; false when not
+    /// waiting and it is not finished.
+    fn merge_next<S: RrrStore>(&self, out: &mut S, works: &mut Vec<u64>, wait: bool) -> bool {
+        let Some(block) = self.take_next(wait) else {
+            return false;
+        };
+        out.append_arena(&block.arena);
+        works.extend_from_slice(&block.works);
+        self.pending().spare.push(block);
+        true
+    }
+}
+
+/// Wakes every waiter of a [`Stream`] for good when the thread holding it
+/// unwinds, so a panic in one worker (or in the merge) ends the batch as a
+/// panic, not a hang.
+struct AbandonOnUnwind<'a>(&'a Stream);
+
+impl Drop for AbandonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.pending().abandoned = true;
+            self.0.finished.notify_all();
+            self.0.advanced.notify_all();
+        }
+    }
+}
+
+/// The streamed block scheduler behind [`sample_batch`] and
+/// [`crate::fused::sample_batch_fused`]: generates samples `first_index ..
+/// first_index + count` and appends them to `out` in index order.
+///
+/// The batch is cut into blocks of [`block_len`] samples, a multiple of
+/// `lanes`, on a grid aligned to absolute indices. `current_num_threads()` workers, the calling thread
+/// one of them, claim blocks from an atomic cursor; `fill` writes block
+/// `range` into an emptied, reused arena, with the worker's kernel scratch
+/// (made by `init` when the worker claims its first block), and each block
+/// records a `span` trace event. Only the calling thread touches `out`: it
+/// appends finished blocks in index order between blocks of its own, so `S`
+/// needs no `Send`. A worker whose claim is `2·workers` blocks or more ahead
+/// of that merge parks until the merge catches up. `out.finish_batch()` ends
+/// the batch.
+///
+/// Sample content is a function of the global index and the merge order is
+/// index order, so `out` receives the same samples at any thread count.
+/// Returns the outcome (work per sample, samples per worker, arena bytes)
+/// and the scratch of every worker that filled a block.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn stream_blocks<S, W, I, F>(
+    num_vertices: u32,
+    first_index: u64,
+    count: usize,
+    lanes: usize,
+    span: TraceName,
+    out: &mut S,
+    init: I,
+    fill: F,
+) -> (BatchOutcome, Vec<W>)
+where
+    S: RrrStore,
+    W: Send,
+    I: Fn() -> W + Sync,
+    F: Fn(&mut W, Range<u64>, &mut Block) + Sync,
+{
+    let end = first_index + count as u64;
+    let threads = rayon::current_num_threads().max(1);
+    let len = block_len(count, threads, lanes);
+    let first_block = first_index / len;
+    let nblocks = if count == 0 {
+        0
+    } else {
+        ((end - 1) / len - first_block + 1) as usize
+    };
+    let workers = threads.min(nblocks).max(1);
+    let window = BLOCKS_AHEAD_PER_WORKER * workers;
+    let stream = Stream {
+        nblocks,
+        window,
+        cursor: AtomicUsize::new(0),
+        pending: Mutex::new(Pending {
+            ahead: (0..window).map(|_| None).collect(),
+            merged: 0,
+            spare: Vec::new(),
+            abandoned: false,
+        }),
+        finished: Condvar::new(),
+        advanced: Condvar::new(),
+    };
+    // One worker's share: its scratch, the samples it generated, and how
+    // it fills a claimed block.
+    struct Worker<W> {
+        scratch: Option<W>,
+        samples: u64,
+    }
+    let fill_block = |worker: &mut Worker<W>, b: usize, spare: Option<Block>| {
+        let mut block = spare.unwrap_or_else(|| Block {
+            arena: SampleArena::with_capacity(num_vertices, len as usize),
+            works: Vec::with_capacity(len as usize),
+        });
+        block.arena.clear();
+        block.works.clear();
+        let base = (first_block + b as u64) * len;
+        let range = base.max(first_index)..(base + len).min(end);
+        let t0 = ripples_trace::enabled().then(std::time::Instant::now);
+        fill(
+            worker.scratch.get_or_insert_with(&init),
+            range.clone(),
+            &mut block,
+        );
+        worker.samples += range.end - range.start;
+        if let Some(t0) = t0 {
+            ripples_trace::complete(span, t0, range.start, range.end - range.start);
+        }
+        block
+    };
     let mut outcome = BatchOutcome {
         work_per_sample: Vec::with_capacity(count),
-        per_worker_samples: chunks
-            .iter()
-            .map(|(a, _)| a.len() as u64)
-            .filter(|&c| c > 0)
-            .collect(),
-        arena_bytes,
         ..BatchOutcome::default()
     };
-    let arenas: Vec<SampleArena> = chunks
-        .into_iter()
-        .map(|(arena, works)| {
-            outcome.work_per_sample.extend_from_slice(&works);
-            arena
-        })
-        .collect();
-    out.append_arenas(&arenas);
-    outcome
+    let works = &mut outcome.work_per_sample;
+    let done: Vec<Worker<W>> = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let _guard = AbandonOnUnwind(&stream);
+                    let mut worker = Worker {
+                        scratch: None,
+                        samples: 0,
+                    };
+                    while let Some((b, spare)) = stream.claim() {
+                        stream.finish(b, fill_block(&mut worker, b, spare));
+                    }
+                    worker
+                })
+            })
+            .collect();
+        // The calling thread merges whatever is finished before each claim
+        // of its own and, instead of parking, merges until its claim fits
+        // the window.
+        let _guard = AbandonOnUnwind(&stream);
+        let mut own = Worker {
+            scratch: None,
+            samples: 0,
+        };
+        let mut merged = 0usize;
+        loop {
+            while stream.merge_next(out, works, false) {
+                merged += 1;
+            }
+            let b = stream.cursor.fetch_add(1, Ordering::Relaxed);
+            if b >= nblocks {
+                break;
+            }
+            while b >= merged + window {
+                stream.merge_next(out, works, true);
+                merged += 1;
+            }
+            let spare = stream.pending().spare.pop();
+            stream.finish(b, fill_block(&mut own, b, spare));
+        }
+        while merged < nblocks {
+            stream.merge_next(out, works, true);
+            merged += 1;
+        }
+        let mut done = vec![own];
+        for helper in helpers {
+            done.push(
+                helper
+                    .join()
+                    .unwrap_or_else(|e| std::panic::resume_unwind(e)),
+            );
+        }
+        done
+    });
+    out.finish_batch();
+    outcome.arena_bytes = stream
+        .pending()
+        .spare
+        .iter()
+        .map(|block| block.arena.resident_bytes())
+        .sum();
+    if ripples_metrics::enabled() {
+        ripples_metrics::set_max(
+            ripples_metrics::Metric::ArenaBytesPeak,
+            outcome.arena_bytes as u64,
+        );
+    }
+    outcome.per_worker_samples = done.iter().map(|w| w.samples).filter(|&c| c > 0).collect();
+    let scratch = done.into_iter().filter_map(|w| w.scratch).collect();
+    (outcome, scratch)
 }
 
 /// Sequential reference version of [`sample_batch`]; produces bitwise
@@ -298,37 +556,63 @@ mod tests {
     }
 
     #[test]
-    fn per_worker_samples_match_real_chunk_partition() {
-        // Regression: with fewer samples than pool threads, generation
-        // partitions over `nchunks = min(workers, count)` chunks; the
-        // reported per-worker counts must come from those real chunks, not
-        // from a formula over all `workers` threads.
+    fn per_worker_samples_sum_to_the_batch() {
+        // Which worker fills which block is up to the schedule. What is
+        // not: every sample is counted once, only workers that filled a
+        // block are listed, and no more workers start than there are blocks.
         let g = graph();
         let f = StreamFactory::new(9);
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(8)
             .build()
             .expect("pool");
-        for count in [1usize, 3, 7] {
+        for count in [1usize, 3, 7, 100, 5000] {
             let o = pool.install(|| {
                 let mut c = RrrCollection::new();
                 sample_batch(&g, DiffusionModel::IndependentCascade, &f, 0, count, &mut c)
             });
-            assert_eq!(
-                o.per_worker_samples,
-                vec![1u64; count],
-                "count {count} under 8 workers must map one sample per chunk"
-            );
             assert_eq!(o.per_worker_samples.iter().sum::<u64>(), count as u64);
+            assert!(o.per_worker_samples.iter().all(|&c| c > 0), "{count}");
+            let blocks = (count as u64).div_ceil(block_len(count, 8, 1)) as usize;
+            assert!(o.per_worker_samples.len() <= blocks.min(8), "{count}");
         }
-        // And at count ≥ workers the partition still accounts for every
-        // sample across exactly `workers` chunks.
-        let o = pool.install(|| {
-            let mut c = RrrCollection::new();
-            sample_batch(&g, DiffusionModel::IndependentCascade, &f, 0, 100, &mut c)
-        });
-        assert_eq!(o.per_worker_samples.len(), 8);
-        assert_eq!(o.per_worker_samples.iter().sum::<u64>(), 100);
+    }
+
+    #[test]
+    fn arena_bytes_do_not_grow_with_the_batch() {
+        // From 4 096 · 8 samples per worker on, a block is at its cap: ten
+        // times the samples is ten times the blocks through the same arenas.
+        let g = lt_graph();
+        let f = StreamFactory::new(3);
+        let run = |threads: usize, count: usize| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool");
+            pool.install(|| {
+                let mut c = RrrCollection::new();
+                sample_batch(&g, DiffusionModel::LinearThreshold, &f, 0, count, &mut c)
+            })
+            .arena_bytes
+        };
+        assert_eq!(block_len(33_000, 1, 1), 4096);
+        let one_block = run(1, 33_000);
+        assert!(one_block > 0);
+        let ten_times = run(1, 330_000);
+        assert!(
+            ten_times <= 2 * one_block,
+            "{ten_times} bytes for 10x the samples, {one_block} for 1x"
+        );
+        // With two workers the arenas in flight depend on the schedule but
+        // not on the batch: the window, plus the one each worker fills, each
+        // at most twice one block's bytes.
+        let workers = 2;
+        let in_flight = BLOCKS_AHEAD_PER_WORKER * workers + workers;
+        let two = run(workers, 330_000);
+        assert!(
+            two <= 2 * in_flight * one_block,
+            "{two} bytes in flight at two workers, one block takes {one_block}"
+        );
     }
 
     #[test]

@@ -20,11 +20,12 @@
 //!   touches the disk.
 //!
 //! All backends fill through the same two paths — per-sample
-//! [`RrrStore::push`] and the [`SampleArena`] merge of the parallel
-//! samplers — in the same sample order, so every backend decodes bitwise
-//! identical to the list reference and the cross-engine equality
-//! invariants (PR 3/5) extend across storage layouts. The differential
-//! oracle's `storage-equivalence` check enforces exactly that.
+//! [`RrrStore::push`] and the [`SampleArena`] merge of the streamed
+//! samplers, one [`RrrStore::append_arena`] per block and one
+//! [`RrrStore::finish_batch`] per batch — in the same sample order, so
+//! every backend decodes bitwise identical to the list reference and the
+//! cross-engine equality invariants extend across storage layouts. The
+//! differential oracle's `storage-equivalence` check enforces exactly that.
 
 use crate::compressed::{block_contains, check_block, decode_sample, encode_set};
 use crate::intervals::Streamed;
@@ -50,10 +51,25 @@ pub trait RrrStore {
     /// of the sorted contract exactly like [`RrrCollection::push`].
     fn push(&mut self, vertices: &[Vertex]);
 
-    /// Appends the samples of `arenas` in arena order — the merge step of
-    /// the parallel samplers. Must produce the layout that pushing every
-    /// sample in the same order would.
-    fn append_arenas(&mut self, arenas: &[SampleArena]);
+    /// Appends the samples of one arena in order — the merge step of the
+    /// streamed samplers, once per finished block, in index order. Must
+    /// produce the layout that pushing every sample in the same order
+    /// would; may hold `Vec` growth slack until [`RrrStore::finish_batch`].
+    fn append_arena(&mut self, arena: &SampleArena);
+
+    /// Ends a batch of [`RrrStore::append_arena`] calls: gives back the
+    /// growth slack that many small appends leave, so that `resident_bytes`
+    /// reports what the samples take. Once per batch, not once per block —
+    /// giving slack back reallocates.
+    fn finish_batch(&mut self);
+
+    /// Appends the samples of `arenas` in arena order as one batch.
+    fn append_arenas(&mut self, arenas: &[SampleArena]) {
+        for arena in arenas {
+            self.append_arena(arena);
+        }
+        self.finish_batch();
+    }
 
     /// Number of samples stored.
     fn len(&self) -> usize;
@@ -201,8 +217,12 @@ impl RrrStore for RrrCollection {
         RrrCollection::push(self, vertices);
     }
 
-    fn append_arenas(&mut self, arenas: &[SampleArena]) {
-        RrrCollection::append_arenas(self, arenas);
+    fn append_arena(&mut self, arena: &SampleArena) {
+        RrrCollection::append_arena(self, arena);
+    }
+
+    fn finish_batch(&mut self) {
+        self.shrink_to_fit();
     }
 
     fn len(&self) -> usize {
@@ -254,8 +274,12 @@ impl RrrStore for MixedRrrCollection {
         MixedRrrCollection::push(self, vertices);
     }
 
-    fn append_arenas(&mut self, arenas: &[SampleArena]) {
-        MixedRrrCollection::append_arenas(self, arenas);
+    fn append_arena(&mut self, arena: &SampleArena) {
+        MixedRrrCollection::append_arena(self, arena);
+    }
+
+    fn finish_batch(&mut self) {
+        self.shrink_to_fit();
     }
 
     fn len(&self) -> usize {
@@ -336,6 +360,16 @@ impl Chunk {
     fn samples(&self) -> usize {
         self.counts.len()
     }
+
+    /// Counts and offsets, and the payload while it is in RAM.
+    fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.counts.capacity() + self.ends.capacity()) * size_of::<u32>()
+            + match &self.payload {
+                ChunkPayload::Ram(bytes) => bytes.capacity(),
+                ChunkPayload::Disk { .. } => 0,
+            }
+    }
 }
 
 /// Payload byte range of a chunk's `j`-th block.
@@ -351,8 +385,9 @@ fn block_range(ends: &[u32], j: usize) -> std::ops::Range<usize> {
 /// `sample_len`/`len` never touch the disk and access within a loaded chunk
 /// is O(1). Under its budget the store never opens a file and is simply the
 /// compressed in-RAM layout: a sealed chunk gives its growth slack back, and
-/// so does the open chunk at the end of an arena merge, so what it reports
-/// resident is 8 bytes per sample plus the encoded bytes.
+/// so does the open chunk at the end of a sampling batch, so what it reports
+/// resident is 8 bytes per sample plus the encoded bytes. The encoding runs
+/// on the merging thread while the other workers keep sampling.
 ///
 /// The access patterns of selection — a sequential counting sweep, then
 /// per-seed touches in ascending sample order — load each spilled chunk a
@@ -371,7 +406,17 @@ pub struct SpillRrrStore {
     budget: usize,
     /// Seal the open chunk when its payload reaches this many bytes.
     chunk_target: usize,
+    /// The most payload bytes one chunk may hold: its end offsets are
+    /// `u32`. A block that would carry the open chunk past it opens the
+    /// next chunk instead.
+    payload_limit: usize,
     chunks: Vec<Chunk>,
+    /// Chunks on disk. Spilling goes oldest first and stops for good at the
+    /// first failed write, so they are always `chunks[..spilled]`.
+    spilled: usize,
+    /// Resident bytes of the sealed chunks, kept as chunks seal and spill
+    /// so that the budget check each push makes costs O(1).
+    sealed_bytes: usize,
     /// The open chunk's state (same layout as a sealed RAM chunk).
     open_first: usize,
     open_counts: Vec<u32>,
@@ -396,6 +441,12 @@ impl SpillRrrStore {
     /// Creates a store with the given resident-byte budget.
     #[must_use]
     pub fn new(budget: usize) -> Self {
+        Self::with_payload_limit(budget, u32::MAX as usize)
+    }
+
+    /// [`SpillRrrStore::new`] with the most payload bytes a chunk may hold
+    /// lowered from the `u32` offset range.
+    pub(crate) fn with_payload_limit(budget: usize, payload_limit: usize) -> Self {
         // Small budgets must still seal (and therefore spill) promptly; big
         // budgets want fewer, larger chunks for sequential I/O.
         let chunk_target = (budget / 4).clamp(1 << 10, 8 << 20);
@@ -405,7 +456,10 @@ impl SpillRrrStore {
         Self {
             budget,
             chunk_target,
+            payload_limit,
             chunks: Vec::new(),
+            spilled: 0,
+            sealed_bytes: 0,
             open_first: 0,
             open_counts: Vec::new(),
             open_ends: Vec::new(),
@@ -464,8 +518,7 @@ impl SpillRrrStore {
         for (i, &count) in counts.iter().enumerate() {
             let block = &data[offsets[i]..offsets[i + 1]];
             check_block(block, count).map_err(|e| format!("sample {i}: {e}"))?;
-            store.open_data.extend_from_slice(block);
-            store.finish_block(count);
+            store.push_block(count, |data| data.extend_from_slice(block));
         }
         store.shrink_open();
         Ok(store)
@@ -480,10 +533,7 @@ impl SpillRrrStore {
     /// Number of chunks currently on disk.
     #[must_use]
     pub fn spilled_chunks(&self) -> usize {
-        self.chunks
-            .iter()
-            .filter(|c| matches!(c.payload, ChunkPayload::Disk { .. }))
-            .count()
+        self.spilled
     }
 
     /// Visits the chunks in sample order — sealed ones, read back from the
@@ -500,19 +550,31 @@ impl SpillRrrStore {
 
     /// Appends one strictly ascending set, in either arena form.
     fn push_set(&mut self, set: RrrSetRef<'_>) {
-        encode_set(&mut self.open_data, set);
-        self.finish_block(set.len() as u32);
+        let count = u32::try_from(set.len()).expect("an RRR set holds at most u32::MAX vertices");
+        self.push_block(count, |data| encode_set(data, set));
     }
 
-    /// Closes the `count`-vertex block just written at the open chunk's tail.
-    fn finish_block(&mut self, count: u32) {
+    /// Appends the `count`-vertex block `write` puts at the open chunk's
+    /// tail, then seals and spills as the chunk target and the budget say.
+    fn push_block(&mut self, count: u32, write: impl FnOnce(&mut Vec<u8>)) {
+        let start = self.open_data.len();
+        write(&mut self.open_data);
+        if self.open_data.len() > self.payload_limit && start > 0 {
+            // Past the limit the chunk's end offsets would not fit: the
+            // block opens the next chunk.
+            let block = self.open_data.split_off(start);
+            self.seal_open();
+            self.open_data = block;
+        }
+        let end = u32::try_from(self.open_data.len()).expect("one block fits the u32 offset range");
         self.open_counts.push(count);
-        self.open_ends.push(self.open_data.len() as u32);
+        self.open_ends.push(end);
         self.total_entries += u64::from(count);
         if self.open_data.len() >= self.chunk_target {
             self.seal_open();
         }
         self.enforce_budget();
+        self.check_sealed_bytes();
     }
 
     /// Gives the open chunk's `Vec` growth slack back: `resident_bytes`
@@ -530,30 +592,31 @@ impl SpillRrrStore {
         }
         self.shrink_open();
         let samples = self.open_counts.len();
-        self.chunks.push(Chunk {
+        let chunk = Chunk {
             first_sample: self.open_first,
             counts: std::mem::take(&mut self.open_counts),
             ends: std::mem::take(&mut self.open_ends),
             payload: ChunkPayload::Ram(std::mem::take(&mut self.open_data)),
-        });
+        };
+        self.sealed_bytes += chunk.resident_bytes();
+        self.chunks.push(chunk);
         self.open_first += samples;
+        self.check_sealed_bytes();
     }
 
     fn enforce_budget(&mut self) {
-        if self.spill_write_failures > 0 || RrrStore::resident_bytes(self) <= self.budget {
-            return;
-        }
         // Oldest sealed RAM chunks spill first: selection touches samples
         // in ascending order, so the freshest (still-filling) tail stays
         // hot while the cold head streams from disk.
-        for idx in 0..self.chunks.len() {
-            if RrrStore::resident_bytes(self) <= self.budget {
-                break;
-            }
+        while self.spill_write_failures == 0
+            && self.spilled < self.chunks.len()
+            && RrrStore::resident_bytes(self) > self.budget
+        {
+            let idx = self.spilled;
             let ChunkPayload::Ram(bytes) = &self.chunks[idx].payload else {
-                continue;
+                unreachable!("chunks past the spilled prefix are resident");
             };
-            let (offset, len) = (self.file_len, bytes.len());
+            let (offset, len, freed) = (self.file_len, bytes.len(), bytes.capacity());
             if let Err(e) = write_chunk(&mut self.file, &self.path, offset, bytes) {
                 // The chunk is still resident, and nothing refers to what a
                 // partial write may have left past `file_len`.
@@ -568,7 +631,19 @@ impl SpillRrrStore {
             self.file_len += len as u64;
             self.spill_bytes_written += len as u64;
             self.chunks[idx].payload = ChunkPayload::Disk { offset, len };
+            self.sealed_bytes -= freed;
+            self.spilled += 1;
+            self.check_sealed_bytes();
         }
+    }
+
+    /// Debug builds recount what `sealed_bytes` tracks.
+    fn check_sealed_bytes(&self) {
+        debug_assert_eq!(
+            self.sealed_bytes,
+            self.chunks.iter().map(Chunk::resident_bytes).sum::<usize>(),
+            "tracked sealed-chunk bytes drifted"
+        );
     }
 
     /// Index of the chunk holding global sample `i`, or `None` when `i`
@@ -672,16 +747,19 @@ impl RrrStore for SpillRrrStore {
     }
 
     /// Arena content is already validated sorted; repairs that happened
-    /// inside the arenas carry over into `unsorted_pushes`. A set the arena
+    /// inside the arena carry over into `unsorted_pushes`. A set the arena
     /// holds as a bitmap is encoded from the word scan, never through a
     /// list.
-    fn append_arenas(&mut self, arenas: &[SampleArena]) {
-        for arena in arenas {
-            for set in arena.iter() {
-                self.push_set(set);
-            }
-            self.unsorted_pushes += arena.unsorted_pushes();
+    fn append_arena(&mut self, arena: &SampleArena) {
+        for set in arena.iter() {
+            self.push_set(set);
         }
+        self.unsorted_pushes += arena.unsorted_pushes();
+    }
+
+    /// The open chunk gives its growth slack back (a sealed one already
+    /// did when it was sealed).
+    fn finish_batch(&mut self) {
         self.shrink_open();
     }
 
@@ -722,25 +800,13 @@ impl RrrStore for SpillRrrStore {
 
     fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
-        let meta: usize = self
-            .chunks
-            .iter()
-            .map(|c| {
-                c.counts.capacity() * size_of::<u32>()
-                    + c.ends.capacity() * size_of::<u32>()
-                    + match &c.payload {
-                        ChunkPayload::Ram(bytes) => bytes.capacity(),
-                        ChunkPayload::Disk { .. } => 0,
-                    }
-            })
-            .sum();
         let cache = self
             .cache
             .borrow()
             .as_ref()
             .map_or(0, |(_, bytes)| bytes.capacity());
-        meta + self.open_counts.capacity() * size_of::<u32>()
-            + self.open_ends.capacity() * size_of::<u32>()
+        self.sealed_bytes
+            + (self.open_counts.capacity() + self.open_ends.capacity()) * size_of::<u32>()
             + self.open_data.capacity()
             + cache
     }
@@ -866,8 +932,12 @@ impl RrrStore for DynRrrStore {
         dyn_delegate!(&mut self.inner, s => RrrStore::push(s, vertices));
     }
 
-    fn append_arenas(&mut self, arenas: &[SampleArena]) {
-        dyn_delegate!(&mut self.inner, s => RrrStore::append_arenas(s, arenas));
+    fn append_arena(&mut self, arena: &SampleArena) {
+        dyn_delegate!(&mut self.inner, s => RrrStore::append_arena(s, arena));
+    }
+
+    fn finish_batch(&mut self) {
+        dyn_delegate!(&mut self.inner, s => RrrStore::finish_batch(s));
     }
 
     fn len(&self) -> usize {
@@ -1228,6 +1298,45 @@ mod tests {
             "resident {resident} for {} samples and {payload} payload bytes",
             RrrStore::len(&store)
         );
+    }
+
+    #[test]
+    fn a_chunk_is_sealed_before_its_payload_passes_the_offset_limit() {
+        // The limit is the `u32` end offsets' range; lowered here so that a
+        // few hundred small sets cross it many times over, by push and by
+        // arena, resident and on disk.
+        let n = 1000;
+        let limit = 100;
+        let samples = synth_samples(n, 600);
+        let mut arena = SampleArena::new(n);
+        for s in &samples {
+            arena.append_with(|tail| {
+                tail.extend_from_slice(s);
+                0
+            });
+        }
+        for budget in [SpillRrrStore::DEFAULT_BUDGET, 0] {
+            let mut pushed = SpillRrrStore::with_payload_limit(budget, limit);
+            for s in &samples {
+                RrrStore::push(&mut pushed, s);
+            }
+            let mut merged = SpillRrrStore::with_payload_limit(budget, limit);
+            RrrStore::append_arenas(&mut merged, std::slice::from_ref(&arena));
+            for store in [&pushed, &merged] {
+                let mut payloads = Vec::new();
+                store.for_each_chunk(|_, ends, payload| {
+                    assert_eq!(ends.last().map(|&e| e as usize), Some(payload.len()));
+                    payloads.push(payload.len());
+                });
+                assert!(payloads.len() > 10, "{payloads:?}");
+                assert!(payloads.iter().all(|&p| p <= limit), "{payloads:?}");
+                let mut out = Vec::new();
+                for (i, s) in samples.iter().enumerate() {
+                    RrrStore::decode_into(store, i, &mut out);
+                    assert_eq!(&out, s, "budget {budget} sample {i}");
+                }
+            }
+        }
     }
 
     /// What the blocks lie about is `prop_snapshot`'s hostile-payload test.

@@ -119,8 +119,8 @@ trace_names! {
     Round = 1, "round", (Some("round"), None);
     /// A sampling call (estimation-round batch or the final top-up).
     SampleBatch = 2, "sample", (None, None);
-    /// One worker's contiguous chunk of a parallel sampling batch;
-    /// `arg0` = first global sample index, `arg1` = sample count.
+    /// One block of a parallel sampling batch, on the worker that filled
+    /// it; `arg0` = first global sample index, `arg1` = sample count.
     SampleChunk = 3, "sample-chunk", (Some("first"), Some("count"));
     /// A greedy selection pass inside an estimation round.
     Select = 4, "select", (None, None);
@@ -143,7 +143,8 @@ trace_names! {
     /// Index entries touched while covering one seed's samples;
     /// `arg0` = entries, `arg1` = chosen vertex.
     SelectTouched = 14, "select-touched", (Some("entries"), Some("vertex"));
-    /// Worker-arena reserved bytes for one sampling batch; `arg0` = bytes.
+    /// Reserved bytes of the sampling block arenas in flight, running
+    /// peak; `arg0` = bytes.
     ArenaBytes = 15, "arena-bytes", (Some("bytes"), None);
     /// A collective attempt failed and is being retried;
     /// `arg0` = op index, `arg1` = attempt number (0-based).
@@ -151,8 +152,9 @@ trace_names! {
     /// A rank was declared dead after exhausted retries;
     /// `arg0` = rank, `arg1` = op index.
     RankDead = 17, "rank-dead", (Some("rank"), Some("op"));
-    /// One worker's contiguous chunk of a fused multi-cascade sampling
-    /// batch; `arg0` = first global sample index, `arg1` = sample count.
+    /// One block of a fused multi-cascade sampling batch, on the worker
+    /// that filled it; `arg0` = first global sample index, `arg1` = sample
+    /// count.
     FusedChunk = 18, "fused-chunk", (Some("first"), Some("count"));
     /// Peak per-vertex activation-mask scratch bytes of the fused sampler;
     /// `arg0` = bytes.
