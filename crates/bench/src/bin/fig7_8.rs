@@ -69,20 +69,8 @@ fn main() {
                 assert_eq!(r.seeds, first.seeds, "{}: ranks disagreed", spec.name);
             }
 
-            // Cluster-scale prediction from the union of local traces.
-            let mut sample_work: Vec<u64> = Vec::new();
-            for r in &results {
-                sample_work.extend_from_slice(&r.sample_work);
-            }
-            let trace = WorkTrace {
-                n: graph.num_vertices(),
-                k,
-                theta: first.theta,
-                sample_work,
-                // Globalized over ranks by the engine.
-                rrr_entries: first.report.counters.rrr_entries,
-                allreduce_calls: u64::from(k + 1) * 4,
-            };
+            // Cluster-scale prediction from the run's replayed work.
+            let trace = WorkTrace::replay(&graph, &params, first.theta, 4);
             for cluster in &clusters {
                 let points = predict_distributed(&trace, cluster, nodes_for(cluster));
                 let base = points[0].total_s();

@@ -2,10 +2,14 @@
 //!
 //! Loads a SNAP-style edge list (or generates a named stand-in) and runs
 //! the chosen IMM engine, printing the seed set and full instrumentation.
+//! Every `--engine` runs an IMM pipeline (`tim` runs TIM⁺'s) and produces a
+//! run report. The Monte-Carlo CELF greedy and degree-discount comparators
+//! are library functions (`ripples_core::celf`, `ripples_core::heuristics`)
+//! that `examples/baseline_comparison.rs` runs.
 //!
 //! ```text
 //! ripples --input graph.txt [--undirected] [--weights uniform|wc|const:P|tri]
-//!         [--engine opt|baseline|mt|dist|partitioned|sharded|community|celf|tim|degdiscount]
+//!         [--engine opt|baseline|mt|dist|partitioned|sharded|tim]
 //!         [--model ic|lt] [--k K] [--epsilon E] [--seed S]
 //!         [--threads T | --ranks R] [--simulate TRIALS]
 //!         [--select auto|sequential|partitioned|fused]
@@ -48,8 +52,7 @@
 //! counters, RRR size histogram, communication accounting) to stderr —
 //! `pretty` (alias `text`) for humans, `json` for one machine-readable
 //! line; `--report-out FILE` writes it to a file instead. Seeds stay on
-//! stdout either way. Heuristic engines (community, celf, degdiscount) run
-//! no IMM pipeline and emit no report.
+//! stdout either way.
 //!
 //! `--trace FILE` enables the structured event tracer for the run and
 //! writes a Chrome Trace Event Format JSON file (open in `chrome://tracing`
@@ -85,12 +88,9 @@ use ripples_bench::{
 use ripples_comm::{FaultComm, FaultPlan, ThreadWorld};
 use ripples_core::obs::trace;
 use ripples_core::{
-    celf::celf_greedy,
-    community::community_imm,
     dist::{imm_distributed_with_storage, DistRngMode, DistSelectMode},
     dist_partitioned::imm_partitioned_with_storage,
     dist_sharded::imm_sharded_with_storage,
-    heuristics::degree_discount_ic,
     mt::imm_multithreaded_with_storage,
     seq::{imm_baseline, immopt_sequential, immopt_sequential_with_storage},
     tim::tim_plus_with_storage,
@@ -119,25 +119,19 @@ enum Engine {
     Baseline,
     Mt,
     Dist,
-    Community,
     Partitioned,
     Sharded,
     Tim,
-    DegDiscount,
-    Celf,
 }
 
-const ENGINES: [(&str, Engine); 10] = [
+const ENGINES: [(&str, Engine); 7] = [
     ("opt", Engine::Opt),
     ("baseline", Engine::Baseline),
     ("mt", Engine::Mt),
     ("dist", Engine::Dist),
-    ("community", Engine::Community),
     ("partitioned", Engine::Partitioned),
     ("sharded", Engine::Sharded),
     ("tim", Engine::Tim),
-    ("degdiscount", Engine::DegDiscount),
-    ("celf", Engine::Celf),
 ];
 
 /// `--engine TAG`, `mt` when absent; any other tag is a usage error that
@@ -280,8 +274,6 @@ fn main() {
         .unwrap_or_else(|message| usage_error(&message));
     let threads: usize = flag_or(&args, "threads", 0);
     let ranks: u32 = flag_or(&args, "ranks", 2);
-    let trials: u32 = flag_or(&args, "trials", 200);
-    let prob: f64 = flag_or(&args, "prob", 0.1);
     let trace_buffer = args
         .try_parse("trace-buffer")
         .unwrap_or_else(|message| usage_error(&message));
@@ -384,12 +376,12 @@ fn main() {
                 ),
             };
             let detail = format!("theta={} phases=[{}]", r.theta, r.timers);
-            (r.seeds, detail, Some(r.report))
+            (r.seeds, detail, r.report)
         }
         Engine::Baseline => {
             let r = imm_baseline(&graph, &params);
             let detail = format!("theta={} phases=[{}]", r.theta, r.timers);
-            (r.seeds, detail, Some(r.report))
+            (r.seeds, detail, r.report)
         }
         Engine::Dist => {
             let world = ThreadWorld::new(ranks);
@@ -405,18 +397,7 @@ fn main() {
             });
             let r = results.pop().expect("at least one rank");
             let detail = format!("ranks={ranks} theta={} phases=[{}]", r.theta, r.timers);
-            (r.seeds, detail, Some(r.report))
-        }
-        Engine::Community => {
-            let r = community_imm(&graph, &params);
-            (
-                r.seeds,
-                format!(
-                    "communities={} allocation={:?}",
-                    r.communities, r.allocation
-                ),
-                None,
-            )
+            (r.seeds, detail, r.report)
         }
         Engine::Partitioned => {
             let world = ThreadWorld::new(ranks);
@@ -429,7 +410,7 @@ fn main() {
                 "ranks={ranks} theta={} per-rank-graph={}B phases=[{}]",
                 r.theta, r.memory.graph_bytes, r.timers
             );
-            (r.seeds, detail, Some(r.report))
+            (r.seeds, detail, r.report)
         }
         Engine::Sharded => {
             let world = ThreadWorld::new(ranks);
@@ -447,24 +428,12 @@ fn main() {
                 r.report.counters.overlap_nanos,
                 r.timers
             );
-            (r.seeds, detail, Some(r.report))
+            (r.seeds, detail, r.report)
         }
         Engine::Tim => {
             let r = tim_plus_with_storage(&graph, &params, sample, storage);
             let detail = format!("theta={} phases=[{}]", r.theta, r.timers);
-            (r.seeds, detail, Some(r.report))
-        }
-        Engine::DegDiscount => {
-            let seeds = degree_discount_ic(&graph, k, prob);
-            (
-                seeds,
-                format!("degree-discount p={prob} (no approximation guarantee)"),
-                None,
-            )
-        }
-        Engine::Celf => {
-            let r = celf_greedy(&graph, model, k, trials, seed);
-            (r.seeds, format!("evaluations={}", r.evaluations), None)
+            (r.seeds, detail, r.report)
         }
         Engine::Mt => {
             let r = imm_multithreaded_with_storage(
@@ -476,7 +445,7 @@ fn main() {
                 storage,
             );
             let detail = format!("theta={} phases=[{}]", r.theta, r.timers);
-            (r.seeds, detail, Some(r.report))
+            (r.seeds, detail, r.report)
         }
     };
     let elapsed = start.elapsed();
@@ -522,21 +491,21 @@ fn main() {
     }
     eprintln!("engine={engine_tag} model={model} k={k} epsilon={epsilon}: {detail}");
     eprintln!("time: {:.3}s", elapsed.as_secs_f64());
-    if let (Some(seed), Some(rep)) = (chaos_seed, &report) {
+    if let Some(seed) = chaos_seed {
+        let c = &report.counters;
         eprintln!(
             "chaos: seed={seed} retries={} dropped_ops={} degraded_ranks={}",
-            rep.counters.retries, rep.counters.dropped_ops, rep.counters.degraded_ranks
+            c.retries, c.dropped_ops, c.degraded_ranks
         );
     }
 
     if let Some(path) = &trace_path {
         trace::stop();
-        // Engines attach the merged timeline to their report; heuristic
-        // engines have no report, so drain whatever the process recorded.
+        // Every engine attaches the merged timeline to its report.
         let merged = report
+            .trace
             .as_ref()
-            .and_then(|r| r.trace.clone())
-            .unwrap_or_else(trace::collect_all);
+            .expect("a traced run's report carries its timeline");
         match std::fs::write(path, merged.to_chrome_json()) {
             Ok(()) => eprintln!(
                 "trace: {} events ({} dropped) written to {path}",
@@ -551,28 +520,22 @@ fn main() {
     }
 
     if let Some(mode) = args.get("report") {
-        let rendered = match (&report, mode) {
-            (Some(rep), "json") => Some(rep.to_json()),
-            (Some(rep), "pretty" | "text") => Some(rep.render_pretty()),
-            (Some(rep), other) => {
+        let text = match mode {
+            "json" => report.to_json(),
+            "pretty" | "text" => report.render_pretty(),
+            other => {
                 eprintln!("warning: unknown --report mode `{other}`; rendering pretty");
-                Some(rep.render_pretty())
-            }
-            (None, _) => {
-                eprintln!("engine `{engine_tag}` does not produce a run report");
-                None
+                report.render_pretty()
             }
         };
-        if let Some(text) = rendered {
-            match args.get("report-out") {
-                Some(path) => {
-                    if let Err(e) = std::fs::write(path, &text) {
-                        eprintln!("error: cannot write report {path}: {e}");
-                        std::process::exit(1);
-                    }
+        match args.get("report-out") {
+            Some(path) => {
+                if let Err(e) = std::fs::write(path, &text) {
+                    eprintln!("error: cannot write report {path}: {e}");
+                    std::process::exit(1);
                 }
-                None => eprintln!("{text}"),
             }
+            None => eprintln!("{text}"),
         }
     }
 

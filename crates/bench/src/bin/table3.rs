@@ -60,19 +60,7 @@ fn main() {
         let world = ThreadWorld::new(2);
         let (dist_results, _t_dist_local) =
             measure(|| world.run(|comm| imm_distributed(comm, &graph, &dist_params)));
-        let mut sample_work: Vec<u64> = Vec::new();
-        for r in &dist_results {
-            sample_work.extend_from_slice(&r.sample_work);
-        }
-        let trace = WorkTrace {
-            n: graph.num_vertices(),
-            k: 2 * k,
-            theta: dist_results[0].theta,
-            sample_work,
-            // Globalized over ranks by the engine.
-            rrr_entries: dist_results[0].report.counters.rrr_entries,
-            allreduce_calls: u64::from(2 * k + 1) * 4,
-        };
+        let trace = WorkTrace::replay(&graph, &dist_params, dist_results[0].theta, 4);
         let projected = predict_distributed(&trace, &ClusterSpec::edison(), &[1024])[0];
 
         table.row(vec![

@@ -17,7 +17,6 @@
 
 pub mod betweenness;
 pub mod closeness;
-pub mod community;
 pub mod degree;
 pub mod overlap;
 pub mod pagerank;
@@ -25,7 +24,6 @@ pub mod rbo;
 
 pub use betweenness::{betweenness_centrality, betweenness_centrality_sampled};
 pub use closeness::closeness_centrality;
-pub use community::{label_propagation, Communities};
 pub use degree::{degree_ranking, DegreeKind};
 pub use overlap::{jaccard_top_k, top_k_overlap};
 pub use pagerank::pagerank;

@@ -319,15 +319,14 @@ pub(crate) fn globalize_health<C: Communicator>(comm: &C, report: &mut RunReport
 /// How one rank of a communicator engine produces its share of a batch.
 pub(crate) trait RankSampler {
     /// Generates global samples `first .. first + count` together with the
-    /// other ranks, appends this rank's share to `out` in index order and
-    /// extends the work trace; returns the edges examined locally.
+    /// other ranks and appends this rank's share to `out` in index order;
+    /// returns the edges examined locally.
     fn sample<C: Communicator>(
         &mut self,
         comm: &C,
         first: u64,
         count: usize,
         out: &mut DynRrrStore,
-        sample_work: &mut Vec<u64>,
     ) -> u64;
 
     /// Resident bytes of the graph (or graph share) this rank samples from.
@@ -353,14 +352,13 @@ struct RankEngine<'a, C: Communicator, P> {
 }
 
 impl<C: Communicator, P: RankSampler> Engine for RankEngine<'_, C, P> {
-    fn grow_to(&mut self, total: usize, report: &mut RunReport, sample_work: &mut Vec<u64>) {
+    fn grow_to(&mut self, total: usize, report: &mut RunReport) {
         let old_len = self.store.len();
         let work = self.sampler.sample(
             self.comm,
             self.held as u64,
             total - self.held,
             &mut self.store,
-            sample_work,
         );
         self.held = total;
         // Local counters; `finish` globalizes them once at the end.
@@ -470,7 +468,6 @@ impl RankSampler for ReplicatedSampler<'_> {
         first: u64,
         count: usize,
         out: &mut DynRrrStore,
-        sample_work: &mut Vec<u64>,
     ) -> u64 {
         let n = u64::from(self.graph.num_vertices());
         let mut work = 0u64;
@@ -491,7 +488,6 @@ impl RankSampler for ReplicatedSampler<'_> {
             };
             work += s.edges_examined;
             out.push(&s.vertices);
-            sample_work.push(s.edges_examined);
         }
         work
     }
@@ -508,8 +504,7 @@ impl RankSampler for ReplicatedSampler<'_> {
 /// selection and flat storage; see [`imm_distributed_with_storage`] for the
 /// paper-faithful leap-frog mode and the other knobs.
 ///
-/// Returns the (identical) result on every rank; `sample_work` contains only
-/// this rank's local sampling work.
+/// Returns the (identical) result on every rank.
 #[must_use]
 pub fn imm_distributed<C: Communicator>(comm: &C, graph: &Graph, params: &ImmParams) -> ImmResult {
     imm_distributed_with_storage(

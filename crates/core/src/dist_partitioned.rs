@@ -166,9 +166,8 @@ impl RankSampler for CooperativeSampler {
         first: u64,
         count: usize,
         out: &mut DynRrrStore,
-        sample_work: &mut Vec<u64>,
     ) -> u64 {
-        let work = sample_batch_cooperative(
+        sample_batch_cooperative(
             comm,
             &self.partition,
             self.model,
@@ -176,9 +175,7 @@ impl RankSampler for CooperativeSampler {
             first,
             count,
             out,
-        );
-        sample_work.push(work);
-        work
+        )
     }
 
     fn graph_bytes(&self) -> usize {

@@ -299,9 +299,8 @@ impl RankSampler for ShardedSampler {
         first: u64,
         count: usize,
         out: &mut DynRrrStore,
-        sample_work: &mut Vec<u64>,
     ) -> u64 {
-        let work = sample_batch_sharded(
+        sample_batch_sharded(
             comm,
             &self.shard,
             self.model,
@@ -310,9 +309,7 @@ impl RankSampler for ShardedSampler {
             count,
             out,
             &mut self.stats,
-        );
-        sample_work.push(work);
-        work
+        )
     }
 
     fn graph_bytes(&self) -> usize {

@@ -52,8 +52,8 @@ use ripples_graph::Graph;
 pub(crate) trait Engine {
     /// Grows the *global* sample population to `total` samples (a
     /// distributed engine appends only its rank's share), recording the
-    /// sampling counters, histograms and work trace of the new samples.
-    fn grow_to(&mut self, total: usize, report: &mut RunReport, sample_work: &mut Vec<u64>);
+    /// sampling counters and histograms of the new samples.
+    fn grow_to(&mut self, total: usize, report: &mut RunReport);
 
     /// Resident bytes of this engine's sample store right now.
     fn resident_bytes(&self) -> usize;
@@ -123,7 +123,6 @@ pub(crate) fn run_imm<E: Engine>(
     let k = params.effective_k(n);
     let mut report = RunReport::new(label);
     let mut memory = footprint;
-    let mut sample_work: Vec<u64> = Vec::new();
     if n < 2 {
         engine.finish(&mut report);
         return ImmResult {
@@ -133,7 +132,6 @@ pub(crate) fn run_imm<E: Engine>(
             opt_lower_bound: None,
             timers: report.phase_timers(),
             memory,
-            sample_work,
             report,
         };
     }
@@ -167,7 +165,7 @@ pub(crate) fn run_imm<E: Engine>(
             let fraction = report.span(SpanKind::Round(x), |report| {
                 if budget > held {
                     report.span(SpanKind::Sample, |report| {
-                        engine.grow_to(budget, report, &mut sample_work);
+                        engine.grow_to(budget, report);
                     });
                     held = budget;
                 }
@@ -197,14 +195,13 @@ pub(crate) fn run_imm<E: Engine>(
     // --- Sample top-up (Algorithm 3 from the skeleton) ------------------
     if engine.discard_estimation_samples() {
         held = 0;
-        sample_work.clear();
     }
     // Whether `SelectSeeds` would repeat the last round's selection: the
     // same samples (kept, and θ asks for no more) and the same `k`.
     let unchanged = theta <= held && sizing_k == k;
     if theta > held {
         report.span(Phase::Sample, |report| {
-            engine.grow_to(theta, report, &mut sample_work);
+            engine.grow_to(theta, report);
         });
         held = theta;
     }
@@ -233,7 +230,6 @@ pub(crate) fn run_imm<E: Engine>(
         opt_lower_bound: lb,
         timers: report.phase_timers(),
         memory,
-        sample_work,
         report,
     }
 }
@@ -254,7 +250,7 @@ mod tests {
     }
 
     impl Engine for Scripted {
-        fn grow_to(&mut self, total: usize, _: &mut RunReport, _: &mut Vec<u64>) {
+        fn grow_to(&mut self, total: usize, _: &mut RunReport) {
             self.held = total;
         }
 

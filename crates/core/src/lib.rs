@@ -17,9 +17,8 @@
 //!
 //! plus the predecessor and comparator algorithms the paper discusses —
 //! TIM⁺ ([`tim`]), the Monte-Carlo greedy with CELF lazy evaluation
-//! ([`celf`]), degree-discount and other heuristics ([`heuristics`]), and
-//! the community-based heuristic of reference \[14\] ([`community`]) — the
-//! paper's future-work extension of running IMM over a *partitioned* input
+//! ([`celf`]), and degree-discount and other heuristics ([`heuristics`]) —
+//! the paper's future-work extension of running IMM over a *partitioned* input
 //! graph ([`dist_partitioned`]) and its vertex-cut sharded successor with
 //! batched asynchronous frontier exchange ([`dist_sharded`]),
 //! instrumentation matching the paper's phase
@@ -65,7 +64,6 @@
 
 pub mod api;
 pub mod celf;
-pub mod community;
 pub mod dist;
 pub mod dist_partitioned;
 pub mod dist_sharded;

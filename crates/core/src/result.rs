@@ -21,10 +21,6 @@ pub struct ImmResult {
     pub timers: PhaseTimers,
     /// Memory accounting.
     pub memory: MemoryStats,
-    /// Per-sample work units (in-edges examined) for the final collection;
-    /// feeds the strong-scaling replay model. Empty if the implementation
-    /// did not track it.
-    pub sample_work: Vec<u64>,
     /// Full observability record: phase spans, work counters, histograms,
     /// and (for distributed engines) communication accounting. `timers` is
     /// the flat view derived from this report's span tree.
@@ -37,12 +33,6 @@ impl ImmResult {
     #[must_use]
     pub fn coverage_influence_estimate(&self, n: u32) -> f64 {
         self.coverage_fraction * f64::from(n)
-    }
-
-    /// Total sampling work units recorded.
-    #[must_use]
-    pub fn total_sample_work(&self) -> u64 {
-        self.sample_work.iter().sum()
     }
 }
 
@@ -59,10 +49,8 @@ mod tests {
             opt_lower_bound: None,
             timers: PhaseTimers::new(),
             memory: MemoryStats::default(),
-            sample_work: vec![3, 4],
             report: RunReport::new("test"),
         };
         assert!((r.coverage_influence_estimate(400) - 100.0).abs() < 1e-12);
-        assert_eq!(r.total_sample_work(), 7);
     }
 }

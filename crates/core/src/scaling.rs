@@ -2,9 +2,9 @@
 //!
 //! This reproduction's build host has two cores, so Figures 5–8 (20-thread
 //! and 16/1024-node strong scaling) cannot be *timed* directly. Instead,
-//! every IMM run records an exact [`WorkTrace`] — per-sample work units and
-//! selection volume — and this module replays that trace under a parallel
-//! execution model:
+//! [`WorkTrace::replay`] recomputes a run's exact work — per-sample work
+//! units and selection volume — from its seed and θ, and this module replays
+//! that trace under a parallel execution model:
 //!
 //! * **Sampling** is a bag of independent tasks (one per RRR set): its
 //!   parallel runtime is the LPT (longest-processing-time) makespan of the
@@ -27,10 +27,14 @@
 //! Absolute seconds depend on the calibrated work rate; the deliverable is
 //! the *shape* of the curves, which depends only on work ratios.
 
+use crate::params::ImmParams;
+use rayon::prelude::*;
 use ripples_comm::ClusterSpec;
+use ripples_diffusion::{generate_rrr, RrrScratch};
+use ripples_graph::{Graph, Vertex};
+use ripples_rng::StreamFactory;
 
-/// The work profile of one IMM run, extracted from an
-/// [`crate::ImmResult`].
+/// The work profile of one IMM run, replayed by [`WorkTrace::replay`].
 #[derive(Clone, Debug)]
 pub struct WorkTrace {
     /// Vertex count of the input.
@@ -49,20 +53,41 @@ pub struct WorkTrace {
 }
 
 impl WorkTrace {
-    /// Builds a trace from a finished run.
+    /// The work profile of a run of `params` on `graph` that selected over
+    /// `theta` samples: regenerates samples `0..theta` under the run's
+    /// master seed with the reference sampler and records each one's
+    /// in-edges examined and entries, in parallel on the caller's pool.
+    /// Every engine that keys a sample's stream by its global index (`opt`,
+    /// `mt` on the reference kernel, `dist` with indexed streams) holds
+    /// exactly these samples, so the trace is that run's per-sample work,
+    /// recomputed rather than carried through it.
     ///
     /// `selection_passes` is the number of times seed selection ran (one
     /// per estimation round plus the final pass); the distributed
     /// communication volume scales with it.
     #[must_use]
-    pub fn from_result(result: &crate::ImmResult, n: u32, k: u32, selection_passes: u32) -> Self {
+    pub fn replay(graph: &Graph, params: &ImmParams, theta: usize, selection_passes: u32) -> Self {
+        let n = graph.num_vertices();
+        let factory = StreamFactory::new(params.seed);
+        let samples: Vec<(u64, u64)> = (0..theta as u64)
+            .into_par_iter()
+            .map_init(
+                || RrrScratch::new(n),
+                |scratch, index| {
+                    let mut rng = factory.sample_stream(index);
+                    let root = rng.bounded_u64(u64::from(n)) as Vertex;
+                    let s = generate_rrr(graph, params.model, root, &mut rng, scratch);
+                    (s.edges_examined, s.vertices.len() as u64)
+                },
+            )
+            .collect();
         WorkTrace {
             n,
-            k,
-            theta: result.theta,
-            sample_work: result.sample_work.clone(),
-            rrr_entries: result.report.counters.rrr_entries,
-            allreduce_calls: u64::from(selection_passes) * (u64::from(k) + 1),
+            k: params.k,
+            theta,
+            rrr_entries: samples.iter().map(|&(_, entries)| entries).sum(),
+            sample_work: samples.into_iter().map(|(work, _)| work).collect(),
+            allreduce_calls: u64::from(selection_passes) * (u64::from(params.k) + 1),
         }
     }
 
@@ -221,38 +246,66 @@ mod tests {
 
     #[test]
     fn trace_entries_are_the_reports_counter_under_every_layout() {
+        use crate::dist::{imm_distributed_with_storage, DistRngMode, DistSelectMode};
         use crate::mt::imm_multithreaded_with_storage;
-        use crate::{ImmParams, SampleEngine, SelectEngine};
+        use crate::seq::immopt_sequential_with_storage;
+        use crate::{SampleEngine, SelectEngine};
+        use ripples_comm::ThreadWorld;
         use ripples_diffusion::{DiffusionModel, RrrStoreKind, StorageConfig};
         use ripples_graph::{generators::erdos_renyi, WeightModel};
-        // Lists, bitmaps (uniform probabilities, fused sampler) and varint
-        // chunks: entries are what the store counted, never a guess from
-        // one layout's byte size.
+        // The replay regenerates what the run sampled, so its work, θ and
+        // entries are the run's counters — for lists, bitmaps (uniform
+        // probabilities span the graph) and varint chunks, on shared memory
+        // and across ranks (whose counters the engine globalizes).
         let sparse = erdos_renyi(300, 2400, WeightModel::WeightedCascade, false, 21);
+        let lt = erdos_renyi(300, 2400, WeightModel::WeightedCascade, true, 21);
         let dense = erdos_renyi(300, 2400, WeightModel::UniformRandom { seed: 3 }, false, 21);
+        let ic = DiffusionModel::IndependentCascade;
         let cases = [
-            (&sparse, SampleEngine::Reference, RrrStoreKind::Flat),
-            (&dense, SampleEngine::Fused, RrrStoreKind::Flat),
-            (&sparse, SampleEngine::Reference, RrrStoreKind::Spill),
+            (&sparse, ic, RrrStoreKind::Flat),
+            (&dense, ic, RrrStoreKind::Flat),
+            (&sparse, ic, RrrStoreKind::Spill),
+            (&lt, DiffusionModel::LinearThreshold, RrrStoreKind::Flat),
         ];
-        for (graph, sample, kind) in cases {
-            let params = ImmParams::new(5, 0.5, DiffusionModel::IndependentCascade, 7);
-            let result = imm_multithreaded_with_storage(
+        for (graph, model, kind) in cases {
+            let params = ImmParams::new(5, 0.5, model, 7);
+            let storage = StorageConfig::of(kind);
+            let opt = immopt_sequential_with_storage(
+                graph,
+                &params,
+                SelectEngine::Auto,
+                SampleEngine::Reference,
+                storage,
+            );
+            let mt = imm_multithreaded_with_storage(
                 graph,
                 &params,
                 2,
                 SelectEngine::Auto,
-                sample,
-                StorageConfig::of(kind),
+                SampleEngine::Reference,
+                storage,
             );
-            let counters = &result.report.counters;
-            assert!(counters.rrr_sets_bitmap > 0 || sample != SampleEngine::Fused);
-            assert!(counters.rrr_entries > 0);
-            let trace = WorkTrace::from_result(&result, graph.num_vertices(), 5, 4);
-            assert_eq!(
-                trace.rrr_entries, counters.rrr_entries,
-                "{kind:?}/{sample:?}"
-            );
+            let dist = ThreadWorld::new(3).run(|comm| {
+                imm_distributed_with_storage(
+                    comm,
+                    graph,
+                    &params,
+                    DistRngMode::IndexedStreams,
+                    DistSelectMode::DenseAllReduce,
+                    storage,
+                )
+            });
+            for (engine, result) in [("opt", &opt), ("mt", &mt), ("dist", &dist[0])] {
+                let counters = &result.report.counters;
+                let case = format!("{engine} {model} {kind:?}");
+                assert!(counters.rrr_entries > 0, "{case}");
+                let spans = std::ptr::eq(graph, &dense);
+                assert!(counters.rrr_sets_bitmap > 0 || !spans, "{case}");
+                let trace = WorkTrace::replay(graph, &params, result.theta, 4);
+                assert_eq!(trace.theta as u64, counters.theta_final, "{case}");
+                assert_eq!(trace.rrr_entries, counters.rrr_entries, "{case}");
+                assert_eq!(trace.total_sample_work(), counters.edges_examined, "{case}");
+            }
         }
     }
 

@@ -79,12 +79,11 @@ struct CompactEngine<'a> {
 }
 
 impl Engine for CompactEngine<'_> {
-    fn grow_to(&mut self, total: usize, report: &mut RunReport, sample_work: &mut Vec<u64>) {
+    fn grow_to(&mut self, total: usize, report: &mut RunReport) {
         let old_len = self.store.len();
         let outcome = self
             .dispatch
             .sample_batch(old_len as u64, total - old_len, &mut self.store);
-        sample_work.extend_from_slice(&outcome.work_per_sample);
         record_batch(report, &self.store, old_len, &outcome);
     }
 
@@ -304,14 +303,13 @@ struct TangEngine<'a> {
 }
 
 impl Engine for TangEngine<'_> {
-    fn grow_to(&mut self, total: usize, report: &mut RunReport, sample_work: &mut Vec<u64>) {
+    fn grow_to(&mut self, total: usize, report: &mut RunReport) {
         let n = self.graph.num_vertices();
         let count = (total - self.storage.len()) as u64;
         for index in self.next_index..self.next_index + count {
             let mut rng = self.factory.sample_stream(index);
             let root = rng.bounded_u64(u64::from(n)) as Vertex;
             let s = generate_rrr(self.graph, self.model, root, &mut rng, &mut self.scratch);
-            sample_work.push(s.edges_examined);
             report.counters.samples_generated += 1;
             report.counters.edges_examined += s.edges_examined;
             report.rrr_sizes.record(s.vertices.len() as u64);
@@ -523,10 +521,12 @@ mod tests {
         let reuse = imm_baseline_with_options(&g, &p, false);
         assert_eq!(fresh.seeds.len(), reuse.seeds.len());
         assert_eq!(fresh.theta, reuse.theta, "θ depends only on estimation");
-        // Both record exactly the θ samples that drive the final selection
-        // (fresh mode discards the estimation batch before regenerating).
-        assert_eq!(fresh.sample_work.len(), fresh.theta);
-        assert_eq!(reuse.sample_work.len(), reuse.theta);
+        // Fresh mode discards the estimation batch and regenerates all θ
+        // samples; reuse mode tops the batch up to θ.
+        let held = *reuse.report.counters.round_budgets.last().unwrap();
+        let theta = reuse.theta as u64;
+        assert_eq!(reuse.report.counters.samples_generated, held.max(theta));
+        assert_eq!(fresh.report.counters.samples_generated, held + theta);
         // Coverage fractions agree statistically.
         assert!((fresh.coverage_fraction - reuse.coverage_fraction).abs() < 0.1);
     }
@@ -536,8 +536,10 @@ mod tests {
         let g = test_graph();
         let p = ImmParams::new(4, 0.5, DiffusionModel::IndependentCascade, 9);
         let r = immopt_sequential(&g, &p);
-        assert_eq!(r.sample_work.len(), r.theta);
-        assert!(r.total_sample_work() > 0);
+        assert!(r.report.counters.edges_examined > 0);
+        let trace = crate::scaling::WorkTrace::replay(&g, &p, r.theta, 1);
+        assert_eq!(trace.theta, r.theta);
+        assert_eq!(trace.rrr_entries, r.report.counters.rrr_entries);
     }
 
     /// Regression: `arena_bytes_peak` (and the fused `mask_bytes_peak`)

@@ -90,14 +90,12 @@ pub fn tim_plus_with_storage(
         ..MemoryStats::default()
     };
     let mut collection = DynRrrStore::new(storage, n);
-    let mut sample_work: Vec<u64> = Vec::new();
     let mut next_index: u64 = 0;
 
     // --- Phase 1 + 2: KPT estimation and refinement ----------------------
     let mut kpt = 1.0f64;
     {
         let collection = &mut collection;
-        let sample_work = &mut sample_work;
         let next_index = &mut next_index;
         let memory = &mut memory;
         let kpt = &mut kpt;
@@ -115,7 +113,6 @@ pub fn tim_plus_with_storage(
                             sampler.sample_batch(*next_index, need, collection)
                         });
                         *next_index += need as u64;
-                        sample_work.extend_from_slice(&outcome.work_per_sample);
                         crate::seq::record_batch(report, collection, old_len, &outcome);
                     }
                     report.counters.theta_rounds += 1;
@@ -170,7 +167,6 @@ pub fn tim_plus_with_storage(
         let outcome = report.span(Phase::Sample, |_| {
             sampler.sample_batch(next_index, need, collection_ref)
         });
-        sample_work.extend_from_slice(&outcome.work_per_sample);
         crate::seq::record_batch(&mut report, &collection, old_len, &outcome);
     }
     memory.observe_rrr(collection.resident_bytes());
@@ -195,7 +191,6 @@ pub fn tim_plus_with_storage(
         opt_lower_bound: Some(kpt),
         timers: report.phase_timers(),
         memory,
-        sample_work,
         report,
     }
 }

@@ -30,9 +30,8 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 /// Statistics of one sampling batch.
 #[derive(Clone, Debug, Default)]
 pub struct BatchOutcome {
-    /// Per-sample in-edges examined, aligned with the batch's samples; the
-    /// work units consumed by the strong-scaling replay model.
-    pub work_per_sample: Vec<u64>,
+    /// In-edges examined over the batch's samples.
+    pub edges_examined: u64,
     /// Samples each worker generated (one entry per worker that filled at
     /// least one block). Workers claim blocks as they free up, so the split
     /// depends on the schedule and varies from run to run; it always sums
@@ -59,16 +58,16 @@ impl BatchOutcome {
     /// Total edges examined in the batch.
     #[must_use]
     pub fn total_work(&self) -> u64 {
-        self.work_per_sample.iter().sum()
+        self.edges_examined
     }
 
     /// Folds a follow-up sub-batch into `self` (used when one logical batch
     /// is generated in two pieces, e.g. the probe + remainder split of the
-    /// auto sampling dispatch). Per-sample vectors concatenate; transient
-    /// memory figures take the max since the pieces' scratch never coexists.
+    /// auto sampling dispatch). Work adds up and per-worker counts
+    /// concatenate; transient memory figures take the max since the pieces'
+    /// scratch never coexists.
     pub fn absorb(&mut self, other: BatchOutcome) {
-        self.work_per_sample
-            .extend_from_slice(&other.work_per_sample);
+        self.edges_examined += other.edges_examined;
         self.per_worker_samples
             .extend_from_slice(&other.per_worker_samples);
         self.arena_bytes = self.arena_bytes.max(other.arena_bytes);
@@ -171,10 +170,9 @@ pub fn sample_batch<S: RrrStore>(
     let fill = |scratch: &mut RrrScratch, range: Range<u64>, block: &mut Block| {
         for index in range {
             let (root, mut rng) = sample_root(graph, factory, index);
-            let work = block
+            block.work += block
                 .arena
                 .append_with(|buf| generate_rrr_into(graph, model, root, &mut rng, scratch, buf));
-            block.works.push(work);
         }
     };
     let init = || RrrScratch::new(n);
@@ -198,10 +196,10 @@ fn block_len(count: usize, workers: usize, lanes: usize) -> u64 {
     ((count / (8 * workers)).clamp(lanes, 4096) / lanes * lanes) as u64
 }
 
-/// One block of a streamed batch: its samples and the work of each.
+/// One block of a streamed batch: its samples and the edges they examined.
 pub(crate) struct Block {
     pub(crate) arena: SampleArena,
-    pub(crate) works: Vec<u64>,
+    pub(crate) work: u64,
 }
 
 /// What the workers and the merging thread share.
@@ -287,15 +285,15 @@ impl Stream {
         }
     }
 
-    /// Appends the next block in index order to `out` and its work to
-    /// `works`, waiting until it is finished when `wait`; false when not
+    /// Appends the next block in index order to `out` and adds its work to
+    /// `work`, waiting until it is finished when `wait`; false when not
     /// waiting and it is not finished.
-    fn merge_next<S: RrrStore>(&self, out: &mut S, works: &mut Vec<u64>, wait: bool) -> bool {
+    fn merge_next<S: RrrStore>(&self, out: &mut S, work: &mut u64, wait: bool) -> bool {
         let Some(block) = self.take_next(wait) else {
             return false;
         };
         out.append_arena(&block.arena);
-        works.extend_from_slice(&block.works);
+        *work += block.work;
         self.pending().spare.push(block);
         true
     }
@@ -333,7 +331,7 @@ impl Drop for AbandonOnUnwind<'_> {
 ///
 /// Sample content is a function of the global index and the merge order is
 /// index order, so `out` receives the same samples at any thread count.
-/// Returns the outcome (work per sample, samples per worker, arena bytes)
+/// Returns the outcome (edges examined, samples per worker, arena bytes)
 /// and the scratch of every worker that filled a block.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn stream_blocks<S, W, I, F>(
@@ -385,10 +383,10 @@ where
     let fill_block = |worker: &mut Worker<W>, b: usize, spare: Option<Block>| {
         let mut block = spare.unwrap_or_else(|| Block {
             arena: SampleArena::with_capacity(num_vertices, len as usize),
-            works: Vec::with_capacity(len as usize),
+            work: 0,
         });
         block.arena.clear();
-        block.works.clear();
+        block.work = 0;
         let base = (first_block + b as u64) * len;
         let range = base.max(first_index)..(base + len).min(end);
         let t0 = ripples_trace::enabled().then(std::time::Instant::now);
@@ -403,11 +401,8 @@ where
         }
         block
     };
-    let mut outcome = BatchOutcome {
-        work_per_sample: Vec::with_capacity(count),
-        ..BatchOutcome::default()
-    };
-    let works = &mut outcome.work_per_sample;
+    let mut outcome = BatchOutcome::default();
+    let work = &mut outcome.edges_examined;
     let done: Vec<Worker<W>> = std::thread::scope(|s| {
         let helpers: Vec<_> = (1..workers)
             .map(|_| {
@@ -434,7 +429,7 @@ where
         };
         let mut merged = 0usize;
         loop {
-            while stream.merge_next(out, works, false) {
+            while stream.merge_next(out, work, false) {
                 merged += 1;
             }
             let b = stream.cursor.fetch_add(1, Ordering::Relaxed);
@@ -442,14 +437,14 @@ where
                 break;
             }
             while b >= merged + window {
-                stream.merge_next(out, works, true);
+                stream.merge_next(out, work, true);
                 merged += 1;
             }
             let spare = stream.pending().spare.pop();
             stream.finish(b, fill_block(&mut own, b, spare));
         }
         while merged < nblocks {
-            stream.merge_next(out, works, true);
+            stream.merge_next(out, work, true);
             merged += 1;
         }
         let mut done = vec![own];
@@ -497,7 +492,6 @@ pub fn sample_batch_sequential<S: RrrStore>(
     validate_model_weights(graph, model);
     let mut scratch = RrrScratch::new(graph.num_vertices());
     let mut outcome = BatchOutcome {
-        work_per_sample: Vec::with_capacity(count),
         per_worker_samples: if count > 0 {
             vec![count as u64]
         } else {
@@ -510,7 +504,7 @@ pub fn sample_batch_sequential<S: RrrStore>(
         let (root, mut rng) = sample_root(graph, factory, index);
         let s = generate_rrr(graph, model, root, &mut rng, &mut scratch);
         out.push(&s.vertices);
-        outcome.work_per_sample.push(s.edges_examined);
+        outcome.edges_examined += s.edges_examined;
     }
     outcome
 }
@@ -551,7 +545,7 @@ mod tests {
             let po = sample_batch(&g, model, &f, 0, 500, &mut par);
             let so = sample_batch_sequential(&g, model, &f, 0, 500, &mut seq);
             assert_eq!(par, seq, "collections differ under {model}");
-            assert_eq!(po.work_per_sample, so.work_per_sample);
+            assert_eq!(po.edges_examined, so.edges_examined);
         }
     }
 
@@ -659,7 +653,7 @@ mod tests {
                 (par, po)
             });
             assert_eq!(par, seq, "collections differ at {threads} threads");
-            assert_eq!(po.work_per_sample, so.work_per_sample);
+            assert_eq!(po.edges_examined, so.edges_examined);
             assert!(po.arena_bytes > 0, "worker arenas unreported");
         }
     }
@@ -683,10 +677,18 @@ mod tests {
         let g = graph();
         let f = StreamFactory::new(5);
         let mut c = RrrCollection::new();
-        let o = sample_batch(&g, DiffusionModel::IndependentCascade, &f, 0, 64, &mut c);
-        assert_eq!(o.work_per_sample.len(), 64);
+        let model = DiffusionModel::IndependentCascade;
+        let o = sample_batch(&g, model, &f, 0, 64, &mut c);
         assert_eq!(c.len(), 64);
-        assert!(o.total_work() > 0);
+        let mut scratch = RrrScratch::new(g.num_vertices());
+        let each: u64 = (0..64)
+            .map(|index| {
+                let (root, mut rng) = sample_root(&g, &f, index);
+                generate_rrr(&g, model, root, &mut rng, &mut scratch).edges_examined
+            })
+            .sum();
+        assert!(each > 0);
+        assert_eq!(o.total_work(), each);
     }
 
     #[test]

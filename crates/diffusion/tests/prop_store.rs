@@ -260,7 +260,7 @@ fn fused_emission_into_flat_store_equals_list_emission_at_any_thread_count() {
         });
         let held = store.as_mixed().expect("flat kind");
         assert!(held.bitmap_sets() > 600, "cascades were meant to span");
-        assert_eq!(outcome.work_per_sample, reference.work_per_sample);
+        assert_eq!(outcome.edges_examined, reference.edges_examined);
         assert_eq!(store.total_entries(), lists.total_entries() as u64);
         let mut out = Vec::new();
         for i in 0..lists.len() {

@@ -141,7 +141,7 @@ fn streamed_batches_equal_one_thread_pushing_in_order() {
                             };
                             assert_eq!(held, expect, "{case}");
                             assert_eq!(
-                                outcome.work_per_sample, expect_outcome.work_per_sample,
+                                outcome.edges_examined, expect_outcome.edges_examined,
                                 "{case}"
                             );
                             assert_eq!(outcome.fused_passes, expect_outcome.fused_passes, "{case}");

@@ -35,7 +35,6 @@ pub mod io;
 pub mod partition;
 pub mod permute;
 pub mod stats;
-pub mod subgraph;
 pub mod traversal;
 pub mod types;
 pub mod weights;
@@ -46,6 +45,5 @@ pub use csr::Graph;
 pub use partition::{ChunkView, VertexCutShard};
 pub use permute::{permute_graph, Permutation};
 pub use stats::GraphStats;
-pub use subgraph::{induced_subgraph, split_by_labels, InducedSubgraph};
 pub use types::{GraphError, Vertex};
 pub use weights::WeightModel;

@@ -9,7 +9,7 @@
 //! also chosen by IMM) with complementary discoveries on both sides — is
 //! printed at the end.
 //!
-//! Run with: `cargo run --release -p ripples-core --example biology_case_study`
+//! Run with: `cargo run --release -p ripples-bench --example biology_case_study`
 
 use ripples_centrality::{
     betweenness_centrality, degree_ranking, rank_biased_overlap, ranking_from_scores,

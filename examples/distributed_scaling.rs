@@ -61,13 +61,13 @@ fn main() {
     }
     println!("all world sizes returned the identical seed set ✓");
 
-    // --- Part 2: cluster-scale prediction from the recorded trace --------
+    // --- Part 2: cluster-scale prediction from the replayed trace --------
     let world = ThreadWorld::new(1);
     let result = world
         .run(|comm| imm_distributed(comm, &graph, &params))
         .pop()
         .expect("one rank");
-    let trace = WorkTrace::from_result(&result, graph.num_vertices(), params.k, 4);
+    let trace = WorkTrace::replay(&graph, &params, result.theta, 4);
     for cluster in [ClusterSpec::puma(), ClusterSpec::edison()] {
         let nodes: &[u32] = if cluster.name == "puma" {
             &[2, 4, 8, 16]

@@ -52,7 +52,7 @@ fn main() {
             "{:<18} {:>10} {:>16.1} {:>10.3} {:>12.1}",
             label,
             result.theta,
-            result.total_sample_work() as f64 / result.theta.max(1) as f64,
+            result.report.counters.edges_examined as f64 / result.theta.max(1) as f64,
             secs,
             spread
         );

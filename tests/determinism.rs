@@ -43,7 +43,10 @@ fn repeat_runs_are_bitwise_identical() {
     assert_eq!(a.seeds, b.seeds);
     assert_eq!(a.theta, b.theta);
     assert_eq!(a.coverage_fraction, b.coverage_fraction);
-    assert_eq!(a.sample_work, b.sample_work);
+    assert_eq!(
+        a.report.counters.edges_examined,
+        b.report.counters.edges_examined
+    );
 }
 
 #[test]
@@ -80,7 +83,9 @@ fn master_seed_changes_outcome() {
     );
     // Different randomness must be observable somewhere in the run.
     assert!(
-        a.seeds != b.seeds || a.theta != b.theta || a.sample_work != b.sample_work,
+        a.seeds != b.seeds
+            || a.theta != b.theta
+            || a.report.counters.edges_examined != b.report.counters.edges_examined,
         "two master seeds produced indistinguishable runs"
     );
 }
@@ -94,8 +99,8 @@ fn graph_weights_affect_runs() {
     let cheap = immopt_sequential(&g1, &p);
     let expensive = immopt_sequential(&g2, &p);
     // Higher probabilities → larger RRR sets → more sampling work per set.
-    let w1 = cheap.total_sample_work() as f64 / cheap.theta.max(1) as f64;
-    let w2 = expensive.total_sample_work() as f64 / expensive.theta.max(1) as f64;
+    let w1 = cheap.report.counters.edges_examined as f64 / cheap.theta.max(1) as f64;
+    let w2 = expensive.report.counters.edges_examined as f64 / expensive.theta.max(1) as f64;
     assert!(w2 > w1, "p=0.3 per-sample work {w2} ≤ p=0.05 work {w1}");
 }
 

@@ -73,7 +73,9 @@ fn local_sample_counts_partition_theta() {
     let world = ThreadWorld::new(size);
     let results = world.run(|comm| {
         let r = imm_distributed(comm, &g, &p);
-        (comm.rank(), r.sample_work.len(), r.theta)
+        // One batch per rank per growth: their sum is this rank's share.
+        let local = r.report.thread_samples.sum() as usize;
+        (comm.rank(), local, r.theta)
     });
     let theta = results[0].2;
     let total_local: usize = results.iter().map(|(_, local, _)| *local).sum();

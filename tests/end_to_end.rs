@@ -106,8 +106,8 @@ fn lt_produces_smaller_theta_work_than_ic() {
         &g_lt,
         &ImmParams::new(5, 0.5, DiffusionModel::LinearThreshold, 7),
     );
-    let ic_avg_work = ic.total_sample_work() as f64 / ic.theta.max(1) as f64;
-    let lt_avg_work = lt.total_sample_work() as f64 / lt.theta.max(1) as f64;
+    let ic_avg_work = ic.report.counters.edges_examined as f64 / ic.theta.max(1) as f64;
+    let lt_avg_work = lt.report.counters.edges_examined as f64 / lt.theta.max(1) as f64;
     assert!(
         ic_avg_work > lt_avg_work,
         "IC per-sample work {ic_avg_work} should exceed LT {lt_avg_work}"

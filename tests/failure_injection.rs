@@ -178,8 +178,9 @@ fn weight_models_survive_extreme_graphs() {
 }
 
 /// A flag the user got wrong is `error: …` plus the usage line and exit
-/// status 2 — never a panic — and a `--rrr-store` value that was removed
-/// (PR 16, PR 21) says what replaced it, in both binaries.
+/// status 2 — never a panic — and a removed `--rrr-store` value says what
+/// replaced it, in both binaries. An unknown or removed `--engine` tag
+/// lists exactly the engines README.md lists.
 #[test]
 fn cli_usage_errors_exit_2_and_never_panic() {
     let run = |exe: &str, flags: &[&str]| {
@@ -197,6 +198,18 @@ fn cli_usage_errors_exit_2_and_never_panic() {
         )
     };
     let ripples = env!("CARGO_BIN_EXE_ripples");
+    // The engines README.md lists are the ones the binary takes.
+    let readme = include_str!("../README.md");
+    let engines: Vec<&str> = readme
+        .lines()
+        .find_map(|line| line.strip_prefix("# engines: "))
+        .expect("README.md lists the engines")
+        .split(" | ")
+        .collect();
+    assert_eq!(
+        engines.join("|"),
+        "opt|baseline|mt|dist|partitioned|sharded|tim"
+    );
     for flags in [
         &["--weights", "const:x"][..],
         &["--k", "many"],
@@ -209,6 +222,9 @@ fn cli_usage_errors_exit_2_and_never_panic() {
         &["--simulate", "z"],
         &["--rrr-store", "nope"],
         &["--engine", "shraded"],
+        &["--engine", "community"],
+        &["--engine", "celf"],
+        &["--engine", "degdiscount"],
         &["--metrics-interval", "soon"],
         &["--trace", "same.json", "--metrics", "same.json"],
     ] {
@@ -223,11 +239,13 @@ fn cli_usage_errors_exit_2_and_never_panic() {
             !stderr.contains("graph: "),
             "{flags:?} loaded the graph first: {stderr}"
         );
-        let engines = "opt|baseline|mt|dist|community|partitioned|sharded|tim|degdiscount|celf";
-        assert!(
-            flags[0] != "--engine" || stderr.contains(engines),
-            "{flags:?}: {stderr}"
-        );
+        if flags[0] == "--engine" {
+            let listed = stderr
+                .split_once("(expected ")
+                .and_then(|(_, rest)| rest.split_once(')'))
+                .map(|(tags, _)| tags.split('|').collect::<Vec<_>>());
+            assert_eq!(listed, Some(engines.clone()), "{flags:?}: {stderr}");
+        }
     }
     // A mistyped or removed engine tag is reported before the graph is
     // loaded (`ripples` prints the graph's statistics right after loading),

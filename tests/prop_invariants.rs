@@ -38,7 +38,8 @@ proptest! {
             prop_assert!(s < graph.num_vertices());
         }
         prop_assert!((0.0..=1.0).contains(&r.coverage_fraction));
-        prop_assert_eq!(r.sample_work.len(), r.theta);
+        prop_assert_eq!(r.report.counters.theta_final, r.theta as u64);
+        prop_assert!(r.report.counters.samples_generated >= r.theta as u64);
     }
 
     /// Multithreaded equals sequential for arbitrary inputs.
