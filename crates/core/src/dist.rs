@@ -35,7 +35,7 @@ use crate::obs::{CommCounters, Histogram, RunReport};
 use crate::params::ImmParams;
 use crate::result::ImmResult;
 use crate::select::{
-    argmax, nanos_since, uses_index, with_index_if, SelectEngine, SelectStats, Selection,
+    argmax, nanos_since, uses_index, with_index, SelectEngine, SelectStats, Selection,
 };
 use ripples_comm::{CommStats, Communicator};
 use ripples_diffusion::rrr::{generate_rrr, RrrScratch};
@@ -103,9 +103,13 @@ pub(crate) fn select_seeds_distributed<C: Communicator, S: RrrStore>(
         select_mode,
     };
     // `DynRrrStore` keeps the index across θ rounds, whatever its layout.
-    with_index_if(indexed, local, n, 1, |index, stats| {
-        rounds.run(local, index, stats)
-    })
+    if indexed {
+        with_index(local, n, 1, |index, stats| {
+            rounds.run(local, Some(index), stats)
+        })
+    } else {
+        rounds.run(local, None, SelectStats::default())
+    }
 }
 
 /// The collectively identical inputs of one distributed selection pass.
@@ -376,7 +380,7 @@ impl<C: Communicator, P: RankSampler> Engine for RankEngine<'_, C, P> {
         self.store.resident_bytes()
     }
 
-    fn select(&self, k: u32) -> (Selection, SelectStats) {
+    fn select(&mut self, k: u32) -> (Selection, SelectStats) {
         select_seeds_distributed(
             self.comm,
             &self.store,

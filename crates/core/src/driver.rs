@@ -60,8 +60,9 @@ pub(crate) trait Engine {
 
     /// One greedy max-cover pass for `k` seeds over the current population.
     /// The seeds and coverage fraction are global (identical on every rank
-    /// of a distributed engine); the stats are this rank's.
-    fn select(&self, k: u32) -> (Selection, SelectStats);
+    /// of a distributed engine); the stats are this rank's. A pass may
+    /// change how the engine holds its samples, never which samples.
+    fn select(&mut self, k: u32) -> (Selection, SelectStats);
 
     /// Completes the report once the driver's own counters are in place:
     /// store-derived counters, and for communicator engines the cross-rank
@@ -258,7 +259,7 @@ mod tests {
             0
         }
 
-        fn select(&self, k: u32) -> (Selection, SelectStats) {
+        fn select(&mut self, k: u32) -> (Selection, SelectStats) {
             self.selects.set(self.selects.get() + 1);
             let selection = Selection {
                 seeds: (0..k).collect(),

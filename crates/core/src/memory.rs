@@ -10,7 +10,9 @@
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemoryStats {
     /// Peak bytes of RRR-set storage (both directions for the hypergraph
-    /// baseline, one direction for IMMOPT and the parallel versions).
+    /// baseline, one direction for IMMOPT and the parallel versions; for a
+    /// run that selects from the inverted index alone, the stage its
+    /// samples wait in, and the store of its first round).
     pub peak_rrr_bytes: usize,
     /// Peak bytes of the selection inverted index (the store's
     /// [`ripples_diffusion::SampleIndex`]: per segment a `4·(n + 1)`-byte

@@ -63,7 +63,7 @@ pub fn imm_multithreaded_with_storage(
     sample: SampleEngine,
     storage: StorageConfig,
 ) -> ImmResult {
-    let run = || run_compact("mt", graph, params, select, sample, storage, true).0;
+    let run = || run_compact("mt", graph, params, select, sample, storage, true, false).0;
     if threads == 0 {
         run()
     } else {

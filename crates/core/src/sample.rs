@@ -168,10 +168,10 @@ impl<'a> SamplerDispatch<'a> {
                     return BatchOutcome::default();
                 }
                 let probe = count.min(AUTO_PROBE_SAMPLES);
-                let old_len = out.len();
                 let mut outcome = self.reference(first, probe, out);
-                let entries: usize = (old_len..out.len()).map(|j| out.sample_len(j)).sum();
-                let mean = entries as f64 / probe as f64;
+                // The sizes come from the batch itself: a store that keeps
+                // only the inverted index holds no sample to ask afterwards.
+                let mean = outcome.set_sizes.mean();
                 let fused = fused_sampling_is_profitable(self.graph.num_vertices(), mean);
                 self.fused = Some(fused);
                 let rest = count - probe;

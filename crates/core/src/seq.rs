@@ -13,30 +13,29 @@ use crate::obs::RunReport;
 use crate::params::ImmParams;
 use crate::result::ImmResult;
 use crate::sample::{SampleEngine, SamplerDispatch};
-use crate::select::{select_with_engine_store, SelectEngine, SelectStats, Selection};
+use crate::select::{
+    index_only, nanos_since, select_over_index, select_with_engine_store, SelectEngine,
+    SelectStats, Selection,
+};
+use crate::theta::ThetaSchedule;
 use ripples_diffusion::rrr::{generate_rrr, RrrScratch};
-use ripples_diffusion::{BatchOutcome, DiffusionModel, DynRrrStore, RrrStore, StorageConfig};
+use ripples_diffusion::{
+    BatchOutcome, DiffusionModel, DynRrrStore, RrrStore, RrrStoreKind, StagedIndex, StorageConfig,
+};
 use ripples_graph::{Graph, Vertex};
 use ripples_rng::StreamFactory;
+use std::time::Instant;
 
 /// Records one sampling batch's outcome into `report`: sample/edge counters,
-/// per-worker load-balance observations (how many samples each worker
-/// generated — the schedule decides, so they vary between runs), the peak
-/// of the block arenas in flight, and the sizes of the samples appended to
-/// `collection` since `old_len`.
-pub(crate) fn record_batch<S: RrrStore>(
-    report: &mut RunReport,
-    collection: &S,
-    old_len: usize,
-    outcome: &BatchOutcome,
-) {
-    report.counters.samples_generated += (collection.len() - old_len) as u64;
+/// the sizes of the new samples, per-worker load-balance observations (how
+/// many samples each worker generated — the schedule decides, so they vary
+/// between runs), and the peak of the block arenas in flight.
+pub(crate) fn record_batch(report: &mut RunReport, outcome: &BatchOutcome) {
+    report.counters.samples_generated += outcome.set_sizes.count();
     report.counters.edges_examined += outcome.total_work();
+    report.rrr_sizes.merge(&outcome.set_sizes);
     for &w in &outcome.per_worker_samples {
         report.thread_samples.record(w);
-    }
-    for j in old_len..collection.len() {
-        report.rrr_sizes.record(collection.sample_len(j) as u64);
     }
     report.counters.arena_bytes_peak = report
         .counters
@@ -67,47 +66,125 @@ pub(crate) fn record_batch<S: RrrStore>(
     }
 }
 
+/// Where a [`CompactEngine`] holds its samples.
+enum Samples {
+    /// The sample-major store, and the inverted index it keeps once a
+    /// pass is indexed.
+    Store(DynRrrStore),
+    /// The inverted index alone, grown from a bounded stage while sampling
+    /// runs.
+    Index(StagedIndex),
+}
+
 /// The shared-memory engine: samples land in a [`DynRrrStore`] through the
 /// [`SamplerDispatch`] batch kernels, and selection runs the requested
 /// [`SelectEngine`] over it with `partitions` interval owners.
+///
+/// A run that may drop its store decides at its first selection: when that
+/// pass is indexed and no population the θ schedule can reach passes the
+/// index's 32-bit sample ids ([`index_only`]), a flat store hands its index
+/// to a [`StagedIndex`] and is dropped, and every later batch grows the
+/// index directly. A spill store keeps spilling; a run whose first pass is
+/// index-free, and the serve sketch, keep their store.
 struct CompactEngine<'a> {
-    store: DynRrrStore,
+    samples: Samples,
     dispatch: SamplerDispatch<'a>,
     select: SelectEngine,
     partitions: usize,
     n: u32,
+    /// Until the first selection, for a run that may drop its store: the
+    /// largest population its θ schedule can ask for.
+    max_population: Option<usize>,
+}
+
+impl CompactEngine<'_> {
+    /// Samples held so far, in the store or the index.
+    fn len(&self) -> usize {
+        match &self.samples {
+            Samples::Store(store) => store.len(),
+            Samples::Index(index) => index.len(),
+        }
+    }
+
+    /// Drops a flat store for its index when the first selection pass
+    /// shows the run can select from the index alone; returns what bringing
+    /// the index up to date cost.
+    fn drop_store_for_index(&mut self, k: u32) -> u64 {
+        let Some(max_population) = self.max_population.take() else {
+            return 0;
+        };
+        let Samples::Store(store) = &mut self.samples else {
+            return 0;
+        };
+        if store.kind() != RrrStoreKind::Flat || !index_only(self.select, store, k, max_population)
+        {
+            return 0;
+        }
+        let t0 = Instant::now();
+        let store = std::mem::replace(store, DynRrrStore::new(StorageConfig::default(), 0));
+        self.samples = Samples::Index(StagedIndex::from_store(store, self.n, self.partitions));
+        nanos_since(t0)
+    }
 }
 
 impl Engine for CompactEngine<'_> {
     fn grow_to(&mut self, total: usize, report: &mut RunReport) {
-        let old_len = self.store.len();
-        let outcome = self
-            .dispatch
-            .sample_batch(old_len as u64, total - old_len, &mut self.store);
-        record_batch(report, &self.store, old_len, &outcome);
+        let first = self.len();
+        let outcome = match &mut self.samples {
+            Samples::Store(store) => self
+                .dispatch
+                .sample_batch(first as u64, total - first, store),
+            Samples::Index(index) => self
+                .dispatch
+                .sample_batch(first as u64, total - first, index),
+        };
+        record_batch(report, &outcome);
     }
 
     fn resident_bytes(&self) -> usize {
-        self.store.resident_bytes()
+        match &self.samples {
+            Samples::Store(store) => store.resident_bytes(),
+            Samples::Index(index) => index.resident_bytes(),
+        }
     }
 
-    fn select(&self, k: u32) -> (Selection, SelectStats) {
-        select_with_engine_store(self.select, &self.store, self.n, k, self.partitions)
+    fn select(&mut self, k: u32) -> (Selection, SelectStats) {
+        let build_nanos = self.drop_store_for_index(k);
+        let (selection, mut stats) = match &self.samples {
+            Samples::Store(store) => {
+                select_with_engine_store(self.select, store, self.n, k, self.partitions)
+            }
+            Samples::Index(index) => {
+                let banned = vec![false; self.n as usize];
+                select_over_index(index, self.n, k, self.partitions, &banned)
+            }
+        };
+        stats.index_build_nanos += build_nanos;
+        (selection, stats)
     }
 
     fn finish(&mut self, report: &mut RunReport) {
-        record_store_counters(report, &self.store);
+        match &self.samples {
+            Samples::Store(store) => record_store_counters(report, store),
+            Samples::Index(index) => {
+                record_store_counters(report, index);
+                report.counters.rrr_sets_bitmap = index.bitmap_sets();
+                report.counters.rrr_bitmap_bytes = index.bitmap_bytes();
+            }
+        }
         if crate::obs::trace::enabled() {
             report.trace = Some(crate::obs::trace::collect_all());
         }
     }
 }
 
-/// Runs IMM over compact storage and hands the *filled, sealed* store back
-/// alongside the result — the serve mode keeps it resident, the batch entry
-/// points drop it. `parallel` runs the streamed reference sampler and one
-/// selection interval owner per worker of the caller's pool; otherwise both
-/// are strictly sequential.
+/// Runs IMM over compact storage. `parallel` runs the streamed reference
+/// sampler and one selection interval owner per worker of the caller's
+/// pool; otherwise both are strictly sequential. With `keep_store` (the
+/// serve mode keeps the sketch resident) the *filled, sealed* store comes
+/// back alongside the result; otherwise a run whose every selection pass
+/// reads only the index drops it ([`CompactEngine`]) and nothing does.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_compact(
     label: &str,
     graph: &Graph,
@@ -116,11 +193,16 @@ pub(crate) fn run_compact(
     sample: SampleEngine,
     storage: StorageConfig,
     parallel: bool,
-) -> (ImmResult, DynRrrStore) {
+    keep_store: bool,
+) -> (ImmResult, Option<DynRrrStore>) {
     let n = graph.num_vertices();
     let factory = StreamFactory::new(params.seed);
+    let max_population = (!keep_store && n >= 2).then(|| {
+        let k = params.sizing_k(n);
+        ThetaSchedule::new(u64::from(n), u64::from(k), params.epsilon, params.ell).max_population()
+    });
     let mut engine = CompactEngine {
-        store: DynRrrStore::new(storage, n),
+        samples: Samples::Store(DynRrrStore::new(storage, n)),
         dispatch: SamplerDispatch::new(graph, params.model, &factory, sample, parallel),
         select,
         partitions: if parallel {
@@ -129,6 +211,7 @@ pub(crate) fn run_compact(
             1
         },
         n,
+        max_population,
     };
     let footprint = MemoryStats {
         counter_bytes: n as usize * std::mem::size_of::<u64>(),
@@ -136,7 +219,11 @@ pub(crate) fn run_compact(
         ..MemoryStats::default()
     };
     let result = run_imm(label, graph, params, footprint, &mut engine);
-    (result, engine.store)
+    let store = match engine.samples {
+        Samples::Store(store) => Some(store),
+        Samples::Index(_) => None,
+    };
+    (result, store)
 }
 
 /// Seed-set sizes from which [`immopt_sequential`] hands selection to the
@@ -180,7 +267,10 @@ pub fn immopt_sequential_with_storage(
     sample: SampleEngine,
     storage: StorageConfig,
 ) -> ImmResult {
-    run_compact("immopt", graph, params, select, sample, storage, false).0
+    run_compact(
+        "immopt", graph, params, select, sample, storage, false, false,
+    )
+    .0
 }
 
 // ---------------------------------------------------------------------------
@@ -324,7 +414,7 @@ impl Engine for TangEngine<'_> {
         self.storage.resident_bytes()
     }
 
-    fn select(&self, k: u32) -> (Selection, SelectStats) {
+    fn select(&mut self, k: u32) -> (Selection, SelectStats) {
         let n = self.graph.num_vertices();
         (self.storage.select(n, k), SelectStats::default())
     }
@@ -393,7 +483,6 @@ pub fn imm_baseline_with_options(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ripples_diffusion::RrrCollection;
     use ripples_graph::generators::erdos_renyi;
     use ripples_graph::WeightModel;
 
@@ -549,8 +638,6 @@ mod tests {
     #[test]
     fn byte_peaks_track_max_across_batches() {
         let mut report = RunReport::new("test");
-        let mut collection = RrrCollection::new();
-        collection.push(&[0]);
         let big = BatchOutcome {
             arena_bytes: 4096,
             mask_bytes: 1024,
@@ -558,8 +645,7 @@ mod tests {
             lane_width_counts: vec![0, 2, 5],
             ..BatchOutcome::default()
         };
-        record_batch(&mut report, &collection, 0, &big);
-        collection.push(&[1]);
+        record_batch(&mut report, &big);
         let small = BatchOutcome {
             arena_bytes: 128,
             mask_bytes: 64,
@@ -567,7 +653,7 @@ mod tests {
             lane_width_counts: vec![0, 1],
             ..BatchOutcome::default()
         };
-        record_batch(&mut report, &collection, 1, &small);
+        record_batch(&mut report, &small);
         assert_eq!(report.counters.arena_bytes_peak, 4096);
         assert_eq!(report.counters.mask_bytes_peak, 1024);
         assert_eq!(report.counters.fused_passes, 5);

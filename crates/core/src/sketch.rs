@@ -46,8 +46,10 @@ pub fn build_resident_sketch(
     sample: SampleEngine,
     storage: StorageConfig,
 ) -> ResidentSketchBuild {
-    let (result, store) =
-        crate::seq::run_compact("sketch", graph, params, select, sample, storage, false);
+    let (result, store) = crate::seq::run_compact(
+        "sketch", graph, params, select, sample, storage, false, true,
+    );
+    let store = store.expect("a run told to keep its store keeps it");
     ResidentSketchBuild { store, result }
 }
 

@@ -38,6 +38,7 @@ pub fn log_binomial(n: u64, k: u64) -> f64 {
 #[derive(Clone, Copy, Debug)]
 pub struct ThetaSchedule {
     n: f64,
+    k: f64,
     epsilon: f64,
     eps_prime: f64,
     lambda_prime: f64,
@@ -74,6 +75,7 @@ impl ThetaSchedule {
         let lambda_star = 2.0 * nf * (one_minus_inv_e * alpha + beta).powi(2) / (epsilon * epsilon);
         Self {
             n: nf,
+            k: k as f64,
             epsilon,
             eps_prime,
             lambda_prime,
@@ -135,6 +137,26 @@ impl ThetaSchedule {
     pub fn final_theta(&self, lb: f64) -> usize {
         assert!(lb > 0.0, "lower bound must be positive, got {lb}");
         (self.lambda_star / lb).ceil() as usize
+    }
+
+    /// The largest sample population a run on this schedule can hold.
+    ///
+    /// Greedy's `k` seeds cover at least `k/n` of any samples: a sample no
+    /// seed covers still holds its root, an unselected vertex, so the next
+    /// seed covers at least `1/(n − i)` of the uncovered ones. `n·F ≥ k`
+    /// therefore passes every round `x` with `(1 + ε′)·n/2ˣ ≤ k`, so no run
+    /// goes past the first of them, and it bounds every certified
+    /// `LB = n·F/(1 + ε′)` below by `k/(1 + ε′)` (the fallback's `LB = k`
+    /// is larger). Both use `k/2` for `k`, a margin for the floating-point
+    /// `F` the driver compares.
+    #[must_use]
+    pub fn max_population(&self) -> usize {
+        let k = self.k / 2.0;
+        let last = (1..=self.max_rounds)
+            .find(|&x| self.round_succeeds(x, k / self.n))
+            .unwrap_or(self.max_rounds);
+        let theta = self.final_theta(k / (1.0 + self.eps_prime));
+        self.round_budget(last).max(theta)
     }
 
     /// Fallback θ when no estimation round certifies a bound: the paper and
@@ -274,6 +296,40 @@ mod tests {
                     );
                     prev = b;
                 }
+            }
+
+            /// No population the driver can hold passes `max_population`,
+            /// whatever coverage each round's greedy reaches (at least `k/n`
+            /// of the samples, which its seeds always cover).
+            #[test]
+            fn max_population_bounds_every_reachable_theta(
+                n in 2u64..200_000,
+                k_frac in 0.0f64..1.0,
+                epsilon in 0.05f64..0.95,
+                coverage in prop::collection::vec(0.0f64..=1.0, 32),
+            ) {
+                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+                let k = (1 + ((n - 1) as f64 * k_frac) as u64).min(n);
+                let s = ThetaSchedule::new(n, k, epsilon, 1.0);
+                let max = s.max_population();
+                let floor = k as f64 / n as f64;
+                let mut theta = s.fallback_theta(k);
+                for x in 1..=s.max_rounds() {
+                    prop_assert!(s.round_budget(x) <= max, "round {} of {}", x, s.max_rounds());
+                    let fraction = floor + (1.0 - floor) * coverage[x as usize % 32];
+                    if s.round_succeeds(x, fraction) {
+                        theta = s.final_theta(s.lower_bound(fraction));
+                        break;
+                    }
+                }
+                prop_assert!(theta <= max);
+            }
+
+            /// A schedule past the index's 32-bit sample ids says so.
+            #[test]
+            fn max_population_grows_past_u32_for_huge_graphs(epsilon in 0.01f64..0.05) {
+                let s = ThetaSchedule::new(1 << 31, 1, epsilon, 1.0);
+                prop_assert!(s.max_population() >= u32::MAX as usize);
             }
 
             /// The success threshold loosens monotonically with depth: a

@@ -108,12 +108,11 @@ pub fn tim_plus_with_storage(
                 let stop = report.span(SpanKind::Round(i), |report| {
                     if budget > collection.len() {
                         let need = budget - collection.len();
-                        let old_len = collection.len();
                         let outcome = report.span(SpanKind::Sample, |_| {
                             sampler.sample_batch(*next_index, need, collection)
                         });
                         *next_index += need as u64;
-                        crate::seq::record_batch(report, collection, old_len, &outcome);
+                        crate::seq::record_batch(report, &outcome);
                     }
                     report.counters.theta_rounds += 1;
                     report.counters.round_budgets.push(budget as u64);
@@ -162,12 +161,11 @@ pub fn tim_plus_with_storage(
     let theta = (lambda / kpt.max(1.0)).ceil() as usize;
     if theta > collection.len() {
         let need = theta - collection.len();
-        let old_len = collection.len();
         let collection_ref = &mut collection;
         let outcome = report.span(Phase::Sample, |_| {
             sampler.sample_batch(next_index, need, collection_ref)
         });
-        crate::seq::record_batch(&mut report, &collection, old_len, &outcome);
+        crate::seq::record_batch(&mut report, &outcome);
     }
     memory.observe_rrr(collection.resident_bytes());
 

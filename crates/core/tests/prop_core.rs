@@ -1,7 +1,9 @@
 //! Property-based tests for the core algorithm components.
 
 use proptest::prelude::*;
-use ripples_core::select::{select_seeds_sequential, select_with_engine};
+use ripples_core::select::{
+    select_from_index, select_seeds_sequential, select_with_engine, Selection,
+};
 use ripples_core::theta::{log_binomial, ThetaSchedule};
 use ripples_core::{select_with_engine_banned, SelectEngine};
 use ripples_diffusion::{
@@ -102,37 +104,55 @@ fn assert_index_matches_brute_force(
     Ok(())
 }
 
-/// The one selection property: over every store kind, every engine, at any
-/// owner count and from any ban mask, returns the `Selection` the
-/// sequential reference returns on the sketch with the banned vertices
+/// The ban masks every selection property runs: none, the one `ban_bits`
+/// spells, and every vertex.
+fn ban_masks(n: u32, ban_bits: u64) -> [Vec<bool>; 3] {
+    let random: Vec<bool> = (0..n).map(|v| ban_bits >> (v % 64) & 1 == 1).collect();
+    [vec![false; n as usize], random, vec![true; n as usize]]
+}
+
+/// What the sequential reference selects on `c` with the `banned` vertices
 /// deleted — from every set and from the vertex universe, the survivors
-/// renumbered in order; and all of them report the entries of the samples
-/// the seeds covered, with or without an index.
+/// renumbered in order — with the seeds numbered back.
+fn reference_selection(n: u32, c: &RrrCollection, k: u32, banned: &[bool]) -> Selection {
+    let kept: Vec<u32> = (0..n).filter(|&v| !banned[v as usize]).collect();
+    let renumbered: RrrCollection = c
+        .iter()
+        .map(|s| {
+            s.iter()
+                .filter_map(|v| kept.binary_search(v).ok().map(|i| i as u32))
+                .collect()
+        })
+        .collect();
+    let mut reference = select_seeds_sequential(&renumbered, kept.len() as u32, k);
+    for seed in &mut reference.seeds {
+        *seed = kept[*seed as usize];
+    }
+    reference
+}
+
+/// The one selection property: over every store kind, every engine, at any
+/// owner count and from any ban mask, returns the `Selection` of
+/// [`reference_selection`]. An index-free pass reports the entries of the
+/// samples the seeds covered; a pass over the index, the row entries it
+/// recounted, at least one row per seed.
 fn assert_every_route_agrees(
     n: u32,
     c: &RrrCollection,
     k: u32,
     ban_bits: u64,
 ) -> Result<(), TestCaseError> {
-    let random: Vec<bool> = (0..n).map(|v| ban_bits >> (v % 64) & 1 == 1).collect();
-    for banned in [vec![false; n as usize], random, vec![true; n as usize]] {
-        let kept: Vec<u32> = (0..n).filter(|&v| !banned[v as usize]).collect();
-        let renumbered: RrrCollection = c
-            .iter()
-            .map(|s| {
-                s.iter()
-                    .filter_map(|v| kept.binary_search(v).ok().map(|i| i as u32))
-                    .collect()
-            })
-            .collect();
-        let mut reference = select_seeds_sequential(&renumbered, kept.len() as u32, k);
-        for seed in &mut reference.seeds {
-            *seed = kept[*seed as usize];
-        }
+    for banned in ban_masks(n, ban_bits) {
+        let reference = reference_selection(n, c, k, &banned);
         let touched: u64 = (0..c.len())
             .filter(|&j| reference.seeds.iter().any(|s| c.get(j).contains(s)))
             .map(|j| c.get(j).len() as u64)
             .sum();
+        let rows = reference
+            .seeds
+            .iter()
+            .map(|s| c.iter().filter(|set| set.contains(s)).count() as u64)
+            .sum::<u64>();
         // Flat, and the compressed store resident and forced to disk.
         for (kind, budget) in [
             (RrrStoreKind::Flat, None),
@@ -156,15 +176,12 @@ fn assert_every_route_agrees(
                         engine,
                         owners
                     );
-                    prop_assert_eq!(
-                        stats.entries_touched,
-                        touched,
-                        "{:?}/{:?} store, engine {:?}, {} owners",
-                        kind,
-                        budget,
-                        engine,
-                        owners
-                    );
+                    let case = format!("{kind:?}/{budget:?} store, {engine:?}, {owners} owners");
+                    if stats.index_bytes == 0 {
+                        prop_assert_eq!(stats.entries_touched, touched, "{}", case);
+                    } else {
+                        prop_assert!(stats.entries_touched >= rows, "{}", case);
+                    }
                     match engine {
                         SelectEngine::Fused => prop_assert!(stats.index_bytes > 0),
                         SelectEngine::Auto => {}
@@ -207,6 +224,39 @@ proptest! {
         ban_bits in any::<u64>(),
     ) {
         assert_every_route_agrees(n, &c, k, ban_bits)?;
+    }
+
+    /// The lazy recount over the index alone is the sequential reference —
+    /// seeds, marginal gains, coverage — whatever the ties, bans and `k`
+    /// (up to past `n`), and however the index was grown: segments cut by a
+    /// lowered byte cap, from chunks absorbed at their global id offsets,
+    /// each chunk starting up to a few samples before what the index holds.
+    #[test]
+    fn lazy_recount_over_the_index_is_the_reference(
+        (n, c) in collection_strategy(),
+        k_past_n in 0u32..48,
+        ban_bits in any::<u64>(),
+        cuts in prop::collection::vec((any::<u64>(), 0usize..4), 0..6),
+        cap_factor in 1u32..4,
+        owners in 1usize..4,
+    ) {
+        let k = 1 + k_past_n % (n + 4);
+        let mut index = SampleIndex::with_segment_cap(n, n * cap_factor);
+        let mut ends: Vec<usize> = cuts.iter().map(|&(cut, _)| (cut % (c.len() as u64 + 1)) as usize).collect();
+        ends.sort_unstable();
+        ends.push(c.len());
+        for (&end, &(_, back)) in ends.iter().zip(cuts.iter().chain([&(0, 0)])) {
+            let base = index.absorbed_samples().saturating_sub(back);
+            let chunk: RrrCollection = (base..end.max(base)).map(|j| c.get(j).to_vec()).collect();
+            index.absorb_at(&chunk, base, owners);
+        }
+        prop_assert_eq!(index.absorbed_samples(), c.len());
+        for banned in ban_masks(n, ban_bits) {
+            let (selection, stats) = select_from_index(&index, k, &banned);
+            prop_assert_eq!(&selection, &reference_selection(n, &c, k, &banned));
+            let rows: u64 = selection.seeds.iter().map(|&s| u64::from(index.degree(s))).sum();
+            prop_assert!(stats.entries_touched >= rows);
+        }
     }
 
     /// Over a plain list collection every engine agrees at any owner count,

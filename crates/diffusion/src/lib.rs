@@ -45,7 +45,7 @@ pub use mixed::{MixedRrrCollection, RrrSetRef, SampleArena};
 pub use model::DiffusionModel;
 pub use partitioned::GraphPartition;
 pub use rrr::{generate_rrr, generate_rrr_into, RrrCollection, RrrScratch};
-pub use sample_index::SampleIndex;
+pub use sample_index::{SampleIndex, StagedIndex};
 pub use sampler::{
     ensure_lt_normalized, sample_batch, sample_batch_sequential, sample_root_of, BatchOutcome,
 };

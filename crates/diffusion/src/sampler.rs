@@ -20,6 +20,7 @@ use crate::model::DiffusionModel;
 use crate::rrr::{generate_rrr, generate_rrr_into, RrrScratch};
 use crate::store::RrrStore;
 use ripples_graph::{Graph, Vertex};
+use ripples_metrics::Histogram;
 use ripples_rng::StreamFactory;
 use ripples_trace::TraceName;
 use std::collections::VecDeque;
@@ -32,6 +33,10 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 pub struct BatchOutcome {
     /// In-edges examined over the batch's samples.
     pub edges_examined: u64,
+    /// Vertex counts of the batch's samples, read from each block before
+    /// it is appended: a store that keeps only the inverted index has no
+    /// sample-major copy to read them from afterwards.
+    pub set_sizes: Histogram,
     /// Samples each worker generated (one entry per worker that filled at
     /// least one block). Workers claim blocks as they free up, so the split
     /// depends on the schedule and varies from run to run; it always sums
@@ -68,6 +73,7 @@ impl BatchOutcome {
     /// scratch never coexists.
     pub fn absorb(&mut self, other: BatchOutcome) {
         self.edges_examined += other.edges_examined;
+        self.set_sizes.merge(&other.set_sizes);
         self.per_worker_samples
             .extend_from_slice(&other.per_worker_samples);
         self.arena_bytes = self.arena_bytes.max(other.arena_bytes);
@@ -285,15 +291,18 @@ impl Stream {
         }
     }
 
-    /// Appends the next block in index order to `out` and adds its work to
-    /// `work`, waiting until it is finished when `wait`; false when not
-    /// waiting and it is not finished.
-    fn merge_next<S: RrrStore>(&self, out: &mut S, work: &mut u64, wait: bool) -> bool {
+    /// Appends the next block in index order to `out` and adds its work
+    /// and set sizes to `outcome`, waiting until it is finished when `wait`;
+    /// false when not waiting and it is not finished.
+    fn merge_next<S: RrrStore>(&self, out: &mut S, outcome: &mut BatchOutcome, wait: bool) -> bool {
         let Some(block) = self.take_next(wait) else {
             return false;
         };
+        for set in block.arena.iter() {
+            outcome.set_sizes.record(set.len() as u64);
+        }
         out.append_arena(&block.arena);
-        *work += block.work;
+        outcome.edges_examined += block.work;
         self.pending().spare.push(block);
         true
     }
@@ -402,7 +411,6 @@ where
         block
     };
     let mut outcome = BatchOutcome::default();
-    let work = &mut outcome.edges_examined;
     let done: Vec<Worker<W>> = std::thread::scope(|s| {
         let helpers: Vec<_> = (1..workers)
             .map(|_| {
@@ -429,7 +437,7 @@ where
         };
         let mut merged = 0usize;
         loop {
-            while stream.merge_next(out, work, false) {
+            while stream.merge_next(out, &mut outcome, false) {
                 merged += 1;
             }
             let b = stream.cursor.fetch_add(1, Ordering::Relaxed);
@@ -437,14 +445,14 @@ where
                 break;
             }
             while b >= merged + window {
-                stream.merge_next(out, work, true);
+                stream.merge_next(out, &mut outcome, true);
                 merged += 1;
             }
             let spare = stream.pending().spare.pop();
             stream.finish(b, fill_block(&mut own, b, spare));
         }
         while merged < nblocks {
-            stream.merge_next(out, work, true);
+            stream.merge_next(out, &mut outcome, true);
             merged += 1;
         }
         let mut done = vec![own];
@@ -476,7 +484,9 @@ where
 }
 
 /// Sequential reference version of [`sample_batch`]; produces bitwise
-/// identical output (used by the serial baselines and by tests).
+/// identical output (used by the serial baselines and by tests). Pushes
+/// each sample straight into `out`, and ends the batch with
+/// `out.finish_batch()` as the streamed samplers do.
 pub fn sample_batch_sequential<S: RrrStore>(
     graph: &Graph,
     model: DiffusionModel,
@@ -504,8 +514,10 @@ pub fn sample_batch_sequential<S: RrrStore>(
         let (root, mut rng) = sample_root(graph, factory, index);
         let s = generate_rrr(graph, model, root, &mut rng, &mut scratch);
         out.push(&s.vertices);
+        outcome.set_sizes.record(s.vertices.len() as u64);
         outcome.edges_examined += s.edges_examined;
     }
+    out.finish_batch();
     outcome
 }
 

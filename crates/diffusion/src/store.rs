@@ -149,6 +149,16 @@ pub trait RrrStore {
         f(&index)
     }
 
+    /// Runs `f` over the inverted index the store keeps when that index
+    /// holds every stored sample, and over `None` otherwise. Unlike
+    /// [`RrrStore::with_sample_index`] it never builds or grows one.
+    fn with_current_index<R>(&self, f: impl FnOnce(Option<&SampleIndex>) -> R) -> R
+    where
+        Self: Sized,
+    {
+        f(None)
+    }
+
     /// The backend's kind tag.
     fn kind(&self) -> RrrStoreKind;
 }
@@ -845,9 +855,11 @@ enum DynStoreInner {
 /// and the serve mode over a sealed one for every query, so the first
 /// indexed pass builds it and each later one absorbs just the samples added
 /// since. The index is excluded from [`RrrStore::resident_bytes`] (and so
-/// from `--rrr-budget`) — it is selection working memory, reported through
+/// from `--rrr-budget`) — it is reported on its own, through
 /// `SelectStats::index_bytes` — and is not part of a snapshot: a restored
-/// service builds it on its first indexed query.
+/// service builds it on its first indexed query. A batch run that selects
+/// from the index alone hands it to a [`crate::StagedIndex`]
+/// ([`DynRrrStore::into_index`]) and drops the samples.
 #[derive(Debug)]
 pub struct DynRrrStore {
     inner: DynStoreInner,
@@ -907,6 +919,17 @@ impl DynRrrStore {
             .borrow()
             .as_ref()
             .map_or(0, SampleIndex::absorbed_samples)
+    }
+
+    /// Brings the inverted index up to date with up to `owners` interval
+    /// owners (building it if no indexed pass has) and returns it, dropping
+    /// the samples.
+    #[must_use]
+    pub fn into_index(self, num_vertices: u32, owners: usize) -> SampleIndex {
+        self.with_sample_index(num_vertices, owners, |_| ());
+        self.index_cache
+            .into_inner()
+            .expect("the index was just brought up to date")
     }
 
     /// Visits a spill-kind store's chunks in sample order (snapshot-write
@@ -1006,6 +1029,13 @@ impl RrrStore for DynRrrStore {
             DynStoreInner::Spill(store) => index.absorb(&Streamed(store), owners),
         }
         f(index)
+    }
+
+    fn with_current_index<R>(&self, f: impl FnOnce(Option<&SampleIndex>) -> R) -> R {
+        let cache = self.index_cache.borrow();
+        f(cache
+            .as_ref()
+            .filter(|index| index.absorbed_samples() == self.len()))
     }
 
     fn kind(&self) -> RrrStoreKind {

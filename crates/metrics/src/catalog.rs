@@ -170,7 +170,7 @@ catalog! {
         rrr_entries RrrEntries: Counter Sum STABLE FINAL ""
             "Total vertex entries stored across all RRR sets (globally, for the distributed engines)";
         rrr_bytes_peak RrrBytesPeak: Peak PerRank VARIES LIVE "bytes"
-            "Peak resident bytes of the RRR storage on this process";
+            "Peak resident bytes of the RRR storage on this process: the sample-major store, or for a run that selects from the inverted index alone the stage its samples wait in until the index absorbs them";
         theta_rounds ThetaRounds: Counter PerRank STABLE FINAL ""
             "EstimateTheta martingale rounds executed";
         theta_final ThetaFinal: Level PerRank STABLE FINAL ""
@@ -180,9 +180,9 @@ catalog! {
         unsorted_pushes UnsortedPushes: Counter Sum STABLE FINAL ""
             "Out-of-contract (unsorted) store pushes repaired by sorting; always 0 for the in-tree samplers";
         select_entries_touched SelectEntriesTouched: Counter Sum VARIES LIVE ""
-            "Collection entries walked by index-driven selection across all cover+decrement steps (globally, for the distributed engines); 0 for engines that scan rather than index";
+            "Entries selection read, summed over every pass: index-row entries recounted by a pass over the inverted index, or the entries of the samples each greedy step covered, which an index-free pass decrements (globally, for the distributed engines)";
         index_build_nanos IndexBuildNanos: Counter PerRank VARIES FINAL "ns"
-            "Wall time spent building selection inverted indexes, summed over every selection pass on this process";
+            "Wall time selection passes spent bringing the inverted index up to date, summed over every pass on this process; a run that selects from the index alone grows it while sampling, outside this count";
         index_bytes_peak IndexBytesPeak: Peak PerRank VARIES LIVE "bytes"
             "Peak resident bytes of a selection inverted index on this process";
         arena_bytes_peak ArenaBytesPeak: Peak PerRank VARIES LIVE "bytes"

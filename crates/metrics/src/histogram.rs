@@ -69,6 +69,16 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
+    /// Adds every observation of `other`.
+    pub fn merge(&mut self, other: &Histogram) {
+        for (slot, &c) in self.buckets.iter_mut().zip(&other.buckets) {
+            *slot += c;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        self.max = self.max.max(other.max);
+    }
+
     /// Number of observations.
     #[must_use]
     pub fn count(&self) -> u64 {

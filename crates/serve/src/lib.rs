@@ -47,8 +47,9 @@ pub use snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub struct QueryReport {
     /// Wall time of the query, nanoseconds.
     pub wall_nanos: u64,
-    /// RRR-index entries touched while answering (0 for `spread_estimate`,
-    /// which scans samples rather than an index).
+    /// Entries the query's greedy pass read (`SelectStats::entries_touched`:
+    /// index-row entries over the index, covered-sample entries without);
+    /// 0 for `spread_estimate`, which selects nothing.
     pub entries_touched: u64,
     /// Samples covered by the returned/evaluated seed set.
     pub covered: usize,
@@ -317,7 +318,9 @@ impl SketchService {
 
     /// Estimates the expected influence of an arbitrary seed set as
     /// `n · covered / θ` — the standard unbiased RRR estimator, answered
-    /// from the resident sketch without touching the graph.
+    /// from the resident sketch without touching the graph: the union of
+    /// the seeds' index rows once a query has brought the store's index up
+    /// to θ, one probe per sample and seed before.
     ///
     /// # Errors
     ///
