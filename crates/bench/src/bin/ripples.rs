@@ -24,6 +24,10 @@
 //! ripples --gen ba:2000:8 [--gen-seed S] ...   # synthetic BA / ER graphs
 //! ```
 //!
+//! A flag the chosen engine does not read (`--select`, `--sample`,
+//! `--threads`, `--ranks`, `--rrr-store`, `--chaos-seed`) is ignored with a
+//! `warning: --FLAG only affects the … engines` line on stderr.
+//!
 //! `--select` picks the greedy max-cover engine for the `opt` and `mt`
 //! engines (default `auto`, a cost-model dispatch between `fused` and
 //! `partitioned` — one engine body with and without an inverted index;
@@ -79,8 +83,7 @@
 //! 0.02). The same decorator (`FaultComm`) retries the failed attempts and
 //! degrades past a dead rank, so the run completes and prints a robustness
 //! summary (retries, dropped ops, degraded ranks); the same seed
-//! always reproduces the same faults. Other engines ignore the flags with a
-//! warning.
+//! always reproduces the same faults.
 
 use ripples_bench::{
     load_graph, parse_sample, parse_select, parse_storage, Args, GraphSourceError,
@@ -133,6 +136,20 @@ const ENGINES: [(&str, Engine); 7] = [
     ("sharded", Engine::Sharded),
     ("tim", Engine::Tim),
 ];
+
+/// The flags only some engines read, with the engines that read them; any
+/// other engine ignores the flag with a warning.
+const ENGINE_FLAGS: [(&str, &[Engine]); 6] = {
+    use Engine::{Dist, Mt, Opt, Partitioned, Sharded, Tim};
+    [
+        ("select", &[Opt, Mt]),
+        ("sample", &[Opt, Mt, Tim]),
+        ("threads", &[Mt]),
+        ("ranks", &[Dist, Partitioned, Sharded]),
+        ("rrr-store", &[Opt, Mt, Dist, Partitioned, Sharded, Tim]),
+        ("chaos-seed", &[Dist, Partitioned, Sharded]),
+    ]
+};
 
 /// `--engine TAG`, `mt` when absent; any other tag is a usage error that
 /// lists the ones that exist.
@@ -279,19 +296,6 @@ fn main() {
         .unwrap_or_else(|message| usage_error(&message));
     let interval = parse_interval(args.get("metrics-interval").unwrap_or("250ms"));
     let params = ImmParams::new(k, epsilon, model, seed);
-    let samples_rrr = matches!(engine, Engine::Opt | Engine::Mt | Engine::Tim);
-    let over_comm = matches!(engine, Engine::Dist | Engine::Partitioned | Engine::Sharded);
-    if args.get("sample").is_some() && !samples_rrr {
-        eprintln!("warning: --sample only affects the opt/mt/tim engines; ignoring");
-    }
-    if storage.budget.is_some() && storage.kind != RrrStoreKind::Spill {
-        eprintln!("warning: --rrr-budget only affects --rrr-store spill; ignoring");
-    }
-    if storage.kind != RrrStoreKind::Flat && !(samples_rrr || over_comm) {
-        eprintln!(
-            "warning: --rrr-store only affects the opt/mt/dist/partitioned/sharded/tim engines; ignoring"
-        );
-    }
 
     // Without --chaos-seed the plan is fault-free, and a `FaultComm` over a
     // fault-free plan is bitwise transparent.
@@ -300,10 +304,23 @@ fn main() {
         .unwrap_or_else(|message| usage_error(&message));
     let chaos_rate: f64 = flag_or(&args, "chaos-rate", 0.02);
     let plan = chaos_seed.map_or_else(FaultPlan::none, |seed| FaultPlan::chaos(seed, chaos_rate));
-    if chaos_seed.is_some() && !over_comm {
-        eprintln!(
-            "warning: --chaos-seed only affects the dist/partitioned/sharded engines; ignoring"
-        );
+
+    for (flag, readers) in ENGINE_FLAGS {
+        if args.flag(flag) && !readers.contains(&engine) {
+            let tags: Vec<&str> = ENGINES
+                .iter()
+                .filter(|(_, e)| readers.contains(e))
+                .map(|(tag, _)| *tag)
+                .collect();
+            let plural = if tags.len() > 1 { "s" } else { "" };
+            eprintln!(
+                "warning: --{flag} only affects the {} engine{plural}; ignoring",
+                tags.join("/")
+            );
+        }
+    }
+    if storage.budget.is_some() && storage.kind != RrrStoreKind::Spill {
+        eprintln!("warning: --rrr-budget only affects --rrr-store spill; ignoring");
     }
 
     let trace_path = args.get("trace").map(str::to_string);

@@ -9,7 +9,6 @@
 
 use rayon::prelude::*;
 use ripples_graph::{Graph, Vertex};
-use ripples_rng::SplitMix64;
 
 /// Per-source Brandes accumulation state.
 struct BrandesScratch {
@@ -76,42 +75,11 @@ impl BrandesScratch {
 /// Exact betweenness centrality (directed; unweighted shortest paths).
 #[must_use]
 pub fn betweenness_centrality(graph: &Graph) -> Vec<f64> {
-    let sources: Vec<Vertex> = (0..graph.num_vertices()).collect();
-    betweenness_from_sources(graph, &sources)
-}
-
-/// Pivot-sampled approximate betweenness: accumulates `pivots` random
-/// sources and rescales by `n / pivots`, the standard estimator.
-///
-/// Exact when `pivots >= n`.
-#[must_use]
-pub fn betweenness_centrality_sampled(graph: &Graph, pivots: u32, seed: u64) -> Vec<f64> {
-    let n = graph.num_vertices();
-    if pivots >= n {
-        return betweenness_centrality(graph);
-    }
-    let mut rng = SplitMix64::for_stream(seed, 0x4243);
-    // Sample pivots without replacement via partial Fisher–Yates.
-    let mut pool: Vec<Vertex> = (0..n).collect();
-    let mut sources = Vec::with_capacity(pivots as usize);
-    for i in 0..pivots as usize {
-        let j = i + rng.bounded_u64((n as usize - i) as u64) as usize;
-        pool.swap(i, j);
-        sources.push(pool[i]);
-    }
-    let mut scores = betweenness_from_sources(graph, &sources);
-    let scale = f64::from(n) / f64::from(pivots);
-    for s in &mut scores {
-        *s *= scale;
-    }
-    scores
-}
-
-fn betweenness_from_sources(graph: &Graph, sources: &[Vertex]) -> Vec<f64> {
     let n = graph.num_vertices() as usize;
     if n == 0 {
         return Vec::new();
     }
+    let sources: Vec<Vertex> = (0..graph.num_vertices()).collect();
     sources
         .par_chunks(64.max(sources.len() / 64))
         .map(|chunk| {
@@ -190,34 +158,6 @@ mod tests {
         assert!((bc[2] - 0.5).abs() < 1e-9);
         assert_eq!(bc[0], 0.0);
         assert_eq!(bc[3], 0.0);
-    }
-
-    #[test]
-    fn sampled_with_all_pivots_is_exact() {
-        let g = path5();
-        let exact = betweenness_centrality(&g);
-        let sampled = betweenness_centrality_sampled(&g, 5, 1);
-        for (a, b) in exact.iter().zip(&sampled) {
-            assert!((a - b).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn sampled_is_unbiased_ballpark() {
-        let g = path5();
-        let exact = betweenness_centrality(&g);
-        // Average many sampled runs; expectation matches the exact value.
-        let runs = 200;
-        let mut acc = [0.0; 5];
-        for r in 0..runs {
-            let s = betweenness_centrality_sampled(&g, 2, r);
-            for (a, b) in acc.iter_mut().zip(&s) {
-                *a += b / f64::from(runs as u32);
-            }
-        }
-        for (a, e) in acc.iter().zip(&exact) {
-            assert!((a - e).abs() < 1.5, "mean {a} vs exact {e}");
-        }
     }
 
     #[test]

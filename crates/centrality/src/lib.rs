@@ -6,27 +6,21 @@
 //! rank-biased overlap. This crate provides those comparators from scratch:
 //!
 //! * [`degree`] — degree rankings.
-//! * [`betweenness`] — Brandes' exact algorithm (parallel over sources) and
-//!   a pivot-sampled approximation for larger graphs.
-//! * [`closeness`] — BFS-based closeness centrality.
+//! * [`betweenness`] — Brandes' exact algorithm (parallel over sources).
 //! * [`rbo`] — rank-biased overlap (Webber et al.), the measure the paper
 //!   uses to validate IMMOPT against the reference implementation.
-//! * [`overlap`] — plain top-k intersection/Jaccard helpers.
+//! * [`overlap`] — plain top-k intersection count.
 
 #![warn(missing_docs)]
 
 pub mod betweenness;
-pub mod closeness;
 pub mod degree;
 pub mod overlap;
-pub mod pagerank;
 pub mod rbo;
 
-pub use betweenness::{betweenness_centrality, betweenness_centrality_sampled};
-pub use closeness::closeness_centrality;
+pub use betweenness::betweenness_centrality;
 pub use degree::{degree_ranking, DegreeKind};
-pub use overlap::{jaccard_top_k, top_k_overlap};
-pub use pagerank::pagerank;
+pub use overlap::top_k_overlap;
 pub use rbo::rank_biased_overlap;
 
 /// Returns vertex ids sorted by descending score, ties broken by id so the

@@ -1,4 +1,4 @@
-//! Plain top-k set-overlap helpers used by the §5 case-study comparison
+//! Plain top-k set overlap, as used by the §5 case-study comparison
 //! ("nine of them (9/30, 30%) were also predicted by IMM…").
 
 use std::collections::HashSet;
@@ -10,19 +10,6 @@ pub fn top_k_overlap(a: &[u32], b: &[u32], k: usize) -> usize {
     b.iter().take(k).filter(|v| ka.contains(v)).count()
 }
 
-/// Jaccard similarity of the two top-`k` prefixes.
-#[must_use]
-pub fn jaccard_top_k(a: &[u32], b: &[u32], k: usize) -> f64 {
-    let sa: HashSet<u32> = a.iter().take(k).copied().collect();
-    let sb: HashSet<u32> = b.iter().take(k).copied().collect();
-    if sa.is_empty() && sb.is_empty() {
-        return 1.0;
-    }
-    let inter = sa.intersection(&sb).count() as f64;
-    let union = sa.union(&sb).count() as f64;
-    inter / union
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -32,14 +19,6 @@ mod tests {
         assert_eq!(top_k_overlap(&[1, 2, 3, 4], &[3, 4, 5, 6], 4), 2);
         assert_eq!(top_k_overlap(&[1, 2, 3, 4], &[3, 4, 5, 6], 2), 0);
         assert_eq!(top_k_overlap(&[], &[1], 3), 0);
-    }
-
-    #[test]
-    fn jaccard_values() {
-        assert!((jaccard_top_k(&[1, 2], &[1, 2], 2) - 1.0).abs() < 1e-12);
-        assert!((jaccard_top_k(&[1, 2], &[3, 4], 2)).abs() < 1e-12);
-        assert!((jaccard_top_k(&[1, 2], &[2, 3], 2) - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(jaccard_top_k(&[], &[], 5), 1.0);
     }
 
     #[test]

@@ -62,7 +62,6 @@
 
 #![warn(missing_docs)]
 
-pub mod api;
 pub mod celf;
 pub mod dist;
 pub mod dist_partitioned;
@@ -83,7 +82,6 @@ pub mod sketch;
 pub mod theta;
 pub mod tim;
 
-pub use api::maximize_influence;
 pub use memory::MemoryStats;
 pub use obs::RunReport;
 pub use params::ImmParams;
@@ -95,3 +93,15 @@ pub use select::{
     SelectEngine, SelectStats,
 };
 pub use sketch::{build_resident_sketch, ResidentSketchBuild};
+
+/// Runs influence maximization with the recommended engine (multithreaded
+/// IMM on all available cores) and returns the seed set plus full
+/// instrumentation; the quickstart above calls it.
+///
+/// Equivalent to `mt::imm_multithreaded(graph, params, 0)`; call the
+/// module-level entry points when you need a specific engine, thread
+/// count, or communicator.
+#[must_use]
+pub fn maximize_influence(graph: &ripples_graph::Graph, params: &ImmParams) -> ImmResult {
+    mt::imm_multithreaded(graph, params, 0)
+}

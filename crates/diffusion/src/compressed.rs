@@ -7,8 +7,8 @@
 //! *sorted by vertex id*, consecutive gaps are small and LEB128-varint
 //! delta coding shrinks the arena by another 2–3× on typical inputs — at
 //! the price of sequential-only access (no binary search inside a sample).
-//! `benches/ablation_compression.rs` quantifies the trade against
-//! [`crate::RrrCollection`].
+//! `store`'s `compressed_backends_shrink_storage` test checks the trade
+//! against [`crate::RrrCollection`] (2.36× on the cit-HepTh stand-in).
 //!
 //! The codec has one container, the chunked [`crate::SpillRrrStore`]
 //! (`--rrr-store spill`), which also spills sealed chunks to disk past a

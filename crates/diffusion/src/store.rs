@@ -1156,25 +1156,62 @@ mod tests {
 
     #[test]
     fn compressed_backends_shrink_storage() {
+        use ripples_graph::{generators::standin, WeightModel};
+        use ripples_rng::StreamFactory;
+        fn varint_bytes_of<'a>(sets: impl Iterator<Item = &'a [Vertex]>) -> usize {
+            let mut varint = SpillRrrStore::new(SpillRrrStore::DEFAULT_BUDGET);
+            for set in sets {
+                RrrStore::push(&mut varint, set);
+            }
+            RrrStore::resident_bytes(&varint)
+        }
         // Clustered sorted ids: the flat layout pays 4 bytes per entry,
         // varint gaps mostly 1 byte.
         let n = 1 << 14;
+        let clustered: Vec<Vec<Vertex>> = (0..400u32)
+            .map(|base| {
+                let mut set: Vec<Vertex> = (0..48).map(|i| (base * 7 + i * 3) % n).collect();
+                set.sort_unstable();
+                set.dedup();
+                set
+            })
+            .collect();
         let mut flat = MixedRrrCollection::new(n);
-        let mut varint = SpillRrrStore::new(SpillRrrStore::DEFAULT_BUDGET);
-        for base in 0..400u32 {
-            let mut set: Vec<Vertex> = (0..48).map(|i| (base * 7 + i * 3) % n).collect();
-            set.sort_unstable();
-            set.dedup();
-            RrrStore::push(&mut flat, &set);
-            RrrStore::push(&mut varint, &set);
+        for set in &clustered {
+            RrrStore::push(&mut flat, set);
         }
         assert!(flat.as_flat().is_some(), "48 of 16384 is a list");
-        let f = RrrStore::resident_bytes(&flat);
-        assert!(
-            RrrStore::resident_bytes(&varint) * 2 < f,
-            "varint {} not ≪ flat {f}",
-            RrrStore::resident_bytes(&varint)
-        );
+        // The figure EXPERIMENTS.md § "Beyond the paper" quotes: 3 000 IC
+        // samples of the cit-HepTh stand-in with uniform probabilities, in
+        // the paper's compact list layout, take 5 023 684 bytes against
+        // 2 129 920 as varints (2.36×; growth slack counted on both sides).
+        let graph =
+            standin("cit-HepTh")
+                .unwrap()
+                .build(32, WeightModel::UniformRandom { seed: 8 }, false);
+        let mut plain = RrrCollection::new();
+        let factory = StreamFactory::new(21);
+        let ic = crate::DiffusionModel::IndependentCascade;
+        crate::sample_batch_sequential(&graph, ic, &factory, 0, 3_000, &mut plain);
+        for (label, plain_bytes, varint_bytes, min_ratio) in [
+            (
+                "clustered",
+                RrrStore::resident_bytes(&flat),
+                varint_bytes_of(clustered.iter().map(Vec::as_slice)),
+                2.0,
+            ),
+            (
+                "cit-HepTh",
+                plain.resident_bytes(),
+                varint_bytes_of(plain.iter()),
+                2.35,
+            ),
+        ] {
+            assert!(
+                varint_bytes as f64 * min_ratio < plain_bytes as f64,
+                "{label}: varint {varint_bytes} not {min_ratio}× below flat {plain_bytes}"
+            );
+        }
     }
 
     #[test]

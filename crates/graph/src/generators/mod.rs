@@ -12,14 +12,12 @@ pub mod coexpression;
 pub mod erdos_renyi;
 pub mod rmat;
 pub mod snap_standins;
-pub mod watts_strogatz;
 
 pub use barabasi_albert::barabasi_albert;
 pub use coexpression::{coexpression, CoexpressionConfig};
 pub use erdos_renyi::erdos_renyi;
 pub use rmat::{rmat, RmatConfig};
 pub use snap_standins::{standin, standin_catalog, StandinSpec};
-pub use watts_strogatz::watts_strogatz;
 
 use crate::builder::GraphBuilder;
 use crate::csr::Graph;

@@ -13,8 +13,8 @@
 //!   readjusted such that the sum of the probabilities of traversing one of
 //!   the neighboring edges and of not traversing any of them, is one").
 //! * [`generators`] — deterministic synthetic network generators
-//!   (Erdős–Rényi, Barabási–Albert, R-MAT, Watts–Strogatz, a modular
-//!   "co-expression" generator for the paper's biology case study) and the
+//!   (Erdős–Rényi, Barabási–Albert, R-MAT, a modular "co-expression"
+//!   generator for the paper's biology case study) and the
 //!   [`generators::snap_standins`] catalogue: scaled-down analogues of the
 //!   eight SNAP graphs in the paper's Table 2.
 //! * [`io`] — SNAP-style edge-list text I/O and a compact binary format.
@@ -22,13 +22,12 @@
 //!   ghost-vertex tables, the substrate of the graph-sharded distributed
 //!   engine.
 //! * [`stats`] — the Table 2 summary statistics (n, m, average/max degree).
-//! * [`traversal`] — plain BFS and weakly-connected components, used by
-//!   tests and the generators.
+//! * [`traversal`] — weakly-connected components, which the co-expression
+//!   generator's test uses to check the network is connected.
 
 #![warn(missing_docs)]
 
 pub mod builder;
-pub mod clustering;
 pub mod csr;
 pub mod generators;
 pub mod io;
@@ -40,7 +39,6 @@ pub mod types;
 pub mod weights;
 
 pub use builder::GraphBuilder;
-pub use clustering::{global_clustering_coefficient, triangle_count};
 pub use csr::Graph;
 pub use partition::{ChunkView, VertexCutShard};
 pub use permute::{permute_graph, Permutation};

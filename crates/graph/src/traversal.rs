@@ -1,60 +1,13 @@
-//! Deterministic traversals: BFS and weakly-connected components.
+//! Deterministic traversal: weakly-connected components.
 //!
-//! These are *non-probabilistic* utilities used by tests, generators, and
-//! the centrality crate; the probabilistic BFS variants at the heart of the
-//! paper live in `ripples-diffusion`.
+//! A *non-probabilistic* utility; the co-expression generator's test uses
+//! it to check that the network is connected. The probabilistic BFS
+//! variants at the heart of the paper live in `ripples-diffusion`, and the
+//! Brandes BFS in `ripples-centrality`.
 
 use crate::csr::Graph;
 use crate::types::Vertex;
 use std::collections::VecDeque;
-
-/// Breadth-first search over out-edges from `source`.
-///
-/// Returns the BFS distance for every vertex (`u32::MAX` when unreachable).
-#[must_use]
-pub fn bfs_distances(graph: &Graph, source: Vertex) -> Vec<u32> {
-    let n = graph.num_vertices() as usize;
-    let mut dist = vec![u32::MAX; n];
-    if n == 0 {
-        return dist;
-    }
-    assert!((source as usize) < n, "source vertex out of range");
-    let mut queue = VecDeque::new();
-    dist[source as usize] = 0;
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u as usize];
-        for &v in graph.out_neighbors(u) {
-            if dist[v as usize] == u32::MAX {
-                dist[v as usize] = du + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    dist
-}
-
-/// The set of vertices reachable from `source` over out-edges (including
-/// `source`), in BFS discovery order.
-#[must_use]
-pub fn reachable_from(graph: &Graph, source: Vertex) -> Vec<Vertex> {
-    let n = graph.num_vertices() as usize;
-    let mut seen = vec![false; n];
-    let mut order = Vec::new();
-    let mut queue = VecDeque::new();
-    seen[source as usize] = true;
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        order.push(u);
-        for &v in graph.out_neighbors(u) {
-            if !seen[v as usize] {
-                seen[v as usize] = true;
-                queue.push_back(v);
-            }
-        }
-    }
-    order
-}
 
 /// Labels weakly-connected components (edges treated as undirected).
 ///
@@ -95,31 +48,6 @@ mod tests {
     use super::*;
     use crate::GraphBuilder;
 
-    fn path_graph(n: u32) -> Graph {
-        let mut b = GraphBuilder::new(n);
-        for u in 0..n.saturating_sub(1) {
-            b.add_edge(u, u + 1, 1.0).unwrap();
-        }
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn bfs_on_path() {
-        let g = path_graph(5);
-        let d = bfs_distances(&g, 0);
-        assert_eq!(d, vec![0, 1, 2, 3, 4]);
-        // Directed: nothing reaches back to 0.
-        let d2 = bfs_distances(&g, 2);
-        assert_eq!(d2, vec![u32::MAX, u32::MAX, 0, 1, 2]);
-    }
-
-    #[test]
-    fn reachable_set() {
-        let g = path_graph(4);
-        assert_eq!(reachable_from(&g, 1), vec![1, 2, 3]);
-        assert_eq!(reachable_from(&g, 3), vec![3]);
-    }
-
     #[test]
     fn components_on_disjoint_paths() {
         let mut b = GraphBuilder::new(6);
@@ -150,7 +78,6 @@ mod tests {
     #[test]
     fn empty_graph_traversals() {
         let g = GraphBuilder::new(0).build().unwrap();
-        assert!(bfs_distances(&g, 0).is_empty());
         let (labels, count) = weakly_connected_components(&g);
         assert!(labels.is_empty());
         assert_eq!(count, 0);

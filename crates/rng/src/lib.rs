@@ -17,8 +17,7 @@
 //! * [`SplitMix64`] — a fast seeding/stream-derivation generator used to
 //!   derive statistically independent per-sample generators, which makes
 //!   every Ripples result *independent of the number of ranks/threads* (a
-//!   stronger reproducibility property than leap-frog; both are provided and
-//!   benchmarked against each other in `ripples-bench`).
+//!   stronger reproducibility property than leap-frog; both are provided).
 //! * [`distributions`] — the small set of distributions the algorithms need:
 //!   uniform `f64` in `[0,1)`, Bernoulli trials, and unbiased bounded
 //!   integers (Lemire rejection sampling).

@@ -180,7 +180,8 @@ fn weight_models_survive_extreme_graphs() {
 /// A flag the user got wrong is `error: …` plus the usage line and exit
 /// status 2 — never a panic — and a removed `--rrr-store` value says what
 /// replaced it, in both binaries. An unknown or removed `--engine` tag
-/// lists exactly the engines README.md lists.
+/// lists exactly the engines README.md lists. A flag the engine ignores
+/// warns.
 #[test]
 fn cli_usage_errors_exit_2_and_never_panic() {
     let run = |exe: &str, flags: &[&str]| {
@@ -246,6 +247,24 @@ fn cli_usage_errors_exit_2_and_never_panic() {
                 .map(|(tags, _)| tags.split('|').collect::<Vec<_>>());
             assert_eq!(listed, Some(engines.clone()), "{flags:?}: {stderr}");
         }
+    }
+    // A flag the chosen engine does not read is a warning, never silence
+    // and never an error.
+    for flags in [
+        &["--engine", "tim", "--select", "fused"][..],
+        &["--engine", "dist", "--select", "fused"],
+        &["--engine", "baseline", "--select", "fused"],
+        &["--engine", "baseline", "--sample", "fused"],
+        &["--engine", "opt", "--threads", "2"],
+        &["--engine", "dist", "--threads", "2"],
+        &["--engine", "mt", "--ranks", "3"],
+        &["--engine", "baseline", "--rrr-store", "spill"],
+        &["--engine", "mt", "--chaos-seed", "3"],
+    ] {
+        let (code, stderr) = run(ripples, &[flags, &["--k", "2"]].concat());
+        assert_eq!(code, Some(0), "{flags:?}: {stderr}");
+        let warning = format!("warning: {} only affects", flags[2]);
+        assert!(stderr.contains(&warning), "{flags:?}: {stderr}");
     }
     // A mistyped or removed engine tag is reported before the graph is
     // loaded (`ripples` prints the graph's statistics right after loading),

@@ -7,7 +7,7 @@ use ripples_core::celf::celf_greedy;
 use ripples_core::seq::immopt_sequential;
 use ripples_core::ImmParams;
 use ripples_diffusion::{estimate_spread, DiffusionModel};
-use ripples_graph::generators::{barabasi_albert, erdos_renyi};
+use ripples_graph::generators::{barabasi_albert, erdos_renyi, standin};
 use ripples_graph::WeightModel;
 use ripples_rng::StreamFactory;
 
@@ -122,16 +122,31 @@ fn imm_beats_or_matches_degree_discount() {
 
 #[test]
 fn tim_plus_needs_more_samples_for_same_guarantee() {
-    // The predecessor comparison at integration scale.
+    // The predecessor comparison at integration scale, and the figure
+    // EXPERIMENTS.md § "Beyond the paper" quotes: on the cit-HepTh stand-in
+    // TIM⁺ draws 7 940 samples against IMM's 2 097 (3.79×).
     use ripples_core::tim::tim_plus;
-    let g = barabasi_albert(1000, 3, WeightModel::UniformRandom { seed: 4 }, false, 12);
-    let p = ImmParams::new(10, 0.5, DiffusionModel::IndependentCascade, 5);
-    let tim = tim_plus(&g, &p);
-    let imm = immopt_sequential(&g, &p);
-    assert!(
-        tim.theta as f64 > 1.5 * imm.theta as f64,
-        "expected TIM θ ({}) ≫ IMM θ ({})",
-        tim.theta,
-        imm.theta
-    );
+    let ic = DiffusionModel::IndependentCascade;
+    let hep_th = standin("cit-HepTh").unwrap();
+    for (g, p, min_ratio) in [
+        (
+            barabasi_albert(1000, 3, WeightModel::UniformRandom { seed: 4 }, false, 12),
+            ImmParams::new(10, 0.5, ic, 5),
+            1.5,
+        ),
+        (
+            hep_th.build(32, WeightModel::UniformRandom { seed: 4 }, false),
+            ImmParams::new(20, 0.5, ic, 2),
+            3.78,
+        ),
+    ] {
+        let tim = tim_plus(&g, &p);
+        let imm = immopt_sequential(&g, &p);
+        assert!(
+            tim.theta as f64 > min_ratio * imm.theta as f64,
+            "expected TIM θ ({}) > {min_ratio} × IMM θ ({})",
+            tim.theta,
+            imm.theta
+        );
+    }
 }
