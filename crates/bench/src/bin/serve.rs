@@ -125,6 +125,12 @@ fn error_frame(msg: &str) -> String {
     format!("{{\"ok\":false,\"error\":\"{}\"}}", escape(msg))
 }
 
+/// A JSON number that is an integer in `0..=u32::MAX`, as a `u32`.
+fn as_u32(x: Option<f64>) -> Option<u32> {
+    x.filter(|f| f.fract() == 0.0 && *f >= 0.0 && *f <= f64::from(u32::MAX))
+        .map(|f| f as u32)
+}
+
 /// Extracts a `u32` vertex list from a JSON array field.
 fn vertex_list(v: &Value, field: &str) -> Result<Vec<Vertex>, String> {
     let arr = v
@@ -133,12 +139,15 @@ fn vertex_list(v: &Value, field: &str) -> Result<Vec<Vertex>, String> {
         .ok_or_else(|| format!("`{field}` must be an array of vertex ids"))?;
     arr.iter()
         .map(|x| {
-            x.as_f64()
-                .filter(|f| f.fract() == 0.0 && *f >= 0.0 && *f <= f64::from(u32::MAX))
-                .map(|f| f as Vertex)
-                .ok_or_else(|| format!("`{field}` entries must be non-negative integers"))
+            as_u32(x.as_f64())
+                .ok_or_else(|| format!("`{field}` entries must be integers in 0..={}", u32::MAX))
         })
         .collect()
+}
+
+/// The request's `k`.
+fn k_of(req: &Value) -> Result<u32, String> {
+    as_u32(req.num("k")).ok_or_else(|| format!("`k` must be an integer in 0..={}", u32::MAX))
 }
 
 /// Answers one request line; always returns a single JSON frame. `quit`
@@ -157,38 +166,30 @@ fn handle_line(svc: &mut SketchService, line: &str) -> (String, bool) {
         None => return (error_frame("missing `op` field"), false),
     };
     let frame = match op.as_str() {
-        "topk" => {
-            let k = req.num("k").filter(|f| f.fract() == 0.0 && *f >= 0.0);
-            match k {
-                None => error_frame("`k` must be a non-negative integer"),
-                Some(k) => match svc.topk(k as u32) {
-                    Ok((seeds, r)) => format!(
-                        "{{\"ok\":true,\"op\":\"topk\",\"k\":{},\"seeds\":{},{}}}",
-                        k as u32,
-                        render_seeds(&seeds),
-                        report_fields(&r)
-                    ),
-                    Err(e) => error_frame(&e.to_string()),
-                },
-            }
-        }
-        "topk_excluding" => {
-            let k = req.num("k").filter(|f| f.fract() == 0.0 && *f >= 0.0);
-            let banned = vertex_list(&req, "banned");
-            match (k, banned) {
-                (None, _) => error_frame("`k` must be a non-negative integer"),
-                (_, Err(e)) => error_frame(&e),
-                (Some(k), Ok(banned)) => match svc.topk_excluding(k as u32, &banned) {
-                    Ok((seeds, r)) => format!(
-                        "{{\"ok\":true,\"op\":\"topk_excluding\",\"k\":{},\"seeds\":{},{}}}",
-                        k as u32,
-                        render_seeds(&seeds),
-                        report_fields(&r)
-                    ),
-                    Err(e) => error_frame(&e.to_string()),
-                },
-            }
-        }
+        "topk" => match k_of(&req) {
+            Err(e) => error_frame(&e),
+            Ok(k) => match svc.topk(k) {
+                Ok((seeds, r)) => format!(
+                    "{{\"ok\":true,\"op\":\"topk\",\"k\":{},\"seeds\":{},{}}}",
+                    k,
+                    render_seeds(&seeds),
+                    report_fields(&r)
+                ),
+                Err(e) => error_frame(&e.to_string()),
+            },
+        },
+        "topk_excluding" => match (k_of(&req), vertex_list(&req, "banned")) {
+            (Err(e), _) | (_, Err(e)) => error_frame(&e),
+            (Ok(k), Ok(banned)) => match svc.topk_excluding(k, &banned) {
+                Ok((seeds, r)) => format!(
+                    "{{\"ok\":true,\"op\":\"topk_excluding\",\"k\":{},\"seeds\":{},{}}}",
+                    k,
+                    render_seeds(&seeds),
+                    report_fields(&r)
+                ),
+                Err(e) => error_frame(&e.to_string()),
+            },
+        },
         "spread" => match vertex_list(&req, "seeds") {
             Err(e) => error_frame(&e),
             Ok(seeds) => match svc.spread_estimate(&seeds) {

@@ -83,10 +83,9 @@ pub(crate) fn record_store_counters<S: RrrStore>(report: &mut RunReport, store: 
     report.counters.unsorted_pushes = store.unsorted_pushes();
     report.counters.spill_bytes_written = store.spill_bytes_written();
     report.counters.spill_write_failures = store.spill_write_failures();
-    if let Some(mixed) = store.as_mixed() {
-        report.counters.rrr_sets_bitmap = mixed.bitmap_sets();
-        report.counters.rrr_bitmap_bytes = mixed.bitmap_bytes();
-    }
+    let (bitmap_sets, bitmap_bytes) = store.bitmap_counts();
+    report.counters.rrr_sets_bitmap = bitmap_sets;
+    report.counters.rrr_bitmap_bytes = bitmap_bytes;
 }
 
 /// The counters accumulated over a run's selection passes (`decode_nanos`

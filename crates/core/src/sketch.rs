@@ -49,7 +49,6 @@ pub fn build_resident_sketch(
     let (result, store) = crate::seq::run_compact(
         "sketch", graph, params, select, sample, storage, false, true,
     );
-    let store = store.expect("a run told to keep its store keeps it");
     ResidentSketchBuild { store, result }
 }
 

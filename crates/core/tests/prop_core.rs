@@ -297,7 +297,7 @@ proptest! {
     /// The vertex → samples direction of the paper's "hypergraph": however
     /// the samples reach whichever store, and however many `absorb` calls
     /// read them (an empty one, ones small enough to be folded into the
-    /// next), a row holds exactly the samples containing the vertex,
+    /// next, the ones a store makes as each batch ends), a row holds exactly the samples containing the vertex,
     /// ascending, the degree is the row's length, and the index stays
     /// within twice its rows plus one table and the degrees.
     #[test]
@@ -332,6 +332,19 @@ proptest! {
                 Some(flat) => prop_assert!(flat.bitmap_sets() > 0),
                 // A byte or more per entry: a kibibyte of them seals a chunk.
                 None => prop_assert!(store.spill_bytes_written() > 0 || c.total_entries() < 1024),
+            }
+            // Built first, then grown by the batches alone: every batch's end
+            // absorbs its samples, with no selection in between.
+            let mut store = DynRrrStore::new(config, n);
+            (0..cuts[0]).for_each(|j| store.push(c.get(j)));
+            store.with_sample_index(n, 2, |_| ());
+            for &cut in &cuts[1..] {
+                (store.len()..cut).for_each(|j| store.push(c.get(j)));
+                store.finish_batch();
+                store.with_current_index(|index| {
+                    prop_assert!(index.is_some(), "no current index after {} samples", cut);
+                    assert_index_matches_brute_force(index.expect("just checked"), n, &c, cut)
+                })?;
             }
         }
     }

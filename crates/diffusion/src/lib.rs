@@ -21,8 +21,8 @@
 //! with sets above n/32 vertices kept as bitmaps. Selection may ask the
 //! store for the one inverted index ([`sample_index::SampleIndex`]:
 //! gap-varint rows, 1–2 bytes per association), which
-//! [`store::DynRrrStore`] keeps across passes and grows by the samples
-//! added since.
+//! [`store::DynRrrStore`] builds at the first indexed pass, grows as each
+//! later batch ends, and alone keeps once a run releases its samples.
 
 #![warn(missing_docs)]
 
@@ -45,7 +45,7 @@ pub use mixed::{MixedRrrCollection, RrrSetRef, SampleArena};
 pub use model::DiffusionModel;
 pub use partitioned::GraphPartition;
 pub use rrr::{generate_rrr, generate_rrr_into, RrrCollection, RrrScratch};
-pub use sample_index::{SampleIndex, StagedIndex};
+pub use sample_index::SampleIndex;
 pub use sampler::{
     ensure_lt_normalized, sample_batch, sample_batch_sequential, sample_root_of, BatchOutcome,
 };

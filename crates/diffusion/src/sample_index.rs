@@ -16,8 +16,7 @@
 
 use crate::compressed::{read_varint, varint_len, write_varint};
 use crate::intervals::IntervalSets;
-use crate::mixed::{MixedRrrCollection, SampleArena};
-use crate::store::{DynRrrStore, RrrStore, RrrStoreKind};
+use crate::store::RrrStore;
 use ripples_graph::Vertex;
 
 /// The rows of one run of consecutive samples.
@@ -386,200 +385,14 @@ impl SampleIndex {
     }
 }
 
-/// A sample store that keeps the inverted index and nothing else: what a
-/// run whose every selection pass reads only the index needs (§3.1's
-/// argument against storing each association twice, taken to the end).
-///
-/// Samples appended by the samplers wait in a bounded stage, a flat-kind
-/// collection of at most [`StagedIndex::ENTRIES_PER_VERTEX`]` · (n + 1)`
-/// entries (or one block, when a single block holds more). A full stage,
-/// and the stage at the end of every batch, is absorbed into the index at
-/// its global sample ids and cleared, so the index grows while sampling
-/// runs and no sample-major copy of the population ever exists. The read
-/// methods of [`RrrStore`] reach only the staged samples: sample `i` below
-/// [`SampleIndex::absorbed_samples`] is in the index alone, and asking the
-/// store for it panics.
-#[derive(Debug)]
-pub struct StagedIndex {
-    index: SampleIndex,
-    /// The samples from global id `index.absorbed_samples()` on.
-    staged: MixedRrrCollection,
-    staged_entries: u64,
-    /// Entries the stage holds before it is absorbed.
-    stage_limit: u64,
-    /// Interval owners of each absorb.
-    owners: usize,
-    /// Counters of the absorbed samples; the stage adds its own.
-    absorbed_entries: u64,
-    unsorted_pushes: u64,
-    bitmap_sets: u64,
-    bitmap_bytes: u64,
-}
-
-impl StagedIndex {
-    /// Staged entries per vertex. At one byte or more per entry, a segment
-    /// absorbed from a full stage holds at least twice its `4·(n + 1)`-byte
-    /// offsets table in rows, so the tables stay a minor share of the index
-    /// at any θ. A larger stage saves less table than it costs itself: on a
-    /// 200 000-vertex sparse IC run, 16 per vertex held 4 MB less index and
-    /// 12 MB more stage than 8, and 4 held 8 MB more index.
-    pub const ENTRIES_PER_VERTEX: u64 = 8;
-
-    /// Takes over `store`'s inverted index, brought up to date with up to
-    /// `owners` interval owners (built if no indexed pass has), and drops
-    /// its samples; later absorbs use `owners` owners as well.
-    #[must_use]
-    pub fn from_store(store: DynRrrStore, num_vertices: u32, owners: usize) -> Self {
-        let mixed = store.as_mixed();
-        Self {
-            staged: MixedRrrCollection::new(num_vertices),
-            staged_entries: 0,
-            stage_limit: Self::ENTRIES_PER_VERTEX * (u64::from(num_vertices) + 1),
-            owners,
-            absorbed_entries: store.total_entries(),
-            unsorted_pushes: store.unsorted_pushes(),
-            bitmap_sets: mixed.map_or(0, MixedRrrCollection::bitmap_sets),
-            bitmap_bytes: mixed.map_or(0, MixedRrrCollection::bitmap_bytes),
-            index: store.into_index(num_vertices, owners),
-        }
-    }
-
-    /// Samples that were held as bitmaps while staged (the flat store's
-    /// density rule).
-    #[must_use]
-    pub fn bitmap_sets(&self) -> u64 {
-        self.bitmap_sets + self.staged.bitmap_sets()
-    }
-
-    /// Payload bytes those bitmaps took while staged.
-    #[must_use]
-    pub fn bitmap_bytes(&self) -> u64 {
-        self.bitmap_bytes + self.staged.bitmap_bytes()
-    }
-
-    /// Absorbs the stage first if `entries` more would overfill it.
-    fn make_room(&mut self, entries: u64) {
-        if self.staged_entries + entries > self.stage_limit {
-            self.absorb_stage();
-        }
-    }
-
-    /// Moves the staged samples into the index at their global ids.
-    fn absorb_stage(&mut self) {
-        if self.staged.is_empty() {
-            return;
-        }
-        let t0 = std::time::Instant::now();
-        let base = self.index.absorbed_samples();
-        self.index.absorb_at(&self.staged, base, self.owners);
-        ripples_trace::complete(
-            ripples_trace::TraceName::IndexBuild,
-            t0,
-            self.staged_entries,
-            self.owners as u64,
-        );
-        self.absorbed_entries += self.staged_entries;
-        self.unsorted_pushes += self.staged.unsorted_pushes();
-        self.bitmap_sets += self.staged.bitmap_sets();
-        self.bitmap_bytes += self.staged.bitmap_bytes();
-        self.staged_entries = 0;
-        self.staged.clear();
-    }
-
-    /// Position in the stage of global sample `i`.
-    fn staged_position(&self, i: usize) -> usize {
-        let absorbed = self.index.absorbed_samples();
-        assert!(
-            i >= absorbed,
-            "sample {i} lives only in the inverted index (samples 0..{absorbed} were absorbed)"
-        );
-        i - absorbed
-    }
-}
-
-impl RrrStore for StagedIndex {
-    fn push(&mut self, vertices: &[Vertex]) {
-        self.make_room(vertices.len() as u64);
-        self.staged.push(vertices);
-        self.staged_entries += self.staged.set(self.staged.len() - 1).len() as u64;
-    }
-
-    fn append_arena(&mut self, arena: &SampleArena) {
-        let entries = arena.total_entries();
-        self.make_room(entries);
-        self.staged.append_arena(arena);
-        self.staged_entries += entries;
-    }
-
-    /// The stage keeps its buffers for the next batch.
-    fn finish_batch(&mut self) {
-        self.absorb_stage();
-    }
-
-    fn len(&self) -> usize {
-        self.index.absorbed_samples() + self.staged.len()
-    }
-
-    fn total_entries(&self) -> u64 {
-        self.absorbed_entries + self.staged_entries
-    }
-
-    fn sample_len(&self, i: usize) -> usize {
-        self.staged.set(self.staged_position(i)).len()
-    }
-
-    fn decode_into(&self, i: usize, out: &mut Vec<Vertex>) {
-        RrrStore::decode_into(&self.staged, self.staged_position(i), out);
-    }
-
-    fn for_each_vertex<F: FnMut(Vertex)>(&self, i: usize, f: F) {
-        self.staged.set(self.staged_position(i)).for_each(f);
-    }
-
-    fn contains(&self, i: usize, v: Vertex) -> bool {
-        self.staged.set(self.staged_position(i)).contains(v)
-    }
-
-    /// The stage; the index is reported as the index.
-    fn resident_bytes(&self) -> usize {
-        self.staged.resident_bytes()
-    }
-
-    fn unsorted_pushes(&self) -> u64 {
-        self.unsorted_pushes + self.staged.unsorted_pushes()
-    }
-
-    /// # Panics
-    ///
-    /// Panics while samples are staged: a batch ends by absorbing them.
-    fn with_sample_index<R>(
-        &self,
-        num_vertices: u32,
-        _owners: usize,
-        f: impl FnOnce(&SampleIndex) -> R,
-    ) -> R {
-        assert!(self.staged.is_empty(), "samples are staged mid-batch");
-        debug_assert_eq!(self.index.num_vertices(), num_vertices as usize);
-        f(&self.index)
-    }
-
-    fn with_current_index<R>(&self, f: impl FnOnce(Option<&SampleIndex>) -> R) -> R {
-        f(Some(&self.index).filter(|_| self.staged.is_empty()))
-    }
-
-    fn kind(&self) -> RrrStoreKind {
-        RrrStoreKind::Flat
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::rrr::RrrCollection;
 
     /// Asserts every row of `index` is the list of the samples of `c` that
     /// contain the vertex, and every degree its length.
-    fn assert_matches_the_definition(index: &SampleIndex, c: &RrrCollection) {
+    pub(crate) fn assert_matches_the_definition(index: &SampleIndex, c: &RrrCollection) {
         assert_eq!(index.absorbed_samples(), c.len());
         for v in 0..index.num_vertices() as Vertex {
             let expect: Vec<usize> = (0..c.len())
@@ -654,72 +467,6 @@ mod tests {
         let mut c = RrrCollection::new();
         c.push(&[7]);
         SampleIndex::new(3).absorb(&c, 2);
-    }
-
-    /// Sorted sets of up to seven of `n` vertices, one in nine empty.
-    fn synth(n: u32, count: usize) -> RrrCollection {
-        let mut x = 0x2545_F491u32;
-        (0..count)
-            .map(|i| {
-                let mut set: Vec<Vertex> = (0..i % 9)
-                    .map(|_| {
-                        x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
-                        (x >> 8) % n
-                    })
-                    .collect();
-                set.sort_unstable();
-                set.dedup();
-                set
-            })
-            .collect()
-    }
-
-    #[test]
-    fn a_staged_index_grows_the_index_of_the_store_it_replaces() {
-        // A 328-entry stage over 600 samples of ~4 entries: several
-        // absorbs per batch, by push and by arena.
-        let n = 40;
-        let c = synth(n, 600);
-        let mut store = DynRrrStore::new(crate::StorageConfig::default(), n);
-        for set in c.iter().take(50) {
-            store.push(set);
-        }
-        let mut staged = StagedIndex::from_store(store, n, 2);
-        assert_eq!(staged.len(), 50);
-        for set in c.iter().take(300).skip(50) {
-            staged.push(set);
-        }
-        let last = staged.len() - 1;
-        assert_eq!(staged.sample_len(last), c.get(last).len());
-        staged.finish_batch();
-        for block in (300..600).step_by(64) {
-            let mut arena = SampleArena::new(n);
-            for j in block..(block + 64).min(600) {
-                arena.append_with(|tail| {
-                    tail.extend_from_slice(c.get(j));
-                    0
-                });
-            }
-            staged.append_arena(&arena);
-            assert!(staged.staged_entries <= staged.stage_limit);
-        }
-        staged.finish_batch();
-        assert!(staged.staged.is_empty());
-        assert!(staged.index.segments.len() > 3);
-        assert_eq!(staged.len(), c.len());
-        assert_eq!(staged.total_entries(), c.total_entries() as u64);
-        assert_eq!(staged.unsorted_pushes(), 0);
-        assert_matches_the_definition(&staged.index, &c);
-        staged.with_current_index(|index| assert!(index.is_some()));
-    }
-
-    #[test]
-    #[should_panic(expected = "lives only in the inverted index")]
-    fn an_absorbed_sample_is_not_held_sample_major() {
-        let mut store = DynRrrStore::new(crate::StorageConfig::default(), 4);
-        store.push(&[1, 2]);
-        let staged = StagedIndex::from_store(store, 4, 1);
-        let _ = staged.sample_len(0);
     }
 
     #[test]

@@ -183,7 +183,9 @@ pub fn sample_batch<S: RrrStore>(
     };
     let init = || RrrScratch::new(n);
     let span = TraceName::SampleChunk;
-    stream_blocks(n, first_index, count, 1, span, out, init, fill).0
+    let outcome = stream_blocks(n, first_index, count, 1, span, out, init, fill).0;
+    out.finish_batch();
+    outcome
 }
 
 /// Blocks per worker a claim may run ahead of the merge before the
@@ -335,8 +337,9 @@ impl Drop for AbandonOnUnwind<'_> {
 /// records a `span` trace event. Only the calling thread touches `out`: it
 /// appends finished blocks in index order between blocks of its own, so `S`
 /// needs no `Send`. A worker whose claim is `2·workers` blocks or more ahead
-/// of that merge parks until the merge catches up. `out.finish_batch()` ends
-/// the batch.
+/// of that merge parks until the merge catches up. The caller ends the batch
+/// (`out.finish_batch()`) once the workers' scratch and the spare arenas are
+/// gone: a store that keeps an index grows it then.
 ///
 /// Sample content is a function of the global index and the merge order is
 /// index order, so `out` receives the same samples at any thread count.
@@ -465,7 +468,6 @@ where
         }
         done
     });
-    out.finish_batch();
     outcome.arena_bytes = stream
         .pending()
         .spare
@@ -517,6 +519,7 @@ pub fn sample_batch_sequential<S: RrrStore>(
         outcome.set_sizes.record(s.vertices.len() as u64);
         outcome.edges_examined += s.edges_examined;
     }
+    drop(scratch);
     out.finish_batch();
     outcome
 }

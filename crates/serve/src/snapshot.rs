@@ -521,12 +521,12 @@ pub fn decode_snapshot(bytes: &[u8], graph: &Graph) -> Result<RestoredSketch, Sn
             detail: format!("epsilon {epsilon} outside (0, 1)"),
         });
     }
-    // NaN-safe: reject NaN as well as zero/negative.
-    if ell.is_nan() || ell <= 0.0 {
+    // Rejects NaN and infinity as well as zero and negatives.
+    if !(ell.is_finite() && ell > 0.0) {
         return Err(SnapshotError::Corrupt {
             field: "ell",
             offset: ell_offset,
-            detail: format!("ell {ell} must be positive"),
+            detail: format!("ell {ell} must be positive and finite"),
         });
     }
 
@@ -579,7 +579,7 @@ pub fn decode_snapshot(bytes: &[u8], graph: &Graph) -> Result<RestoredSketch, Sn
         });
     }
 
-    let mut params = ImmParams::new(k, epsilon, model, seed);
+    let mut params = ImmParams::new(k, epsilon, model, seed).with_ell(ell);
     if k_max > 0 {
         params = params.with_k_max(k_max);
     }

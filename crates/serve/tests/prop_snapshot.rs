@@ -51,8 +51,19 @@ fn other_graph() -> Graph {
 /// ε = 0.2 draws about a thousand samples, some 4 KiB of varint blocks:
 /// enough for [`SPILL_ON_DISK`] to seal and spill several chunks.
 fn build_service(seed: u64, k_max: u32, storage: StorageConfig) -> SketchService {
+    build_service_with_ell(seed, k_max, storage, 1.0)
+}
+
+fn build_service_with_ell(
+    seed: u64,
+    k_max: u32,
+    storage: StorageConfig,
+    ell: f64,
+) -> SketchService {
     let graph = test_graph();
-    let params = ImmParams::new(1, 0.2, DiffusionModel::IndependentCascade, seed).with_k_max(k_max);
+    let params = ImmParams::new(1, 0.2, DiffusionModel::IndependentCascade, seed)
+        .with_k_max(k_max)
+        .with_ell(ell);
     SketchService::build(
         &graph,
         params,
@@ -85,12 +96,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// encode → decode restores the exact sketch: same θ, identical samples
-    /// bit for bit, identical provenance, and identical selections at every
-    /// k the sketch can answer.
+    /// bit for bit, identical provenance (ℓ included), and identical
+    /// selections at every k the sketch can answer.
     #[test]
-    fn round_trip_is_identity(seed in 0u64..1_000, k_max in 1u32..5, kind in store_kinds()) {
+    fn round_trip_is_identity(
+        seed in 0u64..1_000,
+        k_max in 1u32..5,
+        kind in store_kinds(),
+        ell in (0usize..2).prop_map(|i| [1.0, 1.5][i]),
+    ) {
         let graph = test_graph();
-        let svc = build_service(seed, k_max, kind);
+        let svc = build_service_with_ell(seed, k_max, kind, ell);
         let bytes = encode_snapshot(&svc);
         let restored = decode_snapshot(&bytes, &graph).unwrap();
         prop_assert_eq!(restored.store.kind(), kind.kind);
@@ -112,7 +128,7 @@ proptest! {
 
         // Selection identity: the restored service answers every k the
         // original can, bitwise.
-        let mut orig = build_service(seed, k_max, kind);
+        let mut orig = build_service_with_ell(seed, k_max, kind, ell);
         let mut rest = SketchService::build(
             &graph,
             restored.params,
@@ -216,6 +232,20 @@ fn error_shapes_name_offset_and_field() {
             || matches!(err, SnapshotError::ChecksumMismatch { .. }),
         "unexpected: {err:?}"
     );
+
+    // A non-finite ℓ (offset 56) is refused before the checksum is read.
+    for ell in [f64::INFINITY, f64::NAN] {
+        let mut bad = good.clone();
+        bad[56..64].copy_from_slice(&ell.to_bits().to_le_bytes());
+        assert!(matches!(
+            decode_snapshot(&bad, &graph).unwrap_err(),
+            SnapshotError::Corrupt {
+                field: "ell",
+                offset: 56,
+                ..
+            }
+        ));
+    }
 
     // Empty file truncates at the magic.
     assert_eq!(
