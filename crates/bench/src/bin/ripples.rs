@@ -86,12 +86,12 @@
 //! always reproduces the same faults.
 
 use ripples_bench::{
-    load_graph, parse_sample, parse_select, parse_storage, Args, GraphSourceError,
+    load_graph, parse_epsilon, parse_sample, parse_select, parse_storage, Args, GraphSourceError,
 };
 use ripples_comm::{FaultComm, FaultPlan, ThreadWorld};
 use ripples_core::obs::trace;
 use ripples_core::{
-    dist::{imm_distributed_with_storage, DistRngMode, DistSelectMode},
+    dist::{imm_distributed_with_storage, DistSelectMode},
     dist_partitioned::imm_partitioned_with_storage,
     dist_sharded::imm_sharded_with_storage,
     mt::imm_multithreaded_with_storage,
@@ -284,13 +284,19 @@ fn main() {
     });
     let storage = parse_storage(&args).unwrap_or_else(|message| usage_error(&message));
     let k: u32 = flag_or(&args, "k", 50);
-    let epsilon: f64 = flag_or(&args, "epsilon", 0.5);
+    if k == 0 {
+        usage_error("--k must be positive");
+    }
+    let epsilon = parse_epsilon(&args).unwrap_or_else(|message| usage_error(&message));
     let seed: u64 = flag_or(&args, "seed", 0);
     let simulate: Option<u32> = args
         .try_parse("simulate")
         .unwrap_or_else(|message| usage_error(&message));
     let threads: usize = flag_or(&args, "threads", 0);
     let ranks: u32 = flag_or(&args, "ranks", 2);
+    if ranks == 0 {
+        usage_error("--ranks must be positive");
+    }
     let trace_buffer = args
         .try_parse("trace-buffer")
         .unwrap_or_else(|message| usage_error(&message));
@@ -407,7 +413,6 @@ fn main() {
                     &FaultComm::new(comm, plan.clone()),
                     &graph,
                     &params,
-                    DistRngMode::IndexedStreams,
                     DistSelectMode::DenseAllReduce,
                     storage,
                 )

@@ -56,7 +56,7 @@ use std::path::Path;
 
 use ripples_bench::json::{parse, Value};
 use ripples_bench::{
-    load_graph, parse_sample, parse_select, parse_storage, Args, GraphSourceError,
+    load_graph, parse_epsilon, parse_sample, parse_select, parse_storage, Args, GraphSourceError,
 };
 use ripples_core::{ImmParams, SampleEngine, SelectEngine};
 use ripples_diffusion::DiffusionModel;
@@ -74,6 +74,14 @@ const USAGE: &str = "usage: serve (--input FILE | --standin NAME | --gen ba:N:M|
 fn usage_error(message: &str) -> ! {
     eprintln!("error: {message}\n{USAGE}");
     std::process::exit(2);
+}
+
+/// `--name` parsed as `T`, `default` when absent; a value that does not
+/// parse is a usage error, not a panic.
+fn flag_or<T: std::str::FromStr>(args: &Args, name: &str, default: T) -> T {
+    args.try_parse(name)
+        .unwrap_or_else(|message| usage_error(&message))
+        .unwrap_or(default)
 }
 
 fn render_seeds(seeds: &[Vertex]) -> String {
@@ -266,14 +274,8 @@ fn session<R: BufRead, W: Write>(svc: &mut SketchService, reader: R, mut writer:
 fn main() {
     let args = Args::from_env();
 
-    let model = match args.get("model").unwrap_or("ic") {
-        "ic" => DiffusionModel::IndependentCascade,
-        "lt" => DiffusionModel::LinearThreshold,
-        other => {
-            eprintln!("error: unknown --model `{other}` (try ic|lt)");
-            std::process::exit(1);
-        }
-    };
+    let model = DiffusionModel::from_tag(args.get("model").unwrap_or("ic"))
+        .unwrap_or_else(|| usage_error("--model must be ic or lt"));
     let select = args.get("select").map_or(SelectEngine::Auto, |tag| {
         parse_select(tag).unwrap_or_else(|message| usage_error(&message))
     });
@@ -281,6 +283,13 @@ fn main() {
         parse_sample(tag).unwrap_or_else(|message| usage_error(&message))
     });
     let storage = parse_storage(&args).unwrap_or_else(|message| usage_error(&message));
+    let k_max: u32 = flag_or(&args, "k-max", 16);
+    if k_max == 0 {
+        usage_error("--k-max must be positive");
+    }
+    let epsilon = parse_epsilon(&args).unwrap_or_else(|message| usage_error(&message));
+    let seed: u64 = flag_or(&args, "seed", 0);
+    let read_timeout_ms: u64 = flag_or(&args, "read-timeout-ms", 5000);
 
     NO_TIMING.store(args.flag("no-timing"), std::sync::atomic::Ordering::Relaxed);
 
@@ -318,13 +327,6 @@ fn main() {
             }
         }
     } else {
-        let k_max: u32 = args.parse_or("k-max", 16);
-        if k_max == 0 {
-            eprintln!("error: --k-max must be positive");
-            std::process::exit(1);
-        }
-        let epsilon: f64 = args.parse_or("epsilon", 0.5);
-        let seed: u64 = args.parse_or("seed", 0);
         let params = ImmParams::new(1, epsilon, model, seed).with_k_max(k_max);
         let svc = SketchService::build(&graph, params, select, sample, storage);
         eprintln!(
@@ -372,7 +374,6 @@ fn main() {
         // (connected but silent, never closing) can hold the session —
         // its read errors out, the session ends, and the loop accepts the
         // next connection instead of starving it. 0 disables the timeout.
-        let read_timeout_ms: u64 = args.parse_or("read-timeout-ms", 5000);
         let read_timeout =
             (read_timeout_ms > 0).then(|| std::time::Duration::from_millis(read_timeout_ms));
         for stream in listener.incoming() {

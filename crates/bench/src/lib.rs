@@ -199,6 +199,9 @@ pub fn load_graph(
             ))
         })?;
         let divisor = args.try_parse("scale-div").map_err(Usage)?;
+        if divisor == Some(0) {
+            return Err(Usage("--scale-div must be positive".to_string()));
+        }
         Ok(spec.build(
             divisor.unwrap_or(spec.default_divisor),
             weights,
@@ -216,20 +219,22 @@ pub fn load_graph(
             })
         }
         match spec.split(':').collect::<Vec<_>>().as_slice() {
-            ["ba", n, m] => Ok(barabasi_albert(
-                count(spec, n)?,
-                count(spec, m)?,
-                weights,
-                lt_normalize,
-                seed,
-            )),
-            ["er", n, m] => Ok(erdos_renyi(
-                count(spec, n)?,
-                count(spec, m)?,
-                weights,
-                lt_normalize,
-                seed,
-            )),
+            ["ba", n, m] => {
+                let (n, m): (u32, u32) = (count(spec, n)?, count(spec, m)?);
+                if m == 0 || n <= m {
+                    return Err(Usage(format!("--gen `{spec}`: ba:N:M needs N > M > 0")));
+                }
+                Ok(barabasi_albert(n, m, weights, lt_normalize, seed))
+            }
+            ["er", n, m] => {
+                let (n, m): (u32, usize) = (count(spec, n)?, count(spec, m)?);
+                if m > 0 && n < 2 {
+                    return Err(Usage(format!(
+                        "--gen `{spec}`: er:N:M with M > 0 needs N >= 2"
+                    )));
+                }
+                Ok(erdos_renyi(n, m, weights, lt_normalize, seed))
+            }
             _ => Err(Usage(format!(
                 "--gen takes `ba:N:M` or `er:N:M`, got `{spec}`"
             ))),
@@ -269,6 +274,22 @@ pub fn parse_storage(args: &Args) -> Result<StorageConfig, String> {
             .map_or(Ok(RrrStoreKind::Flat), parse_rrr_store)?,
         budget: args.try_parse("rrr-budget")?,
     })
+}
+
+/// Parses `--epsilon` for the `ripples` and `serve` binaries: the IMM
+/// approximation slack, 0.5 when absent.
+///
+/// # Errors
+///
+/// The message to print for a value that does not parse or lies outside
+/// `(0, 1)`.
+pub fn parse_epsilon(args: &Args) -> Result<f64, String> {
+    let epsilon = args.try_parse("epsilon")?.unwrap_or(0.5);
+    if epsilon > 0.0 && epsilon < 1.0 {
+        Ok(epsilon)
+    } else {
+        Err(format!("--epsilon must lie in (0, 1), got {epsilon}"))
+    }
 }
 
 /// Parses a `--select` tag for the `ripples` and `serve` binaries.

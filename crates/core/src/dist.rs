@@ -41,7 +41,7 @@ use ripples_comm::{CommStats, Communicator};
 use ripples_diffusion::rrr::{generate_rrr, RrrScratch};
 use ripples_diffusion::{DiffusionModel, DynRrrStore, RrrStore, SampleIndex, StorageConfig};
 use ripples_graph::{Graph, Vertex};
-use ripples_rng::{RankStream, StreamFactory};
+use ripples_rng::StreamFactory;
 use std::time::Instant;
 
 /// Global sample indices owned by `rank` within `[0, total)`: the strided
@@ -438,21 +438,6 @@ pub(crate) fn run_imm_ranked<C: Communicator, P: RankSampler>(
     run_imm(label, graph, params, footprint, &mut engine)
 }
 
-/// How the distributed ranks draw their randomness.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum DistRngMode {
-    /// One SplitMix64 stream per *global sample index* (the default): the
-    /// sample collection — and therefore the seed set — is bitwise
-    /// identical to the sequential run at every world size.
-    #[default]
-    IndexedStreams,
-    /// The paper's TRNG strategy: one leap-frogged LCG stream per rank.
-    /// Every rank's draws are a disjoint stride of one global LCG sequence,
-    /// so randomness never overlaps across ranks — but sample *content*
-    /// depends on the world size, exactly as in the original system.
-    LeapFrog,
-}
-
 /// The replicated-graph sampler: this rank's stride of every batch, one
 /// sample at a time through `generate_rrr`.
 struct ReplicatedSampler<'a> {
@@ -460,9 +445,6 @@ struct ReplicatedSampler<'a> {
     model: DiffusionModel,
     factory: StreamFactory,
     scratch: RrrScratch,
-    rng_mode: DistRngMode,
-    /// Persistent per-rank leap-frog stream (used only in LeapFrog mode).
-    rank_stream: RankStream,
 }
 
 impl RankSampler for ReplicatedSampler<'_> {
@@ -478,18 +460,9 @@ impl RankSampler for ReplicatedSampler<'_> {
         for index in strided_indices(first as usize + count, comm.rank(), comm.size())
             .skip_while(|&i| i < first)
         {
-            let s = match self.rng_mode {
-                DistRngMode::IndexedStreams => {
-                    let mut rng = self.factory.sample_stream(index);
-                    let root = rng.bounded_u64(n) as Vertex;
-                    generate_rrr(self.graph, self.model, root, &mut rng, &mut self.scratch)
-                }
-                DistRngMode::LeapFrog => {
-                    let rng = &mut self.rank_stream;
-                    let root = rng.bounded_u64(n) as Vertex;
-                    generate_rrr(self.graph, self.model, root, rng, &mut self.scratch)
-                }
-            };
+            let mut rng = self.factory.sample_stream(index);
+            let root = rng.bounded_u64(n) as Vertex;
+            let s = generate_rrr(self.graph, self.model, root, &mut rng, &mut self.scratch);
             work += s.edges_examined;
             out.push(&s.vertices);
         }
@@ -504,9 +477,10 @@ impl RankSampler for ReplicatedSampler<'_> {
 /// Runs distributed IMM on this rank. Must be called collectively by every
 /// rank of `comm` with identical `graph` and `params`.
 ///
-/// Uses [`DistRngMode::IndexedStreams`], the paper's dense All-Reduce
-/// selection and flat storage; see [`imm_distributed_with_storage`] for the
-/// paper-faithful leap-frog mode and the other knobs.
+/// Uses the paper's dense All-Reduce selection and flat storage; see
+/// [`imm_distributed_with_storage`] for the other knobs. Sample `i` draws
+/// from the stream keyed by `i` whichever rank owns it, so the seeds equal
+/// the sequential run's at every world size.
 ///
 /// Returns the (identical) result on every rank.
 #[must_use]
@@ -515,15 +489,14 @@ pub fn imm_distributed<C: Communicator>(comm: &C, graph: &Graph, params: &ImmPar
         comm,
         graph,
         params,
-        DistRngMode::IndexedStreams,
         DistSelectMode::DenseAllReduce,
         StorageConfig::default(),
     )
 }
 
-/// The fully-parameterized distributed entry point: RNG strategy ×
-/// counter-aggregation strategy × per-rank RRR storage backend (CLI
-/// `--rrr-store` / `--rrr-budget`). Each rank holds its local sample
+/// The fully-parameterized distributed entry point: counter-aggregation
+/// strategy × per-rank RRR storage backend (CLI `--rrr-store` /
+/// `--rrr-budget`). Each rank holds its local sample
 /// stride in the chosen backend; the selection protocol's decrement sums
 /// are storage-independent, so seeds match the flat run at every world
 /// size.
@@ -532,7 +505,6 @@ pub fn imm_distributed_with_storage<C: Communicator>(
     comm: &C,
     graph: &Graph,
     params: &ImmParams,
-    rng_mode: DistRngMode,
     select_mode: DistSelectMode,
     storage: StorageConfig,
 ) -> ImmResult {
@@ -541,8 +513,6 @@ pub fn imm_distributed_with_storage<C: Communicator>(
         model: params.model,
         factory: StreamFactory::new(params.seed),
         scratch: RrrScratch::new(graph.num_vertices()),
-        rng_mode,
-        rank_stream: RankStream::new(params.seed, comm.rank(), comm.size()),
     };
     run_imm_ranked("dist", comm, graph, params, storage, select_mode, sampler)
 }
@@ -687,7 +657,6 @@ mod sparse_select_tests {
                     comm,
                     &g,
                     &p,
-                    DistRngMode::IndexedStreams,
                     DistSelectMode::DenseAllReduce,
                     StorageConfig::default(),
                 )
@@ -697,7 +666,6 @@ mod sparse_select_tests {
                     comm,
                     &g,
                     &p,
-                    DistRngMode::IndexedStreams,
                     DistSelectMode::SparseAllGather,
                     StorageConfig::default(),
                 )
@@ -743,7 +711,6 @@ mod sparse_select_tests {
                             comm,
                             &g,
                             &p,
-                            DistRngMode::IndexedStreams,
                             mode,
                             StorageConfig::default(),
                         );
@@ -759,73 +726,6 @@ mod sparse_select_tests {
                 sparse_bytes as f64 * min_ratio < dense_bytes as f64,
                 "sparse {sparse_bytes} not {min_ratio}× below dense {dense_bytes}"
             );
-        }
-    }
-}
-
-#[cfg(test)]
-mod leapfrog_mode_tests {
-    use super::*;
-    use ripples_diffusion::estimate_spread;
-    use ripples_graph::generators::erdos_renyi;
-    use ripples_graph::WeightModel;
-    use ripples_rng::StreamFactory;
-
-    /// Dense All-Reduce selection over flat storage, `rng_mode` explicit.
-    fn with_rng<C: Communicator>(
-        comm: &C,
-        g: &Graph,
-        p: &ImmParams,
-        rng_mode: DistRngMode,
-    ) -> ImmResult {
-        let select_mode = DistSelectMode::DenseAllReduce;
-        imm_distributed_with_storage(comm, g, p, rng_mode, select_mode, StorageConfig::default())
-    }
-
-    #[test]
-    fn leapfrog_mode_quality_parity() {
-        // Leap-frog sample content depends on world size (as in the paper's
-        // system), so seed sets may differ across configurations — but the
-        // statistical quality must match the indexed-stream mode.
-        let g = erdos_renyi(
-            300,
-            2400,
-            WeightModel::UniformRandom { seed: 21 },
-            false,
-            55,
-        );
-        let model = DiffusionModel::IndependentCascade;
-        let p = ImmParams::new(5, 0.5, model, 31);
-        let world = ripples_comm::ThreadWorld::new(3);
-        let lf = world
-            .run(|comm| with_rng(comm, &g, &p, DistRngMode::LeapFrog))
-            .pop()
-            .unwrap();
-        let idx = world
-            .run(|comm| with_rng(comm, &g, &p, DistRngMode::IndexedStreams))
-            .pop()
-            .unwrap();
-        assert_eq!(lf.seeds.len(), idx.seeds.len());
-        let factory = StreamFactory::new(404);
-        let s_lf = estimate_spread(&g, model, &lf.seeds, 800, &factory);
-        let s_idx = estimate_spread(&g, model, &idx.seeds, 800, &factory);
-        let ratio = s_lf / s_idx.max(1.0);
-        assert!(
-            (0.9..=1.1).contains(&ratio),
-            "leap-frog quality diverged: {s_lf} vs {s_idx}"
-        );
-    }
-
-    #[test]
-    fn leapfrog_ranks_agree_with_each_other() {
-        // Within one world size, all ranks still return the same answer.
-        let g = erdos_renyi(200, 1500, WeightModel::UniformRandom { seed: 3 }, false, 66);
-        let p = ImmParams::new(4, 0.5, DiffusionModel::IndependentCascade, 9);
-        let world = ripples_comm::ThreadWorld::new(4);
-        let results = world.run(|comm| with_rng(comm, &g, &p, DistRngMode::LeapFrog));
-        for r in &results[1..] {
-            assert_eq!(r.seeds, results[0].seeds);
-            assert_eq!(r.theta, results[0].theta);
         }
     }
 }

@@ -246,7 +246,7 @@ mod tests {
 
     #[test]
     fn trace_entries_are_the_reports_counter_under_every_layout() {
-        use crate::dist::{imm_distributed_with_storage, DistRngMode, DistSelectMode};
+        use crate::dist::{imm_distributed_with_storage, DistSelectMode};
         use crate::mt::imm_multithreaded_with_storage;
         use crate::seq::immopt_sequential_with_storage;
         use crate::{SampleEngine, SelectEngine};
@@ -290,7 +290,6 @@ mod tests {
                     comm,
                     graph,
                     &params,
-                    DistRngMode::IndexedStreams,
                     DistSelectMode::DenseAllReduce,
                     storage,
                 )

@@ -9,7 +9,7 @@
 use crate::model::DiffusionModel;
 use rayon::prelude::*;
 use ripples_graph::{Graph, Vertex};
-use ripples_rng::{RandomSource, StreamFactory};
+use ripples_rng::{SplitMix64, StreamFactory};
 
 /// Result of playing one cascade.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -33,11 +33,11 @@ impl CascadeOutcome {
 /// Duplicate seeds are ignored; out-of-range seeds panic in debug builds and
 /// are ignored in release builds.
 #[must_use]
-pub fn simulate_cascade<R: RandomSource>(
+pub fn simulate_cascade(
     graph: &Graph,
     model: DiffusionModel,
     seeds: &[Vertex],
-    rng: &mut R,
+    rng: &mut SplitMix64,
 ) -> CascadeOutcome {
     match model {
         DiffusionModel::IndependentCascade => simulate_ic(graph, seeds, rng),
@@ -45,7 +45,7 @@ pub fn simulate_cascade<R: RandomSource>(
     }
 }
 
-fn simulate_ic<R: RandomSource>(graph: &Graph, seeds: &[Vertex], rng: &mut R) -> CascadeOutcome {
+fn simulate_ic(graph: &Graph, seeds: &[Vertex], rng: &mut SplitMix64) -> CascadeOutcome {
     let n = graph.num_vertices() as usize;
     let mut active = vec![false; n];
     let mut activated: Vec<Vertex> = Vec::with_capacity(seeds.len());
@@ -79,7 +79,7 @@ fn simulate_ic<R: RandomSource>(graph: &Graph, seeds: &[Vertex], rng: &mut R) ->
     CascadeOutcome { activated, steps }
 }
 
-fn simulate_lt<R: RandomSource>(graph: &Graph, seeds: &[Vertex], rng: &mut R) -> CascadeOutcome {
+fn simulate_lt(graph: &Graph, seeds: &[Vertex], rng: &mut SplitMix64) -> CascadeOutcome {
     let n = graph.num_vertices() as usize;
     let mut active = vec![false; n];
     // Thresholds are drawn lazily on first contact: a vertex's threshold is
@@ -196,7 +196,6 @@ pub fn spread_samples(
 mod tests {
     use super::*;
     use ripples_graph::GraphBuilder;
-    use ripples_rng::SplitMix64;
 
     fn path(n: u32, p: f32) -> Graph {
         let mut b = GraphBuilder::new(n);

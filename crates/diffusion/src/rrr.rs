@@ -4,7 +4,7 @@
 use crate::mixed::{BitmapIter, RrrSetRef, SampleArena};
 use crate::model::DiffusionModel;
 use ripples_graph::{Graph, Vertex};
-use ripples_rng::RandomSource;
+use ripples_rng::SplitMix64;
 
 /// Reusable per-thread scratch for RRR generation.
 ///
@@ -75,11 +75,11 @@ pub struct RrrSample {
 ///   "no incoming live edge"). This is why LT RRR sets are small — the
 ///   reverse traversal is a path, not a tree (§4.2's observed LT/IC gap).
 #[must_use]
-pub fn generate_rrr<R: RandomSource>(
+pub fn generate_rrr(
     graph: &Graph,
     model: DiffusionModel,
     root: Vertex,
-    rng: &mut R,
+    rng: &mut SplitMix64,
     scratch: &mut RrrScratch,
 ) -> RrrSample {
     let mut vertices = Vec::new();
@@ -95,11 +95,11 @@ pub fn generate_rrr<R: RandomSource>(
 /// allocating a per-sample `Vec`. Returns the edges examined. The appended
 /// range is sorted in place; the BFS never enqueues a vertex twice, so the
 /// result is identical to [`generate_rrr`]'s sorted, deduplicated output.
-pub fn generate_rrr_into<R: RandomSource>(
+pub fn generate_rrr_into(
     graph: &Graph,
     model: DiffusionModel,
     root: Vertex,
-    rng: &mut R,
+    rng: &mut SplitMix64,
     scratch: &mut RrrScratch,
     out: &mut Vec<Vertex>,
 ) -> u64 {
@@ -440,7 +440,6 @@ mod tests {
     use super::*;
     use crate::RrrStore;
     use ripples_graph::GraphBuilder;
-    use ripples_rng::SplitMix64;
 
     fn path(n: u32, p: f32) -> Graph {
         let mut b = GraphBuilder::new(n);

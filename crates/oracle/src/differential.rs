@@ -22,9 +22,7 @@ use crate::reference::greedy_with_tie_order;
 use crate::report::{CheckKind, OracleReport};
 use ripples_centrality::rank_biased_overlap;
 use ripples_comm::{SelfComm, ThreadWorld};
-use ripples_core::dist::{
-    imm_distributed, imm_distributed_with_storage, DistRngMode, DistSelectMode,
-};
+use ripples_core::dist::{imm_distributed, imm_distributed_with_storage, DistSelectMode};
 use ripples_core::dist_partitioned::imm_partitioned;
 use ripples_core::dist_sharded::imm_sharded;
 use ripples_core::mt::imm_multithreaded;
@@ -329,7 +327,6 @@ fn check_store(
                 comm,
                 graph,
                 params,
-                DistRngMode::IndexedStreams,
                 DistSelectMode::DenseAllReduce,
                 storage,
             )

@@ -1,18 +1,17 @@
-//! The handful of distributions the influence-maximization kernels need.
+//! The two draws the influence-maximization kernels need from raw bits: a
+//! uniform `f64` in `[0, 1)` and an unbiased bounded integer.
 //!
-//! Hot loops in `ripples-diffusion` draw millions of Bernoulli variates and
-//! bounded integers per second, so everything here is branch-light and
-//! allocation-free.
+//! Hot loops in `ripples-diffusion` draw millions of these per second, so
+//! both are branch-light and allocation-free.
 
 use crate::SplitMix64;
 
 /// Converts 64 random bits into a uniform `f64` in `[0, 1)`.
 ///
-/// Uses the top 53 bits (the significand width of `f64`), which for LCGs over
-/// Z/2^64 are also the statistically strongest bits.
+/// Uses the top 53 bits (the significand width of `f64`).
 #[inline]
 #[must_use]
-pub fn u64_to_unit_f64(bits: u64) -> f64 {
+pub(crate) fn u64_to_unit_f64(bits: u64) -> f64 {
     // 2^-53 as a constant; (bits >> 11) is uniform on [0, 2^53).
     const SCALE: f64 = 1.0 / ((1u64 << 53) as f64);
     ((bits >> 11) as f64) * SCALE
@@ -30,7 +29,7 @@ pub fn u64_to_unit_f64(bits: u64) -> f64 {
 /// with a plain release build. The empty range `[0, 0)` has no uniform
 /// value, so the only profile-independent contract is to reject it.
 #[inline]
-pub fn bounded_u64(rng: &mut SplitMix64, bound: u64) -> u64 {
+pub(crate) fn bounded_u64(rng: &mut SplitMix64, bound: u64) -> u64 {
     assert!(bound > 0, "bounded_u64 requires bound > 0");
     // Lemire 2019: x*bound / 2^64 is uniform once low-product rejection
     // removes the bias region of size (2^64 mod bound).
@@ -46,70 +45,6 @@ pub fn bounded_u64(rng: &mut SplitMix64, bound: u64) -> u64 {
         }
     }
     (m >> 64) as u64
-}
-
-/// A reusable uniform-`[0,1)` sampler (zero state; exists so call sites read
-/// declaratively and so alternative output mixers can be swapped in one
-/// place).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct UnitUniform;
-
-impl UnitUniform {
-    /// Samples `[0, 1)`.
-    #[inline]
-    pub fn sample(self, rng: &mut SplitMix64) -> f64 {
-        rng.unit_f64()
-    }
-}
-
-/// A Bernoulli distribution with fixed success probability.
-///
-/// Pre-computes the 64-bit integer threshold so each trial is a single
-/// compare against raw bits — measurably faster than a float compare in the
-/// edge-sampling loop, and exact for probabilities representable in 64 bits.
-#[derive(Clone, Copy, Debug)]
-pub struct Bernoulli {
-    /// Succeed iff `bits < threshold`; `u64::MAX` means "always" (p = 1.0
-    /// must always succeed even though the comparison is strict).
-    threshold: u64,
-    always: bool,
-}
-
-impl Bernoulli {
-    /// Creates a Bernoulli distribution. `p` is clamped to `[0, 1]`.
-    #[must_use]
-    pub fn new(p: f64) -> Self {
-        let p = p.clamp(0.0, 1.0);
-        if p >= 1.0 {
-            return Self {
-                threshold: u64::MAX,
-                always: true,
-            };
-        }
-        // p * 2^64, computed via 2^32 squares to stay in f64 range exactly.
-        let threshold = (p * (u64::MAX as f64 + 1.0)) as u64;
-        Self {
-            threshold,
-            always: false,
-        }
-    }
-
-    /// Performs one trial.
-    #[inline]
-    pub fn sample(self, rng: &mut SplitMix64) -> bool {
-        self.always || rng.next_u64() < self.threshold
-    }
-
-    /// The probability this distribution was built with (recovered from the
-    /// threshold; exact for p ∈ {0, 1}).
-    #[must_use]
-    pub fn p(self) -> f64 {
-        if self.always {
-            1.0
-        } else {
-            self.threshold as f64 / (u64::MAX as f64 + 1.0)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -169,41 +104,5 @@ mod tests {
             let dev = (f64::from(c) - expect).abs() / expect;
             assert!(dev < 0.05, "residue {i} off by {dev}");
         }
-    }
-
-    #[test]
-    fn bernoulli_zero_and_one() {
-        let mut rng = SplitMix64::new(5);
-        let never = Bernoulli::new(0.0);
-        let always = Bernoulli::new(1.0);
-        for _ in 0..1000 {
-            assert!(!never.sample(&mut rng));
-            assert!(always.sample(&mut rng));
-        }
-    }
-
-    #[test]
-    fn bernoulli_frequency_half() {
-        let mut rng = SplitMix64::new(8);
-        let d = Bernoulli::new(0.5);
-        let n = 100_000;
-        let hits = (0..n).filter(|_| d.sample(&mut rng)).count();
-        let freq = hits as f64 / f64::from(n);
-        assert!((freq - 0.5).abs() < 0.01, "freq {freq}");
-    }
-
-    #[test]
-    fn bernoulli_p_roundtrip() {
-        for p in [0.0, 0.1, 0.25, 0.5, 0.9, 1.0] {
-            let d = Bernoulli::new(p);
-            assert!((d.p() - p).abs() < 1e-9, "p {p} -> {}", d.p());
-        }
-    }
-
-    #[test]
-    fn bernoulli_clamps() {
-        let mut rng = SplitMix64::new(2);
-        assert!(Bernoulli::new(2.0).sample(&mut rng));
-        assert!(!Bernoulli::new(-1.0).sample(&mut rng));
     }
 }

@@ -1,50 +1,33 @@
-//! Parallel pseudorandom-number substrate for `ripples-rs`.
+//! Keyed pseudorandom streams for `ripples-rs`.
 //!
 //! The CLUSTER'19 Ripples paper generates reverse-reachability samples on many
 //! MPI ranks at once and stresses that *"accurate generation of pseudorandom
 //! numbers in parallel is critical to guarantee the approximation bounds of
-//! the algorithm"*. It uses the TRNG library's 64-bit linear congruential
-//! generator split across ranks with the **leap-frog** method.
+//! the algorithm"*. It splits one TRNG linear congruential generator across
+//! ranks by **leap-frog**, so a sample's content depends on which rank drew
+//! it and on how many ranks there are.
 //!
-//! This crate reimplements that substrate from scratch:
+//! This crate replaces that with one generator keyed by logical index:
 //!
-//! * [`Lcg64`] — a 64-bit LCG with O(log n) [`Lcg64::discard`] (skip-ahead)
-//!   using Brown's binary decomposition of the affine update, exactly the
-//!   capability TRNG provides.
-//! * [`LeapFrog`] — splits one LCG sequence into `p` disjoint interleaved
-//!   streams (rank *i* consumes x_i, x_{i+p}, x_{i+2p}, …), the paper's
-//!   distribution strategy.
-//! * [`SplitMix64`] — a fast seeding/stream-derivation generator used to
-//!   derive statistically independent per-sample generators, which makes
-//!   every Ripples result *independent of the number of ranks/threads* (a
-//!   stronger reproducibility property than leap-frog; both are provided).
-//! * [`distributions`] — the small set of distributions the algorithms need:
-//!   uniform `f64` in `[0,1)`, Bernoulli trials, and unbiased bounded
-//!   integers (Lemire rejection sampling).
-//! * [`stream`] — deterministic stream derivation: one master seed fans out
-//!   to per-rank, per-sample, and per-phase generators.
+//! * [`SplitMix64`] — a fast splittable generator. [`SplitMix64::for_stream`]
+//!   derives an independent stream from a `(seed, index)` pair in O(1), and
+//!   its draws are uniform `f64` in `[0, 1)` and unbiased bounded integers
+//!   (Lemire rejection).
+//! * [`stream`] — [`StreamFactory`] fans one master seed out to a stream per
+//!   RRR sample and per forward trial, keyed by the global sample or trial
+//!   id. Every sample is therefore the same whichever thread or rank draws
+//!   it, so sequential, multithreaded and distributed runs with the same
+//!   seed build identical sample collections and return identical seeds.
 //!
-//! All generators implement [`rand::RngCore`] so they compose with the wider
-//! ecosystem, but the hot paths in `ripples-diffusion` call the inherent
-//! methods directly (they are `#[inline]` and branch-free).
+//! The fused 64-lane sampler gives each lane its sample's stream; the
+//! vertex-cut partitioned sampler keys by `(sample, vertex)` instead and
+//! derives those streams with [`SplitMix64::for_stream`] directly.
 
 #![warn(missing_docs)]
 
-pub mod distributions;
-pub mod lcg;
-pub mod leapfrog;
-pub mod source;
+mod distributions;
 pub mod splitmix;
 pub mod stream;
 
-pub use distributions::{Bernoulli, UnitUniform};
-pub use lcg::Lcg64;
-pub use leapfrog::LeapFrog;
-pub use source::RandomSource;
 pub use splitmix::SplitMix64;
-pub use stream::{RankStream, StreamFactory};
-
-/// Convenience alias used throughout the workspace: the generator every hot
-/// loop uses. Chosen for speed and for exact-reproducibility guarantees; see
-/// the crate docs.
-pub type DefaultRng = SplitMix64;
+pub use stream::StreamFactory;

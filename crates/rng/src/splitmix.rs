@@ -14,12 +14,11 @@
 //!    within a stream of 2^64 draws.
 
 /// The golden-ratio increment used by SplitMix64.
-pub const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Applies the 64-bit variant-13 finalizer (Stafford's Mix13).
 ///
-/// This is a bijection on `u64` with excellent avalanche behaviour; it is
-/// also used to pre-condition user seeds for [`crate::Lcg64`].
+/// This is a bijection on `u64` with excellent avalanche behaviour.
 #[inline]
 #[must_use]
 pub fn mix64(mut z: u64) -> u64 {
@@ -79,22 +78,21 @@ impl SplitMix64 {
 
     /// Returns a uniform integer in `[0, bound)` without modulo bias.
     ///
-    /// See [`crate::distributions::bounded_u64`] for the algorithm.
+    /// Lemire's multiply-shift with rejection: one draw and one multiply in
+    /// all but a `bound / 2^64` fraction of calls.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bound == 0`, in every build profile.
     #[inline]
     pub fn bounded_u64(&mut self, bound: u64) -> u64 {
         crate::distributions::bounded_u64(self, bound)
     }
 
-    /// Bernoulli trial: returns `true` with probability `p`.
-    #[inline]
-    pub fn bernoulli(&mut self, p: f64) -> bool {
-        self.unit_f64() < p
-    }
-
     /// Advances the stream by `n` draws in O(1).
     ///
-    /// The state is a plain counter (each draw adds [`GOLDEN_GAMMA`] before
-    /// mixing), so skipping is a single wrapping multiply-add: after
+    /// The state is a plain counter (each draw adds the golden-ratio gamma
+    /// before mixing), so skipping is a single wrapping multiply-add: after
     /// `skip(n)` the next [`SplitMix64::next_u64`] returns exactly what the
     /// `n+1`-th draw of the unskipped stream would have. The vertex-cut
     /// partitioned sampler uses this to reproduce the middle of a per-vertex
@@ -111,40 +109,6 @@ fn mix64_raw(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-impl rand::RngCore for SplitMix64 {
-    fn next_u32(&mut self) -> u32 {
-        SplitMix64::next_u32(self)
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        SplitMix64::next_u64(self)
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bits = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bits[..chunk.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
-impl rand::SeedableRng for SplitMix64 {
-    type Seed = [u8; 8];
-
-    fn from_seed(seed: Self::Seed) -> Self {
-        Self::new(u64::from_le_bytes(seed))
-    }
-
-    fn seed_from_u64(state: u64) -> Self {
-        Self::new(state)
-    }
 }
 
 #[cfg(test)]
@@ -195,22 +159,6 @@ mod tests {
         }
         let mean = sum / f64::from(n);
         assert!((mean - 0.5).abs() < 0.01);
-    }
-
-    #[test]
-    fn bernoulli_frequency() {
-        let mut g = SplitMix64::new(11);
-        let n = 100_000;
-        let hits = (0..n).filter(|_| g.bernoulli(0.3)).count();
-        let freq = hits as f64 / f64::from(n);
-        assert!((freq - 0.3).abs() < 0.01, "freq {freq}");
-    }
-
-    #[test]
-    fn bernoulli_extremes() {
-        let mut g = SplitMix64::new(1);
-        assert!(!(0..1000).any(|_| g.bernoulli(0.0)));
-        assert!((0..1000).all(|_| g.bernoulli(1.0)));
     }
 
     #[test]

@@ -1,61 +1,10 @@
 //! Property-based tests for the RNG substrate.
 
 use proptest::prelude::*;
-use ripples_rng::lcg::{affine_pow, Lcg64};
-use ripples_rng::{LeapFrog, SplitMix64};
+use ripples_rng::SplitMix64;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Skip-ahead by any n must equal n sequential steps.
-    #[test]
-    fn discard_matches_stepping(seed in any::<u64>(), n in 0u64..2000) {
-        let mut a = Lcg64::new(seed);
-        let mut b = a.clone();
-        for _ in 0..n {
-            a.step();
-        }
-        b.discard(n);
-        prop_assert_eq!(a, b);
-    }
-
-    /// affine_pow must be a homomorphism: coeffs(m+n) = coeffs(m) ∘ coeffs(n).
-    #[test]
-    fn affine_pow_homomorphism(a in any::<u64>(), c in any::<u64>(), m in 0u64..1000, n in 0u64..1000) {
-        let (am, cm) = affine_pow(a, c, m);
-        let (an, cn) = affine_pow(a, c, n);
-        let (amn, cmn) = affine_pow(a, c, m + n);
-        prop_assert_eq!(amn, am.wrapping_mul(an));
-        prop_assert_eq!(cmn, am.wrapping_mul(cn).wrapping_add(cm));
-    }
-
-    /// Leap-frog streams must partition the base sequence for any world size.
-    #[test]
-    fn leapfrog_partitions(seed in any::<u64>(), world in 1u32..12, rounds in 1usize..40) {
-        let base = Lcg64::new(seed);
-        let mut serial = base.clone();
-        let mut streams: Vec<LeapFrog> =
-            (0..world).map(|r| LeapFrog::new(&base, r, world)).collect();
-        for _ in 0..rounds {
-            for s in streams.iter_mut() {
-                prop_assert_eq!(s.step(), serial.step());
-            }
-        }
-    }
-
-    /// Leap-frog discard must commute with stepping for any rank.
-    #[test]
-    fn leapfrog_discard(seed in any::<u64>(), world in 1u32..8, n in 0u64..500) {
-        let base = Lcg64::new(seed);
-        let rank = (seed % u64::from(world)) as u32;
-        let mut a = LeapFrog::new(&base, rank, world);
-        let mut b = a.clone();
-        for _ in 0..n {
-            a.step();
-        }
-        b.discard(n);
-        prop_assert_eq!(a.step(), b.step());
-    }
 
     /// Unit uniforms always land in [0, 1).
     #[test]

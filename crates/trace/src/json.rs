@@ -6,8 +6,10 @@
 //! well-formed; the `serve` bin reads NDJSON frames with it
 //! (`ripples_bench::json` re-exports this module). It is deliberately
 //! small: full RFC 8259 grammar, numbers surfaced as `f64`, object keys kept
-//! in file order. It is not a general-purpose library — inputs are our own
-//! machine-written files, so errors carry byte offsets and no recovery.
+//! in file order. Errors carry byte offsets and no recovery. Its inputs
+//! include frames from `serve` clients, so nothing in a document may crash
+//! the reader: nesting deeper than 128 arrays or objects is an error, not a
+//! stack overflow.
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -76,14 +78,24 @@ impl Value {
     }
 }
 
+/// The deepest array/object nesting [`parse`] accepts. The reader recurses
+/// once per level; the deepest document the workspace writes, a run report,
+/// nests 8 deep.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document (one value plus trailing whitespace).
 ///
 /// # Errors
 ///
-/// Returns a message with the byte offset of the first violation.
+/// Returns a message with the byte offset of the first violation, including
+/// the first bracket that nests deeper than 128 levels.
 pub fn parse(input: &str) -> Result<Value, String> {
     let bytes = input.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -96,6 +108,8 @@ pub fn parse(input: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -129,8 +143,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let nested = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'"') => self.string().map(Value::Str),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -387,6 +415,21 @@ mod tests {
         assert!(parse(r#""\ud800\u0041""#).is_err());
         assert!(parse(r#""\u+041""#).is_err());
         assert!(parse(r#""\u00""#).is_err());
+    }
+
+    #[test]
+    fn rejects_nesting_past_the_bound() {
+        let deep = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        let err = parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+        // Without the bound this recursed once per bracket and overflowed
+        // the stack, aborting the process.
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -228,6 +228,8 @@ fn cli_usage_errors_exit_2_and_never_panic() {
         &["--engine", "degdiscount"],
         &["--metrics-interval", "soon"],
         &["--trace", "same.json", "--metrics", "same.json"],
+        &["--k", "0"],
+        &["--ranks", "0", "--engine", "dist"],
     ] {
         let (code, stderr) = run(ripples, flags);
         assert_eq!(code, Some(2), "{flags:?}: {stderr}");
@@ -295,6 +297,18 @@ fn cli_usage_errors_exit_2_and_never_panic() {
             );
         }
     }
+    let refused_before_loading = |exe: &str, flags: &[&str], message: &str| {
+        let (code, stderr) = run(exe, flags);
+        assert_eq!(code, Some(2), "{exe} {flags:?}: {stderr}");
+        assert!(
+            stderr.contains(message) && stderr.contains("usage: "),
+            "{exe} {flags:?}: {stderr}"
+        );
+        assert!(
+            !stderr.contains("graph: ") && !stderr.contains("serve: built"),
+            "{exe} {flags:?} loaded the graph first: {stderr}"
+        );
+    };
     // Storage and graph-source flags go through one parser each in both
     // binaries, before the graph is loaded; a retired backend names its
     // replacement, and a `--gen` count that does not fit the generator's
@@ -322,17 +336,29 @@ fn cli_usage_errors_exit_2_and_never_panic() {
             ),
             (&["--gen", "foo"], "--gen takes `ba:N:M` or `er:N:M`"),
             (&["--standin", "nope"], "unknown --standin `nope`"),
+            // In range for the parser, out of range for the constructor:
+            // these used to panic (exit 101) after the flags were read.
+            (&["--gen", "ba:5:10"], "ba:N:M needs N > M > 0"),
+            (&["--gen", "ba:2:0"], "ba:N:M needs N > M > 0"),
+            (&["--gen", "er:1:5"], "er:N:M with M > 0 needs N >= 2"),
+            (
+                &["--standin", "cit-HepTh", "--scale-div", "0"],
+                "--scale-div must be positive",
+            ),
+            (&["--epsilon", "0"], "--epsilon must lie in (0, 1), got 0"),
+            (&["--epsilon", "2"], "--epsilon must lie in (0, 1), got 2"),
+            (&["--model", "sir"], "--model must be ic or lt"),
         ] {
-            let (code, stderr) = run(exe, flags);
-            assert_eq!(code, Some(2), "{exe} {flags:?}: {stderr}");
-            assert!(
-                stderr.contains(message) && stderr.contains("usage: "),
-                "{exe} {flags:?}: {stderr}"
-            );
-            assert!(
-                !stderr.contains("graph: ") && !stderr.contains("serve: built"),
-                "{exe} {flags:?} loaded the graph first: {stderr}"
-            );
+            refused_before_loading(exe, flags, message);
         }
+    }
+    for (flags, message) in [
+        (&["--k-max", "0"][..], "--k-max must be positive"),
+        (
+            &["--read-timeout-ms", "x"],
+            "invalid value `x` for --read-timeout-ms",
+        ),
+    ] {
+        refused_before_loading(env!("CARGO_BIN_EXE_serve"), flags, message);
     }
 }
