@@ -91,7 +91,7 @@ use ripples_bench::{
 use ripples_comm::{FaultComm, FaultPlan, ThreadWorld};
 use ripples_core::obs::trace;
 use ripples_core::{
-    dist::{imm_distributed_with_storage, DistSelectMode},
+    dist::imm_distributed_with_storage,
     dist_partitioned::imm_partitioned_with_storage,
     dist_sharded::imm_sharded_with_storage,
     mt::imm_multithreaded_with_storage,
@@ -413,7 +413,6 @@ fn main() {
                     &FaultComm::new(comm, plan.clone()),
                     &graph,
                     &params,
-                    DistSelectMode::DenseAllReduce,
                     storage,
                 )
             });

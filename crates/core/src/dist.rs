@@ -2,23 +2,28 @@
 //! subject of Figures 7 and 8 — written against the
 //! [`ripples_comm::Communicator`] abstraction (§3.2 of the paper).
 //!
-//! Design, following the paper exactly:
+//! Design:
 //!
 //! * Every rank holds the **entire input graph** and generates a distinct
 //!   batch of `θ/p` samples ("evenly partitioning the samples to be
-//!   generated among the p ranks").
-//! * Seed selection keeps an `n`-counter array per rank: local counts are
-//!   aggregated with **All-Reduce**; each greedy iteration then identifies
-//!   the next seed locally (every rank has the global counts), purges its
-//!   local samples, and All-Reduces the decrements — `O(k · n · lg p)`
-//!   communication.
+//!   generated among the p ranks"), as the paper does.
+//! * Seed selection is the lazy greedy of shared memory, run in lockstep:
+//!   every rank holds the same heap of bounds, built from one
+//!   **All-Reduce** of the `n` local degrees; each round recounts the heap's
+//!   top 32 entries against each rank's own samples and All-Reduces the 32
+//!   sums. The paper instead All-Reduces all `n` counters after every seed,
+//!   `O(k · n · lg p)` communication; the recount moves `n` counters once
+//!   per pass and 32 per round, about 190× fewer bytes at k = 200
+//!   (EXPERIMENTS.md § "Distributed selection by batched recount").
+//!   Figures 7 and 8 still price the paper's dense term (`scaling.rs`):
+//!   that is the reproduced object, while this module executes the recount.
 //! * Sample indices are global, so the union of all ranks' samples is
 //!   *identical* to a sequential run's collection, and therefore so is the
 //!   seed set — the cross-implementation equivalence the test suite checks.
 //!
 //! Everything the three communicator engines share lives here as
-//! `RankEngine`: the per-rank store, the distributed selection protocol
-//! and the report's cross-rank reductions. An engine supplies only a
+//! `RankEngine`: the per-rank store, the distributed selection and the
+//! report's cross-rank reductions. An engine supplies only a
 //! `RankSampler` — how one rank produces its share of a batch.
 //!
 //! The engines call their collectives on the communicator they are handed
@@ -35,11 +40,12 @@ use crate::obs::{CommCounters, Histogram, RunReport};
 use crate::params::ImmParams;
 use crate::result::ImmResult;
 use crate::select::{
-    argmax, nanos_since, uses_index, with_index, SelectEngine, SelectStats, Selection,
+    coverage_of, lazy_greedy, nanos_since, uses_index, with_index, IndexCover, LocalCover, Peers,
+    SelectEngine, SelectStats, Selection,
 };
 use ripples_comm::{CommStats, Communicator};
 use ripples_diffusion::rrr::{generate_rrr, RrrScratch};
-use ripples_diffusion::{DiffusionModel, DynRrrStore, RrrStore, SampleIndex, StorageConfig};
+use ripples_diffusion::{DiffusionModel, DynRrrStore, RrrStore, StorageConfig};
 use ripples_graph::{Graph, Vertex};
 use ripples_rng::StreamFactory;
 use std::time::Instant;
@@ -57,211 +63,134 @@ fn strided_indices(total: usize, rank: u32, size: u32) -> impl Iterator<Item = u
     (0..total as u64).filter(move |i| i % size == rank)
 }
 
-/// How per-round counter updates travel between ranks during distributed
-/// seed selection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum DistSelectMode {
-    /// The paper's §3.2 design: one dense All-Reduce of all `n` counters
-    /// per greedy iteration — `O(k·n·lg p)` communication regardless of how
-    /// few counters actually changed.
-    #[default]
-    DenseAllReduce,
-    /// Sparse aggregation (an "optimizing communication" extension, §6):
-    /// each rank gathers only its nonzero `(vertex, decrement)` pairs via
-    /// `MPI_Allgatherv`. Volume is proportional to the vertices actually
-    /// touched by the purged samples, which collapses for the late greedy
-    /// rounds where few samples remain uncovered.
-    SparseAllGather,
-}
+/// Heap entries every rank recounts per selection round, and so `u64`s per
+/// all-reduce. One constant for every world size, so the collective
+/// sequence — its calls and their lengths — is a property of the algorithm,
+/// not of the placement. 32 keeps rounds at 1.0–2.2 per seed on sparse
+/// sets at k = 200 and on dense ones at k = 20; dense sets at k = 8 take
+/// 6.8 (EXPERIMENTS.md § "Distributed selection by batched recount").
+const RECOUNT_BATCH: usize = 32;
 
-/// Distributed greedy seed selection over each rank's local samples: local
-/// counting → All-Reduce → local argmax → purge → dense or sparse decrement
-/// aggregation → coverage reduce.
+/// Distributed greedy seed selection over each rank's local samples: the
+/// lazy greedy of shared memory (`select::lazy_greedy`), with the heap's
+/// initial bounds and every round's batch of recounts summed by one
+/// All-Reduce each.
 ///
 /// The seeds and coverage of the returned [`Selection`] are identical on
-/// every rank; the [`SelectStats`] are this rank's. A per-rank inverted
-/// index drives the purge step when the cost model says its O(E)
-/// construction amortizes over the `k` purge passes; the decrement sums are
-/// identical either way, so ranks may disagree on the choice (the model
-/// reads per-rank sizes) without diverging — the collective sequence does
-/// not depend on it.
+/// every rank, and bitwise a sequential run's over the union of the
+/// samples; the [`SelectStats`] are this rank's. A rank recounts from its
+/// inverted index when the cost model says its O(E) construction amortizes
+/// over the pass, and from local counters, decremented as the seeds cover
+/// its samples, otherwise. A recount is the same number either way, so
+/// ranks may disagree on the choice (the model reads per-rank sizes)
+/// without diverging — the collective sequence does not depend on it.
 pub(crate) fn select_seeds_distributed<C: Communicator, S: RrrStore>(
     comm: &C,
     local: &S,
     theta_global: usize,
     n: u32,
     k: u32,
-    select_mode: DistSelectMode,
 ) -> (Selection, SelectStats) {
-    let k = k.min(n);
-    let indexed = uses_index(SelectEngine::Auto, local, k);
-    let rounds = GreedyRounds {
-        comm,
-        theta_global,
-        n,
-        k,
-        select_mode,
+    // A heap key holds a count in 32 bits, and a count is at most θ.
+    assert!(
+        theta_global < u32::MAX as usize,
+        "{theta_global} samples are past the selection heap's 32-bit counts"
+    );
+    let banned = vec![false; n as usize];
+    let greedy = |cover: &mut dyn LocalCover, bounds| {
+        let peers = Peers {
+            batch: RECOUNT_BATCH,
+            reduce: |buf: &mut [u64]| comm.all_reduce_sum_u64(buf),
+            counts_steps: comm.rank() == 0,
+        };
+        lazy_greedy(cover, bounds, k as usize, &banned, peers)
     };
-    // `DynRrrStore` keeps the index across θ rounds, whatever its layout.
-    if indexed {
-        with_index(local, n, 1, |index, stats| {
-            rounds.run(local, Some(index), stats)
-        })
-    } else {
-        rounds.run(local, None, SelectStats::default())
-    }
-}
-
-/// The collectively identical inputs of one distributed selection pass.
-struct GreedyRounds<'a, C> {
-    comm: &'a C,
-    theta_global: usize,
-    n: u32,
-    k: u32,
-    select_mode: DistSelectMode,
-}
-
-impl<C: Communicator> GreedyRounds<'_, C> {
-    /// The collective greedy rounds of [`select_seeds_distributed`], one
-    /// body for both storage sides and both purge strategies. `stats`
-    /// carries the index build cost in; decode time is charged only on
-    /// compressed stores (flat slices need no decoding).
-    fn run<S: RrrStore>(
-        &self,
-        local: &S,
-        index: Option<&SampleIndex>,
-        mut stats: SelectStats,
-    ) -> (Selection, SelectStats) {
-        let GreedyRounds {
-            comm,
-            theta_global,
-            n,
-            k,
-            select_mode,
-        } = *self;
-        let n_us = n as usize;
-        let mut decode_nanos = 0u64;
-
-        // Local counting pass (the index's vertex degrees, or one direct sweep
-        // over the local samples), then one All-Reduce for the global counts.
-        let mut counters: Vec<u64> = match index {
-            Some(index) => (0..n).map(|v| u64::from(index.degree(v))).collect(),
-            None => {
-                let t0 = Instant::now();
-                let mut counts = vec![0u64; n_us];
-                for j in 0..local.len() {
-                    local.for_each_vertex(j, |u| counts[u as usize] += 1);
-                }
-                decode_nanos += nanos_since(t0);
-                counts
-            }
-        };
-        comm.all_reduce_sum_u64(&mut counters);
-
-        let mut covered = vec![false; local.len()];
-        let mut selected = vec![false; n_us];
-        let mut seeds = Vec::with_capacity(k as usize);
-        let mut gains = Vec::with_capacity(k as usize);
-        let mut covered_local = 0usize;
-        let mut decrements = vec![0u64; n_us];
-        for _ in 0..k {
-            // Global argmax is a local operation: all ranks hold the counts and
-            // the tie-break (lowest id) is deterministic.
-            let Some(v) = argmax(&counters, &selected) else {
-                break;
-            };
-            let gain = counters[v as usize];
-            selected[v as usize] = true;
-            if crate::obs::trace::enabled() {
-                crate::obs::trace::mark(
-                    crate::obs::trace::TraceName::SelectStep,
-                    u64::from(v),
-                    gain,
-                );
-            }
-            seeds.push(v);
-            gains.push(gain);
-
-            // Purge local samples containing v; accumulate counter decrements.
-            decrements.fill(0);
-            let t0 = Instant::now();
-            match index {
-                Some(index) => index.for_each_sample(v, |j| {
-                    if covered[j] {
-                        return;
-                    }
-                    covered[j] = true;
-                    covered_local += 1;
-                    stats.entries_touched += local.sample_len(j) as u64;
-                    local.for_each_vertex(j, |u| decrements[u as usize] += 1);
-                }),
-                None => {
-                    for (j, cov) in covered.iter_mut().enumerate() {
-                        if !*cov && local.contains(j, v) {
-                            *cov = true;
-                            covered_local += 1;
-                            stats.entries_touched += local.sample_len(j) as u64;
-                            local.for_each_vertex(j, |u| decrements[u as usize] += 1);
-                        }
-                    }
-                }
-            }
-            decode_nanos += nanos_since(t0);
-            match select_mode {
-                DistSelectMode::DenseAllReduce => {
-                    // The O(k·n·lg p) step: one All-Reduce per greedy iteration.
-                    comm.all_reduce_sum_u64(&mut decrements);
-                    for (c, &d) in counters.iter_mut().zip(&decrements) {
-                        *c -= d;
-                    }
-                }
-                DistSelectMode::SparseAllGather => {
-                    // Encode only nonzero decrements as (vertex << 32 | count).
-                    let sparse: Vec<u64> = decrements
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &d)| d > 0)
-                        .map(|(u, &d)| {
-                            debug_assert!(d < (1 << 32), "decrement overflow");
-                            ((u as u64) << 32) | d
-                        })
-                        .collect();
-                    for rank_list in comm.all_gather_u64_list(&sparse) {
-                        for enc in rank_list {
-                            let u = (enc >> 32) as usize;
-                            let d = enc & 0xFFFF_FFFF;
-                            counters[u] -= d;
-                        }
-                    }
-                }
-            }
-        }
-        if local.as_flat().is_none() {
-            stats.decode_nanos += decode_nanos;
-        }
-        let covered_global = all_reduce_sum_scalar(comm, covered_local as u64) as usize;
-        // Degraded runs: dead ranks' samples are gone from every collective, so
-        // coverage must be judged against the samples the surviving ranks
-        // actually hold, not the nominal θ. The dead-rank set is identical on
-        // every rank (lockstep fault decisions), so this extra collective is
-        // taken — or skipped — uniformly; the fault-free path is unchanged.
-        let theta_eff = if comm.health().dead_ranks.is_empty() {
-            theta_global
+    let ((seeds, gains, entries_touched), decode_nanos, mut stats) =
+        if uses_index(SelectEngine::Auto, local, k) {
+            // `DynRrrStore` keeps the index across θ rounds, whatever its layout.
+            with_index(local, n, 1, |index, build| {
+                let mut cover = IndexCover::new(index);
+                let bounds = cover.degrees();
+                (greedy(&mut cover, bounds), 0, build)
+            })
         } else {
-            all_reduce_sum_scalar(comm, local.len() as u64) as usize
+            let mut cover = CounterCover::new(local, n);
+            let bounds = cover.counts.clone();
+            let picked = greedy(&mut cover, bounds);
+            (picked, cover.decode_nanos, SelectStats::default())
         };
-        (
-            Selection::finish(seeds, gains, covered_global, theta_eff),
-            stats,
-        )
+    stats.entries_touched = entries_touched;
+    // Flat slices need no decoding.
+    if local.as_flat().is_none() {
+        stats.decode_nanos = decode_nanos;
+    }
+    // Degraded runs: dead ranks' samples are gone from every collective, so
+    // coverage must be judged against the samples the surviving ranks
+    // actually hold, not the nominal θ — and counted on them too, since a
+    // gain summed before a rank died counted its samples. The dead-rank set
+    // is identical on every rank (lockstep fault decisions), so this extra
+    // collective is taken — or skipped — uniformly. Fault-free, every rank
+    // summed each gain over every rank's samples, so coverage is their sum.
+    let (covered, theta_eff) = if comm.health().dead_ranks.is_empty() {
+        (gains.iter().sum::<u64>() as usize, theta_global)
+    } else {
+        let mut held = [coverage_of(local, &seeds) as u64, local.len() as u64];
+        comm.all_reduce_sum_u64(&mut held);
+        (held[0] as usize, held[1] as usize)
+    };
+    (Selection::finish(seeds, gains, covered, theta_eff), stats)
+}
+
+/// A rank's [`LocalCover`] without an index: one counter per vertex of the
+/// held samples no seed covers yet, and one covered flag per sample. A
+/// recount reads its counter; covering probes every alive sample and
+/// decrements the counters of each one it covers, whose entries are the
+/// entries it reads.
+struct CounterCover<'a, S> {
+    store: &'a S,
+    counts: Vec<u64>,
+    covered: Vec<bool>,
+    decode_nanos: u64,
+}
+
+impl<'a, S: RrrStore> CounterCover<'a, S> {
+    /// Counts every vertex over the held samples: one sweep.
+    fn new(store: &'a S, n: u32) -> Self {
+        let t0 = Instant::now();
+        let mut counts = vec![0u64; n as usize];
+        for j in 0..store.len() {
+            store.for_each_vertex(j, |u| counts[u as usize] += 1);
+        }
+        let covered = vec![false; store.len()];
+        let decode_nanos = nanos_since(t0);
+        CounterCover {
+            store,
+            counts,
+            covered,
+            decode_nanos,
+        }
     }
 }
 
-/// Scalar convenience over the slice All-Reduce.
-fn all_reduce_sum_scalar<C: Communicator>(comm: &C, x: u64) -> u64 {
-    let mut buf = [x];
-    comm.all_reduce_sum_u64(&mut buf);
-    buf[0]
+impl<S: RrrStore> LocalCover for CounterCover<'_, S> {
+    fn recount(&mut self, v: Vertex) -> (u64, u64) {
+        (self.counts[v as usize], 0)
+    }
+
+    fn cover(&mut self, v: Vertex) -> u64 {
+        let t0 = Instant::now();
+        let (store, counts) = (self.store, &mut self.counts);
+        let mut read = 0u64;
+        for (j, cov) in self.covered.iter_mut().enumerate() {
+            if !*cov && store.contains(j, v) {
+                *cov = true;
+                read += store.sample_len(j) as u64;
+                store.for_each_vertex(j, |u| counts[u as usize] -= 1);
+            }
+        }
+        self.decode_nanos += nanos_since(t0);
+        read
+    }
 }
 
 /// Merges one rank's local histogram into the identical global histogram on
@@ -351,7 +280,6 @@ struct RankEngine<'a, C: Communicator, P> {
     /// Global population size (the sum of every rank's share).
     held: usize,
     n: u32,
-    select_mode: DistSelectMode,
     comm_before: CommStats,
 }
 
@@ -381,14 +309,7 @@ impl<C: Communicator, P: RankSampler> Engine for RankEngine<'_, C, P> {
     }
 
     fn select(&mut self, k: u32) -> (Selection, SelectStats) {
-        select_seeds_distributed(
-            self.comm,
-            &self.store,
-            self.held,
-            self.n,
-            k,
-            self.select_mode,
-        )
+        select_seeds_distributed(self.comm, &self.store, self.held, self.n, k)
     }
 
     fn finish(&mut self, report: &mut RunReport) {
@@ -413,7 +334,6 @@ pub(crate) fn run_imm_ranked<C: Communicator, P: RankSampler>(
     graph: &Graph,
     params: &ImmParams,
     storage: StorageConfig,
-    select_mode: DistSelectMode,
     sampler: P,
 ) -> ImmResult {
     // Tag this rank thread's event ring so the merged trace shows one
@@ -421,7 +341,8 @@ pub(crate) fn run_imm_ranked<C: Communicator, P: RankSampler>(
     crate::obs::trace::set_thread_rank(comm.rank());
     let n = graph.num_vertices();
     let footprint = MemoryStats {
-        counter_bytes: 2 * n as usize * std::mem::size_of::<u64>(),
+        // The selection heap: one `u64` per vertex.
+        counter_bytes: n as usize * std::mem::size_of::<u64>(),
         // The honest headline: per-rank graph bytes are the sampler's share.
         graph_bytes: sampler.graph_bytes(),
         ..MemoryStats::default()
@@ -432,7 +353,6 @@ pub(crate) fn run_imm_ranked<C: Communicator, P: RankSampler>(
         store: DynRrrStore::new(storage, n),
         held: 0,
         n,
-        select_mode,
         comm_before: comm.stats(),
     };
     run_imm(label, graph, params, footprint, &mut engine)
@@ -477,27 +397,20 @@ impl RankSampler for ReplicatedSampler<'_> {
 /// Runs distributed IMM on this rank. Must be called collectively by every
 /// rank of `comm` with identical `graph` and `params`.
 ///
-/// Uses the paper's dense All-Reduce selection and flat storage; see
-/// [`imm_distributed_with_storage`] for the other knobs. Sample `i` draws
+/// Uses flat storage; see [`imm_distributed_with_storage`] for the
+/// others. Sample `i` draws
 /// from the stream keyed by `i` whichever rank owns it, so the seeds equal
 /// the sequential run's at every world size.
 ///
 /// Returns the (identical) result on every rank.
 #[must_use]
 pub fn imm_distributed<C: Communicator>(comm: &C, graph: &Graph, params: &ImmParams) -> ImmResult {
-    imm_distributed_with_storage(
-        comm,
-        graph,
-        params,
-        DistSelectMode::DenseAllReduce,
-        StorageConfig::default(),
-    )
+    imm_distributed_with_storage(comm, graph, params, StorageConfig::default())
 }
 
-/// The fully-parameterized distributed entry point: counter-aggregation
-/// strategy × per-rank RRR storage backend (CLI `--rrr-store` /
-/// `--rrr-budget`). Each rank holds its local sample
-/// stride in the chosen backend; the selection protocol's decrement sums
+/// The distributed entry point with a per-rank RRR storage backend (CLI
+/// `--rrr-store` / `--rrr-budget`). Each rank holds its local sample
+/// stride in the chosen backend; the selection protocol's recount sums
 /// are storage-independent, so seeds match the flat run at every world
 /// size.
 #[must_use]
@@ -505,7 +418,6 @@ pub fn imm_distributed_with_storage<C: Communicator>(
     comm: &C,
     graph: &Graph,
     params: &ImmParams,
-    select_mode: DistSelectMode,
     storage: StorageConfig,
 ) -> ImmResult {
     let sampler = ReplicatedSampler {
@@ -514,16 +426,17 @@ pub fn imm_distributed_with_storage<C: Communicator>(
         factory: StreamFactory::new(params.seed),
         scratch: RrrScratch::new(graph.num_vertices()),
     };
-    run_imm_ranked("dist", comm, graph, params, storage, select_mode, sampler)
+    run_imm_ranked("dist", comm, graph, params, storage, sampler)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::select::select_seeds_sequential;
     use crate::seq::immopt_sequential;
     use ripples_comm::{SelfComm, ThreadWorld};
     use ripples_diffusion::RrrCollection;
-    use ripples_graph::generators::erdos_renyi;
+    use ripples_graph::generators::{erdos_renyi, standin};
     use ripples_graph::WeightModel;
 
     fn test_graph() -> Graph {
@@ -599,31 +512,6 @@ mod tests {
     }
 
     #[test]
-    fn purge_counts_entries_touched_with_and_without_an_index() {
-        // Σ |covered sample| either way: ranks may disagree on `uses_index`.
-        let mut local = RrrCollection::new();
-        for base in 0..60u32 {
-            let set: Vec<Vertex> = (0..5).map(|i| (base * 11 + i * 7) % 40).collect();
-            local.push(&set);
-        }
-        let comm = SelfComm::new();
-        let rounds = GreedyRounds {
-            comm: &comm,
-            theta_global: local.len(),
-            n: 40,
-            k: 6,
-            select_mode: DistSelectMode::DenseAllReduce,
-        };
-        let (with_index, indexed) = local.with_sample_index(40, 1, |index| {
-            rounds.run(&local, Some(index), SelectStats::default())
-        });
-        let (index_free, scanned) = rounds.run(&local, None, SelectStats::default());
-        assert_eq!(with_index, index_free);
-        assert!(indexed.entries_touched > 0);
-        assert_eq!(indexed.entries_touched, scanned.entries_touched);
-    }
-
-    #[test]
     fn communication_is_accounted() {
         let g = test_graph();
         let p = ImmParams::new(4, 0.5, DiffusionModel::IndependentCascade, 3);
@@ -637,52 +525,44 @@ mod tests {
             assert!(s.bytes_moved > 0);
         }
     }
-}
-
-#[cfg(test)]
-mod sparse_select_tests {
-    use super::*;
-    use ripples_comm::ThreadWorld;
-    use ripples_graph::generators::{erdos_renyi, standin};
-    use ripples_graph::WeightModel;
 
     #[test]
-    fn sparse_mode_returns_identical_seeds() {
-        let g = erdos_renyi(300, 2400, WeightModel::UniformRandom { seed: 5 }, false, 44);
-        let p = ImmParams::new(6, 0.5, DiffusionModel::IndependentCascade, 12);
-        for size in [1u32, 2, 4] {
-            let world = ThreadWorld::new(size);
-            let dense = world.run(|comm| {
-                imm_distributed_with_storage(
-                    comm,
-                    &g,
-                    &p,
-                    DistSelectMode::DenseAllReduce,
-                    StorageConfig::default(),
-                )
-            });
-            let sparse = world.run(|comm| {
-                imm_distributed_with_storage(
-                    comm,
-                    &g,
-                    &p,
-                    DistSelectMode::SparseAllGather,
-                    StorageConfig::default(),
-                )
-            });
-            for (d, s) in dense.iter().zip(&sparse) {
-                assert_eq!(d.seeds, s.seeds, "world {size}");
-                assert_eq!(d.theta, s.theta);
-                assert!((d.coverage_fraction - s.coverage_fraction).abs() < 1e-12);
-            }
+    fn ranks_that_disagree_on_the_index_select_as_their_union() {
+        // Rank 0 holds small sets, which the cost model indexes; rank 1
+        // holds sets spanning half the graph, which it counts.
+        let (n, k) = (1100u32, 6u32);
+        let small: RrrCollection = (0..300u32).map(|j| vec![j % 50, 50 + j % 97]).collect();
+        let large: RrrCollection = (0..8u32)
+            .map(|j| (0..n).filter(|v| (v * 3 + j) % 7 < 4).collect::<Vec<_>>())
+            .collect();
+        assert!(uses_index(SelectEngine::Auto, &small, k));
+        assert!(!uses_index(SelectEngine::Auto, &large, k));
+        let union: RrrCollection = small
+            .iter()
+            .chain(large.iter())
+            .map(<[_]>::to_vec)
+            .collect();
+        let expect = select_seeds_sequential(&union, n, k);
+        let results = ThreadWorld::new(2).run(|comm| {
+            let local = if comm.rank() == 0 { &small } else { &large };
+            select_seeds_distributed(comm, local, union.len(), n, k)
+        });
+        for (rank, (selection, stats)) in results.iter().enumerate() {
+            assert_eq!(selection, &expect, "rank {rank}");
+            assert!(stats.entries_touched > 0, "rank {rank}");
         }
+        assert!(results[0].1.index_bytes > 0);
+        assert_eq!(results[1].1.index_bytes, 0);
     }
 
     #[test]
-    fn sparse_mode_moves_fewer_bytes() {
-        // The second case is the figure EXPERIMENTS.md § "Beyond the paper"
-        // quotes: on the cit-HepTh stand-in the dense All-Reduce moves
-        // 344 448 bytes per rank and the sparse gathers 30 104 (11.4×).
+    fn recount_moves_far_fewer_bytes_than_the_dense_term() {
+        // The dense term is the paper's § 3.2 protocol as `scaling.rs`
+        // prices it for Figures 7 and 8: per selection pass, k + 1
+        // all-reduces of the n counters, which at two ranks charge n·8
+        // bytes each. The floors are the measured ratios (5.12× and 8.76×)
+        // rounded down; the second case is the figure EXPERIMENTS.md
+        // § "Beyond the paper" quotes.
         let ic = DiffusionModel::IndependentCascade;
         let hep_th = standin("cit-HepTh").unwrap();
         let world = ThreadWorld::new(2);
@@ -696,35 +576,22 @@ mod sparse_select_tests {
                     77,
                 ),
                 ImmParams::new(10, 0.5, ic, 3),
-                2.0,
+                5.0,
             ),
             (
                 hep_th.build(32, WeightModel::UniformRandom { seed: 6 }, false),
                 ImmParams::new(20, 0.5, ic, 4),
-                11.4,
+                8.0,
             ),
         ] {
-            let bytes_per_rank = |mode| {
-                world
-                    .run(|comm| {
-                        let _ = imm_distributed_with_storage(
-                            comm,
-                            &g,
-                            &p,
-                            mode,
-                            StorageConfig::default(),
-                        );
-                        comm.stats().bytes_moved
-                    })
-                    .into_iter()
-                    .max()
-                    .unwrap()
-            };
-            let dense_bytes = bytes_per_rank(DistSelectMode::DenseAllReduce);
-            let sparse_bytes = bytes_per_rank(DistSelectMode::SparseAllGather);
+            // Every rank moves the same bytes (tests/comm_parity.rs).
+            let r = world.run(|comm| imm_distributed(comm, &g, &p)).remove(0);
+            let bytes = r.report.comm.expect("comm stats").bytes_moved;
+            let passes = r.report.counters.select_iterations / u64::from(p.k);
+            let dense = passes * (u64::from(p.k) + 1) * u64::from(g.num_vertices()) * 8;
             assert!(
-                sparse_bytes as f64 * min_ratio < dense_bytes as f64,
-                "sparse {sparse_bytes} not {min_ratio}× below dense {dense_bytes}"
+                bytes as f64 * min_ratio <= dense as f64,
+                "recount {bytes} not {min_ratio}× below the dense term {dense}"
             );
         }
     }

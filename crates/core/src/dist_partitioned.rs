@@ -17,14 +17,14 @@
 //! 3. When the global frontier drains, each sample's fragments are gathered
 //!    to its home rank (`sample mod p`), yielding exactly the layout the
 //!    replicated distributed engine uses — so seed selection proceeds
-//!    unchanged (dense or sparse aggregation).
+//!    unchanged (the batched lazy recount of `dist.rs`).
 //!
 //! Correctness anchor: for any rank count, the generated collection is
 //! **bitwise identical** to the sequential
 //! [`ripples_diffusion::partitioned::vertex_keyed_rrr`] reference, and so is
 //! the seed set (tested below).
 
-use crate::dist::{run_imm_ranked, DistSelectMode, RankSampler};
+use crate::dist::{run_imm_ranked, RankSampler};
 use crate::params::ImmParams;
 use crate::result::ImmResult;
 use ripples_comm::Communicator;
@@ -184,7 +184,7 @@ impl RankSampler for CooperativeSampler {
 }
 
 /// Full IMM over a partitioned graph: cooperative sampling + the standard
-/// distributed (dense All-Reduce) seed selection over home samples.
+/// distributed (batched recount) seed selection over home samples.
 ///
 /// Each rank needs only `graph`'s slice for sampling; the full `graph`
 /// argument exists because the experiments hold it anyway (a production
@@ -212,15 +212,7 @@ pub fn imm_partitioned_with_storage<C: Communicator>(
         model: params.model,
         factory: StreamFactory::new(params.seed),
     };
-    run_imm_ranked(
-        "partitioned",
-        comm,
-        graph,
-        params,
-        storage,
-        DistSelectMode::DenseAllReduce,
-        sampler,
-    )
+    run_imm_ranked("partitioned", comm, graph, params, storage, sampler)
 }
 
 #[cfg(test)]

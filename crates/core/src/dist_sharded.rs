@@ -32,7 +32,7 @@
 //! identical** to [`crate::dist_partitioned::imm_partitioned`] and the
 //! sequential vertex-keyed reference at every rank count (tested below).
 
-use crate::dist::{globalize_max, run_imm_ranked, DistSelectMode, RankSampler};
+use crate::dist::{globalize_max, run_imm_ranked, RankSampler};
 use crate::obs::metrics::Metric;
 use crate::obs::RunReport;
 use crate::params::ImmParams;
@@ -327,7 +327,7 @@ impl RankSampler for ShardedSampler {
 }
 
 /// Full IMM over a vertex-cut sharded graph: block-pipelined cooperative
-/// sampling + the standard distributed (dense All-Reduce) seed selection
+/// sampling + the standard distributed (batched recount) seed selection
 /// over home samples.
 ///
 /// Each rank needs only its shard for sampling; the full `graph` argument
@@ -361,15 +361,7 @@ pub fn imm_sharded_with_storage<C: Communicator>(
         factory: StreamFactory::new(params.seed),
         stats: ExchangeStats::default(),
     };
-    run_imm_ranked(
-        "sharded",
-        comm,
-        graph,
-        params,
-        storage,
-        DistSelectMode::DenseAllReduce,
-        sampler,
-    )
+    run_imm_ranked("sharded", comm, graph, params, storage, sampler)
 }
 
 #[cfg(test)]

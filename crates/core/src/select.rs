@@ -1,7 +1,7 @@
 //! Seed selection (Algorithm 4): greedy maximum coverage over the RRR
 //! collection — count, argmax, purge.
 //!
-//! The crate holds six copies of that loop, each for a reason:
+//! The crate holds five copies of that loop, each for a reason:
 //!
 //! * [`select_seeds_sequential`] — the reference: one counter array, an
 //!   O(n) argmax and one membership probe per alive sample and seed, over
@@ -16,16 +16,18 @@
 //!   atomic update, and each owner keeps its interval's argmax
 //!   incrementally, so a round's winner is a p-way reduction rather than
 //!   an O(n) scan. [`SelectEngine::Partitioned`] runs it.
-//! * [`select_from_index`] — the lazy recount greedy over the inverted
-//!   index's rows and one covered bit per sample, which reads no
-//!   sample-major data: every indexed pass runs it, and a batch run whose
-//!   every pass is indexed releases its samples into the index
+//! * `lazy_greedy` — the lazy recount greedy, in shared and distributed
+//!   memory alike. It asks a process-local oracle (`LocalCover`) to recount
+//!   or cover a vertex, recounts a batch of heap entries per round, and
+//!   sums each round's recounts over the processes through a reduce hook.
+//!   [`select_from_index`] runs it over one inverted index with batch 1 and
+//!   nothing to sum: every indexed pass in shared memory, and a batch run
+//!   whose every pass is indexed releases its samples into the index
 //!   ([`ripples_diffusion::DynRrrStore::release_samples`]).
 //!   [`SelectEngine::Fused`] runs it; [`SelectEngine::Auto`] picks between
-//!   it and `greedy_cover` by [`fused_is_profitable`].
-//! * `dist::GreedyRounds::run` — the distributed protocol: its counters
-//!   are global and its decrements travel through a collective, so it
-//!   shares the index and `argmax` with this module but not a body.
+//!   it and `greedy_cover` by [`fused_is_profitable`]. The communicator
+//!   engines run it with a batch of recounts per all-reduce
+//!   (`dist::select_seeds_distributed`).
 //! * `seq::TangStorage::select` — the Table 2/3 baseline over Tang et
 //!   al.'s two-direction layout, slow on purpose.
 //! * `ripples-oracle`'s `reference.rs` — the oracle's own greedy, which
@@ -85,9 +87,11 @@ pub struct SelectStats {
     pub index_build_nanos: u64,
     /// Reserved bytes of the inverted index.
     pub index_bytes: usize,
-    /// Entries the pass read: index-row entries recounted by
-    /// [`select_from_index`], or the entries of the samples each step
-    /// covered, which the index-free bodies decrement.
+    /// Entries the pass read: index-row entries recounted by the lazy
+    /// greedy over an inverted index ([`select_from_index`], or an indexed
+    /// rank of a communicator engine), or the entries of the samples each
+    /// step covered, which the index-free bodies and an index-free rank's
+    /// counters decrement.
     pub entries_touched: u64,
     /// Wall time spent walking RRR blocks during selection, nanoseconds
     /// (0 on the flat store, whose lists and bitmaps need no decoding, and
@@ -110,16 +114,9 @@ pub(crate) fn nanos_since(t0: Instant) -> u64 {
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Picks the argmax with deterministic tie-breaking (lowest id wins ties),
-/// skipping already-selected vertices. Returns `None` when every vertex is
-/// selected.
-pub(crate) fn argmax(counters: &[u64], selected: &[bool]) -> Option<Vertex> {
-    slice_champion(counters, selected, 0).map(|(_, v)| v)
-}
-
 /// One interval's champion: the unselected vertex with the highest count,
 /// lowest id on ties (`selected` is indexed absolutely; the slice covers
-/// vertices `vl..vl + slice.len()`).
+/// vertices `vl..vl + slice.len()`). `None` when every vertex is selected.
 fn slice_champion(slice: &[u64], selected: &[bool], vl: Vertex) -> Option<(u64, Vertex)> {
     let mut best: Option<(u64, Vertex)> = None;
     for (i, &c) in slice.iter().enumerate() {
@@ -135,8 +132,10 @@ fn slice_champion(slice: &[u64], selected: &[bool], vl: Vertex) -> Option<(u64, 
 }
 
 /// Publishes one greedy step — seed `v`, its marginal `gain`, and the
-/// `touched` entries the step read — to the trace and the live metrics.
-fn publish_step(v: Vertex, gain: u64, touched: u64) {
+/// `touched` entries the step read — to the trace and the live metrics;
+/// the step itself is counted only where `counts_step` (see
+/// [`Peers::counts_steps`]).
+fn publish_step(v: Vertex, gain: u64, touched: u64, counts_step: bool) {
     use crate::obs::metrics::{self, Metric};
     use crate::obs::trace::{self, TraceName};
     if trace::enabled() {
@@ -144,7 +143,7 @@ fn publish_step(v: Vertex, gain: u64, touched: u64) {
         trace::mark(TraceName::SelectTouched, touched, u64::from(v));
     }
     if metrics::enabled() {
-        metrics::add(Metric::SelectIterations, 1);
+        metrics::add(Metric::SelectIterations, u64::from(counts_step));
         metrics::add(Metric::SelectEntriesTouched, touched);
     }
 }
@@ -175,7 +174,7 @@ fn sequential_greedy<S: RrrStore>(
     let mut gains = Vec::with_capacity(k as usize);
     let mut covered_count = 0usize;
     for _ in 0..k {
-        let Some(v) = argmax(&counters, &selected) else {
+        let Some((_, v)) = slice_champion(&counters, &selected, 0) else {
             break;
         };
         let gain = counters[v as usize];
@@ -194,7 +193,7 @@ fn sequential_greedy<S: RrrStore>(
         }
         stats.decode_nanos += nanos_since(t0);
         stats.entries_touched += touched;
-        publish_step(v, gain, touched);
+        publish_step(v, gain, touched, true);
     }
     (
         Selection::finish(seeds, gains, covered_count, store.len()),
@@ -280,7 +279,7 @@ fn greedy_cover<S: IntervalSets>(
     let mut newly: Vec<usize> = Vec::new();
     for _ in 0..k {
         // Ascending interval order plus the strict comparison reproduces
-        // argmax's lowest-id tie-break globally.
+        // the lowest-id tie-break globally.
         let best = owners
             .iter()
             .filter_map(|owner| owner.champion)
@@ -304,7 +303,7 @@ fn greedy_cover<S: IntervalSets>(
         }
         covered_count += newly.len();
         stats.entries_touched += touched;
-        publish_step(v, gain, touched);
+        publish_step(v, gain, touched, true);
 
         // Decrement step: each owner updates its interval over the newly
         // covered samples, then looks for a new champion if its own was
@@ -351,27 +350,159 @@ impl CoveredBits {
 
 /// A vertex's entry in the lazy greedy's heap: the bound on its marginal
 /// count in the high half, its id inverted in the low half, so the largest
-/// entry is the highest bound, lowest id on ties. Counts fit the half
-/// because sample ids do.
+/// entry is the highest bound, lowest id on ties. A count is at most θ,
+/// which stays below 2³² wherever the heap runs (`uses_index` bounds each
+/// index's samples, and the ranked engines their global θ).
 fn heap_entry(count: u64, v: Vertex) -> u64 {
     count << 32 | u64::from(!v)
 }
 
-/// The greedy max-cover from the inverted index alone (a lazy greedy):
-/// what every indexed selection pass runs. It reads the index's rows and
-/// one covered bit per sample, and no sample-major data at all.
+/// What one process knows of the samples it holds, in the two questions
+/// the lazy greedy asks of it. Each answer comes with the entries it read,
+/// as [`SelectStats::entries_touched`] counts them.
+pub(crate) trait LocalCover {
+    /// The held samples that contain `v` and no seed covers yet, and the
+    /// entries read to count them.
+    fn recount(&mut self, v: Vertex) -> (u64, u64);
+    /// Marks the held samples that contain `v` covered; returns the entries
+    /// read to do so.
+    fn cover(&mut self, v: Vertex) -> u64;
+}
+
+/// [`LocalCover`] over an inverted index: a recount reads `v`'s row
+/// against one covered bit per sample, and no sample-major data at all.
+/// Covering walks the row once more and counts nothing: the recount that
+/// selected the vertex counted those entries.
+pub(crate) struct IndexCover<'a> {
+    index: &'a SampleIndex,
+    covered: CoveredBits,
+}
+
+impl<'a> IndexCover<'a> {
+    pub(crate) fn new(index: &'a SampleIndex) -> Self {
+        let covered = CoveredBits::new(index.absorbed_samples());
+        IndexCover { index, covered }
+    }
+
+    /// Every vertex's index degree: its count before any seed.
+    pub(crate) fn degrees(&self) -> Vec<u64> {
+        let n = self.index.num_vertices() as Vertex;
+        (0..n).map(|v| u64::from(self.index.degree(v))).collect()
+    }
+}
+
+impl LocalCover for IndexCover<'_> {
+    fn recount(&mut self, v: Vertex) -> (u64, u64) {
+        let (mut count, covered) = (0u64, &self.covered);
+        self.index
+            .for_each_sample(v, |j| count += u64::from(!covered.contains(j)));
+        (count, u64::from(self.index.degree(v)))
+    }
+
+    fn cover(&mut self, v: Vertex) -> u64 {
+        let covered = &mut self.covered;
+        self.index.for_each_sample(v, |j| {
+            covered.insert(j);
+        });
+        0
+    }
+}
+
+/// The processes that share one lazy greedy heap, as the greedy sees them.
+pub(crate) struct Peers<F> {
+    /// Heap entries recounted per round: `reduce` runs once per round.
+    pub batch: usize,
+    /// Sums a buffer of per-process counts over every process, in place.
+    pub reduce: F,
+    /// Whether this process counts greedy steps in the live registry, whose
+    /// cells sum over the rank threads of an in-process world: one process
+    /// per world does.
+    pub counts_steps: bool,
+}
+
+/// The lazy greedy max-cover: the one body of every indexed selection pass,
+/// in shared memory and across ranks. `local` answers for this process's
+/// samples; `bounds` is its count of every vertex before any seed, and
+/// `peers` sums both over the processes that share the heap. Returns the
+/// seeds, their marginal gains and the entries `local` read.
 ///
 /// A max-heap holds an upper bound on every candidate's marginal count —
-/// its index degree at first — packed as one `u64` per vertex, so the heap
-/// is no larger than the counter array of the index-free body. Each step
-/// pops the top vertex and recounts its row against the covered bits; it
-/// is selected if the recount still beats the next bound and pushed back
-/// with the recount otherwise. Covering samples only lowers marginal
-/// counts (submodularity), so every bound stays at or above its vertex's
-/// count, and a recount that beats the next bound beats every other
-/// vertex's count; the heap's (count desc, id asc) order is `argmax`'s
-/// tie-break. Vertices set in `banned` are never candidates and never cover
-/// a sample. `entries_touched` is the row entries the recounts read.
+/// the summed `bounds` at first — packed as one `u64` per vertex, so the
+/// heap is no larger than a counter array. Each round pops the top
+/// `peers.batch` entries, recounts them with `local`, sums the recounts in
+/// one `peers.reduce`, and pushes them back; if the best recount beats
+/// every entry left in the heap, that vertex is selected instead of pushed
+/// back, and every process covers its own samples in its row. Covering
+/// samples only lowers marginal counts (submodularity), so every bound
+/// stays at or above its vertex's count, and a recount that beats every
+/// bound beats every other vertex's count; the heap's (count desc, id asc)
+/// order is the reference's tie-break. The heap, and so every round's
+/// batch, is identical on every process, and the sums make it the heap of
+/// one process holding the union of the samples. Vertices set in `banned`
+/// are never candidates and never cover a sample.
+///
+/// At `batch` 1 a round is one pop and one recount, selected when it still
+/// beats the next bound: the classic lazy greedy. A larger batch reads
+/// recounts that a smaller one would have skipped, in fewer rounds.
+pub(crate) fn lazy_greedy<L: LocalCover + ?Sized, F: FnMut(&mut [u64])>(
+    local: &mut L,
+    mut bounds: Vec<u64>,
+    k: usize,
+    banned: &[bool],
+    mut peers: Peers<F>,
+) -> (Vec<Vertex>, Vec<u64>, u64) {
+    assert_eq!(
+        banned.len(),
+        bounds.len(),
+        "banned mask must cover all vertices"
+    );
+    (peers.reduce)(&mut bounds);
+    // The heap takes over the bounds' allocation.
+    for (v, bound) in bounds.iter_mut().enumerate() {
+        *bound = heap_entry(*bound, v as Vertex);
+    }
+    bounds.retain(|&entry| !banned[!(entry as u32) as usize]);
+    let mut heap = BinaryHeap::from(bounds);
+    let k = k.min(heap.len());
+    let (mut seeds, mut gains) = (Vec::with_capacity(k), Vec::with_capacity(k));
+    let (mut batch, mut counts) = (Vec::new(), Vec::new());
+    // Entries read in all, and since the last selected seed.
+    let (mut touched, mut read) = (0u64, 0u64);
+    while seeds.len() < k {
+        batch.clear();
+        batch.extend(
+            std::iter::from_fn(|| heap.pop())
+                .take(peers.batch)
+                .map(|e| !(e as u32)),
+        );
+        counts.clear();
+        counts.extend(batch.iter().map(|&v| {
+            let (count, entries) = local.recount(v);
+            read += entries;
+            count
+        }));
+        (peers.reduce)(&mut counts);
+        let recounts = batch.iter().zip(&counts).map(|(&v, &c)| heap_entry(c, v));
+        let best = recounts.clone().max().expect("a vertex is left");
+        let selects = heap.peek().is_none_or(|&next| next < best);
+        heap.extend(recounts.filter(|&entry| !(selects && entry == best)));
+        if selects {
+            let (v, gain) = (!(best as u32), best >> 32);
+            read += local.cover(v);
+            seeds.push(v);
+            gains.push(gain);
+            publish_step(v, gain, read, peers.counts_steps);
+            touched += std::mem::take(&mut read);
+        }
+    }
+    (seeds, gains, touched)
+}
+
+/// The greedy max-cover from the inverted index alone: `lazy_greedy` over
+/// one process's index, what every indexed selection pass in shared memory
+/// runs. It reads the index's rows and one covered bit per sample, and no
+/// sample-major data at all. `entries_touched` is the row entries the
+/// recounts read.
 ///
 /// Returns bitwise the [`Selection`] that [`select_seeds_sequential`]
 /// returns on the samples the index holds (with `banned` deleted).
@@ -381,53 +512,32 @@ fn heap_entry(count: u64, v: Vertex) -> u64 {
 /// Panics if `banned` does not have one entry per indexed vertex.
 #[must_use]
 pub fn select_from_index(index: &SampleIndex, k: u32, banned: &[bool]) -> (Selection, SelectStats) {
-    let n = index.num_vertices();
-    assert_eq!(banned.len(), n, "banned mask must cover all vertices");
-    let k = (k as usize).min(n);
-    let mut stats = SelectStats::default();
-    let mut heap: BinaryHeap<u64> = (0..n as Vertex)
-        .filter(|&v| !banned[v as usize])
-        .map(|v| heap_entry(u64::from(index.degree(v)), v))
-        .collect();
-    let mut covered = CoveredBits::new(index.absorbed_samples());
-    let mut seeds = Vec::with_capacity(k);
-    let mut gains = Vec::with_capacity(k);
-    let mut covered_count = 0usize;
-    let mut fresh: Vec<usize> = Vec::new();
-    // Row entries read since the last selected seed.
-    let mut read = 0u64;
-    while seeds.len() < k {
-        let Some(top) = heap.pop() else {
-            break;
-        };
-        let v = !(top as u32);
-        fresh.clear();
-        index.for_each_sample(v, |j| {
-            if !covered.contains(j) {
-                fresh.push(j);
-            }
-        });
-        read += u64::from(index.degree(v));
-        let recount = heap_entry(fresh.len() as u64, v);
-        if heap.peek().is_some_and(|&next| next > recount) {
-            heap.push(recount);
-            continue;
-        }
-        for &j in &fresh {
-            covered.insert(j);
-        }
-        let gain = fresh.len() as u64;
-        covered_count += fresh.len();
-        seeds.push(v);
-        gains.push(gain);
-        stats.entries_touched += read;
-        publish_step(v, gain, read);
-        read = 0;
-    }
-    (
-        Selection::finish(seeds, gains, covered_count, index.absorbed_samples()),
-        stats,
-    )
+    select_from_index_in_batches(index, k, banned, 1)
+}
+
+/// [`select_from_index`], recounting `batch` heap entries per round.
+fn select_from_index_in_batches(
+    index: &SampleIndex,
+    k: u32,
+    banned: &[bool],
+    batch: usize,
+) -> (Selection, SelectStats) {
+    let mut local = IndexCover::new(index);
+    let bounds = local.degrees();
+    let peers = Peers {
+        batch,
+        reduce: |_: &mut [u64]| {},
+        counts_steps: true,
+    };
+    let (seeds, gains, entries_touched) =
+        lazy_greedy(&mut local, bounds, k as usize, banned, peers);
+    let covered = gains.iter().sum::<u64>() as usize;
+    let selection = Selection::finish(seeds, gains, covered, index.absorbed_samples());
+    let stats = SelectStats {
+        entries_touched,
+        ..SelectStats::default()
+    };
+    (selection, stats)
 }
 
 /// Number of samples in `store` covered by `seeds` (samples containing at
@@ -763,6 +873,24 @@ mod tests {
             // the lazy body reads at least each seed's row once.
             assert_eq!(scan_stats.entries_touched, seq_stats.entries_touched);
             assert!(stats.entries_touched >= row_entries(&c, &seq.seeds));
+        }
+        assert_batches_match(&c, n, k, &[false; 8], &seq);
+    }
+
+    /// The lazy greedy returns `expect` at every batch size, up to one
+    /// round for the whole heap.
+    fn assert_batches_match(
+        c: &RrrCollection,
+        n: u32,
+        k: u32,
+        banned: &[bool],
+        expect: &Selection,
+    ) {
+        for batch in [1, 2, 7, 32, n as usize + 1] {
+            let (got, _) = c.with_sample_index(n, 1, |index| {
+                select_from_index_in_batches(index, k, banned, batch)
+            });
+            assert_eq!(&got, expect, "batch {batch}");
         }
     }
 
@@ -1174,6 +1302,7 @@ mod tests {
             assert_eq!(masked.covered, plain.covered);
             assert!(masked.seeds.iter().all(|&v| !banned[v as usize]));
         }
+        assert_batches_match(&full, n, k, &banned, &plain);
     }
 
     #[test]

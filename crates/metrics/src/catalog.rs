@@ -180,7 +180,7 @@ catalog! {
         unsorted_pushes UnsortedPushes: Counter Sum STABLE FINAL ""
             "Out-of-contract (unsorted) store pushes repaired by sorting; always 0 for the in-tree samplers";
         select_entries_touched SelectEntriesTouched: Counter Sum VARIES LIVE ""
-            "Entries selection read, summed over every pass: index-row entries recounted by a pass over the inverted index, or the entries of the samples each greedy step covered, which an index-free pass decrements (globally, for the distributed engines)";
+            "Entries selection read, summed over every pass: index-row entries recounted by a pass over the inverted index (on shared memory or an indexed rank), or the entries of the samples each greedy step covered, which an index-free pass or rank decrements (globally, for the distributed engines)";
         index_build_nanos IndexBuildNanos: Counter PerRank VARIES FINAL "ns"
             "Wall time selection passes spent bringing the inverted index up to date, summed over every pass on this process; a run that selects from the index alone grows it while sampling, outside this count";
         index_bytes_peak IndexBytesPeak: Peak PerRank VARIES LIVE "bytes"

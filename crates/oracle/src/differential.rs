@@ -22,7 +22,7 @@ use crate::reference::greedy_with_tie_order;
 use crate::report::{CheckKind, OracleReport};
 use ripples_centrality::rank_biased_overlap;
 use ripples_comm::{SelfComm, ThreadWorld};
-use ripples_core::dist::{imm_distributed, imm_distributed_with_storage, DistSelectMode};
+use ripples_core::dist::{imm_distributed, imm_distributed_with_storage};
 use ripples_core::dist_partitioned::imm_partitioned;
 use ripples_core::dist_sharded::imm_sharded;
 use ripples_core::mt::imm_multithreaded;
@@ -320,17 +320,10 @@ fn check_store(
         );
     }
 
-    // One distributed run per backend: the decrement aggregation path.
+    // One distributed run per backend: the batched recount across ranks.
     if let Some(&world) = cfg.world_sizes.first() {
-        let results = ThreadWorld::new(world).run(|comm| {
-            imm_distributed_with_storage(
-                comm,
-                graph,
-                params,
-                DistSelectMode::DenseAllReduce,
-                storage,
-            )
-        });
+        let results = ThreadWorld::new(world)
+            .run(|comm| imm_distributed_with_storage(comm, graph, params, storage));
         for (rank, r) in results.iter().enumerate() {
             let subject = format!("dist({tag},world={world},rank={rank})");
             report.check(

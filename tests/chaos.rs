@@ -310,11 +310,16 @@ fn run_with_health(engine: &str, plan: &FaultPlan) -> (ripples_core::ImmResult, 
 /// The fault schedule is a contract: the same plan yields the same op-index,
 /// tick, retry and death sequence however the comm stack is layered. Rows
 /// are `(engine, plan, seeds, θ, report retries, report dropped_ops,
-/// decorator dropped_ops, decorator ticks, dead ranks)`, recorded from the
-/// two-layer stack at `ba95d27` (a retry decorator over the fault
-/// injector, one fallible twin per collective between them); the decorator's
-/// counts run past the report's because the report's own reductions and the
-/// trace gather are collectives too.
+/// decorator dropped_ops, decorator ticks, dead ranks)`, recorded when
+/// selection became the batched lazy recount (per pass, one all-reduce of
+/// the n degrees and one of 32 recounts per round, where it had been one of
+/// n decrements per seed), which moved every op index after a run's first
+/// selection: the faulted rows keep their seeds and θ, and in the `dist`
+/// kill row, where op 10 now lands in a recount round, the last two seeds
+/// gain 0 over the surviving samples and fall to the lowest ids. The
+/// decorator's counts run past the
+/// report's because the report's own reductions and the trace gather are
+/// collectives too.
 #[test]
 fn chaos_health_is_frozen() {
     let plans = [
@@ -341,15 +346,15 @@ fn chaos_health_is_frozen() {
     );
     #[rustfmt::skip]
     let frozen: [Row; 9] = [
-        ("dist", "chaos", [2, 9, 98, 101, 144], 491, 3, 3, 4, 34, &[]),
-        ("dist", "mixed", [2, 9, 98, 101, 144], 491, 3, 3, 4, 52, &[]),
-        ("dist", "kill", [2, 9, 98, 101, 143], 491, 8, 8, 8, 220, &[2]),
-        ("partitioned", "chaos", [2, 242, 63, 70, 129], 494, 6, 6, 7, 77, &[]),
-        ("partitioned", "mixed", [2, 242, 63, 70, 129], 494, 17, 17, 18, 131, &[]),
-        ("partitioned", "kill", [2, 23, 30, 42, 63], 496, 8, 8, 8, 250, &[2]),
-        ("sharded", "chaos", [2, 242, 63, 70, 129], 494, 10, 10, 12, 118, &[]),
-        ("sharded", "mixed", [2, 242, 63, 70, 129], 494, 22, 22, 24, 173, &[]),
-        ("sharded", "kill", [175, 237, 168, 206, 248], 521, 8, 8, 8, 266, &[2]),
+        ("dist", "chaos", [2, 9, 98, 101, 144], 491, 5, 5, 5, 55, &[]),
+        ("dist", "mixed", [2, 9, 98, 101, 144], 491, 9, 9, 12, 102, &[]),
+        ("dist", "kill", [2, 9, 98, 0, 1], 491, 8, 8, 8, 233, &[2]),
+        ("partitioned", "chaos", [2, 242, 63, 70, 129], 494, 10, 10, 12, 117, &[]),
+        ("partitioned", "mixed", [2, 242, 63, 70, 129], 494, 22, 22, 24, 172, &[]),
+        ("partitioned", "kill", [2, 23, 30, 42, 63], 496, 8, 8, 8, 258, &[2]),
+        ("sharded", "chaos", [2, 242, 63, 70, 129], 494, 14, 14, 18, 153, &[]),
+        ("sharded", "mixed", [2, 242, 63, 70, 129], 494, 25, 25, 25, 191, &[]),
+        ("sharded", "kill", [175, 237, 168, 206, 248], 521, 8, 8, 8, 278, &[2]),
     ];
     for (engine, name, seeds, theta, retries, dropped, dec_dropped, ticks, dead) in frozen {
         let plan = &plans.iter().find(|(n, _)| *n == name).expect("a plan").1;

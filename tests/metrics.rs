@@ -166,17 +166,32 @@ fn dist_world_sizes_reduce_consistently() {
         let results: Vec<ImmResult> =
             ThreadWorld::new(world).run(|comm| imm_distributed(comm, &graph, &p));
         let metric_total = ripples_metrics::get(Metric::SamplesGenerated);
+        let live_iterations = ripples_metrics::get(Metric::SelectIterations);
+        let live_touched = ripples_metrics::get(Metric::SelectEntriesTouched);
         ripples_metrics::disable();
 
         // dist all-reduces its counters (`globalize_counters`), so every
         // rank's report already carries the world total — the shared
         // registry, summing each rank's local generation, must agree.
+        // Selection steps are counted once per world (the report's row is
+        // per rank, and every rank takes the same steps); the entries each
+        // rank's selection read sum like the samples.
         for (rank, r) in results.iter().enumerate() {
+            let c = &r.report.counters;
             assert_eq!(
-                metric_total, r.report.counters.samples_generated,
+                metric_total, c.samples_generated,
                 "world={world} rank={rank}: shared registry must equal the globalized counter"
             );
+            assert_eq!(
+                live_iterations, c.select_iterations,
+                "world={world} rank={rank}"
+            );
+            assert_eq!(
+                live_touched, c.select_entries_touched,
+                "world={world} rank={rank}"
+            );
         }
+        assert!(live_iterations > 0 && live_touched > 0, "world={world}");
         let theta = results[0].theta as u64;
         assert!(
             metric_total >= theta,
