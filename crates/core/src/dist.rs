@@ -308,6 +308,10 @@ impl<C: Communicator, P: RankSampler> Engine for RankEngine<'_, C, P> {
         self.store.resident_bytes()
     }
 
+    fn graph_bytes(&self) -> usize {
+        self.sampler.graph_bytes()
+    }
+
     fn select(&mut self, k: u32) -> (Selection, SelectStats) {
         select_seeds_distributed(self.comm, &self.store, self.held, self.n, k)
     }
@@ -343,8 +347,6 @@ pub(crate) fn run_imm_ranked<C: Communicator, P: RankSampler>(
     let footprint = MemoryStats {
         // The selection heap: one `u64` per vertex.
         counter_bytes: n as usize * std::mem::size_of::<u64>(),
-        // The honest headline: per-rank graph bytes are the sampler's share.
-        graph_bytes: sampler.graph_bytes(),
         ..MemoryStats::default()
     };
     let mut engine = RankEngine {

@@ -58,6 +58,9 @@ pub(crate) trait Engine {
     /// Resident bytes of this engine's sample store right now.
     fn resident_bytes(&self) -> usize;
 
+    /// Resident bytes of this process's share of the graph right now.
+    fn graph_bytes(&self) -> usize;
+
     /// One greedy max-cover pass for `k` seeds over the current population.
     /// The seeds and coverage fraction are global (identical on every rank
     /// of a distributed engine); the stats are this rank's. A pass may
@@ -109,8 +112,15 @@ fn publish_theta_target(target: usize) {
     }
 }
 
+/// The process's graph share, read when the run ends: a replicated graph
+/// then counts a forward view that anything in the run built.
+pub(crate) fn record_graph_bytes(report: &mut RunReport, memory: &mut MemoryStats, bytes: usize) {
+    memory.graph_bytes = bytes;
+    report.counters.graph_bytes_peak = bytes as u64;
+}
+
 /// Runs Algorithm 1 over `engine`. `footprint` carries the engine's fixed
-/// bytes (graph share and counter arrays); the driver adds the RRR and
+/// bytes (counter arrays); the driver adds the graph share and the RRR and
 /// index peaks.
 pub(crate) fn run_imm<E: Engine>(
     label: &str,
@@ -124,6 +134,7 @@ pub(crate) fn run_imm<E: Engine>(
     let mut report = RunReport::new(label);
     let mut memory = footprint;
     if n < 2 {
+        record_graph_bytes(&mut report, &mut memory, engine.graph_bytes());
         engine.finish(&mut report);
         return ImmResult {
             seeds: (0..k).collect(),
@@ -222,6 +233,7 @@ pub(crate) fn run_imm<E: Engine>(
 
     report.counters.theta_final = held as u64;
     record_select_counters(&mut report, &mut memory, select_stats);
+    record_graph_bytes(&mut report, &mut memory, engine.graph_bytes());
     engine.finish(&mut report);
     ImmResult {
         seeds: sel.seeds,
@@ -255,6 +267,10 @@ mod tests {
         }
 
         fn resident_bytes(&self) -> usize {
+            0
+        }
+
+        fn graph_bytes(&self) -> usize {
             0
         }
 

@@ -20,7 +20,9 @@ pub struct MemoryStats {
     pub peak_index_bytes: usize,
     /// Bytes of the per-vertex counter array used in seed selection.
     pub counter_bytes: usize,
-    /// Bytes of the input graph CSR (context; identical across variants).
+    /// Bytes of this process's share of the graph when the run ended: the
+    /// whole graph for replicated engines, the rank's slice or shard for
+    /// the partitioned and sharded ones.
     pub graph_bytes: usize,
 }
 

@@ -114,6 +114,12 @@ pub struct SamplerDispatch<'a> {
 }
 
 impl<'a> SamplerDispatch<'a> {
+    /// The graph this dispatcher samples.
+    #[must_use]
+    pub(crate) fn graph(&self) -> &'a Graph {
+        self.graph
+    }
+
     /// Creates a dispatcher for one run.
     #[must_use]
     pub fn new(

@@ -121,6 +121,10 @@ impl Engine for CompactEngine<'_> {
         self.store.resident_bytes()
     }
 
+    fn graph_bytes(&self) -> usize {
+        self.dispatch.graph().resident_bytes()
+    }
+
     fn select(&mut self, k: u32) -> (Selection, SelectStats) {
         let build_nanos = self.release_if_index_only(k);
         let (selection, mut stats) =
@@ -174,7 +178,6 @@ pub(crate) fn run_compact(
     };
     let footprint = MemoryStats {
         counter_bytes: n as usize * std::mem::size_of::<u64>(),
-        graph_bytes: graph.resident_bytes(),
         ..MemoryStats::default()
     };
     let result = run_imm(label, graph, params, footprint, &mut engine);
@@ -369,6 +372,10 @@ impl Engine for TangEngine<'_> {
         self.storage.resident_bytes()
     }
 
+    fn graph_bytes(&self) -> usize {
+        self.graph.resident_bytes()
+    }
+
     fn select(&mut self, k: u32) -> (Selection, SelectStats) {
         let n = self.graph.num_vertices();
         (self.storage.select(n, k), SelectStats::default())
@@ -429,7 +436,6 @@ pub fn imm_baseline_with_options(
     };
     let footprint = MemoryStats {
         counter_bytes: n as usize * std::mem::size_of::<u64>(),
-        graph_bytes: graph.resident_bytes(),
         ..MemoryStats::default()
     };
     run_imm("baseline", graph, params, footprint, &mut engine)

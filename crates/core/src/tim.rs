@@ -23,7 +23,7 @@
 //!    `λ = (8 + 2ε)·n·(ℓ·ln n + ln C(n,k) + ln 2)/ε²`, then run the
 //!    standard greedy max-cover.
 
-use crate::driver::{record_select_counters, record_store_counters};
+use crate::driver::{record_graph_bytes, record_select_counters, record_store_counters};
 use crate::memory::MemoryStats;
 use crate::obs::{RunReport, SpanKind};
 use crate::params::ImmParams;
@@ -88,7 +88,6 @@ pub fn tim_plus_with_storage(
     let mut report = RunReport::new("tim");
     let mut memory = MemoryStats {
         counter_bytes: n as usize * std::mem::size_of::<u64>(),
-        graph_bytes: graph.resident_bytes(),
         ..MemoryStats::default()
     };
     let mut collection = DynRrrStore::new(storage, n);
@@ -179,6 +178,7 @@ pub fn tim_plus_with_storage(
     report.counters.select_iterations += final_sel.seeds.len() as u64;
     report.counters.theta_final = collection.len() as u64;
     record_select_counters(&mut report, &mut memory, select_stats);
+    record_graph_bytes(&mut report, &mut memory, graph.resident_bytes());
     record_store_counters(&mut report, &collection);
     if crate::obs::trace::enabled() {
         report.trace = Some(crate::obs::trace::collect_all());

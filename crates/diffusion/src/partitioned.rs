@@ -21,7 +21,7 @@
 use crate::model::DiffusionModel;
 use crate::rrr::{RrrCollection, RrrScratch};
 use ripples_graph::partition::ChunkView;
-use ripples_graph::{Graph, Vertex};
+use ripples_graph::{Graph, RowProbs, Vertex};
 use ripples_rng::{SplitMix64, StreamFactory};
 
 /// The in-edges owned by one rank: vertex interval `[vl, vh)` of the parent
@@ -60,9 +60,10 @@ impl GraphPartition {
         let mut in_sources = Vec::new();
         let mut in_probs = Vec::new();
         in_offsets.push(0);
+        // One probability per edge whatever the graph's layout.
         for v in vl..vh {
             in_sources.extend_from_slice(graph.in_neighbors(v));
-            in_probs.extend_from_slice(graph.in_probs(v));
+            in_probs.extend(graph.in_edges(v).map(|(_, p)| p));
             in_offsets.push(in_sources.len());
         }
         Self {
@@ -135,7 +136,7 @@ impl GraphPartition {
     ) -> u64 {
         let mut rng = SplitMix64::for_stream(sample_seed, u64::from(v));
         let sources = self.in_neighbors(v);
-        let probs = self.in_probs(v);
+        let probs = RowProbs::Each(self.in_probs(v));
         expand_with(model, &mut rng, sources, probs, out)
     }
 }
@@ -145,23 +146,41 @@ fn expand_with(
     model: DiffusionModel,
     rng: &mut SplitMix64,
     sources: &[Vertex],
-    probs: &[f32],
+    probs: RowProbs<'_>,
     out: &mut Vec<Vertex>,
 ) -> u64 {
+    match probs {
+        RowProbs::Same(p) => expand_edges(model, rng, sources.iter().map(|&u| (u, p)), out),
+        RowProbs::Each(probs) => expand_edges(
+            model,
+            rng,
+            sources.iter().copied().zip(probs.iter().copied()),
+            out,
+        ),
+    }
+}
+
+/// [`expand_with`] once per probability layout.
+fn expand_edges(
+    model: DiffusionModel,
+    rng: &mut SplitMix64,
+    edges: impl Iterator<Item = (Vertex, f32)>,
+    out: &mut Vec<Vertex>,
+) -> u64 {
+    let mut examined = 0u64;
     match model {
         DiffusionModel::IndependentCascade => {
-            for (&u, &p) in sources.iter().zip(probs) {
+            for (u, p) in edges {
+                examined += 1;
                 if rng.unit_f64() < f64::from(p) {
                     out.push(u);
                 }
             }
-            sources.len() as u64
         }
         DiffusionModel::LinearThreshold => {
             let draw = rng.unit_f64();
             let mut acc = 0.0f64;
-            let mut examined = 0u64;
-            for (&u, &p) in sources.iter().zip(probs) {
+            for (u, p) in edges {
                 examined += 1;
                 acc += f64::from(p);
                 if draw < acc {
@@ -169,9 +188,9 @@ fn expand_with(
                     break;
                 }
             }
-            examined
         }
     }
+    examined
 }
 
 /// Expands one vertex-cut chunk of `v`'s in-list for sample stream
@@ -359,7 +378,8 @@ mod tests {
         let part = GraphPartition::extract(&g, 1, 3);
         for v in part.vl..part.vh {
             assert_eq!(part.in_neighbors(v), g.in_neighbors(v));
-            assert_eq!(part.in_probs(v), g.in_probs(v));
+            let probs: Vec<f32> = g.in_edges(v).map(|(_, p)| p).collect();
+            assert_eq!(part.in_probs(v), probs.as_slice());
         }
     }
 

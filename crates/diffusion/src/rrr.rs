@@ -3,7 +3,7 @@
 
 use crate::mixed::{BitmapIter, RrrSetRef, SampleArena};
 use crate::model::DiffusionModel;
-use ripples_graph::{Graph, Vertex};
+use ripples_graph::{Graph, RowProbs, Vertex};
 use ripples_rng::SplitMix64;
 
 /// Reusable per-thread scratch for RRR generation.
@@ -112,36 +112,25 @@ pub fn generate_rrr_into(
     while head < scratch.queue.len() {
         let v = scratch.queue[head];
         head += 1;
-        match model {
-            DiffusionModel::IndependentCascade => {
-                let sources = graph.in_neighbors(v);
-                let probs = graph.in_probs(v);
-                edges_examined += sources.len() as u64;
-                for (&u, &p) in sources.iter().zip(probs) {
-                    if rng.unit_f64() < f64::from(p) && scratch.visit(u) {
-                        scratch.queue.push(u);
-                    }
-                }
+        let sources = graph.in_neighbors(v);
+        edges_examined += match (model, graph.in_probs(v)) {
+            (DiffusionModel::IndependentCascade, RowProbs::Same(p)) => {
+                ic_row(sources.iter().map(|&u| (u, p)), rng, scratch)
             }
-            DiffusionModel::LinearThreshold => {
-                // One uniform draw selects among in-neighbors by weight; the
-                // tail probability (1 - Σw) selects "stop here".
-                let sources = graph.in_neighbors(v);
-                let probs = graph.in_probs(v);
-                let draw = rng.unit_f64();
-                let mut acc = 0.0f64;
-                for (&u, &p) in sources.iter().zip(probs) {
-                    edges_examined += 1;
-                    acc += f64::from(p);
-                    if draw < acc {
-                        if scratch.visit(u) {
-                            scratch.queue.push(u);
-                        }
-                        break;
-                    }
-                }
+            (DiffusionModel::IndependentCascade, RowProbs::Each(probs)) => ic_row(
+                sources.iter().copied().zip(probs.iter().copied()),
+                rng,
+                scratch,
+            ),
+            (DiffusionModel::LinearThreshold, RowProbs::Same(p)) => {
+                lt_row(sources.iter().map(|&u| (u, p)), rng, scratch)
             }
-        }
+            (DiffusionModel::LinearThreshold, RowProbs::Each(probs)) => lt_row(
+                sources.iter().copied().zip(probs.iter().copied()),
+                rng,
+                scratch,
+            ),
+        };
     }
     let start = out.len();
     out.extend_from_slice(&scratch.queue);
@@ -155,6 +144,49 @@ pub fn generate_rrr_into(
         ripples_metrics::observe_rrr_size((out.len() - start) as u64);
     }
     edges_examined
+}
+
+/// IC expansion of one vertex: every in-edge is live independently with
+/// its probability. Returns the edges examined: all of them.
+#[inline]
+fn ic_row(
+    edges: impl Iterator<Item = (Vertex, f32)>,
+    rng: &mut SplitMix64,
+    scratch: &mut RrrScratch,
+) -> u64 {
+    let mut examined = 0u64;
+    for (u, p) in edges {
+        examined += 1;
+        if rng.unit_f64() < f64::from(p) && scratch.visit(u) {
+            scratch.queue.push(u);
+        }
+    }
+    examined
+}
+
+/// LT expansion of one vertex: one uniform draw selects among the
+/// in-neighbors by weight; the tail probability (1 - Σw) selects "stop
+/// here". Returns the edges examined up to the selected one.
+#[inline]
+fn lt_row(
+    edges: impl Iterator<Item = (Vertex, f32)>,
+    rng: &mut SplitMix64,
+    scratch: &mut RrrScratch,
+) -> u64 {
+    let draw = rng.unit_f64();
+    let mut acc = 0.0f64;
+    let mut examined = 0u64;
+    for (u, p) in edges {
+        examined += 1;
+        acc += f64::from(p);
+        if draw < acc {
+            if scratch.visit(u) {
+                scratch.queue.push(u);
+            }
+            break;
+        }
+    }
+    examined
 }
 
 /// The compact one-direction RRR storage of the paper's optimized serial

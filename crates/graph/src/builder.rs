@@ -15,16 +15,20 @@
 //!    occurrence, compacting the arrays in place;
 //! 4. let the weight model, if any, fill the probabilities in forward order
 //!    (source, then target — the order a sorted edge list would have);
-//! 5. counting-sort by target into the reverse arrays; sources come out
-//!    ascending within a destination because rows are visited in order.
+//! 5. counting-sort the probabilities by target into the reverse order and
+//!    drop the forward ones; keep one per vertex if every in-row is bitwise
+//!    uniform;
+//! 6. counting-sort the sources by target the same way, and drop the
+//!    forward arrays. Sources come out ascending within a destination
+//!    because rows are visited in order.
 //!
-//! The high-water mark is step 2 (input plus forward arrays: 12 bytes an
-//! edge, 20 when probabilities are kept) or the finished graph (16 bytes an
-//! edge plus 16 a vertex), whichever is larger; nothing of size m or n is
-//! allocated beyond the six arrays the [`Graph`] keeps. The steps are the
-//! same whether or not the edges arrive sorted.
+//! The [`Graph`] keeps only the reverse arrays; its forward view is built
+//! again from them on first use. The high-water mark is step 2 (input plus
+//! forward arrays: 12 bytes an edge, 20 when probabilities are kept); steps
+//! 5 and 6 hold 12 bytes an edge, and nothing else of size m is allocated.
+//! The steps are the same whether or not the edges arrive sorted.
 
-use crate::csr::Graph;
+use crate::csr::{Graph, ProbStore};
 use crate::types::{GraphError, Vertex};
 use crate::weights::WeightModel;
 
@@ -56,9 +60,8 @@ impl DuplicatePolicy {
 /// Accumulates edges and produces a validated [`Graph`].
 ///
 /// Construction is O(m + n + Σ d·log d) over rows of d edges (no sort of
-/// the whole list) and its transient memory stays below the finished graph
-/// unless probabilities are kept, where it peaks 4 bytes an edge above it;
-/// see the module documentation.
+/// the whole list) and its transient memory peaks at 12 bytes an edge, 20
+/// when probabilities are kept; see the module documentation.
 ///
 /// ```
 /// use ripples_graph::GraphBuilder;
@@ -241,30 +244,23 @@ impl GraphBuilder {
             None => kept_probs.expect("probabilities are kept until a weight model replaces them"),
         };
 
-        // Step 5: rows are visited in order, so the sources of a
-        // destination come out ascending.
+        // Steps 5 and 6, one array at a time so that no more than three
+        // m-length arrays are alive at once.
         let mut in_offsets = offsets_by_key(n, &out_targets);
-        let mut in_sources = vec![0 as Vertex; out_targets.len()];
-        let mut in_probs = vec![0.0f32; out_targets.len()];
-        for u in 0..n {
-            for e in out_offsets[u]..out_offsets[u + 1] {
-                let slot = &mut in_offsets[out_targets[e] as usize];
-                in_sources[*slot] = u as Vertex;
-                in_probs[*slot] = out_probs[e];
-                *slot += 1;
-            }
-        }
-        rewind_offsets(&mut in_offsets);
-
-        Ok(Graph {
+        let in_probs = transpose(&out_offsets, &out_targets, &mut in_offsets, |_, e| {
+            out_probs[e]
+        });
+        drop(out_probs);
+        let in_probs = ProbStore::new(&in_offsets, in_probs);
+        let in_sources = transpose(&out_offsets, &out_targets, &mut in_offsets, |u, _| {
+            u as Vertex
+        });
+        Ok(Graph::from_reverse(
             num_vertices,
-            out_offsets,
-            out_targets,
-            out_probs,
             in_offsets,
             in_sources,
             in_probs,
-        })
+        ))
     }
 }
 
@@ -356,7 +352,7 @@ impl Rows {
 
 /// Where each key's group starts once the elements are sorted by key:
 /// `offsets[k]` for key `k < n`, and the element count at `offsets[n]`.
-fn offsets_by_key(n: usize, keys: &[Vertex]) -> Vec<usize> {
+pub(crate) fn offsets_by_key(n: usize, keys: &[Vertex]) -> Vec<usize> {
     let mut offsets = vec![0usize; n + 1];
     for &k in keys {
         offsets[k as usize + 1] += 1;
@@ -374,6 +370,29 @@ fn rewind_offsets(offsets: &mut [usize]) {
     let n = offsets.len() - 1;
     offsets.copy_within(0..n, 1);
     offsets[0] = 0;
+}
+
+/// One value per edge of a CSR (rows by `offsets`, the other endpoint of
+/// edge `e` in `keys[e]`), computed by `value(row, e)` and placed in the
+/// transposed order: grouped by key, by ascending row within a group.
+/// `cursor` holds the transposed offsets ([`offsets_by_key`] over `keys`)
+/// and is left holding them again.
+pub(crate) fn transpose<T: Copy + Default>(
+    offsets: &[usize],
+    keys: &[Vertex],
+    cursor: &mut [usize],
+    mut value: impl FnMut(usize, usize) -> T,
+) -> Vec<T> {
+    let mut out = vec![T::default(); keys.len()];
+    for row in 0..offsets.len() - 1 {
+        for e in offsets[row]..offsets[row + 1] {
+            let slot = &mut cursor[keys[e] as usize];
+            out[*slot] = value(row, e);
+            *slot += 1;
+        }
+    }
+    rewind_offsets(cursor);
+    out
 }
 
 /// A [`GraphBuilder`] with a recorded weight model; see
@@ -427,6 +446,7 @@ impl WeightedBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::RowProbs;
 
     #[test]
     fn rejects_out_of_range() {
@@ -545,7 +565,7 @@ mod tests {
         b.add_edge(1, 4, 0.75).unwrap();
         let g = b.build().unwrap();
         assert_eq!(g.in_neighbors(4), &[0, 1, 3]);
-        assert_eq!(g.in_probs(4), &[0.5, 0.75, 0.25]);
+        assert_eq!(g.in_probs(4), RowProbs::Each(&[0.5, 0.75, 0.25]));
         g.validate().unwrap();
     }
 }

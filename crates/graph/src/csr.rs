@@ -1,33 +1,138 @@
-//! Immutable bidirectional CSR graph storage.
+//! Immutable CSR graph storage: the reverse CSR the samplers read, and a
+//! forward view built on first use.
 
-use crate::builder::check_probability;
+use crate::builder::{check_probability, offsets_by_key, transpose};
 use crate::types::Vertex;
+use std::sync::OnceLock;
 
-/// A directed graph with per-edge activation probabilities, stored as two
-/// compressed-sparse-row structures: one over out-edges (forward diffusion)
-/// and one over in-edges (reverse-reachability sampling).
+/// A directed graph with per-edge activation probabilities, stored as one
+/// compressed-sparse-row structure over in-edges (reverse-reachability
+/// sampling, selection and serve read nothing else).
+///
+/// The probabilities live in one of two layouts, chosen once per graph from
+/// its content: one `f32` per vertex when every in-row is bitwise uniform
+/// (weighted cascade, a constant probability, LT over either), one per
+/// in-edge otherwise. [`Graph::in_probs`] hands a row out as a [`RowProbs`],
+/// which the reverse BFS in `ripples-diffusion` — the hottest loop in the
+/// whole system — matches once per vertex.
+///
+/// The out-edge accessors ([`Graph::out_neighbors`], [`Graph::edges`], …)
+/// read a forward CSR that the first of them builds from the reverse one
+/// and the graph then keeps: forward Monte-Carlo, CELF, the heuristics, IO
+/// writes and relabeling use it; no sampler or selector does.
 ///
 /// The topology is immutable after construction (the one in-place operation,
 /// [`Graph::normalize_for_lt`], rescales probabilities); build instances
 /// through [`crate::GraphBuilder`], the generators or [`crate::io`].
-/// Probabilities are stored twice
-/// (once per direction) so both traversal directions stream contiguously —
-/// the reverse BFS in `ripples-diffusion` is the hottest loop in the whole
-/// system and must not chase an edge-id indirection per neighbor.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct Graph {
     pub(crate) num_vertices: u32,
-    // Forward CSR: edges grouped by source, targets sorted within a group.
-    pub(crate) out_offsets: Vec<usize>,
-    pub(crate) out_targets: Vec<Vertex>,
-    pub(crate) out_probs: Vec<f32>,
     // Reverse CSR: edges grouped by destination, sources sorted in a group.
     pub(crate) in_offsets: Vec<usize>,
     pub(crate) in_sources: Vec<Vertex>,
-    pub(crate) in_probs: Vec<f32>,
+    pub(crate) in_probs: ProbStore,
+    forward: OnceLock<Forward>,
+    fingerprint: OnceLock<u64>,
+}
+
+/// Two graphs are equal when their edges and probability bits are; whether
+/// either has built its forward view does not matter.
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        self.num_vertices == other.num_vertices
+            && self.in_offsets == other.in_offsets
+            && self.in_sources == other.in_sources
+            && self.in_probs == other.in_probs
+    }
+}
+
+/// The activation probabilities of one vertex's in-edges, aligned with
+/// [`Graph::in_neighbors`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum RowProbs<'a> {
+    /// Every in-edge of the row carries this probability.
+    Same(f32),
+    /// One probability per in-edge.
+    Each(&'a [f32]),
+}
+
+impl RowProbs<'_> {
+    /// The probability of the row's `i`-th in-edge.
+    #[inline]
+    #[must_use]
+    pub(crate) fn get(self, i: usize) -> f32 {
+        match self {
+            RowProbs::Same(p) => p,
+            RowProbs::Each(probs) => probs[i],
+        }
+    }
+
+    /// Sum of the first `len` probabilities of the row, added one by one in
+    /// `f64` in row order (also for [`RowProbs::Same`], so the bits are
+    /// those of the per-edge sum, not of `len · p`).
+    #[must_use]
+    pub(crate) fn sum(self, len: usize) -> f64 {
+        (0..len).map(|i| f64::from(self.get(i))).sum()
+    }
+}
+
+/// Where the in-edge probabilities live.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) enum ProbStore {
+    /// One per vertex: every in-row is bitwise uniform. A vertex with no
+    /// in-edges holds 0.0.
+    PerVertex(Vec<f32>),
+    /// One per in-edge, aligned with `in_sources`.
+    PerEdge(Vec<f32>),
+}
+
+impl ProbStore {
+    /// The store for per-in-edge `probs`: one value per vertex when every
+    /// row is bitwise uniform, else `probs` itself.
+    pub(crate) fn new(in_offsets: &[usize], probs: Vec<f32>) -> Self {
+        let rows = || in_offsets.windows(2).map(|w| &probs[w[0]..w[1]]);
+        let uniform = rows().all(|row| row.iter().all(|p| p.to_bits() == row[0].to_bits()));
+        if uniform {
+            ProbStore::PerVertex(rows().map(|row| row.first().map_or(0.0, |&p| p)).collect())
+        } else {
+            ProbStore::PerEdge(probs)
+        }
+    }
+
+    fn values(&self) -> &[f32] {
+        match self {
+            ProbStore::PerVertex(probs) | ProbStore::PerEdge(probs) => probs,
+        }
+    }
+}
+
+/// The forward CSR: edges grouped by source, targets sorted within a group,
+/// one probability per edge.
+#[derive(Clone, Debug)]
+struct Forward {
+    offsets: Vec<usize>,
+    targets: Vec<Vertex>,
+    probs: Vec<f32>,
 }
 
 impl Graph {
+    /// The graph over a finished reverse CSR.
+    pub(crate) fn from_reverse(
+        num_vertices: u32,
+        in_offsets: Vec<usize>,
+        in_sources: Vec<Vertex>,
+        in_probs: ProbStore,
+    ) -> Self {
+        Self {
+            num_vertices,
+            in_offsets,
+            in_sources,
+            in_probs,
+            forward: OnceLock::new(),
+            fingerprint: OnceLock::new(),
+        }
+    }
+
     /// Number of vertices `n`.
     #[inline]
     #[must_use]
@@ -39,7 +144,7 @@ impl Graph {
     #[inline]
     #[must_use]
     pub fn num_edges(&self) -> usize {
-        self.out_targets.len()
+        self.in_sources.len()
     }
 
     /// True if the graph has no vertices.
@@ -48,12 +153,33 @@ impl Graph {
         self.num_vertices == 0
     }
 
+    /// The forward view, built from the reverse CSR on first use: a
+    /// counting sort by source that visits destinations in order, so every
+    /// row comes out sorted by target.
+    fn forward(&self) -> &Forward {
+        self.forward.get_or_init(|| {
+            let n = self.num_vertices as usize;
+            let (in_offsets, sources) = (&self.in_offsets, &self.in_sources);
+            let mut offsets = offsets_by_key(n, sources);
+            let targets = transpose(in_offsets, sources, &mut offsets, |v, _| v as Vertex);
+            let probs = transpose(in_offsets, sources, &mut offsets, |v, e| {
+                self.in_probs(v as Vertex).get(e - in_offsets[v])
+            });
+            Forward {
+                offsets,
+                targets,
+                probs,
+            }
+        })
+    }
+
     /// Out-degree of `v`.
     #[inline]
     #[must_use]
     pub fn out_degree(&self, v: Vertex) -> usize {
         let v = v as usize;
-        self.out_offsets[v + 1] - self.out_offsets[v]
+        let offsets = &self.forward().offsets;
+        offsets[v + 1] - offsets[v]
     }
 
     /// In-degree of `v`.
@@ -68,16 +194,16 @@ impl Graph {
     #[inline]
     #[must_use]
     pub fn out_neighbors(&self, v: Vertex) -> &[Vertex] {
-        let v = v as usize;
-        &self.out_targets[self.out_offsets[v]..self.out_offsets[v + 1]]
+        let (v, forward) = (v as usize, self.forward());
+        &forward.targets[forward.offsets[v]..forward.offsets[v + 1]]
     }
 
     /// Activation probabilities aligned with [`Graph::out_neighbors`].
     #[inline]
     #[must_use]
     pub fn out_probs(&self, v: Vertex) -> &[f32] {
-        let v = v as usize;
-        &self.out_probs[self.out_offsets[v]..self.out_offsets[v + 1]]
+        let (v, forward) = (v as usize, self.forward());
+        &forward.probs[forward.offsets[v]..forward.offsets[v + 1]]
     }
 
     /// Sources of the in-edges of `v`, sorted ascending.
@@ -91,9 +217,14 @@ impl Graph {
     /// Activation probabilities aligned with [`Graph::in_neighbors`].
     #[inline]
     #[must_use]
-    pub fn in_probs(&self, v: Vertex) -> &[f32] {
+    pub fn in_probs(&self, v: Vertex) -> RowProbs<'_> {
         let v = v as usize;
-        &self.in_probs[self.in_offsets[v]..self.in_offsets[v + 1]]
+        match &self.in_probs {
+            ProbStore::PerVertex(probs) => RowProbs::Same(probs[v]),
+            ProbStore::PerEdge(probs) => {
+                RowProbs::Each(&probs[self.in_offsets[v]..self.in_offsets[v + 1]])
+            }
+        }
     }
 
     /// Iterates `(target, probability)` pairs of the out-edges of `v`.
@@ -108,10 +239,11 @@ impl Graph {
     /// Iterates `(source, probability)` pairs of the in-edges of `v`.
     #[inline]
     pub fn in_edges(&self, v: Vertex) -> impl Iterator<Item = (Vertex, f32)> + '_ {
+        let probs = self.in_probs(v);
         self.in_neighbors(v)
             .iter()
-            .copied()
-            .zip(self.in_probs(v).iter().copied())
+            .enumerate()
+            .map(move |(i, &u)| (u, probs.get(i)))
     }
 
     /// Iterates every edge as `(source, target, probability)` in forward CSR
@@ -121,165 +253,210 @@ impl Graph {
     }
 
     /// True if the directed edge `(u, v)` exists (binary search on the
-    /// sorted adjacency of `u`).
+    /// sorted in-adjacency of `v`).
     #[must_use]
     pub fn has_edge(&self, u: Vertex, v: Vertex) -> bool {
-        self.out_neighbors(u).binary_search(&v).is_ok()
+        self.edge_prob(u, v).is_some()
     }
 
     /// The probability of edge `(u, v)`, if present.
     #[must_use]
     pub fn edge_prob(&self, u: Vertex, v: Vertex) -> Option<f32> {
-        self.out_neighbors(u)
-            .binary_search(&v)
+        self.in_neighbors(v)
+            .binary_search(&u)
             .ok()
-            .map(|i| self.out_probs(u)[i])
+            .map(|i| self.in_probs(v).get(i))
     }
 
-    /// Sum of in-edge probabilities of `v` (the LT "total incoming weight").
+    /// Sum of in-edge probabilities of `v` (the LT "total incoming weight"),
+    /// added in `f64` by ascending source.
     #[must_use]
     pub fn in_weight_sum(&self, v: Vertex) -> f64 {
-        self.in_probs(v).iter().map(|&p| f64::from(p)).sum()
+        self.in_probs(v).sum(self.in_degree(v))
     }
 
-    /// Resident bytes of the CSR arrays (used by the memory experiments).
+    /// Resident bytes of the CSR arrays (used by the memory experiments):
+    /// the reverse CSR and its probabilities, plus the forward view once a
+    /// forward reader has built it.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
-        use std::mem::size_of;
-        (self.out_offsets.len() + self.in_offsets.len()) * size_of::<usize>()
-            + (self.out_targets.len() + self.in_sources.len()) * size_of::<Vertex>()
-            + (self.out_probs.len() + self.in_probs.len()) * size_of::<f32>()
+        use std::mem::size_of_val;
+        let forward = self.forward.get().map_or(0, |f| {
+            size_of_val(&f.offsets[..]) + size_of_val(&f.targets[..]) + size_of_val(&f.probs[..])
+        });
+        size_of_val(&self.in_offsets[..])
+            + size_of_val(&self.in_sources[..])
+            + size_of_val(self.in_probs.values())
+            + forward
     }
 
     /// Content fingerprint of the graph: an FNV-1a fold over `n`, `m`, the
-    /// forward CSR arrays, and the bit patterns of the edge probabilities.
-    /// Two graphs fingerprint equal iff their forward CSR content is
-    /// byte-identical (the reverse CSR is derived from the same edges), so
-    /// the serve mode's sketch snapshots can refuse restoration against a
-    /// different graph without storing the graph itself.
+    /// forward CSR offsets, targets and the bit patterns of the edge
+    /// probabilities, in forward order. Two graphs fingerprint equal iff
+    /// their edges and probability bits are identical, so the serve mode's
+    /// sketch snapshots can refuse restoration against a different graph
+    /// without storing the graph itself.
+    ///
+    /// Computed once per graph and kept. The forward order is produced a
+    /// range of sources at a time (about m/8 edges each), so the fold holds
+    /// O(n + m/8) transient memory and never builds the forward view.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        #[inline]
-        fn fold(h: &mut u64, x: u64) {
-            for shift in (0..64).step_by(8) {
-                *h ^= (x >> shift) & 0xFF;
-                *h = h.wrapping_mul(FNV_PRIME);
+        *self.fingerprint.get_or_init(|| {
+            const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+            const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+            fn fold(h: &mut u64, x: u64) {
+                for shift in (0..64).step_by(8) {
+                    *h ^= (x >> shift) & 0xFF;
+                    *h = h.wrapping_mul(FNV_PRIME);
+                }
             }
+            let mut h = FNV_OFFSET;
+            fold(&mut h, u64::from(self.num_vertices));
+            fold(&mut h, self.num_edges() as u64);
+            let out_offsets = offsets_by_key(self.num_vertices as usize, &self.in_sources);
+            for &o in &out_offsets {
+                fold(&mut h, o as u64);
+            }
+            self.forward_by_ranges(&out_offsets, |v, _| fold(&mut h, u64::from(v)));
+            self.forward_by_ranges(&out_offsets, |_, p| fold(&mut h, u64::from(p.to_bits())));
+            h
+        })
+    }
+
+    /// Calls `visit(target, probability)` for every edge in forward order,
+    /// transposing sources `u0..u1` at a time: each range holds at most m/8
+    /// edges, or one source's out-edges if it has more. Each vertex keeps a
+    /// cursor into its in-row, which ascends by source, so a range reads
+    /// only its own edges: a sweep is O(m) plus O(n) a range, and there are
+    /// at most 17 ranges (any two adjacent ones hold more than m/8 edges).
+    fn forward_by_ranges(&self, out_offsets: &[usize], mut visit: impl FnMut(Vertex, f32)) {
+        let n = self.num_vertices as usize;
+        let cap = self.num_edges().div_ceil(8).max(1);
+        let mut cursor = self.in_offsets[..n].to_vec();
+        let mut range: Vec<(Vertex, f32)> = Vec::new();
+        let mut u0 = 0;
+        while u0 < n {
+            let mut u1 = u0 + 1;
+            while u1 < n && out_offsets[u1 + 1] - out_offsets[u0] <= cap {
+                u1 += 1;
+            }
+            let base = out_offsets[u0];
+            let mut slots = out_offsets[u0..u1].to_vec();
+            range.clear();
+            range.resize(out_offsets[u1] - base, (0, 0.0));
+            for (v, next) in cursor.iter_mut().enumerate() {
+                let (end, probs) = (self.in_offsets[v + 1], self.in_probs(v as Vertex));
+                let row_start = self.in_offsets[v];
+                while *next < end && (self.in_sources[*next] as usize) < u1 {
+                    let slot = &mut slots[self.in_sources[*next] as usize - u0];
+                    range[*slot - base] = (v as Vertex, probs.get(*next - row_start));
+                    *slot += 1;
+                    *next += 1;
+                }
+            }
+            for &(v, p) in &range {
+                visit(v, p);
+            }
+            u0 = u1;
         }
-        let mut h = FNV_OFFSET;
-        fold(&mut h, u64::from(self.num_vertices));
-        fold(&mut h, self.out_targets.len() as u64);
-        for &o in &self.out_offsets {
-            fold(&mut h, o as u64);
-        }
-        for &t in &self.out_targets {
-            fold(&mut h, u64::from(t));
-        }
-        for &p in &self.out_probs {
-            fold(&mut h, u64::from(p.to_bits()));
-        }
-        h
     }
 
     /// The paper's linear-threshold readjustment, in place: the incoming
     /// probabilities of every vertex whose in-weight exceeds one are divided
-    /// by that sum, in both directions' arrays; the others are left alone,
-    /// keeping their nonzero chance of no activation.
+    /// by that sum; the others are left alone, keeping their nonzero chance
+    /// of no activation. A per-edge store whose rows all come out bitwise
+    /// uniform becomes a per-vertex one, and a built forward view and the
+    /// kept fingerprint are dropped.
     ///
     /// A vertex's sum is [`Graph::in_weight_sum`]: f64, over its in-edges
-    /// by ascending source, the order a pass over the forward arrays meets
-    /// them in, so the result does not depend on when in a graph's
-    /// construction this runs:
+    /// by ascending source, so the result does not depend on when in a
+    /// graph's construction this runs:
     /// [`crate::builder::WeightedBuilder::normalize_for_lt`] is this call on
     /// the freshly built graph.
     pub fn normalize_for_lt(&mut self) {
-        let sums: Vec<f64> = (0..self.num_vertices)
-            .map(|v| self.in_weight_sum(v))
-            .collect();
         let readjust = |prob: &mut f32, sum: f64| {
             if sum > 1.0 {
                 *prob = (f64::from(*prob) / sum) as f32;
             }
         };
-        for (v, &sum) in sums.iter().enumerate() {
-            for prob in &mut self.in_probs[self.in_offsets[v]..self.in_offsets[v + 1]] {
-                readjust(prob, sum);
+        let offsets = &self.in_offsets;
+        match &mut self.in_probs {
+            ProbStore::PerVertex(probs) => {
+                for (v, prob) in probs.iter_mut().enumerate() {
+                    let sum = RowProbs::Same(*prob).sum(offsets[v + 1] - offsets[v]);
+                    readjust(prob, sum);
+                }
+            }
+            ProbStore::PerEdge(probs) => {
+                for w in offsets.windows(2) {
+                    let row = &mut probs[w[0]..w[1]];
+                    let sum = RowProbs::Each(row).sum(row.len());
+                    row.iter_mut().for_each(|prob| readjust(prob, sum));
+                }
+                let probs = std::mem::take(probs);
+                self.in_probs = ProbStore::new(offsets, probs);
             }
         }
-        for (&v, prob) in self.out_targets.iter().zip(&mut self.out_probs) {
-            readjust(prob, sums[v as usize]);
-        }
+        self.forward.take();
+        self.fingerprint.take();
     }
 
     /// Checks the internal invariants; used by tests and after IO.
     ///
-    /// Invariants: offset arrays are monotone and span the edge arrays;
-    /// every endpoint is below `n`; adjacency lists are strictly sorted;
-    /// probabilities are finite and in `[0, 1]`; both directions contain
-    /// the same edge multiset with the same probability bits. O(m + n) time
-    /// and one n-length cursor array.
+    /// Invariants: the offsets are monotone and span the edge arrays; every
+    /// source is below `n`; in-rows are strictly sorted; probabilities are
+    /// finite and in `[0, 1]`; a per-vertex store holds 0.0 for a vertex
+    /// without in-edges, and a per-edge store has a row that is not bitwise
+    /// uniform. O(m + n) time, no allocation, and the forward view is not
+    /// built.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.num_vertices as usize;
-        let m = self.out_targets.len();
-        if self.out_offsets.len() != n + 1 || self.in_offsets.len() != n + 1 {
-            return Err("offset arrays must have n+1 entries".into());
+        let m = self.in_sources.len();
+        let w = &self.in_offsets;
+        if w.len() != n + 1 {
+            return Err("offset array must have n+1 entries".into());
         }
-        if self.out_probs.len() != m || self.in_sources.len() != m || self.in_probs.len() != m {
-            return Err("edge arrays must have equal lengths".into());
+        if w[0] != 0 || w[n] != m {
+            return Err("offsets must start at 0 and end at m".into());
         }
-        for w in [&self.out_offsets, &self.in_offsets] {
-            if w[0] != 0 || w[n] != m {
-                return Err("offsets must start at 0 and end at m".into());
-            }
-            if w.windows(2).any(|p| p[0] > p[1]) {
-                return Err("offsets must be monotone".into());
-            }
+        if w.windows(2).any(|p| p[0] > p[1]) {
+            return Err("offsets must be monotone".into());
         }
-        if self
-            .out_targets
-            .iter()
-            .chain(&self.in_sources)
-            .any(|&v| v >= self.num_vertices)
-        {
+        if self.in_sources.iter().any(|&v| v >= self.num_vertices) {
             return Err("edge endpoints must be below n".into());
         }
         for v in 0..self.num_vertices {
-            if self.out_neighbors(v).windows(2).any(|w| w[0] >= w[1]) {
-                return Err(format!("out-adjacency of {v} not strictly sorted"));
-            }
             if self.in_neighbors(v).windows(2).any(|w| w[0] >= w[1]) {
                 return Err(format!("in-adjacency of {v} not strictly sorted"));
             }
         }
-        if self
-            .out_probs
-            .iter()
-            .chain(&self.in_probs)
-            .any(|&p| check_probability(p).is_err())
-        {
+        let probs = self.in_probs.values();
+        if probs.iter().any(|&p| check_probability(p).is_err()) {
             return Err("probabilities must be finite in [0,1]".into());
         }
-        // Directions agree. Out-edges are walked by ascending source, and a
-        // source meets each target at most once (rows are strictly sorted),
-        // so the sources arriving at one target strictly ascend — as its
-        // in-list, strictly sorted, does. Each out-edge must therefore be
-        // the next unread entry of its target's in-list; both sides hold m
-        // edges, so when every out-edge has matched, every in-edge has been
-        // read exactly once.
-        let mut next_in = self.in_offsets[..n].to_vec();
-        for u in 0..n {
-            for e in self.out_offsets[u]..self.out_offsets[u + 1] {
-                let v = self.out_targets[e] as usize;
-                let slot = next_in[v];
-                if slot == self.in_offsets[v + 1]
-                    || self.in_sources[slot] as usize != u
-                    || self.in_probs[slot].to_bits() != self.out_probs[e].to_bits()
-                {
-                    return Err("forward and reverse CSR disagree".into());
+        match &self.in_probs {
+            ProbStore::PerVertex(probs) => {
+                if probs.len() != n {
+                    return Err("a per-vertex store must have n entries".into());
                 }
-                next_in[v] = slot + 1;
+                if (0..self.num_vertices)
+                    .any(|v| self.in_degree(v) == 0 && probs[v as usize] != 0.0)
+                {
+                    return Err("a vertex without in-edges must hold probability 0".into());
+                }
+            }
+            ProbStore::PerEdge(probs) => {
+                if probs.len() != m {
+                    return Err("a per-edge store must have m entries".into());
+                }
+                let uniform = w.windows(2).all(|w| {
+                    let row = &probs[w[0]..w[1]];
+                    row.iter().all(|p| p.to_bits() == row[0].to_bits())
+                });
+                if uniform {
+                    return Err("a per-edge store must have a non-uniform row".into());
+                }
             }
         }
         Ok(())
@@ -288,6 +465,7 @@ impl Graph {
 
 #[cfg(test)]
 mod tests {
+    use super::RowProbs;
     use crate::GraphBuilder;
 
     fn diamond() -> crate::Graph {
@@ -317,7 +495,7 @@ mod tests {
         assert_eq!(g.out_neighbors(0), &[1, 2]);
         assert_eq!(g.out_probs(0), &[0.5, 0.25]);
         assert_eq!(g.in_neighbors(3), &[1, 2]);
-        assert_eq!(g.in_probs(3), &[1.0, 0.75]);
+        assert_eq!(g.in_probs(3), RowProbs::Each(&[1.0, 0.75]));
     }
 
     #[test]
@@ -366,6 +544,75 @@ mod tests {
         assert_ne!(e3.fingerprint(), e4.fingerprint());
     }
 
+    /// The fingerprint serve snapshots embed, pinned at the values of the
+    /// two-CSR graph whose forward arrays it used to fold, so that a
+    /// snapshot written then still restores.
+    #[test]
+    fn fingerprint_golden_values() {
+        use crate::generators::barabasi_albert;
+        use crate::io::{read_edge_list, EdgeListOptions, VertexIds};
+        use crate::WeightModel;
+
+        let text = "0 1 0.9\n2 1 0.8\n3 1 0.5\n1 2 0.3\n3 2 0.3\n0 3 0.7\n2 0 0.6\n";
+        let options = EdgeListOptions {
+            vertex_ids: VertexIds::Literal,
+            ..Default::default()
+        };
+        let mut lt = read_edge_list(text.as_bytes(), options).unwrap();
+        lt.normalize_for_lt();
+        let cases = [
+            (diamond(), 0x3960_3c13_d282_a124u64),
+            (
+                barabasi_albert(500, 4, WeightModel::WeightedCascade, false, 3),
+                0xc423_8c76_13cf_84f5,
+            ),
+            (
+                barabasi_albert(500, 4, WeightModel::UniformRandom { seed: 11 }, false, 5),
+                0xaf59_b514_1c95_55b1,
+            ),
+            (lt, 0x0934_b8a4_29b1_1d85),
+        ];
+        for (g, pinned) in cases {
+            let before = g.resident_bytes();
+            assert_eq!(
+                g.fingerprint(),
+                pinned,
+                "n {} m {}",
+                g.num_vertices(),
+                g.num_edges()
+            );
+            assert_eq!(
+                g.resident_bytes(),
+                before,
+                "the fold builds no forward view"
+            );
+            // Kept, and what the forward view would give.
+            assert_eq!(g.fingerprint(), pinned);
+            let edges: Vec<_> = g.edges().collect();
+            assert_eq!(edges.len(), g.num_edges());
+        }
+    }
+
+    #[test]
+    fn normalize_drops_a_kept_fingerprint() {
+        let mut g = diamond();
+        let before = g.fingerprint();
+        let _ = g.out_degree(0);
+        g.normalize_for_lt();
+        assert_ne!(g.fingerprint(), before);
+        assert_eq!(g.out_probs(2), &[0.75 / 1.75f32]);
+        // Vertex 3's row was not uniform and still is not; a uniform result
+        // collapses to one probability per vertex.
+        assert!(matches!(g.in_probs(3), RowProbs::Each(_)));
+        let mut b = GraphBuilder::new(3);
+        b.add_edge(0, 2, 0.75).unwrap();
+        b.add_edge(1, 2, 0.7500001).unwrap();
+        let mut g = b.build().unwrap();
+        assert!(matches!(g.in_probs(2), RowProbs::Each(_)));
+        g.normalize_for_lt();
+        g.validate().unwrap();
+    }
+
     #[test]
     fn in_weight_sum() {
         let g = diamond();
@@ -379,11 +626,25 @@ mod tests {
     }
 
     #[test]
+    fn forward_view_is_built_on_first_use() {
+        let g = diamond();
+        // Offsets of n + 1 vertices, 4 sources and 4 probabilities.
+        let reverse = 5 * 8 + 4 * 4 + 4 * 4;
+        assert_eq!(g.resident_bytes(), reverse);
+        assert_eq!(g.out_degree(0), 2);
+        assert_eq!(g.resident_bytes(), 2 * reverse);
+        // A clone keeps it, equality ignores it.
+        assert_eq!(g.clone().resident_bytes(), 2 * reverse);
+        assert_eq!(g, diamond());
+    }
+
+    #[test]
     fn empty_graph() {
         let g = GraphBuilder::new(0).build().unwrap();
         assert!(g.is_empty());
         assert_eq!(g.num_edges(), 0);
         g.validate().unwrap();
+        assert_eq!(g.edges().count(), 0);
     }
 
     #[test]

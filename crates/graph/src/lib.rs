@@ -3,10 +3,11 @@
 //! This crate is the input substrate of the CLUSTER'19 reproduction. It
 //! provides:
 //!
-//! * [`Graph`] — an immutable directed graph in compressed-sparse-row form,
-//!   stored in **both directions** (out-edges for forward diffusion
-//!   simulation, in-edges for reverse-reachability sampling) with per-edge
-//!   activation probabilities.
+//! * [`Graph`] — an immutable directed graph in compressed-sparse-row form
+//!   over in-edges (what reverse-reachability sampling reads), with one
+//!   activation probability per vertex when every in-row is uniform and one
+//!   per edge otherwise; the out-edge view forward diffusion simulation
+//!   reads is built from it on first use.
 //! * [`GraphBuilder`] — edge-list accumulation, deduplication, self-loop
 //!   policy, probability assignment ([`weights::WeightModel`]) and the
 //!   linear-threshold normalization described in the paper ("the weights are
@@ -39,7 +40,7 @@ pub mod types;
 pub mod weights;
 
 pub use builder::GraphBuilder;
-pub use csr::Graph;
+pub use csr::{Graph, RowProbs};
 pub use partition::{ChunkView, VertexCutShard};
 pub use permute::{permute_graph, Permutation};
 pub use stats::GraphStats;

@@ -122,15 +122,17 @@ impl VertexCutShard {
                     // The exact accumulator value the sequential LT loop
                     // holds after the preceding edges: same adds, same order.
                     let mut prefix = 0.0f64;
-                    for &p in &full_probs[..within] {
-                        prefix += f64::from(p);
+                    for i in 0..within {
+                        prefix += f64::from(full_probs.get(i));
                     }
                     chunk_of[v as usize] = chunk_vertex.len() as u32;
                     chunk_vertex.push(v);
                     chunk_edge_start.push(within as u32);
                     chunk_lt_prefix.push(prefix);
                     sources.extend_from_slice(&full_sources[within..end - goff]);
-                    probs.extend_from_slice(&full_probs[within..end - goff]);
+                    // A chunk holds one probability per edge whatever the
+                    // graph's layout.
+                    probs.extend((within..end - goff).map(|i| full_probs.get(i)));
                     chunk_offsets.push(sources.len());
                 }
             }
@@ -312,7 +314,7 @@ mod tests {
             for v in shard.chunk_vertices().collect::<Vec<_>>() {
                 let c = shard.chunk(v).unwrap();
                 let mut acc = 0.0f64;
-                for &p in &g.in_probs(v)[..c.edge_start as usize] {
+                for (_, p) in g.in_edges(v).take(c.edge_start as usize) {
                     acc += f64::from(p);
                 }
                 assert_eq!(c.lt_prefix.to_bits(), acc.to_bits(), "vertex {v} rank {r}");

@@ -24,20 +24,25 @@ impl GraphStats {
     pub fn of(graph: &Graph) -> Self {
         let n = graph.num_vertices();
         let m = graph.num_edges();
-        let mut max_out = 0;
-        let mut max_in = 0;
-        for v in 0..n {
-            max_out = max_out.max(graph.out_degree(v));
-            max_in = max_in.max(graph.in_degree(v));
-        }
+        let max_in = (0..n).map(|v| graph.in_degree(v)).max().unwrap_or(0);
         Self {
             nodes: n,
             edges: m,
             avg_degree: if n == 0 { 0.0 } else { m as f64 / f64::from(n) },
-            max_out_degree: max_out,
+            max_out_degree: out_degrees(graph).into_iter().max().unwrap_or(0),
             max_in_degree: max_in,
         }
     }
+}
+
+/// Every vertex's out-degree, counted in one pass over the reverse CSR's
+/// sources, so that a summary never builds the graph's forward view.
+fn out_degrees(graph: &Graph) -> Vec<usize> {
+    let mut degrees = vec![0; graph.num_vertices() as usize];
+    for &u in &graph.in_sources {
+        degrees[u as usize] += 1;
+    }
+    degrees
 }
 
 /// Histogram of out-degrees: entry `d` counts vertices with out-degree `d`.
@@ -45,8 +50,7 @@ impl GraphStats {
 #[must_use]
 pub fn out_degree_histogram(graph: &Graph) -> Vec<usize> {
     let mut hist = Vec::new();
-    for v in 0..graph.num_vertices() {
-        let d = graph.out_degree(v);
+    for d in out_degrees(graph) {
         if d >= hist.len() {
             hist.resize(d + 1, 0);
         }
@@ -65,8 +69,7 @@ pub fn powerlaw_exponent_estimate(graph: &Graph, d_min: usize) -> Option<f64> {
     let d_min = d_min.max(1);
     let mut log_sum = 0.0f64;
     let mut count = 0usize;
-    for v in 0..graph.num_vertices() {
-        let d = graph.out_degree(v);
+    for d in out_degrees(graph) {
         if d >= d_min {
             log_sum += (d as f64 / d_min as f64).ln();
             count += 1;
@@ -116,6 +119,26 @@ mod tests {
         let h = out_degree_histogram(&g);
         // degrees: 0 -> 2, 1 -> 1, 2 -> 0, 3 -> 0
         assert_eq!(h, vec![2, 1, 1]);
+    }
+
+    #[test]
+    fn summaries_do_not_build_the_forward_view() {
+        let g = crate::generators::barabasi_albert(
+            300,
+            3,
+            crate::WeightModel::WeightedCascade,
+            false,
+            2,
+        );
+        let before = g.resident_bytes();
+        let s = GraphStats::of(&g);
+        let h = out_degree_histogram(&g);
+        assert_eq!(g.resident_bytes(), before);
+        // The same figures as the forward view gives.
+        let max_out = (0..g.num_vertices()).map(|v| g.out_degree(v)).max();
+        assert_eq!(Some(s.max_out_degree), max_out);
+        assert_eq!(h.iter().sum::<usize>(), 300);
+        assert!(g.resident_bytes() > before, "out_degree builds the view");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Holds the load path's memory: reading an edge list and validating the
 //! graph may raise the process's high-water mark by little more than the
-//! graph that is returned, whether or not the file arrives sorted.
+//! builder's widest moment, whether or not the file arrives sorted.
 //!
 //! `VmHWM` belongs to a process and never falls, so this is a test binary
 //! of its own with one test, and every measurement is taken in a fresh
@@ -21,10 +21,22 @@ const TEST: &str = "load_peak_stays_near_the_graph";
 const CHILD_FILE: &str = "RIPPLES_LOAD_PEAK_FILE";
 /// Set for a child that keeps the file's third column.
 const CHILD_KEEPS_PROBS: &str = "RIPPLES_LOAD_PEAK_KEEPS_PROBS";
-/// Allowed growth of `VmHWM` over [`ripples_graph::Graph::resident_bytes`].
-/// The loader this one replaced needed 2.4× on the benchmark's sparse input
-/// and 3.2× here; this one needs 1.05× (1.2× when probabilities are kept).
+/// Allowed growth of `VmHWM` over each bound below.
 const ALLOWED: f64 = 1.35;
+
+/// The ceiling for every load: a two-CSR graph of `m` edges over `n`
+/// vertices (16 bytes an edge, 16 a vertex), what the graph itself took
+/// when it kept both directions.
+fn two_csr_bytes(n: usize, m: usize) -> usize {
+    16 * m + 16 * (n + 1)
+}
+
+/// The tighter ceiling when a weight model overwrites the file's
+/// probabilities: the builder's scatter, input and forward arrays without
+/// probabilities (12 bytes an edge) plus the forward offsets.
+fn scatter_bytes(n: usize, m: usize) -> usize {
+    12 * m + 8 * (n + 1)
+}
 
 fn vm_hwm_bytes() -> usize {
     let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
@@ -56,17 +68,23 @@ fn child(path: &Path) {
     let graph = read_edge_list_file(path, options).expect("read the generated file");
     graph.validate().expect("loaded graph is valid");
     let grown = vm_hwm_bytes() - before;
-    let graph_bytes = graph.resident_bytes();
-    let ratio = grown as f64 / graph_bytes as f64;
-    println!(
-        "{}: VmHWM grew {grown} bytes for a graph of {graph_bytes} ({ratio:.2}x)",
-        path.display()
-    );
-    assert!(
-        ratio <= ALLOWED,
-        "loading {} took {ratio:.2}x the graph's own size (allowed: {ALLOWED}x)",
-        path.display()
-    );
+    let (n, m) = (graph.num_vertices() as usize, graph.num_edges());
+    let mut bounds = vec![("two-CSR graph", two_csr_bytes(n, m))];
+    if weights.is_some() {
+        bounds.push(("scatter", scatter_bytes(n, m)));
+    }
+    for (name, bytes) in bounds {
+        let ratio = grown as f64 / bytes as f64;
+        println!(
+            "{}: VmHWM grew {grown} bytes against a {name} bound of {bytes} ({ratio:.2}x)",
+            path.display()
+        );
+        assert!(
+            ratio <= ALLOWED,
+            "loading {} took {ratio:.2}x the {name} bound (allowed: {ALLOWED}x)",
+            path.display()
+        );
+    }
 }
 
 fn run_child(path: &Path, keeps_probs: bool) {

@@ -11,7 +11,7 @@ use ripples_graph::builder::DuplicatePolicy;
 use ripples_graph::io::{
     read_binary, read_edge_list, write_binary, write_edge_list, EdgeListOptions, VertexIds,
 };
-use ripples_graph::{Graph, GraphBuilder, GraphError, Vertex, WeightModel};
+use ripples_graph::{Graph, GraphBuilder, GraphError, RowProbs, Vertex, WeightModel};
 use ripples_rng::SplitMix64;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader};
@@ -722,6 +722,7 @@ fn build_matches_reference(
         policy,
         model,
         lt_normalize,
+        lt_in_place,
         undirected,
         keep_self_loops,
     } = *case;
@@ -766,39 +767,70 @@ fn build_matches_reference(
                     insert(u, v, p);
                 }
             }
-            if lt_normalize {
+            if lt_normalize && !lt_in_place {
                 builder = builder.normalize_for_lt();
             }
-            builder.build().unwrap()
+            let mut graph = builder.build().unwrap();
+            if lt_normalize && lt_in_place {
+                graph.normalize_for_lt();
+            }
+            graph
         }
     };
     let reference = reference_build(n, &inserted, policy, model, lt_normalize);
 
     graph.validate()?;
     let mut canonical = GraphBuilder::new(n).keep_self_loops();
+    let mut uniform = true;
     for v in 0..n {
-        let (out, inc) = (&reference.out[v as usize], &reference.inc[v as usize]);
-        let out_ids: Vec<Vertex> = out.iter().map(|e| e.0).collect();
-        let out_probs: Vec<f32> = out.iter().map(|e| e.1).collect();
+        let inc = &reference.inc[v as usize];
         let in_ids: Vec<Vertex> = inc.iter().map(|e| e.0).collect();
         let in_probs: Vec<f32> = inc.iter().map(|e| e.1).collect();
-        if graph.out_neighbors(v) != out_ids
-            || bits(graph.out_probs(v)) != bits(&out_probs)
-            || graph.in_neighbors(v) != in_ids
-            || bits(graph.in_probs(v)) != bits(&in_probs)
+        let built: Vec<f32> = graph.in_edges(v).map(|(_, p)| p).collect();
+        // The sequential f64 sum, not d·p, also over a per-vertex row.
+        let sum: f64 = in_probs.iter().map(|&p| f64::from(p)).sum();
+        if graph.in_neighbors(v) != in_ids
+            || bits(&built) != bits(&in_probs)
+            || graph.in_weight_sum(v).to_bits() != sum.to_bits()
         {
             return Err(format!(
-                "vertex {v} of {edges:?} under {case:?}: built out {:?} {:?} in {:?} {:?}, \
-                 reference out {out:?} in {inc:?}",
-                graph.out_neighbors(v),
-                graph.out_probs(v),
+                "vertex {v} of {edges:?} under {case:?}: built in {:?} {built:?} (sum {}), \
+                 reference in {inc:?}",
                 graph.in_neighbors(v),
-                graph.in_probs(v),
+                graph.in_weight_sum(v),
             ));
         }
-        for &(t, p) in out {
+        uniform &= in_probs
+            .iter()
+            .all(|p| p.to_bits() == in_probs[0].to_bits());
+        for &(t, p) in &reference.out[v as usize] {
             canonical.add_edge(v, t, p).map_err(|e| e.to_string())?;
         }
+    }
+    // One probability per vertex exactly when every row is bitwise uniform.
+    let same_rows = (0..n)
+        .filter(|&v| matches!(graph.in_probs(v), RowProbs::Same(_)))
+        .count();
+    if same_rows != if uniform { n as usize } else { 0 } {
+        return Err(format!(
+            "{edges:?} under {case:?}: {same_rows} per-vertex rows, every row uniform: {uniform}"
+        ));
+    }
+    // The forward view, built from the reverse rows, lists the reference's
+    // edges in forward order.
+    let forward: Vec<(Vertex, Vertex, u32)> =
+        graph.edges().map(|(u, v, p)| (u, v, p.to_bits())).collect();
+    let expected: Vec<(Vertex, Vertex, u32)> = (0..n)
+        .flat_map(|u| {
+            reference.out[u as usize]
+                .iter()
+                .map(move |&(v, p)| (u, v, p.to_bits()))
+        })
+        .collect();
+    if forward != expected {
+        return Err(format!(
+            "{edges:?} under {case:?}: forward view {forward:?}, reference {expected:?}"
+        ));
     }
     // The same graph as one built from the reference's finished edges.
     let canonical = canonical.build().unwrap();
@@ -815,6 +847,9 @@ struct BuildCase {
     policy: DuplicatePolicy,
     model: Option<WeightModel>,
     lt_normalize: bool,
+    /// LT readjustment on the built graph rather than in the builder (file
+    /// probabilities are always readjusted on the graph).
+    lt_in_place: bool,
     undirected: bool,
     keep_self_loops: bool,
 }
@@ -837,6 +872,7 @@ impl BuildCase {
                 Some(WeightModel::Trivalency { seed: 13 }),
             ]),
             lt_normalize: dice.chance(50),
+            lt_in_place: dice.chance(50),
             undirected: dice.chance(30),
             keep_self_loops: dice.chance(30),
         }
@@ -926,9 +962,11 @@ proptest! {
     }
 
     /// `build` against the reference under every duplicate policy, weight
-    /// model, LT readjustment, `add_undirected` and kept self-loops, with the
-    /// edges in the order drawn and in the reverse of it. `KeepFirst` keeps
-    /// the first *inserted* duplicate in both.
+    /// model, LT readjustment (in the builder and in place), `add_undirected`
+    /// and kept self-loops, with the edges in the order drawn and in the
+    /// reverse of it: reverse rows, forward view, in-weight sums and the
+    /// probability layout. `KeepFirst` keeps the first *inserted* duplicate
+    /// in both.
     #[test]
     fn build_matches_sort_dedup_naive_csr((n, edges) in crowded_edges_strategy(), seed in any::<u64>()) {
         let case = BuildCase::from_seed(seed);

@@ -208,7 +208,7 @@ catalog! {
         degraded_ranks DegradedRanks: Level Max VARIES LIVE ""
             "Ranks declared dead and excluded from the run's collectives";
         graph_bytes_peak GraphBytesPeak: Peak Max VARIES LIVE "bytes"
-            "Peak resident bytes of one process's share of the graph: the full CSR for replicated engines, the vertex-cut shard for `imm_sharded`";
+            "Peak resident bytes of one process's share of the graph: for replicated engines the reverse CSR and its probabilities (one per vertex when every in-row is uniform), plus the forward view only once a forward reader has built it; the vertex-cut shard for `imm_sharded`";
         frontier_exchanges FrontierExchanges: Counter Max VARIES LIVE ""
             "Batched frontier exchanges (`alltoallv`) issued by the sharded engine; 0 for replicated engines";
         overlap_nanos OverlapNanos: Counter Max VARIES FINAL "ns"
