@@ -14,9 +14,11 @@ pub struct MemoryStats {
     /// run that selects from the inverted index alone, the stage its
     /// samples wait in, and the store of its first round).
     pub peak_rrr_bytes: usize,
-    /// Peak bytes of the selection inverted index (the store's
-    /// [`ripples_diffusion::SampleIndex`]: per segment a `4·(n + 1)`-byte
-    /// table plus 1–2 bytes per RRR entry); 0 for index-free selection.
+    /// Peak resident bytes of the selection inverted index (the store's
+    /// [`ripples_diffusion::SampleIndex`]: per resident segment a
+    /// `4·(n + 1)`-byte table plus 1–2 bytes per RRR entry, none for the
+    /// segments a spill store's budget sent to disk); 0 for index-free
+    /// selection.
     pub peak_index_bytes: usize,
     /// Bytes of the per-vertex counter array used in seed selection.
     pub counter_bytes: usize,

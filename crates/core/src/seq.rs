@@ -18,9 +18,7 @@ use crate::select::{
 };
 use crate::theta::ThetaSchedule;
 use ripples_diffusion::rrr::{generate_rrr, RrrScratch};
-use ripples_diffusion::{
-    BatchOutcome, DiffusionModel, DynRrrStore, RrrStore, RrrStoreKind, StorageConfig,
-};
+use ripples_diffusion::{BatchOutcome, DiffusionModel, DynRrrStore, RrrStore, StorageConfig};
 use ripples_graph::{Graph, Vertex};
 use ripples_rng::StreamFactory;
 use std::time::Instant;
@@ -71,9 +69,10 @@ pub(crate) fn record_batch(report: &mut RunReport, outcome: &BatchOutcome) {
 ///
 /// A run that may drop its samples decides at its first selection: when that
 /// pass is indexed and no population the θ schedule can reach passes the
-/// index's 32-bit sample ids ([`index_only`]), a flat store releases its
-/// samples into its index ([`DynRrrStore::release_samples`]), and every pass
-/// from then on reads the index alone. A spill store keeps spilling; a run
+/// index's 32-bit sample ids ([`index_only`]), the store — flat or spill —
+/// releases its samples into its index ([`DynRrrStore::release_samples`]),
+/// and every pass from then on reads the index alone. Under a spill store's
+/// `--rrr-budget` it is then the index's sealed segments that spill. A run
 /// whose first pass is index-free, and the serve sketch, keep their samples.
 struct CompactEngine<'a> {
     store: DynRrrStore,
@@ -87,7 +86,7 @@ struct CompactEngine<'a> {
 }
 
 impl CompactEngine<'_> {
-    /// Releases a flat store's samples into its index when the first
+    /// Releases the store's samples into its index when the first
     /// selection pass shows the run can select from the index alone, and
     /// routes every pass from then on through the index
     /// ([`SelectEngine::Fused`]); returns what bringing the index up to date
@@ -96,9 +95,7 @@ impl CompactEngine<'_> {
         let Some(max_population) = self.max_population.take() else {
             return 0;
         };
-        if self.store.kind() != RrrStoreKind::Flat
-            || !index_only(self.select, &self.store, k, max_population)
-        {
+        if !index_only(self.select, &self.store, k, max_population) {
             return 0;
         }
         let t0 = Instant::now();

@@ -1,14 +1,18 @@
 //! Property-based tests for the core algorithm components.
 
 use proptest::prelude::*;
+use ripples_core::mt::imm_multithreaded_with_storage;
 use ripples_core::select::{
     select_from_index, select_seeds_sequential, select_with_engine, Selection,
 };
+use ripples_core::seq::immopt_sequential_with_storage;
 use ripples_core::theta::{log_binomial, ThetaSchedule};
-use ripples_core::{select_with_engine_banned, SelectEngine};
+use ripples_core::{select_with_engine_banned, ImmParams, ImmResult, SampleEngine, SelectEngine};
 use ripples_diffusion::{
-    DynRrrStore, RrrCollection, RrrStore, RrrStoreKind, SampleIndex, StorageConfig,
+    DiffusionModel, DynRrrStore, RrrCollection, RrrStore, RrrStoreKind, SampleIndex, StorageConfig,
 };
+use ripples_graph::generators::barabasi_albert;
+use ripples_graph::WeightModel;
 
 const ENGINES: [SelectEngine; 4] = [
     SelectEngine::Auto,
@@ -192,6 +196,75 @@ fn assert_every_route_agrees(
         }
     }
     Ok(())
+}
+
+/// `mt` (two threads) and `opt` over `storage`, in that order.
+fn index_only_runs(
+    graph: &ripples_graph::Graph,
+    params: &ImmParams,
+    storage: StorageConfig,
+) -> [ImmResult; 2] {
+    let (select, sample) = (SelectEngine::Auto, SampleEngine::Reference);
+    [
+        imm_multithreaded_with_storage(graph, params, 2, select, sample, storage),
+        immopt_sequential_with_storage(graph, params, select, sample, storage),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// A spill store's `--rrr-budget` bounds the stage a run that selects
+    /// from the index alone samples into and the index's resident segments,
+    /// and moves no seed: `mt` and `opt` at 4 KiB, at 64 KiB and with no
+    /// budget return the seeds and θ of the flat store, under IC and LT.
+    /// Their peaks stay within the budget plus one segment (a table, and
+    /// rows from at most a stage of half the budget's bytes), plus what no
+    /// budget moves: the index's degrees, and the per-sample counts and
+    /// offsets (8 bytes a sample) and open chunk that the spill store keeps
+    /// resident for the first round, before its samples are released.
+    #[test]
+    fn a_budget_bounds_the_stage_and_the_index_and_moves_no_seed(
+        n in 300u32..1500,
+        graph_seed in any::<u64>(),
+        lt in any::<bool>(),
+    ) {
+        let graph = barabasi_albert(n, 4, WeightModel::WeightedCascade, false, graph_seed);
+        let model = if lt {
+            DiffusionModel::LinearThreshold
+        } else {
+            DiffusionModel::IndependentCascade
+        };
+        let params = ImmParams::new(5, 0.3, model, 7);
+        let flat = index_only_runs(&graph, &params, StorageConfig::default());
+        for budget in [Some(4096usize), Some(65536), None] {
+            let spill = StorageConfig { kind: RrrStoreKind::Spill, budget };
+            for (run, flat) in index_only_runs(&graph, &params, spill).iter().zip(&flat) {
+                let case = format!("{} under {budget:?}", run.report.engine);
+                prop_assert_eq!(&run.seeds, &flat.seeds, "{}", case);
+                prop_assert_eq!(run.theta, flat.theta, "{}", case);
+                let c = &run.report.counters;
+                prop_assert!(c.index_bytes_peak > 0, "{} selected from the index", case);
+                prop_assert_eq!(c.spill_write_failures, 0);
+                let Some(budget) = budget else {
+                    prop_assert_eq!(c.spill_bytes_written, 0, "{}", case);
+                    continue;
+                };
+                prop_assert!(c.spill_bytes_written > 0, "{}", case);
+                let table = 4 * (u64::from(n) + 1);
+                let segment = table + budget as u64 / 2;
+                let first_round = 8 * c.round_budgets[0] + (budget as u64 / 4).max(1024);
+                let fixed = 4 * u64::from(n) + first_round;
+                prop_assert!(
+                    c.rrr_bytes_peak + c.index_bytes_peak <= budget as u64 + segment + fixed,
+                    "{}: {} stage and {} index bytes",
+                    case,
+                    c.rrr_bytes_peak,
+                    c.index_bytes_peak
+                );
+            }
+        }
+    }
 }
 
 proptest! {

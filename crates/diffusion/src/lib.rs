@@ -22,7 +22,8 @@
 //! store for the one inverted index ([`sample_index::SampleIndex`]:
 //! gap-varint rows, 1–2 bytes per association), which
 //! [`store::DynRrrStore`] builds at the first indexed pass, grows as each
-//! later batch ends, and alone keeps once a run releases its samples.
+//! later batch ends, alone keeps once a run releases its samples, and
+//! spills in sealed segments under a spill store's `--rrr-budget`.
 
 #![warn(missing_docs)]
 
@@ -36,6 +37,7 @@ pub mod partitioned;
 pub mod rrr;
 pub mod sample_index;
 pub mod sampler;
+mod spill;
 pub mod store;
 
 pub use forward::{estimate_spread, simulate_cascade, spread_samples, CascadeOutcome};

@@ -264,6 +264,16 @@ impl MixedRrrCollection {
         self.lists.unsorted_pushes()
     }
 
+    /// Bytes of every backing buffer at its length: what
+    /// [`Self::resident_bytes`] reports with no growth slack.
+    pub(crate) fn held_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.lists.len() + 1 + self.slots.len()) * size_of::<usize>()
+            + self.lists.total_entries() * size_of::<Vertex>()
+            + self.bits.len() * size_of::<u64>()
+            + self.bitmap_lens.len() * size_of::<u32>()
+    }
+
     /// Reserved bytes of every backing buffer. For a collection holding
     /// only lists this is exactly [`RrrCollection::resident_bytes`].
     #[must_use]

@@ -16,11 +16,12 @@
 
 use crate::compressed::{read_varint, varint_len, write_varint};
 use crate::intervals::IntervalSets;
+use crate::spill::SpillFile;
 use crate::store::RrrStore;
 use ripples_graph::Vertex;
 
 /// The rows of one run of consecutive samples.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Segment {
     /// Id of the run's first sample.
     first: u32,
@@ -36,6 +37,20 @@ impl Segment {
     fn row(&self, v: usize) -> &[u8] {
         &self.rows[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
+
+    /// Reserved bytes of the table and the rows.
+    fn resident_bytes(&self) -> usize {
+        self.offsets.capacity() * std::mem::size_of::<u32>() + self.rows.capacity()
+    }
+}
+
+/// Where a spilled segment lives: its table, as little-endian `u32`s, then
+/// its rows, from `at` on in the spill file.
+#[derive(Clone, Copy, Debug)]
+struct Spilled {
+    /// Id of the run's first sample.
+    first: u32,
+    at: u64,
 }
 
 /// Streams the ids of `row`, coded from `prev` on; returns the last one
@@ -155,10 +170,22 @@ impl<'a> Share<'a> {
 /// rows with `u32` byte offsets, and a batch is cut into further segments
 /// before one's bytes could pass that.
 ///
+/// Out of core: under a resident limit ([`SampleIndex::limit_resident`],
+/// which a store sets from its `--rrr-budget`), the oldest *sealed*
+/// segments — every one but a newest that the next absorb may still fold —
+/// are written to a spill file, table and rows together, until the index
+/// fits. Only the degrees and each spilled segment's first id and file
+/// offset stay in RAM; a spilled row is two positioned reads, its two table
+/// bounds and then its bytes. Spilling moves no id and no row, so whatever
+/// reads the index reads the same ids.
+///
 /// [`absorb`]: SampleIndex::absorb
 /// [`for_each_sample`]: SampleIndex::for_each_sample
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct SampleIndex {
+    /// The segments on disk, oldest first; all of them precede `segments`.
+    spilled: Vec<Spilled>,
+    /// The resident segments, in order.
     segments: Vec<Segment>,
     /// Per-vertex sample counts.
     degrees: Vec<u32>,
@@ -166,6 +193,10 @@ pub struct SampleIndex {
     absorbed: usize,
     /// The most bytes a segment's rows may be planned to hold.
     segment_cap: u32,
+    /// The most bytes the index may keep resident; `None` keeps every
+    /// segment.
+    resident_limit: Option<usize>,
+    spill: SpillFile,
 }
 
 impl SampleIndex {
@@ -185,10 +216,61 @@ impl SampleIndex {
     pub fn with_segment_cap(num_vertices: u32, segment_cap: u32) -> Self {
         assert!(segment_cap >= num_vertices);
         Self {
+            spilled: Vec::new(),
             segments: Vec::new(),
             degrees: vec![0; num_vertices as usize],
             absorbed: 0,
             segment_cap,
+            resident_limit: None,
+            spill: SpillFile::new("index segments"),
+        }
+    }
+
+    /// Bounds [`SampleIndex::resident_bytes`] by `limit` (`None` lifts the
+    /// bound) and spills sealed segments, oldest first, until the index
+    /// fits; every later absorb does the same. It can stay over by one
+    /// segment, a newest one smaller than its table, which stays resident
+    /// while the next absorb may fold it, and by the degrees and spilled
+    /// segments' offsets, which never leave RAM. After a failed spill-file
+    /// write every segment stays resident (see
+    /// [`SampleIndex::spill_write_failures`]).
+    pub fn limit_resident(&mut self, limit: Option<usize>) {
+        self.resident_limit = limit;
+        self.spill_sealed();
+    }
+
+    /// A table's bytes: the size a segment's rows must reach before no
+    /// absorb folds it into the next.
+    fn table_bytes(&self) -> usize {
+        std::mem::size_of::<u32>() * (self.degrees.len() + 1)
+    }
+
+    /// Writes sealed segments, oldest first, to the spill file while the
+    /// index passes its limit.
+    fn spill_sealed(&mut self) {
+        let Some(limit) = self.resident_limit else {
+            return;
+        };
+        while self.resident_bytes() > limit && self.spill.writable() {
+            let Some(oldest) = self.segments.first() else {
+                return;
+            };
+            if self.segments.len() == 1 && oldest.rows.len() < self.table_bytes() {
+                return;
+            }
+            let table: Vec<u8> = oldest
+                .offsets
+                .iter()
+                .flat_map(|o| o.to_le_bytes())
+                .collect();
+            let Some(at) = self.spill.append(&[&table, &oldest.rows]) else {
+                return;
+            };
+            let oldest = self.segments.remove(0);
+            self.spilled.push(Spilled {
+                first: oldest.first,
+                at,
+            });
         }
     }
 
@@ -250,7 +332,7 @@ impl SampleIndex {
         };
         let cap = u64::from(self.segment_cap);
         let fold = self.segments.last().is_some_and(|prev| {
-            prev.rows.len() < 4 * (n + 1)
+            prev.rows.len() < self.table_bytes()
                 && prev.rows.len() as u64 + bound(prev.first, start) <= cap
         });
         let folded = if fold { self.segments.pop() } else { None };
@@ -339,6 +421,7 @@ impl SampleIndex {
             rows,
         });
         self.absorbed = stop;
+        self.spill_sealed();
     }
 
     /// Number of samples absorbed so far.
@@ -361,27 +444,72 @@ impl SampleIndex {
         self.degrees[v as usize]
     }
 
-    /// Streams the ascending sample ids containing `v` to `f`.
+    /// Streams the ascending sample ids containing `v` to `f`: the rows of
+    /// the spilled segments, read back, then those of the resident ones.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is past the index's vertices, or if a spilled row
+    /// cannot be read back.
     pub fn for_each_sample(&self, v: Vertex, mut f: impl FnMut(usize)) {
+        if !self.spilled.is_empty() {
+            self.for_each_spilled_sample(v as usize, &mut f);
+        }
         for segment in &self.segments {
             let before = segment.first.wrapping_sub(1);
             decode_row(segment.row(v as usize), before, |id| f(id as usize));
         }
     }
 
-    /// Reserved bytes of the index: every segment's table and rows, and the
-    /// degrees.
+    /// The spilled segments' part of [`SampleIndex::for_each_sample`], out
+    /// of line so that the resident rows' loop stays what it was.
+    #[inline(never)]
+    fn for_each_spilled_sample(&self, v: usize, f: &mut dyn FnMut(usize)) {
+        // A resident table's bounds check, which a spilled row would skip.
+        assert!(
+            v < self.degrees.len(),
+            "vertex {v} is past the index's {} vertices",
+            self.degrees.len()
+        );
+        let (mut row, table) = (Vec::new(), self.table_bytes() as u64);
+        for segment in &self.spilled {
+            let mut bounds = [0u8; 8];
+            self.spill.read_at(segment.at + 4 * v as u64, &mut bounds);
+            let [lo, hi] = [&bounds[..4], &bounds[4..]]
+                .map(|b| u32::from_le_bytes(b.try_into().expect("four bytes")));
+            row.resize(
+                hi.checked_sub(lo).expect("spilled row bounds ascend") as usize,
+                0,
+            );
+            self.spill
+                .read_at(segment.at + table + u64::from(lo), &mut row);
+            decode_row(&row, segment.first.wrapping_sub(1), |id| f(id as usize));
+        }
+    }
+
+    /// Reserved bytes of the index: the resident segments' tables and rows,
+    /// where the spilled ones are, and the degrees.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
-        let segments: usize = self
-            .segments
-            .iter()
-            .map(|s| s.offsets.capacity() * size_of::<u32>() + s.rows.capacity())
-            .sum();
+        let segments: usize = self.segments.iter().map(Segment::resident_bytes).sum();
         segments
             + self.segments.capacity() * size_of::<Segment>()
+            + self.spilled.capacity() * size_of::<Spilled>()
             + self.degrees.capacity() * size_of::<u32>()
+    }
+
+    /// Bytes written to the index's spill file.
+    #[must_use]
+    pub fn spill_bytes_written(&self) -> u64 {
+        self.spill.bytes_written()
+    }
+
+    /// Spill-file creations or writes that failed; after one, every segment
+    /// stays resident.
+    #[must_use]
+    pub fn spill_write_failures(&self) -> u64 {
+        self.spill.write_failures()
     }
 }
 
@@ -450,6 +578,75 @@ pub(crate) mod tests {
         assert!(index.segments.len() > 1);
         assert!(index.segments.iter().all(|s| s.rows.len() <= 64));
         assert_matches_the_definition(&index, &c);
+    }
+
+    #[test]
+    fn a_limited_index_spills_all_some_or_none_of_its_segments() {
+        // n = 20: an 84-byte table. Six absorbs of 50 samples; each segment
+        // holds well over a table of rows, so none is folded.
+        let n = 20u32;
+        let mut c = RrrCollection::new();
+        for j in 0..300u32 {
+            let set: Vec<Vertex> = (0..n).filter(|v| (v * 3 + j) % 7 < 3).collect();
+            c.push(&set);
+        }
+        let built = |limit: Option<usize>| {
+            let mut index = SampleIndex::new(n);
+            index.limit_resident(limit);
+            let mut lists = RrrCollection::new();
+            for round in 0..6 {
+                (lists.len()..50 * (round + 1)).for_each(|j| lists.push(c.get(j)));
+                index.absorb(&lists, 1 + round % 2);
+            }
+            index
+        };
+        let resident = built(None);
+        assert_eq!(resident.segments.len(), 6);
+        let one: usize = resident.segments[0].resident_bytes();
+        let fixed = resident.resident_bytes() - 6 * one;
+        for (limit, spilled) in [(Some(0), 6..7), (Some(fixed + 3 * one), 3..6), (None, 0..1)] {
+            let index = built(limit);
+            assert!(
+                spilled.contains(&index.spilled.len()),
+                "{limit:?}: {} spilled",
+                index.spilled.len()
+            );
+            let fixed = index.resident_bytes()
+                - index
+                    .segments
+                    .iter()
+                    .map(Segment::resident_bytes)
+                    .sum::<usize>();
+            assert!(
+                index.resident_bytes() <= limit.map_or(usize::MAX, |l| l.max(fixed)),
+                "{limit:?}"
+            );
+            assert_eq!(index.spill_bytes_written() > 0, !index.spilled.is_empty());
+            assert_matches_the_definition(&index, &c);
+        }
+        // Lifting the limit keeps what is on disk there, and a later limit
+        // spills more.
+        let mut index = built(Some(fixed + 3 * one));
+        index.limit_resident(None);
+        assert_matches_the_definition(&index, &c);
+        index.limit_resident(Some(0));
+        assert_eq!(index.spilled.len(), 6);
+        assert_matches_the_definition(&index, &c);
+    }
+
+    #[test]
+    fn a_segment_that_may_still_be_folded_stays_resident() {
+        // n = 1000: a 4 004-byte table, far more than three samples' rows.
+        let mut c = RrrCollection::new();
+        let mut index = SampleIndex::new(1000);
+        index.limit_resident(Some(0));
+        for samples in [3usize, 2] {
+            (0..samples).for_each(|j| c.push(&[j as Vertex, 999]));
+            index.absorb(&c, 2);
+            assert_eq!(index.spilled.len(), 0);
+            assert_eq!(index.segments.len(), 1, "the second absorb folds");
+            assert_matches_the_definition(&index, &c);
+        }
     }
 
     #[test]

@@ -32,12 +32,9 @@ use crate::intervals::Streamed;
 use crate::mixed::{MixedRrrCollection, RrrSetRef, SampleArena};
 use crate::rrr::RrrCollection;
 use crate::sample_index::SampleIndex;
+use crate::spill::SpillFile;
 use ripples_graph::Vertex;
 use std::cell::RefCell;
-use std::fs::File;
-use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One storage backend for a collection of sorted RRR sets.
 ///
@@ -348,10 +345,6 @@ impl RrrStore for MixedRrrCollection {
     }
 }
 
-/// Monotonic suffix for spill-file names, so concurrent stores in one
-/// process never collide.
-static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
-
 /// Where a sealed chunk's encoded payload lives.
 #[derive(Debug)]
 enum ChunkPayload {
@@ -417,7 +410,8 @@ fn block_range(ends: &[u32], j: usize) -> std::ops::Range<usize> {
 /// [`RrrStore::spill_write_failures`] counts it — the run completes over
 /// budget with the same samples. Reading a chunk back is different: once
 /// the only copy of a chunk is on disk, a vanished or truncated spill file
-/// is not recoverable, and that read panics naming the file.
+/// is not recoverable, and that read panics naming the file (the rules of
+/// the one spill-file helper, which the inverted index's segments share).
 #[derive(Debug)]
 pub struct SpillRrrStore {
     budget: usize,
@@ -439,12 +433,7 @@ pub struct SpillRrrStore {
     open_counts: Vec<u32>,
     open_ends: Vec<u32>,
     open_data: Vec<u8>,
-    file: Option<File>,
-    path: PathBuf,
-    file_len: u64,
-    spill_bytes_written: u64,
-    /// Failed spill-file creations or writes; nonzero stops spilling.
-    spill_write_failures: u64,
+    spill: SpillFile,
     total_entries: u64,
     unsorted_pushes: u64,
     /// `(chunk index, payload)` of the most recently loaded spilled chunk.
@@ -467,9 +456,6 @@ impl SpillRrrStore {
         // Small budgets must still seal (and therefore spill) promptly; big
         // budgets want fewer, larger chunks for sequential I/O.
         let chunk_target = (budget / 4).clamp(1 << 10, 8 << 20);
-        let seq = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
-        let path =
-            std::env::temp_dir().join(format!("ripples-spill-{}-{seq}.rrr", std::process::id()));
         Self {
             budget,
             chunk_target,
@@ -481,11 +467,7 @@ impl SpillRrrStore {
             open_counts: Vec::new(),
             open_ends: Vec::new(),
             open_data: Vec::new(),
-            file: None,
-            path,
-            file_len: 0,
-            spill_bytes_written: 0,
-            spill_write_failures: 0,
+            spill: SpillFile::new("RRR sets"),
             total_entries: 0,
             unsorted_pushes: 0,
             cache: RefCell::new(None),
@@ -625,7 +607,7 @@ impl SpillRrrStore {
         // Oldest sealed RAM chunks spill first: selection touches samples
         // in ascending order, so the freshest (still-filling) tail stays
         // hot while the cold head streams from disk.
-        while self.spill_write_failures == 0
+        while self.spill.writable()
             && self.spilled < self.chunks.len()
             && RrrStore::resident_bytes(self) > self.budget
         {
@@ -633,20 +615,11 @@ impl SpillRrrStore {
             let ChunkPayload::Ram(bytes) = &self.chunks[idx].payload else {
                 unreachable!("chunks past the spilled prefix are resident");
             };
-            let (offset, len, freed) = (self.file_len, bytes.len(), bytes.capacity());
-            if let Err(e) = write_chunk(&mut self.file, &self.path, offset, bytes) {
-                // The chunk is still resident, and nothing refers to what a
-                // partial write may have left past `file_len`.
-                self.spill_write_failures += 1;
-                eprintln!(
-                    "warning: cannot write spill file {:?}: {e}; \
-                     keeping RRR sets resident beyond --rrr-budget",
-                    self.path
-                );
+            let (len, freed) = (bytes.len(), bytes.capacity());
+            // A failed write leaves the chunk resident.
+            let Some(offset) = self.spill.append(&[bytes]) else {
                 return;
-            }
-            self.file_len += len as u64;
-            self.spill_bytes_written += len as u64;
+            };
             self.chunks[idx].payload = ChunkPayload::Disk { offset, len };
             self.sealed_bytes -= freed;
             self.spilled += 1;
@@ -686,10 +659,7 @@ impl SpillRrrStore {
                 let hit = matches!(&*cache, Some((c, _)) if *c == idx);
                 if !hit {
                     let mut bytes = vec![0u8; *len];
-                    let mut file = self.file.as_ref().expect("spilled chunk without a file");
-                    file.seek(SeekFrom::Start(*offset))
-                        .and_then(|_| file.read_exact(&mut bytes))
-                        .unwrap_or_else(|e| panic!("cannot read spill file {:?}: {e}", self.path));
+                    self.spill.read_at(*offset, &mut bytes);
                     *cache = Some((idx, bytes));
                 }
                 let (_, bytes) = cache.as_ref().expect("cache just filled");
@@ -715,37 +685,6 @@ impl SpillRrrStore {
                     f(&bytes[block_range(&chunk.ends, j)], chunk.counts[j])
                 })
             }
-        }
-    }
-}
-
-/// Writes `bytes` at `offset` of the spill file at `path`, creating it on
-/// first use.
-fn write_chunk(
-    file: &mut Option<File>,
-    path: &std::path::Path,
-    offset: u64,
-    bytes: &[u8],
-) -> std::io::Result<()> {
-    if file.is_none() {
-        *file = Some(
-            std::fs::OpenOptions::new()
-                .create(true)
-                .truncate(true)
-                .read(true)
-                .write(true)
-                .open(path)?,
-        );
-    }
-    let file = file.as_mut().expect("spill file just opened");
-    file.seek(SeekFrom::Start(offset))?;
-    file.write_all(bytes)
-}
-
-impl Drop for SpillRrrStore {
-    fn drop(&mut self) {
-        if self.file.take().is_some() {
-            let _ = std::fs::remove_file(&self.path);
         }
     }
 }
@@ -833,11 +772,11 @@ impl RrrStore for SpillRrrStore {
     }
 
     fn spill_bytes_written(&self) -> u64 {
-        self.spill_bytes_written
+        self.spill.bytes_written()
     }
 
     fn spill_write_failures(&self) -> u64 {
-        self.spill_write_failures
+        self.spill.write_failures()
     }
 
     fn kind(&self) -> RrrStoreKind {
@@ -872,8 +811,44 @@ macro_rules! dyn_delegate {
 /// and 4 held 8 MB more index.
 const STAGE_ENTRIES_PER_VERTEX: u64 = 8;
 
+/// What a released store's stage holds before the index absorbs it.
+#[derive(Clone, Copy, Debug)]
+struct StageLimit {
+    entries: u64,
+    /// Bytes at the stage's lengths ([`MixedRrrCollection::held_bytes`]):
+    /// half the budget, so that with the growth slack of its buffers the
+    /// stage stays within the budget; unbounded without one.
+    bytes: usize,
+}
+
+impl StageLimit {
+    fn new(num_vertices: u32, budget: Option<usize>) -> Self {
+        Self {
+            entries: STAGE_ENTRIES_PER_VERTEX * (u64::from(num_vertices) + 1),
+            bytes: budget.map_or(usize::MAX, |budget| budget / 2),
+        }
+    }
+
+    /// Whether `(entries, bytes)` fit the stage.
+    fn admits(self, (entries, bytes): (u64, usize)) -> bool {
+        entries <= self.entries && bytes <= self.bytes
+    }
+}
+
+/// What one set adds to a stage's `(entries, held bytes)`, at most: a list's
+/// entries, offset and slot, or a bitmap's words, length and slot.
+fn stage_size(set: RrrSetRef<'_>) -> (u64, usize) {
+    let bytes = match set {
+        RrrSetRef::List(list) => 16 + 4 * list.len(),
+        RrrSetRef::Bitmap { words, .. } => 8 * words.len() + 12,
+    };
+    (set.len() as u64, bytes)
+}
+
 /// The samples a store released into its index
-/// ([`DynRrrStore::release_samples`]), counted: all zero until it does.
+/// ([`DynRrrStore::release_samples`]), counted, and the spill files it no
+/// longer holds (a released spill store's, an index given up at the `u32`
+/// limit): all zero until it does.
 #[derive(Debug, Default)]
 struct Released {
     samples: usize,
@@ -881,9 +856,25 @@ struct Released {
     unsorted_pushes: u64,
     bitmap_sets: u64,
     bitmap_bytes: u64,
-    /// Entries the stage holds before it is absorbed; `None` while the
-    /// store keeps its samples.
-    stage_limit: Option<u64>,
+    spill_bytes_written: u64,
+    spill_write_failures: u64,
+    /// What the stage holds before it is absorbed; `None` while the store
+    /// keeps its samples.
+    stage_limit: Option<StageLimit>,
+}
+
+impl Released {
+    /// Counts the samples and spill file of `store`, which is let go.
+    fn retire<S: RrrStore>(&mut self, store: &S) {
+        let (bitmap_sets, bitmap_bytes) = store.bitmap_counts();
+        self.samples += store.len();
+        self.entries += store.total_entries();
+        self.unsorted_pushes += store.unsorted_pushes();
+        self.bitmap_sets += bitmap_sets;
+        self.bitmap_bytes += bitmap_bytes;
+        self.spill_bytes_written += store.spill_bytes_written();
+        self.spill_write_failures += store.spill_write_failures();
+    }
 }
 
 /// A runtime-chosen storage backend (`--rrr-store`), dispatching the
@@ -895,24 +886,36 @@ struct Released {
 /// the batch's samples with the interval owners the index was built with.
 /// IMM selects over the same (append-only) store every θ round and the serve
 /// mode over a sealed one for every query, so a pass finds the index up to
-/// date. The index is excluded from [`RrrStore::resident_bytes`] (and so
-/// from `--rrr-budget`) — it is reported on its own, through
-/// `SelectStats::index_bytes` — and is not part of a snapshot: a restored
-/// service builds it on its first indexed query.
+/// date. The index is not part of a snapshot: a restored service builds it
+/// on its first indexed query.
+///
+/// A spill-kind store's `--rrr-budget` bounds the samples it holds *and*
+/// the index: at every absorb the index gets what the budget leaves beside
+/// the samples ([`SampleIndex::limit_resident`]) and spills its oldest
+/// sealed segments to fit, so the two stay within the budget plus one
+/// segment (and the index's degrees, when the budget is smaller than they
+/// are). [`RrrStore::resident_bytes`] reports the samples alone, and the
+/// index is reported on its own, through `SelectStats::index_bytes`; what
+/// either spills adds to [`RrrStore::spill_bytes_written`]. A flat store has
+/// no budget, and its index stays resident.
 ///
 /// A batch run that selects from the index alone releases the samples
-/// ([`DynRrrStore::release_samples`]). The flat collection is then a stage
-/// of at most `8 · (n + 1)` entries (or one block, when a single block holds
-/// more), absorbed into the index at its global sample ids and cleared when
-/// full and at every batch's end, so the index grows while sampling runs and
-/// no sample-major copy of the population exists. `len`, `total_entries`
-/// and the counters still cover every sample; reading a released one panics.
+/// ([`DynRrrStore::release_samples`]), whichever the layout. The samples
+/// then wait in a flat stage of at most `8 · (n + 1)` entries — and, under
+/// a budget, half the budget's bytes — but always room for one sample,
+/// absorbed into the index at its global sample ids and cleared when full
+/// and at every batch's end, so the index grows while sampling runs and no
+/// sample-major copy of the population exists. `len`, `total_entries` and
+/// the counters still cover every sample; reading a released one panics.
 #[derive(Debug)]
 pub struct DynRrrStore {
     inner: DynStoreInner,
     /// The inverted index once an indexed pass has built it, and the
     /// interval owners it was built with.
     index_cache: RefCell<Option<(SampleIndex, usize)>>,
+    /// A spill-kind store's `--rrr-budget`, which it keeps after it
+    /// releases its samples.
+    budget: Option<usize>,
     released: Released,
 }
 
@@ -927,9 +930,14 @@ fn absorb_into(inner: &DynStoreInner, base: usize, index: &mut SampleIndex, owne
 
 impl DynRrrStore {
     fn with_inner(inner: DynStoreInner) -> Self {
+        let budget = match &inner {
+            DynStoreInner::Flat(_) => None,
+            DynStoreInner::Spill(store) => Some(store.budget()),
+        };
         Self {
             inner,
             index_cache: RefCell::new(None),
+            budget,
             released: Released::default(),
         }
     }
@@ -984,24 +992,20 @@ impl DynRrrStore {
 
     /// Brings the inverted index up to date — building it with up to
     /// `owners` interval owners if no indexed pass has — and releases every
-    /// sample into it: from here on the store holds only a stage of the
-    /// samples appended since the index last absorbed.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a spill-kind store: its byte budget is the configuration
-    /// asked for, and it keeps its samples.
+    /// sample into it, a spill store's spilled ones included, and the
+    /// layout that held them with its spill file: from here on the store
+    /// holds only a stage of the samples appended since the index last
+    /// absorbed.
     pub fn release_samples(&mut self, num_vertices: u32, owners: usize) {
-        assert_eq!(
-            self.kind(),
-            RrrStoreKind::Flat,
-            "only a flat store releases its samples"
-        );
         self.with_sample_index(num_vertices, owners, |_| ());
-        self.released.stage_limit = Some(STAGE_ENTRIES_PER_VERTEX * (u64::from(num_vertices) + 1));
-        self.absorb_new();
-        // The stage grows buffers of its own.
-        self.inner = DynStoreInner::Flat(MixedRrrCollection::new(num_vertices));
+        let stage = DynStoreInner::Flat(MixedRrrCollection::new(num_vertices));
+        let held = std::mem::replace(&mut self.inner, stage);
+        dyn_delegate!(&held, s => self.released.retire(s));
+        self.released.stage_limit = Some(StageLimit::new(num_vertices, self.budget));
+        let room = self.index_room();
+        if let Some((index, _)) = self.index_cache.get_mut() {
+            index.limit_resident(room);
+        }
     }
 
     /// Visits a spill-kind store's chunks in sample order (snapshot-write
@@ -1022,12 +1026,29 @@ impl DynRrrStore {
         i - absorbed
     }
 
-    /// A released store's stage, when `entries` more would overfill it,
-    /// goes into the index first.
-    fn make_room(&mut self, entries: u64) {
+    /// The bytes the budget leaves the index beside the samples the store
+    /// holds: its kept samples, or its stage at the most it may hold.
+    /// `None` (no bound) without a budget, and once a spill file of the
+    /// store's could not be written: the run is over budget already, and
+    /// one warning says so.
+    fn index_room(&self) -> Option<usize> {
+        let failures = self.released.spill_write_failures
+            + dyn_delegate!(&self.inner, s => RrrStore::spill_write_failures(s));
+        let budget = self.budget.filter(|_| failures == 0)?;
+        let held = dyn_delegate!(&self.inner, s => RrrStore::resident_bytes(s));
+        let samples = self
+            .released
+            .stage_limit
+            .map_or(held, |limit| held.max(limit.bytes));
+        Some(budget.saturating_sub(samples))
+    }
+
+    /// A released store's stage, when `size` more would overfill it, goes
+    /// into the index first.
+    fn make_room(&mut self, size: (u64, usize)) {
         if let (Some(limit), DynStoreInner::Flat(stage)) = (self.released.stage_limit, &self.inner)
         {
-            if stage.total_entries() + entries > limit {
+            if !limit.admits((stage.total_entries() + size.0, stage.held_bytes() + size.1)) {
                 self.absorb_new();
             }
         }
@@ -1043,14 +1064,19 @@ impl DynRrrStore {
         let base = self.released.samples;
         let end = base + dyn_delegate!(&self.inner, s => RrrStore::len(s));
         if end >= u32::MAX as usize && self.released.stage_limit.is_none() {
-            *self.index_cache.get_mut() = None;
+            if let Some((index, _)) = self.index_cache.get_mut().take() {
+                self.released.spill_bytes_written += index.spill_bytes_written();
+                self.released.spill_write_failures += index.spill_write_failures();
+            }
             return;
         }
+        let room = self.index_room();
         let Some((index, owners)) = self.index_cache.get_mut() else {
             return;
         };
         if index.absorbed_samples() < end {
             let t0 = std::time::Instant::now();
+            index.limit_resident(room);
             absorb_into(&self.inner, base, index, *owners);
             ripples_trace::complete(
                 ripples_trace::TraceName::IndexBuild,
@@ -1059,13 +1085,9 @@ impl DynRrrStore {
                 *owners as u64,
             );
         }
-        let released = &mut self.released;
-        if let (Some(_), DynStoreInner::Flat(stage)) = (released.stage_limit, &mut self.inner) {
-            released.samples += stage.len();
-            released.entries += stage.total_entries();
-            released.unsorted_pushes += stage.unsorted_pushes();
-            released.bitmap_sets += stage.bitmap_sets();
-            released.bitmap_bytes += stage.bitmap_bytes();
+        if let (Some(_), DynStoreInner::Flat(stage)) = (self.released.stage_limit, &mut self.inner)
+        {
+            self.released.retire(stage);
             stage.clear();
         }
     }
@@ -1073,13 +1095,33 @@ impl DynRrrStore {
 
 impl RrrStore for DynRrrStore {
     fn push(&mut self, vertices: &[Vertex]) {
-        self.make_room(vertices.len() as u64);
+        self.make_room(stage_size(RrrSetRef::List(vertices)));
         dyn_delegate!(&mut self.inner, s => RrrStore::push(s, vertices));
     }
 
+    /// A released store takes a block larger than its whole stage one
+    /// sample at a time.
     fn append_arena(&mut self, arena: &SampleArena) {
-        self.make_room(arena.total_entries());
-        dyn_delegate!(&mut self.inner, s => RrrStore::append_arena(s, arena));
+        let size = (arena.total_entries(), arena.held_bytes());
+        match self.released.stage_limit {
+            Some(limit) if !limit.admits(size) => {
+                for set in arena.iter() {
+                    self.make_room(stage_size(set));
+                    let DynStoreInner::Flat(stage) = &mut self.inner else {
+                        unreachable!("a released store is flat");
+                    };
+                    match set {
+                        RrrSetRef::List(list) => stage.push(list),
+                        RrrSetRef::Bitmap { words, len } => stage.append_bitmap(words, len),
+                    }
+                }
+                self.released.unsorted_pushes += arena.unsorted_pushes();
+            }
+            _ => {
+                self.make_room(size);
+                dyn_delegate!(&mut self.inner, s => RrrStore::append_arena(s, arena));
+            }
+        }
     }
 
     /// A released store's stage keeps its buffers for the next batch.
@@ -1118,7 +1160,8 @@ impl RrrStore for DynRrrStore {
         dyn_delegate!(&self.inner, s => RrrStore::contains(s, i, v))
     }
 
-    /// A released store's stage; the index is reported as the index.
+    /// The kept samples, or a released store's stage; the index is reported
+    /// as the index.
     fn resident_bytes(&self) -> usize {
         dyn_delegate!(&self.inner, s => RrrStore::resident_bytes(s))
     }
@@ -1148,12 +1191,24 @@ impl RrrStore for DynRrrStore {
         )
     }
 
+    /// Samples and index segments alike.
     fn spill_bytes_written(&self) -> u64 {
-        dyn_delegate!(&self.inner, s => RrrStore::spill_bytes_written(s))
+        let index = self.index_cache.borrow();
+        self.released.spill_bytes_written
+            + dyn_delegate!(&self.inner, s => RrrStore::spill_bytes_written(s))
+            + index
+                .as_ref()
+                .map_or(0, |(index, _)| index.spill_bytes_written())
     }
 
+    /// Samples and index segments alike.
     fn spill_write_failures(&self) -> u64 {
-        dyn_delegate!(&self.inner, s => RrrStore::spill_write_failures(s))
+        let index = self.index_cache.borrow();
+        self.released.spill_write_failures
+            + dyn_delegate!(&self.inner, s => RrrStore::spill_write_failures(s))
+            + index
+                .as_ref()
+                .map_or(0, |(index, _)| index.spill_write_failures())
     }
 
     fn with_sample_index<R>(
@@ -1162,6 +1217,7 @@ impl RrrStore for DynRrrStore {
         owners: usize,
         f: impl FnOnce(&SampleIndex) -> R,
     ) -> R {
+        let room = self.index_room();
         let mut cache = self.index_cache.borrow_mut();
         let (index, _) = cache.get_or_insert_with(|| (SampleIndex::new(num_vertices), owners));
         debug_assert_eq!(
@@ -1169,6 +1225,7 @@ impl RrrStore for DynRrrStore {
             num_vertices as usize,
             "index cache reused across different vertex universes"
         );
+        index.limit_resident(room);
         absorb_into(&self.inner, self.released.samples, index, owners);
         f(index)
     }
@@ -1449,7 +1506,7 @@ mod tests {
             assert_eq!(&out, s, "sample {i}");
             assert_eq!(RrrStore::sample_len(&store, i), s.len());
         }
-        let path = store.path.clone();
+        let path = store.spill.path().to_path_buf();
         assert!(path.exists(), "spill file must exist while the store lives");
         drop(store);
         assert!(!path.exists(), "spill file must be removed on drop");
@@ -1463,7 +1520,7 @@ mod tests {
             RrrStore::push(&mut store, s);
         }
         assert_eq!(store.spill_bytes_written(), 0);
-        assert!(!store.path.exists());
+        assert!(!store.spill.path().exists());
         let mut out = Vec::new();
         for (i, s) in samples.iter().enumerate() {
             RrrStore::decode_into(&store, i, &mut out);
@@ -1671,7 +1728,7 @@ mod tests {
             };
             stage
         }
-        let limit = store.released.stage_limit.expect("released");
+        let limit = store.released.stage_limit.expect("released").entries;
         let mut absorbs_within_batches = 0;
         for set in c.iter().take(300).skip(50) {
             let before = store.indexed_samples();

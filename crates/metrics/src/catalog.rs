@@ -170,7 +170,7 @@ catalog! {
         rrr_entries RrrEntries: Counter Sum STABLE FINAL ""
             "Total vertex entries stored across all RRR sets (globally, for the distributed engines)";
         rrr_bytes_peak RrrBytesPeak: Peak PerRank VARIES LIVE "bytes"
-            "Peak resident bytes of the RRR storage on this process: the sample-major store, or for a run that selects from the inverted index alone the stage its samples wait in until the index absorbs them";
+            "Peak resident bytes of the RRR storage on this process: the sample-major store, or for a run that selects from the inverted index alone the stage its samples wait in until the index absorbs them; spilled bytes are not resident";
         theta_rounds ThetaRounds: Counter PerRank STABLE FINAL ""
             "EstimateTheta martingale rounds executed";
         theta_final ThetaFinal: Level PerRank STABLE FINAL ""
@@ -184,7 +184,7 @@ catalog! {
         index_build_nanos IndexBuildNanos: Counter PerRank VARIES FINAL "ns"
             "Wall time selection passes spent bringing the inverted index up to date, summed over every pass on this process; a run that selects from the index alone grows it while sampling, outside this count";
         index_bytes_peak IndexBytesPeak: Peak PerRank VARIES LIVE "bytes"
-            "Peak resident bytes of a selection inverted index on this process";
+            "Peak resident bytes of a selection inverted index on this process: its degrees and resident segments, not the segments a spill-kind store's `--rrr-budget` sent to the spill file";
         arena_bytes_peak ArenaBytesPeak: Peak PerRank VARIES LIVE "bytes"
             "Peak transient bytes of the sampler's worker-local arenas on this process (0 for the sequential sampler, which has none)";
         fused_passes FusedPasses: Counter PerRank VARIES LIVE ""
@@ -194,13 +194,13 @@ catalog! {
         decode_nanos DecodeNanos: Counter PerRank VARIES FINAL "ns"
             "Wall time spent decoding compressed RRR blocks during selection on this process (0 for the flat store, whose slices need no decoding)";
         spill_bytes_written SpillBytesWritten: Counter PerRank VARIES FINAL "bytes"
-            "Bytes written to the RRR spill file on this process (0 for RAM-only storage)";
+            "Bytes written to spill files on this process: sample chunks of a spill-kind store and the inverted index's segments under its `--rrr-budget` (0 for RAM-only storage)";
         rrr_sets_bitmap RrrSetsBitmap: Counter Sum STABLE FINAL ""
             "RRR sets the flat store holds as bitmaps rather than sorted lists: those spanning more than n/32 vertices (globally, for the distributed engines; 0 for the spill store)";
         rrr_bitmap_bytes RrrBitmapBytes: Counter Sum STABLE FINAL "bytes"
             "Payload bytes of those bitmaps, ⌈n/64⌉ words each (globally, for the distributed engines)";
         spill_write_failures SpillWriteFailures: Counter PerRank VARIES FINAL ""
-            "Spill-file creations or writes that failed on this process; the store then keeps its sets resident beyond `--rrr-budget`";
+            "Spill-file creations or writes that failed on this process; the store then keeps its sets, or the index its segments, resident beyond `--rrr-budget`";
         retries Retries: Counter Max VARIES LIVE ""
             "Collective attempts `FaultComm` retried after a fault; 0 on a reliable fabric";
         dropped_ops DroppedOps: Counter Max VARIES LIVE ""

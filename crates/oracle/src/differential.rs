@@ -311,13 +311,23 @@ fn check_store(
             )
         },
     );
-    if storage.budget.is_some() {
-        report.check(
-            kind,
-            &subject,
-            r.report.counters.spill_bytes_written > 0,
-            || "tiny-budget spill run never wrote its spill file".to_owned(),
-        );
+    if let Some(budget) = storage.budget {
+        let counters = &r.report.counters;
+        report.check(kind, &subject, counters.spill_bytes_written > 0, || {
+            "tiny-budget spill run never wrote its spill file".to_owned()
+        });
+        // An indexed run releases its samples, and the budget bounds the
+        // index: beside the stage it keeps at most one segment over, the
+        // newest while it is smaller than its table and may still be
+        // folded (a table and fewer row bytes).
+        let segment = 2 * 4 * (u64::from(n) + 1);
+        let index = counters.index_bytes_peak;
+        report.check(kind, &subject, index <= budget as u64 + segment, || {
+            format!(
+                "the index kept {index} bytes resident, past the budget {budget} \
+                     and one {segment}-byte segment"
+            )
+        });
     }
 
     // One distributed run per backend: the batched recount across ranks.
