@@ -22,6 +22,20 @@ pub struct CommStats {
     pub bytes_moved: u64,
 }
 
+impl CommStats {
+    /// The communication performed between two snapshots of the same rank's
+    /// stats (counters are monotonic, so plain subtraction).
+    #[must_use]
+    pub fn delta(before: &CommStats, after: &CommStats) -> Self {
+        Self {
+            allreduce_calls: after.allreduce_calls - before.allreduce_calls,
+            allgather_calls: after.allgather_calls - before.allgather_calls,
+            exchange_calls: after.exchange_calls - before.exchange_calls,
+            bytes_moved: after.bytes_moved - before.bytes_moved,
+        }
+    }
+}
+
 /// Internal mutable stats cell shared by the communicator implementations.
 #[derive(Debug, Default)]
 pub(crate) struct StatsCell {
@@ -70,10 +84,8 @@ pub(crate) fn traced<T>(
 ) -> T {
     // Every backend funnels every collective through here, so this is
     // also the single live-telemetry point for comm op/byte rates.
-    if ripples_metrics::enabled() {
-        ripples_metrics::add(ripples_metrics::Metric::CommOps, 1);
-        ripples_metrics::add(ripples_metrics::Metric::CommBytes, payload_bytes);
-    }
+    ripples_metrics::add(ripples_metrics::Metric::CommOps, 1);
+    ripples_metrics::add(ripples_metrics::Metric::CommBytes, payload_bytes);
     if ripples_trace::enabled() {
         let t0 = std::time::Instant::now();
         let out = f();

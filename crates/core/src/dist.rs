@@ -33,10 +33,10 @@
 //! here only as [`ripples_comm::CommHealth::dead_ranks`], which selection
 //! reads to judge coverage against the samples the survivors hold.
 
-use crate::driver::{record_store_counters, run_imm, Engine};
+use crate::driver::{record_batch, record_store_counters, run_imm, Engine};
 use crate::memory::MemoryStats;
 use crate::obs::metrics::{Metric, Reduce};
-use crate::obs::{CommCounters, Histogram, RunReport};
+use crate::obs::{Histogram, RunReport};
 use crate::params::ImmParams;
 use crate::result::ImmResult;
 use crate::select::{
@@ -45,7 +45,7 @@ use crate::select::{
 };
 use ripples_comm::{CommStats, Communicator};
 use ripples_diffusion::rrr::{generate_rrr, RrrScratch};
-use ripples_diffusion::{DiffusionModel, DynRrrStore, RrrStore, StorageConfig};
+use ripples_diffusion::{BatchOutcome, DiffusionModel, DynRrrStore, RrrStore, StorageConfig};
 use ripples_graph::{Graph, Vertex};
 use ripples_rng::StreamFactory;
 use std::time::Instant;
@@ -105,25 +105,25 @@ pub(crate) fn select_seeds_distributed<C: Communicator, S: RrrStore>(
         };
         lazy_greedy(cover, bounds, k as usize, &banned, peers)
     };
-    let ((seeds, gains, entries_touched), decode_nanos, mut stats) =
-        if uses_index(SelectEngine::Auto, local, k) {
-            // `DynRrrStore` keeps the index across θ rounds, whatever its layout.
-            with_index(local, n, 1, |index, build| {
-                let mut cover = IndexCover::new(index);
-                let bounds = cover.degrees();
-                (greedy(&mut cover, bounds), 0, build)
-            })
-        } else {
-            let mut cover = CounterCover::new(local, n);
-            let bounds = cover.counts.clone();
-            let picked = greedy(&mut cover, bounds);
-            (picked, cover.decode_nanos, SelectStats::default())
-        };
-    stats.entries_touched = entries_touched;
-    // Flat slices need no decoding.
-    if local.as_flat().is_none() {
-        stats.decode_nanos = decode_nanos;
-    }
+    let (seeds, gains, stats) = if uses_index(SelectEngine::Auto, local, k) {
+        // `DynRrrStore` keeps the index across θ rounds, whatever its layout.
+        with_index(local, n, 1, |index, build| {
+            let mut cover = IndexCover::new(index);
+            let bounds = cover.degrees();
+            let (seeds, gains, mut stats) = greedy(&mut cover, bounds);
+            stats.absorb(build);
+            (seeds, gains, stats)
+        })
+    } else {
+        let mut cover = CounterCover::new(local, n);
+        let bounds = cover.counts.clone();
+        let (seeds, gains, mut stats) = greedy(&mut cover, bounds);
+        // Flat slices need no decoding.
+        if local.as_flat().is_none() {
+            stats.decode_nanos = cover.decode_nanos;
+        }
+        (seeds, gains, stats)
+    };
     // Degraded runs: dead ranks' samples are gone from every collective, so
     // coverage must be judged against the samples the surviving ranks
     // actually hold, not the nominal θ — and counted on them too, since a
@@ -253,14 +253,14 @@ pub(crate) fn globalize_health<C: Communicator>(comm: &C, report: &mut RunReport
 pub(crate) trait RankSampler {
     /// Generates global samples `first .. first + count` together with the
     /// other ranks and appends this rank's share to `out` in index order;
-    /// returns the edges examined locally.
+    /// returns what this rank added and examined.
     fn sample<C: Communicator>(
         &mut self,
         comm: &C,
         first: u64,
         count: usize,
         out: &mut DynRrrStore,
-    ) -> u64;
+    ) -> BatchOutcome;
 
     /// Resident bytes of the graph (or graph share) this rank samples from.
     fn graph_bytes(&self) -> usize;
@@ -285,23 +285,17 @@ struct RankEngine<'a, C: Communicator, P> {
 
 impl<C: Communicator, P: RankSampler> Engine for RankEngine<'_, C, P> {
     fn grow_to(&mut self, total: usize, report: &mut RunReport) {
-        let old_len = self.store.len();
-        let work = self.sampler.sample(
+        let mut outcome = self.sampler.sample(
             self.comm,
             self.held as u64,
             total - self.held,
             &mut self.store,
         );
         self.held = total;
-        // Local counters; `finish` globalizes them once at the end.
-        let new_samples = (self.store.len() - old_len) as u64;
-        report.counters.samples_generated += new_samples;
-        report.counters.edges_examined += work;
-        for slot in old_len..self.store.len() {
-            report.rrr_sizes.record(self.store.sample_len(slot) as u64);
-        }
         // One "worker" per rank: the batch lands wholly on this rank.
-        report.thread_samples.record(new_samples);
+        outcome.per_worker_samples = vec![outcome.set_sizes.count()];
+        // Local counters; `finish` globalizes them once at the end.
+        record_batch(report, &outcome);
     }
 
     fn resident_bytes(&self) -> usize {
@@ -321,7 +315,7 @@ impl<C: Communicator, P: RankSampler> Engine for RankEngine<'_, C, P> {
         globalize_counters(self.comm, report);
         globalize_health(self.comm, report);
         self.sampler.finish(self.comm, report);
-        report.comm = Some(CommCounters::delta(&self.comm_before, &self.comm.stats()));
+        report.comm = Some(CommStats::delta(&self.comm_before, &self.comm.stats()));
         if crate::obs::trace::enabled() {
             // Collective: every rank contributes its timeline and every rank
             // receives the same rank-tagged merge.
@@ -376,19 +370,19 @@ impl RankSampler for ReplicatedSampler<'_> {
         first: u64,
         count: usize,
         out: &mut DynRrrStore,
-    ) -> u64 {
+    ) -> BatchOutcome {
         let n = u64::from(self.graph.num_vertices());
-        let mut work = 0u64;
+        let mut outcome = BatchOutcome::default();
         for index in strided_indices(first as usize + count, comm.rank(), comm.size())
             .skip_while(|&i| i < first)
         {
             let mut rng = self.factory.sample_stream(index);
             let root = rng.bounded_u64(n) as Vertex;
             let s = generate_rrr(self.graph, self.model, root, &mut rng, &mut self.scratch);
-            work += s.edges_examined;
+            outcome.add([s.vertices.len()], s.edges_examined);
             out.push(&s.vertices);
         }
-        work
+        outcome
     }
 
     fn graph_bytes(&self) -> usize {

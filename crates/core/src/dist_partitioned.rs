@@ -29,7 +29,9 @@ use crate::params::ImmParams;
 use crate::result::ImmResult;
 use ripples_comm::Communicator;
 use ripples_diffusion::partitioned::{sample_root, sample_stream_seed};
-use ripples_diffusion::{DiffusionModel, DynRrrStore, GraphPartition, RrrStore, StorageConfig};
+use ripples_diffusion::{
+    BatchOutcome, DiffusionModel, DynRrrStore, GraphPartition, RrrStore, StorageConfig,
+};
 use ripples_graph::{Graph, Vertex};
 use ripples_rng::StreamFactory;
 use std::collections::HashSet;
@@ -45,9 +47,10 @@ fn decode(x: u64) -> (usize, Vertex) {
     ((x >> 32) as usize, (x & 0xFFFF_FFFF) as Vertex)
 }
 
-/// Cooperatively generates samples `first .. first+count`, returning this
-/// rank's *home* samples (those with `index % size == rank`) in index
-/// order, plus the edges examined locally.
+/// Cooperatively generates samples `first .. first+count`, appending this
+/// rank's *home* samples (those with `index % size == rank`) to `out` in
+/// index order; the outcome holds those samples and the edges examined
+/// locally.
 pub fn sample_batch_cooperative<C: Communicator, S: RrrStore>(
     comm: &C,
     partition: &GraphPartition,
@@ -56,7 +59,7 @@ pub fn sample_batch_cooperative<C: Communicator, S: RrrStore>(
     first: u64,
     count: usize,
     out: &mut S,
-) -> u64 {
+) -> BatchOutcome {
     let size = comm.size();
     let rank = comm.rank();
     let n = partition.num_vertices;
@@ -130,25 +133,21 @@ pub fn sample_batch_cooperative<C: Communicator, S: RrrStore>(
             }
         }
     }
+    // Home ranks count their samples, so the ranks' outcomes sum to the
+    // batch; edge work is charged where it was examined.
+    let mut sizes = Vec::new();
     for (offset, mut sample) in home_samples.into_iter().enumerate() {
         if (first + offset as u64) % u64::from(size) != u64::from(rank) {
             continue;
         }
         sample.sort_unstable();
         sample.dedup();
-        if crate::obs::metrics::enabled() {
-            // Home ranks count their samples once each, so the shared
-            // registry sums to the world-total batch size; edge work is
-            // charged where it was examined (below).
-            crate::obs::metrics::add(crate::obs::metrics::Metric::SamplesGenerated, 1);
-            crate::obs::metrics::observe_rrr_size(sample.len() as u64);
-        }
         out.push(&sample);
+        sizes.push(sample.len());
     }
-    if crate::obs::metrics::enabled() {
-        crate::obs::metrics::add(crate::obs::metrics::Metric::EdgesExamined, local_work);
-    }
-    local_work
+    let mut outcome = BatchOutcome::default();
+    outcome.add(sizes, local_work);
+    outcome
 }
 
 /// The interval-partitioned sampler: [`sample_batch_cooperative`] over this
@@ -166,7 +165,7 @@ impl RankSampler for CooperativeSampler {
         first: u64,
         count: usize,
         out: &mut DynRrrStore,
-    ) -> u64 {
+    ) -> BatchOutcome {
         sample_batch_cooperative(
             comm,
             &self.partition,

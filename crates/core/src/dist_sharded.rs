@@ -33,13 +33,12 @@
 //! sequential vertex-keyed reference at every rank count (tested below).
 
 use crate::dist::{globalize_max, run_imm_ranked, RankSampler};
-use crate::obs::metrics::Metric;
-use crate::obs::RunReport;
+use crate::obs::{Metric, RunReport};
 use crate::params::ImmParams;
 use crate::result::ImmResult;
 use ripples_comm::Communicator;
 use ripples_diffusion::partitioned::{expand_shard_chunk, sample_root, sample_stream_seed};
-use ripples_diffusion::{DiffusionModel, DynRrrStore, RrrStore, StorageConfig};
+use ripples_diffusion::{BatchOutcome, DiffusionModel, DynRrrStore, RrrStore, StorageConfig};
 use ripples_graph::partition::VertexCutShard;
 use ripples_graph::{Graph, Vertex};
 use ripples_rng::StreamFactory;
@@ -51,13 +50,13 @@ use std::time::Instant;
 /// stay cheap to hold while one exchange is in flight.
 pub const BLOCK_SAMPLES: usize = 256;
 
-/// Per-rank tallies of the sharded engine's exchange machinery.
+/// Per-rank tallies of the sharded engine's exchange pipeline. The batched
+/// `alltoallv` exchanges it issues (frontier rounds + posted member
+/// routings) are sampling counters, so [`BatchOutcome::frontier_exchanges`]
+/// counts them: identical on every rank, since the collective sequence is
+/// lockstep.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExchangeStats {
-    /// Batched `alltoallv` exchanges issued (frontier rounds + posted
-    /// member routings). Identical on every rank — the collective sequence
-    /// is lockstep.
-    pub frontier_exchanges: u64,
     /// Nanoseconds between posting a block's member exchange and waiting on
     /// it — latency hidden behind the next block's local sampling.
     pub overlap_nanos: u64,
@@ -81,14 +80,16 @@ struct PendingBlock {
     /// Per-sample member accumulators (pre-seeded with the root for samples
     /// homed on this rank; empty for the rest).
     buckets: Vec<Vec<Vertex>>,
+    /// In-edges this rank examined expanding the block.
+    work: u64,
     handle: ripples_comm::ExchangeHandle,
     posted: Instant,
 }
 
 /// Expands one block of cascades chunk-locally, exchanging frontier
-/// crossings with mirror ranks each round. Returns the member records
-/// routed per home rank, the home-sample accumulators, and the local edge
-/// work.
+/// crossings with mirror ranks each round, each counted in `outcome`.
+/// Returns the member records routed per home rank, the home-sample
+/// accumulators, and the local edge work.
 #[allow(clippy::too_many_arguments)]
 fn expand_block<C: Communicator>(
     comm: &C,
@@ -98,7 +99,7 @@ fn expand_block<C: Communicator>(
     batch_first: u64,
     block_first: usize,
     block_len: usize,
-    stats: &mut ExchangeStats,
+    outcome: &mut BatchOutcome,
 ) -> (Vec<Vec<u64>>, Vec<Vec<Vertex>>, u64) {
     let size = comm.size() as usize;
     let rank = u64::from(comm.rank());
@@ -164,10 +165,7 @@ fn expand_block<C: Communicator>(
             list[0] = outgoing;
         }
         let received = comm.alltoallv_u64(&sends);
-        stats.frontier_exchanges += 1;
-        if crate::obs::metrics::enabled() {
-            crate::obs::metrics::add(crate::obs::metrics::Metric::FrontierExchanges, 1);
-        }
+        outcome.add_frontier_exchange();
         // A rank declared dead is neutralized into empty send lists by the
         // fault layer — read its header as 0 so the survivors' sum still
         // terminates the round loop.
@@ -188,14 +186,16 @@ fn expand_block<C: Communicator>(
     (member_sends, buckets, work)
 }
 
-/// Drains a posted member exchange into its block's home accumulators and
-/// pushes the finished samples (sorted, deduplicated) in index order.
+/// Drains a posted member exchange into its block's home accumulators,
+/// pushes the finished samples (sorted, deduplicated) in index order, and
+/// adds them and the block's edge work to `outcome`.
 fn drain_block<C: Communicator, S: RrrStore>(
     comm: &C,
     block: PendingBlock,
     batch_first: u64,
     stats: &mut ExchangeStats,
     out: &mut S,
+    outcome: &mut BatchOutcome,
 ) {
     let size = u64::from(comm.size());
     let rank = u64::from(comm.rank());
@@ -208,6 +208,7 @@ fn drain_block<C: Communicator, S: RrrStore>(
             buckets[offset].push(v);
         }
     }
+    let mut sizes = Vec::new();
     for (offset, mut members) in buckets.into_iter().enumerate() {
         let index = batch_first + (block.block_first + offset) as u64;
         if index % size != rank {
@@ -215,19 +216,18 @@ fn drain_block<C: Communicator, S: RrrStore>(
         }
         members.sort_unstable();
         members.dedup();
-        if crate::obs::metrics::enabled() {
-            crate::obs::metrics::add(crate::obs::metrics::Metric::SamplesGenerated, 1);
-            crate::obs::metrics::observe_rrr_size(members.len() as u64);
-        }
         out.push(&members);
+        sizes.push(members.len());
     }
+    outcome.add(sizes, block.work);
 }
 
 /// Generates samples `first .. first+count` over the sharded graph,
 /// pipelining each block's member routing behind the next block's
 /// sampling. This rank's *home* samples (`index % size == rank`) land in
 /// `out` in index order — the exact layout the replicated and partitioned
-/// engines produce — and the local edge work is returned.
+/// engines produce — and the outcome holds them, the local edge work and
+/// the frontier exchanges.
 #[allow(clippy::too_many_arguments)]
 pub fn sample_batch_sharded<C: Communicator, S: RrrStore>(
     comm: &C,
@@ -238,13 +238,13 @@ pub fn sample_batch_sharded<C: Communicator, S: RrrStore>(
     count: usize,
     out: &mut S,
     stats: &mut ExchangeStats,
-) -> u64 {
+) -> BatchOutcome {
+    let mut outcome = BatchOutcome::default();
     let mut inflight: Option<PendingBlock> = None;
-    let mut work = 0u64;
     let mut block_first = 0usize;
     while block_first < count {
         let block_len = BLOCK_SAMPLES.min(count - block_first);
-        let (member_sends, buckets, block_work) = expand_block(
+        let (member_sends, buckets, work) = expand_block(
             comm,
             shard,
             model,
@@ -252,35 +252,29 @@ pub fn sample_batch_sharded<C: Communicator, S: RrrStore>(
             first,
             block_first,
             block_len,
-            stats,
+            &mut outcome,
         );
-        work += block_work;
         // Post this block's member routing, then drain the previous
         // block's — which has been in flight for the whole expansion above.
         if let Some(prev) = inflight.take() {
-            drain_block(comm, prev, first, stats, out);
+            drain_block(comm, prev, first, stats, out, &mut outcome);
         }
         let posted = Instant::now();
         let handle = comm.post_exchange_u64(&member_sends);
-        stats.frontier_exchanges += 1;
-        if crate::obs::metrics::enabled() {
-            crate::obs::metrics::add(crate::obs::metrics::Metric::FrontierExchanges, 1);
-        }
+        outcome.add_frontier_exchange();
         inflight = Some(PendingBlock {
             block_first,
             buckets,
+            work,
             handle,
             posted,
         });
         block_first += block_len;
     }
     if let Some(last) = inflight {
-        drain_block(comm, last, first, stats, out);
+        drain_block(comm, last, first, stats, out, &mut outcome);
     }
-    if crate::obs::metrics::enabled() {
-        crate::obs::metrics::add(crate::obs::metrics::Metric::EdgesExamined, work);
-    }
-    work
+    outcome
 }
 
 /// The vertex-cut sampler: [`sample_batch_sharded`] over this rank's
@@ -299,7 +293,7 @@ impl RankSampler for ShardedSampler {
         first: u64,
         count: usize,
         out: &mut DynRrrStore,
-    ) -> u64 {
+    ) -> BatchOutcome {
         sample_batch_sharded(
             comm,
             &self.shard,
@@ -319,9 +313,10 @@ impl RankSampler for ShardedSampler {
     /// Sharding headline counters: max-reduce both agrees across ranks
     /// (the exchange sequence is lockstep) and neutralizes zombie ranks.
     fn finish<C: Communicator>(&self, comm: &C, report: &mut RunReport) {
+        let exchanges = report.counters.frontier_exchanges;
         let mut max = |metric, local| globalize_max(comm, report, metric, local);
         max(Metric::GraphBytesPeak, self.shard.resident_bytes() as u64);
-        max(Metric::FrontierExchanges, self.stats.frontier_exchanges);
+        max(Metric::FrontierExchanges, exchanges);
         max(Metric::OverlapNanos, self.stats.overlap_nanos);
     }
 }
@@ -349,12 +344,6 @@ pub fn imm_sharded_with_storage<C: Communicator>(
     storage: StorageConfig,
 ) -> ImmResult {
     let shard = VertexCutShard::extract(graph, comm.rank(), comm.size());
-    if crate::obs::metrics::enabled() {
-        crate::obs::metrics::set(
-            crate::obs::metrics::Metric::GraphBytesPeak,
-            shard.resident_bytes() as u64,
-        );
-    }
     let sampler = ShardedSampler {
         shard,
         model: params.model,
@@ -437,10 +426,10 @@ mod tests {
             let shard = VertexCutShard::extract(&g, comm.rank(), comm.size());
             let mut out = RrrCollection::new();
             let mut stats = ExchangeStats::default();
-            sample_batch_sharded(
+            let outcome = sample_batch_sharded(
                 comm, &shard, model, &factory, 0, count, &mut out, &mut stats,
             );
-            assert!(stats.frontier_exchanges > 3, "pipeline never exchanged");
+            assert!(outcome.frontier_exchanges > 3, "pipeline never exchanged");
             (comm.rank(), out)
         });
         for (rank, collection) in per_rank {

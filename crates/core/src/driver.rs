@@ -26,9 +26,14 @@
 //!   same on every rank, so the ranks of a distributed engine skip the same
 //!   collectives.
 //! * **Counter set.** `theta_rounds`, `round_budgets`, `round_coverage`,
-//!   `select_iterations`, `theta_final`, `rrr_bytes_peak` and the four
-//!   [`SelectStats`] totals are filled here. The engine's `grow_to` adds
-//!   the sampling counters, its `finish` the store-derived ones.
+//!   `theta_final`, `rrr_bytes_peak` and the five [`SelectStats`] totals
+//!   are filled here. The engine's `grow_to` adds the sampling counters
+//!   through [`record_batch`], its `finish` the store-derived ones.
+//! * **One counter path.** A sampling counter is recorded once, in the
+//!   batch's [`BatchOutcome`], and a selection counter once, in the pass's
+//!   [`SelectStats`]; each adds the same delta to the live registry as it
+//!   records it. The report reads those records, so it and the registry
+//!   agree, and the running peaks the report keeps are mirrored live here.
 //! * **θ semantics.** Estimation rounds and θ are sized by
 //!   [`ImmParams::sizing_k`]; only the final selection returns
 //!   [`ImmParams::effective_k`] seeds. `theta` in the result is the global
@@ -39,13 +44,14 @@
 //!   is drawn.
 
 use crate::memory::MemoryStats;
-use crate::obs::{RunReport, SpanKind};
+use crate::obs::metrics::{self, Metric};
+use crate::obs::{trace, RunReport, SpanKind};
 use crate::params::ImmParams;
 use crate::phases::Phase;
 use crate::result::ImmResult;
 use crate::select::{SelectStats, Selection};
 use crate::theta::ThetaSchedule;
-use ripples_diffusion::{DiffusionModel, RrrStore};
+use ripples_diffusion::{BatchOutcome, DiffusionModel, RrrStore};
 use ripples_graph::Graph;
 
 /// What an IMM implementation supplies to [`run_imm`].
@@ -80,6 +86,38 @@ pub(crate) trait Engine {
     }
 }
 
+/// Records one sampling batch's outcome into `report`: sample/edge counters,
+/// the sizes of the new samples, per-worker load-balance observations (how
+/// many samples each worker generated — the schedule decides, so they vary
+/// between runs), and the peaks of the block arenas and fused masks in
+/// flight. The only code that writes sampling counters into a report.
+pub(crate) fn record_batch(report: &mut RunReport, outcome: &BatchOutcome) {
+    let c = &mut report.counters;
+    c.samples_generated += outcome.set_sizes.count();
+    c.edges_examined += outcome.total_work();
+    c.arena_bytes_peak = c.arena_bytes_peak.max(outcome.arena_bytes as u64);
+    c.fused_passes += outcome.fused_passes;
+    c.mask_bytes_peak = c.mask_bytes_peak.max(outcome.mask_bytes as u64);
+    c.frontier_exchanges += outcome.frontier_exchanges;
+    report.rrr_sizes.merge(&outcome.set_sizes);
+    for &w in &outcome.per_worker_samples {
+        report.thread_samples.record(w);
+    }
+    for (lanes, &times) in outcome.lane_width_counts.iter().enumerate() {
+        report.lanes_active.record_n(lanes as u64, times);
+    }
+    // The trace stream and the registry mirror the *running peak*, not the
+    // last batch's reservation, so they show the high-water mark the
+    // counters report.
+    let (arena, mask) = (c.arena_bytes_peak, c.mask_bytes_peak);
+    metrics::set_max(Metric::ArenaBytesPeak, arena);
+    metrics::set_max(Metric::MaskBytesPeak, mask);
+    trace::counter(trace::TraceName::ArenaBytes, arena);
+    if mask > 0 {
+        trace::counter(trace::TraceName::MaskBytes, mask);
+    }
+}
+
 /// The counters read straight off a filled store.
 pub(crate) fn record_store_counters<S: RrrStore>(report: &mut RunReport, store: &S) {
     report.counters.rrr_entries = store.total_entries();
@@ -100,16 +138,11 @@ pub(crate) fn record_select_counters(
 ) {
     memory.observe_index(stats.index_bytes);
     report.counters.rrr_bytes_peak = memory.peak_rrr_bytes as u64;
+    report.counters.select_iterations = stats.iterations;
     report.counters.select_entries_touched = stats.entries_touched;
     report.counters.index_build_nanos = stats.index_build_nanos;
     report.counters.index_bytes_peak = stats.index_bytes as u64;
     report.counters.decode_nanos += stats.decode_nanos;
-}
-
-fn publish_theta_target(target: usize) {
-    if crate::obs::metrics::enabled() {
-        crate::obs::metrics::set(crate::obs::metrics::Metric::ThetaTarget, target as u64);
-    }
 }
 
 /// The process's graph share, read when the run ends: a replicated graph
@@ -117,6 +150,7 @@ fn publish_theta_target(target: usize) {
 pub(crate) fn record_graph_bytes(report: &mut RunReport, memory: &mut MemoryStats, bytes: usize) {
     memory.graph_bytes = bytes;
     report.counters.graph_bytes_peak = bytes as u64;
+    metrics::set_max(Metric::GraphBytesPeak, bytes as u64);
 }
 
 /// Runs Algorithm 1 over `engine`. `footprint` carries the engine's fixed
@@ -172,7 +206,7 @@ pub(crate) fn run_imm<E: Engine>(
     report.span(Phase::EstimateTheta, |report| {
         for x in 1..=schedule.max_rounds() {
             let budget = schedule.round_budget(x);
-            publish_theta_target(budget);
+            metrics::set(Metric::ThetaTarget, budget as u64);
             let fraction = report.span(SpanKind::Round(x), |report| {
                 if budget > held {
                     report.span(SpanKind::Sample, |report| {
@@ -184,7 +218,6 @@ pub(crate) fn run_imm<E: Engine>(
                 let (sel, stats) = report.span(SpanKind::Select, |_| engine.select(sizing_k));
                 select_stats.absorb(stats);
                 report.counters.theta_rounds += 1;
-                report.counters.select_iterations += sel.seeds.len() as u64;
                 report.counters.round_budgets.push(budget as u64);
                 report.counters.round_coverage.push(sel.fraction);
                 let fraction = sel.fraction;
@@ -201,7 +234,7 @@ pub(crate) fn run_imm<E: Engine>(
         Some(bound) => schedule.final_theta(bound),
         None => schedule.fallback_theta(u64::from(sizing_k)),
     };
-    publish_theta_target(theta);
+    metrics::set(Metric::ThetaTarget, theta as u64);
 
     // --- Sample top-up (Algorithm 3 from the skeleton) ------------------
     if engine.discard_estimation_samples() {
@@ -219,13 +252,12 @@ pub(crate) fn run_imm<E: Engine>(
     memory.observe_rrr(engine.resident_bytes());
 
     // --- SelectSeeds (Algorithm 4) ---------------------------------------
-    let sel = report.span(Phase::SelectSeeds, |report| {
+    let sel = report.span(Phase::SelectSeeds, |_| {
         match last_round.filter(|_| unchanged) {
             Some(sel) => sel,
             None => {
                 let (sel, stats) = engine.select(k);
                 select_stats.absorb(stats);
-                report.counters.select_iterations += sel.seeds.len() as u64;
                 sel
             }
         }
@@ -282,7 +314,11 @@ mod tests {
                 fraction: self.fraction,
                 marginal_gains: Vec::new(),
             };
-            (selection, SelectStats::default())
+            let stats = SelectStats {
+                iterations: u64::from(k),
+                ..SelectStats::default()
+            };
+            (selection, stats)
         }
 
         fn finish(&mut self, _: &mut RunReport) {}

@@ -35,25 +35,20 @@ impl MemoryStats {
         self.peak_rrr_bytes + self.peak_index_bytes + self.counter_bytes + self.graph_bytes
     }
 
-    /// Records a new RRR-storage observation, keeping the peak. When
-    /// tracing is enabled, the sample also lands on the event timeline as
-    /// an `rrr-bytes` counter track.
+    /// Records a new RRR-storage observation, keeping the peak, mirrored in
+    /// the live registry. When tracing is enabled, the sample also lands on
+    /// the event timeline as an `rrr-bytes` counter track.
     pub fn observe_rrr(&mut self, bytes: usize) {
         self.peak_rrr_bytes = self.peak_rrr_bytes.max(bytes);
-        if crate::obs::trace::enabled() {
-            crate::obs::trace::counter(crate::obs::trace::TraceName::RrrBytes, bytes as u64);
-        }
-        if crate::obs::metrics::enabled() {
-            crate::obs::metrics::set_max(crate::obs::metrics::Metric::RrrBytesPeak, bytes as u64);
-        }
+        crate::obs::trace::counter(crate::obs::trace::TraceName::RrrBytes, bytes as u64);
+        crate::obs::metrics::set_max(crate::obs::metrics::Metric::RrrBytesPeak, bytes as u64);
     }
 
-    /// Records a selection-index observation, keeping the peak.
+    /// Records a selection-index observation, keeping the peak, mirrored in
+    /// the live registry.
     pub fn observe_index(&mut self, bytes: usize) {
         self.peak_index_bytes = self.peak_index_bytes.max(bytes);
-        if crate::obs::metrics::enabled() {
-            crate::obs::metrics::set_max(crate::obs::metrics::Metric::IndexBytesPeak, bytes as u64);
-        }
+        crate::obs::metrics::set_max(crate::obs::metrics::Metric::IndexBytesPeak, bytes as u64);
     }
 
     /// Formats a byte count as mebibytes (the paper's Table 2 unit).

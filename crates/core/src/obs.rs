@@ -7,13 +7,13 @@
 //! budgets vs. achieved coverage), and small fixed-bucket histograms (RRR
 //! set sizes, per-worker sample counts for load-balance skew). The
 //! distributed engines additionally attach the communicator's collective
-//! call/byte accounting as [`CommCounters`].
+//! call/byte accounting over the run as a [`CommStats`] delta.
 //!
-//! [`Counters`] and [`Histogram`] are declared in `ripples-metrics`, beside
-//! the catalog every counter is a row of; this module's exporters loop over
-//! that table rather than naming a counter. Spans are opened with a typed
-//! [`SpanKind`], which is also where the live phase gauges and the trace
-//! event of a span come from.
+//! [`Counters`], [`Histogram`] and [`Metric`] are declared in
+//! `ripples-metrics`, beside the catalog every counter is a row of; this
+//! module's exporters loop over that table rather than naming a counter.
+//! Spans are opened with a typed [`SpanKind`], which is also where the live
+//! phase gauges and the trace event of a span come from.
 //!
 //! The legacy flat [`PhaseTimers`] view is *derived* from the span tree
 //! ([`RunReport::phase_timers`]) so [`crate::ImmResult`] stays
@@ -32,49 +32,14 @@
 pub mod metrics;
 pub mod trace;
 
-pub use ripples_metrics::{Counters, Histogram};
+pub use ripples_metrics::{Counters, Histogram, Metric};
 
 use crate::phases::{Phase, PhaseTimers};
-use metrics::{phase, Metric};
+use metrics::phase;
 use ripples_comm::CommStats;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 use trace::TraceName;
-
-/// Communication collective calls and modeled bytes moved by one rank over
-/// the span of a run (a delta of two [`CommStats`] snapshots).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CommCounters {
-    /// `all_reduce_*` calls.
-    pub allreduce_calls: u64,
-    /// `all_gather_u64_list` calls.
-    pub allgather_calls: u64,
-    /// `alltoallv_u64` / posted-exchange calls.
-    pub exchange_calls: u64,
-    /// Modeled payload bytes transmitted under recursive doubling (direct
-    /// pairwise for exchanges).
-    pub bytes_moved: u64,
-}
-
-impl CommCounters {
-    /// The communication performed between two snapshots of the same rank's
-    /// [`CommStats`] (counters are monotonic, so plain subtraction).
-    #[must_use]
-    pub fn delta(before: &CommStats, after: &CommStats) -> Self {
-        Self {
-            allreduce_calls: after.allreduce_calls - before.allreduce_calls,
-            allgather_calls: after.allgather_calls - before.allgather_calls,
-            exchange_calls: after.exchange_calls - before.exchange_calls,
-            bytes_moved: after.bytes_moved - before.bytes_moved,
-        }
-    }
-}
-
-impl From<CommStats> for CommCounters {
-    fn from(s: CommStats) -> Self {
-        Self::delta(&CommStats::default(), &s)
-    }
-}
 
 /// One finished span of the phase tree.
 #[derive(Clone, Debug)]
@@ -185,7 +150,7 @@ pub struct RunReport {
     /// for the reference sampler.
     pub lanes_active: Histogram,
     /// Communication accounting; `None` for the shared-memory engines.
-    pub comm: Option<CommCounters>,
+    pub comm: Option<CommStats>,
     /// The merged event timeline, when the run executed with tracing
     /// enabled ([`trace::start`]); `None` otherwise. Its
     /// [`trace::Trace::dropped`] counter reports events lost to full ring
@@ -666,7 +631,7 @@ mod tests {
             exchange_calls: 9,
             bytes_moved: 450,
         };
-        let d = CommCounters::delta(&before, &after);
+        let d = CommStats::delta(&before, &after);
         assert_eq!(d.allreduce_calls, 5);
         assert_eq!(d.allgather_calls, 1);
         assert_eq!(d.exchange_calls, 8);
@@ -681,9 +646,9 @@ mod tests {
         r.counters.round_budgets.push(10);
         r.counters.round_coverage.push(0.5);
         r.rrr_sizes.record(5);
-        r.comm = Some(CommCounters {
+        r.comm = Some(CommStats {
             allreduce_calls: 1,
-            ..CommCounters::default()
+            ..CommStats::default()
         });
         let j = r.to_json();
         trace::json::parse(&j).expect("report must be valid JSON");
@@ -709,7 +674,7 @@ mod tests {
         let mut r = RunReport::new("dist");
         r.span(Phase::SelectSeeds, |_| {});
         r.rrr_sizes.record(3);
-        r.comm = Some(CommCounters::default());
+        r.comm = Some(CommStats::default());
         let p = r.render_pretty();
         assert!(p.contains("engine dist"));
         assert!(p.contains("SelectSeeds"));

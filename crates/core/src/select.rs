@@ -97,6 +97,8 @@ pub struct SelectStats {
     /// (0 on the flat store, whose lists and bitmaps need no decoding, and
     /// for a pass over the index, which reads no block).
     pub decode_nanos: u64,
+    /// Greedy steps taken: one per seed selected.
+    pub iterations: u64,
 }
 
 impl SelectStats {
@@ -107,6 +109,24 @@ impl SelectStats {
         self.index_bytes = self.index_bytes.max(other.index_bytes);
         self.entries_touched += other.entries_touched;
         self.decode_nanos += other.decode_nanos;
+        self.iterations += other.iterations;
+    }
+
+    /// Records one greedy step — seed `v`, its marginal `gain`, and the
+    /// `touched` entries the step read — in the stats and the trace, and
+    /// adds the same deltas to the live registry's cells while it is
+    /// enabled. The registry counts the step itself only where
+    /// `counts_step` (see [`Peers::counts_steps`]). Every greedy body
+    /// records its steps here and nowhere else.
+    pub(crate) fn step(&mut self, v: Vertex, gain: u64, touched: u64, counts_step: bool) {
+        use crate::obs::metrics::{self, Metric};
+        use crate::obs::trace::{self, TraceName};
+        self.iterations += 1;
+        self.entries_touched += touched;
+        trace::mark(TraceName::SelectStep, u64::from(v), gain);
+        trace::mark(TraceName::SelectTouched, touched, u64::from(v));
+        metrics::add(Metric::SelectIterations, u64::from(counts_step));
+        metrics::add(Metric::SelectEntriesTouched, touched);
     }
 }
 
@@ -129,23 +149,6 @@ fn slice_champion(slice: &[u64], selected: &[bool], vl: Vertex) -> Option<(u64, 
         }
     }
     best
-}
-
-/// Publishes one greedy step — seed `v`, its marginal `gain`, and the
-/// `touched` entries the step read — to the trace and the live metrics;
-/// the step itself is counted only where `counts_step` (see
-/// [`Peers::counts_steps`]).
-fn publish_step(v: Vertex, gain: u64, touched: u64, counts_step: bool) {
-    use crate::obs::metrics::{self, Metric};
-    use crate::obs::trace::{self, TraceName};
-    if trace::enabled() {
-        trace::mark(TraceName::SelectStep, u64::from(v), gain);
-        trace::mark(TraceName::SelectTouched, touched, u64::from(v));
-    }
-    if metrics::enabled() {
-        metrics::add(Metric::SelectIterations, u64::from(counts_step));
-        metrics::add(Metric::SelectEntriesTouched, touched);
-    }
 }
 
 /// Reference sequential greedy max-cover, over any store.
@@ -192,8 +195,7 @@ fn sequential_greedy<S: RrrStore>(
             }
         }
         stats.decode_nanos += nanos_since(t0);
-        stats.entries_touched += touched;
-        publish_step(v, gain, touched, true);
+        stats.step(v, gain, touched, true);
     }
     (
         Selection::finish(seeds, gains, covered_count, store.len()),
@@ -302,8 +304,7 @@ fn greedy_cover<S: IntervalSets>(
             touched += store.sample_len(j) as u64;
         }
         covered_count += newly.len();
-        stats.entries_touched += touched;
-        publish_step(v, gain, touched, true);
+        stats.step(v, gain, touched, true);
 
         // Decrement step: each owner updates its interval over the newly
         // covered samples, then looks for a new champion if its own was
@@ -424,7 +425,8 @@ pub(crate) struct Peers<F> {
 /// in shared memory and across ranks. `local` answers for this process's
 /// samples; `bounds` is its count of every vertex before any seed, and
 /// `peers` sums both over the processes that share the heap. Returns the
-/// seeds, their marginal gains and the entries `local` read.
+/// seeds, their marginal gains and the steps' [`SelectStats`] (iterations
+/// and the entries `local` read).
 ///
 /// A max-heap holds an upper bound on every candidate's marginal count —
 /// the summed `bounds` at first — packed as one `u64` per vertex, so the
@@ -450,7 +452,7 @@ pub(crate) fn lazy_greedy<L: LocalCover + ?Sized, F: FnMut(&mut [u64])>(
     k: usize,
     banned: &[bool],
     mut peers: Peers<F>,
-) -> (Vec<Vertex>, Vec<u64>, u64) {
+) -> (Vec<Vertex>, Vec<u64>, SelectStats) {
     assert_eq!(
         banned.len(),
         bounds.len(),
@@ -466,8 +468,9 @@ pub(crate) fn lazy_greedy<L: LocalCover + ?Sized, F: FnMut(&mut [u64])>(
     let k = k.min(heap.len());
     let (mut seeds, mut gains) = (Vec::with_capacity(k), Vec::with_capacity(k));
     let (mut batch, mut counts) = (Vec::new(), Vec::new());
-    // Entries read in all, and since the last selected seed.
-    let (mut touched, mut read) = (0u64, 0u64);
+    let mut stats = SelectStats::default();
+    // Entries read since the last selected seed.
+    let mut read = 0u64;
     while seeds.len() < k {
         batch.clear();
         batch.extend(
@@ -491,11 +494,10 @@ pub(crate) fn lazy_greedy<L: LocalCover + ?Sized, F: FnMut(&mut [u64])>(
             read += local.cover(v);
             seeds.push(v);
             gains.push(gain);
-            publish_step(v, gain, read, peers.counts_steps);
-            touched += std::mem::take(&mut read);
+            stats.step(v, gain, std::mem::take(&mut read), peers.counts_steps);
         }
     }
-    (seeds, gains, touched)
+    (seeds, gains, stats)
 }
 
 /// The greedy max-cover from the inverted index alone: `lazy_greedy` over
@@ -529,14 +531,9 @@ fn select_from_index_in_batches(
         reduce: |_: &mut [u64]| {},
         counts_steps: true,
     };
-    let (seeds, gains, entries_touched) =
-        lazy_greedy(&mut local, bounds, k as usize, banned, peers);
+    let (seeds, gains, stats) = lazy_greedy(&mut local, bounds, k as usize, banned, peers);
     let covered = gains.iter().sum::<u64>() as usize;
     let selection = Selection::finish(seeds, gains, covered, index.absorbed_samples());
-    let stats = SelectStats {
-        entries_touched,
-        ..SelectStats::default()
-    };
     (selection, stats)
 }
 
@@ -1144,17 +1141,20 @@ mod tests {
             index_bytes: 100,
             entries_touched: 7,
             decode_nanos: 11,
+            iterations: 3,
         };
         a.absorb(SelectStats {
             index_build_nanos: 3,
             index_bytes: 40,
             entries_touched: 2,
             decode_nanos: 4,
+            iterations: 5,
         });
         assert_eq!(a.index_build_nanos, 8);
         assert_eq!(a.index_bytes, 100);
         assert_eq!(a.entries_touched, 9);
         assert_eq!(a.decode_nanos, 15);
+        assert_eq!(a.iterations, 8);
     }
 
     #[test]

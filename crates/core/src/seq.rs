@@ -7,7 +7,7 @@
 //! one-direction storage, batch samplers, the [`SelectEngine`] dispatch) is
 //! also what the multithreaded engine and the resident-sketch build run.
 
-use crate::driver::{record_store_counters, run_imm, Engine};
+use crate::driver::{record_batch, record_store_counters, run_imm, Engine};
 use crate::memory::MemoryStats;
 use crate::obs::RunReport;
 use crate::params::ImmParams;
@@ -22,46 +22,6 @@ use ripples_diffusion::{BatchOutcome, DiffusionModel, DynRrrStore, RrrStore, Sto
 use ripples_graph::{Graph, Vertex};
 use ripples_rng::StreamFactory;
 use std::time::Instant;
-
-/// Records one sampling batch's outcome into `report`: sample/edge counters,
-/// the sizes of the new samples, per-worker load-balance observations (how
-/// many samples each worker generated — the schedule decides, so they vary
-/// between runs), and the peak of the block arenas in flight.
-pub(crate) fn record_batch(report: &mut RunReport, outcome: &BatchOutcome) {
-    report.counters.samples_generated += outcome.set_sizes.count();
-    report.counters.edges_examined += outcome.total_work();
-    report.rrr_sizes.merge(&outcome.set_sizes);
-    for &w in &outcome.per_worker_samples {
-        report.thread_samples.record(w);
-    }
-    report.counters.arena_bytes_peak = report
-        .counters
-        .arena_bytes_peak
-        .max(outcome.arena_bytes as u64);
-    report.counters.fused_passes += outcome.fused_passes;
-    report.counters.mask_bytes_peak = report
-        .counters
-        .mask_bytes_peak
-        .max(outcome.mask_bytes as u64);
-    for (lanes, &times) in outcome.lane_width_counts.iter().enumerate() {
-        report.lanes_active.record_n(lanes as u64, times);
-    }
-    // The trace stream mirrors the *running peak*, not the last batch's
-    // reservation, so a trace reader sees the same high-water mark the
-    // counters report.
-    if crate::obs::trace::enabled() {
-        crate::obs::trace::counter(
-            crate::obs::trace::TraceName::ArenaBytes,
-            report.counters.arena_bytes_peak,
-        );
-        if report.counters.mask_bytes_peak > 0 {
-            crate::obs::trace::counter(
-                crate::obs::trace::TraceName::MaskBytes,
-                report.counters.mask_bytes_peak,
-            );
-        }
-    }
-}
 
 /// The shared-memory engine: samples land in a [`DynRrrStore`] through the
 /// [`SamplerDispatch`] batch kernels, and selection runs the requested
@@ -283,7 +243,9 @@ impl TangStorage {
     }
 
     /// Greedy max-cover driven by the inverted index (Tang's selection).
-    fn select(&self, n: u32, k: u32) -> Selection {
+    /// Its steps count towards `select_iterations`; Table 2 compares this
+    /// layout by time and memory, so they charge no `select_entries_touched`.
+    fn select(&self, n: u32, k: u32) -> (Selection, SelectStats) {
         let k = k.min(n);
         let mut counters: Vec<u64> = (0..n as usize)
             .map(|v| self.vertex_to_sets[v].len() as u64)
@@ -293,6 +255,7 @@ impl TangStorage {
         let mut seeds = Vec::with_capacity(k as usize);
         let mut gains = Vec::with_capacity(k as usize);
         let mut covered_count = 0usize;
+        let mut stats = SelectStats::default();
         for _ in 0..k {
             let mut best: Option<(u64, Vertex)> = None;
             for (v, (&c, &s)) in counters.iter().zip(&selected).enumerate() {
@@ -308,6 +271,7 @@ impl TangStorage {
             selected[v as usize] = true;
             seeds.push(v);
             gains.push(gain);
+            stats.step(v, gain, 0, true);
             for &sid in &self.vertex_to_sets[v as usize] {
                 let j = sid as usize;
                 if covered[j] {
@@ -320,16 +284,8 @@ impl TangStorage {
                 }
             }
         }
-        Selection {
-            seeds,
-            covered: covered_count,
-            fraction: if self.sets.is_empty() {
-                0.0
-            } else {
-                covered_count as f64 / self.sets.len() as f64
-            },
-            marginal_gains: gains,
-        }
+        let selection = Selection::finish(seeds, gains, covered_count, self.sets.len());
+        (selection, stats)
     }
 }
 
@@ -351,18 +307,20 @@ impl Engine for TangEngine<'_> {
     fn grow_to(&mut self, total: usize, report: &mut RunReport) {
         let n = self.graph.num_vertices();
         let count = (total - self.storage.len()) as u64;
+        // Single-threaded engine: the whole batch lands on one worker.
+        let mut outcome = BatchOutcome {
+            per_worker_samples: vec![count],
+            ..BatchOutcome::default()
+        };
         for index in self.next_index..self.next_index + count {
             let mut rng = self.factory.sample_stream(index);
             let root = rng.bounded_u64(u64::from(n)) as Vertex;
             let s = generate_rrr(self.graph, self.model, root, &mut rng, &mut self.scratch);
-            report.counters.samples_generated += 1;
-            report.counters.edges_examined += s.edges_examined;
-            report.rrr_sizes.record(s.vertices.len() as u64);
+            outcome.add([s.vertices.len()], s.edges_examined);
             self.storage.push(s.vertices);
         }
         self.next_index += count;
-        // Single-threaded engine: the whole batch lands on one worker.
-        report.thread_samples.record(count);
+        record_batch(report, &outcome);
     }
 
     fn resident_bytes(&self) -> usize {
@@ -375,7 +333,7 @@ impl Engine for TangEngine<'_> {
 
     fn select(&mut self, k: u32) -> (Selection, SelectStats) {
         let n = self.graph.num_vertices();
-        (self.storage.select(n, k), SelectStats::default())
+        self.storage.select(n, k)
     }
 
     fn finish(&mut self, report: &mut RunReport) {

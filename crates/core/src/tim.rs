@@ -23,14 +23,16 @@
 //!    `λ = (8 + 2ε)·n·(ℓ·ln n + ln C(n,k) + ln 2)/ε²`, then run the
 //!    standard greedy max-cover.
 
-use crate::driver::{record_graph_bytes, record_select_counters, record_store_counters};
+use crate::driver::{
+    record_batch, record_graph_bytes, record_select_counters, record_store_counters,
+};
 use crate::memory::MemoryStats;
 use crate::obs::{RunReport, SpanKind};
 use crate::params::ImmParams;
 use crate::phases::Phase;
 use crate::result::ImmResult;
 use crate::sample::{SampleEngine, SamplerDispatch};
-use crate::select::{select_with_engine_store, SelectEngine};
+use crate::select::{select_with_engine_store, SelectEngine, SelectStats};
 use crate::theta::log_binomial;
 use ripples_diffusion::{DynRrrStore, RrrStore, StorageConfig};
 use ripples_graph::Graph;
@@ -92,6 +94,8 @@ pub fn tim_plus_with_storage(
     };
     let mut collection = DynRrrStore::new(storage, n);
     let mut next_index: u64 = 0;
+    // Every selection pass of the run: the refinement's and the final one.
+    let mut select_stats = SelectStats::default();
 
     // --- Phase 1 + 2: KPT estimation and refinement ----------------------
     let mut kpt = 1.0f64;
@@ -101,6 +105,7 @@ pub fn tim_plus_with_storage(
         let memory = &mut memory;
         let kpt = &mut kpt;
         let sampler = &mut sampler;
+        let select_stats = &mut select_stats;
         report.span(Phase::EstimateTheta, |report| {
             let c_base = 6.0 * ell * ln_n + 6.0 * log2_n.ln().max(0.0);
             let max_i = (log2_n.floor() as u32).saturating_sub(1).max(1);
@@ -113,7 +118,7 @@ pub fn tim_plus_with_storage(
                             sampler.sample_batch(*next_index, need, collection)
                         });
                         *next_index += need as u64;
-                        crate::seq::record_batch(report, &outcome);
+                        record_batch(report, &outcome);
                     }
                     report.counters.theta_rounds += 1;
                     report.counters.round_budgets.push(budget as u64);
@@ -144,8 +149,7 @@ pub fn tim_plus_with_storage(
                 let (sel, refine_stats) = report.span(SpanKind::Other("refine"), |_| {
                     select_with_engine_store(SelectEngine::Sequential, &*collection, n, k, 1)
                 });
-                report.counters.select_iterations += sel.seeds.len() as u64;
-                report.counters.decode_nanos += refine_stats.decode_nanos;
+                select_stats.absorb(refine_stats);
                 let eps_prime = std::f64::consts::SQRT_2 * epsilon;
                 let refined = sel.fraction * nf / (1.0 + eps_prime);
                 *kpt = kpt.max(refined);
@@ -166,16 +170,16 @@ pub fn tim_plus_with_storage(
         let outcome = report.span(Phase::Sample, |_| {
             sampler.sample_batch(next_index, need, collection_ref)
         });
-        crate::seq::record_batch(&mut report, &outcome);
+        record_batch(&mut report, &outcome);
     }
     memory.observe_rrr(collection.resident_bytes());
 
     // TIM's θ is the largest of any engine here, so its one final greedy
     // pass is exactly where the fused index pays for itself.
-    let (final_sel, select_stats) = report.span(Phase::SelectSeeds, |_| {
+    let (final_sel, final_stats) = report.span(Phase::SelectSeeds, |_| {
         select_with_engine_store(SelectEngine::Fused, &collection, n, k, 1)
     });
-    report.counters.select_iterations += final_sel.seeds.len() as u64;
+    select_stats.absorb(final_stats);
     report.counters.theta_final = collection.len() as u64;
     record_select_counters(&mut report, &mut memory, select_stats);
     record_graph_bytes(&mut report, &mut memory, graph.resident_bytes());

@@ -135,14 +135,6 @@ pub fn generate_rrr_into(
     let start = out.len();
     out.extend_from_slice(&scratch.queue);
     out[start..].sort_unstable();
-    // Live telemetry: every reference-path sample (sequential, parallel
-    // chunks, distributed per-rank growth) funnels through here, so one
-    // site gives the metrics registry world-total sampling throughput.
-    if ripples_metrics::enabled() {
-        ripples_metrics::add(ripples_metrics::Metric::SamplesGenerated, 1);
-        ripples_metrics::add(ripples_metrics::Metric::EdgesExamined, edges_examined);
-        ripples_metrics::observe_rrr_size((out.len() - start) as u64);
-    }
     edges_examined
 }
 

@@ -20,7 +20,7 @@ use crate::model::DiffusionModel;
 use crate::rrr::{generate_rrr, generate_rrr_into, RrrScratch};
 use crate::store::RrrStore;
 use ripples_graph::{Graph, Vertex};
-use ripples_metrics::Histogram;
+use ripples_metrics::{Histogram, Metric};
 use ripples_rng::StreamFactory;
 use ripples_trace::TraceName;
 use std::collections::VecDeque;
@@ -50,6 +50,9 @@ pub struct BatchOutcome {
     /// Frontier passes executed by the fused multi-cascade kernel (0 for
     /// the reference sampler; see [`crate::fused::sample_batch_fused`]).
     pub fused_passes: u64,
+    /// Batched frontier exchanges issued by a sampler that shards the graph
+    /// over ranks (0 for every sampler that holds the whole graph).
+    pub frontier_exchanges: u64,
     /// Bytes of per-vertex activation-mask scratch summed over workers
     /// (0 for the reference sampler).
     pub mask_bytes: usize,
@@ -66,11 +69,42 @@ impl BatchOutcome {
         self.edges_examined
     }
 
+    /// Adds samples to the outcome — one sample, or one merged block —
+    /// given their vertex counts and the in-edges they examined between
+    /// them, and adds the same deltas to the live registry's cells while it
+    /// is enabled. Every sampler counts its samples here and nowhere else,
+    /// so the run report, which reads the outcome, and the registry agree.
+    pub fn add(&mut self, sizes: impl IntoIterator<Item = usize>, edges: u64) {
+        let before = self.set_sizes.count();
+        for len in sizes {
+            self.set_sizes.record(len as u64);
+            ripples_metrics::observe_rrr_size(len as u64);
+        }
+        self.edges_examined += edges;
+        ripples_metrics::add(Metric::SamplesGenerated, self.set_sizes.count() - before);
+        ripples_metrics::add(Metric::EdgesExamined, edges);
+    }
+
+    /// Adds fused frontier passes, mirrored live as [`BatchOutcome::add`]
+    /// mirrors samples.
+    pub fn add_fused_passes(&mut self, passes: u64) {
+        self.fused_passes += passes;
+        ripples_metrics::add(Metric::FusedPasses, passes);
+    }
+
+    /// Counts one frontier exchange, mirrored live as [`BatchOutcome::add`]
+    /// mirrors samples.
+    pub fn add_frontier_exchange(&mut self) {
+        self.frontier_exchanges += 1;
+        ripples_metrics::add(Metric::FrontierExchanges, 1);
+    }
+
     /// Folds a follow-up sub-batch into `self` (used when one logical batch
     /// is generated in two pieces, e.g. the probe + remainder split of the
     /// auto sampling dispatch). Work adds up and per-worker counts
     /// concatenate; transient memory figures take the max since the pieces'
-    /// scratch never coexists.
+    /// scratch never coexists. Each piece reached the live registry as it
+    /// was recorded, so folding adds nothing there.
     pub fn absorb(&mut self, other: BatchOutcome) {
         self.edges_examined += other.edges_examined;
         self.set_sizes.merge(&other.set_sizes);
@@ -78,6 +112,7 @@ impl BatchOutcome {
             .extend_from_slice(&other.per_worker_samples);
         self.arena_bytes = self.arena_bytes.max(other.arena_bytes);
         self.fused_passes += other.fused_passes;
+        self.frontier_exchanges += other.frontier_exchanges;
         self.mask_bytes = self.mask_bytes.max(other.mask_bytes);
         if self.lane_width_counts.len() < other.lane_width_counts.len() {
             self.lane_width_counts
@@ -204,10 +239,12 @@ fn block_len(count: usize, workers: usize, lanes: usize) -> u64 {
     ((count / (8 * workers)).clamp(lanes, 4096) / lanes * lanes) as u64
 }
 
-/// One block of a streamed batch: its samples and the edges they examined.
+/// One block of a streamed batch: its samples, the edges they examined and
+/// the fused frontier passes that generated them.
 pub(crate) struct Block {
     pub(crate) arena: SampleArena,
     pub(crate) work: u64,
+    pub(crate) passes: u64,
 }
 
 /// What the workers and the merging thread share.
@@ -293,18 +330,16 @@ impl Stream {
         }
     }
 
-    /// Appends the next block in index order to `out` and adds its work
-    /// and set sizes to `outcome`, waiting until it is finished when `wait`;
-    /// false when not waiting and it is not finished.
+    /// Appends the next block in index order to `out` and adds it to
+    /// `outcome`, waiting until it is finished when `wait`; false when not
+    /// waiting and it is not finished.
     fn merge_next<S: RrrStore>(&self, out: &mut S, outcome: &mut BatchOutcome, wait: bool) -> bool {
         let Some(block) = self.take_next(wait) else {
             return false;
         };
-        for set in block.arena.iter() {
-            outcome.set_sizes.record(set.len() as u64);
-        }
+        outcome.add(block.arena.iter().map(|set| set.len()), block.work);
+        outcome.add_fused_passes(block.passes);
         out.append_arena(&block.arena);
-        outcome.edges_examined += block.work;
         self.pending().spare.push(block);
         true
     }
@@ -396,9 +431,11 @@ where
         let mut block = spare.unwrap_or_else(|| Block {
             arena: SampleArena::with_capacity(num_vertices, len as usize),
             work: 0,
+            passes: 0,
         });
         block.arena.clear();
         block.work = 0;
+        block.passes = 0;
         let base = (first_block + b as u64) * len;
         let range = base.max(first_index)..(base + len).min(end);
         let t0 = ripples_trace::enabled().then(std::time::Instant::now);
@@ -474,12 +511,6 @@ where
         .iter()
         .map(|block| block.arena.resident_bytes())
         .sum();
-    if ripples_metrics::enabled() {
-        ripples_metrics::set_max(
-            ripples_metrics::Metric::ArenaBytesPeak,
-            outcome.arena_bytes as u64,
-        );
-    }
     outcome.per_worker_samples = done.iter().map(|w| w.samples).filter(|&c| c > 0).collect();
     let scratch = done.into_iter().filter_map(|w| w.scratch).collect();
     (outcome, scratch)
@@ -516,8 +547,7 @@ pub fn sample_batch_sequential<S: RrrStore>(
         let (root, mut rng) = sample_root(graph, factory, index);
         let s = generate_rrr(graph, model, root, &mut rng, &mut scratch);
         out.push(&s.vertices);
-        outcome.set_sizes.record(s.vertices.len() as u64);
-        outcome.edges_examined += s.edges_examined;
+        outcome.add([s.vertices.len()], s.edges_examined);
     }
     drop(scratch);
     out.finish_batch();

@@ -7,7 +7,11 @@
 //! [`Metric::ALL`]: the run report's JSON and pretty counters block, the
 //! Prometheus exposition, the time-series header, the cross-rank sum
 //! reduction and the determinism test. Adding a quantity costs one row here
-//! plus its record site.
+//! plus its one record site. A report row is recorded once — a sampling
+//! counter in the batch's `BatchOutcome`, a selection counter in the pass's
+//! `SelectStats`, a peak where the report keeps it — and for a `LIVE` row
+//! that site adds the same delta to the registry cell, so the report and
+//! the live view read one record.
 
 /// How a quantity evolves over a run; decides the Prometheus type and the
 /// `_total` suffix.

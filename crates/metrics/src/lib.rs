@@ -10,8 +10,9 @@
 //! The contract mirrors the tracer's:
 //!
 //! - **Disabled** (the default), every record call is one relaxed atomic
-//!   load and a branch — cheap enough to leave instrumentation in the
-//!   hottest sampling loops unconditionally.
+//!   load and a branch, so record sites call it unconditionally. A site is
+//!   where the run report records the same quantity (see `catalog.rs`), or
+//!   for a live-only row the one place it changes; never a sampling kernel.
 //! - **Enabled**, a counter update is one relaxed `fetch_add` on a
 //!   preregistered cell; there is no name lookup, no allocation, and no
 //!   lock anywhere on the hot path. Gauges use plain `store` or

@@ -7,12 +7,16 @@
 
 use ripples_comm::ThreadWorld;
 use ripples_core::dist::imm_distributed;
-use ripples_core::mt::imm_multithreaded;
-use ripples_core::{ImmParams, ImmResult, RunReport};
-use ripples_diffusion::DiffusionModel;
+use ripples_core::dist_partitioned::imm_partitioned;
+use ripples_core::dist_sharded::imm_sharded;
+use ripples_core::mt::{imm_multithreaded, imm_multithreaded_with_storage};
+use ripples_core::seq::{imm_baseline, immopt_sequential};
+use ripples_core::tim::tim_plus;
+use ripples_core::{ImmParams, RunReport, SampleEngine, SelectEngine};
+use ripples_diffusion::{DiffusionModel, StorageConfig};
 use ripples_graph::generators::erdos_renyi;
 use ripples_graph::{Graph, WeightModel};
-use ripples_metrics::{phase, Kind, Metric};
+use ripples_metrics::{phase, Kind, Metric, Reduce};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -156,55 +160,66 @@ fn tiny_cadence_long_run_stays_bounded() {
 }
 
 #[test]
-fn dist_world_sizes_reduce_consistently() {
+fn registry_mirrors_the_report_for_every_engine() {
+    // Each counter is recorded once, in the batch outcome or the selection
+    // stats, and the registry receives the same deltas. So at one rank
+    // every live report row equals its cell; across the rank threads of a
+    // world the cells sum, as the report's `Reduce::Sum` rows do, and
+    // selection steps are counted once per world, as every rank's report
+    // counts them. The RRR-size histogram counts each sample once.
     let _g = gate();
-    let graph = small_graph();
-    let p = params();
-    let mut per_world = Vec::new();
-    for world in [1u32, 2, 4] {
-        ripples_metrics::enable();
-        let results: Vec<ImmResult> =
-            ThreadWorld::new(world).run(|comm| imm_distributed(comm, &graph, &p));
-        let metric_total = ripples_metrics::get(Metric::SamplesGenerated);
-        let live_iterations = ripples_metrics::get(Metric::SelectIterations);
-        let live_touched = ripples_metrics::get(Metric::SelectEntriesTouched);
-        ripples_metrics::disable();
-
-        // dist all-reduces its counters (`globalize_counters`), so every
-        // rank's report already carries the world total — the shared
-        // registry, summing each rank's local generation, must agree.
-        // Selection steps are counted once per world (the report's row is
-        // per rank, and every rank takes the same steps); the entries each
-        // rank's selection read sum like the samples.
-        for (rank, r) in results.iter().enumerate() {
-            let c = &r.report.counters;
-            assert_eq!(
-                metric_total, c.samples_generated,
-                "world={world} rank={rank}: shared registry must equal the globalized counter"
-            );
-            assert_eq!(
-                live_iterations, c.select_iterations,
-                "world={world} rank={rank}"
-            );
-            assert_eq!(
-                live_touched, c.select_entries_touched,
-                "world={world} rank={rank}"
-            );
+    let (graph, p) = (small_graph(), params());
+    let run = |engine: &str, ranks: u32| {
+        let world = ThreadWorld::new(ranks);
+        match engine {
+            "opt" => vec![immopt_sequential(&graph, &p)],
+            "baseline" => vec![imm_baseline(&graph, &p)],
+            "mt" => vec![imm_multithreaded(&graph, &p, 2)],
+            "mt fused" => {
+                let (select, sample) = (SelectEngine::Auto, SampleEngine::Fused);
+                let storage = StorageConfig::default();
+                vec![imm_multithreaded_with_storage(
+                    &graph, &p, 2, select, sample, storage,
+                )]
+            }
+            "tim" => vec![tim_plus(&graph, &p)],
+            "dist" => world.run(|comm| imm_distributed(comm, &graph, &p)),
+            "partitioned" => world.run(|comm| imm_partitioned(comm, &graph, &p)),
+            "sharded" => world.run(|comm| imm_sharded(comm, &graph, &p)),
+            _ => unreachable!("{engine}"),
         }
-        assert!(live_iterations > 0 && live_touched > 0, "world={world}");
-        let theta = results[0].theta as u64;
-        assert!(
-            metric_total >= theta,
-            "world={world}: at least theta samples generated ({metric_total} < {theta})"
-        );
-        per_world.push((world, theta, results[0].seeds.clone()));
-    }
-    // The rank-reduced series describes the same computation at every
-    // world size: identical theta and identical seed sets.
-    let (_, theta1, seeds1) = &per_world[0];
-    for (world, theta, seeds) in &per_world[1..] {
-        assert_eq!(theta, theta1, "world={world}: theta must match world=1");
-        assert_eq!(seeds, seeds1, "world={world}: seeds must match world=1");
+    };
+    let (shared, ranked): (&[u32], &[u32]) = (&[1], &[1, 2, 4]);
+    let engines = [
+        ("opt", shared),
+        ("baseline", shared),
+        ("mt", shared),
+        ("mt fused", shared),
+        ("tim", shared),
+        ("dist", ranked),
+        ("partitioned", ranked),
+        ("sharded", ranked),
+    ];
+    for (name, rank_counts) in engines {
+        for &ranks in rank_counts {
+            ripples_metrics::enable();
+            let results = run(name, ranks);
+            let live = ripples_metrics::snapshot();
+            ripples_metrics::disable();
+            for (rank, counters) in results.iter().map(|r| &r.report.counters).enumerate() {
+                let at = format!("{name} at {ranks} ranks, rank {rank}");
+                for (metric, value) in counters.rows() {
+                    let row = metric.row();
+                    let world = row.reduce == Reduce::Sum || metric == Metric::SelectIterations;
+                    if row.live && (ranks == 1 || world) {
+                        assert_eq!(live.value(metric), value, "{at}: {}", metric.name());
+                    }
+                }
+                assert_eq!(live.hist_count, counters.samples_generated, "{at}");
+            }
+            let recorded = live.hist_count > 0 && live.value(Metric::SelectIterations) > 0;
+            assert!(recorded, "{name} at {ranks} ranks");
+        }
     }
 }
 
