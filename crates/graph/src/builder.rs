@@ -1,43 +1,40 @@
 //! Edge accumulation and CSR construction.
 //!
-//! Pending edges live in parallel `sources` / `targets` vectors (4 + 4 bytes
-//! an edge) plus a `probs` vector (4 more) only while the probabilities
-//! will be kept: [`GraphBuilder::assign_weights`] drops it, because a
-//! [`WeightModel`] overwrites every value.
+//! Pending edges live in one buffer of fixed-width records, target first:
+//! `(target, source)`, 8 bytes an edge, when a [`WeightModel`] will assign
+//! the probabilities, `(target, source, probability, insertion index)`, 16
+//! bytes, while the added ones are kept ([`GraphBuilder::assign_weights`]
+//! narrows the records it finds). `build` sorts them by counting, in place,
+//! in O(m + n + Σ d·log d) for in-rows of d edges:
 //!
-//! `build` never sorts the whole list. It is a counting sort with a per-row
-//! clean-up, O(m + n + Σ d·log d) for rows of d edges:
+//! 1. count the targets and prefix-sum them into the reverse offsets;
+//! 2. permute the records into one bucket per target: one American-flag
+//!    pass, with a cursor per target;
+//! 3. sort each bucket by source, ties by insertion index, and fold the
+//!    duplicates into the first one added; pack the kept sources (and
+//!    probabilities) to the front of the buffer, which then shrinks to the
+//!    graph's sources, so no second array of m vertices exists;
+//! 4. let the weight model, if any, give the probabilities: one per vertex
+//!    from the in-degrees (weighted cascade, a constant), or one per edge,
+//!    the draw at its position in forward order (source, then target — the
+//!    order a sorted edge list would have); kept probabilities become one
+//!    per vertex if every in-row is bitwise uniform.
 //!
-//! 1. count the sources and prefix-sum them into the forward offsets;
-//! 2. scatter targets (and kept probabilities) into the forward arrays in
-//!    insertion order, then drop the input;
-//! 3. stable-sort each row by target and fold duplicates into the first
-//!    occurrence, compacting the arrays in place;
-//! 4. let the weight model, if any, fill the probabilities in forward order
-//!    (source, then target — the order a sorted edge list would have);
-//! 5. counting-sort the probabilities by target into the reverse order and
-//!    drop the forward ones; keep one per vertex if every in-row is bitwise
-//!    uniform;
-//! 6. counting-sort the sources by target the same way, and drop the
-//!    forward arrays. Sources come out ascending within a destination
-//!    because rows are visited in order.
-//!
-//! The [`Graph`] keeps only the reverse arrays; its forward view is built
-//! again from them on first use. The high-water mark is step 2 (input plus
-//! forward arrays: 12 bytes an edge, 20 when probabilities are kept); steps
-//! 5 and 6 hold 12 bytes an edge, and nothing else of size m is allocated.
-//! The steps are the same whether or not the edges arrive sorted.
+//! The high-water mark is steps 2 and 3: the records beside the offsets and
+//! the cursors, 8 bytes an edge and 16 a vertex (16 an edge with
+//! probabilities). Step 4 holds 8 bytes an edge, 12 for `Trivalency`.
 
 use crate::csr::{Graph, ProbStore};
 use crate::types::{GraphError, Vertex};
 use crate::weights::WeightModel;
+use std::ops::Range;
 
 /// What to do when the same `(source, target)` pair is added twice.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum DuplicatePolicy {
     /// Keep the occurrence that was *added first* (default; matches SNAP
-    /// loader behaviour). Rows are sorted stably, so this is the first one
-    /// inserted also among duplicates of differing probability.
+    /// loader behaviour). Ties are broken by insertion index, so this holds
+    /// also among duplicates of differing probability.
     #[default]
     KeepFirst,
     /// Keep the occurrence with the largest probability.
@@ -59,9 +56,10 @@ impl DuplicatePolicy {
 
 /// Accumulates edges and produces a validated [`Graph`].
 ///
-/// Construction is O(m + n + Σ d·log d) over rows of d edges (no sort of
-/// the whole list) and its transient memory peaks at 12 bytes an edge, 20
-/// when probabilities are kept; see the module documentation.
+/// Construction is O(m + n + Σ d·log d) over in-rows of d edges (no sort of
+/// the whole list) and its transient memory peaks at 8 bytes an edge and 16
+/// a vertex (16 an edge when probabilities are kept, 12 while `Trivalency`
+/// draws); see the module documentation.
 ///
 /// ```
 /// use ripples_graph::GraphBuilder;
@@ -77,11 +75,11 @@ impl DuplicatePolicy {
 #[derive(Clone, Debug)]
 pub struct GraphBuilder {
     num_vertices: u32,
-    sources: Vec<Vertex>,
-    targets: Vec<Vertex>,
-    /// Aligned with `sources` while probabilities are kept; `None` once a
-    /// weight model is going to overwrite them.
-    probs: Option<Vec<f32>>,
+    /// The pending edges, `width` words a record.
+    records: Vec<u32>,
+    /// 4 while the records carry probabilities and insertion indices, 2
+    /// once a weight model is going to assign the probabilities.
+    width: usize,
     duplicate_policy: DuplicatePolicy,
     drop_self_loops: bool,
 }
@@ -101,9 +99,8 @@ impl GraphBuilder {
     pub fn new(num_vertices: u32) -> Self {
         Self {
             num_vertices,
-            sources: Vec::new(),
-            targets: Vec::new(),
-            probs: Some(Vec::new()),
+            records: Vec::new(),
+            width: 4,
             duplicate_policy: DuplicatePolicy::default(),
             drop_self_loops: true,
         }
@@ -111,11 +108,7 @@ impl GraphBuilder {
 
     /// Pre-allocates room for `additional` more edges.
     pub fn reserve(&mut self, additional: usize) {
-        self.sources.reserve(additional);
-        self.targets.reserve(additional);
-        if let Some(probs) = &mut self.probs {
-            probs.reserve(additional);
-        }
+        self.records.reserve(additional * self.width);
     }
 
     /// Sets the duplicate-edge policy (default: keep first).
@@ -137,7 +130,7 @@ impl GraphBuilder {
     /// Number of edges currently buffered (before dedup).
     #[must_use]
     pub fn pending_edges(&self) -> usize {
-        self.sources.len()
+        self.records.len() / self.width
     }
 
     /// Adds a directed edge with an explicit activation probability.
@@ -167,10 +160,12 @@ impl GraphBuilder {
         if self.drop_self_loops && source == target {
             return;
         }
-        self.sources.push(source);
-        self.targets.push(target);
-        if let Some(probs) = &mut self.probs {
-            probs.push(prob);
+        if self.width == 4 {
+            let index = self.pending_edges() as u32;
+            self.records
+                .extend_from_slice(&[target, source, prob.to_bits(), index]);
+        } else {
+            self.records.extend_from_slice(&[target, source]);
         }
     }
 
@@ -180,9 +175,14 @@ impl GraphBuilder {
         self.num_vertices = num_vertices;
     }
 
-    /// Stops storing probabilities: a weight model will assign them.
+    /// Stops storing probabilities (those buffered too): a weight model
+    /// will assign them.
     pub(crate) fn discard_probs(&mut self) {
-        self.probs = None;
+        if self.width == 4 {
+            let pending = self.pending_edges();
+            pack(&mut self.records, 4, 0..2, pending);
+            self.width = 2;
+        }
     }
 
     /// Adds a directed edge with a placeholder probability of 1.0, to be
@@ -224,135 +224,124 @@ impl GraphBuilder {
     /// were discarded for it. The steps are those of the module
     /// documentation.
     fn freeze(self, model: Option<WeightModel>) -> Result<Graph, GraphError> {
-        if self.sources.len() >= u32::MAX as usize {
+        let pending = self.pending_edges();
+        if pending >= u32::MAX as usize {
             return Err(GraphError::TooLarge(format!(
-                "{} edges exceeds the u32 edge-count limit",
-                self.sources.len()
+                "{pending} edges exceeds the u32 edge-count limit"
             )));
         }
-        let num_vertices = self.num_vertices;
-        let n = num_vertices as usize;
-        let mut rows = Rows::scatter(n, self.sources, self.targets, self.probs);
-        rows.sort_and_fold(self.duplicate_policy);
-        let Rows {
-            offsets: out_offsets,
-            targets: out_targets,
-            probs: kept_probs,
-        } = rows;
-        let out_probs = match model {
-            Some(model) => model.assign(num_vertices, &out_targets),
-            None => kept_probs.expect("probabilities are kept until a weight model replaces them"),
+        assert_eq!(model.is_none(), self.width == 4);
+        let mut words = self.records;
+        let targets = words.iter().step_by(self.width);
+        let mut in_offsets = offsets_by_key(self.num_vertices as usize, targets);
+        let in_probs = match model {
+            Some(model) => {
+                let records = words.as_chunks_mut::<2>().0;
+                let kept = bucket_and_fold(records, &mut in_offsets, |_, _| {});
+                pack(&mut words, 2, 1..2, kept);
+                model.assign(&in_offsets, &words)
+            }
+            None => {
+                let records = words.as_chunks_mut::<4>().0;
+                let kept = bucket_and_fold(records, &mut in_offsets, |kept, later| {
+                    let (p, q) = (f32::from_bits(kept[2]), f32::from_bits(later[2]));
+                    kept[2] = self.duplicate_policy.combine(p, q).to_bits();
+                });
+                // Sources and probabilities in pairs, then the sources alone.
+                pack(&mut words, 4, 1..3, kept);
+                let pairs = words.chunks_exact(2);
+                let probs = pairs.map(|pair| f32::from_bits(pair[1])).collect();
+                pack(&mut words, 2, 0..1, kept);
+                ProbStore::new(&in_offsets, probs)
+            }
         };
-
-        // Steps 5 and 6, one array at a time so that no more than three
-        // m-length arrays are alive at once.
-        let mut in_offsets = offsets_by_key(n, &out_targets);
-        let in_probs = transpose(&out_offsets, &out_targets, &mut in_offsets, |_, e| {
-            out_probs[e]
-        });
-        drop(out_probs);
-        let in_probs = ProbStore::new(&in_offsets, in_probs);
-        let in_sources = transpose(&out_offsets, &out_targets, &mut in_offsets, |u, _| {
-            u as Vertex
-        });
-        Ok(Graph::from_reverse(
-            num_vertices,
-            in_offsets,
-            in_sources,
-            in_probs,
-        ))
+        let graph = Graph::from_reverse(self.num_vertices, in_offsets, words, in_probs);
+        Ok(graph)
     }
 }
 
-/// The forward arrays while they are being made: row `u` is
-/// `targets[offsets[u]..offsets[u + 1]]`, with `probs` aligned to it while
-/// probabilities are kept.
-struct Rows {
-    offsets: Vec<usize>,
-    targets: Vec<Vertex>,
-    probs: Option<Vec<f32>>,
+/// Steps 2 and 3 over records of `W` words: target, source and, when `W`
+/// is 4, the probability's bits and the insertion index. `offsets` comes
+/// in as the buckets' starts and leaves as the reverse offsets of the kept
+/// records, whose number is returned; `fold(kept, later)` folds a duplicate.
+fn bucket_and_fold<const W: usize>(
+    records: &mut [[u32; W]],
+    offsets: &mut [usize],
+    fold: impl Fn(&mut [u32; W], &[u32; W]),
+) -> usize {
+    // Bucket `v` is settled from its cursor `next[v]` on: records there are
+    // taken up, `CHAINS` at a time, leaving holes. Each goes to the cursor
+    // slot of its own bucket and takes up the record there, until one of
+    // `v` fills the first hole. Chains taken in turn fetch slots together.
+    const CHAINS: usize = 16;
+    let n = offsets.len() - 1;
+    let mut next = offsets[..n].to_vec();
+    let (mut taken, mut len) = ([[0; W]; CHAINS], 0);
+    for v in 0..n {
+        while next[v] < offsets[v + 1] {
+            while len < CHAINS && next[v] + len < offsets[v + 1] {
+                taken[len] = records[next[v] + len];
+                len += 1;
+            }
+            let mut i = 0;
+            while i < len {
+                let home = taken[i][0] as usize;
+                let slot = next[home];
+                next[home] += 1;
+                if home == v {
+                    records[slot] = taken[i];
+                    len -= 1;
+                    taken[i] = taken[len];
+                } else {
+                    taken[i] = std::mem::replace(&mut records[slot], taken[i]);
+                    i += 1;
+                }
+            }
+        }
+    }
+
+    // Within a bucket: by source, then by the last word, the insertion index
+    // if there is one. `kept` trails the reads, so packing overwrites read records.
+    let rank = |r: &[u32; W]| (u64::from(r[1]) << 32) | u64::from(r[W - 1]);
+    let (mut start, mut kept) = (0, 0);
+    for v in 0..n {
+        let (end, row_start) = (offsets[v + 1], kept);
+        offsets[v] = row_start;
+        records[start..end].sort_unstable_by_key(rank);
+        for i in start..end {
+            let record = records[i];
+            if kept > row_start && records[kept - 1][1] == record[1] {
+                fold(&mut records[kept - 1], &record);
+            } else {
+                records[kept] = record;
+                kept += 1;
+            }
+        }
+        start = end;
+    }
+    offsets[n] = kept;
+    kept
 }
 
-impl Rows {
-    /// Steps 1 and 2: a counting sort by source that keeps each row in
-    /// insertion order, and the end of the input vectors.
-    fn scatter(
-        n: usize,
-        sources: Vec<Vertex>,
-        targets: Vec<Vertex>,
-        probs: Option<Vec<f32>>,
-    ) -> Self {
-        let mut rows = Rows {
-            offsets: offsets_by_key(n, &sources),
-            targets: vec![0; targets.len()],
-            probs: probs.as_ref().map(|probs| vec![0.0; probs.len()]),
-        };
-        for (i, (&u, &v)) in sources.iter().zip(&targets).enumerate() {
-            let slot = &mut rows.offsets[u as usize];
-            rows.targets[*slot] = v;
-            if let (Some(row_probs), Some(probs)) = (&mut rows.probs, &probs) {
-                row_probs[*slot] = probs[i];
-            }
-            *slot += 1;
-        }
-        rewind_offsets(&mut rows.offsets);
-        rows
-    }
-
-    /// Step 3: sorts every row by target and folds its duplicates into the
-    /// first one added, closing the gaps. `write` trails `read`, so a row is
-    /// compacted over space that has been read already.
-    fn sort_and_fold(&mut self, policy: DuplicatePolicy) {
-        let n = self.offsets.len() - 1;
-        let targets = &mut self.targets;
-        let (mut read, mut write) = (0usize, 0usize);
-        let mut row: Vec<(Vertex, f32)> = Vec::new();
-        for u in 0..n {
-            let (end, row_start) = (self.offsets[u + 1], write);
-            self.offsets[u] = row_start;
-            match &mut self.probs {
-                None => {
-                    targets[read..end].sort_unstable();
-                    for i in read..end {
-                        let v = targets[i];
-                        if write == row_start || targets[write - 1] != v {
-                            targets[write] = v;
-                            write += 1;
-                        }
-                    }
-                }
-                Some(probs) => {
-                    row.clear();
-                    let row_probs = probs[read..end].iter().copied();
-                    row.extend(targets[read..end].iter().copied().zip(row_probs));
-                    // Stable: duplicates stay in the order they were added.
-                    row.sort_by_key(|&(v, _)| v);
-                    for &(v, p) in &row {
-                        if write > row_start && targets[write - 1] == v {
-                            probs[write - 1] = policy.combine(probs[write - 1], p);
-                        } else {
-                            targets[write] = v;
-                            probs[write] = p;
-                            write += 1;
-                        }
-                    }
-                }
-            }
-            read = end;
-        }
-        self.offsets[n] = write;
-        targets.truncate(write);
-        targets.shrink_to_fit();
-        if let Some(probs) = &mut self.probs {
-            probs.truncate(write);
-            probs.shrink_to_fit();
+/// Packs words `picked` of the first `count` records of `width` words to the
+/// front and frees the rest; no word moves up, so none is overwritten unread.
+fn pack(words: &mut Vec<u32>, width: usize, picked: Range<usize>, count: usize) {
+    let narrow = picked.len();
+    for i in 0..count {
+        for j in 0..narrow {
+            words[narrow * i + j] = words[width * i + picked.start + j];
         }
     }
+    words.truncate(narrow * count);
+    words.shrink_to_fit();
 }
 
 /// Where each key's group starts once the elements are sorted by key:
 /// `offsets[k]` for key `k < n`, and the element count at `offsets[n]`.
-pub(crate) fn offsets_by_key(n: usize, keys: &[Vertex]) -> Vec<usize> {
+pub(crate) fn offsets_by_key<'a>(
+    n: usize,
+    keys: impl IntoIterator<Item = &'a Vertex>,
+) -> Vec<usize> {
     let mut offsets = vec![0usize; n + 1];
     for &k in keys {
         offsets[k as usize + 1] += 1;
@@ -361,15 +350,6 @@ pub(crate) fn offsets_by_key(n: usize, keys: &[Vertex]) -> Vec<usize> {
         offsets[i + 1] += offsets[i];
     }
     offsets
-}
-
-/// Undoes a scatter that used `offsets[k]` as key `k`'s write cursor: every
-/// entry now holds the start of the next group, so they move up by one.
-/// This is what saves a second n-length cursor array.
-fn rewind_offsets(offsets: &mut [usize]) {
-    let n = offsets.len() - 1;
-    offsets.copy_within(0..n, 1);
-    offsets[0] = 0;
 }
 
 /// One value per edge of a CSR (rows by `offsets`, the other endpoint of
@@ -391,7 +371,9 @@ pub(crate) fn transpose<T: Copy + Default>(
             *slot += 1;
         }
     }
-    rewind_offsets(cursor);
+    // Each cursor stopped at the start of the next group.
+    cursor.copy_within(..cursor.len() - 1, 1);
+    cursor[0] = 0;
     out
 }
 

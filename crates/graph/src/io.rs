@@ -51,7 +51,7 @@ impl Default for EdgeListOptions {
 /// Reads an edge list from any reader.
 ///
 /// Lines are read into one reused byte buffer and tokenised as bytes; an
-/// edge goes into the [`GraphBuilder`]'s id vectors on the line where it
+/// edge goes into the [`GraphBuilder`]'s record buffer on the line where it
 /// appears, with its ids already narrowed ([`VertexIds::Literal`]) or
 /// assigned ([`VertexIds::Remap`]), and its third column is checked but not
 /// stored when `options.weights` will overwrite it. Nothing else of the

@@ -7,6 +7,8 @@
 //! two standard assignments in the influence-maximization literature and are
 //! provided for parameter-sensitivity studies.
 
+use crate::builder::offsets_by_key;
+use crate::csr::ProbStore;
 use crate::types::Vertex;
 use ripples_rng::SplitMix64;
 
@@ -37,39 +39,54 @@ pub enum WeightModel {
 }
 
 impl WeightModel {
-    /// The probabilities of the deduplicated edges whose targets are
-    /// `targets`, in forward CSR order (by source, then by target).
+    /// The probabilities of a deduplicated graph given as its reverse CSR.
     ///
-    /// Randomized models key each edge's draw on its *position in that
-    /// order*, so the assignment is a pure function of (model, edge set) —
-    /// independent of the order edges were inserted in.
-    pub(crate) fn assign(self, num_vertices: u32, targets: &[Vertex]) -> Vec<f32> {
+    /// Weighted cascade and a constant give one value per in-row. The
+    /// randomized models key each edge's draw on its *position in forward
+    /// CSR order* (by source, then by target), so the assignment is a pure
+    /// function of (model, edge set), whatever order edges were inserted in.
+    pub(crate) fn assign(self, in_offsets: &[usize], in_sources: &[Vertex]) -> ProbStore {
         match self {
             WeightModel::UniformRandom { seed } => {
-                let mut rng = SplitMix64::for_stream(seed, 0x57_45_49_47);
-                targets.iter().map(|_| rng.unit_f64() as f32).collect()
+                // The stream is a counter, so any draw can be made on its own.
+                let rng = SplitMix64::for_stream(seed, 0x57_45_49_47);
+                per_edge(in_offsets, in_sources, |position| {
+                    let mut rng = rng.clone();
+                    rng.skip(position as u64);
+                    rng.unit_f64() as f32
+                })
             }
-            WeightModel::Constant(p) => vec![p.clamp(0.0, 1.0); targets.len()],
-            WeightModel::WeightedCascade => {
-                let mut in_deg = vec![0u32; num_vertices as usize];
-                for &v in targets {
-                    in_deg[v as usize] += 1;
-                }
-                targets
-                    .iter()
-                    .map(|&v| 1.0 / in_deg[v as usize] as f32)
-                    .collect()
-            }
+            WeightModel::Constant(p) => per_vertex(in_offsets, |_| p.clamp(0.0, 1.0)),
+            WeightModel::WeightedCascade => per_vertex(in_offsets, |degree| 1.0 / degree as f32),
             WeightModel::Trivalency { seed } => {
+                // A rejected draw would shift the rest: draw them in order.
                 const LEVELS: [f32; 3] = [0.1, 0.01, 0.001];
                 let mut rng = SplitMix64::for_stream(seed, 0x54_52_49_56);
-                targets
-                    .iter()
-                    .map(|_| LEVELS[rng.bounded_u64(3) as usize])
-                    .collect()
+                let mut drawn = vec![0.0; in_sources.len()];
+                drawn.fill_with(|| LEVELS[rng.bounded_u64(3) as usize]);
+                per_edge(in_offsets, in_sources, |position| drawn[position])
             }
         }
     }
+}
+
+/// `value(in-degree)` for every vertex with in-edges, 0.0 for the others.
+fn per_vertex(in_offsets: &[usize], value: impl Fn(usize) -> f32) -> ProbStore {
+    let degrees = in_offsets.windows(2).map(|w| w[1] - w[0]);
+    let probs = degrees.map(|d| if d == 0 { 0.0 } else { value(d) });
+    ProbStore::PerVertex(probs.collect())
+}
+
+/// `value(position)` for every edge, its position in forward order, stored
+/// in in-row order. A cursor per source, starting at its out-offset, gives
+/// the positions: in-rows are visited by ascending target.
+fn per_edge(offsets: &[usize], sources: &[Vertex], value: impl Fn(usize) -> f32) -> ProbStore {
+    let mut next = offsets_by_key(offsets.len() - 1, sources);
+    let probs = sources.iter().map(|&u| {
+        next[u as usize] += 1;
+        value(next[u as usize] - 1)
+    });
+    ProbStore::new(offsets, probs.collect())
 }
 
 #[cfg(test)]

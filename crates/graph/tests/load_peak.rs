@@ -4,8 +4,9 @@
 //!
 //! `VmHWM` belongs to a process and never falls, so this is a test binary
 //! of its own with one test, and every measurement is taken in a fresh
-//! child: this executable again, told through an environment variable which
-//! file to load. Linux only (`/proc/self/status`).
+//! child: this executable again, told through environment variables which
+//! file to load and where its probabilities come from. Linux only
+//! (`/proc/self/status`).
 
 #![cfg(target_os = "linux")]
 
@@ -19,23 +20,55 @@ use std::process::Command;
 const TEST: &str = "load_peak_stays_near_the_graph";
 /// Set for a child: the file to load.
 const CHILD_FILE: &str = "RIPPLES_LOAD_PEAK_FILE";
-/// Set for a child that keeps the file's third column.
-const CHILD_KEEPS_PROBS: &str = "RIPPLES_LOAD_PEAK_KEEPS_PROBS";
-/// Allowed growth of `VmHWM` over each bound below.
+/// Set for a child: where the probabilities come from ([`Weights::tag`]).
+const CHILD_WEIGHTS: &str = "RIPPLES_LOAD_PEAK_WEIGHTS";
+/// Allowed growth of `VmHWM` over [`Weights::build_bytes`].
 const ALLOWED: f64 = 1.35;
 
-/// The ceiling for every load: a two-CSR graph of `m` edges over `n`
-/// vertices (16 bytes an edge, 16 a vertex), what the graph itself took
-/// when it kept both directions.
-fn two_csr_bytes(n: usize, m: usize) -> usize {
-    16 * m + 16 * (n + 1)
+/// Where a child's probabilities come from.
+#[derive(Clone, Copy, Debug)]
+enum Weights {
+    /// Weighted cascade: one probability per vertex.
+    Cascade,
+    /// `UniformRandom`: one drawn per edge.
+    Uniform,
+    /// The file's third column, kept.
+    File,
 }
 
-/// The tighter ceiling when a weight model overwrites the file's
-/// probabilities: the builder's scatter, input and forward arrays without
-/// probabilities (12 bytes an edge) plus the forward offsets.
-fn scatter_bytes(n: usize, m: usize) -> usize {
-    12 * m + 8 * (n + 1)
+impl Weights {
+    const ALL: [Weights; 3] = [Weights::Cascade, Weights::Uniform, Weights::File];
+
+    fn tag(self) -> &'static str {
+        match self {
+            Weights::Cascade => "wc",
+            Weights::Uniform => "uniform",
+            Weights::File => "file",
+        }
+    }
+
+    fn model(self) -> Option<WeightModel> {
+        match self {
+            Weights::Cascade => Some(WeightModel::WeightedCascade),
+            Weights::Uniform => Some(WeightModel::UniformRandom { seed: 1 }),
+            Weights::File => None,
+        }
+    }
+
+    /// The builder's widest moment for `m` edges over `n` vertices: its
+    /// records (8 bytes an edge, 16 with the file's probabilities) beside
+    /// the reverse offsets and the bucket cursors (16 bytes a vertex).
+    /// `UniformRandom` draws at each edge's forward position, holding the
+    /// sources and the probabilities (8 bytes an edge) and two n-length
+    /// arrays. None is above a two-CSR graph (16 bytes an edge, 16 a
+    /// vertex), what the graph itself took when it kept both directions.
+    fn build_bytes(self, n: usize, m: usize) -> usize {
+        let per_edge = match self {
+            Weights::Cascade | Weights::Uniform => 8,
+            Weights::File => 16,
+        };
+        per_edge * m + 16 * (n + 1)
+    }
 }
 
 fn vm_hwm_bytes() -> usize {
@@ -53,67 +86,58 @@ fn vm_hwm_bytes() -> usize {
     kib * 1024
 }
 
-fn child(path: &Path) {
-    let weights = match std::env::var_os(CHILD_KEEPS_PROBS) {
-        Some(_) => None,
-        None => Some(WeightModel::WeightedCascade),
-    };
+fn child(path: &Path, weights: Weights) {
     let options = EdgeListOptions {
         vertex_ids: VertexIds::Literal,
         undirected: false,
         default_prob: 1.0,
-        weights,
+        weights: weights.model(),
     };
     let before = vm_hwm_bytes();
     let graph = read_edge_list_file(path, options).expect("read the generated file");
     graph.validate().expect("loaded graph is valid");
     let grown = vm_hwm_bytes() - before;
     let (n, m) = (graph.num_vertices() as usize, graph.num_edges());
-    let mut bounds = vec![("two-CSR graph", two_csr_bytes(n, m))];
-    if weights.is_some() {
-        bounds.push(("scatter", scatter_bytes(n, m)));
-    }
-    for (name, bytes) in bounds {
-        let ratio = grown as f64 / bytes as f64;
-        println!(
-            "{}: VmHWM grew {grown} bytes against a {name} bound of {bytes} ({ratio:.2}x)",
-            path.display()
-        );
-        assert!(
-            ratio <= ALLOWED,
-            "loading {} took {ratio:.2}x the {name} bound (allowed: {ALLOWED}x)",
-            path.display()
-        );
-    }
+    let bytes = weights.build_bytes(n, m);
+    let ratio = grown as f64 / bytes as f64;
+    println!(
+        "{}: VmHWM grew {grown} bytes against a build bound of {bytes} ({ratio:.2}x)",
+        path.display()
+    );
+    assert!(
+        ratio <= ALLOWED,
+        "loading {} under {weights:?} took {ratio:.2}x the build bound (allowed: {ALLOWED}x)",
+        path.display()
+    );
 }
 
-fn run_child(path: &Path, keeps_probs: bool) {
+fn run_child(path: &Path, weights: Weights) {
     let exe = std::env::current_exe().expect("this test's executable");
-    let mut command = Command::new(exe);
-    command
+    let output = Command::new(exe)
         .args(["--exact", TEST, "--nocapture", "--test-threads=1"])
-        .env(CHILD_FILE, path);
-    if keeps_probs {
-        command.env(CHILD_KEEPS_PROBS, "1");
-    }
-    let output = command.output().expect("run the child");
+        .env(CHILD_FILE, path)
+        .env(CHILD_WEIGHTS, weights.tag())
+        .output()
+        .expect("run the child");
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(
         output.status.success(),
-        "child failed on {} (keeps_probs: {keeps_probs}):\n{stdout}{}",
+        "child failed on {} ({weights:?}):\n{stdout}{}",
         path.display(),
         String::from_utf8_lossy(&output.stderr),
     );
     // What the child measured, for `--nocapture`.
     for line in stdout.lines().filter(|line| line.contains("VmHWM")) {
-        println!("keeps_probs {keeps_probs}: {line}");
+        println!("{}: {line}", weights.tag());
     }
 }
 
 #[test]
 fn load_peak_stays_near_the_graph() {
     if let Some(path) = std::env::var_os(CHILD_FILE) {
-        return child(Path::new(&path));
+        let tag = std::env::var(CHILD_WEIGHTS).expect("a child is told its weights");
+        let weights = Weights::ALL.into_iter().find(|w| w.tag() == tag);
+        return child(Path::new(&path), weights.expect("a known weights tag"));
     }
 
     // The benchmark's dense input: BA, n = 50 000, 8 edges a vertex.
@@ -133,11 +157,11 @@ fn load_peak_stays_near_the_graph() {
     let shuffled = dir.join("load_peak_shuffled.txt");
     std::fs::write(&shuffled, lines.concat()).expect("write the shuffled file");
 
-    run_child(&sorted, false);
-    run_child(&shuffled, false);
-    // The builder's widest moment: input and forward arrays both carry
-    // probabilities.
-    run_child(&shuffled, true);
+    for path in [&sorted, &shuffled] {
+        for weights in Weights::ALL {
+            run_child(path, weights);
+        }
+    }
     for path in [sorted, shuffled] {
         std::fs::remove_file(path).expect("remove the generated file");
     }

@@ -888,6 +888,44 @@ fn crowded_edges_strategy() -> impl Strategy<Value = (u32, Vec<(u32, u32, f32)>)
     })
 }
 
+type EdgeList = Vec<(Vertex, Vertex, f32)>;
+
+/// Fixed inputs for the in-place grouping by target, each with the
+/// duplicate policies to build it under: every edge into vertex 0 and every
+/// edge into vertex n − 1 (one bucket holds the whole buffer), one pair
+/// added again and again with differing probabilities (under each policy),
+/// trailing isolated vertices, no edges, and n = 1 with a kept self-loop.
+fn corner_shapes() -> Vec<(u32, EdgeList, Vec<DuplicatePolicy>)> {
+    const ALL: [DuplicatePolicy; 3] = [
+        DuplicatePolicy::KeepFirst,
+        DuplicatePolicy::KeepMax,
+        DuplicatePolicy::NoisyOr,
+    ];
+    let star = |hub: Vertex| -> EdgeList {
+        [4, 1, 6, 2, 4, 5, 3, 1]
+            .iter()
+            .map(|&u| ((u + hub) % 7, hub, 0.125 * u as f32))
+            .filter(|&(u, v, _)| u != v)
+            .collect()
+    };
+    let pair = vec![
+        (0, 1, 0.25),
+        (0, 1, 0.75),
+        (1, 0, 0.0),
+        (0, 1, 0.5),
+        (1, 0, -0.0),
+    ];
+    let trailing = vec![(2, 0, 0.5), (0, 1, 0.25), (1, 2, 1.0), (2, 0, 0.75)];
+    vec![
+        (7, star(0), ALL.to_vec()),
+        (7, star(6), ALL.to_vec()),
+        (2, pair, ALL.to_vec()),
+        (9, trailing, vec![DuplicatePolicy::KeepFirst]),
+        (4, Vec::new(), vec![DuplicatePolicy::KeepFirst]),
+        (1, vec![(0, 0, 0.5), (0, 0, 0.25)], ALL.to_vec()),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -966,7 +1004,7 @@ proptest! {
     /// and kept self-loops, with the edges in the order drawn and in the
     /// reverse of it: reverse rows, forward view, in-weight sums and the
     /// probability layout. `KeepFirst` keeps the first *inserted* duplicate
-    /// in both.
+    /// in both. The [`corner_shapes`] ride along.
     #[test]
     fn build_matches_sort_dedup_naive_csr((n, edges) in crowded_edges_strategy(), seed in any::<u64>()) {
         let case = BuildCase::from_seed(seed);
@@ -975,5 +1013,14 @@ proptest! {
         let reversed: Vec<_> = edges.iter().rev().copied().collect();
         let outcome = build_matches_reference(n, &reversed, &case);
         prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        // The corner shapes under this case's model and readjustment, with
+        // their policies, directed, self-loops kept.
+        for (n, edges, policies) in corner_shapes() {
+            for policy in policies {
+                let case = BuildCase { policy, undirected: false, keep_self_loops: true, ..case };
+                let outcome = build_matches_reference(n, &edges, &case);
+                prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+            }
+        }
     }
 }
