@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! ripples --input graph.txt [--undirected] [--weights uniform|wc|const:P|tri]
-//!         [--engine opt|baseline|mt|dist|partitioned|sharded|tim]
+//!         [--engine opt|baseline|mt|dist|sharded|tim]
 //!         [--model ic|lt] [--k K] [--epsilon E] [--seed S]
 //!         [--threads T | --ranks R] [--simulate TRIALS]
 //!         [--select auto|sequential|partitioned|fused]
@@ -43,7 +43,7 @@
 //! EXPERIMENTS.md § "Choosing a sampling engine".
 //!
 //! `--rrr-store` picks the RRR storage backend for the `opt`, `mt`, `dist`,
-//! `partitioned`, `sharded`, and `tim` engines (default `flat`: sorted
+//! `sharded`, and `tim` engines (default `flat`: sorted
 //! lists, with any set spanning more than n/32 vertices held as an n-bit
 //! bitmap). `spill` gap-encodes each sorted set with LEB128 varints, seals
 //! the blocks into chunks, and writes sealed chunks to a temporary file once
@@ -77,8 +77,7 @@
 //! EXPERIMENTS.md § "Live-monitoring a run".
 //!
 //! `--chaos-seed S` injects a deterministic fault schedule (dropped, delayed
-//! and truncated collectives) into the `dist`/`partitioned`/`sharded`
-//! engines'
+//! and truncated collectives) into the `dist`/`sharded` engines'
 //! communicator; `--chaos-rate R` sets the per-op fault probability (default
 //! 0.02). The same decorator (`FaultComm`) retries the failed attempts and
 //! degrades past a dead rank, so the run completes and prints a robustness
@@ -92,7 +91,6 @@ use ripples_comm::{FaultComm, FaultPlan, ThreadWorld};
 use ripples_core::obs::trace;
 use ripples_core::{
     dist::imm_distributed_with_storage,
-    dist_partitioned::imm_partitioned_with_storage,
     dist_sharded::imm_sharded_with_storage,
     mt::imm_multithreaded_with_storage,
     seq::{imm_baseline, immopt_sequential, immopt_sequential_with_storage},
@@ -122,17 +120,15 @@ enum Engine {
     Baseline,
     Mt,
     Dist,
-    Partitioned,
     Sharded,
     Tim,
 }
 
-const ENGINES: [(&str, Engine); 7] = [
+const ENGINES: [(&str, Engine); 6] = [
     ("opt", Engine::Opt),
     ("baseline", Engine::Baseline),
     ("mt", Engine::Mt),
     ("dist", Engine::Dist),
-    ("partitioned", Engine::Partitioned),
     ("sharded", Engine::Sharded),
     ("tim", Engine::Tim),
 ];
@@ -140,21 +136,28 @@ const ENGINES: [(&str, Engine); 7] = [
 /// The flags only some engines read, with the engines that read them; any
 /// other engine ignores the flag with a warning.
 const ENGINE_FLAGS: [(&str, &[Engine]); 6] = {
-    use Engine::{Dist, Mt, Opt, Partitioned, Sharded, Tim};
+    use Engine::{Dist, Mt, Opt, Sharded, Tim};
     [
         ("select", &[Opt, Mt]),
         ("sample", &[Opt, Mt, Tim]),
         ("threads", &[Mt]),
-        ("ranks", &[Dist, Partitioned, Sharded]),
-        ("rrr-store", &[Opt, Mt, Dist, Partitioned, Sharded, Tim]),
-        ("chaos-seed", &[Dist, Partitioned, Sharded]),
+        ("ranks", &[Dist, Sharded]),
+        ("rrr-store", &[Opt, Mt, Dist, Sharded, Tim]),
+        ("chaos-seed", &[Dist, Sharded]),
     ]
 };
 
-/// `--engine TAG`, `mt` when absent; any other tag is a usage error that
-/// lists the ones that exist.
+/// `--engine TAG`, `mt` when absent; a removed engine names its
+/// replacement, and any other tag is a usage error that lists the ones that
+/// exist.
 fn parse_engine(args: &Args) -> (&'static str, Engine) {
     let tag = args.get("engine").unwrap_or("mt");
+    if tag == "partitioned" {
+        usage_error(
+            "--engine partitioned was removed: use sharded, which returns the same seeds \
+             at every --ranks",
+        );
+    }
     ENGINES
         .into_iter()
         .find(|(name, _)| *name == tag)
@@ -418,19 +421,6 @@ fn main() {
             });
             let r = results.pop().expect("at least one rank");
             let detail = format!("ranks={ranks} theta={} phases=[{}]", r.theta, r.timers);
-            (r.seeds, detail, r.report)
-        }
-        Engine::Partitioned => {
-            let world = ThreadWorld::new(ranks);
-            let mut results = world.run(|comm| {
-                let faulty = FaultComm::new(comm, plan.clone());
-                imm_partitioned_with_storage(&faulty, &graph, &params, storage)
-            });
-            let r = results.pop().expect("at least one rank");
-            let detail = format!(
-                "ranks={ranks} theta={} per-rank-graph={}B phases=[{}]",
-                r.theta, r.memory.graph_bytes, r.timers
-            );
             (r.seeds, detail, r.report)
         }
         Engine::Sharded => {

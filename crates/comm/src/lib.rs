@@ -3,8 +3,8 @@
 //!
 //! The CLUSTER'19 paper's distributed algorithm (IMMdist, §3.2) needs two
 //! things from MPI: rank/size introspection and `MPI_Allreduce` over the
-//! vertex-counter arrays. The partitioned and sharded engines add a list
-//! gather and a (posted) all-to-all. Rust's MPI bindings are immature, so
+//! vertex-counter arrays. The sharded engine adds a (posted) all-to-all
+//! and the trace merge a list gather. Rust's MPI bindings are immature, so
 //! this crate provides those primitives natively:
 //!
 //! * [`Communicator`] — the trait the engines are written against: the

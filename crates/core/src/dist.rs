@@ -21,7 +21,7 @@
 //!   *identical* to a sequential run's collection, and therefore so is the
 //!   seed set — the cross-implementation equivalence the test suite checks.
 //!
-//! Everything the three communicator engines share lives here as
+//! Everything the two communicator engines share lives here as
 //! `RankEngine`: the per-rank store, the distributed selection and the
 //! report's cross-rank reductions. An engine supplies only a
 //! `RankSampler` — how one rank produces its share of a batch.

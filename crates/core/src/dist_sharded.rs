@@ -1,11 +1,11 @@
 //! Distributed IMM over a **vertex-cut sharded graph** with batched
-//! asynchronous frontier exchange.
+//! asynchronous frontier exchange — the paper's future-work item (i), a
+//! graph that is partitioned as well as R.
 //!
-//! [`crate::dist_partitioned`] already stops replicating the graph, but its
-//! interval partition keys ownership by *vertex*, so a single hub vertex
-//! pins its whole in-list to one rank and every BFS round moves the entire
-//! frontier through one `AllGather`. This engine shards by *edge* instead
-//! ([`ripples_graph::partition::VertexCutShard`]): the global in-edge order
+//! [`crate::dist`] replicates the whole graph on every rank, so the graph
+//! caps the input size. This engine shards it by *edge*
+//! ([`ripples_graph::partition::VertexCutShard`]), so that no hub vertex
+//! pins its whole in-list to one rank: the global in-edge order
 //! is split into `p` equal contiguous ranges, a vertex whose in-list
 //! straddles a boundary is mirrored on the (contiguous) interval of ranks
 //! holding its chunks, and the ghost table routes frontier crossings
@@ -29,8 +29,9 @@
 //! the exact per-edge draw sequence of the sequential reference
 //! ([`ripples_diffusion::partitioned::expand_shard_chunk`]), so the
 //! generated collection — and therefore the seed set — is **bitwise
-//! identical** to [`crate::dist_partitioned::imm_partitioned`] and the
-//! sequential vertex-keyed reference at every rank count (tested below).
+//! identical** to the sequential vertex-keyed reference
+//! ([`ripples_diffusion::partitioned::vertex_keyed_rrr`]) at every rank
+//! count (tested below).
 
 use crate::dist::{globalize_max, run_imm_ranked, RankSampler};
 use crate::obs::{Metric, RunReport};
@@ -225,9 +226,9 @@ fn drain_block<C: Communicator, S: RrrStore>(
 /// Generates samples `first .. first+count` over the sharded graph,
 /// pipelining each block's member routing behind the next block's
 /// sampling. This rank's *home* samples (`index % size == rank`) land in
-/// `out` in index order — the exact layout the replicated and partitioned
-/// engines produce — and the outcome holds them, the local edge work and
-/// the frontier exchanges.
+/// `out` in index order — the exact layout the replicated engine
+/// produces — and the outcome holds them, the local edge work and the
+/// frontier exchanges.
 #[allow(clippy::too_many_arguments)]
 pub fn sample_batch_sharded<C: Communicator, S: RrrStore>(
     comm: &C,
@@ -356,7 +357,6 @@ pub fn imm_sharded_with_storage<C: Communicator>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist_partitioned::imm_partitioned;
     use ripples_comm::{SelfComm, ThreadWorld};
     use ripples_diffusion::partitioned::vertex_keyed_rrr;
     use ripples_diffusion::rrr::RrrScratch;
@@ -442,9 +442,9 @@ mod tests {
     }
 
     #[test]
-    fn sharded_imm_matches_partitioned_bitwise() {
-        // The two graph-distributed engines flip identical (sample, vertex)
-        // coins, so seeds and θ agree exactly at every rank count.
+    fn sharded_imm_seed_set_independent_of_rank_count() {
+        // Every rank count flips the same (sample, vertex) coins, so seeds
+        // and θ agree exactly with the single-rank run.
         for model in [
             DiffusionModel::IndependentCascade,
             DiffusionModel::LinearThreshold,
@@ -452,11 +452,86 @@ mod tests {
             let lt = model == DiffusionModel::LinearThreshold;
             let g = erdos_renyi(200, 1600, WeightModel::UniformRandom { seed: 7 }, lt, 61);
             let p = ImmParams::new(5, 0.5, model, 23);
-            let anchor = imm_partitioned(&SelfComm::new(), &g, &p);
             let single = imm_sharded(&SelfComm::new(), &g, &p);
-            assert_eq!(single.seeds, anchor.seeds, "{model} single rank");
-            assert_eq!(single.theta, anchor.theta, "{model} single rank");
-            for size in [2u32, 3] {
+            assert_eq!(single.seeds.len(), 5, "{model}");
+            for size in [2u32, 3, 4] {
+                let world = ThreadWorld::new(size);
+                let results = world.run(|comm| imm_sharded(comm, &g, &p));
+                for r in &results {
+                    assert_eq!(r.seeds, single.seeds, "{model} world {size}");
+                    assert_eq!(r.theta, single.theta, "{model} world {size}");
+                }
+            }
+        }
+    }
+
+    /// Draws each home sample (`index % size == rank`) with the sequential
+    /// partitioned-sampling reference, [`vertex_keyed_rrr`], over the whole
+    /// graph: the anchor the sharded traversal must reproduce.
+    struct ReferenceSampler<'a> {
+        graph: &'a Graph,
+        model: DiffusionModel,
+        factory: StreamFactory,
+        scratch: RrrScratch,
+    }
+
+    impl RankSampler for ReferenceSampler<'_> {
+        fn sample<C: Communicator>(
+            &mut self,
+            comm: &C,
+            first: u64,
+            count: usize,
+            out: &mut DynRrrStore,
+        ) -> BatchOutcome {
+            let (rank, size) = (u64::from(comm.rank()), u64::from(comm.size()));
+            let mut outcome = BatchOutcome::default();
+            for index in (first..first + count as u64).filter(|i| i % size == rank) {
+                let s = vertex_keyed_rrr(
+                    self.graph,
+                    self.model,
+                    &self.factory,
+                    index,
+                    &mut self.scratch,
+                );
+                outcome.add([s.len()], 0);
+                out.push(&s);
+            }
+            outcome
+        }
+
+        fn graph_bytes(&self) -> usize {
+            self.graph.resident_bytes()
+        }
+    }
+
+    #[test]
+    fn sharded_imm_matches_partitioned_bitwise() {
+        // IMM over the partitioned-sampling reference flips the same
+        // (sample, vertex) coins as the sharded traversal, so seeds and θ
+        // agree exactly at every rank count.
+        for model in [
+            DiffusionModel::IndependentCascade,
+            DiffusionModel::LinearThreshold,
+        ] {
+            let lt = model == DiffusionModel::LinearThreshold;
+            let g = erdos_renyi(200, 1600, WeightModel::UniformRandom { seed: 7 }, lt, 61);
+            let p = ImmParams::new(5, 0.5, model, 23);
+            let reference = ReferenceSampler {
+                graph: &g,
+                model,
+                factory: StreamFactory::new(p.seed),
+                scratch: RrrScratch::new(g.num_vertices()),
+            };
+            let anchor = run_imm_ranked(
+                "reference",
+                &SelfComm::new(),
+                &g,
+                &p,
+                StorageConfig::default(),
+                reference,
+            );
+            assert_eq!(anchor.seeds.len(), 5, "{model}");
+            for size in [1u32, 2, 3] {
                 let world = ThreadWorld::new(size);
                 let results = world.run(|comm| imm_sharded(comm, &g, &p));
                 for r in &results {
@@ -529,5 +604,24 @@ mod tests {
                 "exchange count diverged across ranks"
             );
         }
+    }
+
+    #[test]
+    fn quality_parity_with_replicated_engine() {
+        use ripples_diffusion::estimate_spread;
+        let g = graph();
+        let model = DiffusionModel::IndependentCascade;
+        let p = ImmParams::new(5, 0.5, model, 9);
+        let world = ThreadWorld::new(2);
+        let sharded = world.run(|comm| imm_sharded(comm, &g, &p)).pop().unwrap();
+        let repl = crate::seq::immopt_sequential(&g, &p);
+        let factory = StreamFactory::new(31337);
+        let s_sharded = estimate_spread(&g, model, &sharded.seeds, 800, &factory);
+        let s_repl = estimate_spread(&g, model, &repl.seeds, 800, &factory);
+        let ratio = s_sharded / s_repl.max(1.0);
+        assert!(
+            (0.9..=1.1).contains(&ratio),
+            "sharded quality diverged: {s_sharded} vs {s_repl}"
+        );
     }
 }

@@ -6,7 +6,7 @@
 //! S ← SelectSeeds(G, k, R)             // Algorithm 4 (greedy max cover)
 //! ```
 //!
-//! IMM, IMMOPT, IMMmt and IMMdist (and the partitioned/sharded extensions)
+//! IMM, IMMOPT, IMMmt and IMMdist (and the sharded extension)
 //! differ only in how a batch of RRR sets is produced, where it is stored
 //! and how the `n` cover counters are reduced. Each of them is an
 //! [`Engine`]: a small value that owns its sample store and answers four

@@ -19,8 +19,8 @@
 //! TIM⁺ ([`tim`]), the Monte-Carlo greedy with CELF lazy evaluation
 //! ([`celf`]), and degree-discount and other heuristics ([`heuristics`]) —
 //! the paper's future-work extension of running IMM over a *partitioned* input
-//! graph ([`dist_partitioned`]) and its vertex-cut sharded successor with
-//! batched asynchronous frontier exchange ([`dist_sharded`]),
+//! graph, vertex-cut sharded with batched asynchronous frontier exchange
+//! ([`dist_sharded`]),
 //! instrumentation matching the paper's phase
 //! breakdown ([`phases`]), RRR-storage memory accounting ([`memory`]), and
 //! the strong-scaling replay model ([`scaling`]) that substitutes for the
@@ -44,7 +44,7 @@
 //! [`ImmParams::sizing_k`], `theta` is the global population of the final
 //! pass); the `n < 2` result under the engine's own label; and the LT
 //! in-weight check. [`seq`] holds the shared-memory and Tang engines,
-//! [`dist`] the per-rank engine the three communicator engines specialise
+//! [`dist`] the per-rank engine the two communicator engines specialise
 //! with their batch sampler. See DESIGN.md §3.1.
 //!
 //! # Quickstart
@@ -64,7 +64,8 @@
 
 pub mod celf;
 pub mod dist;
-pub mod dist_partitioned;
+#[cfg(test)]
+mod dist_partitioned;
 pub mod dist_sharded;
 mod driver;
 pub mod heuristics;

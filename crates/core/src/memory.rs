@@ -23,8 +23,8 @@ pub struct MemoryStats {
     /// Bytes of the per-vertex counter array used in seed selection.
     pub counter_bytes: usize,
     /// Bytes of this process's share of the graph when the run ended: the
-    /// whole graph for replicated engines, the rank's slice or shard for
-    /// the partitioned and sharded ones.
+    /// whole graph for replicated engines, the rank's shard for the sharded
+    /// one.
     pub graph_bytes: usize,
 }
 

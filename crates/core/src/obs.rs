@@ -134,7 +134,7 @@ struct OpenSpan {
 #[derive(Clone, Debug)]
 pub struct RunReport {
     /// Engine tag (`"immopt"`, `"baseline"`, `"mt"`, `"dist"`,
-    /// `"partitioned"`, …).
+    /// `"sharded"`, …).
     pub engine: String,
     /// Monotonic work counters.
     pub counters: Counters,

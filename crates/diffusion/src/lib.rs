@@ -45,7 +45,6 @@ pub use fused::{sample_batch_fused, FUSED_LANES};
 pub use intervals::{IntervalSets, Streamed};
 pub use mixed::{MixedRrrCollection, RrrSetRef, SampleArena};
 pub use model::DiffusionModel;
-pub use partitioned::GraphPartition;
 pub use rrr::{generate_rrr, generate_rrr_into, RrrCollection, RrrScratch};
 pub use sample_index::SampleIndex;
 pub use sampler::{

@@ -1,145 +1,28 @@
-//! Graph-partitioned RRR sampling — the paper's future-work item (i):
-//! *"extension to settings where the input graph is also partitioned (in
-//! addition to R)"*.
+//! Vertex-keyed RRR sampling for a graph that is partitioned as well as R —
+//! the paper's future-work item (i): *"extension to settings where the input
+//! graph is also partitioned (in addition to R)"*.
 //!
 //! The published system replicates the whole graph on every rank, capping
-//! input size at single-node memory. Here the vertex space is split into
-//! `p` intervals and each rank stores **only the in-edges of its owned
-//! vertices** (~`m/p` edges). One RRR set then no longer lives on one rank:
-//! its reverse BFS hops across owners, driven by a bulk-synchronous
-//! frontier exchange.
+//! input size at single-node memory. The sharded engine
+//! (`ripples_core::dist_sharded`) instead splits the global in-edge order
+//! into `p` contiguous ranges (a vertex cut,
+//! [`ripples_graph::partition::VertexCutShard`]), so one vertex's in-list
+//! may span several ranks and one RRR set's reverse BFS hops across them.
 //!
 //! **Randomness keying.** Replicated sampling draws a sample's coin flips
 //! from a per-sample stream in traversal order, which is meaningless when
 //! the traversal is distributed. Instead, the coin flips consumed while
 //! expanding vertex `v` of sample `s` come from a stream keyed by `(s, v)`
-//! ([`vertex_keyed_rrr`] is the sequential reference). Expansion of `(s,v)`
-//! happens exactly once — at `v`'s owner — so a partitioned run over any
-//! rank count reproduces the reference **bitwise** (tested in
-//! `ripples-core`).
+//! ([`vertex_keyed_rrr`] is the sequential reference), and
+//! [`expand_shard_chunk`] replays exactly the coins of one chunk of `v`'s
+//! in-list, so a sharded run over any rank count reproduces the reference
+//! **bitwise** (tested in `ripples-core`).
 
 use crate::model::DiffusionModel;
-use crate::rrr::{RrrCollection, RrrScratch};
+use crate::rrr::RrrScratch;
 use ripples_graph::partition::ChunkView;
 use ripples_graph::{Graph, RowProbs, Vertex};
 use ripples_rng::{SplitMix64, StreamFactory};
-
-/// The in-edges owned by one rank: vertex interval `[vl, vh)` of the parent
-/// graph, with full-id sources.
-#[derive(Clone, Debug)]
-pub struct GraphPartition {
-    /// Total vertex count of the parent graph.
-    pub num_vertices: u32,
-    /// First owned vertex.
-    pub vl: Vertex,
-    /// One past the last owned vertex.
-    pub vh: Vertex,
-    in_offsets: Vec<usize>,
-    in_sources: Vec<Vertex>,
-    in_probs: Vec<f32>,
-}
-
-impl GraphPartition {
-    /// Extracts rank `rank` of `size`'s partition from a full graph.
-    ///
-    /// In a real deployment each rank would *load* only its slice; this
-    /// constructor exists because the experiments hold the full graph
-    /// anyway.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size == 0` or `rank >= size`.
-    #[must_use]
-    pub fn extract(graph: &Graph, rank: u32, size: u32) -> Self {
-        assert!(size > 0, "need at least one rank");
-        assert!(rank < size, "rank out of range");
-        let n = graph.num_vertices();
-        let vl = ((u64::from(n) * u64::from(rank)) / u64::from(size)) as Vertex;
-        let vh = ((u64::from(n) * (u64::from(rank) + 1)) / u64::from(size)) as Vertex;
-        let mut in_offsets = Vec::with_capacity((vh - vl) as usize + 1);
-        let mut in_sources = Vec::new();
-        let mut in_probs = Vec::new();
-        in_offsets.push(0);
-        // One probability per edge whatever the graph's layout.
-        for v in vl..vh {
-            in_sources.extend_from_slice(graph.in_neighbors(v));
-            in_probs.extend(graph.in_edges(v).map(|(_, p)| p));
-            in_offsets.push(in_sources.len());
-        }
-        Self {
-            num_vertices: n,
-            vl,
-            vh,
-            in_offsets,
-            in_sources,
-            in_probs,
-        }
-    }
-
-    /// True if this rank owns vertex `v`.
-    #[inline]
-    #[must_use]
-    pub fn owns(&self, v: Vertex) -> bool {
-        (self.vl..self.vh).contains(&v)
-    }
-
-    /// The owner rank of vertex `v` under the same equal-interval split.
-    #[inline]
-    #[must_use]
-    pub fn owner_of(v: Vertex, n: u32, size: u32) -> u32 {
-        // Inverse of the interval formula; linear scan-free.
-        (((u64::from(v) + 1) * u64::from(size)).div_ceil(u64::from(n)) as u32 - 1).min(size - 1)
-    }
-
-    /// In-neighbors of owned vertex `v`.
-    #[inline]
-    #[must_use]
-    pub fn in_neighbors(&self, v: Vertex) -> &[Vertex] {
-        debug_assert!(self.owns(v));
-        let i = (v - self.vl) as usize;
-        &self.in_sources[self.in_offsets[i]..self.in_offsets[i + 1]]
-    }
-
-    /// Probabilities aligned with [`GraphPartition::in_neighbors`].
-    #[inline]
-    #[must_use]
-    pub fn in_probs(&self, v: Vertex) -> &[f32] {
-        debug_assert!(self.owns(v));
-        let i = (v - self.vl) as usize;
-        &self.in_probs[self.in_offsets[i]..self.in_offsets[i + 1]]
-    }
-
-    /// Number of edges stored on this rank.
-    #[must_use]
-    pub fn local_edges(&self) -> usize {
-        self.in_sources.len()
-    }
-
-    /// Resident bytes of this rank's slice.
-    #[must_use]
-    pub fn resident_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.in_offsets.len() * size_of::<usize>()
-            + self.in_sources.len() * size_of::<Vertex>()
-            + self.in_probs.len() * size_of::<f32>()
-    }
-
-    /// Expands owned vertex `v` for sample stream `sample_seed`: returns the
-    /// in-neighbors whose edges are live, drawing coins from the `(sample,
-    /// vertex)`-keyed stream. `out` is extended, not cleared.
-    pub fn expand(
-        &self,
-        model: DiffusionModel,
-        sample_seed: u64,
-        v: Vertex,
-        out: &mut Vec<Vertex>,
-    ) -> u64 {
-        let mut rng = SplitMix64::for_stream(sample_seed, u64::from(v));
-        let sources = self.in_neighbors(v);
-        let probs = RowProbs::Each(self.in_probs(v));
-        expand_with(model, &mut rng, sources, probs, out)
-    }
-}
 
 /// Shared live-edge logic for one vertex expansion; returns edges examined.
 fn expand_with(
@@ -248,8 +131,8 @@ pub fn expand_shard_chunk(
 
 /// Sequential reference for the `(sample, vertex)`-keyed RRR generation:
 /// semantically identical to `generate_rrr` (same live-edge distribution),
-/// but with coin flips keyed so that a partitioned traversal can reproduce
-/// it exactly.
+/// but with coin flips keyed so that a sharded traversal can reproduce it
+/// exactly.
 #[must_use]
 pub fn vertex_keyed_rrr(
     graph: &Graph,
@@ -263,8 +146,8 @@ pub fn vertex_keyed_rrr(
     let sample_seed = sample_stream_seed(factory, sample_index);
     let mut frontier = vec![root];
     let mut next = Vec::new();
-    let mut visited = scratch_visited(scratch, graph.num_vertices());
-    visited[root as usize] = true;
+    scratch.begin();
+    scratch.visit(root);
     let mut members = vec![root];
     while !frontier.is_empty() {
         next.clear();
@@ -280,8 +163,7 @@ pub fn vertex_keyed_rrr(
         }
         frontier.clear();
         for &u in &next {
-            if !visited[u as usize] {
-                visited[u as usize] = true;
+            if scratch.visit(u) {
                 members.push(u);
                 frontier.push(u);
             }
@@ -292,7 +174,7 @@ pub fn vertex_keyed_rrr(
 }
 
 /// Derives the per-sample seed used for `(sample, vertex)` coin-flip
-/// streams (shared by the reference and the partitioned engine).
+/// streams (shared by the reference and the sharded engine).
 #[must_use]
 pub fn sample_stream_seed(factory: &StreamFactory, sample_index: u64) -> u64 {
     // One draw off the sample's own stream, domain-separated from the root
@@ -309,78 +191,15 @@ pub fn sample_root(factory: &StreamFactory, index: u64, n: u32) -> Vertex {
     rng.bounded_u64(u64::from(n)) as Vertex
 }
 
-// Plain boolean visited buffer; RrrScratch's epoch array is private to the
-// rrr module, so partitioned traversal keeps its own simple state.
-fn scratch_visited(_scratch: &mut RrrScratch, n: u32) -> Vec<bool> {
-    vec![false; n as usize]
-}
-
-/// Collects the union of per-rank member fragments of one sample into a
-/// sorted vertex list (helper for gathering cooperative samples to their
-/// home rank).
-#[must_use]
-pub fn merge_fragments(fragments: &[Vec<Vertex>]) -> Vec<Vertex> {
-    let mut all: Vec<Vertex> = fragments.iter().flatten().copied().collect();
-    all.sort_unstable();
-    all.dedup();
-    all
-}
-
-/// Builds a [`RrrCollection`] from per-sample merged fragment lists.
-#[must_use]
-pub fn collection_from_samples(samples: Vec<Vec<Vertex>>) -> RrrCollection {
-    let mut c = RrrCollection::new();
-    for s in samples {
-        c.push(&s);
-    }
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ripples_graph::generators::erdos_renyi;
-    use ripples_graph::{GraphBuilder, WeightModel};
+    use ripples_graph::partition::VertexCutShard;
+    use ripples_graph::WeightModel;
 
     fn graph() -> Graph {
         erdos_renyi(120, 900, WeightModel::UniformRandom { seed: 5 }, false, 31)
-    }
-
-    #[test]
-    fn partitions_cover_all_edges() {
-        let g = graph();
-        for size in [1u32, 2, 3, 5] {
-            let total: usize = (0..size)
-                .map(|r| GraphPartition::extract(&g, r, size).local_edges())
-                .sum();
-            assert_eq!(total, g.num_edges(), "size {size}");
-        }
-    }
-
-    #[test]
-    fn ownership_is_consistent() {
-        let g = graph();
-        let size = 4;
-        let parts: Vec<GraphPartition> = (0..size)
-            .map(|r| GraphPartition::extract(&g, r, size))
-            .collect();
-        for v in 0..g.num_vertices() {
-            let owner = GraphPartition::owner_of(v, g.num_vertices(), size);
-            assert!(parts[owner as usize].owns(v), "vertex {v} owner {owner}");
-            let owning: Vec<u32> = (0..size).filter(|&r| parts[r as usize].owns(v)).collect();
-            assert_eq!(owning, vec![owner], "vertex {v} owned by {owning:?}");
-        }
-    }
-
-    #[test]
-    fn partition_adjacency_matches_graph() {
-        let g = graph();
-        let part = GraphPartition::extract(&g, 1, 3);
-        for v in part.vl..part.vh {
-            assert_eq!(part.in_neighbors(v), g.in_neighbors(v));
-            let probs: Vec<f32> = g.in_edges(v).map(|(_, p)| p).collect();
-            assert_eq!(part.in_probs(v), probs.as_slice());
-        }
     }
 
     #[test]
@@ -401,35 +220,151 @@ mod tests {
         }
     }
 
+    fn shards(g: &Graph, size: u32) -> Vec<VertexCutShard> {
+        (0..size)
+            .map(|r| VertexCutShard::extract(g, r, size))
+            .collect()
+    }
+
+    #[test]
+    fn partitions_cover_all_edges() {
+        // One IC sample expanded through every chunk of every shard examines
+        // each edge exactly once, and each shard exactly its own edges.
+        let g = graph();
+        let seed = sample_stream_seed(&StreamFactory::new(3), 0);
+        for size in [1u32, 2, 3, 5] {
+            let mut total = 0u64;
+            for shard in shards(&g, size) {
+                let mut examined = 0u64;
+                let mut out = Vec::new();
+                for v in shard.chunk_vertices() {
+                    let chunk = shard.chunk(v).expect("listed chunk");
+                    examined += expand_shard_chunk(
+                        DiffusionModel::IndependentCascade,
+                        seed,
+                        v,
+                        chunk,
+                        &mut out,
+                    );
+                }
+                assert_eq!(examined, shard.local_edges() as u64, "size {size}");
+                total += examined;
+            }
+            assert_eq!(total, g.num_edges() as u64, "size {size}");
+        }
+    }
+
+    #[test]
+    fn ownership_is_consistent() {
+        // The shard that holds in-edge `e` of the global order is
+        // `edge_owner(e)`, and no other shard holds it.
+        use ripples_graph::partition::edge_owner;
+        let g = graph();
+        let m = g.num_edges();
+        for size in [1u32, 2, 3, 4, 7] {
+            let parts = shards(&g, size);
+            let mut e = 0usize;
+            for v in 0..g.num_vertices() {
+                for i in 0..g.in_degree(v) {
+                    let holders: Vec<u32> = parts
+                        .iter()
+                        .filter(|s| {
+                            s.chunk(v).is_some_and(|c| {
+                                let start = c.edge_start as usize;
+                                (start..start + c.sources.len()).contains(&i)
+                            })
+                        })
+                        .map(VertexCutShard::rank)
+                        .collect();
+                    assert_eq!(holders, vec![edge_owner(e, m, size)], "size {size} v {v}");
+                    e += 1;
+                }
+            }
+            assert_eq!(e, m);
+        }
+    }
+
+    #[test]
+    fn partition_adjacency_matches_graph() {
+        // A chunk is its slice of the vertex's in-row, probabilities
+        // included, whether the graph keeps one probability per edge or
+        // one per vertex.
+        let uniform = graph();
+        let cascade = erdos_renyi(120, 900, WeightModel::WeightedCascade, false, 31);
+        for g in [&uniform, &cascade] {
+            let part = VertexCutShard::extract(g, 1, 3);
+            assert!(part.num_chunks() > 0);
+            for v in part.chunk_vertices() {
+                let chunk = part.chunk(v).expect("listed chunk");
+                let start = chunk.edge_start as usize;
+                let range = start..start + chunk.sources.len();
+                assert_eq!(
+                    chunk.sources,
+                    &g.in_neighbors(v)[range.clone()],
+                    "vertex {v}"
+                );
+                let probs: Vec<f32> = match g.in_probs(v) {
+                    RowProbs::Same(p) => vec![p; range.len()],
+                    RowProbs::Each(probs) => probs[range].to_vec(),
+                };
+                assert_eq!(chunk.probs, probs.as_slice(), "vertex {v}");
+            }
+        }
+    }
+
     #[test]
     fn vertex_keyed_matches_expand_per_partition() {
-        // Expanding through a partition must flip the same coins as the
-        // reference (same (sample, vertex) stream).
+        // A reverse BFS that expands each frontier vertex through every
+        // shard's chunk reproduces the sequential reference set.
         let g = graph();
         let f = StreamFactory::new(13);
-        let seed = sample_stream_seed(&f, 9);
-        let part = GraphPartition::extract(&g, 0, 1);
-        for v in 0..g.num_vertices() {
-            let mut from_part = Vec::new();
-            part.expand(DiffusionModel::IndependentCascade, seed, v, &mut from_part);
-            let mut rng = SplitMix64::for_stream(seed, u64::from(v));
-            let mut reference = Vec::new();
-            expand_with(
-                DiffusionModel::IndependentCascade,
-                &mut rng,
-                g.in_neighbors(v),
-                g.in_probs(v),
-                &mut reference,
-            );
-            assert_eq!(from_part, reference, "vertex {v}");
+        let n = g.num_vertices();
+        let mut scratch = RrrScratch::new(n);
+        for model in [
+            DiffusionModel::IndependentCascade,
+            DiffusionModel::LinearThreshold,
+        ] {
+            for size in [1u32, 2, 3, 4] {
+                let parts = shards(&g, size);
+                for idx in 0..30u64 {
+                    let seed = sample_stream_seed(&f, idx);
+                    let root = sample_root(&f, idx, n);
+                    let mut visited = vec![false; n as usize];
+                    visited[root as usize] = true;
+                    let mut members = vec![root];
+                    let mut frontier = vec![root];
+                    while let Some(v) = frontier.pop() {
+                        let mut live = Vec::new();
+                        for part in &parts {
+                            if let Some(chunk) = part.chunk(v) {
+                                let _ = expand_shard_chunk(model, seed, v, chunk, &mut live);
+                            }
+                        }
+                        for u in live {
+                            if !std::mem::replace(&mut visited[u as usize], true) {
+                                members.push(u);
+                                frontier.push(u);
+                            }
+                        }
+                    }
+                    members.sort_unstable();
+                    let reference = vertex_keyed_rrr(&g, model, &f, idx, &mut scratch);
+                    assert_eq!(members, reference, "{model}: size {size}, sample {idx}");
+                }
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "rank out of range")]
+    fn bad_rank_panics() {
+        let _ = VertexCutShard::extract(&graph(), 3, 3);
     }
 
     #[test]
     fn shard_chunks_reproduce_expansion_bitwise() {
         // The union (in rank order) of per-chunk expansions must equal the
         // full-graph expansion exactly, for both models, at every cut width.
-        use ripples_graph::partition::VertexCutShard;
         let g = graph();
         let f = StreamFactory::new(21);
         for model in [
@@ -467,18 +402,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn merge_fragments_dedups_and_sorts() {
-        let merged = merge_fragments(&[vec![5, 1], vec![3, 1], vec![]]);
-        assert_eq!(merged, vec![1, 3, 5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "rank out of range")]
-    fn bad_rank_panics() {
-        let g = GraphBuilder::new(4).build().unwrap();
-        let _ = GraphPartition::extract(&g, 2, 2);
     }
 }

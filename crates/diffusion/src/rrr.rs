@@ -30,7 +30,7 @@ impl RrrScratch {
     }
 
     #[inline]
-    fn begin(&mut self) {
+    pub(crate) fn begin(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // Wrapped: hard-clear once every 2^32 samples.
@@ -41,7 +41,7 @@ impl RrrScratch {
     }
 
     #[inline]
-    fn visit(&mut self, v: Vertex) -> bool {
+    pub(crate) fn visit(&mut self, v: Vertex) -> bool {
         let slot = &mut self.visited_epoch[v as usize];
         if *slot == self.epoch {
             false

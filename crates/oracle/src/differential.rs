@@ -9,7 +9,7 @@
 //! 2. **Pipelines** — the paper's four implementations (IMMOPT, the Tang
 //!    baseline, IMMmt across thread counts, IMMdist across world sizes)
 //!    return the identical seed set, θ, and coverage at a fixed master
-//!    seed; the partitioned-graph engine (vertex-keyed sampling, a
+//!    seed; the sharded-graph engine (vertex-keyed sampling, a
 //!    deliberately different but partition-invariant scheme) must match
 //!    its own single-rank run at every world size.
 //! 3. **Estimators** — the forward Monte-Carlo influence estimate and the
@@ -23,7 +23,6 @@ use crate::report::{CheckKind, OracleReport};
 use ripples_centrality::rank_biased_overlap;
 use ripples_comm::{SelfComm, ThreadWorld};
 use ripples_core::dist::{imm_distributed, imm_distributed_with_storage};
-use ripples_core::dist_partitioned::imm_partitioned;
 use ripples_core::dist_sharded::imm_sharded;
 use ripples_core::mt::imm_multithreaded;
 use ripples_core::select::{select_with_engine, Selection};
@@ -97,11 +96,11 @@ pub(crate) fn check_engine_grid(
         let mt = imm_multithreaded(graph, params, threads);
         compare_runs(report, &format!("mt({threads})"), &mt, &reference);
     }
-    // The partitioned-graph engine samples with vertex-keyed coin flips (so
-    // its output is independent of the partitioning but deliberately *not*
+    // The sharded-graph engine samples with vertex-keyed coin flips (so its
+    // output is independent of the partitioning but deliberately *not*
     // bitwise-equal to the replicated sampler); its differential anchor is
     // its own single-rank run, not IMMOPT.
-    let part_reference = imm_partitioned(&SelfComm::new(), graph, params);
+    let sharded_reference = imm_sharded(&SelfComm::new(), graph, params);
     for &world in &cfg.world_sizes {
         let results = ThreadWorld::new(world).run(|comm| imm_distributed(comm, graph, params));
         for (rank, r) in results.iter().enumerate() {
@@ -112,25 +111,13 @@ pub(crate) fn check_engine_grid(
                 &reference,
             );
         }
-        let results = ThreadWorld::new(world).run(|comm| imm_partitioned(comm, graph, params));
-        for (rank, r) in results.iter().enumerate() {
-            compare_runs(
-                report,
-                &format!("dist_partitioned(world={world},rank={rank})"),
-                r,
-                &part_reference,
-            );
-        }
-        // The vertex-cut sharded engine flips the same (sample, vertex)
-        // coins as the partitioned engine, so it shares its anchor —
-        // bitwise, at every world size.
         let results = ThreadWorld::new(world).run(|comm| imm_sharded(comm, graph, params));
         for (rank, r) in results.iter().enumerate() {
             compare_runs(
                 report,
                 &format!("dist_sharded(world={world},rank={rank})"),
                 r,
-                &part_reference,
+                &sharded_reference,
             );
         }
     }

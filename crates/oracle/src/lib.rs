@@ -12,7 +12,7 @@
 //! * **Differential** ([`differential`]): independent implementations of
 //!   the same function must agree — all [`ripples_core::SelectEngine`]s on one
 //!   collection, all pipelines (IMMOPT / baseline / IMMmt across thread
-//!   counts / IMMdist and the partitioned-graph engine across world sizes)
+//!   counts / IMMdist and the sharded-graph engine across world sizes)
 //!   at one master seed, and forward Monte-Carlo vs RRR coverage influence
 //!   estimates within a CLT-derived tolerance.
 //! * **Metamorphic** ([`metamorphic`]): known input transformations with

@@ -10,7 +10,7 @@ use std::fmt;
 pub enum CheckKind {
     /// All [`ripples_core::SelectEngine`]s agree on one collection.
     SelectEngineAgreement,
-    /// seq (IMMOPT + baseline) / mt / dist / dist-partitioned pipelines
+    /// seq (IMMOPT + baseline) / mt / dist / dist-sharded pipelines
     /// return identical seed sets, θ, and coverage.
     EngineGridAgreement,
     /// Forward Monte-Carlo influence ≈ RRR coverage influence (CLT bound).

@@ -20,7 +20,7 @@
 //!   seed build identical sample collections and return identical seeds.
 //!
 //! The fused 64-lane sampler gives each lane its sample's stream; the
-//! vertex-cut partitioned sampler keys by `(sample, vertex)` instead and
+//! vertex-cut sharded sampler keys by `(sample, vertex)` instead and
 //! derives those streams with [`SplitMix64::for_stream`] directly.
 
 #![warn(missing_docs)]

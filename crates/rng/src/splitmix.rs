@@ -95,7 +95,7 @@ impl SplitMix64 {
     /// before mixing), so skipping is a single wrapping multiply-add: after
     /// `skip(n)` the next [`SplitMix64::next_u64`] returns exactly what the
     /// `n+1`-th draw of the unskipped stream would have. The vertex-cut
-    /// partitioned sampler uses this to reproduce the middle of a per-vertex
+    /// sharded sampler uses this to reproduce the middle of a per-vertex
     /// coin-flip stream on the rank that owns that slice of the in-edges.
     #[inline]
     pub fn skip(&mut self, n: u64) {

@@ -21,7 +21,6 @@
 
 use ripples_comm::{CommHealth, Communicator, ExchangeHandle, FaultComm, FaultPlan, ThreadWorld};
 use ripples_core::dist::imm_distributed;
-use ripples_core::dist_partitioned::imm_partitioned;
 use ripples_core::dist_sharded::imm_sharded;
 use ripples_core::ImmParams;
 use ripples_diffusion::{estimate_spread, DiffusionModel};
@@ -56,14 +55,12 @@ fn run_engine(
             let faulty = FaultComm::new(comm, plan.clone());
             match engine {
                 "dist" => imm_distributed(&faulty, &g, &p),
-                "sharded" => imm_sharded(&faulty, &g, &p),
-                _ => imm_partitioned(&faulty, &g, &p),
+                _ => imm_sharded(&faulty, &g, &p),
             }
         }
         None => match engine {
             "dist" => imm_distributed(comm, &g, &p),
-            "sharded" => imm_sharded(comm, &g, &p),
-            _ => imm_partitioned(comm, &g, &p),
+            _ => imm_sharded(comm, &g, &p),
         },
     });
     let first = results.swap_remove(0);
@@ -81,7 +78,7 @@ fn run_engine(
 #[test]
 fn zero_fault_plan_is_bitwise_transparent() {
     let none = FaultPlan::none();
-    for engine in ["dist", "partitioned", "sharded"] {
+    for engine in ["dist", "sharded"] {
         for size in [1u32, 2, 4] {
             let bare = run_engine(engine, size, None, DiffusionModel::IndependentCascade);
             let wrapped = run_engine(
@@ -147,17 +144,17 @@ fn drop_and_delay_faults_never_change_the_selection() {
 
 #[test]
 fn partitioned_engine_absorbs_transient_faults_too() {
-    let clean = run_engine("partitioned", 3, None, DiffusionModel::IndependentCascade);
+    // The graph-partitioned engine (`sharded`) under the LT model, whose
+    // single live edge per vertex may sit in any shard: transient faults
+    // still cannot leak into the selection.
+    let model = DiffusionModel::LinearThreshold;
+    let clean = run_engine("sharded", 3, None, model);
     let plan = FaultPlan::new(303)
         .with_drop_rate(0.05)
         .with_delay_rate(0.05);
-    let noisy = run_engine(
-        "partitioned",
-        3,
-        Some(&plan),
-        DiffusionModel::IndependentCascade,
-    );
+    let noisy = run_engine("sharded", 3, Some(&plan), model);
     assert_eq!(clean.seeds, noisy.seeds);
+    assert_eq!(clean.theta, noisy.theta);
     assert_eq!(noisy.report.counters.degraded_ranks, 0);
     assert!(noisy.report.counters.retries > 0, "plan must bite");
     assert_eq!(
@@ -206,13 +203,11 @@ fn rank_kill_degrades_gracefully_and_keeps_quality() {
 
 #[test]
 fn rank_kill_in_partitioned_engine_completes() {
+    // A rank of the graph-partitioned engine (`sharded`) stalls for good
+    // under the LT model; its shard's edges go with it, yet the survivors
+    // still return k seeds.
     let plan = FaultPlan::new(505).with_stall(1, 6);
-    let degraded = run_engine(
-        "partitioned",
-        2,
-        Some(&plan),
-        DiffusionModel::IndependentCascade,
-    );
+    let degraded = run_engine("sharded", 2, Some(&plan), DiffusionModel::LinearThreshold);
     assert_eq!(degraded.report.counters.degraded_ranks, 1);
     assert_eq!(degraded.seeds.len(), 5);
 }
@@ -293,8 +288,7 @@ fn run_with_health(engine: &str, plan: &FaultPlan) -> (ripples_core::ImmResult, 
         let faulty = FaultComm::new(comm, plan.clone());
         let result = match engine {
             "dist" => imm_distributed(&faulty, &g, &p),
-            "sharded" => imm_sharded(&faulty, &g, &p),
-            _ => imm_partitioned(&faulty, &g, &p),
+            _ => imm_sharded(&faulty, &g, &p),
         };
         (result, faulty.health())
     });
@@ -345,13 +339,10 @@ fn chaos_health_is_frozen() {
         &'static [u32],
     );
     #[rustfmt::skip]
-    let frozen: [Row; 9] = [
+    let frozen: [Row; 6] = [
         ("dist", "chaos", [2, 9, 98, 101, 144], 491, 5, 5, 5, 55, &[]),
         ("dist", "mixed", [2, 9, 98, 101, 144], 491, 9, 9, 12, 102, &[]),
         ("dist", "kill", [2, 9, 98, 0, 1], 491, 8, 8, 8, 233, &[2]),
-        ("partitioned", "chaos", [2, 242, 63, 70, 129], 494, 10, 10, 12, 117, &[]),
-        ("partitioned", "mixed", [2, 242, 63, 70, 129], 494, 22, 22, 24, 172, &[]),
-        ("partitioned", "kill", [2, 23, 30, 42, 63], 496, 8, 8, 8, 258, &[2]),
         ("sharded", "chaos", [2, 242, 63, 70, 129], 494, 14, 14, 18, 153, &[]),
         ("sharded", "mixed", [2, 242, 63, 70, 129], 494, 25, 25, 25, 191, &[]),
         ("sharded", "kill", [175, 237, 168, 206, 248], 521, 8, 8, 8, 278, &[2]),

@@ -9,7 +9,6 @@
 
 use ripples_comm::{SelfComm, ThreadWorld};
 use ripples_core::dist::imm_distributed;
-use ripples_core::dist_partitioned::imm_partitioned;
 use ripples_core::ImmParams;
 use ripples_diffusion::DiffusionModel;
 use ripples_graph::generators::erdos_renyi;
@@ -54,23 +53,26 @@ fn selfcomm_and_single_rank_threadworld_report_identical_stats() {
 
 #[test]
 fn partitioned_engine_parity_at_size_one() {
-    let g = graph();
-    let p = params();
+    // The graph-partitioned engine (`sharded`) under the LT model, with the
+    // in-weight normalization pass LT needs.
+    use ripples_core::dist_sharded::imm_sharded;
+    let model = DiffusionModel::LinearThreshold;
+    let g = erdos_renyi(300, 2400, WeightModel::UniformRandom { seed: 31 }, true, 90);
+    let p = ImmParams::new(5, 0.5, model, 17);
 
-    let self_run = imm_partitioned(&SelfComm::new(), &g, &p);
-    let self_comm = self_run.report.comm.expect("partitioned run reports comm");
+    let self_run = imm_sharded(&SelfComm::new(), &g, &p);
+    let self_comm = self_run.report.comm.expect("sharded run reports comm");
 
     let world = ThreadWorld::new(1);
-    let mut results = world.run(|comm| imm_partitioned(comm, &g, &p));
+    let mut results = world.run(|comm| imm_sharded(comm, &g, &p));
     let thread_run = results.pop().expect("one rank");
-    let thread_comm = thread_run
-        .report
-        .comm
-        .expect("partitioned run reports comm");
+    let thread_comm = thread_run.report.comm.expect("sharded run reports comm");
 
     assert_eq!(self_run.seeds, thread_run.seeds);
+    assert_eq!(self_run.theta, thread_run.theta);
     assert_eq!(self_comm.allreduce_calls, thread_comm.allreduce_calls);
     assert_eq!(self_comm.allgather_calls, thread_comm.allgather_calls);
+    assert_eq!(self_comm.exchange_calls, thread_comm.exchange_calls);
     assert_eq!(self_comm.bytes_moved, thread_comm.bytes_moved);
     assert_eq!(self_comm.bytes_moved, 0);
 }

@@ -207,10 +207,7 @@ fn cli_usage_errors_exit_2_and_never_panic() {
         .expect("README.md lists the engines")
         .split(" | ")
         .collect();
-    assert_eq!(
-        engines.join("|"),
-        "opt|baseline|mt|dist|partitioned|sharded|tim"
-    );
+    assert_eq!(engines.join("|"), "opt|baseline|mt|dist|sharded|tim");
     for flags in [
         &["--weights", "const:x"][..],
         &["--k", "many"],
@@ -352,6 +349,12 @@ fn cli_usage_errors_exit_2_and_never_panic() {
             refused_before_loading(exe, flags, message);
         }
     }
+    // A retired engine names its replacement, as a retired backend does.
+    refused_before_loading(
+        ripples,
+        &["--engine", "partitioned"],
+        "--engine partitioned was removed: use sharded, which returns the same seeds",
+    );
     for (flags, message) in [
         (&["--k-max", "0"][..], "--k-max must be positive"),
         (

@@ -66,10 +66,6 @@ fn unnormalized_lt_rejected_in_every_profile() {
         let comm = ripples_comm::SelfComm::new();
         let _ = ripples_core::dist::imm_distributed(&comm, &g, &p);
     });
-    assert_rejected("partitioned", || {
-        let comm = ripples_comm::SelfComm::new();
-        let _ = ripples_core::dist_partitioned::imm_partitioned(&comm, &g, &p);
-    });
     assert_rejected("sharded", || {
         let comm = ripples_comm::SelfComm::new();
         let _ = ripples_core::dist_sharded::imm_sharded(&comm, &g, &p);
@@ -99,12 +95,6 @@ fn normalized_lt_accepted_in_every_profile() {
     let comm = ripples_comm::SelfComm::new();
     assert_eq!(
         ripples_core::dist::imm_distributed(&comm, &g, &p)
-            .seeds
-            .len(),
-        4
-    );
-    assert_eq!(
-        ripples_core::dist_partitioned::imm_partitioned(&comm, &g, &p)
             .seeds
             .len(),
         4

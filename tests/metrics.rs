@@ -7,7 +7,6 @@
 
 use ripples_comm::ThreadWorld;
 use ripples_core::dist::imm_distributed;
-use ripples_core::dist_partitioned::imm_partitioned;
 use ripples_core::dist_sharded::imm_sharded;
 use ripples_core::mt::{imm_multithreaded, imm_multithreaded_with_storage};
 use ripples_core::seq::{imm_baseline, immopt_sequential};
@@ -184,7 +183,6 @@ fn registry_mirrors_the_report_for_every_engine() {
             }
             "tim" => vec![tim_plus(&graph, &p)],
             "dist" => world.run(|comm| imm_distributed(comm, &graph, &p)),
-            "partitioned" => world.run(|comm| imm_partitioned(comm, &graph, &p)),
             "sharded" => world.run(|comm| imm_sharded(comm, &graph, &p)),
             _ => unreachable!("{engine}"),
         }
@@ -197,7 +195,6 @@ fn registry_mirrors_the_report_for_every_engine() {
         ("mt fused", shared),
         ("tim", shared),
         ("dist", ranked),
-        ("partitioned", ranked),
         ("sharded", ranked),
     ];
     for (name, rank_counts) in engines {

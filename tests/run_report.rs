@@ -1,16 +1,15 @@
-//! Acceptance test for the run-report observability layer: all six IMM
+//! Acceptance test for the run-report observability layer: all five IMM
 //! entry points (Tang baseline, sequential, multithreaded,
-//! distributed-replicated, distributed-partitioned, distributed-sharded)
-//! must return populated [`RunReport`]s, and the deterministic counters —
+//! distributed-replicated, distributed-sharded) must return populated
+//! [`RunReport`]s, and the deterministic counters —
 //! samples generated, total RRR entries, θ estimation rounds — must be
 //! *identical* across thread counts and rank counts for the same seed.
 //! That invariance is what makes the counters trustworthy for
-//! cross-configuration regression comparisons. All six run the one
+//! cross-configuration regression comparisons. All five run the one
 //! martingale driver, so they must also agree on the report's *shape*.
 
 use ripples_comm::{Communicator, SelfComm, ThreadWorld};
 use ripples_core::dist::imm_distributed;
-use ripples_core::dist_partitioned::imm_partitioned;
 use ripples_core::dist_sharded::imm_sharded;
 use ripples_core::mt::imm_multithreaded;
 use ripples_core::obs::SpanNode;
@@ -20,24 +19,22 @@ use ripples_diffusion::DiffusionModel;
 use ripples_graph::generators::erdos_renyi;
 use ripples_graph::{Graph, GraphBuilder, WeightModel};
 
-/// The six IMM engines behind one call, for the table-driven tests.
+/// The five IMM engines behind one call, for the table-driven tests.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Engine {
     Baseline,
     Opt,
     Mt,
     Dist,
-    Partitioned,
     Sharded,
 }
 
 impl Engine {
-    const ALL: [Engine; 6] = [
+    const ALL: [Engine; 5] = [
         Engine::Baseline,
         Engine::Opt,
         Engine::Mt,
         Engine::Dist,
-        Engine::Partitioned,
         Engine::Sharded,
     ];
 
@@ -48,20 +45,19 @@ impl Engine {
             Engine::Opt => "immopt",
             Engine::Mt => "mt",
             Engine::Dist => "dist",
-            Engine::Partitioned => "partitioned",
             Engine::Sharded => "sharded",
         }
     }
 
     fn uses_comm(self) -> bool {
-        matches!(self, Engine::Dist | Engine::Partitioned | Engine::Sharded)
+        matches!(self, Engine::Dist | Engine::Sharded)
     }
 
-    /// The partitioned and sharded engines key coin flips by
-    /// `(sample, vertex)`, so they draw a different (equally valid) sample
-    /// population than the index-keyed engines.
+    /// The sharded engine keys coin flips by `(sample, vertex)`, so it
+    /// draws a different (equally valid) sample population than the
+    /// index-keyed engines.
     fn vertex_keyed(self) -> bool {
-        matches!(self, Engine::Partitioned | Engine::Sharded)
+        self == Engine::Sharded
     }
 
     /// Runs on this rank of `comm`; the shared-memory engines ignore it.
@@ -71,7 +67,6 @@ impl Engine {
             Engine::Opt => immopt_sequential(g, p),
             Engine::Mt => imm_multithreaded(g, p, 2),
             Engine::Dist => imm_distributed(comm, g, p),
-            Engine::Partitioned => imm_partitioned(comm, g, p),
             Engine::Sharded => imm_sharded(comm, g, p),
         }
     }
@@ -180,15 +175,14 @@ fn all_entry_points_agree_on_deterministic_counters() {
 }
 
 #[test]
-fn partitioned_counters_invariant_across_world_sizes() {
+fn sharded_counters_invariant_across_world_sizes() {
     let g = graph();
     let p = params();
 
-    // The partitioned and sharded engines sample cooperatively (coin flips
-    // keyed by (sample, vertex)), so their edge counts differ from the
-    // replicated engines' BFS — but they must still be invariant across
-    // world sizes, and equal to each other.
-    let anchor = imm_partitioned(&SelfComm::new(), &g, &p);
+    // The sharded engine samples cooperatively (coin flips keyed by
+    // (sample, vertex)), so its edge counts differ from the replicated
+    // engines' BFS — but they must still be invariant across world sizes.
+    let anchor = imm_sharded(&SelfComm::new(), &g, &p);
     let expect = deterministic_counters(&anchor);
     let expect_edges = anchor.report.counters.edges_examined;
     assert!(expect_edges > 0);
@@ -197,28 +191,25 @@ fn partitioned_counters_invariant_across_world_sizes() {
     let expect_touched = anchor.report.counters.select_entries_touched;
     assert!(expect_touched > 0);
 
-    for engine in [Engine::Partitioned, Engine::Sharded] {
-        let label = engine.label();
-        for size in [1u32, 2, 3] {
-            let world = ThreadWorld::new(size);
-            let results = world.run(|comm| engine.run(comm, &g, &p));
-            for (rank, r) in results.iter().enumerate() {
-                assert_populated(&r.report, label);
-                assert_eq!(
-                    deterministic_counters(r),
-                    expect,
-                    "{label} rank {rank} of {size} diverged"
-                );
-                assert_eq!(
-                    r.report.counters.edges_examined, expect_edges,
-                    "{label} rank {rank} of {size}: edge work diverged"
-                );
-                assert_eq!(
-                    r.report.counters.select_entries_touched, expect_touched,
-                    "{label} rank {rank} of {size}: purge work diverged"
-                );
-                assert!(r.report.comm.is_some());
-            }
+    for size in [1u32, 2, 3] {
+        let world = ThreadWorld::new(size);
+        let results = world.run(|comm| imm_sharded(comm, &g, &p));
+        for (rank, r) in results.iter().enumerate() {
+            assert_populated(&r.report, "sharded");
+            assert_eq!(
+                deterministic_counters(r),
+                expect,
+                "sharded rank {rank} of {size} diverged"
+            );
+            assert_eq!(
+                r.report.counters.edges_examined, expect_edges,
+                "sharded rank {rank} of {size}: edge work diverged"
+            );
+            assert_eq!(
+                r.report.counters.select_entries_touched, expect_touched,
+                "sharded rank {rank} of {size}: purge work diverged"
+            );
+            assert!(r.report.comm.is_some());
         }
     }
 }
@@ -240,7 +231,7 @@ fn every_engine_reports_the_one_drivers_shape() {
     let shape = span_shape(reference.report.spans());
     assert!(shape.starts_with("EstimateTheta[round-1[sample[],select[]]"));
     assert!(shape.ends_with("SelectSeeds[]"));
-    let vertex_keyed = imm_partitioned(&SelfComm::new(), &g, &p);
+    let vertex_keyed = imm_sharded(&SelfComm::new(), &g, &p);
 
     for engine in Engine::ALL {
         let label = engine.label();
