@@ -20,7 +20,7 @@ use crate::params::ImmParams;
 use crate::result::ImmResult;
 use crate::sample::SampleEngine;
 use crate::select::SelectEngine;
-use crate::seq::run_compact;
+use crate::seq::{hot_threshold, run_compact, Keep};
 use ripples_diffusion::StorageConfig;
 use ripples_graph::Graph;
 
@@ -63,7 +63,8 @@ pub fn imm_multithreaded_with_storage(
     sample: SampleEngine,
     storage: StorageConfig,
 ) -> ImmResult {
-    let run = || run_compact("mt", graph, params, select, sample, storage, true, false).0;
+    let keep = Keep::HotRows(hot_threshold);
+    let run = || run_compact("mt", graph, params, select, sample, storage, true, keep).0;
     if threads == 0 {
         run()
     } else {

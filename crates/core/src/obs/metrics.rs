@@ -9,7 +9,7 @@
 //! tree gets live phase telemetry for free.
 
 pub use ripples_metrics::{
-    add, disable, enable, enabled, get, observe_rrr_size, phase, prometheus_text, pulse, set,
-    set_max, snapshot, start_sampler, start_sampler_with_cap, Kind, Metric, ProgressFn, Reduce,
-    Sample, SamplerHandle, TimeSeries, HIST_BUCKETS, SCHEMA,
+    add, disable, enable, enabled, get, muted, observe_rrr_size, phase, prometheus_text, pulse,
+    set, set_max, snapshot, start_sampler, start_sampler_with_cap, Kind, Metric, ProgressFn,
+    Reduce, Sample, SamplerHandle, TimeSeries, HIST_BUCKETS, SCHEMA,
 };

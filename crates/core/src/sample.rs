@@ -26,6 +26,7 @@ use ripples_diffusion::{
 };
 use ripples_graph::Graph;
 use ripples_rng::StreamFactory;
+use std::ops::Range;
 
 /// Which sampling kernel a run uses for its RRR batches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -111,6 +112,9 @@ pub struct SamplerDispatch<'a> {
     /// `Some(true)` = fused, `Some(false)` = reference, `None` = `Auto`
     /// not yet resolved.
     fused: Option<bool>,
+    /// The samples `Auto`'s probe drew with the reference kernel (empty
+    /// for an explicit engine).
+    probe: Range<u64>,
 }
 
 impl<'a> SamplerDispatch<'a> {
@@ -139,6 +143,7 @@ impl<'a> SamplerDispatch<'a> {
                 SampleEngine::Reference => Some(false),
                 SampleEngine::Fused => Some(true),
             },
+            probe: 0..0,
         }
     }
 
@@ -174,6 +179,7 @@ impl<'a> SamplerDispatch<'a> {
                     return BatchOutcome::default();
                 }
                 let probe = count.min(AUTO_PROBE_SAMPLES);
+                self.probe = first..first + probe as u64;
                 let mut outcome = self.reference(first, probe, out);
                 // The sizes come from the batch itself: a store that keeps
                 // only the inverted index holds no sample to ask afterwards.
@@ -192,6 +198,29 @@ impl<'a> SamplerDispatch<'a> {
         } else {
             self.reference(first, count, out)
         }
+    }
+
+    /// Draws samples `0..count` again into `out`, bitwise the samples the
+    /// batches before drew: `Auto`'s probe with the reference kernel, every
+    /// other sample with the kernel the dispatcher resolved to. Batches
+    /// compose (both kernels key a sample's content by its global index),
+    /// so one call per kernel redraws them all.
+    pub(crate) fn redraw<S: RrrStore>(&self, count: usize, out: &mut S) -> BatchOutcome {
+        let end = count as u64;
+        let cuts = [0, self.probe.start, self.probe.end, end].map(|cut| cut.min(end));
+        let mut outcome = BatchOutcome::default();
+        for (i, run) in cuts.windows(2).enumerate() {
+            let (first, count) = (run[0], (run[1] - run[0]) as usize);
+            if count == 0 {
+                continue;
+            }
+            outcome.absorb(if i != 1 && self.fused == Some(true) {
+                sample_batch_fused(self.graph, self.model, self.factory, first, count, out)
+            } else {
+                self.reference(first, count, out)
+            });
+        }
+        outcome
     }
 }
 
@@ -265,6 +294,29 @@ mod tests {
             assert_eq!(direct.get(j), routed.get(j));
         }
         assert!(outcome.fused_passes > 0);
+    }
+
+    #[test]
+    fn redraw_repeats_the_batches_that_drew_the_samples() {
+        let g = dense_graph();
+        let f = StreamFactory::new(11);
+        let model = DiffusionModel::IndependentCascade;
+        for engine in [
+            SampleEngine::Auto,
+            SampleEngine::Reference,
+            SampleEngine::Fused,
+        ] {
+            let mut d = SamplerDispatch::new(&g, model, &f, engine, true);
+            let mut drawn = RrrCollection::new();
+            d.sample_batch(0, 100, &mut drawn);
+            d.sample_batch(100, 150, &mut drawn);
+            let mut again = RrrCollection::new();
+            let outcome = d.redraw(250, &mut again);
+            assert_eq!(outcome.set_sizes.count(), 250, "{engine:?}");
+            for j in 0..drawn.len() {
+                assert_eq!(again.get(j), drawn.get(j), "{engine:?}: sample {j}");
+            }
+        }
     }
 
     #[test]

@@ -370,39 +370,68 @@ pub(crate) trait LocalCover {
     fn cover(&mut self, v: Vertex) -> u64;
 }
 
+/// Rebuilds an index whose greedy popped a cold vertex: given the index and
+/// the popped key, returns an index of the same samples in which every
+/// cold vertex whose degree reaches the key is hot again.
+pub(crate) type Redraw<'a> = &'a mut dyn FnMut(&SampleIndex, u64) -> SampleIndex;
+
 /// [`LocalCover`] over an inverted index: a recount reads `v`'s row
 /// against one covered bit per sample, and no sample-major data at all.
 /// Covering walks the row once more and counts nothing: the recount that
 /// selected the vertex counted those entries.
+///
+/// Recounting a cold vertex ([`SampleIndex::cool_below`]) first rebuilds
+/// the index with `redraw`, and the cover reads the rebuilt index from then
+/// on; without `redraw` the read panics.
 pub(crate) struct IndexCover<'a> {
     index: &'a SampleIndex,
+    rebuilt: Option<SampleIndex>,
+    redraw: Option<Redraw<'a>>,
     covered: CoveredBits,
 }
 
 impl<'a> IndexCover<'a> {
     pub(crate) fn new(index: &'a SampleIndex) -> Self {
         let covered = CoveredBits::new(index.absorbed_samples());
-        IndexCover { index, covered }
+        IndexCover {
+            index,
+            rebuilt: None,
+            redraw: None,
+            covered,
+        }
     }
 
     /// Every vertex's index degree: its count before any seed.
     pub(crate) fn degrees(&self) -> Vec<u64> {
-        let n = self.index.num_vertices() as Vertex;
-        (0..n).map(|v| u64::from(self.index.degree(v))).collect()
+        self.index.degrees().iter().map(|&d| u64::from(d)).collect()
+    }
+
+    /// The index the cover reads: the rebuilt one once there is one.
+    fn current(&self) -> &SampleIndex {
+        self.rebuilt.as_ref().unwrap_or(self.index)
     }
 }
 
 impl LocalCover for IndexCover<'_> {
     fn recount(&mut self, v: Vertex) -> (u64, u64) {
-        let (mut count, covered) = (0u64, &self.covered);
-        self.index
-            .for_each_sample(v, |j| count += u64::from(!covered.contains(j)));
-        (count, u64::from(self.index.degree(v)))
+        if let Some(redraw) = self.redraw.as_mut() {
+            let index = self.rebuilt.as_ref().unwrap_or(self.index);
+            // A cold vertex was never recounted: its key is its degree.
+            if index.is_cold(v) {
+                let rebuilt = redraw(index, u64::from(index.degree(v)));
+                self.rebuilt = Some(rebuilt);
+            }
+        }
+        let (index, covered) = (self.current(), &self.covered);
+        let mut count = 0u64;
+        index.for_each_sample(v, |j| count += u64::from(!covered.contains(j)));
+        (count, u64::from(index.degree(v)))
     }
 
     fn cover(&mut self, v: Vertex) -> u64 {
+        let index = self.rebuilt.as_ref().unwrap_or(self.index);
         let covered = &mut self.covered;
-        self.index.for_each_sample(v, |j| {
+        index.for_each_sample(v, |j| {
             covered.insert(j);
         });
         0
@@ -524,7 +553,37 @@ fn select_from_index_in_batches(
     banned: &[bool],
     batch: usize,
 ) -> (Selection, SelectStats) {
+    let (selection, stats, _) = select_over_cover(IndexCover::new(index), k, banned, batch);
+    (selection, stats)
+}
+
+/// [`select_from_index`] over an index that may hold cold vertices, in a
+/// run that can draw its samples again: when the greedy pops a cold vertex,
+/// `redraw` rebuilds the index with the rows of every cold vertex whose
+/// degree reaches the popped key, and the pass goes on over the rebuilt
+/// index. The heap and the covered bits do not depend on which rows an
+/// index keeps, so the pass is bitwise the pass over the full index —
+/// seeds, gains, iterations and entries read — and each step is recorded
+/// once. Returns the rebuilt index, if the pass made one.
+pub(crate) fn select_from_hot_index(
+    index: &SampleIndex,
+    k: u32,
+    banned: &[bool],
+    redraw: Redraw<'_>,
+) -> (Selection, SelectStats, Option<SampleIndex>) {
     let mut local = IndexCover::new(index);
+    local.redraw = Some(redraw);
+    select_over_cover(local, k, banned, 1)
+}
+
+/// The lazy greedy over one process's index cover; returns the index it
+/// rebuilt, if any.
+fn select_over_cover(
+    mut local: IndexCover<'_>,
+    k: u32,
+    banned: &[bool],
+    batch: usize,
+) -> (Selection, SelectStats, Option<SampleIndex>) {
     let bounds = local.degrees();
     let peers = Peers {
         batch,
@@ -533,8 +592,9 @@ fn select_from_index_in_batches(
     };
     let (seeds, gains, stats) = lazy_greedy(&mut local, bounds, k as usize, banned, peers);
     let covered = gains.iter().sum::<u64>() as usize;
-    let selection = Selection::finish(seeds, gains, covered, index.absorbed_samples());
-    (selection, stats)
+    let samples = local.index.absorbed_samples();
+    let selection = Selection::finish(seeds, gains, covered, samples);
+    (selection, stats, local.rebuilt)
 }
 
 /// Number of samples in `store` covered by `seeds` (samples containing at
@@ -546,6 +606,11 @@ fn select_from_index_in_batches(
 /// returns without touching the graph. A store whose inverted index holds
 /// every sample answers with the union of the seeds' rows; any other with
 /// one membership probe per sample and seed.
+///
+/// # Panics
+///
+/// Panics if a seed is cold in that index ([`SampleIndex::cool_below`]):
+/// its rows are gone, and counting it as covering nothing would be wrong.
 #[must_use]
 pub fn coverage_of<S: RrrStore>(store: &S, seeds: &[Vertex]) -> usize {
     store.with_current_index(|index| match index {
@@ -1172,6 +1237,20 @@ mod tests {
         }
         assert_eq!(coverage_of(&varint, &sel.seeds), sel.covered);
         assert_eq!(coverage_of(&varint, &[4, 0]), 4);
+    }
+
+    /// A seed whose rows the store's index dropped is a loud error, not a
+    /// seed that covers nothing.
+    #[test]
+    #[should_panic(expected = "vertex 5 is cold")]
+    fn coverage_of_a_cold_seed_panics() {
+        let c = collection(&[&[0, 1, 2], &[1, 2, 3], &[2, 3, 4], &[4, 5], &[0, 5]]);
+        let mut store = DynRrrStore::from_flat(c, 6);
+        store.with_sample_index(6, 1, |_| ());
+        // Degrees 2, 2, 3, 2, 2, 2: every vertex but 2 turns cold.
+        assert_eq!(store.cool_index_below(3), (5, 1));
+        assert_eq!(coverage_of(&store, &[2]), 3);
+        let _ = coverage_of(&store, &[2, 5]);
     }
 
     #[test]

@@ -9,19 +9,81 @@
 
 use crate::driver::{record_batch, record_store_counters, run_imm, Engine};
 use crate::memory::MemoryStats;
+use crate::obs::metrics::{self, Metric};
+use crate::obs::trace::{self, TraceName};
 use crate::obs::RunReport;
 use crate::params::ImmParams;
 use crate::result::ImmResult;
 use crate::sample::{SampleEngine, SamplerDispatch};
 use crate::select::{
-    index_only, nanos_since, select_with_engine_store, SelectEngine, SelectStats, Selection,
+    index_only, nanos_since, select_from_hot_index, select_with_engine_store, with_index,
+    SelectEngine, SelectStats, Selection,
 };
 use crate::theta::ThetaSchedule;
 use ripples_diffusion::rrr::{generate_rrr, RrrScratch};
-use ripples_diffusion::{BatchOutcome, DiffusionModel, DynRrrStore, RrrStore, StorageConfig};
+use ripples_diffusion::{
+    BatchOutcome, DiffusionModel, DynRrrStore, RrrStore, SampleIndex, StorageConfig,
+};
 use ripples_graph::{Graph, Vertex};
 use ripples_rng::StreamFactory;
 use std::time::Instant;
+
+/// The degree τ below which an index-only run turns a vertex cold after a
+/// selection pass whose `k`-th marginal gain was `g_k`: the least count `c`
+/// with `c + 3·√c + 9 ≥ g_k / 2`, both counted over the pass's θ samples.
+///
+/// A later pass reaches a vertex's row only if it pops the vertex, and it
+/// pops no vertex whose count stays below that pass's `k`-th gain. A count
+/// is a sum of independent per-sample indicators, so its spread is about
+/// `√c`; the rule drops a vertex only when its count three such spreads up,
+/// plus 9 for the small counts where that bound is loose, is still below
+/// half the `k`-th gain — its share of the samples would have to double
+/// against the `k`-th seed's before a pass could pop it. If one does, the
+/// pass draws the samples again and loses nothing but time
+/// (`index_regenerations`).
+#[must_use]
+pub(crate) fn hot_threshold(g_k: u64) -> u64 {
+    let stays_hot = |c: u64| {
+        let c = c as f64;
+        c + 3.0 * c.sqrt() + 9.0 >= g_k as f64 / 2.0
+    };
+    // `g_k` itself stays hot: find the least count that does.
+    let (mut lo, mut hi) = (0u64, g_k);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if stays_hot(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
+/// What a [`run_compact`] run keeps of its samples.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Keep {
+    /// Every sample, and every index row: the serve sketch selects over it
+    /// after the run.
+    Store,
+    /// What the run's selection passes read. A run whose first pass is
+    /// indexed keeps its index alone, and of the index the rows of the
+    /// vertices whose degree reaches the τ that this function sets from each
+    /// pass's `k`-th marginal gain: [`hot_threshold`], or a harsher one in
+    /// the tests that force regenerations.
+    HotRows(fn(u64) -> u64),
+}
+
+/// What an index-only run's index kept, and what regenerating it cost.
+#[derive(Clone, Copy, Debug, Default)]
+struct HotIndex {
+    /// The last pass's τ.
+    tau: u64,
+    /// Vertices whose rows the index kept after the last pass.
+    rows: usize,
+    regenerations: u64,
+    regeneration_edges: u64,
+}
 
 /// The shared-memory engine: samples land in a [`DynRrrStore`] through the
 /// [`SamplerDispatch`] batch kernels, and selection runs the requested
@@ -34,6 +96,12 @@ use std::time::Instant;
 /// and every pass from then on reads the index alone. Under a spill store's
 /// `--rrr-budget` it is then the index's sealed segments that spill. A run
 /// whose first pass is index-free, and the serve sketch, keep their samples.
+///
+/// An index-only run keeps only the rows its greedy can reach: after each
+/// pass the vertices whose degree is below τ ([`Keep::HotRows`]) turn cold
+/// ([`DynRrrStore::cool_index_below`]). A pass that pops a cold vertex draws
+/// the samples again through the same dispatcher and rebuilds the index with
+/// the rows it lacks, so every pass is bitwise the pass over the full index.
 struct CompactEngine<'a> {
     store: DynRrrStore,
     dispatch: SamplerDispatch<'a>,
@@ -43,14 +111,18 @@ struct CompactEngine<'a> {
     /// Until the first selection, for a run that may drop its samples: the
     /// largest population its θ schedule can ask for.
     max_population: Option<usize>,
+    /// τ from a pass's `k`-th gain, for a run that may drop its samples.
+    threshold: Option<fn(u64) -> u64>,
+    /// Whether the store released its samples: every pass reads the index.
+    index_only: bool,
+    hot: HotIndex,
 }
 
 impl CompactEngine<'_> {
     /// Releases the store's samples into its index when the first
     /// selection pass shows the run can select from the index alone, and
-    /// routes every pass from then on through the index
-    /// ([`SelectEngine::Fused`]); returns what bringing the index up to date
-    /// cost.
+    /// routes every pass from then on through the index; returns what
+    /// bringing the index up to date cost.
     fn release_if_index_only(&mut self, k: u32) -> u64 {
         let Some(max_population) = self.max_population.take() else {
             return 0;
@@ -60,8 +132,58 @@ impl CompactEngine<'_> {
         }
         let t0 = Instant::now();
         self.store.release_samples(self.n, self.partitions);
-        self.select = SelectEngine::Fused;
+        self.index_only = true;
         nanos_since(t0)
+    }
+
+    /// One pass of an index-only run: the lazy greedy over the index, which
+    /// rebuilds the index from the samples drawn again when it pops a cold
+    /// vertex; then the vertices below the pass's τ turn cold.
+    fn select_hot(&mut self, k: u32, threshold: fn(u64) -> u64) -> (Selection, SelectStats) {
+        let Self {
+            store,
+            dispatch,
+            partitions,
+            n,
+            hot,
+            ..
+        } = self;
+        let banned = vec![false; *n as usize];
+        let (selection, stats, rebuilt) = with_index(&*store, *n, *partitions, |index, build| {
+            let mut redraw = |index: &SampleIndex, key: u64| {
+                let t0 = Instant::now();
+                let samples = index.absorbed_samples();
+                let mut outcome = BatchOutcome::default();
+                let fresh = store.regrow(index.revived(key), *partitions, |fresh| {
+                    outcome = metrics::muted(|| dispatch.redraw(samples, fresh));
+                });
+                assert_eq!(
+                    fresh.degrees(),
+                    index.degrees(),
+                    "the samples drawn again must be the samples drawn"
+                );
+                hot.regenerations += 1;
+                hot.regeneration_edges += outcome.total_work();
+                metrics::add(Metric::IndexRegenerations, 1);
+                trace::complete(TraceName::IndexRegenerate, t0, outcome.total_work(), key);
+                fresh
+            };
+            let (selection, mut stats, rebuilt) =
+                select_from_hot_index(index, k, &banned, &mut redraw);
+            stats.absorb(build);
+            (selection, stats, rebuilt)
+        });
+        if let Some(index) = rebuilt {
+            store.replace_index(index);
+        }
+        let full = selection.seeds.len() == k as usize;
+        let g_k = selection.marginal_gains.last().filter(|_| full);
+        hot.tau = threshold(g_k.copied().unwrap_or(0));
+        let t0 = Instant::now();
+        let (cooled, rows) = store.cool_index_below(hot.tau);
+        hot.rows = rows;
+        trace::complete(TraceName::IndexCompact, t0, cooled as u64, rows as u64);
+        (selection, stats)
     }
 }
 
@@ -84,14 +206,21 @@ impl Engine for CompactEngine<'_> {
 
     fn select(&mut self, k: u32) -> (Selection, SelectStats) {
         let build_nanos = self.release_if_index_only(k);
-        let (selection, mut stats) =
-            select_with_engine_store(self.select, &self.store, self.n, k, self.partitions);
+        let (selection, mut stats) = match self.threshold.filter(|_| self.index_only) {
+            Some(threshold) => self.select_hot(k, threshold),
+            None => select_with_engine_store(self.select, &self.store, self.n, k, self.partitions),
+        };
         stats.index_build_nanos += build_nanos;
         (selection, stats)
     }
 
     fn finish(&mut self, report: &mut RunReport) {
         record_store_counters(report, &self.store);
+        let c = &mut report.counters;
+        c.index_hot_rows = self.hot.rows as u64;
+        c.index_hot_tau = self.hot.tau;
+        c.index_regenerations = self.hot.regenerations;
+        c.index_regeneration_edges = self.hot.regeneration_edges;
         if crate::obs::trace::enabled() {
             report.trace = Some(crate::obs::trace::collect_all());
         }
@@ -101,9 +230,10 @@ impl Engine for CompactEngine<'_> {
 /// Runs IMM over compact storage and returns the result with the filled
 /// store. `parallel` runs the streamed reference sampler and one selection
 /// interval owner per worker of the caller's pool; otherwise both are
-/// strictly sequential. With `keep_store` (the serve mode keeps the sketch
-/// resident) the store keeps every sample; otherwise a run whose every
-/// selection pass reads only the index releases them ([`CompactEngine`]).
+/// strictly sequential. With [`Keep::Store`] (the serve mode keeps the
+/// sketch resident) the store keeps every sample; otherwise a run whose
+/// every selection pass reads only the index releases them, and keeps the
+/// rows its greedy can reach ([`CompactEngine`]).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_compact(
     label: &str,
@@ -113,11 +243,15 @@ pub(crate) fn run_compact(
     sample: SampleEngine,
     storage: StorageConfig,
     parallel: bool,
-    keep_store: bool,
+    keep: Keep,
 ) -> (ImmResult, DynRrrStore) {
     let n = graph.num_vertices();
     let factory = StreamFactory::new(params.seed);
-    let max_population = (!keep_store && n >= 2).then(|| {
+    let threshold = match keep {
+        Keep::Store => None,
+        Keep::HotRows(threshold) => Some(threshold),
+    };
+    let max_population = (threshold.is_some() && n >= 2).then(|| {
         let k = params.sizing_k(n);
         ThetaSchedule::new(u64::from(n), u64::from(k), params.epsilon, params.ell).max_population()
     });
@@ -132,6 +266,9 @@ pub(crate) fn run_compact(
         },
         n,
         max_population,
+        threshold,
+        index_only: false,
+        hot: HotIndex::default(),
     };
     let footprint = MemoryStats {
         counter_bytes: n as usize * std::mem::size_of::<u64>(),
@@ -183,7 +320,38 @@ pub fn immopt_sequential_with_storage(
     storage: StorageConfig,
 ) -> ImmResult {
     run_compact(
-        "immopt", graph, params, select, sample, storage, false, false,
+        "immopt",
+        graph,
+        params,
+        select,
+        sample,
+        storage,
+        false,
+        Keep::HotRows(hot_threshold),
+    )
+    .0
+}
+
+/// [`immopt_sequential_with_storage`] with [`SelectEngine::Fused`], and
+/// `threshold` in place of the rule that sets τ from a pass's `k`-th
+/// marginal gain: an entry point for tests, which force index
+/// regenerations with a τ far above the rule's. Any τ returns the seeds,
+/// θ and selection counters of the full index; a high one costs
+/// regenerations (`parallel` samples and selects as `mt` does).
+#[doc(hidden)]
+#[must_use]
+pub fn index_only_run_with_threshold(
+    graph: &Graph,
+    params: &ImmParams,
+    storage: StorageConfig,
+    parallel: bool,
+    threshold: fn(u64) -> u64,
+) -> ImmResult {
+    let select = SelectEngine::Fused;
+    let sample = SampleEngine::Reference;
+    let keep = Keep::HotRows(threshold);
+    run_compact(
+        "immopt", graph, params, select, sample, storage, parallel, keep,
     )
     .0
 }
@@ -411,6 +579,84 @@ mod tests {
     fn graph_for(model: DiffusionModel) -> Graph {
         let lt = model == DiffusionModel::LinearThreshold;
         erdos_renyi(400, 3000, WeightModel::UniformRandom { seed: 2 }, lt, 11)
+    }
+
+    #[test]
+    fn hot_threshold_is_the_least_count_that_stays_hot() {
+        // Below g_k = 18 even a count of 0 passes: nothing turns cold.
+        for g_k in [0, 1, 17, 18] {
+            assert_eq!(hot_threshold(g_k), 0, "g_k {g_k}");
+        }
+        for g_k in [19u64, 100, 1086, 9544, 1 << 20] {
+            let tau = hot_threshold(g_k);
+            let stays = |c: u64| c as f64 + 3.0 * (c as f64).sqrt() + 9.0 >= g_k as f64 / 2.0;
+            assert!(stays(tau) && !stays(tau - 1), "g_k {g_k}: tau {tau}");
+            assert!(tau < g_k / 2);
+        }
+    }
+
+    /// Small weighted-cascade cascades: an index-only run's shape.
+    fn cascade_graph() -> Graph {
+        let wc = WeightModel::WeightedCascade;
+        ripples_graph::generators::barabasi_albert(300, 3, wc, false, 5)
+    }
+
+    /// A τ above every count turns every vertex cold after each pass, so
+    /// every later pass pops cold vertices only and rebuilds its index from
+    /// the samples drawn again — yet returns what the full index returns:
+    /// a kept store's run, which selects over every row.
+    #[test]
+    fn forced_regenerations_select_what_the_full_index_selects() {
+        let g = cascade_graph();
+        let spill = StorageConfig {
+            kind: ripples_diffusion::RrrStoreKind::Spill,
+            budget: Some(4096),
+        };
+        let cases = [
+            (
+                DiffusionModel::IndependentCascade,
+                StorageConfig::default(),
+                false,
+            ),
+            (DiffusionModel::LinearThreshold, spill, true),
+        ];
+        for (model, storage, parallel) in cases {
+            let case = format!("{model} {:?} parallel {parallel}", storage.kind);
+            let p = ImmParams::new(6, 0.5, model, 3);
+            let (select, sample) = (SelectEngine::Fused, SampleEngine::Reference);
+            let keep = Keep::Store;
+            let kept = run_compact("kept", &g, &p, select, sample, storage, parallel, keep).0;
+            let hot = index_only_run_with_threshold(&g, &p, storage, parallel, |_| u64::MAX);
+            assert_eq!(hot.seeds, kept.seeds, "{case}");
+            assert_eq!(hot.theta, kept.theta, "{case}");
+            let (h, k) = (&hot.report.counters, &kept.report.counters);
+            assert_eq!(h.select_entries_touched, k.select_entries_touched, "{case}");
+            assert_eq!(h.select_iterations, k.select_iterations, "{case}");
+            assert_eq!(h.edges_examined, k.edges_examined, "{case}");
+            assert_eq!(h.samples_generated, k.samples_generated, "{case}");
+            assert!(
+                h.select_iterations >= 12,
+                "{case}: a second pass reads a cold index"
+            );
+            assert!(h.index_regenerations > 0, "{case}");
+            assert!(h.index_regeneration_edges > 0, "{case}");
+            assert_eq!((h.index_hot_rows, h.index_hot_tau), (0, u64::MAX), "{case}");
+            assert_eq!(k.index_regenerations + k.index_hot_rows, 0, "{case}");
+        }
+    }
+
+    /// The rule's own τ on the same graph: vertices turn cold, and no pass
+    /// pops one.
+    #[test]
+    fn the_statistical_margin_regenerates_nothing_here() {
+        let g = cascade_graph();
+        let p = ImmParams::new(4, 0.2, DiffusionModel::IndependentCascade, 3);
+        let storage = StorageConfig::default();
+        let r = index_only_run_with_threshold(&g, &p, storage, false, hot_threshold);
+        let c = &r.report.counters;
+        assert_eq!(c.index_regenerations, 0);
+        assert!(c.index_hot_tau > 0 && c.index_hot_rows < 300);
+        assert_eq!(r.seeds, immopt_sequential(&g, &p).seeds);
     }
 
     #[test]

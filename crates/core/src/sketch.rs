@@ -46,8 +46,9 @@ pub fn build_resident_sketch(
     sample: SampleEngine,
     storage: StorageConfig,
 ) -> ResidentSketchBuild {
+    let keep = crate::seq::Keep::Store;
     let (result, store) = crate::seq::run_compact(
-        "sketch", graph, params, select, sample, storage, false, true,
+        "sketch", graph, params, select, sample, storage, false, keep,
     );
     ResidentSketchBuild { store, result }
 }

@@ -5,9 +5,12 @@ use ripples_core::mt::imm_multithreaded_with_storage;
 use ripples_core::select::{
     select_from_index, select_seeds_sequential, select_with_engine, Selection,
 };
-use ripples_core::seq::immopt_sequential_with_storage;
+use ripples_core::seq::{immopt_sequential_with_storage, index_only_run_with_threshold};
 use ripples_core::theta::{log_binomial, ThetaSchedule};
-use ripples_core::{select_with_engine_banned, ImmParams, ImmResult, SampleEngine, SelectEngine};
+use ripples_core::{
+    build_resident_sketch, select_with_engine_banned, ImmParams, ImmResult, SampleEngine,
+    SelectEngine,
+};
 use ripples_diffusion::{
     DiffusionModel, DynRrrStore, RrrCollection, RrrStore, RrrStoreKind, SampleIndex, StorageConfig,
 };
@@ -264,6 +267,50 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// An index-only run whose τ is the pass's `k`-th gain itself — far
+    /// more aggressive than the rule's margin, so later passes pop cold
+    /// vertices and rebuild the index from the samples drawn again — selects
+    /// what a kept store's full index selects: the same seeds, θ, sampling
+    /// work and selection counters, under IC and LT, sequential and `mt`.
+    #[test]
+    fn an_aggressive_margin_selects_what_the_full_index_selects(
+        n in 150u32..600,
+        graph_seed in any::<u64>(),
+        lt in any::<bool>(),
+        k in 1u32..10,
+        epsilon in 0.3f64..0.7,
+        parallel in any::<bool>(),
+    ) {
+        let graph = barabasi_albert(n, 3, WeightModel::WeightedCascade, false, graph_seed);
+        let model = if lt {
+            DiffusionModel::LinearThreshold
+        } else {
+            DiffusionModel::IndependentCascade
+        };
+        let params = ImmParams::new(k, epsilon, model, 11);
+        let storage = StorageConfig::default();
+        let kept = build_resident_sketch(
+            &graph,
+            &params,
+            SelectEngine::Fused,
+            SampleEngine::Reference,
+            storage,
+        )
+        .result;
+        let hot = index_only_run_with_threshold(&graph, &params, storage, parallel, |g_k| g_k);
+        prop_assert_eq!(&hot.seeds, &kept.seeds);
+        prop_assert_eq!(hot.theta, kept.theta);
+        let (h, c) = (&hot.report.counters, &kept.report.counters);
+        prop_assert_eq!(h.edges_examined, c.edges_examined);
+        prop_assert_eq!(h.select_entries_touched, c.select_entries_touched);
+        prop_assert_eq!(h.select_iterations, c.select_iterations);
+        prop_assert!(h.index_hot_rows <= u64::from(n));
     }
 }
 

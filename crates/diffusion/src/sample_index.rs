@@ -10,7 +10,9 @@
 //! memory footprint can become a limitation."* (§3.1)
 //!
 //! [`SampleIndex`] keeps the fast selection and drops most of the cost: the
-//! second direction is gap-varint coded, 1–2 bytes per association. (The
+//! second direction is gap-varint coded, 1–2 bytes per association, and a
+//! run that selects from the index alone keeps only the rows of the
+//! vertices its greedy can still reach ([`SampleIndex::cool_below`]). (The
 //! two-direction layout itself, kept as the measured baseline of Tables 2
 //! and 3, is `TangStorage` in `ripples-core`.)
 
@@ -19,37 +21,108 @@ use crate::intervals::IntervalSets;
 use crate::spill::SpillFile;
 use crate::store::RrrStore;
 use ripples_graph::Vertex;
+use std::borrow::Cow;
+use std::sync::Arc;
 
-/// The rows of one run of consecutive samples.
+/// One bit per vertex, set for the cold ones; empty while every vertex is
+/// hot.
+#[derive(Clone, Debug, Default)]
+struct Cold(Vec<u64>);
+
+impl Cold {
+    #[inline]
+    fn contains(&self, v: usize) -> bool {
+        self.0
+            .get(v / 64)
+            .is_some_and(|word| word >> (v % 64) & 1 == 1)
+    }
+
+    fn insert(&mut self, v: usize, num_vertices: usize) {
+        if self.0.is_empty() {
+            self.0 = vec![0; num_vertices.div_ceil(64)];
+        }
+        self.0[v / 64] |= 1 << (v % 64);
+    }
+}
+
+/// The vertices a table has a row for, ascending, each in the slot of its
+/// position — the hot ones when the table was built — or `None`, which
+/// has a row for every vertex, in slot `v` for vertex `v`.
+type Slots = Option<Arc<[Vertex]>>;
+
+/// Vertex `v`'s slot in a table over `slots`; `None` when it has no row.
+#[inline]
+fn slot_of(slots: &Slots, v: usize) -> Option<usize> {
+    match slots {
+        None => Some(v),
+        Some(hot) => hot.binary_search(&(v as Vertex)).ok(),
+    }
+}
+
+/// The rows of one run of consecutive samples, in a table over the index's
+/// slots.
 #[derive(Debug)]
 struct Segment {
     /// Id of the run's first sample.
     first: u32,
-    /// Byte bounds of each vertex's row in `rows`, plus a sentinel.
+    /// Byte bounds of each slot's row in `rows`, plus a sentinel.
     offsets: Vec<u32>,
-    /// Each vertex's ascending sample ids within the run, every id coded as
+    /// Each slot's ascending sample ids within the run, every id coded as
     /// the varint of its distance past the previous one, minus one; a row's
     /// first id is coded as if `first - 1` preceded it.
     rows: Vec<u8>,
 }
 
 impl Segment {
-    fn row(&self, v: usize) -> &[u8] {
-        &self.rows[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+    fn row(&self, slot: usize) -> &[u8] {
+        &self.rows[self.offsets[slot] as usize..self.offsets[slot + 1] as usize]
+    }
+
+    /// Bytes of the table.
+    fn table_bytes(&self) -> usize {
+        std::mem::size_of::<u32>() * self.offsets.len()
     }
 
     /// Reserved bytes of the table and the rows.
     fn resident_bytes(&self) -> usize {
-        self.offsets.capacity() * std::mem::size_of::<u32>() + self.rows.capacity()
+        std::mem::size_of::<u32>() * self.offsets.capacity() + self.rows.capacity()
+    }
+
+    /// Drops the rows of the `cold` vertices from a table over `slots`:
+    /// the table keeps their slots, empty, when `cold_slots`, and is a
+    /// table over `slots` less the cold otherwise.
+    fn compact(&mut self, slots: &Slots, cold: &Cold, cold_slots: bool) {
+        let vertex = |s: usize| slots.as_ref().map_or(s, |hot| hot[s] as usize);
+        let all = 0..self.offsets.len() - 1;
+        let hot = || all.clone().filter(|&s| !cold.contains(vertex(s)));
+        let bytes: usize = hot().map(|s| self.row(s).len()).sum();
+        let kept = if cold_slots { all.len() } else { hot().count() };
+        let mut rows = Vec::with_capacity(bytes);
+        let mut offsets = Vec::with_capacity(kept + 1);
+        offsets.push(0);
+        for s in all.clone() {
+            let hot = !cold.contains(vertex(s));
+            if hot {
+                rows.extend_from_slice(self.row(s));
+            }
+            if hot || cold_slots {
+                offsets.push(rows.len() as u32);
+            }
+        }
+        (self.offsets, self.rows) = (offsets, rows);
     }
 }
 
-/// Where a spilled segment lives: its table, as little-endian `u32`s, then
-/// its rows, from `at` on in the spill file.
-#[derive(Clone, Copy, Debug)]
+/// Where a spilled segment lives: its table's bounds, as little-endian
+/// `u32`s, then its rows, from `at` on in the spill file.
+#[derive(Debug)]
 struct Spilled {
     /// Id of the run's first sample.
     first: u32,
+    /// The slots of the table, which stay resident.
+    slots: Slots,
+    /// Bytes of the bounds before the rows.
+    table: u64,
     at: u64,
 }
 
@@ -82,6 +155,10 @@ struct Share<'a> {
     rows: &'a mut [u8],
     base: u32,
 }
+
+/// What a segment being built holds before its new samples: the rows of a
+/// segment folded into it, and their byte bounds with one row per vertex.
+type Kept<'a> = Option<(&'a [u8], &'a [u32])>;
 
 impl<'a> Share<'a> {
     /// Cuts the per-vertex arrays at the `intervals` and `rows` at the
@@ -119,27 +196,40 @@ impl<'a> Share<'a> {
     }
 
     /// One pass of every owner over what the segment will hold of its
-    /// interval: `keep` is handed each row of the segment `folded` into it,
-    /// `code` each gap the samples with ids `new` add to a row (rows start
-    /// coding from the id `before`; id `i` is sample `i - base` of `sets`),
-    /// in row order.
+    /// interval: `keep` is handed each `kept` row, `code` each gap the
+    /// samples with ids `new` add to the row of a vertex that is not `cold`
+    /// (rows start coding from the id `before`; id `i` is sample `i - base`
+    /// of `sets`), in row order. The `counting` pass also counts every
+    /// vertex's samples, cold ones included, in its degree.
+    #[allow(clippy::too_many_arguments)]
     fn pass<V: IntervalSets>(
         sets: &V,
         shares: &mut [Self],
-        (folded, new, before, base): (Option<&Segment>, std::ops::Range<usize>, u32, usize),
+        (kept, new, before, base): (Kept<'_>, std::ops::Range<usize>, u32, usize),
+        cold: &Cold,
+        counting: bool,
         keep: impl Fn(&mut Self, usize, &[u8]) + Sync,
         code: impl Fn(&mut Self, usize, u32) + Sync,
     ) {
         sets.for_each_owner(shares, |sets, share| {
             for j in 0..share.tails.len() {
-                let kept = folded.map_or(&[][..], |prev| prev.row(share.vl as usize + j));
-                keep(share, j, kept);
-                share.tails[j] = decode_row(kept, before, |_| ());
+                let v = share.vl as usize + j;
+                let row = kept.map_or(&[][..], |(rows, bounds)| {
+                    &rows[bounds[v] as usize..bounds[v + 1] as usize]
+                });
+                keep(share, j, row);
+                share.tails[j] = decode_row(row, before, |_| ());
             }
             for i in new.clone() {
                 let id = i as u32;
                 sets.for_each_in(i - base, share.vl, share.vh, |v| {
                     let j = (v - share.vl) as usize;
+                    if counting {
+                        share.degrees[j] += 1;
+                    }
+                    if cold.contains(v as usize) {
+                        return;
+                    }
                     code(share, j, id.wrapping_sub(share.tails[j]).wrapping_sub(1));
                     share.tails[j] = id;
                 });
@@ -154,17 +244,29 @@ impl<'a> Share<'a> {
 /// IMM's θ-doubling loop selects over the same store every round while the
 /// store only grows at the tail, and a serve process selects over a sealed
 /// one for every query. [`absorb`] therefore reads only the samples
-/// appended since the last call and adds them as one *segment*: a `u32`
-/// offsets table and one byte buffer holding every vertex's gap-varint row
+/// appended since the last call and adds them as one *segment*: a table of
+/// `u32` row offsets and one byte buffer holding every row's gap-varint ids
 /// for those samples, built by a counting sort (row byte lengths → prefix
 /// sum → fill) whose two passes run under Algorithm 4's vertex-interval
-/// owners: disjoint writes, no atomics. A segment whose rows are smaller than its own table is
-/// folded into the next one instead of staying, so the tables of all
-/// segments together never outweigh the rows by more than one table, and a
-/// doubling θ schedule does not pay `4·(n + 1)` bytes per tiny early round.
-/// [`for_each_sample`] walks the segments in order, which keeps ids
-/// ascending: selection over the index is bitwise what a scan of the store
-/// gives.
+/// owners: disjoint writes, no atomics. A segment whose rows are smaller
+/// than its own table is folded into the next one instead of staying, so
+/// the tables of all segments together never outweigh the rows by more
+/// than one table, and a doubling θ schedule does not pay a table per tiny
+/// early round. [`for_each_sample`] walks the segments in order, which
+/// keeps ids ascending: selection over the index is bitwise what a scan of
+/// the store gives.
+///
+/// Hot and cold vertices: every vertex is *hot* until
+/// [`SampleIndex::cool_below`] turns those of low degree *cold*, for good.
+/// A cold vertex's rows leave the resident segments and later absorbs skip
+/// it, but its degree still counts every sample. Once few enough are hot,
+/// tables cover the hot vertices alone: every resident segment's table has
+/// one offset per hot vertex, and the sorted list of the hot vertices,
+/// which maps a vertex to its slot, is held once for all of them — so a
+/// table costs `4·(h + 1)` bytes for `h` hot vertices rather than
+/// `4·(n + 1)`. Reading a cold vertex's row panics: it never streams an
+/// empty row. An index with more hot vertices is rebuilt from the same
+/// samples drawn again ([`SampleIndex::revived`]).
 ///
 /// Sample ids are the index's only global `u32`. A segment addresses its
 /// rows with `u32` byte offsets, and a batch is cut into further segments
@@ -174,10 +276,11 @@ impl<'a> Share<'a> {
 /// which a store sets from its `--rrr-budget`), the oldest *sealed*
 /// segments — every one but a newest that the next absorb may still fold —
 /// are written to a spill file, table and rows together, until the index
-/// fits. Only the degrees and each spilled segment's first id and file
-/// offset stay in RAM; a spilled row is two positioned reads, its two table
-/// bounds and then its bytes. Spilling moves no id and no row, so whatever
-/// reads the index reads the same ids.
+/// fits. Only the degrees, each spilled segment's first id, file offset
+/// and hot list stay in RAM; a spilled row is two positioned reads, its two
+/// table bounds and then its bytes. Spilling moves no id and no row, and
+/// spilled segments are not compacted (their rows cost no RAM), so
+/// whatever reads the index reads the same ids.
 ///
 /// [`absorb`]: SampleIndex::absorb
 /// [`for_each_sample`]: SampleIndex::for_each_sample
@@ -185,10 +288,18 @@ impl<'a> Share<'a> {
 pub struct SampleIndex {
     /// The segments on disk, oldest first; all of them precede `segments`.
     spilled: Vec<Spilled>,
-    /// The resident segments, in order.
+    /// The resident segments, in order, each in a table over `slots`.
     segments: Vec<Segment>,
+    /// The hot vertices, once listing them costs less than the cold
+    /// vertices' empty slots in the tables ([`SampleIndex::cool_below`]);
+    /// `None` until then.
+    slots: Slots,
     /// Per-vertex sample counts.
     degrees: Vec<u32>,
+    /// The vertices whose rows are gone.
+    cold: Cold,
+    /// Vertices not cold.
+    hot_rows: usize,
     /// Samples consumed from the store so far; `absorb` resumes here.
     absorbed: usize,
     /// The most bytes a segment's rows may be planned to hold.
@@ -218,7 +329,10 @@ impl SampleIndex {
         Self {
             spilled: Vec::new(),
             segments: Vec::new(),
+            slots: None,
             degrees: vec![0; num_vertices as usize],
+            cold: Cold::default(),
+            hot_rows: num_vertices as usize,
             absorbed: 0,
             segment_cap,
             resident_limit: None,
@@ -239,12 +353,6 @@ impl SampleIndex {
         self.spill_sealed();
     }
 
-    /// A table's bytes: the size a segment's rows must reach before no
-    /// absorb folds it into the next.
-    fn table_bytes(&self) -> usize {
-        std::mem::size_of::<u32>() * (self.degrees.len() + 1)
-    }
-
     /// Writes sealed segments, oldest first, to the spill file while the
     /// index passes its limit.
     fn spill_sealed(&mut self) {
@@ -255,7 +363,7 @@ impl SampleIndex {
             let Some(oldest) = self.segments.first() else {
                 return;
             };
-            if self.segments.len() == 1 && oldest.rows.len() < self.table_bytes() {
+            if self.segments.len() == 1 && oldest.rows.len() < oldest.table_bytes() {
                 return;
             }
             let table: Vec<u8> = oldest
@@ -269,6 +377,8 @@ impl SampleIndex {
             let oldest = self.segments.remove(0);
             self.spilled.push(Spilled {
                 first: oldest.first,
+                slots: self.slots.clone(),
+                table: table.len() as u64,
                 at,
             });
         }
@@ -313,6 +423,21 @@ impl SampleIndex {
         }
     }
 
+    /// A table over `slots` as byte bounds with one row per vertex, the
+    /// cold ones' empty: the table itself while it has a slot per vertex.
+    fn bounds_per_vertex<'t>(&self, table: &'t [u32]) -> Cow<'t, [u32]> {
+        let Some(hot) = &self.slots else {
+            return Cow::Borrowed(table);
+        };
+        let mut bounds = vec![0u32; self.degrees.len() + 1];
+        let mut slot = 0usize;
+        for (v, bound) in bounds.iter_mut().enumerate() {
+            *bound = table[slot];
+            slot += usize::from(hot.get(slot).is_some_and(|&h| h as usize == v));
+        }
+        Cow::Owned(bounds)
+    }
+
     /// Adds one segment holding the samples from `absorbed` up to `end`, or
     /// up to where the segment's bytes could pass the cap; sample `i` is
     /// sample `i - base` of `sets`.
@@ -332,10 +457,15 @@ impl SampleIndex {
         };
         let cap = u64::from(self.segment_cap);
         let fold = self.segments.last().is_some_and(|prev| {
-            prev.rows.len() < self.table_bytes()
+            prev.rows.len() < prev.table_bytes()
                 && prev.rows.len() as u64 + bound(prev.first, start) <= cap
         });
         let folded = if fold { self.segments.pop() } else { None };
+        let kept_bounds = folded
+            .as_ref()
+            .map(|prev| self.bounds_per_vertex(&prev.offsets));
+        let kept = folded.as_ref().zip(kept_bounds.as_deref());
+        let kept = kept.map(|(prev, bounds)| (&prev.rows[..], bounds));
         let first = folded.as_ref().map_or(start as u32, |prev| prev.first);
         let mut room = cap - folded.as_ref().map_or(0, |prev| prev.rows.len() as u64);
         let mut stop = start;
@@ -352,7 +482,7 @@ impl SampleIndex {
             stop > start,
             "one sample's row bytes exceed the segment cap"
         );
-        let content = || (folded.as_ref(), start..stop, first.wrapping_sub(1), base);
+        let content = || (kept, start..stop, first.wrapping_sub(1), base);
 
         // Counting pass: `offsets[v + 1]` gathers row `v`'s byte length.
         let mut offsets = vec![0u32; n + 1];
@@ -369,11 +499,10 @@ impl SampleIndex {
             sets,
             &mut shares,
             content(),
+            &self.cold,
+            true,
             |share, j, kept| share.at[j] = kept.len() as u32,
-            |share, j, gap| {
-                share.at[j] += varint_len(gap);
-                share.degrees[j] += 1;
-            },
+            |share, j, gap| share.at[j] += varint_len(gap),
         );
         let mut total = 0u32;
         for slot in &mut offsets[1..] {
@@ -403,6 +532,8 @@ impl SampleIndex {
             sets,
             &mut shares,
             content(),
+            &self.cold,
+            false,
             |share, j, kept| {
                 let cursor = (share.at[j] - share.base) as usize;
                 share.rows[cursor..][..kept.len()].copy_from_slice(kept);
@@ -415,6 +546,12 @@ impl SampleIndex {
         );
         offsets.copy_within(0..n, 1);
         offsets[0] = 0;
+        // The cold vertices' rows are empty: a table over the hot ones
+        // holds the same bounds.
+        if let Some(hot) = &self.slots {
+            let hot_bounds = hot.iter().map(|&v| offsets[v as usize]);
+            offsets = hot_bounds.chain([total]).collect();
+        }
         self.segments.push(Segment {
             first,
             offsets,
@@ -422,6 +559,67 @@ impl SampleIndex {
         });
         self.absorbed = stop;
         self.spill_sealed();
+    }
+
+    /// The hot vertices, ascending, as the slots of a table over them.
+    fn hot_slots(&self) -> Slots {
+        let n = self.degrees.len();
+        let hot = (0..n as Vertex).filter(|&v| !self.cold.contains(v as usize));
+        Some(hot.collect())
+    }
+
+    /// Turns every hot vertex whose degree is below `tau` cold, for good:
+    /// its rows leave the resident segments, later absorbs skip it, and
+    /// reading its row panics; its degree still counts every sample.
+    /// Spilled segments keep what they hold. Returns how many turned cold.
+    ///
+    /// The tables keep a slot per vertex until the list of the `h` hot
+    /// vertices, held once, costs less than the `n - h` cold slots of all
+    /// resident tables together; from then on they cover the hot vertices
+    /// alone.
+    pub fn cool_below(&mut self, tau: u64) -> usize {
+        let n = self.degrees.len();
+        let mut cooled = 0usize;
+        for v in 0..n {
+            if u64::from(self.degrees[v]) < tau && !self.cold.contains(v) {
+                self.cold.insert(v, n);
+                cooled += 1;
+            }
+        }
+        if cooled == 0 {
+            return 0;
+        }
+        self.hot_rows -= cooled;
+        let tables = self.segments.len().max(1);
+        let list = self.slots.is_some() || self.hot_rows < tables * (n - self.hot_rows);
+        for segment in &mut self.segments {
+            segment.compact(&self.slots, &self.cold, !list);
+        }
+        if list {
+            self.slots = self.hot_slots();
+        }
+        cooled
+    }
+
+    /// An empty index over the same vertices, segment cap and resident
+    /// limit, whose cold vertices are this one's less those whose degree
+    /// reaches `key`: what absorbing every sample again turns into this
+    /// index with those vertices' rows back.
+    #[must_use]
+    pub fn revived(&self, key: u64) -> SampleIndex {
+        let n = self.degrees.len();
+        let mut fresh = Self::with_segment_cap(n as u32, self.segment_cap);
+        fresh.resident_limit = self.resident_limit;
+        for v in (0..n).filter(|&v| self.cold.contains(v)) {
+            if u64::from(self.degrees[v]) < key {
+                fresh.cold.insert(v, n);
+                fresh.hot_rows -= 1;
+            }
+        }
+        if self.slots.is_some() && fresh.hot_rows < n {
+            fresh.slots = fresh.hot_slots();
+        }
+        fresh
     }
 
     /// Number of samples absorbed so far.
@@ -436,12 +634,31 @@ impl SampleIndex {
         self.degrees.len()
     }
 
+    /// Number of vertices whose rows the index keeps: all of them until
+    /// [`SampleIndex::cool_below`] turns some cold.
+    #[must_use]
+    pub fn hot_rows(&self) -> usize {
+        self.hot_rows
+    }
+
+    /// Whether vertex `v`'s rows are gone ([`SampleIndex::cool_below`]).
+    #[must_use]
+    pub fn is_cold(&self, v: Vertex) -> bool {
+        self.cold.contains(v as usize)
+    }
+
     /// Number of absorbed samples containing vertex `v` — the initial
-    /// greedy counter.
+    /// greedy counter, whether `v` is hot or cold.
     #[inline]
     #[must_use]
     pub fn degree(&self, v: Vertex) -> u32 {
         self.degrees[v as usize]
+    }
+
+    /// Every vertex's [`SampleIndex::degree`].
+    #[must_use]
+    pub fn degrees(&self) -> &[u32] {
+        &self.degrees
     }
 
     /// Streams the ascending sample ids containing `v` to `f`: the rows of
@@ -449,15 +666,26 @@ impl SampleIndex {
     ///
     /// # Panics
     ///
-    /// Panics if `v` is past the index's vertices, or if a spilled row
-    /// cannot be read back.
+    /// Panics if `v` is past the index's vertices, if `v` is cold (its rows
+    /// are gone, and an empty row would be a wrong one), or if a spilled
+    /// row cannot be read back.
     pub fn for_each_sample(&self, v: Vertex, mut f: impl FnMut(usize)) {
+        let n = self.degrees.len();
+        assert!(
+            (v as usize) < n,
+            "vertex {v} is past the index's {n} vertices"
+        );
+        assert!(
+            !self.cold.contains(v as usize),
+            "vertex {v} is cold: the index dropped its rows, so it has none to read"
+        );
         if !self.spilled.is_empty() {
             self.for_each_spilled_sample(v as usize, &mut f);
         }
+        let slot = slot_of(&self.slots, v as usize).expect("a hot vertex has a slot");
         for segment in &self.segments {
             let before = segment.first.wrapping_sub(1);
-            decode_row(segment.row(v as usize), before, |id| f(id as usize));
+            decode_row(segment.row(slot), before, |id| f(id as usize));
         }
     }
 
@@ -465,16 +693,14 @@ impl SampleIndex {
     /// of line so that the resident rows' loop stays what it was.
     #[inline(never)]
     fn for_each_spilled_sample(&self, v: usize, f: &mut dyn FnMut(usize)) {
-        // A resident table's bounds check, which a spilled row would skip.
-        assert!(
-            v < self.degrees.len(),
-            "vertex {v} is past the index's {} vertices",
-            self.degrees.len()
-        );
-        let (mut row, table) = (Vec::new(), self.table_bytes() as u64);
+        let mut row = Vec::new();
         for segment in &self.spilled {
+            let Some(slot) = slot_of(&segment.slots, v) else {
+                continue;
+            };
             let mut bounds = [0u8; 8];
-            self.spill.read_at(segment.at + 4 * v as u64, &mut bounds);
+            self.spill
+                .read_at(segment.at + 4 * slot as u64, &mut bounds);
             let [lo, hi] = [&bounds[..4], &bounds[4..]]
                 .map(|b| u32::from_le_bytes(b.try_into().expect("four bytes")));
             row.resize(
@@ -482,21 +708,32 @@ impl SampleIndex {
                 0,
             );
             self.spill
-                .read_at(segment.at + table + u64::from(lo), &mut row);
+                .read_at(segment.at + segment.table + u64::from(lo), &mut row);
             decode_row(&row, segment.first.wrapping_sub(1), |id| f(id as usize));
         }
     }
 
     /// Reserved bytes of the index: the resident segments' tables and rows,
-    /// where the spilled ones are, and the degrees.
+    /// where the spilled ones are, every hot list once, the degrees and the
+    /// cold vertices' bits.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
         let segments: usize = self.segments.iter().map(Segment::resident_bytes).sum();
+        let mut lists: Vec<&Arc<[Vertex]>> = Vec::new();
+        let all = self.spilled.iter().map(|s| &s.slots).chain([&self.slots]);
+        for list in all.flatten() {
+            if !lists.iter().any(|seen| Arc::ptr_eq(seen, list)) {
+                lists.push(list);
+            }
+        }
+        let listed: usize = lists.iter().map(|list| list.len()).sum();
         segments
+            + listed * size_of::<Vertex>()
             + self.segments.capacity() * size_of::<Segment>()
             + self.spilled.capacity() * size_of::<Spilled>()
             + self.degrees.capacity() * size_of::<u32>()
+            + self.cold.0.capacity() * size_of::<u64>()
     }
 
     /// Bytes written to the index's spill file.
@@ -518,19 +755,33 @@ pub(crate) mod tests {
     use super::*;
     use crate::rrr::RrrCollection;
 
-    /// Asserts every row of `index` is the list of the samples of `c` that
-    /// contain the vertex, and every degree its length.
+    /// Asserts every hot row of `index` is the list of the samples of `c`
+    /// that contain the vertex, and every degree, hot or cold, its length.
     pub(crate) fn assert_matches_the_definition(index: &SampleIndex, c: &RrrCollection) {
         assert_eq!(index.absorbed_samples(), c.len());
         for v in 0..index.num_vertices() as Vertex {
             let expect: Vec<usize> = (0..c.len())
                 .filter(|&j| c.get(j).binary_search(&v).is_ok())
                 .collect();
+            assert_eq!(index.degree(v) as usize, expect.len(), "degree of {v}");
+            if index.is_cold(v) {
+                continue;
+            }
             let mut row = Vec::new();
             index.for_each_sample(v, |j| row.push(j));
             assert_eq!(row, expect, "row of {v}");
-            assert_eq!(index.degree(v) as usize, expect.len(), "degree of {v}");
         }
+    }
+
+    /// `samples` sets over `n` vertices in which vertex `v` appears about
+    /// once every `v + 1` samples, so degrees fall with the id.
+    fn skewed(n: u32, samples: u32) -> RrrCollection {
+        let mut c = RrrCollection::new();
+        for j in 0..samples {
+            let set: Vec<Vertex> = (0..n).filter(|v| (j * 7 + v) % (v + 1) == 0).collect();
+            c.push(&set);
+        }
+        c
     }
 
     #[test]
@@ -672,5 +923,110 @@ pub(crate) mod tests {
         index.absorb(&RrrCollection::new(), 2);
         assert!(index.segments.is_empty());
         assert_matches_the_definition(&index, &RrrCollection::new());
+    }
+
+    #[test]
+    fn cold_vertices_lose_their_rows_and_keep_their_degrees() {
+        // n = 64: vertex v is in about one sample in v + 1, so a few low
+        // ids stay hot and the tables of later segments list them alone.
+        let (n, samples) = (64u32, 600u32);
+        let all = skewed(n, samples);
+        let mut c = RrrCollection::new();
+        let mut index = SampleIndex::new(n);
+        (0..200).for_each(|j| c.push(all.get(j)));
+        index.absorb(&c, 2);
+        let full = index.resident_bytes();
+        let cooled = index.cool_below(40);
+        assert!(cooled > 0 && cooled < n as usize);
+        assert_eq!(index.hot_rows(), n as usize - cooled);
+        assert_eq!(index.segments[0].offsets.len(), index.hot_rows() + 1);
+        assert!(index.resident_bytes() < full);
+        assert_matches_the_definition(&index, &c);
+        // Single samples: each new segment's rows are smaller than its
+        // table over the hot vertices, so the next absorb folds it.
+        for _ in 0..10 {
+            c.push(all.get(c.len()));
+            index.absorb(&c, 2);
+            assert_matches_the_definition(&index, &c);
+        }
+        assert_eq!(index.segments.len(), 2);
+        for round in [300, 600] {
+            (c.len()..round).for_each(|j| c.push(all.get(j)));
+            index.absorb(&c, 1 + round % 2);
+            assert_matches_the_definition(&index, &c);
+        }
+        // Cooling again only adds cold vertices, and a tau of 0 none.
+        let hot = index.hot_rows();
+        assert_eq!(index.cool_below(0), 0);
+        assert!(index.cool_below(200) > 0 && index.hot_rows() < hot);
+        assert_matches_the_definition(&index, &c);
+    }
+
+    #[test]
+    fn tables_keep_a_slot_per_vertex_while_few_are_cold() {
+        // The rarest of 64 vertices turn cold first: listing the many hot
+        // ones would cost more than the few empty slots.
+        let (n, samples) = (64u32, 600u32);
+        let all = skewed(n, samples);
+        let mut c = RrrCollection::new();
+        let mut index = SampleIndex::new(n);
+        (0..300).for_each(|j| c.push(all.get(j)));
+        index.absorb(&c, 2);
+        let least = *index.degrees().iter().min().expect("vertices");
+        assert!(index.cool_below(u64::from(least) + 1) > 0);
+        assert!(index.slots.is_none() && index.hot_rows() > n as usize / 2);
+        assert_eq!(index.segments[0].offsets.len(), n as usize + 1);
+        (300..600).for_each(|j| c.push(all.get(j)));
+        index.absorb(&c, 1);
+        assert_matches_the_definition(&index, &c);
+        // Most turn cold: the tables switch to the hot vertices' slots.
+        index.cool_below(u64::from(index.degree(4)));
+        assert!(index.slots.is_some());
+        assert_matches_the_definition(&index, &c);
+    }
+
+    #[test]
+    fn a_revived_index_rebuilt_from_the_same_samples_has_their_rows_back() {
+        let (n, samples) = (64u32, 400u32);
+        let c = skewed(n, samples);
+        let mut index = SampleIndex::new(n);
+        index.absorb(&c, 2);
+        index.cool_below(u64::MAX);
+        assert_eq!(index.hot_rows(), 0);
+        assert_matches_the_definition(&index, &c);
+        // Vertex 0 is in every sample; it alone reaches the key.
+        let mut fresh = index.revived(u64::from(samples));
+        assert_eq!(fresh.hot_rows(), 1);
+        fresh.absorb(&c, 2);
+        assert_eq!(fresh.degrees(), index.degrees());
+        assert!(!fresh.is_cold(0) && fresh.is_cold(1));
+        assert_matches_the_definition(&fresh, &c);
+    }
+
+    #[test]
+    fn spilled_segments_keep_their_rows_and_packed_tables_read_back() {
+        let (n, samples) = (64u32, 600u32);
+        let all = skewed(n, samples);
+        let mut c = RrrCollection::new();
+        let mut index = SampleIndex::new(n);
+        index.limit_resident(Some(0));
+        for round in [200, 400, 600] {
+            (c.len()..round).for_each(|j| c.push(all.get(j)));
+            index.absorb(&c, 2);
+            index.cool_below(u64::from(index.degree(8)));
+            assert_matches_the_definition(&index, &c);
+        }
+        assert!(index.spilled.len() >= 2);
+        assert!(index.spilled.iter().skip(1).all(|s| s.slots.is_some()));
+    }
+
+    #[test]
+    #[should_panic(expected = "vertex 9 is cold")]
+    fn reading_a_cold_row_panics() {
+        let c = skewed(16, 50);
+        let mut index = SampleIndex::new(16);
+        index.absorb(&c, 1);
+        index.cool_below(u64::from(index.degree(9)) + 1);
+        index.for_each_sample(9, |_| {});
     }
 }

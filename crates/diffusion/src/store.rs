@@ -1008,6 +1008,59 @@ impl DynRrrStore {
         }
     }
 
+    /// Grows `index`, an empty index, from the samples `draw` appends to a
+    /// store that has released its samples into it, under this store's
+    /// budget and with `owners` interval owners: what an index-only run's
+    /// index becomes when it draws its samples again, as it grew the first
+    /// time. Returns the grown index.
+    pub fn regrow(
+        &self,
+        index: SampleIndex,
+        owners: usize,
+        draw: impl FnOnce(&mut Self),
+    ) -> SampleIndex {
+        let n = index.num_vertices() as u32;
+        let mut store = Self::with_inner(DynStoreInner::Flat(MixedRrrCollection::new(n)));
+        store.budget = self.budget;
+        store.index_cache = RefCell::new(Some((index, owners)));
+        store.released.stage_limit = Some(StageLimit::new(n, self.budget));
+        draw(&mut store);
+        store.absorb_new();
+        let (index, _) = store.index_cache.into_inner().expect("the store's index");
+        index
+    }
+
+    /// Puts `index`, an index of the same samples, in place of the store's;
+    /// what the old one spilled still counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store has no index, or if `index` holds a different
+    /// number of samples.
+    pub fn replace_index(&mut self, index: SampleIndex) {
+        let (old, _) = self
+            .index_cache
+            .get_mut()
+            .as_mut()
+            .expect("a store with an index");
+        assert_eq!(index.absorbed_samples(), old.absorbed_samples());
+        self.released.spill_bytes_written += old.spill_bytes_written();
+        self.released.spill_write_failures += old.spill_write_failures();
+        *old = index;
+    }
+
+    /// Turns the index's vertices of degree below `tau` cold
+    /// ([`SampleIndex::cool_below`]); returns how many turned cold and how
+    /// many rows the index keeps, `(0, 0)` without an index.
+    pub fn cool_index_below(&mut self, tau: u64) -> (usize, usize) {
+        self.index_cache
+            .get_mut()
+            .as_mut()
+            .map_or((0, 0), |(index, _)| {
+                (index.cool_below(tau), index.hot_rows())
+            })
+    }
+
     /// Visits a spill-kind store's chunks in sample order (snapshot-write
     /// path, see [`SpillRrrStore::for_each_chunk`]); a flat store has none.
     pub fn for_each_chunk(&self, f: impl FnMut(&[u32], &[u32], &[u8])) {

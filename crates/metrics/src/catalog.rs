@@ -217,6 +217,14 @@ catalog! {
             "Batched frontier exchanges (`alltoallv`) issued by the sharded engine; 0 for replicated engines";
         overlap_nanos OverlapNanos: Counter Max VARIES FINAL "ns"
             "Frontier-exchange latency hidden behind local sampling (post-to-wait gaps, summed); 0 for replicated engines";
+        index_hot_rows IndexHotRows: Level PerRank VARIES FINAL ""
+            "Vertices whose rows the inverted index keeps after the last selection pass of a run that selects from the index alone: every vertex but the cold ones, whose degree fell below `index_hot_tau` (0 for a run that keeps its samples)";
+        index_hot_tau IndexHotTau: Level PerRank VARIES FINAL ""
+            "The degree below which that last pass turned vertices cold: the least count c with c + 3·√c + 9 ≥ g_k/2, g_k being the pass's k-th marginal gain (0 for a run that keeps its samples)";
+        index_regenerations IndexRegenerations: Counter PerRank VARIES LIVE ""
+            "Times a selection pass of an index-only run popped a cold vertex and rebuilt the index from the run's samples drawn again, with the rows of every cold vertex whose degree reached the popped key";
+        index_regeneration_edges IndexRegenerationEdges: Counter PerRank VARIES FINAL ""
+            "In-edges examined while drawing samples again for those rebuilds; never part of `edges_examined`, and never added to the live registry's sampling rows";
     }
     live {
         phase Phase: Level ""

@@ -131,10 +131,37 @@ pub fn disable() {
     ENABLED.store(false, Ordering::SeqCst);
 }
 
-/// Adds `v` to a counter. No-op while disabled.
+thread_local! {
+    /// Set while this thread runs [`muted`].
+    static MUTED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Whether this thread's records reach the registry: it is enabled, and the
+/// thread is not inside [`muted`].
+#[inline]
+fn recording() -> bool {
+    enabled() && !MUTED.with(std::cell::Cell::get)
+}
+
+/// Runs `f` with this thread's counter adds and RRR-size observations left
+/// out of the registry, for work that repeats work the registry already
+/// counted: samples an index-only run draws again to rebuild its index are
+/// the samples it counted when it first drew them.
+pub fn muted<R>(f: impl FnOnce() -> R) -> R {
+    struct Unmute(bool);
+    impl Drop for Unmute {
+        fn drop(&mut self) {
+            MUTED.with(|m| m.set(self.0));
+        }
+    }
+    let _unmute = Unmute(MUTED.with(|m| m.replace(true)));
+    f()
+}
+
+/// Adds `v` to a counter. No-op while disabled or [`muted`].
 #[inline]
 pub fn add(metric: Metric, v: u64) {
-    if !enabled() {
+    if !recording() {
         return;
     }
     CELLS[metric as usize].fetch_add(v, Ordering::Relaxed);
@@ -166,10 +193,10 @@ pub fn get(metric: Metric) -> u64 {
 }
 
 /// Records one RRR-set size into the power-of-two histogram. No-op while
-/// disabled.
+/// disabled or [`muted`].
 #[inline]
 pub fn observe_rrr_size(len: u64) {
-    if !enabled() {
+    if !recording() {
         return;
     }
     HIST[Histogram::bucket_of(len)].fetch_add(1, Ordering::Relaxed);
@@ -254,9 +281,9 @@ mod tests {
     use super::*;
     use std::sync::MutexGuard;
 
-    /// The registry is process-global, so tests that enable/disable it
-    /// must not interleave.
-    fn lock() -> MutexGuard<'static, ()> {
+    /// The registry is process-global, so tests that enable/disable it —
+    /// here and in the sampler's tests — must not interleave.
+    pub(crate) fn lock() -> MutexGuard<'static, ()> {
         static GATE: Mutex<()> = Mutex::new(());
         GATE.lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -294,6 +321,27 @@ mod tests {
         assert_eq!(s.hist[0], 1); // the 0-size observation
         assert_eq!(s.hist[3], 1); // 5 needs 3 bits -> bucket 3
         disable();
+    }
+
+    #[test]
+    fn muted_work_stays_out_of_the_registry_on_its_thread_only() {
+        let _g = lock();
+        enable();
+        add(Metric::EdgesExamined, 5);
+        let inner = muted(|| {
+            add(Metric::EdgesExamined, 100);
+            observe_rrr_size(9);
+            // Another thread records as usual.
+            std::thread::scope(|s| s.spawn(|| add(Metric::EdgesExamined, 1)).join())
+                .expect("the recording thread");
+            7
+        });
+        add(Metric::EdgesExamined, 10);
+        let s = snapshot();
+        disable();
+        assert_eq!(inner, 7);
+        assert_eq!(s.values[Metric::EdgesExamined as usize], 16);
+        assert_eq!(s.hist_count, 0);
     }
 
     #[test]

@@ -243,8 +243,9 @@ pub fn start_sampler_with_cap(
                 samples: vec![snapshot()],
             };
             let mut tick = interval;
+            let mut seen = 0;
             loop {
-                let wake = wait_next(&sig, tick);
+                let wake = wait_next(&sig, tick, &mut seen);
                 let sample = snapshot();
                 if let (Some(f), Wake::Tick) = (observer.as_mut(), &wake) {
                     f(&sample);
@@ -275,20 +276,22 @@ pub fn start_sampler_with_cap(
     }
 }
 
-/// Parks until the next tick deadline, a pulse, or stop — whichever
-/// comes first.
-fn wait_next(sig: &Signal, tick: Duration) -> Wake {
+/// Parks until the next tick deadline, a pulse past the `seen` ones, or
+/// stop — whichever comes first. A pulse sent while the sampler was not
+/// parked (while it took a snapshot, or before it first parked) wakes it
+/// at once rather than being lost.
+fn wait_next(sig: &Signal, tick: Duration, seen: &mut u64) -> Wake {
     let deadline = Instant::now() + tick;
     let mut st = sig
         .state
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let seen = st.pulses;
     loop {
         if st.stop {
             return Wake::Stop;
         }
-        if st.pulses != seen {
+        if st.pulses != *seen {
+            *seen = st.pulses;
             return Wake::Pulse;
         }
         let now = Instant::now();
@@ -305,14 +308,8 @@ fn wait_next(sig: &Signal, tick: Duration) -> Wake {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::lock;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::MutexGuard;
-
-    fn lock() -> MutexGuard<'static, ()> {
-        static GATE: Mutex<()> = Mutex::new(());
-        GATE.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 
     #[test]
     fn sampler_brackets_the_run_and_stops() {

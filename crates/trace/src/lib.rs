@@ -166,6 +166,14 @@ trace_names! {
     QueryEnd = 21, "query-end", (Some("k"), Some("entries"));
     /// `alltoallv_u64` / posted frontier exchange; `arg0` = payload bytes.
     CommExchange = 22, "exchange", (Some("bytes"), None);
+    /// An index-only run turning vertices cold and compacting their rows
+    /// out of the resident index segments; `arg0` = vertices turned cold,
+    /// `arg1` = rows kept.
+    IndexCompact = 23, "index-compact", (Some("cooled"), Some("hot"));
+    /// An index-only run rebuilding its index from its samples drawn again,
+    /// after a selection pass popped a cold vertex; `arg0` = in-edges
+    /// examined, `arg1` = the popped key.
+    IndexRegenerate = 24, "index-regenerate", (Some("edges"), Some("key"));
 }
 
 /// One fixed-size trace record. Timestamps are nanoseconds since the trace
@@ -849,7 +857,7 @@ mod tests {
         let all: Vec<(u8, TraceName)> = (0..=u8::MAX)
             .filter_map(|id| TraceName::from_u8(id).map(|name| (id, name)))
             .collect();
-        assert_eq!(all.len(), 21);
+        assert_eq!(all.len(), 23);
         for &(id, name) in &all {
             assert_eq!(name as u8, id);
             let same_label = all.iter().filter(|(_, n)| n.label() == name.label());
