@@ -35,14 +35,28 @@ fn read_ranking(path: &str) -> Vec<u32> {
         .collect()
 }
 
+const USAGE: &str = "usage: rbo_check --a SEEDS_A --b SEEDS_B [--min 0.95] [--p 0.9]";
+
+/// `--name` as a number, `default` when absent; a bad value prints
+/// `error: …` and the usage line and exits with status 2.
+fn number(args: &Args, name: &str, default: f64) -> f64 {
+    args.try_parse(name).map_or_else(
+        |message| {
+            eprintln!("error: {message}\n{USAGE}");
+            std::process::exit(2);
+        },
+        |value| value.unwrap_or(default),
+    )
+}
+
 fn main() {
     let args = Args::from_env();
     let (Some(path_a), Some(path_b)) = (args.get("a"), args.get("b")) else {
-        eprintln!("usage: rbo_check --a SEEDS_A --b SEEDS_B [--min 0.95] [--p 0.9]");
+        eprintln!("{USAGE}");
         std::process::exit(2);
     };
-    let min: f64 = args.parse_or("min", 0.95);
-    let p: f64 = args.parse_or("p", 0.9);
+    let min = number(&args, "min", 0.95);
+    let p = number(&args, "p", 0.9);
 
     let a = read_ranking(path_a);
     let b = read_ranking(path_b);

@@ -401,12 +401,12 @@ fn main() {
                     storage,
                 ),
             };
-            let detail = format!("theta={} phases=[{}]", r.theta, r.timers);
+            let detail = format!("theta={} phases=[{}]", r.theta, r.report.phase_timers());
             (r.seeds, detail, r.report)
         }
         Engine::Baseline => {
             let r = imm_baseline(&graph, &params);
-            let detail = format!("theta={} phases=[{}]", r.theta, r.timers);
+            let detail = format!("theta={} phases=[{}]", r.theta, r.report.phase_timers());
             (r.seeds, detail, r.report)
         }
         Engine::Dist => {
@@ -420,7 +420,11 @@ fn main() {
                 )
             });
             let r = results.pop().expect("at least one rank");
-            let detail = format!("ranks={ranks} theta={} phases=[{}]", r.theta, r.timers);
+            let detail = format!(
+                "ranks={ranks} theta={} phases=[{}]",
+                r.theta,
+                r.report.phase_timers()
+            );
             (r.seeds, detail, r.report)
         }
         Engine::Sharded => {
@@ -437,13 +441,13 @@ fn main() {
                 r.memory.graph_bytes,
                 r.report.counters.frontier_exchanges,
                 r.report.counters.overlap_nanos,
-                r.timers
+                r.report.phase_timers()
             );
             (r.seeds, detail, r.report)
         }
         Engine::Tim => {
             let r = tim_plus_with_storage(&graph, &params, sample, storage);
-            let detail = format!("theta={} phases=[{}]", r.theta, r.timers);
+            let detail = format!("theta={} phases=[{}]", r.theta, r.report.phase_timers());
             (r.seeds, detail, r.report)
         }
         Engine::Mt => {
@@ -455,7 +459,7 @@ fn main() {
                 sample,
                 storage,
             );
-            let detail = format!("theta={} phases=[{}]", r.theta, r.timers);
+            let detail = format!("theta={} phases=[{}]", r.theta, r.report.phase_timers());
             (r.seeds, detail, r.report)
         }
     };

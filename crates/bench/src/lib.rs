@@ -1,11 +1,12 @@
-//! Shared harness utilities for the experiment binaries that regenerate the
-//! paper's tables and figures.
+//! Shared harness utilities for the crate's binaries.
 //!
-//! Each binary under `src/bin/` reproduces one table or figure (see
-//! DESIGN.md §4 for the index); this library holds what they share: aligned
-//! table printing, a minimal `--flag value` argument parser, timing
-//! helpers, and the standard graph-preparation path (stand-in generation at
-//! a chosen divisor with the paper's weight conventions).
+//! `repro` (`src/bin/repro.rs`) reproduces each of the paper's tables and
+//! figures as one subcommand (see DESIGN.md §4 for the index); `ripples`
+//! and `serve` run IMM on a graph the user names. This library holds what
+//! they share: aligned table rendering, a minimal `--flag value` argument
+//! parser, a timing helper, and the standard graph-preparation paths
+//! (stand-in generation at a chosen divisor with the paper's weight
+//! conventions, or a graph from `--input`, `--standin` or `--gen`).
 
 #![warn(missing_docs)]
 
@@ -62,7 +63,7 @@ pub fn big_four() -> Vec<&'static StandinSpec> {
         .collect()
 }
 
-/// Minimal `--flag value` / `--flag` argument parser for the experiment
+/// Minimal `--flag value` / `--flag` argument parser for the crate's
 /// binaries (no external CLI crates offline).
 #[derive(Clone, Debug, Default)]
 pub struct Args {
@@ -134,21 +135,6 @@ impl Args {
                     .map_err(|_| format!("invalid value `{raw}` for --{name}"))
             })
             .transpose()
-    }
-
-    /// Parses `--name` as `T`, falling back to `default`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (with a readable message) if the value fails to parse —
-    /// experiment binaries prefer failing loudly to running the wrong
-    /// configuration.
-    #[must_use]
-    pub fn parse_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        match self.try_parse(name) {
-            Ok(value) => value.unwrap_or(default),
-            Err(message) => panic!("{message}"),
-        }
     }
 }
 
@@ -375,21 +361,6 @@ impl Table {
         }
         out
     }
-
-    /// Prints to stdout, as CSV when `csv` is set.
-    pub fn print(&self, csv: bool) {
-        if csv {
-            print!("{}", self.render_csv());
-        } else {
-            print!("{}", self.render());
-        }
-    }
-}
-
-/// Formats a `Duration` in seconds with millisecond resolution.
-#[must_use]
-pub fn secs(d: Duration) -> String {
-    format!("{:.3}", d.as_secs_f64())
 }
 
 #[cfg(test)]
@@ -404,18 +375,15 @@ mod tests {
                 .map(|s| s.to_string()),
         );
         assert_eq!(a.get("k"), Some("50"));
-        assert_eq!(a.parse_or("k", 0u32), 50);
+        assert_eq!(a.try_parse::<u32>("k"), Ok(Some(50)));
         assert!(a.flag("csv"));
         assert!(!a.flag("absent"));
-        assert_eq!(a.parse_or("missing", 7u32), 7);
+        assert_eq!(a.try_parse::<u32>("missing"), Ok(None));
         assert_eq!(a.get("model"), Some("ic"));
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid value")]
-    fn args_bad_parse_panics() {
-        let a = Args::from_iter(["--k", "abc"].iter().map(|s| s.to_string()));
-        let _ = a.parse_or("k", 0u32);
+        assert_eq!(
+            a.try_parse::<u32>("model"),
+            Err("invalid value `ic` for --model".to_string())
+        );
     }
 
     #[test]

@@ -175,7 +175,6 @@ pub(crate) fn run_imm<E: Engine>(
             theta: 0,
             coverage_fraction: if n > 0 { 1.0 } else { 0.0 },
             opt_lower_bound: None,
-            timers: report.phase_timers(),
             memory,
             report,
         };
@@ -272,7 +271,6 @@ pub(crate) fn run_imm<E: Engine>(
         theta: held,
         coverage_fraction: sel.fraction,
         opt_lower_bound: lb,
-        timers: report.phase_timers(),
         memory,
         report,
     }

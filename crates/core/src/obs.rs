@@ -15,10 +15,6 @@
 //! Spans are opened with a typed [`SpanKind`], which is also where the live
 //! phase gauges and the trace event of a span come from.
 //!
-//! The legacy flat [`PhaseTimers`] view is *derived* from the span tree
-//! ([`RunReport::phase_timers`]) so [`crate::ImmResult`] stays
-//! source-compatible with code that only reads `result.timers`.
-//!
 //! Exporters are dependency-free: [`RunReport::to_json`] emits a single
 //! machine-readable JSON object, [`RunReport::render_pretty`] an indented
 //! human-readable text block. The `ripples` CLI exposes both behind

@@ -2,7 +2,6 @@
 
 use crate::memory::MemoryStats;
 use crate::obs::RunReport;
-use crate::phases::PhaseTimers;
 use ripples_graph::Vertex;
 
 /// Everything an IMM run reports.
@@ -17,13 +16,11 @@ pub struct ImmResult {
     /// The lower bound on OPT established by estimation (`LB`), if any
     /// round certified one.
     pub opt_lower_bound: Option<f64>,
-    /// Wall-clock per phase.
-    pub timers: PhaseTimers,
     /// Memory accounting.
     pub memory: MemoryStats,
     /// Full observability record: phase spans, work counters, histograms,
-    /// and (for distributed engines) communication accounting. `timers` is
-    /// the flat view derived from this report's span tree.
+    /// and (for distributed engines) communication accounting; its
+    /// [`RunReport::phase_timers`] is the wall-clock per phase.
     pub report: RunReport,
 }
 
@@ -47,7 +44,6 @@ mod tests {
             theta: 100,
             coverage_fraction: 0.25,
             opt_lower_bound: None,
-            timers: PhaseTimers::new(),
             memory: MemoryStats::default(),
             report: RunReport::new("test"),
         };

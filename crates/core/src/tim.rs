@@ -193,7 +193,6 @@ pub fn tim_plus_with_storage(
         theta: collection.len(),
         coverage_fraction: final_sel.fraction,
         opt_lower_bound: Some(kpt),
-        timers: report.phase_timers(),
         memory,
         report,
     }

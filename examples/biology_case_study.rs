@@ -48,7 +48,9 @@ fn main() {
     let imm = imm_multithreaded(&graph, &params, 0);
     println!(
         "IMM: θ = {}, coverage {:.3}, time {}",
-        imm.theta, imm.coverage_fraction, imm.timers
+        imm.theta,
+        imm.coverage_fraction,
+        imm.report.phase_timers()
     );
 
     // Topological comparators.

@@ -25,7 +25,9 @@ fn main() {
     let result = maximize_influence(&graph, &params);
     println!(
         "IMM: θ = {} samples, coverage = {:.4}, phases: {}",
-        result.theta, result.coverage_fraction, result.timers
+        result.theta,
+        result.coverage_fraction,
+        result.report.phase_timers()
     );
     println!("seeds: {:?}", result.seeds);
 

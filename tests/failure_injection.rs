@@ -364,4 +364,68 @@ fn cli_usage_errors_exit_2_and_never_panic() {
     ] {
         refused_before_loading(env!("CARGO_BIN_EXE_serve"), flags, message);
     }
+    // `repro` refuses a value before it builds a graph: each experiment
+    // binary it replaced panicked on these or ran another configuration.
+    let scale_div_x = ["--scale-div", "x"];
+    let mut repro_cases: Vec<(Vec<&str>, String)> = [
+        "table2", "table3", "fig1", "fig2", "fig3", "fig4", "fig5_6", "fig7_8",
+    ]
+    .iter()
+    .map(|&name| {
+        let argv = [&[name][..], &scale_div_x].concat();
+        (argv, "invalid value `x` for --scale-div".to_string())
+    })
+    .collect();
+    for (argv, message) in [
+        (
+            &["fig7_8", "--model", "sir"][..],
+            "unknown --model `sir` (expected ic|lt|both)",
+        ),
+        (
+            &["fig7_8", "--cluster", "mars"],
+            "unknown --cluster `mars` (expected puma|edison|both)",
+        ),
+        (
+            &["fig5_6", "--model", "sir"],
+            "unknown --model `sir` (expected ic|lt)",
+        ),
+        (
+            &["fig5_6", "--model", "both"],
+            "unknown --model `both` (expected ic|lt)",
+        ),
+        (
+            &["fig3", "--graphs", "cit-HepTh,nope"],
+            "unknown stand-in `nope` in --graphs",
+        ),
+        (&["fig7_8", "--ranks", "0"], "--ranks must be positive"),
+        (
+            &["table2", "--epsilon", "2"],
+            "--epsilon must lie in (0, 1), got 2",
+        ),
+        (
+            &["fig1", "--trials", "-1"],
+            "invalid value `-1` for --trials",
+        ),
+        (&["fig9"], "unknown experiment `fig9`"),
+        (&[], "name an experiment"),
+        (&["all", "--scale-div", "64"], "`all` takes no flags"),
+    ] {
+        repro_cases.push((argv.to_vec(), message.to_string()));
+    }
+    for (argv, message) in repro_cases {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(&argv)
+            .output()
+            .expect("spawn repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "repro {argv:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: {message}")) && stderr.contains("usage: repro"),
+            "repro {argv:?}: {stderr}"
+        );
+        assert!(
+            out.stdout.is_empty() && !stderr.contains("done: "),
+            "repro {argv:?} ran: {stderr}"
+        );
+    }
 }
