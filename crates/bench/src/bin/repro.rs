@@ -22,9 +22,9 @@
 //! (`fig5_6` writes `fig5_lt.txt` and `fig6_ic.txt`), printing each one's
 //! wall time on stderr.
 //!
-//! An unknown experiment and a flag value that does not parse or that no
-//! experiment can take print `error: …` and the usage line and exit with
-//! status 2.
+//! An unknown experiment, a flag the chosen experiment does not read, and
+//! a flag value that does not parse or that no experiment can take print
+//! `error: …` and the usage line and exit with status 2.
 //!
 //! This host substitutes for the paper's hardware as DESIGN.md § 1
 //! describes: the multithreaded and distributed figures measure what runs
@@ -35,18 +35,19 @@ use ripples_bench::{big_four, effective_divisor, measure, paper_graph, Args, Tab
 use ripples_comm::{ClusterSpec, ThreadWorld};
 use ripples_core::dist::imm_distributed;
 use ripples_core::mt::imm_multithreaded;
+use ripples_core::obs::SpanKind;
 use ripples_core::scaling::{
     calibrate_rate, predict_distributed, predict_multithreaded, ScalingPoint, WorkTrace,
 };
 use ripples_core::seq::{imm_baseline_with_options, immopt_sequential};
 use ripples_core::theta::ThetaSchedule;
-use ripples_core::{ImmParams, MemoryStats, Phase};
+use ripples_core::{ImmParams, MemoryStats, Phase, RunReport};
 use ripples_diffusion::{estimate_spread, DiffusionModel};
 use ripples_graph::generators::{standin, standin_catalog, StandinSpec};
 use ripples_graph::{Graph, GraphStats};
 use ripples_rng::StreamFactory;
 use std::io::{self, Write};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const USAGE: &str =
     "usage: repro (table2|table3|fig1|fig2|fig3|fig4|fig5_6|fig7_8) [--FLAG VALUE …] \
@@ -58,19 +59,42 @@ const LT: DiffusionModel = DiffusionModel::LinearThreshold;
 
 type Experiment = fn(&Args, &mut dyn Write) -> io::Result<()>;
 
-/// The experiment a subcommand names.
-fn experiment(name: &str) -> Option<Experiment> {
+/// The experiment a subcommand names, and the flags it reads besides
+/// `--csv`.
+fn experiment(name: &str) -> Option<(Experiment, &'static [&'static str])> {
     Some(match name {
-        "table2" => table2,
-        "table3" => table3,
-        "fig1" => fig1,
-        "fig2" => fig2,
-        "fig3" => fig3,
-        "fig4" => fig4,
-        "fig5_6" => fig5_6,
-        "fig7_8" => fig7_8,
+        "table2" => (table2, &["scale-div", "k", "epsilon"]),
+        "table3" => (table3, &["scale-div", "k"]),
+        "fig1" => (fig1, &["scale-div", "trials"]),
+        "fig2" => (fig2, &["scale-div", "analytic-only"]),
+        "fig3" => (fig3, &["scale-div", "graphs", "k"]),
+        "fig4" => (fig4, &["scale-div", "graphs", "epsilon"]),
+        "fig5_6" => (fig5_6, &["scale-div", "graphs", "model", "k", "dense"]),
+        "fig7_8" => (
+            fig7_8,
+            &["scale-div", "cluster", "model", "epsilon", "k", "ranks"],
+        ),
         _ => return None,
     })
+}
+
+/// `args` for experiment `name`, which reads `flags` and `--csv`: any other
+/// flag or a bare argument is a usage error, not silently ignored.
+fn checked_args(name: &str, flags: &[&str], rest: Vec<String>) -> Args {
+    let args = Args::from_iter(rest);
+    if let Some(extra) = args.positional().first() {
+        usage_error(&format!("unexpected argument `{extra}`"));
+    }
+    if let Some(flag) = args
+        .names()
+        .find(|flag| *flag != "csv" && !flags.contains(flag))
+    {
+        usage_error(&format!(
+            "`{name}` does not read --{flag} (it reads --{} and --csv)",
+            flags.join(", --")
+        ));
+    }
+    args
 }
 
 /// A flag the user got wrong: `error: …`, the usage line, exit status 2.
@@ -384,10 +408,21 @@ fn fig2(args: &Args, out: &mut dyn Write) -> io::Result<()> {
 /// stand-in and sweep point, split into the paper's four phases as the
 /// run's report times them. The caller writes its title after the sweep,
 /// so a bad `--scale-div` or `--graphs` leaves stdout empty.
+///
+/// `RoundSelect_s`, beside `SelectSeeds_s`, is the last estimation round's
+/// selection time. When θ asks for no sample beyond that round's,
+/// `SelectSeeds` returns that round's selection instead of repeating it and
+/// reads ~0; the selection the run returned then cost `RoundSelect_s`,
+/// inside `EstimateTheta_s`.
 fn phase_sweep(args: &Args, axis: &str, points: &[(String, ImmParams)]) -> Table {
     let scale_div = positive(args, "scale-div", 8);
     let mut header = vec!["graph".to_string(), axis.to_string()];
-    header.extend(Phase::ALL.map(|phase| format!("{}_s", phase.label())));
+    for phase in Phase::ALL {
+        header.push(format!("{}_s", phase.label()));
+        if phase == Phase::SelectSeeds {
+            header.push("RoundSelect_s".to_string());
+        }
+    }
     header.extend(["total_s".to_string(), "theta".to_string()]);
     let mut table = Table::new(header);
     for spec in graphs(args) {
@@ -395,20 +430,39 @@ fn phase_sweep(args: &Args, axis: &str, points: &[(String, ImmParams)]) -> Table
         for (label, params) in points {
             let r = imm_multithreaded(&graph, params, 0);
             let timers = r.report.phase_timers();
+            let seconds = |d: Duration| format!("{:.3}", d.as_secs_f64());
             let mut row = vec![spec.name.to_string(), label.clone()];
-            row.extend(
-                Phase::ALL
-                    .iter()
-                    .map(|&phase| timers.get(phase))
-                    .chain([timers.total()])
-                    .map(|d| format!("{:.3}", d.as_secs_f64())),
-            );
-            row.push(r.theta.to_string());
+            for phase in Phase::ALL {
+                row.push(seconds(timers.get(phase)));
+                if phase == Phase::SelectSeeds {
+                    row.push(seconds(last_round_select(&r.report)));
+                }
+            }
+            row.extend([seconds(timers.total()), r.theta.to_string()]);
             table.row(row);
             eprintln!("done: {} {axis} {label}", spec.name);
         }
     }
     table
+}
+
+/// What `phase_sweep`'s `RoundSelect_s` column is, under Figures 3 and 4.
+const ROUND_SELECT_NOTE: &str =
+    "# RoundSelect_s: the last estimation round's selection, inside EstimateTheta_s; the\n\
+     # selection returned when SelectSeeds_s reads ~0 (θ needed no further sample)";
+
+/// The `select` span of the last `round-x` under `EstimateTheta`.
+fn last_round_select(report: &RunReport) -> Duration {
+    let estimate = Phase::EstimateTheta.label();
+    let select = SpanKind::Select.label();
+    let nanos = report
+        .spans()
+        .iter()
+        .find(|span| span.name == estimate)
+        .and_then(|span| span.children.last())
+        .and_then(|round| round.children.iter().find(|span| span.name == select))
+        .map_or(0, |span| span.nanos);
+    Duration::from_nanos(u64::try_from(nanos).unwrap_or(u64::MAX))
 }
 
 /// Figure 3: phase-decomposed runtime vs ε (k = 50). Runtime rises as ε
@@ -425,8 +479,11 @@ fn fig3(args: &Args, out: &mut dyn Write) -> io::Result<()> {
         out,
         "# Figure 3 reproduction: phase-decomposed runtime vs ε (k = {k}, IC, all threads)"
     )?;
-    let notes = "# expected shape: runtime rises as ε falls; Estimate+Sample dominate (paper §4.1)";
-    finish(out, args, &table, notes)
+    let notes = format!(
+        "# expected shape: runtime rises as ε falls; Estimate+Sample dominate (paper §4.1)\n\
+         {ROUND_SELECT_NOTE}"
+    );
+    finish(out, args, &table, &notes)
 }
 
 /// Figure 4: phase-decomposed runtime vs k (ε = 0.5).
@@ -441,9 +498,11 @@ fn fig4(args: &Args, out: &mut dyn Write) -> io::Result<()> {
         out,
         "# Figure 4 reproduction: phase-decomposed runtime vs k (ε = {epsilon}, IC, all threads)"
     )?;
-    let notes =
-        "# expected shape: runtime grows with k (θ does too); SelectSeeds' share grows with k";
-    finish(out, args, &table, notes)
+    let notes = format!(
+        "# expected shape: runtime grows with k (θ does too); SelectSeeds' share grows with k\n\
+         {ROUND_SELECT_NOTE}"
+    );
+    finish(out, args, &table, &notes)
 }
 
 /// Figures 5 (LT) and 6 (IC): multithreaded strong scaling, ε = 0.5, k =
@@ -594,7 +653,7 @@ fn all() -> io::Result<()> {
         let path = format!("results/{file}.txt");
         let start = Instant::now();
         let mut out = io::BufWriter::new(std::fs::File::create(&path)?);
-        experiment(name).expect("listed")(&args, &mut out)?;
+        experiment(name).expect("listed").0(&args, &mut out)?;
         out.flush()?;
         eprintln!(
             "repro all: wrote {path} in {:.1} s",
@@ -613,7 +672,9 @@ fn main() {
     let result = match (name.as_str(), experiment(&name)) {
         ("all", _) if rest.is_empty() => all(),
         ("all", _) => usage_error("`all` takes no flags: it runs every experiment at its defaults"),
-        (_, Some(experiment)) => experiment(&Args::from_iter(rest), &mut io::stdout().lock()),
+        (_, Some((experiment, flags))) => {
+            experiment(&checked_args(&name, flags, rest), &mut io::stdout().lock())
+        }
         (_, None) => usage_error(&format!("unknown experiment `{name}`")),
     };
     if let Err(e) = result {

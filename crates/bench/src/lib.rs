@@ -112,6 +112,14 @@ impl Args {
         self.pairs.iter().any(|(n, _)| n == name)
     }
 
+    /// The names of the `--flag`s given, in order (without the dashes).
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        self.pairs
+            .iter()
+            .map(|(n, _)| n.as_str())
+            .filter(|n| !n.is_empty())
+    }
+
     /// Bare (non-`--flag`) tokens, in order. A token following a `--flag`
     /// is that flag's value, not a positional.
     #[must_use]

@@ -124,9 +124,11 @@ pub(crate) fn record_store_counters<S: RrrStore>(report: &mut RunReport, store: 
     report.counters.unsorted_pushes = store.unsorted_pushes();
     report.counters.spill_bytes_written = store.spill_bytes_written();
     report.counters.spill_write_failures = store.spill_write_failures();
-    let (bitmap_sets, bitmap_bytes) = store.bitmap_counts();
-    report.counters.rrr_sets_bitmap = bitmap_sets;
-    report.counters.rrr_bitmap_bytes = bitmap_bytes;
+    let forms = store.form_counts();
+    report.counters.rrr_sets_bitmap = forms.bitmap_sets;
+    report.counters.rrr_bitmap_bytes = forms.bitmap_bytes;
+    report.counters.rrr_sets_complement = forms.complement_sets;
+    report.counters.rrr_complement_bytes = forms.complement_bytes;
 }
 
 /// The counters accumulated over a run's selection passes (`decode_nanos`

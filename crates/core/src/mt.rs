@@ -164,7 +164,8 @@ mod tests {
     fn storage_backends_match_flat_seeds() {
         use ripples_diffusion::RrrStoreKind;
         // Uniform probabilities: cascades span the graph and the flat store
-        // holds them as bitmaps, smaller than any coding of the lists.
+        // holds them as bitmaps or complements, smaller than any coding of
+        // the lists.
         // Weighted cascade: mostly small sets, where flat means lists and
         // the compressed backend is the smaller one.
         let dense = test_graph();
@@ -172,7 +173,8 @@ mod tests {
         for (g, is_dense) in [(&dense, true), (&sparse, false)] {
             let p = ImmParams::new(5, 0.5, DiffusionModel::IndependentCascade, 7);
             let flat = imm_multithreaded(g, &p, 2);
-            assert!(!is_dense || flat.report.counters.rrr_sets_bitmap > 0);
+            let c = &flat.report.counters;
+            assert!(!is_dense || c.rrr_sets_bitmap + c.rrr_sets_complement > 0);
             // The one compressed store, resident and forced to disk.
             for budget in [None, Some(4096)] {
                 let r = imm_multithreaded_with_storage(
@@ -192,7 +194,12 @@ mod tests {
                     (r.coverage_fraction - flat.coverage_fraction).abs() < 1e-12,
                     "{budget:?}"
                 );
-                assert_eq!(r.report.counters.rrr_sets_bitmap, 0, "{budget:?}");
+                let c = &r.report.counters;
+                assert_eq!(
+                    (c.rrr_sets_bitmap, c.rrr_sets_complement),
+                    (0, 0),
+                    "{budget:?}"
+                );
                 assert_eq!(
                     r.report.counters.spill_bytes_written > 0,
                     budget.is_some(),

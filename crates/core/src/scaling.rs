@@ -256,8 +256,9 @@ mod tests {
         use ripples_diffusion::{DiffusionModel, RrrStoreKind, StorageConfig};
         use ripples_graph::{generators::erdos_renyi, WeightModel};
         // The replay regenerates what the run sampled, so its work, θ and
-        // entries are the run's counters — for lists, bitmaps (uniform
-        // probabilities span the graph) and varint chunks, on shared memory
+        // entries are the run's counters — for lists, bitmaps or
+        // complements (uniform probabilities span the graph) and varint
+        // chunks, on shared memory
         // and across ranks (whose counters the engine globalizes).
         let sparse = erdos_renyi(300, 2400, WeightModel::WeightedCascade, false, 21);
         let lt = erdos_renyi(300, 2400, WeightModel::WeightedCascade, true, 21);
@@ -294,7 +295,8 @@ mod tests {
                 let case = format!("{engine} {model} {kind:?}");
                 assert!(counters.rrr_entries > 0, "{case}");
                 let spans = std::ptr::eq(graph, &dense);
-                assert!(counters.rrr_sets_bitmap > 0 || !spans, "{case}");
+                let dense_sets = counters.rrr_sets_bitmap + counters.rrr_sets_complement;
+                assert!(dense_sets > 0 || !spans, "{case}");
                 let trace = WorkTrace::replay(graph, &params, result.theta, 4);
                 assert_eq!(trace.theta as u64, counters.theta_final, "{case}");
                 assert_eq!(trace.rrr_entries, counters.rrr_entries, "{case}");

@@ -10,7 +10,8 @@
 //! * `greedy_cover` — Algorithm 4 as the paper states it, with no index:
 //!   interval owners count the samples, and a cover step probes every alive
 //!   sample. Its two parameters are the collection view (`IntervalSets`:
-//!   sorted lists, lists-or-bitmaps, or any store streamed by one owner)
+//!   sorted lists, lists, bitmaps and complements, or any store streamed by
+//!   one owner)
 //!   and the initial `selected` mask (the serve mode's banned vertices).
 //!   Counters are owned by vertex interval, so no owner ever needs an
 //!   atomic update, and each owner keeps its interval's argmax
@@ -94,7 +95,7 @@ pub struct SelectStats {
     /// counters decrement.
     pub entries_touched: u64,
     /// Wall time spent walking RRR blocks during selection, nanoseconds
-    /// (0 on the flat store, whose lists and bitmaps need no decoding, and
+    /// (0 on the flat store, whose sets in any form need no decoding, and
     /// for a pass over the index, which reads no block).
     pub decode_nanos: u64,
     /// Greedy steps taken: one per seed selected.
@@ -819,7 +820,7 @@ pub fn select_with_engine_store<S: RrrStore>(
 /// | store | collection view | owners |
 /// |---|---|---|
 /// | flat, lists only | sorted lists | `partitions` |
-/// | flat with bitmaps | lists or bitmaps, 64-aligned intervals | `partitions` |
+/// | flat with bitmaps or complements | lists, bitmaps or complements, 64-aligned intervals | `partitions` |
 /// | spill | streamed | 1 |
 ///
 /// # Panics

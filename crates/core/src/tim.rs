@@ -273,15 +273,16 @@ mod tests {
 
     #[test]
     fn storage_backends_match_flat() {
-        // On the uniform-probability graph the flat store holds bitmaps and
-        // is the smallest; on weighted cascade it holds mostly lists and the
+        // On the uniform-probability graph the flat store holds bitmaps or
+        // complements and is the smallest; on weighted cascade it holds mostly lists and the
         // compressed backend undercuts it.
         let dense = test_graph();
         let sparse = erdos_renyi(400, 3200, WeightModel::WeightedCascade, false, 48);
         for (g, is_dense) in [(&dense, true), (&sparse, false)] {
             let p = ImmParams::new(5, 0.5, DiffusionModel::IndependentCascade, 4);
             let flat = tim_plus(g, &p);
-            assert!(!is_dense || flat.report.counters.rrr_sets_bitmap > 0);
+            let c = &flat.report.counters;
+            assert!(!is_dense || c.rrr_sets_bitmap + c.rrr_sets_complement > 0);
             // The one compressed store, resident and forced to disk.
             for budget in [None, Some(4096)] {
                 let r = tim_plus_with_storage(

@@ -42,7 +42,8 @@ fn collection_strategy() -> impl Strategy<Value = (u32, RrrCollection)> {
 
 /// Collections over several bitmap words that mix sets below the flat
 /// store's density rule (kept as lists) with sets far above it (kept as
-/// bitmaps).
+/// bitmaps, or as complements when they leave out fewer than n/32
+/// vertices).
 fn mixed_density_strategy() -> impl Strategy<Value = (u32, RrrCollection)> {
     (65u32..400).prop_flat_map(|n| {
         let sparse = prop::collection::btree_set(0..n, 0..(n / 32) as usize + 1);
@@ -59,8 +60,27 @@ fn mixed_density_strategy() -> impl Strategy<Value = (u32, RrrCollection)> {
     })
 }
 
-/// Collections for the index property: the whole vertex set first (a bitmap
-/// in the flat store), then up to a few hundred sparse sets — past 127
+/// Collections over several bitmap words of sets that each leave out fewer
+/// than n/32 vertices: all held as complements in the flat store.
+fn complement_strategy() -> impl Strategy<Value = (u32, RrrCollection)> {
+    (65u32..400).prop_flat_map(|n| {
+        let missing = prop::collection::btree_set(0..n, 0..((n - 1) / 32 + 1) as usize);
+        (Just(n), prop::collection::vec(missing, 1..24)).prop_map(|(n, sets)| {
+            let mut c = RrrCollection::new();
+            for missing in sets {
+                c.push(
+                    &(0..n)
+                        .filter(|v| !missing.contains(v))
+                        .collect::<Vec<u32>>(),
+                );
+            }
+            (n, c)
+        })
+    })
+}
+
+/// Collections for the index property: the whole vertex set first (a
+/// complement of no ids in the flat store), then up to a few hundred sparse sets — past 127
 /// samples a gap can take two bytes, past a kibibyte of entries the spill
 /// store seals a chunk.
 fn index_collection_strategy() -> impl Strategy<Value = (u32, RrrCollection)> {
@@ -318,7 +338,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// [`assert_every_route_agrees`] where the flat store holds some sets
-    /// as bitmaps, over several bitmap words.
+    /// as bitmaps or complements, over several bitmap words.
     #[test]
     fn mixed_store_selects_like_the_expanded_lists(
         (n, c) in mixed_density_strategy(),
@@ -329,9 +349,31 @@ proptest! {
         for s in c.iter() {
             store.push(s);
         }
-        let dense = c.iter().filter(|s| 32 * s.len() as u64 > u64::from(n)).count() as u64;
-        prop_assert_eq!(store.as_mixed().map(|m| m.bitmap_sets()), Some(dense));
-        prop_assert_eq!(store.as_flat().is_some(), dense == 0);
+        let n64 = u64::from(n);
+        let lens = || c.iter().map(|s| s.len() as u64);
+        let complements = lens().filter(|&len| 32 * (n64 - len) < n64).count() as u64;
+        let bitmaps = lens().filter(|&len| 32 * len > n64).count() as u64 - complements;
+        let forms = store.as_mixed().map(|m| (m.bitmap_sets(), m.complement_sets()));
+        prop_assert_eq!(forms, Some((bitmaps, complements)));
+        prop_assert_eq!(store.as_flat().is_some(), bitmaps + complements == 0);
+        assert_every_route_agrees(n, &c, k, ban_bits)?;
+    }
+
+    /// [`assert_every_route_agrees`] on a flat store of complements alone:
+    /// Sequential, Partitioned, Fused and Auto select on it what the
+    /// reference selects on the same sets as plain lists.
+    #[test]
+    fn complement_store_selects_like_the_expanded_lists(
+        (n, c) in complement_strategy(),
+        k in 1u32..8,
+        ban_bits in any::<u64>(),
+    ) {
+        let mut store = DynRrrStore::new(StorageConfig::default(), n);
+        for s in c.iter() {
+            store.push(s);
+        }
+        let forms = store.as_mixed().map(|m| (m.bitmap_sets(), m.complement_sets()));
+        prop_assert_eq!(forms, Some((0, c.len() as u64)));
         assert_every_route_agrees(n, &c, k, ban_bits)?;
     }
 
@@ -436,8 +478,9 @@ proptest! {
             index.absorb(&lists, 1 + round % 3);
             assert_index_matches_brute_force(&index, n, &c, cut)?;
         }
-        // The index each `DynRrrStore` keeps: bitmaps read by word range
-        // under two owners, spilled blocks streamed under one.
+        // The index each `DynRrrStore` keeps: bitmaps read by word range and
+        // complements by their runs under two owners, spilled blocks
+        // streamed under one.
         let spilling = StorageConfig { kind: RrrStoreKind::Spill, budget: Some(0) };
         for config in [StorageConfig::default(), spilling] {
             let mut store = DynRrrStore::new(config, n);
@@ -449,7 +492,7 @@ proptest! {
                 prop_assert_eq!(store.indexed_samples(), cut);
             }
             match store.as_mixed() {
-                Some(flat) => prop_assert!(flat.bitmap_sets() > 0),
+                Some(flat) => prop_assert!(flat.complement_sets() > 0),
                 // A byte or more per entry: a kibibyte of them seals a chunk.
                 None => prop_assert!(store.spill_bytes_written() > 0 || c.total_entries() < 1024),
             }

@@ -78,8 +78,9 @@ impl IntervalSets for RrrCollection {
     }
 }
 
-/// Lists or bitmaps: an owner's interval is one word range of every bitmap,
-/// so membership is a bit test and the walk a word scan.
+/// Lists, bitmaps or complements: an owner's interval is one word range of
+/// every bitmap, so membership is a bit test and the walk a word scan, and
+/// of a complement the interval less its binary-searched missing ids.
 impl IntervalSets for MixedRrrCollection {
     const ALIGN: usize = 64;
     type Store = Self;

@@ -18,7 +18,8 @@
 //! two-direction layout, the other side of Table 2, lives with its engine
 //! in `ripples-core`). The engines hold it behind [`store::RrrStore`]; the
 //! default backend ([`mixed::MixedRrrCollection`]) is the compact layout
-//! with sets above n/32 vertices kept as bitmaps. Selection may ask the
+//! with sets above n/32 vertices kept as bitmaps and those above 31n/32 as
+//! complements, the ids they leave out. Selection may ask the
 //! store for the one inverted index ([`sample_index::SampleIndex`]:
 //! gap-varint rows, 1–2 bytes per association), which
 //! [`store::DynRrrStore`] builds at the first indexed pass, grows as each
@@ -43,7 +44,7 @@ pub mod store;
 pub use forward::{estimate_spread, simulate_cascade, spread_samples, CascadeOutcome};
 pub use fused::{sample_batch_fused, FUSED_LANES};
 pub use intervals::{IntervalSets, Streamed};
-pub use mixed::{MixedRrrCollection, RrrSetRef, SampleArena};
+pub use mixed::{FormCounts, MixedRrrCollection, RrrSetRef, SampleArena};
 pub use model::DiffusionModel;
 pub use rrr::{generate_rrr, generate_rrr_into, RrrCollection, RrrScratch};
 pub use sample_index::SampleIndex;

@@ -1,35 +1,89 @@
-//! Per-set adaptive RRR storage: each set is a sorted `u32` list or an
-//! n-bit bitmap, whichever is smaller.
+//! Per-set adaptive RRR storage: each set is a sorted `u32` list, an n-bit
+//! bitmap, or the sorted list of the vertices it leaves out, whichever is
+//! smallest.
 //!
 //! On the paper's §4 uniform-probability inputs a reverse cascade spans
 //! most of the graph: a set of ~n vertices costs 4·n bytes as a sorted list
-//! and n/8 bytes as a bitmap. HBMax (PAPERS.md) picks bitmap or coded list
-//! from exactly this density signal; here the choice is made per set by
-//! [`bitmap_is_smaller`], written once and used by every place that picks a
-//! representation — [`MixedRrrCollection::push`] /
-//! [`MixedRrrCollection::append_with`] and the fused sampler's block
+//! and n/8 bytes as a bitmap, but only 4 bytes per vertex it misses as a
+//! complement. HBMax (PAPERS.md) picks bitmap or coded list from exactly
+//! this density signal; here the choice is made per set by [`set_form`],
+//! written once and used by every place that picks a representation —
+//! [`MixedRrrCollection::push`] / [`MixedRrrCollection::append_with`] /
+//! [`MixedRrrCollection::append_bitmap`] and the fused sampler's block
 //! emitter ([`crate::fused`]).
 //!
 //! [`MixedRrrCollection`] is both the store `--rrr-store flat` builds and
 //! the worker-local [`SampleArena`] the parallel samplers fill, so a dense
-//! set travels from the kernel to selection as a bitmap without its list
-//! ever being materialised. While it holds no bitmap it *is* an
-//! [`RrrCollection`] — [`MixedRrrCollection::as_lists`] hands that out and
-//! the slice selectors run on it unchanged — and it allocates nothing
-//! beyond what the list collection allocates.
+//! set travels from the kernel to selection as a bitmap or complement
+//! without its list ever being materialised. While it holds only lists it
+//! *is* an [`RrrCollection`] — [`MixedRrrCollection::as_lists`] hands that
+//! out and the slice selectors run on it unchanged — and it allocates
+//! nothing beyond what the list collection allocates.
 
 use crate::rrr::{interval_of, RrrCollection};
 use ripples_graph::Vertex;
 
+/// How one stored set is held.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SetForm {
+    /// The sorted vertex ids, 4 bytes each.
+    List,
+    /// One bit per vertex of the graph, ⌈n/64⌉ words.
+    Bitmap,
+    /// The sorted ids of the vertices *not* in the set, 4 bytes each.
+    Complement,
+}
+
 /// The one representation rule: a set of `len` vertices out of
-/// `num_vertices` is kept as a bitmap iff `32·len > n`, i.e. iff the
-/// ⌈n/64⌉-word bitmap is smaller than the sorted `u32` list. A property of
-/// the set and the graph alone, so the encoding (and the counters that
-/// report it) repeats exactly across thread and rank counts.
+/// `num_vertices` is kept as a complement iff `32·(n − len) < n` (its
+/// missing ids take fewer bytes than the ⌈n/64⌉-word bitmap, and so than
+/// the list too), else as a bitmap iff `32·len > n` (the bitmap is smaller
+/// than the sorted `u32` list), else as a list. So lists hold sets of up to
+/// n/32 vertices, bitmaps those up to 31n/32 and complements the rest. A
+/// property of the set and the graph alone, so the encoding (and the
+/// counters that report it) repeats exactly across thread and rank counts.
 #[inline]
 #[must_use]
-pub fn bitmap_is_smaller(len: usize, num_vertices: u32) -> bool {
-    32 * len as u64 > u64::from(num_vertices)
+pub fn set_form(len: usize, num_vertices: u32) -> SetForm {
+    let (len, n) = (len as u64, u64::from(num_vertices));
+    if len <= n && 32 * (n - len) < n {
+        SetForm::Complement
+    } else if 32 * len > n {
+        SetForm::Bitmap
+    } else {
+        SetForm::List
+    }
+}
+
+/// What a flat store holds in other forms than lists: the sets held as
+/// bitmaps and as complements, and the bytes of their payload.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FormCounts {
+    /// Sets held as bitmaps.
+    pub bitmap_sets: u64,
+    /// Their words' bytes, ⌈n/64⌉ words each.
+    pub bitmap_bytes: u64,
+    /// Sets held as complements.
+    pub complement_sets: u64,
+    /// Their missing ids' bytes, 4 each.
+    pub complement_bytes: u64,
+}
+
+impl FormCounts {
+    /// Sets held in a form other than a list.
+    #[must_use]
+    pub fn sets(&self) -> u64 {
+        self.bitmap_sets + self.complement_sets
+    }
+}
+
+impl std::ops::AddAssign for FormCounts {
+    fn add_assign(&mut self, other: Self) {
+        self.bitmap_sets += other.bitmap_sets;
+        self.bitmap_bytes += other.bitmap_bytes;
+        self.complement_sets += other.complement_sets;
+        self.complement_bytes += other.complement_bytes;
+    }
 }
 
 /// Words in one bitmap over `num_vertices` vertices.
@@ -88,6 +142,14 @@ pub enum RrrSetRef<'a> {
         /// Number of set bits.
         len: u32,
     },
+    /// Every vertex below `num_vertices` except the strictly ascending
+    /// `missing` ids.
+    Complement {
+        /// The vertices left out of the set.
+        missing: &'a [Vertex],
+        /// The size of the vertex universe.
+        num_vertices: u32,
+    },
 }
 
 impl RrrSetRef<'_> {
@@ -98,6 +160,10 @@ impl RrrSetRef<'_> {
         match self {
             RrrSetRef::List(list) => list.len(),
             RrrSetRef::Bitmap { len, .. } => *len as usize,
+            RrrSetRef::Complement {
+                missing,
+                num_vertices,
+            } => *num_vertices as usize - missing.len(),
         }
     }
 
@@ -108,7 +174,8 @@ impl RrrSetRef<'_> {
         self.len() == 0
     }
 
-    /// Membership: a binary search on a list, one bit test on a bitmap.
+    /// Membership: a binary search on a list or a complement, one bit test
+    /// on a bitmap.
     #[inline]
     #[must_use]
     pub fn contains(&self, v: Vertex) -> bool {
@@ -117,23 +184,32 @@ impl RrrSetRef<'_> {
             RrrSetRef::Bitmap { words, .. } => words
                 .get((v >> 6) as usize)
                 .is_some_and(|w| w >> (v & 63) & 1 == 1),
+            RrrSetRef::Complement {
+                missing,
+                num_vertices,
+            } => v < *num_vertices && missing.binary_search(&v).is_err(),
         }
     }
 
     /// Streams the vertices to `f` in ascending order.
     #[inline]
-    pub fn for_each(&self, f: impl FnMut(Vertex)) {
+    pub fn for_each(&self, mut f: impl FnMut(Vertex)) {
         match self {
             RrrSetRef::List(list) => list.iter().copied().for_each(f),
             RrrSetRef::Bitmap { words, .. } => BitmapIter::new(words).for_each(f),
+            RrrSetRef::Complement {
+                missing,
+                num_vertices,
+            } => for_each_between(missing, 0, *num_vertices, &mut f),
         }
     }
 
     /// Streams the vertices in `[vl, vh)` to `f` in ascending order: the
-    /// binary-searched sub-slice of a list, one word range of a bitmap.
-    /// `vl` must be a multiple of 64, and `vh` too unless no vertex of the
-    /// set is `≥ vh` — Algorithm 4's interval owners, whose last interval
-    /// ends at n.
+    /// binary-searched sub-slice of a list, one word range of a bitmap, the
+    /// interval less the binary-searched missing ids of a complement. `vl`
+    /// must be a multiple of 64, and `vh` too unless no vertex of the set
+    /// is `≥ vh` — Algorithm 4's interval owners, whose last interval ends
+    /// at n.
     #[inline]
     pub fn for_each_in(&self, vl: Vertex, vh: Vertex, mut f: impl FnMut(Vertex)) {
         debug_assert_eq!(vl % 64, 0, "interval must start on a word");
@@ -144,36 +220,67 @@ impl RrrSetRef<'_> {
                 let hi = (vh as usize).div_ceil(64).clamp(lo, words.len());
                 BitmapIter::new(&words[lo..hi]).for_each(|v| f(vl + v));
             }
+            RrrSetRef::Complement {
+                missing,
+                num_vertices,
+            } => {
+                let vh = vh.min(*num_vertices);
+                if vl < vh {
+                    for_each_between(interval_of(missing, vl, vh), vl, vh, &mut f);
+                }
+            }
         }
     }
 }
 
-/// An append-only sequence of RRR sets, each held as a sorted list or as a
-/// bitmap by [`bitmap_is_smaller`].
+/// Streams `[lo, hi)` less the ascending `missing` ids, all inside it, to
+/// `f`: the runs between consecutive missing ids.
+#[inline]
+fn for_each_between(missing: &[Vertex], lo: Vertex, hi: Vertex, f: &mut impl FnMut(Vertex)) {
+    let mut next = lo;
+    for &gap in missing {
+        (next..gap).for_each(&mut *f);
+        next = gap + 1;
+    }
+    (next..hi).for_each(f);
+}
+
+/// An append-only sequence of RRR sets, each held as a sorted list, a
+/// bitmap or a complement by [`set_form`].
 ///
-/// List sets live, in order, in one [`RrrCollection`]; bitmap sets live, in
+/// List and complement sets live, in order, in one [`RrrCollection`] (a
+/// complement as the sorted list of its missing ids); bitmap sets live, in
 /// order, in one word arena. `slots` maps a sample index to its form and
-/// its rank within that form, and stays empty — unallocated — until the
-/// first bitmap set arrives.
+/// its rank within its arena, and stays empty — unallocated — until the
+/// first set that is not a list arrives.
 #[derive(Clone, Debug)]
 pub struct MixedRrrCollection {
     num_vertices: u32,
     lists: RrrCollection,
-    /// `rank << 1 | is_bitmap` per sample; empty while every set is a list.
+    /// `rank << TAG_BITS | form tag` per sample; empty while every set is a
+    /// list.
     slots: Vec<usize>,
     /// `bitmap_words(num_vertices)` words per bitmap set.
     bits: Vec<u64>,
     /// Cardinality of each bitmap set.
     bitmap_lens: Vec<u32>,
+    /// Sets held as complements.
+    complements: u64,
+    /// Missing ids over all complements: their entries in `lists`.
+    missing: u64,
 }
 
 /// A worker's sample arena, filled with one block of a parallel sampling
 /// batch and merged into a store by [`crate::RrrStore::append_arena`]: the
-/// same type the flat store is, so a dense set is a bitmap from the moment
-/// the kernel emits it.
+/// same type the flat store is, so a dense set is a bitmap or complement
+/// from the moment the kernel emits it.
 pub type SampleArena = MixedRrrCollection;
 
+const TAG_BITS: u32 = 2;
+const TAG_MASK: usize = (1 << TAG_BITS) - 1;
+const LIST_SLOT: usize = 0;
 const BITMAP_SLOT: usize = 1;
+const COMPLEMENT_SLOT: usize = 2;
 
 impl MixedRrrCollection {
     /// Creates an empty collection over vertex ids `< num_vertices`.
@@ -192,18 +299,20 @@ impl MixedRrrCollection {
             slots: Vec::new(),
             bits: Vec::new(),
             bitmap_lens: Vec::new(),
+            complements: 0,
+            missing: 0,
         }
     }
 
     /// Adopts an existing list collection (the snapshot-restore path). A
-    /// collection with no set above the density rule is wrapped as it is;
+    /// collection whose sets the rule keeps as lists is wrapped as it is;
     /// otherwise every set is re-encoded by [`Self::push`].
     #[must_use]
     pub fn from_lists(num_vertices: u32, lists: RrrCollection) -> Self {
         let mut out = Self::new(num_vertices);
         if lists
             .iter()
-            .any(|set| bitmap_is_smaller(set.len(), num_vertices))
+            .any(|set| set_form(set.len(), num_vertices) != SetForm::List)
         {
             for set in lists.iter() {
                 out.push(set);
@@ -214,7 +323,7 @@ impl MixedRrrCollection {
         out
     }
 
-    /// The list collection, while no set is held as a bitmap.
+    /// The list collection, while every set is held as a list.
     #[inline]
     #[must_use]
     pub fn as_lists(&self) -> Option<&RrrCollection> {
@@ -238,11 +347,12 @@ impl MixedRrrCollection {
         self.len() == 0
     }
 
-    /// Total vertex entries across all sets, in either form.
+    /// Total vertex entries across all sets, in any form.
     #[must_use]
     pub fn total_entries(&self) -> u64 {
         let in_bitmaps: u64 = self.bitmap_lens.iter().map(|&len| u64::from(len)).sum();
-        self.lists.total_entries() as u64 + in_bitmaps
+        let in_complements = self.complements * u64::from(self.num_vertices) - self.missing;
+        self.lists.total_entries() as u64 - self.missing + in_complements + in_bitmaps
     }
 
     /// Sets held as bitmaps.
@@ -256,6 +366,29 @@ impl MixedRrrCollection {
     #[must_use]
     pub fn bitmap_bytes(&self) -> u64 {
         (self.bits.len() * std::mem::size_of::<u64>()) as u64
+    }
+
+    /// Sets held as complements.
+    #[must_use]
+    pub fn complement_sets(&self) -> u64 {
+        self.complements
+    }
+
+    /// Bytes of complement payload: 4 per missing id.
+    #[must_use]
+    pub fn complement_bytes(&self) -> u64 {
+        self.missing * std::mem::size_of::<Vertex>() as u64
+    }
+
+    /// The four counts above.
+    #[must_use]
+    pub fn form_counts(&self) -> FormCounts {
+        FormCounts {
+            bitmap_sets: self.bitmap_sets(),
+            bitmap_bytes: self.bitmap_bytes(),
+            complement_sets: self.complement_sets(),
+            complement_bytes: self.complement_bytes(),
+        }
     }
 
     /// Samples repaired on insert for violating the sorted contract.
@@ -293,15 +426,20 @@ impl MixedRrrCollection {
             return RrrSetRef::List(self.lists.get(i));
         }
         let slot = self.slots[i];
-        let rank = slot >> 1;
-        if slot & BITMAP_SLOT == 0 {
-            RrrSetRef::List(self.lists.get(rank))
-        } else {
-            let words = bitmap_words(self.num_vertices);
-            RrrSetRef::Bitmap {
-                words: &self.bits[rank * words..(rank + 1) * words],
-                len: self.bitmap_lens[rank],
+        let rank = slot >> TAG_BITS;
+        match slot & TAG_MASK {
+            LIST_SLOT => RrrSetRef::List(self.lists.get(rank)),
+            BITMAP_SLOT => {
+                let words = bitmap_words(self.num_vertices);
+                RrrSetRef::Bitmap {
+                    words: &self.bits[rank * words..(rank + 1) * words],
+                    len: self.bitmap_lens[rank],
+                }
             }
+            _ => RrrSetRef::Complement {
+                missing: self.lists.get(rank),
+                num_vertices: self.num_vertices,
+            },
         }
     }
 
@@ -314,76 +452,123 @@ impl MixedRrrCollection {
     /// [`RrrCollection::push`] enforces — a violating sample is repaired
     /// and counted — and the density rule is applied to the repaired set.
     pub fn push(&mut self, vertices: &[Vertex]) {
-        if bitmap_is_smaller(vertices.len(), self.num_vertices) {
+        if set_form(vertices.len(), self.num_vertices) == SetForm::List {
+            // Repair only shrinks a set, so this one stays a list.
+            self.lists.push(vertices);
+            self.note_list();
+        } else {
             self.append_with(|tail| {
                 tail.extend_from_slice(vertices);
                 0
             });
-        } else {
-            // Repair only shrinks a set, so this one stays a list.
-            self.lists.push(vertices);
-            self.note_list();
         }
     }
 
     /// Appends one set produced by `fill`, which writes the vertices onto
     /// the tail of the list arena (e.g. [`crate::generate_rrr_into`]) and
     /// returns its work count. Validated and repaired like [`Self::push`];
-    /// a set the density rule sends to a bitmap is moved there and its
-    /// list space reused by the next sample.
+    /// a set the density rule sends to a bitmap or a complement is moved
+    /// there and its list space reused.
     pub fn append_with<F>(&mut self, fill: F) -> u64
     where
         F: FnOnce(&mut Vec<Vertex>) -> u64,
     {
         let work = self.lists.append_with(fill);
+        let n = self.num_vertices;
         let newest = self.lists.len() - 1;
         let set = self.lists.get(newest);
-        // Ids beyond the universe cannot be bits; such a set stays a list.
-        let fits = set.last().is_none_or(|&max| max < self.num_vertices);
-        if fits && bitmap_is_smaller(set.len(), self.num_vertices) {
-            let start = self.bits.len();
-            self.grow_bits();
-            let set = self.lists.get(newest);
-            let bitmap = &mut self.bits[start..];
-            for &v in set {
-                bitmap[(v >> 6) as usize] |= 1 << (v & 63);
+        // Ids beyond the universe cannot be bits or gaps; such a set stays
+        // a list.
+        let form = match set.last() {
+            Some(&max) if max >= n => SetForm::List,
+            _ => set_form(set.len(), n),
+        };
+        match form {
+            SetForm::List => self.note_list(),
+            SetForm::Bitmap => {
+                let start = self.bits.len();
+                self.grow_bits();
+                let set = self.lists.get(newest);
+                let bitmap = &mut self.bits[start..];
+                for &v in set {
+                    bitmap[(v >> 6) as usize] |= 1 << (v & 63);
+                }
+                let len = set.len() as u32;
+                self.lists.truncate_last();
+                self.note_bitmap(len);
             }
-            let len = set.len() as u32;
-            self.lists.truncate_last();
-            self.note_bitmap(len);
-        } else {
-            self.note_list();
+            SetForm::Complement => {
+                let mut missing = Vec::with_capacity(n as usize - set.len());
+                let mut next = 0;
+                for &v in set {
+                    missing.extend(next..v);
+                    next = v + 1;
+                }
+                missing.extend(next..n);
+                self.lists.truncate_last();
+                self.append_complement(|tail| tail.extend_from_slice(&missing));
+            }
         }
         work
     }
 
     /// Appends one set given as a bitmap of `len` set bits (the fused
     /// sampler's lane bitmaps). A set the density rule keeps as a list is
-    /// expanded by word scan.
+    /// expanded by word scan, one it keeps as a complement by a scan of the
+    /// clear bits.
     pub fn append_bitmap(&mut self, words: &[u64], len: u32) {
-        debug_assert_eq!(words.len(), bitmap_words(self.num_vertices));
+        let n = self.num_vertices;
+        debug_assert_eq!(words.len(), bitmap_words(n));
         debug_assert_eq!(
             len,
             words.iter().map(|w| w.count_ones()).sum::<u32>(),
             "bitmap cardinality"
         );
-        if bitmap_is_smaller(len as usize, self.num_vertices) {
-            let start = self.bits.len();
-            self.grow_bits();
-            self.bits[start..].copy_from_slice(words);
-            self.note_bitmap(len);
-        } else {
-            self.lists.append_with(|tail| {
-                tail.extend(BitmapIter::new(words));
-                0
-            });
-            self.note_list();
+        match set_form(len as usize, n) {
+            SetForm::List => {
+                self.lists.append_with(|tail| {
+                    tail.extend(BitmapIter::new(words));
+                    0
+                });
+                self.note_list();
+            }
+            SetForm::Bitmap => {
+                let start = self.bits.len();
+                self.grow_bits();
+                self.bits[start..].copy_from_slice(words);
+                self.note_bitmap(len);
+            }
+            SetForm::Complement => self.append_complement(|tail| {
+                for (i, &word) in words.iter().enumerate() {
+                    let base = (i as Vertex) << 6;
+                    let beyond = u64::MAX.checked_shl(n - base).unwrap_or(0);
+                    let clear = !(word | beyond);
+                    tail.extend(BitmapIter::new(&[clear]).map(|v| base + v));
+                }
+            }),
+        }
+    }
+
+    /// Appends one set held in any form over the same vertex universe, so
+    /// in the form the density rule gives it here too.
+    pub(crate) fn push_set(&mut self, set: RrrSetRef<'_>) {
+        match set {
+            RrrSetRef::List(list) => self.push(list),
+            RrrSetRef::Bitmap { words, len } => self.append_bitmap(words, len),
+            RrrSetRef::Complement {
+                missing,
+                num_vertices,
+            } => {
+                debug_assert_eq!(num_vertices, self.num_vertices);
+                debug_assert_eq!(set_form(set.len(), num_vertices), SetForm::Complement);
+                self.append_complement(|tail| tail.extend_from_slice(missing));
+            }
         }
     }
 
     /// Appends the sets of `arena` in order — the merge step of the
-    /// streamed samplers. While neither side holds a bitmap this is a copy
-    /// of the arena's lists and nothing else.
+    /// streamed samplers. While neither side holds anything but lists this
+    /// is a copy of the arena's lists and nothing else.
     pub(crate) fn append_arena(&mut self, arena: &SampleArena) {
         debug_assert_eq!(arena.num_vertices, self.num_vertices);
         if self.slots.is_empty() && arena.slots.is_empty() {
@@ -391,23 +576,25 @@ impl MixedRrrCollection {
             return;
         }
         self.materialize_slots();
-        let list_base = self.lists.len() << 1;
-        let bitmap_base = self.bitmap_lens.len() << 1;
+        let list_base = self.lists.len() << TAG_BITS;
+        let bitmap_base = self.bitmap_lens.len() << TAG_BITS;
         if arena.slots.is_empty() {
             self.slots
-                .extend((0..arena.lists.len()).map(|rank| list_base + (rank << 1)));
+                .extend((0..arena.lists.len()).map(|rank| list_base + (rank << TAG_BITS)));
         } else {
             self.slots.extend(arena.slots.iter().map(|&slot| {
-                slot + if slot & BITMAP_SLOT == 0 {
-                    list_base
-                } else {
+                slot + if slot & TAG_MASK == BITMAP_SLOT {
                     bitmap_base
+                } else {
+                    list_base
                 }
             }));
         }
         self.lists.extend_from(&arena.lists);
         self.bits.extend_from_slice(&arena.bits);
         self.bitmap_lens.extend_from_slice(&arena.bitmap_lens);
+        self.complements += arena.complements;
+        self.missing += arena.missing;
     }
 
     /// Gives the `Vec` growth slack of a batch of appends back:
@@ -427,6 +614,8 @@ impl MixedRrrCollection {
         self.slots.clear();
         self.bits.clear();
         self.bitmap_lens.clear();
+        self.complements = 0;
+        self.missing = 0;
     }
 
     /// Appends one zeroed bitmap to `bits`. Grows by a quarter at a time:
@@ -442,7 +631,9 @@ impl MixedRrrCollection {
 
     fn materialize_slots(&mut self) {
         if self.slots.is_empty() {
-            self.slots = (0..self.lists.len()).map(|rank| rank << 1).collect();
+            self.slots = (0..self.lists.len())
+                .map(|rank| rank << TAG_BITS | LIST_SLOT)
+                .collect();
         }
     }
 
@@ -450,7 +641,8 @@ impl MixedRrrCollection {
     #[inline]
     fn note_list(&mut self) {
         if !self.slots.is_empty() {
-            self.slots.push((self.lists.len() - 1) << 1);
+            self.slots
+                .push((self.lists.len() - 1) << TAG_BITS | LIST_SLOT);
         }
     }
 
@@ -458,8 +650,24 @@ impl MixedRrrCollection {
     /// `bits` as the newest sample.
     fn note_bitmap(&mut self, len: u32) {
         self.materialize_slots();
-        self.slots.push(self.bitmap_lens.len() << 1 | BITMAP_SLOT);
+        self.slots
+            .push(self.bitmap_lens.len() << TAG_BITS | BITMAP_SLOT);
         self.bitmap_lens.push(len);
+    }
+
+    /// Appends, as the newest sample, the complement whose ascending
+    /// missing ids `fill` writes onto the tail of the list arena.
+    fn append_complement(&mut self, fill: impl FnOnce(&mut Vec<Vertex>)) {
+        self.materialize_slots();
+        let before = self.lists.total_entries();
+        self.lists.append_with(|tail| {
+            fill(tail);
+            0
+        });
+        self.slots
+            .push((self.lists.len() - 1) << TAG_BITS | COMPLEMENT_SLOT);
+        self.complements += 1;
+        self.missing += (self.lists.total_entries() - before) as u64;
     }
 }
 
@@ -480,12 +688,26 @@ mod tests {
 
     #[test]
     fn rule_is_the_smaller_encoding() {
-        // n = 64: one word (8 bytes) beats a list from three ids up.
-        assert!(!bitmap_is_smaller(2, 64));
-        assert!(bitmap_is_smaller(3, 64));
-        assert!(!bitmap_is_smaller(0, 0));
-        assert!(!bitmap_is_smaller(62, 2000));
-        assert!(bitmap_is_smaller(63, 2000));
+        use SetForm::{Bitmap, Complement, List};
+        // n = 64: one word (8 bytes) beats a list from three ids up, and one
+        // missing id (4 bytes) beats the word.
+        let forms: Vec<SetForm> = (0..=64).map(|len| set_form(len, 64)).collect();
+        assert_eq!(&forms[..3], [List; 3]);
+        assert!(forms[3..63].iter().all(|&f| f == Bitmap));
+        assert_eq!(&forms[63..], [Complement; 2]);
+        assert_eq!(set_form(0, 0), List);
+        assert_eq!(set_form(1, 1), Complement);
+        assert_eq!(set_form(0, 1), List);
+        // n = 2000: lists up to 62 = n/32, complements from 1938 = 31n/32
+        // up, bitmaps between.
+        assert_eq!(set_form(62, 2000), List);
+        assert_eq!(set_form(63, 2000), Bitmap);
+        assert_eq!(set_form(1937, 2000), Bitmap);
+        assert_eq!(set_form(1938, 2000), Complement);
+        assert_eq!(set_form(2000, 2000), Complement);
+        // A count past n (ids beyond the universe) is never a complement.
+        assert_eq!(set_form(2001, 2000), Bitmap);
+        assert_eq!(set_form(usize::MAX >> 8, u32::MAX), Bitmap);
         assert_eq!(bitmap_words(0), 0);
         assert_eq!(bitmap_words(64), 1);
         assert_eq!(bitmap_words(65), 2);
@@ -542,6 +764,69 @@ mod tests {
     }
 
     #[test]
+    fn near_full_sets_become_complements_and_decode_identically() {
+        // n = 130: three words, not a multiple of 64; sets missing 0–4 ids
+        // (4·missing < 24 bytes) are complements.
+        let n = 130u32;
+        let all: Vec<Vertex> = (0..n).collect();
+        let gaps = |missing: &[Vertex]| -> Vec<Vertex> {
+            all.iter()
+                .copied()
+                .filter(|v| !missing.contains(v))
+                .collect()
+        };
+        let sets = [
+            gaps(&[0, 63, 64, 129]),
+            all.clone(),
+            vec![5, 6],
+            gaps(&[127]),
+        ];
+        let mut c = MixedRrrCollection::new(n);
+        for s in &sets {
+            c.push(s);
+        }
+        assert_eq!(c.complement_sets(), 3);
+        assert_eq!(c.complement_bytes(), 4 * 5);
+        assert_eq!(c.bitmap_sets(), 0);
+        assert!(c.as_lists().is_none());
+        assert_eq!(
+            c.total_entries(),
+            sets.iter().map(|s| s.len() as u64).sum::<u64>()
+        );
+        assert_eq!(decoded(&c), sets.to_vec());
+        assert!(matches!(
+            c.set(0),
+            RrrSetRef::Complement {
+                missing: [0, 63, 64, 129],
+                num_vertices: 130
+            }
+        ));
+        for (i, s) in sets.iter().enumerate() {
+            assert_eq!(c.set(i).len(), s.len());
+            for v in 0..n + 70 {
+                assert_eq!(c.set(i).contains(v), s.contains(&v), "set {i} vertex {v}");
+            }
+            for (vl, vh) in [(0, 64), (64, 128), (128, n), (0, Vertex::MAX), (192, 256)] {
+                let mut got = Vec::new();
+                c.set(i).for_each_in(vl, vh, |v| got.push(v));
+                let expect: Vec<Vertex> =
+                    s.iter().copied().filter(|&v| vl <= v && v < vh).collect();
+                assert_eq!(got, expect, "set {i} in [{vl}, {vh})");
+            }
+        }
+        // The fused sampler's bitmaps reach the same forms.
+        let mut from_bits = MixedRrrCollection::new(n);
+        for s in &sets {
+            let mut words = vec![0u64; bitmap_words(n)];
+            s.iter()
+                .for_each(|&v| words[(v >> 6) as usize] |= 1 << (v & 63));
+            from_bits.append_bitmap(&words, s.len() as u32);
+        }
+        assert_eq!(decoded(&from_bits), sets.to_vec());
+        assert_eq!(from_bits.form_counts(), c.form_counts());
+    }
+
+    #[test]
     fn repair_happens_before_the_rule() {
         // Seven entries look dense for n = 200, the three distinct ones
         // are not.
@@ -589,16 +874,19 @@ mod tests {
     fn arena_merge_matches_pushes_in_every_mix() {
         let n = 300u32;
         let dense: Vec<Vertex> = (0..n).step_by(2).collect();
+        let near_full: Vec<Vertex> = (0..n).filter(|v| ![0, 64, 250].contains(v)).collect();
         let sets: Vec<Vec<Vertex>> = vec![
             vec![1, 5],
             dense.clone(),
+            near_full.clone(),
             vec![],
             vec![299],
             dense,
             vec![0, 1, 2],
+            near_full,
         ];
         // Arena boundaries at every position, so list-only and mixed arenas
-        // meet list-only and mixed destinations.
+        // of all three forms meet list-only and mixed destinations.
         for split in 0..=sets.len() {
             let mut arenas = [
                 SampleArena::with_capacity(n, split),
@@ -619,7 +907,8 @@ mod tests {
                 pushed.push(s);
             }
             assert_eq!(decoded(&merged), decoded(&pushed), "split {split}");
-            assert_eq!(merged.bitmap_sets(), 2);
+            assert_eq!((merged.bitmap_sets(), merged.complement_sets()), (2, 2));
+            assert_eq!(merged.form_counts(), pushed.form_counts());
             assert_eq!(merged.total_entries(), pushed.total_entries());
             // And a bare list collection expands the same arenas.
             let mut bare = RrrCollection::new();
@@ -639,5 +928,13 @@ mod tests {
         let reencoded = MixedRrrCollection::from_lists(40, sparse.clone());
         assert_eq!(reencoded.bitmap_sets(), 1);
         assert_eq!(decoded(&reencoded), vec![vec![1, 2]]);
+        // 39 of 40 vertices: a complement of one id.
+        let near_full: Vec<Vertex> = (0..40).filter(|&v| v != 7).collect();
+        let mut lists = sparse.clone();
+        lists.push(&near_full);
+        let reencoded = MixedRrrCollection::from_lists(40, lists);
+        assert_eq!(reencoded.form_counts().sets(), 2);
+        assert_eq!(reencoded.complement_bytes(), 4);
+        assert_eq!(decoded(&reencoded), vec![vec![1, 2], near_full]);
     }
 }

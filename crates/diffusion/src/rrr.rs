@@ -1,7 +1,7 @@
 //! Random reverse-reachable (RRR) set generation — Algorithm 3's
 //! `GenerateRR` — and the compact one-direction sample collection.
 
-use crate::mixed::{BitmapIter, RrrSetRef, SampleArena};
+use crate::mixed::{RrrSetRef, SampleArena};
 use crate::model::DiffusionModel;
 use ripples_graph::{Graph, RowProbs, Vertex};
 use ripples_rng::SplitMix64;
@@ -401,8 +401,8 @@ impl RrrCollection {
     /// Appends the samples of one arena in order — the merge step of the
     /// streamed samplers ([`crate::sampler::sample_batch`]). Produces the
     /// exact layout that [`RrrCollection::push`]ing every sample would. This
-    /// is the list-only type, so a set the arena holds as a bitmap is
-    /// expanded to its sorted list here.
+    /// is the list-only type, so a set the arena holds as a bitmap or a
+    /// complement is expanded to its sorted list here.
     pub(crate) fn append_arena(&mut self, arena: &SampleArena) {
         if let Some(lists) = arena.as_lists() {
             self.extend_from(lists);
@@ -411,7 +411,7 @@ impl RrrCollection {
         for set in arena.iter() {
             match set {
                 RrrSetRef::List(list) => self.data.extend_from_slice(list),
-                RrrSetRef::Bitmap { words, .. } => self.data.extend(BitmapIter::new(words)),
+                set => set.for_each(|v| self.data.push(v)),
             }
             self.offsets.push(self.data.len());
         }

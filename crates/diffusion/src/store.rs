@@ -7,8 +7,9 @@
 //! first-class choice:
 //!
 //! * [`MixedRrrCollection`] — `--rrr-store flat`: uncompressed and directly
-//!   addressable. Each set is a sorted `u32` list, or an n-bit bitmap once
-//!   it spans more than n/32 vertices ([`crate::mixed::bitmap_is_smaller`]).
+//!   addressable. Each set is a sorted `u32` list, an n-bit bitmap once it
+//!   spans more than n/32 vertices, or the sorted list of the vertices it
+//!   leaves out once it spans more than 31n/32 ([`crate::mixed::set_form`]).
 //!   While no set is that dense the store is exactly the paper's
 //!   [`RrrCollection`] and the slice selection engines binary-search it
 //!   directly; the bitwise baseline for every other backend.
@@ -29,7 +30,7 @@
 
 use crate::compressed::{block_contains, check_block, decode_sample, encode_set};
 use crate::intervals::Streamed;
-use crate::mixed::{MixedRrrCollection, RrrSetRef, SampleArena};
+use crate::mixed::{FormCounts, MixedRrrCollection, RrrSetRef, SampleArena};
 use crate::rrr::RrrCollection;
 use crate::sample_index::SampleIndex;
 use crate::spill::SpillFile;
@@ -100,23 +101,23 @@ pub trait RrrStore {
 
     /// The flat reference collection, when this store is one — selection
     /// dispatch uses it to hand the engine plain sorted slices. A flat-kind
-    /// store answers `Some` only while it holds no bitmap set.
+    /// store answers `Some` only while it holds nothing but lists.
     fn as_flat(&self) -> Option<&RrrCollection> {
         None
     }
 
-    /// The list-or-bitmap collection behind a flat-kind store, whether or
-    /// not it currently holds a bitmap — what selection reads by word scan
-    /// once a bitmap is held.
+    /// The list, bitmap or complement collection behind a flat-kind store,
+    /// whatever forms it currently holds — what selection reads set by set
+    /// once it holds more than lists.
     fn as_mixed(&self) -> Option<&MixedRrrCollection> {
         None
     }
 
-    /// Samples stored as bitmaps (the flat store's density rule) and the
-    /// bytes of their payload.
-    fn bitmap_counts(&self) -> (u64, u64) {
+    /// Samples stored as bitmaps and as complements (the flat store's
+    /// density rule) and the bytes of their payload.
+    fn form_counts(&self) -> FormCounts {
         self.as_mixed()
-            .map_or((0, 0), |mixed| (mixed.bitmap_sets(), mixed.bitmap_bytes()))
+            .map_or_else(FormCounts::default, MixedRrrCollection::form_counts)
     }
 
     /// Total bytes written to a spill file over the store's lifetime
@@ -170,8 +171,9 @@ pub trait RrrStore {
 /// The available storage backends (`--rrr-store`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RrrStoreKind {
-    /// Uncompressed, directly addressable: sorted lists, or bitmaps for
-    /// sets above n/32 vertices ([`MixedRrrCollection`]).
+    /// Uncompressed, directly addressable: sorted lists, bitmaps for sets
+    /// above n/32 vertices and complements for those above 31n/32
+    /// ([`MixedRrrCollection`]).
     Flat,
     /// Delta-varint chunks, spilled to disk beyond a byte budget
     /// ([`SpillRrrStore`]).
@@ -704,8 +706,8 @@ impl RrrStore for SpillRrrStore {
 
     /// Arena content is already validated sorted; repairs that happened
     /// inside the arena carry over into `unsorted_pushes`. A set the arena
-    /// holds as a bitmap is encoded from the word scan, never through a
-    /// list.
+    /// holds as a bitmap or a complement is encoded from that form, never
+    /// through a list.
     fn append_arena(&mut self, arena: &SampleArena) {
         for set in arena.iter() {
             self.push_set(set);
@@ -787,7 +789,7 @@ impl RrrStore for SpillRrrStore {
 /// The concrete layout behind a [`DynRrrStore`].
 #[derive(Debug)]
 enum DynStoreInner {
-    /// Sorted lists, or bitmaps for dense sets.
+    /// Sorted lists, or bitmaps and complements for dense sets.
     Flat(MixedRrrCollection),
     /// Delta-varint chunks with spill-to-disk.
     Spill(SpillRrrStore),
@@ -836,11 +838,13 @@ impl StageLimit {
 }
 
 /// What one set adds to a stage's `(entries, held bytes)`, at most: a list's
-/// entries, offset and slot, or a bitmap's words, length and slot.
+/// entries, offset and slot, a bitmap's words, length and slot, or a
+/// complement's missing ids, offset and slot.
 fn stage_size(set: RrrSetRef<'_>) -> (u64, usize) {
     let bytes = match set {
         RrrSetRef::List(list) => 16 + 4 * list.len(),
         RrrSetRef::Bitmap { words, .. } => 8 * words.len() + 12,
+        RrrSetRef::Complement { missing, .. } => 16 + 4 * missing.len(),
     };
     (set.len() as u64, bytes)
 }
@@ -854,8 +858,7 @@ struct Released {
     samples: usize,
     entries: u64,
     unsorted_pushes: u64,
-    bitmap_sets: u64,
-    bitmap_bytes: u64,
+    forms: FormCounts,
     spill_bytes_written: u64,
     spill_write_failures: u64,
     /// What the stage holds before it is absorbed; `None` while the store
@@ -866,12 +869,10 @@ struct Released {
 impl Released {
     /// Counts the samples and spill file of `store`, which is let go.
     fn retire<S: RrrStore>(&mut self, store: &S) {
-        let (bitmap_sets, bitmap_bytes) = store.bitmap_counts();
         self.samples += store.len();
         self.entries += store.total_entries();
         self.unsorted_pushes += store.unsorted_pushes();
-        self.bitmap_sets += bitmap_sets;
-        self.bitmap_bytes += bitmap_bytes;
+        self.forms += store.form_counts();
         self.spill_bytes_written += store.spill_bytes_written();
         self.spill_write_failures += store.spill_write_failures();
     }
@@ -956,7 +957,7 @@ impl DynRrrStore {
     /// Wraps a restored list collection over a graph of `num_vertices`
     /// (snapshot-restore path): the store behaves exactly as if the samples
     /// had been pushed in place — flat fast paths included when no set is
-    /// dense, bitmaps for the dense ones otherwise.
+    /// dense, bitmaps and complements for the dense ones otherwise.
     #[must_use]
     pub fn from_flat(collection: RrrCollection, num_vertices: u32) -> Self {
         Self::with_inner(DynStoreInner::Flat(MixedRrrCollection::from_lists(
@@ -1163,10 +1164,7 @@ impl RrrStore for DynRrrStore {
                     let DynStoreInner::Flat(stage) = &mut self.inner else {
                         unreachable!("a released store is flat");
                     };
-                    match set {
-                        RrrSetRef::List(list) => stage.push(list),
-                        RrrSetRef::Bitmap { words, len } => stage.append_bitmap(words, len),
-                    }
+                    stage.push_set(set);
                 }
                 self.released.unsorted_pushes += arena.unsorted_pushes();
             }
@@ -1236,12 +1234,10 @@ impl RrrStore for DynRrrStore {
         dyn_delegate!(&self.inner, s => RrrStore::as_mixed(s).filter(|_| kept))
     }
 
-    fn bitmap_counts(&self) -> (u64, u64) {
-        let (sets, bytes) = dyn_delegate!(&self.inner, s => RrrStore::bitmap_counts(s));
-        (
-            sets + self.released.bitmap_sets,
-            bytes + self.released.bitmap_bytes,
-        )
+    fn form_counts(&self) -> FormCounts {
+        let mut forms = dyn_delegate!(&self.inner, s => RrrStore::form_counts(s));
+        forms += self.released.forms;
+        forms
     }
 
     /// Samples and index segments alike.
@@ -1470,12 +1466,13 @@ mod tests {
     #[test]
     fn bitmap_tiny_universe() {
         // n = 2: any non-empty set is denser than n/32, so it is a bitmap
-        // of one word.
+        // of one word — or, holding all of n, a complement of no ids.
         let mut c = MixedRrrCollection::new(2);
         RrrStore::push(&mut c, &[0, 1]);
         RrrStore::push(&mut c, &[1]);
         RrrStore::push(&mut c, &[]);
-        assert_eq!(c.bitmap_sets(), 2);
+        assert_eq!((c.bitmap_sets(), c.complement_sets()), (1, 1));
+        assert_eq!((c.bitmap_bytes(), c.complement_bytes()), (8, 0));
         assert!(c.as_flat().is_none());
         let mut out = Vec::new();
         RrrStore::decode_into(&c, 0, &mut out);
@@ -1816,10 +1813,7 @@ mod tests {
             kept.push(set);
         }
         assert!(kept.bitmap_sets() > 0);
-        assert_eq!(
-            store.bitmap_counts(),
-            (kept.bitmap_sets(), kept.bitmap_bytes())
-        );
+        assert_eq!(store.form_counts(), kept.form_counts());
         store.with_current_index(|index| {
             let index = index.expect("the index holds every sample");
             crate::sample_index::tests::assert_matches_the_definition(index, &c);

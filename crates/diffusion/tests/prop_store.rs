@@ -2,12 +2,13 @@
 //! vertex ids must survive the flat → compressed → decode round trip
 //! bit-for-bit, through every backend — the compressed one resident and
 //! forced to disk — and through the arena merge path, including the sets on
-//! either side of the flat store's list/bitmap rule.
+//! either side of the flat store's list/bitmap and bitmap/complement
+//! boundaries.
 
 use proptest::prelude::*;
 use ripples_diffusion::{
-    sample_batch_fused, DiffusionModel, DynRrrStore, RrrCollection, RrrStore, RrrStoreKind,
-    SampleArena, SpillRrrStore, StorageConfig,
+    sample_batch_fused, DiffusionModel, DynRrrStore, RrrCollection, RrrSetRef, RrrStore,
+    RrrStoreKind, SampleArena, SpillRrrStore, StorageConfig,
 };
 use ripples_graph::generators::erdos_renyi;
 use ripples_graph::WeightModel;
@@ -53,16 +54,23 @@ fn assert_round_trip<S: RrrStore>(store: &S, sets: &[Vec<u32>]) {
 }
 
 /// Universe sizes around the bitmap word width.
-const UNIVERSES: [u32; 5] = [1, 63, 64, 65, 2000];
+const UNIVERSES: [u32; 6] = [1, 63, 64, 65, 130, 2000];
+
+/// The fewest vertices a complement holds: `32·(n − len) < n`.
+fn first_complement(n: u32) -> u32 {
+    n - (n - 1) / 32
+}
 
 /// `(n, raw sample lists)` whose lengths sit on both sides of the flat
-/// store's rule (a bitmap from `n/32 + 1` vertices up): empty, `n/32`,
-/// `n/32 + 1`, all `n`, and arbitrary lengths, some handed over reversed
-/// and with a duplicate so that they must be repaired and counted.
+/// store's two boundaries (a bitmap from `n/32 + 1` vertices up, a
+/// complement from [`first_complement`] up): empty, `n/32`, `n/32 + 1`,
+/// the last bitmap, the first complement, `n − 1`, all `n`, and arbitrary
+/// lengths, some handed over reversed and with a duplicate so that they
+/// must be repaired and counted.
 fn boundary_samples() -> impl Strategy<Value = (u32, Vec<Vec<u32>>)> {
     (
         0usize..UNIVERSES.len(),
-        prop::collection::vec((0u8..7, any::<u64>()), 0..14),
+        prop::collection::vec((0u8..10, any::<u64>()), 0..14),
     )
         .prop_map(|(universe, specs)| {
             let n = UNIVERSES[universe];
@@ -74,6 +82,9 @@ fn boundary_samples() -> impl Strategy<Value = (u32, Vec<Vec<u32>>)> {
                         1 => n / 32,
                         2 => n / 32 + 1,
                         3 => n,
+                        7 => first_complement(n) - 1,
+                        8 => first_complement(n),
+                        9 => n - 1,
                         _ => (seed % (u64::from(n) + 1)) as u32,
                     }
                     .min(n);
@@ -84,7 +95,7 @@ fn boundary_samples() -> impl Strategy<Value = (u32, Vec<Vec<u32>>)> {
                         .map(|i| ((offset + i * step) % u64::from(n)) as u32)
                         .collect();
                     ids.sort_unstable();
-                    if shape >= 5 && ids.len() >= 2 {
+                    if matches!(shape, 5 | 6) && ids.len() >= 2 {
                         ids.reverse();
                         ids.push(ids[0]);
                     }
@@ -119,11 +130,12 @@ fn flat_store(n: u32) -> DynRrrStore {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Samples on both sides of the representation boundary decode
+    /// Samples on both sides of the representation boundaries decode
     /// identically from every backend, filled by `push` or through arenas
-    /// that already hold the dense ones as bitmaps; repairs are counted
-    /// once either way, and the flat store keeps as bitmaps exactly the
-    /// repaired sets with `32·len > n`.
+    /// that already hold the dense ones as bitmaps or complements; repairs
+    /// are counted once either way, and the flat store keeps as
+    /// complements exactly the repaired sets with `32·(n − len) < n` and as
+    /// bitmaps the others with `32·len > n`.
     #[test]
     fn boundary_sets_round_trip_by_push_and_by_arena((n, raw) in boundary_samples()) {
         let expect: Vec<Vec<u32>> = raw
@@ -136,7 +148,10 @@ proptest! {
             })
             .collect();
         let repaired = raw.iter().zip(&expect).filter(|(r, e)| r != e).count() as u64;
-        let dense = expect.iter().filter(|s| 32 * s.len() as u64 > u64::from(n)).count() as u64;
+        let n64 = u64::from(n);
+        let lens = || expect.iter().map(|s| s.len() as u64);
+        let complements = lens().filter(|&len| 32 * (n64 - len) < n64).count() as u64;
+        let bitmaps = lens().filter(|&len| 32 * len > n64).count() as u64 - complements;
         let mut arenas = [SampleArena::new(n), SampleArena::new(n)];
         for (i, s) in raw.iter().enumerate() {
             arenas[usize::from(i >= raw.len() / 2)].append_with(|tail| {
@@ -155,14 +170,69 @@ proptest! {
             for store in [&pushed, &merged] {
                 assert_round_trip(store, &expect);
                 prop_assert_eq!(store.unsorted_pushes(), repaired, "{:?}", config);
-                let bitmaps = store.as_mixed().map(|m| m.bitmap_sets());
-                prop_assert_eq!(bitmaps, flat.then_some(dense));
-                prop_assert_eq!(store.as_flat().is_some(), flat && dense == 0);
+                let forms = store.as_mixed().map(|m| (m.bitmap_sets(), m.complement_sets()));
+                prop_assert_eq!(forms, flat.then_some((bitmaps, complements)));
+                prop_assert_eq!(store.as_flat().is_some(), flat && bitmaps + complements == 0);
             }
         }
         let mut bare = RrrCollection::new();
         bare.append_arenas(&arenas);
         assert_round_trip(&bare, &expect);
+    }
+
+    /// A set at any density — empty, `n − 1` and `n` included, ids on
+    /// 64-word boundaries, `n` a multiple of 64 or not — reads the same
+    /// from the list, the bitmap and the complement that hold it: `len`,
+    /// `contains`, `for_each`, and `for_each_in` over every interval of
+    /// Algorithm 4's owners (word-aligned bounds, the last ending at `n` or
+    /// past every id).
+    #[test]
+    fn three_forms_read_alike(
+        n in 1u32..300,
+        whole_words in any::<bool>(),
+        density in 0u32..65,
+        shape in 0u8..4,
+        seed in any::<u64>(),
+    ) {
+        let n = if whole_words { n.div_ceil(64) * 64 } else { n };
+        let set: Vec<u32> = match shape {
+            0 => Vec::new(),
+            1 => (0..n).filter(|&v| v != (seed % u64::from(n)) as u32).collect(),
+            2 => (0..n).collect(),
+            _ => (0..n)
+                .filter(|&v| {
+                    let h = (u64::from(v) ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    (h >> 58) < u64::from(density)
+                })
+                .collect(),
+        };
+        let mut words = vec![0u64; n.div_ceil(64) as usize];
+        set.iter().for_each(|&v| words[(v >> 6) as usize] |= 1 << (v & 63));
+        let missing: Vec<u32> = (0..n).filter(|v| set.binary_search(v).is_err()).collect();
+        let forms = [
+            RrrSetRef::List(&set),
+            RrrSetRef::Bitmap { words: &words, len: set.len() as u32 },
+            RrrSetRef::Complement { missing: &missing, num_vertices: n },
+        ];
+        let mut bounds: Vec<u32> = (0..n).step_by(64).collect();
+        bounds.push(n);
+        for form in forms {
+            prop_assert_eq!(form.len(), set.len(), "{:?}", form);
+            for v in 0..n + 65 {
+                prop_assert_eq!(form.contains(v), set.binary_search(&v).is_ok(), "{:?} {}", form, v);
+            }
+            let mut all = Vec::new();
+            form.for_each(|v| all.push(v));
+            prop_assert_eq!(&all, &set);
+            for (i, &vl) in bounds.iter().enumerate().take(bounds.len() - 1) {
+                for vh in [bounds[i + 1], u32::MAX] {
+                    let mut got = Vec::new();
+                    form.for_each_in(vl, vh, |v| got.push(v));
+                    let expect: Vec<u32> = set.iter().copied().filter(|&v| vl <= v && v < vh).collect();
+                    prop_assert_eq!(got, expect, "{:?} in [{}, {})", form, vl, vh);
+                }
+            }
+        }
     }
 
     /// The list collection and the chunked varint store at any budget —
@@ -238,12 +308,23 @@ fn all_list_flat_store_costs_what_the_list_collection_costs() {
 }
 
 /// The fused kernel hands graph-spanning cascades over as transposed
-/// bitmaps. What the flat store then holds decodes bitwise equal to the
-/// same emission expanded into the list-only collection, at every thread
-/// count, for a batch that starts and ends inside a 64-lane block.
+/// bitmaps. What the flat store then holds — complements where the
+/// cascades cover near all of the graph (p = 0.6), bitmaps where they cover
+/// a good part of it (p = 0.15) — decodes bitwise equal to the same
+/// emission expanded into the list-only collection, at every thread count,
+/// for a batch that starts and ends inside a 64-lane block.
 #[test]
 fn fused_emission_into_flat_store_equals_list_emission_at_any_thread_count() {
-    let graph = erdos_renyi(333, 4000, WeightModel::Constant(0.6), false, 7);
+    for (p, complements, bitmaps) in [(0.6, 650, 0), (0.15, 0, 450)] {
+        fused_emission_matches_lists(p, complements, bitmaps);
+    }
+}
+
+/// The check above on `G(333, 4000)` at edge probability `p`, where the flat
+/// store must hold at least `complements` complements and `bitmaps`
+/// bitmaps of the 700 sets.
+fn fused_emission_matches_lists(p: f32, complements: u64, bitmaps: u64) {
+    let graph = erdos_renyi(333, 4000, WeightModel::Constant(p), false, 7);
     let factory = StreamFactory::new(2024);
     let model = DiffusionModel::IndependentCascade;
     let mut lists = RrrCollection::new();
@@ -259,7 +340,11 @@ fn fused_emission_into_flat_store_equals_list_emission_at_any_thread_count() {
             (store, outcome)
         });
         let held = store.as_mixed().expect("flat kind");
-        assert!(held.bitmap_sets() > 600, "cascades were meant to span");
+        assert!(
+            held.complement_sets() >= complements && held.bitmap_sets() >= bitmaps,
+            "cascades were meant to span: p = {p}, {:?}",
+            held.form_counts()
+        );
         assert_eq!(outcome.edges_examined, reference.edges_examined);
         assert_eq!(store.total_entries(), lists.total_entries() as u64);
         let mut out = Vec::new();

@@ -115,7 +115,7 @@ fn pool(threads: usize) -> rayon::ThreadPool {
 #[test]
 fn streamed_batches_equal_one_thread_pushing_in_order() {
     // Sparse cascades the flat store keeps as lists; graph-spanning ones it
-    // keeps as bitmaps.
+    // keeps as bitmaps or complements.
     let sparse = erdos_renyi(2000, 8000, WeightModel::Constant(0.05), false, 5);
     let dense = erdos_renyi(200, 2400, WeightModel::Constant(0.5), false, 9);
     let f = StreamFactory::new(2024);
@@ -148,8 +148,9 @@ fn streamed_batches_equal_one_thread_pushing_in_order() {
                             let per_worker: u64 = outcome.per_worker_samples.iter().sum();
                             assert_eq!(per_worker, count as u64, "{case}");
                             if let (Filled::Dyn(flat), "flat", 64..) = (&filled, store, count) {
-                                let bitmaps = flat.as_mixed().expect("flat kind").bitmap_sets();
-                                assert_eq!(bitmaps > 0, graph == "dense", "{case}");
+                                let dense =
+                                    flat.as_mixed().expect("flat kind").form_counts().sets();
+                                assert_eq!(dense > 0, graph == "dense", "{case}");
                             }
                         }
                     }

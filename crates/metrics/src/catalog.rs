@@ -200,9 +200,13 @@ catalog! {
         spill_bytes_written SpillBytesWritten: Counter PerRank VARIES FINAL "bytes"
             "Bytes written to spill files on this process: sample chunks of a spill-kind store and the inverted index's segments under its `--rrr-budget` (0 for RAM-only storage)";
         rrr_sets_bitmap RrrSetsBitmap: Counter Sum STABLE FINAL ""
-            "RRR sets the flat store holds as bitmaps rather than sorted lists: those spanning more than n/32 vertices (globally, for the distributed engines; 0 for the spill store)";
+            "RRR sets the flat store holds as bitmaps rather than sorted lists: those spanning more than n/32 and at most 31n/32 vertices, the denser ones being complements (globally, for the distributed engines; 0 for the spill store)";
         rrr_bitmap_bytes RrrBitmapBytes: Counter Sum STABLE FINAL "bytes"
             "Payload bytes of those bitmaps, ⌈n/64⌉ words each (globally, for the distributed engines)";
+        rrr_sets_complement RrrSetsComplement: Counter Sum STABLE FINAL ""
+            "RRR sets the flat store holds as complements, the sorted list of the vertices they leave out: those spanning more than 31n/32 vertices (globally, for the distributed engines; 0 for the spill store)";
+        rrr_complement_bytes RrrComplementBytes: Counter Sum STABLE FINAL "bytes"
+            "Payload bytes of those complements, 4 per vertex left out (globally, for the distributed engines)";
         spill_write_failures SpillWriteFailures: Counter PerRank VARIES FINAL ""
             "Spill-file creations or writes that failed on this process; the store then keeps its sets, or the index its segments, resident beyond `--rrr-budget`";
         retries Retries: Counter Max VARIES LIVE ""

@@ -32,7 +32,7 @@ use ripples_core::{
 };
 use ripples_diffusion::{
     sample_batch_fused, sample_batch_sequential, sample_root_of, spread_samples, DiffusionModel,
-    DynRrrStore, MixedRrrCollection, RrrCollection, RrrStore, RrrStoreKind, StorageConfig,
+    DynRrrStore, RrrCollection, RrrStore, RrrStoreKind, StorageConfig,
 };
 use ripples_graph::generators::erdos_renyi;
 use ripples_graph::{Graph, WeightModel};
@@ -226,12 +226,16 @@ pub(crate) fn check_storage_equivalence(
     for s in collection.iter() {
         RrrStore::push(&mut flat, s);
     }
-    let bitmaps = flat.as_mixed().map_or(0, MixedRrrCollection::bitmap_sets);
+    let forms = flat.form_counts();
     report.check(
         CheckKind::StorageEquivalence,
         "dense:flat",
-        bitmaps > 0 && flat.as_flat().is_none(),
-        || format!("the dense case is vacuous: {bitmaps} bitmap sets in the flat store"),
+        forms.sets() > 0 && flat.as_flat().is_none(),
+        || {
+            format!(
+                "the dense case is vacuous: no bitmap or complement in the flat store ({forms:?})"
+            )
+        },
     );
     for storage in [StorageConfig::default()]
         .into_iter()

@@ -24,8 +24,9 @@
 //!
 //! Flat payload: `u64` offsets length, offsets as `u64` each, `u64` data
 //! length, vertex ids as `u32` each — the *logical* content, every set as
-//! its sorted list whether the store holds it as a list or as a bitmap; a
-//! restore re-encodes each set by the store's own density rule. Kind-1
+//! its sorted list whether the store holds it as a list, a bitmap or a
+//! complement; a restore re-encodes each set by the store's own density
+//! rule. Kind-1
 //! payload: `u64` offsets length (θ + 1), the global byte offset bounding
 //! each sample's block as `u64` each, `u64` counts length (θ), per-sample
 //! vertex counts as `u32` each, `u64` byte-stream length, the delta-varint

@@ -481,11 +481,12 @@ fn checksum_valid_hostile_kind1_payloads_are_rejected() {
     }
 }
 
-/// A flat store that holds its sets as bitmaps (`--gen ba:2000:8 --weights
-/// uniform`, fused sampler) snapshots its logical content — at the parent
-/// commit this was a panic — and the restore, which re-encodes every set by
-/// the density rule, holds the same bitmaps and answers every query kind
-/// identically.
+/// A flat store that holds its sets as complements (`--gen ba:2000:8
+/// --weights uniform`, fused sampler, where nearly every cascade covers
+/// more than 31n/32 vertices) snapshots its logical content — one u32 per
+/// vertex entry, whatever the form — and the restore, which re-encodes
+/// every set by the density rule, holds the same bitmaps and complements
+/// and answers every query kind identically.
 #[test]
 fn dense_sketch_round_trips_through_its_logical_content() {
     use ripples_graph::generators::barabasi_albert;
@@ -501,8 +502,8 @@ fn dense_sketch_round_trips_through_its_logical_content() {
             StorageConfig::default(),
         );
         let held = svc.store().as_mixed().expect("flat kind");
-        assert!(svc.store().as_flat().is_none() && held.bitmap_sets() > 0);
-        let bitmap_sets = held.bitmap_sets();
+        assert!(svc.store().as_flat().is_none() && held.complement_sets() > 0);
+        let forms = held.form_counts();
 
         let bytes = encode_snapshot(&svc);
         assert_eq!(
@@ -512,8 +513,8 @@ fn dense_sketch_round_trips_through_its_logical_content() {
         );
         let restored = decode_snapshot(&bytes, &graph).unwrap();
         assert_eq!(
-            restored.store.as_mixed().map(|m| m.bitmap_sets()),
-            Some(bitmap_sets)
+            restored.store.as_mixed().map(|m| m.form_counts()),
+            Some(forms)
         );
         let (mut a, mut b) = (Vec::new(), Vec::new());
         for i in 0..svc.theta() {

@@ -406,6 +406,15 @@ fn cli_usage_errors_exit_2_and_never_panic() {
             &["fig1", "--trials", "-1"],
             "invalid value `-1` for --trials",
         ),
+        (
+            &["fig2", "--graphs", "nope"],
+            "`fig2` does not read --graphs (it reads --scale-div, --analytic-only and --csv)",
+        ),
+        (
+            &["fig4", "--k", "20"],
+            "`fig4` does not read --k (it reads --scale-div, --graphs, --epsilon and --csv)",
+        ),
+        (&["table3", "64"], "unexpected argument `64`"),
         (&["fig9"], "unknown experiment `fig9`"),
         (&[], "name an experiment"),
         (&["all", "--scale-div", "64"], "`all` takes no flags"),

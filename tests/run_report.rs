@@ -136,14 +136,21 @@ fn all_entry_points_agree_on_deterministic_counters() {
     assert_populated(&seq.report, "immopt");
     assert!(seq.report.comm.is_none(), "sequential run has no comm");
     let expect = deterministic_counters(&seq);
-    assert!(expect.iter().any(|&(name, _)| name == "rrr_sets_bitmap"));
+    for name in ["rrr_sets_bitmap", "rrr_sets_complement"] {
+        assert!(expect.iter().any(|&(row, _)| row == name), "{name}");
+    }
     assert_eq!(seq.report.counters.theta_final, seq.theta as u64);
     assert_eq!(seq.report.rrr_sizes.count(), seq.theta as u64);
     // Uniform probabilities on 300 vertices: most cascades span more than
-    // n/32 of them, and each of those costs ⌈300/64⌉ = 5 words.
-    let bitmaps = seq.report.counters.rrr_sets_bitmap;
-    assert!(bitmaps > 0 && bitmaps <= seq.theta as u64);
-    assert_eq!(seq.report.counters.rrr_bitmap_bytes, bitmaps * 5 * 8);
+    // n/32 of them. Each bitmap costs ⌈300/64⌉ = 5 words; each complement
+    // leaves out at most 9 vertices (32·9 < 300), 4 bytes each.
+    let c = &seq.report.counters;
+    let (bitmaps, complements) = (c.rrr_sets_bitmap, c.rrr_sets_complement);
+    assert!(bitmaps + complements > 0 && bitmaps + complements <= seq.theta as u64);
+    assert_eq!(c.rrr_bitmap_bytes, bitmaps * 5 * 8);
+    assert!(
+        c.rrr_complement_bytes.is_multiple_of(4) && c.rrr_complement_bytes <= complements * 9 * 4
+    );
 
     // Multithreaded: identical counters at every thread count.
     for threads in [1usize, 2, 4] {

@@ -3,7 +3,7 @@
 //! at the same master seed and `k_max` — across every select engine ×
 //! `--rrr-store` backend combination, on Table 2 stand-in graphs, for
 //! k ∈ {1, 10, k_max}; and, per select engine, on a dense graph whose
-//! fused-sampled sketch the flat store holds as bitmaps.
+//! fused-sampled sketch the flat store holds as complements.
 //!
 //! Also covered here:
 //!
@@ -99,8 +99,8 @@ macro_rules! serve_grid {
     };
 }
 
-/// The flat store with its dense sets held as bitmaps, fed by the fused
-/// sampler's transposed lane masks.
+/// The flat store with its dense sets held as bitmaps or complements, fed
+/// by the fused sampler's transposed lane masks.
 macro_rules! serve_grid_dense {
     ($($test:ident: $select:ident,)*) => {
         $(
@@ -113,7 +113,7 @@ macro_rules! serve_grid_dense {
                     RrrStoreKind::Flat,
                 );
                 let store = svc.store().as_mixed().expect("flat kind");
-                assert!(store.bitmap_sets() > 0 && svc.store().as_flat().is_none());
+                assert!(store.form_counts().sets() > 0 && svc.store().as_flat().is_none());
             }
         )*
     };
@@ -283,7 +283,7 @@ fn topk_small_is_prefix_of_topk_max() {
 /// Snapshot → restore: the restored service answers every query size
 /// bitwise-identically to the writer and to fresh batch runs, without
 /// re-running sampling (its store is byte-restored, θ included). The dense
-/// case snapshots a flat store that holds bitmaps: the file carries the
+/// case snapshots a flat store that holds complements: the file carries the
 /// sets' logical content and the restore re-encodes them. The spill case
 /// snapshots a store whose sealed chunks were forced to disk.
 #[test]
@@ -322,9 +322,9 @@ fn snapshot_restore_serves_bitwise_identically() {
 
         assert_eq!(restored.theta(), original.theta());
         assert_eq!(restored.params(), original.params());
-        let bitmaps = |svc: &SketchService| svc.store().as_mixed().map(|m| m.bitmap_sets());
-        assert_eq!(bitmaps(&restored), bitmaps(&original), "{case}");
-        assert!(case != "dense" || bitmaps(&original).is_some_and(|b| b > 0));
+        let forms = |svc: &SketchService| svc.store().as_mixed().map(|m| m.form_counts());
+        assert_eq!(forms(&restored), forms(&original), "{case}");
+        assert!(case != "dense" || forms(&original).is_some_and(|f| f.complement_sets > 0));
         for k in QUERY_KS {
             let (a, _) = original.topk(k).unwrap();
             let (b, _) = restored.topk(k).unwrap();
