@@ -12,7 +12,8 @@ pub struct MemoryStats {
     /// Peak bytes of RRR-set storage (both directions for the hypergraph
     /// baseline, one direction for IMMOPT and the parallel versions; for a
     /// run that selects from the inverted index alone, the stage its
-    /// samples wait in, and the store of its first round).
+    /// samples wait in, and the store of its first round where its first
+    /// pass, not its first 64 samples, decided so).
     pub peak_rrr_bytes: usize,
     /// Peak resident bytes of the selection inverted index (the store's
     /// [`ripples_diffusion::SampleIndex`]: per resident segment a

@@ -20,7 +20,7 @@ use crate::params::ImmParams;
 use crate::result::ImmResult;
 use crate::sample::SampleEngine;
 use crate::select::SelectEngine;
-use crate::seq::{hot_threshold, run_compact, Keep};
+use crate::seq::{run_compact, Keep};
 use ripples_diffusion::StorageConfig;
 use ripples_graph::Graph;
 
@@ -63,7 +63,7 @@ pub fn imm_multithreaded_with_storage(
     sample: SampleEngine,
     storage: StorageConfig,
 ) -> ImmResult {
-    let keep = Keep::HotRows(hot_threshold);
+    let keep = Keep::HOT_ROWS;
     let run = || run_compact("mt", graph, params, select, sample, storage, true, keep).0;
     if threads == 0 {
         run()

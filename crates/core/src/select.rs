@@ -727,10 +727,11 @@ pub(crate) fn uses_index<S: RrrStore>(engine: SelectEngine, store: &S, k: u32) -
 }
 
 /// Whether a run can keep the inverted index alone, dropping its
-/// sample-major store for good: `engine` indexes its first selection over
-/// `store`, and the largest population the θ schedule can ask for,
+/// sample-major store for good: `engine` indexes a pass over the samples
+/// `store` holds, and the largest population the θ schedule can ask for,
 /// `max_population`, fits the index's `u32` sample ids, so no later pass
-/// can need the index-free route. Decided once, at that first selection.
+/// can need the index-free route. Applied to the first batch's prefix, and
+/// once more at the first selection when the prefix said keep.
 pub(crate) fn index_only<S: RrrStore>(
     engine: SelectEngine,
     store: &S,

@@ -14,7 +14,7 @@ use crate::obs::trace::{self, TraceName};
 use crate::obs::RunReport;
 use crate::params::ImmParams;
 use crate::result::ImmResult;
-use crate::sample::{SampleEngine, SamplerDispatch};
+use crate::sample::{SampleEngine, SamplerDispatch, AUTO_PROBE_SAMPLES};
 use crate::select::{
     index_only, nanos_since, select_from_hot_index, select_with_engine_store, with_index,
     SelectEngine, SelectStats, Selection,
@@ -66,12 +66,24 @@ pub(crate) enum Keep {
     /// Every sample, and every index row: the serve sketch selects over it
     /// after the run.
     Store,
-    /// What the run's selection passes read. A run whose first pass is
-    /// indexed keeps its index alone, and of the index the rows of the
-    /// vertices whose degree reaches the τ that this function sets from each
-    /// pass's `k`-th marginal gain: [`hot_threshold`], or a harsher one in
-    /// the tests that force regenerations.
-    HotRows(fn(u64) -> u64),
+    /// What the run's selection passes read. A run that decides to select
+    /// from the index alone keeps its index alone, and of the index the rows
+    /// of the vertices whose degree reaches the τ that `threshold` sets from
+    /// each pass's `k`-th marginal gain: [`hot_threshold`], or a harsher one
+    /// in the tests that force regenerations. `prefix` is `None` but in the
+    /// tests that force what the first batch's prefix decides.
+    HotRows {
+        threshold: fn(u64) -> u64,
+        prefix: Option<bool>,
+    },
+}
+
+impl Keep {
+    /// A batch run's: [`hot_threshold`], and the prefix decided by the rule.
+    pub(crate) const HOT_ROWS: Keep = Keep::HotRows {
+        threshold: hot_threshold,
+        prefix: None,
+    };
 }
 
 /// What an index-only run's index kept, and what regenerating it cost.
@@ -89,12 +101,19 @@ struct HotIndex {
 /// [`SamplerDispatch`] batch kernels, and selection runs the requested
 /// [`SelectEngine`] over it with `partitions` interval owners.
 ///
-/// A run that may drop its samples decides at its first selection: when that
-/// pass is indexed and no population the θ schedule can reach passes the
-/// index's 32-bit sample ids ([`index_only`]), the store — flat or spill —
-/// releases its samples into its index ([`DynRrrStore::release_samples`]),
-/// and every pass from then on reads the index alone. Under a spill store's
-/// `--rrr-budget` it is then the index's sealed segments that spill. A run
+/// A run that may drop its samples decides on the first batch's first
+/// [`AUTO_PROBE_SAMPLES`] samples, the prefix `Auto`'s sampler probe cuts
+/// too: when [`index_only`] says an indexed pass over them reads the index
+/// alone and no population the θ schedule can reach passes the index's
+/// 32-bit sample ids, the store — flat or spill — releases them into its
+/// index ([`DynRrrStore::release_samples`]) right there. Every later sample
+/// then waits in the bounded stage until the index absorbs it, no
+/// sample-major copy of the first round exists, and every pass reads the
+/// index alone, even one the rule would have run index-free over the whole
+/// round (every engine selects the same seeds). Under a spill store's
+/// `--rrr-budget` it is the index's sealed segments that spill. A prefix
+/// that says keep leaves the decision to the first pass, which releases
+/// the first round's store as a whole when that pass is indexed. A run
 /// whose first pass is index-free, and the serve sketch, keep their samples.
 ///
 /// An index-only run keeps only the rows its greedy can reach: after each
@@ -108,31 +127,48 @@ struct CompactEngine<'a> {
     select: SelectEngine,
     partitions: usize,
     n: u32,
-    /// Until the first selection, for a run that may drop its samples: the
-    /// largest population its θ schedule can ask for.
+    /// Until the run decides whether it selects from the index alone, for
+    /// a run that may drop its samples: the largest population its θ
+    /// schedule can ask for.
     max_population: Option<usize>,
+    /// The `k` of the estimation passes, which the prefix decides for.
+    sizing_k: u32,
+    /// What the prefix decides in place of the rule: `None` but in tests.
+    prefix: Option<bool>,
+    /// Samples the store held when it released them, after which every
+    /// pass reads the index: the prefix or the first round; 0 while it
+    /// keeps them.
+    index_only_at: usize,
     /// τ from a pass's `k`-th gain, for a run that may drop its samples.
     threshold: Option<fn(u64) -> u64>,
-    /// Whether the store released its samples: every pass reads the index.
-    index_only: bool,
     hot: HotIndex,
 }
 
 impl CompactEngine<'_> {
-    /// Releases the store's samples into its index when the first
-    /// selection pass shows the run can select from the index alone, and
-    /// routes every pass from then on through the index; returns what
-    /// bringing the index up to date cost.
-    fn release_if_index_only(&mut self, k: u32) -> u64 {
-        let Some(max_population) = self.max_population.take() else {
+    /// Decides, over the samples the store holds, whether the run selects
+    /// from the index alone: at the first batch's prefix (`first_pass`
+    /// false), whose "keep" leaves the decision open, and at the first
+    /// selection pass, which closes it. Releases the store's samples into
+    /// its index when the run does, and routes every pass from then on
+    /// through the index; returns what bringing the index up to date cost.
+    fn release_if_index_only(&mut self, k: u32, first_pass: bool) -> u64 {
+        let Some(max_population) = self.max_population else {
             return 0;
         };
-        if !index_only(self.select, &self.store, k, max_population) {
+        let release = match self.prefix.filter(|_| !first_pass) {
+            Some(forced) => forced,
+            None => index_only(self.select, &self.store, k, max_population),
+        };
+        if release || first_pass {
+            self.max_population = None;
+        }
+        if !release {
             return 0;
         }
         let t0 = Instant::now();
         self.store.release_samples(self.n, self.partitions);
-        self.index_only = true;
+        self.index_only_at = self.store.len();
+        metrics::set(Metric::IndexOnlyAtSamples, self.index_only_at as u64);
         nanos_since(t0)
     }
 
@@ -188,11 +224,24 @@ impl CompactEngine<'_> {
 }
 
 impl Engine for CompactEngine<'_> {
+    /// The first batch of a run that may drop its samples stops after its
+    /// prefix to decide, and samples the rest into what that left: a
+    /// sample's content depends on its global index alone, so the cut moves
+    /// no sample.
     fn grow_to(&mut self, total: usize, report: &mut RunReport) {
-        let first = self.store.len();
-        let outcome = self
-            .dispatch
-            .sample_batch(first as u64, total - first, &mut self.store);
+        let mut first = self.store.len();
+        let mut outcome = BatchOutcome::default();
+        if first == 0 && self.max_population.is_some() {
+            first = total.min(AUTO_PROBE_SAMPLES);
+            outcome = self.dispatch.sample_batch(0, first, &mut self.store);
+            self.release_if_index_only(self.sizing_k, false);
+        }
+        if total > first {
+            let rest = self
+                .dispatch
+                .sample_batch(first as u64, total - first, &mut self.store);
+            outcome.absorb(rest);
+        }
         record_batch(report, &outcome);
     }
 
@@ -205,8 +254,8 @@ impl Engine for CompactEngine<'_> {
     }
 
     fn select(&mut self, k: u32) -> (Selection, SelectStats) {
-        let build_nanos = self.release_if_index_only(k);
-        let (selection, mut stats) = match self.threshold.filter(|_| self.index_only) {
+        let build_nanos = self.release_if_index_only(k, true);
+        let (selection, mut stats) = match self.threshold.filter(|_| self.index_only_at > 0) {
             Some(threshold) => self.select_hot(k, threshold),
             None => select_with_engine_store(self.select, &self.store, self.n, k, self.partitions),
         };
@@ -221,6 +270,7 @@ impl Engine for CompactEngine<'_> {
         c.index_hot_tau = self.hot.tau;
         c.index_regenerations = self.hot.regenerations;
         c.index_regeneration_edges = self.hot.regeneration_edges;
+        c.index_only_at_samples = self.index_only_at as u64;
         if crate::obs::trace::enabled() {
             report.trace = Some(crate::obs::trace::collect_all());
         }
@@ -247,13 +297,14 @@ pub(crate) fn run_compact(
 ) -> (ImmResult, DynRrrStore) {
     let n = graph.num_vertices();
     let factory = StreamFactory::new(params.seed);
-    let threshold = match keep {
-        Keep::Store => None,
-        Keep::HotRows(threshold) => Some(threshold),
+    let (threshold, prefix) = match keep {
+        Keep::Store => (None, None),
+        Keep::HotRows { threshold, prefix } => (Some(threshold), prefix),
     };
+    let sizing_k = params.sizing_k(n);
     let max_population = (threshold.is_some() && n >= 2).then(|| {
-        let k = params.sizing_k(n);
-        ThetaSchedule::new(u64::from(n), u64::from(k), params.epsilon, params.ell).max_population()
+        let k = u64::from(sizing_k);
+        ThetaSchedule::new(u64::from(n), k, params.epsilon, params.ell).max_population()
     });
     let mut engine = CompactEngine {
         store: DynRrrStore::new(storage, n),
@@ -266,8 +317,10 @@ pub(crate) fn run_compact(
         },
         n,
         max_population,
+        sizing_k,
+        prefix,
+        index_only_at: 0,
         threshold,
-        index_only: false,
         hot: HotIndex::default(),
     };
     let footprint = MemoryStats {
@@ -327,7 +380,7 @@ pub fn immopt_sequential_with_storage(
         sample,
         storage,
         false,
-        Keep::HotRows(hot_threshold),
+        Keep::HOT_ROWS,
     )
     .0
 }
@@ -349,7 +402,38 @@ pub fn index_only_run_with_threshold(
 ) -> ImmResult {
     let select = SelectEngine::Fused;
     let sample = SampleEngine::Reference;
-    let keep = Keep::HotRows(threshold);
+    let keep = Keep::HotRows {
+        threshold,
+        prefix: None,
+    };
+    run_compact(
+        "immopt", graph, params, select, sample, storage, parallel, keep,
+    )
+    .0
+}
+
+/// [`immopt_sequential_with_storage`] with what the first batch's prefix
+/// decides forced to `streams`: an entry point for tests, which force the
+/// prefix's two mispredictions. `false` leaves the decision to the first
+/// selection pass, as a prefix the rule keeps does; `true` releases the
+/// prefix into the index even where the rule would keep every sample, and
+/// the run then selects from the index alone. Either returns the seeds and
+/// θ of the rule's run (`parallel` samples and selects as `mt` does).
+#[doc(hidden)]
+#[must_use]
+pub fn index_only_run_with_prefix(
+    graph: &Graph,
+    params: &ImmParams,
+    select: SelectEngine,
+    sample: SampleEngine,
+    storage: StorageConfig,
+    parallel: bool,
+    streams: bool,
+) -> ImmResult {
+    let keep = Keep::HotRows {
+        threshold: hot_threshold,
+        prefix: Some(streams),
+    };
     run_compact(
         "immopt", graph, params, select, sample, storage, parallel, keep,
     )

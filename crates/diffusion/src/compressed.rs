@@ -277,10 +277,7 @@ mod tests {
         let sets: [&[Vertex]; 6] = [&[1, 3, 5], &[2], &[], &[0, 4, 7, 9, 33, 63], &most, &all];
         let mut arena = SampleArena::new(64);
         for s in sets {
-            arena.append_with(|buf| {
-                buf.extend_from_slice(s);
-                0
-            });
+            arena.append_set(s);
         }
         assert!(arena.bitmap_sets() > 0);
         assert_eq!(arena.complement_sets(), 2);

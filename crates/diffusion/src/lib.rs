@@ -46,7 +46,7 @@ pub use fused::{sample_batch_fused, FUSED_LANES};
 pub use intervals::{IntervalSets, Streamed};
 pub use mixed::{FormCounts, MixedRrrCollection, RrrSetRef, SampleArena};
 pub use model::DiffusionModel;
-pub use rrr::{generate_rrr, generate_rrr_into, RrrCollection, RrrScratch};
+pub use rrr::{generate_rrr, generate_rrr_in_scratch, RrrCollection, RrrScratch};
 pub use sample_index::SampleIndex;
 pub use sampler::{
     ensure_lt_normalized, sample_batch, sample_batch_sequential, sample_root_of, BatchOutcome,

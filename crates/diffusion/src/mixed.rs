@@ -8,7 +8,7 @@
 //! complement. HBMax (PAPERS.md) picks bitmap or coded list from exactly
 //! this density signal; here the choice is made per set by [`set_form`],
 //! written once and used by every place that picks a representation —
-//! [`MixedRrrCollection::push`] / [`MixedRrrCollection::append_with`] /
+//! [`MixedRrrCollection::push`] / [`MixedRrrCollection::append_set`] /
 //! [`MixedRrrCollection::append_bitmap`] and the fused sampler's block
 //! emitter ([`crate::fused`]).
 //!
@@ -452,64 +452,105 @@ impl MixedRrrCollection {
     /// [`RrrCollection::push`] enforces — a violating sample is repaired
     /// and counted — and the density rule is applied to the repaired set.
     pub fn push(&mut self, vertices: &[Vertex]) {
-        if set_form(vertices.len(), self.num_vertices) == SetForm::List {
-            // Repair only shrinks a set, so this one stays a list.
-            self.lists.push(vertices);
-            self.note_list();
+        self.push_with(vertices, RrrCollection::push);
+    }
+
+    /// [`Self::push`] for a set a sampler collected in a buffer of its own
+    /// (the BFS queue of [`crate::rrr::generate_rrr_in_scratch`]): only a
+    /// set the density rule keeps as a list is copied to the list arena,
+    /// which grows by a quarter at a time, as a worker's arena reused block
+    /// after block wants; a bitmap or complement is built from the buffer.
+    pub fn append_set(&mut self, vertices: &[Vertex]) {
+        self.push_with(vertices, |lists, set| {
+            lists.append_with(|tail| tail.extend_from_slice(set));
+        });
+    }
+
+    /// Appends `vertices` in the form the rule gives it, a list through
+    /// `list`, which repairs and counts an out-of-contract set; a set still
+    /// dense after the repair moves on to its form.
+    fn push_with(&mut self, vertices: &[Vertex], list: impl FnOnce(&mut RrrCollection, &[Vertex])) {
+        let ascending = vertices.windows(2).all(|w| w[0] < w[1]);
+        let form = if ascending {
+            self.form_of(vertices)
         } else {
-            self.append_with(|tail| {
-                tail.extend_from_slice(vertices);
-                0
+            SetForm::List
+        };
+        if form != SetForm::List {
+            self.push_dense(vertices, form);
+            return;
+        }
+        list(&mut self.lists, vertices);
+        let newest = self.lists.len() - 1;
+        let repaired = self.lists.get(newest);
+        match self.form_of(repaired) {
+            SetForm::List => self.note_list(),
+            form => {
+                let repaired = repaired.to_vec();
+                self.lists.truncate_last();
+                self.push_dense(&repaired, form);
+            }
+        }
+    }
+
+    /// The form of a strictly ascending set: the rule's, but a list for a
+    /// set with ids beyond the universe, which cannot be bits or gaps.
+    fn form_of(&self, set: &[Vertex]) -> SetForm {
+        match set.last() {
+            Some(&max) if max >= self.num_vertices => SetForm::List,
+            _ => set_form(set.len(), self.num_vertices),
+        }
+    }
+
+    /// Appends a strictly ascending set of the universe as the bitmap or
+    /// complement `form` says.
+    fn push_dense(&mut self, set: &[Vertex], form: SetForm) {
+        if form == SetForm::Bitmap {
+            let start = self.bits.len();
+            self.grow_bits();
+            let bitmap = &mut self.bits[start..];
+            for &v in set {
+                bitmap[(v >> 6) as usize] |= 1 << (v & 63);
+            }
+            self.note_bitmap(set.len() as u32);
+        } else {
+            let n = self.num_vertices;
+            self.append_complement(|tail| {
+                let mut next = 0;
+                for &v in set {
+                    tail.extend(next..v);
+                    next = v + 1;
+                }
+                tail.extend(next..n);
             });
         }
     }
 
-    /// Appends one set produced by `fill`, which writes the vertices onto
-    /// the tail of the list arena (e.g. [`crate::generate_rrr_into`]) and
-    /// returns its work count. Validated and repaired like [`Self::push`];
-    /// a set the density rule sends to a bitmap or a complement is moved
-    /// there and its list space reused.
-    pub fn append_with<F>(&mut self, fill: F) -> u64
-    where
-        F: FnOnce(&mut Vec<Vertex>) -> u64,
-    {
-        let work = self.lists.append_with(fill);
+    /// Appends the set of every vertex of the universe but `missing` (a
+    /// restored snapshot's complement record).
+    ///
+    /// # Errors
+    ///
+    /// The violated contract, as text: `missing` must be strictly
+    /// ascending, name vertices of the universe, and leave a set the
+    /// density rule holds as a complement.
+    pub fn push_complement(&mut self, missing: &[Vertex]) -> Result<(), String> {
         let n = self.num_vertices;
-        let newest = self.lists.len() - 1;
-        let set = self.lists.get(newest);
-        // Ids beyond the universe cannot be bits or gaps; such a set stays
-        // a list.
-        let form = match set.last() {
-            Some(&max) if max >= n => SetForm::List,
-            _ => set_form(set.len(), n),
-        };
-        match form {
-            SetForm::List => self.note_list(),
-            SetForm::Bitmap => {
-                let start = self.bits.len();
-                self.grow_bits();
-                let set = self.lists.get(newest);
-                let bitmap = &mut self.bits[start..];
-                for &v in set {
-                    bitmap[(v >> 6) as usize] |= 1 << (v & 63);
-                }
-                let len = set.len() as u32;
-                self.lists.truncate_last();
-                self.note_bitmap(len);
-            }
-            SetForm::Complement => {
-                let mut missing = Vec::with_capacity(n as usize - set.len());
-                let mut next = 0;
-                for &v in set {
-                    missing.extend(next..v);
-                    next = v + 1;
-                }
-                missing.extend(next..n);
-                self.lists.truncate_last();
-                self.append_complement(|tail| tail.extend_from_slice(&missing));
-            }
+        if !missing.windows(2).all(|w| w[0] < w[1]) {
+            return Err("missing ids are not strictly ascending".to_string());
         }
-        work
+        if missing.last().is_some_and(|&max| max >= n) {
+            return Err(format!("a missing id is past the {n}-vertex universe"));
+        }
+        let len = n as usize - missing.len();
+        if set_form(len, n) != SetForm::Complement {
+            return Err(format!(
+                "{} missing ids leave {len} of {n} vertices, not a complement",
+                missing.len()
+            ));
+        }
+        self.append_complement(|tail| tail.extend_from_slice(missing));
+        Ok(())
     }
 
     /// Appends one set given as a bitmap of `len` set bits (the fused
@@ -526,10 +567,8 @@ impl MixedRrrCollection {
         );
         match set_form(len as usize, n) {
             SetForm::List => {
-                self.lists.append_with(|tail| {
-                    tail.extend(BitmapIter::new(words));
-                    0
-                });
+                self.lists
+                    .append_with(|tail| tail.extend(BitmapIter::new(words)));
                 self.note_list();
             }
             SetForm::Bitmap => {
@@ -660,10 +699,7 @@ impl MixedRrrCollection {
     fn append_complement(&mut self, fill: impl FnOnce(&mut Vec<Vertex>)) {
         self.materialize_slots();
         let before = self.lists.total_entries();
-        self.lists.append_with(|tail| {
-            fill(tail);
-            0
-        });
+        self.lists.append_with(fill);
         self.slots
             .push((self.lists.len() - 1) << TAG_BITS | COMPLEMENT_SLOT);
         self.complements += 1;
@@ -893,10 +929,7 @@ mod tests {
                 SampleArena::with_capacity(n, sets.len() - split),
             ];
             for (i, s) in sets.iter().enumerate() {
-                arenas[usize::from(i >= split)].append_with(|tail| {
-                    tail.extend_from_slice(s);
-                    0
-                });
+                arenas[usize::from(i >= split)].append_set(s);
             }
             let mut merged = MixedRrrCollection::new(n);
             merged.push(&[7]);

@@ -82,27 +82,26 @@ pub fn generate_rrr(
     rng: &mut SplitMix64,
     scratch: &mut RrrScratch,
 ) -> RrrSample {
-    let mut vertices = Vec::new();
-    let edges_examined = generate_rrr_into(graph, model, root, rng, scratch, &mut vertices);
+    let (set, edges_examined) = generate_rrr_in_scratch(graph, model, root, rng, scratch);
     RrrSample {
-        vertices,
+        vertices: set.to_vec(),
         edges_examined,
     }
 }
 
-/// Allocation-free variant of [`generate_rrr`]: appends the sorted RRR set
-/// to the tail of `out` (an arena shared across many samples) instead of
-/// allocating a per-sample `Vec`. Returns the edges examined. The appended
-/// range is sorted in place; the BFS never enqueues a vertex twice, so the
-/// result is identical to [`generate_rrr`]'s sorted, deduplicated output.
-pub fn generate_rrr_into(
+/// Allocation-free variant of [`generate_rrr`]: the sorted set is the BFS
+/// queue it was collected in, sorted in place, and lives in `scratch` until
+/// its next sample. Returns it and the edges examined, so that a caller
+/// copies the set only where it keeps it as a list. The BFS never enqueues
+/// a vertex twice, so the set is [`generate_rrr`]'s sorted, deduplicated
+/// output.
+pub fn generate_rrr_in_scratch<'s>(
     graph: &Graph,
     model: DiffusionModel,
     root: Vertex,
     rng: &mut SplitMix64,
-    scratch: &mut RrrScratch,
-    out: &mut Vec<Vertex>,
-) -> u64 {
+    scratch: &'s mut RrrScratch,
+) -> (&'s [Vertex], u64) {
     debug_assert!(root < graph.num_vertices(), "root out of range");
     scratch.begin();
     scratch.visit(root);
@@ -132,10 +131,8 @@ pub fn generate_rrr_into(
             ),
         };
     }
-    let start = out.len();
-    out.extend_from_slice(&scratch.queue);
-    out[start..].sort_unstable();
-    edges_examined
+    scratch.queue.sort_unstable();
+    (&scratch.queue, edges_examined)
 }
 
 /// IC expansion of one vertex: every in-edge is live independently with
@@ -267,25 +264,21 @@ impl RrrCollection {
     }
 
     /// Appends one sample produced by `fill`, which writes the sample's
-    /// vertices onto the arena tail (e.g. [`generate_rrr_into`]) and returns
-    /// its work count — [`RrrCollection::push`] without the intermediate
-    /// slice. Enforces the same contract: the appended range is validated,
-    /// repaired if violating, and counted.
+    /// vertices onto the arena tail — [`RrrCollection::push`] without the
+    /// intermediate slice. Enforces the same contract: the appended range
+    /// is validated, repaired if violating, and counted.
     ///
     /// The arena grows by a quarter at a time ahead of the fill, as the
     /// bitmap words do: a sampling worker refills one arena block after
     /// block, and doubling would leave it reserving up to twice the largest
     /// block it ever held.
-    pub(crate) fn append_with<F>(&mut self, fill: F) -> u64
-    where
-        F: FnOnce(&mut Vec<Vertex>) -> u64,
-    {
+    pub(crate) fn append_with(&mut self, fill: impl FnOnce(&mut Vec<Vertex>)) {
         const MIN_GROWTH: usize = 1024;
         let start = self.data.len();
         if self.data.capacity() - start < MIN_GROWTH {
             self.data.reserve_exact(MIN_GROWTH.max(start / 4));
         }
-        let work = fill(&mut self.data);
+        fill(&mut self.data);
         let tail = &mut self.data[start..];
         if !tail.windows(2).all(|w| w[0] < w[1]) {
             self.unsorted_pushes += 1;
@@ -295,7 +288,6 @@ impl RrrCollection {
             self.data.append(&mut repaired);
         }
         self.offsets.push(self.data.len());
-        work
     }
 
     /// Removes the newest sample; its arena space is reused by the next.
@@ -703,50 +695,29 @@ mod tests {
     }
 
     #[test]
-    fn generate_rrr_into_appends_to_arena_tail() {
+    fn generate_rrr_in_scratch_sorts_the_set_in_place() {
         let g = path(4, 1.0);
         let mut scratch = RrrScratch::new(4);
-        let mut arena = Vec::from([99u32]);
         let mut rng = SplitMix64::new(1);
-        let work = generate_rrr_into(
-            &g,
-            DiffusionModel::IndependentCascade,
-            3,
-            &mut rng,
-            &mut scratch,
-            &mut arena,
-        );
-        // Prefix untouched, appended range sorted.
-        assert_eq!(arena, vec![99, 0, 1, 2, 3]);
+        let ic = DiffusionModel::IndependentCascade;
+        let (set, work) = generate_rrr_in_scratch(&g, ic, 3, &mut rng, &mut scratch);
+        // Collected root first, handed out sorted.
+        assert_eq!(set, &[0, 1, 2, 3]);
+        let set = set.to_vec();
         let mut rng2 = SplitMix64::new(1);
-        let s = generate_rrr(
-            &g,
-            DiffusionModel::IndependentCascade,
-            3,
-            &mut rng2,
-            &mut scratch,
-        );
-        assert_eq!(s.vertices, &arena[1..]);
+        let s = generate_rrr(&g, ic, 3, &mut rng2, &mut scratch);
+        assert_eq!(s.vertices, set);
         assert_eq!(s.edges_examined, work);
     }
 
     #[test]
     fn arena_merge_matches_pushes() {
         let mut a0 = SampleArena::with_capacity(1000, 2);
-        a0.append_with(|buf| {
-            buf.extend_from_slice(&[1, 3, 5]);
-            7
-        });
-        a0.append_with(|buf| {
-            buf.extend_from_slice(&[2]);
-            1
-        });
+        a0.append_set(&[1, 3, 5]);
+        a0.append_set(&[2]);
         let mut a1 = SampleArena::new(1000);
-        a1.append_with(|_| 0); // empty sample
-        a1.append_with(|buf| {
-            buf.extend_from_slice(&[0, 4]);
-            2
-        });
+        a1.append_set(&[]); // empty sample
+        a1.append_set(&[0, 4]);
         assert_eq!(a0.len(), 2);
         assert_eq!(a0.total_entries(), 4);
         assert!(matches!(a0.set(0), RrrSetRef::List([1, 3, 5])));
@@ -767,10 +738,7 @@ mod tests {
     #[test]
     fn arena_repairs_and_counts_unsorted_samples() {
         let mut a = SampleArena::new(1000);
-        a.append_with(|buf| {
-            buf.extend_from_slice(&[5, 1, 3, 3]);
-            0
-        });
+        a.append_set(&[5, 1, 3, 3]);
         assert!(matches!(a.set(0), RrrSetRef::List([1, 3, 5])));
         let mut c = RrrCollection::new();
         c.append_arenas(&[a]);

@@ -17,7 +17,7 @@
 
 use crate::mixed::SampleArena;
 use crate::model::DiffusionModel;
-use crate::rrr::{generate_rrr, generate_rrr_into, RrrScratch};
+use crate::rrr::{generate_rrr_in_scratch, RrrScratch};
 use crate::store::RrrStore;
 use ripples_graph::{Graph, Vertex};
 use ripples_metrics::{Histogram, Metric};
@@ -211,9 +211,9 @@ pub fn sample_batch<S: RrrStore>(
     let fill = |scratch: &mut RrrScratch, range: Range<u64>, block: &mut Block| {
         for index in range {
             let (root, mut rng) = sample_root(graph, factory, index);
-            block.work += block
-                .arena
-                .append_with(|buf| generate_rrr_into(graph, model, root, &mut rng, scratch, buf));
+            let (set, work) = generate_rrr_in_scratch(graph, model, root, &mut rng, scratch);
+            block.arena.append_set(set);
+            block.work += work;
         }
     };
     let init = || RrrScratch::new(n);
@@ -545,9 +545,9 @@ pub fn sample_batch_sequential<S: RrrStore>(
     for offset in 0..count as u64 {
         let index = first_index + offset;
         let (root, mut rng) = sample_root(graph, factory, index);
-        let s = generate_rrr(graph, model, root, &mut rng, &mut scratch);
-        out.push(&s.vertices);
-        outcome.add([s.vertices.len()], s.edges_examined);
+        let (set, work) = generate_rrr_in_scratch(graph, model, root, &mut rng, &mut scratch);
+        out.push(set);
+        outcome.add([set.len()], work);
     }
     drop(scratch);
     out.finish_batch();
@@ -557,7 +557,7 @@ pub fn sample_batch_sequential<S: RrrStore>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rrr::RrrCollection;
+    use crate::rrr::{generate_rrr, RrrCollection};
     use ripples_graph::generators::erdos_renyi;
     use ripples_graph::WeightModel;
 

@@ -901,13 +901,16 @@ impl Released {
 /// no budget, and its index stays resident.
 ///
 /// A batch run that selects from the index alone releases the samples
-/// ([`DynRrrStore::release_samples`]), whichever the layout. The samples
-/// then wait in a flat stage of at most `8 · (n + 1)` entries — and, under
-/// a budget, half the budget's bytes — but always room for one sample,
-/// absorbed into the index at its global sample ids and cleared when full
-/// and at every batch's end, so the index grows while sampling runs and no
-/// sample-major copy of the population exists. `len`, `total_entries` and
-/// the counters still cover every sample; reading a released one panics.
+/// ([`DynRrrStore::release_samples`]), whichever the layout: as a rule after
+/// the first batch's 64-sample prefix, mid-batch, and otherwise the whole
+/// first round at the first selection pass. From then on every sample waits
+/// in a flat stage of at most `8 · (n + 1)` entries — and, under a budget,
+/// half the budget's bytes — but always room for one sample, absorbed into
+/// the index at its global sample ids and cleared when full and at every
+/// batch's end, so the index grows while sampling runs (and spills sealed
+/// segments under the budget as it does) and no sample-major copy of the
+/// population exists. `len`, `total_entries` and the counters still cover
+/// every sample; reading a released one panics.
 #[derive(Debug)]
 pub struct DynRrrStore {
     inner: DynStoreInner,
@@ -960,10 +963,14 @@ impl DynRrrStore {
     /// dense, bitmaps and complements for the dense ones otherwise.
     #[must_use]
     pub fn from_flat(collection: RrrCollection, num_vertices: u32) -> Self {
-        Self::with_inner(DynStoreInner::Flat(MixedRrrCollection::from_lists(
-            num_vertices,
-            collection,
-        )))
+        Self::from_mixed(MixedRrrCollection::from_lists(num_vertices, collection))
+    }
+
+    /// Wraps a restored collection of lists, bitmaps and complements as a
+    /// flat-kind store (snapshot-restore path).
+    #[must_use]
+    pub fn from_mixed(sets: MixedRrrCollection) -> Self {
+        Self::with_inner(DynStoreInner::Flat(sets))
     }
 
     /// Adopts a restored delta-varint block stream as a spill-kind store
@@ -996,7 +1003,8 @@ impl DynRrrStore {
     /// sample into it, a spill store's spilled ones included, and the
     /// layout that held them with its spill file: from here on the store
     /// holds only a stage of the samples appended since the index last
-    /// absorbed.
+    /// absorbed. It may be called between two batches or between the two
+    /// halves of one; samples appended after it go to the stage.
     pub fn release_samples(&mut self, num_vertices: u32, owners: usize) {
         self.with_sample_index(num_vertices, owners, |_| ());
         let stage = DynStoreInner::Flat(MixedRrrCollection::new(num_vertices));
@@ -1381,10 +1389,7 @@ mod tests {
         let samples = synth_samples(n, 64);
         let mut arenas = vec![SampleArena::new(n), SampleArena::new(n)];
         for (i, s) in samples.iter().enumerate() {
-            arenas[i / 32].append_with(|buf| {
-                buf.extend_from_slice(s);
-                0
-            });
+            arenas[i / 32].append_set(s);
         }
         for (mut via_arena, mut via_push) in
             all_backends(n, 4096).into_iter().zip(all_backends(n, 4096))
@@ -1497,10 +1502,7 @@ mod tests {
         }
         let mut arena = SampleArena::new(n);
         for s in &samples {
-            arena.append_with(|tail| {
-                tail.extend_from_slice(s);
-                0
-            });
+            arena.append_set(s);
         }
         assert!(arena.bitmap_sets() > 0);
         for (mut pushed, mut merged) in all_backends(n, 2048).into_iter().zip(all_backends(n, 2048))
@@ -1597,10 +1599,7 @@ mod tests {
                 .collect();
             set.sort_unstable();
             set.dedup();
-            arenas[i % 2].append_with(|tail| {
-                tail.extend_from_slice(&set);
-                0
-            });
+            arenas[i % 2].append_set(&set);
         }
         let mut store = SpillRrrStore::new(8 << 20);
         RrrStore::append_arenas(&mut store, &arenas);
@@ -1627,10 +1626,7 @@ mod tests {
         let samples = synth_samples(n, 600);
         let mut arena = SampleArena::new(n);
         for s in &samples {
-            arena.append_with(|tail| {
-                tail.extend_from_slice(s);
-                0
-            });
+            arena.append_set(s);
         }
         for budget in [SpillRrrStore::DEFAULT_BUDGET, 0] {
             let mut pushed = SpillRrrStore::with_payload_limit(budget, limit);
@@ -1792,10 +1788,7 @@ mod tests {
         for block in (300..600).step_by(64) {
             let mut arena = SampleArena::new(n);
             for j in block..(block + 64).min(600) {
-                arena.append_with(|tail| {
-                    tail.extend_from_slice(c.get(j));
-                    0
-                });
+                arena.append_set(c.get(j));
             }
             let before = store.indexed_samples();
             store.append_arena(&arena);

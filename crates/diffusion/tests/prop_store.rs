@@ -154,10 +154,7 @@ proptest! {
         let bitmaps = lens().filter(|&len| 32 * len > n64).count() as u64 - complements;
         let mut arenas = [SampleArena::new(n), SampleArena::new(n)];
         for (i, s) in raw.iter().enumerate() {
-            arenas[usize::from(i >= raw.len() / 2)].append_with(|tail| {
-                tail.extend_from_slice(s);
-                0
-            });
+            arenas[usize::from(i >= raw.len() / 2)].append_set(s);
         }
         for config in BACKENDS {
             let flat = config.kind == RrrStoreKind::Flat;
@@ -246,10 +243,7 @@ proptest! {
 
         let mut arena = SampleArena::with_capacity(u32::MAX, sets.len());
         for s in &sets {
-            arena.append_with(|data| {
-                data.extend_from_slice(s);
-                0
-            });
+            arena.append_set(s);
         }
         let arenas = [arena];
         for budget in [0, budget, SpillRrrStore::DEFAULT_BUDGET] {
@@ -292,10 +286,7 @@ fn all_list_flat_store_costs_what_the_list_collection_costs() {
     for s in &sets {
         pushed.0.push(s);
         pushed.1.push(s);
-        arena.append_with(|tail| {
-            tail.extend_from_slice(s);
-            0
-        });
+        arena.append_set(s);
     }
     let arenas = [arena];
     let mut merged = (flat_store(n), RrrCollection::new());

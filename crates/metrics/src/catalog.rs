@@ -229,6 +229,8 @@ catalog! {
             "Times a selection pass of an index-only run popped a cold vertex and rebuilt the index from the run's samples drawn again, with the rows of every cold vertex whose degree reached the popped key";
         index_regeneration_edges IndexRegenerationEdges: Counter PerRank VARIES FINAL ""
             "In-edges examined while drawing samples again for those rebuilds; never part of `edges_examined`, and never added to the live registry's sampling rows";
+        index_only_at_samples IndexOnlyAtSamples: Level PerRank VARIES LIVE ""
+            "Samples the store held when a run that selects from the inverted index alone released them into it: the first batch's 64-sample prefix when that decided, the first round when its first selection pass did, 0 for a run that keeps its samples";
     }
     live {
         phase Phase: Level ""

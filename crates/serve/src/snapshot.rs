@@ -8,7 +8,8 @@
 //!      0     8  magic "RIPLSNAP"
 //!      8     4  version (u32) = 1
 //!     12     8  checksum (u64, FNV-1a over every byte from offset 20 to EOF)
-//!     20     1  store kind (0 = flat, 1 = spill: delta-varint blocks)
+//!     20     1  store kind (0 = flat, 1 = spill: delta-varint blocks,
+//!                 2 = flat with complement records)
 //!     21     1  diffusion model (0 = ic, 1 = lt)
 //!     22     1  sample engine (0 = auto, 1 = reference, 2 = fused)
 //!     23     1  reserved, must be 0
@@ -22,11 +23,15 @@
 //!     72     …  payload (layout per store kind, below)
 //! ```
 //!
-//! Flat payload: `u64` offsets length, offsets as `u64` each, `u64` data
-//! length, vertex ids as `u32` each — the *logical* content, every set as
-//! its sorted list whether the store holds it as a list, a bitmap or a
-//! complement; a restore re-encodes each set by the store's own density
-//! rule. Kind-1
+//! Flat payload (kind 0): `u64` offsets length, offsets as `u64` each,
+//! `u64` data length, vertex ids as `u32` each — every set as its sorted
+//! list whether the store holds it as a list or a bitmap; a restore
+//! re-encodes each set by the store's own density rule. A flat store that
+//! holds some sets as complements writes kind 2 instead: `u64` complement
+//! count, the ascending sample index of each complement as `u64`, then the
+//! kind-0 layout, in which a complement's record is the sorted list of the
+//! vertices it leaves out rather than the up to n it holds. A store with no
+//! complement writes kind 0, byte for byte as before kind 2 existed. Kind-1
 //! payload: `u64` offsets length (θ + 1), the global byte offset bounding
 //! each sample's block as `u64` each, `u64` counts length (θ), per-sample
 //! vertex counts as `u32` each, `u64` byte-stream length, the delta-varint
@@ -59,7 +64,10 @@ use std::fs;
 use std::path::Path;
 
 use ripples_core::{ImmParams, SampleEngine};
-use ripples_diffusion::{DiffusionModel, DynRrrStore, RrrCollection, RrrStore, RrrStoreKind};
+use ripples_diffusion::{
+    DiffusionModel, DynRrrStore, MixedRrrCollection, RrrCollection, RrrSetRef, RrrStore,
+    RrrStoreKind,
+};
 use ripples_graph::Graph;
 
 use crate::SketchService;
@@ -251,22 +259,42 @@ pub fn write_snapshot(path: &Path, service: &SketchService) -> Result<(), Snapsh
     })
 }
 
+/// The complement's missing ids when a kind-2 payload records sample `i`
+/// by them.
+fn complement_record(complements: Option<&MixedRrrCollection>, i: usize) -> Option<&[u32]> {
+    match complements?.set(i) {
+        RrrSetRef::Complement { missing, .. } => Some(missing),
+        _ => None,
+    }
+}
+
 /// Serializes `service`'s sealed sketch into a byte buffer (the body of
 /// [`write_snapshot`], separated for tests).
 #[must_use]
 pub fn encode_snapshot(service: &SketchService) -> Vec<u8> {
     let store = service.store();
     let params = service.params();
-    // Exact for the flat payload; a spill store's byte stream grows it.
-    let payload_bytes = 8 * (store.len() + 3) + 4 * store.total_entries() as usize;
+    let complements = store.as_mixed().filter(|sets| sets.complement_sets() > 0);
+    let record_len =
+        |i: usize| complement_record(complements, i).map_or(store.sample_len(i), <[u32]>::len);
+    let kind = match store.kind() {
+        RrrStoreKind::Flat => 2 * u8::from(complements.is_some()),
+        RrrStoreKind::Spill => 1,
+    };
+    // Exact for a flat payload; a spill store's byte stream grows it.
+    let (records, complement_bytes) = match complements {
+        Some(sets) => (
+            (0..store.len()).map(record_len).sum(),
+            8 * (sets.complement_sets() as usize + 1),
+        ),
+        None => (store.total_entries() as usize, 0),
+    };
+    let payload_bytes = 8 * (store.len() + 3) + complement_bytes + 4 * records;
     let mut out = Vec::with_capacity(80 + payload_bytes);
     out.extend_from_slice(&SNAPSHOT_MAGIC);
     push_u32(&mut out, SNAPSHOT_VERSION);
     push_u64(&mut out, 0); // checksum placeholder, patched below
-    out.push(match store.kind() {
-        RrrStoreKind::Flat => 0,
-        RrrStoreKind::Spill => 1,
-    });
+    out.push(kind);
     out.push(model_byte(params.model));
     out.push(sample_byte(service.sample_engine()));
     out.push(0); // reserved
@@ -279,16 +307,25 @@ pub fn encode_snapshot(service: &SketchService) -> Vec<u8> {
     push_u64(&mut out, service.theta() as u64);
     match store.kind() {
         RrrStoreKind::Flat => {
+            if let Some(sets) = complements {
+                push_u64(&mut out, sets.complement_sets());
+                for i in (0..store.len()).filter(|&i| complement_record(complements, i).is_some()) {
+                    push_u64(&mut out, i as u64);
+                }
+            }
             push_u64(&mut out, store.len() as u64 + 1);
             let mut end = 0u64;
             push_u64(&mut out, end);
             for i in 0..store.len() {
-                end += store.sample_len(i) as u64;
+                end += record_len(i) as u64;
                 push_u64(&mut out, end);
             }
             push_u64(&mut out, end);
             for i in 0..store.len() {
-                store.for_each_vertex(i, |v| push_u32(&mut out, v));
+                match complement_record(complements, i) {
+                    Some(missing) => missing.iter().for_each(|&v| push_u32(&mut out, v)),
+                    None => store.for_each_vertex(i, |v| push_u32(&mut out, v)),
+                }
             }
         }
         RrrStoreKind::Spill => {
@@ -532,8 +569,9 @@ pub fn decode_snapshot(bytes: &[u8], graph: &Graph) -> Result<RestoredSketch, Sn
     }
 
     let store = match kind_byte {
-        0 => decode_flat_payload(&mut r, graph.num_vertices())?,
+        0 => DynRrrStore::from_flat(decode_flat_payload(&mut r)?, graph.num_vertices()),
         1 => decode_spill_payload(&mut r)?,
+        2 => decode_complement_payload(&mut r, graph.num_vertices())?,
         other => {
             return Err(SnapshotError::UnsupportedStore {
                 kind: format!("kind byte {other}"),
@@ -591,20 +629,55 @@ pub fn decode_snapshot(bytes: &[u8], graph: &Graph) -> Result<RestoredSketch, Sn
     })
 }
 
-fn decode_flat_payload(
+/// A kind-0 payload, or the records of a kind-2 one.
+fn decode_flat_payload(r: &mut Reader<'_>) -> Result<RrrCollection, SnapshotError> {
+    let payload_offset = r.pos;
+    let offsets = r.offsets("flat offsets length", "flat offset")?;
+    let data = r.u32s("flat data length", "flat vertex id")?;
+    RrrCollection::from_raw_parts(offsets, data).map_err(|detail| SnapshotError::Corrupt {
+        field: "flat payload",
+        offset: payload_offset,
+        detail,
+    })
+}
+
+/// A kind-2 payload: the complements' sample indices, then the records.
+fn decode_complement_payload(
     r: &mut Reader<'_>,
     num_vertices: u32,
 ) -> Result<DynRrrStore, SnapshotError> {
     let payload_offset = r.pos;
-    let offsets = r.offsets("flat offsets length", "flat offset")?;
-    let data = r.u32s("flat data length", "flat vertex id")?;
-    let collection =
-        RrrCollection::from_raw_parts(offsets, data).map_err(|detail| SnapshotError::Corrupt {
-            field: "flat payload",
-            offset: payload_offset,
-            detail,
-        })?;
-    Ok(DynRrrStore::from_flat(collection, num_vertices))
+    let complements = r.offsets("complement count", "complement sample")?;
+    let records = decode_flat_payload(r)?;
+    let corrupt = |detail: String| SnapshotError::Corrupt {
+        field: "complement samples",
+        offset: payload_offset,
+        detail,
+    };
+    if let Some(i) = complements.windows(2).position(|w| w[0] >= w[1]) {
+        return Err(corrupt(format!(
+            "complement sample {} does not follow {}",
+            complements[i + 1],
+            complements[i]
+        )));
+    }
+    if let Some(&last) = complements.last().filter(|&&last| last >= records.len()) {
+        return Err(corrupt(format!(
+            "complement sample {last} is past the payload's {} samples",
+            records.len()
+        )));
+    }
+    let mut sets = MixedRrrCollection::new(num_vertices);
+    let mut next = complements.iter().peekable();
+    for (i, record) in records.iter().enumerate() {
+        if next.next_if_eq(&&i).is_some() {
+            sets.push_complement(record)
+                .map_err(|detail| corrupt(format!("sample {i}: {detail}")))?;
+        } else {
+            sets.push(record);
+        }
+    }
+    Ok(DynRrrStore::from_mixed(sets))
 }
 
 fn decode_spill_payload(r: &mut Reader<'_>) -> Result<DynRrrStore, SnapshotError> {

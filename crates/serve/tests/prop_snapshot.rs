@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use ripples_core::{ImmParams, SampleEngine, SelectEngine};
-use ripples_diffusion::{DiffusionModel, RrrStore, RrrStoreKind, StorageConfig};
+use ripples_diffusion::{DiffusionModel, RrrSetRef, RrrStore, RrrStoreKind, StorageConfig};
 use ripples_graph::{Graph, GraphBuilder, Vertex};
 use ripples_serve::snapshot::{decode_snapshot, encode_snapshot};
 use ripples_serve::{SketchService, SnapshotError};
@@ -359,27 +359,35 @@ fn kind1_file(samples: &[Vec<Vertex>], tamper: impl FnOnce(&mut Kind1)) -> Vec<u
     }
     tamper(&mut parts);
 
+    let mut payload = parts.offsets_len.to_le_bytes().to_vec();
+    for o in &parts.offsets {
+        payload.extend_from_slice(&o.to_le_bytes());
+    }
+    payload.extend_from_slice(&(parts.counts.len() as u64).to_le_bytes());
+    for c in &parts.counts {
+        payload.extend_from_slice(&c.to_le_bytes());
+    }
+    payload.extend_from_slice(&(parts.stream.len() as u64).to_le_bytes());
+    payload.extend_from_slice(&parts.stream);
+    v1_file(1, &test_graph(), parts.theta, &payload)
+}
+
+/// A v1 file of store kind `kind` over `graph` with `payload` after the
+/// header, checksummed with its own FNV-1a: IC, the reference sampler,
+/// master seed 9, k 2, k_max 3, ε 0.25, ℓ 1.
+fn v1_file(kind: u8, graph: &Graph, theta: u64, payload: &[u8]) -> Vec<u8> {
     let mut file = b"RIPLSNAP".to_vec();
     file.extend_from_slice(&1u32.to_le_bytes()); // version
     file.extend_from_slice(&[0; 8]); // checksum, patched below
-    file.extend_from_slice(&[1, 0, 1, 0]); // kind 1, ic, reference sampler, reserved
-    file.extend_from_slice(&test_graph().fingerprint().to_le_bytes());
+    file.extend_from_slice(&[kind, 0, 1, 0]); // kind, ic, reference sampler, reserved
+    file.extend_from_slice(&graph.fingerprint().to_le_bytes());
     file.extend_from_slice(&9u64.to_le_bytes()); // master seed
     file.extend_from_slice(&2u32.to_le_bytes()); // k
     file.extend_from_slice(&3u32.to_le_bytes()); // k_max
     file.extend_from_slice(&0.25f64.to_bits().to_le_bytes()); // epsilon
     file.extend_from_slice(&1.0f64.to_bits().to_le_bytes()); // ell
-    file.extend_from_slice(&parts.theta.to_le_bytes());
-    file.extend_from_slice(&parts.offsets_len.to_le_bytes());
-    for o in &parts.offsets {
-        file.extend_from_slice(&o.to_le_bytes());
-    }
-    file.extend_from_slice(&(parts.counts.len() as u64).to_le_bytes());
-    for c in &parts.counts {
-        file.extend_from_slice(&c.to_le_bytes());
-    }
-    file.extend_from_slice(&(parts.stream.len() as u64).to_le_bytes());
-    file.extend_from_slice(&parts.stream);
+    file.extend_from_slice(&theta.to_le_bytes());
+    file.extend_from_slice(payload);
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in &file[20..] {
         hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
@@ -483,10 +491,11 @@ fn checksum_valid_hostile_kind1_payloads_are_rejected() {
 
 /// A flat store that holds its sets as complements (`--gen ba:2000:8
 /// --weights uniform`, fused sampler, where nearly every cascade covers
-/// more than 31n/32 vertices) snapshots its logical content — one u32 per
-/// vertex entry, whatever the form — and the restore, which re-encodes
-/// every set by the density rule, holds the same bitmaps and complements
-/// and answers every query kind identically.
+/// more than 31n/32 vertices) snapshots its logical content with each
+/// complement recorded by the ids it leaves out (kind 2), so the file is
+/// about the store's size rather than one u32 per vertex entry; the
+/// restore holds the same bitmaps and complements and answers every query
+/// kind identically.
 #[test]
 fn dense_sketch_round_trips_through_its_logical_content() {
     use ripples_graph::generators::barabasi_albert;
@@ -506,10 +515,26 @@ fn dense_sketch_round_trips_through_its_logical_content() {
         let forms = held.form_counts();
 
         let bytes = encode_snapshot(&svc);
+        assert_eq!(bytes[20], 2, "complement records");
+        let records: u64 = held
+            .iter()
+            .map(|set| match set {
+                RrrSetRef::Complement { missing, .. } => missing.len() as u64,
+                set => set.len() as u64,
+            })
+            .sum();
+        let theta = svc.theta() as u64;
+        let complements = 8 * (forms.complement_sets + 1);
         assert_eq!(
             bytes.len() as u64,
-            72 + 8 * (svc.theta() as u64 + 3) + 4 * svc.store().total_entries(),
-            "the v1 flat payload, one u32 per vertex entry"
+            72 + complements + 8 * (theta + 3) + 4 * records,
+            "the kind-2 payload, one u32 per record entry"
+        );
+        let resident = svc.store().resident_bytes() as u64;
+        assert!(
+            bytes.len() as u64 <= 72 + 8 * theta + 2 * resident,
+            "{} bytes for a store of {resident} resident bytes",
+            bytes.len()
         );
         let restored = decode_snapshot(&bytes, &graph).unwrap();
         assert_eq!(
@@ -540,4 +565,170 @@ fn dense_sketch_round_trips_through_its_logical_content() {
         let (e2, _) = back.spread_estimate(&top).unwrap();
         assert!((e1 - e2).abs() < 1e-12);
     }
+}
+
+/// A flat store with no complement writes kind 0, one u32 per entry
+/// (a bitmap's too), exactly the bytes it wrote before complement records
+/// existed.
+#[test]
+fn a_list_only_flat_store_writes_kind_0() {
+    use ripples_graph::generators::barabasi_albert;
+    use ripples_graph::WeightModel;
+    let graph = barabasi_albert(500, 3, WeightModel::WeightedCascade, false, 5);
+    let params = ImmParams::new(4, 0.4, DiffusionModel::IndependentCascade, 2);
+    let svc = SketchService::build(
+        &graph,
+        params,
+        SelectEngine::Auto,
+        SampleEngine::Reference,
+        StorageConfig::default(),
+    );
+    let forms = svc.store().form_counts();
+    assert!(
+        forms.complement_sets == 0 && forms.bitmap_sets > 0,
+        "{forms:?}"
+    );
+    let bytes = encode_snapshot(&svc);
+    assert_eq!(bytes[20], 0);
+    let (theta, entries) = (svc.theta() as u64, svc.store().total_entries());
+    assert_eq!(bytes.len() as u64, 72 + 8 * (theta + 3) + 4 * entries);
+    let mut ids = Vec::new();
+    for i in 0..svc.theta() {
+        svc.store()
+            .for_each_vertex(i, |v| ids.extend_from_slice(&v.to_le_bytes()));
+    }
+    assert_eq!(&bytes[bytes.len() - ids.len()..], &ids[..]);
+    let restored = decode_snapshot(&bytes, &graph).unwrap();
+    assert_eq!(restored.store.len(), svc.theta());
+}
+
+/// The sections of a kind-2 payload, as a test may tamper with them.
+struct Kind2 {
+    /// The `complement count` field (`complements.len()` in an honest file).
+    count: u64,
+    complements: Vec<u64>,
+    offsets: Vec<u64>,
+    data: Vec<u32>,
+    theta: u64,
+}
+
+/// 100 vertices, so a complement leaves out at most 3 (32·3 < 100).
+fn hundred_vertices() -> Graph {
+    let mut b = GraphBuilder::new(100);
+    for v in 1..100 {
+        b.add_edge(v - 1, v, 0.5).unwrap();
+    }
+    b.build().unwrap()
+}
+
+/// Each record and whether it is a complement's missing ids.
+fn kind2_records() -> Vec<(Vec<Vertex>, bool)> {
+    vec![
+        (vec![1, 5, 9], false),
+        (vec![3, 50], true),
+        (vec![], false),
+        (vec![], true),
+        ((0..40).collect(), false),
+        (vec![99], true),
+    ]
+}
+
+/// A v1 kind-2 file over [`hundred_vertices`], laid out from the module
+/// doc with nothing of the store's; `tamper` edits the sections first.
+fn kind2_file(records: &[(Vec<Vertex>, bool)], tamper: impl FnOnce(&mut Kind2)) -> Vec<u8> {
+    let mut parts = Kind2 {
+        count: 0,
+        complements: Vec::new(),
+        offsets: vec![0],
+        data: Vec::new(),
+        theta: records.len() as u64,
+    };
+    for (i, (record, complement)) in records.iter().enumerate() {
+        if *complement {
+            parts.complements.push(i as u64);
+        }
+        parts.data.extend_from_slice(record);
+        parts.offsets.push(parts.data.len() as u64);
+    }
+    parts.count = parts.complements.len() as u64;
+    tamper(&mut parts);
+    let mut payload = parts.count.to_le_bytes().to_vec();
+    for i in &parts.complements {
+        payload.extend_from_slice(&i.to_le_bytes());
+    }
+    payload.extend_from_slice(&(parts.offsets.len() as u64).to_le_bytes());
+    for o in &parts.offsets {
+        payload.extend_from_slice(&o.to_le_bytes());
+    }
+    payload.extend_from_slice(&(parts.data.len() as u64).to_le_bytes());
+    for v in &parts.data {
+        payload.extend_from_slice(&v.to_le_bytes());
+    }
+    v1_file(2, &hundred_vertices(), parts.theta, &payload)
+}
+
+/// A hand-laid kind-2 file restores to the sets it records: a complement
+/// record is every vertex but its ids, in the complement form.
+#[test]
+fn hand_assembled_kind2_file_restores() {
+    let graph = hundred_vertices();
+    let records = kind2_records();
+    let restored = decode_snapshot(&kind2_file(&records, |_| {}), &graph).unwrap();
+    assert_eq!(restored.store.kind(), RrrStoreKind::Flat);
+    let sets = restored.store.as_mixed().expect("a flat store");
+    assert_eq!(sets.complement_sets(), 3);
+    let mut out = Vec::new();
+    for (i, (record, complement)) in records.iter().enumerate() {
+        restored.store.decode_into(i, &mut out);
+        let want: Vec<Vertex> = if *complement {
+            (0..100).filter(|v| !record.contains(v)).collect()
+        } else {
+            record.clone()
+        };
+        assert_eq!(out, want, "sample {i}");
+    }
+}
+
+/// Sections of a checksum-valid kind-2 file that lie about each other are
+/// structured errors: never a panic, never a sketch.
+#[test]
+fn checksum_valid_hostile_kind2_payloads_are_rejected() {
+    let graph = hundred_vertices();
+    let records = kind2_records();
+    let corrupt = |what: &str, tamper: &dyn Fn(&mut Kind2)| match decode_snapshot(
+        &kind2_file(&records, tamper),
+        &graph,
+    ) {
+        Err(SnapshotError::Corrupt { detail, .. }) => detail,
+        other => panic!("{what}: expected Corrupt, got {other:?}"),
+    };
+    let d = corrupt("a complement count no file could hold", &|p| {
+        p.count = u64::MAX / 4
+    });
+    assert!(d.contains("exceeds"), "{d}");
+    let d = corrupt("a complement count past its list", &|p| p.count += 1);
+    assert!(d.contains("offset") || d.contains("exceeds"), "{d}");
+    let d = corrupt("a complement past θ", &|p| {
+        *p.complements.last_mut().unwrap() = 6
+    });
+    assert!(d.contains("past the payload's 6 samples"), "{d}");
+    let d = corrupt("complements out of order", &|p| p.complements.swap(0, 1));
+    assert!(d.contains("does not follow"), "{d}");
+    let d = corrupt("a list marked as a complement", &|p| p.complements[1] = 4);
+    assert!(
+        d.contains("sample 4") && d.contains("not a complement"),
+        "{d}"
+    );
+    let d = corrupt("a missing id past n", &|p| {
+        p.data[*p.offsets.last().unwrap() as usize - 1] = 100
+    });
+    assert!(d.contains("sample 5") && d.contains("universe"), "{d}");
+    let d = corrupt("missing ids out of order", &|p| p.data.swap(3, 4));
+    assert!(d.contains("sample 1") && d.contains("ascending"), "{d}");
+    let d = corrupt("one offset too few", &|p| {
+        p.offsets.pop();
+    });
+    assert!(d.contains("data length"), "{d}");
+    let d = corrupt("a header θ the payload does not hold", &|p| p.theta += 1);
+    assert!(d.contains("samples"), "{d}");
 }
