@@ -42,15 +42,18 @@
 //! statistically (not bitwise) equivalent to the reference — see
 //! EXPERIMENTS.md § "Choosing a sampling engine".
 //!
-//! `--rrr-store` picks the RRR storage backend for the `opt`, `mt`, `dist`,
-//! `sharded`, and `tim` engines (default `flat`: sorted
-//! lists, with any set spanning more than n/32 vertices held as an n-bit
-//! bitmap). `spill` gap-encodes each sorted set with LEB128 varints, seals
-//! the blocks into chunks, and writes sealed chunks to a temporary file once
-//! resident bytes exceed `--rrr-budget` (default 1 GiB), streaming them
-//! back per selection round; below the budget nothing touches the disk.
-//! Either backend returns the same seed set at the same `--seed` — see
-//! EXPERIMENTS.md § "Choosing an RRR storage backend".
+//! `--rrr-store` picks the RRR storage for the `opt`, `mt`, `dist`,
+//! `sharded`, and `tim` engines. Both kinds hold the samples as sorted
+//! lists, with a set spanning more than n/32 vertices held as an n-bit
+//! bitmap and one spanning more than 31n/32 as the ids it leaves out.
+//! `spill` adds a byte budget, `--rrr-budget` (default 1 GiB): an `opt` or
+//! `mt` run that selects from the inverted index alone samples into a stage
+//! of at most half the budget, and the index's sealed segments go to a
+//! temporary file once the stage and the index would pass it; below the
+//! budget nothing touches the disk. A run that keeps its samples holds them
+//! in RAM and prints one note when they pass the budget. Either kind
+//! returns the same seed set at the same `--seed` — see EXPERIMENTS.md
+//! § "Choosing an RRR storage backend".
 //!
 //! `--report` prints the engine's full [`ripples_core::RunReport`] (phase span tree, work
 //! counters, RRR size histogram, communication accounting) to stderr —

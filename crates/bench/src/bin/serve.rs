@@ -47,9 +47,10 @@
 //! graph fingerprint + RNG provenance, whole-file checksum) after the
 //! build; `--snapshot-in FILE` restores it and **skips sampling
 //! entirely** — the restored service answers bitwise-identically to the
-//! one that wrote the file. Both `--rrr-store` layouts snapshot, a `spill`
-//! store with chunks on disk included. Restore refuses (with a structured
-//! error) on corrupt bytes or a fingerprint mismatch with the loaded graph.
+//! one that wrote the file. Both `--rrr-store` kinds write the same file,
+//! and a file an older varint store wrote still restores. Restore refuses
+//! (with a structured error) on corrupt bytes or a fingerprint mismatch
+//! with the loaded graph.
 
 use std::io::{BufRead, BufReader, Write};
 use std::path::Path;

@@ -249,7 +249,7 @@ fn parse_rrr_store(tag: &str) -> Result<RrrStoreKind, String> {
                       stored as bitmaps) or spill"
             .to_string(),
         "varint" => "--rrr-store varint was removed in PR 21: use spill, the same \
-                     delta-varint store, which stays in RAM below --rrr-budget (default 1 GiB)"
+                     varint coding, now in the inverted index that --rrr-budget (default 1 GiB) bounds"
             .to_string(),
         _ => format!("unknown --rrr-store `{tag}` (try flat|spill)"),
     })

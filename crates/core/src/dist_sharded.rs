@@ -547,7 +547,7 @@ mod tests {
         let g = graph();
         let p = ImmParams::new(5, 0.5, DiffusionModel::IndependentCascade, 23);
         let flat = imm_sharded(&SelfComm::new(), &g, &p);
-        // The one compressed store, resident and forced to disk.
+        // The spill kind under its default budget and a tiny one.
         for budget in [None, Some(4096)] {
             let storage = StorageConfig {
                 kind: RrrStoreKind::Spill,

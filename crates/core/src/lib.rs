@@ -64,8 +64,6 @@
 
 pub mod celf;
 pub mod dist;
-#[cfg(test)]
-mod dist_partitioned;
 pub mod dist_sharded;
 mod driver;
 pub mod heuristics;

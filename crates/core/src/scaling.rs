@@ -257,9 +257,9 @@ mod tests {
         use ripples_graph::{generators::erdos_renyi, WeightModel};
         // The replay regenerates what the run sampled, so its work, θ and
         // entries are the run's counters — for lists, bitmaps or
-        // complements (uniform probabilities span the graph) and varint
-        // chunks, on shared memory
-        // and across ranks (whose counters the engine globalizes).
+        // complements (uniform probabilities span the graph), flat and
+        // spill-kind, on shared memory and across ranks (whose counters the
+        // engine globalizes).
         let sparse = erdos_renyi(300, 2400, WeightModel::WeightedCascade, false, 21);
         let lt = erdos_renyi(300, 2400, WeightModel::WeightedCascade, true, 21);
         let dense = erdos_renyi(300, 2400, WeightModel::UniformRandom { seed: 3 }, false, 21);

@@ -38,9 +38,7 @@
 //! lowest vertex id), so they return *identical* seed sets on identical
 //! collections — a property the cross-implementation tests rely on.
 
-use ripples_diffusion::{
-    IntervalSets, RrrCollection, RrrStore, RrrStoreKind, SampleIndex, Streamed,
-};
+use ripples_diffusion::{IntervalSets, RrrCollection, RrrStore, SampleIndex, Streamed};
 use ripples_graph::Vertex;
 use std::collections::BinaryHeap;
 use std::time::Instant;
@@ -820,9 +818,11 @@ pub fn select_with_engine_store<S: RrrStore>(
 ///
 /// | store | collection view | owners |
 /// |---|---|---|
-/// | flat, lists only | sorted lists | `partitions` |
-/// | flat with bitmaps or complements | lists, bitmaps or complements, 64-aligned intervals | `partitions` |
-/// | spill | streamed | 1 |
+/// | lists only | sorted lists | `partitions` |
+/// | with bitmaps or complements | lists, bitmaps or complements, 64-aligned intervals | `partitions` |
+/// | any other [`RrrStore`] | streamed | 1 |
+///
+/// Only the streamed view decodes; the others report no decode time.
 ///
 /// # Panics
 ///
@@ -841,6 +841,7 @@ pub fn select_with_engine_banned<S: RrrStore>(
         n as usize,
         "banned mask must cover all vertices"
     );
+    let direct = store.as_mixed().is_some() || store.as_flat().is_some();
     let (selection, mut stats) = if engine == SelectEngine::Sequential {
         match store.as_flat() {
             Some(lists) => sequential_greedy(lists, n, k, banned),
@@ -855,7 +856,7 @@ pub fn select_with_engine_banned<S: RrrStore>(
     } else {
         greedy_cover(&Streamed(store), n, k, partitions, banned)
     };
-    if store.kind() == RrrStoreKind::Flat {
+    if direct {
         stats.decode_nanos = 0;
     }
     (selection, stats)
@@ -864,7 +865,7 @@ pub fn select_with_engine_banned<S: RrrStore>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ripples_diffusion::{DynRrrStore, SampleArena, SpillRrrStore, StorageConfig};
+    use ripples_diffusion::{DynRrrStore, RrrStoreKind, SampleArena, StorageConfig};
 
     const ENGINES: [SelectEngine; 4] = [
         SelectEngine::Auto,
@@ -1041,9 +1042,6 @@ mod tests {
         fn total_entries(&self) -> u64 {
             self.total_entries
         }
-        fn kind(&self) -> RrrStoreKind {
-            RrrStoreKind::Spill
-        }
         fn push(&mut self, _: &[Vertex]) {
             unreachable!()
         }
@@ -1164,7 +1162,7 @@ mod tests {
                     store.push(s);
                 }
                 let bitmaps = store.as_mixed().map_or(0, |m| m.bitmap_sets());
-                assert_eq!(bitmaps > 0, dense && kind == RrrStoreKind::Flat, "{case}");
+                assert_eq!(bitmaps > 0, dense, "{case}");
                 let scan = |store: &DynRrrStore, seeds: &[Vertex]| {
                     (0..store.len())
                         .filter(|&j| seeds.iter().any(|&s| store.contains(j, s)))
@@ -1233,12 +1231,16 @@ mod tests {
         assert_eq!(coverage_of(&c, &[]), 0);
         assert_eq!(coverage_of(&RrrCollection::new(), &[1, 2]), 0);
         // Any store scores like the lists it encodes.
-        let mut varint = SpillRrrStore::new(0);
+        let config = StorageConfig {
+            kind: RrrStoreKind::Spill,
+            budget: Some(0),
+        };
+        let mut store = DynRrrStore::new(config, 6);
         for set in c.iter() {
-            varint.push(set);
+            store.push(set);
         }
-        assert_eq!(coverage_of(&varint, &sel.seeds), sel.covered);
-        assert_eq!(coverage_of(&varint, &[4, 0]), 4);
+        assert_eq!(coverage_of(&store, &sel.seeds), sel.covered);
+        assert_eq!(coverage_of(&store, &[4, 0]), 4);
     }
 
     /// A seed whose rows the store's index dropped is a loud error, not a
@@ -1311,7 +1313,8 @@ mod tests {
         let n = 8u32;
         let k = 4u32;
         let seq = select_seeds_sequential(&sets.iter().cloned().collect::<RrrCollection>(), n, k);
-        // Flat, and the compressed store resident and forced to disk.
+        // Flat, and the spill-kind store under its default budget and a
+        // tiny one.
         for (kind, budget) in [
             (RrrStoreKind::Flat, None),
             (RrrStoreKind::Spill, None),
@@ -1325,16 +1328,15 @@ mod tests {
                 let (sel, stats) = select_with_engine_store(engine, &store, n, k, 3);
                 let case = format!("{kind:?}/{budget:?}/{}", engine.tag());
                 assert_eq!(sel, seq, "{case} diverged");
-                // Only an index-free pass over encoded blocks decodes.
-                let decodes = kind != RrrStoreKind::Flat && stats.index_bytes == 0;
-                assert_eq!(stats.decode_nanos > 0, decodes, "{case}");
+                // Every store reads its sets as they are held.
+                assert_eq!(stats.decode_nanos, 0, "{case}");
             }
         }
     }
 
     #[test]
     fn store_direct_and_indexed_agree_and_report_stats() {
-        let mut c = SpillRrrStore::new(SpillRrrStore::DEFAULT_BUDGET);
+        let mut c = DynRrrStore::new(StorageConfig::of(RrrStoreKind::Spill), 40);
         let mut lists = RrrCollection::new();
         for base in 0..50u32 {
             let mut s: Vec<Vertex> = (0..6).map(|i| (base * 13 + i * 7) % 40).collect();

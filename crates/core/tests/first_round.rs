@@ -173,7 +173,7 @@ fn a_prefix_that_streams_stays_on_the_index() {
 
 /// An LT run whose first round alone is past a spill store's budget: the
 /// store that held that round is gone, and what holds samples is the stage,
-/// at most half the budget's bytes and its growth slack.
+/// at most half the budget's bytes and one set's growth.
 #[test]
 fn a_budgeted_first_round_stays_within_the_stage() {
     let g = barabasi_albert(20_000, 8, WeightModel::WeightedCascade, false, 3);

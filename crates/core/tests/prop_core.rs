@@ -80,9 +80,8 @@ fn complement_strategy() -> impl Strategy<Value = (u32, RrrCollection)> {
 }
 
 /// Collections for the index property: the whole vertex set first (a
-/// complement of no ids in the flat store), then up to a few hundred sparse sets — past 127
-/// samples a gap can take two bytes, past a kibibyte of entries the spill
-/// store seals a chunk.
+/// complement of no ids in the flat store), then up to a few hundred sparse
+/// sets — past 127 samples a gap can take two bytes.
 fn index_collection_strategy() -> impl Strategy<Value = (u32, RrrCollection)> {
     (4u32..48).prop_flat_map(|n| {
         let sets = prop::collection::vec(prop::collection::btree_set(0..n, 0..9), 0..420);
@@ -180,7 +179,7 @@ fn assert_every_route_agrees(
             .iter()
             .map(|s| c.iter().filter(|set| set.contains(s)).count() as u64)
             .sum::<u64>();
-        // Flat, and the compressed store resident and forced to disk.
+        // Flat, and the spill kind under its default budget and a tiny one.
         for (kind, budget) in [
             (RrrStoreKind::Flat, None),
             (RrrStoreKind::Spill, None),
@@ -243,9 +242,8 @@ proptest! {
     /// budget return the seeds and θ of the flat store, under IC and LT.
     /// Their peaks stay within the budget plus one segment (a table, and
     /// rows from at most a stage of half the budget's bytes), plus what no
-    /// budget moves: the index's degrees, and the per-sample counts and
-    /// offsets (8 bytes a sample) and open chunk that the spill store keeps
-    /// resident for the first round, before its samples are released.
+    /// budget moves: the index's degrees, and the first samples the store
+    /// keeps before it releases them.
     #[test]
     fn a_budget_bounds_the_stage_and_the_index_and_moves_no_seed(
         n in 300u32..1500,
@@ -478,9 +476,9 @@ proptest! {
             index.absorb(&lists, 1 + round % 3);
             assert_index_matches_brute_force(&index, n, &c, cut)?;
         }
-        // The index each `DynRrrStore` keeps: bitmaps read by word range and
-        // complements by their runs under two owners, spilled blocks
-        // streamed under one.
+        // The index each `DynRrrStore` keeps, of bitmaps read by word range
+        // and complements by their runs under two owners: resident, and with
+        // its sealed segments spilled under a budget of 0.
         let spilling = StorageConfig { kind: RrrStoreKind::Spill, budget: Some(0) };
         for config in [StorageConfig::default(), spilling] {
             let mut store = DynRrrStore::new(config, n);
@@ -491,11 +489,8 @@ proptest! {
                 })?;
                 prop_assert_eq!(store.indexed_samples(), cut);
             }
-            match store.as_mixed() {
-                Some(flat) => prop_assert!(flat.complement_sets() > 0),
-                // A byte or more per entry: a kibibyte of them seals a chunk.
-                None => prop_assert!(store.spill_bytes_written() > 0 || c.total_entries() < 1024),
-            }
+            let kept = store.as_mixed().expect("a store that keeps its samples");
+            prop_assert!(kept.complement_sets() > 0);
             // Built first, then grown by the batches alone: every batch's end
             // absorbs its samples, with no selection in between.
             let mut store = DynRrrStore::new(config, n);

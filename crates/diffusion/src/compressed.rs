@@ -1,35 +1,22 @@
-//! The delta-varint codec for sorted RRR sets.
+//! The delta-varint codec for sorted id lists.
 //!
 //! §3.1's storage discussion is all about the memory wall: θ grows
 //! super-linearly in accuracy, and the paper's Table 2 runs ran out of
-//! memory on the largest inputs (the ◦ entries). This module pushes the
-//! paper's one-direction layout one step further: because each sample is
-//! *sorted by vertex id*, consecutive gaps are small and LEB128-varint
-//! delta coding shrinks the arena by another 2–3× on typical inputs — at
-//! the price of sequential-only access (no binary search inside a sample).
-//! `store`'s `compressed_backends_shrink_storage` test checks the trade
-//! against [`crate::RrrCollection`] (2.36× on the cit-HepTh stand-in).
+//! memory on the largest inputs (the ◦ entries). Because each list is
+//! *sorted by vertex id* (or sample id), consecutive gaps are small and
+//! LEB128-varint delta coding shrinks it by another 2–3× on typical inputs
+//! — at the price of sequential-only access (no binary search inside a
+//! list). `store`'s `compressed_backends_shrink_storage` test checks the
+//! trade against [`crate::RrrCollection`] (2.36× on the cit-HepTh
+//! stand-in).
 //!
-//! The codec has one container, the chunked [`crate::SpillRrrStore`]
-//! (`--rrr-store spill`), which also spills sealed chunks to disk past a
-//! byte budget. The inverted index ([`crate::SampleIndex`]) codes its rows
-//! with the same varints.
+//! The inverted index ([`crate::SampleIndex`]) codes its rows with these
+//! varints, and that is where a budget's bytes go. No store holds samples
+//! in them any more; [`decode_blocks`] reads the sample blocks of a kind-1
+//! snapshot, the layout the retired varint sample stores wrote.
 
-use crate::mixed::RrrSetRef;
+use crate::rrr::RrrCollection;
 use ripples_graph::Vertex;
-
-#[inline]
-pub(crate) fn push_varint(data: &mut Vec<u8>, mut x: u32) {
-    loop {
-        let byte = (x & 0x7F) as u8;
-        x >>= 7;
-        if x == 0 {
-            data.push(byte);
-            return;
-        }
-        data.push(byte | 0x80);
-    }
-}
 
 #[inline]
 pub(crate) fn read_varint(data: &[u8], pos: &mut usize) -> u32 {
@@ -46,14 +33,14 @@ pub(crate) fn read_varint(data: &[u8], pos: &mut usize) -> u32 {
     }
 }
 
-/// Bytes [`push_varint`] and [`write_varint`] spend on `x`: 1 to 5.
+/// Bytes [`write_varint`] spends on `x`: 1 to 5.
 #[inline]
 pub(crate) fn varint_len(x: u32) -> u32 {
     (32 - (x | 1).leading_zeros()).div_ceil(7)
 }
 
-/// [`push_varint`] at the front of a buffer sized beforehand; returns the
-/// bytes written.
+/// Writes `x` as an LEB128 varint at the front of a buffer sized
+/// beforehand; returns the bytes written.
 #[inline]
 pub(crate) fn write_varint(buf: &mut [u8], mut x: u32) -> u32 {
     let mut at = 0;
@@ -68,20 +55,6 @@ pub(crate) fn write_varint(buf: &mut [u8], mut x: u32) -> u32 {
     }
 }
 
-/// Appends a strictly ascending sample as one delta-varint block (first
-/// id absolute, then gap-1 deltas), streamed from whatever form the set is
-/// held in: a bitmap from the word scan, a complement from the runs between
-/// its missing ids, never through a list.
-#[inline]
-pub(crate) fn encode_set(data: &mut Vec<u8>, set: RrrSetRef<'_>) {
-    let mut next: Vertex = 0;
-    set.for_each(|v| {
-        push_varint(data, v - next);
-        // Wraps only past `u32::MAX`, which is then the last id.
-        next = v.wrapping_add(1);
-    });
-}
-
 /// Decodes one delta-varint block of `count` ids starting at `*pos`,
 /// streaming each vertex to `f`.
 #[inline]
@@ -93,23 +66,6 @@ pub(crate) fn decode_sample(data: &[u8], pos: &mut usize, count: u32, mut f: imp
         f(v);
         prev = v;
     }
-}
-
-/// Membership test on one delta-varint block of `count` ids by sequential
-/// decode (terminates early thanks to the sorted order).
-#[inline]
-pub(crate) fn block_contains(data: &[u8], count: u32, target: Vertex) -> bool {
-    let mut pos = 0usize;
-    let mut prev: Vertex = 0;
-    for idx in 0..count {
-        let raw = read_varint(data, &mut pos);
-        let v = if idx == 0 { raw } else { prev + raw + 1 };
-        if v >= target {
-            return v == target;
-        }
-        prev = v;
-    }
-    false
 }
 
 /// Checked decode of one deserialized block: a well-formed LEB128 stream
@@ -158,10 +114,81 @@ pub(crate) fn check_block(block: &[u8], count: u32) -> Result<(), String> {
     Ok(())
 }
 
+/// Decodes a stream of delta-varint sample blocks — `offsets` bounds each
+/// sample's block in `data`, `counts` holds the per-sample vertex counts —
+/// into the list collection, trusting nothing about them: offsets start at
+/// 0, stay monotone and end at `data.len()`, and every block passes a
+/// checked decode before it is decoded. The snapshot-restore path turns the
+/// message into a structured error instead of panicking inside the
+/// unchecked decoder.
+///
+/// # Errors
+///
+/// Any violated invariant, as human-readable text naming the field.
+pub fn decode_blocks(
+    offsets: &[usize],
+    counts: &[u32],
+    data: &[u8],
+) -> Result<RrrCollection, String> {
+    if offsets.len() != counts.len() + 1 {
+        return Err(format!(
+            "offsets length {} != counts length {} + 1",
+            offsets.len(),
+            counts.len()
+        ));
+    }
+    if offsets[0] != 0 {
+        return Err("offsets[0] must be 0".to_string());
+    }
+    if let Some(i) = offsets.windows(2).position(|w| w[0] > w[1]) {
+        return Err(format!("offsets[{}] > offsets[{}]", i, i + 1));
+    }
+    if offsets[counts.len()] != data.len() {
+        return Err(format!(
+            "offsets[{}] = {} != data length {}",
+            counts.len(),
+            offsets[counts.len()],
+            data.len()
+        ));
+    }
+    let mut lists = RrrCollection::with_capacity(counts.len());
+    let mut set = Vec::new();
+    for (i, &count) in counts.iter().enumerate() {
+        let block = &data[offsets[i]..offsets[i + 1]];
+        check_block(block, count).map_err(|e| format!("sample {i}: {e}"))?;
+        set.clear();
+        decode_sample(block, &mut 0, count, |v| set.push(v));
+        lists.push(&set);
+    }
+    Ok(lists)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mixed::SampleArena;
+
+    fn push_varint(data: &mut Vec<u8>, mut x: u32) {
+        loop {
+            let byte = (x & 0x7F) as u8;
+            x >>= 7;
+            if x == 0 {
+                data.push(byte);
+                return;
+            }
+            data.push(byte | 0x80);
+        }
+    }
+
+    /// Appends a strictly ascending list as one delta-varint block: the
+    /// first id absolute, then gap − 1 deltas.
+    fn encode_list(data: &mut Vec<u8>, list: &[Vertex]) {
+        let mut next: Vertex = 0;
+        for &v in list {
+            push_varint(data, v - next);
+            // Wraps only past `u32::MAX`, which is then the last id.
+            next = v.wrapping_add(1);
+        }
+    }
 
     #[test]
     fn varint_roundtrip() {
@@ -190,7 +217,7 @@ mod tests {
         let blocks = samples
             .iter()
             .map(|s| {
-                encode_set(&mut data, RrrSetRef::List(s));
+                encode_list(&mut data, s);
                 (data.len(), s.len() as u32)
             })
             .collect();
@@ -218,20 +245,9 @@ mod tests {
     }
 
     #[test]
-    fn contains_matches_decode() {
-        let mut data = Vec::new();
-        encode_set(&mut data, RrrSetRef::List(&[2, 7, 9, 30]));
-        for v in 0..40 {
-            let expect = [2, 7, 9, 30].contains(&v);
-            assert_eq!(block_contains(&data, 4, v), expect, "vertex {v}");
-        }
-        assert!(!block_contains(&[], 0, 0));
-    }
-
-    #[test]
     fn check_block_rejects_what_the_unchecked_decoder_would_misread() {
         let mut good = Vec::new();
-        encode_set(&mut good, RrrSetRef::List(&[3, 4, 900]));
+        encode_list(&mut good, &[3, 4, 900]);
         assert_eq!(check_block(&good, 3), Ok(()));
         // A count that lies in either direction.
         assert!(check_block(&good, 4).unwrap_err().contains("truncated"));
@@ -267,25 +283,19 @@ mod tests {
         );
     }
 
+    /// What the blocks lie about is `prop_snapshot`'s hostile-payload test.
     #[test]
-    fn append_arenas_matches_pushes() {
-        // An arena set encodes the same block whether it is held as a list
-        // or — dense enough, n = 64 — as a bitmap read by word scan or a
-        // complement read by its runs.
-        let most: Vec<Vertex> = (0..64).filter(|&v| v != 40).collect();
-        let all: Vec<Vertex> = (0..64).collect();
-        let sets: [&[Vertex]; 6] = [&[1, 3, 5], &[2], &[], &[0, 4, 7, 9, 33, 63], &most, &all];
-        let mut arena = SampleArena::new(64);
-        for s in sets {
-            arena.append_set(s);
-        }
-        assert!(arena.bitmap_sets() > 0);
-        assert_eq!(arena.complement_sets(), 2);
-        let (mut merged, mut pushed) = (Vec::new(), Vec::new());
-        for (set, s) in arena.iter().zip(sets) {
-            encode_set(&mut merged, set);
-            encode_set(&mut pushed, RrrSetRef::List(s));
-        }
-        assert_eq!(merged, pushed);
+    fn adopted_blocks_decode_like_the_lists_they_encode() {
+        let samples: Vec<Vec<Vertex>> = (0..300u32)
+            .map(|i| (0..i % 7).map(|j| i * 3 + j * (i % 5 + 1)).collect())
+            .collect();
+        let (data, blocks) = encode_all(&samples);
+        let offsets: Vec<usize> = std::iter::once(0)
+            .chain(blocks.iter().map(|&(end, _)| end))
+            .collect();
+        let counts: Vec<u32> = blocks.iter().map(|&(_, count)| count).collect();
+        let lists = decode_blocks(&offsets, &counts, &data).unwrap();
+        assert_eq!(lists, samples.into_iter().collect());
+        assert_eq!(decode_blocks(&[0], &[], &[]).unwrap().len(), 0);
     }
 }

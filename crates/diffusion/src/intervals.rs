@@ -98,9 +98,9 @@ impl IntervalSets for MixedRrrCollection {
     }
 }
 
-/// Any store, streamed: a delta-varint block decodes front to back, so
-/// there is no sub-range to hand a second owner, and the spill store's read
-/// cache is not `Sync`.
+/// Any store, streamed through [`RrrStore::for_each_vertex`]: the one view
+/// that asks nothing of a store's layout, so it has no sub-range to hand a
+/// second owner and no `Sync` bound to rely on.
 pub struct Streamed<'a, S>(pub &'a S);
 
 impl<S: RrrStore> IntervalSets for Streamed<'_, S> {

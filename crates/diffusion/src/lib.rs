@@ -51,4 +51,4 @@ pub use sample_index::SampleIndex;
 pub use sampler::{
     ensure_lt_normalized, sample_batch, sample_batch_sequential, sample_root_of, BatchOutcome,
 };
-pub use store::{DynRrrStore, RrrStore, RrrStoreKind, SpillRrrStore, StorageConfig};
+pub use store::{DynRrrStore, RrrStore, RrrStoreKind, StorageConfig};

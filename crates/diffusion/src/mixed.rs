@@ -20,7 +20,7 @@
 //! out and the slice selectors run on it unchanged — and it allocates
 //! nothing beyond what the list collection allocates.
 
-use crate::rrr::{interval_of, RrrCollection};
+use crate::rrr::{grow, interval_of, RrrCollection};
 use ripples_graph::Vertex;
 
 /// How one stored set is held.
@@ -268,6 +268,10 @@ pub struct MixedRrrCollection {
     complements: u64,
     /// Missing ids over all complements: their entries in `lists`.
     missing: u64,
+    /// The most list entries and the most bytes a bounded collection's
+    /// buffers grow toward ([`Self::bounded`]); `None` leaves their growth
+    /// to `Vec`.
+    bound: Option<(usize, usize)>,
 }
 
 /// A worker's sample arena, filled with one block of a parallel sampling
@@ -301,6 +305,20 @@ impl MixedRrrCollection {
             bitmap_lens: Vec::new(),
             complements: 0,
             missing: 0,
+            bound: None,
+        }
+    }
+
+    /// An empty collection whose buffers grow by a quarter of their length
+    /// at a time, as the worker arenas do, toward at most `entries` list
+    /// entries and `bytes` resident bytes, and past that only by what one
+    /// set needs: a released store's stage, which [`Self::clear`] empties
+    /// and refills up to a limit of `entries` and `bytes` many times over.
+    #[must_use]
+    pub(crate) fn bounded(num_vertices: u32, entries: usize, bytes: usize) -> Self {
+        Self {
+            bound: Some((entries, bytes)),
+            ..Self::new(num_vertices)
         }
     }
 
@@ -321,6 +339,12 @@ impl MixedRrrCollection {
             out.lists = lists;
         }
         out
+    }
+
+    /// The size of the vertex universe.
+    #[must_use]
+    pub fn num_vertices(&self) -> u32 {
+        self.num_vertices
     }
 
     /// The list collection, while every set is held as a list.
@@ -462,7 +486,7 @@ impl MixedRrrCollection {
     /// after block wants; a bitmap or complement is built from the buffer.
     pub fn append_set(&mut self, vertices: &[Vertex]) {
         self.push_with(vertices, |lists, set| {
-            lists.append_with(|tail| tail.extend_from_slice(set));
+            lists.append_with(true, |tail| tail.extend_from_slice(set));
         });
     }
 
@@ -480,6 +504,7 @@ impl MixedRrrCollection {
             self.push_dense(vertices, form);
             return;
         }
+        self.reserve(1, vertices.len(), 0, false);
         list(&mut self.lists, vertices);
         let newest = self.lists.len() - 1;
         let repaired = self.lists.get(newest);
@@ -506,6 +531,7 @@ impl MixedRrrCollection {
     /// complement `form` says.
     fn push_dense(&mut self, set: &[Vertex], form: SetForm) {
         if form == SetForm::Bitmap {
+            self.reserve(0, 0, 1, true);
             let start = self.bits.len();
             self.grow_bits();
             let bitmap = &mut self.bits[start..];
@@ -515,7 +541,7 @@ impl MixedRrrCollection {
             self.note_bitmap(set.len() as u32);
         } else {
             let n = self.num_vertices;
-            self.append_complement(|tail| {
+            self.append_complement(n as usize - set.len(), |tail| {
                 let mut next = 0;
                 for &v in set {
                     tail.extend(next..v);
@@ -549,7 +575,7 @@ impl MixedRrrCollection {
                 missing.len()
             ));
         }
-        self.append_complement(|tail| tail.extend_from_slice(missing));
+        self.append_complement(missing.len(), |tail| tail.extend_from_slice(missing));
         Ok(())
     }
 
@@ -567,17 +593,20 @@ impl MixedRrrCollection {
         );
         match set_form(len as usize, n) {
             SetForm::List => {
+                self.reserve(1, len as usize, 0, false);
+                let ahead = self.bound.is_none();
                 self.lists
-                    .append_with(|tail| tail.extend(BitmapIter::new(words)));
+                    .append_with(ahead, |tail| tail.extend(BitmapIter::new(words)));
                 self.note_list();
             }
             SetForm::Bitmap => {
+                self.reserve(0, 0, 1, true);
                 let start = self.bits.len();
                 self.grow_bits();
                 self.bits[start..].copy_from_slice(words);
                 self.note_bitmap(len);
             }
-            SetForm::Complement => self.append_complement(|tail| {
+            SetForm::Complement => self.append_complement(n as usize - len as usize, |tail| {
                 for (i, &word) in words.iter().enumerate() {
                     let base = (i as Vertex) << 6;
                     let beyond = u64::MAX.checked_shl(n - base).unwrap_or(0);
@@ -600,7 +629,7 @@ impl MixedRrrCollection {
             } => {
                 debug_assert_eq!(num_vertices, self.num_vertices);
                 debug_assert_eq!(set_form(set.len(), num_vertices), SetForm::Complement);
-                self.append_complement(|tail| tail.extend_from_slice(missing));
+                self.append_complement(missing.len(), |tail| tail.extend_from_slice(missing));
             }
         }
     }
@@ -610,6 +639,12 @@ impl MixedRrrCollection {
     /// is a copy of the arena's lists and nothing else.
     pub(crate) fn append_arena(&mut self, arena: &SampleArena) {
         debug_assert_eq!(arena.num_vertices, self.num_vertices);
+        self.reserve(
+            arena.lists.len(),
+            arena.lists.total_entries(),
+            arena.bitmap_lens.len(),
+            !arena.slots.is_empty(),
+        );
         if self.slots.is_empty() && arena.slots.is_empty() {
             self.lists.extend_from(&arena.lists);
             return;
@@ -668,11 +703,34 @@ impl MixedRrrCollection {
         self.bits.resize(self.bits.len() + words, 0);
     }
 
+    /// Makes room for `records` more list-arena records (lists and
+    /// complements) of `entries` ids in all and `bitmaps` more bitmaps,
+    /// `dense` when some of them are not lists. A bounded collection grows
+    /// each buffer that lacks room by a quarter of its length, but not past
+    /// its bound, and never by less than it lacks; an unbounded one leaves
+    /// growth to `Vec`.
+    fn reserve(&mut self, records: usize, entries: usize, bitmaps: usize, dense: bool) {
+        let Some((most, bytes)) = self.bound else {
+            return;
+        };
+        let tagged = !self.slots.is_empty();
+        let untagged = if tagged { 0 } else { self.lists.len() };
+        let slots = usize::from(dense || tagged) * (records + bitmaps + untagged);
+        let words = bitmaps * bitmap_words(self.num_vertices);
+        let mut room = bytes.saturating_sub(self.resident_bytes());
+        let lists = self.lists.reserve_toward(records, entries, most, room);
+        room -= lists.min(room);
+        room -= grow(&mut self.slots, slots, most, room).min(room);
+        room -= grow(&mut self.bits, words, usize::MAX, room).min(room);
+        grow(&mut self.bitmap_lens, bitmaps, usize::MAX, room);
+    }
+
+    /// Tags every list set so far, into the slots' own buffer (a bounded
+    /// collection reserved it).
     fn materialize_slots(&mut self) {
         if self.slots.is_empty() {
-            self.slots = (0..self.lists.len())
-                .map(|rank| rank << TAG_BITS | LIST_SLOT)
-                .collect();
+            self.slots
+                .extend((0..self.lists.len()).map(|rank| rank << TAG_BITS | LIST_SLOT));
         }
     }
 
@@ -694,12 +752,13 @@ impl MixedRrrCollection {
         self.bitmap_lens.push(len);
     }
 
-    /// Appends, as the newest sample, the complement whose ascending
-    /// missing ids `fill` writes onto the tail of the list arena.
-    fn append_complement(&mut self, fill: impl FnOnce(&mut Vec<Vertex>)) {
+    /// Appends, as the newest sample, the complement whose `missing`
+    /// ascending ids `fill` writes onto the tail of the list arena.
+    fn append_complement(&mut self, missing: usize, fill: impl FnOnce(&mut Vec<Vertex>)) {
+        self.reserve(1, missing, 0, true);
         self.materialize_slots();
         let before = self.lists.total_entries();
-        self.lists.append_with(fill);
+        self.lists.append_with(self.bound.is_none(), fill);
         self.slots
             .push((self.lists.len() - 1) << TAG_BITS | COMPLEMENT_SLOT);
         self.complements += 1;

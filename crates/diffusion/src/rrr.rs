@@ -178,6 +178,24 @@ fn lt_row(
     examined
 }
 
+/// Makes room in `buf` for `extra` more elements: when it lacks room, by a
+/// quarter of its length, but to no more than `most` elements and by no more
+/// than `room` bytes, and never by less than it lacks. Returns the bytes
+/// reserved.
+pub(crate) fn grow<T>(buf: &mut Vec<T>, extra: usize, most: usize, room: usize) -> usize {
+    let spare = buf.capacity() - buf.len();
+    if spare >= extra {
+        return 0;
+    }
+    let size = std::mem::size_of::<T>();
+    let toward = (buf.len() / 4)
+        .min(most.saturating_sub(buf.len()))
+        .min(spare + room / size);
+    let before = buf.capacity();
+    buf.reserve_exact(extra.max(toward));
+    (buf.capacity() - before) * size
+}
+
 /// The compact one-direction RRR storage of the paper's optimized serial
 /// implementation (IMMOPT): a flattened arena of sorted vertex lists.
 ///
@@ -268,14 +286,15 @@ impl RrrCollection {
     /// intermediate slice. Enforces the same contract: the appended range
     /// is validated, repaired if violating, and counted.
     ///
-    /// The arena grows by a quarter at a time ahead of the fill, as the
-    /// bitmap words do: a sampling worker refills one arena block after
-    /// block, and doubling would leave it reserving up to twice the largest
-    /// block it ever held.
-    pub(crate) fn append_with(&mut self, fill: impl FnOnce(&mut Vec<Vertex>)) {
+    /// With `ahead`, the arena grows by a quarter at a time ahead of the
+    /// fill, as the bitmap words do: a sampling worker refills one arena
+    /// block after block, and doubling would leave it reserving up to twice
+    /// the largest block it ever held. Without, the fill goes into the room
+    /// the caller reserved.
+    pub(crate) fn append_with(&mut self, ahead: bool, fill: impl FnOnce(&mut Vec<Vertex>)) {
         const MIN_GROWTH: usize = 1024;
         let start = self.data.len();
-        if self.data.capacity() - start < MIN_GROWTH {
+        if ahead && self.data.capacity() - start < MIN_GROWTH {
             self.data.reserve_exact(MIN_GROWTH.max(start / 4));
         }
         fill(&mut self.data);
@@ -288,6 +307,20 @@ impl RrrCollection {
             self.data.append(&mut repaired);
         }
         self.offsets.push(self.data.len());
+    }
+
+    /// Makes room for `samples` more samples of `entries` more ids in all,
+    /// as [`grow`] does with at most `most` ids and `room` more bytes;
+    /// returns the bytes reserved.
+    pub(crate) fn reserve_toward(
+        &mut self,
+        samples: usize,
+        entries: usize,
+        most: usize,
+        room: usize,
+    ) -> usize {
+        let offsets = grow(&mut self.offsets, samples, most.saturating_add(1), room);
+        offsets + grow(&mut self.data, entries, most, room.saturating_sub(offsets))
     }
 
     /// Removes the newest sample; its arena space is reused by the next.
@@ -334,21 +367,6 @@ impl RrrCollection {
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
         self.offsets.capacity() * size_of::<usize>() + self.data.capacity() * size_of::<Vertex>()
-    }
-
-    /// The raw offset array: `len() + 1` entries, `offsets[i]..offsets[i+1]`
-    /// bounds sample `i` in [`RrrCollection::raw_data`]. Snapshot
-    /// serialization surface (`ripples-serve`).
-    #[must_use]
-    pub fn raw_offsets(&self) -> &[usize] {
-        &self.offsets
-    }
-
-    /// The flattened vertex arena behind all samples. Snapshot
-    /// serialization surface (`ripples-serve`).
-    #[must_use]
-    pub fn raw_data(&self) -> &[Vertex] {
-        &self.data
     }
 
     /// Rebuilds a collection from deserialized raw parts, re-validating

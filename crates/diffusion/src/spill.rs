@@ -1,7 +1,6 @@
 //! The one spill file: where a byte budget (`--rrr-budget`) puts what it
-//! keeps out of RAM. The sample-major spill store ([`crate::SpillRrrStore`])
-//! spills sealed chunks through it and the inverted index
-//! ([`crate::SampleIndex`]) spills sealed segments; both read back through
+//! keeps out of RAM. The inverted index ([`crate::SampleIndex`]) spills its
+//! sealed segments through it and reads them back through
 //! [`SpillFile::read_at`] alone.
 //!
 //! A file is created in `TMPDIR` on its first append, only ever appended

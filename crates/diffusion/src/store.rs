@@ -1,39 +1,32 @@
-//! Pluggable RRR-set storage backends behind one [`RrrStore`] trait.
+//! RRR-set storage behind one [`RrrStore`] trait, and the one store the
+//! engines run, [`DynRrrStore`].
 //!
-//! The paper's engines hold every sketch flat in RAM
-//! ([`RrrCollection`]); HBMax-style byte-level compression (see PAPERS.md)
-//! shows the same pipelines run several-fold larger θ when the resident
-//! sketches are delta-coded. This module makes the storage layout a
-//! first-class choice:
+//! The samples live in one sample-major container, [`MixedRrrCollection`]:
+//! uncompressed and directly addressable, each set a sorted `u32` list, an
+//! n-bit bitmap once it spans more than n/32 vertices, or the sorted list
+//! of the vertices it leaves out once it spans more than 31n/32
+//! ([`crate::mixed::set_form`]). While no set is that dense it is exactly
+//! the paper's [`RrrCollection`] and the slice selection engines
+//! binary-search it directly. Beside it [`DynRrrStore`] keeps the one
+//! inverted index ([`SampleIndex`], gap-varint rows), which is what a
+//! budget bounds and spills: `--rrr-store spill` with `--rrr-budget` bounds
+//! the stage an index-only run samples into and the index it grows, and
+//! sealed index segments are what goes to disk. A store that keeps its
+//! samples holds them in RAM.
 //!
-//! * [`MixedRrrCollection`] — `--rrr-store flat`: uncompressed and directly
-//!   addressable. Each set is a sorted `u32` list, an n-bit bitmap once it
-//!   spans more than n/32 vertices, or the sorted list of the vertices it
-//!   leaves out once it spans more than 31n/32 ([`crate::mixed::set_form`]).
-//!   While no set is that dense the store is exactly the paper's
-//!   [`RrrCollection`] and the slice selection engines binary-search it
-//!   directly; the bitwise baseline for every other backend.
-//! * [`SpillRrrStore`] — `--rrr-store spill`: LEB128 delta-varint blocks
-//!   (the codec of [`crate::compressed`]) sealed into chunks, typically
-//!   2–4× smaller on sparse sets. Sealed chunks beyond a `--rrr-budget`
-//!   byte cap are written to a temp spill file and streamed back on touch,
-//!   so θ beyond RAM completes instead of OOMing; below the cap nothing
-//!   touches the disk.
-//!
-//! All backends fill through the same two paths — per-sample
+//! Every store fills through the same two paths — per-sample
 //! [`RrrStore::push`] and the [`SampleArena`] merge of the streamed
 //! samplers, one [`RrrStore::append_arena`] per block and one
 //! [`RrrStore::finish_batch`] per batch — in the same sample order, so
-//! every backend decodes bitwise identical to the list reference and the
-//! cross-engine equality invariants extend across storage layouts. The
-//! differential oracle's `storage-equivalence` check enforces exactly that.
+//! every store decodes bitwise identical to the list reference and the
+//! cross-engine equality invariants extend across storage configurations.
+//! The differential oracle's `storage-equivalence` check enforces exactly
+//! that.
 
-use crate::compressed::{block_contains, check_block, decode_sample, encode_set};
 use crate::intervals::Streamed;
 use crate::mixed::{FormCounts, MixedRrrCollection, RrrSetRef, SampleArena};
 use crate::rrr::RrrCollection;
 use crate::sample_index::SampleIndex;
-use crate::spill::SpillFile;
 use ripples_graph::Vertex;
 use std::cell::RefCell;
 
@@ -163,20 +156,18 @@ pub trait RrrStore {
     {
         f(None)
     }
-
-    /// The backend's kind tag.
-    fn kind(&self) -> RrrStoreKind;
 }
 
-/// The available storage backends (`--rrr-store`).
+/// The storage configurations (`--rrr-store`). Both hold the samples in
+/// one [`MixedRrrCollection`]: sorted lists, bitmaps for sets above n/32
+/// vertices and complements for those above 31n/32.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RrrStoreKind {
-    /// Uncompressed, directly addressable: sorted lists, bitmaps for sets
-    /// above n/32 vertices and complements for those above 31n/32
-    /// ([`MixedRrrCollection`]).
+    /// No byte budget: the index stays resident.
     Flat,
-    /// Delta-varint chunks, spilled to disk beyond a byte budget
-    /// ([`SpillRrrStore`]).
+    /// A byte budget (`--rrr-budget`) bounds the stage of a run that selects
+    /// from the index alone and the index, whose sealed segments spill to
+    /// disk beyond it ([`DynRrrStore`]).
     Spill,
 }
 
@@ -206,8 +197,8 @@ impl RrrStoreKind {
 pub struct StorageConfig {
     /// The backend kind.
     pub kind: RrrStoreKind,
-    /// Resident-byte cap for the spill backend (`--rrr-budget`); ignored by
-    /// the flat backend. `None` uses [`SpillRrrStore::DEFAULT_BUDGET`].
+    /// Resident-byte cap of a spill-kind store (`--rrr-budget`); ignored by
+    /// the flat kind. `None` uses [`StorageConfig::DEFAULT_BUDGET`].
     pub budget: Option<usize>,
 }
 
@@ -221,6 +212,9 @@ impl Default for StorageConfig {
 }
 
 impl StorageConfig {
+    /// A spill-kind store's budget when none is configured: 1 GiB.
+    pub const DEFAULT_BUDGET: usize = 1 << 30;
+
     /// Config for one backend kind with no budget override.
     #[must_use]
     pub fn of(kind: RrrStoreKind) -> Self {
@@ -278,10 +272,6 @@ impl RrrStore for RrrCollection {
 
     fn as_flat(&self) -> Option<&RrrCollection> {
         Some(self)
-    }
-
-    fn kind(&self) -> RrrStoreKind {
-        RrrStoreKind::Flat
     }
 }
 
@@ -341,467 +331,6 @@ impl RrrStore for MixedRrrCollection {
     fn as_mixed(&self) -> Option<&MixedRrrCollection> {
         Some(self)
     }
-
-    fn kind(&self) -> RrrStoreKind {
-        RrrStoreKind::Flat
-    }
-}
-
-/// Where a sealed chunk's encoded payload lives.
-#[derive(Debug)]
-enum ChunkPayload {
-    /// Still resident.
-    Ram(Vec<u8>),
-    /// Written to the spill file at `offset`, `len` bytes.
-    Disk { offset: u64, len: usize },
-}
-
-/// One sealed run of consecutive samples, varint-encoded.
-#[derive(Debug)]
-struct Chunk {
-    /// Global index of the chunk's first sample.
-    first_sample: usize,
-    /// Per-sample vertex counts.
-    counts: Vec<u32>,
-    /// Per-sample end byte offsets within the payload.
-    ends: Vec<u32>,
-    payload: ChunkPayload,
-}
-
-impl Chunk {
-    fn samples(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Counts and offsets, and the payload while it is in RAM.
-    fn resident_bytes(&self) -> usize {
-        use std::mem::size_of;
-        (self.counts.capacity() + self.ends.capacity()) * size_of::<u32>()
-            + match &self.payload {
-                ChunkPayload::Ram(bytes) => bytes.capacity(),
-                ChunkPayload::Disk { .. } => 0,
-            }
-    }
-}
-
-/// Payload byte range of a chunk's `j`-th block.
-fn block_range(ends: &[u32], j: usize) -> std::ops::Range<usize> {
-    let start = if j == 0 { 0 } else { ends[j - 1] as usize };
-    start..ends[j] as usize
-}
-
-/// The delta-varint RRR store: blocks sealed into chunks; once resident
-/// bytes exceed the budget, sealed chunk payloads are appended to a temp
-/// spill file and read back on touch through a one-chunk cache. Per-sample
-/// counts and offsets stay resident (8 bytes per sample), so
-/// `sample_len`/`len` never touch the disk and access within a loaded chunk
-/// is O(1). Under its budget the store never opens a file and is simply the
-/// compressed in-RAM layout: a sealed chunk gives its growth slack back, and
-/// so does the open chunk at the end of a sampling batch, so what it reports
-/// resident is 8 bytes per sample plus the encoded bytes. The encoding runs
-/// on the merging thread while the other workers keep sampling.
-///
-/// The access patterns of selection — a sequential counting sweep, then
-/// per-seed touches in ascending sample order — load each spilled chunk a
-/// bounded number of times per pass, so a budget-bound run completes with
-/// streaming reads instead of OOMing.
-///
-/// A spill file that cannot be created or written (`TMPDIR` missing,
-/// read-only or full) degrades the store instead of ending the run: the
-/// chunk stays resident, spilling stops, one warning goes to stderr and
-/// [`RrrStore::spill_write_failures`] counts it — the run completes over
-/// budget with the same samples. Reading a chunk back is different: once
-/// the only copy of a chunk is on disk, a vanished or truncated spill file
-/// is not recoverable, and that read panics naming the file (the rules of
-/// the one spill-file helper, which the inverted index's segments share).
-#[derive(Debug)]
-pub struct SpillRrrStore {
-    budget: usize,
-    /// Seal the open chunk when its payload reaches this many bytes.
-    chunk_target: usize,
-    /// The most payload bytes one chunk may hold: its end offsets are
-    /// `u32`. A block that would carry the open chunk past it opens the
-    /// next chunk instead.
-    payload_limit: usize,
-    chunks: Vec<Chunk>,
-    /// Chunks on disk. Spilling goes oldest first and stops for good at the
-    /// first failed write, so they are always `chunks[..spilled]`.
-    spilled: usize,
-    /// Resident bytes of the sealed chunks, kept as chunks seal and spill
-    /// so that the budget check each push makes costs O(1).
-    sealed_bytes: usize,
-    /// The open chunk's state (same layout as a sealed RAM chunk).
-    open_first: usize,
-    open_counts: Vec<u32>,
-    open_ends: Vec<u32>,
-    open_data: Vec<u8>,
-    spill: SpillFile,
-    total_entries: u64,
-    unsorted_pushes: u64,
-    /// `(chunk index, payload)` of the most recently loaded spilled chunk.
-    cache: RefCell<Option<(usize, Vec<u8>)>>,
-}
-
-impl SpillRrrStore {
-    /// Default resident budget when none is configured: 1 GiB.
-    pub const DEFAULT_BUDGET: usize = 1 << 30;
-
-    /// Creates a store with the given resident-byte budget.
-    #[must_use]
-    pub fn new(budget: usize) -> Self {
-        Self::with_payload_limit(budget, u32::MAX as usize)
-    }
-
-    /// [`SpillRrrStore::new`] with the most payload bytes a chunk may hold
-    /// lowered from the `u32` offset range.
-    pub(crate) fn with_payload_limit(budget: usize, payload_limit: usize) -> Self {
-        // Small budgets must still seal (and therefore spill) promptly; big
-        // budgets want fewer, larger chunks for sequential I/O.
-        let chunk_target = (budget / 4).clamp(1 << 10, 8 << 20);
-        Self {
-            budget,
-            chunk_target,
-            payload_limit,
-            chunks: Vec::new(),
-            spilled: 0,
-            sealed_bytes: 0,
-            open_first: 0,
-            open_counts: Vec::new(),
-            open_ends: Vec::new(),
-            open_data: Vec::new(),
-            spill: SpillFile::new("RRR sets"),
-            total_entries: 0,
-            unsorted_pushes: 0,
-            cache: RefCell::new(None),
-        }
-    }
-
-    /// Adopts a deserialized block stream — `offsets` bounds each sample's
-    /// block in `data`, `counts` holds the per-sample vertex counts — and
-    /// cuts it into chunks under `budget`, re-validating every invariant a
-    /// push sequence would have established: offsets start at 0, stay
-    /// monotone, and end at `data.len()`; every block passes the codec's
-    /// checked decode. The snapshot-restore path turns the message into a
-    /// structured error instead of panicking inside the unchecked hot-path
-    /// decoder.
-    ///
-    /// # Errors
-    ///
-    /// Any violated invariant, as human-readable text naming the field.
-    fn from_blocks(
-        offsets: &[usize],
-        counts: &[u32],
-        data: &[u8],
-        budget: usize,
-    ) -> Result<Self, String> {
-        if offsets.len() != counts.len() + 1 {
-            return Err(format!(
-                "offsets length {} != counts length {} + 1",
-                offsets.len(),
-                counts.len()
-            ));
-        }
-        if offsets[0] != 0 {
-            return Err("offsets[0] must be 0".to_string());
-        }
-        if let Some(i) = offsets.windows(2).position(|w| w[0] > w[1]) {
-            return Err(format!("offsets[{}] > offsets[{}]", i, i + 1));
-        }
-        if offsets[counts.len()] != data.len() {
-            return Err(format!(
-                "offsets[{}] = {} != data length {}",
-                counts.len(),
-                offsets[counts.len()],
-                data.len()
-            ));
-        }
-        let mut store = Self::new(budget);
-        for (i, &count) in counts.iter().enumerate() {
-            let block = &data[offsets[i]..offsets[i + 1]];
-            check_block(block, count).map_err(|e| format!("sample {i}: {e}"))?;
-            store.push_block(count, |data| data.extend_from_slice(block));
-        }
-        store.shrink_open();
-        Ok(store)
-    }
-
-    /// The configured resident budget in bytes.
-    #[must_use]
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-
-    /// Number of chunks currently on disk.
-    #[must_use]
-    pub fn spilled_chunks(&self) -> usize {
-        self.spilled
-    }
-
-    /// Visits the chunks in sample order — sealed ones, read back from the
-    /// spill file where that is where they live, then the open one — as
-    /// `(counts, end offsets within the payload, payload)`.
-    pub fn for_each_chunk(&self, mut f: impl FnMut(&[u32], &[u32], &[u8])) {
-        for (idx, chunk) in self.chunks.iter().enumerate() {
-            self.with_chunk_payload(idx, |bytes| f(&chunk.counts, &chunk.ends, bytes));
-        }
-        if !self.open_counts.is_empty() {
-            f(&self.open_counts, &self.open_ends, &self.open_data);
-        }
-    }
-
-    /// Appends one strictly ascending set, in either arena form.
-    fn push_set(&mut self, set: RrrSetRef<'_>) {
-        let count = u32::try_from(set.len()).expect("an RRR set holds at most u32::MAX vertices");
-        self.push_block(count, |data| encode_set(data, set));
-    }
-
-    /// Appends the `count`-vertex block `write` puts at the open chunk's
-    /// tail, then seals and spills as the chunk target and the budget say.
-    fn push_block(&mut self, count: u32, write: impl FnOnce(&mut Vec<u8>)) {
-        let start = self.open_data.len();
-        write(&mut self.open_data);
-        if self.open_data.len() > self.payload_limit && start > 0 {
-            // Past the limit the chunk's end offsets would not fit: the
-            // block opens the next chunk.
-            let block = self.open_data.split_off(start);
-            self.seal_open();
-            self.open_data = block;
-        }
-        let end = u32::try_from(self.open_data.len()).expect("one block fits the u32 offset range");
-        self.open_counts.push(count);
-        self.open_ends.push(end);
-        self.total_entries += u64::from(count);
-        if self.open_data.len() >= self.chunk_target {
-            self.seal_open();
-        }
-        self.enforce_budget();
-        self.check_sealed_bytes();
-    }
-
-    /// Gives the open chunk's `Vec` growth slack back: `resident_bytes`
-    /// reports capacity, and slack that outlives the fill would show up as
-    /// phantom peak bytes.
-    fn shrink_open(&mut self) {
-        self.open_counts.shrink_to_fit();
-        self.open_ends.shrink_to_fit();
-        self.open_data.shrink_to_fit();
-    }
-
-    fn seal_open(&mut self) {
-        if self.open_counts.is_empty() {
-            return;
-        }
-        self.shrink_open();
-        let samples = self.open_counts.len();
-        let chunk = Chunk {
-            first_sample: self.open_first,
-            counts: std::mem::take(&mut self.open_counts),
-            ends: std::mem::take(&mut self.open_ends),
-            payload: ChunkPayload::Ram(std::mem::take(&mut self.open_data)),
-        };
-        self.sealed_bytes += chunk.resident_bytes();
-        self.chunks.push(chunk);
-        self.open_first += samples;
-        self.check_sealed_bytes();
-    }
-
-    fn enforce_budget(&mut self) {
-        // Oldest sealed RAM chunks spill first: selection touches samples
-        // in ascending order, so the freshest (still-filling) tail stays
-        // hot while the cold head streams from disk.
-        while self.spill.writable()
-            && self.spilled < self.chunks.len()
-            && RrrStore::resident_bytes(self) > self.budget
-        {
-            let idx = self.spilled;
-            let ChunkPayload::Ram(bytes) = &self.chunks[idx].payload else {
-                unreachable!("chunks past the spilled prefix are resident");
-            };
-            let (len, freed) = (bytes.len(), bytes.capacity());
-            // A failed write leaves the chunk resident.
-            let Some(offset) = self.spill.append(&[bytes]) else {
-                return;
-            };
-            self.chunks[idx].payload = ChunkPayload::Disk { offset, len };
-            self.sealed_bytes -= freed;
-            self.spilled += 1;
-            self.check_sealed_bytes();
-        }
-    }
-
-    /// Debug builds recount what `sealed_bytes` tracks.
-    fn check_sealed_bytes(&self) {
-        debug_assert_eq!(
-            self.sealed_bytes,
-            self.chunks.iter().map(Chunk::resident_bytes).sum::<usize>(),
-            "tracked sealed-chunk bytes drifted"
-        );
-    }
-
-    /// Index of the chunk holding global sample `i`, or `None` when `i`
-    /// lives in the open chunk.
-    fn chunk_of(&self, i: usize) -> Option<usize> {
-        if i >= self.open_first {
-            return None;
-        }
-        let idx = self
-            .chunks
-            .partition_point(|c| c.first_sample + c.samples() <= i);
-        debug_assert!(idx < self.chunks.len());
-        Some(idx)
-    }
-
-    /// Runs `f` over the payload of sealed chunk `idx`, loading it from
-    /// disk (into the one-chunk cache) when spilled.
-    fn with_chunk_payload<T>(&self, idx: usize, f: impl FnOnce(&[u8]) -> T) -> T {
-        match &self.chunks[idx].payload {
-            ChunkPayload::Ram(bytes) => f(bytes),
-            ChunkPayload::Disk { offset, len } => {
-                let mut cache = self.cache.borrow_mut();
-                let hit = matches!(&*cache, Some((c, _)) if *c == idx);
-                if !hit {
-                    let mut bytes = vec![0u8; *len];
-                    self.spill.read_at(*offset, &mut bytes);
-                    *cache = Some((idx, bytes));
-                }
-                let (_, bytes) = cache.as_ref().expect("cache just filled");
-                f(bytes)
-            }
-        }
-    }
-
-    /// Runs `f` over the block of sample `i` and its vertex count.
-    fn with_sample_bytes<T>(&self, i: usize, f: impl FnOnce(&[u8], u32) -> T) -> T {
-        match self.chunk_of(i) {
-            None => {
-                let j = i - self.open_first;
-                f(
-                    &self.open_data[block_range(&self.open_ends, j)],
-                    self.open_counts[j],
-                )
-            }
-            Some(idx) => {
-                let chunk = &self.chunks[idx];
-                let j = i - chunk.first_sample;
-                self.with_chunk_payload(idx, |bytes| {
-                    f(&bytes[block_range(&chunk.ends, j)], chunk.counts[j])
-                })
-            }
-        }
-    }
-}
-
-impl RrrStore for SpillRrrStore {
-    fn push(&mut self, vertices: &[Vertex]) {
-        if vertices.windows(2).all(|w| w[0] < w[1]) {
-            self.push_set(RrrSetRef::List(vertices));
-        } else {
-            self.unsorted_pushes += 1;
-            let mut repaired = vertices.to_vec();
-            repaired.sort_unstable();
-            repaired.dedup();
-            self.push_set(RrrSetRef::List(&repaired));
-        }
-    }
-
-    /// Arena content is already validated sorted; repairs that happened
-    /// inside the arena carry over into `unsorted_pushes`. A set the arena
-    /// holds as a bitmap or a complement is encoded from that form, never
-    /// through a list.
-    fn append_arena(&mut self, arena: &SampleArena) {
-        for set in arena.iter() {
-            self.push_set(set);
-        }
-        self.unsorted_pushes += arena.unsorted_pushes();
-    }
-
-    /// The open chunk gives its growth slack back (a sealed one already
-    /// did when it was sealed).
-    fn finish_batch(&mut self) {
-        self.shrink_open();
-    }
-
-    fn len(&self) -> usize {
-        self.open_first + self.open_counts.len()
-    }
-
-    fn total_entries(&self) -> u64 {
-        self.total_entries
-    }
-
-    fn sample_len(&self, i: usize) -> usize {
-        match self.chunk_of(i) {
-            None => self.open_counts[i - self.open_first] as usize,
-            Some(idx) => {
-                let chunk = &self.chunks[idx];
-                chunk.counts[i - chunk.first_sample] as usize
-            }
-        }
-    }
-
-    fn decode_into(&self, i: usize, out: &mut Vec<Vertex>) {
-        out.clear();
-        self.for_each_vertex(i, |v| out.push(v));
-    }
-
-    fn for_each_vertex<F: FnMut(Vertex)>(&self, i: usize, f: F) {
-        self.with_sample_bytes(i, |bytes, count| {
-            let mut pos = 0usize;
-            decode_sample(bytes, &mut pos, count, f);
-            debug_assert_eq!(pos, bytes.len());
-        });
-    }
-
-    fn contains(&self, i: usize, target: Vertex) -> bool {
-        self.with_sample_bytes(i, |bytes, count| block_contains(bytes, count, target))
-    }
-
-    fn resident_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let cache = self
-            .cache
-            .borrow()
-            .as_ref()
-            .map_or(0, |(_, bytes)| bytes.capacity());
-        self.sealed_bytes
-            + (self.open_counts.capacity() + self.open_ends.capacity()) * size_of::<u32>()
-            + self.open_data.capacity()
-            + cache
-    }
-
-    fn unsorted_pushes(&self) -> u64 {
-        self.unsorted_pushes
-    }
-
-    fn spill_bytes_written(&self) -> u64 {
-        self.spill.bytes_written()
-    }
-
-    fn spill_write_failures(&self) -> u64 {
-        self.spill.write_failures()
-    }
-
-    fn kind(&self) -> RrrStoreKind {
-        RrrStoreKind::Spill
-    }
-}
-
-/// The concrete layout behind a [`DynRrrStore`].
-#[derive(Debug)]
-enum DynStoreInner {
-    /// Sorted lists, or bitmaps and complements for dense sets.
-    Flat(MixedRrrCollection),
-    /// Delta-varint chunks with spill-to-disk.
-    Spill(SpillRrrStore),
-}
-
-macro_rules! dyn_delegate {
-    ($self:expr, $store:ident => $body:expr) => {
-        match $self {
-            DynStoreInner::Flat($store) => $body,
-            DynStoreInner::Spill($store) => $body,
-        }
-    };
 }
 
 /// Entries per vertex a store that released its samples stages before it
@@ -818,8 +347,7 @@ const STAGE_ENTRIES_PER_VERTEX: u64 = 8;
 struct StageLimit {
     entries: u64,
     /// Bytes at the stage's lengths ([`MixedRrrCollection::held_bytes`]):
-    /// half the budget, so that with the growth slack of its buffers the
-    /// stage stays within the budget; unbounded without one.
+    /// half the budget, the other half the index's; unbounded without one.
     bytes: usize,
 }
 
@@ -834,6 +362,14 @@ impl StageLimit {
     /// Whether `(entries, bytes)` fit the stage.
     fn admits(self, (entries, bytes): (u64, usize)) -> bool {
         entries <= self.entries && bytes <= self.bytes
+    }
+
+    /// An empty stage whose buffers grow toward this limit rather than past
+    /// it ([`MixedRrrCollection::bounded`]): what it reserves stays within
+    /// the limit but for the growth of one set.
+    fn stage(self, num_vertices: u32) -> MixedRrrCollection {
+        let entries = usize::try_from(self.entries).unwrap_or(usize::MAX);
+        MixedRrrCollection::bounded(num_vertices, entries, self.bytes)
     }
 }
 
@@ -850,8 +386,8 @@ fn stage_size(set: RrrSetRef<'_>) -> (u64, usize) {
 }
 
 /// The samples a store released into its index
-/// ([`DynRrrStore::release_samples`]), counted, and the spill files it no
-/// longer holds (a released spill store's, an index given up at the `u32`
+/// ([`DynRrrStore::release_samples`]), counted, and the spill files of the
+/// indexes it no longer holds (one replaced, one given up at the `u32`
 /// limit): all zero until it does.
 #[derive(Debug, Default)]
 struct Released {
@@ -867,94 +403,84 @@ struct Released {
 }
 
 impl Released {
-    /// Counts the samples and spill file of `store`, which is let go.
-    fn retire<S: RrrStore>(&mut self, store: &S) {
-        self.samples += store.len();
-        self.entries += store.total_entries();
-        self.unsorted_pushes += store.unsorted_pushes();
-        self.forms += store.form_counts();
-        self.spill_bytes_written += store.spill_bytes_written();
-        self.spill_write_failures += store.spill_write_failures();
+    /// Counts the samples of `sets`, which are let go.
+    fn retire(&mut self, sets: &MixedRrrCollection) {
+        self.samples += sets.len();
+        self.entries += sets.total_entries();
+        self.unsorted_pushes += sets.unsorted_pushes();
+        self.forms += sets.form_counts();
+    }
+
+    /// Counts what `index`, which is let go, spilled.
+    fn retire_index(&mut self, index: &SampleIndex) {
+        self.spill_bytes_written += index.spill_bytes_written();
+        self.spill_write_failures += index.spill_write_failures();
     }
 }
 
-/// A runtime-chosen storage backend (`--rrr-store`), dispatching the
-/// [`RrrStore`] trait over the two concrete layouts.
+/// The RRR store every engine entry point and the serve mode run: one
+/// sample-major [`MixedRrrCollection`] — the kept samples, or once they are
+/// released, the stage — beside the one inverted index.
 ///
-/// Owns the [`SampleIndex`] behind [`RrrStore::with_sample_index`], whatever
-/// the layout, with one lifecycle: no index exists until the first indexed
-/// pass builds it, and from then on every [`RrrStore::finish_batch`] absorbs
-/// the batch's samples with the interval owners the index was built with.
-/// IMM selects over the same (append-only) store every θ round and the serve
-/// mode over a sealed one for every query, so a pass finds the index up to
-/// date. The index is not part of a snapshot: a restored service builds it
-/// on its first indexed query.
-///
-/// A spill-kind store's `--rrr-budget` bounds the samples it holds *and*
-/// the index: at every absorb the index gets what the budget leaves beside
-/// the samples ([`SampleIndex::limit_resident`]) and spills its oldest
-/// sealed segments to fit, so the two stay within the budget plus one
-/// segment (and the index's degrees, when the budget is smaller than they
-/// are). [`RrrStore::resident_bytes`] reports the samples alone, and the
-/// index is reported on its own, through `SelectStats::index_bytes`; what
-/// either spills adds to [`RrrStore::spill_bytes_written`]. A flat store has
-/// no budget, and its index stays resident.
+/// Owns the [`SampleIndex`] behind [`RrrStore::with_sample_index`] with one
+/// lifecycle: no index exists until the first indexed pass builds it, and
+/// from then on every [`RrrStore::finish_batch`] absorbs the batch's samples
+/// with the interval owners the index was built with. IMM selects over the
+/// same (append-only) store every θ round and the serve mode over a sealed
+/// one for every query, so a pass finds the index up to date. The index is
+/// not part of a snapshot: a restored service builds it on its first
+/// indexed query.
 ///
 /// A batch run that selects from the index alone releases the samples
-/// ([`DynRrrStore::release_samples`]), whichever the layout: as a rule after
-/// the first batch's 64-sample prefix, mid-batch, and otherwise the whole
-/// first round at the first selection pass. From then on every sample waits
-/// in a flat stage of at most `8 · (n + 1)` entries — and, under a budget,
-/// half the budget's bytes — but always room for one sample, absorbed into
+/// ([`DynRrrStore::release_samples`]): as a rule after the first batch's
+/// 64-sample prefix, mid-batch, and otherwise the whole first round at the
+/// first selection pass. From then on every sample waits in a stage of at
+/// most `8 · (n + 1)` entries, but always room for one sample, absorbed into
 /// the index at its global sample ids and cleared when full and at every
-/// batch's end, so the index grows while sampling runs (and spills sealed
-/// segments under the budget as it does) and no sample-major copy of the
-/// population exists. `len`, `total_entries` and the counters still cover
-/// every sample; reading a released one panics.
+/// batch's end, so the index grows while sampling runs and no sample-major
+/// copy of the population exists. `len`, `total_entries` and the counters
+/// still cover every sample; reading a released one panics.
+///
+/// A spill-kind store's `--rrr-budget` bounds the stage and the index
+/// together: the stage holds at most half the budget's bytes, and at every
+/// absorb the index gets what the budget leaves beside the samples, less a
+/// segment's table ([`SampleIndex::limit_resident`]), and spills its oldest
+/// sealed segments to fit, so the two stay within the budget plus one
+/// segment (and the index's degrees, when the budget is smaller than they
+/// are). A store that keeps its samples holds them in RAM whatever the
+/// budget, and says so once on stderr when they pass it.
+/// [`RrrStore::resident_bytes`] reports the samples alone, and the index is
+/// reported on its own, through `SelectStats::index_bytes`; what it spills
+/// is [`RrrStore::spill_bytes_written`]. A flat store has no budget, and its
+/// index stays resident.
 #[derive(Debug)]
 pub struct DynRrrStore {
-    inner: DynStoreInner,
+    /// The kept samples, or a released store's stage.
+    sets: MixedRrrCollection,
+    kind: RrrStoreKind,
     /// The inverted index once an indexed pass has built it, and the
     /// interval owners it was built with.
     index_cache: RefCell<Option<(SampleIndex, usize)>>,
-    /// A spill-kind store's `--rrr-budget`, which it keeps after it
-    /// releases its samples.
+    /// A spill-kind store's `--rrr-budget`.
     budget: Option<usize>,
     released: Released,
 }
 
-/// Absorbs the samples of `inner` that `index` lacks; `inner`'s first
-/// sample has the global id `base`.
-fn absorb_into(inner: &DynStoreInner, base: usize, index: &mut SampleIndex, owners: usize) {
-    match inner {
-        DynStoreInner::Flat(sets) => index.absorb_at(sets, base, owners),
-        DynStoreInner::Spill(store) => index.absorb_at(&Streamed(store), base, owners),
-    }
-}
-
 impl DynRrrStore {
-    fn with_inner(inner: DynStoreInner) -> Self {
-        let budget = match &inner {
-            DynStoreInner::Flat(_) => None,
-            DynStoreInner::Spill(store) => Some(store.budget()),
+    /// Creates an empty store per `config` for a graph of `num_vertices`.
+    #[must_use]
+    pub fn new(config: StorageConfig, num_vertices: u32) -> Self {
+        let budget = match config.kind {
+            RrrStoreKind::Flat => None,
+            RrrStoreKind::Spill => Some(config.budget.unwrap_or(StorageConfig::DEFAULT_BUDGET)),
         };
         Self {
-            inner,
+            sets: MixedRrrCollection::new(num_vertices),
+            kind: config.kind,
             index_cache: RefCell::new(None),
             budget,
             released: Released::default(),
         }
-    }
-
-    /// Creates an empty store per `config` for a graph of `num_vertices`.
-    #[must_use]
-    pub fn new(config: StorageConfig, num_vertices: u32) -> Self {
-        Self::with_inner(match config.kind {
-            RrrStoreKind::Flat => DynStoreInner::Flat(MixedRrrCollection::new(num_vertices)),
-            RrrStoreKind::Spill => DynStoreInner::Spill(SpillRrrStore::new(
-                config.budget.unwrap_or(SpillRrrStore::DEFAULT_BUDGET),
-            )),
-        })
     }
 
     /// Wraps a restored list collection over a graph of `num_vertices`
@@ -970,21 +496,17 @@ impl DynRrrStore {
     /// flat-kind store (snapshot-restore path).
     #[must_use]
     pub fn from_mixed(sets: MixedRrrCollection) -> Self {
-        Self::with_inner(DynStoreInner::Flat(sets))
+        Self {
+            sets,
+            ..Self::new(StorageConfig::default(), 0)
+        }
     }
 
-    /// Adopts a restored delta-varint block stream as a spill-kind store
-    /// under the default budget (snapshot-restore path): `offsets` bounds
-    /// each sample's block in `data`, `counts` holds the per-sample vertex
-    /// counts, and nothing about them is trusted.
-    ///
-    /// # Errors
-    ///
-    /// The violated invariant, as human-readable text naming the field.
-    pub fn from_blocks(offsets: &[usize], counts: &[u32], data: &[u8]) -> Result<Self, String> {
-        let store =
-            SpillRrrStore::from_blocks(offsets, counts, data, SpillRrrStore::DEFAULT_BUDGET)?;
-        Ok(Self::with_inner(DynStoreInner::Spill(store)))
+    /// The storage configuration the store was made with; a restored one
+    /// is flat.
+    #[must_use]
+    pub fn kind(&self) -> RrrStoreKind {
+        self.kind
     }
 
     /// Samples the cached inverted index has absorbed: 0 until the first
@@ -1000,17 +522,16 @@ impl DynRrrStore {
 
     /// Brings the inverted index up to date — building it with up to
     /// `owners` interval owners if no indexed pass has — and releases every
-    /// sample into it, a spill store's spilled ones included, and the
-    /// layout that held them with its spill file: from here on the store
-    /// holds only a stage of the samples appended since the index last
-    /// absorbed. It may be called between two batches or between the two
-    /// halves of one; samples appended after it go to the stage.
+    /// sample into it: from here on the store holds only a stage of the
+    /// samples appended since the index last absorbed. It may be called
+    /// between two batches or between the two halves of one; samples
+    /// appended after it go to the stage.
     pub fn release_samples(&mut self, num_vertices: u32, owners: usize) {
         self.with_sample_index(num_vertices, owners, |_| ());
-        let stage = DynStoreInner::Flat(MixedRrrCollection::new(num_vertices));
-        let held = std::mem::replace(&mut self.inner, stage);
-        dyn_delegate!(&held, s => self.released.retire(s));
-        self.released.stage_limit = Some(StageLimit::new(num_vertices, self.budget));
+        let limit = StageLimit::new(num_vertices, self.budget);
+        let held = std::mem::replace(&mut self.sets, limit.stage(num_vertices));
+        self.released.retire(&held);
+        self.released.stage_limit = Some(limit);
         let room = self.index_room();
         if let Some((index, _)) = self.index_cache.get_mut() {
             index.limit_resident(room);
@@ -1029,10 +550,17 @@ impl DynRrrStore {
         draw: impl FnOnce(&mut Self),
     ) -> SampleIndex {
         let n = index.num_vertices() as u32;
-        let mut store = Self::with_inner(DynStoreInner::Flat(MixedRrrCollection::new(n)));
-        store.budget = self.budget;
-        store.index_cache = RefCell::new(Some((index, owners)));
-        store.released.stage_limit = Some(StageLimit::new(n, self.budget));
+        let limit = StageLimit::new(n, self.budget);
+        let mut store = Self {
+            sets: limit.stage(n),
+            kind: self.kind,
+            index_cache: RefCell::new(Some((index, owners))),
+            budget: self.budget,
+            released: Released {
+                stage_limit: Some(limit),
+                ..Released::default()
+            },
+        };
         draw(&mut store);
         store.absorb_new();
         let (index, _) = store.index_cache.into_inner().expect("the store's index");
@@ -1053,8 +581,7 @@ impl DynRrrStore {
             .as_mut()
             .expect("a store with an index");
         assert_eq!(index.absorbed_samples(), old.absorbed_samples());
-        self.released.spill_bytes_written += old.spill_bytes_written();
-        self.released.spill_write_failures += old.spill_write_failures();
+        self.released.retire_index(old);
         *old = index;
     }
 
@@ -1070,15 +597,7 @@ impl DynRrrStore {
             })
     }
 
-    /// Visits a spill-kind store's chunks in sample order (snapshot-write
-    /// path, see [`SpillRrrStore::for_each_chunk`]); a flat store has none.
-    pub fn for_each_chunk(&self, f: impl FnMut(&[u32], &[u32], &[u8])) {
-        if let DynStoreInner::Spill(store) = &self.inner {
-            store.for_each_chunk(f);
-        }
-    }
-
-    /// Position in the layout of global sample `i`.
+    /// Position in `sets` of global sample `i`.
     fn held(&self, i: usize) -> usize {
         let absorbed = self.released.samples;
         assert!(
@@ -1089,30 +608,50 @@ impl DynRrrStore {
     }
 
     /// The bytes the budget leaves the index beside the samples the store
-    /// holds: its kept samples, or its stage at the most it may hold.
-    /// `None` (no bound) without a budget, and once a spill file of the
-    /// store's could not be written: the run is over budget already, and
-    /// one warning says so.
+    /// holds — its kept samples, or its stage at the most it may hold — less
+    /// one segment's `4·(n + 1)`-byte table: the index may hold its newest
+    /// segment past its limit while that is smaller than its table
+    /// ([`SampleIndex::limit_resident`]). `None` (no bound) without a
+    /// budget, and once an index of the store's could not write its spill
+    /// file: the run is over budget already, and one warning said so.
     fn index_room(&self) -> Option<usize> {
-        let failures = self.released.spill_write_failures
-            + dyn_delegate!(&self.inner, s => RrrStore::spill_write_failures(s));
-        let budget = self.budget.filter(|_| failures == 0)?;
-        let held = dyn_delegate!(&self.inner, s => RrrStore::resident_bytes(s));
+        let budget = self
+            .budget
+            .filter(|_| self.released.spill_write_failures == 0)?;
+        let held = self.sets.resident_bytes();
         let samples = self
             .released
             .stage_limit
             .map_or(held, |limit| held.max(limit.bytes));
-        Some(budget.saturating_sub(samples))
+        let table = 4 * (self.sets.num_vertices() as usize + 1);
+        Some(budget.saturating_sub(samples + table))
     }
 
     /// A released store's stage, when `size` more would overfill it, goes
     /// into the index first.
     fn make_room(&mut self, size: (u64, usize)) {
-        if let (Some(limit), DynStoreInner::Flat(stage)) = (self.released.stage_limit, &self.inner)
-        {
+        if let Some(limit) = self.released.stage_limit {
+            let stage = &self.sets;
             if !limit.admits((stage.total_entries() + size.0, stage.held_bytes() + size.1)) {
                 self.absorb_new();
             }
+        }
+    }
+
+    /// A kept store whose samples passed its budget says so on stderr, once
+    /// per process: the budget bounds a stage and an index, not them.
+    fn note_past_budget(&self) {
+        static NOTE: std::sync::Once = std::sync::Once::new();
+        let held = self.sets.resident_bytes();
+        let kept = self.released.stage_limit.is_none();
+        if let Some(budget) = self.budget.filter(|&budget| kept && held > budget) {
+            NOTE.call_once(|| {
+                eprintln!(
+                    "note: this run keeps its RRR sets in RAM ({held} bytes, past --rrr-budget \
+                     {budget}); the budget bounds the stage and the index of a run that selects \
+                     from the index alone"
+                );
+            });
         }
     }
 
@@ -1124,11 +663,10 @@ impl DynRrrStore {
     /// (`index_only` bounds its θ schedule).
     fn absorb_new(&mut self) {
         let base = self.released.samples;
-        let end = base + dyn_delegate!(&self.inner, s => RrrStore::len(s));
+        let end = base + self.sets.len();
         if end >= u32::MAX as usize && self.released.stage_limit.is_none() {
             if let Some((index, _)) = self.index_cache.get_mut().take() {
-                self.released.spill_bytes_written += index.spill_bytes_written();
-                self.released.spill_write_failures += index.spill_write_failures();
+                self.released.retire_index(&index);
             }
             return;
         }
@@ -1139,18 +677,17 @@ impl DynRrrStore {
         if index.absorbed_samples() < end {
             let t0 = std::time::Instant::now();
             index.limit_resident(room);
-            absorb_into(&self.inner, base, index, *owners);
+            index.absorb_at(&self.sets, base, *owners);
             ripples_trace::complete(
                 ripples_trace::TraceName::IndexBuild,
                 t0,
-                dyn_delegate!(&self.inner, s => RrrStore::total_entries(s)),
+                self.sets.total_entries(),
                 *owners as u64,
             );
         }
-        if let (Some(_), DynStoreInner::Flat(stage)) = (self.released.stage_limit, &mut self.inner)
-        {
-            self.released.retire(stage);
-            stage.clear();
+        if self.released.stage_limit.is_some() {
+            self.released.retire(&self.sets);
+            self.sets.clear();
         }
     }
 }
@@ -1158,7 +695,8 @@ impl DynRrrStore {
 impl RrrStore for DynRrrStore {
     fn push(&mut self, vertices: &[Vertex]) {
         self.make_room(stage_size(RrrSetRef::List(vertices)));
-        dyn_delegate!(&mut self.inner, s => RrrStore::push(s, vertices));
+        self.sets.push(vertices);
+        self.note_past_budget();
     }
 
     /// A released store takes a block larger than its whole stage one
@@ -1169,100 +707,91 @@ impl RrrStore for DynRrrStore {
             Some(limit) if !limit.admits(size) => {
                 for set in arena.iter() {
                     self.make_room(stage_size(set));
-                    let DynStoreInner::Flat(stage) = &mut self.inner else {
-                        unreachable!("a released store is flat");
-                    };
-                    stage.push_set(set);
+                    self.sets.push_set(set);
                 }
                 self.released.unsorted_pushes += arena.unsorted_pushes();
             }
             _ => {
                 self.make_room(size);
-                dyn_delegate!(&mut self.inner, s => RrrStore::append_arena(s, arena));
+                self.sets.append_arena(arena);
+                self.note_past_budget();
             }
         }
     }
 
-    /// A released store's stage keeps its buffers for the next batch.
+    /// A kept store gives its growth slack back; a released store's stage
+    /// keeps its buffers for the next batch.
     fn finish_batch(&mut self) {
         if self.released.stage_limit.is_none() {
-            dyn_delegate!(&mut self.inner, s => RrrStore::finish_batch(s));
+            self.sets.shrink_to_fit();
         }
         self.absorb_new();
     }
 
     fn len(&self) -> usize {
-        self.released.samples + dyn_delegate!(&self.inner, s => RrrStore::len(s))
+        self.released.samples + self.sets.len()
     }
 
     fn total_entries(&self) -> u64 {
-        self.released.entries + dyn_delegate!(&self.inner, s => RrrStore::total_entries(s))
+        self.released.entries + self.sets.total_entries()
     }
 
     fn sample_len(&self, i: usize) -> usize {
-        let i = self.held(i);
-        dyn_delegate!(&self.inner, s => RrrStore::sample_len(s, i))
+        RrrStore::sample_len(&self.sets, self.held(i))
     }
 
     fn decode_into(&self, i: usize, out: &mut Vec<Vertex>) {
-        let i = self.held(i);
-        dyn_delegate!(&self.inner, s => RrrStore::decode_into(s, i, out));
+        RrrStore::decode_into(&self.sets, self.held(i), out);
     }
 
     fn for_each_vertex<F: FnMut(Vertex)>(&self, i: usize, f: F) {
-        let i = self.held(i);
-        dyn_delegate!(&self.inner, s => RrrStore::for_each_vertex(s, i, f));
+        RrrStore::for_each_vertex(&self.sets, self.held(i), f);
     }
 
     fn contains(&self, i: usize, v: Vertex) -> bool {
-        let i = self.held(i);
-        dyn_delegate!(&self.inner, s => RrrStore::contains(s, i, v))
+        RrrStore::contains(&self.sets, self.held(i), v)
     }
 
     /// The kept samples, or a released store's stage; the index is reported
     /// as the index.
     fn resident_bytes(&self) -> usize {
-        dyn_delegate!(&self.inner, s => RrrStore::resident_bytes(s))
+        self.sets.resident_bytes()
     }
 
     fn unsorted_pushes(&self) -> u64 {
-        self.released.unsorted_pushes
-            + dyn_delegate!(&self.inner, s => RrrStore::unsorted_pushes(s))
+        self.released.unsorted_pushes + self.sets.unsorted_pushes()
     }
 
     /// `None` once the samples are released: the stage is not the store.
     fn as_flat(&self) -> Option<&RrrCollection> {
-        let kept = self.released.stage_limit.is_none();
-        dyn_delegate!(&self.inner, s => RrrStore::as_flat(s).filter(|_| kept))
+        self.as_mixed()?.as_lists()
     }
 
     /// `None` once the samples are released: the stage is not the store.
     fn as_mixed(&self) -> Option<&MixedRrrCollection> {
-        let kept = self.released.stage_limit.is_none();
-        dyn_delegate!(&self.inner, s => RrrStore::as_mixed(s).filter(|_| kept))
+        Some(&self.sets).filter(|_| self.released.stage_limit.is_none())
     }
 
     fn form_counts(&self) -> FormCounts {
-        let mut forms = dyn_delegate!(&self.inner, s => RrrStore::form_counts(s));
+        let mut forms = self.sets.form_counts();
         forms += self.released.forms;
         forms
     }
 
-    /// Samples and index segments alike.
+    /// The index's segments, the current index's and those of the indexes
+    /// the store let go.
     fn spill_bytes_written(&self) -> u64 {
         let index = self.index_cache.borrow();
         self.released.spill_bytes_written
-            + dyn_delegate!(&self.inner, s => RrrStore::spill_bytes_written(s))
             + index
                 .as_ref()
                 .map_or(0, |(index, _)| index.spill_bytes_written())
     }
 
-    /// Samples and index segments alike.
+    /// The index's segments, as [`RrrStore::spill_bytes_written`].
     fn spill_write_failures(&self) -> u64 {
         let index = self.index_cache.borrow();
         self.released.spill_write_failures
-            + dyn_delegate!(&self.inner, s => RrrStore::spill_write_failures(s))
             + index
                 .as_ref()
                 .map_or(0, |(index, _)| index.spill_write_failures())
@@ -1283,7 +812,7 @@ impl RrrStore for DynRrrStore {
             "index cache reused across different vertex universes"
         );
         index.limit_resident(room);
-        absorb_into(&self.inner, self.released.samples, index, owners);
+        index.absorb_at(&self.sets, self.released.samples, owners);
         f(index)
     }
 
@@ -1293,10 +822,6 @@ impl RrrStore for DynRrrStore {
             .as_ref()
             .map(|(index, _)| index)
             .filter(|index| index.absorbed_samples() == self.len()))
-    }
-
-    fn kind(&self) -> RrrStoreKind {
-        dyn_delegate!(&self.inner, s => RrrStore::kind(s))
     }
 }
 
@@ -1323,8 +848,8 @@ mod tests {
             .collect()
     }
 
-    /// The flat store, and the spill store resident (default budget) and
-    /// forced to disk by `budget`.
+    /// The flat store, and the spill-kind store under its default budget
+    /// and under `budget`.
     fn all_backends(n: u32, budget: usize) -> Vec<DynRrrStore> {
         vec![
             DynRrrStore::new(StorageConfig::of(RrrStoreKind::Flat), n),
@@ -1412,12 +937,20 @@ mod tests {
     fn compressed_backends_shrink_storage() {
         use ripples_graph::{generators::standin, WeightModel};
         use ripples_rng::StreamFactory;
+        /// What a varint sample store holds: a count and an end offset per
+        /// sample, and its ids as gap varints.
         fn varint_bytes_of<'a>(sets: impl Iterator<Item = &'a [Vertex]>) -> usize {
-            let mut varint = SpillRrrStore::new(SpillRrrStore::DEFAULT_BUDGET);
-            for set in sets {
-                RrrStore::push(&mut varint, set);
-            }
-            RrrStore::resident_bytes(&varint)
+            let gaps = |set: &[Vertex]| {
+                let mut next = 0;
+                set.iter()
+                    .map(|&v| {
+                        let gap = v - next;
+                        next = v + 1;
+                        crate::compressed::varint_len(gap) as usize
+                    })
+                    .sum::<usize>()
+            };
+            sets.map(|set| 8 + gaps(set)).sum()
         }
         // Clustered sorted ids: the flat layout pays 4 bytes per entry,
         // varint gaps mostly 1 byte.
@@ -1438,7 +971,7 @@ mod tests {
         // The figure EXPERIMENTS.md § "Beyond the paper" quotes: 3 000 IC
         // samples of the cit-HepTh stand-in with uniform probabilities, in
         // the paper's compact list layout, take 5 023 684 bytes against
-        // 2 129 920 as varints (2.36×; growth slack counted on both sides).
+        // 1 274 986 as varints (3.94×), both at their lengths.
         let graph =
             standin("cit-HepTh")
                 .unwrap()
@@ -1450,15 +983,15 @@ mod tests {
         for (label, plain_bytes, varint_bytes, min_ratio) in [
             (
                 "clustered",
-                RrrStore::resident_bytes(&flat),
+                flat.held_bytes(),
                 varint_bytes_of(clustered.iter().map(Vec::as_slice)),
-                2.0,
+                3.5,
             ),
             (
                 "cit-HepTh",
-                plain.resident_bytes(),
+                8 * (plain.len() + 1) + 4 * plain.total_entries(),
                 varint_bytes_of(plain.iter()),
-                2.35,
+                3.94,
             ),
         ] {
             assert!(
@@ -1525,68 +1058,85 @@ mod tests {
             let bitmaps =
                 |store: &DynRrrStore| store.as_mixed().map(MixedRrrCollection::bitmap_sets);
             assert_eq!(bitmaps(&pushed), bitmaps(&merged));
-            if pushed.kind() == RrrStoreKind::Flat {
-                assert_eq!(bitmaps(&pushed), Some(arena.bitmap_sets()));
-                assert!(pushed.as_flat().is_none());
+            assert_eq!(bitmaps(&pushed), Some(arena.bitmap_sets()));
+            assert!(pushed.as_flat().is_none());
+        }
+    }
+
+    /// A spill-kind store under `budget`.
+    fn spill_store(n: u32, budget: usize) -> DynRrrStore {
+        let config = StorageConfig {
+            kind: RrrStoreKind::Spill,
+            budget: Some(budget),
+        };
+        DynRrrStore::new(config, n)
+    }
+
+    /// Pushes `samples` in batches of 100 into a store that released its
+    /// first sample, running `check` after each batch.
+    fn release_and_fill(
+        store: &mut DynRrrStore,
+        n: u32,
+        samples: &[Vec<Vertex>],
+        mut check: impl FnMut(&DynRrrStore),
+    ) {
+        store.push(&samples[0]);
+        store.release_samples(n, 1);
+        for batch in samples[1..].chunks(100) {
+            for s in batch {
+                store.push(s);
+                check(store);
             }
+            store.finish_batch();
+            check(store);
         }
     }
 
     #[test]
     fn spill_store_spills_and_reads_back() {
+        // Under a 4 KiB budget a released store's index spills its sealed
+        // segments, and every row reads back whole.
         let n = 1000;
         let samples = synth_samples(n, 2000);
-        let mut store = SpillRrrStore::new(4096);
-        for s in &samples {
-            RrrStore::push(&mut store, s);
-        }
-        assert!(
-            store.spill_bytes_written() > 0,
-            "a 4 KiB budget over 2000 samples must spill"
-        );
-        assert!(store.spilled_chunks() > 0);
-        // Random-order reads (worst case for the one-chunk cache) still
-        // decode exactly.
-        let mut out = Vec::new();
-        for &i in &[1999usize, 0, 1000, 3, 1998, 500, 7] {
-            RrrStore::decode_into(&store, i, &mut out);
-            assert_eq!(&out, &samples[i], "sample {i}");
-        }
-        // Sequential sweep.
-        for (i, s) in samples.iter().enumerate() {
-            RrrStore::decode_into(&store, i, &mut out);
-            assert_eq!(&out, s, "sample {i}");
-            assert_eq!(RrrStore::sample_len(&store, i), s.len());
-        }
-        let path = store.spill.path().to_path_buf();
-        assert!(path.exists(), "spill file must exist while the store lives");
-        drop(store);
-        assert!(!path.exists(), "spill file must be removed on drop");
+        let mut store = spill_store(n, 4096);
+        release_and_fill(&mut store, n, &samples, |_| ());
+        assert!(store.spill_bytes_written() > 0, "a 4 KiB budget must spill");
+        assert_eq!(store.spill_write_failures(), 0);
+        let c: RrrCollection = samples.into_iter().collect();
+        store.with_current_index(|index| {
+            let index = index.expect("the index holds every sample");
+            crate::sample_index::tests::assert_matches_the_definition(index, &c);
+        });
     }
 
     #[test]
     fn spill_store_without_pressure_stays_in_ram() {
-        let samples = synth_samples(100, 50);
-        let mut store = SpillRrrStore::new(SpillRrrStore::DEFAULT_BUDGET);
+        let n = 100;
+        let samples = synth_samples(n, 50);
+        let mut kept = spill_store(n, StorageConfig::DEFAULT_BUDGET);
         for s in &samples {
-            RrrStore::push(&mut store, s);
+            kept.push(s);
         }
-        assert_eq!(store.spill_bytes_written(), 0);
-        assert!(!store.spill.path().exists());
+        kept.finish_batch();
+        kept.with_sample_index(n, 1, |_| ());
+        let mut released = spill_store(n, StorageConfig::DEFAULT_BUDGET);
+        release_and_fill(&mut released, n, &samples, |_| ());
+        for store in [&kept, &released] {
+            assert_eq!(store.spill_bytes_written(), 0);
+            assert_eq!(store.indexed_samples(), samples.len());
+        }
         let mut out = Vec::new();
         for (i, s) in samples.iter().enumerate() {
-            RrrStore::decode_into(&store, i, &mut out);
+            kept.decode_into(i, &mut out);
             assert_eq!(&out, s);
         }
     }
 
     #[test]
     fn unspilled_arena_merge_holds_no_growth_slack() {
-        // 8 bytes of metadata per sample plus the encoded bytes: what the
-        // retired in-RAM varint container reported. Before sealed chunks
-        // and the merged open chunk gave their `Vec` slack back, this fill
-        // (two sealed 2 MiB chunks and an open one) reported twice the
-        // payload and spilled.
+        // A kept store reports its samples at their lengths once a batch
+        // ends, whatever its budget: here 74 000 sets of ~32 ids merged from
+        // two arenas, past an 8 MiB budget.
         let n = 1 << 14;
         let mut arenas = vec![SampleArena::new(n), SampleArena::new(n)];
         let mut x = 0x2545_F491u32;
@@ -1601,107 +1151,65 @@ mod tests {
             set.dedup();
             arenas[i % 2].append_set(&set);
         }
-        let mut store = SpillRrrStore::new(8 << 20);
-        RrrStore::append_arenas(&mut store, &arenas);
+        let mut store = spill_store(n, 8 << 20);
+        store.append_arenas(&arenas);
         assert_eq!(store.spill_bytes_written(), 0);
-        assert!(store.chunks.len() >= 2 && !store.open_counts.is_empty());
-        let mut payload = 0usize;
-        store.for_each_chunk(|_, _, bytes| payload += bytes.len());
-        let resident = RrrStore::resident_bytes(&store);
-        assert!(resident >= 8 * RrrStore::len(&store) + payload);
-        assert!(
-            resident <= 8 * RrrStore::len(&store) + payload + store.chunk_target,
-            "resident {resident} for {} samples and {payload} payload bytes",
-            RrrStore::len(&store)
-        );
+        assert!(store.resident_bytes() > 8 << 20);
+        assert_eq!(store.resident_bytes(), store.sets.held_bytes());
     }
 
     #[test]
-    fn a_chunk_is_sealed_before_its_payload_passes_the_offset_limit() {
-        // The limit is the `u32` end offsets' range; lowered here so that a
-        // few hundred small sets cross it many times over, by push and by
-        // arena, resident and on disk.
-        let n = 1000;
-        let limit = 100;
-        let samples = synth_samples(n, 600);
-        let mut arena = SampleArena::new(n);
-        for s in &samples {
-            arena.append_set(s);
-        }
-        for budget in [SpillRrrStore::DEFAULT_BUDGET, 0] {
-            let mut pushed = SpillRrrStore::with_payload_limit(budget, limit);
-            for s in &samples {
-                RrrStore::push(&mut pushed, s);
-            }
-            let mut merged = SpillRrrStore::with_payload_limit(budget, limit);
-            RrrStore::append_arenas(&mut merged, std::slice::from_ref(&arena));
-            for store in [&pushed, &merged] {
-                let mut payloads = Vec::new();
-                store.for_each_chunk(|_, ends, payload| {
-                    assert_eq!(ends.last().map(|&e| e as usize), Some(payload.len()));
-                    payloads.push(payload.len());
-                });
-                assert!(payloads.len() > 10, "{payloads:?}");
-                assert!(payloads.iter().all(|&p| p <= limit), "{payloads:?}");
-                let mut out = Vec::new();
-                for (i, s) in samples.iter().enumerate() {
-                    RrrStore::decode_into(store, i, &mut out);
-                    assert_eq!(&out, s, "budget {budget} sample {i}");
-                }
-            }
-        }
-    }
-
-    /// What the blocks lie about is `prop_snapshot`'s hostile-payload test.
-    #[test]
-    fn adopted_blocks_decode_like_pushed_ones_resident_or_on_disk() {
-        let samples = synth_samples(1000, 3000);
-        let mut pushed = SpillRrrStore::new(SpillRrrStore::DEFAULT_BUDGET);
-        for s in &samples {
-            RrrStore::push(&mut pushed, s);
-        }
-        // The global layout a snapshot carries, from the store's chunks.
-        let (mut offsets, mut counts, mut data) = (vec![0usize], Vec::new(), Vec::new());
-        pushed.for_each_chunk(|c, ends, bytes| {
-            offsets.extend(ends.iter().map(|&e| data.len() + e as usize));
-            counts.extend_from_slice(c);
-            data.extend_from_slice(bytes);
-        });
-        // Resident or forced to disk, the adopted store decodes the same.
-        for budget in [SpillRrrStore::DEFAULT_BUDGET, 0] {
-            let adopted = SpillRrrStore::from_blocks(&offsets, &counts, &data, budget).unwrap();
-            assert_eq!(adopted.spilled_chunks() > 0, budget == 0);
-            assert_eq!(adopted.total_entries, pushed.total_entries);
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            for i in 0..samples.len() {
-                RrrStore::decode_into(&adopted, i, &mut a);
-                RrrStore::decode_into(&pushed, i, &mut b);
-                assert_eq!(a, b, "budget {budget} sample {i}");
-            }
+    fn a_released_stage_reserves_no_more_than_its_limit() {
+        // Its buffers grow toward the stage's limit, not past it: by the
+        // held bytes half the budget leaves, and without a budget by the
+        // 8·(n + 1) entries (here 488 ids of ~3 ids a set).
+        let n = 60;
+        let samples = synth_samples(n, 3000);
+        let largest = samples.iter().map(|s| 16 + 4 * s.len()).max().unwrap();
+        for budget in [2048, StorageConfig::DEFAULT_BUDGET] {
+            let mut store = spill_store(n, budget);
+            let limit = StageLimit::new(n, Some(budget));
+            let mut peak = 0;
+            release_and_fill(&mut store, n, &samples, |store| {
+                peak = peak.max(store.resident_bytes());
+            });
+            let bound = if budget == 2048 {
+                limit.bytes + largest
+            } else {
+                // At most 488 entries and as many offsets, by a quarter.
+                let entries = limit.entries as usize;
+                4 * entries + 8 * (entries + 1)
+            };
+            assert!(
+                peak <= bound,
+                "budget {budget}: stage peak {peak} > {bound}"
+            );
+            assert!(peak > bound / 4, "budget {budget}: {peak} never filled");
         }
     }
 
     #[test]
     fn spill_resident_bytes_stay_near_budget() {
+        // The stage and the index together stay within the budget plus one
+        // sealed segment (a 4·(n + 1)-byte table and its rows), and below
+        // the flat layout of the same samples.
         let n = 1000;
         let samples = synth_samples(n, 4000);
         let budget = 16 << 10;
-        let mut store = SpillRrrStore::new(budget);
-        let mut flat = RrrCollection::new();
-        for s in &samples {
-            RrrStore::push(&mut store, s);
-            flat.push(s);
-        }
-        // Resident footprint must land well below the flat layout: the
-        // payload respects the budget and only the per-sample metadata
-        // (8 bytes/sample) grows with θ.
-        let meta = samples.len() * 8;
+        let mut store = spill_store(n, budget);
+        let segment = 4 * (n as usize + 1) + budget / 2;
+        let mut peak = 0;
+        release_and_fill(&mut store, n, &samples, |store| {
+            let index = store.with_current_index(|index| index.map_or(0, |i| i.resident_bytes()));
+            peak = peak.max(store.resident_bytes() + index);
+        });
+        assert!(store.spill_bytes_written() > 0);
         assert!(
-            RrrStore::resident_bytes(&store) < budget + 2 * meta + store.chunk_target,
-            "resident {} exceeds budget {budget} + metadata {meta}",
-            RrrStore::resident_bytes(&store)
+            peak <= budget + segment,
+            "stage and index {peak} exceed budget {budget} + one segment {segment}"
         );
-        assert!(RrrStore::resident_bytes(&store) < flat.resident_bytes());
+        let flat: RrrCollection = samples.into_iter().collect();
+        assert!(peak < flat.resident_bytes());
     }
 
     #[test]
@@ -1769,10 +1277,7 @@ mod tests {
         assert_eq!(store.len(), 50);
         assert!(store.as_mixed().is_none() && store.as_flat().is_none());
         fn stage(store: &DynRrrStore) -> &MixedRrrCollection {
-            let DynStoreInner::Flat(stage) = &store.inner else {
-                unreachable!("a released store is flat");
-            };
-            stage
+            &store.sets
         }
         let limit = store.released.stage_limit.expect("released").entries;
         let mut absorbs_within_batches = 0;

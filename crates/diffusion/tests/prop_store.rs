@@ -1,14 +1,13 @@
-//! Property-based tests for the RRR storage backends: any sorted set of
-//! vertex ids must survive the flat → compressed → decode round trip
-//! bit-for-bit, through every backend — the compressed one resident and
-//! forced to disk — and through the arena merge path, including the sets on
-//! either side of the flat store's list/bitmap and bitmap/complement
-//! boundaries.
+//! Property-based tests for RRR storage: any sorted set of vertex ids must
+//! survive the store → decode round trip bit-for-bit, under every storage
+//! configuration — flat, and spill-kind under any budget — and through the
+//! arena merge path, including the sets on either side of the flat layout's
+//! list/bitmap and bitmap/complement boundaries.
 
 use proptest::prelude::*;
 use ripples_diffusion::{
     sample_batch_fused, DiffusionModel, DynRrrStore, RrrCollection, RrrSetRef, RrrStore,
-    RrrStoreKind, SampleArena, SpillRrrStore, StorageConfig,
+    RrrStoreKind, SampleArena, StorageConfig,
 };
 use ripples_graph::generators::erdos_renyi;
 use ripples_graph::WeightModel;
@@ -106,8 +105,8 @@ fn boundary_samples() -> impl Strategy<Value = (u32, Vec<Vec<u32>>)> {
         })
 }
 
-/// The flat store, and the spill store resident (default budget) and
-/// forced to disk.
+/// The flat store, and the spill-kind store under its default budget and
+/// under a small one.
 const BACKENDS: [StorageConfig; 3] = [
     StorageConfig {
         kind: RrrStoreKind::Flat,
@@ -131,9 +130,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Samples on both sides of the representation boundaries decode
-    /// identically from every backend, filled by `push` or through arenas
-    /// that already hold the dense ones as bitmaps or complements; repairs
-    /// are counted once either way, and the flat store keeps as
+    /// identically from every configuration, filled by `push` or through
+    /// arenas that already hold the dense ones as bitmaps or complements;
+    /// repairs are counted once either way, and the store keeps as
     /// complements exactly the repaired sets with `32·(n − len) < n` and as
     /// bitmaps the others with `32·len > n`.
     #[test]
@@ -157,7 +156,6 @@ proptest! {
             arenas[usize::from(i >= raw.len() / 2)].append_set(s);
         }
         for config in BACKENDS {
-            let flat = config.kind == RrrStoreKind::Flat;
             let mut pushed = DynRrrStore::new(config, n);
             for s in &raw {
                 pushed.push(s);
@@ -168,8 +166,8 @@ proptest! {
                 assert_round_trip(store, &expect);
                 prop_assert_eq!(store.unsorted_pushes(), repaired, "{:?}", config);
                 let forms = store.as_mixed().map(|m| (m.bitmap_sets(), m.complement_sets()));
-                prop_assert_eq!(forms, flat.then_some((bitmaps, complements)));
-                prop_assert_eq!(store.as_flat().is_some(), flat && bitmaps + complements == 0);
+                prop_assert_eq!(forms, Some((bitmaps, complements)), "{:?}", config);
+                prop_assert_eq!(store.as_flat().is_some(), bitmaps + complements == 0);
             }
         }
         let mut bare = RrrCollection::new();
@@ -232,11 +230,11 @@ proptest! {
         }
     }
 
-    /// The list collection and the chunked varint store at any budget —
-    /// budget 0, where every sealed chunk is on disk, included — round-trip
-    /// arbitrary sorted sets, and the store holds the same blocks in the
-    /// same chunks whether filled by `push` or through the `SampleArena`
-    /// merge path the parallel samplers use.
+    /// The list collection and a spill-kind store at any budget — budget 0
+    /// included — round-trip arbitrary sorted sets, and the store holds the
+    /// same sets in the same forms whether filled by `push` or through the
+    /// `SampleArena` merge path the parallel samplers use; a store that
+    /// keeps its samples writes nothing to disk.
     #[test]
     fn all_backends_round_trip(sets in sorted_sets(), budget in 0usize..8192) {
         assert_round_trip(&flat_of(&sets), &sets);
@@ -246,28 +244,20 @@ proptest! {
             arena.append_set(s);
         }
         let arenas = [arena];
-        for budget in [0, budget, SpillRrrStore::DEFAULT_BUDGET] {
-            let mut pushed = SpillRrrStore::new(budget);
+        for budget in [0, budget, StorageConfig::DEFAULT_BUDGET] {
+            let config = StorageConfig { kind: RrrStoreKind::Spill, budget: Some(budget) };
+            let mut pushed = DynRrrStore::new(config, u32::MAX);
             for s in &sets {
                 pushed.push(s);
             }
-            let mut merged = SpillRrrStore::new(budget);
+            pushed.finish_batch();
+            let mut merged = DynRrrStore::new(config, u32::MAX);
             merged.append_arenas(&arenas);
             assert_round_trip(&pushed, &sets);
             assert_round_trip(&merged, &sets);
-            let chunks_of = |store: &SpillRrrStore| {
-                let mut chunks = Vec::new();
-                store.for_each_chunk(|counts, ends, payload| {
-                    chunks.push((counts.to_vec(), ends.to_vec(), payload.to_vec()));
-                });
-                chunks
-            };
-            prop_assert!(
-                chunks_of(&pushed) == chunks_of(&merged),
-                "arena fill and push fill must encode identically at budget {}",
-                budget
-            );
-            prop_assert_eq!(pushed.spill_bytes_written(), merged.spill_bytes_written());
+            prop_assert_eq!(pushed.form_counts(), merged.form_counts());
+            prop_assert_eq!(pushed.resident_bytes(), merged.resident_bytes());
+            prop_assert_eq!(pushed.spill_bytes_written() + merged.spill_bytes_written(), 0);
         }
     }
 }

@@ -27,8 +27,8 @@ enum Filled {
     Dyn(Box<DynRrrStore>),
 }
 
-/// Fresh: the list collection, the flat store, and the spill store
-/// resident and forced to disk.
+/// Fresh: the list collection, the flat store, and the spill-kind store
+/// under its default budget and under a tiny one.
 fn empty_stores(n: u32) -> [(&'static str, Filled); 4] {
     let spill = |budget| StorageConfig {
         kind: RrrStoreKind::Spill,

@@ -174,7 +174,7 @@ catalog! {
         rrr_entries RrrEntries: Counter Sum STABLE FINAL ""
             "Total vertex entries stored across all RRR sets (globally, for the distributed engines)";
         rrr_bytes_peak RrrBytesPeak: Peak PerRank VARIES LIVE "bytes"
-            "Peak resident bytes of the RRR storage on this process: the sample-major store, or for a run that selects from the inverted index alone the stage its samples wait in until the index absorbs them; spilled bytes are not resident";
+            "Peak resident bytes of the RRR storage on this process: the sample-major store, or for a run that selects from the inverted index alone the stage its samples wait in until the index absorbs them";
         theta_rounds ThetaRounds: Counter PerRank STABLE FINAL ""
             "EstimateTheta martingale rounds executed";
         theta_final ThetaFinal: Level PerRank STABLE FINAL ""
@@ -196,19 +196,19 @@ catalog! {
         mask_bytes_peak MaskBytesPeak: Peak PerRank VARIES LIVE "bytes"
             "Peak transient bytes of the fused sampler's per-vertex activation masks on this process (0 for the reference sampler)";
         decode_nanos DecodeNanos: Counter PerRank VARIES FINAL "ns"
-            "Wall time spent decoding compressed RRR blocks during selection on this process (0 for the flat store, whose slices need no decoding)";
+            "Wall time spent decoding RRR sets through a store's streamed view during selection on this process (0 for the stores the engines run, whose sets are read as they are held)";
         spill_bytes_written SpillBytesWritten: Counter PerRank VARIES FINAL "bytes"
-            "Bytes written to spill files on this process: sample chunks of a spill-kind store and the inverted index's segments under its `--rrr-budget` (0 for RAM-only storage)";
+            "Bytes written to spill files on this process: the inverted index's sealed segments under a spill-kind store's `--rrr-budget` (0 under no budget or below it)";
         rrr_sets_bitmap RrrSetsBitmap: Counter Sum STABLE FINAL ""
-            "RRR sets the flat store holds as bitmaps rather than sorted lists: those spanning more than n/32 and at most 31n/32 vertices, the denser ones being complements (globally, for the distributed engines; 0 for the spill store)";
+            "RRR sets the flat store holds as bitmaps rather than sorted lists: those spanning more than n/32 and at most 31n/32 vertices, the denser ones being complements (globally, for the distributed engines)";
         rrr_bitmap_bytes RrrBitmapBytes: Counter Sum STABLE FINAL "bytes"
             "Payload bytes of those bitmaps, ⌈n/64⌉ words each (globally, for the distributed engines)";
         rrr_sets_complement RrrSetsComplement: Counter Sum STABLE FINAL ""
-            "RRR sets the flat store holds as complements, the sorted list of the vertices they leave out: those spanning more than 31n/32 vertices (globally, for the distributed engines; 0 for the spill store)";
+            "RRR sets the flat store holds as complements, the sorted list of the vertices they leave out: those spanning more than 31n/32 vertices (globally, for the distributed engines)";
         rrr_complement_bytes RrrComplementBytes: Counter Sum STABLE FINAL "bytes"
             "Payload bytes of those complements, 4 per vertex left out (globally, for the distributed engines)";
         spill_write_failures SpillWriteFailures: Counter PerRank VARIES FINAL ""
-            "Spill-file creations or writes that failed on this process; the store then keeps its sets, or the index its segments, resident beyond `--rrr-budget`";
+            "Spill-file creations or writes that failed on this process; the index then keeps its segments resident beyond `--rrr-budget`";
         retries Retries: Counter Max VARIES LIVE ""
             "Collective attempts `FaultComm` retried after a fault; 0 on a reliable fabric";
         dropped_ops DroppedOps: Counter Max VARIES LIVE ""

@@ -154,11 +154,11 @@ fn compare_runs(report: &mut OracleReport, subject: &str, r: &ImmResult, referen
     }
 }
 
-/// The compressed store the equivalence check exercises against the flat
-/// reference, at two budgets so both payload locations are covered:
-/// resident under the default budget, and a deliberately tiny one so it
-/// seals, writes, and re-reads chunks even on oracle-sized inputs.
-const COMPRESSED_STORES: [StorageConfig; 2] = [
+/// The spill-kind stores the equivalence check holds to the flat reference:
+/// under the default budget, which nothing here passes, and under a
+/// deliberately tiny one, so that a run selecting from the index alone
+/// spills and re-reads index segments even on oracle-sized inputs.
+const BUDGETED_STORES: [StorageConfig; 2] = [
     StorageConfig {
         kind: RrrStoreKind::Spill,
         budget: None,
@@ -183,15 +183,14 @@ fn dense_graph(params: &ImmParams) -> Graph {
     )
 }
 
-/// Layer 2b: `--rrr-store` equivalence. The compressed backend, resident
-/// and spilled, must return the identical seeds, θ, and coverage as the flat
-/// reference —
-/// end-to-end through the sequential pipeline, through a distributed run,
-/// and at the selection layer across every eager engine on the reference
-/// collection. The flat store itself changes representation on dense
-/// sets, so a second, dense graph holds it (and the compressed one, fed
-/// from bitmaps) to a reference that never touches a store: the Tang-layout
-/// baseline and the tie-order greedy over plain lists.
+/// Layer 2b: `--rrr-store` equivalence. The spill kind, under its default
+/// budget and a tiny one, must return the identical seeds, θ, and coverage
+/// as the flat reference — end-to-end through the sequential pipeline,
+/// through a distributed run, and at the selection layer across every eager
+/// engine on the reference collection. The store changes representation on
+/// dense sets, so a second, dense graph holds it, flat and budgeted, to a
+/// reference that never touches a store: the Tang-layout baseline and the
+/// tie-order greedy over plain lists.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn check_storage_equivalence(
     report: &mut OracleReport,
@@ -203,7 +202,7 @@ pub(crate) fn check_storage_equivalence(
     k: u32,
     cfg: &OracleConfig,
 ) {
-    for storage in COMPRESSED_STORES {
+    for storage in BUDGETED_STORES {
         check_store(
             report, "", storage, graph, params, reference, collection, n, k, cfg,
         );
@@ -239,7 +238,7 @@ pub(crate) fn check_storage_equivalence(
     );
     for storage in [StorageConfig::default()]
         .into_iter()
-        .chain(COMPRESSED_STORES)
+        .chain(BUDGETED_STORES)
     {
         check_store(
             report,
@@ -304,13 +303,18 @@ fn check_store(
     );
     if let Some(budget) = storage.budget {
         let counters = &r.report.counters;
-        report.check(kind, &subject, counters.spill_bytes_written > 0, || {
-            "tiny-budget spill run never wrote its spill file".to_owned()
-        });
-        // An indexed run releases its samples, and the budget bounds the
-        // index: beside the stage it keeps at most one segment over, the
-        // newest while it is smaller than its table and may still be
-        // folded (a table and fewer row bytes).
+        // A run that selects from the index alone releases its samples into
+        // it, and the budget bounds the stage and the index, so a tiny one
+        // spills index segments; a run that keeps its samples holds them in
+        // RAM, and what it writes depends on its index alone.
+        if counters.index_only_at_samples > 0 {
+            report.check(kind, &subject, counters.spill_bytes_written > 0, || {
+                "tiny-budget index-only run never wrote its spill file".to_owned()
+            });
+        }
+        // The budget bounds the index: beside the samples it keeps at most
+        // one segment over, the newest while it is smaller than its table
+        // and may still be folded (a table and fewer row bytes).
         let segment = 2 * 4 * (u64::from(n) + 1);
         let index = counters.index_bytes_peak;
         report.check(kind, &subject, index <= budget as u64 + segment, || {
@@ -341,8 +345,8 @@ fn check_store(
         }
     }
 
-    // Selection layer: refill the backend from the reference collection
-    // and run every eager engine over the compressed blocks.
+    // Selection layer: refill the store from the reference collection and
+    // run every eager engine over it.
     let mut store = DynRrrStore::new(storage, n);
     for s in collection.iter() {
         RrrStore::push(&mut store, s);

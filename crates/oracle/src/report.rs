@@ -29,8 +29,8 @@ pub enum CheckKind {
     KPrefixMonotonicity,
     /// Greedy marginal gains are non-increasing.
     Submodularity,
-    /// Every `--rrr-store` backend (spill resident and at a tiny budget, and
-    /// flat itself once dense sets make it hold bitmaps) returns the
+    /// Every `--rrr-store` kind (spill under its default and a tiny budget,
+    /// and flat itself once dense sets make it hold bitmaps) returns the
     /// identical seeds, θ, and coverage as a list-only reference, across
     /// the sequential/dist pipelines and every eager select engine.
     StorageEquivalence,

@@ -8,8 +8,8 @@
 //!      0     8  magic "RIPLSNAP"
 //!      8     4  version (u32) = 1
 //!     12     8  checksum (u64, FNV-1a over every byte from offset 20 to EOF)
-//!     20     1  store kind (0 = flat, 1 = spill: delta-varint blocks,
-//!                 2 = flat with complement records)
+//!     20     1  store kind (0 = flat, 1 = delta-varint blocks, read
+//!                 only, 2 = flat with complement records)
 //!     21     1  diffusion model (0 = ic, 1 = lt)
 //!     22     1  sample engine (0 = auto, 1 = reference, 2 = fused)
 //!     23     1  reserved, must be 0
@@ -26,21 +26,22 @@
 //! Flat payload (kind 0): `u64` offsets length, offsets as `u64` each,
 //! `u64` data length, vertex ids as `u32` each — every set as its sorted
 //! list whether the store holds it as a list or a bitmap; a restore
-//! re-encodes each set by the store's own density rule. A flat store that
-//! holds some sets as complements writes kind 2 instead: `u64` complement
-//! count, the ascending sample index of each complement as `u64`, then the
-//! kind-0 layout, in which a complement's record is the sorted list of the
+//! re-encodes each set by the store's own density rule. A store that holds
+//! some sets as complements writes kind 2 instead: `u64` complement count,
+//! the ascending sample index of each complement as `u64`, then the kind-0
+//! layout, in which a complement's record is the sorted list of the
 //! vertices it leaves out rather than the up to n it holds. A store with no
-//! complement writes kind 0, byte for byte as before kind 2 existed. Kind-1
-//! payload: `u64` offsets length (θ + 1), the global byte offset bounding
-//! each sample's block as `u64` each, `u64` counts length (θ), per-sample
-//! vertex counts as `u32` each, `u64` byte-stream length, the delta-varint
-//! blocks back to back (first id as an LEB128 varint, then gap − 1 per
-//! further id). The chunked spill store writes this from its chunks,
-//! resident and spilled alike, and a restore cuts the stream back into
-//! chunks, so the layout is independent of chunking and budget — it is the
-//! one the retired `--rrr-store varint` container wrote, and its files
-//! still restore.
+//! complement writes kind 0, byte for byte as before kind 2 existed. Every
+//! store writes one of the two, whatever its `--rrr-store`.
+//!
+//! Kind 1 is read, never written: the payload the retired varint sample
+//! stores (`--rrr-store varint`, and `--rrr-store spill` before it held its
+//! samples flat) wrote. `u64` offsets length (θ + 1), the global byte offset
+//! bounding each sample's block as `u64` each, `u64` counts length (θ),
+//! per-sample vertex counts as `u32` each, `u64` byte-stream length, the
+//! delta-varint blocks back to back (first id as an LEB128 varint, then
+//! gap − 1 per further id). A restore checks every block and decodes it
+//! into the flat store, which then answers as the store that wrote it.
 //!
 //! The provenance header pins everything that determined the sampled
 //! collection: the graph (by fingerprint), the master seed, the sampling
@@ -64,9 +65,9 @@ use std::fs;
 use std::path::Path;
 
 use ripples_core::{ImmParams, SampleEngine};
+use ripples_diffusion::compressed::decode_blocks;
 use ripples_diffusion::{
     DiffusionModel, DynRrrStore, MixedRrrCollection, RrrCollection, RrrSetRef, RrrStore,
-    RrrStoreKind,
 };
 use ripples_graph::Graph;
 
@@ -277,11 +278,7 @@ pub fn encode_snapshot(service: &SketchService) -> Vec<u8> {
     let complements = store.as_mixed().filter(|sets| sets.complement_sets() > 0);
     let record_len =
         |i: usize| complement_record(complements, i).map_or(store.sample_len(i), <[u32]>::len);
-    let kind = match store.kind() {
-        RrrStoreKind::Flat => 2 * u8::from(complements.is_some()),
-        RrrStoreKind::Spill => 1,
-    };
-    // Exact for a flat payload; a spill store's byte stream grows it.
+    let kind = 2 * u8::from(complements.is_some());
     let (records, complement_bytes) = match complements {
         Some(sets) => (
             (0..store.len()).map(record_len).sum(),
@@ -305,52 +302,24 @@ pub fn encode_snapshot(service: &SketchService) -> Vec<u8> {
     push_u64(&mut out, params.epsilon.to_bits());
     push_u64(&mut out, params.ell.to_bits());
     push_u64(&mut out, service.theta() as u64);
-    match store.kind() {
-        RrrStoreKind::Flat => {
-            if let Some(sets) = complements {
-                push_u64(&mut out, sets.complement_sets());
-                for i in (0..store.len()).filter(|&i| complement_record(complements, i).is_some()) {
-                    push_u64(&mut out, i as u64);
-                }
-            }
-            push_u64(&mut out, store.len() as u64 + 1);
-            let mut end = 0u64;
-            push_u64(&mut out, end);
-            for i in 0..store.len() {
-                end += record_len(i) as u64;
-                push_u64(&mut out, end);
-            }
-            push_u64(&mut out, end);
-            for i in 0..store.len() {
-                match complement_record(complements, i) {
-                    Some(missing) => missing.iter().for_each(|&v| push_u32(&mut out, v)),
-                    None => store.for_each_vertex(i, |v| push_u32(&mut out, v)),
-                }
-            }
+    if let Some(sets) = complements {
+        push_u64(&mut out, sets.complement_sets());
+        for i in (0..store.len()).filter(|&i| complement_record(complements, i).is_some()) {
+            push_u64(&mut out, i as u64);
         }
-        RrrStoreKind::Spill => {
-            // One pass over the chunks, so a spilled chunk is read back
-            // once: the offset and count sections have known sizes and are
-            // filled in place while the byte stream is appended behind them.
-            let theta = store.len();
-            push_u64(&mut out, theta as u64 + 1);
-            let mut offset_at = out.len() + 8; // offsets[0] = 0 stays zeroed
-            let mut count_at = offset_at + 8 * theta + 8;
-            let stream_len_at = count_at + 4 * theta;
-            out.resize(stream_len_at + 8, 0);
-            put_u64(&mut out, count_at - 8, theta as u64);
-            let mut stream_len = 0u64;
-            store.for_each_chunk(|counts, ends, payload| {
-                for (&count, &end) in counts.iter().zip(ends) {
-                    put_u64(&mut out, offset_at, stream_len + u64::from(end));
-                    out[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
-                    offset_at += 8;
-                    count_at += 4;
-                }
-                stream_len += payload.len() as u64;
-                out.extend_from_slice(payload);
-            });
-            put_u64(&mut out, stream_len_at, stream_len);
+    }
+    push_u64(&mut out, store.len() as u64 + 1);
+    let mut end = 0u64;
+    push_u64(&mut out, end);
+    for i in 0..store.len() {
+        end += record_len(i) as u64;
+        push_u64(&mut out, end);
+    }
+    push_u64(&mut out, end);
+    for i in 0..store.len() {
+        match complement_record(complements, i) {
+            Some(missing) => missing.iter().for_each(|&v| push_u32(&mut out, v)),
+            None => store.for_each_vertex(i, |v| push_u32(&mut out, v)),
         }
     }
     let checksum = fnv1a(&out[CHECKSUM_COVERS_FROM..]);
@@ -570,7 +539,7 @@ pub fn decode_snapshot(bytes: &[u8], graph: &Graph) -> Result<RestoredSketch, Sn
 
     let store = match kind_byte {
         0 => DynRrrStore::from_flat(decode_flat_payload(&mut r)?, graph.num_vertices()),
-        1 => decode_spill_payload(&mut r)?,
+        1 => DynRrrStore::from_flat(decode_varint_payload(&mut r)?, graph.num_vertices()),
         2 => decode_complement_payload(&mut r, graph.num_vertices())?,
         other => {
             return Err(SnapshotError::UnsupportedStore {
@@ -680,13 +649,14 @@ fn decode_complement_payload(
     Ok(DynRrrStore::from_mixed(sets))
 }
 
-fn decode_spill_payload(r: &mut Reader<'_>) -> Result<DynRrrStore, SnapshotError> {
+/// A kind-1 payload, decoded into lists.
+fn decode_varint_payload(r: &mut Reader<'_>) -> Result<RrrCollection, SnapshotError> {
     let payload_offset = r.pos;
     let offsets = r.offsets("varint offsets length", "varint offset")?;
     let counts = r.u32s("varint counts length", "varint count")?;
     let bytes_len = r.len("varint byte-stream length", 1)?;
     let data = r.take(bytes_len, "varint byte stream")?;
-    DynRrrStore::from_blocks(&offsets, &counts, data).map_err(|detail| SnapshotError::Corrupt {
+    decode_blocks(&offsets, &counts, data).map_err(|detail| SnapshotError::Corrupt {
         field: "varint payload",
         offset: payload_offset,
         detail,

@@ -48,8 +48,8 @@ fn other_graph() -> Graph {
     b.build().unwrap()
 }
 
-/// ε = 0.2 draws about a thousand samples, some 4 KiB of varint blocks:
-/// enough for [`SPILL_ON_DISK`] to seal and spill several chunks.
+/// ε = 0.2 draws about a thousand samples, some 4 KiB as varint blocks
+/// and several times [`SPILL_TINY`]'s budget.
 fn build_service(seed: u64, k_max: u32, storage: StorageConfig) -> SketchService {
     build_service_with_ell(seed, k_max, storage, 1.0)
 }
@@ -77,19 +77,20 @@ const FLAT: StorageConfig = StorageConfig {
     kind: RrrStoreKind::Flat,
     budget: None,
 };
-/// The spill store under its default budget: nothing touches the disk.
+/// The spill kind under its default budget.
 const SPILL_RESIDENT: StorageConfig = StorageConfig {
     kind: RrrStoreKind::Spill,
     budget: None,
 };
-/// The spill store with every sealed chunk forced to disk.
-const SPILL_ON_DISK: StorageConfig = StorageConfig {
+/// The spill kind under a budget every sketch passes: a sketch keeps its
+/// samples, in RAM, whatever the budget.
+const SPILL_TINY: StorageConfig = StorageConfig {
     kind: RrrStoreKind::Spill,
     budget: Some(0),
 };
 
 fn store_kinds() -> impl Strategy<Value = StorageConfig> {
-    (0usize..3).prop_map(|i| [FLAT, SPILL_RESIDENT, SPILL_ON_DISK][i])
+    (0usize..3).prop_map(|i| [FLAT, SPILL_RESIDENT, SPILL_TINY][i])
 }
 
 proptest! {
@@ -109,9 +110,11 @@ proptest! {
         let svc = build_service_with_ell(seed, k_max, kind, ell);
         let bytes = encode_snapshot(&svc);
         let restored = decode_snapshot(&bytes, &graph).unwrap();
-        prop_assert_eq!(restored.store.kind(), kind.kind);
+        // Every kind writes the flat layout, and restores as the flat kind.
+        prop_assert!(bytes[20] != 1);
+        prop_assert_eq!(restored.store.kind(), RrrStoreKind::Flat);
         let spilled = svc.build_result().unwrap().report.counters.spill_bytes_written;
-        prop_assert_eq!(spilled > 0, kind == SPILL_ON_DISK);
+        prop_assert_eq!(spilled, 0);
 
         // Sample-level identity.
         prop_assert_eq!(restored.store.len(), svc.theta());
@@ -265,47 +268,40 @@ fn error_shapes_name_offset_and_field() {
     assert!(msg.contains("theta") && msg.contains("64"), "{msg}");
 }
 
-/// A spill store whose chunks are on disk snapshots like any other: the
-/// file is byte for byte the one the resident store writes (the payload does
-/// not depend on chunking or budget), and file → service → file is the
-/// identity.
+/// A spill-kind service whose index has its sealed segments on disk
+/// snapshots like any other: the file is byte for byte the flat service's
+/// (a snapshot carries the samples, never the index), file → service → file
+/// is the identity, and the restored service answers as the flat one does.
 #[test]
 fn spill_store_on_disk_round_trips_bitwise() {
     let graph = test_graph();
-    let on_disk = build_service(7, 4, SPILL_ON_DISK);
+    let params = ImmParams::new(1, 0.2, DiffusionModel::IndependentCascade, 7).with_k_max(4);
+    let build = |storage| {
+        SketchService::build(
+            &graph,
+            params,
+            SelectEngine::Fused,
+            SampleEngine::Reference,
+            storage,
+        )
+    };
+    let on_disk = build(SPILL_TINY);
     let spilled = on_disk
         .build_result()
         .unwrap()
         .report
         .counters
         .spill_bytes_written;
-    assert!(spilled > 0, "budget 0 must put sealed chunks on disk");
-    let bytes = encode_snapshot(&on_disk);
-    assert_eq!(bytes, encode_snapshot(&build_service(7, 4, SPILL_RESIDENT)));
-
-    let dir = std::env::temp_dir();
-    let first = dir.join(format!(
-        "ripples-prop-snapshot-spill-{}-a.snap",
-        std::process::id()
-    ));
-    let second = dir.join(format!(
-        "ripples-prop-snapshot-spill-{}-b.snap",
-        std::process::id()
-    ));
-    on_disk.snapshot_to(&first).unwrap();
-    let mut back = SketchService::restore_from(&first, &graph, SelectEngine::Sequential).unwrap();
-    back.snapshot_to(&second).unwrap();
-    let (written, rewritten) = (
-        std::fs::read(&first).unwrap(),
-        std::fs::read(&second).unwrap(),
+    assert!(
+        spilled > 0,
+        "budget 0 must put sealed index segments on disk"
     );
-    std::fs::remove_file(&first).ok();
-    std::fs::remove_file(&second).ok();
-    assert_eq!(written, bytes);
-    assert_eq!(rewritten, bytes);
+    let mut flat = build(FLAT);
+    let bytes = encode_snapshot(&on_disk);
+    assert_eq!(bytes, encode_snapshot(&flat));
 
-    // And it answers as the flat service on the same sketch does.
-    let mut flat = build_service(7, 4, FLAT);
+    let mut back = restore_bytes(&bytes, "spill-on-disk");
+    assert_eq!(encode_snapshot(&back), bytes);
     let (top, _) = flat.topk(4).unwrap();
     assert_eq!(back.topk(4).unwrap().0, top);
     assert_eq!(
@@ -316,6 +312,51 @@ fn spill_store_on_disk_round_trips_bitwise() {
         back.spread_estimate(&top).unwrap().0.to_bits(),
         flat.spread_estimate(&top).unwrap().0.to_bits()
     );
+}
+
+/// A kind-1 file the delta-varint sample store wrote restores into the flat
+/// store: it holds the samples a flat build draws, answers `topk`,
+/// `topk_excluding` and `spread_estimate` bitwise as that build does, and
+/// snapshots again as the flat build's file. The file is what
+/// `encode_snapshot` wrote for `build_service(7, 4, SPILL_RESIDENT)` while
+/// that store held its samples as varint blocks.
+#[test]
+fn a_kind1_file_the_varint_store_wrote_restores_flat() {
+    let graph = test_graph();
+    let written = include_bytes!("data/kind1_varint_store.snap");
+    assert_eq!(written[20], 1, "a kind-1 file");
+    let mut flat = build_service(7, 4, FLAT);
+    let restored = decode_snapshot(written, &graph).unwrap();
+    assert_eq!(restored.store.kind(), RrrStoreKind::Flat);
+    assert_eq!(restored.store.len(), flat.theta());
+    let (mut a, mut b) = (Vec::new(), Vec::new());
+    for i in 0..flat.theta() {
+        flat.store().decode_into(i, &mut a);
+        restored.store.decode_into(i, &mut b);
+        assert_eq!(a, b, "sample {i}");
+    }
+
+    let mut back = restore_bytes(written, "varint-store");
+    for k in 1..=4 {
+        assert_eq!(
+            back.topk(k).unwrap().0,
+            flat.topk(k).unwrap().0,
+            "topk({k})"
+        );
+    }
+    let (top, _) = flat.topk(4).unwrap();
+    for banned in [&top[..1], &top[1..3]] {
+        assert_eq!(
+            back.topk_excluding(3, banned).unwrap().0,
+            flat.topk_excluding(3, banned).unwrap().0,
+            "topk_excluding(3, {banned:?})"
+        );
+    }
+    assert_eq!(
+        back.spread_estimate(&top).unwrap().0.to_bits(),
+        flat.spread_estimate(&top).unwrap().0.to_bits()
+    );
+    assert_eq!(encode_snapshot(&back), encode_snapshot(&flat));
 }
 
 /// The three sections of a kind-1 payload, as a test may tamper with them.
@@ -408,15 +449,16 @@ fn kind1_samples() -> Vec<Vec<Vertex>> {
 }
 
 /// The format is what the module doc says it is: a file written by an
-/// encoder that shares no code with the store restores to exactly the
-/// samples and provenance that went in — which is also why a file the
-/// retired `--rrr-store varint` container wrote still restores.
+/// encoder that shares no code with the store restores, into the flat
+/// store, to exactly the samples and provenance that went in — which is
+/// also why a file a retired varint sample store wrote still restores — and
+/// answers as a service over the same samples does.
 #[test]
 fn hand_assembled_kind1_file_restores() {
     let graph = test_graph();
     let samples = kind1_samples();
     let restored = decode_snapshot(&kind1_file(&samples, |_| {}), &graph).unwrap();
-    assert_eq!(restored.store.kind(), RrrStoreKind::Spill);
+    assert_eq!(restored.store.kind(), RrrStoreKind::Flat);
     assert_eq!(restored.store.len(), samples.len());
     let mut out = Vec::new();
     for (i, sample) in samples.iter().enumerate() {
@@ -426,6 +468,47 @@ fn hand_assembled_kind1_file_restores() {
     let params = ImmParams::new(2, 0.25, DiffusionModel::IndependentCascade, 9).with_k_max(3);
     assert_eq!(restored.params, params);
     assert_eq!(restored.sample, SampleEngine::Reference);
+
+    // A service over the same samples in the flat layout (kind 0).
+    let mut payload = (samples.len() as u64 + 1).to_le_bytes().to_vec();
+    let mut end = 0u64;
+    payload.extend_from_slice(&end.to_le_bytes());
+    for sample in &samples {
+        end += sample.len() as u64;
+        payload.extend_from_slice(&end.to_le_bytes());
+    }
+    payload.extend_from_slice(&end.to_le_bytes());
+    for &v in samples.iter().flatten() {
+        payload.extend_from_slice(&v.to_le_bytes());
+    }
+    let mut flat = restore_bytes(&v1_file(0, &graph, samples.len() as u64, &payload), "kind0");
+    let mut back = restore_bytes(&kind1_file(&samples, |_| {}), "kind1");
+    for k in 1..=3 {
+        assert_eq!(
+            back.topk(k).unwrap().0,
+            flat.topk(k).unwrap().0,
+            "topk({k})"
+        );
+    }
+    for banned in [&[0][..], &[2, 11]] {
+        assert_eq!(
+            back.topk_excluding(3, banned).unwrap().0,
+            flat.topk_excluding(3, banned).unwrap().0,
+            "topk_excluding(3, {banned:?})"
+        );
+    }
+}
+
+/// The service a snapshot file of `bytes` restores over [`test_graph`].
+fn restore_bytes(bytes: &[u8], name: &str) -> SketchService {
+    let path = std::env::temp_dir().join(format!(
+        "ripples-prop-snapshot-{name}-{}.snap",
+        std::process::id()
+    ));
+    std::fs::write(&path, bytes).unwrap();
+    let restored = SketchService::restore_from(&path, &test_graph(), SelectEngine::Sequential);
+    std::fs::remove_file(&path).ok();
+    restored.unwrap()
 }
 
 /// A correct checksum proves nothing about the payload: sections that lie

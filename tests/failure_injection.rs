@@ -438,3 +438,37 @@ fn cli_usage_errors_exit_2_and_never_panic() {
         );
     }
 }
+
+/// A run that keeps its samples holds them in RAM whatever `--rrr-budget`
+/// says: past a tiny budget it returns the flat store's seeds and says so in
+/// one note, once per run, also when two ranks each keep a store.
+#[test]
+fn a_budget_past_kept_samples_notes_once_and_keeps_the_seeds() {
+    let run = |flags: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ripples"))
+            .args(["--gen", "ba:2000:4", "--weights", "wc", "--k", "5"])
+            .args(["--select", "partitioned"])
+            .args(flags)
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("spawn ripples");
+        assert!(out.status.success(), "{flags:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        let notes = stderr
+            .lines()
+            .filter(|line| line.starts_with("note: this run keeps its RRR sets in RAM"))
+            .count();
+        (String::from_utf8_lossy(&out.stdout).into_owned(), notes)
+    };
+    let budgeted = ["--rrr-store", "spill", "--rrr-budget", "4096"];
+    for engine in [
+        &["--engine", "mt", "--threads", "2"][..],
+        &["--engine", "dist", "--ranks", "2"],
+    ] {
+        let (flat_seeds, flat_notes) = run(&[engine, &["--rrr-store", "flat"]].concat());
+        let (seeds, notes) = run(&[engine, &budgeted[..]].concat());
+        assert_eq!(seeds, flat_seeds, "{engine:?}");
+        assert_eq!(seeds.lines().count(), 5, "{engine:?}");
+        assert_eq!((flat_notes, notes), (0, 1), "{engine:?}");
+    }
+}
