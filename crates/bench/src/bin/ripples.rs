@@ -59,7 +59,10 @@
 //! counters, RRR size histogram, communication accounting) to stderr —
 //! `pretty` (alias `text`) for humans, `json` for one machine-readable
 //! line; `--report-out FILE` writes it to a file instead. Seeds stay on
-//! stdout either way.
+//! stdout either way. Its `rss_hwm_after_load` and `rss_hwm_after_solve`
+//! rows are the process's `VmHWM` right after the graph was loaded and
+//! right after the solve, so they tell which of the two set the peak (0
+//! off Linux).
 //!
 //! `--trace FILE` enables the structured event tracer for the run and
 //! writes a Chrome Trace Event Format JSON file (open in `chrome://tracing`
@@ -88,7 +91,8 @@
 //! always reproduces the same faults.
 
 use ripples_bench::{
-    load_graph, parse_epsilon, parse_sample, parse_select, parse_storage, Args, GraphSourceError,
+    load_graph, parse_epsilon, parse_sample, parse_select, parse_storage, rss_high_water_mark,
+    Args, GraphSourceError,
 };
 use ripples_comm::{FaultComm, FaultPlan, ThreadWorld};
 use ripples_core::obs::trace;
@@ -371,6 +375,7 @@ fn main() {
             std::process::exit(1);
         }
     });
+    let rss_after_load = rss_high_water_mark();
     let stats = GraphStats::of(&graph);
     eprintln!(
         "graph: {} vertices, {} edges, avg degree {:.2}, max degree {}",
@@ -390,7 +395,7 @@ fn main() {
     };
 
     let start = std::time::Instant::now();
-    let (seeds, detail, report) = match engine {
+    let (seeds, detail, mut report) = match engine {
         Engine::Opt => {
             let r = match (select, sample, storage.kind) {
                 (None, SampleEngine::Reference, RrrStoreKind::Flat) => {
@@ -467,6 +472,9 @@ fn main() {
         }
     };
     let elapsed = start.elapsed();
+    // Which of the two set the process's peak: the load or the solve.
+    report.counters.rss_hwm_after_load = rss_after_load;
+    report.counters.rss_hwm_after_solve = rss_high_water_mark();
     if let Some(handle) = sampler {
         let series = handle.finalize();
         ripples_metrics::disable();

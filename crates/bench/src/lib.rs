@@ -28,6 +28,27 @@ pub fn measure<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (out, start.elapsed())
 }
 
+/// The process's resident high-water mark, `VmHWM` in `/proc/self/status`,
+/// in bytes; 0 where there is no such file (off Linux).
+#[must_use]
+pub fn rss_high_water_mark() -> u64 {
+    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
+        return 0;
+    };
+    let kib = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|value| {
+            value
+                .trim()
+                .trim_end_matches("kB")
+                .trim()
+                .parse::<u64>()
+                .ok()
+        });
+    kib.map_or(0, |kib| kib * 1024)
+}
+
 /// Builds the experiment input for `spec` under the paper's weighting
 /// conventions: IC uses uniform-random probabilities in `[0, 1)` (§4), LT
 /// additionally renormalizes each vertex's incoming mass to at most one.

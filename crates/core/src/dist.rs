@@ -291,6 +291,9 @@ impl<C: Communicator, P: RankSampler> Engine for RankEngine<'_, C, P> {
             total - self.held,
             &mut self.store,
         );
+        // The samplers push one sample at a time; the batch's end gives the
+        // store's growth slack back and lets its index absorb the batch.
+        self.store.finish_batch();
         self.held = total;
         // One "worker" per rank: the batch lands wholly on this rank.
         outcome.per_worker_samples = vec![outcome.set_sizes.count()];

@@ -48,7 +48,12 @@ pub fn degree_discount_ic(graph: &Graph, k: u32, p: f64) -> Vec<Vertex> {
         selected[v as usize] = true;
         seeds.push(v);
         // Discount the neighbors' scores.
-        for &u in graph.out_neighbors(v).iter().chain(graph.in_neighbors(v)) {
+        for u in graph
+            .out_neighbors(v)
+            .iter()
+            .copied()
+            .chain(graph.in_neighbors(v))
+        {
             if !selected[u as usize] {
                 tickets[u as usize] += 1.0;
             }

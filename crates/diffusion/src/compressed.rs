@@ -18,42 +18,7 @@
 use crate::rrr::RrrCollection;
 use ripples_graph::Vertex;
 
-#[inline]
-pub(crate) fn read_varint(data: &[u8], pos: &mut usize) -> u32 {
-    let mut x = 0u32;
-    let mut shift = 0u32;
-    loop {
-        let byte = data[*pos];
-        *pos += 1;
-        x |= u32::from(byte & 0x7F) << shift;
-        if byte & 0x80 == 0 {
-            return x;
-        }
-        shift += 7;
-    }
-}
-
-/// Bytes [`write_varint`] spends on `x`: 1 to 5.
-#[inline]
-pub(crate) fn varint_len(x: u32) -> u32 {
-    (32 - (x | 1).leading_zeros()).div_ceil(7)
-}
-
-/// Writes `x` as an LEB128 varint at the front of a buffer sized
-/// beforehand; returns the bytes written.
-#[inline]
-pub(crate) fn write_varint(buf: &mut [u8], mut x: u32) -> u32 {
-    let mut at = 0;
-    loop {
-        let byte = (x & 0x7F) as u8;
-        x >>= 7;
-        buf[at] = if x == 0 { byte } else { byte | 0x80 };
-        at += 1;
-        if x == 0 {
-            return at as u32;
-        }
-    }
-}
+pub(crate) use ripples_graph::varint::{read_varint, varint_len, write_varint};
 
 /// Decodes one delta-varint block of `count` ids starting at `*pos`,
 /// streaming each vertex to `f`.
@@ -166,18 +131,7 @@ pub fn decode_blocks(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn push_varint(data: &mut Vec<u8>, mut x: u32) {
-        loop {
-            let byte = (x & 0x7F) as u8;
-            x >>= 7;
-            if x == 0 {
-                data.push(byte);
-                return;
-            }
-            data.push(byte | 0x80);
-        }
-    }
+    use ripples_graph::varint::push_varint;
 
     /// Appends a strictly ascending list as one delta-varint block: the
     /// first id absolute, then gap − 1 deltas.

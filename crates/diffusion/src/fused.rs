@@ -283,41 +283,38 @@ fn run_block(
 #[inline]
 fn expand_ic(graph: &Graph, v: Vertex, m: u64, scratch: &mut FusedScratch) {
     let sources = graph.in_neighbors(v);
-    // Reference accounting: expanding a vertex charges its full in-degree
-    // to the expanding lane.
-    let deg = sources.len() as u64;
-    let mut mm = m;
-    while mm != 0 {
-        let l = mm.trailing_zeros() as usize;
-        scratch.works[l] += deg;
-        mm &= mm - 1;
-    }
     // Dense masks amortize a branch-free full-width sweep; sparse masks
     // (the common case early and late in a block) draw only the expanding
     // lanes' coins so one lane never pays for sixty-four. Either way the
     // draw schedule is a pure function of the block's content, so the
     // layout stays deterministic across thread counts.
     let wide = m.count_ones() as usize >= FUSED_LANES / 2;
-    match graph.in_probs(v) {
-        RowProbs::Same(p) => ic_edges(sources.iter().map(|&u| (u, p)), m, wide, scratch),
-        RowProbs::Each(probs) => ic_edges(
-            sources.iter().copied().zip(probs.iter().copied()),
-            m,
-            wide,
-            scratch,
-        ),
+    let deg = match graph.in_probs(v) {
+        RowProbs::Same(p) => ic_edges(sources.map(|u| (u, p)), m, wide, scratch),
+        RowProbs::Each(probs) => ic_edges(sources.zip(probs.iter().copied()), m, wide, scratch),
+    };
+    // Reference accounting: expanding a vertex charges its full in-degree
+    // to the expanding lane.
+    let mut mm = m;
+    while mm != 0 {
+        let l = mm.trailing_zeros() as usize;
+        scratch.works[l] += deg;
+        mm &= mm - 1;
     }
 }
 
-/// The per-edge half of [`expand_ic`], once per probability layout.
+/// The per-edge half of [`expand_ic`], once per probability layout;
+/// returns the edges it walked, the row's degree.
 #[inline]
 fn ic_edges(
     edges: impl Iterator<Item = (Vertex, f32)>,
     m: u64,
     wide: bool,
     scratch: &mut FusedScratch,
-) {
+) -> u64 {
+    let mut deg = 0u64;
     for (u, p) in edges {
+        deg += 1;
         let p = f64::from(p);
         let live = if p >= 1.0 {
             !0u64
@@ -345,6 +342,7 @@ fn ic_edges(
             scratch.activate(u, prop);
         }
     }
+    deg
 }
 
 /// LT expansion of `v` for the lanes in `m`: each lane draws once and
@@ -362,14 +360,8 @@ fn expand_lt(graph: &Graph, v: Vertex, m: u64, scratch: &mut FusedScratch) {
         mm &= mm - 1;
     }
     match graph.in_probs(v) {
-        RowProbs::Same(p) => lt_edges(sources.iter().map(|&u| (u, p)), m, scratch),
-        RowProbs::Each(probs) => {
-            lt_edges(
-                sources.iter().copied().zip(probs.iter().copied()),
-                m,
-                scratch,
-            );
-        }
+        RowProbs::Same(p) => lt_edges(sources.map(|u| (u, p)), m, scratch),
+        RowProbs::Each(probs) => lt_edges(sources.zip(probs.iter().copied()), m, scratch),
     }
 }
 

@@ -28,18 +28,13 @@ use ripples_rng::{SplitMix64, StreamFactory};
 fn expand_with(
     model: DiffusionModel,
     rng: &mut SplitMix64,
-    sources: &[Vertex],
+    sources: impl Iterator<Item = Vertex>,
     probs: RowProbs<'_>,
     out: &mut Vec<Vertex>,
 ) -> u64 {
     match probs {
-        RowProbs::Same(p) => expand_edges(model, rng, sources.iter().map(|&u| (u, p)), out),
-        RowProbs::Each(probs) => expand_edges(
-            model,
-            rng,
-            sources.iter().copied().zip(probs.iter().copied()),
-            out,
-        ),
+        RowProbs::Same(p) => expand_edges(model, rng, sources.map(|u| (u, p)), out),
+        RowProbs::Each(probs) => expand_edges(model, rng, sources.zip(probs.iter().copied()), out),
     }
 }
 
@@ -298,11 +293,8 @@ mod tests {
                 let chunk = part.chunk(v).expect("listed chunk");
                 let start = chunk.edge_start as usize;
                 let range = start..start + chunk.sources.len();
-                assert_eq!(
-                    chunk.sources,
-                    &g.in_neighbors(v)[range.clone()],
-                    "vertex {v}"
-                );
+                let row: Vec<Vertex> = g.in_neighbors(v).collect();
+                assert_eq!(chunk.sources, &row[range.clone()], "vertex {v}");
                 let probs: Vec<f32> = match g.in_probs(v) {
                     RowProbs::Same(p) => vec![p; range.len()],
                     RowProbs::Each(probs) => probs[range].to_vec(),

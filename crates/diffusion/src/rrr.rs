@@ -114,21 +114,17 @@ pub fn generate_rrr_in_scratch<'s>(
         let sources = graph.in_neighbors(v);
         edges_examined += match (model, graph.in_probs(v)) {
             (DiffusionModel::IndependentCascade, RowProbs::Same(p)) => {
-                ic_row(sources.iter().map(|&u| (u, p)), rng, scratch)
+                ic_row(sources.map(|u| (u, p)), rng, scratch)
             }
-            (DiffusionModel::IndependentCascade, RowProbs::Each(probs)) => ic_row(
-                sources.iter().copied().zip(probs.iter().copied()),
-                rng,
-                scratch,
-            ),
+            (DiffusionModel::IndependentCascade, RowProbs::Each(probs)) => {
+                ic_row(sources.zip(probs.iter().copied()), rng, scratch)
+            }
             (DiffusionModel::LinearThreshold, RowProbs::Same(p)) => {
-                lt_row(sources.iter().map(|&u| (u, p)), rng, scratch)
+                lt_row(sources.map(|u| (u, p)), rng, scratch)
             }
-            (DiffusionModel::LinearThreshold, RowProbs::Each(probs)) => lt_row(
-                sources.iter().copied().zip(probs.iter().copied()),
-                rng,
-                scratch,
-            ),
+            (DiffusionModel::LinearThreshold, RowProbs::Each(probs)) => {
+                lt_row(sources.zip(probs.iter().copied()), rng, scratch)
+            }
         };
     }
     scratch.queue.sort_unstable();

@@ -7,24 +7,31 @@
 //! narrows the records it finds). `build` sorts them by counting, in place,
 //! in O(m + n + Σ d·log d) for in-rows of d edges:
 //!
-//! 1. count the targets and prefix-sum them into the reverse offsets;
+//! 1. count the targets and prefix-sum them into the reverse offsets (`u32`:
+//!    a graph holds fewer than 2³² − 1 edges);
 //! 2. permute the records into one bucket per target: one American-flag
 //!    pass, with a cursor per target;
 //! 3. sort each bucket by source, ties by insertion index, and fold the
 //!    duplicates into the first one added; pack the kept sources (and
 //!    probabilities) to the front of the buffer, which then shrinks to the
-//!    graph's sources, so no second array of m vertices exists;
-//! 4. let the weight model, if any, give the probabilities: one per vertex
+//!    raw sources, so no second array of m vertices exists;
+//! 4. code the rows (the gap varints [`crate::InNeighbors`] decodes) and
+//!    free the raw sources;
+//! 5. let the weight model, if any, give the probabilities: one per vertex
 //!    from the in-degrees (weighted cascade, a constant), or one per edge,
 //!    the draw at its position in forward order (source, then target — the
 //!    order a sorted edge list would have); kept probabilities become one
 //!    per vertex if every in-row is bitwise uniform.
 //!
 //! The high-water mark is steps 2 and 3: the records beside the offsets and
-//! the cursors, 8 bytes an edge and 16 a vertex (16 an edge with
-//! probabilities). Step 4 holds 8 bytes an edge, 12 for `Trivalency`.
+//! the cursors, 8 bytes an edge and 8 a vertex (16 an edge with
+//! probabilities). Step 4 holds the raw sources and the coded rows, ~6.2
+//! bytes an edge; step 5 the coded rows and one probability an edge, ~6.2
+//! (~10.2 while `Trivalency` draws). [`crate::io::read_edge_list`] skips
+//! steps 1–3 for a file whose edges ascend.
 
 use crate::csr::{Graph, ProbStore};
+use crate::rows::Rows;
 use crate::types::{GraphError, Vertex};
 use crate::weights::WeightModel;
 use std::ops::Range;
@@ -57,9 +64,9 @@ impl DuplicatePolicy {
 /// Accumulates edges and produces a validated [`Graph`].
 ///
 /// Construction is O(m + n + Σ d·log d) over in-rows of d edges (no sort of
-/// the whole list) and its transient memory peaks at 8 bytes an edge and 16
-/// a vertex (16 an edge when probabilities are kept, 12 while `Trivalency`
-/// draws); see the module documentation.
+/// the whole list) and its transient memory peaks at 8 bytes an edge and 8
+/// a vertex (16 an edge when probabilities are kept, ~10 while
+/// `Trivalency` draws); see the module documentation.
 ///
 /// ```
 /// use ripples_graph::GraphBuilder;
@@ -232,14 +239,14 @@ impl GraphBuilder {
         }
         assert_eq!(model.is_none(), self.width == 4);
         let mut words = self.records;
-        let targets = words.iter().step_by(self.width);
+        let targets = words.iter().step_by(self.width).copied();
         let mut in_offsets = offsets_by_key(self.num_vertices as usize, targets);
-        let in_probs = match model {
+        let weights = match model {
             Some(model) => {
                 let records = words.as_chunks_mut::<2>().0;
                 let kept = bucket_and_fold(records, &mut in_offsets, |_, _| {});
                 pack(&mut words, 2, 1..2, kept);
-                model.assign(&in_offsets, &words)
+                Weights::Model(model)
             }
             None => {
                 let records = words.as_chunks_mut::<4>().0;
@@ -252,12 +259,46 @@ impl GraphBuilder {
                 let pairs = words.chunks_exact(2);
                 let probs = pairs.map(|pair| f32::from_bits(pair[1])).collect();
                 pack(&mut words, 2, 0..1, kept);
-                ProbStore::new(&in_offsets, probs)
+                Weights::Kept(probs)
             }
         };
-        let graph = Graph::from_reverse(self.num_vertices, in_offsets, words, in_probs);
-        Ok(graph)
+        graph_from_reverse(self.num_vertices, in_offsets, words, weights)
     }
+}
+
+/// Where the probabilities of a raw reverse CSR come from.
+pub(crate) enum Weights {
+    /// A model draws them (step 5).
+    Model(WeightModel),
+    /// One per edge, in in-row order, kept from the input.
+    Kept(Vec<f32>),
+}
+
+/// The last steps of both load paths: codes a raw reverse CSR (row `v` is
+/// `sources[in_offsets[v]..in_offsets[v + 1]]`, strictly ascending), frees
+/// the raw sources, and gives the rows their probabilities.
+pub(crate) fn graph_from_reverse(
+    num_vertices: u32,
+    in_offsets: Vec<u32>,
+    sources: Vec<Vertex>,
+    weights: Weights,
+) -> Result<Graph, GraphError> {
+    // A model that draws per edge needs each source's out-offset, counted
+    // here from the raw sources more cheaply than from the coded rows.
+    let out_offsets = match &weights {
+        Weights::Model(model) if model.draws_per_edge() => Some(offsets_by_key(
+            in_offsets.len() - 1,
+            sources.iter().copied(),
+        )),
+        _ => None,
+    };
+    let rows = Rows::encode(&in_offsets, &sources)?;
+    drop(sources);
+    let in_probs = match weights {
+        Weights::Model(model) => model.assign(&rows, in_offsets, out_offsets),
+        Weights::Kept(probs) => ProbStore::new(in_offsets, probs),
+    };
+    Ok(Graph::from_rows(num_vertices, rows, in_probs))
 }
 
 /// Steps 2 and 3 over records of `W` words: target, source and, when `W`
@@ -266,7 +307,7 @@ impl GraphBuilder {
 /// records, whose number is returned; `fold(kept, later)` folds a duplicate.
 fn bucket_and_fold<const W: usize>(
     records: &mut [[u32; W]],
-    offsets: &mut [usize],
+    offsets: &mut [u32],
     fold: impl Fn(&mut [u32; W], &[u32; W]),
 ) -> usize {
     // Bucket `v` is settled from its cursor `next[v]` on: records there are
@@ -279,14 +320,14 @@ fn bucket_and_fold<const W: usize>(
     let (mut taken, mut len) = ([[0; W]; CHAINS], 0);
     for v in 0..n {
         while next[v] < offsets[v + 1] {
-            while len < CHAINS && next[v] + len < offsets[v + 1] {
-                taken[len] = records[next[v] + len];
+            while len < CHAINS && next[v] + (len as u32) < offsets[v + 1] {
+                taken[len] = records[(next[v] as usize) + len];
                 len += 1;
             }
             let mut i = 0;
             while i < len {
                 let home = taken[i][0] as usize;
-                let slot = next[home];
+                let slot = next[home] as usize;
                 next[home] += 1;
                 if home == v {
                     records[slot] = taken[i];
@@ -305,8 +346,8 @@ fn bucket_and_fold<const W: usize>(
     let rank = |r: &[u32; W]| (u64::from(r[1]) << 32) | u64::from(r[W - 1]);
     let (mut start, mut kept) = (0, 0);
     for v in 0..n {
-        let (end, row_start) = (offsets[v + 1], kept);
-        offsets[v] = row_start;
+        let (end, row_start) = (offsets[v + 1] as usize, kept);
+        offsets[v] = row_start as u32;
         records[start..end].sort_unstable_by_key(rank);
         for i in start..end {
             let record = records[i];
@@ -319,7 +360,7 @@ fn bucket_and_fold<const W: usize>(
         }
         start = end;
     }
-    offsets[n] = kept;
+    offsets[n] = kept as u32;
     kept
 }
 
@@ -337,44 +378,15 @@ fn pack(words: &mut Vec<u32>, width: usize, picked: Range<usize>, count: usize) 
 }
 
 /// Where each key's group starts once the elements are sorted by key:
-/// `offsets[k]` for key `k < n`, and the element count at `offsets[n]`.
-pub(crate) fn offsets_by_key<'a>(
-    n: usize,
-    keys: impl IntoIterator<Item = &'a Vertex>,
-) -> Vec<usize> {
-    let mut offsets = vec![0usize; n + 1];
-    for &k in keys {
-        offsets[k as usize + 1] += 1;
-    }
+/// `offsets[k]` for key `k < n`, and the element count, below `u32::MAX`,
+/// at `offsets[n]`.
+pub(crate) fn offsets_by_key(n: usize, keys: impl IntoIterator<Item = Vertex>) -> Vec<u32> {
+    let mut offsets = vec![0u32; n + 1];
+    keys.into_iter().for_each(|k| offsets[k as usize + 1] += 1);
     for i in 0..n {
         offsets[i + 1] += offsets[i];
     }
     offsets
-}
-
-/// One value per edge of a CSR (rows by `offsets`, the other endpoint of
-/// edge `e` in `keys[e]`), computed by `value(row, e)` and placed in the
-/// transposed order: grouped by key, by ascending row within a group.
-/// `cursor` holds the transposed offsets ([`offsets_by_key`] over `keys`)
-/// and is left holding them again.
-pub(crate) fn transpose<T: Copy + Default>(
-    offsets: &[usize],
-    keys: &[Vertex],
-    cursor: &mut [usize],
-    mut value: impl FnMut(usize, usize) -> T,
-) -> Vec<T> {
-    let mut out = vec![T::default(); keys.len()];
-    for row in 0..offsets.len() - 1 {
-        for e in offsets[row]..offsets[row + 1] {
-            let slot = &mut cursor[keys[e] as usize];
-            out[*slot] = value(row, e);
-            *slot += 1;
-        }
-    }
-    // Each cursor stopped at the start of the next group.
-    cursor.copy_within(..cursor.len() - 1, 1);
-    cursor[0] = 0;
-    out
 }
 
 /// A [`GraphBuilder`] with a recorded weight model; see
@@ -546,7 +558,7 @@ mod tests {
         b.add_edge(3, 4, 0.25).unwrap();
         b.add_edge(1, 4, 0.75).unwrap();
         let g = b.build().unwrap();
-        assert_eq!(g.in_neighbors(4), &[0, 1, 3]);
+        assert_eq!(g.in_neighbors(4).collect::<Vec<_>>(), [0, 1, 3]);
         assert_eq!(g.in_probs(4), RowProbs::Each(&[0.5, 0.75, 0.25]));
         g.validate().unwrap();
     }

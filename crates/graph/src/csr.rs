@@ -1,20 +1,25 @@
-//! Immutable CSR graph storage: the reverse CSR the samplers read, and a
-//! forward view built on first use.
+//! Immutable CSR graph storage: the reverse CSR the samplers read, its rows
+//! gap-varint coded (decoded by [`crate::InNeighbors`]), and a forward view
+//! built on first use.
 
-use crate::builder::{check_probability, offsets_by_key, transpose};
+use crate::builder::{check_probability, offsets_by_key};
+use crate::rows::{InNeighbors, Rows};
 use crate::types::Vertex;
 use std::sync::OnceLock;
 
 /// A directed graph with per-edge activation probabilities, stored as one
 /// compressed-sparse-row structure over in-edges (reverse-reachability
-/// sampling, selection and serve read nothing else).
+/// sampling, selection and serve read nothing else). Each in-row is
+/// gap-varint coded, about 2 bytes an edge on the benchmark's inputs, and
+/// [`Graph::in_neighbors`] decodes it as it is read.
 ///
 /// The probabilities live in one of two layouts, chosen once per graph from
 /// its content: one `f32` per vertex when every in-row is bitwise uniform
 /// (weighted cascade, a constant probability, LT over either), one per
-/// in-edge otherwise. [`Graph::in_probs`] hands a row out as a [`RowProbs`],
-/// which the reverse BFS in `ripples-diffusion` — the hottest loop in the
-/// whole system — matches once per vertex.
+/// in-edge, with a `u32` edge offset per vertex, otherwise.
+/// [`Graph::in_probs`] hands a row out as a [`RowProbs`], which the reverse
+/// BFS in `ripples-diffusion` — the hottest loop in the whole system —
+/// matches once per vertex.
 ///
 /// The out-edge accessors ([`Graph::out_neighbors`], [`Graph::edges`], …)
 /// read a forward CSR that the first of them builds from the reverse one
@@ -28,21 +33,19 @@ use std::sync::OnceLock;
 pub struct Graph {
     pub(crate) num_vertices: u32,
     // Reverse CSR: edges grouped by destination, sources sorted in a group.
-    pub(crate) in_offsets: Vec<usize>,
-    pub(crate) in_sources: Vec<Vertex>,
+    pub(crate) rows: Rows,
     pub(crate) in_probs: ProbStore,
     forward: OnceLock<Forward>,
     fingerprint: OnceLock<u64>,
 }
 
-/// Two graphs are equal when their edges and probability bits are; whether
-/// either has built its forward view does not matter.
+/// Two graphs are equal when their decoded edges and probability bits are;
+/// whether either has built its forward view does not matter.
 impl PartialEq for Graph {
     fn eq(&self, other: &Self) -> bool {
         self.num_vertices == other.num_vertices
-            && self.in_offsets == other.in_offsets
-            && self.in_sources == other.in_sources
             && self.in_probs == other.in_probs
+            && self.rows == other.rows
     }
 }
 
@@ -82,26 +85,42 @@ pub(crate) enum ProbStore {
     /// One per vertex: every in-row is bitwise uniform. A vertex with no
     /// in-edges holds 0.0.
     PerVertex(Vec<f32>),
-    /// One per in-edge, aligned with `in_sources`.
-    PerEdge(Vec<f32>),
+    /// One per in-edge, in in-row order; row `v`'s are
+    /// `probs[offsets[v]..offsets[v + 1]]`.
+    PerEdge { offsets: Vec<u32>, probs: Vec<f32> },
 }
 
 impl ProbStore {
-    /// The store for per-in-edge `probs`: one value per vertex when every
-    /// row is bitwise uniform, else `probs` itself.
-    pub(crate) fn new(in_offsets: &[usize], probs: Vec<f32>) -> Self {
-        let rows = || in_offsets.windows(2).map(|w| &probs[w[0]..w[1]]);
+    /// The store for per-in-edge `probs` over rows bounded by `offsets`:
+    /// one value per vertex when every row is bitwise uniform (and the
+    /// offsets are dropped), else both.
+    pub(crate) fn new(offsets: Vec<u32>, probs: Vec<f32>) -> Self {
+        let rows = || {
+            offsets
+                .windows(2)
+                .map(|w| &probs[w[0] as usize..w[1] as usize])
+        };
         let uniform = rows().all(|row| row.iter().all(|p| p.to_bits() == row[0].to_bits()));
         if uniform {
             ProbStore::PerVertex(rows().map(|row| row.first().map_or(0.0, |&p| p)).collect())
         } else {
-            ProbStore::PerEdge(probs)
+            ProbStore::PerEdge { offsets, probs }
         }
     }
 
     fn values(&self) -> &[f32] {
         match self {
-            ProbStore::PerVertex(probs) | ProbStore::PerEdge(probs) => probs,
+            ProbStore::PerVertex(probs) | ProbStore::PerEdge { probs, .. } => probs,
+        }
+    }
+
+    fn resident_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        match self {
+            ProbStore::PerVertex(probs) => size_of_val(&probs[..]),
+            ProbStore::PerEdge { offsets, probs } => {
+                size_of_val(&offsets[..]) + size_of_val(&probs[..])
+            }
         }
     }
 }
@@ -110,23 +129,17 @@ impl ProbStore {
 /// one probability per edge.
 #[derive(Clone, Debug)]
 struct Forward {
-    offsets: Vec<usize>,
+    offsets: Vec<u32>,
     targets: Vec<Vertex>,
     probs: Vec<f32>,
 }
 
 impl Graph {
-    /// The graph over a finished reverse CSR.
-    pub(crate) fn from_reverse(
-        num_vertices: u32,
-        in_offsets: Vec<usize>,
-        in_sources: Vec<Vertex>,
-        in_probs: ProbStore,
-    ) -> Self {
+    /// The graph over coded reverse rows and their probabilities.
+    pub(crate) fn from_rows(num_vertices: u32, rows: Rows, in_probs: ProbStore) -> Self {
         Self {
             num_vertices,
-            in_offsets,
-            in_sources,
+            rows,
             in_probs,
             forward: OnceLock::new(),
             fingerprint: OnceLock::new(),
@@ -144,7 +157,7 @@ impl Graph {
     #[inline]
     #[must_use]
     pub fn num_edges(&self) -> usize {
-        self.in_sources.len()
+        self.rows.num_edges()
     }
 
     /// True if the graph has no vertices.
@@ -153,18 +166,33 @@ impl Graph {
         self.num_vertices == 0
     }
 
+    /// Where each source's out-edges start in forward order, and `m` last:
+    /// the out-degrees, counted over the decoded rows, prefix-summed.
+    pub(crate) fn out_offsets(&self) -> Vec<u32> {
+        offsets_by_key(self.num_vertices as usize, self.rows.sources())
+    }
+
     /// The forward view, built from the reverse CSR on first use: a
     /// counting sort by source that visits destinations in order, so every
     /// row comes out sorted by target.
     fn forward(&self) -> &Forward {
         self.forward.get_or_init(|| {
+            let mut offsets = self.out_offsets();
+            let m = self.num_edges();
+            let (mut targets, mut probs) = (vec![0; m], vec![0.0; m]);
+            for v in 0..self.num_vertices {
+                let row_probs = self.in_probs(v);
+                for (i, u) in self.in_neighbors(v).enumerate() {
+                    let slot = &mut offsets[u as usize];
+                    targets[*slot as usize] = v;
+                    probs[*slot as usize] = row_probs.get(i);
+                    *slot += 1;
+                }
+            }
+            // Each cursor stopped at the start of the next group.
             let n = self.num_vertices as usize;
-            let (in_offsets, sources) = (&self.in_offsets, &self.in_sources);
-            let mut offsets = offsets_by_key(n, sources);
-            let targets = transpose(in_offsets, sources, &mut offsets, |v, _| v as Vertex);
-            let probs = transpose(in_offsets, sources, &mut offsets, |v, e| {
-                self.in_probs(v as Vertex).get(e - in_offsets[v])
-            });
+            offsets.copy_within(..n, 1);
+            offsets[0] = 0;
             Forward {
                 offsets,
                 targets,
@@ -173,45 +201,54 @@ impl Graph {
         })
     }
 
+    /// The forward view's range of `v`'s out-edges.
+    fn out_range(&self, v: Vertex) -> (&Forward, std::ops::Range<usize>) {
+        let (v, forward) = (v as usize, self.forward());
+        let range = forward.offsets[v] as usize..forward.offsets[v + 1] as usize;
+        (forward, range)
+    }
+
     /// Out-degree of `v`.
     #[inline]
     #[must_use]
     pub fn out_degree(&self, v: Vertex) -> usize {
-        let v = v as usize;
-        let offsets = &self.forward().offsets;
-        offsets[v + 1] - offsets[v]
+        self.out_range(v).1.len()
     }
 
-    /// In-degree of `v`.
+    /// In-degree of `v`: read off the edge offsets of a per-edge graph,
+    /// counted over the coded row (O(its bytes)) of a per-vertex one.
     #[inline]
     #[must_use]
     pub fn in_degree(&self, v: Vertex) -> usize {
-        let v = v as usize;
-        self.in_offsets[v + 1] - self.in_offsets[v]
+        match &self.in_probs {
+            ProbStore::PerEdge { offsets, .. } => {
+                (offsets[v as usize + 1] - offsets[v as usize]) as usize
+            }
+            ProbStore::PerVertex(_) => self.rows.degree(v),
+        }
     }
 
     /// Targets of the out-edges of `v`, sorted ascending.
     #[inline]
     #[must_use]
     pub fn out_neighbors(&self, v: Vertex) -> &[Vertex] {
-        let (v, forward) = (v as usize, self.forward());
-        &forward.targets[forward.offsets[v]..forward.offsets[v + 1]]
+        let (forward, range) = self.out_range(v);
+        &forward.targets[range]
     }
 
     /// Activation probabilities aligned with [`Graph::out_neighbors`].
     #[inline]
     #[must_use]
     pub fn out_probs(&self, v: Vertex) -> &[f32] {
-        let (v, forward) = (v as usize, self.forward());
-        &forward.probs[forward.offsets[v]..forward.offsets[v + 1]]
+        let (forward, range) = self.out_range(v);
+        &forward.probs[range]
     }
 
-    /// Sources of the in-edges of `v`, sorted ascending.
+    /// Sources of the in-edges of `v`, ascending, decoded from its coded
+    /// row as they are read.
     #[inline]
-    #[must_use]
-    pub fn in_neighbors(&self, v: Vertex) -> &[Vertex] {
-        let v = v as usize;
-        &self.in_sources[self.in_offsets[v]..self.in_offsets[v + 1]]
+    pub fn in_neighbors(&self, v: Vertex) -> InNeighbors<'_> {
+        self.rows.row(v)
     }
 
     /// Activation probabilities aligned with [`Graph::in_neighbors`].
@@ -221,8 +258,8 @@ impl Graph {
         let v = v as usize;
         match &self.in_probs {
             ProbStore::PerVertex(probs) => RowProbs::Same(probs[v]),
-            ProbStore::PerEdge(probs) => {
-                RowProbs::Each(&probs[self.in_offsets[v]..self.in_offsets[v + 1]])
+            ProbStore::PerEdge { offsets, probs } => {
+                RowProbs::Each(&probs[offsets[v] as usize..offsets[v + 1] as usize])
             }
         }
     }
@@ -241,9 +278,8 @@ impl Graph {
     pub fn in_edges(&self, v: Vertex) -> impl Iterator<Item = (Vertex, f32)> + '_ {
         let probs = self.in_probs(v);
         self.in_neighbors(v)
-            .iter()
             .enumerate()
-            .map(move |(i, &u)| (u, probs.get(i)))
+            .map(move |(i, u)| (u, probs.get(i)))
     }
 
     /// Iterates every edge as `(source, target, probability)` in forward CSR
@@ -252,8 +288,8 @@ impl Graph {
         (0..self.num_vertices).flat_map(move |u| self.out_edges(u).map(move |(v, p)| (u, v, p)))
     }
 
-    /// True if the directed edge `(u, v)` exists (binary search on the
-    /// sorted in-adjacency of `v`).
+    /// True if the directed edge `(u, v)` exists (a scan of the in-row of
+    /// `v` up to `u`).
     #[must_use]
     pub fn has_edge(&self, u: Vertex, v: Vertex) -> bool {
         self.edge_prob(u, v).is_some()
@@ -262,10 +298,8 @@ impl Graph {
     /// The probability of edge `(u, v)`, if present.
     #[must_use]
     pub fn edge_prob(&self, u: Vertex, v: Vertex) -> Option<f32> {
-        self.in_neighbors(v)
-            .binary_search(&u)
-            .ok()
-            .map(|i| self.in_probs(v).get(i))
+        let (i, s) = self.in_neighbors(v).enumerate().find(|&(_, s)| s >= u)?;
+        (s == u).then(|| self.in_probs(v).get(i))
     }
 
     /// Sum of in-edge probabilities of `v` (the LT "total incoming weight"),
@@ -276,18 +310,16 @@ impl Graph {
     }
 
     /// Resident bytes of the CSR arrays (used by the memory experiments):
-    /// the reverse CSR and its probabilities, plus the forward view once a
-    /// forward reader has built it.
+    /// the coded reverse rows and their byte offsets, the probabilities
+    /// (with their edge offsets when there is one per edge), plus the
+    /// forward view once a forward reader has built it.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of_val;
         let forward = self.forward.get().map_or(0, |f| {
             size_of_val(&f.offsets[..]) + size_of_val(&f.targets[..]) + size_of_val(&f.probs[..])
         });
-        size_of_val(&self.in_offsets[..])
-            + size_of_val(&self.in_sources[..])
-            + size_of_val(self.in_probs.values())
-            + forward
+        self.rows.resident_bytes() + self.in_probs.resident_bytes() + forward
     }
 
     /// Content fingerprint of the graph: an FNV-1a fold over `n`, `m`, the
@@ -314,9 +346,9 @@ impl Graph {
             let mut h = FNV_OFFSET;
             fold(&mut h, u64::from(self.num_vertices));
             fold(&mut h, self.num_edges() as u64);
-            let out_offsets = offsets_by_key(self.num_vertices as usize, &self.in_sources);
+            let out_offsets = self.out_offsets();
             for &o in &out_offsets {
-                fold(&mut h, o as u64);
+                fold(&mut h, u64::from(o));
             }
             self.forward_by_ranges(&out_offsets, |v, _| fold(&mut h, u64::from(v)));
             self.forward_by_ranges(&out_offsets, |_, p| fold(&mut h, u64::from(p.to_bits())));
@@ -326,34 +358,37 @@ impl Graph {
 
     /// Calls `visit(target, probability)` for every edge in forward order,
     /// transposing sources `u0..u1` at a time: each range holds at most m/8
-    /// edges, or one source's out-edges if it has more. Each vertex keeps a
-    /// cursor into its in-row, which ascends by source, so a range reads
-    /// only its own edges: a sweep is O(m) plus O(n) a range, and there are
-    /// at most 17 ranges (any two adjacent ones hold more than m/8 edges).
-    fn forward_by_ranges(&self, out_offsets: &[usize], mut visit: impl FnMut(Vertex, f32)) {
+    /// edges, or one source's out-edges if it has more. Each in-row keeps a
+    /// cursor — the byte it resumes at, the last source it decoded and its
+    /// count of edges read — and its sources ascend, so a range decodes
+    /// only its own edges and peeks at one more a row: a sweep is O(m) plus
+    /// O(n) a range, and there are at most 17 ranges (any two adjacent ones
+    /// hold more than m/8 edges).
+    fn forward_by_ranges(&self, out_offsets: &[u32], mut visit: impl FnMut(Vertex, f32)) {
         let n = self.num_vertices as usize;
         let cap = self.num_edges().div_ceil(8).max(1);
-        let mut cursor = self.in_offsets[..n].to_vec();
+        let mut cursor: Vec<((u32, Vertex), u32)> = (0..self.num_vertices)
+            .map(|v| (self.rows.start(v), 0))
+            .collect();
         let mut range: Vec<(Vertex, f32)> = Vec::new();
         let mut u0 = 0;
         while u0 < n {
             let mut u1 = u0 + 1;
-            while u1 < n && out_offsets[u1 + 1] - out_offsets[u0] <= cap {
+            while u1 < n && (out_offsets[u1 + 1] - out_offsets[u0]) as usize <= cap {
                 u1 += 1;
             }
             let base = out_offsets[u0];
             let mut slots = out_offsets[u0..u1].to_vec();
             range.clear();
-            range.resize(out_offsets[u1] - base, (0, 0.0));
-            for (v, next) in cursor.iter_mut().enumerate() {
-                let (end, probs) = (self.in_offsets[v + 1], self.in_probs(v as Vertex));
-                let row_start = self.in_offsets[v];
-                while *next < end && (self.in_sources[*next] as usize) < u1 {
-                    let slot = &mut slots[self.in_sources[*next] as usize - u0];
-                    range[*slot - base] = (v as Vertex, probs.get(*next - row_start));
+            range.resize((out_offsets[u1] - base) as usize, (0, 0.0));
+            for (v, (at, read)) in cursor.iter_mut().enumerate() {
+                let probs = self.in_probs(v as Vertex);
+                *at = self.rows.resume(v as Vertex, *at, u1, |u| {
+                    let slot = &mut slots[u as usize - u0];
+                    range[(*slot - base) as usize] = (v as Vertex, probs.get(*read as usize));
                     *slot += 1;
-                    *next += 1;
-                }
+                    *read += 1;
+                });
             }
             for &(v, p) in &range {
                 visit(v, p);
@@ -380,21 +415,20 @@ impl Graph {
                 *prob = (f64::from(*prob) / sum) as f32;
             }
         };
-        let offsets = &self.in_offsets;
         match &mut self.in_probs {
             ProbStore::PerVertex(probs) => {
                 for (v, prob) in probs.iter_mut().enumerate() {
-                    let sum = RowProbs::Same(*prob).sum(offsets[v + 1] - offsets[v]);
+                    let sum = RowProbs::Same(*prob).sum(self.rows.degree(v as Vertex));
                     readjust(prob, sum);
                 }
             }
-            ProbStore::PerEdge(probs) => {
+            ProbStore::PerEdge { offsets, probs } => {
                 for w in offsets.windows(2) {
-                    let row = &mut probs[w[0]..w[1]];
+                    let row = &mut probs[w[0] as usize..w[1] as usize];
                     let sum = RowProbs::Each(row).sum(row.len());
                     row.iter_mut().for_each(|prob| readjust(prob, sum));
                 }
-                let probs = std::mem::take(probs);
+                let (offsets, probs) = (std::mem::take(offsets), std::mem::take(probs));
                 self.in_probs = ProbStore::new(offsets, probs);
             }
         }
@@ -404,33 +438,39 @@ impl Graph {
 
     /// Checks the internal invariants; used by tests and after IO.
     ///
-    /// Invariants: the offsets are monotone and span the edge arrays; every
-    /// source is below `n`; in-rows are strictly sorted; probabilities are
-    /// finite and in `[0, 1]`; a per-vertex store holds 0.0 for a vertex
-    /// without in-edges, and a per-edge store has a row that is not bitwise
+    /// Invariants: the row offsets are monotone and span the coded rows;
+    /// every row decodes to the end of its byte range and not past it, into
+    /// strictly ascending sources below `n`, and the rows hold `m` edges;
+    /// probabilities are finite and in `[0, 1]`; a per-vertex store holds
+    /// 0.0 for a vertex without in-edges, and a per-edge store's offsets
+    /// agree with the decoded degrees and it has a row that is not bitwise
     /// uniform. O(m + n) time, no allocation, and the forward view is not
-    /// built.
+    /// built. Rows that pass decode without a panic.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.num_vertices as usize;
-        let m = self.in_sources.len();
-        let w = &self.in_offsets;
-        if w.len() != n + 1 {
-            return Err("offset array must have n+1 entries".into());
-        }
-        if w[0] != 0 || w[n] != m {
-            return Err("offsets must start at 0 and end at m".into());
-        }
-        if w.windows(2).any(|p| p[0] > p[1]) {
-            return Err("offsets must be monotone".into());
-        }
-        if self.in_sources.iter().any(|&v| v >= self.num_vertices) {
-            return Err("edge endpoints must be below n".into());
-        }
-        for v in 0..self.num_vertices {
-            if self.in_neighbors(v).windows(2).any(|w| w[0] >= w[1]) {
-                return Err(format!("in-adjacency of {v} not strictly sorted"));
+        let m = self.num_edges();
+        let edge_offsets = match &self.in_probs {
+            ProbStore::PerEdge { offsets, .. } => Some(offsets),
+            ProbStore::PerVertex(_) => None,
+        };
+        if let Some(offsets) = edge_offsets {
+            if offsets.len() != n + 1 || offsets[0] != 0 || offsets[n] as usize != m {
+                return Err("per-edge offsets must be n+1, from 0 to m".into());
             }
         }
+        self.rows.check(self.num_vertices, |v, degree| {
+            let Some(offsets) = edge_offsets else {
+                return Ok(());
+            };
+            let v = v as usize;
+            if offsets[v + 1].checked_sub(offsets[v]) == Some(degree as u32) {
+                Ok(())
+            } else {
+                Err(format!(
+                    "per-edge offsets disagree with the decoded degree {degree} of {v}"
+                ))
+            }
+        })?;
         let probs = self.in_probs.values();
         if probs.iter().any(|&p| check_probability(p).is_err()) {
             return Err("probabilities must be finite in [0,1]".into());
@@ -441,17 +481,17 @@ impl Graph {
                     return Err("a per-vertex store must have n entries".into());
                 }
                 if (0..self.num_vertices)
-                    .any(|v| self.in_degree(v) == 0 && probs[v as usize] != 0.0)
+                    .any(|v| probs[v as usize] != 0.0 && self.in_neighbors(v).next().is_none())
                 {
                     return Err("a vertex without in-edges must hold probability 0".into());
                 }
             }
-            ProbStore::PerEdge(probs) => {
+            ProbStore::PerEdge { offsets, probs } => {
                 if probs.len() != m {
                     return Err("a per-edge store must have m entries".into());
                 }
-                let uniform = w.windows(2).all(|w| {
-                    let row = &probs[w[0]..w[1]];
+                let uniform = offsets.windows(2).all(|w| {
+                    let row = &probs[w[0] as usize..w[1] as usize];
                     row.iter().all(|p| p.to_bits() == row[0].to_bits())
                 });
                 if uniform {
@@ -494,7 +534,7 @@ mod tests {
         let g = diamond();
         assert_eq!(g.out_neighbors(0), &[1, 2]);
         assert_eq!(g.out_probs(0), &[0.5, 0.25]);
-        assert_eq!(g.in_neighbors(3), &[1, 2]);
+        assert_eq!(g.in_neighbors(3).collect::<Vec<_>>(), [1, 2]);
         assert_eq!(g.in_probs(3), RowProbs::Each(&[1.0, 0.75]));
     }
 
@@ -628,14 +668,59 @@ mod tests {
     #[test]
     fn forward_view_is_built_on_first_use() {
         let g = diamond();
-        // Offsets of n + 1 vertices, 4 sources and 4 probabilities.
-        let reverse = 5 * 8 + 4 * 4 + 4 * 4;
+        // Byte offsets of n + 1 rows, 4 one-byte codes, and 4 probabilities
+        // with their n + 1 edge offsets.
+        let reverse = 5 * 4 + 4 + (4 * 4 + 5 * 4);
         assert_eq!(g.resident_bytes(), reverse);
         assert_eq!(g.out_degree(0), 2);
-        assert_eq!(g.resident_bytes(), 2 * reverse);
+        // Offsets, targets and probabilities in forward order.
+        let forward = 5 * 4 + 4 * 4 + 4 * 4;
+        assert_eq!(g.resident_bytes(), reverse + forward);
         // A clone keeps it, equality ignores it.
-        assert_eq!(g.clone().resident_bytes(), 2 * reverse);
+        assert_eq!(g.clone().resident_bytes(), reverse + forward);
         assert_eq!(g, diamond());
+    }
+
+    #[test]
+    fn validate_refuses_corrupt_rows_and_offsets() {
+        use super::{Graph, ProbStore};
+        use crate::rows::Rows;
+        // Rows 1 and 2 are [0]: zigzag codes 1 and 3. Row 3 is [1, 2]:
+        // zigzag(3, 1) = 3, then gap code 0.
+        let g = diamond();
+        let codes = vec![1, 3, 3, 0];
+        let offsets = vec![0, 0, 1, 2, 4];
+        let rebuilt = |codes: Vec<u8>, offsets: Vec<u32>, probs: ProbStore| {
+            Graph::from_rows(4, Rows::from_raw_parts(offsets, codes, 4), probs)
+        };
+        let probs = g.in_probs.clone();
+        let same = rebuilt(codes.clone(), offsets.clone(), probs.clone());
+        same.validate().unwrap();
+        assert_eq!(same, g);
+        assert_eq!(same.fingerprint(), g.fingerprint());
+
+        let refused = |codes: Vec<u8>, offsets: Vec<u32>, probs: ProbStore| {
+            rebuilt(codes, offsets, probs).validate().unwrap_err()
+        };
+        // A row that runs past its range, one that decodes to an id past n.
+        let err = refused(vec![1, 3, 3, 0x80], offsets.clone(), probs.clone());
+        assert!(err.contains("past its byte range"), "{err}");
+        let err = refused(vec![1, 3, 3, 7], offsets.clone(), probs.clone());
+        assert!(err.contains("below n"), "{err}");
+        // Rows that decode cleanly to [0], [0, 1] and [1]: four edges, but
+        // not the degrees the per-edge offsets give.
+        let err = refused(vec![1, 3, 0, 3], vec![0, 0, 1, 3, 4], probs.clone());
+        assert!(err.contains("disagree"), "{err}");
+        // Per-edge offsets that do not span the probabilities.
+        let ProbStore::PerEdge { probs: values, .. } = probs.clone() else {
+            panic!("the diamond keeps one probability per edge");
+        };
+        let short = ProbStore::PerEdge {
+            offsets: vec![0, 0, 1, 2, 3],
+            probs: values,
+        };
+        let err = refused(codes, offsets, short);
+        assert!(err.contains("from 0 to m"), "{err}");
     }
 
     #[test]

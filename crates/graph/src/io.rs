@@ -6,9 +6,10 @@
 //! `read_edge_list` is given `VertexIds::Remap` (SNAP files have gaps), or
 //! taken literally with `VertexIds::Literal`.
 
-use crate::builder::{check_probability, GraphBuilder};
+use crate::builder::{check_probability, graph_from_reverse, GraphBuilder, Weights};
 use crate::csr::Graph;
 use crate::types::{GraphError, Vertex};
+use crate::varint::{push_varint, read_varint, unzigzag, zigzag};
 use crate::weights::WeightModel;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -51,22 +52,27 @@ impl Default for EdgeListOptions {
 /// Reads an edge list from any reader.
 ///
 /// Lines are read into one reused byte buffer and tokenised as bytes; an
-/// edge goes into the [`GraphBuilder`]'s record buffer on the line where it
-/// appears, with its ids already narrowed ([`VertexIds::Literal`]) or
-/// assigned ([`VertexIds::Remap`]), and its third column is checked but not
-/// stored when `options.weights` will overwrite it. Nothing else of the
-/// file's size is held, so the load peaks where [`GraphBuilder::build`]
-/// does.
+/// edge is stored on the line where it appears, with its ids already
+/// narrowed ([`VertexIds::Literal`]) or assigned ([`VertexIds::Remap`]),
+/// and its third column is checked but not stored when `options.weights`
+/// will overwrite it. Nothing else of the file's size is held.
+///
+/// While the edges strictly ascend by (source, target), as
+/// [`write_edge_list`] writes them, each source's targets are gap-coded as
+/// they arrive, and the graph is built from them by counting the targets
+/// and scattering the sources into rows that come out sorted: ~6.2 bytes an
+/// edge at the peak (the coded edges beside the raw reverse sources), plus
+/// 8 a vertex and, when the file's probabilities are kept, 8 an edge more.
+/// At the first edge that does not ascend, what has been read goes into a
+/// [`GraphBuilder`] and the load peaks where [`GraphBuilder::build`] does.
+/// Either way the graph is the same.
 ///
 /// Errors are reported in this order: the first line that does not parse
 /// (or is not UTF-8), then an id space past `u32`, then the first
 /// probability outside `[0, 1]`.
 pub fn read_edge_list<R: Read>(reader: R, options: EdgeListOptions) -> Result<Graph, GraphError> {
     let mut reader = BufReader::with_capacity(1 << 16, reader);
-    let mut builder = GraphBuilder::new(0);
-    if options.weights.is_some() {
-        builder.discard_probs();
-    }
+    let mut edges = Edges::Sorted(SortedEdges::new(options.weights.is_none()));
     let mut ids = IdSpace::new(options.vertex_ids);
     let mut bad_probability = None;
     let mut line = Vec::new();
@@ -85,18 +91,189 @@ pub fn read_edge_list<R: Read>(reader: R, options: EdgeListOptions) -> Result<Gr
         if options.weights.is_none() && bad_probability.is_none() {
             bad_probability = check_probability(p).err();
         }
-        builder.push(u, v, p);
+        edges.push(u, v, p);
         if options.undirected {
-            builder.push(v, u, p);
+            edges.push(v, u, p);
         }
     }
-    builder.set_num_vertices(ids.num_vertices()?);
+    let num_vertices = ids.num_vertices()?;
     if let Some(error) = bad_probability {
         return Err(error);
     }
-    match options.weights {
-        Some(model) => builder.assign_weights(model).build(),
-        None => builder.build(),
+    match edges {
+        Edges::Sorted(sorted) => sorted.build(num_vertices, options.weights),
+        Edges::Records(mut builder) => {
+            builder.set_num_vertices(num_vertices);
+            match options.weights {
+                Some(model) => builder.assign_weights(model).build(),
+                None => builder.build(),
+            }
+        }
+    }
+}
+
+/// The edges read so far.
+enum Edges {
+    /// All of them ascend.
+    Sorted(SortedEdges),
+    /// Some edge did not: records for the builder.
+    Records(GraphBuilder),
+}
+
+impl Edges {
+    /// Stores an edge; self-loops are dropped, as the builder drops them.
+    fn push(&mut self, u: Vertex, v: Vertex, p: f32) {
+        if let Edges::Sorted(sorted) = self {
+            if sorted.push(u, v, p) {
+                return;
+            }
+            *self = Edges::Records(std::mem::take(sorted).into_builder());
+        }
+        if let Edges::Records(builder) = self {
+            builder.push(u, v, p);
+        }
+    }
+}
+
+/// The edges of a file while they strictly ascend by (source, target),
+/// self-loops left out, coded as they arrive, one row per source that has
+/// edges: the row's source as its distance from the previous row's (from 0
+/// for the first), its edge count, then its targets coded as a graph row
+/// codes its sources ([`crate::rows`]), the first one zigzagged against the
+/// source. Nothing here is sized by the id space, which is refused only at
+/// the end of the file when it passes `u32`.
+#[derive(Clone, Default)]
+struct SortedEdges {
+    /// The finished rows.
+    bytes: Vec<u8>,
+    /// The codes of the row being read, `row_len` of them, of `source`.
+    row: Vec<u8>,
+    row_len: u32,
+    source: Vertex,
+    /// The source of the last finished row.
+    base: Vertex,
+    /// The file's probabilities, in file order, when they are kept.
+    probs: Option<Vec<f32>>,
+    /// The least `(source, target)`, packed as `source << 32 | target`,
+    /// that the next edge may have: one past the last edge's.
+    next: u64,
+    num_edges: usize,
+}
+
+impl SortedEdges {
+    fn new(keep_probs: bool) -> Self {
+        Self {
+            probs: keep_probs.then(Vec::new),
+            ..Self::default()
+        }
+    }
+
+    /// Codes the edge; false, storing nothing, if it does not ascend or
+    /// would take the graph past its edge count.
+    #[inline]
+    fn push(&mut self, u: Vertex, v: Vertex, p: f32) -> bool {
+        if u == v {
+            return true;
+        }
+        let key = (u64::from(u) << 32) | u64::from(v);
+        if key < self.next || self.num_edges + 1 >= u32::MAX as usize {
+            return false;
+        }
+        let code = if self.row_len > 0 && u == self.source {
+            // The last target plus one is the low half of `next`.
+            v - self.next as u32
+        } else {
+            self.finish_row();
+            self.source = u;
+            zigzag(u, v)
+        };
+        push_varint(&mut self.row, code);
+        self.row_len += 1;
+        if let Some(probs) = &mut self.probs {
+            probs.push(p);
+        }
+        self.next = key + 1;
+        self.num_edges += 1;
+        true
+    }
+
+    /// Moves the row being read, if any, to the finished ones.
+    fn finish_row(&mut self) {
+        if self.row_len > 0 {
+            push_varint(&mut self.bytes, self.source - self.base);
+            push_varint(&mut self.bytes, self.row_len);
+            self.bytes.append(&mut self.row);
+            (self.base, self.row_len) = (self.source, 0);
+        }
+    }
+
+    /// Calls `visit(e, u, v)` for each edge `u → v` of the finished rows,
+    /// the `e`-th read.
+    fn for_each(&self, mut visit: impl FnMut(usize, Vertex, Vertex)) {
+        let (mut pos, mut u, mut e) = (0, 0, 0);
+        while pos < self.bytes.len() {
+            u += read_varint(&self.bytes, &mut pos);
+            let count = read_varint(&self.bytes, &mut pos);
+            let mut v = unzigzag(u, read_varint(&self.bytes, &mut pos));
+            visit(e, u, v);
+            for _ in 1..count {
+                v += read_varint(&self.bytes, &mut pos) + 1;
+                e += 1;
+                visit(e, u, v);
+            }
+            e += 1;
+        }
+    }
+
+    /// What has been read, in file order, as the builder's records.
+    fn into_builder(mut self) -> GraphBuilder {
+        self.finish_row();
+        let mut builder = GraphBuilder::new(0);
+        if self.probs.is_none() {
+            builder.discard_probs();
+        }
+        builder.reserve(self.num_edges);
+        let probs = self.probs.as_deref();
+        self.for_each(|e, u, v| builder.push(u, v, probs.map_or(1.0, |probs| probs[e])));
+        builder
+    }
+
+    /// The graph over `num_vertices`, which exceeds every id read. One
+    /// decoding pass counts the targets, a second scatters each source
+    /// into its target's row at that row's cursor; sources are visited in
+    /// ascending order, so every row comes out sorted.
+    fn build(mut self, num_vertices: u32, model: Option<WeightModel>) -> Result<Graph, GraphError> {
+        self.finish_row();
+        self.row = Vec::new();
+        let n = num_vertices as usize;
+        // Row v's count goes to v + 2, so that after the prefix sum
+        // `in_offsets[v + 1]` is where row v starts: the scatter's cursor
+        // for v, which it leaves where row v ends and row v + 1 starts.
+        let mut in_offsets = vec![0u32; n + 1];
+        self.for_each(|_, _, v| {
+            if let Some(count) = in_offsets.get_mut(v as usize + 2) {
+                *count += 1;
+            }
+        });
+        for i in 0..n {
+            in_offsets[i + 1] += in_offsets[i];
+        }
+        let mut sources = vec![0; self.num_edges];
+        let mut in_probs = self.probs.as_ref().map(|_| vec![0.0; self.num_edges]);
+        self.for_each(|e, u, v| {
+            let slot = &mut in_offsets[v as usize + 1];
+            sources[*slot as usize] = u;
+            if let (Some(in_probs), Some(probs)) = (&mut in_probs, &self.probs) {
+                in_probs[*slot as usize] = probs[e];
+            }
+            *slot += 1;
+        });
+        drop(self);
+        let weights = match (model, in_probs) {
+            (Some(model), _) => Weights::Model(model),
+            (None, probs) => Weights::Kept(probs.unwrap_or_default()),
+        };
+        graph_from_reverse(num_vertices, in_offsets, sources, weights)
     }
 }
 
@@ -426,6 +603,33 @@ mod tests {
         .unwrap();
         for (_, _, p) in g.edges() {
             assert!((p - 0.1).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn ascending_edges_stay_coded_until_one_does_not() {
+        for keep_probs in [false, true] {
+            let mut edges = Edges::Sorted(SortedEdges::new(keep_probs));
+            for (u, v) in [(0, 1), (0, 3), (2, 2), (2, 0), (7, 1), (7, 6)] {
+                edges.push(u, v, 0.5);
+            }
+            let Edges::Sorted(sorted) = &edges else {
+                panic!("ascending edges and a self-loop go on the sorted path");
+            };
+            let mut read = Vec::new();
+            let mut coded = sorted.clone();
+            coded.finish_row();
+            coded.for_each(|e, u, v| read.push((e, u, v)));
+            assert_eq!(
+                read,
+                [(0, 0, 1), (1, 0, 3), (2, 2, 0), (3, 7, 1), (4, 7, 6)]
+            );
+            // A duplicate does not ascend.
+            edges.push(7, 6, 0.25);
+            let Edges::Records(builder) = &edges else {
+                panic!("a duplicate goes to the record path");
+            };
+            assert_eq!(builder.pending_edges(), 6);
         }
     }
 

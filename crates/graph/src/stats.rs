@@ -39,9 +39,7 @@ impl GraphStats {
 /// sources, so that a summary never builds the graph's forward view.
 fn out_degrees(graph: &Graph) -> Vec<usize> {
     let mut degrees = vec![0; graph.num_vertices() as usize];
-    for &u in &graph.in_sources {
-        degrees[u as usize] += 1;
-    }
+    graph.rows.sources().for_each(|u| degrees[u as usize] += 1);
     degrees
 }
 

@@ -27,10 +27,11 @@ pub fn weakly_connected_components(graph: &Graph) -> (Vec<u32>, u32) {
         label[start] = next;
         queue.push_back(start as Vertex);
         while let Some(u) = queue.pop_front() {
-            for &v in graph
+            for v in graph
                 .out_neighbors(u)
                 .iter()
-                .chain(graph.in_neighbors(u).iter())
+                .copied()
+                .chain(graph.in_neighbors(u))
             {
                 if label[v as usize] == u32::MAX {
                     label[v as usize] = next;

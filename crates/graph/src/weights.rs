@@ -7,9 +7,8 @@
 //! two standard assignments in the influence-maximization literature and are
 //! provided for parameter-sensitivity studies.
 
-use crate::builder::offsets_by_key;
 use crate::csr::ProbStore;
-use crate::types::Vertex;
+use crate::rows::Rows;
 use ripples_rng::SplitMix64;
 
 /// How activation probabilities are assigned to edges.
@@ -39,40 +38,57 @@ pub enum WeightModel {
 }
 
 impl WeightModel {
-    /// The probabilities of a deduplicated graph given as its reverse CSR.
+    /// Whether the model draws one probability per edge.
+    pub(crate) fn draws_per_edge(self) -> bool {
+        matches!(
+            self,
+            WeightModel::UniformRandom { .. } | WeightModel::Trivalency { .. }
+        )
+    }
+
+    /// The probabilities of a deduplicated graph given as its coded
+    /// reverse rows and their edge offsets; a model that [draws per
+    /// edge](WeightModel::draws_per_edge) is also handed `out_offsets`,
+    /// where each source's out-edges start in forward order.
     ///
     /// Weighted cascade and a constant give one value per in-row. The
     /// randomized models key each edge's draw on its *position in forward
     /// CSR order* (by source, then by target), so the assignment is a pure
     /// function of (model, edge set), whatever order edges were inserted in.
-    pub(crate) fn assign(self, in_offsets: &[usize], in_sources: &[Vertex]) -> ProbStore {
+    pub(crate) fn assign(
+        self,
+        rows: &Rows,
+        in_offsets: Vec<u32>,
+        out_offsets: Option<Vec<u32>>,
+    ) -> ProbStore {
+        let out_offsets = || out_offsets.expect("a per-edge model is handed the out-offsets");
         match self {
             WeightModel::UniformRandom { seed } => {
                 // The stream is a counter, so any draw can be made on its own.
                 let rng = SplitMix64::for_stream(seed, 0x57_45_49_47);
-                per_edge(in_offsets, in_sources, |position| {
+                per_edge(rows, out_offsets(), in_offsets, |position| {
                     let mut rng = rng.clone();
                     rng.skip(position as u64);
                     rng.unit_f64() as f32
                 })
             }
-            WeightModel::Constant(p) => per_vertex(in_offsets, |_| p.clamp(0.0, 1.0)),
-            WeightModel::WeightedCascade => per_vertex(in_offsets, |degree| 1.0 / degree as f32),
+            WeightModel::Constant(p) => per_vertex(&in_offsets, |_| p.clamp(0.0, 1.0)),
+            WeightModel::WeightedCascade => per_vertex(&in_offsets, |degree| 1.0 / degree as f32),
             WeightModel::Trivalency { seed } => {
                 // A rejected draw would shift the rest: draw them in order.
                 const LEVELS: [f32; 3] = [0.1, 0.01, 0.001];
                 let mut rng = SplitMix64::for_stream(seed, 0x54_52_49_56);
-                let mut drawn = vec![0.0; in_sources.len()];
+                let mut drawn = vec![0.0; rows.num_edges()];
                 drawn.fill_with(|| LEVELS[rng.bounded_u64(3) as usize]);
-                per_edge(in_offsets, in_sources, |position| drawn[position])
+                per_edge(rows, out_offsets(), in_offsets, |position| drawn[position])
             }
         }
     }
 }
 
 /// `value(in-degree)` for every vertex with in-edges, 0.0 for the others.
-fn per_vertex(in_offsets: &[usize], value: impl Fn(usize) -> f32) -> ProbStore {
-    let degrees = in_offsets.windows(2).map(|w| w[1] - w[0]);
+fn per_vertex(in_offsets: &[u32], value: impl Fn(usize) -> f32) -> ProbStore {
+    let degrees = in_offsets.windows(2).map(|w| (w[1] - w[0]) as usize);
     let probs = degrees.map(|d| if d == 0 { 0.0 } else { value(d) });
     ProbStore::PerVertex(probs.collect())
 }
@@ -80,13 +96,18 @@ fn per_vertex(in_offsets: &[usize], value: impl Fn(usize) -> f32) -> ProbStore {
 /// `value(position)` for every edge, its position in forward order, stored
 /// in in-row order. A cursor per source, starting at its out-offset, gives
 /// the positions: in-rows are visited by ascending target.
-fn per_edge(offsets: &[usize], sources: &[Vertex], value: impl Fn(usize) -> f32) -> ProbStore {
-    let mut next = offsets_by_key(offsets.len() - 1, sources);
-    let probs = sources.iter().map(|&u| {
+fn per_edge(
+    rows: &Rows,
+    mut next: Vec<u32>,
+    in_offsets: Vec<u32>,
+    value: impl Fn(usize) -> f32,
+) -> ProbStore {
+    let mut probs = Vec::with_capacity(rows.num_edges());
+    rows.sources().for_each(|u| {
         next[u as usize] += 1;
-        value(next[u as usize] - 1)
+        probs.push(value(next[u as usize] as usize - 1));
     });
-    ProbStore::new(offsets, probs.collect())
+    ProbStore::new(in_offsets, probs)
 }
 
 #[cfg(test)]

@@ -789,14 +789,14 @@ fn build_matches_reference(
         let built: Vec<f32> = graph.in_edges(v).map(|(_, p)| p).collect();
         // The sequential f64 sum, not d·p, also over a per-vertex row.
         let sum: f64 = in_probs.iter().map(|&p| f64::from(p)).sum();
-        if graph.in_neighbors(v) != in_ids
+        let built_ids: Vec<Vertex> = graph.in_neighbors(v).collect();
+        if built_ids != in_ids
             || bits(&built) != bits(&in_probs)
             || graph.in_weight_sum(v).to_bits() != sum.to_bits()
         {
             return Err(format!(
-                "vertex {v} of {edges:?} under {case:?}: built in {:?} {built:?} (sum {}), \
+                "vertex {v} of {edges:?} under {case:?}: built in {built_ids:?} {built:?} (sum {}), \
                  reference in {inc:?}",
-                graph.in_neighbors(v),
                 graph.in_weight_sum(v),
             ));
         }
@@ -1021,6 +1021,88 @@ proptest! {
                 let outcome = build_matches_reference(n, &edges, &case);
                 prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// (d) The sorted-file load against the record path.
+// ---------------------------------------------------------------------------
+
+/// A file ascending by (source, target), the order [`write_edge_list`]
+/// writes, over up to 20 000 `Literal` ids, most of them isolated: a hub
+/// with many edges in and out, sources near n whose first target is near 0
+/// and the reverse (zigzag codes near 2n), and on some draws adjacent
+/// duplicates (with other probabilities), self-loops, a probability column
+/// on some lines, and a tail that turns unsorted.
+fn ascending_edge_list(dice: &mut Dice) -> Vec<u8> {
+    let n = dice.pick(&[1usize, 2, 5, 100, 3000, 20_000]);
+    let hub = dice.below(n);
+    let mut edges: Vec<(usize, usize)> = (0..dice.below(300))
+        .map(|_| match dice.below(5) {
+            0 => (hub, dice.below(n)),
+            1 => (dice.below(n), hub),
+            2 => (n - 1 - dice.below(n.min(3)), dice.below(n.min(3))),
+            3 => (dice.below(n.min(3)), n - 1 - dice.below(n.min(3))),
+            _ => (dice.below(n), dice.below(n)),
+        })
+        .collect();
+    edges.sort_unstable();
+    if !dice.chance(30) {
+        edges.dedup();
+    }
+    if !dice.chance(30) {
+        edges.retain(|&(u, v)| u != v);
+    }
+    if dice.chance(30) {
+        let from = dice.below(edges.len() + 1);
+        edges[from..].reverse();
+    }
+    let probs = dice.below(3);
+    let mut text = b"# an ascending edge list\n".to_vec();
+    for (u, v) in edges {
+        let line = match probs {
+            0 => format!("{u}\t{v}\n"),
+            1 => format!("{u}\t{v}\t{}\n", dice.below(5) as f32 / 4.0),
+            _ if dice.chance(50) => format!("{u} {v} {}\n", dice.0.unit_f64() as f32),
+            _ => format!("{u} {v}\n"),
+        };
+        text.extend_from_slice(line.as_bytes());
+    }
+    text
+}
+
+/// Each row's decoded sources and probability bits.
+fn decoded_rows(graph: &Graph) -> Vec<(Vec<Vertex>, Vec<u32>)> {
+    (0..graph.num_vertices())
+        .map(|v| {
+            let sources = graph.in_neighbors(v).collect();
+            let probs = graph.in_edges(v).map(|(_, p)| p.to_bits()).collect();
+            (sources, probs)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A file whose edges ascend loads into the graph the record path
+    /// builds from the same lines (the `lines()` reader above feeds a
+    /// `GraphBuilder`), under every option: equal under `PartialEq` and
+    /// `fingerprint`, row by decoded row and probability by probability,
+    /// and valid. Duplicates and an unsorted tail send the sorted load to
+    /// the record path midway; undirected lines do at their first edge
+    /// back.
+    #[test]
+    fn sorted_load_matches_the_record_path(seed in any::<u64>()) {
+        let text = ascending_edge_list(&mut Dice::new(seed));
+        for options in all_options() {
+            let loaded = read_edge_list(text.as_slice(), options).unwrap();
+            let built = reference_read_edge_list(&text, options).unwrap();
+            prop_assert!(loaded == built, "{options:?}");
+            prop_assert_eq!(loaded.fingerprint(), built.fingerprint());
+            prop_assert!(decoded_rows(&loaded) == decoded_rows(&built), "{options:?}");
+            prop_assert!(loaded.validate().is_ok());
         }
     }
 }

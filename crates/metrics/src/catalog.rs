@@ -216,7 +216,7 @@ catalog! {
         degraded_ranks DegradedRanks: Level Max VARIES LIVE ""
             "Ranks declared dead and excluded from the run's collectives";
         graph_bytes_peak GraphBytesPeak: Peak Max VARIES LIVE "bytes"
-            "Peak resident bytes of one process's share of the graph: for replicated engines the reverse CSR and its probabilities (one per vertex when every in-row is uniform), plus the forward view only once a forward reader has built it; the vertex-cut shard for `imm_sharded`";
+            "Peak resident bytes of one process's share of the graph: for replicated engines the reverse CSR — its gap-varint coded rows and their u32 byte offsets — and its probabilities (one per vertex when every in-row is uniform, else one per edge with u32 edge offsets), plus the forward view only once a forward reader has built it; the vertex-cut shard, raw sources and one probability per edge, for `imm_sharded`";
         frontier_exchanges FrontierExchanges: Counter Max VARIES LIVE ""
             "Batched frontier exchanges (`alltoallv`) issued by the sharded engine; 0 for replicated engines";
         overlap_nanos OverlapNanos: Counter Max VARIES FINAL "ns"
@@ -231,6 +231,10 @@ catalog! {
             "In-edges examined while drawing samples again for those rebuilds; never part of `edges_examined`, and never added to the live registry's sampling rows";
         index_only_at_samples IndexOnlyAtSamples: Level PerRank VARIES LIVE ""
             "Samples the store held when a run that selects from the inverted index alone released them into it: the first batch's 64-sample prefix when that decided, the first round when its first selection pass did, 0 for a run that keeps its samples";
+        rss_hwm_after_load RssHwmAfterLoad: Peak PerRank VARIES FINAL "bytes"
+            "The process's resident high-water mark (`VmHWM`) right after the `ripples` CLI loaded or generated the graph; 0 off Linux and outside the CLI";
+        rss_hwm_after_solve RssHwmAfterSolve: Peak PerRank VARIES FINAL "bytes"
+            "The process's resident high-water mark right after the solve: above `rss_hwm_after_load` when the solve set the run's peak, equal to it when the load did; 0 off Linux and outside the CLI";
     }
     live {
         phase Phase: Level ""

@@ -74,7 +74,7 @@ proptest! {
                 seen[root as usize] = true;
                 q.push_back(root);
                 while let Some(v) = q.pop_front() {
-                    for &u in graph.in_neighbors(v) {
+                    for u in graph.in_neighbors(v) {
                         if !seen[u as usize] {
                             seen[u as usize] = true;
                             q.push_back(u);
