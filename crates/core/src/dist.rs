@@ -40,7 +40,7 @@ use crate::obs::{Histogram, RunReport};
 use crate::params::ImmParams;
 use crate::result::ImmResult;
 use crate::select::{
-    coverage_of, lazy_greedy, nanos_since, uses_index, with_index, IndexCover, LocalCover, Peers,
+    coverage_of, lazy_greedy, uses_index, with_index, CounterCover, IndexCover, LocalCover, Peers,
     SelectEngine, SelectStats, Selection,
 };
 use ripples_comm::{CommStats, Communicator};
@@ -48,7 +48,6 @@ use ripples_diffusion::rrr::{generate_rrr, RrrScratch};
 use ripples_diffusion::{BatchOutcome, DiffusionModel, DynRrrStore, RrrStore, StorageConfig};
 use ripples_graph::{Graph, Vertex};
 use ripples_rng::StreamFactory;
-use std::time::Instant;
 
 /// Global sample indices owned by `rank` within `[0, total)`: the strided
 /// (round-robin) partition `{ i : i ≡ rank (mod size) }`.
@@ -117,12 +116,7 @@ pub(crate) fn select_seeds_distributed<C: Communicator, S: RrrStore>(
     } else {
         let mut cover = CounterCover::new(local, n);
         let bounds = cover.counts.clone();
-        let (seeds, gains, mut stats) = greedy(&mut cover, bounds);
-        // Flat slices need no decoding.
-        if local.as_flat().is_none() {
-            stats.decode_nanos = cover.decode_nanos;
-        }
-        (seeds, gains, stats)
+        greedy(&mut cover, bounds)
     };
     // Degraded runs: dead ranks' samples are gone from every collective, so
     // coverage must be judged against the samples the surviving ranks
@@ -139,58 +133,6 @@ pub(crate) fn select_seeds_distributed<C: Communicator, S: RrrStore>(
         (held[0] as usize, held[1] as usize)
     };
     (Selection::finish(seeds, gains, covered, theta_eff), stats)
-}
-
-/// A rank's [`LocalCover`] without an index: one counter per vertex of the
-/// held samples no seed covers yet, and one covered flag per sample. A
-/// recount reads its counter; covering probes every alive sample and
-/// decrements the counters of each one it covers, whose entries are the
-/// entries it reads.
-struct CounterCover<'a, S> {
-    store: &'a S,
-    counts: Vec<u64>,
-    covered: Vec<bool>,
-    decode_nanos: u64,
-}
-
-impl<'a, S: RrrStore> CounterCover<'a, S> {
-    /// Counts every vertex over the held samples: one sweep.
-    fn new(store: &'a S, n: u32) -> Self {
-        let t0 = Instant::now();
-        let mut counts = vec![0u64; n as usize];
-        for j in 0..store.len() {
-            store.for_each_vertex(j, |u| counts[u as usize] += 1);
-        }
-        let covered = vec![false; store.len()];
-        let decode_nanos = nanos_since(t0);
-        CounterCover {
-            store,
-            counts,
-            covered,
-            decode_nanos,
-        }
-    }
-}
-
-impl<S: RrrStore> LocalCover for CounterCover<'_, S> {
-    fn recount(&mut self, v: Vertex) -> (u64, u64) {
-        (self.counts[v as usize], 0)
-    }
-
-    fn cover(&mut self, v: Vertex) -> u64 {
-        let t0 = Instant::now();
-        let (store, counts) = (self.store, &mut self.counts);
-        let mut read = 0u64;
-        for (j, cov) in self.covered.iter_mut().enumerate() {
-            if !*cov && store.contains(j, v) {
-                *cov = true;
-                read += store.sample_len(j) as u64;
-                store.for_each_vertex(j, |u| counts[u as usize] -= 1);
-            }
-        }
-        self.decode_nanos += nanos_since(t0);
-        read
-    }
 }
 
 /// Merges one rank's local histogram into the identical global histogram on

@@ -131,8 +131,7 @@ pub(crate) fn record_store_counters<S: RrrStore>(report: &mut RunReport, store: 
     report.counters.rrr_complement_bytes = forms.complement_bytes;
 }
 
-/// The counters accumulated over a run's selection passes (`decode_nanos`
-/// adds to whatever decode time the caller has already charged).
+/// The counters accumulated over a run's selection passes.
 pub(crate) fn record_select_counters(
     report: &mut RunReport,
     memory: &mut MemoryStats,
@@ -144,7 +143,6 @@ pub(crate) fn record_select_counters(
     report.counters.select_entries_touched = stats.entries_touched;
     report.counters.index_build_nanos = stats.index_build_nanos;
     report.counters.index_bytes_peak = stats.index_bytes as u64;
-    report.counters.decode_nanos += stats.decode_nanos;
 }
 
 /// The process's graph share, read when the run ends: a replicated graph

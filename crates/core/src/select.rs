@@ -9,10 +9,10 @@
 //!   [`SelectEngine::Sequential`] runs.
 //! * `greedy_cover` — Algorithm 4 as the paper states it, with no index:
 //!   interval owners count the samples, and a cover step probes every alive
-//!   sample. Its two parameters are the collection view (`IntervalSets`:
-//!   sorted lists, lists, bitmaps and complements, or any store streamed by
-//!   one owner)
-//!   and the initial `selected` mask (the serve mode's banned vertices).
+//!   sample. It reads the list or the mixed collection a store holds, each
+//!   owner walking its 64-aligned interval of each set
+//!   ([`ripples_diffusion::RrrSetRef::for_each_in`]), and starts from a
+//!   `selected` mask (the serve mode's banned vertices).
 //!   Counters are owned by vertex interval, so no owner ever needs an
 //!   atomic update, and each owner keeps its interval's argmax
 //!   incrementally, so a round's winner is a p-way reduction rather than
@@ -38,7 +38,8 @@
 //! lowest vertex id), so they return *identical* seed sets on identical
 //! collections — a property the cross-implementation tests rely on.
 
-use ripples_diffusion::{IntervalSets, RrrCollection, RrrStore, SampleIndex, Streamed};
+use ripples_diffusion::intervals::{fork_owners, owner_intervals};
+use ripples_diffusion::{RrrCollection, RrrStore, SampleIndex};
 use ripples_graph::Vertex;
 use std::collections::BinaryHeap;
 use std::time::Instant;
@@ -92,10 +93,6 @@ pub struct SelectStats {
     /// step covered, which the index-free bodies and an index-free rank's
     /// counters decrement.
     pub entries_touched: u64,
-    /// Wall time spent walking RRR blocks during selection, nanoseconds
-    /// (0 on the flat store, whose sets in any form need no decoding, and
-    /// for a pass over the index, which reads no block).
-    pub decode_nanos: u64,
     /// Greedy steps taken: one per seed selected.
     pub iterations: u64,
 }
@@ -107,7 +104,6 @@ impl SelectStats {
         self.index_build_nanos += other.index_build_nanos;
         self.index_bytes = self.index_bytes.max(other.index_bytes);
         self.entries_touched += other.entries_touched;
-        self.decode_nanos += other.decode_nanos;
         self.iterations += other.iterations;
     }
 
@@ -165,41 +161,73 @@ fn sequential_greedy<S: RrrStore>(
 ) -> (Selection, SelectStats) {
     let k = k.min(n);
     let mut stats = SelectStats::default();
-    let mut counters = vec![0u64; n as usize];
-    let t0 = Instant::now();
-    for j in 0..store.len() {
-        store.for_each_vertex(j, |v| counters[v as usize] += 1);
-    }
-    stats.decode_nanos += nanos_since(t0);
-    let mut covered = vec![false; store.len()];
+    let mut cover = CounterCover::new(store, n);
     let mut seeds = Vec::with_capacity(k as usize);
     let mut gains = Vec::with_capacity(k as usize);
-    let mut covered_count = 0usize;
     for _ in 0..k {
-        let Some((_, v)) = slice_champion(&counters, &selected, 0) else {
+        let Some((gain, v)) = slice_champion(&cover.counts, &selected, 0) else {
             break;
         };
-        let gain = counters[v as usize];
         selected[v as usize] = true;
         gains.push(gain);
         seeds.push(v);
-        let t0 = Instant::now();
-        let mut touched = 0u64;
-        for (j, cov) in covered.iter_mut().enumerate() {
-            if !*cov && store.contains(j, v) {
-                *cov = true;
-                covered_count += 1;
-                touched += store.sample_len(j) as u64;
-                store.for_each_vertex(j, |u| counters[u as usize] -= 1);
-            }
-        }
-        stats.decode_nanos += nanos_since(t0);
+        let touched = cover.cover(v);
         stats.step(v, gain, touched, true);
     }
-    (
-        Selection::finish(seeds, gains, covered_count, store.len()),
-        stats,
-    )
+    // A seed's count is the alive samples it covers.
+    let covered = gains.iter().sum::<u64>() as usize;
+    (Selection::finish(seeds, gains, covered, store.len()), stats)
+}
+
+/// [`LocalCover`] without an index, over any store: one counter per vertex
+/// of the samples no seed covers yet, and one covered flag per sample. A
+/// recount reads its counter; covering probes every alive sample and
+/// decrements the counters of each one it covers, whose entries are the
+/// entries it reads. The sequential reference and an index-free rank of
+/// the communicator engines select through it.
+pub(crate) struct CounterCover<'a, S> {
+    store: &'a S,
+    pub(crate) counts: Vec<u64>,
+    covered: Vec<bool>,
+}
+
+impl<'a, S: RrrStore> CounterCover<'a, S> {
+    /// Counts every vertex over the samples: one sweep.
+    pub(crate) fn new(store: &'a S, n: u32) -> Self {
+        let mut counts = vec![0u64; n as usize];
+        for j in 0..store.len() {
+            store.set(j).for_each(|u| counts[u as usize] += 1);
+        }
+        let covered = vec![false; store.len()];
+        CounterCover {
+            store,
+            counts,
+            covered,
+        }
+    }
+}
+
+impl<S: RrrStore> LocalCover for CounterCover<'_, S> {
+    fn recount(&mut self, v: Vertex) -> (u64, u64) {
+        (self.counts[v as usize], 0)
+    }
+
+    fn cover(&mut self, v: Vertex) -> u64 {
+        let (store, counts) = (self.store, &mut self.counts);
+        let mut read = 0u64;
+        for (j, cov) in self.covered.iter_mut().enumerate() {
+            if *cov {
+                continue;
+            }
+            let set = store.set(j);
+            if set.contains(v) {
+                *cov = true;
+                read += set.len() as u64;
+                set.for_each(|u| counts[u as usize] -= 1);
+            }
+        }
+        read
+    }
 }
 
 /// One interval owner: the counters of vertices `vl..vh`, and their argmax.
@@ -216,9 +244,10 @@ struct Owner<'a> {
 impl Owner<'_> {
     /// Applies `step` to the counter of every vertex of sample `j` that
     /// falls into the interval.
-    fn walk<S: IntervalSets>(&mut self, sets: &S, j: usize, step: impl Fn(&mut u64)) {
+    fn walk<S: RrrStore>(&mut self, sets: &S, j: usize, step: impl Fn(&mut u64)) {
         let (vl, counters) = (self.vl, &mut *self.counters);
-        sets.for_each_in(j, vl, self.vh, |u| step(&mut counters[(u - vl) as usize]));
+        sets.set(j)
+            .for_each_in(vl, self.vh, |u| step(&mut counters[(u - vl) as usize]));
     }
 }
 
@@ -235,7 +264,7 @@ impl Owner<'_> {
 /// vertices deleted (from every set, and from the vertex universe).
 ///
 /// Returns bitwise the [`Selection`] of [`select_seeds_sequential`].
-fn greedy_cover<S: IntervalSets>(
+fn greedy_cover<S: RrrStore + Sync>(
     sets: &S,
     n: u32,
     k: u32,
@@ -246,7 +275,7 @@ fn greedy_cover<S: IntervalSets>(
     let mut stats = SelectStats::default();
     let mut counters = vec![0u64; n as usize];
     let mut rest = counters.as_mut_slice();
-    let mut owners: Vec<Owner<'_>> = S::intervals(n, partitions)
+    let mut owners: Vec<Owner<'_>> = owner_intervals(n, partitions)
         .into_iter()
         .map(|(vl, vh)| {
             let (head, tail) = std::mem::take(&mut rest).split_at_mut((vh - vl) as usize);
@@ -263,17 +292,14 @@ fn greedy_cover<S: IntervalSets>(
     // Counting pass: each owner counts its interval across all samples,
     // walking only its own sub-range of each. Then every owner's first
     // champion.
-    let t0 = Instant::now();
-    sets.for_each_owner(&mut owners, |sets, owner| {
-        for j in 0..sets.store().len() {
+    fork_owners(&mut owners, |owner| {
+        for j in 0..sets.len() {
             owner.walk(sets, j, |c| *c += 1);
         }
         owner.champion = slice_champion(owner.counters, &selected, owner.vl);
     });
-    stats.decode_nanos += nanos_since(t0);
 
-    let store = sets.store();
-    let mut covered = vec![false; store.len()];
+    let mut covered = vec![false; sets.len()];
     let mut seeds = Vec::with_capacity(k as usize);
     let mut gains = Vec::with_capacity(k as usize);
     let mut covered_count = 0usize;
@@ -293,14 +319,13 @@ fn greedy_cover<S: IntervalSets>(
         gains.push(gain);
 
         // Cover step: the alive samples containing v.
-        let t0 = Instant::now();
         newly.clear();
-        newly.extend((0..store.len()).filter(|&j| !covered[j] && store.contains(j, v)));
+        newly.extend((0..sets.len()).filter(|&j| !covered[j] && sets.set(j).contains(v)));
         debug_assert_eq!(gain as usize, newly.len(), "stale champion count");
         let mut touched = 0u64;
         for &j in &newly {
             covered[j] = true;
-            touched += store.sample_len(j) as u64;
+            touched += sets.set(j).len() as u64;
         }
         covered_count += newly.len();
         stats.step(v, gain, touched, true);
@@ -309,7 +334,7 @@ fn greedy_cover<S: IntervalSets>(
         // covered samples, then looks for a new champion if its own was
         // selected or lost count.
         let (newly, selected) = (&newly, &selected);
-        sets.for_each_owner(&mut owners, |sets, owner| {
+        fork_owners(&mut owners, |owner| {
             for &j in newly {
                 owner.walk(sets, j, |c| *c -= 1);
             }
@@ -320,10 +345,9 @@ fn greedy_cover<S: IntervalSets>(
                 owner.champion = slice_champion(owner.counters, selected, owner.vl);
             }
         });
-        stats.decode_nanos += nanos_since(t0);
     }
     (
-        Selection::finish(seeds, gains, covered_count, store.len()),
+        Selection::finish(seeds, gains, covered_count, sets.len()),
         stats,
     )
 }
@@ -626,7 +650,7 @@ pub fn coverage_of<S: RrrStore>(store: &S, seeds: &[Vertex]) -> usize {
             count
         }
         None => (0..store.len())
-            .filter(|&j| seeds.iter().any(|&s| store.contains(j, s)))
+            .filter(|&j| seeds.iter().any(|&s| store.set(j).contains(s)))
             .count(),
     })
 }
@@ -728,8 +752,8 @@ pub(crate) fn uses_index<S: RrrStore>(engine: SelectEngine, store: &S, k: u32) -
 /// sample-major store for good: `engine` indexes a pass over the samples
 /// `store` holds, and the largest population the θ schedule can ask for,
 /// `max_population`, fits the index's `u32` sample ids, so no later pass
-/// can need the index-free route. Applied to the first batch's prefix, and
-/// once more at the first selection when the prefix said keep.
+/// can need the index-free route. Applied once, to the first batch's
+/// prefix.
 pub(crate) fn index_only<S: RrrStore>(
     engine: SelectEngine,
     store: &S,
@@ -814,15 +838,16 @@ pub fn select_with_engine_store<S: RrrStore>(
 ///
 /// An indexed pass reads the index each store keeps
 /// ([`RrrStore::with_sample_index`]) and nothing else; an index-free pass
-/// reads each store this way:
+/// reads each sample as it is held ([`RrrStore::set`]):
 ///
-/// | store | collection view | owners |
+/// | store | read through | owners |
 /// |---|---|---|
-/// | lists only | sorted lists | `partitions` |
-/// | with bitmaps or complements | lists, bitmaps or complements, 64-aligned intervals | `partitions` |
-/// | any other [`RrrStore`] | streamed | 1 |
+/// | [`RrrStore::as_mixed`]: lists, bitmaps or complements | the mixed collection | `partitions`, 64-aligned |
+/// | else [`RrrStore::as_flat`]: lists | the list collection | `partitions`, 64-aligned |
+/// | any other [`RrrStore`] | the store | the sequential reference |
 ///
-/// Only the streamed view decodes; the others report no decode time.
+/// Only test stores take the last row: a store that released its samples
+/// into its index never takes the index-free route.
 ///
 /// # Panics
 ///
@@ -841,25 +866,17 @@ pub fn select_with_engine_banned<S: RrrStore>(
         n as usize,
         "banned mask must cover all vertices"
     );
-    let direct = store.as_mixed().is_some() || store.as_flat().is_some();
-    let (selection, mut stats) = if engine == SelectEngine::Sequential {
-        match store.as_flat() {
-            Some(lists) => sequential_greedy(lists, n, k, banned),
-            None => sequential_greedy(store, n, k, banned),
-        }
+    if engine == SelectEngine::Sequential {
+        sequential_greedy(store, n, k, banned)
     } else if uses_index(engine, store, k) {
         select_over_index(store, n, k, partitions, &banned)
-    } else if let Some(lists) = store.as_flat() {
-        greedy_cover(lists, n, k, partitions, banned)
     } else if let Some(mixed) = store.as_mixed() {
         greedy_cover(mixed, n, k, partitions, banned)
+    } else if let Some(lists) = store.as_flat() {
+        greedy_cover(lists, n, k, partitions, banned)
     } else {
-        greedy_cover(&Streamed(store), n, k, partitions, banned)
-    };
-    if direct {
-        stats.decode_nanos = 0;
+        sequential_greedy(store, n, k, banned)
     }
-    (selection, stats)
 }
 
 #[cfg(test)]
@@ -1002,8 +1019,7 @@ mod tests {
         for engine in ENGINES {
             let (sel, stats) = select_with_engine(engine, &c, 6, 3, 4);
             assert_eq!(sel, seq, "{} diverged", engine.tag());
-            // Lists need no decoding, and `auto` alone may choose to index.
-            assert_eq!(stats.decode_nanos, 0, "{}", engine.tag());
+            // `auto` alone may choose to index.
             match engine {
                 SelectEngine::Fused => assert!(stats.index_bytes > 0),
                 SelectEngine::Auto => {}
@@ -1051,16 +1067,7 @@ mod tests {
         fn finish_batch(&mut self) {
             unreachable!()
         }
-        fn sample_len(&self, _: usize) -> usize {
-            unreachable!()
-        }
-        fn decode_into(&self, _: usize, _: &mut Vec<Vertex>) {
-            unreachable!()
-        }
-        fn for_each_vertex<F: FnMut(Vertex)>(&self, _: usize, _: F) {
-            unreachable!()
-        }
-        fn contains(&self, _: usize, _: Vertex) -> bool {
+        fn set(&self, _: usize) -> ripples_diffusion::RrrSetRef<'_> {
             unreachable!()
         }
         fn resident_bytes(&self) -> usize {
@@ -1165,7 +1172,7 @@ mod tests {
                 assert_eq!(bitmaps > 0, dense, "{case}");
                 let scan = |store: &DynRrrStore, seeds: &[Vertex]| {
                     (0..store.len())
-                        .filter(|&j| seeds.iter().any(|&s| store.contains(j, s)))
+                        .filter(|&j| seeds.iter().any(|&s| store.set(j).contains(s)))
                         .count()
                 };
                 store.with_sample_index(n, 2, |_| ());
@@ -1205,20 +1212,17 @@ mod tests {
             index_build_nanos: 5,
             index_bytes: 100,
             entries_touched: 7,
-            decode_nanos: 11,
             iterations: 3,
         };
         a.absorb(SelectStats {
             index_build_nanos: 3,
             index_bytes: 40,
             entries_touched: 2,
-            decode_nanos: 4,
             iterations: 5,
         });
         assert_eq!(a.index_build_nanos, 8);
         assert_eq!(a.index_bytes, 100);
         assert_eq!(a.entries_touched, 9);
-        assert_eq!(a.decode_nanos, 15);
         assert_eq!(a.iterations, 8);
     }
 
@@ -1325,11 +1329,9 @@ mod tests {
                 store.push(s);
             }
             for engine in ENGINES {
-                let (sel, stats) = select_with_engine_store(engine, &store, n, k, 3);
+                let (sel, _) = select_with_engine_store(engine, &store, n, k, 3);
                 let case = format!("{kind:?}/{budget:?}/{}", engine.tag());
                 assert_eq!(sel, seq, "{case} diverged");
-                // Every store reads its sets as they are held.
-                assert_eq!(stats.decode_nanos, 0, "{case}");
             }
         }
     }

@@ -16,8 +16,8 @@ use crate::params::ImmParams;
 use crate::result::ImmResult;
 use crate::sample::{SampleEngine, SamplerDispatch, AUTO_PROBE_SAMPLES};
 use crate::select::{
-    index_only, nanos_since, select_from_hot_index, select_with_engine_store, with_index,
-    SelectEngine, SelectStats, Selection,
+    index_only, select_from_hot_index, select_with_engine_store, with_index, SelectEngine,
+    SelectStats, Selection,
 };
 use crate::theta::ThetaSchedule;
 use ripples_diffusion::rrr::{generate_rrr, RrrScratch};
@@ -112,9 +112,8 @@ struct HotIndex {
 /// index alone, even one the rule would have run index-free over the whole
 /// round (every engine selects the same seeds). Under a spill store's
 /// `--rrr-budget` it is the index's sealed segments that spill. A prefix
-/// that says keep leaves the decision to the first pass, which releases
-/// the first round's store as a whole when that pass is indexed. A run
-/// whose first pass is index-free, and the serve sketch, keep their samples.
+/// that says keep keeps the store for the whole run, as the serve sketch
+/// does.
 ///
 /// An index-only run keeps only the rows its greedy can reach: after each
 /// pass the vertices whose degree is below τ ([`Keep::HotRows`]) turn cold
@@ -127,17 +126,16 @@ struct CompactEngine<'a> {
     select: SelectEngine,
     partitions: usize,
     n: u32,
-    /// Until the run decides whether it selects from the index alone, for
-    /// a run that may drop its samples: the largest population its θ
-    /// schedule can ask for.
+    /// Until the first batch's prefix decides whether the run selects from
+    /// the index alone, for a run that may drop its samples: the largest
+    /// population its θ schedule can ask for.
     max_population: Option<usize>,
     /// The `k` of the estimation passes, which the prefix decides for.
     sizing_k: u32,
     /// What the prefix decides in place of the rule: `None` but in tests.
     prefix: Option<bool>,
     /// Samples the store held when it released them, after which every
-    /// pass reads the index: the prefix or the first round; 0 while it
-    /// keeps them.
+    /// pass reads the index: the prefix; 0 while it keeps them.
     index_only_at: usize,
     /// τ from a pass's `k`-th gain, for a run that may drop its samples.
     threshold: Option<fn(u64) -> u64>,
@@ -145,31 +143,22 @@ struct CompactEngine<'a> {
 }
 
 impl CompactEngine<'_> {
-    /// Decides, over the samples the store holds, whether the run selects
-    /// from the index alone: at the first batch's prefix (`first_pass`
-    /// false), whose "keep" leaves the decision open, and at the first
-    /// selection pass, which closes it. Releases the store's samples into
-    /// its index when the run does, and routes every pass from then on
-    /// through the index; returns what bringing the index up to date cost.
-    fn release_if_index_only(&mut self, k: u32, first_pass: bool) -> u64 {
-        let Some(max_population) = self.max_population else {
-            return 0;
+    /// Decides, once, over the first batch's prefix, whether the run
+    /// selects from the index alone; if it does, releases the store's
+    /// samples into its index and routes every pass from then on through
+    /// the index. A prefix that says keep keeps the store for the run.
+    fn release_if_index_only(&mut self) {
+        let Some(max_population) = self.max_population.take() else {
+            return;
         };
-        let release = match self.prefix.filter(|_| !first_pass) {
-            Some(forced) => forced,
-            None => index_only(self.select, &self.store, k, max_population),
-        };
-        if release || first_pass {
-            self.max_population = None;
+        let release = self
+            .prefix
+            .unwrap_or_else(|| index_only(self.select, &self.store, self.sizing_k, max_population));
+        if release {
+            self.store.release_samples(self.n, self.partitions);
+            self.index_only_at = self.store.len();
+            metrics::set(Metric::IndexOnlyAtSamples, self.index_only_at as u64);
         }
-        if !release {
-            return 0;
-        }
-        let t0 = Instant::now();
-        self.store.release_samples(self.n, self.partitions);
-        self.index_only_at = self.store.len();
-        metrics::set(Metric::IndexOnlyAtSamples, self.index_only_at as u64);
-        nanos_since(t0)
     }
 
     /// One pass of an index-only run: the lazy greedy over the index, which
@@ -234,7 +223,7 @@ impl Engine for CompactEngine<'_> {
         if first == 0 && self.max_population.is_some() {
             first = total.min(AUTO_PROBE_SAMPLES);
             outcome = self.dispatch.sample_batch(0, first, &mut self.store);
-            self.release_if_index_only(self.sizing_k, false);
+            self.release_if_index_only();
         }
         if total > first {
             let rest = self
@@ -254,13 +243,10 @@ impl Engine for CompactEngine<'_> {
     }
 
     fn select(&mut self, k: u32) -> (Selection, SelectStats) {
-        let build_nanos = self.release_if_index_only(k, true);
-        let (selection, mut stats) = match self.threshold.filter(|_| self.index_only_at > 0) {
+        match self.threshold.filter(|_| self.index_only_at > 0) {
             Some(threshold) => self.select_hot(k, threshold),
             None => select_with_engine_store(self.select, &self.store, self.n, k, self.partitions),
-        };
-        stats.index_build_nanos += build_nanos;
-        (selection, stats)
+        }
     }
 
     fn finish(&mut self, report: &mut RunReport) {
@@ -414,11 +400,11 @@ pub fn index_only_run_with_threshold(
 
 /// [`immopt_sequential_with_storage`] with what the first batch's prefix
 /// decides forced to `streams`: an entry point for tests, which force the
-/// prefix's two mispredictions. `false` leaves the decision to the first
-/// selection pass, as a prefix the rule keeps does; `true` releases the
-/// prefix into the index even where the rule would keep every sample, and
-/// the run then selects from the index alone. Either returns the seeds and
-/// θ of the rule's run (`parallel` samples and selects as `mt` does).
+/// prefix's two mispredictions. `false` keeps the store for the run, as a
+/// prefix the rule keeps does; `true` releases the prefix into the index
+/// even where the rule would keep every sample, and the run then selects
+/// from the index alone. Either returns the seeds and θ of the rule's run
+/// (`parallel` samples and selects as `mt` does).
 #[doc(hidden)]
 #[must_use]
 pub fn index_only_run_with_prefix(

@@ -39,12 +39,10 @@ use ripples_graph::Graph;
 use ripples_rng::StreamFactory;
 
 /// The width of RRR set `i` in a store: the number of edges pointing into
-/// its vertices (TIM's proxy for the cost/influence of the set). Computed
-/// through [`RrrStore::for_each_vertex`] so compressed backends stream
-/// gap-decoded ids without materializing the slice.
+/// its vertices (TIM's proxy for the cost/influence of the set).
 fn width<S: RrrStore>(graph: &Graph, store: &S, i: usize) -> u64 {
     let mut w = 0u64;
-    store.for_each_vertex(i, |v| w += graph.in_degree(v) as u64);
+    store.set(i).for_each(|v| w += graph.in_degree(v) as u64);
     w
 }
 
@@ -122,14 +120,11 @@ pub fn tim_plus_with_storage(
                     }
                     report.counters.theta_rounds += 1;
                     report.counters.round_budgets.push(budget as u64);
-                    let t_decode = std::time::Instant::now();
                     let mut kappa_sum = 0.0f64;
                     for j in 0..collection.len() {
                         let w = width(graph, &*collection, j) as f64;
                         kappa_sum += 1.0 - (1.0 - w / m).powi(k as i32);
                     }
-                    report.counters.decode_nanos +=
-                        u64::try_from(t_decode.elapsed().as_nanos()).unwrap_or(u64::MAX);
                     let mean_kappa = kappa_sum / collection.len() as f64;
                     report.counters.round_coverage.push(mean_kappa);
                     if mean_kappa > 1.0 / 2f64.powi(i as i32) {

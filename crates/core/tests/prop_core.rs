@@ -12,7 +12,8 @@ use ripples_core::{
     SelectEngine,
 };
 use ripples_diffusion::{
-    DiffusionModel, DynRrrStore, RrrCollection, RrrStore, RrrStoreKind, SampleIndex, StorageConfig,
+    DiffusionModel, DynRrrStore, MixedRrrCollection, RrrCollection, RrrStore, RrrStoreKind,
+    SampleIndex, StorageConfig,
 };
 use ripples_graph::generators::barabasi_albert;
 use ripples_graph::WeightModel;
@@ -76,6 +77,32 @@ fn complement_strategy() -> impl Strategy<Value = (u32, RrrCollection)> {
             }
             (n, c)
         })
+    })
+}
+
+/// Universes on both sides of the interval owners' 64-vertex alignment:
+/// only one past 64 vertices splits into more than one owner.
+const ALIGNED_UNIVERSES: [u32; 6] = [1, 63, 64, 65, 130, 300];
+
+/// Collections over one of [`ALIGNED_UNIVERSES`] whose sets run from empty
+/// to every vertex, so that a mixed collection holds lists, bitmaps and
+/// complements.
+fn aligned_strategy() -> impl Strategy<Value = (u32, RrrCollection)> {
+    let universe = 0..ALIGNED_UNIVERSES.len();
+    let sets = prop::collection::vec((0u64..65, any::<u64>()), 0..30);
+    (universe, sets).prop_map(|(universe, sets)| {
+        let n = ALIGNED_UNIVERSES[universe];
+        let c = sets
+            .into_iter()
+            .map(|(density, seed)| {
+                let kept = |v: &u32| {
+                    let h = (u64::from(*v) ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    (h >> 58) < density
+                };
+                (0..n).filter(kept).collect()
+            })
+            .collect();
+        (n, c)
     })
 }
 
@@ -373,6 +400,29 @@ proptest! {
         let forms = store.as_mixed().map(|m| (m.bitmap_sets(), m.complement_sets()));
         prop_assert_eq!(forms, Some((0, c.len() as u64)));
         assert_every_route_agrees(n, &c, k, ban_bits)?;
+    }
+
+    /// The index-free body selects the reference's `Selection` at one to
+    /// four interval owners, over a list collection and over the same sets
+    /// in a mixed collection, whatever the bans.
+    #[test]
+    fn index_free_selection_is_the_reference_at_any_owner_count(
+        (n, c) in aligned_strategy(),
+        k in 1u32..8,
+        ban_bits in any::<u64>(),
+    ) {
+        let mixed = MixedRrrCollection::from_lists(n, c.clone());
+        for banned in ban_masks(n, ban_bits) {
+            let reference = reference_selection(n, &c, k, &banned);
+            for owners in 1..=4 {
+                let engine = SelectEngine::Partitioned;
+                let lists = select_with_engine_banned(engine, &c, n, k, owners, banned.clone());
+                prop_assert_eq!(&lists.0, &reference, "lists, {} owners", owners);
+                let sets = select_with_engine_banned(engine, &mixed, n, k, owners, banned.clone());
+                prop_assert_eq!(&sets.0, &reference, "mixed, {} owners", owners);
+                prop_assert_eq!(lists.1, sets.1, "{} owners", owners);
+            }
+        }
     }
 
     /// [`assert_every_route_agrees`] on small sparse collections, where

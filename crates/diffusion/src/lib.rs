@@ -43,7 +43,6 @@ pub mod store;
 
 pub use forward::{estimate_spread, simulate_cascade, spread_samples, CascadeOutcome};
 pub use fused::{sample_batch_fused, FUSED_LANES};
-pub use intervals::{IntervalSets, Streamed};
 pub use mixed::{FormCounts, MixedRrrCollection, RrrSetRef, SampleArena};
 pub use model::DiffusionModel;
 pub use rrr::{generate_rrr, generate_rrr_in_scratch, RrrCollection, RrrScratch};

@@ -20,7 +20,7 @@
 //! out and the slice selectors run on it unchanged — and it allocates
 //! nothing beyond what the list collection allocates.
 
-use crate::rrr::{grow, interval_of, RrrCollection};
+use crate::rrr::{grow, RrrCollection};
 use ripples_graph::Vertex;
 
 /// How one stored set is held.
@@ -231,6 +231,16 @@ impl RrrSetRef<'_> {
             }
         }
     }
+}
+
+/// The part of a sorted set inside the vertex interval `[vl, vh)`, located
+/// by binary search — the partition navigation of Algorithm 4 ("vl and vh
+/// can be efficiently found using binary search").
+#[inline]
+fn interval_of(set: &[Vertex], vl: Vertex, vh: Vertex) -> &[Vertex] {
+    let lo = set.partition_point(|&x| x < vl);
+    let hi = set.partition_point(|&x| x < vh);
+    &set[lo..hi]
 }
 
 /// Streams `[lo, hi)` less the ascending `missing` ids, all inside it, to

@@ -436,23 +436,6 @@ impl RrrCollection {
         self.data.clear();
         self.unsorted_pushes = 0;
     }
-
-    /// The slice of sample `i` restricted to the vertex interval
-    /// `[vl, vh)`, located by binary search — the partition navigation of
-    /// Algorithm 4 ("vl and vh can be efficiently found using binary
-    /// search").
-    #[must_use]
-    pub fn partition_slice(&self, i: usize, vl: Vertex, vh: Vertex) -> &[Vertex] {
-        interval_of(self.get(i), vl, vh)
-    }
-}
-
-/// The part of a sorted set inside the vertex interval `[vl, vh)`.
-#[inline]
-pub(crate) fn interval_of(set: &[Vertex], vl: Vertex, vh: Vertex) -> &[Vertex] {
-    let lo = set.partition_point(|&x| x < vl);
-    let hi = set.partition_point(|&x| x < vh);
-    &set[lo..hi]
 }
 
 impl FromIterator<Vec<Vertex>> for RrrCollection {
@@ -661,15 +644,6 @@ mod tests {
     }
 
     #[test]
-    fn collection_partition_slice() {
-        let mut c = RrrCollection::new();
-        c.push(&[1, 3, 5, 7, 9]);
-        assert_eq!(c.partition_slice(0, 3, 8), &[3, 5, 7]);
-        assert_eq!(c.partition_slice(0, 0, 1), &[] as &[Vertex]);
-        assert_eq!(c.partition_slice(0, 9, 100), &[9]);
-    }
-
-    #[test]
     fn collection_bytes_grow() {
         let mut c = RrrCollection::new();
         let before = c.resident_bytes();
@@ -695,7 +669,6 @@ mod tests {
         c.push(&[2, 4]);
         assert_eq!(c.unsorted_pushes(), 1);
         assert_eq!(c.get(1), &[1, 3, 5]);
-        assert_eq!(c.partition_slice(1, 2, 6), &[3, 5]);
         // Sorted pushes leave the counter untouched.
         assert_eq!(c.get(2), &[2, 4]);
         let mut clean = RrrCollection::new();

@@ -17,7 +17,7 @@
 //! and 3, is `TangStorage` in `ripples-core`.)
 
 use crate::compressed::{read_varint, varint_len, write_varint};
-use crate::intervals::IntervalSets;
+use crate::intervals::{fork_owners, owner_intervals};
 use crate::spill::SpillFile;
 use crate::store::RrrStore;
 use ripples_graph::Vertex;
@@ -88,26 +88,18 @@ impl Segment {
         std::mem::size_of::<u32>() * self.offsets.capacity() + self.rows.capacity()
     }
 
-    /// Drops the rows of the `cold` vertices from a table over `slots`:
-    /// the table keeps their slots, empty, when `cold_slots`, and is a
-    /// table over `slots` less the cold otherwise.
-    fn compact(&mut self, slots: &Slots, cold: &Cold, cold_slots: bool) {
+    /// Drops the rows of the `cold` vertices from a table over `slots`,
+    /// which becomes a table over `slots` less the cold.
+    fn compact(&mut self, slots: &Slots, cold: &Cold) {
         let vertex = |s: usize| slots.as_ref().map_or(s, |hot| hot[s] as usize);
-        let all = 0..self.offsets.len() - 1;
-        let hot = || all.clone().filter(|&s| !cold.contains(vertex(s)));
+        let hot = || (0..self.offsets.len() - 1).filter(|&s| !cold.contains(vertex(s)));
         let bytes: usize = hot().map(|s| self.row(s).len()).sum();
-        let kept = if cold_slots { all.len() } else { hot().count() };
         let mut rows = Vec::with_capacity(bytes);
-        let mut offsets = Vec::with_capacity(kept + 1);
+        let mut offsets = Vec::with_capacity(hot().count() + 1);
         offsets.push(0);
-        for s in all.clone() {
-            let hot = !cold.contains(vertex(s));
-            if hot {
-                rows.extend_from_slice(self.row(s));
-            }
-            if hot || cold_slots {
-                offsets.push(rows.len() as u32);
-            }
+        for s in hot() {
+            rows.extend_from_slice(self.row(s));
+            offsets.push(rows.len() as u32);
         }
         (self.offsets, self.rows) = (offsets, rows);
     }
@@ -202,8 +194,8 @@ impl<'a> Share<'a> {
     /// of `sets`), in row order. The `counting` pass also counts every
     /// vertex's samples, cold ones included, in its degree.
     #[allow(clippy::too_many_arguments)]
-    fn pass<V: IntervalSets>(
-        sets: &V,
+    fn pass<S: RrrStore + Sync>(
+        sets: &S,
         shares: &mut [Self],
         (kept, new, before, base): (Kept<'_>, std::ops::Range<usize>, u32, usize),
         cold: &Cold,
@@ -211,7 +203,7 @@ impl<'a> Share<'a> {
         keep: impl Fn(&mut Self, usize, &[u8]) + Sync,
         code: impl Fn(&mut Self, usize, u32) + Sync,
     ) {
-        sets.for_each_owner(shares, |sets, share| {
+        fork_owners(shares, |share| {
             for j in 0..share.tails.len() {
                 let v = share.vl as usize + j;
                 let row = kept.map_or(&[][..], |(rows, bounds)| {
@@ -222,7 +214,7 @@ impl<'a> Share<'a> {
             }
             for i in new.clone() {
                 let id = i as u32;
-                sets.for_each_in(i - base, share.vl, share.vh, |v| {
+                sets.set(i - base).for_each_in(share.vl, share.vh, |v| {
                     let j = (v - share.vl) as usize;
                     if counting {
                         share.degrees[j] += 1;
@@ -259,9 +251,9 @@ impl<'a> Share<'a> {
 /// Hot and cold vertices: every vertex is *hot* until
 /// [`SampleIndex::cool_below`] turns those of low degree *cold*, for good.
 /// A cold vertex's rows leave the resident segments and later absorbs skip
-/// it, but its degree still counts every sample. Once few enough are hot,
-/// tables cover the hot vertices alone: every resident segment's table has
-/// one offset per hot vertex, and the sorted list of the hot vertices,
+/// it, but its degree still counts every sample. From the first cooling
+/// on, tables cover the hot vertices alone: every resident segment's table
+/// has one offset per hot vertex, and the sorted list of the hot vertices,
 /// which maps a vertex to its slot, is held once for all of them — so a
 /// table costs `4·(h + 1)` bytes for `h` hot vertices rather than
 /// `4·(n + 1)`. Reading a cold vertex's row panics: it never streams an
@@ -290,8 +282,7 @@ pub struct SampleIndex {
     spilled: Vec<Spilled>,
     /// The resident segments, in order, each in a table over `slots`.
     segments: Vec<Segment>,
-    /// The hot vertices, once listing them costs less than the cold
-    /// vertices' empty slots in the tables ([`SampleIndex::cool_below`]);
+    /// The hot vertices once any is cold ([`SampleIndex::cool_below`]);
     /// `None` until then.
     slots: Slots,
     /// Per-vertex sample counts.
@@ -384,23 +375,23 @@ impl SampleIndex {
         }
     }
 
-    /// Appends every sample the store behind `sets` gained since the
-    /// previous `absorb` (all of them on the first call), with up to
-    /// `owners` vertex-interval owners; with nothing new it returns
-    /// untouched. It must be the same append-only store across calls —
-    /// samples already absorbed are never re-read.
+    /// Appends every sample `sets` gained since the previous `absorb` (all
+    /// of them on the first call), with up to `owners` vertex-interval
+    /// owners; with nothing new it returns untouched. It must be the same
+    /// append-only store across calls — samples already absorbed are never
+    /// re-read.
     ///
     /// # Panics
     ///
     /// Panics if the store holds `u32::MAX` samples or more (selection
     /// dispatch sends such a store down the index-free route instead), or
     /// if a sample references a vertex the index does not cover.
-    pub fn absorb<V: IntervalSets>(&mut self, sets: &V, owners: usize) {
+    pub fn absorb<S: RrrStore + Sync>(&mut self, sets: &S, owners: usize) {
         self.absorb_at(sets, 0, owners);
     }
 
-    /// [`SampleIndex::absorb`] from a view whose first sample has the
-    /// global id `base`: the view holds samples `base..base + len` and the
+    /// [`SampleIndex::absorb`] from a store whose first sample has the
+    /// global id `base`: the store holds samples `base..base + len` and the
     /// index absorbs those it has not yet, so a buffer that is cleared after
     /// each call (`base` = [`SampleIndex::absorbed_samples`]) grows the index
     /// as an ever-growing store would.
@@ -409,15 +400,15 @@ impl SampleIndex {
     ///
     /// As [`SampleIndex::absorb`], and if `base` is past the samples
     /// absorbed so far (the samples in between would be missing).
-    pub fn absorb_at<V: IntervalSets>(&mut self, sets: &V, base: usize, owners: usize) {
+    pub fn absorb_at<S: RrrStore + Sync>(&mut self, sets: &S, base: usize, owners: usize) {
         assert!(
             base <= self.absorbed,
             "samples {}..{base} were never absorbed",
             self.absorbed
         );
-        let end = base + sets.store().len();
+        let end = base + sets.len();
         assert!(end < u32::MAX as usize, "sample ids must fit a u32");
-        let intervals = V::intervals(self.degrees.len() as u32, owners);
+        let intervals = owner_intervals(self.degrees.len() as u32, owners);
         while self.absorbed < end {
             self.push_segment(sets, base, &intervals, end);
         }
@@ -441,9 +432,9 @@ impl SampleIndex {
     /// Adds one segment holding the samples from `absorbed` up to `end`, or
     /// up to where the segment's bytes could pass the cap; sample `i` is
     /// sample `i - base` of `sets`.
-    fn push_segment<V: IntervalSets>(
+    fn push_segment<S: RrrStore + Sync>(
         &mut self,
-        sets: &V,
+        sets: &S,
         base: usize,
         intervals: &[(Vertex, Vertex)],
         end: usize,
@@ -453,7 +444,7 @@ impl SampleIndex {
         // No gap code of sample `i` exceeds `i - first`, whatever the rows
         // held before it.
         let bound = |first: u32, i: usize| {
-            sets.store().sample_len(i - base) as u64 * u64::from(varint_len(i as u32 - first))
+            sets.set(i - base).len() as u64 * u64::from(varint_len(i as u32 - first))
         };
         let cap = u64::from(self.segment_cap);
         let fold = self.segments.last().is_some_and(|prev| {
@@ -572,11 +563,8 @@ impl SampleIndex {
     /// its rows leave the resident segments, later absorbs skip it, and
     /// reading its row panics; its degree still counts every sample.
     /// Spilled segments keep what they hold. Returns how many turned cold.
-    ///
-    /// The tables keep a slot per vertex until the list of the `h` hot
-    /// vertices, held once, costs less than the `n - h` cold slots of all
-    /// resident tables together; from then on they cover the hot vertices
-    /// alone.
+    /// From the first vertex that turns cold on, the tables cover the hot
+    /// vertices alone.
     pub fn cool_below(&mut self, tau: u64) -> usize {
         let n = self.degrees.len();
         let mut cooled = 0usize;
@@ -590,14 +578,10 @@ impl SampleIndex {
             return 0;
         }
         self.hot_rows -= cooled;
-        let tables = self.segments.len().max(1);
-        let list = self.slots.is_some() || self.hot_rows < tables * (n - self.hot_rows);
         for segment in &mut self.segments {
-            segment.compact(&self.slots, &self.cold, !list);
+            segment.compact(&self.slots, &self.cold);
         }
-        if list {
-            self.slots = self.hot_slots();
-        }
+        self.slots = self.hot_slots();
         cooled
     }
 
@@ -616,7 +600,7 @@ impl SampleIndex {
                 fresh.hot_rows -= 1;
             }
         }
-        if self.slots.is_some() && fresh.hot_rows < n {
+        if fresh.hot_rows < n {
             fresh.slots = fresh.hot_slots();
         }
         fresh
@@ -908,13 +892,14 @@ pub(crate) mod tests {
         SampleIndex::new(3).absorb(&c, 1);
     }
 
-    /// The last of two owners meets the vertex on its own thread.
+    /// The last of two owners meets the vertex on its own thread: owners'
+    /// intervals are whole 64-vertex words, so two need more than 64.
     #[test]
     #[should_panic(expected = "a scoped thread panicked")]
     fn sample_index_rejects_out_of_range_vertex_parallel() {
         let mut c = RrrCollection::new();
-        c.push(&[7]);
-        SampleIndex::new(3).absorb(&c, 2);
+        c.push(&[200]);
+        SampleIndex::new(130).absorb(&c, 2);
     }
 
     #[test]
@@ -959,29 +944,6 @@ pub(crate) mod tests {
         let hot = index.hot_rows();
         assert_eq!(index.cool_below(0), 0);
         assert!(index.cool_below(200) > 0 && index.hot_rows() < hot);
-        assert_matches_the_definition(&index, &c);
-    }
-
-    #[test]
-    fn tables_keep_a_slot_per_vertex_while_few_are_cold() {
-        // The rarest of 64 vertices turn cold first: listing the many hot
-        // ones would cost more than the few empty slots.
-        let (n, samples) = (64u32, 600u32);
-        let all = skewed(n, samples);
-        let mut c = RrrCollection::new();
-        let mut index = SampleIndex::new(n);
-        (0..300).for_each(|j| c.push(all.get(j)));
-        index.absorb(&c, 2);
-        let least = *index.degrees().iter().min().expect("vertices");
-        assert!(index.cool_below(u64::from(least) + 1) > 0);
-        assert!(index.slots.is_none() && index.hot_rows() > n as usize / 2);
-        assert_eq!(index.segments[0].offsets.len(), n as usize + 1);
-        (300..600).for_each(|j| c.push(all.get(j)));
-        index.absorb(&c, 1);
-        assert_matches_the_definition(&index, &c);
-        // Most turn cold: the tables switch to the hot vertices' slots.
-        index.cool_below(u64::from(index.degree(4)));
-        assert!(index.slots.is_some());
         assert_matches_the_definition(&index, &c);
     }
 

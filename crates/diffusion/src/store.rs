@@ -6,13 +6,15 @@
 //! n-bit bitmap once it spans more than n/32 vertices, or the sorted list
 //! of the vertices it leaves out once it spans more than 31n/32
 //! ([`crate::mixed::set_form`]). While no set is that dense it is exactly
-//! the paper's [`RrrCollection`] and the slice selection engines
-//! binary-search it directly. Beside it [`DynRrrStore`] keeps the one
-//! inverted index ([`SampleIndex`], gap-varint rows), which is what a
-//! budget bounds and spills: `--rrr-store spill` with `--rrr-budget` bounds
-//! the stage an index-only run samples into and the index it grows, and
-//! sealed index segments are what goes to disk. A store that keeps its
-//! samples holds them in RAM.
+//! the paper's [`RrrCollection`]. Every store hands a sample back one way,
+//! [`RrrStore::set`]: an [`RrrSetRef`] in the form it is held, which
+//! answers its length, membership and ascending walk — whole, or an
+//! interval owner's part of it, binary-searched in a list. Beside the
+//! samples [`DynRrrStore`] keeps the one inverted index ([`SampleIndex`],
+//! gap-varint rows), which is what a budget bounds and spills:
+//! `--rrr-store spill` with `--rrr-budget` bounds the stage an index-only
+//! run samples into and the index it grows, and sealed index segments are
+//! what goes to disk. A store that keeps its samples holds them in RAM.
 //!
 //! Every store fills through the same two paths — per-sample
 //! [`RrrStore::push`] and the [`SampleArena`] merge of the streamed
@@ -23,7 +25,6 @@
 //! The differential oracle's `storage-equivalence` check enforces exactly
 //! that.
 
-use crate::intervals::Streamed;
 use crate::mixed::{FormCounts, MixedRrrCollection, RrrSetRef, SampleArena};
 use crate::rrr::RrrCollection;
 use crate::sample_index::SampleIndex;
@@ -73,17 +74,19 @@ pub trait RrrStore {
     /// Total vertex entries across all samples.
     fn total_entries(&self) -> u64;
 
-    /// Vertex count of sample `i` without decoding it.
-    fn sample_len(&self, i: usize) -> usize;
+    /// Sample `i` as it is held — a sorted list, a bitmap or a complement —
+    /// the one way a stored sample is read: its length, membership, and its
+    /// vertices in ascending order, all of them or an interval owner's.
+    fn set(&self, i: usize) -> RrrSetRef<'_>;
 
     /// Decodes sample `i` into `out` (cleared first).
-    fn decode_into(&self, i: usize, out: &mut Vec<Vertex>);
-
-    /// Streams the vertices of sample `i` to `f` in ascending order.
-    fn for_each_vertex<F: FnMut(Vertex)>(&self, i: usize, f: F);
-
-    /// Membership test on sample `i` (early exit on the sorted order).
-    fn contains(&self, i: usize, v: Vertex) -> bool;
+    fn decode_into(&self, i: usize, out: &mut Vec<Vertex>) {
+        out.clear();
+        match self.set(i) {
+            RrrSetRef::List(list) => out.extend_from_slice(list),
+            set => set.for_each(|v| out.push(v)),
+        }
+    }
 
     /// Resident bytes of the storage, capacity-based (growth slack is real
     /// allocated memory). Spilled bytes are *not* resident.
@@ -126,13 +129,14 @@ pub trait RrrStore {
     }
 
     /// Runs `f` over the inverted index of the store's current contents.
-    /// The default builds a [`SampleIndex`] from scratch on every call,
-    /// streaming the samples; [`DynRrrStore`] — the type every engine entry
-    /// point and the serve mode actually run — keeps one, grows it at every
-    /// batch's end and absorbs here only what no batch end has, with up to
-    /// `owners` vertex-interval owners where its layout can serve them, so a
-    /// θ-doubling round pays for its *new* samples and a query over a sealed
-    /// sketch pays nothing.
+    /// The default builds a [`SampleIndex`] from scratch on every call, from
+    /// the store's [`RrrStore::as_mixed`] or [`RrrStore::as_flat`] view;
+    /// [`DynRrrStore`] — the type every engine entry point and the serve
+    /// mode actually run — keeps one, grows it at every batch's end and
+    /// absorbs here only what no batch end has, with up to `owners`
+    /// vertex-interval owners where its layout can serve them, so a
+    /// θ-doubling round pays for its *new* samples and a query over a
+    /// sealed sketch pays nothing.
     fn with_sample_index<R>(
         &self,
         num_vertices: u32,
@@ -143,7 +147,11 @@ pub trait RrrStore {
         Self: Sized,
     {
         let mut index = SampleIndex::new(num_vertices);
-        index.absorb(&Streamed(self), owners);
+        match (self.as_mixed(), self.as_flat()) {
+            (Some(sets), _) => index.absorb(sets, owners),
+            (None, Some(lists)) => index.absorb(lists, owners),
+            (None, None) => panic!("a store is indexed through its as_mixed or as_flat view"),
+        }
         f(&index)
     }
 
@@ -243,23 +251,8 @@ impl RrrStore for RrrCollection {
         RrrCollection::total_entries(self) as u64
     }
 
-    fn sample_len(&self, i: usize) -> usize {
-        self.get(i).len()
-    }
-
-    fn decode_into(&self, i: usize, out: &mut Vec<Vertex>) {
-        out.clear();
-        out.extend_from_slice(self.get(i));
-    }
-
-    fn for_each_vertex<F: FnMut(Vertex)>(&self, i: usize, mut f: F) {
-        for &v in self.get(i) {
-            f(v);
-        }
-    }
-
-    fn contains(&self, i: usize, v: Vertex) -> bool {
-        self.get(i).binary_search(&v).is_ok()
+    fn set(&self, i: usize) -> RrrSetRef<'_> {
+        RrrSetRef::List(self.get(i))
     }
 
     fn resident_bytes(&self) -> usize {
@@ -296,24 +289,8 @@ impl RrrStore for MixedRrrCollection {
         MixedRrrCollection::total_entries(self)
     }
 
-    fn sample_len(&self, i: usize) -> usize {
-        self.set(i).len()
-    }
-
-    fn decode_into(&self, i: usize, out: &mut Vec<Vertex>) {
-        out.clear();
-        match self.set(i) {
-            RrrSetRef::List(list) => out.extend_from_slice(list),
-            set => set.for_each(|v| out.push(v)),
-        }
-    }
-
-    fn for_each_vertex<F: FnMut(Vertex)>(&self, i: usize, f: F) {
-        self.set(i).for_each(f);
-    }
-
-    fn contains(&self, i: usize, v: Vertex) -> bool {
-        self.set(i).contains(v)
+    fn set(&self, i: usize) -> RrrSetRef<'_> {
+        MixedRrrCollection::set(self, i)
     }
 
     fn resident_bytes(&self) -> usize {
@@ -736,20 +713,8 @@ impl RrrStore for DynRrrStore {
         self.released.entries + self.sets.total_entries()
     }
 
-    fn sample_len(&self, i: usize) -> usize {
-        RrrStore::sample_len(&self.sets, self.held(i))
-    }
-
-    fn decode_into(&self, i: usize, out: &mut Vec<Vertex>) {
-        RrrStore::decode_into(&self.sets, self.held(i), out);
-    }
-
-    fn for_each_vertex<F: FnMut(Vertex)>(&self, i: usize, f: F) {
-        RrrStore::for_each_vertex(&self.sets, self.held(i), f);
-    }
-
-    fn contains(&self, i: usize, v: Vertex) -> bool {
-        RrrStore::contains(&self.sets, self.held(i), v)
+    fn set(&self, i: usize) -> RrrSetRef<'_> {
+        self.sets.set(self.held(i))
     }
 
     /// The kept samples, or a released store's stage; the index is reported
@@ -877,15 +842,15 @@ mod tests {
             assert_eq!(store.total_entries(), total, "{:?}", store.kind());
             let mut out = Vec::new();
             for (i, s) in samples.iter().enumerate() {
-                assert_eq!(store.sample_len(i), s.len(), "{:?}", store.kind());
+                assert_eq!(store.set(i).len(), s.len(), "{:?}", store.kind());
                 store.decode_into(i, &mut out);
                 assert_eq!(&out, s, "{:?} sample {i}", store.kind());
                 let mut streamed = Vec::new();
-                store.for_each_vertex(i, |v| streamed.push(v));
+                store.set(i).for_each(|v| streamed.push(v));
                 assert_eq!(&streamed, s, "{:?} sample {i}", store.kind());
                 for v in [0, n / 2, n - 1] {
                     assert_eq!(
-                        store.contains(i, v),
+                        store.set(i).contains(v),
                         s.binary_search(&v).is_ok(),
                         "{:?} sample {i} vertex {v}",
                         store.kind()
@@ -1017,7 +982,7 @@ mod tests {
         assert_eq!(out, vec![0, 1]);
         RrrStore::decode_into(&c, 1, &mut out);
         assert_eq!(out, vec![1]);
-        assert!(RrrStore::contains(&c, 1, 1) && !RrrStore::contains(&c, 1, 0));
+        assert!(c.set(1).contains(1) && !c.set(1).contains(0));
         RrrStore::decode_into(&c, 2, &mut out);
         assert!(out.is_empty());
     }
@@ -1050,8 +1015,8 @@ mod tests {
                 merged.decode_into(i, &mut b);
                 assert_eq!(&a, s, "{:?} pushed sample {i}", pushed.kind());
                 assert_eq!(&b, s, "{:?} merged sample {i}", merged.kind());
-                assert_eq!(merged.sample_len(i), s.len());
-                assert_eq!(merged.contains(i, 7), s.binary_search(&7).is_ok());
+                assert_eq!(merged.set(i).len(), s.len());
+                assert_eq!(merged.set(i).contains(7), s.binary_search(&7).is_ok());
             }
             assert_eq!(pushed.total_entries(), merged.total_entries());
             assert_eq!(pushed.resident_bytes() > 0, merged.resident_bytes() > 0);
@@ -1256,11 +1221,11 @@ mod tests {
         assert_eq!(store.len(), u32::MAX as usize + 1);
         assert_eq!(store.indexed_samples(), 0);
         assert!(store.with_current_index(|index| index.is_none()));
-        assert_eq!(store.sample_len(u32::MAX as usize), 1);
+        assert_eq!(store.set(u32::MAX as usize).len(), 1);
         store.push(&[4, 5, 6]);
         store.finish_batch();
         assert_eq!(store.indexed_samples(), 0);
-        assert_eq!(store.sample_len(u32::MAX as usize + 1), 3);
+        assert_eq!(store.set(u32::MAX as usize + 1).len(), 3);
     }
 
     #[test]
@@ -1288,7 +1253,7 @@ mod tests {
             assert!(stage(&store).total_entries() <= limit);
         }
         let last = store.len() - 1;
-        assert_eq!(store.sample_len(last), c.get(last).len());
+        assert_eq!(store.set(last).len(), c.get(last).len());
         store.finish_batch();
         for block in (300..600).step_by(64) {
             let mut arena = SampleArena::new(n);
@@ -1324,7 +1289,7 @@ mod tests {
         let mut store = DynRrrStore::new(StorageConfig::default(), 4);
         store.push(&[1, 2]);
         store.release_samples(4, 1);
-        let _ = store.sample_len(0);
+        let _ = store.set(0);
     }
 
     #[test]

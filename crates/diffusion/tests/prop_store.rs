@@ -6,8 +6,8 @@
 
 use proptest::prelude::*;
 use ripples_diffusion::{
-    sample_batch_fused, DiffusionModel, DynRrrStore, RrrCollection, RrrSetRef, RrrStore,
-    RrrStoreKind, SampleArena, StorageConfig,
+    sample_batch_fused, DiffusionModel, DynRrrStore, MixedRrrCollection, RrrCollection, RrrSetRef,
+    RrrStore, RrrStoreKind, SampleArena, StorageConfig,
 };
 use ripples_graph::generators::erdos_renyi;
 use ripples_graph::WeightModel;
@@ -33,21 +33,22 @@ fn flat_of(sets: &[Vec<u32>]) -> RrrCollection {
 }
 
 /// Decodes every sample of `store` and checks it against the reference,
-/// via all three read paths (`decode_into`, `for_each_vertex`, `contains`).
+/// through the one reader (`set`: its length, walk and membership) and the
+/// provided `decode_into`.
 fn assert_round_trip<S: RrrStore>(store: &S, sets: &[Vec<u32>]) {
     assert_eq!(store.len(), sets.len());
     let total: u64 = sets.iter().map(|s| s.len() as u64).sum();
     assert_eq!(store.total_entries(), total);
     let mut out = Vec::new();
     for (i, expect) in sets.iter().enumerate() {
-        assert_eq!(store.sample_len(i), expect.len(), "sample {i} length");
+        assert_eq!(store.set(i).len(), expect.len(), "sample {i} length");
         store.decode_into(i, &mut out);
         assert_eq!(&out, expect, "sample {i} decode_into");
         let mut streamed = Vec::new();
-        store.for_each_vertex(i, |v| streamed.push(v));
-        assert_eq!(&streamed, expect, "sample {i} for_each_vertex");
+        store.set(i).for_each(|v| streamed.push(v));
+        assert_eq!(&streamed, expect, "sample {i} for_each");
         for &v in expect {
-            assert!(store.contains(i, v), "sample {i} missing {v}");
+            assert!(store.set(i).contains(v), "sample {i} missing {v}");
         }
     }
 }
@@ -180,7 +181,9 @@ proptest! {
     /// from the list, the bitmap and the complement that hold it: `len`,
     /// `contains`, `for_each`, and `for_each_in` over every interval of
     /// Algorithm 4's owners (word-aligned bounds, the last ending at `n` or
-    /// past every id).
+    /// past every id). Every store hands it back through `RrrStore::set` in
+    /// one of those forms, the same one wherever the density rule applies,
+    /// and the provided `decode_into` agrees.
     #[test]
     fn three_forms_read_alike(
         n in 1u32..300,
@@ -211,7 +214,40 @@ proptest! {
         ];
         let mut bounds: Vec<u32> = (0..n).step_by(64).collect();
         bounds.push(n);
-        for form in forms {
+        // The set after a one-vertex list, in the list collection, the
+        // mixed collection, and kept flat and spill-kind stores.
+        let mut lists = RrrCollection::new();
+        let mut mixed = MixedRrrCollection::new(n);
+        let mut flat = flat_store(n);
+        let mut spill = DynRrrStore::new(BACKENDS[1], n);
+        for sample in [&[n - 1][..], &set] {
+            lists.push(sample);
+            mixed.push(sample);
+            flat.push(sample);
+            spill.push(sample);
+        }
+        let stored = [
+            RrrStore::set(&lists, 1),
+            RrrStore::set(&mixed, 1),
+            flat.set(1),
+            spill.set(1),
+        ];
+        prop_assert!(matches!(stored[0], RrrSetRef::List(_)));
+        for held in &stored[2..] {
+            prop_assert_eq!(
+                std::mem::discriminant(held),
+                std::mem::discriminant(&stored[1])
+            );
+        }
+        let mut decoded = Vec::new();
+        let stores: [&dyn RrrStore; 4] = [&lists, &mixed, &flat, &spill];
+        for (i, store) in stores.into_iter().enumerate() {
+            store.decode_into(1, &mut decoded);
+            prop_assert_eq!(&decoded, &set, "store {}", i);
+            store.decode_into(0, &mut decoded);
+            prop_assert_eq!(&decoded, &vec![n - 1], "store {}", i);
+        }
+        for form in forms.into_iter().chain(stored) {
             prop_assert_eq!(form.len(), set.len(), "{:?}", form);
             for v in 0..n + 65 {
                 prop_assert_eq!(form.contains(v), set.binary_search(&v).is_ok(), "{:?} {}", form, v);

@@ -195,8 +195,6 @@ catalog! {
             "Frontier passes executed by the fused multi-cascade sampler (0 for the reference sampler)";
         mask_bytes_peak MaskBytesPeak: Peak PerRank VARIES LIVE "bytes"
             "Peak transient bytes of the fused sampler's per-vertex activation masks on this process (0 for the reference sampler)";
-        decode_nanos DecodeNanos: Counter PerRank VARIES FINAL "ns"
-            "Wall time spent decoding RRR sets through a store's streamed view during selection on this process (0 for the stores the engines run, whose sets are read as they are held)";
         spill_bytes_written SpillBytesWritten: Counter PerRank VARIES FINAL "bytes"
             "Bytes written to spill files on this process: the inverted index's sealed segments under a spill-kind store's `--rrr-budget` (0 under no budget or below it)";
         rrr_sets_bitmap RrrSetsBitmap: Counter Sum STABLE FINAL ""

@@ -260,12 +260,12 @@ pub fn write_snapshot(path: &Path, service: &SketchService) -> Result<(), Snapsh
     })
 }
 
-/// The complement's missing ids when a kind-2 payload records sample `i`
-/// by them.
-fn complement_record(complements: Option<&MixedRrrCollection>, i: usize) -> Option<&[u32]> {
-    match complements?.set(i) {
-        RrrSetRef::Complement { missing, .. } => Some(missing),
-        _ => None,
+/// The ids a payload records for `set`: a complement's missing ids (only a
+/// kind-2 payload holds complements), any other set's vertices.
+fn record_len(set: RrrSetRef<'_>) -> usize {
+    match set {
+        RrrSetRef::Complement { missing, .. } => missing.len(),
+        set => set.len(),
     }
 }
 
@@ -275,16 +275,13 @@ fn complement_record(complements: Option<&MixedRrrCollection>, i: usize) -> Opti
 pub fn encode_snapshot(service: &SketchService) -> Vec<u8> {
     let store = service.store();
     let params = service.params();
-    let complements = store.as_mixed().filter(|sets| sets.complement_sets() > 0);
-    let record_len =
-        |i: usize| complement_record(complements, i).map_or(store.sample_len(i), <[u32]>::len);
-    let kind = 2 * u8::from(complements.is_some());
-    let (records, complement_bytes) = match complements {
-        Some(sets) => (
-            (0..store.len()).map(record_len).sum(),
-            8 * (sets.complement_sets() as usize + 1),
-        ),
-        None => (store.total_entries() as usize, 0),
+    let complements = store.form_counts().complement_sets;
+    let kind = 2 * u8::from(complements > 0);
+    let records: usize = (0..store.len()).map(|i| record_len(store.set(i))).sum();
+    let complement_bytes = if complements > 0 {
+        8 * (complements as usize + 1)
+    } else {
+        0
     };
     let payload_bytes = 8 * (store.len() + 3) + complement_bytes + 4 * records;
     let mut out = Vec::with_capacity(80 + payload_bytes);
@@ -302,24 +299,28 @@ pub fn encode_snapshot(service: &SketchService) -> Vec<u8> {
     push_u64(&mut out, params.epsilon.to_bits());
     push_u64(&mut out, params.ell.to_bits());
     push_u64(&mut out, service.theta() as u64);
-    if let Some(sets) = complements {
-        push_u64(&mut out, sets.complement_sets());
-        for i in (0..store.len()).filter(|&i| complement_record(complements, i).is_some()) {
-            push_u64(&mut out, i as u64);
+    if complements > 0 {
+        push_u64(&mut out, complements);
+        for i in 0..store.len() {
+            if let RrrSetRef::Complement { .. } = store.set(i) {
+                push_u64(&mut out, i as u64);
+            }
         }
     }
     push_u64(&mut out, store.len() as u64 + 1);
     let mut end = 0u64;
     push_u64(&mut out, end);
     for i in 0..store.len() {
-        end += record_len(i) as u64;
+        end += record_len(store.set(i)) as u64;
         push_u64(&mut out, end);
     }
     push_u64(&mut out, end);
     for i in 0..store.len() {
-        match complement_record(complements, i) {
-            Some(missing) => missing.iter().for_each(|&v| push_u32(&mut out, v)),
-            None => store.for_each_vertex(i, |v| push_u32(&mut out, v)),
+        match store.set(i) {
+            RrrSetRef::Complement { missing, .. } => {
+                missing.iter().for_each(|&v| push_u32(&mut out, v));
+            }
+            set => set.for_each(|v| push_u32(&mut out, v)),
         }
     }
     let checksum = fnv1a(&out[CHECKSUM_COVERS_FROM..]);

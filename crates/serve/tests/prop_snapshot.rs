@@ -678,7 +678,8 @@ fn a_list_only_flat_store_writes_kind_0() {
     let mut ids = Vec::new();
     for i in 0..svc.theta() {
         svc.store()
-            .for_each_vertex(i, |v| ids.extend_from_slice(&v.to_le_bytes()));
+            .set(i)
+            .for_each(|v| ids.extend_from_slice(&v.to_le_bytes()));
     }
     assert_eq!(&bytes[bytes.len() - ids.len()..], &ids[..]);
     let restored = decode_snapshot(&bytes, &graph).unwrap();
