@@ -565,6 +565,24 @@ mod tests {
     }
 
     #[test]
+    fn fewer_edges_than_ranks_skips_the_empty_ranks() {
+        // Three edges over seven ranks: vertex 1's in-edges sit on ranks 2
+        // and 4, and rank 3 between them holds nothing, so a frontier
+        // crossing into 1 must not be routed there.
+        let mut b = ripples_graph::GraphBuilder::new(4);
+        for (u, v) in [(0, 1), (2, 1), (1, 3)] {
+            b.add_edge(u, v, 1.0).unwrap();
+        }
+        let g = b.build().unwrap();
+        let p = ImmParams::new(1, 0.5, DiffusionModel::IndependentCascade, 3);
+        let single = imm_sharded(&SelfComm::new(), &g, &p);
+        for r in ThreadWorld::new(7).run(|comm| imm_sharded(comm, &g, &p)) {
+            assert_eq!(r.seeds, single.seeds);
+            assert_eq!(r.theta, single.theta);
+        }
+    }
+
+    #[test]
     fn per_rank_graph_memory_shrinks_with_ranks() {
         let g = erdos_renyi(200, 4000, WeightModel::UniformRandom { seed: 2 }, false, 8);
         let full = VertexCutShard::extract(&g, 0, 1).resident_bytes();

@@ -1,9 +1,9 @@
 //! End-to-end checks of the graph-partitioned engine
 //! ([`ripples_core::dist_sharded`], the paper's future-work item (i)) on the
 //! inputs its unit tests leave out: weighted-cascade rows, which the graph
-//! stores as one probability per vertex and a shard stores per edge,
-//! Barabási–Albert hubs whose in-lists span several shards, and sample
-//! batches that start mid-stream.
+//! and its shards store as one probability per vertex, Barabási–Albert hubs
+//! whose in-lists span several shards (so a shard's head row starts
+//! mid-row), and sample batches that start mid-stream.
 
 use ripples_comm::{Communicator, SelfComm, ThreadWorld};
 use ripples_core::dist_sharded::{

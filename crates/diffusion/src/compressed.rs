@@ -1,48 +1,22 @@
-//! The delta-varint codec for sorted id lists.
-//!
-//! §3.1's storage discussion is all about the memory wall: θ grows
-//! super-linearly in accuracy, and the paper's Table 2 runs ran out of
-//! memory on the largest inputs (the ◦ entries). Because each list is
-//! *sorted by vertex id* (or sample id), consecutive gaps are small and
-//! LEB128-varint delta coding shrinks it by another 2–3× on typical inputs
-//! — at the price of sequential-only access (no binary search inside a
-//! list). `store`'s `compressed_backends_shrink_storage` test checks the
-//! trade against [`crate::RrrCollection`] (2.36× on the cit-HepTh
-//! stand-in).
-//!
-//! The inverted index ([`crate::SampleIndex`]) codes its rows with these
-//! varints, and that is where a budget's bytes go. No store holds samples
-//! in them any more; [`decode_blocks`] reads the sample blocks of a kind-1
-//! snapshot, the layout the retired varint sample stores wrote.
+//! The kind-1 snapshot reader. [`decode_blocks`] reads the sample blocks
+//! of a kind-1 serve snapshot, the layout the retired varint sample stores
+//! wrote: each sorted set a delta-varint block, its first id absolute and
+//! every later one as its gap minus one, in the graph's LEB128
+//! [`ripples_graph::varint`]s. No store holds samples in them any more.
 
 use crate::rrr::RrrCollection;
 use ripples_graph::Vertex;
 
-pub(crate) use ripples_graph::varint::{read_varint, varint_len, write_varint};
-
-/// Decodes one delta-varint block of `count` ids starting at `*pos`,
-/// streaming each vertex to `f`.
-#[inline]
-pub(crate) fn decode_sample(data: &[u8], pos: &mut usize, count: u32, mut f: impl FnMut(Vertex)) {
-    let mut prev: Vertex = 0;
-    for idx in 0..count {
-        let raw = read_varint(data, pos);
-        let v = if idx == 0 { raw } else { prev + raw + 1 };
-        f(v);
-        prev = v;
-    }
-}
-
-/// Checked decode of one deserialized block: a well-formed LEB128 stream
-/// that decodes exactly `count` strictly ascending vertex ids in exactly
-/// `block.len()` bytes. The hot-path decoders above assume well-formed
-/// input, so bytes that come off a disk are rejected here first — truncated
-/// or bit-flipped blocks are reported by byte offset, never by a panic.
+/// Checked decode of one deserialized block into `out`: a well-formed
+/// LEB128 stream that decodes exactly `count` strictly ascending vertex
+/// ids in exactly `block.len()` bytes. Bytes that come off a disk are
+/// trusted in nothing: truncated or bit-flipped blocks are reported by
+/// byte offset, never by a panic.
 ///
 /// # Errors
 ///
 /// What is wrong with the block, as human-readable text.
-pub(crate) fn check_block(block: &[u8], count: u32) -> Result<(), String> {
+fn check_block(block: &[u8], count: u32, out: &mut Vec<Vertex>) -> Result<(), String> {
     let mut pos = 0usize;
     let mut prev: Vertex = 0;
     for idx in 0..count {
@@ -69,6 +43,7 @@ pub(crate) fn check_block(block: &[u8], count: u32) -> Result<(), String> {
                 .and_then(|s| s.checked_add(1))
                 .ok_or_else(|| format!("delta overflows vertex id at entry {idx}"))?
         };
+        out.push(prev);
     }
     if pos != block.len() {
         return Err(format!(
@@ -82,10 +57,9 @@ pub(crate) fn check_block(block: &[u8], count: u32) -> Result<(), String> {
 /// Decodes a stream of delta-varint sample blocks — `offsets` bounds each
 /// sample's block in `data`, `counts` holds the per-sample vertex counts —
 /// into the list collection, trusting nothing about them: offsets start at
-/// 0, stay monotone and end at `data.len()`, and every block passes a
-/// checked decode before it is decoded. The snapshot-restore path turns the
-/// message into a structured error instead of panicking inside the
-/// unchecked decoder.
+/// 0, stay monotone and end at `data.len()`, and every block decodes
+/// through the checked decoder. The snapshot-restore path turns the message
+/// into a structured error.
 ///
 /// # Errors
 ///
@@ -120,9 +94,8 @@ pub fn decode_blocks(
     let mut set = Vec::new();
     for (i, &count) in counts.iter().enumerate() {
         let block = &data[offsets[i]..offsets[i + 1]];
-        check_block(block, count).map_err(|e| format!("sample {i}: {e}"))?;
         set.clear();
-        decode_sample(block, &mut 0, count, |v| set.push(v));
+        check_block(block, count, &mut set).map_err(|e| format!("sample {i}: {e}"))?;
         lists.push(&set);
     }
     Ok(lists)
@@ -131,7 +104,7 @@ pub fn decode_blocks(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ripples_graph::varint::push_varint;
+    use ripples_graph::varint::{push_varint, read_varint, varint_len, write_varint};
 
     /// Appends a strictly ascending list as one delta-varint block: the
     /// first id absolute, then gap − 1 deltas.
@@ -190,11 +163,10 @@ mod tests {
         let (data, blocks) = encode_all(&samples);
         let mut pos = 0usize;
         for (s, &(end, count)) in samples.iter().zip(&blocks) {
-            assert_eq!(check_block(&data[pos..end], count), Ok(()));
             let mut out = Vec::new();
-            decode_sample(&data, &mut pos, count, |v| out.push(v));
+            assert_eq!(check_block(&data[pos..end], count, &mut out), Ok(()));
             assert_eq!(&out, s);
-            assert_eq!(pos, end);
+            pos = end;
         }
     }
 
@@ -202,23 +174,29 @@ mod tests {
     fn check_block_rejects_what_the_unchecked_decoder_would_misread() {
         let mut good = Vec::new();
         encode_list(&mut good, &[3, 4, 900]);
-        assert_eq!(check_block(&good, 3), Ok(()));
+        assert_eq!(check_block(&good, 3, &mut Vec::new()), Ok(()));
         // A count that lies in either direction.
-        assert!(check_block(&good, 4).unwrap_err().contains("truncated"));
-        assert!(check_block(&good, 2).unwrap_err().contains("spans"));
+        assert!(check_block(&good, 4, &mut Vec::new())
+            .unwrap_err()
+            .contains("truncated"));
+        assert!(check_block(&good, 2, &mut Vec::new())
+            .unwrap_err()
+            .contains("spans"));
         // A continuation bit on the last byte runs off the block.
         let mut cut = good.clone();
         *cut.last_mut().unwrap() |= 0x80;
-        assert!(check_block(&cut, 3).unwrap_err().contains("truncated"));
+        assert!(check_block(&cut, 3, &mut Vec::new())
+            .unwrap_err()
+            .contains("truncated"));
         // Six continuation bytes cannot be a u32.
-        assert!(check_block(&[0xFF; 6], 1)
+        assert!(check_block(&[0xFF; 6], 1, &mut Vec::new())
             .unwrap_err()
             .contains("overflows u32"));
         // u32::MAX followed by any gap leaves the id space.
         let mut wrap = Vec::new();
         push_varint(&mut wrap, u32::MAX);
         push_varint(&mut wrap, 0);
-        assert!(check_block(&wrap, 2)
+        assert!(check_block(&wrap, 2, &mut Vec::new())
             .unwrap_err()
             .contains("overflows vertex id"));
     }

@@ -17,59 +17,18 @@
 //! [`expand_shard_chunk`] replays exactly the coins of one chunk of `v`'s
 //! in-list, so a sharded run over any rank count reproduces the reference
 //! **bitwise** (tested in `ripples-core`).
+//!
+//! A chunk is read like a whole row: the shard hands out its sources and
+//! probabilities as the graph does, and both functions here expand a row
+//! through the reference sampler's one IC/LT row body, the chunk with its
+//! IC coins skipped to its first edge and its LT accumulator started at the
+//! sum of the edges before it.
 
 use crate::model::DiffusionModel;
-use crate::rrr::RrrScratch;
+use crate::rrr::{expand_with, RrrScratch};
 use ripples_graph::partition::ChunkView;
-use ripples_graph::{Graph, RowProbs, Vertex};
+use ripples_graph::{Graph, Vertex};
 use ripples_rng::{SplitMix64, StreamFactory};
-
-/// Shared live-edge logic for one vertex expansion; returns edges examined.
-fn expand_with(
-    model: DiffusionModel,
-    rng: &mut SplitMix64,
-    sources: impl Iterator<Item = Vertex>,
-    probs: RowProbs<'_>,
-    out: &mut Vec<Vertex>,
-) -> u64 {
-    match probs {
-        RowProbs::Same(p) => expand_edges(model, rng, sources.map(|u| (u, p)), out),
-        RowProbs::Each(probs) => expand_edges(model, rng, sources.zip(probs.iter().copied()), out),
-    }
-}
-
-/// [`expand_with`] once per probability layout.
-fn expand_edges(
-    model: DiffusionModel,
-    rng: &mut SplitMix64,
-    edges: impl Iterator<Item = (Vertex, f32)>,
-    out: &mut Vec<Vertex>,
-) -> u64 {
-    let mut examined = 0u64;
-    match model {
-        DiffusionModel::IndependentCascade => {
-            for (u, p) in edges {
-                examined += 1;
-                if rng.unit_f64() < f64::from(p) {
-                    out.push(u);
-                }
-            }
-        }
-        DiffusionModel::LinearThreshold => {
-            let draw = rng.unit_f64();
-            let mut acc = 0.0f64;
-            for (u, p) in edges {
-                examined += 1;
-                acc += f64::from(p);
-                if draw < acc {
-                    out.push(u);
-                    break;
-                }
-            }
-        }
-    }
-    examined
-}
 
 /// Expands one vertex-cut chunk of `v`'s in-list for sample stream
 /// `sample_seed`, flipping exactly the coins the sequential reference flips
@@ -91,37 +50,17 @@ pub fn expand_shard_chunk(
     out: &mut Vec<Vertex>,
 ) -> u64 {
     let mut rng = SplitMix64::for_stream(sample_seed, u64::from(v));
-    match model {
-        DiffusionModel::IndependentCascade => {
-            rng.skip(u64::from(chunk.edge_start));
-            for (&u, &p) in chunk.sources.iter().zip(chunk.probs) {
-                if rng.unit_f64() < f64::from(p) {
-                    out.push(u);
-                }
-            }
-            chunk.sources.len() as u64
-        }
-        DiffusionModel::LinearThreshold => {
-            let draw = rng.unit_f64();
-            if draw < chunk.lt_prefix {
-                // The threshold fell in an earlier chunk; its owner emits
-                // the live edge. (Probabilities are non-negative, so the
-                // accumulator is monotone and this test is exact.)
-                return 0;
-            }
-            let mut acc = chunk.lt_prefix;
-            let mut examined = 0u64;
-            for (&u, &p) in chunk.sources.iter().zip(chunk.probs) {
-                examined += 1;
-                acc += f64::from(p);
-                if draw < acc {
-                    out.push(u);
-                    break;
-                }
-            }
-            examined
-        }
+    if model == DiffusionModel::IndependentCascade {
+        rng.skip(u64::from(chunk.edge_start));
     }
+    expand_with(
+        model,
+        &mut rng,
+        chunk.sources,
+        chunk.probs,
+        chunk.lt_prefix,
+        |u| out.push(u),
+    )
 }
 
 /// Sequential reference for the `(sample, vertex)`-keyed RRR generation:
@@ -136,33 +75,23 @@ pub fn vertex_keyed_rrr(
     sample_index: u64,
     scratch: &mut RrrScratch,
 ) -> Vec<Vertex> {
-    let mut root_rng = factory.sample_stream(sample_index);
-    let root = root_rng.bounded_u64(u64::from(graph.num_vertices())) as Vertex;
+    let root = sample_root(factory, sample_index, graph.num_vertices());
     let sample_seed = sample_stream_seed(factory, sample_index);
-    let mut frontier = vec![root];
-    let mut next = Vec::new();
     scratch.begin();
     scratch.visit(root);
+    // The coins are keyed by vertex, so the order the BFS expands the
+    // members in changes nothing about which are reached.
     let mut members = vec![root];
-    while !frontier.is_empty() {
-        next.clear();
-        for &v in &frontier {
-            let mut rng = SplitMix64::for_stream(sample_seed, u64::from(v));
-            let _ = expand_with(
-                model,
-                &mut rng,
-                graph.in_neighbors(v),
-                graph.in_probs(v),
-                &mut next,
-            );
-        }
-        frontier.clear();
-        for &u in &next {
+    let mut head = 0;
+    while let Some(&v) = members.get(head) {
+        head += 1;
+        let mut rng = SplitMix64::for_stream(sample_seed, u64::from(v));
+        let (sources, probs) = (graph.in_neighbors(v), graph.in_probs(v));
+        expand_with(model, &mut rng, sources, probs, 0.0, |u| {
             if scratch.visit(u) {
                 members.push(u);
-                frontier.push(u);
             }
-        }
+        });
     }
     members.sort_unstable();
     members
@@ -191,7 +120,7 @@ mod tests {
     use super::*;
     use ripples_graph::generators::erdos_renyi;
     use ripples_graph::partition::VertexCutShard;
-    use ripples_graph::WeightModel;
+    use ripples_graph::{RowProbs, WeightModel};
 
     fn graph() -> Graph {
         erdos_renyi(120, 900, WeightModel::UniformRandom { seed: 5 }, false, 31)
@@ -266,7 +195,7 @@ mod tests {
                         .filter(|s| {
                             s.chunk(v).is_some_and(|c| {
                                 let start = c.edge_start as usize;
-                                (start..start + c.sources.len()).contains(&i)
+                                (start..start + c.sources.count()).contains(&i)
                             })
                         })
                         .map(VertexCutShard::rank)
@@ -288,18 +217,24 @@ mod tests {
         let cascade = erdos_renyi(120, 900, WeightModel::WeightedCascade, false, 31);
         for g in [&uniform, &cascade] {
             let part = VertexCutShard::extract(g, 1, 3);
-            assert!(part.num_chunks() > 0);
+            assert!(part.chunk_vertices().next().is_some());
+            let per_edge = |probs: RowProbs<'_>, len: usize| match probs {
+                RowProbs::Same(p) => vec![p; len],
+                RowProbs::Each(probs) => probs.to_vec(),
+            };
             for v in part.chunk_vertices() {
                 let chunk = part.chunk(v).expect("listed chunk");
                 let start = chunk.edge_start as usize;
-                let range = start..start + chunk.sources.len();
+                let sources: Vec<Vertex> = chunk.sources.collect();
+                let range = start..start + sources.len();
                 let row: Vec<Vertex> = g.in_neighbors(v).collect();
-                assert_eq!(chunk.sources, &row[range.clone()], "vertex {v}");
-                let probs: Vec<f32> = match g.in_probs(v) {
-                    RowProbs::Same(p) => vec![p; range.len()],
-                    RowProbs::Each(probs) => probs[range].to_vec(),
-                };
-                assert_eq!(chunk.probs, probs.as_slice(), "vertex {v}");
+                assert_eq!(sources, &row[range.clone()], "vertex {v}");
+                let probs = per_edge(g.in_probs(v), row.len());
+                assert_eq!(
+                    per_edge(chunk.probs, range.len()),
+                    &probs[range],
+                    "vertex {v}"
+                );
             }
         }
     }
@@ -377,7 +312,8 @@ mod tests {
                             &mut rng,
                             g.in_neighbors(v),
                             g.in_probs(v),
-                            &mut reference,
+                            0.0,
+                            |u| reference.push(u),
                         );
                         let mut union = Vec::new();
                         let mut examined = 0u64;

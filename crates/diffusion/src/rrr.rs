@@ -111,64 +111,80 @@ pub fn generate_rrr_in_scratch<'s>(
     while head < scratch.queue.len() {
         let v = scratch.queue[head];
         head += 1;
-        let sources = graph.in_neighbors(v);
-        edges_examined += match (model, graph.in_probs(v)) {
-            (DiffusionModel::IndependentCascade, RowProbs::Same(p)) => {
-                ic_row(sources.map(|u| (u, p)), rng, scratch)
+        let (sources, probs) = (graph.in_neighbors(v), graph.in_probs(v));
+        edges_examined += expand_with(model, rng, sources, probs, 0.0, |u| {
+            if scratch.visit(u) {
+                scratch.queue.push(u);
             }
-            (DiffusionModel::IndependentCascade, RowProbs::Each(probs)) => {
-                ic_row(sources.zip(probs.iter().copied()), rng, scratch)
-            }
-            (DiffusionModel::LinearThreshold, RowProbs::Same(p)) => {
-                lt_row(sources.map(|u| (u, p)), rng, scratch)
-            }
-            (DiffusionModel::LinearThreshold, RowProbs::Each(probs)) => {
-                lt_row(sources.zip(probs.iter().copied()), rng, scratch)
-            }
-        };
+        });
     }
     scratch.queue.sort_unstable();
     (&scratch.queue, edges_examined)
 }
 
-/// IC expansion of one vertex: every in-edge is live independently with
-/// its probability. Returns the edges examined: all of them.
+/// Expands one in-row, the one IC/LT row body of the reference,
+/// vertex-keyed and sharded samplers: calls `live` with each live edge's
+/// source and returns the edges examined. IC: every in-edge is live
+/// independently with its probability. LT: one draw selects an in-neighbor
+/// by weight, or none with the tail probability 1 − Σw; `lt_start` is the
+/// accumulator before the row's first edge, 0.0 for a whole row, and a
+/// draw below it selected an edge before the row (a vertex-cut chunk's).
 #[inline]
-fn ic_row(
-    edges: impl Iterator<Item = (Vertex, f32)>,
+pub(crate) fn expand_with(
+    model: DiffusionModel,
     rng: &mut SplitMix64,
-    scratch: &mut RrrScratch,
+    sources: impl Iterator<Item = Vertex>,
+    probs: RowProbs<'_>,
+    lt_start: f64,
+    live: impl FnMut(Vertex),
 ) -> u64 {
-    let mut examined = 0u64;
-    for (u, p) in edges {
-        examined += 1;
-        if rng.unit_f64() < f64::from(p) && scratch.visit(u) {
-            scratch.queue.push(u);
-        }
+    match probs {
+        RowProbs::Same(p) => expand_edges(model, rng, sources.map(|u| (u, p)), lt_start, live),
+        RowProbs::Each(probs) => expand_edges(
+            model,
+            rng,
+            sources.zip(probs.iter().copied()),
+            lt_start,
+            live,
+        ),
     }
-    examined
 }
 
-/// LT expansion of one vertex: one uniform draw selects among the
-/// in-neighbors by weight; the tail probability (1 - Σw) selects "stop
-/// here". Returns the edges examined up to the selected one.
+/// [`expand_with`] once per probability layout.
 #[inline]
-fn lt_row(
-    edges: impl Iterator<Item = (Vertex, f32)>,
+fn expand_edges(
+    model: DiffusionModel,
     rng: &mut SplitMix64,
-    scratch: &mut RrrScratch,
+    edges: impl Iterator<Item = (Vertex, f32)>,
+    lt_start: f64,
+    mut live: impl FnMut(Vertex),
 ) -> u64 {
-    let draw = rng.unit_f64();
-    let mut acc = 0.0f64;
     let mut examined = 0u64;
-    for (u, p) in edges {
-        examined += 1;
-        acc += f64::from(p);
-        if draw < acc {
-            if scratch.visit(u) {
-                scratch.queue.push(u);
+    match model {
+        DiffusionModel::IndependentCascade => {
+            for (u, p) in edges {
+                examined += 1;
+                if rng.unit_f64() < f64::from(p) {
+                    live(u);
+                }
             }
-            break;
+        }
+        DiffusionModel::LinearThreshold => {
+            let draw = rng.unit_f64();
+            // Probabilities are non-negative, so the accumulator is
+            // monotone and this test is exact.
+            if draw < lt_start {
+                return 0;
+            }
+            let mut acc = lt_start;
+            for (u, p) in edges {
+                examined += 1;
+                acc += f64::from(p);
+                if draw < acc {
+                    live(u);
+                    break;
+                }
+            }
         }
     }
     examined

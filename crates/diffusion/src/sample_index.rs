@@ -16,10 +16,10 @@
 //! two-direction layout itself, kept as the measured baseline of Tables 2
 //! and 3, is `TangStorage` in `ripples-core`.)
 
-use crate::compressed::{read_varint, varint_len, write_varint};
 use crate::intervals::{fork_owners, owner_intervals};
 use crate::spill::SpillFile;
 use crate::store::RrrStore;
+use ripples_graph::varint::{read_varint, varint_len, write_varint};
 use ripples_graph::Vertex;
 use std::borrow::Cow;
 use std::sync::Arc;

@@ -911,7 +911,7 @@ mod tests {
                     .map(|&v| {
                         let gap = v - next;
                         next = v + 1;
-                        crate::compressed::varint_len(gap) as usize
+                        ripples_graph::varint::varint_len(gap) as usize
                     })
                     .sum::<usize>()
             };

@@ -108,13 +108,40 @@ impl ProbStore {
         }
     }
 
+    /// The probabilities of row `i`.
+    #[inline]
+    pub(crate) fn row(&self, i: usize) -> RowProbs<'_> {
+        match self {
+            ProbStore::PerVertex(probs) => RowProbs::Same(probs[i]),
+            ProbStore::PerEdge { offsets, probs } => {
+                RowProbs::Each(&probs[offsets[i] as usize..offsets[i + 1] as usize])
+            }
+        }
+    }
+
+    /// The probabilities of the in-edges `edges` of the global in-edge
+    /// order, which fall on the rows `rows`, in this store's layout; row `i`
+    /// of the result is row `rows.start + i`'s.
+    pub(crate) fn cut(&self, rows: std::ops::Range<usize>, edges: std::ops::Range<usize>) -> Self {
+        match self {
+            ProbStore::PerVertex(probs) => ProbStore::PerVertex(probs[rows].to_vec()),
+            ProbStore::PerEdge { offsets, probs } => ProbStore::PerEdge {
+                offsets: offsets[rows.start..=rows.end]
+                    .iter()
+                    .map(|&o| ((o as usize).clamp(edges.start, edges.end) - edges.start) as u32)
+                    .collect(),
+                probs: probs[edges].to_vec(),
+            },
+        }
+    }
+
     fn values(&self) -> &[f32] {
         match self {
             ProbStore::PerVertex(probs) | ProbStore::PerEdge { probs, .. } => probs,
         }
     }
 
-    fn resident_bytes(&self) -> usize {
+    pub(crate) fn resident_bytes(&self) -> usize {
         use std::mem::size_of_val;
         match self {
             ProbStore::PerVertex(probs) => size_of_val(&probs[..]),
@@ -255,13 +282,7 @@ impl Graph {
     #[inline]
     #[must_use]
     pub fn in_probs(&self, v: Vertex) -> RowProbs<'_> {
-        let v = v as usize;
-        match &self.in_probs {
-            ProbStore::PerVertex(probs) => RowProbs::Same(probs[v]),
-            ProbStore::PerEdge { offsets, probs } => {
-                RowProbs::Each(&probs[offsets[v] as usize..offsets[v + 1] as usize])
-            }
-        }
+        self.in_probs.row(v as usize)
     }
 
     /// Iterates `(target, probability)` pairs of the out-edges of `v`.

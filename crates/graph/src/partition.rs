@@ -11,7 +11,8 @@
 //! range boundary is *mirrored*: several ranks each own a contiguous chunk
 //! of its in-list, and the ghost table records, for every vertex, the
 //! contiguous rank interval holding its chunks so a frontier crossing can be
-//! routed without any lookup communication.
+//! routed without any lookup communication. (With fewer edges than ranks,
+//! some ranks hold no edge; [`VertexCutShard::mirror_ranks`] skips them.)
 //!
 //! Everything is a pure function of `(graph, rank, size)` — two ranks never
 //! disagree about ownership, and a shard can in principle be *loaded*
@@ -19,47 +20,56 @@
 //! (the constructor here reads the full graph only because the experiments
 //! hold it anyway).
 //!
-//! The per-chunk `lt_prefix` field carries the exact sequential `f64` prefix
-//! sum of the in-probabilities before the chunk, so a linear-threshold draw
-//! can be resolved chunk-locally while staying bitwise identical to the
-//! sequential reference accumulation (see `ripples-diffusion`'s
-//! vertex-keyed sampler).
+//! A shard holds its edges in the graph's own layout: the gap-varint rows
+//! that [`Graph::in_neighbors`] decodes and the graph's probability store,
+//! over its own contiguous vertex range. Whole rows are the graph's bytes;
+//! only the *head* row, the one the shard's first edge cuts into, starts
+//! mid-row, and it is re-coded from its first kept source. Its head record
+//! carries where in the full in-list that row starts and the exact
+//! sequential `f64` prefix sum of the in-probabilities before it, so a
+//! linear-threshold draw can be resolved chunk-locally while staying
+//! bitwise identical to the sequential reference accumulation (see
+//! `ripples-diffusion`'s vertex-keyed sampler).
 
-use crate::csr::Graph;
+use crate::csr::{Graph, ProbStore, RowProbs};
+use crate::rows::{InNeighbors, Rows};
 use crate::types::Vertex;
 
-/// Sentinel in the vertex→chunk map: this rank holds no in-edges of v.
-const NO_CHUNK: u32 = u32::MAX;
-
 /// One rank's shard of an edge-balanced vertex-cut: a contiguous range of
-/// the global in-edge order, stored as per-vertex chunks, plus the
-/// full ghost (mirror) table for frontier routing.
+/// the global in-edge order, stored as the coded in-rows of a contiguous
+/// vertex range, plus the full ghost (mirror) table for frontier routing.
 #[derive(Clone, Debug)]
 pub struct VertexCutShard {
     num_vertices: u32,
+    /// Edge count of the parent graph.
+    graph_edges: usize,
     rank: u32,
     size: u32,
-    /// Destination vertex of chunk `i`.
-    chunk_vertex: Vec<Vertex>,
-    /// Offset of chunk `i`'s first edge within its vertex's full in-list.
-    chunk_edge_start: Vec<u32>,
-    /// Exact sequential `f64` sum of the in-probabilities preceding the
-    /// chunk (the LT accumulator value at the chunk boundary).
-    chunk_lt_prefix: Vec<f64>,
-    /// CSR offsets of the chunks into `sources`/`probs`.
-    chunk_offsets: Vec<usize>,
-    sources: Vec<Vertex>,
-    probs: Vec<f32>,
-    /// Vertex → local chunk index, or [`NO_CHUNK`].
-    chunk_of: Vec<u32>,
+    head: Head,
+    /// Row `i` is vertex `head.vertex + i`'s local in-edges.
+    rows: Rows,
+    probs: ProbStore,
     /// Ghost table: vertex → packed `(first_rank << 32) | end_rank`
     /// (half-open rank interval holding the vertex's in-edge chunks;
     /// `0` for in-degree-0 vertices — the empty interval).
     mirrors: Vec<u64>,
 }
 
-/// A borrowed view of one vertex's local in-edge chunk.
-#[derive(Clone, Copy, Debug)]
+/// The head row: the first vertex of the shard's range, the first of its
+/// in-edges the shard holds, and the LT accumulator before that edge.
+#[derive(Clone, Copy, Debug, Default)]
+struct Head {
+    vertex: Vertex,
+    edge_start: u32,
+    /// Exact sequential `f64` sum of the in-probabilities before
+    /// `edge_start`.
+    lt_prefix: f64,
+}
+
+/// A borrowed view of one vertex's local in-edge chunk: its sources and
+/// probabilities as [`Graph::in_neighbors`] and [`Graph::in_probs`] hand
+/// out a whole row.
+#[derive(Clone, Debug)]
 pub struct ChunkView<'a> {
     /// Offset of the chunk's first edge within the vertex's full in-list.
     pub edge_start: u32,
@@ -67,9 +77,9 @@ pub struct ChunkView<'a> {
     /// of the preceding edges, accumulated sequentially in `f64`).
     pub lt_prefix: f64,
     /// Sources of the chunk's edges.
-    pub sources: &'a [Vertex],
+    pub sources: InNeighbors<'a>,
     /// Probabilities aligned with `sources`.
-    pub probs: &'a [f32],
+    pub probs: RowProbs<'a>,
 }
 
 /// The rank owning global in-edge position `e` when `m` edges are split
@@ -80,6 +90,12 @@ pub struct ChunkView<'a> {
 pub fn edge_owner(e: usize, m: usize, size: u32) -> u32 {
     debug_assert!(e < m);
     ((((e as u64 + 1) * u64::from(size)).div_ceil(m as u64)) as u32 - 1).min(size - 1)
+}
+
+/// The global in-edge positions rank `rank` of `size` owns.
+fn edge_range(rank: u32, m: usize, size: u32) -> std::ops::Range<usize> {
+    let bound = |r: u32| (m as u64 * u64::from(r) / u64::from(size)) as usize;
+    bound(rank)..bound(rank + 1)
 }
 
 impl VertexCutShard {
@@ -94,63 +110,51 @@ impl VertexCutShard {
         assert!(rank < size, "rank out of range");
         let n = graph.num_vertices();
         let m = graph.num_edges();
-        let lo = (m as u64 * u64::from(rank) / u64::from(size)) as usize;
-        let hi = (m as u64 * (u64::from(rank) + 1) / u64::from(size)) as usize;
+        let std::ops::Range { start: lo, end: hi } = edge_range(rank, m, size);
 
-        let mut chunk_vertex = Vec::new();
-        let mut chunk_edge_start = Vec::new();
-        let mut chunk_lt_prefix = Vec::new();
-        let mut chunk_offsets = vec![0];
-        let mut sources = Vec::new();
-        let mut probs = Vec::new();
-        let mut chunk_of = vec![NO_CHUNK; n as usize];
         let mut mirrors = vec![0u64; n as usize];
-
+        let mut head: Option<Head> = None;
+        let mut end = 0;
         let mut goff = 0usize; // global offset of v's first in-edge
-        let mut full_sources = Vec::new();
         for v in 0..n {
-            full_sources.clear();
-            full_sources.extend(graph.in_neighbors(v));
-            let full_probs = graph.in_probs(v);
-            let deg = full_sources.len();
+            let deg = graph.in_degree(v);
             if deg > 0 {
                 let first = edge_owner(goff, m, size);
                 let last = edge_owner(goff + deg - 1, m, size);
                 mirrors[v as usize] = (u64::from(first) << 32) | u64::from(last + 1);
-                let start = lo.max(goff);
-                let end = hi.min(goff + deg);
-                if start < end {
-                    let within = start - goff;
-                    // The exact accumulator value the sequential LT loop
-                    // holds after the preceding edges: same adds, same order.
-                    let mut prefix = 0.0f64;
-                    for i in 0..within {
-                        prefix += f64::from(full_probs.get(i));
-                    }
-                    chunk_of[v as usize] = chunk_vertex.len() as u32;
-                    chunk_vertex.push(v);
-                    chunk_edge_start.push(within as u32);
-                    chunk_lt_prefix.push(prefix);
-                    sources.extend_from_slice(&full_sources[within..end - goff]);
-                    // A chunk holds one probability per edge whatever the
-                    // graph's layout.
-                    probs.extend((within..end - goff).map(|i| full_probs.get(i)));
-                    chunk_offsets.push(sources.len());
+                if lo < goff + deg && goff < hi {
+                    end = v + 1;
+                    head.get_or_insert_with(|| {
+                        let within = lo.saturating_sub(goff);
+                        // The exact accumulator value the sequential LT loop
+                        // holds after the preceding edges: same adds, same
+                        // order.
+                        let probs = graph.in_probs(v);
+                        let lt_prefix =
+                            (0..within).fold(0.0f64, |acc, i| acc + f64::from(probs.get(i)));
+                        Head {
+                            vertex: v,
+                            edge_start: within as u32,
+                            lt_prefix,
+                        }
+                    });
                 }
             }
             goff += deg;
         }
+        let head = head.unwrap_or_default();
         Self {
             num_vertices: n,
+            graph_edges: m,
             rank,
             size,
-            chunk_vertex,
-            chunk_edge_start,
-            chunk_lt_prefix,
-            chunk_offsets,
-            sources,
-            probs,
-            chunk_of,
+            head,
+            rows: graph
+                .rows
+                .cut(head.vertex..end, head.edge_start as usize, hi - lo),
+            probs: graph
+                .in_probs
+                .cut(head.vertex as usize..end as usize, lo..hi),
             mirrors,
         }
     }
@@ -169,68 +173,52 @@ impl VertexCutShard {
         self.rank
     }
 
-    /// World size the cut was computed for.
-    #[inline]
-    #[must_use]
-    pub fn size(&self) -> u32 {
-        self.size
-    }
-
     /// Number of in-edges stored on this rank.
     #[must_use]
     pub fn local_edges(&self) -> usize {
-        self.sources.len()
-    }
-
-    /// Number of vertex chunks stored on this rank.
-    #[must_use]
-    pub fn num_chunks(&self) -> usize {
-        self.chunk_vertex.len()
+        self.rows.num_edges()
     }
 
     /// The local in-edge chunk of vertex `v`, if this rank holds one.
     #[inline]
     #[must_use]
     pub fn chunk(&self, v: Vertex) -> Option<ChunkView<'_>> {
-        let i = self.chunk_of[v as usize];
-        if i == NO_CHUNK {
-            return None;
-        }
-        let i = i as usize;
-        let (s, e) = (self.chunk_offsets[i], self.chunk_offsets[i + 1]);
+        let i = v.checked_sub(self.head.vertex)? as usize;
+        let sources = self.rows.keyed_row(i, v)?;
+        // Every row but the head starts at its vertex's first in-edge.
+        let head = if i == 0 { self.head } else { Head::default() };
         Some(ChunkView {
-            edge_start: self.chunk_edge_start[i],
-            lt_prefix: self.chunk_lt_prefix[i],
-            sources: &self.sources[s..e],
-            probs: &self.probs[s..e],
+            edge_start: head.edge_start,
+            lt_prefix: head.lt_prefix,
+            sources,
+            probs: self.probs.row(i),
         })
     }
 
-    /// The half-open rank interval holding `v`'s in-edge chunks (the ghost
-    /// table lookup). Empty for in-degree-0 vertices.
+    /// The ranks holding `v`'s in-edge chunks, ascending (the ghost table
+    /// lookup). None for in-degree-0 vertices. They are the ranks of an
+    /// interval that hold any edge: with fewer edges than ranks, some hold
+    /// none.
     #[inline]
-    #[must_use]
-    pub fn mirror_ranks(&self, v: Vertex) -> std::ops::Range<u32> {
+    pub fn mirror_ranks(&self, v: Vertex) -> impl Iterator<Item = u32> + '_ {
         let packed = self.mirrors[v as usize];
-        (packed >> 32) as u32..(packed & 0xFFFF_FFFF) as u32
+        ((packed >> 32) as u32..(packed & 0xFFFF_FFFF) as u32)
+            .filter(|&r| !edge_range(r, self.graph_edges, self.size).is_empty())
     }
 
     /// Iterates the destination vertices of the locally-held chunks.
     pub fn chunk_vertices(&self) -> impl Iterator<Item = Vertex> + '_ {
-        self.chunk_vertex.iter().copied()
+        let end = self.head.vertex + self.rows.num_rows() as Vertex;
+        (self.head.vertex..end).filter(|&v| self.chunk(v).is_some())
     }
 
-    /// Resident bytes of this shard: edge chunks plus the two O(n) routing
-    /// tables (vertex→chunk and the ghost table).
+    /// Resident bytes of this shard: the coded rows and their offsets, the
+    /// probabilities, and the ghost table, the one table sized by n.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.sources.len() * size_of::<Vertex>()
-            + self.probs.len() * size_of::<f32>()
-            + self.chunk_vertex.len() * (size_of::<Vertex>() + size_of::<u32>() + size_of::<f64>())
-            + self.chunk_offsets.len() * size_of::<usize>()
-            + self.chunk_of.len() * size_of::<u32>()
-            + self.mirrors.len() * size_of::<u64>()
+        self.rows.resident_bytes()
+            + self.probs.resident_bytes()
+            + std::mem::size_of_val(&self.mirrors[..])
     }
 }
 
@@ -260,7 +248,7 @@ mod tests {
                 for shard in &shards {
                     if let Some(c) = shard.chunk(v) {
                         assert_eq!(c.edge_start as usize, rebuilt.len(), "vertex {v}");
-                        rebuilt.extend_from_slice(c.sources);
+                        rebuilt.extend(c.sources);
                     }
                 }
                 let row: Vec<Vertex> = g.in_neighbors(v).collect();
@@ -292,16 +280,15 @@ mod tests {
             .map(|r| VertexCutShard::extract(&g, r, size))
             .collect();
         for v in 0..g.num_vertices() {
-            let interval = shards[0].mirror_ranks(v);
+            let interval: Vec<u32> = shards[0].mirror_ranks(v).collect();
             // Every shard agrees on the ghost table.
             for shard in &shards {
-                assert_eq!(shard.mirror_ranks(v), interval, "vertex {v}");
+                assert!(shard.mirror_ranks(v).eq(interval.clone()), "vertex {v}");
             }
             let holders: Vec<u32> = (0..size)
                 .filter(|&r| shards[r as usize].chunk(v).is_some())
                 .collect();
-            let expected: Vec<u32> = interval.collect();
-            assert_eq!(holders, expected, "vertex {v}");
+            assert_eq!(holders, interval, "vertex {v}");
             if g.in_degree(v) == 0 {
                 assert!(holders.is_empty(), "vertex {v} has no in-edges");
             }
@@ -334,7 +321,7 @@ mod tests {
             match shard.chunk(v) {
                 Some(c) => {
                     assert_eq!(c.edge_start, 0);
-                    assert!(c.sources.iter().copied().eq(g.in_neighbors(v)));
+                    assert!(c.sources.eq(g.in_neighbors(v)));
                     assert_eq!(c.lt_prefix, 0.0);
                 }
                 None => assert_eq!(g.in_degree(v), 0),
@@ -345,9 +332,9 @@ mod tests {
     #[test]
     fn sharding_shrinks_resident_bytes() {
         // Edge storage dominates for m >> n; four shards must each hold
-        // well under the edge footprint of the whole graph in the shards'
-        // layout (raw sources and one probability per edge; the graph
-        // itself codes its rows, at about a byte an edge here).
+        // well under the footprint of one shard of the whole graph (the
+        // graph's layout: coded rows at about a byte an edge here, one
+        // probability per edge, plus the 8-byte-a-vertex ghost table).
         let g = erdos_renyi(200, 4000, WeightModel::UniformRandom { seed: 2 }, false, 8);
         let full = VertexCutShard::extract(&g, 0, 1).resident_bytes();
         for r in 0..4 {
@@ -365,8 +352,8 @@ mod tests {
         let g = GraphBuilder::new(3).build().unwrap();
         let shard = VertexCutShard::extract(&g, 1, 2);
         assert_eq!(shard.local_edges(), 0);
-        assert_eq!(shard.num_chunks(), 0);
-        assert!(shard.mirror_ranks(0).is_empty());
+        assert_eq!(shard.chunk_vertices().count(), 0);
+        assert_eq!(shard.mirror_ranks(0).next(), None);
     }
 
     #[test]

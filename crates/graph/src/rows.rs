@@ -9,6 +9,8 @@
 //! ([`GraphError::TooLarge`] at build past that). A row's bytes end where
 //! its last varint does, so its degree is the count of its bytes below
 //! 0x80.
+//! A vertex-cut shard ([`crate::partition`]) holds a contiguous range of
+//! them, cut from the graph's by [`Rows::cut`].
 
 use crate::types::{GraphError, Vertex};
 use crate::varint::{push_varint, read_varint, unzigzag, zigzag};
@@ -78,6 +80,11 @@ impl Rows {
         self.num_edges
     }
 
+    /// Number of rows held.
+    pub(crate) fn num_rows(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
     #[inline]
     fn range(&self, v: Vertex) -> std::ops::Range<usize> {
         let v = v as usize;
@@ -92,6 +99,55 @@ impl Rows {
             prev: v,
             first: true,
         }
+    }
+
+    /// The sources of row `i`, its first code keyed to vertex `v`; `None`
+    /// past the last row and for an empty one.
+    #[inline]
+    pub(crate) fn keyed_row(&self, i: usize, v: Vertex) -> Option<InNeighbors<'_>> {
+        let (&start, &end) = (self.offsets.get(i)?, self.offsets.get(i + 1)?);
+        (start < end).then(|| InNeighbors {
+            bytes: self.bytes[start as usize..end as usize].iter(),
+            prev: v,
+            first: true,
+        })
+    }
+
+    /// The rows of `vertices` holding `take` edges of the global in-edge
+    /// order, from source `skip` of the first row on: that head row is
+    /// re-coded from its first kept source, the rows after it are copied
+    /// byte for byte, and the last one is cut where the edges run out.
+    /// Row `i` of the result is vertex `vertices.start + i`'s.
+    pub(crate) fn cut(&self, vertices: std::ops::Range<Vertex>, skip: usize, take: usize) -> Self {
+        let mut rows = Self {
+            offsets: vec![0],
+            bytes: Vec::new(),
+            num_edges: take,
+        };
+        if vertices.is_empty() {
+            return rows;
+        }
+        let head = vertices.start;
+        let kept: Vec<Vertex> = self.row(head).skip(skip).take(take).collect();
+        for_each_code(head, &kept, |code| push_varint(&mut rows.bytes, code));
+        // The later rows lie back to back; the cut falls after the last
+        // byte of the `take − kept`-th code among them.
+        let from = self.offsets[head as usize + 1];
+        let tail = &self.bytes[from as usize..self.offsets[vertices.end as usize] as usize];
+        let (mut cut, mut left) = (0, take - kept.len());
+        while left > 0 {
+            left -= usize::from(tail[cut] < 0x80);
+            cut += 1;
+        }
+        let head_len = rows.bytes.len();
+        rows.bytes.extend_from_slice(&tail[..cut]);
+        rows.offsets.extend(vertices.map(|v| {
+            let end = head_len + ((self.offsets[v as usize + 1] - from) as usize).min(cut);
+            // The re-coded head outgrows the bytes it replaces by at most
+            // four, so only rows within that of the graph's 4 GiB fail.
+            u32::try_from(end).expect("a shard's rows fit u32 byte offsets")
+        }));
+        rows
     }
 
     /// The degree of row `v`: the count of its last bytes, O(its bytes).

@@ -1,12 +1,13 @@
 //! The Table 2 storage-layout invariants: the compact one-direction layout
 //! (IMMOPT) must use substantially less RRR memory than the two-direction
-//! hypergraph layout (IMM baseline), at identical output.
+//! hypergraph layout (IMM baseline), at identical output. And a rank of the
+//! graph-sharded engine holds its edges in the graph's own layout.
 
 use ripples_core::seq::{imm_baseline, immopt_sequential};
 use ripples_core::ImmParams;
 use ripples_diffusion::DiffusionModel;
-use ripples_graph::generators::standin;
-use ripples_graph::WeightModel;
+use ripples_graph::generators::{barabasi_albert, standin};
+use ripples_graph::{VertexCutShard, WeightModel};
 
 #[test]
 fn immopt_saves_memory_on_standins() {
@@ -104,4 +105,27 @@ fn a_dist_rank_holds_its_samples_as_tightly_as_mt() {
         (peak / mt_peak - 1.0).abs() <= 0.1,
         "dist rank {peak} bytes against mt {mt_peak}"
     );
+}
+
+/// A vertex-cut shard holds its half of the edges as the graph's own coded
+/// rows and probability layout, so on two ranks the larger shard, ghost
+/// table included, is no larger than the whole replicated graph: with one
+/// probability per vertex (weighted cascade) and one per edge (uniform).
+#[test]
+fn a_two_rank_shard_is_no_larger_than_the_graph() {
+    for weights in [
+        WeightModel::WeightedCascade,
+        WeightModel::UniformRandom { seed: 1 },
+    ] {
+        let g = barabasi_albert(20_000, 8, weights, false, 1);
+        let largest = (0..2)
+            .map(|rank| VertexCutShard::extract(&g, rank, 2).resident_bytes())
+            .max()
+            .unwrap();
+        assert!(
+            largest <= g.resident_bytes(),
+            "{weights:?}: shard {largest} bytes against the graph's {}",
+            g.resident_bytes()
+        );
+    }
 }
