@@ -59,10 +59,11 @@
 //! counters, RRR size histogram, communication accounting) to stderr —
 //! `pretty` (alias `text`) for humans, `json` for one machine-readable
 //! line; `--report-out FILE` writes it to a file instead. Seeds stay on
-//! stdout either way. Its `rss_hwm_after_load` and `rss_hwm_after_solve`
-//! rows are the process's `VmHWM` right after the graph was loaded and
-//! right after the solve, so they tell which of the two set the peak (0
-//! off Linux).
+//! stdout either way. Its `load_nanos` row is the wall time of loading or
+//! generating the graph, and its `rss_hwm_after_load` and
+//! `rss_hwm_after_solve` rows are the process's `VmHWM` right after the
+//! graph was loaded and right after the solve, so they tell which of the
+//! two set the peak (0 off Linux).
 //!
 //! `--trace FILE` enables the structured event tracer for the run and
 //! writes a Chrome Trace Event Format JSON file (open in `chrome://tracing`
@@ -368,6 +369,7 @@ fn main() {
     }
 
     let lt_normalize = model == DiffusionModel::LinearThreshold;
+    let load_start = std::time::Instant::now();
     let graph = load_graph(&args, parse_weights(&args), lt_normalize).unwrap_or_else(|e| match e {
         GraphSourceError::Usage(message) => usage_error(&message),
         GraphSourceError::Load(message) => {
@@ -375,6 +377,7 @@ fn main() {
             std::process::exit(1);
         }
     });
+    let load_nanos = u64::try_from(load_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
     let rss_after_load = rss_high_water_mark();
     let stats = GraphStats::of(&graph);
     eprintln!(
@@ -472,6 +475,7 @@ fn main() {
         }
     };
     let elapsed = start.elapsed();
+    report.counters.load_nanos = load_nanos;
     // Which of the two set the process's peak: the load or the solve.
     report.counters.rss_hwm_after_load = rss_after_load;
     report.counters.rss_hwm_after_solve = rss_high_water_mark();

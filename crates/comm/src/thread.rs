@@ -15,6 +15,7 @@ use parking_lot::{Condvar, Mutex};
 use ripples_trace::TraceName;
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 struct BarrierState {
@@ -40,7 +41,11 @@ struct Shared {
     f64_slots: Mutex<Vec<f64>>,
     exchange: Mutex<HashMap<u64, ExchangeSlot>>,
     exchange_cv: Condvar,
+    /// The first rank that panicked, or `NO_RANK`: the others stop waiting.
+    panicked: AtomicU32,
 }
+
+const NO_RANK: u32 = u32::MAX;
 
 impl Shared {
     fn new(size: u32) -> Self {
@@ -55,6 +60,27 @@ impl Shared {
             f64_slots: Mutex::new(vec![0.0; size as usize]),
             exchange: Mutex::new(HashMap::new()),
             exchange_cv: Condvar::new(),
+            panicked: AtomicU32::new(NO_RANK),
+        }
+    }
+
+    /// Records that `rank` panicked, if no rank did before, and wakes every
+    /// waiter. Each lock is taken after the record, so that a waiter either
+    /// sees it before it waits or is waiting when the notice comes.
+    fn poison(&self, rank: u32) {
+        let _ = self
+            .panicked
+            .compare_exchange(NO_RANK, rank, Ordering::SeqCst, Ordering::SeqCst);
+        drop(self.barrier.lock());
+        self.barrier_cv.notify_all();
+        drop(self.exchange.lock());
+        self.exchange_cv.notify_all();
+    }
+
+    /// Panics if a rank has: the collective being waited for cannot finish.
+    fn check_poison(&self) {
+        if self.panicked.load(Ordering::SeqCst) != NO_RANK {
+            panic!("another rank panicked");
         }
     }
 
@@ -69,6 +95,7 @@ impl Shared {
             self.barrier_cv.notify_all();
         } else {
             while st.generation == gen {
+                self.check_poison();
                 self.barrier_cv.wait(&mut st);
             }
         }
@@ -115,6 +142,12 @@ impl ThreadWorld {
     ///
     /// Every rank must make the same sequence of collective calls, exactly
     /// as with MPI; violating that deadlocks, as it would under MPI.
+    ///
+    /// # Panics
+    ///
+    /// When a rank panics, the ranks waiting in a collective (or reaching
+    /// one later) panic with `another rank panicked`, and `run` resumes the
+    /// panic of the rank that panicked first, with its payload.
     pub fn run<F, R>(&self, body: F) -> Vec<R>
     where
         F: Fn(&ThreadComm) -> R + Sync,
@@ -127,6 +160,10 @@ impl ThreadWorld {
                     let shared = Arc::clone(&shared);
                     let body = &body;
                     scope.spawn(move || {
+                        let _poison = PoisonOnPanic {
+                            shared: Arc::clone(&shared),
+                            rank,
+                        };
                         let comm = ThreadComm {
                             rank,
                             shared,
@@ -137,11 +174,32 @@ impl ThreadWorld {
                     })
                 })
                 .collect();
-            handles
+            let mut outcomes: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+            let first = shared.panicked.load(Ordering::SeqCst);
+            if first != NO_RANK {
+                if let Err(payload) = outcomes.swap_remove(first as usize) {
+                    std::panic::resume_unwind(payload);
+                }
+            }
+            outcomes
                 .into_iter()
-                .map(|h| h.join().expect("rank thread panicked"))
+                .map(|outcome| outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
                 .collect()
         })
+    }
+}
+
+/// Poisons the world when its rank's thread unwinds.
+struct PoisonOnPanic {
+    shared: Arc<Shared>,
+    rank: u32,
+}
+
+impl Drop for PoisonOnPanic {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.shared.poison(self.rank);
+        }
     }
 }
 
@@ -288,6 +346,7 @@ impl Communicator for ThreadComm {
                     .get(&generation)
                     .is_some_and(|s| s.deposits.iter().all(Option::is_some))
                 {
+                    self.shared.check_poison();
                     self.shared.exchange_cv.wait(&mut slots);
                 }
                 let slot = slots.get_mut(&generation).expect("deposit checked above");
@@ -490,6 +549,59 @@ mod tests {
             )
         });
         assert_eq!(results[0], (42, vec![vec![5]], 3.0));
+    }
+
+    /// Runs `body` on a 4-rank world on a helper thread and returns the
+    /// message `run` panics with; fails if the world has not ended in 10 s.
+    fn panic_message_of(body: fn(&ThreadComm)) -> String {
+        let (sender, receiver) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(|| ThreadWorld::new(4).run(body));
+            let _ = sender.send(outcome.map(drop));
+        });
+        let outcome = receiver
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a rank's panic hung the world");
+        let payload = outcome.expect_err("the world panics");
+        match payload.downcast::<String>() {
+            Ok(message) => *message,
+            Err(payload) => payload
+                .downcast::<&str>()
+                .expect("a text payload")
+                .to_string(),
+        }
+    }
+
+    #[test]
+    fn a_panic_before_a_collective_ends_the_run() {
+        let message = panic_message_of(|c| {
+            assert_ne!(c.rank(), 2, "rank 2 fails");
+            let mut buf = [1u64];
+            c.all_reduce_sum_u64(&mut buf);
+        });
+        assert!(message.contains("rank 2 fails"), "{message}");
+    }
+
+    #[test]
+    fn a_panic_during_an_exchange_ends_the_run() {
+        let message = panic_message_of(|c| {
+            if c.rank() == 1 {
+                // Once the other three have posted, each is in the
+                // exchange's wait or on its way there.
+                let posted = |slots: &HashMap<u64, ExchangeSlot>| {
+                    slots
+                        .get(&0)
+                        .map_or(0, |s| s.deposits.iter().flatten().count())
+                };
+                while posted(&c.shared.exchange.lock()) < 3 {
+                    std::thread::yield_now();
+                }
+                panic!("rank 1 fails");
+            }
+            let sends: Vec<Vec<u64>> = (0..4).map(|d| vec![d]).collect();
+            c.alltoallv_u64(&sends);
+        });
+        assert!(message.contains("rank 1 fails"), "{message}");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::types::{GraphError, Vertex};
 use crate::varint::{push_varint, read_varint, unzigzag, zigzag};
 use crate::weights::WeightModel;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::path::Path;
 
 /// How textual vertex ids map to internal ids.
@@ -51,11 +51,19 @@ impl Default for EdgeListOptions {
 
 /// Reads an edge list from any reader.
 ///
-/// Lines are read into one reused byte buffer and tokenised as bytes; an
-/// edge is stored on the line where it appears, with its ids already
-/// narrowed ([`VertexIds::Literal`]) or assigned ([`VertexIds::Remap`]),
-/// and its third column is checked but not stored when `options.weights`
-/// will overwrite it. Nothing else of the file's size is held.
+/// Lines are parsed where they sit in the reader's 64 KiB buffer. A line of
+/// the common shape, `digits [ \t]+ digits ([ \t]+ token)? [ \t\r]* \n`
+/// with ids of at most 19 digits, is read in one forward scan that folds
+/// the ids as it goes; every other line (comments, blanks, bytes past
+/// ASCII, signs, longer ids, other separators, missing or extra fields)
+/// is tokenised as bytes by the general parser, on the same line number,
+/// so what is accepted and refused does not depend on the path. Only a
+/// line that straddles a refill of the buffer is copied, into one reused
+/// byte buffer. When `options.weights` will overwrite the third column, a
+/// token of digits with at most one `.` is checked without being
+/// converted. An edge is stored on the line where it appears, with its ids
+/// already narrowed ([`VertexIds::Literal`]) or assigned
+/// ([`VertexIds::Remap`]). Nothing else of the file's size is held.
 ///
 /// While the edges strictly ascend by (source, target), as
 /// [`write_edge_list`] writes them, each source's targets are gap-coded as
@@ -75,26 +83,66 @@ pub fn read_edge_list<R: Read>(reader: R, options: EdgeListOptions) -> Result<Gr
     let mut edges = Edges::Sorted(SortedEdges::new(options.weights.is_none()));
     let mut ids = IdSpace::new(options.vertex_ids);
     let mut bad_probability = None;
-    let mut line = Vec::new();
     let mut line_no = 0usize;
-    loop {
-        line.clear();
-        if reader.read_until(b'\n', &mut line)? == 0 {
-            break;
-        }
-        line_no += 1;
-        let Some((u, v, p)) = parse_line(&line, line_no)? else {
-            continue;
+    // Reads the line at the start of `bytes` and returns its length with
+    // its `\n`; `None`, reading nothing, when `bytes` holds no `\n`.
+    let mut line = |bytes: &[u8]| -> Result<Option<usize>, GraphError> {
+        let (edge, len) = match scan_edge(bytes, options.weights.is_none()) {
+            Some((u, v, p, len)) => (Some((u, v, p)), len),
+            None => {
+                let Some(end) = bytes.iter().position(|&b| b == b'\n') else {
+                    return Ok(None);
+                };
+                (parse_line(&bytes[..=end], line_no + 1)?, end + 1)
+            }
         };
-        let (u, v) = (ids.id_of(u)?, ids.id_of(v)?);
-        let p = p.unwrap_or(options.default_prob);
-        if options.weights.is_none() && bad_probability.is_none() {
-            bad_probability = check_probability(p).err();
+        line_no += 1;
+        if let Some((u, v, p)) = edge {
+            let (u, v) = (ids.id_of(u)?, ids.id_of(v)?);
+            let p = p.unwrap_or(options.default_prob);
+            if options.weights.is_none() && bad_probability.is_none() {
+                bad_probability = check_probability(p).err();
+            }
+            edges.push(u, v, p);
+            if options.undirected {
+                edges.push(v, u, p);
+            }
         }
-        edges.push(u, v, p);
-        if options.undirected {
-            edges.push(v, u, p);
+        Ok(Some(len))
+    };
+    // The part of a line that the last buffer ended inside.
+    let mut carry = Vec::new();
+    loop {
+        let buf = match reader.fill_buf() {
+            Ok([]) => break,
+            Ok(buf) => buf,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        };
+        let mut rest = buf;
+        if !carry.is_empty() {
+            let end = buf
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(buf.len(), |i| i + 1);
+            carry.extend_from_slice(&buf[..end]);
+            rest = &buf[end..];
+            if carry.ends_with(b"\n") {
+                line(&carry)?;
+                carry.clear();
+            }
         }
+        while let Some(len) = line(rest)? {
+            rest = &rest[len..];
+        }
+        carry.extend_from_slice(rest);
+        let used = buf.len();
+        reader.consume(used);
+    }
+    if !carry.is_empty() {
+        // The last line has no `\n`; as a separator it changes nothing.
+        carry.push(b'\n');
+        line(&carry)?;
     }
     let num_vertices = ids.num_vertices()?;
     if let Some(error) = bad_probability {
@@ -335,6 +383,69 @@ fn is_space(byte: u8) -> bool {
     matches!(byte, b'\t'..=b'\r' | b' ')
 }
 
+/// The common edge line at the start of `bytes`, `digits [ \t]+ digits
+/// ([ \t]+ token)? [ \t\r]* \n` with ids of 1 to 19 digits, in one forward
+/// scan: source, target, the third column and the line's length with its
+/// `\n`. The third column is converted, or left `None` when `convert` is
+/// false and it is a plain decimal, which `str::parse` always accepts (the
+/// weight model will overwrite it). `None` for any other line, one whose
+/// third column does not parse, or one that `bytes` does not hold to its
+/// `\n`: those are [`parse_line`]'s to read or refuse.
+#[inline]
+fn scan_edge(bytes: &[u8], convert: bool) -> Option<(u64, u64, Option<f32>, usize)> {
+    let is_blank = |b: u8| b == b' ' || b == b'\t';
+    let (source, i) = scan_id(bytes, 0)?;
+    let j = skip(bytes, i, is_blank);
+    if j == i {
+        return None;
+    }
+    let (target, i) = scan_id(bytes, j)?;
+    let mut j = skip(bytes, i, is_blank);
+    let mut prob = None;
+    if j > i && bytes.get(j).is_some_and(u8::is_ascii_graphic) {
+        let token = j;
+        j = skip(bytes, j, |b| b.is_ascii_graphic());
+        let token = &bytes[token..j];
+        if convert || !is_plain_decimal(token) {
+            prob = Some(parse_number(token)?);
+        }
+    }
+    let j = skip(bytes, j, |b| is_blank(b) || b == b'\r');
+    (bytes.get(j) == Some(&b'\n')).then_some((source, target, prob, j + 1))
+}
+
+/// The run of 1 to 19 ASCII digits at `start`, which cannot overflow a
+/// `u64`, and the index past it.
+#[inline]
+fn scan_id(bytes: &[u8], start: usize) -> Option<(u64, usize)> {
+    let (mut id, mut i) = (0u64, start);
+    while let Some(digit) = bytes
+        .get(i)
+        .map(|b| b.wrapping_sub(b'0'))
+        .filter(|&d| d <= 9)
+    {
+        id = id.wrapping_mul(10).wrapping_add(u64::from(digit));
+        i += 1;
+    }
+    (1..=19).contains(&(i - start)).then_some((id, i))
+}
+
+/// The index of the first byte from `i` on that `keep` refuses, or the
+/// length of `bytes`.
+#[inline]
+fn skip(bytes: &[u8], mut i: usize, keep: impl Fn(u8) -> bool) -> usize {
+    while i < bytes.len() && keep(bytes[i]) {
+        i += 1;
+    }
+    i
+}
+
+/// ASCII digits with at most one `.`, and at least one digit.
+fn is_plain_decimal(token: &[u8]) -> bool {
+    let dots = token.iter().filter(|&&b| b == b'.').count();
+    dots <= 1 && dots < token.len() && token.iter().all(|&b| b == b'.' || b.is_ascii_digit())
+}
+
 /// One line, its terminator included: `None` for a blank or comment line,
 /// else source, target and the third column if there is one.
 fn parse_line(line: &[u8], line_no: usize) -> Result<Option<(u64, u64, Option<f32>)>, GraphError> {
@@ -385,14 +496,10 @@ fn parse_id(tok: Option<&[u8]>, line: usize, what: &str) -> Result<u64, GraphErr
         line,
         message: format!("missing {what} field"),
     })?;
-    // Up to 19 digits cannot overflow a u64. A sign, a 20th digit or any
-    // other byte is `str::parse`'s to accept or refuse.
-    if tok.len() <= 19 {
-        let digits = tok.iter().try_fold(0u64, |id, &byte| {
-            let digit = byte.wrapping_sub(b'0');
-            (digit <= 9).then(|| id * 10 + u64::from(digit))
-        });
-        if let Some(id) = digits {
+    // A sign, a 20th digit or any other byte is `str::parse`'s to accept or
+    // refuse.
+    if let Some((id, end)) = scan_id(tok, 0) {
+        if end == tok.len() {
             return Ok(id);
         }
     }

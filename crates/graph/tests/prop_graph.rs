@@ -14,7 +14,7 @@ use ripples_graph::io::{
 use ripples_graph::{Graph, GraphBuilder, GraphError, RowProbs, Vertex, WeightModel};
 use ripples_rng::SplitMix64;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read};
 
 /// Strategy: a vertex count and an arbitrary edge list over it.
 fn edges_strategy() -> impl Strategy<Value = (u32, Vec<(u32, u32, f32)>)> {
@@ -317,8 +317,18 @@ fn reference_read_edge_list(bytes: &[u8], options: EdgeListOptions) -> Result<Gr
 /// the same graph, or the same error (compared as `Debug` text, because an
 /// `InvalidProbability` may carry a NaN).
 fn same_outcome(text: &[u8], options: EdgeListOptions) -> Result<(), String> {
+    same_outcome_through(text, options, text)
+}
+
+/// [`same_outcome`], with the reader under test reading `text` from
+/// `reader`.
+fn same_outcome_through(
+    text: &[u8],
+    options: EdgeListOptions,
+    reader: impl Read,
+) -> Result<(), String> {
     let expected = reference_read_edge_list(text, options);
-    let actual = read_edge_list(text, options);
+    let actual = read_edge_list(reader, options);
     let same = match (&expected, &actual) {
         (Ok(e), Ok(a)) => e == a && e.fingerprint() == a.fingerprint() && a.validate().is_ok(),
         (Err(e), Err(a)) => format!("{e:?}") == format!("{a:?}"),
@@ -1103,6 +1113,153 @@ proptest! {
             prop_assert_eq!(loaded.fingerprint(), built.fingerprint());
             prop_assert!(decoded_rows(&loaded) == decoded_rows(&built), "{options:?}");
             prop_assert!(loaded.validate().is_ok());
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// (e) Lines across the reader's refills.
+// ---------------------------------------------------------------------------
+
+/// Hands out 1 to `most` bytes a read, drawn, so that lines straddle the
+/// reader's refills of its buffer.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    dice: Dice,
+    most: usize,
+}
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        let len = (1 + self.dice.below(self.most))
+            .min(out.len())
+            .min(self.bytes.len());
+        out[..len].copy_from_slice(&self.bytes[..len]);
+        self.bytes = &self.bytes[len..];
+        Ok(len)
+    }
+}
+
+/// Ids the seam texts draw: small ones, the common shape's longest, ids
+/// the in-place scan leaves to the general parser (a sign, a 20-digit id,
+/// one of 23 digits that is small) and two that are refused in one mode or
+/// both.
+const SEAM_IDS: &[&str] = &[
+    "0",
+    "1",
+    "2",
+    "7",
+    "12",
+    "40",
+    "007",
+    "0000000000000000040",
+    "+7",
+    "00000000000000000000012",
+    "18446744073709551615",
+    "99999999999999999999",
+];
+const GOOD_SEAM_IDS: usize = 10;
+/// Third columns: plain decimals, which an overwriting model leaves
+/// unconverted, and tokens that must still be converted or refused.
+const SEAM_PROBS: &[&str] = &[
+    "1", "0.25", ".5", "0.5", "5.", "1e-3", "inf", "NaN", "-0.1", "1.2.3", ".",
+];
+const GOOD_SEAM_PROBS: usize = 4;
+const SEAM_SEPARATORS: &[&str] = &[" ", "\t", "  ", " \t", "\t\t", "\x0b", "\x0c"];
+const SEAM_PADS: &[&str] = &["", "", "", "", " ", "\t", " \t", "\x0c"];
+/// Lines the in-place scan never takes.
+const SEAM_OTHERS: &[&str] = &[
+    "# comment",
+    "% comment",
+    "",
+    "\r",
+    " \t",
+    "\u{a0}0 1",
+    "0\u{3000}1",
+    "\u{3000}",
+    "3\r2",
+];
+
+/// An edge line, all but one in a hundred (`rare`) made of the common
+/// tables' entries.
+fn seam_line(dice: &mut Dice, rare: usize) -> String {
+    if dice.below(100) < 8 {
+        return dice.pick(SEAM_OTHERS).to_string();
+    }
+    let odd = dice.below(100) < rare;
+    let (ids, probs) = if odd {
+        (SEAM_IDS, SEAM_PROBS)
+    } else {
+        (&SEAM_IDS[..GOOD_SEAM_IDS], &SEAM_PROBS[..GOOD_SEAM_PROBS])
+    };
+    let separator = |dice: &mut Dice| {
+        if odd {
+            dice.pick(SEAM_SEPARATORS)
+        } else {
+            dice.pick(&SEAM_SEPARATORS[..5])
+        }
+    };
+    let mut line = dice.pick(SEAM_PADS).to_string();
+    line.push_str(dice.pick(ids));
+    line.push_str(separator(dice));
+    line.push_str(dice.pick(ids));
+    if dice.chance(50) {
+        line.push_str(separator(dice));
+        line.push_str(dice.pick(probs));
+    }
+    line.push_str(dice.pick(SEAM_PADS));
+    line
+}
+
+/// `lines` lines, each ended by LF or CRLF but the last, which on some
+/// draws has no ending.
+fn seam_text(dice: &mut Dice, lines: usize, rare: usize) -> Vec<u8> {
+    let mut text = Vec::new();
+    for i in 0..lines {
+        text.extend_from_slice(seam_line(dice, rare).as_bytes());
+        if i + 1 < lines || dice.chance(70) {
+            text.extend_from_slice(dice.pick(&["\n", "\r\n"]).as_bytes());
+        }
+    }
+    text
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Lines cut across refills at every byte read as they read whole:
+    /// the same graph and fingerprint, or the same error, as the `lines()`
+    /// reader, under every option.
+    #[test]
+    fn lines_across_refills_read_as_whole(seed in any::<u64>()) {
+        let mut dice = Dice::new(seed);
+        let lines = 1 + dice.below(40);
+        let text = seam_text(&mut dice, lines, 10);
+        let most = 1 + dice.below(16);
+        for options in all_options() {
+            let outcome = same_outcome(&text, options);
+            prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+            let trickle = Trickle { bytes: &text, dice: Dice::new(seed ^ 1), most };
+            let outcome = same_outcome_through(&text, options, trickle);
+            prop_assert!(outcome.is_ok(), "1 to {most} bytes a read: {}", outcome.unwrap_err());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// A text past the reader's 64 KiB buffer, read from one slice, so that
+    /// a line straddles each of its own refills.
+    #[test]
+    fn texts_past_one_buffer_read_as_whole(seed in any::<u64>()) {
+        let mut dice = Dice::new(seed);
+        let lines = 6000 + dice.below(6000);
+        let text = seam_text(&mut dice, lines, 0);
+        prop_assert!(text.len() > 1 << 16);
+        for options in all_options() {
+            let outcome = same_outcome(&text, options);
+            prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
         }
     }
 }

@@ -229,6 +229,8 @@ catalog! {
             "In-edges examined while drawing samples again for those rebuilds; never part of `edges_examined`, and never added to the live registry's sampling rows";
         index_only_at_samples IndexOnlyAtSamples: Level PerRank VARIES LIVE ""
             "Samples the store held when a run that selects from the inverted index alone released them into it: the first batch's 64-sample prefix when that decided, the first round when its first selection pass did, 0 for a run that keeps its samples";
+        load_nanos LoadNanos: Counter PerRank VARIES FINAL "ns"
+            "Wall time the `ripples` CLI spent loading or generating the graph, its LT readjustment included; 0 outside the CLI";
         rss_hwm_after_load RssHwmAfterLoad: Peak PerRank VARIES FINAL "bytes"
             "The process's resident high-water mark (`VmHWM`) right after the `ripples` CLI loaded or generated the graph; 0 off Linux and outside the CLI";
         rss_hwm_after_solve RssHwmAfterSolve: Peak PerRank VARIES FINAL "bytes"
