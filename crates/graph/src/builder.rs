@@ -28,7 +28,8 @@
 //! probabilities). Step 4 holds the raw sources and the coded rows, ~6.2
 //! bytes an edge; step 5 the coded rows and one probability an edge, ~6.2
 //! (~10.2 while `Trivalency` draws). [`crate::io::read_edge_list`] skips
-//! steps 1–3 for a file whose edges ascend.
+//! steps 1–4 for a file whose edges ascend: it codes the rows straight
+//! from the edges' out-rows.
 
 use crate::csr::{Graph, ProbStore};
 use crate::rows::Rows;
@@ -294,11 +295,26 @@ pub(crate) fn graph_from_reverse(
     };
     let rows = Rows::encode(&in_offsets, &sources)?;
     drop(sources);
-    let in_probs = match weights {
-        Weights::Model(model) => model.assign(&rows, in_offsets, out_offsets),
-        Weights::Kept(probs) => ProbStore::new(in_offsets, probs),
-    };
-    Ok(Graph::from_rows(num_vertices, rows, in_probs))
+    Ok(weights.graph(num_vertices, rows, in_offsets, out_offsets))
+}
+
+impl Weights {
+    /// The graph of coded `rows` whose in-edges start at `in_offsets`, its
+    /// probabilities drawn (a model that draws per edge is handed
+    /// `out_offsets`, where each source's out-edges start) or kept.
+    pub(crate) fn graph(
+        self,
+        num_vertices: u32,
+        rows: Rows,
+        in_offsets: Vec<u32>,
+        out_offsets: Option<Vec<u32>>,
+    ) -> Graph {
+        let in_probs = match self {
+            Weights::Model(model) => model.assign(&rows, in_offsets, out_offsets),
+            Weights::Kept(probs) => ProbStore::new(in_offsets, probs),
+        };
+        Graph::from_rows(num_vertices, rows, in_probs)
+    }
 }
 
 /// Steps 2 and 3 over records of `W` words: target, source and, when `W`

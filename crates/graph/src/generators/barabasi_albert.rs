@@ -11,7 +11,9 @@ use ripples_rng::SplitMix64;
 /// existing vertices chosen proportionally to degree.
 ///
 /// Uses the standard repeated-endpoint trick: sampling a uniform entry of
-/// the running endpoint list is exactly degree-proportional sampling.
+/// the running endpoint list is exactly degree-proportional sampling. The
+/// arcs are that list: each edge adds both of its arcs, so the sources of
+/// the arcs so far name every vertex as often as its degree.
 ///
 /// # Panics
 ///
@@ -27,8 +29,7 @@ pub fn barabasi_albert(
     assert!(attach > 0, "attach must be positive");
     assert!(n > attach, "need more vertices than attachments per vertex");
     let mut rng = SplitMix64::for_stream(seed, 0x4241);
-    // Endpoint multiset: vertex v appears deg(v) times.
-    let mut endpoints: Vec<Vertex> = Vec::with_capacity(2 * (n as usize) * (attach as usize));
+    // Arc sources: vertex v is the source of deg(v) arcs.
     let mut arcs: Vec<(Vertex, Vertex)> = Vec::with_capacity(2 * (n as usize) * (attach as usize));
 
     // Seed clique-ish core: a path over the first `attach + 1` vertices so
@@ -38,8 +39,6 @@ pub fn barabasi_albert(
         let w = v + 1;
         arcs.push((u, w));
         arcs.push((w, u));
-        endpoints.push(u);
-        endpoints.push(w);
     }
 
     let mut picked: Vec<Vertex> = Vec::with_capacity(attach as usize);
@@ -47,7 +46,7 @@ pub fn barabasi_albert(
         picked.clear();
         // Rejection loop: distinct targets for this vertex.
         while picked.len() < attach as usize {
-            let t = endpoints[rng.bounded_u64(endpoints.len() as u64) as usize];
+            let t = arcs[rng.bounded_u64(arcs.len() as u64) as usize].0;
             if t != v && !picked.contains(&t) {
                 picked.push(t);
             }
@@ -55,8 +54,6 @@ pub fn barabasi_albert(
         for &t in &picked {
             arcs.push((v, t));
             arcs.push((t, v));
-            endpoints.push(v);
-            endpoints.push(t);
         }
     }
     arcs_to_graph(n, &arcs, model, lt_normalize)

@@ -6,14 +6,18 @@
 //! `read_edge_list` is given `VertexIds::Remap` (SNAP files have gaps), or
 //! taken literally with `VertexIds::Literal`.
 
-use crate::builder::{check_probability, graph_from_reverse, GraphBuilder, Weights};
+use crate::builder::{check_probability, offsets_by_key, GraphBuilder, Weights};
 use crate::csr::Graph;
+use crate::rows::{in_parallel, target_ranges, threads_for, OutEdges, Rows};
 use crate::types::{GraphError, Vertex};
-use crate::varint::{push_varint, read_varint, unzigzag, zigzag};
+use crate::varint::{push_varint, zigzag};
 use crate::weights::WeightModel;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
+use std::ops::Range;
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// How textual vertex ids map to internal ids.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,23 +71,72 @@ impl Default for EdgeListOptions {
 ///
 /// While the edges strictly ascend by (source, target), as
 /// [`write_edge_list`] writes them, each source's targets are gap-coded as
-/// they arrive, and the graph is built from them by counting the targets
-/// and scattering the sources into rows that come out sorted: ~6.2 bytes an
-/// edge at the peak (the coded edges beside the raw reverse sources), plus
-/// 8 a vertex and, when the file's probabilities are kept, 8 an edge more.
-/// At the first edge that does not ascend, what has been read goes into a
-/// [`GraphBuilder`] and the load peaks where [`GraphBuilder::build`] does.
-/// Either way the graph is the same.
+/// they arrive (~2.2 bytes an edge), and the in-rows are coded straight
+/// from those out-rows, on one thread per CPU for a large graph: at the
+/// peak both codes beside 12 bytes a vertex, then the in-rows beside the
+/// probabilities; when the file's probabilities are kept, 8 bytes an edge
+/// more (in file order and in row order). At the first edge that does not
+/// ascend, what has been read goes into a [`GraphBuilder`] and the load
+/// peaks where [`GraphBuilder::build`] does. Either way the graph is the
+/// same.
 ///
 /// Errors are reported in this order: the first line that does not parse
 /// (or is not UTF-8), then an id space past `u32`, then the first
 /// probability outside `[0, 1]`.
 pub fn read_edge_list<R: Read>(reader: R, options: EdgeListOptions) -> Result<Graph, GraphError> {
-    let mut reader = BufReader::with_capacity(1 << 16, reader);
+    read_buffered(BufReader::with_capacity(READ_BYTES, reader), options)
+}
+
+/// [`read_edge_list`] through the reader's own buffer.
+fn read_buffered(reader: impl BufRead, options: EdgeListOptions) -> Result<Graph, GraphError> {
     let mut edges = Edges::Sorted(SortedEdges::new(options.weights.is_none()));
     let mut ids = IdSpace::new(options.vertex_ids);
+    let lines = read_lines(reader, options, &mut ids, |u, v, p| {
+        edges.push(u, v, p);
+        true
+    })?;
+    let num_vertices = ids.num_vertices()?;
+    if let Some(error) = lines.bad_probability {
+        return Err(error);
+    }
+    match edges {
+        Edges::Sorted(sorted) => build_sorted(vec![sorted], num_vertices, options.weights),
+        Edges::Records(mut builder) => {
+            builder.set_num_vertices(num_vertices);
+            match options.weights {
+                Some(model) => builder.assign_weights(model).build(),
+                None => builder.build(),
+            }
+        }
+    }
+}
+
+/// The reader's buffer, in which lines are parsed.
+const READ_BYTES: usize = 1 << 16;
+
+/// What [`read_lines`] found besides the edges it handed on.
+struct Lines {
+    /// Lines read; a last one without its `\n` counts.
+    count: usize,
+    /// The first probability outside `[0, 1]`, when they are kept.
+    bad_probability: Option<GraphError>,
+    /// Whether an edge was refused, which ended the reading there.
+    stopped: bool,
+}
+
+/// Reads the lines of `reader` as [`read_edge_list`] does and hands each
+/// edge to `push` (both ways when `options.undirected`), its ids from
+/// `ids`, until `push` refuses one. The first line that does not parse is
+/// an error, numbered from the reader's start.
+fn read_lines(
+    mut reader: impl BufRead,
+    options: EdgeListOptions,
+    ids: &mut IdSpace,
+    mut push: impl FnMut(Vertex, Vertex, f32) -> bool,
+) -> Result<Lines, GraphError> {
     let mut bad_probability = None;
     let mut line_no = 0usize;
+    let stopped = Cell::new(false);
     // Reads the line at the start of `bytes` and returns its length with
     // its `\n`; `None`, reading nothing, when `bytes` holds no `\n`.
     let mut line = |bytes: &[u8]| -> Result<Option<usize>, GraphError> {
@@ -103,16 +156,15 @@ pub fn read_edge_list<R: Read>(reader: R, options: EdgeListOptions) -> Result<Gr
             if options.weights.is_none() && bad_probability.is_none() {
                 bad_probability = check_probability(p).err();
             }
-            edges.push(u, v, p);
-            if options.undirected {
-                edges.push(v, u, p);
+            if !(push(u, v, p) && (!options.undirected || push(v, u, p))) {
+                stopped.set(true);
             }
         }
         Ok(Some(len))
     };
     // The part of a line that the last buffer ended inside.
     let mut carry = Vec::new();
-    loop {
+    while !stopped.get() {
         let buf = match reader.fill_buf() {
             Ok([]) => break,
             Ok(buf) => buf,
@@ -132,32 +184,24 @@ pub fn read_edge_list<R: Read>(reader: R, options: EdgeListOptions) -> Result<Gr
                 carry.clear();
             }
         }
-        while let Some(len) = line(rest)? {
+        while !stopped.get() {
+            let Some(len) = line(rest)? else { break };
             rest = &rest[len..];
         }
         carry.extend_from_slice(rest);
         let used = buf.len();
         reader.consume(used);
     }
-    if !carry.is_empty() {
+    if !carry.is_empty() && !stopped.get() {
         // The last line has no `\n`; as a separator it changes nothing.
         carry.push(b'\n');
         line(&carry)?;
     }
-    let num_vertices = ids.num_vertices()?;
-    if let Some(error) = bad_probability {
-        return Err(error);
-    }
-    match edges {
-        Edges::Sorted(sorted) => sorted.build(num_vertices, options.weights),
-        Edges::Records(mut builder) => {
-            builder.set_num_vertices(num_vertices);
-            match options.weights {
-                Some(model) => builder.assign_weights(model).build(),
-                None => builder.build(),
-            }
-        }
-    }
+    Ok(Lines {
+        count: line_no,
+        bad_probability,
+        stopped: stopped.get(),
+    })
 }
 
 /// The edges read so far.
@@ -183,13 +227,11 @@ impl Edges {
     }
 }
 
-/// The edges of a file while they strictly ascend by (source, target),
-/// self-loops left out, coded as they arrive, one row per source that has
-/// edges: the row's source as its distance from the previous row's (from 0
-/// for the first), its edge count, then its targets coded as a graph row
-/// codes its sources ([`crate::rows`]), the first one zigzagged against the
-/// source. Nothing here is sized by the id space, which is refused only at
-/// the end of the file when it passes `u32`.
+/// The edges of a file, or of a chunk of one, while they strictly ascend
+/// by (source, target), self-loops left out, coded as they arrive as
+/// out-rows ([`OutEdges`]), and every [`SAMPLE`]-th edge's target. Nothing
+/// here is sized by the id space, which is refused only at the end of the
+/// file when it passes `u32`.
 #[derive(Clone, Default)]
 struct SortedEdges {
     /// The finished rows.
@@ -202,11 +244,19 @@ struct SortedEdges {
     base: Vertex,
     /// The file's probabilities, in file order, when they are kept.
     probs: Option<Vec<f32>>,
+    /// The first edge, packed as `next` is.
+    first: u64,
     /// The least `(source, target)`, packed as `source << 32 | target`,
     /// that the next edge may have: one past the last edge's.
     next: u64,
     num_edges: usize,
+    /// Every [`SAMPLE`]-th edge's target, which the in-rows' target ranges
+    /// are balanced by.
+    sample: Vec<Vertex>,
 }
+
+/// One edge in this many has its target sampled.
+const SAMPLE: usize = 64;
 
 impl SortedEdges {
     fn new(keep_probs: bool) -> Self {
@@ -240,6 +290,12 @@ impl SortedEdges {
         if let Some(probs) = &mut self.probs {
             probs.push(p);
         }
+        if self.num_edges == 0 {
+            self.first = key;
+        }
+        if self.num_edges.is_multiple_of(SAMPLE) {
+            self.sample.push(v);
+        }
         self.next = key + 1;
         self.num_edges += 1;
         true
@@ -255,24 +311,6 @@ impl SortedEdges {
         }
     }
 
-    /// Calls `visit(e, u, v)` for each edge `u → v` of the finished rows,
-    /// the `e`-th read.
-    fn for_each(&self, mut visit: impl FnMut(usize, Vertex, Vertex)) {
-        let (mut pos, mut u, mut e) = (0, 0, 0);
-        while pos < self.bytes.len() {
-            u += read_varint(&self.bytes, &mut pos);
-            let count = read_varint(&self.bytes, &mut pos);
-            let mut v = unzigzag(u, read_varint(&self.bytes, &mut pos));
-            visit(e, u, v);
-            for _ in 1..count {
-                v += read_varint(&self.bytes, &mut pos) + 1;
-                e += 1;
-                visit(e, u, v);
-            }
-            e += 1;
-        }
-    }
-
     /// What has been read, in file order, as the builder's records.
     fn into_builder(mut self) -> GraphBuilder {
         self.finish_row();
@@ -282,47 +320,253 @@ impl SortedEdges {
         }
         builder.reserve(self.num_edges);
         let probs = self.probs.as_deref();
-        self.for_each(|e, u, v| builder.push(u, v, probs.map_or(1.0, |probs| probs[e])));
+        for (e, (u, v)) in OutEdges::new(&self.bytes).enumerate() {
+            builder.push(u, v, probs.map_or(1.0, |probs| probs[e]));
+        }
         builder
     }
+}
 
-    /// The graph over `num_vertices`, which exceeds every id read. One
-    /// decoding pass counts the targets, a second scatters each source
-    /// into its target's row at that row's cursor; sources are visited in
-    /// ascending order, so every row comes out sorted.
-    fn build(mut self, num_vertices: u32, model: Option<WeightModel>) -> Result<Graph, GraphError> {
-        self.finish_row();
-        self.row = Vec::new();
-        let n = num_vertices as usize;
-        // Row v's count goes to v + 2, so that after the prefix sum
-        // `in_offsets[v + 1]` is where row v starts: the scatter's cursor
-        // for v, which it leaves where row v ends and row v + 1 starts.
-        let mut in_offsets = vec![0u32; n + 1];
-        self.for_each(|_, _, v| {
-            if let Some(count) = in_offsets.get_mut(v as usize + 2) {
-                *count += 1;
-            }
-        });
-        for i in 0..n {
-            in_offsets[i + 1] += in_offsets[i];
-        }
-        let mut sources = vec![0; self.num_edges];
-        let mut in_probs = self.probs.as_ref().map(|_| vec![0.0; self.num_edges]);
-        self.for_each(|e, u, v| {
-            let slot = &mut in_offsets[v as usize + 1];
-            sources[*slot as usize] = u;
-            if let (Some(in_probs), Some(probs)) = (&mut in_probs, &self.probs) {
-                in_probs[*slot as usize] = probs[e];
-            }
-            *slot += 1;
-        });
-        drop(self);
-        let weights = match (model, in_probs) {
-            (Some(model), _) => Weights::Model(model),
-            (None, probs) => Weights::Kept(probs.unwrap_or_default()),
-        };
-        graph_from_reverse(num_vertices, in_offsets, sources, weights)
+/// Edges a thread of [`Rows::transpose`] codes at the least.
+const RANGE_EDGES: usize = 1 << 16;
+
+/// The graph over `num_vertices`, which exceeds every id read, of `chunks`
+/// whose edges ascend from each to the next: its in-rows coded from their
+/// out-rows ([`Rows::transpose`]) over target ranges balanced by their
+/// in-edges, one a thread, then its probabilities kept or drawn. The
+/// chunks are freed before a model draws.
+fn build_sorted(
+    mut chunks: Vec<SortedEdges>,
+    num_vertices: u32,
+    model: Option<WeightModel>,
+) -> Result<Graph, GraphError> {
+    chunks.iter_mut().for_each(SortedEdges::finish_row);
+    let num_edges = chunks.iter().map(|chunk| chunk.num_edges).sum();
+    let mut sample: Vec<Vertex> = chunks
+        .iter()
+        .flat_map(|chunk| &chunk.sample)
+        .copied()
+        .collect();
+    let ranges = target_ranges(
+        &mut sample,
+        num_vertices,
+        threads_for(num_edges, RANGE_EDGES),
+    );
+    let out_rows: Vec<&[u8]> = chunks.iter().map(|chunk| chunk.bytes.as_slice()).collect();
+    let probs: Option<Vec<&[f32]>> = model.is_none().then(|| {
+        let probs = chunks.iter().map(|chunk| chunk.probs.as_deref());
+        probs.map(Option::unwrap_or_default).collect()
+    });
+    let (rows, in_offsets, in_probs) =
+        Rows::transpose(num_vertices, &out_rows, probs.as_deref(), &ranges)?;
+    // A model that draws per edge needs each source's out-offset.
+    let out_offsets = model.filter(|model| model.draws_per_edge()).map(|_| {
+        let sources = out_rows.iter().flat_map(|rows| OutEdges::new(rows));
+        offsets_by_key(num_vertices as usize, sources.map(|(u, _)| u))
+    });
+    drop(chunks);
+    let weights = match model {
+        Some(model) => Weights::Model(model),
+        None => Weights::Kept(in_probs.unwrap_or_default()),
+    };
+    Ok(weights.graph(num_vertices, rows, in_offsets, out_offsets))
+}
+
+/// Bytes of a file a thread parses at the least.
+const CHUNK_BYTES: usize = 1 << 18;
+
+/// Bytes read from an offset, by any number of threads at once.
+trait ReadAt: Sync {
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<usize>;
+}
+
+#[cfg(unix)]
+impl ReadAt for std::fs::File {
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<usize> {
+        std::os::unix::fs::FileExt::read_at(self, buf, offset)
     }
+}
+
+#[cfg(test)]
+impl ReadAt for [u8] {
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<usize> {
+        let rest = self.get(offset as usize..).unwrap_or_default();
+        let len = rest.len().min(buf.len());
+        buf[..len].copy_from_slice(&rest[..len]);
+        Ok(len)
+    }
+}
+
+/// The bytes `range` of a source, read in order through `buf`.
+struct Span<'a, S: ?Sized> {
+    source: &'a S,
+    range: Range<u64>,
+    buf: &'a mut [u8],
+    /// What of `buf` has been read from the source and not yet consumed.
+    filled: Range<usize>,
+}
+
+impl<'a, S: ReadAt + ?Sized> Span<'a, S> {
+    fn new(source: &'a S, range: Range<u64>, buf: &'a mut [u8]) -> Self {
+        Self {
+            source,
+            range,
+            buf,
+            filled: 0..0,
+        }
+    }
+}
+
+impl<S: ReadAt + ?Sized> BufRead for Span<'_, S> {
+    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+        if self.filled.is_empty() {
+            let left = self.range.end - self.range.start;
+            let len = self
+                .buf
+                .len()
+                .min(usize::try_from(left).unwrap_or(usize::MAX));
+            let read = self
+                .source
+                .read_at(&mut self.buf[..len], self.range.start)?;
+            self.range.start += read as u64;
+            self.filled = 0..read;
+        }
+        Ok(&self.buf[self.filled.clone()])
+    }
+
+    fn consume(&mut self, amount: usize) {
+        self.filled.start += amount;
+    }
+}
+
+impl<S: ReadAt + ?Sized> Read for Span<'_, S> {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        let bytes = self.fill_buf()?;
+        let len = bytes.len().min(out.len());
+        out[..len].copy_from_slice(&bytes[..len]);
+        self.consume(len);
+        Ok(len)
+    }
+}
+
+/// The first line start of `source`'s `len` bytes at or past `at`: `at`
+/// when the byte before it is a `\n` (or it is 0), else one past the next
+/// `\n`, else `len`.
+fn line_start<S: ReadAt + ?Sized>(source: &S, at: u64, len: u64) -> Result<u64, GraphError> {
+    if at == 0 {
+        return Ok(0);
+    }
+    let (mut block, mut from) = ([0u8; 4096], at - 1);
+    while from < len {
+        let want = block
+            .len()
+            .min(usize::try_from(len - from).unwrap_or(usize::MAX));
+        let read = source.read_at(&mut block[..want], from)?;
+        if read == 0 {
+            break;
+        }
+        if let Some(i) = block[..read].iter().position(|&b| b == b'\n') {
+            return Ok(from + i as u64 + 1);
+        }
+        from += read as u64;
+    }
+    Ok(len)
+}
+
+/// One chunk of a file, read by [`read_chunks`].
+struct Chunk {
+    edges: SortedEdges,
+    ids: IdSpace,
+    lines: Lines,
+}
+
+/// [`read_edge_list`] over the first `len` bytes of `source`, read as one
+/// chunk per range between the line starts at or past `cuts` (ascending),
+/// each on a thread of its own. When every chunk ascends, each past the
+/// one before, their out-rows make the graph; when one does not (the
+/// others stop at their next edge), or with [`VertexIds::Remap`], whose ids
+/// follow the order of the whole file, or when one range is all there is,
+/// the bytes are read again as one chunk. The first error is the first
+/// chunk's, its line counted from the start of `source`.
+fn read_chunks<S: ReadAt + ?Sized>(
+    source: &S,
+    len: u64,
+    cuts: &[u64],
+    options: EdgeListOptions,
+) -> Result<Graph, GraphError> {
+    let whole = |buf: &mut [u8]| read_buffered(Span::new(source, 0..len, buf), options);
+    let mut starts = vec![0];
+    for &cut in cuts {
+        starts.push(line_start(source, cut, len)?);
+    }
+    starts.push(len);
+    starts.dedup();
+    // Every chunk's buffer in one block, which is handed back whole.
+    let mut buffers = vec![0; READ_BYTES * starts.len().saturating_sub(1).max(1)];
+    if starts.len() < 3 || options.vertex_ids == VertexIds::Remap {
+        return whole(&mut buffers);
+    }
+    // Room for the codes of an edge every 8 bytes, made here rather than
+    // grown on the chunk's thread: a large chunk takes it in pages as it
+    // writes them.
+    let chunks = starts
+        .windows(2)
+        .zip(buffers.chunks_mut(READ_BYTES))
+        .map(|(pair, buf)| {
+            let mut edges = SortedEdges::new(options.weights.is_none());
+            let bytes = usize::try_from(pair[1] - pair[0]).unwrap_or(usize::MAX);
+            edges.bytes.reserve(bytes / 4);
+            if let Some(probs) = &mut edges.probs {
+                probs.reserve(bytes / 8);
+            }
+            (Span::new(source, pair[0]..pair[1], buf), edges)
+        });
+    let stop = AtomicBool::new(false);
+    let read = in_parallel(
+        chunks.collect(),
+        |(reader, mut edges)| -> Result<Chunk, GraphError> {
+            let mut ids = IdSpace::new(VertexIds::Literal);
+            let lines = read_lines(reader, options, &mut ids, |u, v, p| {
+                let pushed = !stop.load(Ordering::Relaxed) && edges.push(u, v, p);
+                if !pushed {
+                    stop.store(true, Ordering::Relaxed);
+                }
+                pushed
+            })?;
+            Ok(Chunk { edges, ids, lines })
+        },
+    );
+    let (mut chunks, mut lines_before) = (Vec::with_capacity(read.len()), 0);
+    let (mut max_id, mut bad_probability, mut next) = (None, None, 0);
+    for chunk in read {
+        let chunk = chunk.map_err(|error| match error {
+            GraphError::Parse { line, message } => GraphError::Parse {
+                line: lines_before + line,
+                message,
+            },
+            error => error,
+        })?;
+        let edges = &chunk.edges;
+        if chunk.lines.stopped || (edges.num_edges > 0 && edges.first < next) {
+            return whole(&mut buffers);
+        }
+        if edges.num_edges > 0 {
+            next = edges.next;
+        }
+        lines_before += chunk.lines.count;
+        max_id = max_id.max(chunk.ids.max());
+        bad_probability = bad_probability.or(chunk.lines.bad_probability);
+        chunks.push(chunk.edges);
+    }
+    if chunks.iter().map(|chunk| chunk.num_edges).sum::<usize>() + 1 >= u32::MAX as usize {
+        return whole(&mut buffers);
+    }
+    drop(buffers);
+    let num_vertices = IdSpace::Literal(max_id).num_vertices()?;
+    if let Some(error) = bad_probability {
+        return Err(error);
+    }
+    build_sorted(chunks, num_vertices, options.weights)
 }
 
 /// The internal ids handed out so far.
@@ -362,6 +606,14 @@ impl IdSpace {
                 map.insert(raw, next as Vertex);
                 Ok(next as Vertex)
             }
+        }
+    }
+
+    /// The largest literal id read, if any.
+    fn max(&self) -> Option<u64> {
+        match self {
+            IdSpace::Literal(max) => *max,
+            IdSpace::Remap(_) => None,
         }
     }
 
@@ -509,12 +761,36 @@ fn parse_id(tok: Option<&[u8]>, line: usize, what: &str) -> Result<u64, GraphErr
     })
 }
 
-/// Reads an edge list from a file path.
+/// Reads an edge list from a file path, as [`read_edge_list`] does.
+///
+/// A regular file read with [`VertexIds::Literal`] is parsed on one thread
+/// per CPU the process may run on, fewer for a file of less than 256 KiB a
+/// thread: cut into byte ranges at line starts, each parsed into its own
+/// out-rows. When the chunks ascend, one after the other, as a file that
+/// [`write_edge_list`] wrote does, the graph is built from them; otherwise
+/// the file is read again on one thread. Either way the graph, or the
+/// error, is the one [`read_edge_list`] gives.
 pub fn read_edge_list_file<P: AsRef<Path>>(
     path: P,
     options: EdgeListOptions,
 ) -> Result<Graph, GraphError> {
     let file = std::fs::File::open(path)?;
+    #[cfg(unix)]
+    {
+        let meta = file.metadata()?;
+        let len = meta.len();
+        let chunks = if meta.is_file() && options.vertex_ids == VertexIds::Literal {
+            threads_for(usize::try_from(len).unwrap_or(usize::MAX), CHUNK_BYTES)
+        } else {
+            1
+        };
+        if chunks > 1 {
+            let cuts: Vec<u64> = (1..chunks as u64)
+                .map(|k| len / chunks as u64 * k)
+                .collect();
+            return read_chunks(&file, len, &cuts, options);
+        }
+    }
     read_edge_list(file, options)
 }
 
@@ -723,14 +999,10 @@ mod tests {
             let Edges::Sorted(sorted) = &edges else {
                 panic!("ascending edges and a self-loop go on the sorted path");
             };
-            let mut read = Vec::new();
             let mut coded = sorted.clone();
             coded.finish_row();
-            coded.for_each(|e, u, v| read.push((e, u, v)));
-            assert_eq!(
-                read,
-                [(0, 0, 1), (1, 0, 3), (2, 2, 0), (3, 7, 1), (4, 7, 6)]
-            );
+            let read: Vec<_> = OutEdges::new(&coded.bytes).collect();
+            assert_eq!(read, [(0, 1), (0, 3), (2, 0), (7, 1), (7, 6)]);
             // A duplicate does not ascend.
             edges.push(7, 6, 0.25);
             let Edges::Records(builder) = &edges else {
@@ -744,5 +1016,93 @@ mod tests {
     fn empty_input_gives_empty_graph() {
         let g = read_edge_list("".as_bytes(), EdgeListOptions::default()).unwrap();
         assert!(g.is_empty());
+    }
+
+    /// An edge list that mostly ascends, drawn from `seed`, and where its
+    /// lines start: LF or CRLF ends, comment and blank lines, a third
+    /// column on some lines, on some draws no final newline, and on some
+    /// one flaw: an edge that does not ascend, an id past `u32`, a kept
+    /// probability outside `[0, 1]` or a line that does not parse.
+    fn chunk_text(seed: u64) -> (Vec<u8>, Vec<usize>) {
+        let mut rng = ripples_rng::SplitMix64::for_stream(seed, 0x4355_5453);
+        let mut below = |bound: u64| rng.bounded_u64(bound) as usize;
+        let lines = below(40);
+        let crlf = below(3);
+        let mut edges: Vec<(usize, usize)> = (0..lines).map(|_| (below(30), below(30))).collect();
+        edges.sort_unstable();
+        let flaw = below(8);
+        let at = below(lines.max(1) as u64);
+        let (mut text, mut starts) = (Vec::new(), Vec::new());
+        for (i, &(u, v)) in edges.iter().enumerate() {
+            starts.push(text.len());
+            let mut line = match below(10) {
+                0 => "# a comment".to_string(),
+                1 => String::new(),
+                2 => format!("{u} {v} 0.5"),
+                _ => format!("{u}\t{v}"),
+            };
+            if i == at {
+                line = match flaw {
+                    0 => format!("{} {}", u + 1, v), // a step back on the next line
+                    1 => format!("{v} {u}"),
+                    2 => format!("4294967296 {v}"),
+                    3 => format!("{u} {v} 1.5"),
+                    4 => format!("{u} x"),
+                    _ => line,
+                };
+            }
+            text.extend_from_slice(line.as_bytes());
+            let last = i + 1 == lines;
+            if !last || below(4) > 0 {
+                let crlf = crlf == 1 || (crlf == 2 && below(2) == 0);
+                text.extend_from_slice(if crlf { b"\r\n" } else { b"\n" });
+            }
+        }
+        (text, starts)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Any cut of a text into 1 to 8 ranges reads as the one range
+        /// does: the same graph, or the same first error on the same line,
+        /// under every option. Some cuts fall at a line's start, one with
+        /// a flaw on some draws, or between a `\r` and its `\n`.
+        #[test]
+        fn chunk_cuts_read_as_one_range(seed in proptest::prelude::any::<u64>()) {
+            let (text, starts) = chunk_text(seed);
+            let mut rng = ripples_rng::SplitMix64::for_stream(seed, 0x4355_5432);
+            let mut below = |bound: usize| rng.bounded_u64(bound as u64) as usize;
+            let mut cuts: Vec<u64> = (0..below(8)).map(|_| below(text.len() + 1) as u64).collect();
+            if let Some(&start) = starts.get(below(starts.len() + 1)) {
+                cuts.push(start as u64);
+            }
+            if let Some(cr) = text.windows(2).position(|pair| pair == b"\r\n") {
+                cuts.push(cr as u64 + 1);
+            }
+            cuts.sort_unstable();
+            let mut all = Vec::new();
+            for vertex_ids in [VertexIds::Literal, VertexIds::Remap] {
+                for undirected in [false, true] {
+                    for weights in [None, Some(WeightModel::WeightedCascade), Some(WeightModel::UniformRandom { seed: 3 })] {
+                        all.push(EdgeListOptions { vertex_ids, undirected, default_prob: 0.75, weights });
+                    }
+                }
+            }
+            for options in all {
+                let one = read_edge_list(text.as_slice(), options);
+                let cut = read_chunks(text.as_slice(), text.len() as u64, &cuts, options);
+                let same = match (&one, &cut) {
+                    (Ok(one), Ok(cut)) => one == cut && one.fingerprint() == cut.fingerprint(),
+                    (Err(one), Err(cut)) => format!("{one:?}") == format!("{cut:?}"),
+                    _ => false,
+                };
+                proptest::prop_assert!(
+                    same,
+                    "cuts {cuts:?} of {:?} with {options:?}:\n one range {one:?}\n  cut {cut:?}",
+                    String::from_utf8_lossy(&text)
+                );
+            }
+        }
     }
 }

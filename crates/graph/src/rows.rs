@@ -11,9 +11,168 @@
 //! 0x80.
 //! A vertex-cut shard ([`crate::partition`]) holds a contiguous range of
 //! them, cut from the graph's by [`Rows::cut`].
+//!
+//! A sorted edge list's out-rows ([`OutEdges`]) are coded the same way and
+//! turned into in-rows by [`Rows::transpose`] on several threads, each
+//! over a range of targets; [`Rows::check`] reads ranges of rows on
+//! several threads too.
 
 use crate::types::{GraphError, Vertex};
-use crate::varint::{push_varint, read_varint, unzigzag, zigzag};
+use crate::varint::{push_varint, read_varint, unzigzag, varint_len, write_varint, zigzag};
+use std::ops::Range;
+
+/// Threads for `work` units when each should get at least `least` of them:
+/// one for each CPU the process may run on (which `taskset` narrows), fewer
+/// when the work does not go round.
+pub(crate) fn threads_for(work: usize, least: usize) -> usize {
+    let most = work / least;
+    if most < 2 {
+        return 1;
+    }
+    std::thread::available_parallelism()
+        .map_or(1, usize::from)
+        .min(most)
+}
+
+/// `work(input)` for every input, each on a scoped thread of its own (the
+/// first on the caller's), the results in the inputs' order.
+pub(crate) fn in_parallel<I: Send, T: Send>(
+    inputs: Vec<I>,
+    work: impl Fn(I) -> T + Sync,
+) -> Vec<T> {
+    let mut inputs = inputs.into_iter();
+    let Some(first) = inputs.next() else {
+        return Vec::new();
+    };
+    let work = &work;
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = inputs
+            .map(|input| scope.spawn(move || work(input)))
+            .collect();
+        let mut results = vec![work(first)];
+        for thread in spawned {
+            results.push(
+                thread
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        results
+    })
+}
+
+/// `slice` from `bounds[0]` on, cut into the pieces between consecutive
+/// `bounds` (ascending indices of `slice`).
+fn pieces<'a, T>(slice: &'a mut [T], bounds: &[usize]) -> Vec<&'a mut [T]> {
+    let mut rest = &mut slice[bounds[0]..];
+    let mut pieces = Vec::with_capacity(bounds.len() - 1);
+    for pair in bounds.windows(2) {
+        let (piece, tail) = std::mem::take(&mut rest).split_at_mut(pair[1] - pair[0]);
+        pieces.push(piece);
+        rest = tail;
+    }
+    pieces
+}
+
+/// At most `parts` ranges of targets that cover `0..n`, each holding about
+/// an equal share of the in-edges whose targets `sample` draws (sorted in
+/// place).
+pub(crate) fn target_ranges(sample: &mut [Vertex], n: u32, parts: usize) -> Vec<Range<Vertex>> {
+    sample.sort_unstable();
+    let cuts = (1..parts).map(|k| sample.get(sample.len() * k / parts).map_or(n, |&v| v));
+    let mut bounds: Vec<Vertex> = std::iter::once(0).chain(cuts).chain([n]).collect();
+    bounds.dedup();
+    bounds.windows(2).map(|pair| pair[0]..pair[1]).collect()
+}
+
+/// The edges of out-rows, `(source, target)` in order, coded as a sorted
+/// edge list's reader codes them: for each source with edges, ascending,
+/// its distance from the previous such source (from 0 for the first), its
+/// edge count, then its targets, strictly ascending, coded as a row codes
+/// its sources (the first one zigzagged against the source).
+pub(crate) struct OutEdges<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    source: Vertex,
+    target: Vertex,
+    /// The edges of the source's row not yet read.
+    left: u32,
+}
+
+impl<'a> OutEdges<'a> {
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+        Self {
+            bytes,
+            pos: 0,
+            source: 0,
+            target: 0,
+            left: 0,
+        }
+    }
+}
+
+impl Iterator for OutEdges<'_> {
+    type Item = (Vertex, Vertex);
+
+    #[inline]
+    fn next(&mut self) -> Option<(Vertex, Vertex)> {
+        if self.left > 0 {
+            self.target += read_varint(self.bytes, &mut self.pos) + 1;
+        } else {
+            if self.pos == self.bytes.len() {
+                return None;
+            }
+            self.source += read_varint(self.bytes, &mut self.pos);
+            self.left = read_varint(self.bytes, &mut self.pos);
+            self.target = unzigzag(self.source, read_varint(self.bytes, &mut self.pos));
+        }
+        self.left -= 1;
+        Some((self.source, self.target))
+    }
+}
+
+/// Calls `visit(i, code, e)` for each edge `u → v` of the out-rows
+/// `chunks`, taken in order, whose target is among `targets`: `i` is
+/// `v − targets.start`, `code` the edge's code in the in-row of `v`, and
+/// `e` the edge's place in the chunks. The sources of an in-row arrive
+/// ascending because the chunks' edges ascend by source; `last` (one a
+/// target) keeps each row's last one.
+#[inline]
+fn for_each_in_code(
+    chunks: &[&[u8]],
+    targets: Range<Vertex>,
+    last: &mut [Vertex],
+    mut visit: impl FnMut(usize, u32, usize),
+) {
+    // Before a row's first source: no id below a `u32` vertex count.
+    const NONE: Vertex = Vertex::MAX;
+    last.fill(NONE);
+    let mut e = 0;
+    for chunk in chunks {
+        for (u, v) in OutEdges::new(chunk) {
+            let i = v.wrapping_sub(targets.start) as usize;
+            if let Some(last) = last.get_mut(i) {
+                let code = if *last == NONE {
+                    zigzag(v, u)
+                } else {
+                    u - *last - 1
+                };
+                *last = u;
+                visit(i, code, e);
+            }
+            e += 1;
+        }
+    }
+}
+
+/// What [`Rows::transpose`] makes: the in-rows, the in-edge offsets, and
+/// the probabilities it was handed, in in-row order.
+pub(crate) type Transposed = (Rows, Vec<u32>, Option<Vec<f32>>);
+
+/// The error of coded rows past their `u32` byte offsets.
+fn too_large() -> GraphError {
+    GraphError::TooLarge("the coded in-rows pass the 4 GiB their u32 byte offsets address".into())
+}
 
 /// Every in-row of a graph, coded back to back.
 #[derive(Clone, Debug)]
@@ -51,11 +210,7 @@ impl Rows {
         for v in 0..n {
             let row = &sources[edge_offsets[v] as usize..edge_offsets[v + 1] as usize];
             for_each_code(v as Vertex, row, |code| push_varint(&mut bytes, code));
-            let end = u32::try_from(bytes.len()).map_err(|_| {
-                GraphError::TooLarge(
-                    "the coded in-rows pass the 4 GiB their u32 byte offsets address".into(),
-                )
-            })?;
+            let end = u32::try_from(bytes.len()).map_err(|_| too_large())?;
             offsets.push(end);
         }
         bytes.shrink_to_fit();
@@ -64,6 +219,115 @@ impl Rows {
             bytes,
             num_edges: sources.len(),
         })
+    }
+
+    /// The in-rows of the edges of the out-rows `chunks` ([`OutEdges`]),
+    /// whose sources ascend from one chunk to the next, over `num_vertices`
+    /// vertices; `probs`, when given, holds each chunk's probabilities in
+    /// the order of its edges. `ranges`, ascending and covering every
+    /// vertex, split the targets among threads, one a range, and each
+    /// thread reads every chunk twice: a sizing pass counts each of its
+    /// rows' edges and bytes (a code's length follows from the row's last
+    /// source), and after their prefix sums a writing pass codes the rows
+    /// into its own slice of the one buffer (and puts the probabilities in
+    /// place). Beside the chunks and the result this holds 4 bytes a
+    /// vertex, each row's last source, in one table that is freed whole.
+    pub(crate) fn transpose(
+        num_vertices: u32,
+        chunks: &[&[u8]],
+        probs: Option<&[&[f32]]>,
+        ranges: &[Range<Vertex>],
+    ) -> Result<Transposed, GraphError> {
+        let n = num_vertices as usize;
+        // Row v's edge count and byte length go to v + 1; their exclusive
+        // prefix sums leave there where row v starts, which the writing
+        // pass moves on to where it ends: the offsets.
+        let (mut in_offsets, mut offsets) = (vec![0u32; n + 1], vec![0u32; n + 1]);
+        let mut last = vec![0; n];
+        let bounds: Vec<usize> = ranges.iter().map(|r| r.start as usize).chain([n]).collect();
+        // Row v's counts sit at v + 1 in the tables.
+        let table_bounds: Vec<usize> = bounds.iter().map(|b| b + 1).collect();
+        let sizing = (pieces(&mut in_offsets, &table_bounds).into_iter())
+            .zip(pieces(&mut offsets, &table_bounds))
+            .zip(ranges.iter().cloned().zip(pieces(&mut last, &bounds)))
+            .collect();
+        let fits = in_parallel(sizing, |((degrees, lens), (targets, last))| {
+            let mut fits = true;
+            for_each_in_code(chunks, targets, last, |i, code, _| {
+                degrees[i] += 1;
+                let (len, over) = lens[i].overflowing_add(varint_len(code));
+                lens[i] = len;
+                fits &= !over;
+            });
+            fits
+        });
+        let (mut num_edges, mut len) = (0usize, 0u64);
+        for (degree, bytes) in in_offsets[1..].iter_mut().zip(&mut offsets[1..]) {
+            (num_edges, *degree) = (num_edges + *degree as usize, num_edges as u32);
+            (len, *bytes) = (len + u64::from(*bytes), len as u32);
+        }
+        if fits.contains(&false) || len > u64::from(u32::MAX) {
+            return Err(too_large());
+        }
+        // Where each range's rows start, in edges and in bytes.
+        let starts = |table: &[u32], total: usize| {
+            let starts = ranges.iter().map(|r| {
+                table
+                    .get(r.start as usize + 1)
+                    .map_or(total, |&s| s as usize)
+            });
+            starts.chain([total]).collect::<Vec<usize>>()
+        };
+        let (edge_starts, byte_starts) = (
+            starts(&in_offsets, num_edges),
+            starts(&offsets, len as usize),
+        );
+        let mut bytes = vec![0u8; len as usize];
+        // Where each chunk's edges start among all of them.
+        let chunk_edges: Vec<usize> = probs.map_or(Vec::new(), |probs| {
+            let ends = probs.iter().scan(0, |end, probs| {
+                *end += probs.len();
+                Some(*end)
+            });
+            std::iter::once(0).chain(ends).collect()
+        });
+        let mut in_probs = probs.map(|_| vec![0f32; num_edges]);
+        let out_probs: Vec<Option<&mut [f32]>> = match &mut in_probs {
+            Some(in_probs) => pieces(in_probs, &edge_starts)
+                .into_iter()
+                .map(Some)
+                .collect(),
+            None => ranges.iter().map(|_| None).collect(),
+        };
+        let writing = (pieces(&mut in_offsets, &table_bounds).into_iter())
+            .zip(pieces(&mut offsets, &table_bounds))
+            .zip(ranges.iter().cloned().zip(pieces(&mut last, &bounds)))
+            .zip(pieces(&mut bytes, &byte_starts).into_iter().zip(out_probs))
+            .zip(edge_starts.iter().zip(&byte_starts))
+            .collect();
+        in_parallel(
+            writing,
+            |(
+                (((edge_ends, ends), (targets, last)), (out, mut out_probs)),
+                (&edge_base, &byte_base),
+            )| {
+                for_each_in_code(chunks, targets, last, |i, code, e| {
+                    if let (Some(out_probs), Some(probs)) = (&mut out_probs, probs) {
+                        let c = chunk_edges.partition_point(|&start| start <= e) - 1;
+                        out_probs[edge_ends[i] as usize - edge_base] = probs[c][e - chunk_edges[c]];
+                    }
+                    edge_ends[i] += 1;
+                    let at = ends[i] as usize - byte_base;
+                    ends[i] += write_varint(&mut out[at..], code);
+                });
+            },
+        );
+        let rows = Self {
+            offsets,
+            bytes,
+            num_edges,
+        };
+        Ok((rows, in_offsets, in_probs))
     }
 
     /// Rows as given, checked by nothing: for tests of [`Rows::check`].
@@ -209,12 +473,16 @@ impl Rows {
     /// and span the buffer, every row decodes to the end of its byte range
     /// and not past it, its ids are strictly ascending and below `n`, and
     /// the rows hold `num_edges` sources. `degree(v, d)` hears each row's
-    /// decoded degree and may refuse it. O(m + n), no allocation.
+    /// decoded degree and may refuse it. O(m + n), no allocation but the
+    /// threads': the rows are read in vertex ranges of about equal bytes,
+    /// one a thread, and the first error by vertex is the one returned.
     pub(crate) fn check(
         &self,
         num_vertices: u32,
-        mut degree: impl FnMut(Vertex, usize) -> Result<(), String>,
+        degree: impl Fn(Vertex, usize) -> Result<(), String> + Sync,
     ) -> Result<(), String> {
+        /// Bytes of rows a thread reads at the least.
+        const CHECK_BYTES: usize = 1 << 18;
         let w = &self.offsets;
         if w.len() != num_vertices as usize + 1 {
             return Err("row offset array must have n+1 entries".into());
@@ -225,8 +493,37 @@ impl Rows {
         if w.windows(2).any(|p| p[0] > p[1]) {
             return Err("row offsets must be monotone".into());
         }
+        let parts = threads_for(self.bytes.len(), CHECK_BYTES);
+        let mut bounds: Vec<Vertex> = (0..parts)
+            .map(|t| {
+                let from = self.bytes.len() / parts * t;
+                w.partition_point(|&at| (at as usize) < from) as Vertex
+            })
+            .collect();
+        bounds.push(num_vertices);
+        let ranges = bounds.windows(2).map(|pair| pair[0]..pair[1]).collect();
         let mut edges = 0usize;
-        for v in 0..num_vertices {
+        for checked in in_parallel(ranges, |vertices| self.check_rows(vertices, &degree)) {
+            edges += checked?;
+        }
+        if edges != self.num_edges {
+            return Err(format!(
+                "the rows hold {edges} edges, not the graph's {}",
+                self.num_edges
+            ));
+        }
+        Ok(())
+    }
+
+    /// [`Rows::check`] over the rows of `vertices`: their edge count.
+    fn check_rows(
+        &self,
+        vertices: Range<Vertex>,
+        degree: impl Fn(Vertex, usize) -> Result<(), String>,
+    ) -> Result<usize, String> {
+        let num_vertices = (self.offsets.len() - 1) as Vertex;
+        let mut edges = 0usize;
+        for v in vertices {
             let (mut code, mut shift, mut prev, mut count) = (0u64, 0u32, v, 0usize);
             for &byte in &self.bytes[self.range(v)] {
                 code |= u64::from(byte & 0x7F) << shift;
@@ -260,13 +557,7 @@ impl Rows {
             degree(v, count)?;
             edges += count;
         }
-        if edges != self.num_edges {
-            return Err(format!(
-                "the rows hold {edges} edges, not the graph's {}",
-                self.num_edges
-            ));
-        }
-        Ok(())
+        Ok(edges)
     }
 }
 

@@ -60,24 +60,27 @@ impl Weights {
 
     /// The load's widest moment for `m` edges over `n` vertices.
     ///
-    /// A file that ascends, under a weight model: the targets coded as they
-    /// arrive (~2.2 bytes an edge) beside the raw reverse sources they are
-    /// scattered into (4), then the raw sources beside the coded rows, then
-    /// the coded rows beside one `UniformRandom` draw an edge (4); and two
-    /// `u32` offsets a vertex. 7 bytes an edge and 8 a vertex hold all
-    /// three.
+    /// A file that ascends: its edges coded as out-rows while they are
+    /// parsed (~2.2 bytes an edge), then the in-rows coded from them
+    /// (~2.2) beside them, with three `u32` tables a vertex (the in-edge
+    /// and row byte offsets, each row's last source). Under weighted
+    /// cascade that is the peak: 5 bytes an edge and 12 a vertex. Under
+    /// `UniformRandom` the out-rows are freed and the in-rows stand beside
+    /// one draw an edge (4) and the same three tables (the source's
+    /// out-offsets for the last): 6.5 bytes an edge. With the file's
+    /// probabilities kept, both codes stand beside them in file order and
+    /// in row order (8): 13 bytes an edge.
     ///
     /// Otherwise, the builder's records (8 bytes an edge, 16 with the
     /// file's probabilities) beside the reverse offsets and the bucket
-    /// cursors (16 bytes a vertex, of which `u32`s take 8). A sorted file
-    /// whose probabilities are kept holds them twice, in file order and in
-    /// row order, beside the coded and the raw edges (~14.2 bytes an edge),
-    /// and is held to that bound too. None is above a two-CSR graph (16
-    /// bytes an edge, 16 a vertex), what the graph itself took when it kept
-    /// both directions.
+    /// cursors (16 bytes a vertex, of which `u32`s take 8). None is above
+    /// a two-CSR graph (16 bytes an edge, 16 a vertex), what the graph
+    /// itself took when it kept both directions.
     fn load_bytes(self, n: usize, m: usize, sorted: bool) -> usize {
         match self {
-            Weights::Cascade | Weights::Uniform if sorted => 7 * m + 8 * (n + 1),
+            Weights::Cascade if sorted => 5 * m + 12 * (n + 1),
+            Weights::Uniform if sorted => 13 * m / 2 + 12 * (n + 1),
+            Weights::File if sorted => 13 * m + 12 * (n + 1),
             Weights::Cascade | Weights::Uniform => 8 * m + 16 * (n + 1),
             Weights::File => 16 * m + 16 * (n + 1),
         }

@@ -8,13 +8,16 @@
 
 use proptest::prelude::*;
 use ripples_graph::builder::DuplicatePolicy;
+use ripples_graph::generators::barabasi_albert;
 use ripples_graph::io::{
-    read_binary, read_edge_list, write_binary, write_edge_list, EdgeListOptions, VertexIds,
+    read_binary, read_edge_list, read_edge_list_file, write_binary, write_edge_list,
+    EdgeListOptions, VertexIds,
 };
 use ripples_graph::{Graph, GraphBuilder, GraphError, RowProbs, Vertex, WeightModel};
 use ripples_rng::SplitMix64;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read};
+use std::path::Path;
 
 /// Strategy: a vertex count and an arbitrary edge list over it.
 fn edges_strategy() -> impl Strategy<Value = (u32, Vec<(u32, u32, f32)>)> {
@@ -1262,4 +1265,66 @@ proptest! {
             prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// (f) A file read in chunks, one a thread.
+// ---------------------------------------------------------------------------
+
+/// A file of about 1 MiB, read by `read_edge_list_file` in chunks on as
+/// many threads as the process may run on (one under `taskset -c 0`),
+/// loads as `read_edge_list` loads its bytes in one, under every literal
+/// option: as `write_edge_list` wrote it, with a line that does not parse
+/// and with a probability past 1 near its end, with its tail out of order,
+/// and with a line repeated at its middle.
+#[test]
+fn files_read_in_chunks_read_as_one() {
+    let graph = barabasi_albert(4000, 8, WeightModel::UniformRandom { seed: 5 }, false, 2);
+    let mut written = Vec::new();
+    write_edge_list(&graph, &mut written).expect("write to memory");
+    assert!(written.len() > 1 << 20);
+    let lines: Vec<&[u8]> = written.split_inclusive(|&b| b == b'\n').collect();
+    let (middle, end) = (lines.len() / 2, lines.len() - 10);
+    let edited = |edit: &dyn Fn(&mut Vec<&[u8]>)| {
+        let mut lines = lines.clone();
+        edit(&mut lines);
+        lines.concat()
+    };
+    let files = [
+        ("as written", written.clone()),
+        ("a bad line", edited(&|lines| lines[end] = b"1 x\n")),
+        (
+            "a probability past 1",
+            edited(&|lines| lines[end] = b"1 2 1.5\n"),
+        ),
+        (
+            "an unsorted tail",
+            edited(&|lines| lines[end - 500..].reverse()),
+        ),
+        (
+            "a repeated line",
+            edited(&|lines| lines.insert(middle, lines[middle])),
+        ),
+    ];
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("prop_graph_chunks.txt");
+    for (what, text) in files {
+        std::fs::write(&path, &text).expect("write the file");
+        for options in all_options() {
+            if options.vertex_ids == VertexIds::Remap {
+                continue;
+            }
+            let whole = read_edge_list(text.as_slice(), options);
+            let chunked = read_edge_list_file(&path, options);
+            let same = match (&whole, &chunked) {
+                (Ok(w), Ok(c)) => w == c && w.fingerprint() == c.fingerprint(),
+                (Err(w), Err(c)) => format!("{w:?}") == format!("{c:?}"),
+                _ => false,
+            };
+            assert!(
+                same,
+                "{what} with {options:?}: {whole:?} against {chunked:?}"
+            );
+        }
+    }
+    std::fs::remove_file(&path).expect("remove the file");
 }
