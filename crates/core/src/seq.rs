@@ -16,13 +16,13 @@ use crate::params::ImmParams;
 use crate::result::ImmResult;
 use crate::sample::{SampleEngine, SamplerDispatch, AUTO_PROBE_SAMPLES};
 use crate::select::{
-    index_only, select_from_hot_index, select_with_engine_store, with_index, SelectEngine,
-    SelectStats, Selection,
+    index_only, select_from_hot_index, select_from_index, select_with_engine_store, with_index,
+    SelectEngine, SelectStats, Selection,
 };
 use crate::theta::ThetaSchedule;
 use ripples_diffusion::rrr::{generate_rrr, RrrScratch};
 use ripples_diffusion::{
-    BatchOutcome, DiffusionModel, DynRrrStore, RrrStore, SampleIndex, StorageConfig,
+    BatchOutcome, DiffusionModel, DynRrrStore, RrrStore, RrrStoreKind, SampleIndex, StorageConfig,
 };
 use ripples_graph::{Graph, Vertex};
 use ripples_rng::StreamFactory;
@@ -95,7 +95,20 @@ struct HotIndex {
     rows: usize,
     regenerations: u64,
     regeneration_edges: u64,
+    /// Samples the first round had drawn when its early pass cooled the
+    /// index; 0 if none did.
+    first_cool_at: usize,
+    /// The stage and the index as that pass found them, which it freed and
+    /// compacted: the first round's peaks.
+    first_stage_bytes: usize,
+    first_index_bytes: usize,
 }
+
+/// Entries per vertex of the graph that the first round of an index-only
+/// run over an unbudgeted store stages before its early pass: half the
+/// stage a released store starts with, so the pass comes before the first
+/// full stage builds a segment with a table of `4·(n + 1)` bytes.
+const FIRST_COOL_ENTRIES_PER_VERTEX: u64 = 4;
 
 /// The shared-memory engine: samples land in a [`DynRrrStore`] through the
 /// [`SamplerDispatch`] batch kernels, and selection runs the requested
@@ -120,6 +133,13 @@ struct HotIndex {
 /// ([`DynRrrStore::cool_index_below`]). A pass that pops a cold vertex draws
 /// the samples again through the same dispatcher and rebuilds the index with
 /// the rows it lacks, so every pass is bitwise the pass over the full index.
+/// Over a store with no budget (`--rrr-store flat`) the first round does not
+/// wait for its pass: it stops once its samples should fill
+/// [`FIRST_COOL_ENTRIES_PER_VERTEX`]` · (n + 1)` stage entries, at the
+/// prefix's mean set size, for one pass whose seeds go nowhere and whose τ
+/// cools the index, so the rest of the round absorbs hot rows only
+/// ([`CompactEngine::cool_first_round`]). A budgeted store keeps the round
+/// whole: what its budget spills is that round's rows.
 struct CompactEngine<'a> {
     store: DynRrrStore,
     dispatch: SamplerDispatch<'a>,
@@ -159,6 +179,55 @@ impl CompactEngine<'_> {
             self.index_only_at = self.store.len();
             metrics::set(Metric::IndexOnlyAtSamples, self.index_only_at as u64);
         }
+    }
+
+    /// Where the first round of an index-only run over a store with no
+    /// budget stops for its early pass, `prefix` samples in: at the sample
+    /// count whose entries should fill [`FIRST_COOL_ENTRIES_PER_VERTEX`]
+    /// per vertex at the prefix's mean set size. `None` when the round ends
+    /// first, and for every other run.
+    fn first_cool_cut(&self, prefix: usize, total: usize) -> Option<usize> {
+        let unbudgeted = self.store.kind() == RrrStoreKind::Flat;
+        let entries = self.store.total_entries();
+        if self.threshold.is_none() || self.index_only_at == 0 || !unbudgeted || entries == 0 {
+            return None;
+        }
+        let stage = FIRST_COOL_ENTRIES_PER_VERTEX * (u64::from(self.n) + 1);
+        let cut = (stage * prefix as u64).div_ceil(entries);
+        let cut = usize::try_from(cut).unwrap_or(usize::MAX).max(prefix);
+        (cut < total).then_some(cut)
+    }
+
+    /// The first round's early pass: the lazy greedy over the index of its
+    /// first `cut` samples, whose seeds, gains and counters go nowhere (the
+    /// live registry is muted for it), sets τ, and the vertices below it
+    /// turn cold. No vertex is cold before it, so it reads every row it
+    /// pops; the store frees its stage and sizes the next by the hot rows.
+    fn cool_first_round(&mut self, cut: usize) {
+        let threshold = self.threshold.expect("an index-only run");
+        let (n, k) = (self.n, self.sizing_k);
+        let banned = vec![false; n as usize];
+        let (selection, index_bytes) = metrics::muted(|| {
+            with_index(&self.store, n, self.partitions, |index, build| {
+                (select_from_index(index, k, &banned).0, build.index_bytes)
+            })
+        });
+        self.hot.first_cool_at = cut;
+        self.hot.first_stage_bytes = self.store.resident_bytes();
+        self.hot.first_index_bytes = index_bytes;
+        self.cool(&selection, k, threshold);
+    }
+
+    /// Sets τ from `selection`'s `k`-th gain, and turns the vertices below
+    /// it cold.
+    fn cool(&mut self, selection: &Selection, k: u32, threshold: fn(u64) -> u64) {
+        let full = selection.seeds.len() == k as usize;
+        let g_k = selection.marginal_gains.last().filter(|_| full);
+        self.hot.tau = threshold(g_k.copied().unwrap_or(0));
+        let t0 = Instant::now();
+        let (cooled, rows) = self.store.cool_index_below(self.hot.tau);
+        self.hot.rows = rows;
+        trace::complete(TraceName::IndexCompact, t0, cooled as u64, rows as u64);
     }
 
     /// One pass of an index-only run: the lazy greedy over the index, which
@@ -201,21 +270,16 @@ impl CompactEngine<'_> {
         if let Some(index) = rebuilt {
             store.replace_index(index);
         }
-        let full = selection.seeds.len() == k as usize;
-        let g_k = selection.marginal_gains.last().filter(|_| full);
-        hot.tau = threshold(g_k.copied().unwrap_or(0));
-        let t0 = Instant::now();
-        let (cooled, rows) = store.cool_index_below(hot.tau);
-        hot.rows = rows;
-        trace::complete(TraceName::IndexCompact, t0, cooled as u64, rows as u64);
+        self.cool(&selection, k, threshold);
         (selection, stats)
     }
 }
 
 impl Engine for CompactEngine<'_> {
     /// The first batch of a run that may drop its samples stops after its
-    /// prefix to decide, and samples the rest into what that left: a
-    /// sample's content depends on its global index alone, so the cut moves
+    /// prefix to decide, and an index-only one over a store with no budget
+    /// again for its early pass; it samples the rest into what that left: a
+    /// sample's content depends on its global index alone, so the cuts move
     /// no sample.
     fn grow_to(&mut self, total: usize, report: &mut RunReport) {
         let mut first = self.store.len();
@@ -224,6 +288,15 @@ impl Engine for CompactEngine<'_> {
             first = total.min(AUTO_PROBE_SAMPLES);
             outcome = self.dispatch.sample_batch(0, first, &mut self.store);
             self.release_if_index_only();
+            if let Some(cut) = self.first_cool_cut(first, total) {
+                let count = cut - first;
+                let early = self
+                    .dispatch
+                    .sample_batch(first as u64, count, &mut self.store);
+                outcome.absorb(early);
+                self.cool_first_round(cut);
+                first = cut;
+            }
         }
         if total > first {
             let rest = self
@@ -234,17 +307,25 @@ impl Engine for CompactEngine<'_> {
         record_batch(report, &outcome);
     }
 
+    /// The store's samples or stage, and never less than the first round's
+    /// stage before its early pass freed it.
     fn resident_bytes(&self) -> usize {
-        self.store.resident_bytes()
+        self.store.resident_bytes().max(self.hot.first_stage_bytes)
     }
 
     fn graph_bytes(&self) -> usize {
         self.dispatch.graph().resident_bytes()
     }
 
+    /// An index-only run's passes report the index at least as large as
+    /// the first round's early pass found it.
     fn select(&mut self, k: u32) -> (Selection, SelectStats) {
         match self.threshold.filter(|_| self.index_only_at > 0) {
-            Some(threshold) => self.select_hot(k, threshold),
+            Some(threshold) => {
+                let (selection, mut stats) = self.select_hot(k, threshold);
+                stats.index_bytes = stats.index_bytes.max(self.hot.first_index_bytes);
+                (selection, stats)
+            }
             None => select_with_engine_store(self.select, &self.store, self.n, k, self.partitions),
         }
     }
@@ -257,6 +338,8 @@ impl Engine for CompactEngine<'_> {
         c.index_regenerations = self.hot.regenerations;
         c.index_regeneration_edges = self.hot.regeneration_edges;
         c.index_only_at_samples = self.index_only_at as u64;
+        c.index_first_cool_at_samples = self.hot.first_cool_at as u64;
+        c.stage_entries_limit = self.store.stage_entries_limit();
         if crate::obs::trace::enabled() {
             report.trace = Some(crate::obs::trace::collect_all());
         }
@@ -713,6 +796,42 @@ mod tests {
             assert_eq!((h.index_hot_rows, h.index_hot_tau), (0, u64::MAX), "{case}");
             assert_eq!(k.index_regenerations + k.index_hot_rows, 0, "{case}");
         }
+    }
+
+    /// A τ above every count at the first round's early pass, and none
+    /// after it: every vertex a later pass pops was cooled by the early
+    /// pass, so the passes draw the samples again, and still select what a
+    /// kept store's run selects.
+    #[test]
+    fn a_pass_that_pops_a_vertex_the_early_pass_cooled_draws_again() {
+        thread_local! {
+            static COOLINGS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+        }
+        fn at_the_early_pass_only(_: u64) -> u64 {
+            let first = COOLINGS.with(|c| c.replace(c.get() + 1)) == 0;
+            if first {
+                u64::MAX
+            } else {
+                0
+            }
+        }
+        let g = cascade_graph();
+        let p = ImmParams::new(6, 0.3, DiffusionModel::IndependentCascade, 3);
+        let storage = StorageConfig::default();
+        let (select, sample) = (SelectEngine::Fused, SampleEngine::Reference);
+        let kept = run_compact("kept", &g, &p, select, sample, storage, false, Keep::Store).0;
+        let hot = index_only_run_with_threshold(&g, &p, storage, false, at_the_early_pass_only);
+        let (h, k) = (&hot.report.counters, &kept.report.counters);
+        assert!(h.index_first_cool_at_samples > 0, "the early pass ran");
+        assert!(h.index_first_cool_at_samples < h.round_budgets[0]);
+        assert_eq!(k.index_first_cool_at_samples, 0);
+        assert!(h.index_regenerations >= 1);
+        assert_eq!(hot.seeds, kept.seeds);
+        assert_eq!(hot.theta, kept.theta);
+        assert_eq!(h.select_entries_touched, k.select_entries_touched);
+        assert_eq!(h.select_iterations, k.select_iterations);
+        assert_eq!(h.edges_examined, k.edges_examined);
+        assert_eq!(h.index_hot_tau, 0, "no pass after the early one cooled");
     }
 
     /// The rule's own τ on the same graph: vertices turn cold, and no pass

@@ -21,27 +21,60 @@ use crate::spill::SpillFile;
 use crate::store::RrrStore;
 use ripples_graph::varint::{read_varint, varint_len, write_varint};
 use ripples_graph::Vertex;
-use std::borrow::Cow;
 use std::sync::Arc;
 
-/// One bit per vertex, set for the cold ones; empty while every vertex is
-/// hot.
+/// One bit per vertex, set for the cold ones, and per 64-vertex word the hot
+/// vertices before it; both empty while every vertex is hot.
 #[derive(Clone, Debug, Default)]
-struct Cold(Vec<u64>);
+struct Cold {
+    bits: Vec<u64>,
+    /// Hot vertices before each word, and after the last; what
+    /// [`Cold::recount`] left.
+    before_word: Vec<u32>,
+}
 
 impl Cold {
     #[inline]
     fn contains(&self, v: usize) -> bool {
-        self.0
+        self.bits
             .get(v / 64)
             .is_some_and(|word| word >> (v % 64) & 1 == 1)
     }
 
+    /// Turns `v` cold; [`Cold::recount`] must follow before the next
+    /// [`Cold::hot_before`].
     fn insert(&mut self, v: usize, num_vertices: usize) {
-        if self.0.is_empty() {
-            self.0 = vec![0; num_vertices.div_ceil(64)];
+        if self.bits.is_empty() {
+            self.bits = vec![0; num_vertices.div_ceil(64)];
         }
-        self.0[v / 64] |= 1 << (v % 64);
+        self.bits[v / 64] |= 1 << (v % 64);
+    }
+
+    /// Counts the hot vertices before each word again, after inserts.
+    fn recount(&mut self, num_vertices: usize) {
+        let mut hot = 0u32;
+        self.before_word = Vec::with_capacity(self.bits.len() + 1);
+        for (w, &word) in self.bits.iter().enumerate() {
+            self.before_word.push(hot);
+            hot += (num_vertices - 64 * w).min(64) as u32 - word.count_ones();
+        }
+        self.before_word.push(hot);
+    }
+
+    /// The hot vertices below `v` (`v` up to the index's vertex count): a
+    /// hot vertex's slot in a table over the hot vertices, and `v` itself
+    /// while none is cold.
+    #[inline]
+    fn hot_before(&self, v: usize) -> usize {
+        if self.bits.is_empty() {
+            return v;
+        }
+        let (w, b) = (v / 64, v % 64);
+        let below = match b {
+            0 => 0,
+            b => (!self.bits[w] & ((1u64 << b) - 1)).count_ones(),
+        };
+        self.before_word[w] as usize + below as usize
     }
 }
 
@@ -132,15 +165,18 @@ fn decode_row(row: &[u8], mut prev: u32, mut f: impl FnMut(u32)) -> u32 {
     prev
 }
 
-/// One interval owner's share of the segment being built.
+/// One interval owner's share of the segment being built: its vertices
+/// `vl..vh`, and the slots of its hot ones from `slot` on.
 struct Share<'a> {
     vl: Vertex,
     vh: Vertex,
-    /// Per vertex of the interval, the id its row's next gap is coded from.
+    slot: usize,
+    /// Per slot of the interval, the id its row's next gap is coded from.
     tails: &'a mut [u32],
-    /// Per vertex, its row's byte length in the counting pass and its write
+    /// Per slot, its row's byte length in the counting pass and its write
     /// cursor into the segment's rows in the fill pass.
     at: &'a mut [u32],
+    /// Per vertex of the interval.
     degrees: &'a mut [u32],
     /// The interval's rows (none yet in the counting pass), which begin
     /// `base` bytes into the segment's.
@@ -149,14 +185,18 @@ struct Share<'a> {
 }
 
 /// What a segment being built holds before its new samples: the rows of a
-/// segment folded into it, and their byte bounds with one row per vertex.
+/// segment folded into it, and their byte bounds, a table over the same
+/// slots.
 type Kept<'a> = Option<(&'a [u8], &'a [u32])>;
 
+/// One owner's vertex interval and the first slot of it and of the next.
+type Span = ((Vertex, Vertex), (usize, usize));
+
 impl<'a> Share<'a> {
-    /// Cuts the per-vertex arrays at the `intervals` and `rows` at the
-    /// intervals' `(base, bytes)` regions.
+    /// Cuts the per-slot arrays at the `spans`' slots, the degrees at their
+    /// vertices and `rows` at their `(base, bytes)` regions.
     fn split(
-        intervals: &[(Vertex, Vertex)],
+        spans: &[Span],
         regions: &[(u32, usize)],
         mut tails: &'a mut [u32],
         mut at: &'a mut [u32],
@@ -168,19 +208,17 @@ impl<'a> Share<'a> {
             *rest = tail;
             head
         }
-        let share = |(&(vl, vh), &(base, bytes)): (&(Vertex, Vertex), &(u32, usize))| {
-            let width = (vh - vl) as usize;
-            Share {
-                vl,
-                vh,
-                tails: take(&mut tails, width),
-                at: take(&mut at, width),
-                degrees: take(&mut degrees, width),
-                rows: take(&mut rows, bytes),
-                base,
-            }
+        let share = |(&((vl, vh), (sl, sh)), &(base, bytes)): (&Span, &(u32, usize))| Share {
+            vl,
+            vh,
+            slot: sl,
+            tails: take(&mut tails, sh - sl),
+            at: take(&mut at, sh - sl),
+            degrees: take(&mut degrees, (vh - vl) as usize),
+            rows: take(&mut rows, bytes),
+            base,
         };
-        let mut shares: Vec<Self> = intervals.iter().zip(regions).map(share).collect();
+        let mut shares: Vec<Self> = spans.iter().zip(regions).map(share).collect();
         // The last owner also meets any vertex past its interval, and fails
         // on it, rather than leave it out of the index.
         shares.last_mut().expect("an owner").vh = Vertex::MAX;
@@ -191,8 +229,9 @@ impl<'a> Share<'a> {
     /// interval: `keep` is handed each `kept` row, `code` each gap the
     /// samples with ids `new` add to the row of a vertex that is not `cold`
     /// (rows start coding from the id `before`; id `i` is sample `i - base`
-    /// of `sets`), in row order. The `counting` pass also counts every
-    /// vertex's samples, cold ones included, in its degree.
+    /// of `sets`), in row order, each by the share's slot. The `counting`
+    /// pass also counts every vertex's samples, cold ones included, in its
+    /// degree.
     #[allow(clippy::too_many_arguments)]
     fn pass<S: RrrStore + Sync>(
         sets: &S,
@@ -205,9 +244,9 @@ impl<'a> Share<'a> {
     ) {
         fork_owners(shares, |share| {
             for j in 0..share.tails.len() {
-                let v = share.vl as usize + j;
+                let s = share.slot + j;
                 let row = kept.map_or(&[][..], |(rows, bounds)| {
-                    &rows[bounds[v] as usize..bounds[v + 1] as usize]
+                    &rows[bounds[s] as usize..bounds[s + 1] as usize]
                 });
                 keep(share, j, row);
                 share.tails[j] = decode_row(row, before, |_| ());
@@ -215,13 +254,13 @@ impl<'a> Share<'a> {
             for i in new.clone() {
                 let id = i as u32;
                 sets.set(i - base).for_each_in(share.vl, share.vh, |v| {
-                    let j = (v - share.vl) as usize;
                     if counting {
-                        share.degrees[j] += 1;
+                        share.degrees[(v - share.vl) as usize] += 1;
                     }
                     if cold.contains(v as usize) {
                         return;
                     }
+                    let j = cold.hot_before(v as usize) - share.slot;
                     code(share, j, id.wrapping_sub(share.tails[j]).wrapping_sub(1));
                     share.tails[j] = id;
                 });
@@ -244,7 +283,11 @@ impl<'a> Share<'a> {
 /// than its own table is folded into the next one instead of staying, so
 /// the tables of all segments together never outweigh the rows by more
 /// than one table, and a doubling θ schedule does not pay a table per tiny
-/// early round. [`for_each_sample`] walks the segments in order, which
+/// early round. So is the newest segment after a cooling compacted it,
+/// whatever its size: a run that stages by its hot rows absorbs in smaller
+/// segments, and its rounds' last and first segments then share a table
+/// (CI's 60 000-vertex hot-index shape peaks at 2.97 MB with that fold and
+/// 3.23 MB without it). [`for_each_sample`] walks the segments in order, which
 /// keeps ids ascending: selection over the index is bitwise what a scan of
 /// the store gives.
 ///
@@ -298,6 +341,9 @@ pub struct SampleIndex {
     /// The most bytes the index may keep resident; `None` keeps every
     /// segment.
     resident_limit: Option<usize>,
+    /// Whether a cooling compacted the newest resident segment since the
+    /// last absorb, which then folds it whatever its size.
+    fold_newest: bool,
     spill: SpillFile,
 }
 
@@ -327,6 +373,7 @@ impl SampleIndex {
             absorbed: 0,
             segment_cap,
             resident_limit: None,
+            fold_newest: false,
             spill: SpillFile::new("index segments"),
         }
     }
@@ -414,24 +461,11 @@ impl SampleIndex {
         }
     }
 
-    /// A table over `slots` as byte bounds with one row per vertex, the
-    /// cold ones' empty: the table itself while it has a slot per vertex.
-    fn bounds_per_vertex<'t>(&self, table: &'t [u32]) -> Cow<'t, [u32]> {
-        let Some(hot) = &self.slots else {
-            return Cow::Borrowed(table);
-        };
-        let mut bounds = vec![0u32; self.degrees.len() + 1];
-        let mut slot = 0usize;
-        for (v, bound) in bounds.iter_mut().enumerate() {
-            *bound = table[slot];
-            slot += usize::from(hot.get(slot).is_some_and(|&h| h as usize == v));
-        }
-        Cow::Owned(bounds)
-    }
-
     /// Adds one segment holding the samples from `absorbed` up to `end`, or
     /// up to where the segment's bytes could pass the cap; sample `i` is
-    /// sample `i - base` of `sets`.
+    /// sample `i - base` of `sets`. Its counting sort runs over the slots
+    /// alone, so an index with `h` hot vertices allocates and walks tables
+    /// of `h + 1` offsets, not `n + 1`.
     fn push_segment<S: RrrStore + Sync>(
         &mut self,
         sets: &S,
@@ -439,7 +473,7 @@ impl SampleIndex {
         intervals: &[(Vertex, Vertex)],
         end: usize,
     ) {
-        let n = self.degrees.len();
+        let slots = self.hot_rows;
         let start = self.absorbed;
         // No gap code of sample `i` exceeds `i - first`, whatever the rows
         // held before it.
@@ -448,15 +482,12 @@ impl SampleIndex {
         };
         let cap = u64::from(self.segment_cap);
         let fold = self.segments.last().is_some_and(|prev| {
-            prev.rows.len() < prev.table_bytes()
+            (prev.rows.len() < prev.table_bytes() || self.fold_newest)
                 && prev.rows.len() as u64 + bound(prev.first, start) <= cap
         });
+        self.fold_newest = false;
         let folded = if fold { self.segments.pop() } else { None };
-        let kept_bounds = folded
-            .as_ref()
-            .map(|prev| self.bounds_per_vertex(&prev.offsets));
-        let kept = folded.as_ref().zip(kept_bounds.as_deref());
-        let kept = kept.map(|(prev, bounds)| (&prev.rows[..], bounds));
+        let kept = (folded.as_ref()).map(|prev| (&prev.rows[..], &prev.offsets[..]));
         let first = folded.as_ref().map_or(start as u32, |prev| prev.first);
         let mut room = cap - folded.as_ref().map_or(0, |prev| prev.rows.len() as u64);
         let mut stop = start;
@@ -474,12 +505,19 @@ impl SampleIndex {
             "one sample's row bytes exceed the segment cap"
         );
         let content = || (kept, start..stop, first.wrapping_sub(1), base);
+        let cold = &self.cold;
+        let spans: Vec<Span> = (intervals.iter())
+            .map(|&(vl, vh)| {
+                let slots = (cold.hot_before(vl as usize), cold.hot_before(vh as usize));
+                ((vl, vh), slots)
+            })
+            .collect();
 
-        // Counting pass: `offsets[v + 1]` gathers row `v`'s byte length.
-        let mut offsets = vec![0u32; n + 1];
-        let mut tails = vec![0u32; n];
+        // Counting pass: `offsets[s + 1]` gathers slot `s`'s row byte length.
+        let mut offsets = vec![0u32; slots + 1];
+        let mut tails = vec![0u32; slots];
         let mut shares = Share::split(
-            intervals,
+            &spans,
             &vec![(0, 0); intervals.len()],
             &mut tails,
             &mut offsets[1..],
@@ -490,7 +528,7 @@ impl SampleIndex {
             sets,
             &mut shares,
             content(),
-            &self.cold,
+            cold,
             true,
             |share, j, kept| share.at[j] = kept.len() as u32,
             |share, j, gap| share.at[j] += varint_len(gap),
@@ -503,19 +541,18 @@ impl SampleIndex {
             *slot = total;
         }
 
-        // Fill pass: `offsets[v]` is row `v`'s write cursor, so it ends as
+        // Fill pass: `offsets[s]` is slot `s`'s write cursor, so it ends as
         // the row's end bound, one slot early.
         let mut rows = vec![0u8; total as usize];
-        let regions: Vec<(u32, usize)> = intervals
-            .iter()
-            .map(|&(vl, vh)| (offsets[vl as usize], offsets[vh as usize]))
+        let regions: Vec<(u32, usize)> = (spans.iter())
+            .map(|&(_, (sl, sh))| (offsets[sl], offsets[sh]))
             .map(|(lo, hi)| (lo, (hi - lo) as usize))
             .collect();
         let mut shares = Share::split(
-            intervals,
+            &spans,
             &regions,
             &mut tails,
-            &mut offsets[..n],
+            &mut offsets[..slots],
             &mut self.degrees,
             &mut rows,
         );
@@ -523,7 +560,7 @@ impl SampleIndex {
             sets,
             &mut shares,
             content(),
-            &self.cold,
+            cold,
             false,
             |share, j, kept| {
                 let cursor = (share.at[j] - share.base) as usize;
@@ -535,14 +572,8 @@ impl SampleIndex {
                 share.at[j] += write_varint(&mut share.rows[cursor..], gap);
             },
         );
-        offsets.copy_within(0..n, 1);
+        offsets.copy_within(0..slots, 1);
         offsets[0] = 0;
-        // The cold vertices' rows are empty: a table over the hot ones
-        // holds the same bounds.
-        if let Some(hot) = &self.slots {
-            let hot_bounds = hot.iter().map(|&v| offsets[v as usize]);
-            offsets = hot_bounds.chain([total]).collect();
-        }
         self.segments.push(Segment {
             first,
             offsets,
@@ -577,10 +608,12 @@ impl SampleIndex {
         if cooled == 0 {
             return 0;
         }
+        self.cold.recount(n);
         self.hot_rows -= cooled;
         for segment in &mut self.segments {
             segment.compact(&self.slots, &self.cold);
         }
+        self.fold_newest = !self.segments.is_empty();
         self.slots = self.hot_slots();
         cooled
     }
@@ -601,6 +634,7 @@ impl SampleIndex {
             }
         }
         if fresh.hot_rows < n {
+            fresh.cold.recount(n);
             fresh.slots = fresh.hot_slots();
         }
         fresh
@@ -629,6 +663,21 @@ impl SampleIndex {
     #[must_use]
     pub fn is_cold(&self, v: Vertex) -> bool {
         self.cold.contains(v as usize)
+    }
+
+    /// The entries of the absorbed samples — every degree summed — and
+    /// those the hot vertices' rows hold: the two agree while no vertex is
+    /// cold.
+    #[must_use]
+    pub fn entries(&self) -> (u64, u64) {
+        let (mut all, mut hot) = (0u64, 0u64);
+        for (v, &d) in self.degrees.iter().enumerate() {
+            all += u64::from(d);
+            if !self.cold.contains(v) {
+                hot += u64::from(d);
+            }
+        }
+        (all, hot)
     }
 
     /// Number of absorbed samples containing vertex `v` — the initial
@@ -666,7 +715,7 @@ impl SampleIndex {
         if !self.spilled.is_empty() {
             self.for_each_spilled_sample(v as usize, &mut f);
         }
-        let slot = slot_of(&self.slots, v as usize).expect("a hot vertex has a slot");
+        let slot = self.cold.hot_before(v as usize);
         for segment in &self.segments {
             let before = segment.first.wrapping_sub(1);
             decode_row(segment.row(slot), before, |id| f(id as usize));
@@ -699,7 +748,7 @@ impl SampleIndex {
 
     /// Reserved bytes of the index: the resident segments' tables and rows,
     /// where the spilled ones are, every hot list once, the degrees and the
-    /// cold vertices' bits.
+    /// cold vertices' bits and per-word counts.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
@@ -717,7 +766,8 @@ impl SampleIndex {
             + self.segments.capacity() * size_of::<Segment>()
             + self.spilled.capacity() * size_of::<Spilled>()
             + self.degrees.capacity() * size_of::<u32>()
-            + self.cold.0.capacity() * size_of::<u64>()
+            + self.cold.bits.capacity() * size_of::<u64>()
+            + self.cold.before_word.capacity() * size_of::<u32>()
     }
 
     /// Bytes written to the index's spill file.
@@ -945,6 +995,39 @@ pub(crate) mod tests {
         assert_eq!(index.cool_below(0), 0);
         assert!(index.cool_below(200) > 0 && index.hot_rows() < hot);
         assert_matches_the_definition(&index, &c);
+    }
+
+    /// After a cooling every absorb counts and fills over the hot slots
+    /// alone: tables of `h + 1` offsets, each owner's share of them cut at
+    /// its vertices' slots (n = 150: two owners, the second's last word
+    /// partial). The first absorb folds the compacted segment, which holds
+    /// more than its table in rows.
+    #[test]
+    fn absorbs_after_a_cooling_sort_over_the_hot_slots() {
+        let (n, samples) = (150u32, 900u32);
+        let all = skewed(n, samples);
+        let mut c = RrrCollection::new();
+        let mut index = SampleIndex::new(n);
+        (0..300).for_each(|j| c.push(all.get(j)));
+        index.absorb(&c, 2);
+        index.cool_below(12);
+        assert!(index.fold_newest, "the cooled segment is folded next");
+        let cooled = &index.segments[0];
+        assert!(cooled.rows.len() >= cooled.table_bytes());
+        let hot = index.slots.clone().expect("a hot list");
+        assert!(hot.len() > 1 && hot.len() < 64, "{} hot", hot.len());
+        for (slot, &v) in hot.iter().enumerate() {
+            assert_eq!(index.cold.hot_before(v as usize), slot);
+        }
+        assert_eq!(index.cold.hot_before(n as usize), index.hot_rows());
+        for (round, owners, segments) in [(450, 2, 1), (451, 1, 2), (900, 2, 2)] {
+            (c.len()..round).for_each(|j| c.push(all.get(j)));
+            index.absorb(&c, owners);
+            assert_eq!(index.segments.len(), segments, "to {round}");
+            let last = index.segments.last().expect("a segment");
+            assert_eq!(last.offsets.len(), index.hot_rows() + 1);
+            assert_matches_the_definition(&index, &c);
+        }
     }
 
     #[test]

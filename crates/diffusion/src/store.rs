@@ -310,13 +310,21 @@ impl RrrStore for MixedRrrCollection {
     }
 }
 
-/// Entries per vertex a store that released its samples stages before it
-/// absorbs them. At one byte or more per entry, a segment absorbed from a
-/// full stage holds at least twice its `4·(n + 1)`-byte offsets table in
-/// rows, so the tables stay a minor share of the index at any θ. A larger
-/// stage saves less table than it costs itself: on a 200 000-vertex sparse
-/// IC run, 16 per vertex held 4 MB less index and 12 MB more stage than 8,
-/// and 4 held 8 MB more index.
+/// Entries a store that released its samples stages before it absorbs
+/// them, per row of the index's tables: `8·(n + 1)` until the index's first
+/// cooling, and from then on, without a budget, `8·(h + 1)` for its `h` hot
+/// rows, scaled by the index's entries over its hot rows' entries — the
+/// stage holds every entry of a sample, the segment it becomes only the hot
+/// ones — and never more than `8·(n + 1)` ([`StageLimit::for_hot_rows`]).
+/// At one byte or more per entry, a segment absorbed from a full stage
+/// holds at least twice its `4·(n + 1)`- or `4·(h + 1)`-byte offsets table
+/// in rows, so the tables stay a minor share of the index at any θ. A
+/// larger stage saves less table than it costs itself: on a 200 000-vertex
+/// sparse IC run, 16 per vertex held 4 MB less index and 12 MB more stage
+/// than 8, and 4 held 8 MB more index. Sized by the hot rows, where every
+/// stage of that run took 7.18 MB, it takes 4.24 MB in its first round's
+/// early stage of `4·(n + 1)` entries, 2.13 MB in the rest of that round
+/// and 0.65 MB by its last pass.
 const STAGE_ENTRIES_PER_VERTEX: u64 = 8;
 
 /// What a released store's stage holds before the index absorbs it.
@@ -334,6 +342,24 @@ impl StageLimit {
             entries: STAGE_ENTRIES_PER_VERTEX * (u64::from(num_vertices) + 1),
             bytes: budget.map_or(usize::MAX, |budget| budget / 2),
         }
+    }
+
+    /// This limit once `index` has cooled: [`STAGE_ENTRIES_PER_VERTEX`]
+    /// entries per hot row and one, times the index's entries over its hot
+    /// rows' entries, at most what [`StageLimit::new`] allows. With no hot
+    /// entry left, that most.
+    fn for_hot_rows(self, index: &SampleIndex) -> Self {
+        let most = STAGE_ENTRIES_PER_VERTEX * (index.num_vertices() as u64 + 1);
+        let rows = STAGE_ENTRIES_PER_VERTEX * (index.hot_rows() as u64 + 1);
+        let (all, hot) = index.entries();
+        let entries = match hot {
+            0 => most,
+            hot => {
+                let scaled = (u128::from(rows) * u128::from(all)).div_ceil(u128::from(hot));
+                u64::try_from(scaled).unwrap_or(most).min(most)
+            }
+        };
+        Self { entries, ..self }
     }
 
     /// Whether `(entries, bytes)` fit the stage.
@@ -412,11 +438,13 @@ impl Released {
 /// ([`DynRrrStore::release_samples`]): as a rule after the first batch's
 /// 64-sample prefix, mid-batch, and otherwise the whole first round at the
 /// first selection pass. From then on every sample waits in a stage of at
-/// most `8 · (n + 1)` entries, but always room for one sample, absorbed into
-/// the index at its global sample ids and cleared when full and at every
-/// batch's end, so the index grows while sampling runs and no sample-major
-/// copy of the population exists. `len`, `total_entries` and the counters
-/// still cover every sample; reading a released one panics.
+/// most `8 · (n + 1)` entries — without a budget, after every cooling
+/// ([`DynRrrStore::cool_index_below`]) fewer, by the index's hot rows — but
+/// always room for one sample, absorbed into the index at its global
+/// sample ids and cleared when full and at every batch's end, so the index
+/// grows while sampling runs and no sample-major copy of the population
+/// exists. `len`, `total_entries` and the counters still cover every
+/// sample; reading a released one panics.
 ///
 /// A spill-kind store's `--rrr-budget` bounds the stage and the index
 /// together: the stage holds at most half the budget's bytes, and at every
@@ -564,14 +592,37 @@ impl DynRrrStore {
 
     /// Turns the index's vertices of degree below `tau` cold
     /// ([`SampleIndex::cool_below`]); returns how many turned cold and how
-    /// many rows the index keeps, `(0, 0)` without an index.
+    /// many rows the index keeps, `(0, 0)` without an index. A store with
+    /// no budget that released its samples first lets the index absorb its
+    /// stage, then frees the stage and starts a new one sized by the hot
+    /// rows (see [`DynRrrStore::stage_entries_limit`]). A budgeted stage
+    /// keeps its limits: the budget bounds it already, and on the LT spill
+    /// benchmark shape a stage sized by the hot rows cost ~10 % of the
+    /// solve's time in absorbs for no lower peak.
     pub fn cool_index_below(&mut self, tau: u64) -> (usize, usize) {
-        self.index_cache
-            .get_mut()
-            .as_mut()
-            .map_or((0, 0), |(index, _)| {
-                (index.cool_below(tau), index.hot_rows())
-            })
+        let resize = self.budget.is_none() && self.released.stage_limit.is_some();
+        if resize {
+            self.absorb_new();
+        }
+        let Some((index, _)) = self.index_cache.get_mut() else {
+            return (0, 0);
+        };
+        let cooled = index.cool_below(tau);
+        if let Some(limit) = self.released.stage_limit.as_mut().filter(|_| resize) {
+            *limit = limit.for_hot_rows(index);
+            self.sets = limit.stage(self.sets.num_vertices());
+        }
+        (cooled, index.hot_rows())
+    }
+
+    /// The entries a released store's stage holds before the index absorbs
+    /// it, as the last cooling left that limit: without a budget `8·(h + 1)`
+    /// for the index's `h` hot rows, scaled by its entries over its hot
+    /// rows' entries and at most `8·(n + 1)`, and `8·(n + 1)` under one; 0
+    /// for a store that keeps its samples.
+    #[must_use]
+    pub fn stage_entries_limit(&self) -> u64 {
+        self.released.stage_limit.map_or(0, |limit| limit.entries)
     }
 
     /// Position in `sets` of global sample `i`.
@@ -1150,6 +1201,74 @@ mod tests {
                 "budget {budget}: stage peak {peak} > {bound}"
             );
             assert!(peak > bound / 4, "budget {budget}: {peak} never filled");
+        }
+    }
+
+    #[test]
+    fn a_cooling_sizes_the_stage_by_the_hot_rows() {
+        // n = 60: after a cooling that leaves the four hubs hot, an
+        // unbudgeted stage holds 8·(h + 1) hot entries' worth, below the
+        // 488 entries it started with, and reserves no more than that
+        // limit and one set; a budgeted stage keeps its limits, and its
+        // index the room beside it.
+        let n = 60;
+        // Every sample holds one of the hubs 0..4 besides ~3 other ids, so
+        // the hubs' rows hold a third of the entries.
+        let samples: Vec<Vec<Vertex>> = synth_samples(n, 3000)
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut s)| {
+                s.retain(|&v| v >= 4);
+                s.insert(0, i as Vertex % 4);
+                s
+            })
+            .collect();
+        let largest = samples.iter().map(|s| 16 + 4 * s.len()).max().unwrap();
+        for budget in [None, Some(2048)] {
+            let mut store = match budget {
+                None => DynRrrStore::new(StorageConfig::default(), n),
+                Some(budget) => spill_store(n, budget),
+            };
+            let (first, rest) = samples.split_at(1500);
+            release_and_fill(&mut store, n, first, |_| ());
+            let before = store.released.stage_limit.expect("released");
+            let room = store.index_room();
+            store.with_sample_index(n, 1, |_| ());
+            let tau = store.with_current_index(|index| {
+                let hubs = &index.expect("an index").degrees()[..4];
+                u64::from(*hubs.iter().min().unwrap())
+            });
+            let (cooled, rows) = store.cool_index_below(tau);
+            assert_eq!((cooled, rows), (n as usize - 4, 4), "{budget:?}");
+            let after = store.released.stage_limit.expect("released");
+            assert_eq!(store.stage_entries_limit(), after.entries);
+            assert_eq!(after.bytes, before.bytes, "{budget:?}");
+            if budget.is_some() {
+                assert_eq!(after.entries, before.entries);
+            } else {
+                assert!(after.entries < before.entries);
+                assert!(after.entries >= 8 * (rows as u64 + 1));
+                assert!(store.sets.is_empty(), "the stage was freed");
+            }
+            assert_eq!(store.index_room(), room, "{budget:?}");
+            let mut peak = 0;
+            for batch in rest.chunks(100) {
+                for s in batch {
+                    store.push(s);
+                    peak = peak.max(store.resident_bytes());
+                }
+                store.finish_batch();
+            }
+            if budget.is_none() {
+                let entries = after.entries as usize;
+                let bound = 4 * entries + 8 * (entries + 1) + largest;
+                assert!(peak <= bound, "stage peak {peak} > {bound}");
+            }
+            let c: RrrCollection = samples.iter().cloned().collect();
+            store.with_current_index(|index| {
+                let index = index.expect("the index holds every sample");
+                crate::sample_index::tests::assert_matches_the_definition(index, &c);
+            });
         }
     }
 

@@ -229,6 +229,10 @@ catalog! {
             "In-edges examined while drawing samples again for those rebuilds; never part of `edges_examined`, and never added to the live registry's sampling rows";
         index_only_at_samples IndexOnlyAtSamples: Level PerRank VARIES LIVE ""
             "Samples the store held when a run that selects from the inverted index alone released them into it: the first batch's 64-sample prefix when that decided, the first round when its first selection pass did, 0 for a run that keeps its samples";
+        index_first_cool_at_samples IndexFirstCoolAtSamples: Level PerRank VARIES FINAL ""
+            "Samples the first round of an index-only run over a store with no budget had drawn when its early pass cooled the index, once they should fill 4·(n + 1) stage entries at the prefix's mean set size (0 when no early pass ran: a budgeted store, a kept one, or a round that ends first)";
+        stage_entries_limit StageEntriesLimit: Level PerRank VARIES FINAL ""
+            "Entries a released store's stage holds before the index absorbs it, as the last cooling left it: without a budget 8·(h + 1) for h hot rows, scaled by the index's entries over its hot rows' and at most 8·(n + 1), under one 8·(n + 1) (its bytes bounded by the budget); 0 for a store that keeps its samples";
         load_nanos LoadNanos: Counter PerRank VARIES FINAL "ns"
             "Wall time the `ripples` CLI spent loading or generating the graph, its LT readjustment included; 0 outside the CLI";
         rss_hwm_after_load RssHwmAfterLoad: Peak PerRank VARIES FINAL "bytes"

@@ -325,3 +325,44 @@ fn report_exports_render() {
     assert!(pretty.contains("EstimateTheta"));
     assert!(pretty.contains("samples"));
 }
+
+/// The first round's early pass and the stage it leaves are report rows:
+/// an index-only run over a store with no budget cools its index once its
+/// first round's samples should fill 4·(n + 1) stage entries, and stages
+/// by the hot rows from then on; a run that keeps its store does neither.
+#[test]
+fn the_first_cooling_and_the_stage_limit_are_reported() {
+    use ripples_core::{SampleEngine, SelectEngine};
+    use ripples_diffusion::StorageConfig;
+    let g =
+        ripples_graph::generators::barabasi_albert(3000, 4, WeightModel::WeightedCascade, false, 5);
+    let n = u64::from(g.num_vertices());
+    let p = ImmParams::new(10, 0.15, DiffusionModel::IndependentCascade, 2);
+    let run = |select| {
+        ripples_core::mt::imm_multithreaded_with_storage(
+            &g,
+            &p,
+            2,
+            select,
+            SampleEngine::Reference,
+            StorageConfig::default(),
+        )
+    };
+    let hot = run(SelectEngine::Auto);
+    let kept = run(SelectEngine::Partitioned);
+    assert_eq!(hot.seeds, kept.seeds);
+    let c = &hot.report.counters;
+    assert!(c.index_first_cool_at_samples > 64, "the early pass ran");
+    assert!(c.index_first_cool_at_samples < c.round_budgets[0]);
+    assert!(c.stage_entries_limit >= 8 * (c.index_hot_rows + 1));
+    assert!(c.stage_entries_limit < 8 * (n + 1), "sized by the hot rows");
+    let k = &kept.report.counters;
+    assert_eq!(
+        (k.index_first_cool_at_samples, k.stage_entries_limit),
+        (0, 0)
+    );
+    let json = hot.report.to_json();
+    for row in ["index_first_cool_at_samples", "stage_entries_limit"] {
+        assert!(json.contains(&format!("\"{row}\":")), "{row}");
+    }
+}
