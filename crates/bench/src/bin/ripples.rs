@@ -14,7 +14,7 @@
 //!         [--threads T | --ranks R] [--simulate TRIALS]
 //!         [--select auto|sequential|partitioned|fused]
 //!         [--sample auto|reference|fused]
-//!         [--rrr-store flat|spill] [--rrr-budget BYTES]
+//!         [--rrr-budget BYTES]
 //!         [--report pretty|json] [--report-out FILE]
 //!         [--trace FILE] [--trace-buffer EVENTS]
 //!         [--metrics FILE] [--metrics-interval DUR] [--metrics-prom FILE]
@@ -25,7 +25,7 @@
 //! ```
 //!
 //! A flag the chosen engine does not read (`--select`, `--sample`,
-//! `--threads`, `--ranks`, `--rrr-store`, `--chaos-seed`) is ignored with a
+//! `--threads`, `--ranks`, `--rrr-budget`, `--chaos-seed`) is ignored with a
 //! `warning: --FLAG only affects the … engines` line on stderr.
 //!
 //! `--select` picks the greedy max-cover engine for the `opt` and `mt`
@@ -42,18 +42,17 @@
 //! statistically (not bitwise) equivalent to the reference — see
 //! EXPERIMENTS.md § "Choosing a sampling engine".
 //!
-//! `--rrr-store` picks the RRR storage for the `opt`, `mt`, `dist`,
-//! `sharded`, and `tim` engines. Both kinds hold the samples as sorted
-//! lists, with a set spanning more than n/32 vertices held as an n-bit
-//! bitmap and one spanning more than 31n/32 as the ids it leaves out.
-//! `spill` adds a byte budget, `--rrr-budget` (default 1 GiB): an `opt` or
+//! `--rrr-budget BYTES` bounds the RRR storage of the `opt`, `mt`, `dist`,
+//! `sharded`, and `tim` engines, which hold the samples as sorted lists, a
+//! set spanning more than n/32 vertices as an n-bit bitmap and one spanning
+//! more than 31n/32 as the ids it leaves out. Under a budget an `opt` or
 //! `mt` run that selects from the inverted index alone samples into a stage
 //! of at most half the budget, and the index's sealed segments go to a
 //! temporary file once the stage and the index would pass it; below the
 //! budget nothing touches the disk. A run that keeps its samples holds them
-//! in RAM and prints one note when they pass the budget. Either kind
-//! returns the same seed set at the same `--seed` — see EXPERIMENTS.md
-//! § "Choosing an RRR storage backend".
+//! in RAM and prints one note when they pass the budget. Without the flag
+//! nothing is bounded. Every budget returns the seed set of none at the
+//! same `--seed` — see EXPERIMENTS.md § "Bounding RRR storage".
 //!
 //! `--report` prints the engine's full [`ripples_core::RunReport`] (phase span tree, work
 //! counters, RRR size histogram, communication accounting) to stderr —
@@ -112,7 +111,7 @@ use ripples_rng::StreamFactory;
 const USAGE: &str = "usage: ripples (--input FILE | --standin NAME | --gen ba:N:M|er:N:M) \
      [--weights uniform|wc|const:P|tri] [--model ic|lt] [--engine ENGINE] [--k K] \
      [--epsilon E] [--seed S] [--threads T | --ranks R] [--select ENGINE] [--sample ENGINE] \
-     [--rrr-store flat|spill] [--rrr-budget BYTES] [--report pretty|json] \
+     [--rrr-budget BYTES] [--report pretty|json] \
      (every flag is described at the top of crates/bench/src/bin/ripples.rs)";
 
 /// A flag the user got wrong: `error: …`, the usage line, exit status 2.
@@ -150,7 +149,7 @@ const ENGINE_FLAGS: [(&str, &[Engine]); 6] = {
         ("sample", &[Opt, Mt, Tim]),
         ("threads", &[Mt]),
         ("ranks", &[Dist, Sharded]),
-        ("rrr-store", &[Opt, Mt, Dist, Sharded, Tim]),
+        ("rrr-budget", &[Opt, Mt, Dist, Sharded, Tim]),
         ("chaos-seed", &[Dist, Sharded]),
     ]
 };
@@ -335,9 +334,6 @@ fn main() {
                 tags.join("/")
             );
         }
-    }
-    if storage.budget.is_some() && storage.kind != RrrStoreKind::Spill {
-        eprintln!("warning: --rrr-budget only affects --rrr-store spill; ignoring");
     }
 
     let trace_path = args.get("trace").map(str::to_string);

@@ -10,7 +10,7 @@
 //!       [--seed S] [--model ic|lt]
 //!       [--select auto|sequential|partitioned|fused]
 //!       [--sample auto|reference|fused]
-//!       [--rrr-store flat|spill] [--rrr-budget BYTES]
+//!       [--rrr-budget BYTES]
 //!       [--snapshot-out FILE] [--snapshot-in FILE]
 //!       [--queries FILE] [--tcp ADDR] [--read-timeout-ms MS]
 //!       [--metrics FILE] [--no-timing]
@@ -47,10 +47,10 @@
 //! graph fingerprint + RNG provenance, whole-file checksum) after the
 //! build; `--snapshot-in FILE` restores it and **skips sampling
 //! entirely** — the restored service answers bitwise-identically to the
-//! one that wrote the file. Both `--rrr-store` kinds write the same file,
-//! and a file an older varint store wrote still restores. Restore refuses
-//! (with a structured error) on corrupt bytes or a fingerprint mismatch
-//! with the loaded graph.
+//! one that wrote the file. A store with or without `--rrr-budget` writes
+//! the same file, and a file an older varint store wrote still restores.
+//! Restore refuses (with a structured error) on corrupt bytes or a
+//! fingerprint mismatch with the loaded graph.
 
 use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
@@ -67,7 +67,7 @@ use ripples_serve::{QueryReport, SketchService};
 const USAGE: &str = "usage: serve (--input FILE | --standin NAME | --gen ba:N:M|er:N:M) \
      [--k-max K] [--epsilon E] [--seed S] [--model ic|lt] \
      [--select auto|sequential|partitioned|fused] [--sample auto|reference|fused] \
-     [--rrr-store flat|spill] [--rrr-budget BYTES] [--snapshot-out FILE] \
+     [--rrr-budget BYTES] [--snapshot-out FILE] \
      [--snapshot-in FILE] [--queries FILE] [--tcp ADDR] \
      (every flag is described at the top of crates/bench/src/bin/serve.rs)";
 

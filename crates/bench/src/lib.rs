@@ -262,33 +262,29 @@ pub fn load_graph(
     }
 }
 
-/// Parses a `--rrr-store` tag: the kind, or the message to print for an
-/// unknown tag or a backend that no longer exists.
-fn parse_rrr_store(tag: &str) -> Result<RrrStoreKind, String> {
-    RrrStoreKind::from_tag(tag).ok_or_else(|| match tag {
-        "bitpack" => "--rrr-store bitpack was removed in PR 16: use flat (dense sets are \
-                      stored as bitmaps) or spill"
-            .to_string(),
-        "varint" => "--rrr-store varint was removed in PR 21: use spill, the same \
-                     varint coding, now in the inverted index that --rrr-budget (default 1 GiB) bounds"
-            .to_string(),
-        _ => format!("unknown --rrr-store `{tag}` (try flat|spill)"),
-    })
-}
-
-/// Parses `--rrr-store` and `--rrr-budget` for the `ripples` and `serve`
-/// binaries, which call it before they load a graph.
+/// Parses `--rrr-budget` for the `ripples` and `serve` binaries, which call
+/// it before they load a graph: a budget makes the budgeted store, and
+/// without one the store is flat.
 ///
 /// # Errors
 ///
-/// The message to print for a bad value of either flag.
+/// The message to print for a value that does not parse, or for the
+/// removed `--rrr-store`.
 pub fn parse_storage(args: &Args) -> Result<StorageConfig, String> {
-    Ok(StorageConfig {
-        kind: args
-            .get("rrr-store")
-            .map_or(Ok(RrrStoreKind::Flat), parse_rrr_store)?,
-        budget: args.try_parse("rrr-budget")?,
-    })
+    if args.flag("rrr-store") {
+        return Err(
+            "--rrr-store was removed: --rrr-budget BYTES makes the budgeted store, \
+             and without it the store is flat"
+                .to_string(),
+        );
+    }
+    let budget = args.try_parse("rrr-budget")?;
+    let kind = if budget.is_some() {
+        RrrStoreKind::Spill
+    } else {
+        RrrStoreKind::Flat
+    };
+    Ok(StorageConfig { kind, budget })
 }
 
 /// Parses `--epsilon` for the `ripples` and `serve` binaries: the IMM

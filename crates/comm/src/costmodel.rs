@@ -37,30 +37,6 @@ impl AlphaBetaModel {
         let rounds = f64::from(32 - (ranks - 1).leading_zeros());
         rounds * (self.alpha + self.beta * bytes as f64)
     }
-
-    /// Time for a broadcast of `bytes` among `ranks` (binomial tree).
-    #[must_use]
-    pub fn broadcast_time(&self, bytes: u64, ranks: u32) -> f64 {
-        self.allreduce_time(bytes, ranks)
-    }
-
-    /// Time for a barrier among `ranks` (empty-payload all-reduce).
-    #[must_use]
-    pub fn barrier_time(&self, ranks: u32) -> f64 {
-        self.allreduce_time(0, ranks)
-    }
-
-    /// Time for a personalized all-to-all (`MPI_Alltoallv`) sending `bytes`
-    /// total from this rank among `ranks`: one direct message per peer
-    /// (pairwise-exchange algorithm), so latency is linear in the peer
-    /// count while the payload crosses the wire once.
-    #[must_use]
-    pub fn alltoallv_time(&self, bytes: u64, ranks: u32) -> f64 {
-        if ranks <= 1 {
-            return 0.0;
-        }
-        f64::from(ranks - 1) * self.alpha + self.beta * bytes as f64
-    }
 }
 
 /// One compute cluster: node/core topology, compute rate, and interconnect.
@@ -109,14 +85,6 @@ impl ClusterSpec {
             },
         }
     }
-
-    /// Seconds to execute `edge_work` edge-examinations spread perfectly
-    /// across `nodes` nodes of this cluster.
-    #[must_use]
-    pub fn compute_time(&self, edge_work: u64, nodes: u32) -> f64 {
-        let threads = f64::from(self.threads_per_node) * f64::from(nodes.max(1));
-        edge_work as f64 / (self.edge_rate_per_thread * threads)
-    }
 }
 
 #[cfg(test)]
@@ -140,15 +108,6 @@ mod tests {
     fn single_rank_costs_nothing() {
         let m = ClusterSpec::puma().network;
         assert_eq!(m.allreduce_time(1 << 20, 1), 0.0);
-        assert_eq!(m.barrier_time(1), 0.0);
-    }
-
-    #[test]
-    fn compute_time_halves_with_double_nodes() {
-        let c = ClusterSpec::edison();
-        let t1 = c.compute_time(1_000_000_000, 1);
-        let t2 = c.compute_time(1_000_000_000, 2);
-        assert!((t1 / t2 - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -157,21 +116,6 @@ mod tests {
         let e = ClusterSpec::edison();
         assert_ne!(p.threads_per_node, e.threads_per_node);
         assert!(p.edge_rate_per_thread > e.edge_rate_per_thread);
-    }
-
-    #[test]
-    fn alltoallv_linear_latency_single_payload_pass() {
-        let m = AlphaBetaModel {
-            alpha: 1e-6,
-            beta: 1e-9,
-        };
-        assert_eq!(m.alltoallv_time(1 << 20, 1), 0.0);
-        // Latency term scales with peers; payload term does not.
-        let t2 = m.alltoallv_time(0, 2);
-        let t5 = m.alltoallv_time(0, 5);
-        assert!((t5 / t2 - 4.0).abs() < 1e-9);
-        let payload = m.alltoallv_time(1_000_000, 2) - t2;
-        assert!((payload - 1e-3).abs() < 1e-12, "1 MB at 1 ns/B = 1 ms");
     }
 
     #[test]

@@ -44,9 +44,10 @@ use crate::select::{
     SelectEngine, SelectStats, Selection,
 };
 use ripples_comm::{CommStats, Communicator};
-use ripples_diffusion::rrr::{generate_rrr, RrrScratch};
-use ripples_diffusion::{BatchOutcome, DiffusionModel, DynRrrStore, RrrStore, StorageConfig};
-use ripples_graph::{Graph, Vertex};
+use ripples_diffusion::{
+    sample_batch_sequential, BatchOutcome, DiffusionModel, DynRrrStore, RrrStore, StorageConfig,
+};
+use ripples_graph::Graph;
 use ripples_rng::StreamFactory;
 
 /// Global sample indices owned by `rank` within `[0, total)`: the strided
@@ -57,9 +58,7 @@ use ripples_rng::StreamFactory;
 /// the estimation loop's repeated top-ups never invalidate earlier local
 /// samples — the same reason the paper leap-frogs its RNG streams.
 fn strided_indices(total: usize, rank: u32, size: u32) -> impl Iterator<Item = u64> {
-    let size = u64::from(size);
-    let rank = u64::from(rank);
-    (0..total as u64).filter(move |i| i % size == rank)
+    (u64::from(rank)..total as u64).step_by(size as usize)
 }
 
 /// Heap entries every rank recounts per selection round, and so `u64`s per
@@ -233,8 +232,9 @@ impl<C: Communicator, P: RankSampler> Engine for RankEngine<'_, C, P> {
             total - self.held,
             &mut self.store,
         );
-        // The samplers push one sample at a time; the batch's end gives the
-        // store's growth slack back and lets its index absorb the batch.
+        // The batch's end gives the store's growth slack back and lets its
+        // index absorb the batch (the sequential sampler has ended it
+        // already, and a second end finds nothing new).
         self.store.finish_batch();
         self.held = total;
         // One "worker" per rank: the batch lands wholly on this rank.
@@ -299,13 +299,12 @@ pub(crate) fn run_imm_ranked<C: Communicator, P: RankSampler>(
     run_imm(label, graph, params, footprint, &mut engine)
 }
 
-/// The replicated-graph sampler: this rank's stride of every batch, one
-/// sample at a time through `generate_rrr`.
+/// The replicated-graph sampler: this rank's stride of every batch, drawn
+/// by the shared sequential sampler.
 struct ReplicatedSampler<'a> {
     graph: &'a Graph,
     model: DiffusionModel,
     factory: StreamFactory,
-    scratch: RrrScratch,
 }
 
 impl RankSampler for ReplicatedSampler<'_> {
@@ -316,18 +315,11 @@ impl RankSampler for ReplicatedSampler<'_> {
         count: usize,
         out: &mut DynRrrStore,
     ) -> BatchOutcome {
-        let n = u64::from(self.graph.num_vertices());
-        let mut outcome = BatchOutcome::default();
-        for index in strided_indices(first as usize + count, comm.rank(), comm.size())
-            .skip_while(|&i| i < first)
-        {
-            let mut rng = self.factory.sample_stream(index);
-            let root = rng.bounded_u64(n) as Vertex;
-            let s = generate_rrr(self.graph, self.model, root, &mut rng, &mut self.scratch);
-            outcome.add([s.vertices.len()], s.edges_examined);
-            out.push(&s.vertices);
-        }
-        outcome
+        let (rank, size) = (comm.rank(), comm.size());
+        // This rank's indices below `first`, drawn by the earlier batches.
+        let drawn = (first + u64::from(size - 1 - rank)) / u64::from(size);
+        let indices = strided_indices(first as usize + count, rank, size).skip(drawn as usize);
+        sample_batch_sequential(self.graph, self.model, &self.factory, indices, out)
     }
 
     fn graph_bytes(&self) -> usize {
@@ -350,7 +342,7 @@ pub fn imm_distributed<C: Communicator>(comm: &C, graph: &Graph, params: &ImmPar
 }
 
 /// The distributed entry point with a per-rank RRR storage backend (CLI
-/// `--rrr-store` / `--rrr-budget`). Each rank holds its local sample
+/// `--rrr-budget`). Each rank holds its local sample
 /// stride in the chosen backend; the selection protocol's recount sums
 /// are storage-independent, so seeds match the flat run at every world
 /// size.
@@ -365,7 +357,6 @@ pub fn imm_distributed_with_storage<C: Communicator>(
         graph,
         model: params.model,
         factory: StreamFactory::new(params.seed),
-        scratch: RrrScratch::new(graph.num_vertices()),
     };
     run_imm_ranked("dist", comm, graph, params, storage, sampler)
 }

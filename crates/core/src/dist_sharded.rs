@@ -334,8 +334,8 @@ pub fn imm_sharded<C: Communicator>(comm: &C, graph: &Graph, params: &ImmParams)
     imm_sharded_with_storage(comm, graph, params, StorageConfig::default())
 }
 
-/// [`imm_sharded`] over an explicit RRR storage backend (CLI `--rrr-store`
-/// / `--rrr-budget`); the seed set is identical at every rank count and for
+/// [`imm_sharded`] over an explicit RRR storage backend (CLI
+/// `--rrr-budget`); the seed set is identical at every rank count and for
 /// every backend.
 #[must_use]
 pub fn imm_sharded_with_storage<C: Communicator>(

@@ -1,6 +1,6 @@
 //! Classic seed-selection heuristics from the paper's related work, used as
-//! quality baselines: DegreeDiscount (Chen et al., KDD'09) and plain
-//! high-degree / random selection.
+//! quality baselines: DegreeDiscount (Chen et al., KDD'09) and uniform
+//! random selection.
 //!
 //! The paper (§2) credits degree discounting with "excellent speedups … on
 //! relatively large datasets" while noting it forfeits the approximation
@@ -62,17 +62,6 @@ pub fn degree_discount_ic(graph: &Graph, k: u32, p: f64) -> Vec<Vertex> {
     seeds
 }
 
-/// The `k` highest out-degree vertices (ties by id).
-#[must_use]
-pub fn high_degree_seeds(graph: &Graph, k: u32) -> Vec<Vertex> {
-    let n = graph.num_vertices();
-    let k = k.min(n) as usize;
-    let mut order: Vec<Vertex> = (0..n).collect();
-    order.sort_by_key(|&v| (std::cmp::Reverse(graph.out_degree(v)), v));
-    order.truncate(k);
-    order
-}
-
 /// `k` distinct uniform-random vertices (deterministic in `seed`).
 #[must_use]
 pub fn random_seeds(graph: &Graph, k: u32, seed: u64) -> Vec<Vertex> {
@@ -98,8 +87,10 @@ mod tests {
     fn degree_discount_starts_with_top_degree() {
         let g = barabasi_albert(500, 3, WeightModel::Constant(0.05), false, 5);
         let dd = degree_discount_ic(&g, 1, 0.05);
-        let hd = high_degree_seeds(&g, 1);
-        assert_eq!(dd, hd, "first pick must be the max-degree vertex");
+        let top = (0..g.num_vertices())
+            .max_by_key(|&v| (g.out_degree(v), std::cmp::Reverse(v)))
+            .expect("a non-empty graph");
+        assert_eq!(dd, [top], "first pick must be the max-degree vertex");
     }
 
     #[test]
@@ -129,17 +120,6 @@ mod tests {
     }
 
     #[test]
-    fn high_degree_ordering() {
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(2, 0, 1.0).unwrap();
-        b.add_edge(2, 1, 1.0).unwrap();
-        b.add_edge(2, 3, 1.0).unwrap();
-        b.add_edge(1, 0, 1.0).unwrap();
-        let g = b.build().unwrap();
-        assert_eq!(high_degree_seeds(&g, 2), vec![2, 1]);
-    }
-
-    #[test]
     fn random_seeds_distinct_and_deterministic() {
         let g = barabasi_albert(100, 2, WeightModel::Constant(0.1), false, 3);
         let a = random_seeds(&g, 20, 7);
@@ -157,7 +137,6 @@ mod tests {
     fn k_clamps() {
         let g = GraphBuilder::new(3).build().unwrap();
         assert_eq!(degree_discount_ic(&g, 10, 0.1).len(), 3);
-        assert_eq!(high_degree_seeds(&g, 10).len(), 3);
         assert_eq!(random_seeds(&g, 10, 1).len(), 3);
     }
 }

@@ -47,8 +47,7 @@ pub fn imm_multithreaded(graph: &Graph, params: &ImmParams, threads: usize) -> I
 }
 
 /// [`imm_multithreaded`] with explicit selection and sampling engines and
-/// RRR storage backend (CLI `--select` / `--sample` / `--rrr-store` /
-/// `--rrr-budget`). Every backend fills through the same streamed
+/// RRR storage backend (CLI `--select` / `--sample` / `--rrr-budget`). Every backend fills through the same streamed
 /// samplers and every selection engine shares the greedy tie-break, so the
 /// seed set is identical at every thread count; the fused sampler draws a
 /// different RNG schedule, so its output is statistically (not bitwise)

@@ -158,7 +158,13 @@ impl<'a> SamplerDispatch<'a> {
         if self.parallel {
             sample_batch(self.graph, self.model, self.factory, first, count, out)
         } else {
-            sample_batch_sequential(self.graph, self.model, self.factory, first, count, out)
+            sample_batch_sequential(
+                self.graph,
+                self.model,
+                self.factory,
+                first..first + count as u64,
+                out,
+            )
         }
     }
 
@@ -269,7 +275,7 @@ mod tests {
         let f = StreamFactory::new(11);
         let model = DiffusionModel::IndependentCascade;
         let mut direct = RrrCollection::new();
-        sample_batch_sequential(&g, model, &f, 0, 150, &mut direct);
+        sample_batch_sequential(&g, model, &f, 0..150, &mut direct);
         let mut routed = RrrCollection::new();
         let mut d = SamplerDispatch::new(&g, model, &f, SampleEngine::Reference, false);
         d.sample_batch(0, 150, &mut routed);
@@ -342,8 +348,7 @@ mod tests {
             &g,
             DiffusionModel::IndependentCascade,
             &f,
-            0,
-            AUTO_PROBE_SAMPLES,
+            0..AUTO_PROBE_SAMPLES as u64,
             &mut reference,
         );
         for j in 0..AUTO_PROBE_SAMPLES {
@@ -373,8 +378,7 @@ mod tests {
             &g,
             DiffusionModel::IndependentCascade,
             &f,
-            0,
-            300,
+            0..300,
             &mut reference,
         );
         for j in 0..300 {

@@ -133,7 +133,7 @@ const FIRST_COOL_ENTRIES_PER_VERTEX: u64 = 4;
 /// ([`DynRrrStore::cool_index_below`]). A pass that pops a cold vertex draws
 /// the samples again through the same dispatcher and rebuilds the index with
 /// the rows it lacks, so every pass is bitwise the pass over the full index.
-/// Over a store with no budget (`--rrr-store flat`) the first round does not
+/// Over a store with no budget (no `--rrr-budget`) the first round does not
 /// wait for its pass: it stops once its samples should fill
 /// [`FIRST_COOL_ENTRIES_PER_VERTEX`]` · (n + 1)` stage entries, at the
 /// prefix's mean set size, for one pass whose seeds go nowhere and whose τ
@@ -428,8 +428,7 @@ pub fn immopt_sequential(graph: &Graph, params: &ImmParams) -> ImmResult {
 }
 
 /// [`immopt_sequential`] with explicit selection and sampling engines and
-/// RRR storage backend (CLI `--select` / `--sample` / `--rrr-store` /
-/// `--rrr-budget`). Every selection engine and every backend returns the
+/// RRR storage backend (CLI `--select` / `--sample` / `--rrr-budget`). Every selection engine and every backend returns the
 /// same seeds for the same parameters; the fused sampler draws a different
 /// RNG schedule, so its seed sets are statistically (not bitwise)
 /// equivalent — see the `sampler-equivalence` oracle check.

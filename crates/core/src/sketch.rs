@@ -37,7 +37,7 @@ pub struct ResidentSketchBuild {
 /// batch entry points do. Semantically
 /// [`immopt_sequential_with_storage`](crate::seq::immopt_sequential_with_storage)
 /// with the store kept alive: same samples, same θ, same final selection,
-/// for every `--select`/`--sample`/`--rrr-store` backend.
+/// for every `--select`/`--sample` engine, with or without `--rrr-budget`.
 #[must_use]
 pub fn build_resident_sketch(
     graph: &Graph,

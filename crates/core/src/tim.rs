@@ -59,7 +59,7 @@ pub fn tim_plus(graph: &Graph, params: &ImmParams) -> ImmResult {
 }
 
 /// [`tim_plus`] with an explicit sampling engine and RRR storage backend
-/// (CLI `--sample` / `--rrr-store` / `--rrr-budget`). The fused sampler
+/// (CLI `--sample` / `--rrr-budget`). The fused sampler
 /// draws a different RNG schedule, so its output is statistically (not
 /// bitwise) equivalent; compressed backends stream widths and greedy cover
 /// through decode-on-touch, so the seed set and θ are identical for every

@@ -12,7 +12,7 @@
 //! [`MixedRrrCollection::append_bitmap`] and the fused sampler's block
 //! emitter ([`crate::fused`]).
 //!
-//! [`MixedRrrCollection`] is both the store `--rrr-store flat` builds and
+//! [`MixedRrrCollection`] is both the store every run builds and
 //! the worker-local [`SampleArena`] the parallel samplers fill, so a dense
 //! set travels from the kernel to selection as a bitmap or complement
 //! without its list ever being materialised. While it holds only lists it

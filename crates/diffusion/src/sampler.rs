@@ -517,37 +517,33 @@ where
 }
 
 /// Sequential reference version of [`sample_batch`]; produces bitwise
-/// identical output (used by the serial baselines and by tests). Pushes
-/// each sample straight into `out`, and ends the batch with
-/// `out.finish_batch()` as the streamed samplers do.
+/// identical output (used by the serial baselines, by each `dist` rank over
+/// its stride of the indices, and by tests). Draws global samples
+/// `indices`, in the order given, pushing each straight into `out`, and
+/// ends the batch with `out.finish_batch()` as the streamed samplers do.
 pub fn sample_batch_sequential<S: RrrStore>(
     graph: &Graph,
     model: DiffusionModel,
     factory: &StreamFactory,
-    first_index: u64,
-    count: usize,
+    indices: impl IntoIterator<Item = u64>,
     out: &mut S,
 ) -> BatchOutcome {
-    assert!(
-        count == 0 || graph.num_vertices() > 0,
-        "cannot sample from an empty graph"
-    );
     validate_model_weights(graph, model);
     let mut scratch = RrrScratch::new(graph.num_vertices());
-    let mut outcome = BatchOutcome {
-        per_worker_samples: if count > 0 {
-            vec![count as u64]
-        } else {
-            Vec::new()
-        },
-        ..BatchOutcome::default()
-    };
-    for offset in 0..count as u64 {
-        let index = first_index + offset;
+    let mut outcome = BatchOutcome::default();
+    for index in indices {
+        assert!(
+            graph.num_vertices() > 0,
+            "cannot sample from an empty graph"
+        );
         let (root, mut rng) = sample_root(graph, factory, index);
         let (set, work) = generate_rrr_in_scratch(graph, model, root, &mut rng, &mut scratch);
         out.push(set);
         outcome.add([set.len()], work);
+    }
+    let count = outcome.set_sizes.count();
+    if count > 0 {
+        outcome.per_worker_samples = vec![count];
     }
     drop(scratch);
     out.finish_batch();
@@ -588,7 +584,7 @@ mod tests {
             let mut par = RrrCollection::new();
             let mut seq = RrrCollection::new();
             let po = sample_batch(&g, model, &f, 0, 500, &mut par);
-            let so = sample_batch_sequential(&g, model, &f, 0, 500, &mut seq);
+            let so = sample_batch_sequential(&g, model, &f, 0..500, &mut seq);
             assert_eq!(par, seq, "collections differ under {model}");
             assert_eq!(po.edges_examined, so.edges_examined);
         }
@@ -669,7 +665,7 @@ mod tests {
         let g = graph();
         let f = StreamFactory::new(1);
         let mut c = RrrCollection::new();
-        sample_batch_sequential(&g, DiffusionModel::LinearThreshold, &f, 0, 4, &mut c);
+        sample_batch_sequential(&g, DiffusionModel::LinearThreshold, &f, 0..4, &mut c);
     }
 
     #[test]
@@ -686,7 +682,7 @@ mod tests {
         let f = StreamFactory::new(2024);
         let model = DiffusionModel::IndependentCascade;
         let mut seq = RrrCollection::new();
-        let so = sample_batch_sequential(&g, model, &f, 0, 700, &mut seq);
+        let so = sample_batch_sequential(&g, model, &f, 0..700, &mut seq);
         for threads in [1usize, 2, 3, 8] {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)

@@ -12,7 +12,7 @@
 //! interval owner's part of it, binary-searched in a list. Beside the
 //! samples [`DynRrrStore`] keeps the one inverted index ([`SampleIndex`],
 //! gap-varint rows), which is what a budget bounds and spills:
-//! `--rrr-store spill` with `--rrr-budget` bounds the stage an index-only
+//! `--rrr-budget` (the spill kind) bounds the stage an index-only
 //! run samples into and the index it grows, and sealed index segments are
 //! what goes to disk. A store that keeps its samples holds them in RAM.
 //!
@@ -166,9 +166,9 @@ pub trait RrrStore {
     }
 }
 
-/// The storage configurations (`--rrr-store`). Both hold the samples in
-/// one [`MixedRrrCollection`]: sorted lists, bitmaps for sets above n/32
-/// vertices and complements for those above 31n/32.
+/// The storage configurations: with `--rrr-budget` and without. Both hold
+/// the samples in one [`MixedRrrCollection`]: sorted lists, bitmaps for
+/// sets above n/32 vertices and complements for those above 31n/32.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RrrStoreKind {
     /// No byte budget: the index stays resident.
@@ -180,17 +180,8 @@ pub enum RrrStoreKind {
 }
 
 impl RrrStoreKind {
-    /// Parses a CLI tag (`--rrr-store flat|spill`).
-    #[must_use]
-    pub fn from_tag(tag: &str) -> Option<Self> {
-        match tag {
-            "flat" => Some(Self::Flat),
-            "spill" => Some(Self::Spill),
-            _ => None,
-        }
-    }
-
-    /// The CLI tag of this kind.
+    /// The name of this kind, as `serve`'s info frame and the oracle's case
+    /// names print it.
     #[must_use]
     pub fn tag(self) -> &'static str {
         match self {
@@ -995,7 +986,7 @@ mod tests {
         let mut plain = RrrCollection::new();
         let factory = StreamFactory::new(21);
         let ic = crate::DiffusionModel::IndependentCascade;
-        crate::sample_batch_sequential(&graph, ic, &factory, 0, 3_000, &mut plain);
+        crate::sample_batch_sequential(&graph, ic, &factory, 0..3_000, &mut plain);
         for (label, plain_bytes, varint_bytes, min_ratio) in [
             (
                 "clustered",
@@ -1412,13 +1403,7 @@ mod tests {
     }
 
     #[test]
-    fn store_kind_tags_round_trip() {
-        for kind in [RrrStoreKind::Flat, RrrStoreKind::Spill] {
-            assert_eq!(RrrStoreKind::from_tag(kind.tag()), Some(kind));
-        }
-        for retired in ["nope", "varint", "bitpack"] {
-            assert_eq!(RrrStoreKind::from_tag(retired), None, "{retired}");
-        }
+    fn the_default_store_is_flat() {
         let store = DynRrrStore::new(StorageConfig::default(), 10);
         assert_eq!(store.kind(), RrrStoreKind::Flat);
         assert!(store.as_flat().is_some());

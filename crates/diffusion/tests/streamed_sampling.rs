@@ -97,7 +97,7 @@ impl Kernel {
         let outcome = match self {
             Kernel::Reference => {
                 let model = DiffusionModel::IndependentCascade;
-                sample_batch_sequential(g, model, f, first, count, &mut c)
+                sample_batch_sequential(g, model, f, first..first + count as u64, &mut c)
             }
             Kernel::Fused => pool(1).install(|| self.run(g, f, first, count, &mut c)),
         };

@@ -11,8 +11,8 @@
 //!    a graph holds fewer than 2³² − 1 edges);
 //! 2. permute the records into one bucket per target: one American-flag
 //!    pass, with a cursor per target;
-//! 3. sort each bucket by source, ties by insertion index, and fold the
-//!    duplicates into the first one added; pack the kept sources (and
+//! 3. sort each bucket by source, ties by insertion index, and keep the
+//!    first added of each edge's duplicates; pack the kept sources (and
 //!    probabilities) to the front of the buffer, which then shrinks to the
 //!    raw sources, so no second array of m vertices exists;
 //! 4. code the rows (the gap varints [`crate::InNeighbors`] decodes) and
@@ -36,31 +36,6 @@ use crate::rows::Rows;
 use crate::types::{GraphError, Vertex};
 use crate::weights::WeightModel;
 use std::ops::Range;
-
-/// What to do when the same `(source, target)` pair is added twice.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum DuplicatePolicy {
-    /// Keep the occurrence that was *added first* (default; matches SNAP
-    /// loader behaviour). Ties are broken by insertion index, so this holds
-    /// also among duplicates of differing probability.
-    #[default]
-    KeepFirst,
-    /// Keep the occurrence with the largest probability.
-    KeepMax,
-    /// Combine as independent chances: `1 − (1−p₁)(1−p₂)`, folded in the
-    /// order the duplicates were added.
-    NoisyOr,
-}
-
-impl DuplicatePolicy {
-    fn combine(self, kept: f32, next: f32) -> f32 {
-        match self {
-            DuplicatePolicy::KeepFirst => kept,
-            DuplicatePolicy::KeepMax => kept.max(next),
-            DuplicatePolicy::NoisyOr => 1.0 - (1.0 - kept) * (1.0 - next),
-        }
-    }
-}
 
 /// Accumulates edges and produces a validated [`Graph`].
 ///
@@ -88,7 +63,6 @@ pub struct GraphBuilder {
     /// 4 while the records carry probabilities and insertion indices, 2
     /// once a weight model is going to assign the probabilities.
     width: usize,
-    duplicate_policy: DuplicatePolicy,
     drop_self_loops: bool,
 }
 
@@ -109,7 +83,6 @@ impl GraphBuilder {
             num_vertices,
             records: Vec::new(),
             width: 4,
-            duplicate_policy: DuplicatePolicy::default(),
             drop_self_loops: true,
         }
     }
@@ -117,13 +90,6 @@ impl GraphBuilder {
     /// Pre-allocates room for `additional` more edges.
     pub fn reserve(&mut self, additional: usize) {
         self.records.reserve(additional * self.width);
-    }
-
-    /// Sets the duplicate-edge policy (default: keep first).
-    #[must_use]
-    pub fn duplicate_policy(mut self, policy: DuplicatePolicy) -> Self {
-        self.duplicate_policy = policy;
-        self
     }
 
     /// Sets whether self-loops are silently dropped (default: true).
@@ -245,16 +211,13 @@ impl GraphBuilder {
         let weights = match model {
             Some(model) => {
                 let records = words.as_chunks_mut::<2>().0;
-                let kept = bucket_and_fold(records, &mut in_offsets, |_, _| {});
+                let kept = bucket_and_dedup(records, &mut in_offsets);
                 pack(&mut words, 2, 1..2, kept);
                 Weights::Model(model)
             }
             None => {
                 let records = words.as_chunks_mut::<4>().0;
-                let kept = bucket_and_fold(records, &mut in_offsets, |kept, later| {
-                    let (p, q) = (f32::from_bits(kept[2]), f32::from_bits(later[2]));
-                    kept[2] = self.duplicate_policy.combine(p, q).to_bits();
-                });
+                let kept = bucket_and_dedup(records, &mut in_offsets);
                 // Sources and probabilities in pairs, then the sources alone.
                 pack(&mut words, 4, 1..3, kept);
                 let pairs = words.chunks_exact(2);
@@ -320,12 +283,9 @@ impl Weights {
 /// Steps 2 and 3 over records of `W` words: target, source and, when `W`
 /// is 4, the probability's bits and the insertion index. `offsets` comes
 /// in as the buckets' starts and leaves as the reverse offsets of the kept
-/// records, whose number is returned; `fold(kept, later)` folds a duplicate.
-fn bucket_and_fold<const W: usize>(
-    records: &mut [[u32; W]],
-    offsets: &mut [u32],
-    fold: impl Fn(&mut [u32; W], &[u32; W]),
-) -> usize {
+/// records, whose number is returned. Of the records of one edge the first
+/// added is kept.
+fn bucket_and_dedup<const W: usize>(records: &mut [[u32; W]], offsets: &mut [u32]) -> usize {
     // Bucket `v` is settled from its cursor `next[v]` on: records there are
     // taken up, `CHAINS` at a time, leaving holes. Each goes to the cursor
     // slot of its own bucket and takes up the record there, until one of
@@ -367,9 +327,7 @@ fn bucket_and_fold<const W: usize>(
         records[start..end].sort_unstable_by_key(rank);
         for i in start..end {
             let record = records[i];
-            if kept > row_start && records[kept - 1][1] == record[1] {
-                fold(&mut records[kept - 1], &record);
-            } else {
+            if kept == row_start || records[kept - 1][1] != record[1] {
                 records[kept] = record;
                 kept += 1;
             }
@@ -507,26 +465,6 @@ mod tests {
         let g = b.build().unwrap();
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.edge_prob(0, 1), Some(0.2));
-    }
-
-    #[test]
-    fn dedup_keep_max() {
-        let mut b = GraphBuilder::new(2).duplicate_policy(DuplicatePolicy::KeepMax);
-        b.add_edge(0, 1, 0.2).unwrap();
-        b.add_edge(0, 1, 0.9).unwrap();
-        b.add_edge(0, 1, 0.5).unwrap();
-        let g = b.build().unwrap();
-        assert_eq!(g.edge_prob(0, 1), Some(0.9));
-    }
-
-    #[test]
-    fn dedup_noisy_or() {
-        let mut b = GraphBuilder::new(2).duplicate_policy(DuplicatePolicy::NoisyOr);
-        b.add_edge(0, 1, 0.5).unwrap();
-        b.add_edge(0, 1, 0.5).unwrap();
-        let g = b.build().unwrap();
-        let p = g.edge_prob(0, 1).unwrap();
-        assert!((p - 0.75).abs() < 1e-6);
     }
 
     #[test]

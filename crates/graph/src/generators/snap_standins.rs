@@ -40,12 +40,6 @@ pub struct StandinSpec {
 }
 
 impl StandinSpec {
-    /// Builds the stand-in at the spec's default divisor.
-    #[must_use]
-    pub fn build_default(&self, model: WeightModel, lt_normalize: bool) -> Graph {
-        self.build(self.default_divisor, model, lt_normalize)
-    }
-
     /// Builds the stand-in scaled down by `divisor` (1 = full size).
     ///
     /// # Panics

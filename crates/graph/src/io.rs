@@ -1,4 +1,4 @@
-//! Graph I/O: SNAP-style edge-list text and a compact binary format.
+//! Graph I/O: SNAP-style edge-list text.
 //!
 //! The text format is line-oriented: `source<ws>target[<ws>probability]`,
 //! with `#`-prefixed comment lines, exactly what the SNAP collection ships.
@@ -810,62 +810,6 @@ pub fn write_edge_list<W: Write>(graph: &Graph, writer: W) -> Result<(), GraphEr
     Ok(())
 }
 
-const BINARY_MAGIC: &[u8; 8] = b"RIPGRPH1";
-
-/// Serializes the graph to a compact little-endian binary stream.
-///
-/// Layout: magic, n (u32), m (u64), then per-edge (source u32, target u32,
-/// prob f32) in forward CSR order. The reverse CSR is rebuilt on load.
-pub fn write_binary<W: Write>(graph: &Graph, writer: W) -> Result<(), GraphError> {
-    let mut w = BufWriter::new(writer);
-    w.write_all(BINARY_MAGIC)?;
-    w.write_all(&graph.num_vertices().to_le_bytes())?;
-    w.write_all(&(graph.num_edges() as u64).to_le_bytes())?;
-    for (u, v, p) in graph.edges() {
-        w.write_all(&u.to_le_bytes())?;
-        w.write_all(&v.to_le_bytes())?;
-        w.write_all(&p.to_le_bytes())?;
-    }
-    w.flush()?;
-    Ok(())
-}
-
-/// Deserializes a graph written by [`write_binary`].
-pub fn read_binary<R: Read>(reader: R) -> Result<Graph, GraphError> {
-    let mut r = BufReader::new(reader);
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)
-        .map_err(|e| GraphError::Corrupt(format!("missing magic: {e}")))?;
-    if &magic != BINARY_MAGIC {
-        return Err(GraphError::Corrupt("bad magic".into()));
-    }
-    let mut buf4 = [0u8; 4];
-    let mut buf8 = [0u8; 8];
-    r.read_exact(&mut buf4)?;
-    let n = u32::from_le_bytes(buf4);
-    r.read_exact(&mut buf8)?;
-    let m = u64::from_le_bytes(buf8);
-    if m > u64::from(u32::MAX) {
-        return Err(GraphError::Corrupt("edge count exceeds u32 limit".into()));
-    }
-    let mut builder = GraphBuilder::new(n);
-    // `m` is a claim until the edges have been read: room for a bounded
-    // number up front, the rest grows as they arrive.
-    builder.reserve(m.min(1 << 20) as usize);
-    for i in 0..m {
-        let mut edge = [0u8; 12];
-        r.read_exact(&mut edge)
-            .map_err(|_| GraphError::Corrupt(format!("truncated at edge {i} of {m}")))?;
-        let u = u32::from_le_bytes(edge[0..4].try_into().unwrap());
-        let v = u32::from_le_bytes(edge[4..8].try_into().unwrap());
-        let p = f32::from_le_bytes(edge[8..12].try_into().unwrap());
-        builder
-            .add_edge(u, v, p)
-            .map_err(|e| GraphError::Corrupt(format!("invalid edge {i}: {e}")))?;
-    }
-    builder.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -894,33 +838,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(g, g2);
-    }
-
-    #[test]
-    fn binary_roundtrip() {
-        let g = sample();
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        let g2 = read_binary(buf.as_slice()).unwrap();
-        assert_eq!(g, g2);
-    }
-
-    #[test]
-    fn binary_rejects_bad_magic() {
-        let err = read_binary(&b"NOTAGRPH\x00\x00\x00\x00"[..]).unwrap_err();
-        assert!(matches!(err, GraphError::Corrupt(_)));
-    }
-
-    #[test]
-    fn binary_rejects_truncation() {
-        let g = sample();
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        buf.truncate(buf.len() - 5);
-        assert!(matches!(
-            read_binary(buf.as_slice()),
-            Err(GraphError::Corrupt(_))
-        ));
     }
 
     #[test]

@@ -19,8 +19,7 @@
 //!   generator for the paper's biology case study) and the
 //!   [`generators::snap_standins`] catalogue: scaled-down analogues of the
 //!   eight SNAP graphs in the paper's Table 2.
-//! * [`io`] — SNAP-style edge-list text I/O and a compact binary format; a
-//!   text file whose edges ascend, as [`io::write_edge_list`] writes them,
+//! * [`io`] — SNAP-style edge-list text I/O; a text file whose edges ascend, as [`io::write_edge_list`] writes them,
 //!   loads at about the finished graph's size.
 //! * [`partition`] — deterministic edge-balanced vertex-cut shards with
 //!   ghost-vertex tables, the substrate of the graph-sharded distributed

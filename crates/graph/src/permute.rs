@@ -88,12 +88,6 @@ impl Permutation {
         vs.iter().map(|&v| self.apply(v)).collect()
     }
 
-    /// Maps a slice of new ids back to old ids, preserving order.
-    #[must_use]
-    pub fn invert_all(&self, vs: &[Vertex]) -> Vec<Vertex> {
-        vs.iter().map(|&v| self.invert(v)).collect()
-    }
-
     /// The inverse permutation as its own object.
     #[must_use]
     pub fn inverted(&self) -> Self {

@@ -31,11 +31,6 @@ pub enum GraphError {
         /// Description of the problem.
         message: String,
     },
-    /// Binary graph data is malformed.
-    Corrupt(
-        /// Description of the problem.
-        String,
-    ),
     /// An underlying I/O failure (message-only so the error stays `Clone`).
     Io(
         /// Stringified `std::io::Error`.
@@ -67,7 +62,6 @@ impl fmt::Display for GraphError {
             GraphError::Parse { line, message } => {
                 write!(f, "parse error on line {line}: {message}")
             }
-            GraphError::Corrupt(msg) => write!(f, "corrupt graph data: {msg}"),
             GraphError::Io(msg) => write!(f, "I/O error: {msg}"),
             GraphError::TooLarge(msg) => write!(f, "graph too large: {msg}"),
         }
@@ -98,9 +92,6 @@ mod tests {
             message: "bad token".into(),
         };
         assert!(e.to_string().contains("line 3"));
-        assert!(GraphError::Corrupt("x".into())
-            .to_string()
-            .contains("corrupt"));
     }
 
     #[test]

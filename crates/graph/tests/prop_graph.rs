@@ -7,15 +7,13 @@
 //! hostile, panics or aborts.
 
 use proptest::prelude::*;
-use ripples_graph::builder::DuplicatePolicy;
 use ripples_graph::generators::barabasi_albert;
 use ripples_graph::io::{
-    read_binary, read_edge_list, read_edge_list_file, write_binary, write_edge_list,
-    EdgeListOptions, VertexIds,
+    read_edge_list, read_edge_list_file, write_edge_list, EdgeListOptions, VertexIds,
 };
 use ripples_graph::{Graph, GraphBuilder, GraphError, RowProbs, Vertex, WeightModel};
 use ripples_rng::SplitMix64;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader, Read};
 use std::path::Path;
 
@@ -41,13 +39,14 @@ proptest! {
         prop_assert!(g.validate().is_ok());
     }
 
-    /// Insertion order never changes the built graph.
+    /// Insertion order never changes the built graph of distinct edges (of
+    /// an edge added twice the builder keeps the first one added).
     #[test]
     fn order_independence((n, edges) in edges_strategy()) {
-        // KeepFirst is order-sensitive by definition; use NoisyOr which is
-        // commutative up to float rounding — so compare structure only.
-        let mut fwd = GraphBuilder::new(n).duplicate_policy(DuplicatePolicy::KeepMax);
-        let mut rev = GraphBuilder::new(n).duplicate_policy(DuplicatePolicy::KeepMax);
+        let mut seen = HashSet::new();
+        let edges: Vec<_> = edges.into_iter().filter(|&(u, v, _)| seen.insert((u, v))).collect();
+        let mut fwd = GraphBuilder::new(n);
+        let mut rev = GraphBuilder::new(n);
         for &(u, v, p) in &edges {
             fwd.add_edge(u, v, p).unwrap();
         }
@@ -74,19 +73,6 @@ proptest! {
                 prop_assert_eq!(g.edge_prob(u, v), Some(p));
             }
         }
-    }
-
-    /// Binary serialization round-trips exactly.
-    #[test]
-    fn binary_roundtrip((n, edges) in edges_strategy()) {
-        let mut b = GraphBuilder::new(n);
-        for (u, v, p) in edges {
-            b.add_edge(u, v, p).unwrap();
-        }
-        let g = b.build().unwrap();
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        prop_assert_eq!(read_binary(buf.as_slice()).unwrap(), g);
     }
 
     /// Text serialization round-trips structurally (probabilities via
@@ -561,30 +547,27 @@ fn break_digit_runs(bytes: &mut [u8]) {
     }
 }
 
-/// One to four small edits. Bytes in `pinned` keep their value and every
-/// byte before its end keeps its place.
-fn mutate(dice: &mut Dice, bytes: &mut Vec<u8>, pinned: std::ops::Range<usize>) {
+/// One to four small edits.
+fn mutate(dice: &mut Dice, bytes: &mut Vec<u8>) {
     for _ in 0..1 + dice.below(4) {
         if bytes.is_empty() {
             return;
         }
         let at = dice.below(bytes.len());
-        let movable = at >= pinned.end;
         match dice.below(5) {
-            0 if !pinned.contains(&at) => bytes[at] = dice.0.next_u64() as u8,
-            1 if movable => {
+            0 => bytes[at] = dice.0.next_u64() as u8,
+            1 => {
                 bytes.remove(at);
             }
-            2 if movable => {
+            2 => {
                 let piece = dice.pick(HOSTILE);
                 bytes.splice(at..at, piece.iter().copied());
             }
-            3 if movable => {
-                let other = pinned.end + dice.below(bytes.len() - pinned.end);
+            3 => {
+                let other = dice.below(bytes.len());
                 bytes.swap(at, other);
             }
-            4 => bytes.truncate(at),
-            _ => {}
+            _ => bytes.truncate(at),
         }
     }
 }
@@ -619,21 +602,6 @@ fn text_reader_survives(mut text: Vec<u8>) -> Result<(), String> {
     Ok(())
 }
 
-fn binary_reader_survives(bytes: &[u8]) -> Result<(), String> {
-    match read_binary(bytes) {
-        Ok(graph) => graph
-            .validate()
-            .map_err(|why| format!("{why} after reading {bytes:?}")),
-        Err(_) => Ok(()),
-    }
-}
-
-/// Where a binary file keeps the upper half of its vertex count. `n` is a
-/// declaration nothing in the file can contradict — 2³² − 1 isolated
-/// vertices are a well-formed 20-byte file, and 64 GB of offsets — so the
-/// mutations leave it below 2¹⁶. The edge count beside it is fair game.
-const BINARY_N_HIGH: std::ops::Range<usize> = 10..12;
-
 // ---------------------------------------------------------------------------
 // (c) The builder against sort + dedup + naive CSR.
 // ---------------------------------------------------------------------------
@@ -645,29 +613,18 @@ struct NaiveCsr {
 }
 
 /// What `build` has to produce from edges inserted in this order: sort
-/// them by endpoints without disturbing the order of duplicates, fold the
-/// duplicates, weigh the survivors in sorted order, readjust for LT, and
+/// them by endpoints without disturbing the order of duplicates, keep the
+/// first of each edge's duplicates, weigh the survivors in sorted order, readjust for LT, and
 /// read both adjacency directions off the sorted list.
 fn reference_build(
     n: u32,
     inserted: &[(Vertex, Vertex, f32)],
-    policy: DuplicatePolicy,
     model: Option<WeightModel>,
     lt_normalize: bool,
 ) -> NaiveCsr {
     let mut edges = inserted.to_vec();
     edges.sort_by_key(|&(u, v, _)| (u, v));
-    edges.dedup_by(|next, kept| {
-        let same = (next.0, next.1) == (kept.0, kept.1);
-        if same {
-            kept.2 = match policy {
-                DuplicatePolicy::KeepFirst => kept.2,
-                DuplicatePolicy::KeepMax => kept.2.max(next.2),
-                DuplicatePolicy::NoisyOr => 1.0 - (1.0 - kept.2) * (1.0 - next.2),
-            };
-        }
-        same
-    });
+    edges.dedup_by_key(|&mut (u, v, _)| (u, v));
     match model {
         None => {}
         Some(WeightModel::UniformRandom { seed }) => {
@@ -732,14 +689,13 @@ fn build_matches_reference(
     case: &BuildCase,
 ) -> Result<(), String> {
     let BuildCase {
-        policy,
         model,
         lt_normalize,
         lt_in_place,
         undirected,
         keep_self_loops,
     } = *case;
-    let mut builder = GraphBuilder::new(n).duplicate_policy(policy);
+    let mut builder = GraphBuilder::new(n);
     if keep_self_loops {
         builder = builder.keep_self_loops();
     }
@@ -790,7 +746,7 @@ fn build_matches_reference(
             graph
         }
     };
-    let reference = reference_build(n, &inserted, policy, model, lt_normalize);
+    let reference = reference_build(n, &inserted, model, lt_normalize);
 
     graph.validate()?;
     let mut canonical = GraphBuilder::new(n).keep_self_loops();
@@ -857,7 +813,6 @@ fn build_matches_reference(
 
 #[derive(Clone, Copy, Debug)]
 struct BuildCase {
-    policy: DuplicatePolicy,
     model: Option<WeightModel>,
     lt_normalize: bool,
     /// LT readjustment on the built graph rather than in the builder (file
@@ -871,11 +826,6 @@ impl BuildCase {
     fn from_seed(seed: u64) -> Self {
         let mut dice = Dice::new(seed);
         BuildCase {
-            policy: dice.pick(&[
-                DuplicatePolicy::KeepFirst,
-                DuplicatePolicy::KeepMax,
-                DuplicatePolicy::NoisyOr,
-            ]),
             model: dice.pick(&[
                 None,
                 None,
@@ -903,17 +853,11 @@ fn crowded_edges_strategy() -> impl Strategy<Value = (u32, Vec<(u32, u32, f32)>)
 
 type EdgeList = Vec<(Vertex, Vertex, f32)>;
 
-/// Fixed inputs for the in-place grouping by target, each with the
-/// duplicate policies to build it under: every edge into vertex 0 and every
-/// edge into vertex n − 1 (one bucket holds the whole buffer), one pair
-/// added again and again with differing probabilities (under each policy),
+/// Fixed inputs for the in-place grouping by target: every edge into
+/// vertex 0 and every edge into vertex n − 1 (one bucket holds the whole
+/// buffer), one pair added again and again with differing probabilities,
 /// trailing isolated vertices, no edges, and n = 1 with a kept self-loop.
-fn corner_shapes() -> Vec<(u32, EdgeList, Vec<DuplicatePolicy>)> {
-    const ALL: [DuplicatePolicy; 3] = [
-        DuplicatePolicy::KeepFirst,
-        DuplicatePolicy::KeepMax,
-        DuplicatePolicy::NoisyOr,
-    ];
+fn corner_shapes() -> Vec<(u32, EdgeList)> {
     let star = |hub: Vertex| -> EdgeList {
         [4, 1, 6, 2, 4, 5, 3, 1]
             .iter()
@@ -930,12 +874,12 @@ fn corner_shapes() -> Vec<(u32, EdgeList, Vec<DuplicatePolicy>)> {
     ];
     let trailing = vec![(2, 0, 0.5), (0, 1, 0.25), (1, 2, 1.0), (2, 0, 0.75)];
     vec![
-        (7, star(0), ALL.to_vec()),
-        (7, star(6), ALL.to_vec()),
-        (2, pair, ALL.to_vec()),
-        (9, trailing, vec![DuplicatePolicy::KeepFirst]),
-        (4, Vec::new(), vec![DuplicatePolicy::KeepFirst]),
-        (1, vec![(0, 0, 0.5), (0, 0, 0.25)], ALL.to_vec()),
+        (7, star(0)),
+        (7, star(6)),
+        (2, pair),
+        (9, trailing),
+        (4, Vec::new()),
+        (1, vec![(0, 0, 0.5), (0, 0, 0.25)]),
     ]
 }
 
@@ -974,50 +918,17 @@ proptest! {
         let mut dice = Dice::new(seed);
         let mut text = Vec::new();
         write_edge_list(&small_graph(&mut dice), &mut text).unwrap();
-        mutate(&mut dice, &mut text, 0..0);
+        mutate(&mut dice, &mut text);
         let outcome = text_reader_survives(text);
         prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
     }
 
-    /// Raw bytes; a well-formed header followed by anything, claiming any
-    /// edge count; and a written file mutated as above.
-    #[test]
-    fn binary_reader_survives_hostile_input(seed in any::<u64>(), raw in prop::collection::vec(any::<u8>(), 0..64)) {
-        let outcome = binary_reader_survives(&raw);
-        prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
-
-        let mut dice = Dice::new(seed);
-        let mut framed = b"RIPGRPH1".to_vec();
-        framed.extend_from_slice(&(dice.below(1 << 16) as u32).to_le_bytes());
-        let records = dice.below(12);
-        let any_count = dice.0.next_u64();
-        let claimed = dice.pick(&[records as u64, any_count, 4_000_000_000, 1 << 32, 0]);
-        framed.extend_from_slice(&claimed.to_le_bytes());
-        for _ in 0..records {
-            for _ in 0..2 {
-                let id = if dice.chance(80) { dice.below(64) as u32 } else { dice.0.next_u32() };
-                framed.extend_from_slice(&id.to_le_bytes());
-            }
-            let prob = if dice.chance(80) { dice.0.unit_f64() as f32 } else { f32::from_bits(dice.0.next_u32()) };
-            framed.extend_from_slice(&prob.to_le_bytes());
-        }
-        framed.truncate(framed.len() - dice.below(3));
-        let outcome = binary_reader_survives(&framed);
-        prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
-
-        let mut written = Vec::new();
-        write_binary(&small_graph(&mut dice), &mut written).unwrap();
-        mutate(&mut dice, &mut written, BINARY_N_HIGH);
-        let outcome = binary_reader_survives(&written);
-        prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
-    }
-
-    /// `build` against the reference under every duplicate policy, weight
-    /// model, LT readjustment (in the builder and in place), `add_undirected`
-    /// and kept self-loops, with the edges in the order drawn and in the
-    /// reverse of it: reverse rows, forward view, in-weight sums and the
-    /// probability layout. `KeepFirst` keeps the first *inserted* duplicate
-    /// in both. The [`corner_shapes`] ride along.
+    /// `build` against the reference under every weight model, LT
+    /// readjustment (in the builder and in place), `add_undirected` and kept
+    /// self-loops, with the edges in the order drawn and in the reverse of
+    /// it: reverse rows, forward view, in-weight sums and the probability
+    /// layout. Both keep the first *inserted* of an edge's duplicates. The
+    /// [`corner_shapes`] ride along.
     #[test]
     fn build_matches_sort_dedup_naive_csr((n, edges) in crowded_edges_strategy(), seed in any::<u64>()) {
         let case = BuildCase::from_seed(seed);
@@ -1026,14 +937,12 @@ proptest! {
         let reversed: Vec<_> = edges.iter().rev().copied().collect();
         let outcome = build_matches_reference(n, &reversed, &case);
         prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
-        // The corner shapes under this case's model and readjustment, with
-        // their policies, directed, self-loops kept.
-        for (n, edges, policies) in corner_shapes() {
-            for policy in policies {
-                let case = BuildCase { policy, undirected: false, keep_self_loops: true, ..case };
-                let outcome = build_matches_reference(n, &edges, &case);
-                prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
-            }
+        // The corner shapes under this case's model and readjustment,
+        // directed, self-loops kept.
+        for (n, edges) in corner_shapes() {
+            let case = BuildCase { undirected: false, keep_self_loops: true, ..case };
+            let outcome = build_matches_reference(n, &edges, &case);
+            prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
         }
     }
 }

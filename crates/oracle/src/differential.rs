@@ -183,7 +183,7 @@ fn dense_graph(params: &ImmParams) -> Graph {
     )
 }
 
-/// Layer 2b: `--rrr-store` equivalence. The spill kind, under its default
+/// Layer 2b: storage equivalence. The spill kind, under its default
 /// budget and a tiny one, must return the identical seeds, θ, and coverage
 /// as the flat reference — end-to-end through the sequential pipeline,
 /// through a distributed run, and at the selection layer across every eager
@@ -217,8 +217,7 @@ pub(crate) fn check_storage_equivalence(
         &dense,
         params.model,
         &StreamFactory::new(params.seed),
-        0,
-        reference.theta,
+        0..reference.theta as u64,
         &mut collection,
     );
     let mut flat = DynRrrStore::new(StorageConfig::default(), n);
@@ -482,7 +481,13 @@ pub(crate) fn check_influence_agreement(
     let est_samples = theta.max(1000);
     let factory = StreamFactory::new(params.seed).child(0x0E57_1A7E);
     let mut fresh = RrrCollection::new();
-    sample_batch_sequential(graph, params.model, &factory, 0, est_samples, &mut fresh);
+    sample_batch_sequential(
+        graph,
+        params.model,
+        &factory,
+        0..est_samples as u64,
+        &mut fresh,
+    );
     let frac = coverage_of(&fresh, seeds) as f64 / est_samples as f64;
     let rrr_est = frac * f64::from(n);
     // Coverage is Binomial(θ', F)/θ' scaled by n.
@@ -546,7 +551,7 @@ pub(crate) fn check_sampler_equivalence(
     let s = theta.max(1000);
     let factory = StreamFactory::new(params.seed).child(0x5A4D_504C);
     let mut reference = RrrCollection::new();
-    sample_batch_sequential(graph, params.model, &factory, 0, s, &mut reference);
+    sample_batch_sequential(graph, params.model, &factory, 0..s as u64, &mut reference);
     let mut fused = RrrCollection::new();
     sample_batch_fused(graph, params.model, &factory, s as u64, s, &mut fused);
 

@@ -95,8 +95,7 @@ pub fn check_all_with(graph: &Graph, params: &ImmParams, cfg: &OracleConfig) -> 
         graph,
         params.model,
         &factory,
-        0,
-        reference.theta,
+        0..reference.theta as u64,
         &mut collection,
     );
     let k = params.effective_k(n);

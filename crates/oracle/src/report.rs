@@ -29,7 +29,7 @@ pub enum CheckKind {
     KPrefixMonotonicity,
     /// Greedy marginal gains are non-increasing.
     Submodularity,
-    /// Every `--rrr-store` kind (spill under its default and a tiny budget,
+    /// Every store kind (spill under its default and a tiny budget,
     /// and flat itself once dense sets make it hold bitmaps) returns the
     /// identical seeds, θ, and coverage as a list-only reference, across
     /// the sequential/dist pipelines and every eager select engine.

@@ -32,10 +32,10 @@
 //! layout, in which a complement's record is the sorted list of the
 //! vertices it leaves out rather than the up to n it holds. A store with no
 //! complement writes kind 0, byte for byte as before kind 2 existed. Every
-//! store writes one of the two, whatever its `--rrr-store`.
+//! store writes one of the two, whatever its kind.
 //!
 //! Kind 1 is read, never written: the payload the retired varint sample
-//! stores (`--rrr-store varint`, and `--rrr-store spill` before it held its
+//! stores (the varint backend, and the spill kind before it held its
 //! samples flat) wrote. `u64` offsets length (θ + 1), the global byte offset
 //! bounding each sample's block as `u64` each, `u64` counts length (θ),
 //! per-sample vertex counts as `u32` each, `u64` byte-stream length, the

@@ -5,7 +5,7 @@ use ripples_core::mt::imm_multithreaded;
 use ripples_core::seq::immopt_sequential;
 use ripples_core::ImmParams;
 use ripples_diffusion::{estimate_spread, DiffusionModel};
-use ripples_graph::io::{read_binary, read_edge_list, EdgeListOptions};
+use ripples_graph::io::{read_edge_list, EdgeListOptions};
 use ripples_graph::{GraphBuilder, GraphError, WeightModel};
 use ripples_rng::StreamFactory;
 
@@ -21,30 +21,6 @@ fn malformed_edge_lists_are_rejected_not_panicked() {
             .expect_err(&format!("{bad:?} should fail"));
         assert!(matches!(err, GraphError::Parse { .. }));
     }
-}
-
-#[test]
-fn corrupt_binary_is_rejected() {
-    assert!(matches!(
-        read_binary(&b"garbage!"[..]),
-        Err(GraphError::Corrupt(_))
-    ));
-    assert!(matches!(
-        read_binary(&b"RIPGRPH1\x01"[..]),
-        Err(GraphError::Io(_)) | Err(GraphError::Corrupt(_))
-    ));
-    // A 20-byte file claiming four billion edges: the count is a claim until
-    // the edges arrive, so nothing is sized from it (it used to abort the
-    // process on a 48 GB allocation).
-    let mut header = b"RIPGRPH1".to_vec();
-    header.extend_from_slice(&10u32.to_le_bytes());
-    header.extend_from_slice(&4_000_000_000u64.to_le_bytes());
-    assert_eq!(
-        read_binary(header.as_slice()),
-        Err(GraphError::Corrupt(
-            "truncated at edge 0 of 4000000000".into()
-        ))
-    );
 }
 
 #[test]
@@ -178,8 +154,8 @@ fn weight_models_survive_extreme_graphs() {
 }
 
 /// A flag the user got wrong is `error: …` plus the usage line and exit
-/// status 2 — never a panic — and a removed `--rrr-store` value says what
-/// replaced it, in both binaries. An unknown or removed `--engine` tag
+/// status 2 — never a panic — and the removed `--rrr-store` names
+/// `--rrr-budget`, in both binaries. An unknown or removed `--engine` tag
 /// lists exactly the engines README.md lists. A flag the engine ignores
 /// warns.
 #[test]
@@ -218,7 +194,6 @@ fn cli_usage_errors_exit_2_and_never_panic() {
         &["--chaos-seed", "q"],
         &["--model", "sir"],
         &["--simulate", "z"],
-        &["--rrr-store", "nope"],
         &["--engine", "shraded"],
         &["--engine", "community"],
         &["--engine", "celf"],
@@ -257,7 +232,7 @@ fn cli_usage_errors_exit_2_and_never_panic() {
         &["--engine", "opt", "--threads", "2"],
         &["--engine", "dist", "--threads", "2"],
         &["--engine", "mt", "--ranks", "3"],
-        &["--engine", "baseline", "--rrr-store", "spill"],
+        &["--engine", "baseline", "--rrr-budget", "4096"],
         &["--engine", "mt", "--chaos-seed", "3"],
     ] {
         let (code, stderr) = run(ripples, &[flags, &["--k", "2"]].concat());
@@ -307,21 +282,16 @@ fn cli_usage_errors_exit_2_and_never_panic() {
         );
     };
     // Storage and graph-source flags go through one parser each in both
-    // binaries, before the graph is loaded; a retired backend names its
-    // replacement, and a `--gen` count that does not fit the generator's
+    // binaries, before the graph is loaded; the removed `--rrr-store` names
+    // `--rrr-budget` whatever its value, and a `--gen` count that does not fit the generator's
     // 32 bits is refused, not narrowed (2^32 + 100 used to run on 100
     // vertices).
     for exe in [ripples, env!("CARGO_BIN_EXE_serve")] {
         for (flags, message) in [
             (
-                &["--rrr-store", "bitpack"][..],
-                "removed in PR 16: use flat (dense sets are stored as bitmaps) or spill",
+                &["--rrr-store", "spill"][..],
+                "--rrr-store was removed: --rrr-budget BYTES",
             ),
-            (
-                &["--rrr-store", "varint"],
-                "--rrr-store varint was removed in PR 21: use spill",
-            ),
-            (&["--rrr-store", "nope"], "(try flat|spill)"),
             (&["--rrr-budget", "x"], "invalid value `x` for --rrr-budget"),
             (
                 &["--gen", "ba:4294967396:3"],
@@ -440,7 +410,7 @@ fn cli_usage_errors_exit_2_and_never_panic() {
 }
 
 /// A run that keeps its samples holds them in RAM whatever `--rrr-budget`
-/// says: past a tiny budget it returns the flat store's seeds and says so in
+/// says: past a tiny budget it returns the seeds of no budget and says so in
 /// one note, once per run, also when two ranks each keep a store.
 #[test]
 fn a_budget_past_kept_samples_notes_once_and_keeps_the_seeds() {
@@ -460,12 +430,12 @@ fn a_budget_past_kept_samples_notes_once_and_keeps_the_seeds() {
             .count();
         (String::from_utf8_lossy(&out.stdout).into_owned(), notes)
     };
-    let budgeted = ["--rrr-store", "spill", "--rrr-budget", "4096"];
+    let budgeted = ["--rrr-budget", "4096"];
     for engine in [
         &["--engine", "mt", "--threads", "2"][..],
         &["--engine", "dist", "--ranks", "2"],
     ] {
-        let (flat_seeds, flat_notes) = run(&[engine, &["--rrr-store", "flat"]].concat());
+        let (flat_seeds, flat_notes) = run(engine);
         let (seeds, notes) = run(&[engine, &budgeted[..]].concat());
         assert_eq!(seeds, flat_seeds, "{engine:?}");
         assert_eq!(seeds.lines().count(), 5, "{engine:?}");

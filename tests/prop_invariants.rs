@@ -151,8 +151,7 @@ proptest! {
                         &graph,
                         DiffusionModel::IndependentCascade,
                         &factory,
-                        0,
-                        r.theta,
+                        0..r.theta as u64,
                         &mut c,
                     );
                     c

@@ -1,7 +1,7 @@
 //! Serve-vs-batch equivalence: a resident sketch built once (sized for
 //! `k_max`) answers `topk(k)` **bitwise-identically** to a fresh batch run
 //! at the same master seed and `k_max` — across every select engine ×
-//! `--rrr-store` backend combination, on Table 2 stand-in graphs, for
+//! store kind combination, on Table 2 stand-in graphs, for
 //! k ∈ {1, 10, k_max}; and, per select engine, on a dense graph whose
 //! fused-sampled sketch the flat store holds as complements.
 //!
